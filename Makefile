@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
+.PHONY: build examples test race bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ race:
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The repository benchmark: closed-loop dispatch replay on all four
+# workloads, end-to-end metrics (benchmark/README.md; BENCHMARK.json).
+benchmark:
+	$(GO) run ./benchmark -workload all -seed 1
 
 lint:
 	@fmtout="$$(gofmt -l .)"; \

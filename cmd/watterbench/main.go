@@ -643,6 +643,7 @@ type poolReport struct {
 	PlansAvoided      uint64  `json:"plans_avoided"`
 	PlansMaterialized uint64  `json:"plans_materialized"`
 	PlansReused       uint64  `json:"plans_reused"`
+	PairsPruned       uint64  `json:"pairs_pruned"`
 	LegBlocks         int     `json:"leg_blocks"`
 	DecisionsSame     bool    `json:"pool_decisions_identical"`
 	SimCity           string  `json:"sim_city"`
@@ -850,6 +851,7 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 		PlansAvoided:      st.PlansAvoided(),
 		PlansMaterialized: st.PlansMaterialized,
 		PlansReused:       st.PlansReused,
+		PairsPruned:       st.PairsPruned,
 		LegBlocks:         cp.LegBlocks(),
 		DecisionsSame:     decisionsSame,
 		SimCity:           "CDC",

@@ -3,6 +3,7 @@ package gridindex
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -136,4 +137,78 @@ func TestMoveObserverFires(t *testing.T) {
 	wi.SetMoveObserver(nil)
 	w.Loc = net.Node(0, 0)
 	wi.Update(w) // must not panic with the observer removed
+}
+
+// TestBoundedProbeMatchesLegacyOracle: on a graph network the probe costs
+// each ring through roadnet.FillNearestWithin (bound-ordered searches under
+// a shrinking budget); with the legacy oracle selected the same index prices
+// every ring in full. Both must name the same worker at the same cost — for
+// the ALT and the hierarchy arm, fleets with co-located and busy workers,
+// finite and infinite budgets — and the reader's candidate record must stay
+// a set of idle in-budget workers that contains the winner.
+func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
+	for _, hierarchy := range []bool{false, true} {
+		g := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
+		ref := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
+		ref.SetPointToPoint(false)
+		if hierarchy {
+			g.EnableHierarchy()
+		}
+		ix := New(g, 8)
+		rng := rand.New(rand.NewSource(77))
+		pruned := 0
+		for trial := 0; trial < 15; trial++ {
+			workers := make([]*order.Worker, 5+rng.Intn(60))
+			for i := range workers {
+				workers[i] = &order.Worker{
+					ID:       i + 1,
+					Loc:      geo.NodeID(rng.Intn(g.NumNodes())),
+					Capacity: 1 + rng.Intn(4),
+					FreeAt:   float64(rng.Intn(3)) * 50,
+				}
+				if i > 0 && rng.Intn(6) == 0 {
+					workers[i].Loc = workers[i-1].Loc
+				}
+			}
+			wi := NewWorkerIndex(ix, g, workers)
+			r, lr := wi.NewReader(), NewWorkerIndex(ix, ref, workers).NewReader()
+			for q := 0; q < 40; q++ {
+				node := geo.NodeID(rng.Intn(g.NumNodes()))
+				now := float64(rng.Intn(3)) * 50
+				minCap := 1 + rng.Intn(4)
+				maxCost := math.Inf(1)
+				if rng.Intn(3) > 0 {
+					maxCost = float64(rng.Intn(500))
+				}
+				lw, lc, full := lr.ClosestIdleWithin(node, now, minCap, maxCost)
+				w, c, cands := r.ClosestIdleWithin(node, now, minCap, maxCost)
+				if w != lw || math.Float64bits(c) != math.Float64bits(lc) {
+					t.Fatalf("hierarchy=%v trial %d query %d: bounded (%v, %v) != legacy (%v, %v)",
+						hierarchy, trial, q, w, c, lw, lc)
+				}
+				if iw, ic := wi.ClosestIdleWithin(node, now, minCap, maxCost); iw != w || ic != c {
+					t.Fatalf("hierarchy=%v: index (%v, %v) != its reader (%v, %v)", hierarchy, iw, ic, w, c)
+				}
+				// The legacy record is every idle in-budget worker of the
+				// scanned rings; the bounded one is a subset holding the winner.
+				found := w == nil
+				for _, id := range cands {
+					if !slices.Contains(full, id) {
+						t.Fatalf("hierarchy=%v: recorded candidate %d is not an in-budget idle worker of the scanned rings %v",
+							hierarchy, id, full)
+					}
+					found = found || int(id) == w.ID
+				}
+				if !found {
+					t.Fatalf("hierarchy=%v: candidate record %v misses the winner %d", hierarchy, cands, w.ID)
+				}
+				if len(cands) < len(full) {
+					pruned++
+				}
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("hierarchy=%v: no probe ever left an in-budget worker unsearched; the bounded path did not run", hierarchy)
+		}
+	}
 }

@@ -12,10 +12,10 @@ import (
 // WorkerIndex tracks workers by grid cell and answers "closest idle worker
 // to node X at time T" queries with expanding ring search, the standard
 // grid-accelerated dispatch lookup the paper adopts from prior studies.
-// Each ring's surviving candidates are costed with one batched
-// roadnet.FillCostMatrix call, so a Graph-backed network ranks the whole
-// ring with pruned point-to-point searches instead of per-worker full
-// Dijkstras.
+// Each ring's surviving candidates are costed with one batched roadnet
+// call: FillNearestWithin for the closest-worker probes (a Graph-backed
+// network searches only the candidates its lower bounds cannot exclude),
+// FillCostMatrix for KNearest, which ranks the whole ring.
 //
 // The index itself is single-goroutine state (each simulation job owns its
 // own index), but reads can be fanned out: NewReader returns a probe handle
@@ -48,6 +48,10 @@ type probeScratch struct {
 	candBuf []*order.Worker
 	locBuf  []geo.NodeID
 	costBuf []float64
+	// target is ringCosts' one-column target list. It lives here because a
+	// slice of a stack array escapes through the network's interface call:
+	// one heap allocation per ring.
+	target [1]geo.NodeID
 }
 
 // NewWorkerIndex indexes the given workers.
@@ -111,15 +115,9 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 	}
 }
 
-// ringCosts batches the travel times from every candidate gathered for the
-// current ring to node, reusing the caller's scratch buffers. maxCost bounds
-// each underlying search: candidates beyond it may come back +Inf, which
-// every caller filters out anyway. On a Graph network this runs one pruned
-// forward search per distinct candidate location (plus duplicate-location
-// dedup) — a single reverse-graph sweep from node would be cheaper, but
-// reverse-order float folds would break the engine's bit-equivalence
-// contract with Cost, so forward searches are deliberate.
-func (wi *WorkerIndex) ringCosts(sc *probeScratch, node geo.NodeID, maxCost float64) []float64 {
+// ringLocs loads the current ring's candidate locations into the scratch
+// and sizes its cost row to match.
+func ringLocs(sc *probeScratch) {
 	sc.locBuf = sc.locBuf[:0]
 	for _, w := range sc.candBuf {
 		sc.locBuf = append(sc.locBuf, w.Loc)
@@ -129,8 +127,30 @@ func (wi *WorkerIndex) ringCosts(sc *probeScratch, node geo.NodeID, maxCost floa
 		sc.costBuf = make([]float64, len(sc.locBuf))
 	}
 	sc.costBuf = sc.costBuf[:len(sc.locBuf)]
-	target := [1]geo.NodeID{node}
-	roadnet.FillCostMatrixWithin(wi.net, sc.locBuf, target[:], maxCost, sc.costBuf)
+}
+
+// ringCosts prices every candidate gathered for the current ring: the exact
+// travel time from each to node (KNearest ranks all of them). Disconnected
+// candidates come back +Inf.
+func (wi *WorkerIndex) ringCosts(sc *probeScratch, node geo.NodeID) []float64 {
+	ringLocs(sc)
+	sc.target[0] = node
+	roadnet.FillCostMatrix(wi.net, sc.locBuf, sc.target[:], sc.costBuf)
+	return sc.costBuf
+}
+
+// ringNearest prices the current ring for a closest-worker question: by
+// roadnet.FillNearestWithin's argmin contract the cheapest candidate within
+// maxCost (and every candidate tied with it) is exact, the others are exact
+// or +Inf. A Graph network orders the ring by landmark bound and searches
+// forward from each candidate under a budget that shrinks to the best cost
+// found, skipping the rest once their bounds exceed it; forward because a
+// single reverse sweep from node would fold float32 edge sums in the other
+// order and break bit-equivalence with Cost. Closed-form networks price the
+// whole ring, as ringCosts does.
+func (wi *WorkerIndex) ringNearest(sc *probeScratch, node geo.NodeID, maxCost float64) []float64 {
+	ringLocs(sc)
+	roadnet.FillNearestWithin(wi.net, sc.locBuf, node, maxCost, sc.costBuf)
 	return sc.costBuf
 }
 
@@ -159,14 +179,16 @@ func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapaci
 // The index's own queries and every ProbeReader run this exact code over
 // the same cell buckets, so the two paths are bit-identical by
 // construction. When cands is non-nil, every costed in-budget candidate's
-// worker ID is appended to it — the exact dependency footprint a
-// speculative caller needs: a dispatch can only book workers (idle ->
-// busy, never the reverse within a tick), so re-running the search after
-// some bookings removes candidates and never adds any. Removing a
-// non-candidate (busy, under-capacity, out-of-budget or unreachable here)
-// cannot change the argmin, and removing an in-budget candidate is
-// exactly what the recorded IDs detect — so the search's answer is stable
-// iff no recorded candidate was booked.
+// worker ID is appended to it — a sufficient dependency footprint for a
+// speculative caller: a dispatch can only book workers (idle -> busy,
+// never the reverse within a tick), so re-running the search after some
+// bookings removes candidates and never adds any. Removing a worker that
+// was not recorded (busy, under-capacity, out-of-budget, unreachable, or
+// left unsearched by ringNearest because it costs more than the best
+// already found) cannot change the argmin or the ring the scan stops at
+// — each ring's cheapest in-budget worker is always recorded — and
+// removing a recorded one is exactly what the IDs detect. So the search's
+// answer is stable while no recorded candidate was booked (DESIGN.md §9).
 //
 //det:hotpath the budgeted ring search backs every dispatch probe and every speculation; buffers come from the caller's scratch
 func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, sc *probeScratch, cands *[]int32) (*order.Worker, float64) {
@@ -190,11 +212,13 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 			return true
 		})
 		if len(sc.candBuf) > 0 {
-			costs := wi.ringCosts(sc, node, maxCost)
+			// Only a cost at or below the best of the earlier rings can
+			// still win (equal costs tie-break on ID), so that caps the ring.
+			costs := wi.ringNearest(sc, node, math.Min(maxCost, bestCost))
 			for i, w := range sc.candBuf {
 				c := costs[i]
 				if math.IsInf(c, 1) || c > maxCost {
-					continue // unreachable or beyond the deadline budget
+					continue // unreachable, beyond the deadline budget, or not searched
 				}
 				if cands != nil {
 					*cands = append(*cands, int32(w.ID))
@@ -225,8 +249,7 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 // scratch: several readers may run ClosestIdleWithin concurrently (against
 // each other and against nothing else — the index must not be mutated while
 // any reader is in flight). Each probe also records the in-budget
-// candidates it costed, which is exactly the dependency footprint of its
-// answer.
+// candidates it costed, the dependency footprint of its answer.
 //
 //det:scratch reader-private probe state, never shared across goroutines
 type ProbeReader struct {
@@ -243,7 +266,7 @@ func (wi *WorkerIndex) NewReader() *ProbeReader {
 // ClosestIdleWithin runs the identical budgeted ring search as
 // WorkerIndex.ClosestIdleWithin and additionally returns the worker IDs of
 // every costed in-budget candidate — the probe's answer is unchanged by
-// later same-tick dispatches exactly while none of these workers is
+// later same-tick dispatches while none of these workers is
 // booked. The returned slice is the reader's scratch, valid until its next
 // probe.
 //
@@ -286,7 +309,7 @@ func (wi *WorkerIndex) KNearest(node geo.NodeID, k int, pred func(*order.Worker)
 			return true
 		})
 		if len(sc.candBuf) > 0 {
-			costs := wi.ringCosts(sc, node, math.Inf(1))
+			costs := wi.ringCosts(sc, node)
 			for i, w := range sc.candBuf {
 				if math.IsInf(costs[i], 1) {
 					continue // disconnected: not a usable candidate

@@ -145,5 +145,6 @@ func (s *Stats) Merge(t Stats) {
 	s.PoolCache.Evicted += t.PoolCache.Evicted
 	s.PoolCache.PlansMaterialized += t.PoolCache.PlansMaterialized
 	s.PoolCache.PlansReused += t.PoolCache.PlansReused
+	s.PoolCache.PairsPruned += t.PoolCache.PairsPruned
 	s.PoolCacheActive = s.PoolCacheActive || t.PoolCacheActive
 }

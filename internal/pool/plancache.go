@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"watter/internal/order"
+	"watter/internal/route"
 )
 
 // The clique plan cache exploits two invariants of the exact route DP:
@@ -44,6 +45,10 @@ type CacheStats struct {
 	// cliques only); PlansReused counts wins served by an already
 	// materialized group.
 	PlansMaterialized, PlansReused uint64
+	// PairsPruned counts insert-time pair tests settled by
+	// route.PairInfeasible: no leg block, no DP, no lookup. Always 0 on a
+	// network without lower bounds.
+	PairsPruned uint64
 }
 
 // PlansAvoided is the number of route DPs the cache absorbed.
@@ -160,7 +165,9 @@ func (p *Pool) cacheInsert(key []byte, ent *planEntry) {
 // enumerated over edges only, so a failed test's negative outcome (and its
 // leg block) can never be looked up again — persisting them would only
 // grow the memo. Feasible pairs are cached normally: the refresh that
-// follows the insert hits them immediately as 2-cliques.
+// follows the insert hits them immediately as 2-cliques. On a network with
+// lower bounds, a pair the bounds already prove infeasible fails here
+// without asking for its leg block at all.
 func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	canon := p.canonical(a, b)
 	if p.cache == nil {
@@ -183,6 +190,12 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	ent.members = append(ent.members[:0], canon...)
 	ent.svc = ent.svc[:len(ent.members)]
 	ent.group = nil
+	if p.certifiedInfeasible(a, b, now) {
+		p.cache.stats.PairsPruned++
+		ent.feasible = false
+		p.pairProbe = ent
+		return ent
+	}
 	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.members, now, p.opt.Capacity, p.legs, ent.svc)
 	if !ent.feasible {
 		p.pairProbe = ent
@@ -194,6 +207,13 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	p.pairProbe = nil
 	p.cacheInsert(key, ent)
 	return ent
+}
+
+// certifiedInfeasible reports whether the network's lower bounds prove the
+// pair unshareable at now (see route.PairInfeasible); false on networks
+// without bounds.
+func (p *Pool) certifiedInfeasible(a, b *order.Order, now float64) bool {
+	return p.bounds != nil && route.PairInfeasible(p.bounds, a, b, now, p.opt.Capacity)
 }
 
 // fillEntry runs the cost-only DP for the set and stores the outcome. The

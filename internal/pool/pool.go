@@ -23,6 +23,7 @@ import (
 
 	"watter/internal/gridindex"
 	"watter/internal/order"
+	"watter/internal/roadnet"
 	"watter/internal/route"
 )
 
@@ -122,6 +123,10 @@ type Pool struct {
 	// one simulation run.
 	cache *planCache
 	legs  *route.LegStore
+	// bounds is the network's lower-bound capability, nil when it has none
+	// (closed-form cities) or when memoization is off — the uncached pool is
+	// also the reference the pair certificate is tested against.
+	bounds roadnet.BoundedNetwork
 
 	// Reusable scratch for the maintenance hot path. The pool is
 	// single-goroutine (each simulation run owns its pool), so plain
@@ -173,6 +178,7 @@ func New(planner *route.Planner, ix *gridindex.Index, opt Options) *Pool {
 	if !opt.DisablePlanCache {
 		p.cache = newPlanCache()
 		p.legs = route.NewLegStore(planner.Net)
+		p.bounds, _ = planner.Net.(roadnet.BoundedNetwork)
 	}
 	return p
 }

@@ -17,7 +17,8 @@ type Exec interface {
 
 // PrewarmPairs computes, in parallel, the pairwise shareability plans an
 // imminent Insert(o, now) will run: one cost-only route DP per candidate
-// neighbor whose pair is not already cached. Each task plans into a
+// neighbor whose pair is neither already cached nor certified infeasible by
+// the network's lower bounds. Each task plans into a
 // private scratch leg store; the results — pure functions of the member
 // pair and now — are then merged into the plan cache (and, for feasible
 // pairs, the pool's leg store) on the calling goroutine, so the following
@@ -43,6 +44,9 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		canon := p.canonical(o, cand.o)
 		if _, ok := p.cache.entries[string(p.memberKey(canon))]; ok {
 			continue
+		}
+		if p.certifiedInfeasible(o, cand.o, now) {
+			continue // the insert re-derives the certificate; nothing to warm
 		}
 		jobs = append(jobs, pairJob{
 			ent:  &planEntry{members: append([]*order.Order(nil), canon...), svc: make([]float64, 2)},

@@ -165,6 +165,24 @@ func (g *Graph) altBound(v, t geo.NodeID) float64 {
 	return lb
 }
 
+// CostLowerBound implements BoundedNetwork: the landmark bound the search
+// engines use as their A* heuristic, exposed so a caller can decide a
+// threshold question without running a search — chBound when the hierarchy
+// answers Cost, altBound otherwise. Both are admissible for the float32-fold
+// metric Cost reports, and +Inf only as an unreachability proof. With the
+// legacy full-Dijkstra oracle selected (SetPointToPoint(false), Precompute)
+// the bound is the trivial 0: those modes are the filter-free reference the
+// equivalence tests compare the engines against.
+func (g *Graph) CostLowerBound(from, to geo.NodeID) float64 {
+	if from == to || g.pinned.Load() || g.ppOff.Load() {
+		return 0
+	}
+	if g.chReady() {
+		return g.chBound(from, to)
+	}
+	return g.altBound(from, to)
+}
+
 // f64Item / f64PQ: a float64 Dijkstra priority queue for preprocessing.
 type f64Item struct {
 	node geo.NodeID

@@ -69,6 +69,7 @@ type chScratch struct {
 	res     []float64
 	pending []int
 	colIdx  []int
+	ord     []int32 // nearestInto: source indices by ascending bound
 }
 
 //det:hotalloc pool miss or first query after a graph grows; steady state reuses pooled arrays

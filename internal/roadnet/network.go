@@ -53,9 +53,24 @@ type MatrixNetwork interface {
 	CostMatrix(sources, targets []geo.NodeID) [][]float64
 }
 
+// BoundedNetwork is an optional Network extension for callers whose
+// question is a threshold, not a value: CostLowerBound never exceeds Cost
+// and takes a few dozen flops where Cost runs a search. +Inf is returned
+// only as a proof that to is unreachable from from. Networks whose Cost is
+// already O(1) (GridCity) have no use for it and do not implement it.
+type BoundedNetwork interface {
+	Network
+	CostLowerBound(from, to geo.NodeID) float64
+}
+
 // matrixFiller is the zero-allocation internal form of MatrixNetwork.
 type matrixFiller interface {
 	costMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64)
+}
+
+// nearestFiller is the engine form of FillNearestWithin.
+type nearestFiller interface {
+	nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64)
 }
 
 // FillCostMatrix fills out (row-major, len >= len(sources)*len(targets))
@@ -93,6 +108,27 @@ func FillCostMatrixWithin(net Network, sources, targets []geo.NodeID, maxCost fl
 		row := out[i*nt : (i+1)*nt]
 		for j, t := range targets {
 			row[j] = net.Cost(s, t)
+		}
+	}
+}
+
+// FillNearestWithin answers "which of sources is closest to target, within
+// maxCost" without pricing every source. It fills out (len >= len(sources))
+// under an argmin contract: every source whose cost attains the minimum over
+// sources, when that minimum is <= maxCost, is reported exactly; any other
+// entry is either exact or +Inf. The (cost, tie-break) argmin over out is
+// therefore the argmin over the full FillCostMatrixWithin column, which is
+// what networks without a bounding engine are given.
+func FillNearestWithin(net Network, sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
+	switch m := net.(type) {
+	case nearestFiller:
+		m.nearestInto(sources, target, maxCost, out)
+	case MatrixNetwork:
+		//det:hotalloc external batched engines allocate their result matrix anyway; no in-tree network reaches this arm
+		FillCostMatrixWithin(net, sources, []geo.NodeID{target}, maxCost, out)
+	default:
+		for i, s := range sources {
+			out[i] = net.Cost(s, target)
 		}
 	}
 }

@@ -96,6 +96,7 @@ type ppScratch struct {
 	res     []float64    // result per uniq target
 	pending []int        // uniq indices not yet finalized
 	colIdx  []int        // output column -> uniq index
+	ord     []int32      // nearestInto: source indices by ascending bound
 }
 
 //det:hotalloc pool miss or first query after a graph grows; steady state reuses pooled arrays
@@ -269,6 +270,96 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 		}
 	}
 	g.ppPool.Put(sc)
+}
+
+// nearestInto implements FillNearestWithin. Sources are searched in
+// ascending order of their landmark bound, each under a budget that is
+// maxCost until some search lands at or below it and the best exact cost
+// found so far from then on; the scan stops at the first source whose bound
+// exceeds the budget. Exactness: a search under budget B reports every cost
+// <= B exactly, and B never drops below the true minimum m over sources
+// (it only ever takes exact costs of sources, all >= m), so every source
+// attaining m <= maxCost is searched — its bound is <= m <= B — and reported
+// as m; ties included, since B = m still admits cost m. A source left
+// unsearched has bound > B >= m, so it is neither the argmin nor tied with
+// it, and +Inf is a legal report. All searches share one target epoch: one
+// heuristic cache and, on the hierarchy arm, one buildCone.
+func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
+	if len(sources) == 0 {
+		return
+	}
+	if g.pinned.Load() || g.ppOff.Load() {
+		// Legacy oracle: the full column, as costMatrixInto reads it.
+		for i, s := range sources {
+			out[i] = float64(g.source(s).dist[target])
+		}
+		return
+	}
+	var psc *ppScratch
+	var csc *chScratch
+	var ord []int32
+	if g.chReady() {
+		csc = g.getCHScratch()
+		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+		csc.uniq = append(csc.uniq[:0], target)
+		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+		csc.res = append(csc.res[:0], 0)
+		csc.newTargetEpoch()
+		ord = csc.ord[:0]
+	} else {
+		psc = g.getScratch()
+		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+		psc.uniq = append(psc.uniq[:0], target)
+		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+		psc.res = append(psc.res[:0], 0)
+		psc.newTargetEpoch()
+		ord = psc.ord[:0]
+	}
+	// Bounds go into out, then an insertion sort of the indices (rings hold
+	// a handful of workers; stable, so equal bounds keep source order).
+	for i, s := range sources {
+		out[i] = g.CostLowerBound(s, target)
+		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+		ord = append(ord, int32(i))
+		for j := i; j > 0 && out[ord[j]] < out[ord[j-1]]; j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	budget := maxCost
+	inf := math.Inf(1)
+	for k, i := range ord {
+		if out[i] > budget {
+			for _, rest := range ord[k:] {
+				out[rest] = inf
+			}
+			break
+		}
+		if k > 0 && sources[i] == sources[ord[k-1]] {
+			out[i] = out[ord[k-1]] // co-located workers sort adjacently
+			continue
+		}
+		var d float64
+		if csc != nil {
+			// ubHint 0: one epoch shares its heuristic cache across sources,
+			// so the deflation constants must not vary per source.
+			g.chSearchFrom(csc, sources[i], budget, 0)
+			d = csc.res[0]
+		} else {
+			g.searchFrom(psc, sources[i], budget)
+			d = psc.res[0]
+		}
+		out[i] = d
+		if d < budget {
+			budget = d
+		}
+	}
+	if csc != nil {
+		csc.ord = ord
+		g.chPool.Put(csc)
+	} else {
+		psc.ord = ord
+		g.ppPool.Put(psc)
+	}
 }
 
 // searchFrom runs one exact multi-target A* from src over sc.uniq, filling
