@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
+.PHONY: build examples test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ test:
 # Shuffled so test-order coupling fails here before it fails in CI.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Ten seconds of coverage-guided fuzzing on the DIMACS importer, on top of
+# the seed corpus in internal/roadnet/testdata/fuzz that `test` always runs.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:
@@ -61,7 +66,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build examples test race bench
+ci: lint staticcheck govulncheck build examples test race fuzz bench
 
 # Regenerate the checked-in DIMACS fixture from its generator (the
 # importer test fails if the two ever drift).
@@ -73,7 +78,7 @@ fixtures:
 benchsweep:
 	$(GO) run ./cmd/watterbench -benchsweep BENCH_sweep.json
 
-# Regenerate the routing engine vs cold-Dijkstra baseline.
+# Regenerate the routing baseline: CH and ALT vs the reference Dijkstra.
 benchroute:
 	$(GO) run ./cmd/watterbench -benchroute BENCH_routing.json
 

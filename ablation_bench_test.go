@@ -93,41 +93,32 @@ func BenchmarkPoolMaintenance(b *testing.B) {
 	}
 }
 
-// BenchmarkOracle compares the travel-time oracles (DESIGN.md §5): the
-// closed-form grid metric, cached Dijkstra and precomputed all-pairs.
+// BenchmarkOracle compares the travel-time oracles (DESIGN.md §3), each arm
+// named after what answers Cost: the closed-form grid metric, the two
+// engines of the Graph ladder, and the reference Dijkstra they reproduce.
 func BenchmarkOracle(b *testing.B) {
-	queries := func(n int) []geo.NodeID {
-		rng := rand.New(rand.NewSource(3))
-		out := make([]geo.NodeID, 1024)
-		for i := range out {
-			out[i] = geo.NodeID(rng.Intn(n))
-		}
-		return out
+	graph := func() *roadnet.Graph { return roadnet.NewPerturbedGrid(40, 40, 150, 8, 0.3, 1) }
+	hierarchy := graph()
+	hierarchy.EnableHierarchy()
+	arms := []struct {
+		name string
+		net  roadnet.Network
+	}{
+		{"closed-form", roadnet.NewGridCity(40, 40, 150, 8)},
+		{"alt", graph()},
+		{"ch", hierarchy},
+		{"reference", roadnet.Reference(graph())},
 	}
-	b.Run("grid-closed-form", func(b *testing.B) {
-		net := roadnet.NewGridCity(40, 40, 150, 8)
-		qs := queries(net.NumNodes())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Cost(qs[i%1024], qs[(i*7+3)%1024])
-		}
-	})
-	b.Run("dijkstra-lru", func(b *testing.B) {
-		net := roadnet.NewPerturbedGrid(40, 40, 150, 8, 0.3, 1)
-		net.SetCacheSize(256)
-		qs := queries(net.NumNodes())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Cost(qs[i%1024], qs[(i*7+3)%1024])
-		}
-	})
-	b.Run("dijkstra-precomputed", func(b *testing.B) {
-		net := roadnet.NewPerturbedGrid(40, 40, 150, 8, 0.3, 1)
-		net.Precompute()
-		qs := queries(net.NumNodes())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Cost(qs[i%1024], qs[(i*7+3)%1024])
-		}
-	})
+	rng := rand.New(rand.NewSource(3))
+	qs := make([]geo.NodeID, 1024)
+	for i := range qs {
+		qs[i] = geo.NodeID(rng.Intn(40 * 40))
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				arm.net.Cost(qs[i%1024], qs[(i*7+3)%1024])
+			}
+		})
+	}
 }

@@ -141,19 +141,18 @@ func TestMoveObserverFires(t *testing.T) {
 
 // TestBoundedProbeMatchesLegacyOracle: on a graph network the probe costs
 // each ring through roadnet.FillNearestWithin (bound-ordered searches under
-// a shrinking budget); with the legacy oracle selected the same index prices
-// every ring in full. Both must name the same worker at the same cost — for
+// a shrinking budget); over roadnet.Reference, which offers no bound and no
+// batched path, the same index prices every ring in full, pair by pair. Both must name the same worker at the same cost — for
 // the ALT and the hierarchy arm, fleets with co-located and busy workers,
 // finite and infinite budgets — and the reader's candidate record must stay
 // a set of idle in-budget workers that contains the winner.
 func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
 	for _, hierarchy := range []bool{false, true} {
 		g := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
-		ref := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
-		ref.SetPointToPoint(false)
 		if hierarchy {
 			g.EnableHierarchy()
 		}
+		ref := roadnet.Reference(g)
 		ix := New(g, 8)
 		rng := rand.New(rand.NewSource(77))
 		pruned := 0
@@ -183,13 +182,13 @@ func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
 				lw, lc, full := lr.ClosestIdleWithin(node, now, minCap, maxCost)
 				w, c, cands := r.ClosestIdleWithin(node, now, minCap, maxCost)
 				if w != lw || math.Float64bits(c) != math.Float64bits(lc) {
-					t.Fatalf("hierarchy=%v trial %d query %d: bounded (%v, %v) != legacy (%v, %v)",
+					t.Fatalf("hierarchy=%v trial %d query %d: bounded (%v, %v) != reference (%v, %v)",
 						hierarchy, trial, q, w, c, lw, lc)
 				}
 				if iw, ic := wi.ClosestIdleWithin(node, now, minCap, maxCost); iw != w || ic != c {
 					t.Fatalf("hierarchy=%v: index (%v, %v) != its reader (%v, %v)", hierarchy, iw, ic, w, c)
 				}
-				// The legacy record is every idle in-budget worker of the
+				// The reference record is every idle in-budget worker of the
 				// scanned rings; the bounded one is a subset holding the winner.
 				found := w == nil
 				for _, id := range cands {

@@ -234,8 +234,8 @@ func TestStatsComposite(t *testing.T) {
 	if !st.ShardActive {
 		t.Fatal("K=2 platform must expose shard stats")
 	}
-	if want, ok := p.ShardStats(); !ok || want != st.Shard {
-		t.Fatalf("shard counters diverged: %+v vs %+v (ok=%v)", st.Shard, want, ok)
+	if got := fw.ShardEngine().Stats(); got != st.Shard {
+		t.Fatalf("shard counters diverged: %+v vs %+v", st.Shard, got)
 	}
 
 	// Baselines without pool or engine report inactive, not zero-lies.

@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
 
 	"watter/internal/geo"
@@ -165,42 +164,19 @@ func (g *Graph) altBound(v, t geo.NodeID) float64 {
 	return lb
 }
 
-// CostLowerBound implements BoundedNetwork: the landmark bound the search
-// engines use as their A* heuristic, exposed so a caller can decide a
-// threshold question without running a search — chBound when the hierarchy
-// answers Cost, altBound otherwise. Both are admissible for the float32-fold
-// metric Cost reports, and +Inf only as an unreachability proof. With the
-// legacy full-Dijkstra oracle selected (SetPointToPoint(false), Precompute)
-// the bound is the trivial 0: those modes are the filter-free reference the
-// equivalence tests compare the engines against.
+// CostLowerBound implements BoundedNetwork: the landmark bound the engine
+// answering Cost uses as its A* heuristic, exposed so a caller can decide a
+// threshold question without running a search — chBound when a hierarchy is
+// built, altBound otherwise. Both are admissible for the float32-fold metric
+// Cost reports, and +Inf only as an unreachability proof.
 func (g *Graph) CostLowerBound(from, to geo.NodeID) float64 {
-	if from == to || g.pinned.Load() || g.ppOff.Load() {
+	if from == to {
 		return 0
 	}
-	if g.chReady() {
+	if g.ch != nil {
 		return g.chBound(from, to)
 	}
 	return g.altBound(from, to)
-}
-
-// f64Item / f64PQ: a float64 Dijkstra priority queue for preprocessing.
-type f64Item struct {
-	node geo.NodeID
-	dist float64
-}
-
-type f64PQ []f64Item
-
-func (q f64PQ) Len() int           { return len(q) }
-func (q f64PQ) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q f64PQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *f64PQ) Push(x any)        { *q = append(*q, x.(f64Item)) }
-func (q *f64PQ) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // dijkstraF64 runs a float64 single-source Dijkstra over the forward CSR
@@ -217,18 +193,18 @@ func (g *Graph) dijkstraF64(src geo.NodeID, reverse bool) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := f64PQ{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(f64Item)
-		if it.dist > dist[it.node] {
+	q := minHeap[float64]{{node: src}}
+	for len(q) > 0 {
+		it := q.pop()
+		if it.key > dist[it.node] {
 			continue
 		}
 		for i := head[it.node]; i < head[it.node+1]; i++ {
 			v := adj[i]
-			nd := it.dist + float64(cost[i])
+			nd := it.key + float64(cost[i])
 			if nd < dist[v] {
 				dist[v] = nd
-				heap.Push(&q, f64Item{v, nd})
+				q.push(heapItem[float64]{key: nd, node: v})
 			}
 		}
 	}

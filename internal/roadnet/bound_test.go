@@ -92,11 +92,12 @@ func boundCities() []boundCity {
 func TestCostLowerBoundAdmissible(t *testing.T) {
 	for ci, c := range boundCities() {
 		n := c.g.NumNodes()
+		ref := Reference(c.g)
 		rng := rand.New(rand.NewSource(int64(ci)*101 + 3))
 		positive := 0
 		for trial := 0; trial < 400; trial++ {
 			a, b := geo.NodeID(rng.Intn(n)), geo.NodeID(rng.Intn(n))
-			lb, cost := c.g.CostLowerBound(a, b), c.g.CostSSSP(a, b)
+			lb, cost := c.g.CostLowerBound(a, b), ref.Cost(a, b)
 			if math.IsNaN(lb) || lb < 0 || lb > cost {
 				t.Fatalf("%s: bound(%d,%d) = %v, cost = %v", c.name, a, b, lb, cost)
 			}
@@ -114,10 +115,21 @@ func TestCostLowerBoundAdmissible(t *testing.T) {
 			t.Fatalf("%s: every sampled bound was 0; the property is vacuous", c.name)
 		}
 	}
-	g := NewPerturbedGrid(8, 8, 150, 8, 0.3, 1)
-	g.SetPointToPoint(false)
-	if lb := g.CostLowerBound(0, 63); lb != 0 {
-		t.Fatalf("legacy oracle: bound = %v, want the trivial 0", lb)
+}
+
+// TestReferenceIsPlainNetwork: the reference oracle must stay filter-free
+// and pairwise by type — a consumer handed Reference(g) can find no bound,
+// no batched matrix fill and no nearest-of-many engine to lean on.
+func TestReferenceIsPlainNetwork(t *testing.T) {
+	ref := Reference(NewPerturbedGrid(8, 8, 150, 8, 0.3, 1))
+	if _, ok := ref.(BoundedNetwork); ok {
+		t.Fatal("Reference implements BoundedNetwork")
+	}
+	if _, ok := ref.(matrixFiller); ok {
+		t.Fatal("Reference implements matrixFiller")
+	}
+	if _, ok := ref.(nearestFiller); ok {
+		t.Fatal("Reference implements nearestFiller")
 	}
 }
 
@@ -150,11 +162,8 @@ func TestFillNearestWithinArgmin(t *testing.T) {
 	}
 	var arms []arm
 	for _, c := range boundCities() {
-		arms = append(arms, arm{c.name, c.g, c.g.CostSSSP})
+		arms = append(arms, arm{c.name, c.g, Reference(c.g).Cost})
 	}
-	legacy := NewPerturbedGrid(9, 9, 150, 8, 0.3, 2)
-	legacy.SetPointToPoint(false)
-	arms = append(arms, arm{"legacy", legacy, legacy.CostSSSP})
 	closed := NewGridCity(9, 9, 150, 8)
 	arms = append(arms, arm{"closed-form", closed, closed.Cost})
 

@@ -43,7 +43,6 @@ func NewExampleNetwork() *Graph {
 	if err != nil {
 		panic(err) // unreachable: static input
 	}
-	g.Precompute()
 	return g
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestCHMatchesALTAndSSSP is the contraction hierarchy's exactness property
 // test: random jittered, uniform, and disconnected cities are driven through
-// CH, ALT, and the cached full-Dijkstra reference in lockstep, asserting
+// CH, ALT, and the full-Dijkstra Reference in lockstep, asserting
 // bit-identical distances for every sampled pair — including exact +Inf for
 // unreachable ones.
 func TestCHMatchesALTAndSSSP(t *testing.T) {
@@ -35,12 +35,13 @@ func TestCHMatchesALTAndSSSP(t *testing.T) {
 	for ci, c := range cities {
 		g := c.g
 		g.EnableHierarchy()
+		oracle := Reference(g)
 		n := g.NumNodes()
 		rng := rand.New(rand.NewSource(int64(ci)*7919 + 5))
 		for trial := 0; trial < 120; trial++ {
 			from := geo.NodeID(rng.Intn(n))
 			to := geo.NodeID(rng.Intn(n))
-			ref := g.CostSSSP(from, to)
+			ref := oracle.Cost(from, to)
 			alt := g.CostALT(from, to)
 			ch := g.Cost(from, to)
 			if !g.HasHierarchy() {
@@ -65,6 +66,7 @@ func TestCHMatrixMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := NewPerturbedGrid(10, 13, 150, 8, 0.35, seed)
 		g.EnableHierarchy()
+		oracle := Reference(g)
 		n := g.NumNodes()
 		rng := rand.New(rand.NewSource(seed * 1543))
 		sources := make([]geo.NodeID, 7)
@@ -77,23 +79,23 @@ func TestCHMatrixMatchesReference(t *testing.T) {
 		}
 		sources[3] = sources[0] // duplicate source row
 		targets[4] = targets[1] // duplicate target column
-		m := g.CostMatrix(sources, targets)
+		out := make([]float64, len(sources)*len(targets))
+		FillCostMatrix(g, sources, targets, out)
 		for i, s := range sources {
 			for j, tg := range targets {
-				ref := g.CostSSSP(s, tg)
-				if math.Float64bits(m[i][j]) != math.Float64bits(ref) {
-					t.Fatalf("seed %d: matrix[%d][%d] = %v, reference = %v", seed, i, j, m[i][j], ref)
+				got, ref := out[i*len(targets)+j], oracle.Cost(s, tg)
+				if math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("seed %d: matrix[%d][%d] = %v, reference = %v", seed, i, j, got, ref)
 				}
 			}
 		}
 		// Bounded fill: exact below budget, +Inf allowed above it.
 		budget := 200.0
-		out := make([]float64, len(sources)*len(targets))
 		FillCostMatrixWithin(g, sources, targets, budget, out)
 		for i, s := range sources {
 			for j, tg := range targets {
 				got := out[i*len(targets)+j]
-				ref := g.CostSSSP(s, tg)
+				ref := oracle.Cost(s, tg)
 				if ref <= budget {
 					if math.Float64bits(got) != math.Float64bits(ref) {
 						t.Fatalf("seed %d: within[%d][%d] = %v, reference = %v", seed, i, j, got, ref)
@@ -156,21 +158,66 @@ func TestHierarchyDeterministic(t *testing.T) {
 	eq32("dnEdge", ha.dnEdge, hb.dnEdge)
 }
 
-// TestSetHierarchyToggle checks the fallback contract: SetHierarchy(false)
-// routes queries through the ALT arm, and the two arms agree bitwise.
-func TestSetHierarchyToggle(t *testing.T) {
-	g := NewPerturbedGrid(9, 9, 150, 8, 0.3, 7)
-	g.EnableHierarchy()
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 50; trial++ {
-		from := geo.NodeID(rng.Intn(g.NumNodes()))
-		to := geo.NodeID(rng.Intn(g.NumNodes()))
-		on := g.Cost(from, to)
-		g.SetHierarchy(false)
-		off := g.Cost(from, to)
-		g.SetHierarchy(true)
-		if math.Float64bits(on) != math.Float64bits(off) {
-			t.Fatalf("toggle mismatch at (%d,%d): ch=%v alt=%v", from, to, on, off)
+// TestScratchSurvivesEnableHierarchy: both engines draw from one scratch
+// pool, and a scratch pooled while the graph answered on ALT has n labels
+// and no cone arrays where the hierarchy needs 2n and a cone. Queries after
+// EnableHierarchy must rebuild such a scratch, not index past it — single
+// pairs, matrices and nearest-of-many all still matching the reference.
+func TestScratchSurvivesEnableHierarchy(t *testing.T) {
+	g := NewPerturbedGrid(11, 9, 150, 8, 0.35, 13)
+	oracle := Reference(g)
+	n := g.NumNodes()
+	rng := rand.New(rand.NewSource(29))
+	pick := func(k int) []geo.NodeID {
+		out := make([]geo.NodeID, k)
+		for i := range out {
+			out[i] = geo.NodeID(rng.Intn(n))
 		}
+		return out
+	}
+	check := func(stage string) {
+		t.Helper()
+		sources, targets := pick(6), pick(5)
+		out := make([]float64, len(sources)*len(targets))
+		FillCostMatrix(g, sources, targets, out)
+		for i, s := range sources {
+			for j, tg := range targets {
+				if got, want := out[i*len(targets)+j], oracle.Cost(s, tg); got != want {
+					t.Fatalf("%s: matrix (%d->%d) = %v, reference = %v", stage, s, tg, got, want)
+				}
+			}
+		}
+		near := make([]float64, len(sources))
+		FillNearestWithin(g, sources, targets[0], math.Inf(1), near)
+		want := make([]float64, len(sources))
+		for i, s := range sources {
+			want[i] = oracle.Cost(s, targets[0])
+		}
+		if w := nearestArgmin(want, math.Inf(1)); near[w] != want[w] || nearestArgmin(near, math.Inf(1)) != w {
+			t.Fatalf("%s: nearest column %v, reference column %v", stage, near, want)
+		}
+		if got, want := g.Cost(sources[0], targets[1]), oracle.Cost(sources[0], targets[1]); got != want {
+			t.Fatalf("%s: pair (%d->%d) = %v, reference = %v", stage, sources[0], targets[1], got, want)
+		}
+	}
+	// Hold several ALT-era scratches so that, whatever the pool drops, the
+	// hierarchy queries below are handed at least one of them.
+	var warm []*scratch
+	for i := 0; i < 4; i++ {
+		warm = append(warm, g.getScratch())
+	}
+	check("alt")
+	g.EnableHierarchy()
+	for _, sc := range warm {
+		if len(sc.dist) != n || sc.coneMark != nil {
+			t.Fatalf("ALT-era scratch has %d labels and cone %v, want %d and none", len(sc.dist), sc.coneMark != nil, n)
+		}
+		g.pool.Put(sc)
+	}
+	for round := 0; round < 4; round++ {
+		check("ch")
+	}
+	if sc := g.getScratch(); len(sc.dist) != 2*n || len(sc.coneMark) != n {
+		t.Fatalf("hierarchy scratch has %d labels and %d cone marks, want %d and %d", len(sc.dist), len(sc.coneMark), 2*n, n)
 	}
 }

@@ -30,97 +30,6 @@ import (
 // the skip threshold from the landmark upper bound (ubHint) so pruning
 // starts at the first pop.
 
-// chScratch is the pooled per-query CH search state: generation-stamped
-// two-phase distance labels (state = node for climbing, node+n for
-// descending), the shared heuristic cache, the frontier heap, the shortcut
-// unpack stack, and the same target bookkeeping as ppScratch.
-//
-//det:scratch pooled per-query CH search state; arrays are generation-stamped and reused across queries
-type chScratch struct {
-	dist []float32 // len 2n: tentative fold per (node, phase) state
-	gen  []uint32
-	hval []float64 // heuristic cache, per node (phases share it)
-	hgen []uint32
-	cur  uint32
-	hcur uint32
-	heap ppHeap
-
-	// Target descent cone: the set of nodes from which some target is
-	// reachable by downward edges alone, marked by walking the reverse-down
-	// CSR from each target. Restricting the descend phase to the cone is
-	// lossless (every down-path to a target stays inside it by definition)
-	// and is what keeps the search on climb-cone x target-cone instead of
-	// reflooding the city. The cone's incoming down edges are also bucketed
-	// by tail node (tFirst/tNext/tEdge form per-node linked lists), so the
-	// search relaxes exactly the useful down edges instead of scanning a
-	// high-rank node's entire down list against the marks. Computed once
-	// per target-set epoch, so a matrix's sources share one marking pass.
-	coneMark []uint32
-	coneQ    []int32
-	coneEp   uint32
-	tStamp   []uint32
-	tFirst   []int32
-	// Packed relax inputs per bucketed edge, copied out of the arena once
-	// per target epoch so the search never touches the arena for a
-	// transition/descend relaxation that fails the prefilter.
-	tPack []coneEdge
-
-	uniq    []geo.NodeID
-	res     []float64
-	pending []int
-	colIdx  []int
-	ord     []int32 // nearestInto: source indices by ascending bound
-}
-
-//det:hotalloc pool miss or first query after a graph grows; steady state reuses pooled arrays
-func (g *Graph) getCHScratch() *chScratch {
-	sc, _ := g.chPool.Get().(*chScratch)
-	if sc == nil {
-		sc = &chScratch{}
-	}
-	if n := len(g.coords); len(sc.dist) < 2*n {
-		sc.dist = make([]float32, 2*n)
-		sc.gen = make([]uint32, 2*n)
-		sc.hval = make([]float64, n)
-		sc.hgen = make([]uint32, n)
-		sc.coneMark = make([]uint32, n)
-		sc.tStamp = make([]uint32, n)
-		sc.tFirst = make([]int32, n)
-		sc.cur = 0
-		sc.hcur = 0
-		sc.coneEp = 0
-	}
-	return sc
-}
-
-func (sc *chScratch) nextGen() {
-	sc.cur++
-	if sc.cur == 0 {
-		for i := range sc.gen {
-			sc.gen[i] = 0
-		}
-		sc.cur = 1
-	}
-	sc.heap = sc.heap[:0]
-}
-
-func (sc *chScratch) newTargetEpoch() {
-	sc.hcur++
-	if sc.hcur == 0 {
-		for i := range sc.hgen {
-			sc.hgen[i] = 0
-		}
-		for i := range sc.coneMark {
-			sc.coneMark[i] = 0
-		}
-		for i := range sc.tStamp {
-			sc.tStamp[i] = 0
-		}
-		sc.coneEp = 0
-		sc.hcur = 1
-	}
-}
-
 // coneEdge is one bucketed cone-incoming edge: the arena index (for the
 // fold), the intrusive next pointer of its tail-node bucket, and the packed
 // relax inputs.
@@ -133,7 +42,7 @@ type coneEdge struct {
 // buildCone marks the union of the targets' descent cones under the
 // current target epoch (a node is marked iff some target is reachable
 // from it by downward edges alone).
-func (g *Graph) buildCone(sc *chScratch) {
+func (g *Graph) buildCone(sc *scratch) {
 	h := g.ch
 	sc.coneQ = sc.coneQ[:0]
 	for _, t := range sc.uniq {
@@ -205,87 +114,14 @@ func (g *Graph) chBound(v, t geo.NodeID) float64 {
 	return lb
 }
 
-// chCostPP is CostPP's hierarchy arm.
-func (g *Graph) chCostPP(from, to geo.NodeID) float64 {
-	sc := g.getCHScratch()
-	//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-	sc.uniq = append(sc.uniq[:0], to)
-	//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-	sc.res = append(sc.res[:0], 0)
-	sc.newTargetEpoch()
-	// Landmark upper bound on the trip (src -> L -> to): lets the search
-	// scale its fold-error deflation to the trip instead of the diameter.
-	ubHint := math.Inf(1)
-	for i := range g.landmarks {
-		if ub := g.landTo[i][from] + g.landFrom[i][to]; ub < ubHint {
-			ubHint = ub
-		}
-	}
-	g.chSearchFrom(sc, from, math.Inf(1), ubHint)
-	d := sc.res[0]
-	g.chPool.Put(sc)
-	return d
-}
-
-// chMatrixInto is costMatrixInto's hierarchy arm: same target dedup and
-// duplicate-source row reuse, one two-phase search per distinct source.
-func (g *Graph) chMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64) {
-	nt := len(targets)
-	sc := g.getCHScratch()
-	sc.uniq = sc.uniq[:0]
-	sc.colIdx = sc.colIdx[:0]
-	for _, t := range targets {
-		slot := -1
-		for k, u := range sc.uniq {
-			if u == t {
-				slot = k
-				break
-			}
-		}
-		if slot < 0 {
-			slot = len(sc.uniq)
-			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-			sc.uniq = append(sc.uniq, t)
-		}
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-		sc.colIdx = append(sc.colIdx, slot)
-	}
-	if cap(sc.res) < len(sc.uniq) {
-		//det:hotalloc grows the pooled result row once per high-water target count
-		sc.res = make([]float64, len(sc.uniq))
-	}
-	sc.res = sc.res[:len(sc.uniq)]
-	sc.newTargetEpoch()
-
-	for i, s := range sources {
-		dup := -1
-		for j := 0; j < i; j++ {
-			if sources[j] == s {
-				dup = j
-				break
-			}
-		}
-		row := out[i*nt : (i+1)*nt]
-		if dup >= 0 {
-			copy(row, out[dup*nt:(dup+1)*nt])
-			continue
-		}
-		g.chSearchFrom(sc, s, maxCost, 0)
-		for j := 0; j < nt; j++ {
-			row[j] = sc.res[sc.colIdx[j]]
-		}
-	}
-	g.chPool.Put(sc)
-}
-
 // chSearchFrom runs one exact multi-target two-phase A* from src over
 // sc.uniq, filling sc.res (+Inf for unreachable; targets beyond budget may
 // be left +Inf). Structure, finalization, and budget semantics mirror
-// searchFrom — see the package comment above for why the answers are
+// searchFrom — see the comment at the top of this file for why the answers are
 // bit-identical to the reference Dijkstra's.
 //
-//det:hotpath the CH query inner loop backs every Cost/CostMatrix call on hierarchy-enabled graphs; all mutable state lives in the pooled chScratch
-func (g *Graph) chSearchFrom(sc *chScratch, src geo.NodeID, budget, ubHint float64) {
+//det:hotpath the CH query inner loop backs every Cost and FillCostMatrix call on hierarchy-enabled graphs; all mutable state lives in the pooled scratch
+func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64) {
 	sc.nextGen()
 	cur := sc.cur
 	inf := math.Inf(1)
@@ -390,7 +226,7 @@ func (g *Graph) chSearchFrom(sc *chScratch, src geo.NodeID, budget, ubHint float
 
 	sc.dist[src] = 0
 	sc.gen[src] = cur
-	sc.heap.push(ppItem{key: h(src), dist: 0, node: src})
+	sc.heap.push(heapItem[float64]{key: h(src), dist: 0, node: src})
 
 	// maxUB is the worst tentative distance among pending targets once all
 	// of them have one (+Inf before that). A relaxation whose fold lower
@@ -414,7 +250,7 @@ func (g *Graph) chSearchFrom(sc *chScratch, src geo.NodeID, budget, ubHint float
 		}
 	}
 	//det:hotalloc one closure header per search, amortized over thousands of relaxations
-	relax := func(it ppItem, ei int32, st geo.NodeID, w, lbm float64) {
+	relax := func(it heapItem[float64], ei int32, st geo.NodeID, w, lbm float64) {
 		// Certain lower bound on the fold across this edge: skipping on it
 		// is exact, and it avoids unpacking the shortcut at all for the
 		// (majority of) relaxations that cannot improve anything. The maxUB
@@ -440,7 +276,7 @@ func (g *Graph) chSearchFrom(sc *chScratch, src geo.NodeID, budget, ubHint float
 		}
 		sc.dist[st] = nd
 		sc.gen[st] = cur
-		sc.heap.push(ppItem{key: float64(nd) + h(v), dist: nd, node: st})
+		sc.heap.push(heapItem[float64]{key: float64(nd) + h(v), dist: nd, node: st})
 	}
 
 	for len(sc.heap) > 0 {

@@ -8,14 +8,13 @@ import (
 	"watter/internal/geo"
 )
 
-// TestGraphCostConcurrent hammers the Dijkstra cache from many goroutines
+// TestGraphCostConcurrent hammers the scratch pool from many goroutines
 // and cross-checks every answer against the lattice closed form. Run under
 // -race this is the safety proof for the parallel sweep engine, which
 // shares one Graph across all replicate runs.
 func TestGraphCostConcurrent(t *testing.T) {
 	city := NewGridCity(12, 12, 100, 5)
 	g := city.AsGraph()
-	g.SetCacheSize(16) // force constant eviction pressure
 
 	const goroutines = 16
 	const queries = 400
@@ -49,12 +48,11 @@ func TestGraphCostConcurrent(t *testing.T) {
 	}
 }
 
-// TestGraphPathConcurrent exercises the prev-chain reconstruction (which
-// shares cache entries with Cost) under concurrent eviction.
+// TestGraphPathConcurrent exercises the prev-chain reconstruction from
+// many goroutines at once.
 func TestGraphPathConcurrent(t *testing.T) {
 	city := NewGridCity(8, 8, 100, 5)
 	g := city.AsGraph()
-	g.SetCacheSize(4)
 
 	var wg sync.WaitGroup
 	bad := make(chan string, 8)
@@ -83,52 +81,4 @@ func TestGraphPathConcurrent(t *testing.T) {
 	if msg, open := <-bad; open {
 		t.Fatal(msg)
 	}
-}
-
-// TestGraphCacheShrinkEnforced: shrinking the bound below the current
-// population must actually drain the cache on the next miss, not merely
-// stop it growing.
-func TestGraphCacheShrinkEnforced(t *testing.T) {
-	city := NewGridCity(10, 10, 100, 5)
-	g := city.AsGraph()
-	for n := 0; n < 40; n++ {
-		g.CostSSSP(geo.NodeID(n), geo.NodeID(n+1))
-	}
-	g.mu.Lock()
-	grown := len(g.cache)
-	g.mu.Unlock()
-	if grown < 30 {
-		t.Fatalf("warmup cached %d sources, want >= 30", grown)
-	}
-	g.SetCacheSize(4)
-	g.CostSSSP(geo.NodeID(90), geo.NodeID(3)) // one miss triggers eviction
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.cache) > 4 || g.lru.Len() != len(g.cache) {
-		t.Fatalf("cache not shrunk: %d entries (lru %d), want <= 4", len(g.cache), g.lru.Len())
-	}
-}
-
-// TestGraphSetCacheSizeConcurrent resizes the cache while queries run; the
-// point is purely that -race stays silent.
-func TestGraphSetCacheSizeConcurrent(t *testing.T) {
-	city := NewGridCity(6, 6, 100, 5)
-	g := city.AsGraph()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			g.SetCacheSize(1 + i%8)
-		}
-	}()
-	rng := rand.New(rand.NewSource(9))
-	n := g.NumNodes()
-	for q := 0; q < 500; q++ {
-		from := geo.NodeID(rng.Intn(n))
-		to := geo.NodeID(rng.Intn(n))
-		if got, want := g.Cost(from, to), city.Cost(from, to); got != want {
-			t.Fatalf("cost(%d,%d) = %v, want %v", from, to, got, want)
-		}
-	}
-	<-done
 }

@@ -148,14 +148,6 @@ func (g *Graph) EnableHierarchy() {
 	}
 }
 
-// SetHierarchy toggles the CH query engine behind Cost/CostPP/CostMatrix.
-// It is on whenever the hierarchy is built; turning it off falls back to
-// the ALT engine (bit-identical answers — that equivalence is the property
-// tests' subject). Not safe to flip concurrently with queries.
-func (g *Graph) SetHierarchy(on bool) { g.chOff.Store(!on) }
-
-func (g *Graph) chReady() bool { return g.ch != nil && !g.chOff.Load() }
-
 // chBuilder is the transient contraction state.
 type chBuilder struct {
 	g     *Graph
@@ -179,7 +171,7 @@ type chBuilder struct {
 	wGen  []uint32
 	wTgt  []uint32 // target stamps for the all-settled early stop
 	wCur  uint32
-	wHeap f64PQ
+	wHeap minHeap[float64]
 
 	// Per-simulation scratch.
 	outsW, outsE []int32 // live out-neighbors of the contraction candidate
@@ -432,63 +424,27 @@ func (b *chBuilder) insertEdge(e chEdge) {
 // contractAll runs the lazy-update contraction loop until only coreTarget
 // nodes remain uncontracted.
 func (b *chBuilder) contractAll(coreTarget int) {
-	type pqe struct {
-		prio int32
-		node geo.NodeID
+	// (priority, node) packed into one int64 key: a total order, so the
+	// contraction sequence does not depend on how the heap breaks ties.
+	entry := func(prio int32, v geo.NodeID) heapItem[int64] {
+		return heapItem[int64]{key: int64(prio)<<32 | int64(v), node: v}
 	}
-	less := func(x, y pqe) bool {
-		if x.prio != y.prio {
-			return x.prio < y.prio
-		}
-		return x.node < y.node
-	}
-	heap := make([]pqe, 0, b.n)
-	push := func(e pqe) {
-		heap = append(heap, e)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	pop := func() pqe {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r, s := 2*i+1, 2*i+2, i
-			if l < last && less(heap[l], heap[s]) {
-				s = l
-			}
-			if r < last && less(heap[r], heap[s]) {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			heap[i], heap[s] = heap[s], heap[i]
-			i = s
-		}
-		return top
-	}
-
+	heap := make(minHeap[int64], 0, b.n)
 	for v := 0; v < b.n; v++ {
-		push(pqe{b.simulate(geo.NodeID(v)), geo.NodeID(v)})
+		heap.push(entry(b.simulate(geo.NodeID(v)), geo.NodeID(v)))
 	}
 	seq := int32(0)
 	remaining := b.n
 	for remaining > coreTarget && len(heap) > 0 {
-		top := pop()
+		top := heap.pop()
 		if b.contracted[top.node] {
 			continue
 		}
-		prio := b.simulate(top.node) // recompute lazily; fills shortBuf
-		if len(heap) > 0 && less(heap[0], pqe{prio, top.node}) {
-			push(pqe{prio, top.node})
+		// Recompute lazily (fills shortBuf); a node whose priority rose past
+		// the next candidate's goes back into the queue.
+		cur := entry(b.simulate(top.node), top.node)
+		if len(heap) > 0 && heap[0].key < cur.key {
+			heap.push(cur)
 			continue
 		}
 		b.contract(top.node, seq)
@@ -598,35 +554,17 @@ func (b *chBuilder) witnessSearch(u, v geo.NodeID, targets []int32, bound float6
 			open++
 		}
 	}
-	b.wHeap = b.wHeap[:0]
 	b.wDist[u] = 0
 	b.wHops[u] = 0
 	b.wGen[u] = b.wCur
-	b.wHeap = append(b.wHeap, f64Item{u, 0})
+	b.wHeap = append(b.wHeap[:0], heapItem[float64]{node: u})
 	settled := 0
 	for len(b.wHeap) > 0 && settled < chWitnessSettleCap && open > 0 {
-		it := b.wHeap[0]
-		last := len(b.wHeap) - 1
-		b.wHeap[0] = b.wHeap[last]
-		b.wHeap = b.wHeap[:last]
-		for i := 0; ; {
-			l, r, s := 2*i+1, 2*i+2, i
-			if l < last && b.wHeap[l].dist < b.wHeap[s].dist {
-				s = l
-			}
-			if r < last && b.wHeap[r].dist < b.wHeap[s].dist {
-				s = r
-			}
-			if s == i {
-				break
-			}
-			b.wHeap[i], b.wHeap[s] = b.wHeap[s], b.wHeap[i]
-			i = s
-		}
-		if it.dist > bound {
+		it := b.wHeap.pop()
+		if it.key > bound {
 			return
 		}
-		if it.dist > b.wDist[it.node] {
+		if it.key > b.wDist[it.node] {
 			continue
 		}
 		settled++
@@ -639,23 +577,14 @@ func (b *chBuilder) witnessSearch(u, v geo.NodeID, targets []int32, bound float6
 			if e.to == v {
 				continue
 			}
-			nd := it.dist + e.w
+			nd := it.key + e.w
 			if b.wGen[e.to] == b.wCur && nd >= b.wDist[e.to] {
 				continue
 			}
 			b.wDist[e.to] = nd
 			b.wHops[e.to] = b.wHops[it.node] + e.hops
 			b.wGen[e.to] = b.wCur
-			// Sift-up push (container/heap indirection is too slow here).
-			b.wHeap = append(b.wHeap, f64Item{e.to, nd})
-			for i := len(b.wHeap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if b.wHeap[p].dist <= b.wHeap[i].dist {
-					break
-				}
-				b.wHeap[i], b.wHeap[p] = b.wHeap[p], b.wHeap[i]
-				i = p
-			}
+			b.wHeap.push(heapItem[float64]{key: nd, node: e.to})
 		}
 	}
 }

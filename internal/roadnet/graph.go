@@ -1,27 +1,24 @@
 package roadnet
 
 import (
-	"container/heap"
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"watter/internal/geo"
 )
 
-// Graph is an explicit weighted directed road graph. Point-to-point costs
-// are answered by the ALT engine (see pp.go): an A* search guided by
-// landmark lower bounds, precomputed at Build time, that explores only the
-// corridor between the endpoints instead of the whole city.
+// Graph is an explicit weighted directed road graph. Cost is answered by
+// one ladder, chosen from the graph's size and never by the caller: the
+// contraction hierarchy when one is built (Build does so at chAutoMinNodes
+// and above; chquery.go) and the ALT engine otherwise (pp.go) — A* guided by
+// landmark lower bounds precomputed at Build time. Both return the float32
+// left-fold shortest-path value of the full Dijkstra bit for bit; that
+// Dijkstra survives only as Reference, the oracle tests and benchmarks
+// compare the engines against, and as the source of Path's prev chain.
 //
-// The original full single-source Dijkstra is retained behind a bounded LRU
-// cache of per-source distance arrays. It backs Path (which needs prev
-// chains), Precompute-pinned small graphs (where every source fits in the
-// cache and Cost becomes an O(1) lookup), and CostSSSP, the reference
-// implementation the equivalence tests and benchmarks compare the engine
-// against.
+// A Graph is immutable after Build (EnableHierarchy aside, which must not
+// race with queries); all mutable search state lives in pooled scratches.
 type Graph struct {
 	coords []geo.Point
 	// CSR adjacency (forward) and its transpose (reverse, used by the
@@ -47,43 +44,13 @@ type Graph struct {
 	// contraction hierarchy's pruning margins are scaled from it.
 	diam float64
 
-	// Contraction hierarchy (see contract.go / chquery.go). Built by Build
-	// for graphs >= chAutoMinNodes nodes, or on demand via EnableHierarchy;
-	// chOff falls queries back to the ALT engine (bit-identical answers).
+	// Contraction hierarchy (see contract.go / chquery.go): nil until Build
+	// (>= chAutoMinNodes nodes) or EnableHierarchy constructs it.
 	ch          *hierarchy
-	chOff       atomic.Bool
 	chBuildSecs float64 // wall-clock cost of buildHierarchy (benchmark reporting only)
 
-	// ppOff disables the point-to-point engine behind Cost (legacy cached
-	// full-Dijkstra mode); pinned is set by Precompute, after which every
-	// source is resident and the cache lookup is the fastest path.
-	ppOff  atomic.Bool
-	pinned atomic.Bool
-
-	// ppPool / chPool recycle per-query search state (pp.go / chquery.go).
-	ppPool sync.Pool
-	chPool sync.Pool
-
-	mu       sync.Mutex
-	cache    map[geo.NodeID]*cacheSlot
-	lru      *list.List // front = least recently used; values are geo.NodeID
-	maxCache int
-}
-
-// cacheSlot pairs a distance entry with its LRU list element so a cache hit
-// can refresh recency in O(1).
-type cacheSlot struct {
-	ent  *distEntry
-	elem *list.Element
-}
-
-type distEntry struct {
-	// once dedups the Dijkstra computation: the entry is published in the
-	// cache before it is computed, so concurrent misses on the same source
-	// block on one computation instead of each running their own.
-	once sync.Once
-	dist []float32
-	prev []geo.NodeID
+	// pool recycles per-query search state (see scratch in pp.go).
+	pool sync.Pool
 }
 
 // edge is a temporary construction-time edge.
@@ -133,16 +100,13 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 		}
 	}
 	g := &Graph{
-		coords:   b.coords,
-		headIdx:  make([]int32, n+1),
-		adjNode:  make([]geo.NodeID, len(b.edges)),
-		adjCost:  make([]float32, len(b.edges)),
-		revHead:  make([]int32, n+1),
-		revNode:  make([]geo.NodeID, len(b.edges)),
-		revCost:  make([]float32, len(b.edges)),
-		cache:    make(map[geo.NodeID]*cacheSlot),
-		lru:      list.New(),
-		maxCache: 4096,
+		coords:  b.coords,
+		headIdx: make([]int32, n+1),
+		adjNode: make([]geo.NodeID, len(b.edges)),
+		adjCost: make([]float32, len(b.edges)),
+		revHead: make([]int32, n+1),
+		revNode: make([]geo.NodeID, len(b.edges)),
+		revCost: make([]float32, len(b.edges)),
 	}
 	counts := make([]int32, n)
 	for _, e := range b.edges {
@@ -196,35 +160,6 @@ func boundsOf(pts []geo.Point) geo.Rect {
 	return r
 }
 
-// SetCacheSize bounds the number of cached single-source distance arrays.
-// Safe to call at any time; existing entries are evicted lazily.
-func (g *Graph) SetCacheSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	g.mu.Lock()
-	g.maxCache = n
-	g.mu.Unlock()
-}
-
-// FlushCache drops every cached single-source distance array (and the
-// Precompute pin). Used by benchmarks that measure the cold full-Dijkstra
-// path.
-func (g *Graph) FlushCache() {
-	g.mu.Lock()
-	g.cache = make(map[geo.NodeID]*cacheSlot)
-	g.lru.Init()
-	g.mu.Unlock()
-	g.pinned.Store(false)
-}
-
-// SetPointToPoint toggles the ALT engine behind Cost. It is on by default;
-// turning it off restores the legacy cached full-Dijkstra behavior. The two
-// modes return bit-identical distances (enforced by the equivalence property
-// tests); the toggle exists for benchmarks and those tests. Not safe to
-// flip concurrently with queries.
-func (g *Graph) SetPointToPoint(on bool) { g.ppOff.Store(!on) }
-
 // NumNodes implements Network.
 func (g *Graph) NumNodes() int { return len(g.coords) }
 
@@ -234,44 +169,15 @@ func (g *Graph) Coord(n geo.NodeID) geo.Point { return g.coords[n] }
 // Bounds implements Network.
 func (g *Graph) Bounds() geo.Rect { return g.bounds }
 
-// Cost implements Network. Precompute-pinned graphs answer from the full
-// SSSP cache in O(1); everything else goes through the point-to-point ALT
-// engine, which returns the same float32 shortest-path fold bit-for-bit.
-func (g *Graph) Cost(from, to geo.NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		return g.costSSSP(from, to)
-	}
-	return g.CostPP(from, to)
-}
-
-// CostSSSP answers a point-to-point query via the legacy cached full
-// single-source Dijkstra. It is the reference implementation the engine is
-// validated against and the "cold Dijkstra" arm of watterbench -benchroute.
-func (g *Graph) CostSSSP(from, to geo.NodeID) float64 { return g.costSSSP(from, to) }
-
-func (g *Graph) costSSSP(from, to geo.NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	e := g.source(from)
-	return float64(e.dist[to])
-}
-
-// Path implements PathNetwork.
+// Path implements PathNetwork: the prev chain of one reference Dijkstra run.
 func (g *Graph) Path(from, to geo.NodeID) []geo.NodeID {
-	e := g.source(from)
-	if math.IsInf(float64(e.dist[to]), 1) {
+	dist, prev := g.dijkstra(from)
+	if math.IsInf(float64(dist[to]), 1) {
 		return nil
 	}
 	var rev []geo.NodeID
-	for n := to; n != from; n = e.prev[n] {
+	for n := to; n != from; n = prev[n] {
 		rev = append(rev, n)
-		if len(rev) > len(g.coords) {
-			return nil // defensive: broken prev chain
-		}
 	}
 	rev = append(rev, from)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -280,52 +186,34 @@ func (g *Graph) Path(from, to geo.NodeID) []geo.NodeID {
 	return rev
 }
 
-// source returns the cached full-SSSP entry for one source node,
-// computing it on first use.
-//
-//det:hotalloc cache-miss path; pinned and warmed graphs answer from the resident entry without allocating
-//det:specwrite mutex-guarded memo of a pure function of the immutable graph; the distances read back are bit-identical no matter which goroutine populated the entry or in what order
-func (g *Graph) source(from geo.NodeID) *distEntry {
-	g.mu.Lock()
-	slot, ok := g.cache[from]
-	if ok {
-		// LRU: a hit refreshes recency so hot sources survive eviction
-		// pressure (the cache used to be FIFO in LRU's clothing).
-		g.lru.MoveToBack(slot.elem)
-	} else {
-		for len(g.cache) >= g.maxCache {
-			// Evict least recently used sources until under the bound
-			// (a loop so a shrunk maxCache is enforced, not just chased).
-			// A goroutine still computing or reading a victim keeps its
-			// own reference; eviction only drops the shared handle.
-			front := g.lru.Front()
-			g.lru.Remove(front)
-			delete(g.cache, front.Value.(geo.NodeID))
-		}
-		slot = &cacheSlot{ent: &distEntry{}, elem: g.lru.PushBack(from)}
-		g.cache[from] = slot
+// Reference returns g's travel times as the plain full Dijkstra computes
+// them: one uncached float32 single-source run per Cost call. It is the
+// oracle the engines are validated against, so it deliberately implements
+// nothing but Network — no batched matrix fill, no nearest-of-many, no
+// lower bound. A planner, index or simulation handed Reference(g) therefore
+// runs filter-free and pairwise, and must decide exactly what it decides on
+// g itself.
+func Reference(g *Graph) Network { return reference{g} }
+
+type reference struct{ g *Graph }
+
+func (r reference) NumNodes() int                { return r.g.NumNodes() }
+func (r reference) Coord(n geo.NodeID) geo.Point { return r.g.Coord(n) }
+func (r reference) Bounds() geo.Rect             { return r.g.Bounds() }
+
+func (r reference) Cost(from, to geo.NodeID) float64 {
+	if from == to {
+		return 0
 	}
-	g.mu.Unlock()
-	e := slot.ent
-	e.once.Do(func() { e.dist, e.prev = g.dijkstra(from) })
-	return e
+	dist, _ := r.g.dijkstra(from)
+	return float64(dist[to])
 }
 
-// pqItem is a priority-queue element for Dijkstra.
-type pqItem struct {
-	node geo.NodeID
-	dist float32
-}
-
-type pq []pqItem
-
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
-//det:hotalloc full SSSP runs once per cache-missed source; its arrays live in the cache afterwards
+// dijkstra is the reference: full single-source shortest paths with every
+// relaxation folded in float32 (nd = dist[u] + w), the arithmetic the
+// engines reproduce.
+//
+//det:hotalloc the reference oracle and Path allocate per call by design; tests, benchmarks and visualization reach them, no dispatch path does
 func (g *Graph) dijkstra(src geo.NodeID) (dist []float32, prev []geo.NodeID) {
 	n := len(g.coords)
 	dist = make([]float32, n)
@@ -336,9 +224,9 @@ func (g *Graph) dijkstra(src geo.NodeID) (dist []float32, prev []geo.NodeID) {
 		prev[i] = geo.InvalidNode
 	}
 	dist[src] = 0
-	q := pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := minHeap[float64]{{node: src}}
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
@@ -348,24 +236,9 @@ func (g *Graph) dijkstra(src geo.NodeID) (dist []float32, prev []geo.NodeID) {
 			if nd < dist[v] {
 				dist[v] = nd
 				prev[v] = it.node
-				heap.Push(&q, pqItem{v, nd})
+				q.push(heapItem[float64]{key: float64(nd), dist: nd, node: v})
 			}
 		}
 	}
 	return dist, prev
-}
-
-// Precompute runs Dijkstra from every node and pins the results in the
-// cache, turning later Cost calls into O(1) lookups. Only sensible for
-// small graphs (memory is O(V^2)).
-func (g *Graph) Precompute() {
-	g.mu.Lock()
-	if g.maxCache < len(g.coords) {
-		g.maxCache = len(g.coords)
-	}
-	g.mu.Unlock()
-	for n := 0; n < len(g.coords); n++ {
-		g.source(geo.NodeID(n))
-	}
-	g.pinned.Store(true)
 }

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,10 +38,16 @@ import (
 // came from a DIMACS file or generator in the first place (the property
 // importer_test.go pins).
 
+// ErrDIMACSRange reports a DIMACS header that declares more nodes or arcs
+// than a Graph can index (NodeID and the CSR offsets are int32).
+var ErrDIMACSRange = errors.New("count outside the int32 range a graph can index")
+
 // ReadDIMACS parses a DIMACS .gr/.co pair and builds the Graph (including
 // ALT preprocessing and, at chAutoMinNodes and above, the contraction
 // hierarchy). Every node must receive a coordinate; arcs must stay in
-// range and non-negative.
+// range and non-negative. The files are outside input: a malformed one is
+// an error, never a panic, and memory grows with the records actually read,
+// not with the counts the headers declare.
 func ReadDIMACS(gr, co io.Reader) (*Graph, error) {
 	n, arcs, err := readGR(gr)
 	if err != nil {
@@ -89,7 +96,9 @@ func readGR(r io.Reader) (n int, arcs []dimacsArc, err error) {
 			if m, err = strconv.Atoi(f[3]); err != nil || m < 0 {
 				return 0, nil, fmt.Errorf("roadnet: .gr line %d: bad arc count %q", line, f[3])
 			}
-			arcs = make([]dimacsArc, 0, m)
+			if n > math.MaxInt32 || m > math.MaxInt32 {
+				return 0, nil, fmt.Errorf("roadnet: .gr line %d: %d nodes, %d arcs: %w", line, n, m, ErrDIMACSRange)
+			}
 		case "a":
 			if m < 0 {
 				return 0, nil, fmt.Errorf("roadnet: .gr line %d: arc before p line", line)
@@ -129,9 +138,10 @@ func readGR(r io.Reader) (n int, arcs []dimacsArc, err error) {
 func readCO(r io.Reader, n int) ([]geo.Point, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	coords := make([]geo.Point, n)
-	seen := make([]bool, n)
-	line, got := 0, 0
+	// Collected by id first: the n-sized array is only reserved once the file
+	// has actually supplied n distinct vertices.
+	byID := make(map[int]geo.Point)
+	line := 0
 	for sc.Scan() {
 		line++
 		f := strings.Fields(sc.Text())
@@ -159,11 +169,7 @@ func readCO(r io.Reader, n int) ([]geo.Point, error) {
 			if id < 1 || id > n {
 				return nil, fmt.Errorf("roadnet: .co line %d: vertex id %d outside [1,%d]", line, id, n)
 			}
-			if !seen[id-1] {
-				seen[id-1] = true
-				got++
-			}
-			coords[id-1] = geo.Point{X: float64(x) / 100, Y: float64(y) / 100}
+			byID[id] = geo.Point{X: float64(x) / 100, Y: float64(y) / 100}
 		default:
 			return nil, fmt.Errorf("roadnet: .co line %d: unknown record %q", line, f[0])
 		}
@@ -171,8 +177,12 @@ func readCO(r io.Reader, n int) ([]geo.Point, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("roadnet: reading .co: %w", err)
 	}
-	if got != n {
-		return nil, fmt.Errorf("roadnet: .co covers %d of %d nodes", got, n)
+	if len(byID) != n {
+		return nil, fmt.Errorf("roadnet: .co covers %d of %d nodes", len(byID), n)
+	}
+	coords := make([]geo.Point, n)
+	for i := range coords {
+		coords[i] = byID[i+1]
 	}
 	return coords, nil
 }

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -41,6 +42,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 	if !bytes.Equal(gr1.Bytes(), gr2.Bytes()) || !bytes.Equal(co1.Bytes(), co2.Bytes()) {
 		t.Fatal("export -> import -> export is not byte-stable")
 	}
+	oracle := Reference(g1)
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
 		from := geo.NodeID(rng.Intn(g1.NumNodes()))
@@ -49,7 +51,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("cost(%d,%d): %v vs %v across round trip", from, to, a, b)
 		}
-		if ref := g1.CostSSSP(from, to); math.Float64bits(a) != math.Float64bits(ref) {
+		if ref := oracle.Cost(from, to); math.Float64bits(a) != math.Float64bits(ref) {
 			t.Fatalf("cost(%d,%d) = %v, reference %v", from, to, a, ref)
 		}
 	}
@@ -112,15 +114,21 @@ func TestDIMACSErrors(t *testing.T) {
 	co3 := "v 1 0 0\nv 2 100 0\nv 3 200 0\n"
 	cases := []struct {
 		name, gr, co, want string
+		is                 error // when set, the error must also wrap it
 	}{
-		{"no p line", "a 1 2 5\n", co3, "arc before p line"},
-		{"bad p line", "p sp x 1\n", co3, "bad node count"},
-		{"arc out of range", "p sp 3 1\na 1 9 5\n", co3, "outside [1,3]"},
-		{"negative weight", "p sp 3 1\na 1 2 -5\n", co3, "negative weight"},
-		{"arc count mismatch", "p sp 3 2\na 1 2 5\n", co3, "declares 2 arcs, has 1"},
-		{"missing coordinate", "p sp 3 1\na 1 2 5\n", "v 1 0 0\nv 3 200 0\n", "covers 2 of 3"},
-		{"coord out of range", "p sp 3 1\na 1 2 5\n", "v 7 0 0\n", "outside [1,3]"},
-		{"node count clash", "p sp 3 1\na 1 2 5\n", "p aux sp co 4\n" + co3, "declares 4 nodes"},
+		{"no p line", "a 1 2 5\n", co3, "arc before p line", nil},
+		{"bad p line", "p sp x 1\n", co3, "bad node count", nil},
+		{"arc out of range", "p sp 3 1\na 1 9 5\n", co3, "outside [1,3]", nil},
+		{"negative weight", "p sp 3 1\na 1 2 -5\n", co3, "negative weight", nil},
+		{"arc count mismatch", "p sp 3 2\na 1 2 5\n", co3, "declares 2 arcs, has 1", nil},
+		{"missing coordinate", "p sp 3 1\na 1 2 5\n", "v 1 0 0\nv 3 200 0\n", "covers 2 of 3", nil},
+		{"coord out of range", "p sp 3 1\na 1 2 5\n", "v 7 0 0\n", "outside [1,3]", nil},
+		{"node count clash", "p sp 3 1\na 1 2 5\n", "p aux sp co 4\n" + co3, "declares 4 nodes", nil},
+		// Declared counts are claims, not sizes: neither may be reserved up
+		// front (the first used to panic in make) or wrap NodeID.
+		{"arc count beyond int32", "p sp 2 9000000000000000000\n", co3, "9000000000000000000 arcs", ErrDIMACSRange},
+		{"node count beyond int32", "p sp 2147483648 1\na 2147483648 1 5\n", co3, "2147483648 nodes", ErrDIMACSRange},
+		{"huge node count, no coordinates", "p sp 2147483647 0\n", co3, "covers 3 of 2147483647", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,6 +136,48 @@ func TestDIMACSErrors(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
+			if c.is != nil && !errors.Is(err, c.is) {
+				t.Fatalf("err = %v, want it to wrap %v", err, c.is)
+			}
 		})
 	}
+}
+
+// FuzzReadDIMACS: whatever the two files hold, ReadDIMACS either returns an
+// error or builds a graph that (a) answers Cost exactly as the reference
+// Dijkstra does and (b) survives WriteDIMACS -> ReadDIMACS with every Cost
+// bit-identical. Never a panic. The seed corpus lives in
+// testdata/fuzz/FuzzReadDIMACS; CI fuzzes for ten seconds on top of it.
+func FuzzReadDIMACS(f *testing.F) {
+	f.Fuzz(func(t *testing.T, gr, co []byte) {
+		g, err := ReadDIMACS(bytes.NewReader(gr), bytes.NewReader(co))
+		if err != nil {
+			return
+		}
+		var gr1, co1 bytes.Buffer
+		if err := g.WriteDIMACS(&gr1, &co1); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadDIMACS(&gr1, &co1)
+		if err != nil {
+			t.Fatalf("re-import of an exported graph failed: %v", err)
+		}
+		n := g.NumNodes()
+		if g2.NumNodes() != n {
+			t.Fatalf("round trip changed the node count: %d -> %d", n, g2.NumNodes())
+		}
+		// Every pair on small graphs, a strided sample on larger ones.
+		step := 1 + n*n/256
+		oracle := Reference(g)
+		for k := 0; k < n*n; k += step {
+			from, to := geo.NodeID(k/n), geo.NodeID(k%n)
+			a := g.Cost(from, to)
+			if b := g2.Cost(from, to); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("cost(%d,%d): %v vs %v across round trip", from, to, a, b)
+			}
+			if ref := oracle.Cost(from, to); math.Float64bits(a) != math.Float64bits(ref) {
+				t.Fatalf("cost(%d,%d) = %v, reference %v", from, to, a, ref)
+			}
+		}
+	})
 }

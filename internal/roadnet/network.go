@@ -1,7 +1,8 @@
 // Package roadnet provides the road-network substrate every WATTER component
-// travels on: an explicit weighted graph with Dijkstra shortest paths (used
-// for small and mid-size cities and for all correctness tests) and a
-// closed-form grid-metric city (used for large-scale benchmark sweeps where
+// travels on: an explicit weighted graph whose exact shortest-path costs come
+// from the ALT engine or, at city scale, a contraction hierarchy (with the
+// plain Dijkstra kept as the Reference the tests compare both against), and
+// a closed-form grid-metric city (used for large-scale benchmark sweeps where
 // millions of cost queries must stay cheap).
 //
 // The rest of the system depends only on the Network interface: a travel
@@ -43,16 +44,6 @@ type PathNetwork interface {
 	Path(from, to geo.NodeID) []geo.NodeID
 }
 
-// MatrixNetwork is an optional Network extension for batched many-to-many
-// cost queries: out[i][j] = Cost(sources[i], targets[j]). Implementations
-// answer a whole matrix with one pruned search per distinct source instead
-// of len(sources)*len(targets) independent oracle calls; Graph's ALT engine
-// implements it.
-type MatrixNetwork interface {
-	Network
-	CostMatrix(sources, targets []geo.NodeID) [][]float64
-}
-
 // BoundedNetwork is an optional Network extension for callers whose
 // question is a threshold, not a value: CostLowerBound never exceeds Cost
 // and takes a few dozen flops where Cost runs a search. +Inf is returned
@@ -63,7 +54,8 @@ type BoundedNetwork interface {
 	CostLowerBound(from, to geo.NodeID) float64
 }
 
-// matrixFiller is the zero-allocation internal form of MatrixNetwork.
+// matrixFiller is the engine form of FillCostMatrixWithin: one pruned search
+// per distinct source instead of len(sources)*len(targets) oracle calls.
 type matrixFiller interface {
 	costMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64)
 }
@@ -94,15 +86,6 @@ func FillCostMatrixWithin(net Network, sources, targets []geo.NodeID, maxCost fl
 		m.costMatrixInto(sources, targets, maxCost, out)
 		return
 	}
-	if m, ok := net.(MatrixNetwork); ok {
-		// External batched implementations see the documented public API;
-		// their exact entries satisfy the Within contract trivially.
-		nt := len(targets)
-		for i, row := range m.CostMatrix(sources, targets) {
-			copy(out[i*nt:(i+1)*nt], row)
-		}
-		return
-	}
 	nt := len(targets)
 	for i, s := range sources {
 		row := out[i*nt : (i+1)*nt]
@@ -120,16 +103,12 @@ func FillCostMatrixWithin(net Network, sources, targets []geo.NodeID, maxCost fl
 // therefore the argmin over the full FillCostMatrixWithin column, which is
 // what networks without a bounding engine are given.
 func FillNearestWithin(net Network, sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
-	switch m := net.(type) {
-	case nearestFiller:
+	if m, ok := net.(nearestFiller); ok {
 		m.nearestInto(sources, target, maxCost, out)
-	case MatrixNetwork:
-		//det:hotalloc external batched engines allocate their result matrix anyway; no in-tree network reaches this arm
-		FillCostMatrixWithin(net, sources, []geo.NodeID{target}, maxCost, out)
-	default:
-		for i, s := range sources {
-			out[i] = net.Cost(s, target)
-		}
+		return
+	}
+	for i, s := range sources {
+		out[i] = net.Cost(s, target)
 	}
 }
 

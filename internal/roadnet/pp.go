@@ -2,14 +2,18 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 
 	"watter/internal/geo"
 )
 
-// Point-to-point routing engine: goal-directed A* over the CSR graph using
-// the ALT lower bounds from alt.go, generalized to one-source/many-targets
+// The query side of Graph: the pooled scratch and the three query shapes
+// (single pair, many-to-many matrix, nearest-of-many) both engines share,
+// and the ALT engine's search body — goal-directed A* over the CSR graph
+// using the lower bounds from alt.go, generalized to one-source/many-targets
 // so a route planner leg matrix or a ring of dispatch candidates is filled
 // by one pruned search per source instead of a full city Dijkstra each.
+// The hierarchy's search body is chquery.go; search picks between them.
 //
 // Exactness: relaxations accumulate in float32 exactly like the reference
 // Dijkstra (nd = dist[u] + w), the search keeps no closed list (worse
@@ -21,66 +25,19 @@ import (
 // bit for bit; the property tests enforce this on random jittered cities.
 //
 // Concurrency: the graph and landmark arrays are immutable after Build;
-// all mutable search state lives in a pooled ppScratch, so any number of
+// all mutable search state lives in a pooled scratch, so any number of
 // goroutines may query concurrently (the sweep engine shares one Graph
 // across replicate runs).
 
-// ppItem is a search frontier entry: key = dist + heuristic orders the
-// queue, dist is the tentative float32 distance at insertion time.
-type ppItem struct {
-	key  float64
-	dist float32
-	node geo.NodeID
-}
-
-// ppHeap is a hand-rolled binary min-heap on key (container/heap's
-// interface indirection costs ~2x on this hot path).
-type ppHeap []ppItem
-
-func (h *ppHeap) push(it ppItem) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q[p].key <= q[i].key {
-			break
-		}
-		q[p], q[i] = q[i], q[p]
-		i = p
-	}
-	*h = q
-}
-
-func (h *ppHeap) pop() ppItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && q[l].key < q[s].key {
-			s = l
-		}
-		if r < n && q[r].key < q[s].key {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q[i], q[s] = q[s], q[i]
-		i = s
-	}
-	*h = q
-	return top
-}
-
-// ppScratch is the reusable per-query state: generation-stamped distance
-// and heuristic arrays (O(1) reset), the frontier heap, and small target
-// bookkeeping slices.
-type ppScratch struct {
+// scratch is the reusable per-query state of either engine: generation-
+// stamped distance and heuristic arrays (O(1) reset), the frontier heap,
+// small target bookkeeping slices and, once a hierarchy exists, the two-phase
+// labels and target descent cone of chquery.go.
+//
+//det:scratch pooled per-query search state; arrays are generation-stamped and reused across queries
+type scratch struct {
+	// dist/gen hold one tentative float32 fold per search state: the n nodes
+	// for ALT; 2n for the hierarchy (node = climbing, node+n = descending).
 	dist []float32
 	gen  []uint32
 	// hval/hgen cache the per-node heuristic under the target-set epoch
@@ -90,7 +47,28 @@ type ppScratch struct {
 	hgen []uint32
 	cur  uint32
 	hcur uint32
-	heap ppHeap
+	heap minHeap[float64]
+
+	// Target descent cone (hierarchy only, nil otherwise): the set of nodes
+	// from which some target is reachable by downward edges alone, marked by
+	// walking the reverse-down CSR from each target. Restricting the descend
+	// phase to the cone is lossless (every down-path to a target stays inside
+	// it by definition) and is what keeps the search on climb-cone x
+	// target-cone instead of reflooding the city. The cone's incoming down
+	// edges are also bucketed by tail node (tFirst and coneEdge.next form
+	// per-node linked lists), so the search relaxes exactly the useful down
+	// edges instead of scanning a high-rank node's entire down list against
+	// the marks. Computed once per target-set epoch, so a matrix's sources
+	// share one marking pass.
+	coneMark []uint32
+	coneQ    []int32
+	coneEp   uint32
+	tStamp   []uint32
+	tFirst   []int32
+	// Packed relax inputs per bucketed edge, copied out of the arena once
+	// per target epoch so the search never touches the arena for a
+	// transition/descend relaxation that fails the prefilter.
+	tPack []coneEdge
 
 	uniq    []geo.NodeID // deduplicated targets
 	res     []float64    // result per uniq target
@@ -99,142 +77,57 @@ type ppScratch struct {
 	ord     []int32      // nearestInto: source indices by ascending bound
 }
 
-//det:hotalloc pool miss or first query after a graph grows; steady state reuses pooled arrays
-func (g *Graph) getScratch() *ppScratch {
-	sc, _ := g.ppPool.Get().(*ppScratch)
+// getScratch hands out a scratch sized for the engine answering now. A
+// scratch pooled while the graph was on ALT is too small for the hierarchy's
+// 2n states and has no cone arrays; it is rebuilt rather than reused short.
+//
+//det:hotalloc pool miss or first query after EnableHierarchy; steady state reuses pooled arrays
+func (g *Graph) getScratch() *scratch {
+	sc, _ := g.pool.Get().(*scratch)
 	if sc == nil {
-		sc = &ppScratch{}
+		sc = &scratch{}
 	}
-	if n := len(g.coords); len(sc.dist) < n {
-		sc.dist = make([]float32, n)
-		sc.gen = make([]uint32, n)
-		sc.hval = make([]float64, n)
-		sc.hgen = make([]uint32, n)
-		sc.cur = 0
+	n := len(g.coords)
+	states := n
+	if g.ch != nil {
+		states = 2 * n
+	}
+	if len(sc.dist) < states {
+		*sc = scratch{
+			dist: make([]float32, states),
+			gen:  make([]uint32, states),
+			hval: make([]float64, n),
+			hgen: make([]uint32, n),
+		}
+		if g.ch != nil {
+			sc.coneMark = make([]uint32, n)
+			sc.tStamp = make([]uint32, n)
+			sc.tFirst = make([]int32, n)
+		}
 	}
 	return sc
 }
 
 // nextGen starts a fresh search epoch; on uint32 wraparound the stamp
 // array is zeroed so stale stamps can never collide.
-func (sc *ppScratch) nextGen() {
+func (sc *scratch) nextGen() {
 	sc.cur++
 	if sc.cur == 0 {
-		for i := range sc.gen {
-			sc.gen[i] = 0
-		}
+		clear(sc.gen)
 		sc.cur = 1
 	}
 	sc.heap = sc.heap[:0]
 }
 
-// newTargetEpoch invalidates the cached heuristic values; callers invoke it
-// once per distinct target set, not once per source.
-func (sc *ppScratch) newTargetEpoch() {
-	sc.hcur++
-	if sc.hcur == 0 {
-		for i := range sc.hgen {
-			sc.hgen[i] = 0
-		}
-		sc.hcur = 1
-	}
-}
-
-// maxHeuristicWork bounds targets x landmarks per heuristic evaluation;
-// beyond it the search falls back to h = 0 (goal-stopped Dijkstra), which
-// is still exact — the heuristic only prunes.
-const maxHeuristicWork = 128
-
-// CostPP returns the shortest travel time from one node to another via the
-// point-to-point engine (+Inf when unreachable). Bit-identical to CostSSSP.
-// Hierarchy-enabled graphs answer through the CH engine (chquery.go); the
-// ALT arm remains reachable via SetHierarchy(false) or CostALT.
-func (g *Graph) CostPP(from, to geo.NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		return g.costSSSP(from, to)
-	}
-	if g.chReady() {
-		return g.chCostPP(from, to)
-	}
-	return g.CostALT(from, to)
-}
-
-// CostALT answers a point-to-point query via the ALT engine regardless of
-// whether a contraction hierarchy is built. It is the property-test and
-// benchmark reference arm for the CH engine.
-func (g *Graph) CostALT(from, to geo.NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	sc := g.getScratch()
-	//det:hotalloc pooled scratch retains capacity across queries; these appends grow it only on first use
-	sc.uniq = append(sc.uniq[:0], to)
-	//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-	sc.res = append(sc.res[:0], 0)
-	sc.newTargetEpoch()
-	g.searchFrom(sc, from, math.Inf(1))
-	d := sc.res[0]
-	g.ppPool.Put(sc)
-	return d
-}
-
-// CostMatrix returns the many-to-many travel-time matrix
-// out[i][j] = Cost(sources[i], targets[j]) with one pruned multi-target
-// search per distinct source. This is the batched API the route planner's
-// leg matrix and the worker index's candidate rings are built on.
-//
-//det:hotalloc allocating public matrix API; hot callers go through FillCostMatrix, whose matrixFiller branch fills a caller-owned buffer instead
-func (g *Graph) CostMatrix(sources, targets []geo.NodeID) [][]float64 {
-	out := make([][]float64, len(sources))
-	if len(targets) == 0 {
-		return out
-	}
-	flat := make([]float64, len(sources)*len(targets))
-	for i := range out {
-		out[i] = flat[i*len(targets) : (i+1)*len(targets) : (i+1)*len(targets)]
-	}
-	g.costMatrixInto(sources, targets, math.Inf(1), flat)
-	return out
-}
-
-// costMatrixInto implements the zero-allocation FillCostMatrix fast path:
-// out is row-major with len >= len(sources)*len(targets). Entries whose
-// cost exceeds maxCost may be reported as +Inf (every entry <= maxCost is
-// exact); pass +Inf for the full matrix.
-func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64) {
-	nt := len(targets)
-	if nt == 0 || len(sources) == 0 {
-		return
-	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		for i, s := range sources {
-			e := g.source(s)
-			row := out[i*nt : (i+1)*nt]
-			for j, t := range targets {
-				row[j] = float64(e.dist[t])
-			}
-		}
-		return
-	}
-	if g.chReady() {
-		g.chMatrixInto(sources, targets, maxCost, out)
-		return
-	}
-	sc := g.getScratch()
-	// Deduplicate targets, remembering each output column's slot.
+// setTargets installs a new target set: deduplicated into sc.uniq with each
+// output column's slot in sc.colIdx, sc.res sized to match, and the cached
+// heuristic values and cone invalidated. Callers invoke it once per distinct
+// target set, not once per source.
+func (sc *scratch) setTargets(targets ...geo.NodeID) {
 	sc.uniq = sc.uniq[:0]
 	sc.colIdx = sc.colIdx[:0]
 	for _, t := range targets {
-		slot := -1
-		for k, u := range sc.uniq {
-			if u == t {
-				slot = k
-				break
-			}
-		}
+		slot := slices.Index(sc.uniq, t)
 		if slot < 0 {
 			slot = len(sc.uniq)
 			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
@@ -248,28 +141,98 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 		sc.res = make([]float64, len(sc.uniq))
 	}
 	sc.res = sc.res[:len(sc.uniq)]
-	sc.newTargetEpoch() // targets are fixed: sources share heuristic values
+	sc.hcur++
+	if sc.hcur == 0 {
+		clear(sc.hgen)
+		clear(sc.coneMark)
+		clear(sc.tStamp)
+		sc.coneEp = 0
+		sc.hcur = 1
+	}
+}
 
-	for i, s := range sources {
-		// Duplicate sources reuse the already-computed row.
-		dup := -1
-		for j := 0; j < i; j++ {
-			if sources[j] == s {
-				dup = j
-				break
+// maxHeuristicWork bounds targets x landmarks per heuristic evaluation;
+// beyond it the search falls back to h = 0 (goal-stopped Dijkstra), which
+// is still exact — the heuristic only prunes.
+const maxHeuristicWork = 128
+
+// search is the ladder: one exact multi-target search from src over
+// sc.uniq into sc.res, on the hierarchy when the graph has one and on ALT
+// otherwise. A further engine is one more search body and one more line
+// here. ubHint is the hierarchy's single-pair trip bound (0 or +Inf = none).
+func (g *Graph) search(sc *scratch, src geo.NodeID, budget, ubHint float64) {
+	if g.ch != nil {
+		g.chSearchFrom(sc, src, budget, ubHint)
+		return
+	}
+	g.searchFrom(sc, src, budget)
+}
+
+// Cost implements Network: the shortest travel time from one node to
+// another (+Inf when unreachable), bit-identical to Reference(g).Cost.
+func (g *Graph) Cost(from, to geo.NodeID) float64 {
+	if from == to {
+		return 0
+	}
+	// Landmark upper bound on the trip (src -> L -> to): lets the hierarchy
+	// scale its fold-error deflation to the trip instead of the diameter.
+	ubHint := math.Inf(1)
+	if g.ch != nil {
+		for i := range g.landmarks {
+			if ub := g.landTo[i][from] + g.landFrom[i][to]; ub < ubHint {
+				ubHint = ub
 			}
 		}
+	}
+	sc := g.getScratch()
+	sc.setTargets(to)
+	g.search(sc, from, math.Inf(1), ubHint)
+	d := sc.res[0]
+	g.pool.Put(sc)
+	return d
+}
+
+// CostALT answers a point-to-point query via the ALT engine whether or not
+// a contraction hierarchy is built: the lockstep arm the hierarchy is
+// property-tested and benchmarked against.
+func (g *Graph) CostALT(from, to geo.NodeID) float64 {
+	if from == to {
+		return 0
+	}
+	sc := g.getScratch()
+	sc.setTargets(to)
+	g.searchFrom(sc, from, math.Inf(1))
+	d := sc.res[0]
+	g.pool.Put(sc)
+	return d
+}
+
+// costMatrixInto implements FillCostMatrixWithin with one pruned
+// multi-target search per distinct source: out is row-major with
+// len >= len(sources)*len(targets). Entries whose cost exceeds maxCost may
+// be reported as +Inf (every entry <= maxCost is exact); pass +Inf for the
+// full matrix. Matrix searches pass no ubHint: a per-source hint would
+// poison the heuristic cache the sources share.
+func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64) {
+	nt := len(targets)
+	if nt == 0 || len(sources) == 0 {
+		return
+	}
+	sc := g.getScratch()
+	sc.setTargets(targets...)
+	for i, s := range sources {
 		row := out[i*nt : (i+1)*nt]
-		if dup >= 0 {
+		// Duplicate sources reuse the already-computed row.
+		if dup := slices.Index(sources[:i], s); dup >= 0 {
 			copy(row, out[dup*nt:(dup+1)*nt])
 			continue
 		}
-		g.searchFrom(sc, s, maxCost)
+		g.search(sc, s, maxCost, 0)
 		for j := 0; j < nt; j++ {
 			row[j] = sc.res[sc.colIdx[j]]
 		}
 	}
-	g.ppPool.Put(sc)
+	g.pool.Put(sc)
 }
 
 // nearestInto implements FillNearestWithin. Sources are searched in
@@ -283,40 +246,17 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 // as m; ties included, since B = m still admits cost m. A source left
 // unsearched has bound > B >= m, so it is neither the argmin nor tied with
 // it, and +Inf is a legal report. All searches share one target epoch: one
-// heuristic cache and, on the hierarchy arm, one buildCone.
+// heuristic cache and, on the hierarchy, one buildCone — so, as in a matrix,
+// they pass no ubHint.
 func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
 	if len(sources) == 0 {
 		return
 	}
-	if g.pinned.Load() || g.ppOff.Load() {
-		// Legacy oracle: the full column, as costMatrixInto reads it.
-		for i, s := range sources {
-			out[i] = float64(g.source(s).dist[target])
-		}
-		return
-	}
-	var psc *ppScratch
-	var csc *chScratch
-	var ord []int32
-	if g.chReady() {
-		csc = g.getCHScratch()
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-		csc.uniq = append(csc.uniq[:0], target)
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-		csc.res = append(csc.res[:0], 0)
-		csc.newTargetEpoch()
-		ord = csc.ord[:0]
-	} else {
-		psc = g.getScratch()
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-		psc.uniq = append(psc.uniq[:0], target)
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
-		psc.res = append(psc.res[:0], 0)
-		psc.newTargetEpoch()
-		ord = psc.ord[:0]
-	}
+	sc := g.getScratch()
+	sc.setTargets(target)
 	// Bounds go into out, then an insertion sort of the indices (rings hold
 	// a handful of workers; stable, so equal bounds keep source order).
+	ord := sc.ord[:0]
 	for i, s := range sources {
 		out[i] = g.CostLowerBound(s, target)
 		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
@@ -338,28 +278,14 @@ func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost flo
 			out[i] = out[ord[k-1]] // co-located workers sort adjacently
 			continue
 		}
-		var d float64
-		if csc != nil {
-			// ubHint 0: one epoch shares its heuristic cache across sources,
-			// so the deflation constants must not vary per source.
-			g.chSearchFrom(csc, sources[i], budget, 0)
-			d = csc.res[0]
-		} else {
-			g.searchFrom(psc, sources[i], budget)
-			d = psc.res[0]
-		}
-		out[i] = d
-		if d < budget {
-			budget = d
+		g.search(sc, sources[i], budget, 0)
+		out[i] = sc.res[0]
+		if out[i] < budget {
+			budget = out[i]
 		}
 	}
-	if csc != nil {
-		csc.ord = ord
-		g.chPool.Put(csc)
-	} else {
-		psc.ord = ord
-		g.ppPool.Put(psc)
-	}
+	sc.ord = ord
+	g.pool.Put(sc)
 }
 
 // searchFrom runs one exact multi-target A* from src over sc.uniq, filling
@@ -367,7 +293,7 @@ func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost flo
 // farther than budget may be left at +Inf: once the minimum queue key —
 // an admissible lower bound on reaching any remaining target — exceeds
 // budget, no pending target can cost <= budget and the search stops.
-func (g *Graph) searchFrom(sc *ppScratch, src geo.NodeID, budget float64) {
+func (g *Graph) searchFrom(sc *scratch, src geo.NodeID, budget float64) {
 	sc.nextGen()
 	cur := sc.cur
 	inf := math.Inf(1)
@@ -415,7 +341,7 @@ func (g *Graph) searchFrom(sc *ppScratch, src geo.NodeID, budget float64) {
 
 	sc.dist[src] = 0
 	sc.gen[src] = cur
-	sc.heap.push(ppItem{key: h(src), dist: 0, node: src})
+	sc.heap.push(heapItem[float64]{key: h(src), dist: 0, node: src})
 
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
@@ -453,7 +379,7 @@ func (g *Graph) searchFrom(sc *ppScratch, src geo.NodeID, budget float64) {
 			}
 			sc.dist[v] = nd
 			sc.gen[v] = cur
-			sc.heap.push(ppItem{key: float64(nd) + h(v), dist: nd, node: v})
+			sc.heap.push(heapItem[float64]{key: float64(nd) + h(v), dist: nd, node: v})
 		}
 	}
 	// Queue exhausted: every reachable node's distance is final; targets

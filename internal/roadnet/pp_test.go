@@ -50,22 +50,23 @@ func twoComponentCity(w, h int, seed int64) (*Graph, int) {
 
 // TestCostPPMatchesSSSPRandomGrids is the engine's exactness property test:
 // on random jittered grid cities of assorted sizes (with and without
-// landmarks), CostPP must agree bit-for-bit with the cached full-Dijkstra
-// reference for every sampled pair.
+// landmarks), Cost must agree bit-for-bit with the full-Dijkstra Reference
+// for every sampled pair.
 func TestCostPPMatchesSSSPRandomGrids(t *testing.T) {
 	sizes := [][2]int{{4, 4}, {5, 7}, {8, 8}, {12, 9}, {15, 15}}
 	for seed := int64(1); seed <= 10; seed++ {
 		wh := sizes[int(seed)%len(sizes)]
 		g := NewPerturbedGrid(wh[0], wh[1], 150, 8, 0.4, seed)
+		ref := Reference(g)
 		rng := rand.New(rand.NewSource(seed * 977))
 		n := g.NumNodes()
 		for q := 0; q < 300; q++ {
 			from := geo.NodeID(rng.Intn(n))
 			to := geo.NodeID(rng.Intn(n))
-			got := g.CostPP(from, to)
-			want := g.CostSSSP(from, to)
+			got := g.Cost(from, to)
+			want := ref.Cost(from, to)
 			if got != want {
-				t.Fatalf("seed %d: CostPP(%d,%d) = %v, CostSSSP = %v (diff %g)",
+				t.Fatalf("seed %d: Cost(%d,%d) = %v, reference = %v (diff %g)",
 					seed, from, to, got, want, got-want)
 			}
 		}
@@ -78,14 +79,15 @@ func TestCostPPMatchesSSSPRandomGrids(t *testing.T) {
 func TestCostPPUnreachablePairs(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g, half := twoComponentCity(6, 5, seed)
+		ref := Reference(g)
 		rng := rand.New(rand.NewSource(seed * 31))
 		for q := 0; q < 200; q++ {
 			from := geo.NodeID(rng.Intn(2 * half))
 			to := geo.NodeID(rng.Intn(2 * half))
-			got := g.CostPP(from, to)
-			want := g.CostSSSP(from, to)
+			got := g.Cost(from, to)
+			want := ref.Cost(from, to)
 			if got != want {
-				t.Fatalf("seed %d: CostPP(%d,%d) = %v, want %v", seed, from, to, got, want)
+				t.Fatalf("seed %d: Cost(%d,%d) = %v, want %v", seed, from, to, got, want)
 			}
 			crossComponent := (int(from) < half) != (int(to) < half)
 			if crossComponent && !math.IsInf(got, 1) {
@@ -95,7 +97,7 @@ func TestCostPPUnreachablePairs(t *testing.T) {
 	}
 }
 
-// TestCostMatrixMatchesSSSP: the batched many-to-many API must agree
+// TestCostMatrixMatchesSSSP: the batched many-to-many fill must agree
 // bit-for-bit with pairwise reference queries, including duplicate sources,
 // duplicate targets, source==target and unreachable pairs.
 func TestCostMatrixMatchesSSSP(t *testing.T) {
@@ -109,6 +111,7 @@ func TestCostMatrixMatchesSSSP(t *testing.T) {
 			g, n = twoComponentCity(5, 5, seed)
 			n *= 2
 		}
+		ref := Reference(g)
 		rng := rand.New(rand.NewSource(seed * 131))
 		for rep := 0; rep < 20; rep++ {
 			ns := 1 + rng.Intn(8)
@@ -131,16 +134,13 @@ func TestCostMatrixMatchesSSSP(t *testing.T) {
 			if nt > 1 {
 				targets[1] = sources[0]
 			}
-			m := g.CostMatrix(sources, targets)
+			m := make([]float64, ns*nt)
+			FillCostMatrix(g, sources, targets, m)
 			for i, s := range sources {
 				for j, tt := range targets {
-					want := g.CostSSSP(s, tt)
-					if s == tt {
-						want = 0
-					}
-					if m[i][j] != want {
+					if got, want := m[i*nt+j], ref.Cost(s, tt); got != want {
 						t.Fatalf("seed %d: matrix[%d][%d] (cost %d->%d) = %v, want %v",
-							seed, i, j, s, tt, m[i][j], want)
+							seed, i, j, s, tt, got, want)
 					}
 				}
 			}
@@ -173,6 +173,7 @@ func TestFillCostMatrixFallback(t *testing.T) {
 func TestFillCostMatrixWithinBudget(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g := NewPerturbedGrid(10, 10, 150, 8, 0.3, seed)
+		ref := Reference(g)
 		rng := rand.New(rand.NewSource(seed * 389))
 		n := g.NumNodes()
 		for rep := 0; rep < 15; rep++ {
@@ -190,7 +191,7 @@ func TestFillCostMatrixWithinBudget(t *testing.T) {
 			for i, s := range sources {
 				for j, tt := range targets {
 					got := out[i*len(targets)+j]
-					want := g.CostSSSP(s, tt)
+					want := ref.Cost(s, tt)
 					if want <= budget && got != want {
 						t.Fatalf("seed %d: in-budget entry (%d->%d, budget %v) = %v, want %v",
 							seed, s, tt, budget, got, want)
@@ -221,7 +222,7 @@ func TestCostPPConcurrent(t *testing.T) {
 			for q := 0; q < 300; q++ {
 				from := geo.NodeID(rng.Intn(n))
 				to := geo.NodeID(rng.Intn(n))
-				if got, want := g.CostPP(from, to), city.Cost(from, to); got != want {
+				if got, want := g.Cost(from, to), city.Cost(from, to); got != want {
 					select {
 					case errs <- "engine mismatch under concurrency":
 					default:
@@ -238,28 +239,6 @@ func TestCostPPConcurrent(t *testing.T) {
 	}
 }
 
-// TestGraphCacheLRUHotSource is the FIFO->LRU regression test: a source
-// that is re-queried between misses must survive eviction pressure that
-// would have expelled it under insertion-order eviction.
-func TestGraphCacheLRUHotSource(t *testing.T) {
-	g := NewPerturbedGrid(6, 6, 100, 10, 0.2, 5)
-	g.SetCacheSize(3)
-	hot := geo.NodeID(0)
-	g.CostSSSP(hot, 1)
-	for src := 1; src < 20; src++ {
-		g.CostSSSP(geo.NodeID(src), geo.NodeID((src+3)%g.NumNodes()))
-		g.CostSSSP(hot, geo.NodeID(src%g.NumNodes())) // touch the hot source
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.cache) > 3 {
-		t.Fatalf("cache holds %d entries, cap 3", len(g.cache))
-	}
-	if _, ok := g.cache[hot]; !ok {
-		t.Fatal("hot source evicted despite constant hits (FIFO, not LRU)")
-	}
-}
-
 // TestLandmarksBuilt sanity-checks the preprocessing: a mid-size graph gets
 // landmarks, a tiny one skips them, and bounds are never negative.
 func TestLandmarksBuilt(t *testing.T) {
@@ -270,6 +249,7 @@ func TestLandmarksBuilt(t *testing.T) {
 	if len(g.landFrom) != len(g.landmarks) || len(g.landTo) != len(g.landmarks) {
 		t.Fatalf("landmark arrays misaligned: %d/%d/%d", len(g.landmarks), len(g.landFrom), len(g.landTo))
 	}
+	ref := Reference(g)
 	rng := rand.New(rand.NewSource(7))
 	for q := 0; q < 200; q++ {
 		v := geo.NodeID(rng.Intn(g.NumNodes()))
@@ -278,7 +258,7 @@ func TestLandmarksBuilt(t *testing.T) {
 		if lb < 0 {
 			t.Fatalf("negative ALT bound %v", lb)
 		}
-		if d := g.CostSSSP(v, u); lb > d {
+		if d := ref.Cost(v, u); lb > d {
 			t.Fatalf("ALT bound %v exceeds true distance %v for (%d,%d)", lb, d, v, u)
 		}
 	}
@@ -288,13 +268,13 @@ func TestLandmarksBuilt(t *testing.T) {
 	}
 }
 
-func BenchmarkCostPP(b *testing.B) {
+func BenchmarkCostALT(b *testing.B) {
 	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
 	n := geo.NodeID(g.NumNodes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.CostPP(geo.NodeID(i)%n, geo.NodeID(i*13+7)%n)
+		_ = g.Cost(geo.NodeID(i)%n, geo.NodeID(i*13+7)%n)
 	}
 }
 
@@ -311,39 +291,18 @@ func BenchmarkLegMatrixEngine(b *testing.B) {
 	}
 }
 
-// ... while BenchmarkLegMatrixColdSSSP is the same workload on the legacy
-// path with a cold cache (every source misses, as on any city with more
-// nodes than the LRU holds) ...
-func BenchmarkLegMatrixColdSSSP(b *testing.B) {
+// ... while BenchmarkLegMatrixReference is the same workload priced pair by
+// pair on the reference: one full Dijkstra per entry, what the matrix costs
+// without an engine.
+func BenchmarkLegMatrixReference(b *testing.B) {
 	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
 	nodes, out := legWorkload(g)
+	ref := Reference(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		grp := nodes[i%len(nodes)]
-		g.FlushCache()
-		for a, s := range grp {
-			for t, d := range grp {
-				out[a*len(grp)+t] = g.CostSSSP(s, d)
-			}
-		}
-	}
-}
-
-// ... and BenchmarkLegMatrixWarmSSSP keeps the LRU across groups — the best
-// case the legacy path achieved on small cities with recurring locations.
-func BenchmarkLegMatrixWarmSSSP(b *testing.B) {
-	g := NewPerturbedGrid(40, 40, 200, 8, 0.2, 9)
-	nodes, out := legWorkload(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		grp := nodes[i%len(nodes)]
-		for a, s := range grp {
-			for t, d := range grp {
-				out[a*len(grp)+t] = g.CostSSSP(s, d)
-			}
-		}
+		FillCostMatrix(ref, grp, grp, out)
 	}
 }
 

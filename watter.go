@@ -90,11 +90,9 @@ type (
 	City = dataset.City
 	// Network is the travel-time oracle all components share.
 	Network = roadnet.Network
-	// MatrixNetwork is a Network with a batched many-to-many cost API
-	// (one pruned search per source instead of per pair).
-	MatrixNetwork = roadnet.MatrixNetwork
-	// RoadGraph is an explicit road network answering point-to-point
-	// queries on the ALT routing engine (landmarks precomputed at build).
+	// RoadGraph is an explicit road network answering exact shortest-path
+	// queries on the ALT routing engine or, at city scale, a contraction
+	// hierarchy (both precomputed at build).
 	RoadGraph = roadnet.Graph
 	// RoadGraphBuilder accumulates nodes and edges into a RoadGraph.
 	RoadGraphBuilder = roadnet.GraphBuilder
