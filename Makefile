@@ -18,10 +18,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Ten seconds of coverage-guided fuzzing on the DIMACS importer, on top of
-# the seed corpus in internal/roadnet/testdata/fuzz that `test` always runs.
+# Ten seconds of coverage-guided fuzzing on each parser that reads outside
+# input — the DIMACS importer and the model-snapshot loader — on top of the
+# seed corpora in internal/{roadnet,nn}/testdata/fuzz that `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:

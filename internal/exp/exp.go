@@ -14,7 +14,6 @@ import (
 	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/gmm"
-	"watter/internal/gridindex"
 	"watter/internal/load"
 	"watter/internal/mdp"
 	"watter/internal/nn"
@@ -379,32 +378,31 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 		fw := core.New(nil, poolOptions(p))
 		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
-		src := &mdp.ValueThresholdSource{
-			Net:  trained.Net,
-			Feat: trained.Feat,
-			Demand: func() (gridindex.Distribution, gridindex.Distribution) {
-				if fw.Pool() == nil {
-					return nil, nil
-				}
-				return fw.Pool().DemandDistributions()
-			},
-		}
+		// The trained bundle is shared across jobs; the source, which owns
+		// every buffer inference writes, is this job's alone.
+		src := &mdp.ValueThresholdSource{Net: trained.Net, Feat: trained.Feat}
 		fw.Decide = &strategy.Threshold{Source: src, Alpha: 1, Beta: 1}
 		return &expectAlg{Framework: fw, src: src}, nil
 	}
 	return nil, fmt.Errorf("exp: unknown algorithm %q", name)
 }
 
-// expectAlg wires the supply-distribution closure once the env exists.
+// expectAlg wires the threshold source to the live pool and fleet once
+// they exist.
 type expectAlg struct {
 	*core.Framework
 	src *mdp.ValueThresholdSource
 }
 
-// Init implements sim.Algorithm.
+// Init implements sim.Algorithm: the source reads this run's pool and
+// worker index, and re-reads them only when their generation counters (or
+// the clock) say the histograms may have moved.
 func (a *expectAlg) Init(env *sim.Env) {
-	a.src.Supply = env.WIndex.SupplyDistribution
 	a.Framework.Init(env)
+	p, wi := a.Pool(), env.WIndex
+	a.src.Demand = p.DemandDistributions
+	a.src.Supply = wi.SupplyDistribution
+	a.src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
 }
 
 // MustBuild is Build for algorithm names known at compile time; it panics

@@ -34,6 +34,12 @@ type WorkerIndex struct {
 	// queries; concurrent readers get their own via NewReader.
 	sc probeScratch
 
+	// gen counts Updates: every write to a worker's FreeAt or Loc is followed
+	// by one, so while gen stands still the fleet's books do. It is a plain
+	// field written only by Update, on the goroutine that owns the index;
+	// ProbeReader and the shared ring search must never touch it.
+	gen uint64
+
 	// moveObs, when set, observes every Update with the worker's previous
 	// and current cell (equal when the worker stayed put). The sharded
 	// dispatch engine uses it to invalidate speculative probes that
@@ -88,6 +94,7 @@ func (wi *WorkerIndex) SetMoveObserver(fn func(w *order.Worker, oldCell, newCell
 // dispatch books it: FreeAt moves into the future and Loc becomes the
 // route's last drop-off point).
 func (wi *WorkerIndex) Update(w *order.Worker) {
+	wi.gen++
 	old, ok := wi.cellOf[w.ID]
 	if !ok {
 		wi.insert(w)
@@ -114,6 +121,12 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 		wi.moveObs(w, old, nc)
 	}
 }
+
+// Generation returns the number of Updates so far. Worker state read at one
+// instant — SupplyDistribution(now), a probe's answer — is unchanged at the
+// same instant while Generation is; at a later instant it is not, because a
+// worker turns idle by the clock passing its FreeAt, with no Update.
+func (wi *WorkerIndex) Generation() uint64 { return wi.gen }
 
 // ringLocs loads the current ring's candidate locations into the scratch
 // and sizes its cost row to match.

@@ -1,8 +1,9 @@
 package mdp
 
 import (
+	"slices"
+
 	"watter/internal/core"
-	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/sim"
 	"watter/internal/strategy"
@@ -23,6 +24,9 @@ type Collector struct {
 
 	env   *sim.Env
 	snaps map[int][]snapshot
+	// live builds the states. Its environment snapshot is shared by all the
+	// survivors of one tick: nothing moves inside OnTick's snapshot loop.
+	live liveState
 }
 
 type snapshot struct {
@@ -42,6 +46,7 @@ func (c *Collector) Name() string { return c.Inner.Name() + "+collect" }
 func (c *Collector) Init(env *sim.Env) {
 	c.env = env
 	c.snaps = make(map[int][]snapshot)
+	c.live.valid = false // a new pool and fleet restart their generations
 	env.SetObservers(c.onServe, c.onReject)
 	c.Inner.Init(env)
 }
@@ -72,15 +77,17 @@ func (c *Collector) Finish(now float64) {
 	c.snaps = map[int][]snapshot{}
 }
 
+// features returns a fresh copy of o's state at now (the replay memory
+// keeps it), re-reading the pool and the fleet only when either changed
+// since the last state or the clock moved.
 func (c *Collector) features(o *order.Order, now float64) []float64 {
-	var pu, do, supply gridindex.Distribution
-	if p := c.Inner.Pool(); p != nil {
-		pu, do = p.DemandDistributions()
+	p, wi := c.Inner.Pool(), c.env.WIndex
+	key := envKey{now: now, pool: p.DemandGeneration(), fleet: wi.Generation()}
+	if !c.live.fresh(key) {
+		pu, do := p.DemandDistributions()
+		c.live.rebuild(c.Feat, key, pu, do, wi.SupplyDistribution(now))
 	}
-	if c.env != nil {
-		supply = c.env.WIndex.SupplyDistribution(now)
-	}
-	return c.Feat.Features(o, now, pu, do, supply)
+	return slices.Clone(c.live.observe(c.Feat, o, now))
 }
 
 // onServe finalizes a dispatched order's episode: wait transitions between

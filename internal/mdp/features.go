@@ -44,11 +44,24 @@ func (f *Featurizer) Dim() int { return 5*f.Index.NumCells() + 2 }
 // platform's current demand and supply distributions. Distributions may be
 // nil (zeros) — useful in unit tests.
 func (f *Featurizer) Features(o *order.Order, now float64, pickupDemand, dropoffDemand, supply gridindex.Distribution) []float64 {
-	c := f.Index.NumCells()
 	x := make([]float64, f.Dim())
+	f.setOrder(x, o, now)
+	f.setEnv(x, pickupDemand, dropoffDemand, supply)
+	return x
+}
+
+// setOrder writes the per-order entries of x — the sL one-hots and sT — and
+// returns the two one-hot positions: a caller that reuses x zeroes them
+// before the next order, and nothing else in x[:2·C+2] needs resetting.
+//
+//det:hotpath the per-call half of featurization; writes only into the caller's vector
+func (f *Featurizer) setOrder(x []float64, o *order.Order, now float64) (pickupAt, dropoffAt int) {
+	c := f.Index.NumCells()
 	// sL: one-hot pickup and dropoff regions.
-	x[f.Index.CellOf(o.Pickup)] = 1
-	x[c+f.Index.CellOf(o.Dropoff)] = 1
+	pickupAt = f.Index.CellOf(o.Pickup)
+	dropoffAt = c + f.Index.CellOf(o.Dropoff)
+	x[pickupAt] = 1
+	x[dropoffAt] = 1
 	// sT: release timeslot and waited slots.
 	slot := 0.0
 	if f.HorizonSeconds > 0 {
@@ -66,20 +79,19 @@ func (f *Featurizer) Features(o *order.Order, now float64, pickupDemand, dropoff
 	}
 	x[2*c] = slot
 	x[2*c+1] = waited
-	// sO and sW.
+	return pickupAt, dropoffAt
+}
+
+// setEnv writes the tick-global entries of x — sO and sW, the 3·C-entry
+// suffix every pooled order shares at one instant.
+func (f *Featurizer) setEnv(x []float64, pickupDemand, dropoffDemand, supply gridindex.Distribution) {
+	c := f.Index.NumCells()
 	copyDist(x[2*c+2:3*c+2], pickupDemand)
 	copyDist(x[3*c+2:4*c+2], dropoffDemand)
 	copyDist(x[4*c+2:5*c+2], supply)
-	return x
 }
 
+// copyDist overwrites dst with src, zero where src is nil or short.
 func copyDist(dst []float64, src gridindex.Distribution) {
-	if src == nil {
-		return
-	}
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	copy(dst[:n], src[:n])
+	clear(dst[copy(dst, src):])
 }

@@ -1,0 +1,375 @@
+package mdp
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"watter/internal/core"
+	"watter/internal/gridindex"
+	"watter/internal/nn"
+	"watter/internal/order"
+	"watter/internal/pool"
+	"watter/internal/roadnet"
+	"watter/internal/route"
+	"watter/internal/sim"
+	"watter/internal/strategy"
+)
+
+// liveFixture is a pool, a fleet and a value network over one small city:
+// what a threshold source reads at run time.
+type liveFixture struct {
+	net   *roadnet.GridCity
+	feat  *Featurizer
+	pool  *pool.Pool
+	fleet []*order.Worker
+	wi    *gridindex.WorkerIndex
+	mlp   *nn.MLP
+}
+
+func newLiveFixture(workers int) *liveFixture {
+	net := roadnet.NewGridCity(20, 20, 100, 10)
+	ix := gridindex.New(net, 5)
+	f := &liveFixture{net: net, feat: NewFeaturizer(ix, 3600)}
+	f.pool = pool.New(route.NewPlanner(net), ix, pool.DefaultOptions())
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < workers; i++ {
+		f.fleet = append(f.fleet, &order.Worker{ID: i, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
+	}
+	f.wi = gridindex.NewWorkerIndex(ix, net, f.fleet)
+	f.mlp = nn.New([]int{f.feat.Dim(), 16, 8, 1}, 3)
+	return f
+}
+
+func (f *liveFixture) order(id int, rng *rand.Rand, release float64) *order.Order {
+	pu := f.net.Node(rng.Intn(20), rng.Intn(20))
+	do := f.net.Node(rng.Intn(20), rng.Intn(20))
+	for do == pu {
+		do = f.net.Node(rng.Intn(20), rng.Intn(20))
+	}
+	direct := f.net.Cost(pu, do)
+	return &order.Order{
+		ID: id, Pickup: pu, Dropoff: do, Riders: 1, Release: release,
+		Deadline: release + 2*direct + 600, WaitLimit: 0.8 * direct, DirectCost: direct,
+	}
+}
+
+// source returns a threshold source over the fixture: wired to the change
+// signal as exp does it, or bare — the struct literal outside callers
+// write, which re-reads the environment on every call.
+func (f *liveFixture) source(wired bool) *ValueThresholdSource {
+	src := &ValueThresholdSource{
+		Net: f.mlp, Feat: f.feat,
+		Demand: f.pool.DemandDistributions,
+		Supply: f.wi.SupplyDistribution,
+	}
+	if wired {
+		src.Watch(func() (uint64, uint64) { return f.pool.DemandGeneration(), f.wi.Generation() })
+	}
+	return src
+}
+
+// reference is the state the allocating path builds from histograms fetched
+// this instant — what Threshold computed before the snapshot existed.
+func (f *liveFixture) reference(o *order.Order, now float64) []float64 {
+	pu, do := f.pool.DemandDistributions()
+	return f.feat.Features(o, now, pu, do, f.wi.SupplyDistribution(now))
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkThreshold asserts that the wired source's next threshold, and the
+// state it was computed from, are what a source that has never cached
+// anything produces at the same instant.
+func (f *liveFixture) checkThreshold(t *testing.T, what string, src *ValueThresholdSource, o *order.Order, now float64) {
+	t.Helper()
+	got := src.Threshold(o, now)
+	want := f.source(false).Threshold(o, now)
+	if !sameBits(got, want) {
+		t.Fatalf("%s: θ = %v, a fresh source gives %v", what, got, want)
+	}
+	if p := o.Penalty(); !(got > 0 && got < p) {
+		t.Fatalf("%s: θ = %v sits on a clamp of [0, %v]; the comparison would not see the state", what, got, p)
+	}
+	ref := f.reference(o, now)
+	for i := range ref {
+		if !sameBits(src.state.x[i], ref[i]) {
+			t.Fatalf("%s: state[%d] = %v, want %v", what, i, src.state.x[i], ref[i])
+		}
+	}
+}
+
+// TestSnapshotFollowsClockPoolAndFleet: each of the three ways the
+// environment can move — a worker turning idle because the clock passed its
+// FreeAt (no Update anywhere), a pool insert or remove, a booked worker —
+// reaches the next Threshold exactly as a fresh source sees it, and nothing
+// else triggers a rebuild.
+func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
+	f := newLiveFixture(12)
+	rng := rand.New(rand.NewSource(11))
+	// Three workers are out on jobs that end at t = 100.
+	for _, w := range f.fleet[:3] {
+		w.FreeAt = 100
+		f.wi.Update(w)
+	}
+	var pooled []*order.Order
+	for id := 1; id <= 6; id++ {
+		o := f.order(id, rng, 0)
+		f.pool.Insert(o, 0)
+		pooled = append(pooled, o)
+	}
+	probe := pooled[0]
+	// Centre the untrained network's output inside (0, p) so that θ moves
+	// with the state instead of sitting on a clamp.
+	for i := 0; i < 400; i++ {
+		f.mlp.TrainBatch([][]float64{f.reference(probe, 50)}, []float64{probe.Penalty() / 2}, 1e-2)
+	}
+	src := f.source(true)
+
+	rebuilds := func() uint64 { _, r := src.SnapshotStats(); return r }
+	f.checkThreshold(t, "first call", src, probe, 50)
+	if rebuilds() != 1 {
+		t.Fatalf("first call: %d rebuilds, want 1", rebuilds())
+	}
+	for _, o := range pooled {
+		f.checkThreshold(t, "same instant, other order", src, o, 50)
+	}
+	if rebuilds() != 1 {
+		t.Fatalf("nothing moved at t=50, yet %d rebuilds", rebuilds())
+	}
+
+	// The clock alone: at t = 150 the three workers are idle again.
+	before := f.wi.Generation()
+	idle50, idle150 := f.wi.SupplyDistribution(50), f.wi.SupplyDistribution(150)
+	if slicesEqual(idle50, idle150) {
+		t.Fatal("fixture: supply must differ between t=50 and t=150")
+	}
+	f.checkThreshold(t, "clock passed FreeAt", src, probe, 150)
+	if f.wi.Generation() != before || rebuilds() != 2 {
+		t.Fatalf("clock step: generation %d -> %d, %d rebuilds (want unchanged, 2)", before, f.wi.Generation(), rebuilds())
+	}
+
+	// A pool insert, then a remove, at an unchanged clock.
+	extra := f.order(99, rng, 140)
+	f.pool.Insert(extra, 150)
+	f.checkThreshold(t, "pool insert", src, probe, 150)
+	f.pool.Remove(extra.ID, 150)
+	f.checkThreshold(t, "pool remove", src, probe, 150)
+	if rebuilds() != 4 {
+		t.Fatalf("insert + remove: %d rebuilds, want 4", rebuilds())
+	}
+
+	// A dispatch books a worker: FreeAt and Loc move, Update follows.
+	w := f.fleet[5]
+	w.FreeAt, w.Loc = 900, f.net.Node(19, 19)
+	f.wi.Update(w)
+	f.checkThreshold(t, "worker booked", src, probe, 150)
+	if rebuilds() != 5 {
+		t.Fatalf("booking: %d rebuilds, want 5", rebuilds())
+	}
+
+	// Watch drops the snapshot even when the new signal starts at a key the
+	// old one ended on (a second run's counters restart from zero).
+	src.Watch(func() (uint64, uint64) { return f.pool.DemandGeneration(), f.wi.Generation() })
+	f.checkThreshold(t, "after Watch", src, probe, 150)
+	if rebuilds() != 6 {
+		t.Fatalf("Watch: %d rebuilds, want 6", rebuilds())
+	}
+}
+
+func slicesEqual(a, b []float64) bool { return slices.EqualFunc(a, b, sameBits) }
+
+// TestBareSourceRebuildsEveryCall: with no change signal nothing vouches
+// for Demand and Supply between calls, so they are re-read each time — the
+// literal benchmark/layers.go and outside callers write keeps its meaning.
+func TestBareSourceRebuildsEveryCall(t *testing.T) {
+	f := newLiveFixture(6)
+	rng := rand.New(rand.NewSource(2))
+	o := f.order(1, rng, 0)
+	f.pool.Insert(o, 0)
+	src := f.source(false)
+	for i := 0; i < 5; i++ {
+		src.Threshold(o, 10)
+	}
+	if calls, rebuilds := src.SnapshotStats(); calls != 5 || rebuilds != 5 {
+		t.Fatalf("calls %d rebuilds %d, want 5 and 5", calls, rebuilds)
+	}
+	// A histogram that shrinks to nil must zero its block, not leave the
+	// previous call's values behind.
+	src.Demand = nil
+	src.Threshold(o, 10)
+	c := f.feat.Index.NumCells()
+	for i := 2*c + 2; i < 4*c+2; i++ {
+		if src.state.x[i] != 0 {
+			t.Fatalf("state[%d] = %v after Demand became nil", i, src.state.x[i])
+		}
+	}
+}
+
+// TestThresholdSteadyStateAllocatesNothing: between environment changes a
+// wired source computes a threshold without touching the heap.
+func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
+	f := newLiveFixture(12)
+	rng := rand.New(rand.NewSource(5))
+	var pooled []*order.Order
+	for id := 1; id <= 8; id++ {
+		o := f.order(id, rng, 0)
+		f.pool.Insert(o, 0)
+		pooled = append(pooled, o)
+	}
+	src := f.source(true)
+	src.Threshold(pooled[0], 20) // sizes the buffers, takes the snapshot
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		src.Threshold(pooled[i%len(pooled)], 20)
+		i++
+	}); n != 0 {
+		t.Fatalf("Threshold allocates %v times per call in steady state", n)
+	}
+}
+
+// checkedCollector runs a Collector and, at every point where it records a
+// state, rebuilds that state the way the collector did before it had a
+// snapshot: fresh histograms from the pool and the fleet, Features into a
+// new vector.
+type checkedCollector struct {
+	*Collector
+	t    *testing.T
+	want map[*float64][]float64 // recorded state (by backing array) -> reference
+}
+
+func (c *checkedCollector) reference(o *order.Order, now float64) []float64 {
+	pu, do := c.Inner.Pool().DemandDistributions()
+	return c.Feat.Features(o, now, pu, do, c.env.WIndex.SupplyDistribution(now))
+}
+
+func (c *checkedCollector) record(id int, ref []float64) {
+	snaps := c.snaps[id]
+	got := snaps[len(snaps)-1].state
+	if !slicesEqual(got, ref) {
+		c.t.Fatalf("order %d snapshot %d differs from the per-call rebuild", id, len(snaps)-1)
+	}
+	if _, dup := c.want[&got[0]]; dup {
+		c.t.Fatalf("order %d: recorded state shares its backing array with an earlier one", id)
+	}
+	c.want[&got[0]] = ref
+}
+
+func (c *checkedCollector) OnOrder(o *order.Order, now float64) {
+	ref := c.reference(o, now) // the state before the order joins the pool
+	c.Collector.OnOrder(o, now)
+	c.record(o.ID, ref)
+}
+
+func (c *checkedCollector) OnTick(now float64) {
+	c.Collector.OnTick(now)
+	p := c.Inner.Pool()
+	for _, id := range p.OrderIDs() {
+		c.record(id, c.reference(p.Order(id), now))
+	}
+}
+
+// TestCollectorStatesMatchPerCallRebuild: the collector's snapshot changes
+// how often the environment is read, not one bit of any state it emits, and
+// it is read once per tick instead of once per pooled order.
+func TestCollectorStatesMatchPerCallRebuild(t *testing.T) {
+	net := roadnet.NewGridCity(20, 20, 100, 10)
+	ix := gridindex.New(net, 5)
+	fw := core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+	var emitted []Experience
+	col := NewCollector(fw, NewFeaturizer(ix, 600), strategy.ConstantThreshold(60), func(e Experience) {
+		emitted = append(emitted, e)
+	})
+	cc := &checkedCollector{Collector: col, t: t, want: map[*float64][]float64{}}
+
+	rng := rand.New(rand.NewSource(3))
+	var orders []*order.Order
+	for i := 0; i < 80; i++ {
+		pu := net.Node(rng.Intn(20), rng.Intn(20))
+		do := net.Node(rng.Intn(20), rng.Intn(20))
+		if pu == do {
+			continue
+		}
+		direct := net.Cost(pu, do)
+		rel := float64(rng.Intn(300))
+		orders = append(orders, &order.Order{
+			ID: i + 1, Pickup: pu, Dropoff: do, Riders: 1,
+			Release: rel, Deadline: rel + 2*direct, WaitLimit: 0.8 * direct, DirectCost: direct,
+		})
+	}
+	var workers []*order.Worker
+	for i := 0; i < 8; i++ {
+		workers = append(workers, &order.Worker{ID: i, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
+	}
+	opts := sim.DefaultRunOptions()
+	opts.MeasureTime = false
+	sim.Run(sim.NewEnv(net, workers, sim.DefaultConfig()), cc, orders, opts)
+
+	if len(emitted) == 0 {
+		t.Fatal("no experience emitted")
+	}
+	check := func(what string, s []float64) {
+		ref, ok := cc.want[&s[0]]
+		if !ok {
+			t.Fatalf("emitted %s was never recorded", what)
+		}
+		if !slicesEqual(s, ref) {
+			t.Fatalf("emitted %s changed after it was recorded", what)
+		}
+	}
+	for _, e := range emitted {
+		check("State", e.State)
+		if e.Next != nil {
+			check("Next", e.Next)
+		}
+	}
+	// Vacuity guards: states were recorded at ticks with several survivors,
+	// and the environment was read far less often than once per state.
+	observes, rebuilds := col.live.observes, col.live.rebuilds
+	if observes != uint64(len(cc.want)) {
+		t.Fatalf("%d states built, %d recorded", observes, len(cc.want))
+	}
+	if rebuilds*2 > observes {
+		t.Fatalf("%d environment reads for %d states: the snapshot is not shared across a tick's survivors", rebuilds, observes)
+	}
+}
+
+// BenchmarkThreshold times θ on a wired source over a pool of live size,
+// the way a periodic check asks for it: every pooled order at one instant,
+// then the clock moves.
+func BenchmarkThreshold(b *testing.B) {
+	net := roadnet.NewGridCity(42, 42, 100, 10)
+	ix := gridindex.New(net, 10)
+	feat := NewFeaturizer(ix, 7200)
+	p := pool.New(route.NewPlanner(net), ix, pool.DefaultOptions())
+	rng := rand.New(rand.NewSource(1))
+	var fleet []*order.Worker
+	for i := 0; i < 420; i++ {
+		fleet = append(fleet, &order.Worker{ID: i, Loc: net.Node(rng.Intn(42), rng.Intn(42)), Capacity: 4})
+	}
+	wi := gridindex.NewWorkerIndex(ix, net, fleet)
+	var pooled []*order.Order
+	for id := 1; id <= 40; id++ {
+		pu, do := net.Node(rng.Intn(42), rng.Intn(42)), net.Node(rng.Intn(42), rng.Intn(42))
+		direct := net.Cost(pu, do)
+		o := &order.Order{
+			ID: id, Pickup: pu, Dropoff: do, Riders: 1,
+			Deadline: 2*direct + 600, WaitLimit: 0.8 * direct, DirectCost: direct,
+		}
+		p.Insert(o, 0)
+		pooled = append(pooled, o)
+	}
+	src := &ValueThresholdSource{
+		Net: nn.New([]int{feat.Dim(), 64, 32, 1}, 1), Feat: feat,
+		Demand: p.DemandDistributions, Supply: wi.SupplyDistribution,
+	}
+	src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = src.Threshold(pooled[i%len(pooled)], float64(10*(i/len(pooled))))
+	}
+}
+
+var benchSink float64

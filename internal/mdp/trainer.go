@@ -74,6 +74,7 @@ type Trainer struct {
 	full   bool
 	steps  int
 	rng    *rand.Rand
+	pass   nn.Scratch // the target network's pass buffers
 }
 
 // NewTrainer builds a trainer for states of the given dimension.
@@ -162,7 +163,7 @@ func (t *Trainer) blendedTarget(e Experience) float64 {
 	case e.Expired || e.Next == nil:
 		td = e.Reward // -Δt with no future (I(expired) = 1)
 	default:
-		td = e.Reward + math.Pow(t.cfg.Gamma, e.Dt)*t.target.Predict(e.Next)
+		td = e.Reward + math.Pow(t.cfg.Gamma, e.Dt)*t.target.PredictWith(&t.pass, e.Next)
 	}
 	tg := e.Penalty - e.ThetaStar
 	return t.cfg.Omega*td + (1-t.cfg.Omega)*tg

@@ -64,60 +64,158 @@ func (m *MLP) NumParams() int {
 	return n
 }
 
-// Forward computes the network output for input x.
-func (m *MLP) Forward(x []float64) []float64 {
+// Scratch is the working memory of one goroutine's passes through a
+// network: every layer's output and the non-zero entries of every layer's
+// input. The caller owns it — an MLP holds none, because one trained
+// network serves concurrent simulation jobs (DESIGN.md §8) — and the zero
+// value is ready to use; it sizes itself to the network on first use.
+// Slices returned from a pass alias the scratch and are valid until its
+// next pass.
+//
+//det:scratch private pass buffers, one set per calling goroutine
+type Scratch struct {
+	acts [][]float64 // acts[l]: output of layer l
+	idx  [][]int32   // idx[l], vals[l]: layer l's non-zero inputs in ascending
+	vals [][]float64 // index order, resliced by each pass (cap = layer width)
+}
+
+// fit sizes the scratch to the network's layer widths.
+func (sc *Scratch) fit(sizes []int) {
+	layers := len(sizes) - 1
+	fits := len(sc.acts) == layers
+	for l := 0; fits && l < layers; l++ {
+		fits = len(sc.acts[l]) == sizes[l+1] && cap(sc.idx[l]) >= sizes[l]
+	}
+	if fits {
+		return
+	}
+	sc.acts = make([][]float64, layers)
+	sc.idx = make([][]int32, layers)
+	sc.vals = make([][]float64, layers)
+	for l := 0; l < layers; l++ {
+		sc.acts[l] = make([]float64, sizes[l+1])
+		sc.idx[l] = make([]int32, sizes[l])
+		sc.vals[l] = make([]float64, sizes[l])
+	}
+}
+
+// gather compacts x's non-zero entries into idx and vals (each with room
+// for len(x)) in ascending index order and returns the filled prefixes.
+// Both signed zeros count as zero; a NaN does not.
+//
+//det:hotpath runs once per layer of every forward pass
+func gather(idx []int32, vals, x []float64) ([]int32, []float64) {
+	idx = idx[:len(x)]
+	vals = vals[:len(x)]
+	n := 0
+	for i, v := range x {
+		// Store first, advance only on a non-zero: no branch to mispredict
+		// on an irregular occupancy pattern.
+		idx[n] = int32(i)
+		vals[n] = v
+		if v != 0 {
+			n++
+		}
+	}
+	return idx[:n], vals[:n]
+}
+
+// layer is the one fold every pass through the network runs (inference,
+// the training forward pass, the target network): for each output unit o,
+//
+//	out[o] = b[o] + Σ w[o·in+idx[k]]·vals[k]   (k ascending)
+//
+// clamped at zero when relu is set. The fold-order contract: a unit starts
+// from its bias and adds its terms one by one in ascending input index,
+// exactly as a loop over the whole input would — no reassociation, no
+// fused multiply-add, no partial sum shared between calls — and the only
+// terms left out are those whose input is exactly zero. With finite
+// weights (New and TrainBatch produce them, Load rejects anything else)
+// such a term is ±0, and s + ±0 == s unless s is itself a zero, so the
+// result can differ from the whole-input fold only in the sign of an exact
+// zero — which ReLU maps to a zero, the next layer drops as a zero input,
+// and p − V cannot see. Four units are carried per pass over the inputs:
+// their sums are independent, so this changes which additions are in
+// flight together, never the order within a unit.
+//
+//det:hotpath the inner loop of every threshold decision and every training step
+func layer(w, b []float64, in int, idx []int32, vals, out []float64, relu bool) {
+	vals = vals[:len(idx)]
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		r0 := w[o*in:][:in]
+		r1 := w[(o+1)*in:][:in]
+		r2 := w[(o+2)*in:][:in]
+		r3 := w[(o+3)*in:][:in]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for k, i32 := range idx {
+			i := int(i32)
+			if uint(i) >= uint(in) {
+				// One check stands in for the four row bounds checks.
+				panic("nn: input index out of range")
+			}
+			v := vals[k]
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		if relu {
+			if s0 < 0 {
+				s0 = 0
+			}
+			if s1 < 0 {
+				s1 = 0
+			}
+			if s2 < 0 {
+				s2 = 0
+			}
+			if s3 < 0 {
+				s3 = 0
+			}
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		row := w[o*in:][:in]
+		s := b[o]
+		for k, i := range idx {
+			s += row[i] * vals[k]
+		}
+		if relu && s < 0 {
+			s = 0
+		}
+		out[o] = s
+	}
+}
+
+// forward runs x through the network inside sc, keeping every layer's
+// output and non-zero input list there (backprop reads both), and returns
+// the output layer.
+func (m *MLP) forward(sc *Scratch, x []float64) []float64 {
 	if len(x) != m.sizes[0] {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.sizes[0]))
 	}
-	act := x
+	sc.fit(m.sizes)
 	last := len(m.weights) - 1
+	act := x
 	for l := range m.weights {
-		in, out := m.sizes[l], m.sizes[l+1]
-		next := make([]float64, out)
-		w := m.weights[l]
-		for o := 0; o < out; o++ {
-			s := m.biases[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range act {
-				s += row[i] * v
-			}
-			if l != last && s < 0 {
-				s = 0 // ReLU on hidden layers
-			}
-			next[o] = s
-		}
-		act = next
+		sc.idx[l], sc.vals[l] = gather(sc.idx[l], sc.vals[l], act)
+		layer(m.weights[l], m.biases[l], m.sizes[l], sc.idx[l], sc.vals[l], sc.acts[l], l != last)
+		act = sc.acts[l]
 	}
 	return act
 }
 
+// Forward computes the network output for input x.
+func (m *MLP) Forward(x []float64) []float64 { return m.forward(new(Scratch), x) }
+
 // Predict returns the first output scalar (value networks have one output).
 func (m *MLP) Predict(x []float64) float64 { return m.Forward(x)[0] }
 
-// forwardAll runs Forward keeping all activations for backprop.
-func (m *MLP) forwardAll(x []float64) [][]float64 {
-	acts := make([][]float64, len(m.sizes))
-	acts[0] = x
-	last := len(m.weights) - 1
-	for l := range m.weights {
-		in, out := m.sizes[l], m.sizes[l+1]
-		next := make([]float64, out)
-		w := m.weights[l]
-		for o := 0; o < out; o++ {
-			s := m.biases[l][o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range acts[l] {
-				s += row[i] * v
-			}
-			if l != last && s < 0 {
-				s = 0
-			}
-			next[o] = s
-		}
-		acts[l+1] = next
-	}
-	return acts
-}
+// PredictWith is Predict through the caller's scratch: no allocation once
+// the scratch has been sized.
+func (m *MLP) PredictWith(sc *Scratch, x []float64) float64 { return m.forward(sc, x)[0] }
 
 // TrainBatch performs one Adam step on mean-squared error between the first
 // output and the targets, and returns the batch MSE before the update.
@@ -127,53 +225,59 @@ func (m *MLP) TrainBatch(xs [][]float64, targets []float64, lr float64) float64 
 		panic("nn: batch size mismatch")
 	}
 	m.ensureAdam()
-	gradW := make([][]float64, len(m.weights))
-	gradB := make([][]float64, len(m.biases))
+	layers := len(m.weights)
+	gradW := make([][]float64, layers)
+	gradB := make([][]float64, layers)
+	// delta[l] is dL/d(output of layer l) for the sample in hand.
+	delta := make([][]float64, layers)
 	for l := range m.weights {
 		gradW[l] = make([]float64, len(m.weights[l]))
 		gradB[l] = make([]float64, len(m.biases[l]))
+		delta[l] = make([]float64, len(m.biases[l]))
 	}
+	var sc Scratch
 	var loss float64
-	last := len(m.weights) - 1
+	last := layers - 1
 	for n, x := range xs {
-		acts := m.forwardAll(x)
-		out := acts[len(acts)-1]
+		out := m.forward(&sc, x)
 		diff := out[0] - targets[n]
 		loss += diff * diff
 		// Backprop: delta on output layer (linear): dL/dout = 2*diff / N.
-		delta := make([]float64, len(out))
-		delta[0] = 2 * diff / float64(len(xs))
+		clear(delta[last])
+		delta[last][0] = 2 * diff / float64(len(xs))
 		for l := last; l >= 0; l-- {
 			in := m.sizes[l]
-			out := m.sizes[l+1]
 			w := m.weights[l]
+			// The layer's non-zero inputs, as the forward pass left them.
+			// A zero input adds d·0 = ±0 to its weight gradient (d is
+			// finite unless training has already diverged) — nothing,
+			// since an accumulator that starts at +0 never becomes -0 —
+			// and for l > 0 it is a ReLU output at or below zero, whose
+			// delta the derivative zeroes anyway. So both accumulations
+			// visit the non-zero inputs only, each entry still summed over
+			// the units in ascending order.
+			idx, vals := sc.idx[l], sc.vals[l]
+			vals = vals[:len(idx)]
 			var prevDelta []float64
 			if l > 0 {
-				prevDelta = make([]float64, in)
+				prevDelta = delta[l-1]
+				clear(prevDelta)
 			}
-			for o := 0; o < out; o++ {
-				d := delta[o]
+			for o, d := range delta[l] {
 				if d == 0 {
 					continue
 				}
 				gradB[l][o] += d
-				row := w[o*in : (o+1)*in]
-				grow := gradW[l][o*in : (o+1)*in]
-				for i, a := range acts[l] {
-					grow[i] += d * a
-					if l > 0 {
+				grow := gradW[l][o*in:][:in]
+				for k, i := range idx {
+					grow[i] += d * vals[k]
+				}
+				if l > 0 {
+					row := w[o*in:][:in]
+					for _, i := range idx {
 						prevDelta[i] += d * row[i]
 					}
 				}
-			}
-			if l > 0 {
-				// ReLU derivative of the previous layer's outputs.
-				for i, a := range acts[l] {
-					if a <= 0 {
-						prevDelta[i] = 0
-					}
-				}
-				delta = prevDelta
 			}
 		}
 	}
@@ -256,14 +360,47 @@ func (m *MLP) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(snapshot{m.sizes, m.weights, m.biases})
 }
 
-// Load reads a network previously written with Save.
+// Load reads a network previously written with Save. The bytes come from
+// outside the program (a model bundle on disk), so every shape the passes
+// index by is checked here, and non-finite parameters are refused: 0·±Inf
+// is NaN in a fold over the whole input and nothing in one that skips
+// zeros, so finiteness is what makes layer's zero-skipping exact for every
+// model that loads.
 func Load(r io.Reader) (*MLP, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: load: %w", err)
 	}
-	if len(s.Sizes) < 2 || len(s.Weights) != len(s.Sizes)-1 || len(s.Biases) != len(s.Sizes)-1 {
-		return nil, fmt.Errorf("nn: load: corrupt snapshot")
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("nn: load: %w", err)
 	}
 	return &MLP{sizes: s.Sizes, weights: s.Weights, biases: s.Biases}, nil
+}
+
+func (s *snapshot) validate() error {
+	if len(s.Sizes) < 2 || len(s.Weights) != len(s.Sizes)-1 || len(s.Biases) != len(s.Sizes)-1 {
+		return fmt.Errorf("corrupt snapshot: %d sizes, %d weight and %d bias layers",
+			len(s.Sizes), len(s.Weights), len(s.Biases))
+	}
+	for l, n := range s.Sizes {
+		// Input indices are held as int32, and in·out must not overflow.
+		if n < 1 || n > math.MaxInt32 {
+			return fmt.Errorf("corrupt snapshot: layer %d has size %d", l, n)
+		}
+	}
+	for l := range s.Weights {
+		in, out := s.Sizes[l], s.Sizes[l+1]
+		if int64(len(s.Weights[l])) != int64(in)*int64(out) || len(s.Biases[l]) != out {
+			return fmt.Errorf("corrupt snapshot: layer %d (%dx%d) has %d weights and %d biases",
+				l, in, out, len(s.Weights[l]), len(s.Biases[l]))
+		}
+		for _, params := range [][]float64{s.Weights[l], s.Biases[l]} {
+			for _, v := range params {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("corrupt snapshot: layer %d holds a non-finite parameter", l)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -2,8 +2,13 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -139,6 +144,103 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeSnapshot writes a snapshot as Save would, without Save's guarantee
+// that it describes a real network.
+func encodeSnapshot(t testing.TB, s snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corruptSnapshots are decodable snapshots no network could have written.
+// The first is the reported one: it used to load and then panic in Forward
+// (slice bounds out of range [:4] with capacity 3).
+func corruptSnapshots() map[string]snapshot {
+	w := func(n int) []float64 { return make([]float64, n) }
+	return map[string]snapshot{
+		"short weight row":   {[]int{4, 2, 1}, [][]float64{w(3), w(2)}, [][]float64{w(2), w(1)}},
+		"long weight row":    {[]int{4, 2, 1}, [][]float64{w(9), w(2)}, [][]float64{w(2), w(1)}},
+		"short biases":       {[]int{4, 2, 1}, [][]float64{w(8), w(2)}, [][]float64{w(1), w(1)}},
+		"zero layer":         {[]int{4, 0, 1}, [][]float64{w(0), w(0)}, [][]float64{w(0), w(1)}},
+		"negative layer":     {[]int{-4, 2}, [][]float64{w(8)}, [][]float64{w(2)}},
+		"one size":           {[]int{4}, nil, nil},
+		"missing layer":      {[]int{4, 2, 1}, [][]float64{w(8)}, [][]float64{w(2), w(1)}},
+		"missing bias layer": {[]int{4, 2, 1}, [][]float64{w(8), w(2)}, [][]float64{w(2)}},
+		"NaN weight":         {[]int{2, 1}, [][]float64{{1, math.NaN()}}, [][]float64{w(1)}},
+		"+Inf weight":        {[]int{2, 1}, [][]float64{{math.Inf(1), 1}}, [][]float64{w(1)}},
+		"-Inf bias":          {[]int{2, 1}, [][]float64{w(2)}, [][]float64{{math.Inf(-1)}}},
+	}
+}
+
+func TestLoadRejectsCorruptSnapshots(t *testing.T) {
+	for name, s := range corruptSnapshots() {
+		m, err := Load(bytes.NewReader(encodeSnapshot(t, s)))
+		if err == nil {
+			t.Errorf("%s: loaded as %v", name, m.Sizes())
+			continue
+		}
+		if !strings.Contains(err.Error(), "nn: load: corrupt snapshot") {
+			t.Errorf("%s: error %q does not say what failed", name, err)
+		}
+	}
+	// A decode failure keeps its cause.
+	_, err := Load(bytes.NewReader(nil))
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("empty input: error %v does not wrap io.EOF", err)
+	}
+}
+
+// FuzzLoad: any byte string either fails to load or yields a network that
+// can be evaluated on an input of its own size and that survives Save ->
+// Load bit for bit. The seed corpus (testdata/fuzz/FuzzLoad) holds a real
+// snapshot, every corrupt one above and a truncated one.
+func FuzzLoad(f *testing.F) {
+	var good bytes.Buffer
+	if err := New([]int{5, 3, 1}, 1).Save(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte("garbage"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		x := make([]float64, m.Sizes()[0])
+		for i := range x {
+			x[i] = float64(i%3) - 0.5
+		}
+		want := m.Predict(x)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("save of a loaded network: %v", err)
+		}
+		again, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("reload of a saved network: %v", err)
+		}
+		if !slices.Equal(again.sizes, m.sizes) {
+			t.Fatalf("round trip changed sizes %v -> %v", m.sizes, again.sizes)
+		}
+		for l := range m.weights {
+			// Loaded parameters are finite, so == is bit equality up to
+			// the sign of zero, and Float64bits settles that.
+			if !slices.EqualFunc(again.weights[l], m.weights[l], sameBits) ||
+				!slices.EqualFunc(again.biases[l], m.biases[l], sameBits) {
+				t.Fatalf("round trip changed layer %d", l)
+			}
+		}
+		if got := again.Predict(x); !sameBits(got, want) {
+			t.Fatalf("round trip changed the prediction %v -> %v", want, got)
+		}
+	})
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestNumParams(t *testing.T) {
 	m := New([]int{4, 8, 1}, 1)
 	want := 4*8 + 8 + 8*1 + 1
@@ -147,18 +249,30 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
+// BenchmarkForward502 times one pass through the production shape on the
+// two inputs that bound it: every entry non-zero, and the occupancy of a
+// live WATTER state (about a fifth non-zero, one-hots included).
 func BenchmarkForward502(b *testing.B) {
 	m := New([]int{502, 64, 32, 1}, 1)
-	x := make([]float64, 502)
-	for i := range x {
-		x[i] = float64(i%7) / 7
+	dense := make([]float64, 502)
+	for i := range dense {
+		dense[i] = float64(i%7+1) / 7
 	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
+	for _, arm := range []struct {
+		name string
+		x    []float64
+	}{{"dense", dense}, {"live", liveState(rand.New(rand.NewSource(1)), 502)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var sc Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = m.PredictWith(&sc, arm.x)
+			}
+		})
 	}
 }
+
+var benchSink float64
 
 func BenchmarkTrainBatch32(b *testing.B) {
 	m := New([]int{502, 64, 32, 1}, 1)

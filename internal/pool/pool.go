@@ -145,9 +145,12 @@ type Pool struct {
 	prewarmNeg []string
 
 	// Demand distributions over cells, maintained incrementally; these are
-	// the MDP state's sO vectors.
+	// the MDP state's sO vectors. demandGen counts their edits. It is a
+	// plain field: only Insert and dropNode write it, both on the job's
+	// committing goroutine — prewarm tasks and speculation must not touch it.
 	pickupDemand  gridindex.Distribution
 	dropoffDemand gridindex.Distribution
+	demandGen     uint64
 }
 
 // improved tracks, during one refreshBest enumeration, the best candidate
@@ -238,6 +241,11 @@ func (p *Pool) DemandDistributions() (pickup, dropoff gridindex.Distribution) {
 	return pu, do
 }
 
+// DemandGeneration returns a counter that moves whenever the demand
+// histograms do: while it stands still, DemandDistributions returns the
+// same values.
+func (p *Pool) DemandGeneration() uint64 { return p.demandGen }
+
 // Insert adds an order at time now: the node is created, shareability
 // edges to candidate neighbors are discovered, and best groups of the new
 // order and its neighbors are refreshed. Returns the number of edges added.
@@ -254,6 +262,7 @@ func (p *Pool) Insert(o *order.Order, now float64) int {
 	p.cells[n.cell] = append(p.cells[n.cell], o.ID)
 	p.pickupDemand[p.ix.CellOf(o.Pickup)]++
 	p.dropoffDemand[p.ix.CellOf(o.Dropoff)]++
+	p.demandGen++
 
 	added := 0
 	for _, candID := range p.candidates(n) {
@@ -322,6 +331,7 @@ func (p *Pool) dropNode(id int, n *node) {
 	}
 	p.pickupDemand[p.ix.CellOf(n.o.Pickup)]--
 	p.dropoffDemand[p.ix.CellOf(n.o.Dropoff)]--
+	p.demandGen++
 	delete(p.nodes, id)
 	p.evictOrder(id)
 }
