@@ -19,11 +19,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
-# input — the DIMACS importer and the model-snapshot loader — on top of the
-# seed corpora in internal/{roadnet,nn}/testdata/fuzz that `test` always runs.
+# input — the DIMACS importer and the model-snapshot loader — and on the
+# route DP kernel against its oracle, on top of the seed corpora in
+# internal/{roadnet,nn,route}/testdata/fuzz that `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzPlanGroup -fuzztime=10s ./internal/route
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:

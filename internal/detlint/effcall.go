@@ -533,12 +533,20 @@ func (w *walker) callProv(ce *ast.CallExpr) prov {
 
 // pointeeOwnerScratch reports whether the memory an argument hands to a
 // callee is part of a //det:scratch arena: &x.f is scratch when x's type
-// is, a *T value when T is, and a slice/map field when the holding type
-// is. A plain pointer field of a scratch type is a back-reference to
-// shared state and stays non-scratch.
+// is, a *T value when T is, and a slice/map field — or a slice of an array
+// field, which lives inside the holder — when the holding type is. A plain
+// pointer field of a scratch type is a back-reference to shared state and
+// stays non-scratch.
 func (w *walker) pointeeOwnerScratch(e ast.Expr) bool {
 	e = unparen(e)
 	if sl, ok := e.(*ast.SliceExpr); ok {
+		if sel, ok := unparen(sl.X).(*ast.SelectorExpr); ok {
+			if t := w.typeOf(sel); t != nil {
+				if _, isArray := t.Underlying().(*types.Array); isArray {
+					return w.namedScratch(derefType(w.typeOf(sel.X))) // x.arr[:n] is x's own memory
+				}
+			}
+		}
 		return w.pointeeOwnerScratch(sl.X) // buf[:0] reslices buf's arena
 	}
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {

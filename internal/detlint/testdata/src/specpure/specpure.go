@@ -7,6 +7,7 @@ package specpure
 type engine struct {
 	hits    int
 	cache   map[int]int
+	row     [4]int
 	scratch arena
 	sink    store
 }
@@ -14,6 +15,7 @@ type engine struct {
 //det:scratch per-speculation probe buffers, private to one shard goroutine
 type arena struct {
 	buf  []int
+	row  [4]int  // inline array: part of the arena itself
 	back *engine // pointer field: a back-reference, NOT scratch
 }
 
@@ -102,4 +104,24 @@ func (e *engine) callsParamWriter() {
 	paramWriter(e) // the write in paramWriter reports, based on e
 	fresh := &engine{}
 	paramWriter(fresh) // fresh argument: effect drops silently
+}
+
+// fillArenaRow and fillEngineRow write through a slice parameter; what the
+// caller sliced decides whether that is scratch.
+func fillArenaRow(out []int) {
+	for i := range out {
+		out[i] = i // reached only with the arena's row: allowed
+	}
+}
+
+func fillEngineRow(out []int) {
+	for i := range out {
+		out[i] = i // want `speculation-impure`
+	}
+}
+
+//det:specroot a slice of an array field is the holder's own memory: scratch inside the arena, shared inside the engine
+func (e *engine) fillsRows() {
+	fillArenaRow(e.scratch.row[:2])
+	fillEngineRow(e.row[:2])
 }

@@ -5,7 +5,9 @@
 package order
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"watter/internal/geo"
@@ -48,17 +50,33 @@ func (o *Order) TimedOut(now float64) bool { return now-o.Release > o.WaitLimit 
 // dispatched alone right now.
 func (o *Order) Expired(now float64) bool { return now+o.DirectCost > o.Deadline }
 
-// Validate returns an error when the order's fields are inconsistent.
+// ErrInvalid is the sentinel every refused order wraps: Validate's field
+// checks and the admission layer's node-range check (which needs the network,
+// so it lives in sim.Stream) alike. Match it with errors.Is.
+var ErrInvalid = errors.New("invalid order")
+
+// Validate returns an error wrapping ErrInvalid when the order's fields are
+// non-finite or inconsistent. Finiteness comes first: a NaN passes every
+// ordering comparison below, and an infinite release or deadline would have
+// the stream fire ticks toward it forever.
 func (o *Order) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"release", o.Release}, {"deadline", o.Deadline}, {"wait limit", o.WaitLimit}, {"direct cost", o.DirectCost}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("order %d: %s %v is not finite: %w", o.ID, f.name, f.v, ErrInvalid)
+		}
+	}
 	switch {
 	case o.Riders < 1:
-		return fmt.Errorf("order %d: riders %d < 1", o.ID, o.Riders)
+		return fmt.Errorf("order %d: riders %d < 1: %w", o.ID, o.Riders, ErrInvalid)
 	case o.Deadline < o.Release:
-		return fmt.Errorf("order %d: deadline %.1f before release %.1f", o.ID, o.Deadline, o.Release)
+		return fmt.Errorf("order %d: deadline %.1f before release %.1f: %w", o.ID, o.Deadline, o.Release, ErrInvalid)
 	case o.WaitLimit < 0:
-		return fmt.Errorf("order %d: negative wait limit %.1f", o.ID, o.WaitLimit)
+		return fmt.Errorf("order %d: negative wait limit %.1f: %w", o.ID, o.WaitLimit, ErrInvalid)
 	case o.DirectCost < 0:
-		return fmt.Errorf("order %d: negative direct cost %.1f", o.ID, o.DirectCost)
+		return fmt.Errorf("order %d: negative direct cost %.1f: %w", o.ID, o.DirectCost, ErrInvalid)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -56,10 +57,21 @@ func TestValidate(t *testing.T) {
 		{ID: 3, Riders: 1, Release: 10, Deadline: 5},
 		{ID: 4, Riders: 1, Deadline: 10, WaitLimit: -1},
 		{ID: 5, Riders: 1, Deadline: 10, DirectCost: -2},
+		// Non-finite fields: NaN passes every ordering comparison, and an
+		// infinite release or deadline never lets the tick loop catch up.
+		{ID: 6, Riders: 1, Release: math.NaN(), Deadline: 10},
+		{ID: 7, Riders: 1, Release: math.Inf(1), Deadline: math.Inf(1)},
+		{ID: 8, Riders: 1, Release: math.Inf(-1), Deadline: 10},
+		{ID: 9, Riders: 1, Deadline: math.NaN()},
+		{ID: 10, Riders: 1, Deadline: math.Inf(1)},
+		{ID: 11, Riders: 1, Deadline: 10, WaitLimit: math.NaN()},
+		{ID: 12, Riders: 1, Deadline: 10, WaitLimit: math.Inf(1)},
+		{ID: 13, Riders: 1, Deadline: 10, DirectCost: math.NaN()},
+		{ID: 14, Riders: 1, Deadline: 10, DirectCost: math.Inf(1)},
 	}
 	for _, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("order %d should be invalid", c.ID)
+		if err := c.Validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("order %d: got %v, want an error wrapping ErrInvalid", c.ID, err)
 		}
 	}
 }

@@ -1,0 +1,123 @@
+package platform
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"watter/internal/geo"
+	"watter/internal/order"
+	"watter/internal/roadnet"
+	"watter/internal/sim"
+)
+
+// TestSubmitRefusesHostileOrders: one malformed order must never hang, panic
+// or poison the platform. Each case used to do one of those — an infinite
+// deadline made Close tick forever, an infinite release made Submit itself
+// tick forever, a node outside the network panicked inside the graph search
+// (and was silently priced on the closed-form city), a NaN slipped through
+// every ordering comparison into the clock or the metrics. Now each is
+// refused with an error wrapping order.ErrInvalid before any state moves,
+// first order or not, and valid orders around it are served as if it had
+// never been sent. Every platform call runs under a timeout so a regression
+// fails here instead of hanging the suite.
+func TestSubmitRefusesHostileOrders(t *testing.T) {
+	nets := map[string]roadnet.Network{
+		"gridcity": roadnet.NewGridCity(10, 10, 100, 10),
+		"graph":    roadnet.NewPerturbedGrid(10, 10, 150, 8, 0.3, 4),
+	}
+	hostile := map[string]func(o *order.Order){
+		"deadline +Inf":         func(o *order.Order) { o.Deadline = math.Inf(1) },
+		"release +Inf":          func(o *order.Order) { o.Release, o.Deadline = math.Inf(1), math.Inf(1) },
+		"release -Inf":          func(o *order.Order) { o.Release = math.Inf(-1) },
+		"release NaN":           func(o *order.Order) { o.Release = math.NaN() },
+		"deadline NaN":          func(o *order.Order) { o.Deadline = math.NaN() },
+		"wait limit NaN":        func(o *order.Order) { o.WaitLimit = math.NaN() },
+		"wait limit +Inf":       func(o *order.Order) { o.WaitLimit = math.Inf(1) },
+		"direct cost NaN":       func(o *order.Order) { o.DirectCost = math.NaN() },
+		"direct cost +Inf":      func(o *order.Order) { o.DirectCost = math.Inf(1) },
+		"pickup far past range": func(o *order.Order) { o.Pickup = 1 << 30 },
+		"pickup one past range": func(o *order.Order) { o.Pickup = 100 },
+		"pickup negative":       func(o *order.Order) { o.Pickup = -7 },
+		"dropoff past range":    func(o *order.Order) { o.Dropoff = 1 << 30; o.DirectCost = 0 },
+		"dropoff negative":      func(o *order.Order) { o.Dropoff = geo.InvalidNode; o.DirectCost = 0 },
+	}
+	for netName, net := range nets {
+		for name, corrupt := range hostile {
+			t.Run(netName+"/"+name, func(t *testing.T) {
+				valid := func(id int, rel float64) *order.Order {
+					direct := net.Cost(0, 5)
+					return &order.Order{ID: id, Pickup: 0, Dropoff: 5, Riders: 1,
+						Release: rel, Deadline: rel + 2*direct, WaitLimit: 0.8 * direct, DirectCost: direct}
+				}
+				// One idle worker waiting at the pickup per valid order.
+				fleet := []*order.Worker{{ID: 1, Loc: 0, Capacity: 4}, {ID: 2, Loc: 0, Capacity: 4}}
+				events := 0
+				p, err := New(net, fleet, WithMeasuredTime(false), WithObserver(func(Event) { events++ }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refuse := func(when string, rel float64) {
+					t.Helper()
+					bad := valid(666, rel)
+					corrupt(bad)
+					before, seen := p.Stats(), events
+					var err error
+					within(t, when, func() { err = p.Submit(bad) })
+					if !errors.Is(err, order.ErrInvalid) {
+						t.Fatalf("%s: got %v, want an error wrapping order.ErrInvalid", when, err)
+					}
+					if after := p.Stats(); !reflect.DeepEqual(before, after) || events != seen {
+						t.Fatalf("%s: a refused order moved state:\nbefore %+v (%d events)\nafter  %+v (%d events)", when, before, seen, after, events)
+					}
+					if st := p.Stats().Orders; st.Submitted != st.Served+st.Rejected+st.Pending {
+						t.Fatalf("%s: ledger broken: %+v", when, st)
+					}
+				}
+				admit := func(id int, rel float64) {
+					t.Helper()
+					var err error
+					within(t, "valid submit", func() { err = p.Submit(valid(id, rel)) })
+					if err != nil {
+						t.Fatalf("valid order %d refused: %v", id, err)
+					}
+				}
+
+				refuse("as the first order", 5)
+				if st := p.Stats(); st.Clock != 0 || st.Orders != (OrderCounts{}) {
+					t.Fatalf("refused first order started the run: %+v", st)
+				}
+				admit(1, 5)
+				refuse("mid-stream", 25)
+				admit(2, 300)
+
+				var m *sim.Metrics
+				within(t, "close", func() { m, err = p.Close() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Total != 2 || m.Served != 2 || m.Rejected != 0 {
+					t.Fatalf("valid orders around the hostile one: total %d served %d rejected %d, want 2/2/0", m.Total, m.Served, m.Rejected)
+				}
+			})
+		}
+	}
+}
+
+// within runs fn and fails the test if it has not returned in five seconds:
+// a hang becomes a failure, not a stuck suite.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: still running after 5s — the platform hangs", what)
+	}
+}

@@ -338,6 +338,11 @@ func (p *Platform) Events() <-chan Event {
 // the release fires first. The platform takes ownership of the order and
 // enriches DirectCost when unset — callers replaying a shared slice
 // should go through Replay, which clones.
+//
+// An order with a non-finite or inconsistent field, or a pickup or dropoff
+// that is not a node of the network, is refused with an error wrapping
+// order.ErrInvalid before any state moves — no tick fires, the ledger and the
+// clock stay put, no event is emitted — and the platform stays usable.
 func (p *Platform) Submit(o *order.Order) error {
 	if p.closed {
 		return ErrClosed
@@ -348,7 +353,7 @@ func (p *Platform) Submit(o *order.Order) error {
 	if o == nil {
 		return errors.New("platform: nil order")
 	}
-	if err := o.Validate(); err != nil {
+	if err := p.stream.Admissible(o); err != nil {
 		return err
 	}
 	p.fed = true
@@ -443,7 +448,7 @@ func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
 		if o == nil {
 			return nil, fmt.Errorf("platform: order %d is nil", i)
 		}
-		if err := o.Validate(); err != nil {
+		if err := p.stream.Admissible(o); err != nil {
 			return nil, err
 		}
 	}

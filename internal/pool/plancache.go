@@ -1,8 +1,6 @@
 package pool
 
 import (
-	"strconv"
-
 	"watter/internal/order"
 	"watter/internal/route"
 )
@@ -25,9 +23,11 @@ import (
 // Both arguments assume the pool's clock never goes backwards, which
 // Algorithm 1 guarantees (inserts, ticks and drains advance monotonically).
 //
-// Keys are the canonical (ascending-ID) member signature; the pool plans
-// every clique in canonical member order, so cached and fresh computations
-// share one member indexing and stay bit-identical. Entries are evicted
+// Keys are the canonical (ascending-ID) member signature, a fixed-size
+// array of IDs; the pool plans every clique in canonical member order, so
+// cached and fresh computations share one member indexing and stay
+// bit-identical. An entry carries its members and service times inline, so a
+// miss allocates the entry and nothing else. Entries are evicted
 // when any member leaves the pool (Remove/RemoveGroup); a positive entry
 // whose τg has passed is replanned in place at the current clock — the
 // cheapest route died, but a costlier one may still be live.
@@ -64,49 +64,65 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // planEntry memoizes one member set's route DP outcome. members and svc are
-// in canonical (ascending-ID) order; group is materialized lazily, only
-// when the clique actually wins some order's best-group race.
+// in canonical (ascending-ID) order, n long; group is materialized lazily,
+// only when the clique actually wins some order's best-group race (its
+// Orders alias the entry's member array).
 //
 //det:scratch entries are written only by their constructing goroutine before cacheInsert publishes them
 type planEntry struct {
-	members  []*order.Order
-	svc      []float64 // per-member service times T(L(i))
+	members  [route.MaxGroupSize]*order.Order
+	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))
+	n        int
 	cost     float64
 	expiry   float64 // τg (Eq. 3)
 	feasible bool
 	group    *order.Group
 }
 
+// orders is the entry's member set as a slice over its own array.
+func (e *planEntry) orders() []*order.Order { return e.members[:e.n] }
+
+// setMembers copies the canonical member set into the entry (the caller's
+// slice is enumeration scratch).
+func (e *planEntry) setMembers(canon []*order.Order) {
+	e.n = copy(e.members[:], canon)
+}
+
+// planKey is a member set's cache key: its IDs ascending, zero-padded, and
+// its size — without the size {-2, -1} and {-2, -1, 0} would collide.
+type planKey struct {
+	ids [route.MaxGroupSize]int
+	n   int
+}
+
+// memberKey builds the key of a canonical (ascending-ID) member slice.
+//
+//det:hotpath runs once per cache probe inside the clique enumeration; the key is a value, nothing is rendered
+func memberKey(members []*order.Order) (k planKey) {
+	k.n = len(members)
+	for i, o := range members {
+		k.ids[i] = o.ID
+	}
+	return k
+}
+
 // planCache is the per-pool memo. It is confined to the pool's goroutine,
 // like every other piece of pool state.
 type planCache struct {
-	entries map[string]*planEntry
-	// byOrder indexes entry keys by member ID for eviction. Lists may hold
-	// stale keys (a co-member was evicted first); deleting those is a
-	// no-op.
-	byOrder map[int][]string
+	entries map[planKey]*planEntry
+	// byOrder indexes entries by member ID for eviction. Lists may hold
+	// stale entries (a co-member was evicted first, or a prewarmed negative
+	// was flushed): one is stale exactly when entries no longer maps its key
+	// to it, and eviction skips those.
+	byOrder map[int][]*planEntry
 	stats   CacheStats
 }
 
 func newPlanCache() *planCache {
 	return &planCache{
-		entries: make(map[string]*planEntry),
-		byOrder: make(map[int][]string),
+		entries: make(map[planKey]*planEntry),
+		byOrder: make(map[int][]*planEntry),
 	}
-}
-
-// memberKey renders the canonical member signature into the pool's reusable
-// key buffer. The returned bytes are valid until the next call.
-//
-//det:hotpath runs once per cache probe inside the clique enumeration and reuses the pool's key buffer
-func (p *Pool) memberKey(members []*order.Order) []byte {
-	b := p.keyBuf[:0]
-	for _, o := range members {
-		b = strconv.AppendInt(b, int64(o.ID), 10)
-		b = append(b, ',')
-	}
-	p.keyBuf = b
-	return b
 }
 
 // planEntryFor returns the plan-cache entry for the canonical member set at
@@ -120,8 +136,8 @@ func (p *Pool) planEntryFor(canon []*order.Order, now float64) *planEntry {
 		p.fillEntry(ent, canon, now)
 		return ent
 	}
-	key := p.memberKey(canon)
-	if ent, ok := p.cache.entries[string(key)]; ok {
+	key := memberKey(canon)
+	if ent, ok := p.cache.entries[key]; ok {
 		return p.cacheServe(ent, canon, now)
 	}
 	ent := &planEntry{}
@@ -149,14 +165,13 @@ func (p *Pool) cacheServe(ent *planEntry, canon []*order.Order, now float64) *pl
 	return ent
 }
 
-// cacheInsert records a freshly planned entry under the rendered key and
-// indexes it per member for eviction.
-func (p *Pool) cacheInsert(key []byte, ent *planEntry) {
+// cacheInsert records a freshly planned entry under its key and indexes it
+// per member for eviction.
+func (p *Pool) cacheInsert(key planKey, ent *planEntry) {
 	p.cache.stats.Misses++
-	ks := string(key)
-	p.cache.entries[ks] = ent
-	for _, o := range ent.members {
-		p.cache.byOrder[o.ID] = append(p.cache.byOrder[o.ID], ks)
+	p.cache.entries[key] = ent
+	for _, o := range ent.orders() {
+		p.cache.byOrder[o.ID] = append(p.cache.byOrder[o.ID], ent)
 	}
 }
 
@@ -175,8 +190,8 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 		p.fillEntry(ent, canon, now)
 		return ent
 	}
-	key := p.memberKey(canon)
-	if ent, ok := p.cache.entries[string(key)]; ok {
+	key := memberKey(canon)
+	if ent, ok := p.cache.entries[key]; ok {
 		// Already cached (the partner's earlier edge test).
 		return p.cacheServe(ent, canon, now)
 	}
@@ -185,10 +200,9 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	// gets a fresh probe).
 	ent := p.pairProbe
 	if ent == nil {
-		ent = &planEntry{members: make([]*order.Order, 0, 2), svc: make([]float64, 2)}
+		ent = &planEntry{}
 	}
-	ent.members = append(ent.members[:0], canon...)
-	ent.svc = ent.svc[:len(ent.members)]
+	ent.setMembers(canon)
 	ent.group = nil
 	if p.certifiedInfeasible(a, b, now) {
 		p.cache.stats.PairsPruned++
@@ -196,7 +210,7 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 		p.pairProbe = ent
 		return ent
 	}
-	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.members, now, p.opt.Capacity, p.legs, ent.svc)
+	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
 	if !ent.feasible {
 		p.pairProbe = ent
 		if p.legs != nil {
@@ -216,16 +230,14 @@ func (p *Pool) certifiedInfeasible(a, b *order.Order, now float64) bool {
 	return p.bounds != nil && route.PairInfeasible(p.bounds, a, b, now, p.opt.Capacity)
 }
 
-// fillEntry runs the cost-only DP for the set and stores the outcome. The
-// entry owns copies of the member slice and service-time row (the caller's
-// canon slice is enumeration scratch).
+// fillEntry runs the cost-only DP for the set and stores the outcome. A
+// fresh entry takes its own copy of the member set first; a renewal plans
+// the members it already holds.
 func (p *Pool) fillEntry(ent *planEntry, canon []*order.Order, now float64) {
-	if ent.members == nil {
-		ent.members = append([]*order.Order(nil), canon...)
-		ent.svc = make([]float64, len(canon))
+	if ent.n == 0 {
+		ent.setMembers(canon)
 	}
-	cost, expiry, ok := p.planner.PlanGroupCost(ent.members, now, p.opt.Capacity, p.legs, ent.svc)
-	ent.cost, ent.expiry, ent.feasible = cost, expiry, ok
+	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
 }
 
 // groupFor materializes (once) the entry's winning group. Only cliques that
@@ -237,7 +249,7 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 		}
 		return ent.group
 	}
-	plan, ok := p.planner.PlanGroupShared(ent.members, now, p.opt.Capacity, p.legs)
+	plan, ok := p.planner.PlanGroupShared(ent.orders(), now, p.opt.Capacity, p.legs)
 	if !ok {
 		// Unreachable while now <= expiry (the cost-only DP just accepted
 		// this set); defensive so a caller bug degrades to "no group".
@@ -246,20 +258,20 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 	if p.cache != nil {
 		p.cache.stats.PlansMaterialized++
 	}
-	ent.group = &order.Group{Orders: ent.members, Plan: plan}
+	ent.group = &order.Group{Orders: ent.orders(), Plan: plan}
 	return ent.group
 }
 
-// avgExtra is Group.AvgExtraTime computed straight from a cache entry's
+// avgExtra is Group.AvgExtraTime computed straight from the entry's
 // service-time row — the same order.ExtraTime terms in the same
 // accumulation order (members are the group's Orders), so the two produce
 // the same bits.
-func avgExtra(members []*order.Order, svc []float64, now, alpha, beta float64) float64 {
+func (e *planEntry) avgExtra(now, alpha, beta float64) float64 {
 	var sum float64
-	for i, o := range members {
-		sum += o.ExtraTime(svc[i], now, alpha, beta)
+	for i, o := range e.orders() {
+		sum += o.ExtraTime(e.svc[i], now, alpha, beta)
 	}
-	return sum / float64(len(members))
+	return sum / float64(e.n)
 }
 
 // evictOrder drops every cache entry and leg block involving the order;
@@ -271,8 +283,8 @@ func (p *Pool) evictOrder(id int) {
 	if p.cache == nil {
 		return
 	}
-	for _, key := range p.cache.byOrder[id] {
-		if _, ok := p.cache.entries[key]; ok {
+	for _, ent := range p.cache.byOrder[id] {
+		if key := memberKey(ent.orders()); p.cache.entries[key] == ent {
 			delete(p.cache.entries, key)
 			p.cache.stats.Evicted++
 		}

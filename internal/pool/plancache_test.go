@@ -12,13 +12,16 @@ import (
 	"watter/internal/route"
 )
 
-// entryMembers reports whether any live cache entry references the order.
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
+// cacheReferences reports whether any live cache entry references the order.
 func cacheReferences(p *Pool, id int) bool {
 	if p.cache == nil {
 		return false
 	}
 	for _, ent := range p.cache.entries {
-		for _, m := range ent.members {
+		for _, m := range ent.orders() {
 			if m.ID == id {
 				return true
 			}
@@ -175,8 +178,8 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	if neg == nil {
 		t.Fatal("no negative entry cached for the infeasible triple")
 	}
-	if len(neg.members) != 3 {
-		t.Fatalf("negative entry has %d members, want the triple", len(neg.members))
+	if neg.n != 3 {
+		t.Fatalf("negative entry has %d members, want the triple", neg.n)
 	}
 	// Later refreshes that re-enumerate the triangle serve the negative
 	// entry without replanning, at any later clock.
@@ -192,7 +195,7 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	}
 	found := false
 	for _, ent := range p.cache.entries {
-		if !ent.feasible && len(ent.members) == 3 {
+		if !ent.feasible && ent.n == 3 {
 			found = true
 		}
 	}
@@ -202,9 +205,63 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	// Removing a member evicts it; re-inserting replans from scratch.
 	p.Remove(3, 6)
 	for _, ent := range p.cache.entries {
-		if len(ent.members) == 3 {
+		if ent.n == 3 {
 			t.Fatal("triple entry survived member removal")
 		}
+	}
+}
+
+// TestPlanCacheAllocations pins what a probe of the cache costs the
+// allocator: a miss is the entry itself (members, service times and key are
+// inline; the per-member index and the map grow amortized), a hit is free,
+// and so is a pair test that fails — the probe entry is reused and the leg
+// block it filled is recycled by the next fill.
+func TestPlanCacheAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, net, _ := testPool(-1)
+	a := mk(net, 1, net.Node(0, 0), net.Node(10, 0), 0, 2.0)
+	b := mk(net, 2, net.Node(1, 0), net.Node(11, 0), 0, 2.0)
+	c := mk(net, 3, net.Node(2, 0), net.Node(12, 0), 0, 2.0)
+	far := mk(net, 4, net.Node(0, 19), net.Node(10, 19), 0, 1.1)
+	for _, o := range []*order.Order{a, b, c} {
+		p.Insert(o, 0)
+	}
+	triple := []*order.Order{a, b, c}
+	key := memberKey(triple)
+	if ent := p.cache.entries[key]; ent == nil || !ent.feasible {
+		t.Fatal("corridor triple not cached as feasible; test is vacuous")
+	}
+
+	before := p.CacheStats()
+	if n := testing.AllocsPerRun(100, func() { p.planEntryFor(p.canonical(triple...), 0) }); n != 0 {
+		t.Errorf("a cache hit allocates %v times, want 0", n)
+	}
+	if got := p.CacheStats(); got.Hits != before.Hits+101 || got.Misses != before.Misses {
+		t.Fatalf("hit arm did not hit: %+v -> %+v", before, got)
+	}
+
+	before = p.CacheStats()
+	if n := testing.AllocsPerRun(100, func() {
+		delete(p.cache.entries, key)
+		p.planEntryFor(p.canonical(triple...), 0)
+	}); n > 2 {
+		t.Errorf("a cache miss allocates %v times, want at most 2", n)
+	}
+	if got := p.CacheStats(); got.Misses != before.Misses+101 {
+		t.Fatalf("miss arm did not miss: %+v -> %+v", before, got)
+	}
+
+	if ent := p.pairEntryFor(a, far, 0); ent.feasible {
+		t.Fatal("far pair unexpectedly shareable; test is vacuous")
+	}
+	before = p.CacheStats()
+	if n := testing.AllocsPerRun(100, func() { p.pairEntryFor(a, far, 0) }); n != 0 {
+		t.Errorf("a failed pair test allocates %v times, want 0", n)
+	}
+	if got := p.CacheStats(); got != before || p.LegBlocks() != 3 {
+		t.Fatalf("failed pair tests left a trace: stats %+v -> %+v, %d leg blocks (want the triangle's 3)", before, got, p.LegBlocks())
 	}
 }
 

@@ -135,14 +135,13 @@ type Pool struct {
 	cliqueBuf []int            // enumerateCliques candidate stack
 	memberBuf []*order.Order   // enumerateCliques member stack
 	canonBuf  []*order.Order   // canonical (sorted-by-ID) member view
-	keyBuf    []byte           // cache key rendering
 	improve   map[int]improved // refreshBest deferred member updates
 	pairProbe *planEntry       // reusable scratch for failed pair tests
 	// prewarmNeg holds the keys of negative pair entries the last
 	// PrewarmPairs merged; the insert that consumes them calls
 	// FlushPrewarmedNegatives so they don't outlive their one lookup
 	// (mirroring pairEntryFor's no-persist policy for failed pair tests).
-	prewarmNeg []string
+	prewarmNeg []planKey
 
 	// Demand distributions over cells, maintained incrementally; these are
 	// the MDP state's sO vectors. demandGen counts their edits. It is a
@@ -493,7 +492,7 @@ func (p *Pool) refreshBest(id int, now float64) {
 		if !ent.feasible || ent.expiry < now {
 			return
 		}
-		avg := avgExtra(ent.members, ent.svc, now, p.planner.Alpha, p.planner.Beta)
+		avg := ent.avgExtra(now, p.planner.Alpha, p.planner.Beta)
 		if avg < bestAvg-1e-9 {
 			bestAvg = avg
 			bestEnt = ent
@@ -502,7 +501,7 @@ func (p *Pool) refreshBest(id int, now float64) {
 		// best was exact before this enumeration and new groups can only
 		// lower the minimum, so comparing against the stored value keeps
 		// them exact without re-enumerating their own neighborhoods.
-		for _, m := range ent.members {
+		for _, m := range ent.orders() {
 			if m.ID == n.o.ID {
 				continue
 			}

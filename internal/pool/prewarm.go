@@ -42,16 +42,15 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 	for _, candID := range cands {
 		cand := p.nodes[candID]
 		canon := p.canonical(o, cand.o)
-		if _, ok := p.cache.entries[string(p.memberKey(canon))]; ok {
+		if _, ok := p.cache.entries[memberKey(canon)]; ok {
 			continue
 		}
 		if p.certifiedInfeasible(o, cand.o, now) {
 			continue // the insert re-derives the certificate; nothing to warm
 		}
-		jobs = append(jobs, pairJob{
-			ent:  &planEntry{members: append([]*order.Order(nil), canon...), svc: make([]float64, 2)},
-			legs: route.NewLegStore(p.planner.Net),
-		})
+		ent := &planEntry{}
+		ent.setMembers(canon)
+		jobs = append(jobs, pairJob{ent: ent, legs: route.NewLegStore(p.planner.Net)})
 	}
 	if len(jobs) == 0 {
 		return
@@ -62,7 +61,7 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		//det:specroot each prewarm task runs on a shard goroutine and may only fill its own job slot
 		tasks[i] = func() {
 			j.ent.cost, j.ent.expiry, j.ent.feasible = p.planner.PlanGroupCost(
-				j.ent.members, now, p.opt.Capacity, j.legs, j.ent.svc)
+				j.ent.orders(), now, p.opt.Capacity, j.legs, j.ent.svc[:])
 		}
 	}
 	exec.Run(tasks)
@@ -75,12 +74,12 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 	// leg blocks are never adopted for the same reason.
 	for i := range jobs {
 		j := &jobs[i]
-		key := p.memberKey(j.ent.members)
+		key := memberKey(j.ent.orders())
 		p.cacheInsert(key, j.ent)
 		if j.ent.feasible {
 			p.legs.Adopt(j.legs)
 		} else {
-			p.prewarmNeg = append(p.prewarmNeg, string(key))
+			p.prewarmNeg = append(p.prewarmNeg, key)
 		}
 	}
 }
@@ -97,7 +96,7 @@ func (p *Pool) FlushPrewarmedNegatives() {
 	}
 	for _, key := range p.prewarmNeg {
 		delete(p.cache.entries, key)
-		// byOrder keeps stale keys; eviction skips them harmlessly.
+		// byOrder keeps the stale entries; eviction skips them harmlessly.
 	}
 	p.prewarmNeg = p.prewarmNeg[:0]
 }

@@ -1,0 +1,59 @@
+package route
+
+import "math/bits"
+
+// dpTable is the read-only shape of the route DP's state space for one group
+// size k (events 2i = pickup of member i, 2i+1 = its dropoff). Of the 4^k
+// event subsets only the 3^k in which no member is dropped before it is
+// picked up can ever hold a route prefix; the table lists exactly those,
+// ordered so that every mask comes after all of its sub-masks.
+type dpTable struct {
+	// masks holds the valid event sets by ascending popcount, then value;
+	// a mask's index here is its rank, the row of its states in the compact
+	// dp layout. masks[0] is the empty set, masks[3^k-1] the full one.
+	masks []uint16
+	// rank is the inverse of masks over all 4^k subsets (noRank for the
+	// invalid ones, which the kernel never looks up).
+	rank []uint16
+	// removable[r] is the set of events e in masks[r] whose removal leaves a
+	// valid mask — the events a route can have visited last: every dropoff,
+	// and the pickup of every member still on board.
+	removable []uint16
+	// levelEnd[p] is the rank one past the last mask of popcount p.
+	levelEnd [2*MaxGroupSize + 1]uint16
+}
+
+const (
+	noRank     = ^uint16(0)
+	pickupBits = 0x5555 // the even (pickup) event positions of a mask
+)
+
+// dpTables[k] serves groups of k orders; built once at package init and
+// never written again, so every planner goroutine reads it freely.
+var dpTables = buildDPTables()
+
+func buildDPTables() (tabs [MaxGroupSize + 1]dpTable) {
+	for k := 1; k <= MaxGroupSize; k++ {
+		ne := 2 * k
+		t := &tabs[k]
+		t.rank = make([]uint16, 1<<ne)
+		for level := 0; level <= ne; level++ {
+			for m := 0; m < 1<<ne; m++ {
+				mask := uint16(m)
+				if bits.OnesCount16(mask) != level {
+					continue
+				}
+				if mask>>1&^mask&pickupBits != 0 {
+					t.rank[m] = noRank // some dropoff precedes its pickup
+					continue
+				}
+				t.rank[m] = uint16(len(t.masks))
+				t.masks = append(t.masks, mask)
+				// Dropoffs, plus pickups whose dropoff is still ahead.
+				t.removable = append(t.removable, mask&^pickupBits|mask&pickupBits&^(mask>>1))
+			}
+			t.levelEnd[level] = uint16(len(t.masks))
+		}
+	}
+	return tabs
+}

@@ -11,6 +11,8 @@ import (
 // legBlock is the 4x4 travel-cost matrix over one order pair's four route
 // events, row-major over [pickup_lo, dropoff_lo, pickup_hi, dropoff_hi]
 // where lo is the member with the smaller order ID.
+//
+//det:scratch a block is written only while its store's one writer goroutine fills it, before any plan reads it; a dropped block is recycled by that same goroutine
 type legBlock [16]float64
 
 type pairKey struct{ lo, hi int }
@@ -30,8 +32,12 @@ type LegStore struct {
 	net     roadnet.Network
 	blocks  map[pairKey]*legBlock
 	byOrder map[int][]pairKey
-	hits    uint64
-	fills   uint64
+	// spare is the block the last DropPair released, reused by the next
+	// fill: most pair tests fail, and each would otherwise allocate a block
+	// only to drop it a few hundred nanoseconds later.
+	spare *legBlock
+	hits  uint64
+	fills uint64
 }
 
 // NewLegStore returns an empty store over the network.
@@ -45,10 +51,12 @@ func NewLegStore(net roadnet.Network) *LegStore {
 
 // block returns the pair's leg block (filling it with one batched network
 // query on first use) and whether the pair was given in (hi, lo) order —
-// the caller needs that to map member indices onto block rows.
+// the caller needs that to map member indices onto block rows. locs is four
+// nodes of caller scratch for the fill's query (a local array would escape
+// into the network call and cost an allocation per fill).
 //
 //det:specwrite memoized pure leg matrix keyed by the pair; every store has exactly one writer goroutine and the cached values are bit-identical no matter when the fill ran
-func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
+func (s *LegStore) block(a, b *order.Order, locs []geo.NodeID) (blk *legBlock, swapped bool) {
 	lo, hi := a, b
 	if lo.ID > hi.ID {
 		lo, hi = hi, lo
@@ -59,10 +67,15 @@ func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
 		s.hits++
 		return blk, swapped
 	}
-	//det:hotalloc one block per distinct pair, cached for the pair's lifetime and amortized over thousands of DP touches
-	blk = new(legBlock)
-	locs := [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
-	roadnet.FillCostMatrix(s.net, locs[:], locs[:], blk[:])
+	if blk = s.spare; blk != nil {
+		s.spare = nil
+	} else {
+		//det:hotalloc one block per distinct pair, cached for the pair's lifetime and amortized over thousands of DP touches
+		blk = new(legBlock)
+	}
+	locs = locs[:4]
+	locs[0], locs[1], locs[2], locs[3] = lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff
+	roadnet.FillCostMatrix(s.net, locs, locs, blk[:])
 	s.blocks[key] = blk
 	s.byOrder[lo.ID] = append(s.byOrder[lo.ID], key)
 	s.byOrder[hi.ID] = append(s.byOrder[hi.ID], key)
@@ -72,13 +85,18 @@ func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
 
 // DropPair removes one pair's cached block. The pool uses it when a
 // pairwise shareability test fails: with no edge the pair can never appear
-// in a clique, so its block is dead weight. The byOrder index keeps a stale
-// key; Evict skips it harmlessly.
+// in a clique, so its block is dead weight — kept as the spare for the next
+// fill, which overwrites all of it. The byOrder index keeps a stale key;
+// Evict skips it harmlessly.
 func (s *LegStore) DropPair(aID, bID int) {
 	if aID > bID {
 		aID, bID = bID, aID
 	}
-	delete(s.blocks, pairKey{aID, bID})
+	key := pairKey{aID, bID}
+	if blk, ok := s.blocks[key]; ok {
+		delete(s.blocks, key)
+		s.spare = blk
+	}
 }
 
 // Evict drops every block involving the order (called when it leaves the
@@ -144,11 +162,11 @@ func (s *LegStore) Stats() (hits, fills uint64) { return s.hits, s.fills }
 // store's pair blocks. Each member pair contributes its cross entries; the
 // within-member entries (pickup<->dropoff) ride along from whichever blocks
 // contain the member — every block holding an order carries the same pure
-// cost values, so repeated writes are idempotent.
-func assembleLegs(store *LegStore, orders []*order.Order, ne int, legs []float64) {
+// cost values, so repeated writes are idempotent. locs is scratch for block.
+func assembleLegs(store *LegStore, orders []*order.Order, ne int, legs []float64, locs []geo.NodeID) {
 	for i := 0; i < len(orders); i++ {
 		for j := i + 1; j < len(orders); j++ {
-			blk, swapped := store.block(orders[i], orders[j])
+			blk, swapped := store.block(orders[i], orders[j], locs)
 			ri, rj := 0, 2
 			if swapped {
 				ri, rj = 2, 0

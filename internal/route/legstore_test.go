@@ -18,6 +18,9 @@ import (
 // live IDs are unique in any real pool.
 var nextTestID int
 
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
 func randomGroup(net roadnet.Network, rng *rand.Rand, side, k int) []*order.Order {
 	orders := make([]*order.Order, 0, k)
 	cx, cy := rng.Intn(side), rng.Intn(side)
@@ -156,10 +159,11 @@ func TestLegStoreEvict(t *testing.T) {
 		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9, DirectCost: net.Cost(pu, do)}
 	}
 	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 25)
-	store.block(a, b)
-	store.block(b, a) // same pair, swapped: must hit, not refill
-	store.block(a, c)
-	store.block(b, c)
+	locs := make([]geo.NodeID, 4)
+	store.block(a, b, locs)
+	store.block(b, a, locs) // same pair, swapped: must hit, not refill
+	store.block(a, c, locs)
+	store.block(b, c, locs)
 	if store.Len() != 3 {
 		t.Fatalf("blocks = %d, want 3", store.Len())
 	}
@@ -176,9 +180,50 @@ func TestLegStoreEvict(t *testing.T) {
 		t.Fatalf("blocks after full evict = %d", store.Len())
 	}
 	_, fillsBefore := store.Stats()
-	store.block(a, b)
+	store.block(a, b, locs)
 	if _, fills := store.Stats(); fills != fillsBefore+1 {
 		t.Fatal("evicted block was resurrected instead of refilled")
+	}
+}
+
+// TestLegStoreDropPairRecyclesBlock: a dropped pair's block becomes the next
+// fill's storage — the next pair must read its own costs out of it, and a
+// fill-and-drop cycle (what a failed pair test is) must not allocate.
+func TestLegStoreDropPairRecyclesBlock(t *testing.T) {
+	net := roadnet.NewPerturbedGrid(8, 8, 150, 8, 0.3, 2)
+	store := NewLegStore(net)
+	mkO := func(id int, pu, do geo.NodeID) *order.Order {
+		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
+	}
+	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 63)
+	locs := make([]geo.NodeID, 4)
+	dropped, _ := store.block(a, b, locs)
+	store.DropPair(2, 1)
+	if store.Len() != 0 {
+		t.Fatalf("blocks after drop = %d", store.Len())
+	}
+	got, _ := store.block(a, c, locs)
+	if got != dropped {
+		t.Fatal("the dropped block was not recycled by the next fill")
+	}
+	var want legBlock
+	nodes := []geo.NodeID{a.Pickup, a.Dropoff, c.Pickup, c.Dropoff}
+	roadnet.FillCostMatrix(net, nodes, nodes, want[:])
+	if *got != want {
+		t.Fatalf("recycled block holds %v, want the a-c costs %v", *got, want)
+	}
+	if again, _ := store.block(a, b, locs); again == got {
+		t.Fatal("a live block was handed out twice")
+	}
+	store.block(b, c, locs) // size the per-order index past the cycle below
+	if raceEnabled {
+		return // pooled search scratch is dropped at random; counts mean nothing
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		store.block(a, b, locs)
+		store.DropPair(1, 2)
+	}); n != 0 {
+		t.Fatalf("a fill-and-drop cycle allocates %v times, want 0", n)
 	}
 }
 
@@ -204,7 +249,7 @@ func TestAdoptDeterministicOrder(t *testing.T) {
 	fill := func(ps []pair) *LegStore {
 		s := NewLegStore(net)
 		for _, p := range ps {
-			s.block(orders[p.i], orders[p.j])
+			s.block(orders[p.i], orders[p.j], make([]geo.NodeID, 4))
 		}
 		return s
 	}

@@ -8,18 +8,23 @@
 // its deadline (deadline constraint) and never carries more riders than the
 // vehicle capacity (capacity constraint).
 //
-// Two entry points share one DP core. PlanGroup/PlanGroupFrom materialize a
-// RoutePlan; PlanGroupCost is the shareability graph's hot path — it runs
-// the identical DP but returns only the route cost, the group expiry τg and
-// the per-member service times, allocating nothing. Both accept an optional
-// LegStore so the leg matrix can be assembled from cached per-pair cost
-// blocks instead of fresh network queries; every assembled entry is the same
-// pure cost(l1, l2) value a fresh query would return, so the two paths are
-// bit-identical by construction.
+// Every entry point shares one DP kernel, planDP: a search over (visited
+// events, last event) states restricted to the 3^k event sets in which no
+// order is dropped before it is picked up, walked level by level over
+// precomputed mask tables (dptable.go) and abandoned at the first level no
+// route prefix reaches. PlanGroup/PlanGroupFrom/PlanGroupShared/Shareable
+// materialize a RoutePlan; PlanGroupCost is the shareability graph's hot
+// path — it runs the identical DP but returns only the route cost, the group
+// expiry τg and the per-member service times, allocating nothing. Both kinds
+// accept an optional LegStore so the leg matrix can be assembled from cached
+// per-pair cost blocks instead of fresh network queries; every assembled
+// entry is the same pure cost(l1, l2) value a fresh query would return, so
+// the two paths are bit-identical by construction.
 package route
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"watter/internal/geo"
@@ -29,7 +34,8 @@ import (
 
 // MaxGroupSize bounds the DP: groups above this size are rejected outright.
 // The paper's vehicle capacities go up to 5 riders, so 6 leaves headroom
-// while keeping the DP table (3^k states in spirit, 2^(2k)*2k here) tiny.
+// while keeping the DP table (3^k masks x 2k last events: 8748 states at
+// k = 6, 648 at the pool's default k = 4) tiny.
 const MaxGroupSize = 6
 
 // Planner plans routes over a road network. Alpha and Beta are the extra-
@@ -52,7 +58,7 @@ func NewPlanner(net roadnet.Network) *Planner {
 // T(L(i)) from l1). Returns (nil, false) when no feasible route exists.
 //
 // The search is exact: dynamic programming over (visited-event-set, last
-// event) states, O(4^k * k) for k orders, trivial for k <= MaxGroupSize.
+// event) states, O(3^k * k^2) for k orders, trivial for k <= MaxGroupSize.
 func (p *Planner) PlanGroup(orders []*order.Order, now float64, capacity int) (*order.RoutePlan, bool) {
 	return p.planGroupFrom(orders, now, capacity, geo.InvalidNode, nil)
 }
@@ -101,13 +107,14 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 		return 0, 0, false
 	}
 	ne := 2 * len(orders)
-	cost = sc.dpBuf[best]
-	// Walk the parent chain recording each dropoff's arrival offset; the
-	// values are the same dp entries a materialized plan would expose via
-	// ServiceTime, so expiry is bit-identical to groupExpiry over a plan.
-	for idx := best; idx >= 0; idx = int(sc.parentBuf[idx]) {
+	cost = sc.dp[best]
+	// Walk the parent chain (one state per event) recording each dropoff's
+	// arrival offset; the values are the same dp entries a materialized plan
+	// would expose via ServiceTime, so expiry is bit-identical to
+	// groupExpiry over a plan.
+	for n, idx := ne, best; n > 0; n, idx = n-1, int(sc.parent[idx]) {
 		if ev := idx % ne; ev%2 == 1 {
-			svc[ev/2] = sc.dpBuf[idx]
+			svc[ev/2] = sc.dp[idx]
 		}
 	}
 	expiry = math.Inf(1)
@@ -124,6 +131,15 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 // infeasible. The leg matrix comes from the store's cached pair blocks when
 // store is non-nil and the group has pairs to share, from batched network
 // queries otherwise; either way every entry is cost(loc[a], loc[b]).
+//
+// dp[rank(mask)*ne+last] is the earliest arrival offset at event last having
+// visited exactly mask, over the 3^k valid masks only (dptable.go). Each
+// state is pulled from its one predecessor mask, mask without last, by
+// scanning that mask's reachable final events in ascending order; masks are
+// visited level by level (popcount), so a predecessor's values are final
+// before anything reads them, and a level with no reachable state proves
+// every deeper one unreachable. DESIGN.md §5 has the argument that this
+// reproduces the push-form 2^(2k) table sweep bit for bit.
 func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start geo.NodeID, store *LegStore, sc *planScratch) int {
 	k := len(orders)
 	if k == 0 || k > MaxGroupSize {
@@ -139,18 +155,17 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	}
 
 	ne := 2 * k // events: 2i = pickup of orders[i], 2i+1 = dropoff
-	full := (1 << ne) - 1
 	// legs[a*ne+b] caches cost(loc[a], loc[b]); the DP touches each pair
-	// thousands of times. One batched many-to-many call fills the whole
-	// table: a Graph-backed network answers it with one pruned ALT search
-	// per distinct event node instead of ne full-city Dijkstras. A LegStore
-	// skips even that, copying the entries out of per-pair blocks cached
-	// when the pair's shareability edge was first tested.
-	legs := sc.legs(ne)
+	// many times. One batched many-to-many call fills the whole table: a
+	// Graph-backed network answers it with one pruned search per distinct
+	// event node instead of ne full-city Dijkstras. A LegStore skips even
+	// that, copying the entries out of per-pair blocks cached when the
+	// pair's shareability edge was first tested.
+	legs := sc.legs[:ne*ne]
 	if store != nil && k >= 2 {
-		assembleLegs(store, orders, ne, legs)
+		assembleLegs(store, orders, ne, legs, sc.loc[:])
 	} else {
-		loc := sc.loc(ne)
+		loc := sc.loc[:ne]
 		for i, o := range orders {
 			loc[2*i] = o.Pickup
 			loc[2*i+1] = o.Dropoff
@@ -158,101 +173,123 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 		roadnet.FillCostMatrix(p.Net, loc, loc, legs)
 	}
 	// Approach legs from the explicit start to each pickup, batched the
-	// same way (one search for all k pickups).
-	var t0s []float64
+	// same way (one search for all k pickups); zero for a free start.
+	t0s := sc.approach[:k]
 	if start != geo.InvalidNode {
-		pickups := sc.pickups(k)
+		pickups := sc.loc[:k]
 		for i, o := range orders {
 			pickups[i] = o.Pickup
 		}
-		t0s = sc.startRow(k)
 		sc.startSrc[0] = start
 		roadnet.FillCostMatrix(p.Net, sc.startSrc[:], pickups, t0s)
-	}
-	// dp[mask*ne+last] = earliest arrival offset at event `last` having
-	// completed exactly `mask`.
-	size := (full + 1) * ne
-	dp, parent := sc.tables(size)
-	for i := range dp {
-		dp[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	// Initialize with each pickup as the first stop.
-	for i := range orders {
-		var t0 float64
-		if t0s != nil {
-			t0 = t0s[i]
-		}
-		dp[(1<<(2*i))*ne+2*i] = t0
+	} else {
+		clear(t0s)
 	}
 
-	for mask := 1; mask <= full; mask++ {
-		onboard := -1 // computed lazily: most masks are unreachable
-		for last := 0; last < ne; last++ {
-			cur := dp[mask*ne+last]
-			if math.IsInf(cur, 1) {
-				continue
-			}
-			if onboard < 0 {
-				onboard = ridersOnboard(orders, mask)
-			}
-			for next := 0; next < ne; next++ {
-				if mask&(1<<next) != 0 {
+	tab := &dpTables[k]
+	dp, parent, reach, onboard := sc.tables(k)
+	// Per-event deadline and rider delta. A pickup has no deadline: +Inf
+	// makes its check below vacuous without a branch on the event kind.
+	var deadline [2 * MaxGroupSize]float64
+	var riders [2 * MaxGroupSize]int
+	for i, o := range orders {
+		deadline[2*i], deadline[2*i+1] = math.Inf(1), o.Deadline
+		riders[2*i], riders[2*i+1] = o.Riders, -o.Riders
+	}
+
+	// Level 1: each pickup as the first stop. Its mask 1<<2i has rank 1+i,
+	// and its state is its own parent (chain walks count events, they do not
+	// look for a root). A +Inf approach leg leaves the state unreachable.
+	onboard[0] = 0
+	var live uint16
+	for i := 0; i < k; i++ {
+		r := 1 + i
+		dp[r*ne+2*i] = t0s[i]
+		parent[r*ne+2*i] = uint16(r*ne + 2*i)
+		onboard[r] = riders[2*i]
+		reach[r] = 0
+		if !math.IsInf(t0s[i], 1) {
+			reach[r] = 1 << (2 * i)
+		}
+		live |= reach[r]
+	}
+	if live == 0 {
+		return -1
+	}
+
+	r := 1 + k
+	for level := 2; level <= ne; level++ {
+		live = 0
+		for end := int(tab.levelEnd[level]); r < end; r++ {
+			mask, rem := tab.masks[r], tab.removable[r]
+			// Riders on board in mask, carried from any predecessor mask.
+			first := bits.TrailingZeros16(rem)
+			ob := onboard[tab.rank[mask&^(1<<first)]] + riders[first]
+			onboard[r] = ob
+			var reached uint16
+			for ; rem != 0; rem &= rem - 1 {
+				next := bits.TrailingZeros16(rem)
+				pr := int(tab.rank[mask&^(1<<next)])
+				lasts := reach[pr]
+				if lasts == 0 {
 					continue
 				}
-				oi := next / 2
-				if next%2 == 1 && mask&(1<<(next-1)) == 0 {
-					continue // dropoff before pickup violates sequencing
-				}
-				if next%2 == 0 && onboard+orders[oi].Riders > capacity {
+				if next&1 == 0 && ob > capacity {
 					continue // capacity exceeded at this pickup
 				}
-				t := cur + legs[last*ne+next]
-				if next%2 == 1 && now+t > orders[oi].Deadline {
-					continue // deadline violated at this dropoff
+				due := deadline[next]
+				best, from := math.Inf(1), -1
+				for ; lasts != 0; lasts &= lasts - 1 {
+					last := bits.TrailingZeros16(lasts)
+					t := dp[pr*ne+last] + legs[last*ne+next]
+					if now+t > due {
+						continue // deadline violated at this dropoff
+					}
+					if t < best-1e-12 {
+						best, from = t, pr*ne+last
+					}
 				}
-				nm := mask | (1 << next)
-				idx := nm*ne + next
-				if t < dp[idx]-1e-12 {
-					dp[idx] = t
-					parent[idx] = int32(mask*ne + last)
+				if from >= 0 {
+					dp[r*ne+next] = best
+					parent[r*ne+next] = uint16(from)
+					reached |= 1 << next
 				}
 			}
+			reach[r] = reached
+			live |= reached
+		}
+		if live == 0 {
+			return -1
 		}
 	}
 
 	// Pick the cheapest complete route; ties break toward the smaller
 	// final event index for determinism.
+	full := len(tab.masks) - 1
 	best := -1
 	bestT := math.Inf(1)
-	for last := 0; last < ne; last++ {
-		if t := dp[full*ne+last]; t < bestT-1e-12 {
+	for lasts := reach[full]; lasts != 0; lasts &= lasts - 1 {
+		idx := full*ne + bits.TrailingZeros16(lasts)
+		if t := dp[idx]; t < bestT-1e-12 {
 			bestT = t
-			best = full*ne + last
+			best = idx
 		}
 	}
 	return best
 }
 
 // materializePlan reconstructs the RoutePlan ending at state best from sc's
-// dp/parent tables (fresh slices: they escape into the returned plan).
+// dp/parent tables (fresh slices: they escape into the returned plan). The
+// parent chain of a complete state has exactly one state per event.
 func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.RoutePlan {
 	ne := 2 * len(orders)
-	events := make([]int, 0, ne)
-	arrive := make([]float64, 0, ne)
-	for idx := best; idx >= 0; idx = int(sc.parentBuf[idx]) {
-		events = append(events, idx%ne)
-		arrive = append(arrive, sc.dpBuf[idx])
-	}
-	reverseInts(events)
-	reverseFloats(arrive)
-
 	plan := &order.RoutePlan{
 		Stops:  make([]order.Stop, ne),
-		Arrive: arrive,
-		Cost:   sc.dpBuf[best],
+		Arrive: make([]float64, ne),
+		Cost:   sc.dp[best],
 	}
-	for i, ev := range events {
+	for i, idx := ne-1, best; i >= 0; i, idx = i-1, int(sc.parent[idx]) {
+		ev := idx % ne
 		o := orders[ev/2]
 		kind := order.PickupStop
 		node := o.Pickup
@@ -261,6 +298,7 @@ func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.Ro
 			node = o.Dropoff
 		}
 		plan.Stops[i] = order.Stop{Node: node, Kind: kind, OrderID: o.ID, Riders: o.Riders}
+		plan.Arrive[i] = sc.dp[idx]
 	}
 	return plan
 }
@@ -274,82 +312,35 @@ func (p *Planner) Shareable(a, b *order.Order, now float64, capacity int) (*orde
 }
 
 // planScratch holds reusable DP buffers; pooled because the shareability
-// graph calls the planner millions of times per simulated day.
+// graph calls the planner millions of times per simulated day. The leg
+// matrix and event locations are bounded by MaxGroupSize and live inline;
+// only the state tables, whose size is 3^k, grow to the largest k seen.
 type planScratch struct {
-	locBuf    []geo.NodeID
-	legBuf    []float64
-	dpBuf     []float64
-	parentBuf []int32
+	legs     [4 * MaxGroupSize * MaxGroupSize]float64
+	loc      [2 * MaxGroupSize]geo.NodeID
+	startSrc [1]geo.NodeID
+	approach [MaxGroupSize]float64 // start -> each pickup
 
-	pickupBuf []geo.NodeID
-	rowBuf    []float64
-	startSrc  [1]geo.NodeID
+	dp      []float64 // rank(mask)*ne + last -> arrival offset
+	parent  []uint16  // same index -> predecessor state
+	reach   []uint16  // rank(mask) -> set of reachable last events
+	onboard []int     // rank(mask) -> riders picked up and not yet dropped
 }
 
 var scratchPool = sync.Pool{New: func() any { return &planScratch{} }}
 
+// tables returns the state tables sized for groups of k. Nothing is cleared:
+// the kernel writes reach and onboard for every mask it visits and reads dp
+// and parent only where reach says they were written.
+//
 //det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
-func (s *planScratch) loc(ne int) []geo.NodeID {
-	if cap(s.locBuf) < ne {
-		s.locBuf = make([]geo.NodeID, ne)
+func (s *planScratch) tables(k int) (dp []float64, parent, reach []uint16, onboard []int) {
+	masks := len(dpTables[k].masks)
+	if states := masks * 2 * k; cap(s.dp) < states {
+		s.dp = make([]float64, states)
+		s.parent = make([]uint16, states)
+		s.reach = make([]uint16, masks)
+		s.onboard = make([]int, masks)
 	}
-	return s.locBuf[:ne]
-}
-
-//det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
-func (s *planScratch) legs(ne int) []float64 {
-	if cap(s.legBuf) < ne*ne {
-		s.legBuf = make([]float64, ne*ne)
-	}
-	return s.legBuf[:ne*ne]
-}
-
-//det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
-func (s *planScratch) pickups(k int) []geo.NodeID {
-	if cap(s.pickupBuf) < k {
-		s.pickupBuf = make([]geo.NodeID, k)
-	}
-	return s.pickupBuf[:k]
-}
-
-//det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
-func (s *planScratch) startRow(k int) []float64 {
-	if cap(s.rowBuf) < k {
-		s.rowBuf = make([]float64, k)
-	}
-	return s.rowBuf[:k]
-}
-
-//det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
-func (s *planScratch) tables(size int) ([]float64, []int32) {
-	if cap(s.dpBuf) < size {
-		s.dpBuf = make([]float64, size)
-		s.parentBuf = make([]int32, size)
-	}
-	return s.dpBuf[:size], s.parentBuf[:size]
-}
-
-// ridersOnboard counts riders picked up but not yet dropped off in mask.
-func ridersOnboard(orders []*order.Order, mask int) int {
-	n := 0
-	for i, o := range orders {
-		picked := mask&(1<<(2*i)) != 0
-		dropped := mask&(1<<(2*i+1)) != 0
-		if picked && !dropped {
-			n += o.Riders
-		}
-	}
-	return n
-}
-
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseFloats(s []float64) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return s.dp, s.parent, s.reach, s.onboard
 }

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"time"
 
+	"watter/internal/geo"
 	"watter/internal/order"
+	"watter/internal/roadnet"
 )
 
 // EventSink receives the simulator's dispatch-level outcomes as they
@@ -127,17 +129,40 @@ func (s *Stream) timed(fn func()) {
 	s.env.Metrics.DecisionSeconds += time.Since(start).Seconds()
 }
 
+// Admissible reports whether the order may enter this stream at all: its
+// fields pass order.Validate and both its nodes exist in the stream's
+// network. A refusal wraps order.ErrInvalid and touches no state. The range
+// check is what stands between a hostile node ID and the routing oracle,
+// which indexes its arrays by it (a Graph panics; a closed-form GridCity
+// would price garbage without complaint).
+func (s *Stream) Admissible(o *order.Order) error {
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	for _, n := range [...]geo.NodeID{o.Pickup, o.Dropoff} {
+		if err := roadnet.ValidateNode(s.env.Net, n); err != nil {
+			return fmt.Errorf("order %d: %v: %w", o.ID, err, order.ErrInvalid)
+		}
+	}
+	return nil
+}
+
 // Submit admits one order: all pending ticks up to its release fire
 // first, then the algorithm's OnOrder hook runs at the release time. The
 // stream owns admission-time enrichment — DirectCost is filled here when
 // unset, on the submitted order (ownership passes to the platform; batch
 // callers who need their slices untouched go through Run, which clones).
+// An order that is not Admissible is refused before anything moves: no
+// tick fires, the clock and the metrics stay where they were.
 func (s *Stream) Submit(o *order.Order) error {
 	if s.closed {
 		return ErrStreamClosed
 	}
 	if o == nil {
 		return errors.New("sim: nil order")
+	}
+	if err := s.Admissible(o); err != nil {
+		return err
 	}
 	s.start()
 	// Monotonicity is checked against delivered events only: before the

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"watter/internal/geo"
 	"watter/internal/order"
 )
 
@@ -122,6 +125,44 @@ func TestStreamOrderingAndLifecycle(t *testing.T) {
 	}
 	if _, err := st.Close(); err != ErrStreamClosed {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestStreamRefusesInadmissibleOrders pins the stream's own admission gate
+// (the one batch callers meet; the platform asks Admissible before it even
+// gets here): a non-finite field or a node outside the network is refused
+// with an error wrapping order.ErrInvalid, and the refusal leaves the run
+// unstarted — no Init, no tick, no clock, no metrics.
+func TestStreamRefusesInadmissibleOrders(t *testing.T) {
+	env, net := newTestEnv(1)
+	rec := &recorder{}
+	st, err := NewStream(env, rec, RunOptions{TickEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*order.Order){
+		"release +Inf":       func(o *order.Order) { o.Release, o.Deadline = math.Inf(1), math.Inf(1) },
+		"deadline NaN":       func(o *order.Order) { o.Deadline = math.NaN() },
+		"pickup past range":  func(o *order.Order) { o.Pickup = geo.NodeID(net.NumNodes()) },
+		"dropoff negative":   func(o *order.Order) { o.Dropoff = -1 },
+		"riders zero":        func(o *order.Order) { o.Riders = 0 },
+		"deadline < release": func(o *order.Order) { o.Deadline = o.Release - 1 },
+	} {
+		o := mkOrder(net, 9, 25)
+		corrupt(o)
+		if err := st.Submit(o); !errors.Is(err, order.ErrInvalid) {
+			t.Fatalf("%s: got %v, want an error wrapping order.ErrInvalid", name, err)
+		}
+		if rec.inits != 0 || len(rec.ticks) != 0 || len(rec.orders) != 0 || st.Clock() != 0 || env.Metrics.Total != 0 {
+			t.Fatalf("%s: a refused order moved state: inits %d ticks %v orders %v clock %v total %d",
+				name, rec.inits, rec.ticks, rec.orders, st.Clock(), env.Metrics.Total)
+		}
+	}
+	if err := st.Submit(mkOrder(net, 1, 25)); err != nil {
+		t.Fatalf("valid order after the refusals: %v", err)
+	}
+	if len(rec.ticks) != 2 || env.Metrics.Total != 1 {
+		t.Fatalf("valid order after the refusals: ticks %v total %d", rec.ticks, env.Metrics.Total)
 	}
 }
 

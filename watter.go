@@ -244,7 +244,7 @@ var (
 	Retime = load.Retime
 )
 
-// Lifecycle sentinels (test with errors.Is).
+// Lifecycle and admission sentinels (test with errors.Is).
 var (
 	// ErrPlatformClosed is returned by platform operations after Close.
 	ErrPlatformClosed = platform.ErrClosed
@@ -258,6 +258,10 @@ var (
 	// ErrCityDown is returned when traffic hits a crashed city and
 	// auto-restart is disabled.
 	ErrCityDown = proxy.ErrCityDown
+	// ErrInvalidOrder is wrapped by every refusal of a malformed order — a
+	// non-finite or inconsistent field, a pickup or dropoff outside the
+	// network. The refused order moved no state; the platform stays usable.
+	ErrInvalidOrder = order.ErrInvalid
 )
 
 // NewProxy builds a multi-city front tier owning one platform per spec.
