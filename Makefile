@@ -19,11 +19,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
-# input — the DIMACS importer and the model-snapshot loader — and on the
-# route DP kernel against its oracle, on top of the seed corpora in
+# input — the DIMACS importer and the model-snapshot loader — and on the two
+# kernels held to an oracle — the route DP, and the batched cost-matrix
+# search against the reference Dijkstra — on top of the seed corpora in
 # internal/{roadnet,nn,route}/testdata/fuzz that `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
+	$(GO) test -run='^$$' -fuzz=FuzzCostMatrix -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzPlanGroup -fuzztime=10s ./internal/route
 

@@ -292,7 +292,9 @@ func runBenchSweep(path string, scale float64, seed int64, parallel int, quiet b
 
 // routeRow is one city scale in the routing engine benchmark
 // (BENCH_routing.json): both engines of the graph's ladder — CH and ALT —
-// and the reference Dijkstra, timed over the same single-pair probe set.
+// and the reference Dijkstra, timed over the same single-pair probe set, and
+// the engines again over leg blocks, the shape the dispatcher spends most of
+// an order's insertion in.
 type routeRow struct {
 	City             string  `json:"city"`
 	Nodes            int     `json:"nodes"`
@@ -310,6 +312,14 @@ type routeRow struct {
 	AmortizeProbes   float64 `json:"ch_build_amortize_probes"`
 	Identical        bool    `json:"distances_bit_identical"`
 	UnreachablePct   float64 `json:"unreachable_pct"`
+	// The leg-block probe: Blocks pairs of consecutive probes, each priced as
+	// route.LegStore fills a pair's block (legBlock). The ALT arm exists only
+	// on rows small enough that Build leaves the hierarchy out: a graph that
+	// has one answers every batched fill with it.
+	Blocks           int     `json:"matrix4_blocks"`
+	CHMatrix4Secs    float64 `json:"ch_matrix4_seconds"`
+	ALTMatrix4Secs   float64 `json:"alt_matrix4_seconds,omitempty"`
+	Matrix4Identical bool    `json:"matrix4_bit_identical"`
 }
 
 // routeReport is the JSON shape of the routing engine benchmark
@@ -320,17 +330,24 @@ type routeReport struct {
 	Rows       []routeRow `json:"rows"`
 }
 
+// legBlock prices the ten legs of one order pair's leg block the way
+// route.LegStore fills it: the two 2x2 cross matrices between the orders'
+// endpoints, then each order's own pickup -> dropoff leg. locs is
+// [pickup_a, dropoff_a, pickup_b, dropoff_b].
+func legBlock(net roadnet.Network, locs []geo.NodeID, legs []float64) {
+	roadnet.FillCostMatrix(net, locs[:2], locs[2:], legs[0:4])
+	roadnet.FillCostMatrix(net, locs[2:], locs[:2], legs[4:8])
+	legs[8], legs[9] = net.Cost(locs[0], locs[1]), net.Cost(locs[2], locs[3])
+}
+
 // benchRouteRow times one city through three point-to-point regimes over
 // the same probe set: the contraction hierarchy, the ALT engine it replaces
 // on large graphs, and the reference — one full single-source Dijkstra per
 // probe, what a graph with no engine would pay. Probes are single
-// pickup→dropoff pairs, the dispatch loop's dominant query shape. All three
-// arms must agree bit for bit.
+// pickup→dropoff pairs, what admission and every within-order leg ask. The
+// leg-block probe then prices pairs of consecutive probes as blocks, on the
+// engines' batched path. All arms must agree with the reference bit for bit.
 func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf func(string, ...any)) routeRow {
-	g.EnableHierarchy()
-	logf("benchroute: %s — %d nodes, %d landmarks, %d shortcuts (built in %.1fs), %d probes\n",
-		city, g.NumNodes(), g.NumLandmarks(), g.NumShortcuts(), g.HierarchyBuildSeconds(), probes)
-
 	rng := rand.New(rand.NewSource(seed*7919 + int64(g.NumNodes())))
 	// Sources recur (48 distinct), as pickups do in a dispatch stream; the
 	// draw order also fixes the probe set the committed series was timed on.
@@ -348,6 +365,32 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 		}
 		work[i] = probe{s, t}
 	}
+	// One block per eight probes keeps the reference arm (ten Dijkstras a
+	// block) within the cold arm's wall at metropolis scale.
+	blocks := make([][]geo.NodeID, probes/8)
+	for i := range blocks {
+		a, b := work[2*i], work[2*i+1]
+		blocks[i] = []geo.NodeID{a.s, a.t, b.s, b.t}
+	}
+	timeBlocks := func(net roadnet.Network) ([]float64, float64) {
+		legs := make([]float64, 10*len(blocks))
+		start := time.Now()
+		for i, locs := range blocks {
+			legBlock(net, locs, legs[10*i:10*i+10])
+		}
+		return legs, time.Since(start).Seconds()
+	}
+	// Batched fills go to the hierarchy once the graph has one, so ALT's
+	// blocks are timed first, where Build has not installed it already.
+	var altLegs []float64
+	var altBlockSecs float64
+	if !g.HasHierarchy() {
+		altLegs, altBlockSecs = timeBlocks(g)
+	}
+
+	g.EnableHierarchy()
+	logf("benchroute: %s — %d nodes, %d landmarks, %d shortcuts (built in %.1fs), %d probes, %d leg blocks\n",
+		city, g.NumNodes(), g.NumLandmarks(), g.NumShortcuts(), g.HierarchyBuildSeconds(), probes, len(blocks))
 
 	chOut := make([]float64, probes)
 	start := time.Now()
@@ -381,6 +424,14 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 			unreachable++
 		}
 	}
+	chLegs, chBlockSecs := timeBlocks(g)
+	refLegs, _ := timeBlocks(ref)
+	blocksIdentical := true
+	for i, want := range refLegs {
+		if chLegs[i] != want || (altLegs != nil && altLegs[i] != want) {
+			blocksIdentical = false
+		}
+	}
 	// Probes until the CH build has paid for itself versus staying on ALT.
 	amortize := -1.0
 	if perProbeGain := (altSecs - chSecs) / float64(probes); perProbeGain > 0 {
@@ -404,6 +455,10 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 		AmortizeProbes:   amortize,
 		Identical:        identical,
 		UnreachablePct:   100 * float64(unreachable) / float64(probes),
+		Blocks:           len(blocks),
+		CHMatrix4Secs:    chBlockSecs,
+		ALTMatrix4Secs:   altBlockSecs,
+		Matrix4Identical: blocksIdentical,
 	}
 }
 
@@ -461,7 +516,13 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 		fmt.Printf("benchroute: %s (%d nodes)  ch=%.3fs  alt=%.3fs  cold=%.3fs  ch-vs-alt=%.1fx  ch-vs-cold=%.1fx  build=%.1fs (amortized in %.0f probes)  identical=%v\n",
 			r.City, r.Nodes, r.CHSecs, r.ALTSecs, r.ColdSSSPSecs,
 			r.SpeedupCHvsALT, r.SpeedupCHvsCold, r.CHBuildSecs, r.AmortizeProbes, r.Identical)
-		if !r.Identical {
+		alt := "n/a (Build installed the hierarchy)"
+		if r.ALTMatrix4Secs > 0 {
+			alt = fmt.Sprintf("%.3fs", r.ALTMatrix4Secs)
+		}
+		fmt.Printf("benchroute: %s  %d leg blocks  ch=%.3fs  alt=%s  identical=%v\n",
+			r.City, r.Blocks, r.CHMatrix4Secs, alt, r.Matrix4Identical)
+		if !r.Identical || !r.Matrix4Identical {
 			return fmt.Errorf("benchroute: %s: engines diverged from the Dijkstra reference", r.City)
 		}
 		if r.SpeedupCHvsCold <= 1 {

@@ -259,5 +259,10 @@ type Worker struct {
 	Served int
 }
 
+// ErrInvalidWorker is the sentinel every refused fleet member wraps; the
+// checks need the network and the rest of the fleet, so they live where a
+// fleet is handed over (platform.New). Match it with errors.Is.
+var ErrInvalidWorker = errors.New("invalid worker")
+
 // IdleAt reports whether the worker is available at time t.
 func (w *Worker) IdleAt(t float64) bool { return w.FreeAt <= t }

@@ -121,3 +121,70 @@ func within(t *testing.T, what string, fn func()) {
 		t.Fatalf("%s: still running after 5s — the platform hangs", what)
 	}
 }
+
+// TestNewRefusesHostileFleet: the fleet is outside input too. A worker parked
+// outside the network used to panic inside the worker index on a graph city
+// (index out of range) and be accepted silently on a closed-form one; two
+// workers sharing an ID were one worker to half of the index and two to the
+// other; a non-finite FreeAt is idle never or always. New refuses each with
+// an error wrapping order.ErrInvalidWorker before it builds anything, and the
+// same network then serves an order with a valid fleet.
+func TestNewRefusesHostileFleet(t *testing.T) {
+	nets := map[string]roadnet.Network{
+		"gridcity": roadnet.NewGridCity(10, 10, 100, 10),
+		"graph":    roadnet.NewPerturbedGrid(12, 12, 150, 8, 0.3, 4),
+	}
+	good := func(id int) *order.Worker { return &order.Worker{ID: id, Loc: 0, Capacity: 4} }
+	bad := func(corrupt func(w *order.Worker)) []*order.Worker {
+		w := good(2)
+		corrupt(w)
+		return []*order.Worker{good(1), w, good(3)}
+	}
+	hostile := map[string][]*order.Worker{
+		"location far past range":  bad(func(w *order.Worker) { w.Loc = 1 << 30 }),
+		"location one past range":  bad(func(w *order.Worker) { w.Loc = 144 }),
+		"location negative":        bad(func(w *order.Worker) { w.Loc = -5 }),
+		"location invalid node":    bad(func(w *order.Worker) { w.Loc = geo.InvalidNode }),
+		"lone worker out of range": {{ID: 1, Loc: 1 << 30, Capacity: 4}},
+		"duplicate ID":             bad(func(w *order.Worker) { w.ID = 3 }),
+		"free-at NaN":              bad(func(w *order.Worker) { w.FreeAt = math.NaN() }),
+		"free-at +Inf":             bad(func(w *order.Worker) { w.FreeAt = math.Inf(1) }),
+		"free-at -Inf":             bad(func(w *order.Worker) { w.FreeAt = math.Inf(-1) }),
+		"ID zero":                  bad(func(w *order.Worker) { w.ID = 0 }),
+		"no capacity":              bad(func(w *order.Worker) { w.Capacity = 0 }),
+		"nil worker":               {good(1), nil},
+	}
+	for netName, net := range nets {
+		for name, fleet := range hostile {
+			t.Run(netName+"/"+name, func(t *testing.T) {
+				var p *Platform
+				var err error
+				within(t, "New", func() { p, err = New(net, fleet, WithMeasuredTime(false)) })
+				if !errors.Is(err, order.ErrInvalidWorker) || p != nil {
+					t.Fatalf("New = (%v, %v), want no platform and an error wrapping order.ErrInvalidWorker", p, err)
+				}
+			})
+		}
+		t.Run(netName+"/valid fleet afterwards", func(t *testing.T) {
+			p, err := New(net, []*order.Worker{good(1), good(2)}, WithMeasuredTime(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := net.Cost(0, 5)
+			o := &order.Order{ID: 1, Pickup: 0, Dropoff: 5, Riders: 1,
+				Release: 5, Deadline: 5 + 2*direct, WaitLimit: 0.8 * direct, DirectCost: direct}
+			within(t, "submit", func() { err = p.Submit(o) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m *sim.Metrics
+			within(t, "close", func() { m, err = p.Close() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Total != 1 || m.Served != 1 {
+				t.Fatalf("valid fleet: total %d served %d, want 1/1", m.Total, m.Served)
+			}
+		})
+	}
+}

@@ -12,6 +12,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"watter/internal/core"
 	"watter/internal/order"
@@ -251,19 +252,8 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 			return nil, err
 		}
 	}
-	for i, w := range workers {
-		if w == nil {
-			return nil, fmt.Errorf("platform: worker %d is nil", i)
-		}
-		// IDs start at 1: GroupDispatched reserves WorkerID 0 for "no
-		// single worker attributable", so a zero-ID worker's dispatches
-		// would be unreportable.
-		if w.ID < 1 {
-			return nil, fmt.Errorf("platform: worker at index %d has ID %d < 1", i, w.ID)
-		}
-		if w.Capacity < 1 {
-			return nil, fmt.Errorf("platform: worker %d has capacity %d < 1", w.ID, w.Capacity)
-		}
+	if err := validateFleet(net, workers); err != nil {
+		return nil, err
 	}
 	if c.alg == nil {
 		popt := pool.DefaultOptions()
@@ -296,6 +286,44 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		p.ensureSink().fn = c.observer
 	}
 	return p, nil
+}
+
+// validateFleet refuses a fleet the platform could not dispatch faithfully,
+// before any state is built; every refusal wraps order.ErrInvalidWorker. The
+// fleet is outside input: a location that is no node of the network would
+// index past the worker index's cells (or be priced silently on a
+// closed-form city), two workers sharing an ID would be one worker to half of
+// the index and two to the other, and a FreeAt that is not finite makes
+// IdleAt hold never (NaN, +Inf) or from before time began (-Inf).
+func validateFleet(net roadnet.Network, workers []*order.Worker) error {
+	ids := make(map[int]struct{}, len(workers))
+	for i, w := range workers {
+		var why string
+		switch {
+		case w == nil:
+			return fmt.Errorf("platform: worker at index %d is nil: %w", i, order.ErrInvalidWorker)
+		case w.ID < 1:
+			// IDs start at 1: GroupDispatched reserves WorkerID 0 for "no
+			// single worker attributable", so a zero-ID worker's dispatches
+			// would be unreportable.
+			why = "ID < 1"
+		case w.Capacity < 1:
+			why = fmt.Sprintf("capacity %d < 1", w.Capacity)
+		case math.IsNaN(w.FreeAt) || math.IsInf(w.FreeAt, 0):
+			why = fmt.Sprintf("free-at time %v is not finite", w.FreeAt)
+		case roadnet.ValidateNode(net, w.Loc) != nil:
+			why = fmt.Sprintf("location %d is not a node of the network [0,%d)", w.Loc, net.NumNodes())
+		default:
+			if _, dup := ids[w.ID]; dup {
+				why = "ID appears twice in the fleet"
+			}
+			ids[w.ID] = struct{}{}
+		}
+		if why != "" {
+			return fmt.Errorf("platform: worker %d (index %d): %s: %w", w.ID, i, why, order.ErrInvalidWorker)
+		}
+	}
+	return nil
 }
 
 // ensureSink lazily installs the fan-out sink on the stream. Both delivery

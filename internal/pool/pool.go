@@ -267,7 +267,7 @@ func (p *Pool) Insert(o *order.Order, now float64) int {
 	for _, candID := range p.candidates(n) {
 		cand := p.nodes[candID]
 		// The pairwise test doubles as the 2-clique's cache fill (and, via
-		// the leg store, computes the pair's 4x4 cost block exactly once).
+		// the leg store, computes the pair's leg block exactly once).
 		// Failed tests persist nothing — an edgeless pair can never be
 		// enumerated again.
 		ent := p.pairEntryFor(o, cand.o, now)

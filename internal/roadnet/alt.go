@@ -8,12 +8,14 @@ import (
 
 // ALT preprocessing (A*, Landmarks, Triangle inequality). Build selects a
 // small set of landmarks by farthest-point sampling and stores, for every
-// landmark L, the distance arrays dist(L -> v) and dist(v -> L) (the latter
-// via the reverse graph). A query then lower-bounds dist(v, t) with
+// landmark L, the distances dist(L -> v) and dist(v -> L) (the latter via
+// the reverse graph), packed by node into Graph.landPack. A query then
+// lower-bounds dist(v, t) with
 //
 //	max_L( dist(v,L) - dist(t,L), dist(L,t) - dist(L,v) )
 //
-// which the point-to-point engine uses as an A* heuristic.
+// which both engines use as their A* heuristic (landGap, then each engine's
+// own deflation).
 //
 // Exactness contract: the engine must reproduce the float32 left-fold
 // shortest-path value of the full Dijkstra bit-for-bit. Landmark distances
@@ -42,8 +44,9 @@ func defaultLandmarkCount(n int) int {
 	return k
 }
 
-// initLandmarks runs farthest-point landmark selection and fills the
-// per-landmark distance arrays and the admissibility slack.
+// initLandmarks runs farthest-point landmark selection and fills the packed
+// landmark table and the admissibility slack. The per-landmark distance
+// columns exist only here, until they are interleaved into landPack.
 func (g *Graph) initLandmarks(k int) {
 	n := len(g.coords)
 	if k <= 0 || n < 2 {
@@ -66,6 +69,7 @@ func (g *Graph) initLandmarks(k int) {
 		minDist[i] = math.Inf(1)
 	}
 	isLandmark := make([]bool, n)
+	var landFrom, landTo [][]float64 // [i][v] = dist(L_i -> v), dist(v -> L_i)
 
 	for len(g.landmarks) < k {
 		var L geo.NodeID
@@ -94,12 +98,20 @@ func (g *Graph) initLandmarks(k int) {
 		from := g.dijkstraF64(L, false)
 		to := g.dijkstraF64(L, true)
 		g.landmarks = append(g.landmarks, L)
-		g.landFrom = append(g.landFrom, from)
-		g.landTo = append(g.landTo, to)
+		landFrom = append(landFrom, from)
+		landTo = append(landTo, to)
 		for v := 0; v < n; v++ {
 			if from[v] < minDist[v] {
 				minDist[v] = from[v]
 			}
+		}
+	}
+	k2 := 2 * len(g.landmarks)
+	g.landPack = make([]float64, n*k2)
+	for i := range g.landmarks {
+		for v := 0; v < n; v++ {
+			g.landPack[v*k2+2*i] = landTo[i][v]
+			g.landPack[v*k2+2*i+1] = landFrom[i][v]
 		}
 	}
 	g.initALTSlack()
@@ -117,21 +129,13 @@ func (g *Graph) initALTSlack() {
 		// Pathological size: no sound deflation exists, disable the
 		// heuristic (searches degrade to goal-stopped Dijkstra).
 		g.landmarks = nil
-		g.landFrom = nil
-		g.landTo = nil
+		g.landPack = nil
 		return
 	}
 	var diam float64
-	for i := range g.landFrom {
-		for _, d := range g.landFrom[i] {
-			if !math.IsInf(d, 1) && d > diam {
-				diam = d
-			}
-		}
-		for _, d := range g.landTo[i] {
-			if !math.IsInf(d, 1) && d > diam {
-				diam = d
-			}
+	for _, d := range g.landPack {
+		if !math.IsInf(d, 1) && d > diam {
+			diam = d
 		}
 	}
 	g.diam = diam
@@ -139,29 +143,51 @@ func (g *Graph) initALTSlack() {
 	g.altAbs = slack * 2 * diam
 }
 
-// altBound returns the admissible ALT lower bound on the float32
-// shortest-path distance from v to t (0 when no landmark helps). A +Inf
-// bound is exact, not heuristic: dist(v,L)=Inf with dist(t,L) finite proves
-// v cannot reach t (a v->t path would extend to v->t->L). The Inf-Inf case
-// yields NaN, which every comparison rejects.
-func (g *Graph) altBound(v, t geo.NodeID) float64 {
+// landRow is node v's row of the packed landmark table: for each landmark,
+// dist(v -> L) then dist(L -> v). Empty when the graph has no landmarks.
+func (g *Graph) landRow(v geo.NodeID) []float64 {
+	k2 := 2 * len(g.landmarks)
+	return g.landPack[int(v)*k2 : int(v)*k2+k2]
+}
+
+// landGap is the raw triangle-inequality bound on dist(v, t) from the two
+// nodes' landmark rows, before any deflation (0 when no landmark helps). A
+// +Inf gap is exact, not heuristic: dist(v,L)=Inf with dist(t,L) finite
+// proves v cannot reach t (a v->t path would extend to v->t->L). The Inf-Inf
+// case yields NaN, which every comparison rejects.
+func landGap(vp, tp []float64) float64 {
 	var lb float64
-	for i := range g.landmarks {
-		if b := g.landTo[i][v] - g.landTo[i][t]; b > lb {
-			lb = b
+	tp = tp[:len(vp)]
+	for i := 0; i+1 < len(vp); i += 2 {
+		if d := vp[i] - tp[i]; d > lb {
+			lb = d
 		}
-		if b := g.landFrom[i][t] - g.landFrom[i][v]; b > lb {
-			lb = b
+		if d := tp[i+1] - vp[i+1]; d > lb {
+			lb = d
 		}
 	}
+	return lb
+}
+
+// deflate turns a raw landmark gap into a bound admissible for the float32
+// fold metric under the given slack (altMul/altAbs, or the hierarchy's
+// chMul/chAbs); +Inf stays +Inf.
+func deflate(lb, mul, abs float64) float64 {
 	if lb <= 0 {
 		return 0
 	}
-	lb = lb*g.altMul - g.altAbs
+	lb = lb*mul - abs
 	if lb < 0 {
 		return 0
 	}
 	return lb
+}
+
+// altBound returns the admissible ALT lower bound on the float32
+// shortest-path distance from v to t (0 when no landmark helps, +Inf only as
+// landGap's unreachability proof).
+func (g *Graph) altBound(v, t geo.NodeID) float64 {
+	return deflate(landGap(g.landRow(v), g.landRow(t)), g.altMul, g.altAbs)
 }
 
 // CostLowerBound implements BoundedNetwork: the landmark bound the engine

@@ -46,8 +46,8 @@ func (g *Graph) buildCone(sc *scratch) {
 	h := g.ch
 	sc.coneQ = sc.coneQ[:0]
 	for _, t := range sc.uniq {
-		if sc.coneMark[t] != sc.hcur {
-			sc.coneMark[t] = sc.hcur
+		if sc.coneMark[t] != sc.tcur {
+			sc.coneMark[t] = sc.tcur
 			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 			sc.coneQ = append(sc.coneQ, int32(t))
 		}
@@ -60,8 +60,8 @@ func (g *Graph) buildCone(sc *scratch) {
 			e := &h.edges[ei]
 			f := e.from
 			// Bucket this cone-incoming edge under its tail node.
-			if sc.tStamp[f] != sc.hcur {
-				sc.tStamp[f] = sc.hcur
+			if sc.tStamp[f] != sc.tcur {
+				sc.tStamp[f] = sc.tcur
 				sc.tFirst[f] = -1
 			}
 			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
@@ -70,13 +70,13 @@ func (g *Graph) buildCone(sc *scratch) {
 				w: h.wLo[ei], lbm: h.lbmLo[ei],
 			})
 			sc.tFirst[f] = int32(len(sc.tPack) - 1)
-			if sc.coneMark[f] != sc.hcur {
-				sc.coneMark[f] = sc.hcur
+			if sc.coneMark[f] != sc.tcur {
+				sc.coneMark[f] = sc.tcur
 				sc.coneQ = append(sc.coneQ, int32(f))
 			}
 		}
 	}
-	sc.coneEp = sc.hcur
+	sc.coneEp = sc.tcur
 }
 
 // chFold extends the float32 fold d across arena edge ei over the edge's
@@ -91,27 +91,10 @@ func (g *Graph) chFold(d float32, ei int32) float32 {
 }
 
 // chBound is altBound with the hierarchy's (usually much tighter) fold-error
-// deflation from initCHSlack. Identical +Inf semantics: an infinite bound is
-// an exact unreachability proof, and the Inf-Inf NaN is rejected by the
-// comparisons.
+// deflation from initCHSlack: the same landmark gap, so the same +Inf
+// semantics.
 func (g *Graph) chBound(v, t geo.NodeID) float64 {
-	var lb float64
-	for i := range g.landmarks {
-		if b := g.landTo[i][v] - g.landTo[i][t]; b > lb {
-			lb = b
-		}
-		if b := g.landFrom[i][t] - g.landFrom[i][v]; b > lb {
-			lb = b
-		}
-	}
-	if lb <= 0 {
-		return 0
-	}
-	lb = lb*g.ch.chMul - g.ch.chAbs
-	if lb < 0 {
-		return 0
-	}
-	return lb
+	return deflate(landGap(g.landRow(v), g.landRow(t)), g.ch.chMul, g.ch.chAbs)
 }
 
 // chSearchFrom runs one exact multi-target two-phase A* from src over
@@ -122,15 +105,9 @@ func (g *Graph) chBound(v, t geo.NodeID) float64 {
 //
 //det:hotpath the CH query inner loop backs every Cost and FillCostMatrix call on hierarchy-enabled graphs; all mutable state lives in the pooled scratch
 func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64) {
-	sc.nextGen()
-	cur := sc.cur
 	inf := math.Inf(1)
 	h32 := g.ch
 	n := geo.NodeID(len(g.coords))
-	if sc.coneEp != sc.hcur {
-		g.buildCone(sc)
-	}
-	mcur := sc.hcur
 
 	// Heuristic deflation for this search: the graph-wide chMul/chAbs by
 	// default, tightened further for single-pair queries where ubHint (a
@@ -153,80 +130,20 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		}
 	}
 
-	useALT := len(g.landmarks) > 0 && len(sc.uniq)*len(g.landmarks) <= maxHeuristicWork
-	hcur := sc.hcur
-	k2 := 2 * len(g.landmarks)
-	//det:hotalloc non-escaping closure, stack-allocated because h never leaves chSearchFrom
-	h := func(v geo.NodeID) float64 {
-		if !useALT {
-			return 0
-		}
-		if sc.hgen[v] == hcur {
-			return sc.hval[v]
-		}
-		b := inf
-		vp := h32.landPack[int(v)*k2 : int(v)*k2+k2]
-		for _, t := range sc.uniq {
-			tp := h32.landPack[int(t)*k2 : int(t)*k2+k2]
-			var lb float64
-			for i := 0; i < k2; i += 2 {
-				if d := vp[i] - tp[i]; d > lb {
-					lb = d
-				}
-				if d := tp[i+1] - vp[i+1]; d > lb {
-					lb = d
-				}
-			}
-			if lb > 0 {
-				lb = lb*chMulQ - chAbsQ
-			}
-			if lb < 0 {
-				lb = 0
-			}
-			if lb < b {
-				b = lb
-			}
-		}
-		sc.hval[v] = b
-		sc.hgen[v] = hcur
-		return b
+	// Contraction preserves reachability, so begin's unreachability proof
+	// holds here as it does on ALT.
+	if !g.begin(sc, src, chMulQ, chAbsQ) {
+		return
 	}
-	// tdist reads a target's best tentative fold across both phase states.
-	//det:hotalloc one closure header per search, amortized over thousands of relaxations
-	tdist := func(t geo.NodeID) (float32, bool) {
-		d, ok := float32(0), false
-		if sc.gen[t] == cur {
-			d, ok = sc.dist[t], true
-		}
-		if sc.gen[t+n] == cur && (!ok || sc.dist[t+n] < d) {
-			d, ok = sc.dist[t+n], true
-		}
-		return d, ok
+	cur := sc.cur
+	if sc.coneEp != sc.tcur {
+		g.buildCone(sc)
 	}
-
-	sc.pending = sc.pending[:0]
-	for k := range sc.uniq {
-		sc.res[k] = inf
-		sc.pending = append(sc.pending, k)
-	}
-	// A +Inf landmark bound from src is an exact unreachability proof;
-	// contraction preserves reachability, so pre-finalizing here is the
-	// same optimization searchFrom makes.
-	if len(g.landmarks) > 0 {
-		for k := len(sc.pending) - 1; k >= 0; k-- {
-			if math.IsInf(g.chBound(src, sc.uniq[sc.pending[k]]), 1) {
-				sc.pending[k] = sc.pending[len(sc.pending)-1]
-				sc.pending = sc.pending[:len(sc.pending)-1]
-			}
-		}
-		if len(sc.pending) == 0 {
-			return
-		}
-	}
+	mcur := sc.tcur
 
 	sc.dist[src] = 0
 	sc.gen[src] = cur
-	sc.heap.push(heapItem[float64]{key: h(src), dist: 0, node: src})
+	sc.heap.push(heapItem[float64]{key: g.heuristic(sc, src), dist: 0, node: src})
 
 	// maxUB is the worst tentative distance among pending targets once all
 	// of them have one (+Inf before that). A relaxation whose fold lower
@@ -267,7 +184,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		if v >= n {
 			v -= n
 		}
-		if lb+h(v) >= maxUBh {
+		if lb+g.heuristic(sc, v) >= maxUBh {
 			return
 		}
 		nd := g.chFold(it.dist, ei)
@@ -276,30 +193,16 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		}
 		sc.dist[st] = nd
 		sc.gen[st] = cur
-		sc.heap.push(heapItem[float64]{key: float64(nd) + h(v), dist: nd, node: st})
+		sc.heap.push(heapItem[float64]{key: float64(nd) + g.heuristic(sc, v), dist: nd, node: st})
 	}
 
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
+		sc.pops++
 		// it.key lower-bounds every remaining improving path's fold, exactly
 		// as in searchFrom; a target at or below it is final. The same scan
 		// refreshes maxUB for the relax pruning above.
-		ub, allReached := 0.0, true
-		for k := len(sc.pending) - 1; k >= 0; k-- {
-			ti := sc.pending[k]
-			d, ok := tdist(sc.uniq[ti])
-			if ok && float64(d) <= it.key {
-				sc.res[ti] = float64(d)
-				sc.pending[k] = sc.pending[len(sc.pending)-1]
-				sc.pending = sc.pending[:len(sc.pending)-1]
-				continue
-			}
-			if !ok {
-				allReached = false
-			} else if float64(d) > ub {
-				ub = float64(d)
-			}
-		}
+		ub, allReached := g.settle(sc, it.key, n)
 		if allReached {
 			maxUB = ub
 			if h32.chTight && ub <= guardQ {
@@ -308,11 +211,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 				maxUBh = inf
 			}
 		}
-		if len(sc.pending) == 0 {
-			sc.heap = sc.heap[:0]
-			return
-		}
-		if it.key > budget {
+		if len(sc.pending) == 0 || it.key > budget {
 			sc.heap = sc.heap[:0]
 			return
 		}
@@ -342,9 +241,5 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 			}
 		}
 	}
-	for _, ti := range sc.pending {
-		if d, ok := tdist(sc.uniq[ti]); ok {
-			sc.res[ti] = float64(d)
-		}
-	}
+	sc.drain(n)
 }

@@ -113,11 +113,6 @@ type hierarchy struct {
 	chMul, chAbs float64
 	chTight      bool
 	minw         float64 // smallest original edge weight (chTight only)
-
-	// landPack interleaves the per-landmark distance arrays by node
-	// (landPack[v*2k+2i] = dist(v -> L_i), [v*2k+2i+1] = dist(L_i -> v)), so
-	// one heuristic evaluation touches one or two cache lines instead of 2k.
-	landPack []float64
 }
 
 // HasHierarchy reports whether the contraction hierarchy is built.
@@ -242,15 +237,6 @@ func (g *Graph) buildHierarchy() {
 	}
 	b.freezeCSR(h)
 	g.initCHSlack(h, b.diamTight)
-	if k := len(g.landmarks); k > 0 {
-		h.landPack = make([]float64, n*2*k)
-		for v := 0; v < n; v++ {
-			for i := 0; i < k; i++ {
-				h.landPack[v*2*k+2*i] = g.landTo[i][v]
-				h.landPack[v*2*k+2*i+1] = g.landFrom[i][v]
-			}
-		}
-	}
 	g.ch = h
 }
 
@@ -326,13 +312,10 @@ func (b *chBuilder) initDiamBound() {
 	if len(g.landmarks) == 0 {
 		return
 	}
-	for _, d := range g.landFrom[0] {
-		if math.IsInf(d, 1) {
-			return // not strongly connected: keep the loose bound
-		}
-	}
-	for _, d := range g.landTo[0] {
-		if math.IsInf(d, 1) {
+	// Every node reaches landmark 0 and is reached from it: strongly
+	// connected. Otherwise keep the loose bound.
+	for v := 0; v < b.n; v++ {
+		if row := g.landRow(geo.NodeID(v)); math.IsInf(row[0], 1) || math.IsInf(row[1], 1) {
 			return
 		}
 	}

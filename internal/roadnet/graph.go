@@ -31,12 +31,15 @@ type Graph struct {
 	revCost []float32
 	bounds  geo.Rect
 
-	// ALT preprocessing (immutable after Build; see alt.go).
+	// ALT preprocessing (immutable after Build; see alt.go). landPack is the
+	// one landmark table both engines read, node-major over the k landmarks:
+	// landPack[v*2k+2i] = dist(v -> landmarks[i]), [v*2k+2i+1] =
+	// dist(landmarks[i] -> v), so a bound between two nodes touches two
+	// contiguous rows instead of 2k scattered columns.
 	landmarks []geo.NodeID
-	landFrom  [][]float64 // landFrom[i][v] = dist(landmarks[i] -> v)
-	landTo    [][]float64 // landTo[i][v]   = dist(v -> landmarks[i])
-	altMul    float64     // multiplicative admissibility slack
-	altAbs    float64     // absolute admissibility slack (seconds)
+	landPack  []float64
+	altMul    float64 // multiplicative admissibility slack
+	altAbs    float64 // absolute admissibility slack (seconds)
 
 	// diam is the largest finite landmark distance observed during ALT
 	// preprocessing — an observed lower bound on the diameter that doubles

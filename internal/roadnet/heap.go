@@ -40,7 +40,14 @@ func (h *minHeap[K]) pop() heapItem[K] {
 	n := len(q) - 1
 	q[0] = q[n]
 	q = q[:n]
-	i := 0
+	q.down(0)
+	*h = q
+	return top
+}
+
+// down sifts entry i toward the leaves until neither child is smaller.
+func (q minHeap[K]) down(i int) {
+	n := len(q)
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
@@ -51,11 +58,17 @@ func (h *minHeap[K]) pop() heapItem[K] {
 			s = r
 		}
 		if s == i {
-			break
+			return
 		}
 		q[i], q[s] = q[s], q[i]
 		i = s
 	}
-	*h = q
-	return top
+}
+
+// heapify restores the heap order over arbitrary contents in O(len), in
+// place: what a search does after re-keying its whole frontier.
+func (q minHeap[K]) heapify() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }

@@ -22,9 +22,27 @@ import (
 // bound on every remaining path's float32 fold, because the heuristic is
 // admissible for the float32 metric — reaches it. The result is therefore
 // the same min-over-paths float32 left-fold the full Dijkstra computes,
-// bit for bit; the property tests enforce this on random jittered cities.
+// bit for bit, whatever order the queue pops in; the property tests enforce
+// this on random jittered cities.
 //
-// Concurrency: the graph and landmark arrays are immutable after Build;
+// The heuristic ranges over the *pending* targets only: h(v) is the smallest
+// landmark bound from v to a target not yet finalized (heuristic). A target
+// that is the source itself, or already final, would pin h near 0 around it
+// and flood the search; it is never asked about again, so it has no say in
+// where the search goes. When a pop finalizes a target and others remain,
+// the frontier is re-keyed for the smaller set (settle, rekey). Why keys of
+// different vintages may share one queue: a bound minimized over a superset
+// of the pending targets is <= the bound minimized over the pending ones, so
+// an entry keyed before a target left — or a popped key read after — still
+// lower-bounds every improving path through it to every target that is
+// *still* pending. That is all the three consumers of a key ever use: the
+// finalization rule (dist[t] <= min key, for pending t), the budget stop
+// (min key > budget means no pending target is within budget) and the
+// hierarchy's maxUB/maxUBh prunes (maxima over pending tentative folds).
+// Re-keying never makes an answer right; it only stops the search paying
+// for targets it has already answered.
+//
+// Concurrency: the graph and landmark table are immutable after Build;
 // all mutable search state lives in a pooled scratch, so any number of
 // goroutines may query concurrently (the sweep engine shares one Graph
 // across replicate runs).
@@ -40,14 +58,24 @@ type scratch struct {
 	// for ALT; 2n for the hierarchy (node = climbing, node+n = descending).
 	dist []float32
 	gen  []uint32
-	// hval/hgen cache the per-node heuristic under the target-set epoch
-	// hcur, which only advances when sc.uniq changes — so a matrix's
-	// sources share one heuristic evaluation per node.
-	hval []float64
-	hgen []uint32
 	cur  uint32
-	hcur uint32
-	heap minHeap[float64]
+	// hval/hgen cache the heuristic per node under the epoch hcur. An epoch
+	// stands for one (target set, pending subset, deflation) and is never
+	// reused for another: hseq hands them out, and a search draws a fresh one
+	// whenever its pending set changes. The one epoch that outlives a search
+	// is hall, "every target of the current set pending": searches that start
+	// there — each source of a single-target ring, the sources of a matrix
+	// disjoint from its targets — return to it, so they share one heuristic
+	// evaluation per node until their first target is finalized.
+	hval       []float64
+	hgen       []uint32
+	hcur       uint32
+	hall       uint32
+	hseq       uint32
+	hon        bool    // false: h = 0 (no landmarks, or too many pending targets)
+	hmul, habs float64 // this search's deflation of the landmark gap
+	heap       minHeap[float64]
+	pops       uint64 // heap pops since the scratch was made: the effort tests' counter
 
 	// Target descent cone (hierarchy only, nil otherwise): the set of nodes
 	// from which some target is reachable by downward edges alone, marked by
@@ -58,11 +86,13 @@ type scratch struct {
 	// edges are also bucketed by tail node (tFirst and coneEdge.next form
 	// per-node linked lists), so the search relaxes exactly the useful down
 	// edges instead of scanning a high-rank node's entire down list against
-	// the marks. Computed once per target-set epoch, so a matrix's sources
-	// share one marking pass.
+	// the marks. Computed once per target set (epoch tcur) over all of its
+	// targets, so a matrix's sources share one marking pass; the cone of a
+	// superset of the pending targets is still lossless.
 	coneMark []uint32
 	coneQ    []int32
 	coneEp   uint32
+	tcur     uint32
 	tStamp   []uint32
 	tFirst   []int32
 	// Packed relax inputs per bucketed edge, copied out of the arena once
@@ -119,6 +149,18 @@ func (sc *scratch) nextGen() {
 	sc.heap = sc.heap[:0]
 }
 
+// newEpoch hands out a heuristic epoch no cached value carries. On uint32
+// wraparound the stamps are zeroed; hall keeps its (now unstamped) number,
+// which the counter cannot reach again within one target set.
+func (sc *scratch) newEpoch() uint32 {
+	sc.hseq++
+	if sc.hseq == 0 {
+		clear(sc.hgen)
+		sc.hseq = 1
+	}
+	return sc.hseq
+}
+
 // setTargets installs a new target set: deduplicated into sc.uniq with each
 // output column's slot in sc.colIdx, sc.res sized to match, and the cached
 // heuristic values and cone invalidated. Callers invoke it once per distinct
@@ -141,20 +183,164 @@ func (sc *scratch) setTargets(targets ...geo.NodeID) {
 		sc.res = make([]float64, len(sc.uniq))
 	}
 	sc.res = sc.res[:len(sc.uniq)]
-	sc.hcur++
-	if sc.hcur == 0 {
-		clear(sc.hgen)
+	sc.hall = sc.newEpoch()
+	sc.tcur++
+	if sc.tcur == 0 {
 		clear(sc.coneMark)
 		clear(sc.tStamp)
 		sc.coneEp = 0
-		sc.hcur = 1
+		sc.tcur = 1
 	}
 }
 
-// maxHeuristicWork bounds targets x landmarks per heuristic evaluation;
-// beyond it the search falls back to h = 0 (goal-stopped Dijkstra), which
-// is still exact — the heuristic only prunes.
+// maxHeuristicWork bounds pending targets x landmarks per heuristic
+// evaluation; beyond it the search runs on h = 0 (goal-stopped Dijkstra),
+// which is still exact — the heuristic only prunes — until enough targets
+// are finalized to bring it back under.
 const maxHeuristicWork = 128
+
+// begin starts a search from src over sc.uniq under the given deflation:
+// results reset, and the pending set reduced to the targets a search is
+// actually needed for — a target equal to src is final at 0 before the first
+// push, and a +Inf landmark gap from src is an exact unreachability proof
+// (landGap), which keeps one stranded node in a matrix from forcing a
+// full-component search per source. It reports whether anything is pending.
+func (g *Graph) begin(sc *scratch, src geo.NodeID, mul, abs float64) bool {
+	sc.nextGen()
+	inf := math.Inf(1)
+	sp := g.landRow(src)
+	sc.pending = sc.pending[:0]
+	for k, t := range sc.uniq {
+		sc.res[k] = inf
+		switch {
+		case t == src:
+			sc.res[k] = 0
+		case math.IsInf(landGap(sp, g.landRow(t)), 1):
+			// Proven unreachable: stays +Inf, no search needed.
+		default:
+			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
+			sc.pending = append(sc.pending, k)
+		}
+	}
+	sc.hmul, sc.habs = mul, abs
+	sc.hcur = sc.hall
+	if len(sc.pending) < len(sc.uniq) {
+		sc.hcur = sc.newEpoch()
+	}
+	sc.hon = g.heuristicPays(sc)
+	return len(sc.pending) > 0
+}
+
+// heuristicPays reports whether the pending set is small enough for the
+// landmark heuristic to be evaluated (maxHeuristicWork).
+func (g *Graph) heuristicPays(sc *scratch) bool {
+	return len(g.landmarks) > 0 && len(sc.pending)*len(g.landmarks) <= maxHeuristicWork
+}
+
+// heuristic is h(v) for the search in progress: the smallest deflated
+// landmark bound from v to any pending target, cached under the epoch of
+// that pending set.
+func (g *Graph) heuristic(sc *scratch, v geo.NodeID) float64 {
+	if !sc.hon {
+		return 0
+	}
+	if sc.hgen[v] == sc.hcur {
+		return sc.hval[v]
+	}
+	b := math.Inf(1)
+	vp := g.landRow(v)
+	for _, ti := range sc.pending {
+		if bt := deflate(landGap(vp, g.landRow(sc.uniq[ti])), sc.hmul, sc.habs); bt < b {
+			b = bt
+		}
+	}
+	sc.hval[v] = b
+	sc.hgen[v] = sc.hcur
+	return b
+}
+
+// tentative reads a target's best tentative fold in the search in progress:
+// its one label on ALT (off = 0), the better of its climbing and descending
+// labels on the hierarchy (off = n).
+func (sc *scratch) tentative(t, off geo.NodeID) (float32, bool) {
+	d, ok := float32(0), false
+	if sc.gen[t] == sc.cur {
+		d, ok = sc.dist[t], true
+	}
+	if sc.gen[t+off] == sc.cur && (!ok || sc.dist[t+off] < d) {
+		d, ok = sc.dist[t+off], true
+	}
+	return d, ok
+}
+
+// settle is the finalization rule, shared by both search bodies. key is the
+// minimum over the frontier, and every improving path to a pending target
+// passes through an entry whose key lower-bounds the path's float32 fold, so
+// a pending target whose tentative fold is <= key is final. If that shrinks
+// the pending set without emptying it, the frontier is re-keyed for the
+// targets that remain. For the hierarchy's prunes it also reports the worst
+// tentative fold among the targets still pending, and whether all have one.
+func (g *Graph) settle(sc *scratch, key float64, off geo.NodeID) (ub float64, allReached bool) {
+	allReached = true
+	before := len(sc.pending)
+	for k := before - 1; k >= 0; k-- {
+		ti := sc.pending[k]
+		d, ok := sc.tentative(sc.uniq[ti], off)
+		switch {
+		case ok && float64(d) <= key:
+			sc.res[ti] = float64(d)
+			sc.pending[k] = sc.pending[len(sc.pending)-1]
+			sc.pending = sc.pending[:len(sc.pending)-1]
+		case !ok:
+			allReached = false
+		case float64(d) > ub:
+			ub = float64(d)
+		}
+	}
+	if left := len(sc.pending); left > 0 && left < before {
+		g.rekey(sc, off)
+	}
+	return ub, allReached
+}
+
+// rekey re-aims the frontier at a pending set that just shrank: a fresh
+// heuristic epoch, every live entry's key recomputed as dist + h over the
+// targets that remain, stale entries dropped, and the heap rebuilt — all in
+// the pooled heap's own storage, at most once per target per search. With
+// h = 0 before and after there is nothing to re-aim.
+func (g *Graph) rekey(sc *scratch, off geo.NodeID) {
+	was := sc.hon
+	sc.hcur = sc.newEpoch()
+	sc.hon = g.heuristicPays(sc)
+	if !was && !sc.hon {
+		return
+	}
+	live := 0
+	for _, it := range sc.heap {
+		if it.dist > sc.dist[it.node] {
+			continue // stale: a better entry for this state is queued or done
+		}
+		v := it.node
+		if off > 0 && v >= off {
+			v -= off
+		}
+		it.key = float64(it.dist) + g.heuristic(sc, v)
+		sc.heap[live] = it
+		live++
+	}
+	sc.heap = sc.heap[:live]
+	sc.heap.heapify()
+}
+
+// drain ends a search whose queue ran dry: every reachable state's label is
+// final, and targets never reached stay +Inf.
+func (sc *scratch) drain(off geo.NodeID) {
+	for _, ti := range sc.pending {
+		if d, ok := sc.tentative(sc.uniq[ti], off); ok {
+			sc.res[ti] = float64(d)
+		}
+	}
+}
 
 // search is the ladder: one exact multi-target search from src over
 // sc.uniq into sc.res, on the hierarchy when the graph has one and on ALT
@@ -174,22 +360,28 @@ func (g *Graph) Cost(from, to geo.NodeID) float64 {
 	if from == to {
 		return 0
 	}
+	sc := g.getScratch()
+	d := g.costWith(sc, from, to)
+	g.pool.Put(sc)
+	return d
+}
+
+// costWith is Cost for from != to on a caller-held scratch.
+func (g *Graph) costWith(sc *scratch, from, to geo.NodeID) float64 {
 	// Landmark upper bound on the trip (src -> L -> to): lets the hierarchy
 	// scale its fold-error deflation to the trip instead of the diameter.
 	ubHint := math.Inf(1)
 	if g.ch != nil {
-		for i := range g.landmarks {
-			if ub := g.landTo[i][from] + g.landFrom[i][to]; ub < ubHint {
+		fp, tp := g.landRow(from), g.landRow(to)
+		for i := 0; i+1 < len(fp); i += 2 {
+			if ub := fp[i] + tp[i+1]; ub < ubHint {
 				ubHint = ub
 			}
 		}
 	}
-	sc := g.getScratch()
 	sc.setTargets(to)
 	g.search(sc, from, math.Inf(1), ubHint)
-	d := sc.res[0]
-	g.pool.Put(sc)
-	return d
+	return sc.res[0]
 }
 
 // CostALT answers a point-to-point query via the ALT engine whether or not
@@ -211,14 +403,21 @@ func (g *Graph) CostALT(from, to geo.NodeID) float64 {
 // multi-target search per distinct source: out is row-major with
 // len >= len(sources)*len(targets). Entries whose cost exceeds maxCost may
 // be reported as +Inf (every entry <= maxCost is exact); pass +Inf for the
-// full matrix. Matrix searches pass no ubHint: a per-source hint would
-// poison the heuristic cache the sources share.
+// full matrix.
 func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, out []float64) {
-	nt := len(targets)
-	if nt == 0 || len(sources) == 0 {
+	if len(targets) == 0 || len(sources) == 0 {
 		return
 	}
 	sc := g.getScratch()
+	g.matrixWith(sc, sources, targets, maxCost, out)
+	g.pool.Put(sc)
+}
+
+// matrixWith is costMatrixInto on a caller-held scratch. All sources search
+// one target set under the graph-wide deflation and no ubHint, which is what
+// lets those that start with every target pending share heuristic values.
+func (g *Graph) matrixWith(sc *scratch, sources, targets []geo.NodeID, maxCost float64, out []float64) {
+	nt := len(targets)
 	sc.setTargets(targets...)
 	for i, s := range sources {
 		row := out[i*nt : (i+1)*nt]
@@ -232,7 +431,6 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 			row[j] = sc.res[sc.colIdx[j]]
 		}
 	}
-	g.pool.Put(sc)
 }
 
 // nearestInto implements FillNearestWithin. Sources are searched in
@@ -245,9 +443,11 @@ func (g *Graph) costMatrixInto(sources, targets []geo.NodeID, maxCost float64, o
 // attaining m <= maxCost is searched — its bound is <= m <= B — and reported
 // as m; ties included, since B = m still admits cost m. A source left
 // unsearched has bound > B >= m, so it is neither the argmin nor tied with
-// it, and +Inf is a legal report. All searches share one target epoch: one
-// heuristic cache and, on the hierarchy, one buildCone — so, as in a matrix,
-// they pass no ubHint.
+// it, and +Inf is a legal report. All searches share one target set whose
+// single target is pending for the whole of each of them: one heuristic
+// epoch — one evaluation per node across the ring — and, on the hierarchy,
+// one buildCone; as in a matrix they pass no ubHint, which would give each
+// source its own deflation.
 func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
 	if len(sources) == 0 {
 		return
@@ -291,80 +491,24 @@ func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost flo
 // searchFrom runs one exact multi-target A* from src over sc.uniq, filling
 // sc.res (aligned with sc.uniq; +Inf for unreachable targets). Targets
 // farther than budget may be left at +Inf: once the minimum queue key —
-// an admissible lower bound on reaching any remaining target — exceeds
+// an admissible lower bound on reaching any pending target — exceeds
 // budget, no pending target can cost <= budget and the search stops.
 func (g *Graph) searchFrom(sc *scratch, src geo.NodeID, budget float64) {
-	sc.nextGen()
+	if !g.begin(sc, src, g.altMul, g.altAbs) {
+		return
+	}
 	cur := sc.cur
-	inf := math.Inf(1)
-
-	useALT := len(g.landmarks) > 0 && len(sc.uniq)*len(g.landmarks) <= maxHeuristicWork
-	hcur := sc.hcur
-	//det:hotalloc non-escaping closure, stack-allocated because h never leaves searchFrom
-	h := func(v geo.NodeID) float64 {
-		if !useALT {
-			return 0
-		}
-		if sc.hgen[v] == hcur {
-			return sc.hval[v]
-		}
-		b := inf
-		for _, t := range sc.uniq {
-			if bt := g.altBound(v, t); bt < b {
-				b = bt
-			}
-		}
-		sc.hval[v] = b
-		sc.hgen[v] = hcur
-		return b
-	}
-
-	sc.pending = sc.pending[:0]
-	for k := range sc.uniq {
-		sc.res[k] = inf
-		sc.pending = append(sc.pending, k)
-	}
-	// A +Inf landmark bound from src is an exact unreachability proof
-	// (see altBound); pre-finalizing such targets keeps one stranded node
-	// in a matrix from forcing a full-component search per source.
-	if len(g.landmarks) > 0 {
-		for k := len(sc.pending) - 1; k >= 0; k-- {
-			if math.IsInf(g.altBound(src, sc.uniq[sc.pending[k]]), 1) {
-				sc.pending[k] = sc.pending[len(sc.pending)-1]
-				sc.pending = sc.pending[:len(sc.pending)-1]
-			}
-		}
-		if len(sc.pending) == 0 {
-			return
-		}
-	}
-
 	sc.dist[src] = 0
 	sc.gen[src] = cur
-	sc.heap.push(heapItem[float64]{key: h(src), dist: 0, node: src})
+	sc.heap.push(heapItem[float64]{key: g.heuristic(sc, src), dist: 0, node: src})
 
 	for len(sc.heap) > 0 {
 		it := sc.heap.pop()
-		// it.key is the minimum over all remaining frontier entries, and
-		// every improving path to a target must pass through an entry whose
-		// key lower-bounds the path's float32 fold (admissible heuristic).
-		// A target whose tentative distance is <= it.key is final.
-		for k := len(sc.pending) - 1; k >= 0; k-- {
-			ti := sc.pending[k]
-			t := sc.uniq[ti]
-			if sc.gen[t] == cur && float64(sc.dist[t]) <= it.key {
-				sc.res[ti] = float64(sc.dist[t])
-				sc.pending[k] = sc.pending[len(sc.pending)-1]
-				sc.pending = sc.pending[:len(sc.pending)-1]
-			}
-		}
-		if len(sc.pending) == 0 {
-			sc.heap = sc.heap[:0]
-			return
-		}
-		if it.key > budget {
-			// Every pending target costs at least it.key > budget; the
-			// caller treats beyond-budget entries as unreachable.
+		sc.pops++
+		g.settle(sc, it.key, 0)
+		if len(sc.pending) == 0 || it.key > budget {
+			// Done, or every pending target costs at least it.key > budget;
+			// the caller treats beyond-budget entries as unreachable.
 			sc.heap = sc.heap[:0]
 			return
 		}
@@ -379,15 +523,8 @@ func (g *Graph) searchFrom(sc *scratch, src geo.NodeID, budget float64) {
 			}
 			sc.dist[v] = nd
 			sc.gen[v] = cur
-			sc.heap.push(heapItem[float64]{key: float64(nd) + h(v), dist: nd, node: v})
+			sc.heap.push(heapItem[float64]{key: float64(nd) + g.heuristic(sc, v), dist: nd, node: v})
 		}
 	}
-	// Queue exhausted: every reachable node's distance is final; targets
-	// never reached stay +Inf.
-	for _, ti := range sc.pending {
-		t := sc.uniq[ti]
-		if sc.gen[t] == cur {
-			sc.res[ti] = float64(sc.dist[t])
-		}
-	}
+	sc.drain(0)
 }

@@ -246,8 +246,8 @@ func TestLandmarksBuilt(t *testing.T) {
 	if len(g.landmarks) == 0 {
 		t.Fatal("100-node graph built without landmarks")
 	}
-	if len(g.landFrom) != len(g.landmarks) || len(g.landTo) != len(g.landmarks) {
-		t.Fatalf("landmark arrays misaligned: %d/%d/%d", len(g.landmarks), len(g.landFrom), len(g.landTo))
+	if want := 2 * len(g.landmarks) * g.NumNodes(); len(g.landPack) != want {
+		t.Fatalf("landmark table holds %d entries for %d landmarks, want %d", len(g.landPack), len(g.landmarks), want)
 	}
 	ref := Reference(g)
 	rng := rand.New(rand.NewSource(7))

@@ -1,0 +1,52 @@
+package route
+
+import (
+	"testing"
+
+	"watter/internal/dataset"
+	"watter/internal/geo"
+	"watter/internal/roadnet"
+)
+
+// BenchmarkLegBlockFill times what an order's insertion mostly pays for on a
+// road graph: the leg block of one pair test, filled and — most tests fail —
+// dropped again. The block arm is LegStore.block as the pool calls it (two
+// 2x2 cross fills plus the two within-order legs, which a fill-and-drop
+// cycle never finds in a sibling block); the point arm is the ten Cost calls
+// those legs stand for. Pairs are release-adjacent orders of a seeded CDC
+// evening-peak stream on the city's 1764-node jittered graph (the repository
+// benchmark's grid_alt city), answered by ALT or by the hierarchy.
+func BenchmarkLegBlockFill(b *testing.B) {
+	profile := dataset.CDC()
+	profile.RoadJitter, profile.RoadSeed = 0.3, 1
+	for _, engine := range []string{"alt", "ch"} {
+		city := profile.Build()
+		g := city.Net.(*roadnet.Lattice).Graph
+		if engine == "ch" {
+			g.EnableHierarchy()
+		}
+		stream := city.Orders(dataset.WorkloadConfig{Orders: 300, Seed: 3})
+		b.Run(engine+"/block", func(b *testing.B) {
+			store := NewLegStore(g)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo, hi := stream[i%256], stream[i%256+1]
+				blk, _ := store.block(lo, hi)
+				benchCostSink += blk[legWithinHi]
+				store.DropPair(lo.ID, hi.ID)
+			}
+		})
+		b.Run(engine+"/point", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo, hi := stream[i%256], stream[i%256+1]
+				for _, s := range [2]geo.NodeID{lo.Pickup, lo.Dropoff} {
+					for _, d := range [2]geo.NodeID{hi.Pickup, hi.Dropoff} {
+						benchCostSink += g.Cost(s, d) + g.Cost(d, s)
+					}
+				}
+				benchCostSink += g.Cost(lo.Pickup, lo.Dropoff) + g.Cost(hi.Pickup, hi.Dropoff)
+			}
+		})
+	}
+}

@@ -159,11 +159,10 @@ func TestLegStoreEvict(t *testing.T) {
 		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9, DirectCost: net.Cost(pu, do)}
 	}
 	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 25)
-	locs := make([]geo.NodeID, 4)
-	store.block(a, b, locs)
-	store.block(b, a, locs) // same pair, swapped: must hit, not refill
-	store.block(a, c, locs)
-	store.block(b, c, locs)
+	store.block(a, b)
+	store.block(b, a) // same pair, swapped: must hit, not refill
+	store.block(a, c)
+	store.block(b, c)
 	if store.Len() != 3 {
 		t.Fatalf("blocks = %d, want 3", store.Len())
 	}
@@ -180,7 +179,7 @@ func TestLegStoreEvict(t *testing.T) {
 		t.Fatalf("blocks after full evict = %d", store.Len())
 	}
 	_, fillsBefore := store.Stats()
-	store.block(a, b, locs)
+	store.block(a, b)
 	if _, fills := store.Stats(); fills != fillsBefore+1 {
 		t.Fatal("evicted block was resurrected instead of refilled")
 	}
@@ -196,34 +195,89 @@ func TestLegStoreDropPairRecyclesBlock(t *testing.T) {
 		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
 	}
 	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 63)
-	locs := make([]geo.NodeID, 4)
-	dropped, _ := store.block(a, b, locs)
+	dropped, _ := store.block(a, b)
 	store.DropPair(2, 1)
 	if store.Len() != 0 {
 		t.Fatalf("blocks after drop = %d", store.Len())
 	}
-	got, _ := store.block(a, c, locs)
+	got, _ := store.block(a, c)
 	if got != dropped {
 		t.Fatal("the dropped block was not recycled by the next fill")
 	}
+	// The ten cells a plan reads hold the a-c costs; the other six hold the
+	// sentinel, whatever the recycled block held there before.
 	var want legBlock
 	nodes := []geo.NodeID{a.Pickup, a.Dropoff, c.Pickup, c.Dropoff}
 	roadnet.FillCostMatrix(net, nodes, nodes, want[:])
-	if *got != want {
-		t.Fatalf("recycled block holds %v, want the a-c costs %v", *got, want)
+	for _, at := range legUnreadAt {
+		want[at] = legUnread
 	}
-	if again, _ := store.block(a, b, locs); again == got {
+	for at := range want {
+		if math.Float64bits(got[at]) != math.Float64bits(want[at]) {
+			t.Fatalf("recycled block cell %d holds %v, want %v (block %v)", at, got[at], want[at], *got)
+		}
+	}
+	if again, _ := store.block(a, b); again == got {
 		t.Fatal("a live block was handed out twice")
 	}
-	store.block(b, c, locs) // size the per-order index past the cycle below
+	store.block(b, c) // size the per-order index past the cycle below
 	if raceEnabled {
 		return // pooled search scratch is dropped at random; counts mean nothing
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		store.block(a, b, locs)
+		store.block(a, b)
 		store.DropPair(1, 2)
 	}); n != 0 {
 		t.Fatalf("a fill-and-drop cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestLegStoreDropPairLeavesNoIndexResidue: a failed pair test is fill, plan,
+// drop, and most tests fail — so a long-pooled order used to collect one
+// stale index key per arrival it was tested against, all of which Evict and
+// BlocksFor then walked. DropPair takes its two keys back out: however many
+// tests fail against a pooled order, its index holds its live blocks only.
+func TestLegStoreDropPairLeavesNoIndexResidue(t *testing.T) {
+	net := roadnet.NewPerturbedGrid(8, 8, 150, 8, 0.3, 2)
+	store := NewLegStore(net)
+	mkO := func(id int, pu, do geo.NodeID) *order.Order {
+		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
+	}
+	pooled, friend := mkO(1, 0, 5), mkO(2, 10, 15)
+	live, _ := store.block(pooled, friend) // an edge: this block stays
+	const arrivals = 40
+	for i := 0; i < arrivals; i++ {
+		o := mkO(100+i, geo.NodeID(16+i), geo.NodeID(63-i))
+		store.block(pooled, o)
+		store.DropPair(o.ID, pooled.ID)
+		if got := len(store.byOrder[o.ID]); got != 0 {
+			t.Fatalf("arrival %d keeps %d index keys after its only block was dropped", o.ID, got)
+		}
+	}
+	if got := len(store.byOrder[pooled.ID]); got != 1 {
+		t.Fatalf("pooled order indexes %d keys after %d failed tests, want its 1 live block", got, arrivals)
+	}
+	if store.Len() != 1 || store.BlocksFor(pooled.ID) != 1 || store.BlocksFor(friend.ID) != 1 {
+		t.Fatalf("live blocks: store %d, pooled %d, friend %d, want 1/1/1",
+			store.Len(), store.BlocksFor(pooled.ID), store.BlocksFor(friend.ID))
+	}
+	if hits, fills := store.Stats(); hits != 0 || fills != 1+arrivals {
+		t.Fatalf("hits=%d fills=%d, want 0/%d", hits, fills, 1+arrivals)
+	}
+	if again, _ := store.block(friend, pooled); again != live {
+		t.Fatal("the surviving block was replaced")
+	}
+	// Dropping a pair that is not the tail of its index (a third block was
+	// filled since) removes that key and no other.
+	third := mkO(3, 20, 25)
+	store.block(pooled, third)
+	store.DropPair(pooled.ID, friend.ID)
+	if keys := store.byOrder[pooled.ID]; len(keys) != 1 || keys[0] != (pairKey{1, 3}) {
+		t.Fatalf("pooled order indexes %v after dropping its first pair, want [{1 3}]", keys)
+	}
+	store.Evict(pooled.ID)
+	if store.Len() != 0 || store.BlocksFor(pooled.ID) != 0 {
+		t.Fatalf("evicting the pooled order left %d blocks", store.Len())
 	}
 }
 
@@ -249,7 +303,7 @@ func TestAdoptDeterministicOrder(t *testing.T) {
 	fill := func(ps []pair) *LegStore {
 		s := NewLegStore(net)
 		for _, p := range ps {
-			s.block(orders[p.i], orders[p.j], make([]geo.NodeID, 4))
+			s.block(orders[p.i], orders[p.j])
 		}
 		return s
 	}

@@ -242,8 +242,11 @@ func (c dpCase) String() string {
 // compares with the oracle: feasibility, then math.Float64bits of cost, τg
 // and each service time, and for the materializing paths every Stop and
 // every Arrive. The cost-only store arm runs twice so both the filling and
-// the warm assembly are covered. It reports the oracle's verdicts for the free and
-// for the case's own start.
+// the warm assembly are covered, and once more on a store that already holds
+// a block of every member with an order outside the group, so each member's
+// pickup -> dropoff leg is copied from a sibling block (from its lo rows for
+// odd members, its hi rows for even ones) instead of asked of the network.
+// It reports the oracle's verdicts for the free and for the case's own start.
 func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anchored bool) {
 	t.Helper()
 	net := holeNet{base, c.hole}
@@ -279,11 +282,24 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 	// Cost-only path: fresh legs, then a filling and a warm LegStore.
 	svc, wantSvc := make([]float64, MaxGroupSize), make([]float64, MaxGroupSize)
 	wantCost, wantExp, wantOK := oraclePlanGroupCost(p, c.orders, c.now, c.capacity, wantSvc)
-	store := NewLegStore(net)
+	store, siblings := NewLegStore(net), NewLegStore(net)
+	// holeNet offers no lower bounds, so the stores would ask it for every
+	// within-order leg; force the sibling lookup a graph city gets.
+	store.searched, siblings.searched = true, true
+	below := &order.Order{ID: 0, Pickup: c.orders[k-1].Dropoff, Dropoff: c.orders[0].Pickup}
+	above := &order.Order{ID: k + 1, Pickup: c.orders[0].Dropoff, Dropoff: c.orders[k-1].Pickup}
+	for i, o := range c.orders {
+		if i%2 == 0 {
+			siblings.block(o, below)
+		} else {
+			siblings.block(o, above)
+		}
+	}
 	for _, arm := range []struct {
 		name string
 		legs *LegStore
-	}{{"PlanGroupCost fresh", nil}, {"PlanGroupCost filling store", store}, {"PlanGroupCost warm store", store}} {
+	}{{"PlanGroupCost fresh", nil}, {"PlanGroupCost filling store", store}, {"PlanGroupCost warm store", store},
+		{"PlanGroupCost store holding sibling blocks", siblings}} {
 		cost, exp, ok := p.PlanGroupCost(c.orders, c.now, c.capacity, arm.legs, svc)
 		if ok != wantOK {
 			t.Fatalf("%s: kernel ok=%v, oracle ok=%v\ncase: %v", arm.name, ok, wantOK, c)

@@ -18,8 +18,8 @@
 // expiry τg and the per-member service times, allocating nothing. Both kinds
 // accept an optional LegStore so the leg matrix can be assembled from cached
 // per-pair cost blocks instead of fresh network queries; every assembled
-// entry is the same pure cost(l1, l2) value a fresh query would return, so
-// the two paths are bit-identical by construction.
+// entry the DP reads is the same pure cost(l1, l2) value a fresh query would
+// return, so the two paths are bit-identical by construction.
 package route
 
 import (
@@ -130,7 +130,9 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 // complete final state into sc's dp/parent tables, or -1 when the group is
 // infeasible. The leg matrix comes from the store's cached pair blocks when
 // store is non-nil and the group has pairs to share, from batched network
-// queries otherwise; either way every entry is cost(loc[a], loc[b]).
+// queries otherwise; either way every entry the DP reads is
+// cost(loc[a], loc[b]) (a block leaves the cells it cannot read — the
+// diagonal, dropoff_i -> pickup_i — at a sentinel).
 //
 // dp[rank(mask)*ne+last] is the earliest arrival offset at event last having
 // visited exactly mask, over the 3^k valid masks only (dptable.go). Each
@@ -159,11 +161,12 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	// many times. One batched many-to-many call fills the whole table: a
 	// Graph-backed network answers it with one pruned search per distinct
 	// event node instead of ne full-city Dijkstras. A LegStore skips even
-	// that, copying the entries out of per-pair blocks cached when the
-	// pair's shareability edge was first tested.
+	// that, copying the entries out of per-pair blocks filled — with the ten
+	// legs a pair's DP reads, no more — when the pair's shareability edge
+	// was first tested.
 	legs := sc.legs[:ne*ne]
 	if store != nil && k >= 2 {
-		assembleLegs(store, orders, ne, legs, sc.loc[:])
+		assembleLegs(store, orders, ne, legs)
 	} else {
 		loc := sc.loc[:ne]
 		for i, o := range orders {

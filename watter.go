@@ -262,6 +262,10 @@ var (
 	// non-finite or inconsistent field, a pickup or dropoff outside the
 	// network. The refused order moved no state; the platform stays usable.
 	ErrInvalidOrder = order.ErrInvalid
+	// ErrInvalidWorker is wrapped by every refusal of a malformed fleet — a
+	// location outside the network, a duplicate or non-positive ID, no
+	// capacity, a non-finite FreeAt. New built nothing.
+	ErrInvalidWorker = order.ErrInvalidWorker
 )
 
 // NewProxy builds a multi-city front tier owning one platform per spec.
