@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchgate clean
+.PHONY: build examples test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -80,46 +80,50 @@ fixtures:
 	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
 		-out internal/roadnet/testdata/grid6x5
 
-# Regenerate the sequential-vs-parallel engine baseline.
+# The seven bench targets write BENCH_*.json into BENCH_OUT. On their own they
+# re-record the committed baselines in the repository root (run them with
+# GOMAXPROCS=2: the gate refuses to compare reports recorded on different
+# cores); as prerequisites of benchgate they write into a scratch directory.
+BENCH_OUT = .
+
+# Sequential-vs-parallel sweep engine.
 benchsweep:
-	$(GO) run ./cmd/watterbench -benchsweep BENCH_sweep.json
+	$(GO) run ./cmd/watterbench -benchsweep $(BENCH_OUT)/BENCH_sweep.json
 
-# Regenerate the routing baseline: CH and ALT vs the reference Dijkstra.
+# Routing oracle: CH and ALT vs the reference Dijkstra.
 benchroute:
-	$(GO) run ./cmd/watterbench -benchroute BENCH_routing.json
+	$(GO) run ./cmd/watterbench -benchroute $(BENCH_OUT)/BENCH_routing.json
 
-# Regenerate the event-bus vs batch-replay overhead baseline.
+# Event bus vs batch replay.
 benchstream:
-	$(GO) run ./cmd/watterbench -benchstream BENCH_stream.json
+	$(GO) run ./cmd/watterbench -benchstream $(BENCH_OUT)/BENCH_stream.json
 
-# Regenerate the pool-maintenance plan-cache baseline.
+# Pool maintenance: plan cache vs replan-always.
 benchpool:
-	$(GO) run ./cmd/watterbench -benchpool BENCH_pool.json
+	$(GO) run ./cmd/watterbench -benchpool $(BENCH_OUT)/BENCH_pool.json
 
-# Regenerate the slot-sharded dispatch engine baseline.
+# Slot-sharded vs sequential dispatch.
 benchshard:
-	$(GO) run ./cmd/watterbench -benchshard BENCH_shard.json
+	$(GO) run ./cmd/watterbench -benchshard $(BENCH_OUT)/BENCH_shard.json
 
-# Regenerate the multi-city proxy baseline (isolation + HA bit-identity).
+# Multi-city proxy (isolation + HA bit-identity).
 benchproxy:
-	$(GO) run ./cmd/watterproxy -quiet -json BENCH_proxy.json
+	$(GO) run ./cmd/watterproxy -quiet -json $(BENCH_OUT)/BENCH_proxy.json
 
-# Regenerate the open-loop load-harness baseline (arrival rows + max
-# sustainable rate; everything virtual-clock deterministic).
+# Open-loop load harness (arrival rows + max sustainable rate; everything
+# virtual-clock deterministic).
 benchload:
-	$(GO) run ./cmd/watterload -quiet -json BENCH_load.json
+	$(GO) run ./cmd/watterload -quiet -json $(BENCH_OUT)/BENCH_load.json
 
-# Gate freshly produced /tmp reports against the committed baselines —
-# exactly the final CI step (run the bench steps first to produce them).
-benchgate:
-	$(GO) run ./cmd/benchgate \
-		BENCH_sweep.json=/tmp/bench_sweep_ci.json \
-		BENCH_routing.json=/tmp/bench_route_ci.json \
-		BENCH_stream.json=/tmp/bench_stream_ci.json \
-		BENCH_pool.json=/tmp/bench_pool_ci.json \
-		BENCH_shard.json=/tmp/bench_shard_ci.json \
-		BENCH_proxy.json=/tmp/bench_proxy_ci.json \
-		BENCH_load.json=/tmp/bench_load_ci.json
+benchdir:
+	mkdir -p $(BENCH_OUT)
+
+# Produce seven fresh reports and gate each against its committed namesake —
+# what CI's bench steps do, on the two cores the baselines were recorded on.
+benchgate: BENCH_OUT = /tmp/bench
+benchgate: export GOMAXPROCS = 2
+benchgate: benchdir benchsweep benchroute benchstream benchpool benchshard benchproxy benchload
+	$(GO) run ./cmd/benchgate . $(BENCH_OUT)
 
 clean:
 	$(GO) clean

@@ -1,267 +1,85 @@
-// Command benchgate is the CI bench-regression gate: it compares freshly
-// produced benchmark reports against the committed BENCH_*.json baselines
-// and fails when the perf trajectory regresses. Until now CI *wrote* the
-// bench JSONs but never *checked* them — a routing or caching regression
-// would merge silently; benchgate turns the smoke runs into an enforced
-// contract.
+// Command benchgate is the CI bench-regression gate: it pairs every committed
+// BENCH_*.json with the freshly produced report of the same name and fails
+// when a guarantee is false, a measurement left its band, or the two reports
+// cannot be compared. What is compared, and how, is the report's own
+// declaration — see internal/benchfmt for the schema, the four metric kinds
+// and the refusals.
 //
 // Usage:
 //
-//	benchgate [-frac 0.6] [-growth 1.5] BASELINE=FRESH [BASELINE=FRESH ...]
+//	benchgate BASELINE_DIR FRESH_DIR
 //
-// For every baseline/fresh report pair, three families of keys are gated:
-//
-//   - correctness flags — every baseline key matching *identical* or
-//     *deterministic* that is true (metrics_bit_identical,
-//     journal_deterministic, rate_search_deterministic, ...) must be true
-//     in the fresh report. These are hard guarantees: any false is a bug,
-//     not noise.
-//   - speedups and throughput — every numeric key containing "speedup" or
-//     "sustain" (sustained_orders_per_sec, max_sustainable_rate) must be
-//     at least -frac of the baseline value (default 0.6x: generous enough
-//     for shared CI runners, tight enough to catch a lost optimization).
-//   - overheads and latency tails — lower-is-better keys containing
-//     "overhead_factor" or "p99_latency" may grow to at most -growth
-//     times the baseline (default 1.5x). The p999 tail is reported but
-//     not gated: with a handful of observations per smoke run its bucket
-//     is too jumpy to hold a ratio against ("p999_latency_s" deliberately
-//     does not contain the substring "p99_latency").
-//
-// Reports may be flat objects or carry a "rows" array of per-scale rows
-// (BENCH_routing.json, BENCH_load.json): rows are matched between
-// baseline and fresh by their "city" key ("scenario" when no city key
-// exists) and gated with the same families, reported as rows[<name>].<key>.
-// Correctness flags are additionally absolute: any false hard flag
-// anywhere in a fresh report fails the gate even when the baseline has no
-// matching row — a new city scale never gets to ship with broken
-// bit-identity.
-//
-// Exit status is non-zero when any gate fails or a report is missing, so
-// the CI job fails loudly.
+// Exit status is non-zero when any check fails, any pair is refused or a
+// fresh report is missing.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strings"
+	"path/filepath"
+
+	"watter/internal/benchfmt"
 )
 
-type gateResult struct {
-	pair string
-	key  string
-	ok   bool
-	note string
-}
-
 func main() {
-	frac := flag.Float64("frac", 0.6, "minimum fresh/baseline speedup fraction")
-	growth := flag.Float64("growth", 1.5, "maximum fresh/baseline growth for lower-is-better factors")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchgate BASELINE_DIR FRESH_DIR")
+	}
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no BASELINE=FRESH pairs given")
+	if flag.NArg() != 2 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	if *frac <= 0 || *growth < 1 {
-		fmt.Fprintf(os.Stderr, "benchgate: -frac must be positive and -growth at least 1 (got %v, %v)\n", *frac, *growth)
-		os.Exit(2)
-	}
-
-	var results []gateResult
-	failed := false
-	for _, pair := range flag.Args() {
-		basePath, freshPath, ok := strings.Cut(pair, "=")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: malformed pair %q (want BASELINE=FRESH)\n", pair)
-			os.Exit(2)
-		}
-		rs, err := gatePair(basePath, freshPath, *frac, *growth)
-		if err != nil {
-			results = append(results, gateResult{pair: pair, key: "-", ok: false, note: err.Error()})
-			failed = true
-			continue
-		}
-		for _, r := range rs {
-			if !r.ok {
-				failed = true
-			}
-			results = append(results, r)
-		}
-	}
-
-	for _, r := range results {
-		status := "ok  "
-		if !r.ok {
-			status = "FAIL"
-		}
-		fmt.Printf("%s  %-46s %-28s %s\n", status, r.pair, r.key, r.note)
-	}
-	if failed {
+	if !run(flag.Arg(0), flag.Arg(1), os.Stdout) {
 		fmt.Fprintln(os.Stderr, "benchgate: benchmark baselines regressed")
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d checks passed across %d report pairs\n", len(results), flag.NArg())
 }
 
-// gatePair loads one baseline/fresh report pair and evaluates every gated
-// key of the baseline against the fresh values.
-func gatePair(basePath, freshPath string, frac, growth float64) ([]gateResult, error) {
-	base, err := loadReport(basePath)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %v", err)
+// run gates every BENCH_*.json of baseDir against its namesake in freshDir,
+// printing one line per check in file, row, metric order, and reports whether
+// everything passed.
+func run(baseDir, freshDir string, out io.Writer) bool {
+	baselines, _ := filepath.Glob(filepath.Join(baseDir, "BENCH_*.json")) // the pattern is well-formed
+	if len(baselines) == 0 {
+		fmt.Fprintf(out, "FAIL  no BENCH_*.json in %s\n", baseDir)
+		return false
 	}
-	fresh, err := loadReport(freshPath)
-	if err != nil {
-		return nil, fmt.Errorf("fresh: %v", err)
-	}
-	pair := fmt.Sprintf("%s=%s", basePath, freshPath)
-	// Speedups are workload-dependent: comparing reports produced at
-	// different -scale values would gate noise, so a mismatch is itself a
-	// failure (regenerate one side at the other's scale).
-	if bs, ok := base["scale"].(float64); ok {
-		if fs, ok := fresh["scale"].(float64); ok && fs != bs {
-			return nil, fmt.Errorf("scale mismatch: baseline %v vs fresh %v", bs, fs)
-		}
-	}
-	base, fresh = flatten(base), flatten(fresh)
-	// Gate in sorted key order so the report (and the first failure CI
-	// prints) is identical run to run — the gate holds itself to the
-	// determinism bar it enforces.
-	keys := make([]string, 0, len(base))
-	for key := range base {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var rs []gateResult
-	gated := 0
-	covered := make(map[string]bool)
-	for _, key := range keys {
-		bv := base[key]
-		switch {
-		case isHardFlag(key):
-			bb, ok := bv.(bool)
-			if !ok || !bb {
-				continue // a baseline that never held the guarantee can't gate it
-			}
-			gated++
-			covered[key] = true
-			fb, ok := fresh[key].(bool)
-			rs = append(rs, gateResult{
-				pair: pair, key: key, ok: ok && fb,
-				note: fmt.Sprintf("baseline=true fresh=%v", fresh[key]),
-			})
-		case strings.Contains(key, "speedup"), strings.Contains(key, "sustain"):
-			bf, ok := bv.(float64)
-			if !ok || bf <= 0 {
-				continue
-			}
-			gated++
-			ff, ok := fresh[key].(float64)
-			floor := frac * bf
-			rs = append(rs, gateResult{
-				pair: pair, key: key, ok: ok && ff >= floor,
-				note: fmt.Sprintf("fresh=%.3f floor=%.3f (baseline=%.3f x frac=%.2f)", ff, floor, bf, frac),
-			})
-		case strings.Contains(key, "overhead_factor"), strings.Contains(key, "p99_latency"):
-			bf, ok := bv.(float64)
-			if !ok || bf <= 0 {
-				continue
-			}
-			gated++
-			ff, ok := fresh[key].(float64)
-			ceil := growth * bf
-			rs = append(rs, gateResult{
-				pair: pair, key: key, ok: ok && ff <= ceil,
-				note: fmt.Sprintf("fresh=%.3f ceiling=%.3f (baseline=%.3f x growth=%.2f)", ff, ceil, bf, growth),
-			})
-		}
-	}
-	// Correctness flags are absolute, not merely non-regressing: a fresh
-	// row the baseline has never seen (a new city scale) still must hold
-	// every bit-identity guarantee it claims a flag for.
-	fkeys := make([]string, 0, len(fresh))
-	for key := range fresh {
-		fkeys = append(fkeys, key)
-	}
-	sort.Strings(fkeys)
-	for _, key := range fkeys {
-		if covered[key] || !isHardFlag(key) {
+	passed, ok := 0, true
+	for _, basePath := range baselines {
+		name := filepath.Base(basePath)
+		checks, err := gateFile(basePath, filepath.Join(freshDir, name))
+		if err != nil {
+			fmt.Fprintf(out, "FAIL  %-18s %v\n", name, err)
+			ok = false
 			continue
 		}
-		if fb, ok := fresh[key].(bool); ok && !fb {
-			gated++
-			rs = append(rs, gateResult{
-				pair: pair, key: key, ok: false,
-				note: "fresh=false (hard guarantee, gated without baseline coverage)",
-			})
-		}
-	}
-	if gated == 0 {
-		return nil, fmt.Errorf("baseline %s exposes no gated keys (identical/deterministic/speedup/sustain/overhead_factor/p99_latency)", basePath)
-	}
-	// Stable output: sort by key.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].key < rs[j-1].key; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-	return rs, nil
-}
-
-// isHardFlag reports whether a key names a boolean guarantee gated as a
-// hard pass/fail: bit-identity flags and run-to-run determinism flags.
-func isHardFlag(key string) bool {
-	return strings.Contains(key, "identical") || strings.Contains(key, "deterministic")
-}
-
-// flatten folds a report's "rows" array (if any) into the flat key space:
-// each row becomes rows[<name>].<key> entries, matched across reports by
-// the row's "city" value, then its "scenario" value (BENCH_load.json),
-// then its index. Scalar keys pass through untouched, so flat reports
-// gate exactly as before.
-func flatten(m map[string]any) map[string]any {
-	rows, ok := m["rows"].([]any)
-	if !ok {
-		return m
-	}
-	out := make(map[string]any, len(m))
-	for k, v := range m {
-		if k != "rows" {
-			out[k] = v
-		}
-	}
-	for i, rv := range rows {
-		row, ok := rv.(map[string]any)
-		if !ok {
-			continue
-		}
-		name := fmt.Sprintf("%d", i)
-		if city, ok := row["city"].(string); ok && city != "" {
-			name = city
-		} else if scen, ok := row["scenario"].(string); ok && scen != "" {
-			name = scen
-		}
-		//det:unordered pure map-to-map copy under an injective key rename; consumers re-sort the flat key space
-		for k, v := range row {
-			if k == "city" || k == "scenario" {
-				continue
+		for _, c := range checks {
+			status := "ok  "
+			if !c.OK {
+				status, ok = "FAIL", false
+			} else {
+				passed++
 			}
-			out[fmt.Sprintf("rows[%s].%s", name, k)] = v
+			fmt.Fprintf(out, "%s  %-18s %-52s %-9s %s\n", status, name, c.Row+"."+c.Metric, c.Kind, c.Note)
 		}
 	}
-	return out
+	if ok {
+		fmt.Fprintf(out, "benchgate: %d checks passed across %d reports\n", passed, len(baselines))
+	}
+	return ok
 }
 
-func loadReport(path string) (map[string]any, error) {
-	blob, err := os.ReadFile(path)
+func gateFile(basePath, freshPath string) ([]benchfmt.Check, error) {
+	baseline, err := benchfmt.Read(basePath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	fresh, err := benchfmt.Read(freshPath)
+	if err != nil {
+		return nil, fmt.Errorf("fresh: %w", err)
 	}
-	return m, nil
+	return benchfmt.Gate(baseline, fresh)
 }

@@ -24,7 +24,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"watter/internal/benchfmt"
 	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/exp"
@@ -79,36 +80,21 @@ func main() {
 		}
 		return
 	}
-	if *benchsweep != "" {
-		if err := runBenchSweep(*benchsweep, *scale, *seed, *parallel, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	benchModes := []struct {
+		path string
+		run  func(path string) error
+	}{
+		{*benchsweep, func(p string) error { return runBenchSweep(p, *scale, *seed, *parallel, *quiet) }},
+		{*benchroute, func(p string) error { return runBenchRoute(p, *scale, *seed, *quiet) }},
+		{*benchstream, func(p string) error { return runBenchStream(p, *scale, *seed, *quiet) }},
+		{*benchpool, func(p string) error { return runBenchPool(p, *scale, *seed, *quiet) }},
+		{*benchshard, func(p string) error { return runBenchShard(p, *scale, *seed, *shards, *quiet) }},
 	}
-	if *benchroute != "" {
-		if err := runBenchRoute(*benchroute, *scale, *seed, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	for _, m := range benchModes {
+		if m.path == "" {
+			continue
 		}
-		return
-	}
-	if *benchstream != "" {
-		if err := runBenchStream(*benchstream, *scale, *seed, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchpool != "" {
-		if err := runBenchPool(*benchpool, *scale, *seed, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchshard != "" {
-		if err := runBenchShard(*benchshard, *scale, *seed, *shards, *quiet); err != nil {
+		if err := m.run(m.path); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -202,18 +188,28 @@ func writeCSV(f *os.File, sweepID string, results []*exp.Result) {
 	}
 }
 
-// benchReport is the JSON shape of the engine benchmark (BENCH_sweep.json).
-type benchReport struct {
-	City              string  `json:"city"`
-	Jobs              int     `json:"jobs"`
-	Cells             int     `json:"cells"`
-	Scale             float64 `json:"scale"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Parallel          int     `json:"parallel"`
-	SequentialSeconds float64 `json:"sequential_seconds"`
-	ParallelSeconds   float64 `json:"parallel_seconds"`
-	Speedup           float64 `json:"speedup"`
-	Identical         bool    `json:"metrics_bit_identical"`
+// finish is the one tail of every -bench* mode: write the report, print the
+// metrics it declares gated, and fail on a guarantee that came back false
+// (after writing, so the evidence is on disk).
+func finish(rep *benchfmt.Report, path string) error {
+	if err := rep.Write(path); err != nil {
+		return err
+	}
+	for _, row := range rep.Rows {
+		fmt.Printf("%s: %s:", rep.Tool, row.Name)
+		for _, m := range row.Metrics {
+			if m.Kind == benchfmt.KindInfo {
+				continue
+			}
+			if v, ok := m.Value.(float64); ok {
+				fmt.Printf(" %s=%.4g%s", m.Name, v, m.Unit)
+			} else {
+				fmt.Printf(" %s=%v", m.Name, m.Value)
+			}
+		}
+		fmt.Println()
+	}
+	return rep.Err()
 }
 
 // runBenchSweep times one fixed CDC matrix (strategies + baselines x order
@@ -262,72 +258,17 @@ func runBenchSweep(path string, scale float64, seed int64, parallel int, quiet b
 			break
 		}
 	}
-	rep := benchReport{
-		City:              "CDC",
-		Jobs:              len(seq.Jobs),
-		Cells:             len(seq.Cells),
-		Scale:             scale,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Parallel:          parallel,
-		SequentialSeconds: seq.Elapsed.Seconds(),
-		ParallelSeconds:   par.Elapsed.Seconds(),
-		Speedup:           seq.Elapsed.Seconds() / par.Elapsed.Seconds(),
-		Identical:         identical,
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchsweep: %d jobs  sequential=%.2fs  parallel(%d)=%.2fs  speedup=%.2fx  identical=%v\n",
-		rep.Jobs, rep.SequentialSeconds, rep.Parallel, rep.ParallelSeconds, rep.Speedup, rep.Identical)
-	if !identical {
-		return fmt.Errorf("benchsweep: parallel run diverged from sequential metrics")
-	}
-	return nil
-}
-
-// routeRow is one city scale in the routing engine benchmark
-// (BENCH_routing.json): both engines of the graph's ladder — CH and ALT —
-// and the reference Dijkstra, timed over the same single-pair probe set, and
-// the engines again over leg blocks, the shape the dispatcher spends most of
-// an order's insertion in.
-type routeRow struct {
-	City             string  `json:"city"`
-	Nodes            int     `json:"nodes"`
-	Landmarks        int     `json:"landmarks"`
-	CHShortcuts      int     `json:"ch_shortcuts"`
-	CHCore           int     `json:"ch_core"`
-	CHBuildSecs      float64 `json:"ch_build_seconds"`
-	Probes           int     `json:"probes"`
-	CHSecs           float64 `json:"ch_seconds"`
-	ALTSecs          float64 `json:"alt_seconds"`
-	ColdSSSPSecs     float64 `json:"cold_dijkstra_seconds"`
-	SpeedupCHvsALT   float64 `json:"speedup_ch_vs_alt"`
-	SpeedupCHvsCold  float64 `json:"speedup_ch_vs_cold"`
-	SpeedupALTvsCold float64 `json:"speedup_alt_vs_cold"`
-	AmortizeProbes   float64 `json:"ch_build_amortize_probes"`
-	Identical        bool    `json:"distances_bit_identical"`
-	UnreachablePct   float64 `json:"unreachable_pct"`
-	// The leg-block probe: Blocks pairs of consecutive probes, each priced as
-	// route.LegStore fills a pair's block (legBlock). The ALT arm exists only
-	// on rows small enough that Build leaves the hierarchy out: a graph that
-	// has one answers every batched fill with it.
-	Blocks           int     `json:"matrix4_blocks"`
-	CHMatrix4Secs    float64 `json:"ch_matrix4_seconds"`
-	ALTMatrix4Secs   float64 `json:"alt_matrix4_seconds,omitempty"`
-	Matrix4Identical bool    `json:"matrix4_bit_identical"`
-}
-
-// routeReport is the JSON shape of the routing engine benchmark
-// (BENCH_routing.json): one row per city scale.
-type routeReport struct {
-	Scale      float64    `json:"scale"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Rows       []routeRow `json:"rows"`
+	rep := benchfmt.New("watterbench -benchsweep", scale, seed)
+	rep.Add("CDC",
+		benchfmt.Info("jobs", "count", len(seq.Jobs)),
+		benchfmt.Info("cells", "count", len(seq.Cells)),
+		benchfmt.Info("parallel", "count", parallel),
+		benchfmt.Info("sequential_seconds", "s", seq.Elapsed.Seconds()),
+		benchfmt.Info("parallel_seconds", "s", par.Elapsed.Seconds()),
+		benchfmt.Floor("speedup", "x", seq.Elapsed.Seconds()/par.Elapsed.Seconds()),
+		benchfmt.Identical("metrics_bit_identical", identical),
+	)
+	return finish(rep, path)
 }
 
 // legBlock prices the ten legs of one order pair's leg block the way
@@ -340,14 +281,18 @@ func legBlock(net roadnet.Network, locs []geo.NodeID, legs []float64) {
 	legs[8], legs[9] = net.Cost(locs[0], locs[1]), net.Cost(locs[2], locs[3])
 }
 
-// benchRouteRow times one city through three point-to-point regimes over
-// the same probe set: the contraction hierarchy, the ALT engine it replaces
-// on large graphs, and the reference — one full single-source Dijkstra per
-// probe, what a graph with no engine would pay. Probes are single
-// pickup→dropoff pairs, what admission and every within-order leg ask. The
-// leg-block probe then prices pairs of consecutive probes as blocks, on the
-// engines' batched path. All arms must agree with the reference bit for bit.
-func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf func(string, ...any)) routeRow {
+// benchRouteRow adds one city scale to the routing report (BENCH_routing.json),
+// timed through three point-to-point regimes over the same probe set: the
+// contraction hierarchy, the ALT engine it replaces on large graphs, and the
+// reference — one full single-source Dijkstra per probe, what a graph with no
+// engine would pay. Probes are single pickup→dropoff pairs, what admission and
+// every within-order leg ask. The leg-block probe then prices pairs of
+// consecutive probes as blocks (legBlock), on the engines' batched path; its
+// ALT arm exists only on rows small enough that Build leaves the hierarchy
+// out, since a graph that has one answers every batched fill with it. All arms
+// must agree with the reference bit for bit. The returned error says the
+// hierarchy did not beat the reference.
+func benchRouteRow(rep *benchfmt.Report, city string, g *roadnet.Graph, probes int, seed int64, logf func(string, ...any)) error {
 	rng := rand.New(rand.NewSource(seed*7919 + int64(g.NumNodes())))
 	// Sources recur (48 distinct), as pickups do in a dispatch stream; the
 	// draw order also fixes the probe set the committed series was timed on.
@@ -438,28 +383,34 @@ func benchRouteRow(city string, g *roadnet.Graph, probes int, seed int64, logf f
 		amortize = math.Ceil(g.HierarchyBuildSeconds() / perProbeGain)
 	}
 
-	return routeRow{
-		City:             city,
-		Nodes:            g.NumNodes(),
-		Landmarks:        g.NumLandmarks(),
-		CHShortcuts:      g.NumShortcuts(),
-		CHCore:           g.CoreSize(),
-		CHBuildSecs:      g.HierarchyBuildSeconds(),
-		Probes:           probes,
-		CHSecs:           chSecs,
-		ALTSecs:          altSecs,
-		ColdSSSPSecs:     coldSecs,
-		SpeedupCHvsALT:   altSecs / chSecs,
-		SpeedupCHvsCold:  coldSecs / chSecs,
-		SpeedupALTvsCold: coldSecs / altSecs,
-		AmortizeProbes:   amortize,
-		Identical:        identical,
-		UnreachablePct:   100 * float64(unreachable) / float64(probes),
-		Blocks:           len(blocks),
-		CHMatrix4Secs:    chBlockSecs,
-		ALTMatrix4Secs:   altBlockSecs,
-		Matrix4Identical: blocksIdentical,
+	metrics := []benchfmt.Metric{
+		benchfmt.Info("nodes", "count", g.NumNodes()),
+		benchfmt.Info("landmarks", "count", g.NumLandmarks()),
+		benchfmt.Info("ch_shortcuts", "count", g.NumShortcuts()),
+		benchfmt.Info("ch_core", "count", g.CoreSize()),
+		benchfmt.Info("ch_build_seconds", "s", g.HierarchyBuildSeconds()),
+		benchfmt.Info("probes", "count", probes),
+		benchfmt.Info("ch_seconds", "s", chSecs),
+		benchfmt.Info("alt_seconds", "s", altSecs),
+		benchfmt.Info("cold_dijkstra_seconds", "s", coldSecs),
+		benchfmt.Floor("speedup_ch_vs_alt", "x", altSecs/chSecs),
+		benchfmt.Floor("speedup_ch_vs_cold", "x", coldSecs/chSecs),
+		benchfmt.Floor("speedup_alt_vs_cold", "x", coldSecs/altSecs),
+		benchfmt.Info("ch_build_amortize_probes", "count", amortize),
+		benchfmt.Identical("distances_bit_identical", identical),
+		benchfmt.Info("unreachable_pct", "%", 100*float64(unreachable)/float64(probes)),
+		benchfmt.Info("matrix4_blocks", "count", len(blocks)),
+		benchfmt.Info("ch_matrix4_seconds", "s", chBlockSecs),
+		benchfmt.Identical("matrix4_bit_identical", blocksIdentical),
 	}
+	if altLegs != nil {
+		metrics = append(metrics, benchfmt.Info("alt_matrix4_seconds", "s", altBlockSecs))
+	}
+	rep.Add(city, metrics...)
+	if coldSecs <= chSecs {
+		return fmt.Errorf("benchroute: %s: CH (%.3fs) did not beat the cold Dijkstra path (%.3fs)", city, chSecs, coldSecs)
+	}
+	return nil
 }
 
 // runBenchRoute benchmarks the routing oracle at two city scales: the
@@ -484,11 +435,10 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 		return side
 	}
 
+	rep := benchfmt.New("watterbench -benchroute", scale, seed)
 	small := sideAt(70, 12)
 	gSmall := roadnet.NewPerturbedGrid(small, small, 200, 8, 0.3, seed)
-	rows := []routeRow{
-		benchRouteRow(fmt.Sprintf("perturbed-grid-%dx%d", small, small), gSmall, 4096, seed, logf),
-	}
+	slowSmall := benchRouteRow(rep, fmt.Sprintf("perturbed-grid-%dx%d", small, small), gSmall, 4096, seed, logf)
 
 	big := sideAt(320, 40)
 	var gr, co bytes.Buffer
@@ -500,53 +450,11 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 	if err != nil {
 		return err
 	}
-	rows = append(rows,
-		benchRouteRow(fmt.Sprintf("dimacs-metro-%dx%d", big, big), gBig, 384, seed, logf))
-
-	rep := routeReport{Scale: scale, GOMAXPROCS: runtime.GOMAXPROCS(0), Rows: rows}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	slowBig := benchRouteRow(rep, fmt.Sprintf("dimacs-metro-%dx%d", big, big), gBig, 384, seed, logf)
+	if err := finish(rep, path); err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("benchroute: %s (%d nodes)  ch=%.3fs  alt=%.3fs  cold=%.3fs  ch-vs-alt=%.1fx  ch-vs-cold=%.1fx  build=%.1fs (amortized in %.0f probes)  identical=%v\n",
-			r.City, r.Nodes, r.CHSecs, r.ALTSecs, r.ColdSSSPSecs,
-			r.SpeedupCHvsALT, r.SpeedupCHvsCold, r.CHBuildSecs, r.AmortizeProbes, r.Identical)
-		alt := "n/a (Build installed the hierarchy)"
-		if r.ALTMatrix4Secs > 0 {
-			alt = fmt.Sprintf("%.3fs", r.ALTMatrix4Secs)
-		}
-		fmt.Printf("benchroute: %s  %d leg blocks  ch=%.3fs  alt=%s  identical=%v\n",
-			r.City, r.Blocks, r.CHMatrix4Secs, alt, r.Matrix4Identical)
-		if !r.Identical || !r.Matrix4Identical {
-			return fmt.Errorf("benchroute: %s: engines diverged from the Dijkstra reference", r.City)
-		}
-		if r.SpeedupCHvsCold <= 1 {
-			return fmt.Errorf("benchroute: %s: CH (%.3fs) did not beat the cold Dijkstra path (%.3fs)", r.City, r.CHSecs, r.ColdSSSPSecs)
-		}
-	}
-	return nil
-}
-
-// streamReport is the JSON shape of the event-bus benchmark
-// (BENCH_stream.json).
-type streamReport struct {
-	City           string  `json:"city"`
-	Alg            string  `json:"alg"`
-	Orders         int     `json:"orders"`
-	Workers        int     `json:"workers"`
-	Scale          float64 `json:"scale"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	Rounds         int     `json:"rounds"`
-	BatchSeconds   float64 `json:"batch_seconds"`
-	StreamSeconds  float64 `json:"stream_seconds"`
-	EventsPerRun   int     `json:"events_per_run"`
-	OverheadFactor float64 `json:"overhead_factor"`
-	Identical      bool    `json:"metrics_bit_identical"`
+	return errors.Join(slowSmall, slowBig)
 }
 
 // runBenchStream measures what the event bus costs: the same CDC workload
@@ -621,7 +529,6 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 
 	var batchSecs, streamSecs float64
 	var events int
-	var batchM, streamM sim.Metrics
 	identical := true
 	for r := 0; r < rounds; r++ {
 		bm, bs := runBatch()
@@ -636,69 +543,24 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 		a.DecisionSeconds, b.DecisionSeconds = 0, 0
 		if a != b {
 			identical = false
+			fmt.Fprintf(os.Stderr, "benchstream: streamed metrics diverged from batch replay:\nbatch:  %+v\nstream: %+v\n", a, b)
 		}
-		batchM, streamM = a, b
 		logf("benchstream: round %d batch=%.3fs stream=%.3fs events=%d\n", r+1, bs, ss, n)
 	}
 
-	rep := streamReport{
-		City:           "CDC",
-		Alg:            "WATTER-online",
-		Orders:         base.Orders,
-		Workers:        base.Workers,
-		Scale:          scale,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		Rounds:         rounds,
-		BatchSeconds:   batchSecs / rounds,
-		StreamSeconds:  streamSecs / rounds,
-		EventsPerRun:   events,
-		OverheadFactor: streamSecs / batchSecs,
-		Identical:      identical,
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchstream: batch=%.3fs stream+events=%.3fs overhead=%.2fx events/run=%d identical=%v\n",
-		rep.BatchSeconds, rep.StreamSeconds, rep.OverheadFactor, rep.EventsPerRun, rep.Identical)
-	if !identical {
-		return fmt.Errorf("benchstream: streamed metrics diverged from batch replay:\nbatch:  %+v\nstream: %+v", batchM, streamM)
-	}
-	return nil
-}
-
-// poolReport is the JSON shape of the pool-maintenance plan-cache
-// benchmark (BENCH_pool.json).
-type poolReport struct {
-	City              string  `json:"city"`
-	Nodes             int     `json:"nodes"`
-	Orders            int     `json:"pool_orders"`
-	Ticks             int     `json:"ticks"`
-	Scale             float64 `json:"scale"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	UncachedSeconds   float64 `json:"uncached_seconds"`
-	CachedSeconds     float64 `json:"cached_seconds"`
-	Speedup           float64 `json:"speedup"`
-	CacheHits         uint64  `json:"cache_hits"`
-	NegativeHits      uint64  `json:"negative_hits"`
-	CacheMisses       uint64  `json:"cache_misses"`
-	Renewed           uint64  `json:"renewed"`
-	HitRate           float64 `json:"hit_rate"`
-	PlansAvoided      uint64  `json:"plans_avoided"`
-	PlansMaterialized uint64  `json:"plans_materialized"`
-	PlansReused       uint64  `json:"plans_reused"`
-	PairsPruned       uint64  `json:"pairs_pruned"`
-	LegBlocks         int     `json:"leg_blocks"`
-	DecisionsSame     bool    `json:"pool_decisions_identical"`
-	SimCity           string  `json:"sim_city"`
-	SimAlgs           string  `json:"sim_algs"`
-	SimCachedSecs     float64 `json:"sim_cached_seconds"`
-	SimUncachedSecs   float64 `json:"sim_uncached_seconds"`
-	Identical         bool    `json:"metrics_bit_identical"`
+	rep := benchfmt.New("watterbench -benchstream", scale, seed)
+	rep.Add("CDC",
+		benchfmt.Text("alg", "WATTER-online"),
+		benchfmt.Info("orders", "count", base.Orders),
+		benchfmt.Info("workers", "count", base.Workers),
+		benchfmt.Info("rounds", "count", rounds),
+		benchfmt.Info("batch_seconds", "s", batchSecs/rounds),
+		benchfmt.Info("stream_seconds", "s", streamSecs/rounds),
+		benchfmt.Info("events_per_run", "count", events),
+		benchfmt.Ceiling("overhead_factor", "x", streamSecs/batchSecs),
+		benchfmt.Identical("metrics_bit_identical", identical),
+	)
+	return finish(rep, path)
 }
 
 // poolWorkload is a deterministic pool-maintenance trace: clustered orders
@@ -838,7 +700,6 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 	cachedDigest, cachedSecs, cp := runPoolTrace(g, orders, horizon, false)
 	logf("benchpool: cached trace %.3fs\n", cachedSecs)
 	st := cp.CacheStats()
-	decisionsSame := cachedDigest == uncachedDigest
 
 	// Sim-level determinism: full runs, cache on vs off, bit-identical.
 	simAlgs := []string{"WATTER-online", "WATTER-timeout"}
@@ -881,80 +742,42 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 		}
 	}
 
-	rep := poolReport{
-		City:              fmt.Sprintf("perturbed-grid-%dx%d", side, side),
-		Nodes:             g.NumNodes(),
-		Orders:            len(orders),
-		Ticks:             ticks,
-		Scale:             scale,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		UncachedSeconds:   uncachedSecs,
-		CachedSeconds:     cachedSecs,
-		Speedup:           uncachedSecs / cachedSecs,
-		CacheHits:         st.Hits,
-		NegativeHits:      st.NegativeHits,
-		CacheMisses:       st.Misses,
-		Renewed:           st.Renewed,
-		HitRate:           st.HitRate(),
-		PlansAvoided:      st.PlansAvoided(),
-		PlansMaterialized: st.PlansMaterialized,
-		PlansReused:       st.PlansReused,
-		PairsPruned:       st.PairsPruned,
-		LegBlocks:         cp.LegBlocks(),
-		DecisionsSame:     decisionsSame,
-		SimCity:           "CDC",
-		SimAlgs:           strings.Join(simAlgs, ","),
-		SimCachedSecs:     simCached,
-		SimUncachedSecs:   simUncached,
-		Identical:         identical,
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	rep := benchfmt.New("watterbench -benchpool", scale, seed)
+	rep.Add(fmt.Sprintf("perturbed-grid-%dx%d", side, side),
+		benchfmt.Info("nodes", "count", g.NumNodes()),
+		benchfmt.Info("pool_orders", "count", len(orders)),
+		benchfmt.Info("ticks", "count", ticks),
+		benchfmt.Info("uncached_seconds", "s", uncachedSecs),
+		benchfmt.Info("cached_seconds", "s", cachedSecs),
+		benchfmt.Floor("speedup", "x", uncachedSecs/cachedSecs),
+		benchfmt.Info("cache_hits", "count", st.Hits),
+		benchfmt.Info("negative_hits", "count", st.NegativeHits),
+		benchfmt.Info("cache_misses", "count", st.Misses),
+		benchfmt.Info("renewed", "count", st.Renewed),
+		benchfmt.Info("hit_rate", "fraction", st.HitRate()),
+		benchfmt.Info("plans_avoided", "count", st.PlansAvoided()),
+		benchfmt.Info("plans_materialized", "count", st.PlansMaterialized),
+		benchfmt.Info("plans_reused", "count", st.PlansReused),
+		benchfmt.Info("pairs_pruned", "count", st.PairsPruned),
+		benchfmt.Info("leg_blocks", "count", cp.LegBlocks()),
+		benchfmt.Identical("pool_decisions_identical", cachedDigest == uncachedDigest),
+	)
+	rep.Add("CDC",
+		benchfmt.Text("sim_algs", strings.Join(simAlgs, ",")),
+		benchfmt.Info("sim_cached_seconds", "s", simCached),
+		benchfmt.Info("sim_uncached_seconds", "s", simUncached),
+		benchfmt.Identical("metrics_bit_identical", identical),
+	)
+	if err := finish(rep, path); err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
+	if st.HitRate() <= 0 {
+		return fmt.Errorf("benchpool: cache recorded no hits (rate %.3f)", st.HitRate())
 	}
-	fmt.Printf("benchpool: uncached=%.3fs cached=%.3fs speedup=%.1fx hit-rate=%.1f%% plans-avoided=%d decisions-identical=%v metrics-identical=%v\n",
-		rep.UncachedSeconds, rep.CachedSeconds, rep.Speedup, 100*rep.HitRate, rep.PlansAvoided, rep.DecisionsSame, rep.Identical)
-	if !decisionsSame {
-		return fmt.Errorf("benchpool: cached pool decisions diverged from the replan-always reference")
-	}
-	if !identical {
-		return fmt.Errorf("benchpool: sim metrics diverged with the plan cache on")
-	}
-	if rep.HitRate <= 0 {
-		return fmt.Errorf("benchpool: cache recorded no hits (rate %.3f)", rep.HitRate)
-	}
-	if rep.Speedup <= 1 {
+	if uncachedSecs <= cachedSecs {
 		return fmt.Errorf("benchpool: cached arm (%.3fs) did not beat replan-always (%.3fs)", cachedSecs, uncachedSecs)
 	}
 	return nil
-}
-
-// shardReport is the JSON shape of the slot-sharded dispatch benchmark
-// (BENCH_shard.json).
-type shardReport struct {
-	City              string  `json:"city"`
-	Nodes             int     `json:"nodes"`
-	Orders            int     `json:"orders"`
-	Workers           int     `json:"workers"`
-	Scale             float64 `json:"scale"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	Shards            int     `json:"shards"`
-	Algs              string  `json:"algs"`
-	SequentialSeconds float64 `json:"sequential_seconds"`
-	ShardedSeconds    float64 `json:"sharded_seconds"`
-	Speedup           float64 `json:"speedup"`
-	SpecOrders        uint64  `json:"spec_orders"`
-	SpecHits          uint64  `json:"spec_hits"`
-	SpecInvalidated   uint64  `json:"spec_invalidated"`
-	SpecMisses        uint64  `json:"spec_misses"`
-	SpecHitRate       float64 `json:"spec_hit_rate"`
-	PrewarmTasks      uint64  `json:"prewarm_tasks"`
-	SlotHandoffs      uint64  `json:"slot_handoffs"`
-	Identical         bool    `json:"metrics_bit_identical"`
 }
 
 // runBenchShard measures what the slot-sharded dispatch engine buys on a
@@ -963,10 +786,10 @@ type shardReport struct {
 // the platform with the sequential K=1 check and with K shards, for both
 // WATTER-online and WATTER-timeout. Metrics must be bit-identical — the
 // engine's whole contract — and the report tracks the wall-clock ratio.
-// Like BENCH_sweep.json, the recorded speedup only exceeds 1 on multi-core
-// hardware: on a 1-core container the sharded arm pays the speculation
-// overhead with nothing to parallelize onto, so expect ~1x there and ~Kx
-// scaling with cores (the speculation phase is embarrassingly parallel).
+// Measured on 2 cores (K = 2), ten runs back to back: median 1.14x,
+// quartiles 1.11 / 1.18, range 0.81-1.24, sequential arm ~2.7 s; two runs
+// with the box busier read 1.04x (the committed BENCH_shard.json) and 0.94x.
+// More cores are unmeasured; DESIGN.md §9 has the full record.
 func runBenchShard(path string, scale float64, seed int64, shards int, quiet bool) error {
 	side := int(36 * math.Sqrt(scale))
 	if side < 14 {
@@ -1075,40 +898,27 @@ func runBenchShard(path string, scale float64, seed int64, shards int, quiet boo
 	if total := hits + invalid + misses; total > 0 {
 		hitRate = float64(hits) / float64(total)
 	}
-	rep := shardReport{
-		City:              fmt.Sprintf("perturbed-grid-%dx%d", side, side),
-		Nodes:             g.NumNodes(),
-		Orders:            len(orders),
-		Workers:           m,
-		Scale:             scale,
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Shards:            shards,
-		Algs:              strings.Join(algs, ","),
-		SequentialSeconds: seqSecs,
-		ShardedSeconds:    shardSecs,
-		Speedup:           seqSecs / shardSecs,
-		SpecOrders:        stats.SpecOrders,
-		SpecHits:          hits,
-		SpecInvalidated:   invalid,
-		SpecMisses:        misses,
-		SpecHitRate:       hitRate,
-		PrewarmTasks:      stats.PrewarmTasks,
-		SlotHandoffs:      stats.SlotHandoffs,
-		Identical:         identical,
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	rep := benchfmt.New("watterbench -benchshard", scale, seed)
+	rep.Add(fmt.Sprintf("perturbed-grid-%dx%d", side, side),
+		benchfmt.Info("nodes", "count", g.NumNodes()),
+		benchfmt.Info("orders", "count", len(orders)),
+		benchfmt.Info("workers", "count", m),
+		benchfmt.Info("shards", "count", shards),
+		benchfmt.Text("algs", strings.Join(algs, ",")),
+		benchfmt.Info("sequential_seconds", "s", seqSecs),
+		benchfmt.Info("sharded_seconds", "s", shardSecs),
+		benchfmt.Floor("speedup", "x", seqSecs/shardSecs),
+		benchfmt.Info("spec_orders", "count", stats.SpecOrders),
+		benchfmt.Info("spec_hits", "count", hits),
+		benchfmt.Info("spec_invalidated", "count", invalid),
+		benchfmt.Info("spec_misses", "count", misses),
+		benchfmt.Info("spec_hit_rate", "fraction", hitRate),
+		benchfmt.Info("prewarm_tasks", "count", stats.PrewarmTasks),
+		benchfmt.Info("slot_handoffs", "count", stats.SlotHandoffs),
+		benchfmt.Identical("metrics_bit_identical", identical),
+	)
+	if err := finish(rep, path); err != nil {
 		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("benchshard: sequential=%.3fs sharded(%d)=%.3fs speedup=%.2fx spec-hit-rate=%.1f%% prewarmed=%d handoffs=%d identical=%v\n",
-		rep.SequentialSeconds, rep.Shards, rep.ShardedSeconds, rep.Speedup, 100*rep.SpecHitRate,
-		rep.PrewarmTasks, rep.SlotHandoffs, rep.Identical)
-	if !identical {
-		return fmt.Errorf("benchshard: sharded metrics diverged from the sequential check")
 	}
 	if hits == 0 {
 		return fmt.Errorf("benchshard: the engine never served a speculation (hit rate 0)")

@@ -1,0 +1,53 @@
+package main
+
+import (
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"watter/internal/benchfmt"
+)
+
+// One producer end to end: what -benchstream writes reloads through the
+// validating reader, says which cores it was recorded on, carries the kinds
+// the producer declared, and gates clean against itself.
+func TestBenchStreamReportRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_stream.json")
+	if err := runBenchStream(path, 0.1, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := benchfmt.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tool != "watterbench -benchstream" || rep.Scale != 0.1 || rep.Seed != 1 ||
+		rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.GoVersion != runtime.Version() {
+		t.Errorf("header %+v", rep.Header)
+	}
+	if len(rep.Rows) != 1 || rep.Rows[0].Name != "CDC" {
+		t.Fatalf("rows %+v, want the one CDC row", rep.Rows)
+	}
+	kinds := map[string]benchfmt.Kind{}
+	for _, m := range rep.Rows[0].Metrics {
+		kinds[m.Name] = m.Kind
+	}
+	for name, want := range map[string]benchfmt.Kind{
+		"overhead_factor":       benchfmt.KindCeiling,
+		"metrics_bit_identical": benchfmt.KindIdentical,
+		"events_per_run":        benchfmt.KindInfo,
+		"batch_seconds":         benchfmt.KindInfo,
+	} {
+		if kinds[name] != want {
+			t.Errorf("%s has kind %q, want %q", name, kinds[name], want)
+		}
+	}
+	checks, err := benchfmt.Gate(rep, rep)
+	if err != nil || len(checks) != 2 {
+		t.Fatalf("Gate = %+v, %v; want the ceiling and the guarantee", checks, err)
+	}
+	for _, c := range checks {
+		if !c.OK {
+			t.Errorf("%s.%s failed against itself: %s", c.Row, c.Metric, c.Note)
+		}
+	}
+}

@@ -23,68 +23,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
+	"watter/internal/benchfmt"
 	"watter/internal/dataset"
 	"watter/internal/load"
 )
-
-// row is one scenario's slice of the BENCH_load.json report. Scenario is
-// the row-matching key (benchgate pairs rows across reports by it); the
-// hashes are hex strings so JSON round-trips them exactly (uint64 loses
-// bits through float64).
-type row struct {
-	Scenario         string  `json:"scenario"`
-	Process          string  `json:"process"`
-	Rate             float64 `json:"rate"`
-	Orders           int     `json:"orders"`
-	Served           int     `json:"served"`
-	Rejected         int     `json:"rejected"`
-	Ticks            int     `json:"ticks"`
-	Sustained        float64 `json:"sustained_orders_per_sec"`
-	P50              float64 `json:"p50_latency_s"`
-	P99              float64 `json:"p99_latency_s"`
-	P999             float64 `json:"p999_latency_s"`
-	MeanLatency      float64 `json:"mean_latency_s"`
-	SlipP99          float64 `json:"slip_p99_s"`
-	FracWithinTick   float64 `json:"frac_within_tick"`
-	ServiceRate      float64 `json:"service_rate"`
-	Onset            float64 `json:"backpressure_onset_s"`
-	PeakQueueDepth   int     `json:"peak_queue_depth"`
-	Buffer           int     `json:"buffer"`
-	DrainPerTick     int     `json:"drain_per_tick"`
-	StreamHash       string  `json:"stream_hash"`
-	JournalHash      string  `json:"journal_hash"`
-	StreamIdentical  bool    `json:"order_stream_deterministic"`
-	JournalIdentical bool    `json:"journal_deterministic"`
-}
-
-// report is the BENCH_load.json shape benchgate learned: rows matched by
-// scenario, *deterministic flags hard-gated, sustained_orders_per_sec and
-// max_sustainable_rate floored at -frac of baseline, p99_latency_s capped
-// at -growth of baseline.
-type report struct {
-	City         string  `json:"city_profile"`
-	Scale        float64 `json:"scale"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Seed         int64   `json:"seed"`
-	Workers      int     `json:"workers"`
-	HorizonS     float64 `json:"horizon_s"`
-	TickS        float64 `json:"tick_s"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	MaxRate      float64 `json:"max_sustainable_rate,omitempty"`
-	SearchQ      float64 `json:"search_quantile,omitempty"`
-	SearchBudget float64 `json:"search_slip_budget_s,omitempty"`
-	SearchMinSvc float64 `json:"search_min_service_rate,omitempty"`
-	SearchProbes int     `json:"search_probes,omitempty"`
-	SearchSame   bool    `json:"rate_search_deterministic"`
-	Rows         []row   `json:"rows"`
-}
 
 func main() {
 	var (
@@ -162,16 +109,10 @@ func run(jsonPath string, quiet bool, cityName string, workers int, horizon, tic
 		{"backpressure", load.ArrivalSpec{Process: load.Poisson, Rate: rate, Seed: seed}, bpBuffer, bpDrain},
 	}
 
-	rep := report{
-		City:       city.Name,
-		Scale:      scale,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Seed:       seed,
-		Workers:    workers,
-		HorizonS:   horizon,
-		TickS:      tick,
-		SearchSame: true,
-	}
+	// The report (BENCH_load.json): one row per scenario, then the rate
+	// search, then the run's parameters. Hashes are hex text so JSON
+	// round-trips them exactly (uint64 loses bits through float64).
+	rep := benchfmt.New("watterload", scale, seed)
 	for _, sc := range scenarios {
 		cfg := base
 		cfg.Arrival = sc.spec
@@ -190,37 +131,39 @@ func run(jsonPath string, quiet bool, cityName string, workers int, horizon, tic
 			return fmt.Errorf("watterload: %s rerun: %w", sc.name, err)
 		}
 		resolved := cfg.Defaults()
-		r := row{
-			Scenario:         sc.name,
-			Process:          string(a.Process),
-			Rate:             a.Rate,
-			Orders:           a.Submitted,
-			Served:           a.Served,
-			Rejected:         a.Rejected,
-			Ticks:            a.Ticks,
-			Sustained:        a.SustainedRate,
-			P50:              a.P50,
-			P99:              a.P99,
-			P999:             a.P999,
-			MeanLatency:      a.Mean,
-			SlipP99:          a.SlipP99,
-			FracWithinTick:   a.FracWithinTick,
-			ServiceRate:      a.ServiceRate,
-			Onset:            a.BackpressureOnset,
-			PeakQueueDepth:   a.PeakQueueDepth,
-			Buffer:           resolved.Buffer,
-			DrainPerTick:     resolved.DrainPerTick,
-			StreamHash:       fmt.Sprintf("%016x", a.StreamHash),
-			JournalHash:      fmt.Sprintf("%016x", a.JournalHash),
-			StreamIdentical:  a.StreamHash == b.StreamHash,
-			JournalIdentical: a.JournalHash == b.JournalHash && *a == *b,
-		}
-		rep.Rows = append(rep.Rows, r)
+		streamSame := a.StreamHash == b.StreamHash
+		journalSame := a.JournalHash == b.JournalHash && *a == *b
+		rep.Add(sc.name,
+			benchfmt.Text("process", string(a.Process)),
+			benchfmt.Info("rate", "orders/s", a.Rate),
+			benchfmt.Info("orders", "count", a.Submitted),
+			benchfmt.Info("served", "count", a.Served),
+			benchfmt.Info("rejected", "count", a.Rejected),
+			benchfmt.Info("ticks", "count", a.Ticks),
+			benchfmt.Floor("sustained_orders_per_sec", "orders/s", a.SustainedRate),
+			benchfmt.Info("p50_latency_s", "s", a.P50),
+			benchfmt.Ceiling("p99_latency_s", "s", a.P99),
+			// Recorded, not gated: a handful of observations per smoke run
+			// makes the p999 bucket too jumpy to hold a ratio against.
+			benchfmt.Info("p999_latency_s", "s", a.P999),
+			benchfmt.Info("mean_latency_s", "s", a.Mean),
+			benchfmt.Info("slip_p99_s", "s", a.SlipP99),
+			benchfmt.Info("frac_within_tick", "fraction", a.FracWithinTick),
+			benchfmt.Info("service_rate", "fraction", a.ServiceRate),
+			benchfmt.Info("backpressure_onset_s", "s", a.BackpressureOnset),
+			benchfmt.Info("peak_queue_depth", "count", a.PeakQueueDepth),
+			benchfmt.Info("buffer", "count", resolved.Buffer),
+			benchfmt.Info("drain_per_tick", "count", resolved.DrainPerTick),
+			benchfmt.Text("stream_hash", fmt.Sprintf("%016x", a.StreamHash)),
+			benchfmt.Text("journal_hash", fmt.Sprintf("%016x", a.JournalHash)),
+			benchfmt.Identical("order_stream_deterministic", streamSame),
+			benchfmt.Identical("journal_deterministic", journalSame),
+		)
 		logf("watterload: %-12s rate=%.3f/s n=%d sustained=%.3f/s svc=%.2f p50=%.1fs p99=%.1fs slip99=%.1fs onset=%.0f deterministic=%v\n",
-			sc.name, r.Rate, r.Orders, r.Sustained, r.ServiceRate, r.P50, r.P99, r.SlipP99, r.Onset,
-			r.StreamIdentical && r.JournalIdentical)
+			sc.name, a.Rate, a.Submitted, a.SustainedRate, a.ServiceRate, a.P50, a.P99, a.SlipP99, a.BackpressureOnset, streamSame && journalSame)
 	}
 
+	var maxRate float64
 	if search {
 		sc := load.SearchConfig{
 			Base:           base,
@@ -244,38 +187,35 @@ func run(jsonPath string, quiet bool, cityName string, workers int, horizon, tic
 		for i := 0; same && i < len(first.Probes); i++ {
 			same = first.Probes[i] == second.Probes[i]
 		}
-		rep.MaxRate = first.MaxRate
-		rep.SearchQ = first.Quantile
-		rep.SearchBudget = first.Budget
-		rep.SearchMinSvc = minSvc
-		rep.SearchProbes = len(first.Probes)
-		rep.SearchSame = same
+		maxRate = first.MaxRate
+		rep.Add("rate-search",
+			benchfmt.Floor("max_sustainable_rate", "orders/s", first.MaxRate),
+			benchfmt.Info("search_quantile", "fraction", first.Quantile),
+			benchfmt.Info("search_slip_budget_s", "s", first.Budget),
+			benchfmt.Info("search_min_service_rate", "fraction", minSvc),
+			benchfmt.Info("search_probes", "count", len(first.Probes)),
+			benchfmt.Identical("rate_search_deterministic", same),
+		)
 		logf("watterload: max sustainable rate %.4f orders/sec (slip q%.3g ≤ %.0fs, svc ≥ %.2f) over %d probes, deterministic=%v\n",
 			first.MaxRate, first.Quantile, first.Budget, minSvc, len(first.Probes), same)
 	}
-	//det:wallclock harness runtime for the report header; every measurement above is virtual-clock
-	rep.WallSeconds = time.Since(start).Seconds()
+	//det:wallclock harness runtime for the report's run row; every measurement above is virtual-clock
+	wall := time.Since(start).Seconds()
+	rep.Add("run",
+		benchfmt.Text("city_profile", city.Name),
+		benchfmt.Info("workers", "count", workers),
+		benchfmt.Info("horizon_s", "s", horizon),
+		benchfmt.Info("tick_s", "s", tick),
+		benchfmt.Info("wall_seconds", "s", wall),
+	)
 
 	if jsonPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonPath, blob, 0o644); err != nil {
+		if err := rep.Write(jsonPath); err != nil {
 			return err
 		}
 	}
-	ok := rep.SearchSame
-	for _, r := range rep.Rows {
-		if !r.StreamIdentical || !r.JournalIdentical {
-			ok = false
-		}
-	}
+	err = rep.Err()
 	fmt.Printf("watterload: %d scenarios on %s (%d workers, %.0fs horizon), max sustainable %.4f orders/sec, deterministic=%v, wall=%.1fs\n",
-		len(rep.Rows), rep.City, rep.Workers, rep.HorizonS, rep.MaxRate, ok, rep.WallSeconds)
-	if !ok {
-		return fmt.Errorf("watterload: determinism violated — two consecutive runs diverged (see *_deterministic flags)")
-	}
-	return nil
+		len(scenarios), city.Name, workers, horizon, maxRate, err == nil, wall)
+	return err
 }

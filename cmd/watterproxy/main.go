@@ -12,21 +12,19 @@
 //
 //	watterproxy                         # 3 cities, 2 seeds, full verify
 //	watterproxy -cities 6 -alg WATTER-timeout
-//	watterproxy -json /tmp/bench_proxy_ci.json   # CI report for benchgate
+//	watterproxy -json /tmp/bench/BENCH_proxy.json   # CI report for benchgate
 //
-// City profiles cycle through CDC, NYC and XIA. The JSON report's
-// per_city_isolation_identical and ha_restart_identical flags are gated
-// by cmd/benchgate against the committed BENCH_proxy.json baseline.
+// City profiles cycle through CDC, NYC and XIA. The JSON report declares
+// both proofs as guarantees, which cmd/benchgate requires to be true.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
+	"watter/internal/benchfmt"
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/order"
@@ -73,34 +71,31 @@ func main() {
 	fmt.Printf("  per-city isolation:      bit-identical=%v\n", isolationOK)
 	fmt.Printf("  HA journal-replay:       bit-identical=%v\n", haOK)
 
+	// The report (BENCH_proxy.json). The workload has no -scale: it is sized
+	// by -cities/-orders/-workers, recorded in the row.
+	rep := benchfmt.New("watterproxy", 1, *seed)
+	rep.Add("fleet",
+		benchfmt.Info("cities", "count", *cities),
+		benchfmt.Info("orders_per_city", "count", *orders),
+		benchfmt.Info("workers_per_city", "count", *workers),
+		benchfmt.Text("alg", *alg),
+		benchfmt.Info("seeds", "count", *nseeds),
+		benchfmt.Info("orders_total", "count", totalOrders),
+		benchfmt.Info("proxy_seconds", "s", proxySeconds),
+		benchfmt.Info("orders_per_sec", "orders/s", float64(totalOrders)/proxySeconds),
+		benchfmt.Info("journal_events", "count", journalEvents),
+		benchfmt.Info("ha_restarts", "count", restarts),
+		benchfmt.Identical("per_city_isolation_identical", isolationOK),
+		benchfmt.Identical("ha_restart_identical", haOK),
+	)
 	if *jsonOut != "" {
-		report := map[string]any{
-			"cities":                       *cities,
-			"orders_per_city":              *orders,
-			"workers_per_city":             *workers,
-			"alg":                          *alg,
-			"seeds":                        *nseeds,
-			"scale":                        1,
-			"gomaxprocs":                   runtime.GOMAXPROCS(0),
-			"orders_total":                 totalOrders,
-			"proxy_seconds":                proxySeconds,
-			"orders_per_sec":               float64(totalOrders) / proxySeconds,
-			"journal_events":               journalEvents,
-			"ha_restarts":                  restarts,
-			"per_city_isolation_identical": isolationOK,
-			"ha_restart_identical":         haOK,
-		}
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
+		if err := rep.Write(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if !isolationOK || !haOK {
+	if err := rep.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

@@ -40,9 +40,8 @@ type Framework struct {
 	pool   *pool.Pool
 	engine *shard.Engine
 
-	// pendingNoWorker tracks group keys that were approved for dispatch
-	// but had no idle worker; they retry at the next check automatically
-	// because the pool state is unchanged.
+	// dispatched counts the groups and solo orders handed to a worker
+	// since Init. Nothing reads it.
 	dispatched int
 }
 

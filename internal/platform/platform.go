@@ -160,10 +160,11 @@ func WithPool(opt pool.Options) Option {
 // K > 1 issues concurrent read-only queries (Cost/FillCostMatrix)
 // against the platform's Network from the shard goroutines, so the
 // network must tolerate concurrent queries. Every network this module
-// ships — GridCity (stateless closed form) and Graph (mutex-guarded
-// cache, pooled search state, hammered by the roadnet concurrency
-// tests) — does; a custom Network with unguarded internal memoization
-// must add its own synchronization before enabling shards.
+// ships — GridCity (stateless closed form) and Graph (immutable once
+// built; every query draws its search state from a pool; hammered by the
+// roadnet concurrency tests) — does; a custom Network with unguarded
+// internal memoization must add its own synchronization before enabling
+// shards.
 func WithShards(k int) Option {
 	return func(c *config) error {
 		if k < 1 {

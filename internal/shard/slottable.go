@@ -27,8 +27,10 @@ import (
 // Rebalance migrate individual slots afterwards, bumping the table's epoch.
 // A slot is a border slot when some slot within the shareability candidate
 // radius belongs to a different shard — orders there can pool with orders
-// owned by a neighboring shard, which is why border work is the
-// coordinator's, not a shard's.
+// owned by a neighboring shard. The engine does not route work by the flag
+// (every order is speculated by its pickup slot's owner and cross-shard
+// effects are caught by validation at commit); Rebalance prefers border
+// slots when it picks one to hand off, and that is the flag's only reader.
 type SlotTable struct {
 	n      int // grid side: slots are the n*n cells of the spatial index
 	k      int // shard count (clamped to the slot count)

@@ -1,7 +1,7 @@
 // Benchmarks for the parallel sweep engine: the same 8-cell matrix driven
-// sequentially and over the worker pool. On an N-core machine the parallel
-// variant should approach N× the sequential throughput; BENCH_sweep.json
-// records the measured ratio per environment.
+// sequentially and over the worker pool. BENCH_sweep.json records the ratio
+// measured through watterbench -benchsweep (1.59x at parallel = 2 on two cores;
+// more cores are unmeasured).
 package watter
 
 import (
