@@ -39,10 +39,6 @@ type Framework struct {
 	env    *sim.Env
 	pool   *pool.Pool
 	engine *shard.Engine
-
-	// dispatched counts the groups and solo orders handed to a worker
-	// since Init. Nothing reads it.
-	dispatched int
 }
 
 // New builds a framework with the given decision strategy and pool options
@@ -98,7 +94,6 @@ func (f *Framework) Init(env *sim.Env) {
 		opt.Capacity = env.Cfg.Capacity
 	}
 	f.pool = pool.New(env.Planner, env.Index, opt)
-	f.dispatched = 0
 	f.engine = nil
 	if f.Shards > 1 {
 		radius := opt.CandidateRadius
@@ -225,7 +220,6 @@ func (f *Framework) checkOrders(now float64, force bool) {
 		if ok && (force || groupLastCall || f.Decide.ShouldDispatch(g, expiry, now)) {
 			if gw != nil && f.env.DispatchGroupTo(gw, gApproach, g, now) {
 				f.pool.RemoveGroup(g, now)
-				f.dispatched++
 				continue
 			}
 			// No feasible worker for the group; fall through so a
@@ -293,7 +287,6 @@ func (f *Framework) serveSoloOrReject(o *order.Order, now float64, force bool) {
 	g := &order.Group{Orders: []*order.Order{o}, Plan: plan}
 	if f.dispatchSolo(g, o, now) {
 		f.pool.Remove(o.ID, now)
-		f.dispatched++
 		return
 	}
 	if force {

@@ -130,6 +130,7 @@ func TestClosestIdleWorker(t *testing.T) {
 	}
 	// Busy workers are skipped.
 	workers[1].FreeAt = 100
+	mustUpdate(t, wi, workers[1])
 	got = wi.ClosestIdle(net.Node(9, 9), 0, 1)
 	if got == nil || got.ID == 2 {
 		t.Fatalf("busy worker returned: %+v", got)
@@ -194,14 +195,14 @@ func TestWorkerIndexUpdate(t *testing.T) {
 	w := &order.Worker{ID: 1, Loc: net.Node(0, 0), Capacity: 4}
 	wi := NewWorkerIndex(ix, net, []*order.Worker{w})
 	w.Loc = net.Node(19, 19)
-	wi.Update(w)
+	mustUpdate(t, wi, w)
 	got := wi.ClosestIdle(net.Node(18, 18), 0, 1)
 	if got == nil || got.ID != 1 {
 		t.Fatal("moved worker not found near new location")
 	}
 	// Same-cell move is a no-op but must stay correct.
 	w.Loc = net.Node(18, 19)
-	wi.Update(w)
+	mustUpdate(t, wi, w)
 	if got := wi.ClosestIdle(net.Node(18, 18), 0, 1); got == nil {
 		t.Fatal("worker lost after same-cell update")
 	}

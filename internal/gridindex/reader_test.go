@@ -126,17 +126,17 @@ func TestMoveObserverFires(t *testing.T) {
 	home := ix.CellOf(w.Loc)
 	// In-place booking: same cell on both sides.
 	w.FreeAt = 100
-	wi.Update(w)
+	mustUpdate(t, wi, w)
 	// Relocation to the far corner.
 	w.Loc = net.Node(19, 19)
-	wi.Update(w)
+	mustUpdate(t, wi, w)
 	far := ix.CellOf(w.Loc)
 	if len(gotOld) != 2 || gotOld[0] != home || gotNew[0] != home || gotOld[1] != home || gotNew[1] != far {
 		t.Fatalf("observer saw old=%v new=%v, want old=[%d %d] new=[%d %d]", gotOld, gotNew, home, home, home, far)
 	}
 	wi.SetMoveObserver(nil)
 	w.Loc = net.Node(0, 0)
-	wi.Update(w) // must not panic with the observer removed
+	mustUpdate(t, wi, w) // must not panic with the observer removed
 }
 
 // TestBoundedProbeMatchesLegacyOracle: on a graph network the probe costs

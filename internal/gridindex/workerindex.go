@@ -15,7 +15,10 @@ import (
 // Each ring's surviving candidates are costed with one batched roadnet
 // call: FillNearestWithin for the closest-worker probes (a Graph-backed
 // network searches only the candidates its lower bounds cannot exclude),
-// FillCostMatrix for KNearest, which ranks the whole ring.
+// FillCostMatrix for KNearest, which ranks the whole ring. A closest-worker
+// probe skips, in O(1), every cell whose earliest FreeAt is after the query
+// time and, on a network with a travel-time floor, every cell too far away
+// to hold a worker within the cap of that moment (DESIGN §13).
 //
 // The index itself is single-goroutine state (each simulation job owns its
 // own index), but reads can be fanned out: NewReader returns a probe handle
@@ -29,6 +32,14 @@ type WorkerIndex struct {
 	cells   [][]*order.Worker // cell id -> workers whose Loc falls in it
 	cellOf  map[int]int       // worker id -> cell id
 	workers map[int]*order.Worker
+	// minFree is each cell's watermark: the earliest FreeAt among the
+	// workers filed there (+Inf when empty). insert and Update keep it
+	// exact, so a cell whose watermark is after now holds nobody idle.
+	minFree []float64
+	// secPerM is the network's floor on seconds per metre of L1 distance
+	// (roadnet.FloorNetwork), 0 when it states none: cellGap times it never
+	// exceeds the cost of any worker filed in that cell.
+	secPerM float64
 
 	// Reusable batching scratch for the index's own (single-goroutine)
 	// queries; concurrent readers get their own via NewReader.
@@ -68,6 +79,13 @@ func NewWorkerIndex(ix *Index, net roadnet.Network, workers []*order.Worker) *Wo
 		cells:   make([][]*order.Worker, ix.NumCells()),
 		cellOf:  make(map[int]int, len(workers)),
 		workers: make(map[int]*order.Worker, len(workers)),
+		minFree: make([]float64, ix.NumCells()),
+	}
+	for c := range wi.minFree {
+		wi.minFree[c] = math.Inf(1)
+	}
+	if f, ok := net.(roadnet.FloorNetwork); ok {
+		wi.secPerM = f.MinSecondsPerMetre()
 	}
 	for _, w := range workers {
 		wi.insert(w)
@@ -80,6 +98,20 @@ func (wi *WorkerIndex) insert(w *order.Worker) {
 	wi.cells[c] = append(wi.cells[c], w)
 	wi.cellOf[w.ID] = c
 	wi.workers[w.ID] = w
+	if w.FreeAt < wi.minFree[c] {
+		wi.minFree[c] = w.FreeAt
+	}
+}
+
+// refresh recomputes cell's watermark from its bucket.
+func (wi *WorkerIndex) refresh(cell int) {
+	m := math.Inf(1)
+	for _, w := range wi.cells[cell] {
+		if w.FreeAt < m {
+			m = w.FreeAt
+		}
+	}
+	wi.minFree[cell] = m
 }
 
 // SetMoveObserver installs fn, called after every Update with the worker's
@@ -92,7 +124,11 @@ func (wi *WorkerIndex) SetMoveObserver(fn func(w *order.Worker, oldCell, newCell
 
 // Update must be called after a worker's state changes (e.g. after a
 // dispatch books it: FreeAt moves into the future and Loc becomes the
-// route's last drop-off point).
+// route's last drop-off point). It refreshes the cell watermarks the
+// closest-worker probes skip cells by, so the contract is load-bearing:
+// lowering a worker's FreeAt, or moving its Loc, without an Update can hide
+// an idle worker from every probe. (Raising FreeAt without one only costs
+// a wasted cell visit.)
 func (wi *WorkerIndex) Update(w *order.Worker) {
 	wi.gen++
 	old, ok := wi.cellOf[w.ID]
@@ -116,7 +152,9 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 		}
 		wi.cells[nc] = append(wi.cells[nc], w)
 		wi.cellOf[w.ID] = nc
+		wi.refresh(old)
 	}
+	wi.refresh(nc)
 	if wi.moveObs != nil {
 		wi.moveObs(w, old, nc)
 	}
@@ -197,26 +235,47 @@ func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapaci
 // never the reverse within a tick), so re-running the search after some
 // bookings removes candidates and never adds any. Removing a worker that
 // was not recorded (busy, under-capacity, out-of-budget, unreachable, or
-// left unsearched by ringNearest because it costs more than the best
-// already found) cannot change the argmin or the ring the scan stops at
-// — each ring's cheapest in-budget worker is always recorded — and
-// removing a recorded one is exactly what the IDs detect. So the search's
-// answer is stable while no recorded candidate was booked (DESIGN.md §9).
+// left unsearched by ringNearest or by the cell skips below because it
+// costs more than the cap of that moment) cannot change the argmin or the
+// ring the scan stops at — each ring's cheapest in-budget worker is always
+// recorded — and removing a recorded one is exactly what the IDs detect.
+// So the search's answer is stable while no recorded candidate was booked
+// (DESIGN.md §9).
+//
+// The walk skips what cannot answer. A cell whose watermark is after now
+// holds nobody idle. A cell whose distance floor (secPerM times cellGap)
+// exceeds the ring's cap — min(maxCost, best cost of the earlier rings) —
+// holds only workers that cost strictly more than that cap, which are
+// neither the argmin nor tied with it and could not have opened the stop
+// ring either; once a whole ring lies beyond the cap (ringGap), so does
+// every later one, and the walk ends. Skipped cells still count toward
+// seen, and neither skip changes the answer (DESIGN.md §13).
 //
 //det:hotpath the budgeted ring search backs every dispatch probe and every speculation; buffers come from the caller's scratch
 func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, sc *probeScratch, cands *[]int32) (*order.Worker, float64) {
-	center := wi.ix.CellOf(node)
+	p := wi.net.Coord(node)
+	center := wi.ix.CellOfPoint(p)
 	var best *order.Worker
 	bestCost := math.Inf(1)
 	maxD := wi.ix.N() // worst case scans every cell
 	foundAt := -1
 	seen := 0 // workers encountered (any state); == Len() means later rings are empty
 	for d := 0; d <= maxD; d++ {
+		// Only a cost at or below the best of the earlier rings can still
+		// win (equal costs tie-break on ID), so that caps the ring.
+		limit := math.Min(maxCost, bestCost)
+		if wi.secPerM*wi.ix.ringGap(p, center, d) > limit {
+			break // this ring and every later one lie beyond the cap
+		}
 		sc.candBuf = sc.candBuf[:0]
 		//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
 		wi.ix.Ring(center, d, func(cell int) bool {
-			seen += len(wi.cells[cell])
-			for _, w := range wi.cells[cell] {
+			bucket := wi.cells[cell]
+			seen += len(bucket)
+			if wi.minFree[cell] > now || wi.secPerM*wi.ix.cellGap(p, cell) > limit {
+				return true // nobody idle, or nobody within the cap
+			}
+			for _, w := range bucket {
 				if !w.IdleAt(now) || w.Capacity < minCapacity {
 					continue
 				}
@@ -225,9 +284,7 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 			return true
 		})
 		if len(sc.candBuf) > 0 {
-			// Only a cost at or below the best of the earlier rings can
-			// still win (equal costs tie-break on ID), so that caps the ring.
-			costs := wi.ringNearest(sc, node, math.Min(maxCost, bestCost))
+			costs := wi.ringNearest(sc, node, limit)
 			for i, w := range sc.candBuf {
 				c := costs[i]
 				if math.IsInf(c, 1) || c > maxCost {

@@ -131,6 +131,9 @@ func TestReferenceIsPlainNetwork(t *testing.T) {
 	if _, ok := ref.(nearestFiller); ok {
 		t.Fatal("Reference implements nearestFiller")
 	}
+	if _, ok := ref.(FloorNetwork); ok {
+		t.Fatal("Reference implements FloorNetwork")
+	}
 }
 
 // nearestArgmin is the worker probe's selection rule over one cost column:

@@ -57,6 +57,13 @@ func (c *GridCity) Cost(from, to geo.NodeID) float64 {
 	return blocks * c.CellMeters / c.Speed
 }
 
+// MinSecondsPerMetre implements FloorNetwork: Cost is the L1 distance over
+// Speed, so 1/Speed is the exact rate. Rounding stays inside the
+// FloorNetwork allowance: Coord errs by at most 2^-53 of each coordinate,
+// and Cost and the rate by two and one roundings, which sums to under
+// 6 * 2^-53 * r * E.
+func (c *GridCity) MinSecondsPerMetre() float64 { return 1 / c.Speed }
+
 // Bounds implements Network.
 func (c *GridCity) Bounds() geo.Rect {
 	return geo.Rect{

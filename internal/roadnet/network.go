@@ -54,6 +54,20 @@ type BoundedNetwork interface {
 	CostLowerBound(from, to geo.NodeID) float64
 }
 
+// FloorNetwork is an optional Network extension for callers that prune by
+// geometry: MinSecondsPerMetre returns r > 0 such that no trip is faster
+// than r seconds per metre of L1 (Manhattan) distance between its
+// endpoints' coordinates, Cost(a, b) >= r * (|ax-bx| + |ay-by|) with a and b
+// at Coord(a) and Coord(b). The float64 values Coord, Cost and r itself
+// carry rounding, so the inequality may fail by up to 16 * 2^-53 * r * E
+// seconds, E being the extent |Min.X| + |Min.Y| + width + height of Bounds;
+// a caller comparing a floor against a Cost leaves a margin wider than
+// that (gridindex's cell floor, DESIGN §13). GridCity states it exactly.
+type FloorNetwork interface {
+	Network
+	MinSecondsPerMetre() float64
+}
+
 // matrixFiller is the engine form of FillCostMatrixWithin: one pruned search
 // per distinct source instead of len(sources)*len(targets) oracle calls.
 type matrixFiller interface {

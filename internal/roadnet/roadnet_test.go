@@ -59,6 +59,30 @@ func TestGridCityMatchesExplicitGraph(t *testing.T) {
 	}
 }
 
+// TestGridCityFloorIsExact: on every pair of a few lattices, including
+// block sizes and speeds that are not binary fractions, Cost sits within
+// the FloorNetwork rounding allowance of MinSecondsPerMetre times the L1
+// distance between the coordinates — from below, which is the contract,
+// and from above, which is what "exact" means.
+func TestGridCityFloorIsExact(t *testing.T) {
+	for _, c := range []*GridCity{
+		NewGridCity(7, 5, 200, 8), NewGridCity(9, 4, 0.1, 3), NewGridCity(13, 13, 1, 10), NewGridCity(1, 6, 150, 7),
+	} {
+		var net FloorNetwork = c
+		r, b := net.MinSecondsPerMetre(), c.Bounds()
+		allow := 16 * 0x1p-53 * r * (math.Abs(b.Min.X) + math.Abs(b.Min.Y) + b.Width() + b.Height())
+		for u := 0; u < c.NumNodes(); u++ {
+			for v := 0; v < c.NumNodes(); v++ {
+				pu, pv := c.Coord(geo.NodeID(u)), c.Coord(geo.NodeID(v))
+				floor := r * (math.Abs(pu.X-pv.X) + math.Abs(pu.Y-pv.Y))
+				if cost := c.Cost(geo.NodeID(u), geo.NodeID(v)); math.Abs(cost-floor) > allow {
+					t.Fatalf("%+v: cost(%d,%d) = %v, floor %v: off by more than %v", *c, u, v, cost, floor, allow)
+				}
+			}
+		}
+	}
+}
+
 func TestGridCityTriangleInequality(t *testing.T) {
 	c := NewGridCity(30, 30, 150, 10)
 	n := uint32(c.NumNodes())
