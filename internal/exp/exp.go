@@ -269,18 +269,17 @@ func (r *Runner) train(p Params) *Trained {
 	}
 	feat := mdp.NewFeaturizer(plat.Env().Index, horizonOf(hist))
 	feat.SlotSeconds = p.TickEvery
-	plat.Env().SetObservers(func(g *order.Group, now float64) {
-		// Harvest in g.Orders order (not map order): the GMM fit folds
-		// samples in sequence, so collection order must be deterministic
-		// for the offline pipeline to be reproducible per seed (§8).
-		for _, o := range g.Orders {
-			st, ok := g.Plan.ServiceTime(o.ID)
-			if !ok {
-				continue
+	plat.Env().Observe(func(ev sim.Event) {
+		// Harvest in event order (the group's member order): the GMM fit
+		// folds samples in sequence, so collection order must be
+		// deterministic for the offline pipeline to be reproducible per
+		// seed (§8). α = β = 1; detour first, as order.ExtraTime sums it.
+		if d, ok := ev.(sim.GroupDispatched); ok {
+			for _, r := range d.Orders {
+				extraTimes = append(extraTimes, r.Detour+r.Response)
 			}
-			extraTimes = append(extraTimes, o.ExtraTime(st, now, 1, 1))
 		}
-	}, nil)
+	})
 	if _, err := plat.Replay(hist); err != nil {
 		panic(fmt.Errorf("exp: behavior simulation failed: %w", err))
 	}

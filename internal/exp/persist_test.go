@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"watter/internal/dataset"
 	"watter/internal/roadnet"
 )
 
@@ -53,33 +52,4 @@ func TestLoadTrainedRejectsWrongGeometry(t *testing.T) {
 	if _, err := LoadTrained(strings.NewReader("not a gob"), roadnet.NewGridCity(3, 3, 10, 1)); err == nil {
 		t.Fatal("garbage must fail")
 	}
-}
-
-func TestRunSeeds(t *testing.T) {
-	r := NewRunner()
-	p := smallParams()
-	sums, err := r.RunSeeds("WATTER-online", p, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"extra_time", "unified_cost", "service_rate", "running_time"} {
-		s, ok := sums[key]
-		if !ok {
-			t.Fatalf("missing metric %s", key)
-		}
-		if s.N != 3 {
-			t.Fatalf("%s: n = %d", key, s.N)
-		}
-		if s.Min > s.Mean || s.Mean > s.Max {
-			t.Fatalf("%s: broken summary %+v", key, s)
-		}
-	}
-	if sums["service_rate"].Mean <= 0 {
-		t.Fatal("nothing served across seeds")
-	}
-	// Different seeds must actually vary the workload.
-	if sums["extra_time"].Min == sums["extra_time"].Max {
-		t.Fatal("seeds produced identical extra time — suspicious")
-	}
-	_ = dataset.CDC()
 }

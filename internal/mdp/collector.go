@@ -22,11 +22,18 @@ type Collector struct {
 	// Emit receives finished transitions.
 	Emit func(Experience)
 
-	env   *sim.Env
-	snaps map[int][]snapshot
+	env      *sim.Env
+	episodes map[int]episode
 	// live builds the states. Its environment snapshot is shared by all the
 	// survivors of one tick: nothing moves inside OnTick's snapshot loop.
 	live liveState
+}
+
+// episode is one pooled order's trajectory so far: the order (its penalty
+// and θ* feed every transition) and its state at each check.
+type episode struct {
+	o     *order.Order
+	snaps []snapshot
 }
 
 type snapshot struct {
@@ -45,16 +52,16 @@ func (c *Collector) Name() string { return c.Inner.Name() + "+collect" }
 // Init implements sim.Algorithm.
 func (c *Collector) Init(env *sim.Env) {
 	c.env = env
-	c.snaps = make(map[int][]snapshot)
+	c.episodes = make(map[int]episode)
 	c.live.valid = false // a new pool and fleet restart their generations
-	env.SetObservers(c.onServe, c.onReject)
+	env.Observe(c.observe)
 	c.Inner.Init(env)
 }
 
 // OnOrder implements sim.Algorithm: record the initial state s0, then
 // delegate.
 func (c *Collector) OnOrder(o *order.Order, now float64) {
-	c.snaps[o.ID] = []snapshot{{state: c.features(o, now), time: now}}
+	c.episodes[o.ID] = episode{o: o, snaps: []snapshot{{state: c.features(o, now), time: now}}}
 	c.Inner.OnOrder(o, now)
 }
 
@@ -64,8 +71,9 @@ func (c *Collector) OnTick(now float64) {
 	c.Inner.OnTick(now)
 	pool := c.Inner.Pool()
 	for _, id := range pool.OrderIDs() {
-		o := pool.Order(id)
-		c.snaps[id] = append(c.snaps[id], snapshot{state: c.features(o, now), time: now})
+		ep := c.episodes[id]
+		ep.snaps = append(ep.snaps, snapshot{state: c.features(pool.Order(id), now), time: now})
+		c.episodes[id] = ep
 	}
 }
 
@@ -74,7 +82,7 @@ func (c *Collector) Finish(now float64) {
 	c.Inner.Finish(now)
 	// Anything never resolved (shouldn't happen — Finish rejects) is
 	// dropped silently.
-	c.snaps = map[int][]snapshot{}
+	c.episodes = map[int]episode{}
 }
 
 // features returns a fresh copy of o's state at now (the replay memory
@@ -90,37 +98,43 @@ func (c *Collector) features(o *order.Order, now float64) []float64 {
 	return slices.Clone(c.live.observe(c.Feat, o, now))
 }
 
+// observe is the collector's observer on the Env: it closes the episode of
+// every order a dispatch served or a rejection dropped.
+func (c *Collector) observe(ev sim.Event) {
+	switch ev := ev.(type) {
+	case sim.GroupDispatched:
+		for _, r := range ev.Orders {
+			c.onServe(r, ev.Time)
+		}
+	case sim.OrderRejected:
+		c.onReject(ev.Order, ev.Time)
+	}
+}
+
 // onServe finalizes a dispatched order's episode: wait transitions between
 // consecutive snapshots, then a terminal dispatch with reward p - t_d.
-func (c *Collector) onServe(g *order.Group, now float64) {
-	for _, o := range g.Orders {
-		snaps := c.snaps[o.ID]
-		if len(snaps) == 0 {
-			continue
-		}
-		detour := 0.0
-		if g.Plan != nil {
-			if st, ok := g.Plan.ServiceTime(o.ID); ok {
-				detour = st - o.DirectCost
-			}
-		}
-		c.emitWaits(o, snaps)
-		last := snaps[len(snaps)-1]
-		c.Emit(Experience{
-			State:     last.state,
-			Act:       Dispatch,
-			Reward:    o.Penalty() - detour,
-			Penalty:   o.Penalty(),
-			ThetaStar: c.theta(o, now),
-		})
-		delete(c.snaps, o.ID)
+func (c *Collector) onServe(r sim.ServiceRecord, now float64) {
+	ep := c.episodes[r.OrderID]
+	if len(ep.snaps) == 0 {
+		return
 	}
+	o := ep.o
+	c.emitWaits(o, ep.snaps)
+	last := ep.snaps[len(ep.snaps)-1]
+	c.Emit(Experience{
+		State:     last.state,
+		Act:       Dispatch,
+		Reward:    o.Penalty() - r.Detour,
+		Penalty:   o.Penalty(),
+		ThetaStar: c.theta(o, now),
+	})
+	delete(c.episodes, r.OrderID)
 }
 
 // onReject finalizes an expired order's episode: waits, then a terminal
 // expired wait with reward -Δt.
 func (c *Collector) onReject(o *order.Order, now float64) {
-	snaps := c.snaps[o.ID]
+	snaps := c.episodes[o.ID].snaps
 	if len(snaps) == 0 {
 		return
 	}
@@ -139,7 +153,7 @@ func (c *Collector) onReject(o *order.Order, now float64) {
 		ThetaStar: c.theta(o, now),
 		Dt:        dt,
 	})
-	delete(c.snaps, o.ID)
+	delete(c.episodes, o.ID)
 }
 
 // emitWaits emits the non-terminal wait transitions s_j -> s_{j+1}.

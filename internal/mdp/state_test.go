@@ -245,7 +245,7 @@ func (c *checkedCollector) reference(o *order.Order, now float64) []float64 {
 }
 
 func (c *checkedCollector) record(id int, ref []float64) {
-	snaps := c.snaps[id]
+	snaps := c.episodes[id].snaps
 	got := snaps[len(snaps)-1].state
 	if !slicesEqual(got, ref) {
 		c.t.Fatalf("order %d snapshot %d differs from the per-call rebuild", id, len(snaps)-1)

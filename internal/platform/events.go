@@ -1,99 +1,36 @@
 package platform
 
-import (
-	"watter/internal/order"
-	"watter/internal/sim"
+import "watter/internal/sim"
+
+// The event types are recorded and emitted by sim, where outcomes happen;
+// the platform delivers them and keeps their names as its public API.
+type (
+	// Event is one observable platform outcome; the concrete variants are
+	// OrderAdmitted, GroupDispatched, OrderRejected and TickCompleted.
+	Event = sim.Event
+	// OrderAdmitted fires when an order enters the platform.
+	OrderAdmitted = sim.OrderAdmitted
+	// ServiceRecord is one served order's share of a dispatch.
+	ServiceRecord = sim.ServiceRecord
+	// GroupDispatched fires when a group is booked on a worker.
+	GroupDispatched = sim.GroupDispatched
+	// OrderRejected fires when an order is rejected, with its penalties.
+	OrderRejected = sim.OrderRejected
+	// TickCompleted fires after each periodic check with a metrics snapshot.
+	TickCompleted = sim.TickCompleted
 )
 
-// Event is one observable platform outcome. The concrete variants are
-// OrderAdmitted, GroupDispatched, OrderRejected and TickCompleted. The
-// event sequence for a given (network, fleet, workload, algorithm, seed)
-// is deterministic — same events, same order, same payloads — with one
-// documented exception: TickCompleted.Metrics.DecisionSeconds measures
-// wall-clock and varies run to run (DESIGN.md §8).
-type Event interface {
-	// When returns the simulation time of the event in seconds.
-	When() float64
-	// event is the closed-variant marker.
-	event()
-}
-
-// OrderAdmitted fires when an order enters the platform, before the
-// dispatch algorithm sees it. Order is the platform's copy — DirectCost
-// already enriched — and must be treated as read-only.
-type OrderAdmitted struct {
-	Time  float64
-	Order *order.Order
-}
-
-func (e OrderAdmitted) When() float64 { return e.Time }
-func (OrderAdmitted) event()          {}
-
-// ServiceRecord is one served order's share of a dispatch: the response
-// and detour seconds that feed the extra-time metric. Response is
-// dispatch-time minus release — the admit→dispatch latency the load
-// harness histograms — so latency tails come straight off the event bus
-// with no extra bookkeeping.
-type ServiceRecord struct {
-	OrderID  int
-	Response float64
-	Detour   float64
-}
-
-// GroupDispatched fires when a group (possibly a singleton) is booked on
-// a worker, or when a schedule-based baseline completes one order inside
-// a worker's evolving schedule (then RouteCost is zero and Orders has one
-// record). WorkerID is zero only when no single worker is attributable.
-// Approach is the worker's travel time to the route's first stop;
-// worker-anchored plans fold it into RouteCost and report zero.
-type GroupDispatched struct {
-	Time      float64
-	WorkerID  int
-	Approach  float64
-	RouteCost float64
-	Orders    []ServiceRecord
-}
-
-func (e GroupDispatched) When() float64 { return e.Time }
-func (GroupDispatched) event()          {}
-
-// Size returns the number of orders sharing the dispatched route.
-func (e GroupDispatched) Size() int { return len(e.Orders) }
-
-// OrderRejected fires when an order is rejected, carrying the METRS
-// penalty p(i) and the Unified Cost rejection term it contributed.
-type OrderRejected struct {
-	Time           float64
-	Order          *order.Order
-	Penalty        float64
-	UnifiedPenalty float64
-}
-
-func (e OrderRejected) When() float64 { return e.Time }
-func (OrderRejected) event()          {}
-
-// TickCompleted fires after each periodic check with a snapshot of the
-// metrics accumulated so far — the live-dashboard feed. All fields of
-// Metrics are deterministic except DecisionSeconds (wall-clock).
-type TickCompleted struct {
-	Time    float64
-	Metrics sim.Metrics
-}
-
-func (e TickCompleted) When() float64 { return e.Time }
-func (TickCompleted) event()          {}
-
-// fanSink adapts the simulator's callback sink to the platform's two
-// delivery paths: the synchronous observer callback (journal recorders —
-// sees every event first, never buffers) and the typed event channel
-// (dashboards — sends block when the buffer is full, so no event is ever
-// dropped; consumers must drain or size the buffer accordingly). Either
-// tap may be absent.
-type fanSink struct {
+// tap is the platform's one observer on the simulation environment. It hands
+// every event to the platform's two delivery paths: the synchronous observer
+// callback (journal recorders — sees every event first, never buffers) and
+// the typed event channel (dashboards — sends block when the buffer is full,
+// so no event is ever dropped; consumers must drain or size the buffer
+// accordingly). Either path may be absent.
+type tap struct {
 	fn func(Event)
 	ch chan Event
-	// highWater is the deepest channel backlog ever observed at an emit;
-	// blockedSends counts emits that found the buffer already full (the
+	// highWater is the deepest channel backlog ever observed at a delivery;
+	// blockedSends counts deliveries that found the buffer already full (the
 	// feeder stalled until the consumer caught up). Both are written only
 	// from the feeding goroutine and surface through Stats as the
 	// queue-depth sampling hook the load harness builds on.
@@ -101,73 +38,18 @@ type fanSink struct {
 	blockedSends uint64
 }
 
-// emit fans one event out to whichever taps exist, observer first.
-func (b *fanSink) emit(ev Event) {
-	if b.fn != nil {
-		b.fn(ev)
+// deliver hands one event to whichever paths exist, observer first.
+func (t *tap) deliver(ev Event) {
+	if t.fn != nil {
+		t.fn(ev)
 	}
-	if b.ch != nil {
-		if len(b.ch) == cap(b.ch) {
-			b.blockedSends++
+	if t.ch != nil {
+		if len(t.ch) == cap(t.ch) {
+			t.blockedSends++
 		}
-		b.ch <- ev
-		if d := len(b.ch); d > b.highWater {
-			b.highWater = d
+		t.ch <- ev
+		if d := len(t.ch); d > t.highWater {
+			t.highWater = d
 		}
 	}
 }
-
-func (b *fanSink) OrderAdmitted(o *order.Order, now float64) {
-	b.emit(OrderAdmitted{Time: now, Order: o})
-}
-
-func (b *fanSink) GroupDispatched(w *order.Worker, g *order.Group, approach, now float64) {
-	ev := GroupDispatched{
-		Time:     now,
-		Approach: approach,
-		Orders:   make([]ServiceRecord, 0, len(g.Orders)),
-	}
-	if w != nil {
-		ev.WorkerID = w.ID
-	}
-	// Both dispatch paths refuse plan-less groups before committing, so
-	// g.Plan is always present here.
-	ev.RouteCost = g.Plan.Cost
-	for _, o := range g.Orders {
-		// Mirror of the metrics accounting loop: an order without a
-		// dropoff in the plan is not counted as served, so it gets no
-		// service record either — the dispatched-vs-Served event
-		// invariant stays exact.
-		st, ok := g.Plan.ServiceTime(o.ID)
-		if !ok {
-			continue
-		}
-		ev.Orders = append(ev.Orders, ServiceRecord{
-			OrderID:  o.ID,
-			Response: now - o.Release,
-			Detour:   st - o.DirectCost,
-		})
-	}
-	b.emit(ev)
-}
-
-func (b *fanSink) OrderServed(w *order.Worker, o *order.Order, response, detour, now float64) {
-	ev := GroupDispatched{
-		Time:   now,
-		Orders: []ServiceRecord{{OrderID: o.ID, Response: response, Detour: detour}},
-	}
-	if w != nil {
-		ev.WorkerID = w.ID
-	}
-	b.emit(ev)
-}
-
-func (b *fanSink) OrderRejected(o *order.Order, penalty, unified, now float64) {
-	b.emit(OrderRejected{Time: now, Order: o, Penalty: penalty, UnifiedPenalty: unified})
-}
-
-func (b *fanSink) TickCompleted(now float64, m sim.Metrics) {
-	b.emit(TickCompleted{Time: now, Metrics: m})
-}
-
-var _ sim.EventSink = (*fanSink)(nil)

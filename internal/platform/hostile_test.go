@@ -72,6 +72,15 @@ func TestSubmitRefusesHostileOrders(t *testing.T) {
 					if after := p.Stats(); !reflect.DeepEqual(before, after) || events != seen {
 						t.Fatalf("%s: a refused order moved state:\nbefore %+v (%d events)\nafter  %+v (%d events)", when, before, seen, after, events)
 					}
+					// A batch holding it is refused whole, the valid order
+					// ahead of it included, and the platform stays open.
+					within(t, when+" (replay)", func() { _, err = p.Replay([]*order.Order{valid(667, rel), bad}) })
+					if !errors.Is(err, order.ErrInvalid) {
+						t.Fatalf("%s replay: got %v, want an error wrapping order.ErrInvalid", when, err)
+					}
+					if after := p.Stats(); !reflect.DeepEqual(before, after) || events != seen {
+						t.Fatalf("%s replay: a refused batch moved state:\nbefore %+v (%d events)\nafter  %+v (%d events)", when, before, seen, after, events)
+					}
 					if st := p.Stats().Orders; st.Submitted != st.Served+st.Rejected+st.Pending {
 						t.Fatalf("%s: ledger broken: %+v", when, st)
 					}

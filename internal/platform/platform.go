@@ -41,9 +41,9 @@ type Platform struct {
 	stream     *sim.Stream
 	env        *sim.Env
 	events     chan Event
-	sink       *fanSink // installed on the stream once any delivery path exists
-	subscribed bool     // a live sink is installed (events must be closed at Close)
-	fed        bool     // the run has started; too late to subscribe
+	tap        *tap // registered on the Env once any delivery path exists
+	subscribed bool // the channel is live (it must be closed at Close)
+	fed        bool // the run has started; too late to subscribe
 	buffer     int
 	paused     bool
 	closed     bool
@@ -284,7 +284,7 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 	}
 	p := &Platform{stream: stream, env: env, buffer: c.buffer}
 	if c.observer != nil {
-		p.ensureSink().fn = c.observer
+		p.ensureTap().fn = c.observer
 	}
 	return p, nil
 }
@@ -327,15 +327,18 @@ func validateFleet(net roadnet.Network, workers []*order.Worker) error {
 	return nil
 }
 
-// ensureSink lazily installs the fan-out sink on the stream. Both delivery
-// paths (observer callback, event channel) hang off the one sink, so the
-// stream sees a single EventSink regardless of how many taps exist.
-func (p *Platform) ensureSink() *fanSink {
-	if p.sink == nil {
-		p.sink = &fanSink{}
-		p.stream.SetSink(p.sink)
+// ensureTap lazily registers the platform's tap on the Env. Both delivery
+// paths (observer callback, event channel) hang off the one tap, so the Env
+// holds a single platform observer however many paths exist, and a platform
+// with neither holds none — its run builds no events at all. Registration
+// happens at New or at Events, before the run starts, so the tap precedes
+// every observer an algorithm registers at Init.
+func (p *Platform) ensureTap() *tap {
+	if p.tap == nil {
+		p.tap = &tap{}
+		p.env.Observe(p.tap.deliver)
 	}
-	return p.sink
+	return p.tap
 }
 
 // Events returns the platform's event channel, creating it on first call.
@@ -356,7 +359,7 @@ func (p *Platform) Events() <-chan Event {
 			close(p.events)
 		} else {
 			p.subscribed = true
-			p.ensureSink().ch = p.events
+			p.ensureTap().ch = p.events
 		}
 	}
 	return p.events
@@ -379,14 +382,13 @@ func (p *Platform) Submit(o *order.Order) error {
 	if p.paused {
 		return ErrPaused
 	}
-	if o == nil {
-		return errors.New("platform: nil order")
+	// The stream validates the order. Only a refusal leaves the run
+	// unstarted; every other error can only follow a delivered event.
+	err := p.stream.Submit(o)
+	if err == nil {
+		p.fed = true
 	}
-	if err := p.stream.Admissible(o); err != nil {
-		return err
-	}
-	p.fed = true
-	return p.stream.Submit(o)
+	return err
 }
 
 // Tick fires the next periodic check immediately and returns its
@@ -458,14 +460,15 @@ func (p *Platform) Abort() {
 	p.abort()
 }
 
-// Replay is paper-replication mode on the streaming core: after
-// validating every order it delegates to Stream.Replay (the single
-// clone + stable-sort + submit implementation sim.Run also uses) and
-// closes the platform. The caller's slice is never touched, and the
-// metrics are bit-identical to the legacy batch sim.Run — proven by the
-// replay equivalence property test. On a mid-replay error the platform
-// is aborted — closed without draining, event channel closed — so event
-// consumers always terminate.
+// Replay is paper-replication mode on the streaming core: it delegates to
+// Stream.Replay (the single validate-all + clone + stable-sort + submit
+// implementation sim.Run also uses) and closes the platform. The caller's
+// slice is never touched, and the metrics are bit-identical to the legacy
+// batch sim.Run — proven by the replay equivalence property test. A nil or
+// invalid order is refused, with an error wrapping order.ErrInvalid, before
+// anything moves, and the platform stays usable. On a mid-replay error the
+// platform is aborted — closed without draining, event channel closed — so
+// event consumers always terminate.
 func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
 	if p.closed {
 		return nil, ErrClosed
@@ -473,17 +476,10 @@ func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
 	if p.paused {
 		return nil, ErrPaused
 	}
-	for i, o := range orders {
-		if o == nil {
-			return nil, fmt.Errorf("platform: order %d is nil", i)
-		}
-		if err := p.stream.Admissible(o); err != nil {
-			return nil, err
-		}
-	}
-	p.fed = true
 	if err := p.stream.Replay(orders); err != nil {
-		p.abort()
+		if !errors.Is(err, order.ErrInvalid) {
+			p.abort()
+		}
 		return nil, err
 	}
 	return p.Close()
@@ -509,8 +505,9 @@ func (p *Platform) Clock() float64 { return p.stream.Clock() }
 func (p *Platform) Metrics() sim.Metrics { return p.env.Metrics }
 
 // Env exposes the underlying simulation environment for advanced
-// consumers (offline training registers outcome observers on it). The
-// platform still owns the clock; treat the environment as read-mostly.
+// consumers (offline training registers its outcome observer on it with
+// Env.Observe). The platform still owns the clock; treat the environment as
+// read-mostly.
 func (p *Platform) Env() *sim.Env { return p.env }
 
 // Algorithm returns the installed dispatch policy.

@@ -60,9 +60,7 @@ type Stats struct {
 }
 
 // Stats returns the composite snapshot. It reads the platform's own state
-// plus whatever subsystems the installed algorithm exposes, and is the
-// blessed observability surface — the per-subsystem accessors it replaced
-// survive only for backward compatibility.
+// plus whatever subsystems the installed algorithm exposes.
 func (p *Platform) Stats() Stats {
 	m := p.env.Metrics
 	st := Stats{
@@ -80,9 +78,9 @@ func (p *Platform) Stats() Stats {
 		st.EventQueueDepth = len(p.events)
 		st.EventQueueCap = cap(p.events)
 	}
-	if p.sink != nil {
-		st.EventQueueHighWater = p.sink.highWater
-		st.EventBlockedSends = p.sink.blockedSends
+	if p.tap != nil {
+		st.EventQueueHighWater = p.tap.highWater
+		st.EventBlockedSends = p.tap.blockedSends
 	}
 	if se, ok := p.stream.Alg().(interface{ ShardEngine() *shard.Engine }); ok {
 		if eng := se.ShardEngine(); eng != nil {

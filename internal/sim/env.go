@@ -2,14 +2,15 @@
 // worker fleet and the metric accounting, and drives any dispatch algorithm
 // (the WATTER variants and the GDP/GAS baselines) over an online order
 // stream. The four reported measurements match the paper's Section VII-A:
-// Extra Time, Unified Cost, Service Rate and Running Time.
+// Extra Time, Unified Cost, Service Rate and Running Time. Every outcome is
+// recorded once, in Env, and handed as a typed Event to the Env's observers.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"watter/internal/geo"
 	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/roadnet"
@@ -112,14 +113,12 @@ type Env struct {
 	Clock   float64
 	Metrics Metrics
 
-	// onServe/onReject let learners observe outcomes (experience
-	// generation); nil outside training.
-	onServe  func(g *order.Group, now float64)
-	onReject func(o *order.Order, now float64)
-
-	// sink receives dispatch-level outcomes for the event bus; nil
-	// outside platform-driven runs. Installed via Stream.SetSink.
-	sink EventSink
+	// observers receive every recorded outcome, in registration order (see
+	// Observe); with none registered no event is ever built.
+	observers []func(Event)
+	// recs holds the service records of the dispatch being booked; book folds
+	// them into Metrics and copies them into the event only when observed.
+	recs []ServiceRecord
 }
 
 // Validate rejects parameter values the simulator cannot honor. There is
@@ -161,16 +160,25 @@ func NewEnv(net roadnet.Network, workers []*order.Worker, cfg Config) *Env {
 	}
 }
 
-// SetObservers registers outcome callbacks (used by offline training).
-func (e *Env) SetObservers(onServe func(*order.Group, float64), onReject func(*order.Order, float64)) {
-	e.onServe = onServe
-	e.onReject = onReject
+// Observe appends fn to the Env's one observer list. Every outcome the Env
+// records (GroupDispatched, OrderRejected) and every admission and tick a
+// Stream over it delivers (OrderAdmitted, TickCompleted) is handed to each
+// observer in registration order — the platform's tap registers before the
+// run starts, an algorithm's own observer at Init — synchronously on the
+// simulation goroutine, inside the call that produced it, so fn must not
+// call back into the Env or Stream. Observers stay for the Env's lifetime.
+func (e *Env) Observe(fn func(Event)) {
+	e.observers = append(e.observers, fn)
 }
 
-// ClosestIdleWorker returns the nearest idle worker with enough seats, or
-// nil when none exists.
-func (e *Env) ClosestIdleWorker(node geo.NodeID, riders int) *order.Worker {
-	return e.WIndex.ClosestIdle(node, e.Clock, riders)
+// observed reports whether anything listens; callers build no event without.
+func (e *Env) observed() bool { return len(e.observers) > 0 }
+
+// emit hands one event to every observer in registration order.
+func (e *Env) emit(ev Event) {
+	for _, fn := range e.observers {
+		fn(ev)
+	}
 }
 
 // DispatchGroup assigns the group to the closest idle worker with enough
@@ -220,7 +228,10 @@ func (e *Env) DispatchGroupTo(w *order.Worker, approach float64, g *order.Group,
 	return true
 }
 
-// commitGroup books the group on the worker and accounts all metrics.
+// commitGroup books the group on the worker and accounts all metrics. It is
+// the one place a served order's response and detour are derived from a
+// plan: an order without a dropoff in the plan is not served, so it gets no
+// record and is not counted.
 func (e *Env) commitGroup(w *order.Worker, approach float64, g *order.Group, now float64) {
 	w.TravelCost += approach + g.Plan.Cost
 	w.FreeAt = now + approach + g.Plan.Cost
@@ -229,29 +240,38 @@ func (e *Env) commitGroup(w *order.Worker, approach float64, g *order.Group, now
 	e.WIndex.Update(w)
 
 	e.Metrics.WorkerTravel += approach + g.Plan.Cost
+	e.recs = e.recs[:0]
 	for _, o := range g.Orders {
 		st, ok := g.Plan.ServiceTime(o.ID)
 		if !ok {
 			continue
 		}
-		response := now - o.Release
-		detour := st - o.DirectCost
+		e.recs = append(e.recs, ServiceRecord{OrderID: o.ID, Response: now - o.Release, Detour: st - o.DirectCost})
+	}
+	e.book(w, approach, g.Plan.Cost, len(g.Orders), e.recs, now)
+}
+
+// book is the one accounting routine every served order goes through: it
+// folds each record into Metrics, counts a group of size orders, and — only
+// when something is listening — hands a copy of the same records to the
+// observers as one GroupDispatched. w is nil when no single worker is
+// attributable.
+func (e *Env) book(w *order.Worker, approach, routeCost float64, size int, recs []ServiceRecord, now float64) {
+	for _, r := range recs {
 		e.Metrics.Served++
-		e.Metrics.ResponseSum += response
-		e.Metrics.DetourSum += detour
-		e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
+		e.Metrics.ResponseSum += r.Response
+		e.Metrics.DetourSum += r.Detour
+		e.Metrics.ServedExtra += e.Cfg.Alpha*r.Detour + e.Cfg.Beta*r.Response
 	}
-	k := len(g.Orders)
-	if k >= len(e.Metrics.GroupSizeHist) {
-		k = len(e.Metrics.GroupSizeHist) - 1
+	e.Metrics.GroupSizeHist[min(size, len(e.Metrics.GroupSizeHist)-1)]++
+	if !e.observed() {
+		return
 	}
-	e.Metrics.GroupSizeHist[k]++
-	if e.sink != nil {
-		e.sink.GroupDispatched(w, g, approach, now)
+	ev := GroupDispatched{Time: now, Approach: approach, RouteCost: routeCost, Orders: slices.Clone(recs)}
+	if w != nil {
+		ev.WorkerID = w.ID
 	}
-	if e.onServe != nil {
-		e.onServe(g, now)
-	}
+	e.emit(ev)
 }
 
 // approachSlack returns the largest approach travel time a worker may add
@@ -280,44 +300,11 @@ func approachSlack(g *order.Group, now float64) float64 {
 // DispatchGroupWith assigns the group to a specific worker. The group's
 // plan must be anchored at the worker's current location (built with
 // PlanGroupFrom), so Plan.Cost already includes the approach leg. Used by
-// the batch baseline, which chooses workers itself.
+// the batch baseline, which chooses workers itself. The approach leg is
+// folded into Plan.Cost, so the booking (and its event) carries a zero
+// approach — adding an exact zero leaves every sum bit for bit unchanged.
 func (e *Env) DispatchGroupWith(w *order.Worker, g *order.Group, now float64) bool {
-	if g == nil || g.Plan == nil || len(g.Orders) == 0 || !w.IdleAt(now) {
-		return false
-	}
-	w.TravelCost += g.Plan.Cost
-	w.FreeAt = now + g.Plan.Cost
-	w.Loc = g.Plan.Stops[len(g.Plan.Stops)-1].Node
-	w.Served++
-	e.WIndex.Update(w)
-
-	e.Metrics.WorkerTravel += g.Plan.Cost
-	for _, o := range g.Orders {
-		st, ok := g.Plan.ServiceTime(o.ID)
-		if !ok {
-			continue
-		}
-		response := now - o.Release
-		detour := st - o.DirectCost
-		e.Metrics.Served++
-		e.Metrics.ResponseSum += response
-		e.Metrics.DetourSum += detour
-		e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
-	}
-	k := len(g.Orders)
-	if k >= len(e.Metrics.GroupSizeHist) {
-		k = len(e.Metrics.GroupSizeHist) - 1
-	}
-	e.Metrics.GroupSizeHist[k]++
-	if e.sink != nil {
-		// The plan is worker-anchored: the approach leg is folded into
-		// Plan.Cost, so the event reports it as zero.
-		e.sink.GroupDispatched(w, g, 0, now)
-	}
-	if e.onServe != nil {
-		e.onServe(g, now)
-	}
-	return true
+	return e.DispatchGroupTo(w, 0, g, now)
 }
 
 // ServeWithWorker charges travel to a specific worker without group
@@ -333,31 +320,19 @@ func (e *Env) ServeWithWorker(w *order.Worker, addedTravel float64) {
 // nil when no single worker is attributable (used by schedule-based
 // baselines).
 func (e *Env) ServeOrder(w *order.Worker, o *order.Order, response, detour float64) {
-	e.Metrics.Served++
-	e.Metrics.ResponseSum += response
-	e.Metrics.DetourSum += detour
-	e.Metrics.ServedExtra += e.Cfg.Alpha*detour + e.Cfg.Beta*response
-	e.Metrics.GroupSizeHist[1]++
-	if e.sink != nil {
-		e.sink.OrderServed(w, o, response, detour, e.Clock)
-	}
-	if e.onServe != nil {
-		g := &order.Group{Orders: []*order.Order{o}}
-		e.onServe(g, e.Clock)
-	}
+	e.recs = append(e.recs[:0], ServiceRecord{OrderID: o.ID, Response: response, Detour: detour})
+	e.book(w, 0, 0, 1, e.recs, e.Clock)
 }
 
 // Reject records a rejected order: METRS penalty p(i) plus the Unified
 // Cost rejection term.
 func (e *Env) Reject(o *order.Order, now float64) {
+	penalty, unified := o.Penalty(), e.Cfg.UnifiedPenaltyFactor*o.DirectCost
 	e.Metrics.Rejected++
-	e.Metrics.PenaltySum += o.Penalty()
-	e.Metrics.RejectUnified += e.Cfg.UnifiedPenaltyFactor * o.DirectCost
-	if e.sink != nil {
-		e.sink.OrderRejected(o, o.Penalty(), e.Cfg.UnifiedPenaltyFactor*o.DirectCost, now)
-	}
-	if e.onReject != nil {
-		e.onReject(o, now)
+	e.Metrics.PenaltySum += penalty
+	e.Metrics.RejectUnified += unified
+	if e.observed() {
+		e.emit(OrderRejected{Time: now, Order: o, Penalty: penalty, UnifiedPenalty: unified})
 	}
 }
 

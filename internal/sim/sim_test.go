@@ -221,10 +221,14 @@ func TestRunnerMeasuresTime(t *testing.T) {
 func TestObserversFire(t *testing.T) {
 	env, net := newTestEnv(3)
 	var served, rejected int
-	env.SetObservers(
-		func(g *order.Group, now float64) { served += len(g.Orders) },
-		func(o *order.Order, now float64) { rejected++ },
-	)
+	env.Observe(func(ev Event) {
+		switch ev := ev.(type) {
+		case GroupDispatched:
+			served += ev.Size()
+		case OrderRejected:
+			rejected++
+		}
+	})
 	rec := &recorder{serveIt: true}
 	orders := []*order.Order{mkOrder(net, 1, 0), mkOrder(net, 2, 1)}
 	m := Run(env, rec, orders, RunOptions{TickEvery: 10})

@@ -12,33 +12,6 @@ import (
 	"watter/internal/roadnet"
 )
 
-// EventSink receives the simulator's dispatch-level outcomes as they
-// happen. The platform layer installs one to publish typed events; nil
-// sinks cost nothing. Sink callbacks run synchronously on the simulation
-// goroutine, inside the event that produced them, so implementations must
-// not call back into the Env or Stream.
-type EventSink interface {
-	// OrderAdmitted fires when an order enters the platform, before the
-	// algorithm sees it. DirectCost is already enriched.
-	OrderAdmitted(o *order.Order, now float64)
-	// GroupDispatched fires when a group (possibly a singleton) is booked
-	// on a worker. approach is the worker's travel time to the route's
-	// first stop; for worker-anchored plans it is zero and the approach is
-	// folded into g.Plan.Cost.
-	GroupDispatched(w *order.Worker, g *order.Group, approach, now float64)
-	// OrderServed fires when a schedule-based baseline completes one
-	// order inside a worker's evolving multi-order schedule, with the
-	// response and detour seconds it charged; w may be nil when no single
-	// worker is attributable.
-	OrderServed(w *order.Worker, o *order.Order, response, detour, now float64)
-	// OrderRejected fires when an order is rejected, with its METRS
-	// penalty p(i) and the Unified Cost rejection term.
-	OrderRejected(o *order.Order, penalty, unified, now float64)
-	// TickCompleted fires after each periodic check, with a snapshot of
-	// the metrics accumulated so far.
-	TickCompleted(now float64, m Metrics)
-}
-
 // ErrStreamClosed is returned by Stream operations after Close.
 var ErrStreamClosed = errors.New("sim: stream closed")
 
@@ -63,7 +36,6 @@ type Stream struct {
 	env  *Env
 	alg  Algorithm
 	opts RunOptions
-	sink EventSink
 
 	clock       float64 // last delivered event time
 	delivered   bool    // whether any event has been delivered (clock is meaningful)
@@ -88,13 +60,6 @@ func NewStream(env *Env, alg Algorithm, opts RunOptions) (*Stream, error) {
 		return nil, err
 	}
 	return &Stream{env: env, alg: alg, opts: opts}, nil
-}
-
-// SetSink installs the event sink. Must be called before the first
-// Submit/Tick/Close so no event is missed.
-func (s *Stream) SetSink(sink EventSink) {
-	s.sink = sink
-	s.env.sink = sink
 }
 
 // Env exposes the underlying environment (observer registration, metrics).
@@ -129,13 +94,13 @@ func (s *Stream) timed(fn func()) {
 	s.env.Metrics.DecisionSeconds += time.Since(start).Seconds()
 }
 
-// Admissible reports whether the order may enter this stream at all: its
+// admissible reports whether the order may enter this stream at all: its
 // fields pass order.Validate and both its nodes exist in the stream's
 // network. A refusal wraps order.ErrInvalid and touches no state. The range
 // check is what stands between a hostile node ID and the routing oracle,
 // which indexes its arrays by it (a Graph panics; a closed-form GridCity
 // would price garbage without complaint).
-func (s *Stream) Admissible(o *order.Order) error {
+func (s *Stream) admissible(o *order.Order) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
@@ -152,7 +117,7 @@ func (s *Stream) Admissible(o *order.Order) error {
 // stream owns admission-time enrichment — DirectCost is filled here when
 // unset, on the submitted order (ownership passes to the platform; batch
 // callers who need their slices untouched go through Run, which clones).
-// An order that is not Admissible is refused before anything moves: no
+// An order that is not admissible is refused before anything moves: no
 // tick fires, the clock and the metrics stay where they were.
 func (s *Stream) Submit(o *order.Order) error {
 	if s.closed {
@@ -161,9 +126,14 @@ func (s *Stream) Submit(o *order.Order) error {
 	if o == nil {
 		return errors.New("sim: nil order")
 	}
-	if err := s.Admissible(o); err != nil {
+	if err := s.admissible(o); err != nil {
 		return err
 	}
+	return s.submit(o)
+}
+
+// submit is Submit for an order already found admissible.
+func (s *Stream) submit(o *order.Order) error {
 	s.start()
 	// Monotonicity is checked against delivered events only: before the
 	// first one the clock is not meaningful, so negative releases are
@@ -187,8 +157,8 @@ func (s *Stream) Submit(o *order.Order) error {
 	if o.Deadline > s.maxDeadline {
 		s.maxDeadline = o.Deadline
 	}
-	if s.sink != nil {
-		s.sink.OrderAdmitted(o, o.Release)
+	if s.env.observed() {
+		s.env.emit(OrderAdmitted{Time: o.Release, Order: o})
 	}
 	s.timed(func() { s.alg.OnOrder(o, o.Release) })
 	return nil
@@ -201,18 +171,31 @@ func (s *Stream) Submit(o *order.Order) error {
 // Platform.Replay both delegate here, so the bit-identical replay
 // contract lives in exactly one place. The stream stays open: callers
 // drain with Close.
+//
+// Admission is all or nothing: every order is checked before the first is
+// submitted, and a nil or inadmissible one is refused — with an error
+// wrapping order.ErrInvalid — before anything moves. Each order is checked
+// once; the submissions that follow do not check it again. A later error
+// (a release behind the clock a live Tick already advanced) stops the
+// replay partway.
 func (s *Stream) Replay(orders []*order.Order) error {
+	if s.closed {
+		return ErrStreamClosed
+	}
 	sorted := make([]*order.Order, len(orders))
 	for i, o := range orders {
 		if o == nil {
-			return fmt.Errorf("sim: order %d is nil", i)
+			return fmt.Errorf("sim: order %d is nil: %w", i, order.ErrInvalid)
+		}
+		if err := s.admissible(o); err != nil {
+			return err
 		}
 		c := *o
 		sorted[i] = &c
 	}
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
 	for _, o := range sorted {
-		if err := s.Submit(o); err != nil {
+		if err := s.submit(o); err != nil {
 			return err
 		}
 	}
@@ -241,8 +224,8 @@ func (s *Stream) fireTick() {
 	s.delivered = true
 	s.timed(func() { s.alg.OnTick(t) })
 	s.nextTick += s.opts.TickEvery
-	if s.sink != nil {
-		s.sink.TickCompleted(t, s.env.Metrics)
+	if s.env.observed() {
+		s.env.emit(TickCompleted{Time: t, Metrics: s.env.Metrics})
 	}
 }
 

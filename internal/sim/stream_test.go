@@ -128,9 +128,9 @@ func TestStreamOrderingAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestStreamRefusesInadmissibleOrders pins the stream's own admission gate
-// (the one batch callers meet; the platform asks Admissible before it even
-// gets here): a non-finite field or a node outside the network is refused
+// TestStreamRefusesInadmissibleOrders pins the stream's admission gate, the
+// only one (the platform and sim.Run both meet it through Submit or
+// Replay): a non-finite field or a node outside the network is refused
 // with an error wrapping order.ErrInvalid, and the refusal leaves the run
 // unstarted — no Init, no tick, no clock, no metrics.
 func TestStreamRefusesInadmissibleOrders(t *testing.T) {
@@ -153,10 +153,18 @@ func TestStreamRefusesInadmissibleOrders(t *testing.T) {
 		if err := st.Submit(o); !errors.Is(err, order.ErrInvalid) {
 			t.Fatalf("%s: got %v, want an error wrapping order.ErrInvalid", name, err)
 		}
+		// Replay checks the whole batch first: the valid order ahead of
+		// the bad one is not delivered either.
+		if err := st.Replay([]*order.Order{mkOrder(net, 8, 5), o}); !errors.Is(err, order.ErrInvalid) {
+			t.Fatalf("%s: replay got %v, want an error wrapping order.ErrInvalid", name, err)
+		}
 		if rec.inits != 0 || len(rec.ticks) != 0 || len(rec.orders) != 0 || st.Clock() != 0 || env.Metrics.Total != 0 {
 			t.Fatalf("%s: a refused order moved state: inits %d ticks %v orders %v clock %v total %d",
 				name, rec.inits, rec.ticks, rec.orders, st.Clock(), env.Metrics.Total)
 		}
+	}
+	if err := st.Replay([]*order.Order{mkOrder(net, 8, 5), nil}); !errors.Is(err, order.ErrInvalid) || rec.inits != 0 {
+		t.Fatalf("nil order in a replay: got %v (inits %d), want an error wrapping order.ErrInvalid and no start", err, rec.inits)
 	}
 	if err := st.Submit(mkOrder(net, 1, 25)); err != nil {
 		t.Fatalf("valid order after the refusals: %v", err)

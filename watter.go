@@ -133,17 +133,24 @@ type (
 	PlatformOption = platform.Option
 	// Event is one observable platform outcome; the concrete variants
 	// are OrderAdmitted, GroupDispatched, OrderRejected, TickCompleted.
+	// The simulator records each outcome once and builds its event from
+	// the same values it folds into the metrics, so the event stream and
+	// the final metrics agree bit for bit; the platform delivers the
+	// events (the WithObserver callback first, then the Events channel).
 	Event = platform.Event
 	// OrderAdmitted fires when an order enters the platform.
 	OrderAdmitted = platform.OrderAdmitted
-	// GroupDispatched fires when a group is booked on a worker.
+	// GroupDispatched fires when a group is booked on a worker, or when a
+	// schedule-based baseline completes one order; Orders holds the served
+	// members' response and detour records.
 	GroupDispatched = platform.GroupDispatched
 	// OrderRejected fires when an order is rejected, with its penalties.
 	OrderRejected = platform.OrderRejected
 	// TickCompleted fires after each periodic check with a metrics
 	// snapshot (all fields deterministic except DecisionSeconds).
 	TickCompleted = platform.TickCompleted
-	// ServiceRecord is one served order's share of a dispatch.
+	// ServiceRecord is one served order's share of a dispatch: its
+	// response (dispatch minus release) and detour seconds.
 	ServiceRecord = platform.ServiceRecord
 	// PlatformStats is the unified observability snapshot of one platform:
 	// lifecycle flags, the order ledger, event-bus depth, and the shard
