@@ -104,7 +104,7 @@ benchstream:
 benchpool:
 	$(GO) run ./cmd/watterbench -benchpool $(BENCH_OUT)/BENCH_pool.json
 
-# Slot-sharded vs sequential dispatch.
+# Insert prewarm on K goroutines vs K = 1.
 benchshard:
 	$(GO) run ./cmd/watterbench -benchshard $(BENCH_OUT)/BENCH_shard.json
 

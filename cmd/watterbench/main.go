@@ -12,7 +12,7 @@
 //	watterbench -benchroute BENCH_routing.json       # routing engine vs cold Dijkstra
 //	watterbench -benchstream BENCH_stream.json       # event bus vs batch replay
 //	watterbench -benchpool BENCH_pool.json           # plan cache vs replan-always pool
-//	watterbench -benchshard BENCH_shard.json         # slot-sharded vs sequential dispatch
+//	watterbench -benchshard BENCH_shard.json         # insert prewarm on K goroutines vs K = 1
 //	watterbench -list                                # enumerate sweeps
 //
 // The -scale flag multiplies order and worker counts; 1.0 is the harness
@@ -47,7 +47,6 @@ import (
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/route"
-	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/strategy"
 )
@@ -68,8 +67,8 @@ func main() {
 		benchroute  = flag.String("benchroute", "", "run the point-to-point routing engine benchmark and write its JSON report to this file")
 		benchstream = flag.String("benchstream", "", "run the event-bus-vs-batch-replay benchmark and write its JSON report to this file")
 		benchpool   = flag.String("benchpool", "", "run the pool-maintenance plan-cache benchmark and write its JSON report to this file")
-		benchshard  = flag.String("benchshard", "", "run the slot-sharded dispatch engine benchmark and write its JSON report to this file")
-		shards      = flag.Int("shards", 0, "shard count for -benchshard's sharded arm (0 = GOMAXPROCS, min 2)")
+		benchshard  = flag.String("benchshard", "", "run the K-goroutine insert prewarm benchmark and write its JSON report to this file")
+		shards      = flag.Int("shards", 0, "prewarm goroutine count for -benchshard's sharded arm (0 = GOMAXPROCS, min 2)")
 	)
 	flag.Parse()
 
@@ -780,16 +779,15 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 	return nil
 }
 
-// runBenchShard measures what the slot-sharded dispatch engine buys on a
-// single simulation: the same Graph-backed city workload (real ALT routing
-// behind every worker probe, like production road networks) runs through
-// the platform with the sequential K=1 check and with K shards, for both
+// runBenchShard measures what the insert prewarm engine buys on a single
+// simulation: the same Graph-backed city workload (real ALT routing behind
+// every pair test, like production road networks) runs through the
+// platform at K = 1 and with an insert's pair DPs on K goroutines, for both
 // WATTER-online and WATTER-timeout. Metrics must be bit-identical — the
 // engine's whole contract — and the report tracks the wall-clock ratio.
-// Measured on 2 cores (K = 2), ten runs back to back: median 1.14x,
-// quartiles 1.11 / 1.18, range 0.81-1.24, sequential arm ~2.7 s; two runs
-// with the box busier read 1.04x (the committed BENCH_shard.json) and 0.94x.
-// More cores are unmeasured; DESIGN.md §9 has the full record.
+// Measured on 2 cores (K = 2), ten runs: median 1.065x, quartiles
+// 1.04 / 1.12, range 1.03-1.16, sequential arm ~3 s. More cores are
+// unmeasured; DESIGN.md §9 has the full record.
 func runBenchShard(path string, scale float64, seed int64, shards int, quiet bool) error {
 	side := int(36 * math.Sqrt(scale))
 	if side < 14 {
@@ -858,7 +856,7 @@ func runBenchShard(path string, scale float64, seed int64, shards int, quiet boo
 
 	var seqSecs, shardSecs float64
 	identical := true
-	var stats shard.Stats
+	var prewarmTasks uint64
 	for _, name := range algs {
 		seqM, ss, _, err := runArm(name, 1)
 		if err != nil {
@@ -874,30 +872,11 @@ func runBenchShard(path string, scale float64, seed int64, shards int, quiet boo
 			identical = false
 			logf("benchshard: %s diverged:\nK=1: %+v\nK=%d: %+v\n", name, *seqM, shards, *shardM)
 		}
-		if ps := plat.Stats(); ps.ShardActive {
-			st := ps.Shard
-			stats.Ticks += st.Ticks
-			stats.SpecOrders += st.SpecOrders
-			stats.GroupHits += st.GroupHits
-			stats.GroupInvalid += st.GroupInvalid
-			stats.GroupMiss += st.GroupMiss
-			stats.SoloHits += st.SoloHits
-			stats.SoloInvalid += st.SoloInvalid
-			stats.SoloMiss += st.SoloMiss
-			stats.PrewarmTasks += st.PrewarmTasks
-			stats.SlotHandoffs += st.SlotHandoffs
-		}
+		prewarmTasks += plat.Stats().Shard.PrewarmTasks
 		logf("benchshard: %s sequential=%.3fs sharded(%d)=%.3fs identical=%v\n",
 			name, ss, shards, hs, *seqM == *shardM)
 	}
 
-	hits := stats.GroupHits + stats.SoloHits
-	invalid := stats.GroupInvalid + stats.SoloInvalid
-	misses := stats.GroupMiss + stats.SoloMiss
-	hitRate := 0.0
-	if total := hits + invalid + misses; total > 0 {
-		hitRate = float64(hits) / float64(total)
-	}
 	rep := benchfmt.New("watterbench -benchshard", scale, seed)
 	rep.Add(fmt.Sprintf("perturbed-grid-%dx%d", side, side),
 		benchfmt.Info("nodes", "count", g.NumNodes()),
@@ -908,20 +887,14 @@ func runBenchShard(path string, scale float64, seed int64, shards int, quiet boo
 		benchfmt.Info("sequential_seconds", "s", seqSecs),
 		benchfmt.Info("sharded_seconds", "s", shardSecs),
 		benchfmt.Floor("speedup", "x", seqSecs/shardSecs),
-		benchfmt.Info("spec_orders", "count", stats.SpecOrders),
-		benchfmt.Info("spec_hits", "count", hits),
-		benchfmt.Info("spec_invalidated", "count", invalid),
-		benchfmt.Info("spec_misses", "count", misses),
-		benchfmt.Info("spec_hit_rate", "fraction", hitRate),
-		benchfmt.Info("prewarm_tasks", "count", stats.PrewarmTasks),
-		benchfmt.Info("slot_handoffs", "count", stats.SlotHandoffs),
+		benchfmt.Info("prewarm_tasks", "count", prewarmTasks),
 		benchfmt.Identical("metrics_bit_identical", identical),
 	)
 	if err := finish(rep, path); err != nil {
 		return err
 	}
-	if hits == 0 {
-		return fmt.Errorf("benchshard: the engine never served a speculation (hit rate 0)")
+	if prewarmTasks == 0 {
+		return fmt.Errorf("benchshard: the engine never ran a prewarm task")
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ func main() {
 		drain    = flag.Int("drain", 64, "modelled consumer drain per tick")
 		bpBuffer = flag.Int("bpbuffer", 64, "starved-consumer scenario: bus buffer")
 		bpDrain  = flag.Int("bpdrain", 8, "starved-consumer scenario: drain per tick")
-		shards   = flag.Int("shards", 0, "dispatch engine slot-shard count (0/1 sequential)")
+		shards   = flag.Int("shards", 0, "insert prewarm goroutine count (0/1 inline)")
 		scale    = flag.Float64("scale", 1, "multiplies workers and arrival rates")
 		search   = flag.Bool("search", true, "bisect for the maximum sustainable rate")
 		searchLo = flag.Float64("searchlo", 0.125, "rate-search bracket floor, orders/sec")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -13,20 +14,29 @@ import (
 // hashes are info metrics that benchgate never compares, so without this test
 // a change to any event payload, or to the order of events, would pass CI
 // silently. A deliberate change to the event stream re-records the baseline.
+// The scenarios run at the default K = 1 and again with the insert prewarm
+// on two goroutines: K must change neither an event payload nor the order
+// of events, so both reproduce the same committed hashes.
 func TestJournalPinnedToBaseline(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { journalPinnedToBaseline(t, shards) })
+	}
+}
+
+func journalPinnedToBaseline(t *testing.T, shards int) {
 	base, err := benchfmt.Read(filepath.Join("..", "..", "BENCH_load.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The flag defaults, minus the rate search (it records no hash).
 	const (
-		city                      = "cdc"
-		workers                   = 60
-		horizon, tick, rate       = 300.0, 10.0, 1.0
-		buffer, drain             = 256, 64
-		bpBuffer, bpDrain, shards = 64, 8, 0
-		scale                     = 1.0
-		seed                      = int64(1)
+		city                = "cdc"
+		workers             = 60
+		horizon, tick, rate = 300.0, 10.0, 1.0
+		buffer, drain       = 256, 64
+		bpBuffer, bpDrain   = 64, 8
+		scale               = 1.0
+		seed                = int64(1)
 	)
 	path := filepath.Join(t.TempDir(), "BENCH_load.json")
 	if err := run(path, true, city, workers, horizon, tick, seed, rate, buffer, drain,

@@ -29,11 +29,11 @@ type Framework struct {
 	// the strategy — the paper's "orders will only be rejected when they
 	// cannot be served in the extreme cases".
 	Tick float64
-	// Shards is the slot-shard count of the dispatch engine (see
-	// internal/shard). 1 — the default — runs the classic sequential
-	// check; K > 1 fans the expensive read-only tick work (worker-probe
-	// ring searches, singleton plans, pairwise prewarm) over K goroutines
-	// while keeping every decision bit-identical to the sequential run.
+	// Shards is the goroutine count of an insert's pairwise prewarm (see
+	// internal/shard). 1 — the default — plans every pair on the calling
+	// goroutine; K > 1 runs an insert's pair DPs on K goroutines and merges
+	// them in candidate order, so every decision is bit-identical to the
+	// K = 1 run. The periodic check is sequential at any K.
 	Shards int
 
 	env    *sim.Env
@@ -53,8 +53,8 @@ func (f *Framework) Name() string { return f.Decide.Name() }
 // Pool exposes the shareability graph (read-only use: MDP featurization).
 func (f *Framework) Pool() *pool.Pool { return f.pool }
 
-// ShardEngine exposes the slot-sharded dispatch engine, nil when Shards
-// <= 1 or before Init (benchmarks read its speculation stats).
+// ShardEngine exposes the prewarm engine, nil when Shards <= 1 or before
+// Init (benchmarks read its stats).
 func (f *Framework) ShardEngine() *shard.Engine { return f.engine }
 
 // SetTick aligns the framework's last-call horizon with the platform's
@@ -66,10 +66,9 @@ func (f *Framework) SetTick(dt float64) { f.Tick = dt }
 // Must be called before Init; the platform's WithPool option uses it.
 func (f *Framework) SetPoolOptions(opt pool.Options) { f.PoolOpt = opt }
 
-// SetShards sets the dispatch engine's shard count before a run (values
-// below 1 mean 1: the sequential check). Must be called before Init; the
-// platform's WithShards option uses it. Results are bit-identical at any
-// shard count — sharding buys cores, never different dispatches.
+// SetShards sets the prewarm engine's goroutine count before a run (values
+// below 1 mean 1: no engine). Must be called before Init; the platform's
+// WithShards option uses it. Results are bit-identical at any count.
 func (f *Framework) SetShards(k int) {
 	if k < 1 {
 		k = 1
@@ -96,24 +95,14 @@ func (f *Framework) Init(env *sim.Env) {
 	f.pool = pool.New(env.Planner, env.Index, opt)
 	f.engine = nil
 	if f.Shards > 1 {
-		radius := opt.CandidateRadius
-		if radius < 0 {
-			radius = env.Index.N() // prefilter disabled: everything borders
-		}
-		eng, err := shard.NewEngine(f.Shards, env.Index, env.WIndex, env.Planner, env.Cfg.Capacity, radius)
-		if err != nil {
-			// Inputs are validated by SetShards and the table clamps k;
-			// reaching here is a programming error.
-			panic(err)
-		}
-		f.engine = eng
+		f.engine = shard.NewEngine(f.Shards)
 	}
 }
 
 // OnOrder implements sim.Algorithm: lines 2-4 of Algorithm 1. An order that
-// cannot be served even alone is rejected immediately. With the sharded
+// cannot be served even alone is rejected immediately. With the prewarm
 // engine on, the pairwise shareability plans the insert needs are computed
-// across the shards first — pure work whose merged results leave the
+// on its goroutines first — pure work whose merged results leave the
 // pool's decisions untouched.
 func (f *Framework) OnOrder(o *order.Order, now float64) {
 	if o.Expired(now) || o.MaxResponse() < 0 {
@@ -167,14 +156,6 @@ func (f *Framework) Finish(now float64) {
 // infeasible by the time a worker reaches it. The framework therefore
 // shrinks the horizon it hands to the strategy (and its own last-call
 // checks) by the current nearest idle worker's travel time.
-//
-// With the sharded engine on, every probe below is answered from the
-// engine's speculation phase when still valid — the engine ran the
-// identical searches in parallel against the tick-start state, and a
-// speculation stays valid exactly while no dispatch this pass touched a
-// cell the search visited. Invalidated or missing speculations fall back
-// to the fresh probes of the sequential path, so the commit order and the
-// resulting metrics are bit-identical at any shard count.
 func (f *Framework) checkOrders(now float64, force bool) {
 	// One fleet scan gates all horizon probes: with no idle worker the
 	// probe would return 0 anyway, and per-order ring searches in a
@@ -186,11 +167,7 @@ func (f *Framework) checkOrders(now float64, force bool) {
 			break
 		}
 	}
-	ids := f.pool.OrderIDs()
-	if f.engine != nil {
-		f.engine.BeginTick(f.pool, ids, now, anyIdle)
-	}
-	for _, id := range ids {
+	for _, id := range f.pool.OrderIDs() {
 		if !f.pool.Contains(id) {
 			continue // removed earlier this pass as part of a group
 		}
@@ -203,14 +180,8 @@ func (f *Framework) checkOrders(now float64, force bool) {
 		var gw *order.Worker
 		var gApproach float64
 		if ok && anyIdle {
-			hit := false
-			if f.engine != nil {
-				gw, gApproach, hit = f.engine.GroupProbe(id, g, expiry)
-			}
-			if !hit {
-				gw, gApproach = f.env.WIndex.ClosestIdleWithin(
-					g.Plan.Stops[0].Node, now, g.Riders(), expiry-now)
-			}
+			gw, gApproach = f.env.WIndex.ClosestIdleWithin(
+				g.Plan.Stops[0].Node, now, g.Riders(), expiry-now)
 			if gw != nil {
 				expiry -= gApproach
 			}
@@ -233,7 +204,7 @@ func (f *Framework) checkOrders(now float64, force bool) {
 		// (approach >= 0 can only strengthen it) or nobody is idle.
 		soloApproach := 0.0
 		if anyIdle && now+f.Tick+o.DirectCost <= o.Deadline {
-			soloApproach = f.approachFor(id, o.Pickup, now, o.Riders, o.Deadline-now-o.DirectCost)
+			soloApproach = f.approachFor(o.Pickup, now, o.Riders, o.Deadline-now-o.DirectCost)
 		}
 		soloLastCall := now+f.Tick+soloApproach+o.DirectCost > o.Deadline
 		if ok && !force && !soloLastCall {
@@ -250,17 +221,10 @@ func (f *Framework) checkOrders(now float64, force bool) {
 // DispatchGroup uses, so a grid-near but road-slow worker does not distort
 // the horizon. Returns 0 when no idle worker fits the budget right now:
 // with nobody to dispatch to, the hold decision falls back to the
-// plan-only horizon instead of panicking every order into an early solo
+// plan-only horizon instead of rushing every order into an early solo
 // attempt (a closer worker may free up before the horizon dies).
-func (f *Framework) approachFor(id int, node geo.NodeID, now float64, riders int, budget float64) float64 {
-	var a float64
-	hit := false
-	if f.engine != nil {
-		_, a, hit = f.engine.SoloProbe(id, budget)
-	}
-	if !hit {
-		_, a = f.env.WIndex.ClosestIdleWithin(node, now, riders, budget)
-	}
+func (f *Framework) approachFor(node geo.NodeID, now float64, riders int, budget float64) float64 {
+	_, a := f.env.WIndex.ClosestIdleWithin(node, now, riders, budget)
 	if math.IsInf(a, 1) {
 		return 0
 	}
@@ -271,21 +235,14 @@ func (f *Framework) approachFor(id int, node geo.NodeID, now float64, riders int
 // worker is idle; rejected when the route is infeasible or (at timeout /
 // drain) nobody can take it.
 func (f *Framework) serveSoloOrReject(o *order.Order, now float64, force bool) {
-	var plan *order.RoutePlan
-	var feasible, hit bool
-	if f.engine != nil {
-		plan, feasible, hit = f.engine.SoloPlan(o.ID)
-	}
-	if !hit {
-		plan, feasible = f.env.Planner.PlanGroup([]*order.Order{o}, now, f.env.Cfg.Capacity)
-	}
+	plan, feasible := f.env.Planner.PlanGroup([]*order.Order{o}, now, f.env.Cfg.Capacity)
 	if !feasible {
 		f.pool.Remove(o.ID, now)
 		f.env.Reject(o, now)
 		return
 	}
 	g := &order.Group{Orders: []*order.Order{o}, Plan: plan}
-	if f.dispatchSolo(g, o, now) {
+	if f.env.DispatchGroup(g, now) {
 		f.pool.Remove(o.ID, now)
 		return
 	}
@@ -295,32 +252,4 @@ func (f *Framework) serveSoloOrReject(o *order.Order, now float64, force bool) {
 	}
 	// Otherwise: no idle worker; keep waiting ("served when there are
 	// suitable workers, otherwise rejected") until the deadline expires.
-}
-
-// dispatchSolo books the singleton group, answering the worker probe from
-// the engine's speculation when it is still valid for the plan's approach
-// slack (the same budget DispatchGroup would compute); otherwise it is
-// the plain DispatchGroup ring search.
-func (f *Framework) dispatchSolo(g *order.Group, o *order.Order, now float64) bool {
-	if f.engine != nil {
-		slack := math.Inf(1)
-		for i, s := range g.Plan.Stops {
-			if s.Kind != order.DropoffStop || s.OrderID != o.ID {
-				continue
-			}
-			if sl := o.Deadline - now - g.Plan.Arrive[i]; sl < slack {
-				slack = sl
-			}
-		}
-		if slack < 0 {
-			return false // the plan itself is already past the deadline
-		}
-		if w, approach, ok := f.engine.SoloProbe(o.ID, slack); ok {
-			if w == nil {
-				return false
-			}
-			return f.env.DispatchGroupTo(w, approach, g, now)
-		}
-	}
-	return f.env.DispatchGroup(g, now)
 }

@@ -2,9 +2,10 @@ package detlint
 
 // specpure enforces the speculation contract (DESIGN.md §8, §12): every
 // function reachable from a //det:specroot-annotated root must be
-// write-free outside //det:scratch types. Shard speculation is
-// bit-identical only because probe paths never touch shared state; this
-// analyzer turns that invariant into a compile-time gate.
+// write-free outside //det:scratch types. The insert prewarm is
+// bit-identical at any goroutine count only because its pair tasks never
+// touch shared state; this analyzer turns that invariant into a
+// compile-time gate.
 
 import (
 	"fmt"

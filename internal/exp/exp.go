@@ -34,10 +34,10 @@ type Params struct {
 	MaxCap    int     // Kw
 	GridN     int     // spatial index side
 	TickEvery float64 // Δt
-	// Shards is the dispatch engine's slot-shard count (0 and 1 both mean
-	// the sequential check). Sharding parallelizes within one simulation
-	// without changing any decision, so results are bit-identical at any
-	// value; baselines without a shardable check ignore it.
+	// Shards is how many goroutines run an insert's pairwise prewarm (0
+	// and 1 both mean inline). The pairs merge in candidate order, so
+	// results are bit-identical at any value; baselines without a pool
+	// ignore it.
 	Shards int
 	// Arrival, when its Process is set, replaces the dataset's rush-hour
 	// arrival times with an open-loop arrival process schedule
@@ -414,11 +414,31 @@ func MustBuild(name string, p Params) sim.Algorithm {
 	return alg
 }
 
+// validate refuses what the cell's construction would otherwise panic on,
+// possibly on a sweep worker goroutine: the platform parameters and the
+// tick interval (WATTER-expect's training builds platforms from both) and
+// the arrival process workloadIn schedules.
+func validate(p Params) error {
+	if err := simConfig(p).Validate(); err != nil {
+		return err
+	}
+	if err := (sim.RunOptions{TickEvery: p.TickEvery}).Validate(); err != nil {
+		return err
+	}
+	if p.Arrival.Process != "" {
+		return p.Arrival.Defaults(dataset.WorkloadConfig{}.Defaults().HorizonSeconds).Validate()
+	}
+	return nil
+}
+
 // RunOne executes one (algorithm, params) cell and returns its result.
 // The cell runs as a client of the streaming platform API; invalid
-// parameters surface here as construction errors instead of silent
-// defaults.
+// parameters surface here as errors, before anything is built or trained,
+// instead of silent defaults.
 func (r *Runner) RunOne(name string, p Params) (*Result, error) {
+	if err := validate(p); err != nil {
+		return nil, err
+	}
 	if p.NumCities > 1 {
 		return r.runProxyCell(name, p)
 	}

@@ -7,17 +7,15 @@ import (
 	"watter/internal/sim"
 )
 
-// TestShardEquivalence is the acceptance test of the slot-sharded dispatch
+// TestShardEquivalence is the acceptance test of the insert prewarm
 // engine: for all five algorithms, on every equivalence arm (closed-form
 // city, ALT graph, hierarchy graph) and each of its seeds, running the same
-// workload with K ∈ {2, 4} shards must produce per-seed Metrics
-// bit-identical to the sequential K = 1 check. Sharding buys cores, never
-// different dispatches — the engine's speculations are consumed only while provably
-// equal to what a fresh computation would return. On the graph arms that
-// covers the bounded worker probe's smaller candidate record and a prewarm
-// that skips certified-infeasible pairs (PairsPruned > 0 there, identical at
-// every K, 0 on the closed-form city). Wall-clock fields are the documented
-// exception (DESIGN.md §8) and are disabled here.
+// workload with K ∈ {2, 4} prewarm goroutines must produce per-seed Metrics
+// bit-identical to K = 1. The pair plans are pure and merge in candidate
+// order, so K buys cores, never different dispatches. On the graph arms
+// that covers a prewarm that skips certified-infeasible pairs (PairsPruned
+// > 0 there, identical at every K, 0 on the closed-form city). Wall-clock
+// fields are the documented exception (DESIGN.md §8) and are disabled here.
 func TestShardEquivalence(t *testing.T) {
 	r := NewRunner()
 	for _, arm := range equivArms(r) {
@@ -68,8 +66,8 @@ func TestShardEquivalence(t *testing.T) {
 }
 
 // TestShardEngineExercised guards the equivalence test against silently
-// testing nothing: a sharded WATTER run must actually consume speculative
-// probes and prewarmed pairs.
+// testing nothing: a sharded WATTER run must actually prewarm pairs on the
+// engine.
 func TestShardEngineExercised(t *testing.T) {
 	p := smallParams()
 	p.Shards = 4
@@ -88,17 +86,7 @@ func TestShardEngineExercised(t *testing.T) {
 	if eng == nil {
 		t.Fatal("sharded run left no engine")
 	}
-	st := eng.Stats()
-	if st.Ticks == 0 || st.SpecOrders == 0 {
-		t.Fatalf("engine speculated nothing: %+v", st)
-	}
-	if st.GroupHits+st.SoloHits == 0 {
-		t.Fatalf("no speculative probe was ever consumed: %+v", st)
-	}
-	if st.PrewarmTasks == 0 {
+	if st := eng.Stats(); st.PrewarmTasks == 0 {
 		t.Fatalf("no pairwise plan was prewarmed: %+v", st)
-	}
-	if eng.Table().K() != 4 {
-		t.Fatalf("table has %d shards, want 4", eng.Table().K())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"watter/internal/dataset"
+	"watter/internal/load"
 	"watter/internal/sim"
 )
 
@@ -182,6 +183,32 @@ func TestSweepErrorPropagates(t *testing.T) {
 		_, err := (&SweepRunner{Runner: NewRunner(), Parallel: parallel}).Run(m)
 		if err == nil || !strings.Contains(err.Error(), "no-such-alg") {
 			t.Fatalf("parallel=%d: err = %v, want unknown-algorithm error", parallel, err)
+		}
+	}
+}
+
+// TestSweepInvalidParamsReturnError: a configuration that would panic while
+// its cell is built — in workloadIn for a bad arrival spec, in
+// WATTER-expect's training for a zero tick — comes back from Run as an
+// error instead of crashing the process from a worker goroutine.
+func TestSweepInvalidParamsReturnError(t *testing.T) {
+	badArrival := tinyParams()
+	badArrival.Arrival = load.ArrivalSpec{Process: load.Poisson, Rate: -1}
+	noTick := tinyParams()
+	noTick.TickEvery = 0
+	for _, tc := range []struct {
+		name string
+		m    Matrix
+		want string
+	}{
+		{"arrival rate", Matrix{Base: badArrival, Algs: []string{"GDP", "WATTER-online"}, Seeds: []int64{1, 2}}, "arrival rate"},
+		{"zero tick", Matrix{Base: noTick, Algs: []string{"WATTER-expect"}, Seeds: []int64{1, 2}}, "TickEvery"},
+	} {
+		for _, parallel := range []int{1, 4} {
+			_, err := (&SweepRunner{Runner: NewRunner(), Parallel: parallel}).Run(tc.m)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, parallel=%d: err = %v, want an error naming %q", tc.name, parallel, err, tc.want)
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@ func (u unwatched) Init(env *sim.Env) {
 // wired to the pool and fleet generation counters must produce per-seed
 // Metrics bit-identical to the same replay with a source that trusts nothing
 // and rebuilds the snapshot on every call — sequentially and at Shards = 2,
-// where speculation and prewarm goroutines run beside the committing one.
+// where prewarm goroutines run beside the committing one.
 // The snapshot may change how often the environment is read, never a
 // decision. The source's own counters keep the comparison from being
 // vacuous: the wired arm must actually have reused snapshots and the bare

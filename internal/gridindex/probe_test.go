@@ -2,6 +2,7 @@ package gridindex
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -135,8 +136,8 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 }
 
 // runProbeCase replays the script against one index, holding every probe —
-// the index's own and a ProbeReader's — to the oracle bit for bit, and the
-// reader's candidate record to the oracle's record and to the cap rule.
+// the exported one and the recording one — to the oracle bit for bit, and
+// the candidate record to the oracle's record and to the cap rule.
 func runProbeCase(t *testing.T, c probeCase) {
 	t.Helper()
 	ix := New(c.net, c.n)
@@ -144,9 +145,8 @@ func runProbeCase(t *testing.T, c probeCase) {
 	if err := watermarkErr(wi); err != nil {
 		t.Fatalf("fresh index: %v", err)
 	}
-	r := wi.NewReader()
 	var osc probeScratch
-	var ocands []int32
+	var ocands, rcands []int32
 	for step, op := range c.ops {
 		if op.update {
 			w := c.workers[op.worker]
@@ -161,12 +161,12 @@ func runProbeCase(t *testing.T, c probeCase) {
 		if op.atCostW >= 0 {
 			budget = c.net.Cost(c.workers[op.atCostW].Loc, op.node)
 		}
-		ocands = ocands[:0]
+		ocands, rcands = ocands[:0], rcands[:0]
 		ow, oc := wi.oracleClosestIdleWithin(op.node, op.now, op.minCap, budget, &osc, &ocands)
 		gw, gc := wi.ClosestIdleWithin(op.node, op.now, op.minCap, budget)
-		rw, rc, rcands := r.ClosestIdleWithin(op.node, op.now, op.minCap, budget)
+		rw, rc := wi.closestIdleWithin(op.node, op.now, op.minCap, budget, &rcands)
 		if gw != ow || math.Float64bits(gc) != math.Float64bits(oc) || rw != ow || math.Float64bits(rc) != math.Float64bits(oc) {
-			t.Fatalf("step %d: probe(node %d, now %v, cap %d, budget %v): index (%v, %v), reader (%v, %v), oracle (%v, %v)",
+			t.Fatalf("step %d: probe(node %d, now %v, cap %d, budget %v): index (%v, %v), recording (%v, %v), oracle (%v, %v)",
 				step, op.node, op.now, op.minCap, budget, gw, gc, rw, rc, ow, oc)
 		}
 		checkRecord(t, step, wi, op, budget, ow, rcands, ocands)
@@ -209,8 +209,8 @@ func checkRecord(t *testing.T, step int, wi *WorkerIndex, op probeOp, budget flo
 // FuzzClosestIdleWithin decodes bytes into a GridCity or a small jittered
 // ALT graph, a fleet and a script of probes and updates (decodeProbeCase),
 // and holds the budgeted ring search to the square-scan oracle of
-// oracle_test.go: same worker, same cost bits, on the index and on a
-// ProbeReader, after every Update. The seed corpus under
+// oracle_test.go: same worker, same cost bits, with and without a candidate
+// record, after every Update. The seed corpus under
 // testdata/fuzz/FuzzClosestIdleWithin runs in plain `go test`.
 func FuzzClosestIdleWithin(f *testing.F) {
 	f.Add([]byte{0x06, 4, 1, 1, 0, 6, 0, 5, 0x01, 0, 40, 0x2d, 0, 90, 0x06, 1, 7, 0, 12, 0x00, 0, 3, 0x12, 0, 30, 0x00, 0, 0, 0x05, 0x02, 0, 0, 0, 0x05, 0x0c, 0, 0x50, 0x04})
@@ -220,6 +220,81 @@ func FuzzClosestIdleWithin(f *testing.F) {
 			runProbeCase(t, c)
 		}
 	})
+}
+
+// TestBoundedProbeMatchesLegacyOracle: on a graph network the probe costs
+// each ring through roadnet.FillNearestWithin (bound-ordered searches under
+// a shrinking budget); over roadnet.Reference, which offers no bound and no
+// batched path, the same index prices every ring in full, pair by pair.
+// Both must name the same worker at the same cost — for the ALT and the
+// hierarchy arm, fleets with co-located and busy workers, finite and
+// infinite budgets — and the probe's candidate record must stay a set of
+// idle in-budget workers that contains the winner.
+func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
+	for _, hierarchy := range []bool{false, true} {
+		g := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
+		if hierarchy {
+			g.EnableHierarchy()
+		}
+		ref := roadnet.Reference(g)
+		ix := New(g, 8)
+		rng := rand.New(rand.NewSource(77))
+		pruned := 0
+		var cands, full []int32
+		for trial := 0; trial < 15; trial++ {
+			workers := make([]*order.Worker, 5+rng.Intn(60))
+			for i := range workers {
+				workers[i] = &order.Worker{
+					ID:       i + 1,
+					Loc:      geo.NodeID(rng.Intn(g.NumNodes())),
+					Capacity: 1 + rng.Intn(4),
+					FreeAt:   float64(rng.Intn(3)) * 50,
+				}
+				if i > 0 && rng.Intn(6) == 0 {
+					workers[i].Loc = workers[i-1].Loc
+				}
+			}
+			wi, lwi := NewWorkerIndex(ix, g, workers), NewWorkerIndex(ix, ref, workers)
+			for q := 0; q < 40; q++ {
+				node := geo.NodeID(rng.Intn(g.NumNodes()))
+				now := float64(rng.Intn(3)) * 50
+				minCap := 1 + rng.Intn(4)
+				maxCost := math.Inf(1)
+				if rng.Intn(3) > 0 {
+					maxCost = float64(rng.Intn(500))
+				}
+				cands, full = cands[:0], full[:0]
+				lw, lc := lwi.closestIdleWithin(node, now, minCap, maxCost, &full)
+				w, c := wi.closestIdleWithin(node, now, minCap, maxCost, &cands)
+				if w != lw || math.Float64bits(c) != math.Float64bits(lc) {
+					t.Fatalf("hierarchy=%v trial %d query %d: bounded (%v, %v) != reference (%v, %v)",
+						hierarchy, trial, q, w, c, lw, lc)
+				}
+				if iw, ic := wi.ClosestIdleWithin(node, now, minCap, maxCost); iw != w || ic != c {
+					t.Fatalf("hierarchy=%v: exported probe (%v, %v) != recording probe (%v, %v)", hierarchy, iw, ic, w, c)
+				}
+				// The reference record is every idle in-budget worker of the
+				// scanned rings; the bounded one is a subset holding the winner.
+				found := w == nil
+				for _, id := range cands {
+					if !slices.Contains(full, id) {
+						t.Fatalf("hierarchy=%v: recorded candidate %d is not an in-budget idle worker of the scanned rings %v",
+							hierarchy, id, full)
+					}
+					found = found || int(id) == w.ID
+				}
+				if !found {
+					t.Fatalf("hierarchy=%v: candidate record %v misses the winner %d", hierarchy, cands, w.ID)
+				}
+				if len(cands) < len(full) {
+					pruned++
+				}
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("hierarchy=%v: no probe ever left an in-budget worker unsearched; the bounded path did not run", hierarchy)
+		}
+	}
 }
 
 // TestRingSearchNotBudgetMonotone pins why a cross-tick probe memo cannot

@@ -20,12 +20,8 @@ import (
 // time and, on a network with a travel-time floor, every cell too far away
 // to hold a worker within the cap of that moment (DESIGN §13).
 //
-// The index itself is single-goroutine state (each simulation job owns its
-// own index), but reads can be fanned out: NewReader returns a probe handle
-// with private scratch that runs the identical search over the shared cell
-// buckets, so several goroutines may probe concurrently as long as nobody
-// mutates the index (no Update) while they run. The sharded dispatch
-// engine's speculation phase is built on exactly that contract.
+// The index is single-goroutine state: each simulation job owns its own,
+// and its queries reuse the index's scratch.
 type WorkerIndex struct {
 	ix      *Index
 	net     roadnet.Network
@@ -41,26 +37,16 @@ type WorkerIndex struct {
 	// exceeds the cost of any worker filed in that cell.
 	secPerM float64
 
-	// Reusable batching scratch for the index's own (single-goroutine)
-	// queries; concurrent readers get their own via NewReader.
+	// Reusable batching scratch for the index's queries.
 	sc probeScratch
 
 	// gen counts Updates: every write to a worker's FreeAt or Loc is followed
 	// by one, so while gen stands still the fleet's books do. It is a plain
-	// field written only by Update, on the goroutine that owns the index;
-	// ProbeReader and the shared ring search must never touch it.
+	// field written only by Update; the ring search never touches it.
 	gen uint64
-
-	// moveObs, when set, observes every Update with the worker's previous
-	// and current cell (equal when the worker stayed put). The sharded
-	// dispatch engine uses it to invalidate speculative probes that
-	// considered the updated worker as a candidate.
-	moveObs func(w *order.Worker, oldCell, newCell int)
 }
 
-// probeScratch is the per-caller buffer set of one ring search.
-//
-//det:scratch private ring-search buffers, one set per querying goroutine
+// probeScratch is the buffer set of one ring search.
 type probeScratch struct {
 	candBuf []*order.Worker
 	locBuf  []geo.NodeID
@@ -114,14 +100,6 @@ func (wi *WorkerIndex) refresh(cell int) {
 	wi.minFree[cell] = m
 }
 
-// SetMoveObserver installs fn, called after every Update with the worker's
-// previous and current cell (equal when the worker's state changed without
-// leaving its cell — a dispatch that books it in place still fires). Pass
-// nil to remove.
-func (wi *WorkerIndex) SetMoveObserver(fn func(w *order.Worker, oldCell, newCell int)) {
-	wi.moveObs = fn
-}
-
 // Update must be called after a worker's state changes (e.g. after a
 // dispatch books it: FreeAt moves into the future and Loc becomes the
 // route's last drop-off point). It refreshes the cell watermarks the
@@ -134,10 +112,6 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 	old, ok := wi.cellOf[w.ID]
 	if !ok {
 		wi.insert(w)
-		if wi.moveObs != nil {
-			c := wi.cellOf[w.ID]
-			wi.moveObs(w, c, c)
-		}
 		return
 	}
 	nc := wi.ix.CellOf(w.Loc)
@@ -155,9 +129,6 @@ func (wi *WorkerIndex) Update(w *order.Worker) {
 		wi.refresh(old)
 	}
 	wi.refresh(nc)
-	if wi.moveObs != nil {
-		wi.moveObs(w, old, nc)
-	}
 }
 
 // Generation returns the number of Updates so far. Worker state read at one
@@ -223,24 +194,19 @@ func (wi *WorkerIndex) ClosestIdle(node geo.NodeID, now float64, minCapacity int
 // must not shadow a reachable one. Returns the worker and its travel time,
 // or (nil, +Inf).
 func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64) {
-	return wi.closestIdleWithin(node, now, minCapacity, maxCost, &wi.sc, nil)
+	return wi.closestIdleWithin(node, now, minCapacity, maxCost, nil)
 }
 
-// closestIdleWithin is the one implementation of the budgeted ring search.
-// The index's own queries and every ProbeReader run this exact code over
-// the same cell buckets, so the two paths are bit-identical by
-// construction. When cands is non-nil, every costed in-budget candidate's
-// worker ID is appended to it — a sufficient dependency footprint for a
-// speculative caller: a dispatch can only book workers (idle -> busy,
-// never the reverse within a tick), so re-running the search after some
-// bookings removes candidates and never adds any. Removing a worker that
-// was not recorded (busy, under-capacity, out-of-budget, unreachable, or
-// left unsearched by ringNearest or by the cell skips below because it
-// costs more than the cap of that moment) cannot change the argmin or the
-// ring the scan stops at — each ring's cheapest in-budget worker is always
-// recorded — and removing a recorded one is exactly what the IDs detect.
-// So the search's answer is stable while no recorded candidate was booked
-// (DESIGN.md §9).
+// closestIdleWithin is the budgeted ring search. When cands is non-nil,
+// every costed in-budget candidate's worker ID is appended to it: the
+// probe's dependency footprint. Booking a worker that was not recorded
+// (busy, under-capacity, out-of-budget, unreachable, or left unsearched by
+// ringNearest or by the cell skips below because it costs more than the cap
+// of that moment) cannot change the argmin or the ring the scan stops at —
+// each ring's cheapest in-budget worker is always recorded. The tests hold
+// the record to the oracle's and to the cap rule below, which makes it the
+// walk's effort contract; a cross-tick probe memo would key on it
+// (ROADMAP item 3).
 //
 // The walk skips what cannot answer. A cell whose watermark is after now
 // holds nobody idle. A cell whose distance floor (secPerM times cellGap)
@@ -251,8 +217,9 @@ func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapaci
 // every later one, and the walk ends. Skipped cells still count toward
 // seen, and neither skip changes the answer (DESIGN.md §13).
 //
-//det:hotpath the budgeted ring search backs every dispatch probe and every speculation; buffers come from the caller's scratch
-func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, sc *probeScratch, cands *[]int32) (*order.Worker, float64) {
+//det:hotpath the budgeted ring search backs every dispatch probe; buffers come from the index's scratch
+func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, cands *[]int32) (*order.Worker, float64) {
+	sc := &wi.sc
 	p := wi.net.Coord(node)
 	center := wi.ix.CellOfPoint(p)
 	var best *order.Worker
@@ -313,38 +280,6 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 		return nil, math.Inf(1)
 	}
 	return best, bestCost
-}
-
-// ProbeReader is a read-only probe handle over the index with private
-// scratch: several readers may run ClosestIdleWithin concurrently (against
-// each other and against nothing else — the index must not be mutated while
-// any reader is in flight). Each probe also records the in-budget
-// candidates it costed, the dependency footprint of its answer.
-//
-//det:scratch reader-private probe state, never shared across goroutines
-type ProbeReader struct {
-	wi    *WorkerIndex
-	sc    probeScratch
-	cands []int32
-}
-
-// NewReader returns a concurrent probe handle over the index.
-func (wi *WorkerIndex) NewReader() *ProbeReader {
-	return &ProbeReader{wi: wi}
-}
-
-// ClosestIdleWithin runs the identical budgeted ring search as
-// WorkerIndex.ClosestIdleWithin and additionally returns the worker IDs of
-// every costed in-budget candidate — the probe's answer is unchanged by
-// later same-tick dispatches while none of these workers is
-// booked. The returned slice is the reader's scratch, valid until its next
-// probe.
-//
-//det:specroot concurrent probes must write only their reader's own scratch
-func (r *ProbeReader) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64, []int32) {
-	r.cands = r.cands[:0]
-	w, cost := r.wi.closestIdleWithin(node, now, minCapacity, maxCost, &r.sc, &r.cands)
-	return w, cost, r.cands
 }
 
 // KNearest returns up to k workers passing pred, ordered by increasing

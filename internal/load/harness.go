@@ -40,7 +40,8 @@ type Config struct {
 	// (see QueueModel); defaults 256 and 64.
 	Buffer       int
 	DrainPerTick int
-	// Shards is the dispatch engine's slot-shard count (0/1 sequential).
+	// Shards is how many goroutines run an insert's pairwise prewarm
+	// (0/1 inline); decisions and events are identical at any value.
 	Shards int
 	// Alg overrides the dispatch algorithm (default: WATTER-online with
 	// the pool sized to MaxCap).

@@ -283,7 +283,7 @@ func TestStatsMergeZeroValue(t *testing.T) {
 	a := Stats{Clock: 50, Closed: true, Paused: true,
 		Orders: OrderCounts{Submitted: 9, Served: 6, Rejected: 2, Pending: 1}}
 	a.ShardActive = true
-	a.Shard.Ticks = 4
+	a.Shard.PrewarmTasks = 4
 	a.PoolCacheActive = true
 	a.PoolCache.Hits = 3
 

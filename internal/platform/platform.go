@@ -147,18 +147,16 @@ func WithPool(opt pool.Options) Option {
 	}
 }
 
-// WithShards sets the dispatch engine's slot-shard count: K > 1 fans the
-// periodic check's expensive read-only work (worker-probe ring searches,
-// singleton plans, pairwise shareability prewarm) over K goroutines while
-// the platform's decisions — and therefore its metrics and its event
-// stream — stay bit-identical to the default K = 1 sequential check
-// (every event is still emitted from the one sequential commit pass, so
-// the bus order needs no merging). Sharding is a capability of the WATTER
-// pooling framework; algorithms without a shardable check (the GDP/GAS
-// baselines) run unsharded regardless of K. Must be at least 1.
+// WithShards sets how many goroutines run an order insert's pairwise
+// shareability DPs: K > 1 plans the pairs on K goroutines and merges them
+// in candidate order, so the platform's decisions — and therefore its
+// metrics and its event stream — stay bit-identical to the default K = 1.
+// The periodic check stays one sequential pass at any K. Prewarm is a
+// capability of the WATTER pooling framework; algorithms without a pool
+// (the GDP/GAS baselines) ignore K. Must be at least 1.
 //
 // K > 1 issues concurrent read-only queries (Cost/FillCostMatrix)
-// against the platform's Network from the shard goroutines, so the
+// against the platform's Network from the prewarm goroutines, so the
 // network must tolerate concurrent queries. Every network this module
 // ships — GridCity (stateless closed form) and Graph (immutable once
 // built; every query draws its search state from a pool; hammered by the
@@ -222,7 +220,7 @@ type tickSetter interface{ SetTick(float64) }
 // poolSetter is the pool-retuning hook the pooling framework exposes.
 type poolSetter interface{ SetPoolOptions(pool.Options) }
 
-// shardSetter is the dispatch-sharding hook the pooling framework exposes.
+// shardSetter is the prewarm-engine hook the pooling framework exposes.
 type shardSetter interface{ SetShards(int) }
 
 // New builds a platform over a network and fleet. Every parameter is

@@ -18,7 +18,7 @@ type OrderCounts struct {
 // Stats is the platform's one composite observability snapshot: clock,
 // lifecycle state, order ledger, event-bus depth, and the per-subsystem
 // counters that used to require reaching into each subsystem separately
-// (the sharded dispatch engine, the shareability-graph plan cache). The
+// (the insert prewarm engine, the shareability-graph plan cache). The
 // proxy's aggregated admin stats fold snapshots of this same struct, so a
 // dashboard reads one shape whether it watches one city or fifty.
 type Stats struct {
@@ -47,9 +47,9 @@ type Stats struct {
 	EventQueueHighWater int
 	EventBlockedSends   uint64
 
-	// Shard carries the slot-sharded dispatch engine's speculation
-	// counters; ShardActive is false when no engine is running (K = 1, or
-	// an algorithm without a shardable check).
+	// Shard carries the insert prewarm engine's counters; ShardActive is
+	// false when no engine is running (K = 1, or an algorithm without a
+	// pool to prewarm).
 	Shard       shard.Stats
 	ShardActive bool
 
@@ -123,15 +123,12 @@ func (s *Stats) Merge(t Stats) {
 	}
 	s.EventBlockedSends += t.EventBlockedSends
 
-	s.Shard.Ticks += t.Shard.Ticks
-	s.Shard.SpecOrders += t.Shard.SpecOrders
 	s.Shard.GroupHits += t.Shard.GroupHits
 	s.Shard.GroupInvalid += t.Shard.GroupInvalid
 	s.Shard.GroupMiss += t.Shard.GroupMiss
 	s.Shard.SoloHits += t.Shard.SoloHits
 	s.Shard.SoloInvalid += t.Shard.SoloInvalid
 	s.Shard.SoloMiss += t.Shard.SoloMiss
-	s.Shard.PlanHits += t.Shard.PlanHits
 	s.Shard.PrewarmTasks += t.Shard.PrewarmTasks
 	s.Shard.SlotHandoffs += t.Shard.SlotHandoffs
 	s.ShardActive = s.ShardActive || t.ShardActive

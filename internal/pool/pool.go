@@ -70,43 +70,6 @@ type node struct {
 	// bestExpiry is τg of the best group (Eq. 3): the latest dispatch time
 	// at which the group's plan still meets every member deadline.
 	bestExpiry float64
-	// bestVer counts *semantic* best-group changes: it bumps only when the
-	// member set or the expiry actually differs from the previous best, not
-	// when a refresh re-materializes an identical group under a new
-	// pointer. The sharded engine's speculation keys its group probes on
-	// this version — pointer identity would discard most of a tick's
-	// speculative work every time an unrelated commit triggered a refresh
-	// that rebuilt the same group.
-	bestVer uint64
-}
-
-// setBest installs a node's (possibly nil) best group, bumping bestVer
-// only on semantic change. Two bests are semantically equal when they have
-// the same member IDs and the same expiry bits: a group probe depends only
-// on (first pickup, rider count, expiry), and plans are pure functions of
-// the canonical member set and the clock, so an equal-members equal-expiry
-// rebuild answers every downstream question identically.
-func setBest(n *node, g *order.Group, expiry float64) {
-	if !sameBest(n.best, g, n.bestExpiry, expiry) {
-		n.bestVer++
-	}
-	n.best = g
-	n.bestExpiry = expiry
-}
-
-func sameBest(a, b *order.Group, ea, eb float64) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if math.Float64bits(ea) != math.Float64bits(eb) || len(a.Orders) != len(b.Orders) {
-		return false
-	}
-	for i := range a.Orders {
-		if a.Orders[i].ID != b.Orders[i].ID {
-			return false
-		}
-	}
-	return true
 }
 
 // Pool is the temporal shareability graph.
@@ -146,7 +109,7 @@ type Pool struct {
 	// Demand distributions over cells, maintained incrementally; these are
 	// the MDP state's sO vectors. demandGen counts their edits. It is a
 	// plain field: only Insert and dropNode write it, both on the job's
-	// committing goroutine — prewarm tasks and speculation must not touch it.
+	// committing goroutine — prewarm tasks must not touch it.
 	pickupDemand  gridindex.Distribution
 	dropoffDemand gridindex.Distribution
 	demandGen     uint64
@@ -395,19 +358,6 @@ func (p *Pool) BestGroup(id int) (*order.Group, float64, bool) {
 	return n.best, n.bestExpiry, true
 }
 
-// BestGroupVersion returns the order's best-group semantic version: the
-// count of real best-group changes (member set or expiry) this node has
-// seen. A speculation taken at version V is still answering the right
-// question at commit time iff the version is still V — even if refreshes
-// in between re-materialized the group under a new pointer. Absent orders
-// report 0 (they also fail every other probe gate).
-func (p *Pool) BestGroupVersion(id int) uint64 {
-	if n, ok := p.nodes[id]; ok {
-		return n.bestVer
-	}
-	return 0
-}
-
 // candidates returns the IDs of pooled orders within the spatial prefilter
 // radius of n's pickup cell, ascending. The returned slice is pool scratch,
 // valid until the next candidates call.
@@ -416,7 +366,7 @@ func (p *Pool) candidates(n *node) []int {
 }
 
 // candidatesAt is candidates keyed by cell, usable before the order has a
-// node (the sharded engine's insert prewarm runs it pre-Insert).
+// node (the insert prewarm runs it pre-Insert).
 //
 //det:hotpath spatial prefilter runs per insert and per refresh; candidates fill the pooled buffer
 func (p *Pool) candidatesAt(cell, selfID int) []int {
@@ -524,17 +474,12 @@ func (p *Pool) refreshBest(id int, now float64) {
 
 	p.enumerateCliques(n, now, consider)
 
-	// The new best is installed in one shot (never cleared mid-enumeration)
-	// so bestVer bumps exactly once per semantic change, not once per
-	// refresh that happens to land on the same group.
-	var newBest *order.Group
-	newExpiry := math.Inf(-1)
+	n.best, n.bestExpiry = nil, math.Inf(-1)
 	if bestEnt != nil {
 		if g := p.groupFor(bestEnt, now); g != nil {
-			newBest, newExpiry = g, bestEnt.expiry
+			n.best, n.bestExpiry = g, bestEnt.expiry
 		}
 	}
-	setBest(n, newBest, newExpiry)
 	// Deferred member updates: each improved member materializes (or
 	// shares) its winning clique's group exactly once. Map iteration order
 	// is irrelevant — entries are per-member and group materialization is
@@ -549,7 +494,7 @@ func (p *Pool) refreshBest(id int, now float64) {
 			continue
 		}
 		if g := p.groupFor(st.ent, now); g != nil {
-			setBest(mn, g, st.ent.expiry)
+			mn.best, mn.bestExpiry = g, st.ent.expiry
 		}
 	}
 }

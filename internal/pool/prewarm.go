@@ -6,11 +6,11 @@ import (
 )
 
 // Exec runs a batch of independent tasks — possibly in parallel — and
-// returns when all have completed. The sharded dispatch engine implements
-// it by fanning tasks over its shard goroutines; a nil Exec (or the serial
-// fallback) simply runs them in order. Tasks must be pure computations:
-// the caller merges their results deterministically afterwards, so the
-// scheduling order cannot influence any pool decision.
+// returns when all have completed. The prewarm engine (internal/shard)
+// implements it by fanning tasks over K goroutines; a nil Exec (or the
+// serial fallback) simply runs them in order. Tasks must be pure
+// computations: the caller merges their results deterministically
+// afterwards, so the scheduling order cannot influence any pool decision.
 type Exec interface {
 	Run(tasks []func())
 }
@@ -58,7 +58,7 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 	tasks := make([]func(), len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
-		//det:specroot each prewarm task runs on a shard goroutine and may only fill its own job slot
+		//det:specroot each prewarm task runs on an engine goroutine and may only fill its own job slot
 		tasks[i] = func() {
 			j.ent.cost, j.ent.expiry, j.ent.feasible = p.planner.PlanGroupCost(
 				j.ent.orders(), now, p.opt.Capacity, j.legs, j.ent.svc[:])

@@ -1,440 +1,64 @@
+// Package shard runs the pairwise shareability DPs of one order insert on
+// K goroutines. The pool lists the pair tests the coming Insert needs
+// (pool.PrewarmPairs), the engine runs them, and the pool merges the results
+// in candidate order on the calling goroutine, so every decision — and
+// every event — is the one the sequential K = 1 run makes. Nothing else in
+// a city's dispatch runs in parallel: the periodic check is one sequential
+// pass, as in the paper's Algorithm 1.
 package shard
 
-import (
-	"fmt"
-	"sync"
+import "sync"
 
-	"watter/internal/gridindex"
-	"watter/internal/order"
-	"watter/internal/route"
-)
-
-// PoolView is the read-only slice of the shareability graph the speculation
-// phase consumes. Reads run concurrently across shards, so implementations
-// must tolerate concurrent calls while the pool is quiescent (the
-// coordinator guarantees no pool mutation overlaps a speculation phase).
-type PoolView interface {
-	// Order returns the pooled order by ID (nil if absent).
-	Order(id int) *order.Order
-	// BestGroup returns the order's current best shared group and its
-	// expiry τg; ok is false when none exists.
-	BestGroup(id int) (*order.Group, float64, bool)
-	// BestGroupVersion returns the order's best-group semantic version:
-	// it changes exactly when the best group's member set or expiry does,
-	// and stays put across refreshes that rebuild an identical group. The
-	// engine keys group speculations on it, because a probe's answer
-	// depends only on the group's semantics, never its pointer.
-	BestGroupVersion(id int) uint64
-}
-
-// Stats counts the engine's speculation traffic over one run.
+// Stats counts the engine's work over one run.
 type Stats struct {
-	// Ticks is the number of speculation phases run; SpecOrders the total
-	// per-order speculations computed across them.
-	Ticks, SpecOrders uint64
-	// GroupHits/SoloHits consumed a valid speculative probe at commit;
-	// GroupInvalid/SoloInvalid were discarded because a dispatch this tick
-	// booked a worker the probe had considered as an in-budget candidate
-	// (the cross-shard conflict case — recomputed fresh by the
-	// coordinator); GroupMiss/SoloMiss found no usable speculation (e.g.
-	// the best group semantically changed mid-tick).
-	GroupHits, GroupInvalid, GroupMiss uint64
-	SoloHits, SoloInvalid, SoloMiss    uint64
-	// PlanHits consumed the cached singleton plan at commit.
-	PlanHits uint64
-	// PrewarmTasks counts pairwise shareability plans computed on shard
-	// goroutines at insert time.
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	GroupHits uint64
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	GroupInvalid uint64
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	GroupMiss uint64
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	SoloHits uint64
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	SoloInvalid uint64
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	SoloMiss uint64
+	// PrewarmTasks counts pairwise shareability plans computed through the
+	// engine at insert time.
 	PrewarmTasks uint64
-	// SlotHandoffs counts slots migrated between shards by the epoch-
-	// barrier rebalancer.
+	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
 	SlotHandoffs uint64
 }
 
-// spec is one order's speculative tick work: the best-group worker probe,
-// the singleton plan, and the solo worker probe, each carried with the
-// dependency footprint (the candidate workers the probe costed in budget)
-// that decides its validity at commit.
-//
-//det:scratch per-order speculation slot, written only by the owning shard within one tick
-type spec struct {
-	epoch uint64
-
-	gProbed   bool
-	gVer      uint64
-	gw        *order.Worker
-	gApproach float64
-	gCands    []int32
-
-	planKnown    bool
-	soloPlan     *order.RoutePlan
-	soloFeasible bool
-
-	sProbed   bool
-	sBudget   float64
-	sw        *order.Worker
-	sApproach float64
-	sCands    []int32
-}
-
-// soloEntry memoizes one order's singleton route across ticks. The
-// singleton DP is now-independent except for the final deadline check
-// (now + cost > deadline), so the plan is computed once and feasibility is
-// re-derived each tick with exactly the DP's comparison; a nil plan is
-// permanently infeasible (rider count over capacity, or the deadline was
-// already unreachable — and the feasible set only shrinks as now grows).
-//
-//det:scratch singleton memo entry, owned by one shard's soloMemo arena
-type soloEntry struct {
-	plan *order.RoutePlan
-}
-
-// soloMemo is one shard's singleton-plan memo. Each shard goroutine owns
-// exactly one — written only during its own speculation slice and pruned
-// between ticks by the coordinator — so memo writes are speculation-local.
-//
-//det:scratch per-shard memo map, single-writer by the slot partition
-type soloMemo map[int]*soloEntry
-
-// Engine is the slot-sharded dispatch engine. Phase A (BeginTick) fans the
-// periodic check's expensive read-only work out over K shard goroutines —
-// each shard speculates for the orders whose pickup slot it owns — while
-// phase B (the caller's own sequential commit loop) consumes speculations
-// through GroupProbe/SoloPlan/SoloProbe, falling back to fresh computation
-// whenever a dispatch invalidated one. Dispatch commits report the worker
-// they book through the worker index's move observer; a speculation is
-// valid exactly while none of the candidate workers its probe costed in
-// budget were booked — bookings only remove candidates (a dispatch never
-// makes a worker idle within a tick), so an answer whose considered
-// candidates all survived is the answer a fresh search would return.
-//
-// The engine is owned by one framework instance and is not safe for
-// concurrent use by multiple simulation goroutines.
+// Engine is the K-goroutine executor behind pool.Exec. It is owned by one
+// framework instance and is not safe for concurrent use by several
+// simulation goroutines.
 type Engine struct {
-	table    *SlotTable
-	ix       *gridindex.Index
-	wi       *gridindex.WorkerIndex
-	planner  *route.Planner
-	capacity int
-
-	readers []*gridindex.ProbeReader
-	solo    []soloMemo // per-shard singleton plan memos
-
-	// Per-tick state.
-	view    PoolView
-	now     float64
-	anyIdle bool
-	ids     []int
-	idx     map[int]int
-	specs   []spec
-
-	// workerEpoch[id] == tickEpoch marks worker id as booked by a dispatch
-	// this tick; stale stamps from earlier ticks are ignored for free.
-	// Indexed by worker ID, grown on demand.
-	tickEpoch   uint64
-	workerEpoch []uint64
-
-	slotLoad []int
-	stats    Stats
+	k     int
+	stats Stats
 }
 
-// NewEngine builds a K-shard engine over the simulation's spatial index,
-// worker index and planner. radius is the pool's candidate prefilter
-// radius (border slots are those within radius of a foreign slot); pass
-// the grid side when the prefilter is disabled. The engine installs itself
-// as the worker index's move observer.
-func NewEngine(k int, ix *gridindex.Index, wi *gridindex.WorkerIndex, planner *route.Planner, capacity, radius int) (*Engine, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("shard: engine needs at least 1 shard, got %d", k)
-	}
-	table, err := NewSlotTable(ix.N(), k, radius)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{
-		table:    table,
-		ix:       ix,
-		wi:       wi,
-		planner:  planner,
-		capacity: capacity,
-		readers:  make([]*gridindex.ProbeReader, table.K()),
-		solo:     make([]soloMemo, table.K()),
-		idx:      make(map[int]int),
-		slotLoad: make([]int, ix.NumCells()),
-	}
-	for i := range e.readers {
-		e.readers[i] = wi.NewReader()
-		e.solo[i] = make(soloMemo)
-	}
-	wi.SetMoveObserver(e.noteMove)
-	return e, nil
+// NewEngine returns a K-goroutine engine; k below 1 means 1.
+func NewEngine(k int) *Engine {
+	return &Engine{k: max(k, 1)}
 }
 
-// Table exposes the slot table (stats, tests).
-func (e *Engine) Table() *SlotTable { return e.table }
-
-// Stats returns a snapshot of the engine's speculation counters.
+// Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// noteMove marks a dispatched worker as booked for the remainder of the
-// tick; any speculation whose probe considered it as an in-budget
-// candidate is no longer trusted.
-func (e *Engine) noteMove(w *order.Worker, _, _ int) {
-	if w.ID >= len(e.workerEpoch) {
-		//det:hotalloc grows the booked-worker stamp array to the fleet's ID high-water mark once
-		grown := make([]uint64, w.ID+1)
-		copy(grown, e.workerEpoch)
-		e.workerEpoch = grown
-	}
-	e.workerEpoch[w.ID] = e.tickEpoch
-}
-
-// BeginTick runs the speculation phase for one periodic check: the pooled
-// order IDs are partitioned by pickup slot, overloaded shards hand slots
-// off at this epoch barrier, and each shard's goroutine computes its
-// orders' probes and singleton plans against the tick-start snapshot. The
-// pool and the worker fleet must not be mutated until BeginTick returns
-// (the framework calls it right before the sequential commit loop, which
-// is the only mutator). ids must be the exact OrderIDs slice the commit
-// loop will walk; now and anyIdle must be the values the loop will use.
-func (e *Engine) BeginTick(view PoolView, ids []int, now float64, anyIdle bool) {
-	e.tickEpoch++
-	e.stats.Ticks++
-	e.stats.SpecOrders += uint64(len(ids))
-	e.view, e.now, e.anyIdle, e.ids = view, now, anyIdle, ids
-
-	if cap(e.specs) < len(ids) {
-		e.specs = make([]spec, len(ids))
-	}
-	e.specs = e.specs[:len(ids)]
-	clear(e.idx)
-
-	// Slot loads drive the epoch-barrier handoff; the per-order shard is
-	// resolved against the rebalanced table.
-	for i := range e.slotLoad {
-		e.slotLoad[i] = 0
-	}
-	for _, id := range ids {
-		if o := view.Order(id); o != nil {
-			e.slotLoad[e.ix.CellOf(o.Pickup)]++
-		}
-	}
-	e.stats.SlotHandoffs += uint64(e.table.Rebalance(e.slotLoad))
-
-	k := e.table.K()
-	parts := make([][]int, k)
-	for i, id := range ids {
-		e.idx[id] = i
-		sh := 0
-		if o := view.Order(id); o != nil {
-			sh = e.table.ShardOf(e.ix.CellOf(o.Pickup))
-		}
-		parts[sh] = append(parts[sh], i)
-	}
-
-	var wg sync.WaitGroup
-	for sh := 1; sh < k; sh++ {
-		if len(parts[sh]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			e.speculateShard(sh, parts[sh])
-		}(sh)
-	}
-	e.speculateShard(0, parts[0])
-	wg.Wait()
-
-	e.pruneSolo()
-}
-
-// speculateShard computes the speculation for one shard's order indices on
-// the calling goroutine. Everything here is read-only against the shared
-// simulation state; writes go only to this shard's spec slots, reader and
-// solo memo.
-//
-//det:specroot shard speculation runs concurrently against the quiescent pool snapshot
-func (e *Engine) speculateShard(sh int, mine []int) {
-	r := e.readers[sh]
-	memo := e.solo[sh]
-	for _, i := range mine {
-		e.speculateOne(r, memo, i)
-	}
-}
-
-//det:specroot per-order probe work, write-free outside the shard's own scratch
-func (e *Engine) speculateOne(r *gridindex.ProbeReader, memo soloMemo, i int) {
-	id := e.ids[i]
-	sp := &e.specs[i]
-	sp.epoch = e.tickEpoch
-	sp.gProbed, sp.planKnown, sp.sProbed = false, false, false
-
-	o := e.view.Order(id)
-	if o == nil {
-		return
-	}
-	// Best-group worker probe, mirroring the commit loop's gate. The
-	// speculation is keyed by the best group's semantic version: the probe
-	// depends only on (first pickup, riders, expiry), all of which are
-	// pinned by the version, so it stays consumable across commits that
-	// rebuild an identical group under a new pointer.
-	if g, expiry, ok := e.view.BestGroup(id); ok && e.anyIdle {
-		w, approach, cands := r.ClosestIdleWithin(g.Plan.Stops[0].Node, e.now, g.Riders(), expiry-e.now)
-		sp.gVer, sp.gw, sp.gApproach = e.view.BestGroupVersion(id), w, approach
-		sp.gCands = append(sp.gCands[:0], cands...)
-		sp.gProbed = true
-	}
-	// Singleton plan (memoized across ticks) + feasibility at this now,
-	// using exactly the DP's deadline comparison.
-	ent := memo[id]
-	if ent == nil {
-		plan, feasible := e.planner.PlanGroup([]*order.Order{o}, e.now, e.capacity)
-		if !feasible {
-			plan = nil
-		}
-		ent = &soloEntry{plan: plan}
-		memo[id] = ent
-	}
-	sp.soloPlan = ent.plan
-	sp.soloFeasible = ent.plan != nil && !(e.now+ent.plan.Cost > o.Deadline)
-	sp.planKnown = true
-	// Solo worker probe at the plan's approach slack — the budget both the
-	// horizon shrink and a solo dispatch would use.
-	if sp.soloFeasible && e.anyIdle {
-		budget := soloSlack(ent.plan, o, e.now)
-		w, approach, cands := r.ClosestIdleWithin(ent.plan.Stops[0].Node, e.now, o.Riders, budget)
-		sp.sBudget, sp.sw, sp.sApproach = budget, w, approach
-		sp.sCands = append(sp.sCands[:0], cands...)
-		sp.sProbed = true
-	}
-}
-
-// soloSlack is sim's approachSlack specialized to a singleton plan: the
-// largest worker approach the route can absorb before the order misses its
-// deadline.
-func soloSlack(plan *order.RoutePlan, o *order.Order, now float64) float64 {
-	for i, s := range plan.Stops {
-		if s.Kind == order.DropoffStop {
-			return o.Deadline - now - plan.Arrive[i]
-		}
-	}
-	return 0
-}
-
-// workersClean reports whether none of the probe's costed in-budget
-// candidates were booked by a dispatch this tick.
-func (e *Engine) workersClean(cands []int32) bool {
-	for _, id := range cands {
-		if int(id) < len(e.workerEpoch) && e.workerEpoch[id] == e.tickEpoch {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Engine) specFor(id int) *spec {
-	i, ok := e.idx[id]
-	if !ok {
-		return nil
-	}
-	sp := &e.specs[i]
-	if sp.epoch != e.tickEpoch {
-		return nil
-	}
-	return sp
-}
-
-// GroupProbe returns the speculated (worker, approach) for the order's
-// best group, valid only while the best group is semantically the one
-// speculated against (same version) and no dispatch booked a candidate
-// the probe considered. ok=false means the caller must probe fresh — the
-// coordinator's cross-shard fallback.
-func (e *Engine) GroupProbe(id int, g *order.Group, expiry float64) (*order.Worker, float64, bool) {
-	sp := e.specFor(id)
-	if sp == nil || !sp.gProbed || sp.gVer != e.view.BestGroupVersion(id) {
-		e.stats.GroupMiss++
-		return nil, 0, false
-	}
-	if !e.workersClean(sp.gCands) {
-		e.stats.GroupInvalid++
-		return nil, 0, false
-	}
-	e.stats.GroupHits++
-	return sp.gw, sp.gApproach, true
-}
-
-// SoloPlan returns the speculated singleton plan and its feasibility at
-// the tick's now. Plans are pure functions of the order and the clock, so
-// a known plan is always valid within the tick.
-func (e *Engine) SoloPlan(id int) (*order.RoutePlan, bool, bool) {
-	sp := e.specFor(id)
-	if sp == nil || !sp.planKnown {
-		return nil, false, false
-	}
-	e.stats.PlanHits++
-	return sp.soloPlan, sp.soloFeasible, true
-}
-
-// SoloProbe returns the speculated solo worker probe, valid only for the
-// exact budget speculated and while none of its considered candidates
-// were booked.
-func (e *Engine) SoloProbe(id int, budget float64) (*order.Worker, float64, bool) {
-	sp := e.specFor(id)
-	if sp == nil || !sp.sProbed || sp.sBudget != budget {
-		e.stats.SoloMiss++
-		return nil, 0, false
-	}
-	if !e.workersClean(sp.sCands) {
-		e.stats.SoloInvalid++
-		return nil, 0, false
-	}
-	e.stats.SoloHits++
-	return sp.sw, sp.sApproach, true
-}
-
-// pruneSolo drops singleton memos for orders that left the pool, keeping
-// the per-shard maps proportional to the live pool. ids is sorted
-// ascending (OrderIDs' contract), so membership is a binary search.
-func (e *Engine) pruneSolo() {
-	for _, memo := range e.solo {
-		//det:unordered deletes are keyed by the loop key and containsSorted is a pure binary search over the sorted ids snapshot
-		for id := range memo {
-			if !containsSorted(e.ids, id) {
-				delete(memo, id)
-			}
-		}
-	}
-}
-
-func containsSorted(ids []int, id int) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == id
-}
-
 // Run implements the pool's parallel executor: tasks are fanned out over
-// the engine's shards and Run returns when all complete. Tasks must be
+// the engine's K goroutines and Run returns when all complete. Tasks must be
 // independent pure computations (the pool's pairwise prewarm plans are);
 // their results are merged by the caller afterwards, so scheduling order
 // cannot influence any decision.
 func (e *Engine) Run(tasks []func()) {
 	e.stats.PrewarmTasks += uint64(len(tasks))
-	k := e.table.K()
-	if len(tasks) <= 1 || k == 1 {
+	k := min(e.k, len(tasks))
+	if k <= 1 {
 		for _, t := range tasks {
 			t()
 		}
 		return
-	}
-	if k > len(tasks) {
-		k = len(tasks)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < k; w++ {

@@ -3,193 +3,12 @@ package shard
 import (
 	"sync/atomic"
 	"testing"
-
-	"watter/internal/geo"
-	"watter/internal/gridindex"
-	"watter/internal/order"
-	"watter/internal/roadnet"
-	"watter/internal/route"
 )
-
-// fakeView is a hand-built PoolView for engine unit tests.
-type fakeView struct {
-	orders map[int]*order.Order
-	groups map[int]*order.Group
-	expiry map[int]float64
-	ver    map[int]uint64
-}
-
-func (v *fakeView) Order(id int) *order.Order { return v.orders[id] }
-func (v *fakeView) BestGroup(id int) (*order.Group, float64, bool) {
-	g, ok := v.groups[id]
-	if !ok {
-		return nil, 0, false
-	}
-	return g, v.expiry[id], true
-}
-func (v *fakeView) BestGroupVersion(id int) uint64 { return v.ver[id] }
-
-func testOrder(net roadnet.Network, id int, pu, do geo.NodeID, release, tau float64) *order.Order {
-	direct := net.Cost(pu, do)
-	return &order.Order{
-		ID: id, Pickup: pu, Dropoff: do, Riders: 1,
-		Release: release, Deadline: release + tau*direct,
-		WaitLimit: 0.8 * direct, DirectCost: direct,
-	}
-}
-
-// engineFixture builds a 20x20 city with two order pairs at opposite
-// corners, each with a nearby idle worker, and a 4-shard engine over it.
-func engineFixture(t *testing.T) (*Engine, *fakeView, *gridindex.WorkerIndex, []*order.Worker, []int, *roadnet.GridCity) {
-	t.Helper()
-	net := roadnet.NewGridCity(20, 20, 100, 10)
-	ix := gridindex.New(net, 10)
-	planner := route.NewPlanner(net)
-	workers := []*order.Worker{
-		{ID: 1, Loc: net.Node(0, 0), Capacity: 4},
-		{ID: 2, Loc: net.Node(19, 19), Capacity: 4},
-	}
-	wi := gridindex.NewWorkerIndex(ix, net, workers)
-
-	o1 := testOrder(net, 1, net.Node(1, 1), net.Node(8, 1), 0, 2.5)
-	o2 := testOrder(net, 2, net.Node(2, 1), net.Node(9, 1), 0, 2.5)
-	o3 := testOrder(net, 3, net.Node(18, 18), net.Node(11, 18), 0, 2.5)
-	o4 := testOrder(net, 4, net.Node(17, 18), net.Node(10, 18), 0, 2.5)
-	mkGroup := func(a, b *order.Order) *order.Group {
-		plan, ok := planner.PlanGroup([]*order.Order{a, b}, 0, 4)
-		if !ok {
-			t.Fatalf("pair (%d,%d) infeasible", a.ID, b.ID)
-		}
-		return &order.Group{Orders: []*order.Order{a, b}, Plan: plan}
-	}
-	g12, g34 := mkGroup(o1, o2), mkGroup(o3, o4)
-	view := &fakeView{
-		orders: map[int]*order.Order{1: o1, 2: o2, 3: o3, 4: o4},
-		groups: map[int]*order.Group{1: g12, 2: g12, 3: g34, 4: g34},
-		expiry: map[int]float64{1: 500, 2: 500, 3: 500, 4: 500},
-		ver:    map[int]uint64{},
-	}
-	eng, err := NewEngine(4, ix, wi, planner, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, view, wi, workers, []int{1, 2, 3, 4}, net
-}
-
-// TestEngineSpeculationMatchesFreshProbes: a valid speculation returns
-// exactly what the worker index would return fresh, for both the group and
-// the solo probe, and the singleton plan matches a fresh DP.
-func TestEngineSpeculationMatchesFreshProbes(t *testing.T) {
-	eng, view, wi, _, ids, net := engineFixture(t)
-	now := 10.0
-	eng.BeginTick(view, ids, now, true)
-	for _, id := range ids {
-		g, expiry, _ := view.BestGroup(id)
-		w, approach, ok := eng.GroupProbe(id, g, expiry)
-		if !ok {
-			t.Fatalf("order %d: group speculation missing", id)
-		}
-		fw, fa := wi.ClosestIdleWithin(g.Plan.Stops[0].Node, now, g.Riders(), expiry-now)
-		if w != fw || approach != fa {
-			t.Fatalf("order %d: speculated (%v, %v), fresh (%v, %v)", id, w, approach, fw, fa)
-		}
-		o := view.Order(id)
-		plan, feasible, ok := eng.SoloPlan(id)
-		if !ok || !feasible {
-			t.Fatalf("order %d: solo plan missing (ok=%v feasible=%v)", id, ok, feasible)
-		}
-		if plan.Cost != net.Cost(o.Pickup, o.Dropoff) {
-			t.Fatalf("order %d: solo plan cost %v, want %v", id, plan.Cost, o.DirectCost)
-		}
-		budget := o.Deadline - now - plan.Arrive[len(plan.Arrive)-1]
-		sw, sa, ok := eng.SoloProbe(id, budget)
-		if !ok {
-			t.Fatalf("order %d: solo speculation missing", id)
-		}
-		fsw, fsa := wi.ClosestIdleWithin(o.Pickup, now, o.Riders, budget)
-		if sw != fsw || sa != fsa {
-			t.Fatalf("order %d: solo speculated (%v, %v), fresh (%v, %v)", id, sw, sa, fsw, fsa)
-		}
-	}
-	// A semantic change to the best group (version bump) or a different
-	// solo budget must never be served speculatively. A pointer-identical
-	// rebuild would keep the version and stay consumable — that is the
-	// point of version keying.
-	view.ver[1]++
-	g, expiry, _ := view.BestGroup(1)
-	if _, _, ok := eng.GroupProbe(1, g, expiry); ok {
-		t.Fatal("speculation served across a best-group version bump")
-	}
-	if _, _, ok := eng.SoloProbe(1, 1e9); ok {
-		t.Fatal("solo speculation served for a different budget")
-	}
-}
-
-// TestEngineDispatchInvalidatesBookedCandidates: booking a worker
-// invalidates exactly the speculations whose probes costed it as an
-// in-budget candidate; speculations that never considered the worker stay
-// valid, and the next tick starts clean.
-func TestEngineDispatchInvalidatesBookedCandidates(t *testing.T) {
-	eng, view, wi, workers, ids, _ := engineFixture(t)
-	now := 10.0
-	eng.BeginTick(view, ids, now, true)
-
-	// Book worker 1 (origin corner) in place: busy, same cell.
-	workers[0].FreeAt = now + 300
-	wi.Update(workers[0])
-
-	g1, e1, _ := view.BestGroup(1)
-	if _, _, ok := eng.GroupProbe(1, g1, e1); ok {
-		t.Fatal("speculation near the dispatched worker survived")
-	}
-	if _, _, ok := eng.SoloProbe(1, view.Order(1).Deadline-now-view.Order(1).DirectCost); ok {
-		t.Fatal("solo speculation near the dispatched worker survived")
-	}
-	g3, e3, _ := view.BestGroup(3)
-	if w, _, ok := eng.GroupProbe(3, g3, e3); !ok || w == nil || w.ID != 2 {
-		t.Fatalf("distant speculation should survive, got (w=%v ok=%v)", w, ok)
-	}
-
-	// A new tick re-speculates and trusts the fresh state again.
-	workers[0].FreeAt = 0
-	wi.Update(workers[0])
-	eng.BeginTick(view, ids, now+10, true)
-	if _, _, ok := eng.GroupProbe(1, g1, e1); !ok {
-		t.Fatal("fresh tick did not restore speculation")
-	}
-	st := eng.Stats()
-	if st.Ticks != 2 || st.GroupInvalid == 0 || st.GroupHits == 0 {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-}
-
-// TestEngineSoloPlanMemoized: the singleton plan is computed once and
-// reused across ticks (it is now-independent), while feasibility tracks
-// the advancing clock.
-func TestEngineSoloPlanMemoized(t *testing.T) {
-	eng, view, _, _, ids, _ := engineFixture(t)
-	eng.BeginTick(view, ids, 10, true)
-	p1, feasible, ok := eng.SoloPlan(1)
-	if !ok || !feasible {
-		t.Fatal("solo plan missing at t=10")
-	}
-	eng.BeginTick(view, ids, 20, true)
-	p2, _, ok := eng.SoloPlan(1)
-	if !ok || p1 != p2 {
-		t.Fatalf("singleton plan not memoized across ticks (%p vs %p)", p1, p2)
-	}
-	// Far beyond the deadline the same memoized plan reports infeasible.
-	o := view.Order(1)
-	eng.BeginTick(view, ids, o.Deadline+1, true)
-	if _, feasible, ok := eng.SoloPlan(1); !ok || feasible {
-		t.Fatalf("expired singleton still feasible (ok=%v feasible=%v)", ok, feasible)
-	}
-}
 
 // TestEngineRunExecutesAllTasks: the pool's executor contract — every task
 // runs exactly once, at any fan-out.
 func TestEngineRunExecutesAllTasks(t *testing.T) {
-	eng, _, _, _, _, _ := engineFixture(t)
+	eng := NewEngine(4)
 	for _, n := range []int{0, 1, 2, 7, 64} {
 		var ran atomic.Int64
 		counts := make([]atomic.Int32, n)
@@ -210,5 +29,8 @@ func TestEngineRunExecutesAllTasks(t *testing.T) {
 				t.Fatalf("task %d ran %d times", i, counts[i].Load())
 			}
 		}
+	}
+	if got := eng.Stats().PrewarmTasks; got != 0+1+2+7+64 {
+		t.Fatalf("PrewarmTasks = %d, want %d", got, 0+1+2+7+64)
 	}
 }

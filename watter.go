@@ -102,8 +102,9 @@ type (
 	// PoolCacheStats counts the shareability graph's plan-cache traffic
 	// (hits, negative hits, plans avoided/materialized).
 	PoolCacheStats = pool.CacheStats
-	// ShardStats counts the slot-sharded dispatch engine's speculation
-	// traffic (probe hits, invalidations, prewarm tasks, slot handoffs).
+	// ShardStats counts the insert prewarm engine's work: PrewarmTasks,
+	// the pairwise plans run on its goroutines. Its other fields are
+	// deprecated and always 0.
 	ShardStats = shard.Stats
 	// ExperimentParams is one experiment configuration point.
 	ExperimentParams = exp.Params
@@ -153,7 +154,7 @@ type (
 	// response (dispatch minus release) and detour seconds.
 	ServiceRecord = platform.ServiceRecord
 	// PlatformStats is the unified observability snapshot of one platform:
-	// lifecycle flags, the order ledger, event-bus depth, and the shard
+	// lifecycle flags, the order ledger, event-bus depth, and the prewarm
 	// and pool-cache counters in one struct.
 	PlatformStats = platform.Stats
 	// OrderCounts is PlatformStats' submitted/served/rejected/pending
@@ -306,9 +307,9 @@ var (
 	WithAlgorithm = platform.WithAlgorithm
 	// WithPool tunes the shareability graph behind the algorithm.
 	WithPool = platform.WithPool
-	// WithShards sets the dispatch engine's slot-shard count: K > 1 runs
-	// the periodic check's expensive read-only work on K goroutines with
-	// bit-identical results (1, the default, is the sequential check).
+	// WithShards sets how many goroutines run an insert's pairwise
+	// shareability DPs, with bit-identical results (1, the default, runs
+	// them inline); the periodic check is sequential at any value.
 	WithShards = platform.WithShards
 	// WithMeasuredTime toggles wall-clock accounting of algorithm hooks.
 	WithMeasuredTime = platform.WithMeasuredTime
