@@ -19,17 +19,21 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
-# input — the DIMACS importer and the model-snapshot loader — and on the
-# three kernels held to an oracle — the route DP, the batched cost-matrix
-# search against the reference Dijkstra, and the worker probe's ring search
-# against the square scan — on top of the seed corpora in
-# internal/{roadnet,nn,route,gridindex}/testdata/fuzz that `test` always runs.
+# input — the DIMACS importer, the model-snapshot loader and the model-bundle
+# loader — and on the four kernels held to an oracle — the route DP, the
+# batched cost-matrix search against the reference Dijkstra, the worker
+# probe's ring search against the square scan, and the threshold strategy's
+# bound-first decision against the full fold — on top of the seed corpora in
+# internal/{roadnet,nn,route,gridindex,strategy,exp}/testdata/fuzz that
+# `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzCostMatrix -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzPlanGroup -fuzztime=10s ./internal/route
 	$(GO) test -run='^$$' -fuzz=FuzzClosestIdleWithin -fuzztime=10s ./internal/gridindex
+	$(GO) test -run='^$$' -fuzz=FuzzThresholdDecision -fuzztime=10s ./internal/strategy
+	$(GO) test -run='^$$' -fuzz=FuzzLoadTrained -fuzztime=10s ./internal/exp
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:

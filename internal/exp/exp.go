@@ -14,6 +14,7 @@ import (
 	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/gmm"
+	"watter/internal/gridindex"
 	"watter/internal/load"
 	"watter/internal/mdp"
 	"watter/internal/nn"
@@ -394,13 +395,21 @@ type expectAlg struct {
 }
 
 // Init implements sim.Algorithm: the source reads this run's pool and
-// worker index, and re-reads them only when their generation counters (or
-// the clock) say the histograms may have moved.
+// worker index into three histograms allocated here, once per run, and
+// re-reads them only when their generation counters (or the clock) say the
+// histograms may have moved.
 func (a *expectAlg) Init(env *sim.Env) {
 	a.Framework.Init(env)
 	p, wi := a.Pool(), env.WIndex
-	a.src.Demand = p.DemandDistributions
-	a.src.Supply = wi.SupplyDistribution
+	pu, do, sw := env.Index.NewDistribution(), env.Index.NewDistribution(), env.Index.NewDistribution()
+	a.src.Demand = func() (gridindex.Distribution, gridindex.Distribution) {
+		p.FillDemand(pu, do)
+		return pu, do
+	}
+	a.src.Supply = func(now float64) gridindex.Distribution {
+		wi.FillSupply(sw, now)
+		return sw
+	}
 	a.src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"watter/internal/gmm"
 	"watter/internal/gridindex"
@@ -48,30 +49,54 @@ func (t *Trained) Save(w io.Writer) error {
 // LoadTrained reads a bundle written by Trained.Save and rebinds it to the
 // given network (the grid index is a function of the network bounds, so
 // the model must be loaded against the same city geometry it was trained
-// on; a dimension check enforces that). The returned Trained has no
-// Trainer: it is an inference-only model.
+// on). The returned Trained has no Trainer: it is an inference-only model.
+//
+// The bundle comes from outside the program, so nothing in it is trusted:
+// the grid must give exactly the model's input width, the featurizer's
+// scales must keep every state entry a number, and the model must be finite
+// on the state box (nn.MLP.FiniteOnUnitBox). Together they make θ a number
+// for every order with a finite release at or after 0 — what the threshold
+// strategy's bound-first decision relies on.
 func LoadTrained(r io.Reader, net roadnet.Network) (*Trained, error) {
 	var snap trainedSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("exp: load: %w", err)
 	}
-	if snap.GridN <= 0 || len(snap.Net) == 0 {
+	if len(snap.Net) == 0 {
 		return nil, fmt.Errorf("exp: load: corrupt bundle")
 	}
-	ix := gridindex.New(net, snap.GridN)
-	feat := &mdp.Featurizer{
-		Index:          ix,
-		SlotSeconds:    snap.SlotSeconds,
-		HorizonSeconds: snap.HorizonSeconds,
-		MaxWaitSlots:   snap.MaxWaitSlots,
+	for _, s := range []struct {
+		name string
+		v    float64
+		ok   bool
+	}{
+		{"SlotSeconds", snap.SlotSeconds, snap.SlotSeconds > 0},
+		{"MaxWaitSlots", snap.MaxWaitSlots, snap.MaxWaitSlots > 0},
+		{"HorizonSeconds", snap.HorizonSeconds, snap.HorizonSeconds >= 0},
+	} {
+		if !s.ok || math.IsInf(s.v, 0) {
+			return nil, fmt.Errorf("exp: load: corrupt bundle: %s = %v", s.name, s.v)
+		}
 	}
 	mlp, err := nn.Load(bytes.NewReader(snap.Net))
 	if err != nil {
 		return nil, err
 	}
-	if mlp.Sizes()[0] != feat.Dim() {
-		return nil, fmt.Errorf("exp: load: model expects %d-dim states, city gives %d (wrong city geometry?)",
-			mlp.Sizes()[0], feat.Dim())
+	// The state is 5·N²+2 wide. A hostile N overflows that product, so the
+	// width is divided down instead; nn.Load caps it at MaxInt32, which
+	// keeps N·N in range once N is at most the width.
+	width := mlp.Sizes()[0]
+	if n := int64(snap.GridN); n <= 0 || n > int64(width) || (width-2)%5 != 0 || n*n != int64((width-2)/5) {
+		return nil, fmt.Errorf("exp: load: a %d-cell grid does not give the model's %d-dim states", snap.GridN, width)
+	}
+	if !mlp.FiniteOnUnitBox() {
+		return nil, fmt.Errorf("exp: load: the model is not provably finite on the state box")
+	}
+	feat := &mdp.Featurizer{
+		Index:          gridindex.New(net, snap.GridN),
+		SlotSeconds:    snap.SlotSeconds,
+		HorizonSeconds: snap.HorizonSeconds,
+		MaxWaitSlots:   snap.MaxWaitSlots,
 	}
 	model := &gmm.Model{Components: snap.GMM}
 	return &Trained{Feat: feat, Net: mlp, GMM: model, Theta: gmm.NewThresholdSource(model)}, nil

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"watter/internal/order"
+	"watter/internal/strategy"
 )
 
 // Gain is the reduced objective of Eq. 8 for a single order: the expected
@@ -135,6 +136,12 @@ func (s *ThresholdSource) Threshold(o *order.Order, _ float64) float64 {
 	s.cache[key] = v
 	s.mu.Unlock()
 	return v
+}
+
+// ThresholdRange implements strategy.ThresholdSource. It claims nothing:
+// θ* is memoized, so asking for it costs about as much as bounding it.
+func (s *ThresholdSource) ThresholdRange(*order.Order, float64) (lo, hi float64) {
+	return strategy.Unbounded()
 }
 
 func maxInt(a, b int) int {

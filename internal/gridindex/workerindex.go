@@ -352,6 +352,16 @@ func (wi *WorkerIndex) KNearest(node geo.NodeID, k int, pred func(*order.Worker)
 // workers at time now (the MDP state's sW vector).
 func (wi *WorkerIndex) SupplyDistribution(now float64) Distribution {
 	d := wi.ix.NewDistribution()
+	wi.FillSupply(d, now)
+	return d
+}
+
+// FillSupply is SupplyDistribution into the caller's histogram, one entry
+// per cell of the index.
+//
+//det:hotpath the threshold source's snapshot rebuild; writes only the caller's histogram
+func (wi *WorkerIndex) FillSupply(d Distribution, now float64) {
+	clear(d)
 	for cell, ws := range wi.cells {
 		for _, w := range ws {
 			if w.IdleAt(now) {
@@ -360,7 +370,6 @@ func (wi *WorkerIndex) SupplyDistribution(now float64) Distribution {
 		}
 	}
 	d.Normalize()
-	return d
 }
 
 // CellOfWorker returns the cell the index currently files the worker under.

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"watter/internal/core"
+	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/sim"
 	"watter/internal/strategy"
@@ -27,6 +28,9 @@ type Collector struct {
 	// live builds the states. Its environment snapshot is shared by all the
 	// survivors of one tick: nothing moves inside OnTick's snapshot loop.
 	live liveState
+	// pickup, dropoff and supply are the histograms a rebuild reads the
+	// pool and the fleet into, allocated once per run.
+	pickup, dropoff, supply gridindex.Distribution
 }
 
 // episode is one pooled order's trajectory so far: the order (its penalty
@@ -54,6 +58,7 @@ func (c *Collector) Init(env *sim.Env) {
 	c.env = env
 	c.episodes = make(map[int]episode)
 	c.live.valid = false // a new pool and fleet restart their generations
+	c.pickup, c.dropoff, c.supply = env.Index.NewDistribution(), env.Index.NewDistribution(), env.Index.NewDistribution()
 	env.Observe(c.observe)
 	c.Inner.Init(env)
 }
@@ -92,8 +97,9 @@ func (c *Collector) features(o *order.Order, now float64) []float64 {
 	p, wi := c.Inner.Pool(), c.env.WIndex
 	key := envKey{now: now, pool: p.DemandGeneration(), fleet: wi.Generation()}
 	if !c.live.fresh(key) {
-		pu, do := p.DemandDistributions()
-		c.live.rebuild(c.Feat, key, pu, do, wi.SupplyDistribution(now))
+		p.FillDemand(c.pickup, c.dropoff)
+		wi.FillSupply(c.supply, now)
+		c.live.rebuild(c.Feat, key, c.pickup, c.dropoff, c.supply)
 	}
 	return slices.Clone(c.live.observe(c.Feat, o, now))
 }

@@ -62,24 +62,38 @@ func (f *Featurizer) setOrder(x []float64, o *order.Order, now float64) (pickupA
 	dropoffAt = c + f.Index.CellOf(o.Dropoff)
 	x[pickupAt] = 1
 	x[dropoffAt] = 1
-	// sT: release timeslot and waited slots.
-	slot := 0.0
+	x[2*c], x[2*c+1] = f.timeFeatures(o, now)
+	return pickupAt, dropoffAt
+}
+
+// timeFeatures returns sT: the release timeslot and the waited slots, both
+// normalized. Waited is clamped to [0, 1]; the slot only from above, so a
+// negative release gives a negative slot, and a NaN passes both clamps.
+//
+//det:hotpath shared by setOrder and the sparse state
+func (f *Featurizer) timeFeatures(o *order.Order, now float64) (slot, waited float64) {
 	if f.HorizonSeconds > 0 {
 		slot = o.Release / f.HorizonSeconds
 		if slot > 1 {
 			slot = 1
 		}
 	}
-	waited := (now - o.Release) / f.SlotSeconds / f.MaxWaitSlots
+	waited = (now - o.Release) / f.SlotSeconds / f.MaxWaitSlots
 	if waited < 0 {
 		waited = 0
 	}
 	if waited > 1 {
 		waited = 1
 	}
-	x[2*c] = slot
-	x[2*c+1] = waited
-	return pickupAt, dropoffAt
+	return slot, waited
+}
+
+// inUnitBox reports whether o's own entries of the state at now — the
+// one-hots, which are 1, and sT — lie in [0, 1]; a negative release or a
+// NaN anywhere in sT puts it outside.
+func (f *Featurizer) inUnitBox(o *order.Order, now float64) bool {
+	slot, waited := f.timeFeatures(o, now)
+	return slot >= 0 && slot <= 1 && waited >= 0 && waited <= 1
 }
 
 // setEnv writes the tick-global entries of x — sO and sW, the 3·C-entry

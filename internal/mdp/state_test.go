@@ -1,6 +1,8 @@
 package mdp
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"slices"
@@ -55,9 +57,10 @@ func (f *liveFixture) order(id int, rng *rand.Rand, release float64) *order.Orde
 	}
 }
 
-// source returns a threshold source over the fixture: wired to the change
-// signal as exp does it, or bare — the struct literal outside callers
-// write, which re-reads the environment on every call.
+// source returns a threshold source over the fixture: wired as exp wires
+// it — the change signal, and the pool and fleet filled into histograms the
+// wiring owns — or bare, the struct literal outside callers write, which
+// re-reads the allocating forms on every call.
 func (f *liveFixture) source(wired bool) *ValueThresholdSource {
 	src := &ValueThresholdSource{
 		Net: f.mlp, Feat: f.feat,
@@ -65,6 +68,16 @@ func (f *liveFixture) source(wired bool) *ValueThresholdSource {
 		Supply: f.wi.SupplyDistribution,
 	}
 	if wired {
+		ix := f.feat.Index
+		pu, do, sw := ix.NewDistribution(), ix.NewDistribution(), ix.NewDistribution()
+		src.Demand = func() (gridindex.Distribution, gridindex.Distribution) {
+			f.pool.FillDemand(pu, do)
+			return pu, do
+		}
+		src.Supply = func(now float64) gridindex.Distribution {
+			f.wi.FillSupply(sw, now)
+			return sw
+		}
 		src.Watch(func() (uint64, uint64) { return f.pool.DemandGeneration(), f.wi.Generation() })
 	}
 	return src
@@ -80,8 +93,8 @@ func (f *liveFixture) reference(o *order.Order, now float64) []float64 {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkThreshold asserts that the wired source's next threshold, and the
-// state it was computed from, are what a source that has never cached
-// anything produces at the same instant.
+// network input it is computed from, are what a source that has never
+// cached anything produces at the same instant.
 func (f *liveFixture) checkThreshold(t *testing.T, what string, src *ValueThresholdSource, o *order.Order, now float64) {
 	t.Helper()
 	got := src.Threshold(o, now)
@@ -92,11 +105,25 @@ func (f *liveFixture) checkThreshold(t *testing.T, what string, src *ValueThresh
 	if p := o.Penalty(); !(got > 0 && got < p) {
 		t.Fatalf("%s: θ = %v sits on a clamp of [0, %v]; the comparison would not see the state", what, got, p)
 	}
-	ref := f.reference(o, now)
-	for i := range ref {
-		if !sameBits(src.state.x[i], ref[i]) {
-			t.Fatalf("%s: state[%d] = %v, want %v", what, i, src.state.x[i], ref[i])
+	checkList(t, what, src, o, now, f.reference(o, now))
+}
+
+// checkList asserts that the non-zero list the source feeds the network for
+// o at now is the list nn's gather builds from the dense reference state:
+// ascending index, both signed zeros left out.
+func checkList(t *testing.T, what string, src *ValueThresholdSource, o *order.Order, now float64, ref []float64) {
+	t.Helper()
+	var wantIdx []int32
+	var wantVals []float64
+	for i, v := range ref {
+		if v != 0 {
+			wantIdx = append(wantIdx, int32(i))
+			wantVals = append(wantVals, v)
 		}
+	}
+	idx, vals := src.state.observeList(src.Feat, o, now)
+	if !slices.Equal(idx, wantIdx) || !slices.EqualFunc(vals, wantVals, sameBits) {
+		t.Fatalf("%s: network input %v %v, the dense state's non-zeros %v %v", what, idx, vals, wantIdx, wantVals)
 	}
 }
 
@@ -127,7 +154,7 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 	}
 	src := f.source(true)
 
-	rebuilds := func() uint64 { _, r := src.SnapshotStats(); return r }
+	rebuilds := func() uint64 { _, _, r := src.SnapshotStats(); return r }
 	f.checkThreshold(t, "first call", src, probe, 50)
 	if rebuilds() != 1 {
 		t.Fatalf("first call: %d rebuilds, want 1", rebuilds())
@@ -137,6 +164,10 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 	}
 	if rebuilds() != 1 {
 		t.Fatalf("nothing moved at t=50, yet %d rebuilds", rebuilds())
+	}
+	// The probe was asked twice at one key, every other order once.
+	if calls, passes, _ := src.SnapshotStats(); calls != 7 || passes != 6 {
+		t.Fatalf("t=50: %d calls, %d network passes, want 7 and 6 (one memo hit)", calls, passes)
 	}
 
 	// The clock alone: at t = 150 the three workers are idle again.
@@ -178,6 +209,32 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 	}
 }
 
+// TestMemoDroppedByWatch: a θ memoized under one signal is not served under
+// the next one, even when the new signal reports the key the old one ended
+// on and the environment moved in between — as when a second run's
+// counters restart from zero on a different pool.
+func TestMemoDroppedByWatch(t *testing.T) {
+	f := newLiveFixture(12)
+	rng := rand.New(rand.NewSource(4))
+	probe := f.order(1, rng, 0)
+	f.pool.Insert(probe, 0)
+	for i := 0; i < 400; i++ {
+		f.mlp.TrainBatch([][]float64{f.reference(probe, 50)}, []float64{probe.Penalty() / 2}, 1e-2)
+	}
+	src := f.source(true)
+	frozen := func() (uint64, uint64) { return 0, 0 }
+	src.Watch(frozen)
+	f.checkThreshold(t, "first signal", src, probe, 50)
+	for id := 2; id <= 7; id++ {
+		f.pool.Insert(f.order(id, rng, 0), 0)
+	}
+	src.Watch(frozen)
+	f.checkThreshold(t, "second signal, same key", src, probe, 50)
+	if calls, passes, rebuilds := src.SnapshotStats(); calls != 2 || passes != 2 || rebuilds != 2 {
+		t.Fatalf("%d calls, %d passes, %d rebuilds; want 2, 2, 2", calls, passes, rebuilds)
+	}
+}
+
 func slicesEqual(a, b []float64) bool { return slices.EqualFunc(a, b, sameBits) }
 
 // TestBareSourceRebuildsEveryCall: with no change signal nothing vouches
@@ -192,8 +249,11 @@ func TestBareSourceRebuildsEveryCall(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		src.Threshold(o, 10)
 	}
-	if calls, rebuilds := src.SnapshotStats(); calls != 5 || rebuilds != 5 {
-		t.Fatalf("calls %d rebuilds %d, want 5 and 5", calls, rebuilds)
+	if calls, passes, rebuilds := src.SnapshotStats(); calls != 5 || passes != 5 || rebuilds != 5 {
+		t.Fatalf("calls %d passes %d rebuilds %d, want 5, 5 and 5: no memo without a signal", calls, passes, rebuilds)
+	}
+	if lo, hi := src.ThresholdRange(o, 10); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+		t.Fatalf("a source with no signal claims [%v, %v]", lo, hi)
 	}
 	// A histogram that shrinks to nil must zero its block, not leave the
 	// previous call's values behind.
@@ -207,8 +267,10 @@ func TestBareSourceRebuildsEveryCall(t *testing.T) {
 	}
 }
 
-// TestThresholdSteadyStateAllocatesNothing: between environment changes a
-// wired source computes a threshold without touching the heap.
+// TestThresholdSteadyStateAllocatesNothing: once its buffers are sized, a
+// wired source computes thresholds — snapshot rebuilds, network passes and
+// memo hits alike — without touching the heap. Each run moves the clock, so
+// it rebuilds once, then asks for every pooled order twice.
 func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
 	f := newLiveFixture(12)
 	rng := rand.New(rand.NewSource(5))
@@ -219,13 +281,22 @@ func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
 		pooled = append(pooled, o)
 	}
 	src := f.source(true)
-	src.Threshold(pooled[0], 20) // sizes the buffers, takes the snapshot
-	i := 0
-	if n := testing.AllocsPerRun(200, func() {
-		src.Threshold(pooled[i%len(pooled)], 20)
-		i++
-	}); n != 0 {
-		t.Fatalf("Threshold allocates %v times per call in steady state", n)
+	now := 20.0
+	round := func() {
+		now += 10
+		for range 2 {
+			for _, o := range pooled {
+				src.Threshold(o, now)
+				src.ThresholdRange(o, now)
+			}
+		}
+	}
+	round() // sizes the buffers and the memo
+	if n := testing.AllocsPerRun(50, round); n != 0 {
+		t.Fatalf("a round of thresholds allocates %v times", n)
+	}
+	if calls, passes, rebuilds := src.SnapshotStats(); rebuilds != 52 || passes*2 != calls {
+		t.Fatalf("%d calls, %d passes, %d rebuilds: the rounds did not exercise rebuild and memo", calls, passes, rebuilds)
 	}
 }
 
@@ -360,9 +431,17 @@ func BenchmarkThreshold(b *testing.B) {
 		p.Insert(o, 0)
 		pooled = append(pooled, o)
 	}
+	pu, do, sw := ix.NewDistribution(), ix.NewDistribution(), ix.NewDistribution()
 	src := &ValueThresholdSource{
 		Net: nn.New([]int{feat.Dim(), 64, 32, 1}, 1), Feat: feat,
-		Demand: p.DemandDistributions, Supply: wi.SupplyDistribution,
+		Demand: func() (gridindex.Distribution, gridindex.Distribution) {
+			p.FillDemand(pu, do)
+			return pu, do
+		},
+		Supply: func(now float64) gridindex.Distribution {
+			wi.FillSupply(sw, now)
+			return sw
+		},
 	}
 	src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
 	b.ReportAllocs()
@@ -373,3 +452,100 @@ func BenchmarkThreshold(b *testing.B) {
 }
 
 var benchSink float64
+
+// TestThresholdRangeHolds: the range a wired source claims always holds —
+// θ inside [0, p] and never NaN — and it is claimed only where V is
+// provably finite. Along the way every network input is checked against the
+// dense state, on orders whose slot and waited entries are non-zero. Each way out of the proof gives the unbounded answer:
+// a negative release (slot below the box), a NaN waited (SlotSeconds = 0 at
+// now == release, where θ itself is NaN), an environment entry outside
+// [0, 1], a network not finite on the box, and a negative penalty.
+func TestThresholdRangeHolds(t *testing.T) {
+	f := newLiveFixture(12)
+	rng := rand.New(rand.NewSource(8))
+	for id := 1; id <= 6; id++ {
+		f.pool.Insert(f.order(id, rng, float64(rng.Intn(100))), 0)
+	}
+	src := f.source(true)
+	bounded := 0
+	for i := 0; i < 300; i++ {
+		o := f.order(100+i, rng, float64(rng.Intn(200)-20))
+		now := o.Release + float64(rng.Intn(300))
+		lo, hi := src.ThresholdRange(o, now)
+		theta := src.Threshold(o, now)
+		checkList(t, "random order", src, o, now, f.reference(o, now))
+		if math.IsInf(lo, -1) {
+			if o.Release >= 0 {
+				t.Fatalf("order %d (release %v): unbounded, want [0, p]", o.ID, o.Release)
+			}
+			continue
+		}
+		bounded++
+		if o.Release < 0 {
+			t.Fatalf("order %d: release %v puts the slot below the box, yet [%v, %v] is claimed", o.ID, o.Release, lo, hi)
+		}
+		if !(lo <= theta && theta <= hi) || lo != 0 || !sameBits(hi, o.Penalty()) {
+			t.Fatalf("order %d: θ = %v outside the claimed [%v, %v] (p = %v)", o.ID, theta, lo, hi, o.Penalty())
+		}
+	}
+	if bounded < 200 {
+		t.Fatalf("only %d of 300 orders got a range: the check is vacuous", bounded)
+	}
+
+	unbounded := func(what string, src *ValueThresholdSource, o *order.Order, now float64) {
+		t.Helper()
+		if lo, hi := src.ThresholdRange(o, now); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+			t.Fatalf("%s: claims [%v, %v], θ = %v", what, lo, hi, src.Threshold(o, now))
+		}
+	}
+	o := f.order(900, rng, 30)
+
+	unbounded("negative penalty", src, &order.Order{ID: 901, Pickup: o.Pickup, Dropoff: o.Dropoff, Release: 30, Deadline: 40, DirectCost: 20}, 40)
+
+	nanWait := f.source(true)
+	nanWait.Feat = &Featurizer{Index: f.feat.Index, SlotSeconds: 0, HorizonSeconds: 3600, MaxWaitSlots: 60}
+	if th := nanWait.Threshold(o, o.Release); !math.IsNaN(th) {
+		t.Fatalf("fixture: SlotSeconds = 0 at now == release gives θ = %v, want NaN", th)
+	}
+	unbounded("NaN waited", nanWait, o, o.Release)
+
+	for _, env := range []struct {
+		name string
+		v    float64
+	}{{"unnormalized demand", 3}, {"NaN demand", math.NaN()}, {"negative demand", -0.5}} {
+		bad := f.source(true)
+		d := f.feat.Index.NewDistribution()
+		d[0] = env.v
+		bad.Demand = func() (gridindex.Distribution, gridindex.Distribution) { return d, nil }
+		unbounded(env.name, bad, o, 60)
+	}
+
+	huge := f.source(true)
+	huge.Net = hugeNet(t, f.feat.Dim())
+	unbounded("network not finite on the box", huge, o, 60)
+}
+
+// hugeNet is a linear network whose every weight is 1e300: finite, so Load
+// accepts it, but a state with two non-zeros already overflows.
+func hugeNet(t *testing.T, dim int) *nn.MLP {
+	t.Helper()
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = 1e300
+	}
+	var buf bytes.Buffer
+	// nn's wire form, by field name.
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Sizes   []int
+		Weights [][]float64
+		Biases  [][]float64
+	}{[]int{dim, 1}, [][]float64{w}, [][]float64{{0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}

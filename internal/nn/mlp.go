@@ -80,6 +80,8 @@ type Scratch struct {
 }
 
 // fit sizes the scratch to the network's layer widths.
+//
+//det:hotalloc allocates only on a scratch's first pass through a network; every later pass finds it fitted
 func (sc *Scratch) fit(sizes []int) {
 	layers := len(sizes) - 1
 	fits := len(sc.acts) == layers
@@ -197,14 +199,25 @@ func (m *MLP) forward(sc *Scratch, x []float64) []float64 {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.sizes[0]))
 	}
 	sc.fit(m.sizes)
+	sc.idx[0], sc.vals[0] = gather(sc.idx[0], sc.vals[0], x)
+	return m.pass(sc, sc.idx[0], sc.vals[0])
+}
+
+// pass runs layer 0 over the input's non-zero list (idx, vals) and every
+// later layer over the gathered output of the one before, inside a fitted
+// scratch, and returns the output layer.
+//
+//det:hotpath every forward pass, dense or sparse, runs through here
+func (m *MLP) pass(sc *Scratch, idx []int32, vals []float64) []float64 {
 	last := len(m.weights) - 1
-	act := x
 	for l := range m.weights {
-		sc.idx[l], sc.vals[l] = gather(sc.idx[l], sc.vals[l], act)
-		layer(m.weights[l], m.biases[l], m.sizes[l], sc.idx[l], sc.vals[l], sc.acts[l], l != last)
-		act = sc.acts[l]
+		if l > 0 {
+			sc.idx[l], sc.vals[l] = gather(sc.idx[l], sc.vals[l], sc.acts[l-1])
+			idx, vals = sc.idx[l], sc.vals[l]
+		}
+		layer(m.weights[l], m.biases[l], m.sizes[l], idx, vals, sc.acts[l], l != last)
 	}
-	return act
+	return sc.acts[last]
 }
 
 // Forward computes the network output for input x.
@@ -216,6 +229,55 @@ func (m *MLP) Predict(x []float64) float64 { return m.Forward(x)[0] }
 // PredictWith is Predict through the caller's scratch: no allocation once
 // the scratch has been sized.
 func (m *MLP) PredictWith(sc *Scratch, x []float64) float64 { return m.forward(sc, x)[0] }
+
+// PredictSparseWith is PredictWith for an input the caller already holds as
+// its non-zero entries: idx ascending and below the input width, vals[k] the
+// value at idx[k], and every entry of the input that is not listed exactly
+// zero. That is the list gather would build from the dense input, so the
+// result is PredictWith's bit for bit; the caller saves the pass over every
+// zero. Layer 0's inputs are not kept in sc, so this pass cannot be
+// backpropagated.
+func (m *MLP) PredictSparseWith(sc *Scratch, idx []int32, vals []float64) float64 {
+	sc.fit(m.sizes)
+	return m.pass(sc, idx, vals)[0]
+}
+
+// finiteCeiling is the largest activation bound FiniteOnUnitBox accepts. It
+// sits eight orders of magnitude below math.MaxFloat64. Rounding each of a
+// unit's at most 2^31 terms moves a sum by a factor of at most 1+2^-52, so
+// the pass's values and the bound's own arithmetic drift apart by less than
+// a factor 1+2^-20 per layer: no network that fits in memory has the layers
+// to close an 1e8 gap.
+const finiteCeiling = 1e300
+
+// FiniteOnUnitBox reports whether the network provably computes a finite
+// output — no NaN, no infinity — for every input in [0, 1]^n. It propagates
+// a magnitude bound: every input is at most 1 in absolute value, and if
+// every layer-l output is at most A, every layer-(l+1) output is at most
+// max over units of |b| + Σ|w|·A (ReLU only shrinks magnitudes). When each
+// layer's bound stays below finiteCeiling, every partial sum of every pass
+// is finite, and with finite weights (New, TrainBatch and Load guarantee
+// them) and finite inputs no operation can produce a NaN. One pass over the
+// weights; false is the safe answer for a network too large to bound.
+func (m *MLP) FiniteOnUnitBox() bool {
+	bound := 1.0
+	for l, w := range m.weights {
+		in := m.sizes[l]
+		next := 0.0
+		for o, b := range m.biases[l] {
+			s := math.Abs(b)
+			for _, wi := range w[o*in:][:in] {
+				s += math.Abs(wi) * bound
+			}
+			next = math.Max(next, s)
+		}
+		if !(next <= finiteCeiling) {
+			return false
+		}
+		bound = next
+	}
+	return true
+}
 
 // TrainBatch performs one Adam step on mean-squared error between the first
 // output and the targets, and returns the batch MSE before the update.

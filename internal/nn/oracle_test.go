@@ -241,6 +241,10 @@ func TestForwardMatchesDenseOracle(t *testing.T) {
 				if got := m.PredictWith(&sc, x); !sameFloat(got, want[0]) {
 					t.Fatalf("%s PredictWith = %v, oracle %v", what, got, want[0])
 				}
+				idx, vals := nonZeros(x)
+				if got := m.PredictSparseWith(&sc, idx, vals); !sameFloat(got, want[0]) {
+					t.Fatalf("%s PredictSparseWith = %v, oracle %v", what, got, want[0])
+				}
 				// Every layer's output, not just the last: the scratch is
 				// what backprop reads.
 				acts := m.denseForwardAll(x)
@@ -306,4 +310,102 @@ func TestPredictWithDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { m.PredictWith(&sc, x) }); n != 0 {
 		t.Fatalf("PredictWith allocates %v times per call on a sized scratch", n)
 	}
+	idx, vals := nonZeros(x)
+	if n := testing.AllocsPerRun(100, func() { m.PredictSparseWith(&sc, idx, vals) }); n != 0 {
+		t.Fatalf("PredictSparseWith allocates %v times per call on a sized scratch", n)
+	}
+}
+
+// nonZeros lists x's non-zero entries the way the caller of
+// PredictSparseWith must: ascending index, both signed zeros left out.
+func nonZeros(x []float64) ([]int32, []float64) {
+	var idx []int32
+	var vals []float64
+	for i, v := range x {
+		if v != 0 {
+			idx = append(idx, int32(i))
+			vals = append(vals, v)
+		}
+	}
+	return idx, vals
+}
+
+// TestFiniteOnUnitBox: fresh networks are provably finite on [0, 1]^n, and
+// a proof is never wrong — every corner of the box, where a linear fold
+// reaches its extremes, and random points inside it give a finite output.
+// Networks whose weights can overflow are refused, including one that does
+// overflow at a corner and one whose overflow needs the second layer.
+func TestFiniteOnUnitBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, sizes := range oracleShapes {
+		if m := New(sizes, 1); !m.FiniteOnUnitBox() {
+			t.Fatalf("%v: a fresh network is not proved finite", sizes)
+		}
+	}
+	corner := New([]int{2, 1}, 4)
+	corner.weights[0][0], corner.weights[0][1] = math.MaxFloat64, math.MaxFloat64
+	if v := corner.Predict([]float64{1, 1}); !math.IsInf(v, 1) {
+		t.Fatalf("fixture: the corner network gives %v at (1, 1), want +Inf", v)
+	}
+	// Zero weights into the hidden layer: only the biases can overflow.
+	bias := New([]int{1, 2, 1}, 6)
+	bias.weights[0][0], bias.weights[0][1] = 0, 0
+	bias.biases[0][0], bias.biases[0][1] = 1e308, 1e308
+	bias.weights[1][0], bias.weights[1][1] = 1, 1
+	if v := bias.Predict([]float64{0}); !math.IsInf(v, 1) {
+		t.Fatalf("fixture: the bias network gives %v, want +Inf", v)
+	}
+	for _, c := range []struct {
+		name   string
+		m      *MLP
+		finite bool
+	}{
+		{"fresh", New([]int{4, 3, 1}, 2), true},
+		{"large but bounded", scaled(New([]int{4, 3, 1}, 3), 1e100), true},
+		{"overflows at a corner", corner, false},
+		{"overflows in layer 1", scaled(New([]int{3, 4, 1}, 5), 1e200), false},
+		{"biases overflow", bias, false},
+	} {
+		if got := c.m.FiniteOnUnitBox(); got != c.finite {
+			t.Fatalf("%s: FiniteOnUnitBox = %v, want %v", c.name, got, c.finite)
+		}
+		if !c.finite {
+			continue
+		}
+		n := c.m.sizes[0]
+		for mask := 0; mask < 1<<n; mask++ {
+			x := make([]float64, n)
+			for i := range x {
+				if mask&(1<<i) != 0 {
+					x[i] = 1
+				}
+			}
+			if v := c.m.Predict(x); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: proved finite, yet corner %v gives %v", c.name, x, v)
+			}
+		}
+		for k := 0; k < 200; k++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			if v := c.m.Predict(x); math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: proved finite, yet %v gives %v", c.name, x, v)
+			}
+		}
+	}
+}
+
+// scaled multiplies every weight and bias of m by k (biases start at zero,
+// so they are set to k first).
+func scaled(m *MLP, k float64) *MLP {
+	for l := range m.weights {
+		for i := range m.weights[l] {
+			m.weights[l][i] *= k
+		}
+		for i := range m.biases[l] {
+			m.biases[l][i] = k
+		}
+	}
+	return m
 }

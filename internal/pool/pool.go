@@ -194,13 +194,21 @@ func (p *Pool) EdgeExpiry(a, b int) (float64, bool) {
 // DemandDistributions returns normalized copies of the current pickup and
 // dropoff demand histograms (MDP feature sO).
 func (p *Pool) DemandDistributions() (pickup, dropoff gridindex.Distribution) {
-	pu := make(gridindex.Distribution, len(p.pickupDemand))
-	do := make(gridindex.Distribution, len(p.dropoffDemand))
-	copy(pu, p.pickupDemand)
-	copy(do, p.dropoffDemand)
-	pu.Normalize()
-	do.Normalize()
-	return pu, do
+	pickup = make(gridindex.Distribution, len(p.pickupDemand))
+	dropoff = make(gridindex.Distribution, len(p.dropoffDemand))
+	p.FillDemand(pickup, dropoff)
+	return pickup, dropoff
+}
+
+// FillDemand is DemandDistributions into the caller's histograms, one entry
+// per cell of the pool's index.
+//
+//det:hotpath the threshold source's snapshot rebuild; writes only the caller's histograms
+func (p *Pool) FillDemand(pickup, dropoff gridindex.Distribution) {
+	copy(pickup, p.pickupDemand)
+	copy(dropoff, p.dropoffDemand)
+	pickup.Normalize()
+	dropoff.Normalize()
 }
 
 // DemandGeneration returns a counter that moves whenever the demand

@@ -77,7 +77,16 @@ func (Timeout) ServeSoloEarly() bool { return false }
 // (internal/mdp, θ = p - V(s)).
 type ThresholdSource interface {
 	Threshold(o *order.Order, now float64) float64
+	// ThresholdRange bounds what Threshold(o, now) returns: lo ≤ θ ≤ hi
+	// whenever θ is a number, and θ is NaN only if lo is -Inf (or NaN).
+	// Unbounded's (-Inf, +Inf) claims nothing and is always correct. It
+	// should be cheaper than Threshold: the threshold strategy asks it
+	// first, to skip the θ its decision does not need.
+	ThresholdRange(o *order.Order, now float64) (lo, hi float64)
 }
+
+// Unbounded is the ThresholdRange answer that claims nothing.
+func Unbounded() (lo, hi float64) { return math.Inf(-1), math.Inf(1) }
 
 // ConstantThreshold returns the same θ for every order; useful as an
 // ablation and in tests.
@@ -85,6 +94,11 @@ type ConstantThreshold float64
 
 // Threshold implements ThresholdSource.
 func (c ConstantThreshold) Threshold(*order.Order, float64) float64 { return float64(c) }
+
+// ThresholdRange implements ThresholdSource: the constant itself.
+func (c ConstantThreshold) ThresholdRange(*order.Order, float64) (lo, hi float64) {
+	return float64(c), float64(c)
+}
 
 // Threshold is the paper's Algorithm 2: dispatch when the group's average
 // extra time t̄e is at most the members' average expected threshold θ̄, or
@@ -110,12 +124,40 @@ func (s *Threshold) ShouldDispatch(g *order.Group, groupExpiry, now float64) boo
 		return true // line 1-3: a member waited beyond its limit
 	}
 	avgExtra := g.AvgExtraTime(now, s.Alpha, s.Beta) // line 4
-	var sum float64                                  // line 5: θ̄
-	for _, o := range g.Orders {
+	return s.withinThreshold(g.Orders, avgExtra, now)
+}
+
+// withinThreshold is lines 5-6: avgExtra ≤ θ̄, with θ̄ the members' θ summed
+// in member order and divided by their count. It asks for each θ only while
+// the outcome is still open: before asking for member j it folds the θ
+// known so far followed by the remaining members' ThresholdRange bounds, the
+// low ends and the high ends separately. Replacing every remaining θ by its
+// low end cannot raise the fold and by its high end cannot lower it —
+// rounded addition and division by n > 0 are monotone as long as no +Inf
+// meets a -Inf; a fold where one does is NaN and forces nothing, and a low
+// fold of -Inf is refused outright — so if the low fold already
+// dispatches, or the high fold holds, the full fold decides the same way.
+// A NaN θ makes the full fold hold; it is only allowed under a -Inf low
+// end, which keeps the low fold from forcing a dispatch.
+func (s *Threshold) withinThreshold(members []*order.Order, avgExtra, now float64) bool {
+	n := float64(len(members))
+	var sum float64 // θ of the members asked so far, folded in member order
+	for j, o := range members {
+		lo, hi := sum, sum
+		for _, r := range members[j:] {
+			l, h := s.Source.ThresholdRange(r, now)
+			lo += l
+			hi += h
+		}
+		if lo > math.Inf(-1) && avgExtra <= lo/n {
+			return true
+		}
+		if avgExtra > hi/n {
+			return false
+		}
 		sum += s.Source.Threshold(o, now)
 	}
-	avgTheta := sum / float64(len(g.Orders))
-	return avgExtra <= avgTheta // line 6
+	return avgExtra <= sum/n // line 6
 }
 
 // ServeSoloEarly implements Decision: loners wait until their limit — by

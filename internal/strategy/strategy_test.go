@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +125,118 @@ func TestThresholdAveragesOverMembers(t *testing.T) {
 type perOrderSource map[int]float64
 
 func (p perOrderSource) Threshold(o *order.Order, _ float64) float64 { return p[o.ID] }
+
+func (p perOrderSource) ThresholdRange(*order.Order, float64) (lo, hi float64) { return Unbounded() }
+
+// boundedSource answers member i's θ and range from the tables, by order ID
+// (1-based), and counts the θ asked for.
+type boundedSource struct {
+	theta, lo, hi []float64
+	asked         int
+}
+
+func (b *boundedSource) Threshold(o *order.Order, _ float64) float64 {
+	b.asked++
+	return b.theta[o.ID-1]
+}
+
+func (b *boundedSource) ThresholdRange(o *order.Order, _ float64) (lo, hi float64) {
+	return b.lo[o.ID-1], b.hi[o.ID-1]
+}
+
+// fullFold is lines 5-6 as written before ThresholdRange existed: every θ,
+// folded in member order.
+func fullFold(theta []float64, avgExtra float64) bool {
+	var sum float64
+	for _, th := range theta {
+		sum += th
+	}
+	return avgExtra <= sum/float64(len(theta))
+}
+
+func members(n int) []*order.Order {
+	out := make([]*order.Order, n)
+	for i := range out {
+		out[i] = &order.Order{ID: i + 1}
+	}
+	return out
+}
+
+// TestThresholdAsksOnlyWhatItNeeds: bounds that already decide the
+// comparison leave θ unasked, the decision is the full fold's either way,
+// and unbounded members are always asked.
+func TestThresholdAsksOnlyWhatItNeeds(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name          string
+		theta, lo, hi []float64
+		avgExtra      float64
+		asked         int
+	}{
+		{"low ends dispatch", []float64{50, 60}, []float64{40, 40}, []float64{100, 100}, 30, 0},
+		{"high ends hold", []float64{50, 60}, []float64{0, 0}, []float64{100, 100}, 120, 0},
+		{"first θ decides", []float64{90, 60}, []float64{0, 0}, []float64{100, 100}, 96, 1},
+		{"open to the end", []float64{50, 60}, []float64{0, 0}, []float64{100, 100}, 55, 2},
+		{"unbounded member", []float64{50, 60}, []float64{0, -inf}, []float64{100, inf}, 10, 2},
+		{"NaN θ under -Inf holds", []float64{math.NaN(), 60}, []float64{-inf, 40}, []float64{100, 100}, -inf, 2},
+	} {
+		src := &boundedSource{theta: c.theta, lo: c.lo, hi: c.hi}
+		s := &Threshold{Source: src, Alpha: 1, Beta: 1}
+		got := s.withinThreshold(members(len(c.theta)), c.avgExtra, 0)
+		if want := fullFold(c.theta, c.avgExtra); got != want {
+			t.Fatalf("%s: bound-first %v, full fold %v", c.name, got, want)
+		}
+		if src.asked != c.asked {
+			t.Fatalf("%s: asked for %d θ, want %d", c.name, src.asked, c.asked)
+		}
+	}
+}
+
+// FuzzThresholdDecision: for any θ inside its member's range (a NaN θ only
+// under a -Inf low end, as the ThresholdSource contract allows), any
+// ranges and any avgExtra, the bound-first decision is the full fold's.
+// Each of the 1-3 members' (lo, θ, hi) comes from three arbitrary floats
+// (member). The seed corpus in testdata/fuzz/FuzzThresholdDecision — signed
+// zeros, subnormals, avgExtra exactly on a fold's mean, p = +Inf, NaN θ,
+// -Inf meeting +Inf — runs in plain `go test`.
+func FuzzThresholdDecision(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint8, avgExtra, lo0, th0, hi0, lo1, th1, hi1, lo2, th2, hi2 float64) {
+		raw := [][3]float64{{lo0, th0, hi0}, {lo1, th1, hi1}, {lo2, th2, hi2}}[:1+int(n)%3]
+		src := &boundedSource{}
+		for _, r := range raw {
+			lo, theta, hi := member(r)
+			src.lo = append(src.lo, lo)
+			src.theta = append(src.theta, theta)
+			src.hi = append(src.hi, hi)
+		}
+		s := &Threshold{Source: src, Alpha: 1, Beta: 1}
+		got := s.withinThreshold(members(len(raw)), avgExtra, 0)
+		if want := fullFold(src.theta, avgExtra); got != want {
+			t.Fatalf("lo %v θ %v hi %v avgExtra %v: bound-first %v, full fold %v",
+				src.lo, src.theta, src.hi, avgExtra, got, want)
+		}
+	})
+}
+
+// member turns three arbitrary floats into a (lo, θ, hi) the contract
+// allows: a NaN θ gets a -Inf low end; otherwise the numbers among the three
+// are put in order and a NaN end, which claims nothing, stays.
+func member(r [3]float64) (lo, theta, hi float64) {
+	lo, theta, hi = r[0], r[1], r[2]
+	if math.IsNaN(theta) {
+		return math.Inf(-1), theta, hi
+	}
+	if lo > theta {
+		lo, theta = theta, lo
+	}
+	if hi < theta {
+		hi, theta = theta, hi
+	}
+	if lo > theta {
+		lo, theta = theta, lo
+	}
+	return lo, theta, hi
+}
 
 func TestConstantThreshold(t *testing.T) {
 	c := ConstantThreshold(42)
