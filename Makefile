@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ build:
 # Compile every example program (CI runs this so examples never rot).
 examples:
 	$(GO) build -o /dev/null ./examples/...
+
+# The two experiment CLIs end to end on tiny cells (CI runs this too).
+clismoke:
+	$(GO) run ./cmd/wattersim -alg WATTER-timeout -n 200 -m 20 -replicates 2 -cities 2
+	$(GO) run ./cmd/watterbench -fig fig5 -city cdc -scale 0.1 -replicates 2 -algs GDP,WATTER-online -quiet -csv /tmp/fig5.csv
 
 test:
 	$(GO) test ./...
@@ -78,7 +83,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build examples test race fuzz bench
+ci: lint staticcheck govulncheck build examples clismoke test race fuzz bench
 
 # Regenerate the checked-in DIMACS fixture from its generator (the
 # importer test fails if the two ever drift).

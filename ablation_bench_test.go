@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/geo"
@@ -25,17 +26,21 @@ func BenchmarkCliqueEnum(b *testing.B) {
 			base.Orders = 500
 			base.Workers = 45
 			runner := exp.NewRunner()
+			setup, err := runner.Setup(base)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alg, err := runner.Build("WATTER-timeout", base)
 				if err != nil {
 					b.Fatal(err)
 				}
-				type optSetter interface{ SetMaxGroupSize(int) }
-				alg.(optSetter).SetMaxGroupSize(bound)
-				city, orders, workers := exp.Workload(base)
-				env := NewEnvironment(city.Net, workers, DefaultConfig())
-				m := Run(env, alg, orders, RunOptions{TickEvery: 10})
+				fw := alg.(*core.Framework)
+				opt := fw.PoolOpt
+				opt.MaxGroupSize = bound
+				fw.SetPoolOptions(opt)
+				m := Run(NewEnvironment(setup.City.Net, setup.Fleet(), setup.Config()), alg, setup.Orders, RunOptions{TickEvery: base.TickEvery})
 				b.ReportMetric(m.AvgGroupSize(), "avg-group")
 				b.ReportMetric(m.UnifiedCost(), "unified-cost")
 			}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/exp"
 )
@@ -33,20 +34,20 @@ func benchSweep(b *testing.B, cityName, figID string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner := exp.NewRunner()
+	engine := &exp.SweepRunner{Runner: exp.NewRunner(), Parallel: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := runner.RunSweep(sweep, base)
+		res, err := engine.Run(sweep.Jobs(base, nil))
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Aggregate service rate keeps the work observable and guards
 		// against dead-code elimination.
 		var rate float64
-		for _, r := range results {
+		for _, r := range res.Results {
 			rate += r.Metrics.ServiceRate()
 		}
-		b.ReportMetric(rate/float64(len(results)), "avg-service-rate")
+		b.ReportMetric(rate/float64(len(res.Results)), "avg-service-rate")
 	}
 }
 
@@ -108,17 +109,21 @@ func BenchmarkPoolRadius(b *testing.B) {
 		b.Run(fmt.Sprintf("radius=%d", radius), func(b *testing.B) {
 			base := benchParams(dataset.CDC())
 			runner := exp.NewRunner()
+			setup, err := runner.Setup(base)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				alg, err := runner.Build("WATTER-timeout", base)
 				if err != nil {
 					b.Fatal(err)
 				}
-				fw := alg.(interface{ SetCandidateRadius(int) })
-				fw.SetCandidateRadius(radius)
-				city, orders, workers := exp.Workload(base)
-				env := NewEnvironment(city.Net, workers, DefaultConfig())
-				Run(env, alg.(Algorithm), orders, RunOptions{TickEvery: 10})
+				fw := alg.(*core.Framework)
+				opt := fw.PoolOpt
+				opt.CandidateRadius = radius
+				fw.SetPoolOptions(opt)
+				Run(NewEnvironment(setup.City.Net, setup.Fleet(), setup.Config()), alg, setup.Orders, RunOptions{TickEvery: base.TickEvery})
 			}
 		})
 	}

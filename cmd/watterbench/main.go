@@ -19,6 +19,12 @@
 // default (~1/25 of paper scale), 25 approximates the paper's full scale.
 // -parallel bounds concurrent simulation jobs (0 = GOMAXPROCS); results
 // are bit-identical at any parallelism.
+//
+// A figure expands into its jobs (exp.Sweep.Jobs) and runs through the
+// sweep engine's one loop (exp.SweepRunner.Run); one seed prints the paper's
+// table, -replicates prints mean ± CI per cell, and -csv writes the raw rows
+// either way. The -benchstream and -benchpool arms stand their CDC cell up
+// through exp.Runner.Setup, the builder every experiment run uses.
 package main
 
 import (
@@ -153,26 +159,19 @@ func main() {
 			if *algsCSV != "" {
 				s.Algs = strings.Split(*algsCSV, ",")
 			}
-			if *replicates > 1 {
-				seeds := exp.ReplicateSeeds(*seed, *replicates)
-				results, cells, err := engine.RunFigureSeeds(s, base, seeds)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("== %s / %s — varying %s, %d replicates ==\n", s.ID, cityProfile.Name, s.Label, *replicates)
-				exp.PrintCells(os.Stdout, cells)
-				fmt.Println()
-				writeCSV(csvFile, s.ID, results)
-				continue
-			}
-			results, err := engine.RunFigure(s, base)
+			res, err := engine.Run(s.Jobs(base, exp.ReplicateSeeds(*seed, *replicates)))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			exp.PrintSweep(os.Stdout, s, cityProfile, results)
-			writeCSV(csvFile, s.ID, results)
+			if *replicates > 1 {
+				fmt.Printf("== %s / %s — varying %s, %d replicates ==\n", s.ID, cityProfile.Name, s.Label, *replicates)
+				exp.PrintCells(os.Stdout, res.Cells)
+				fmt.Println()
+			} else {
+				exp.PrintSweep(os.Stdout, s, cityProfile, res.Results)
+			}
+			writeCSV(csvFile, s.ID, res.Results)
 		}
 	}
 }
@@ -237,13 +236,14 @@ func runBenchSweep(path string, scale float64, seed int64, parallel int, quiet b
 		}
 	}
 
-	logf("benchsweep: %d jobs sequentially...\n", len(m.Jobs()))
-	seq, err := (&exp.SweepRunner{Runner: exp.NewRunner(), Parallel: 1}).Run(m)
+	jobs := m.Jobs()
+	logf("benchsweep: %d jobs sequentially...\n", len(jobs))
+	seq, err := (&exp.SweepRunner{Runner: exp.NewRunner(), Parallel: 1}).Run(jobs)
 	if err != nil {
 		return err
 	}
-	logf("benchsweep: %d jobs at parallel=%d...\n", len(m.Jobs()), parallel)
-	par, err := (&exp.SweepRunner{Runner: exp.NewRunner(), Parallel: parallel}).Run(m)
+	logf("benchsweep: %d jobs at parallel=%d...\n", len(jobs), parallel)
+	par, err := (&exp.SweepRunner{Runner: exp.NewRunner(), Parallel: parallel}).Run(jobs)
 	if err != nil {
 		return err
 	}
@@ -470,10 +470,11 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 	if base.Orders < 10 || base.Workers < 1 {
 		return fmt.Errorf("benchstream: scale %.2f too small", scale)
 	}
-	city := base.City.Build()
-	orders := city.Orders(dataset.WorkloadConfig{
-		Orders: base.Orders, Seed: base.Seed, TauScale: base.TauScale, Eta: base.Eta,
-	})
+	runner := exp.NewRunner()
+	setup, err := runner.Setup(base)
+	if err != nil {
+		return err
+	}
 	const rounds = 3
 	logf := func(format string, args ...any) {
 		if !quiet {
@@ -482,29 +483,22 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 	}
 	logf("benchstream: CDC n=%d m=%d, %d rounds per arm\n", base.Orders, base.Workers, rounds)
 
-	runBatch := func() (*sim.Metrics, float64) {
-		workers := city.Workers(base.Workers, base.MaxCap, base.Seed+1000)
-		cfg := sim.DefaultConfig()
-		cfg.GridN = base.GridN
-		cfg.Capacity = base.MaxCap
-		env := sim.NewEnv(city.Net, workers, cfg)
-		alg := exp.MustBuild("WATTER-online", base)
+	runBatch := func() (*sim.Metrics, float64, error) {
+		alg, err := runner.Build("WATTER-online", base)
+		if err != nil {
+			return nil, 0, err
+		}
+		env := sim.NewEnv(setup.City.Net, setup.Fleet(), setup.Config())
 		start := time.Now()
-		m := sim.Run(env, alg, orders, sim.RunOptions{TickEvery: base.TickEvery})
-		return m, time.Since(start).Seconds()
+		m := sim.Run(env, alg, setup.Orders, sim.RunOptions{TickEvery: base.TickEvery})
+		return m, time.Since(start).Seconds(), nil
 	}
 	runStream := func() (*sim.Metrics, float64, int, error) {
-		workers := city.Workers(base.Workers, base.MaxCap, base.Seed+1000)
-		cfg := sim.DefaultConfig()
-		cfg.GridN = base.GridN
-		cfg.Capacity = base.MaxCap
-		alg := exp.MustBuild("WATTER-online", base)
-		p, err := platform.New(city.Net, workers,
-			platform.WithConfig(cfg),
-			platform.WithTick(base.TickEvery),
-			platform.WithMeasuredTime(false),
-			platform.WithAlgorithm(alg),
-		)
+		alg, err := runner.Build("WATTER-online", base)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		p, err := setup.Platform(alg, false)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -518,7 +512,7 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 			counted <- n
 		}()
 		start := time.Now()
-		m, err := p.Replay(orders)
+		m, err := p.Replay(setup.Orders)
 		elapsed := time.Since(start).Seconds()
 		if err != nil {
 			return nil, 0, 0, err
@@ -530,7 +524,10 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 	var events int
 	identical := true
 	for r := 0; r < rounds; r++ {
-		bm, bs := runBatch()
+		bm, bs, err := runBatch()
+		if err != nil {
+			return err
+		}
 		sm, ss, n, err := runStream()
 		if err != nil {
 			return err
@@ -706,33 +703,40 @@ func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
 	base.Seed = seed
 	base.Orders = int(float64(base.Orders) * scale)
 	base.Workers = int(float64(base.Workers) * scale)
+	runner := exp.NewRunner()
+	setup, err := runner.Setup(base)
+	if err != nil {
+		return err
+	}
 	identical := true
 	var simCached, simUncached float64
 	for _, name := range simAlgs {
-		runSim := func(disable bool) (*sim.Metrics, float64) {
-			city := base.City.Build()
-			workers := city.Workers(base.Workers, base.MaxCap, base.Seed+1000)
-			cfg := sim.DefaultConfig()
-			cfg.GridN = base.GridN
-			cfg.Capacity = base.MaxCap
-			alg := exp.MustBuild(name, base)
-			if ps, ok := alg.(interface{ SetPoolOptions(pool.Options) }); ok {
-				opt := pool.DefaultOptions()
-				opt.Capacity = base.MaxCap
-				opt.MaxGroupSize = base.MaxCap
-				opt.DisablePlanCache = disable
-				ps.SetPoolOptions(opt)
+		runSim := func(disable bool) (*sim.Metrics, float64, error) {
+			alg, err := runner.Build(name, base)
+			if err != nil {
+				return nil, 0, err
 			}
-			workload := city.Orders(dataset.WorkloadConfig{
-				Orders: base.Orders, Seed: base.Seed, TauScale: base.TauScale, Eta: base.Eta,
-			})
+			fw, ok := alg.(*core.Framework)
+			if !ok {
+				return nil, 0, fmt.Errorf("benchpool: %s has no pool", name)
+			}
+			fw.PoolOpt.DisablePlanCache = disable
+			plat, err := setup.Platform(fw, false)
+			if err != nil {
+				return nil, 0, err
+			}
 			startSim := time.Now()
-			m := sim.Run(sim.NewEnv(city.Net, workers, cfg), alg, workload,
-				sim.RunOptions{TickEvery: base.TickEvery})
-			return m, time.Since(startSim).Seconds()
+			m, err := plat.Replay(setup.Orders)
+			return m, time.Since(startSim).Seconds(), err
 		}
-		mc, sc := runSim(false)
-		mu, su := runSim(true)
+		mc, sc, err := runSim(false)
+		if err != nil {
+			return err
+		}
+		mu, su, err := runSim(true)
+		if err != nil {
+			return err
+		}
 		simCached += sc
 		simUncached += su
 		if *mc != *mu {
@@ -834,7 +838,7 @@ func runBenchShard(path string, scale float64, seed int64, shards int, quiet boo
 		case "WATTER-online":
 			fw = core.New(strategy.Online{}, pool.DefaultOptions())
 		case "WATTER-timeout":
-			fw = core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+			fw = core.New(strategy.Timeout{}, pool.DefaultOptions())
 		}
 		p, err := platform.New(g, mkWorkers(),
 			platform.WithConfig(cfg),

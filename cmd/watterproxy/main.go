@@ -28,7 +28,6 @@ import (
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/order"
-	"watter/internal/platform"
 	"watter/internal/proxy"
 	"watter/internal/sim"
 )
@@ -115,9 +114,13 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 	profiles := []dataset.Profile{dataset.CDC(), dataset.NYC(), dataset.XIA()}
 	runner := exp.NewRunner()
 
+	fatal := func(err error) {
+		fmt.Fprintf(os.Stderr, "watterproxy: seed %d: %v\n", seed, err)
+		os.Exit(1)
+	}
 	type cityDef struct {
-		spec     proxy.CitySpec
-		workload []*order.Order
+		spec  proxy.CitySpec
+		setup *exp.Setup
 	}
 	defs := make([]cityDef, cities)
 	for i := 0; i < cities; i++ {
@@ -126,56 +129,40 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 		p.Orders = orders
 		p.Workers = workers
 		p.Seed = seed + int64(i)*17
-		city, os_, ws := exp.Workload(p)
-		cfg := sim.DefaultConfig()
-		cfg.GridN = p.GridN
-		cfg.Capacity = p.MaxCap
-		pc := p
+		setup, err := runner.Setup(p)
+		if err != nil {
+			fatal(err)
+		}
 		defs[i] = cityDef{
 			spec: proxy.CitySpec{
 				ID:      fmt.Sprintf("%s-%d", profile.Name, i+1),
-				Net:     city.Net,
-				Workers: ws,
+				Net:     setup.City.Net,
+				Workers: setup.Fleet(),
 				NewAlgorithm: func() sim.Algorithm {
-					a, err := runner.Build(alg, pc)
+					a, err := runner.Build(alg, p)
 					if err != nil {
 						return nil
 					}
 					return a
 				},
-				Options: []platform.Option{
-					platform.WithConfig(cfg),
-					platform.WithTick(p.TickEvery),
-					platform.WithMeasuredTime(false),
-				},
+				Options: setup.Options(false),
 			},
-			workload: os_,
+			setup: setup,
 		}
-	}
-
-	fatal := func(err error) {
-		fmt.Fprintf(os.Stderr, "watterproxy: seed %d: %v\n", seed, err)
-		os.Exit(1)
 	}
 
 	// Arm 1: every city standalone — the isolation reference.
 	standalone := make(map[string]sim.Metrics, cities)
 	for _, d := range defs {
-		ws := make([]*order.Worker, len(d.spec.Workers))
-		for i, w := range d.spec.Workers {
-			cp := *w
-			ws[i] = &cp
-		}
-		a := d.spec.NewAlgorithm()
-		if a == nil {
-			fatal(fmt.Errorf("unknown algorithm %q", alg))
-		}
-		p, err := platform.New(d.spec.Net, ws, append(d.spec.Options[:len(d.spec.Options):len(d.spec.Options)],
-			platform.WithAlgorithm(a))...)
+		a, err := runner.Build(alg, d.setup.Params)
 		if err != nil {
 			fatal(err)
 		}
-		m, err := p.Replay(d.workload)
+		p, err := d.setup.Platform(a, false)
+		if err != nil {
+			fatal(err)
+		}
+		m, err := p.Replay(d.setup.Orders)
 		if err != nil {
 			fatal(err)
 		}
@@ -187,8 +174,8 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 	nOrders := 0
 	for i, d := range defs {
 		specs[i] = d.spec
-		workloads[d.spec.ID] = d.workload
-		nOrders += len(d.workload)
+		workloads[d.spec.ID] = d.setup.Orders
+		nOrders += len(d.setup.Orders)
 	}
 
 	// Arm 2: the proxy, uninterrupted.
@@ -231,7 +218,7 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 	}
 	var feed []entry
 	for _, d := range defs {
-		for _, o := range d.workload {
+		for _, o := range d.setup.Orders {
 			cp := *o
 			feed = append(feed, entry{d.spec.ID, &cp})
 		}

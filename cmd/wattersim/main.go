@@ -16,6 +16,10 @@
 // With -replicates R the same configuration runs under R consecutive
 // seeds (concurrently, bounded by -parallel) and the four paper metrics
 // are reported as mean ± 95% CI.
+//
+// A single run is exp.Runner.RunOne; replicates are a one-cell exp.Matrix
+// run through the sweep engine. Either way the configuration becomes a run
+// in exp.Runner.Setup, as every experiment does.
 package main
 
 import (
@@ -63,8 +67,8 @@ func main() {
 	p.TickEvery = *dt
 	p.NumCities = *cities
 	p.Seed = *seed
-	// Pin the offline pipeline to the first seed so replicates share one
-	// trained model (identical to p.Seed for single runs).
+	// Pin the offline pipeline to the first seed so replicates and proxied
+	// cities share one trained model (identical to p.Seed for single runs).
 	p.Train.Seed = *seed
 
 	runner := exp.NewRunner()
@@ -139,7 +143,7 @@ func runReplicated(runner *exp.Runner, alg string, p exp.Params, replicates, par
 		Base:  p,
 		Algs:  []string{alg},
 		Seeds: exp.ReplicateSeeds(p.Seed, replicates),
-	})
+	}.Jobs())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

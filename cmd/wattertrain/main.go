@@ -44,6 +44,11 @@ func main() {
 
 	runner := exp.NewRunner()
 	runner.Out = os.Stderr
+	// Build trains (once, cached) and is what reports a failed training run.
+	if _, err := runner.Build("WATTER-expect", p); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	trained := runner.Train(p)
 
 	fmt.Printf("city=%s replay=%d params=%d\n",

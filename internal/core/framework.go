@@ -76,15 +76,6 @@ func (f *Framework) SetShards(k int) {
 	f.Shards = k
 }
 
-// SetCandidateRadius overrides the pool's spatial prefilter before a run
-// (used by the candidate-radius ablation bench). Must be called before
-// Init.
-func (f *Framework) SetCandidateRadius(r int) { f.PoolOpt.CandidateRadius = r }
-
-// SetMaxGroupSize bounds clique enumeration (used by the grouping-bound
-// ablation bench). Must be called before Init.
-func (f *Framework) SetMaxGroupSize(k int) { f.PoolOpt.MaxGroupSize = k }
-
 // Init implements sim.Algorithm.
 func (f *Framework) Init(env *sim.Env) {
 	f.env = env

@@ -93,7 +93,7 @@ func TestFrameworkTimeoutFormsMoreGroups(t *testing.T) {
 	// inside what remains. Tighter deadlines would kill held groups before
 	// the timeout strategy gets to release them.
 	online := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 200, 12, 3.0)
-	timeout := runAlg(t, New(strategy.Timeout{Tick: 10}, pool.DefaultOptions()), 200, 12, 3.0)
+	timeout := runAlg(t, New(strategy.Timeout{}, pool.DefaultOptions()), 200, 12, 3.0)
 	shared := func(m *sim.Metrics) int {
 		s := 0
 		for k := 2; k < len(m.GroupSizeHist); k++ {
@@ -111,7 +111,7 @@ func TestFrameworkThresholdBetweenExtremes(t *testing.T) {
 	// A moderate constant threshold must produce response times between
 	// online (immediate) and timeout (max wait).
 	online := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 150, 20, 2.0)
-	timeout := runAlg(t, New(strategy.Timeout{Tick: 10}, pool.DefaultOptions()), 150, 20, 2.0)
+	timeout := runAlg(t, New(strategy.Timeout{}, pool.DefaultOptions()), 150, 20, 2.0)
 	thr := runAlg(t, New(&strategy.Threshold{
 		Source: strategy.ConstantThreshold(120), Alpha: 1, Beta: 1,
 	}, pool.DefaultOptions()), 150, 20, 2.0)

@@ -30,26 +30,26 @@ func (a *initObserver) Init(env *sim.Env) {
 func TestEventsMetricsLockstep(t *testing.T) {
 	r := NewRunner()
 	p := smallParams()
-	cfg := simConfig(p)
+	s, err := r.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Config()
 	for _, name := range AlgNames {
 		alg, err := r.Build(name, p)
 		if err != nil {
 			t.Fatalf("Build(%s): %v", name, err)
 		}
-		city, orders, workers := r.workload(p)
 		wrapped := &initObserver{Algorithm: alg}
 		var tapped []sim.Event
-		plat, err := platform.New(city.Net, workers,
-			platform.WithConfig(cfg),
-			platform.WithTick(p.TickEvery),
-			platform.WithMeasuredTime(false),
+		plat, err := platform.New(s.City.Net, s.Fleet(), append(s.Options(false),
 			platform.WithAlgorithm(wrapped),
 			platform.WithObserver(func(ev platform.Event) { tapped = append(tapped, ev) }),
-		)
+		)...)
 		if err != nil {
 			t.Fatalf("platform.New(%s): %v", name, err)
 		}
-		m, err := plat.Replay(orders)
+		m, err := plat.Replay(s.Orders)
 		if err != nil {
 			t.Fatalf("Replay(%s): %v", name, err)
 		}

@@ -129,10 +129,12 @@ type Runner struct {
 	outMu sync.Mutex
 }
 
-// trainedEntry memoizes one offline training run (singleflight per key).
+// trainedEntry memoizes one offline training run (singleflight per key),
+// failures included.
 type trainedEntry struct {
 	once sync.Once
 	m    *Trained
+	err  error
 }
 
 // NewRunner returns an empty runner.
@@ -176,17 +178,27 @@ type Trained struct {
 	Theta   *gmm.ThresholdSource
 }
 
-// Workload materializes the orders and workers for a configuration.
-func Workload(p Params) (*dataset.City, []*order.Order, []*order.Worker) {
-	return workloadIn(p.City.Build(), p)
+// Setup is one configuration made concrete: the city Params name, the order
+// stream they generate, and how every run of them is stood up. Runner.Setup
+// is the one place Params become a run — RunOne, the multi-city cell, both
+// training passes and the command-line tools all stand their platforms up
+// through it — so the fleet seed, the platform parameters and Δt are mapped
+// once.
+type Setup struct {
+	Params Params
+	City   *dataset.City
+	// Orders is the stream to replay. Replay clones what it is given, so
+	// every run of the configuration can share it.
+	Orders []*order.Order
 }
 
-// workload is Workload over the runner's shared city instance.
-func (r *Runner) workload(p Params) (*dataset.City, []*order.Order, []*order.Worker) {
-	return workloadIn(r.city(p.City), p)
-}
-
-func workloadIn(city *dataset.City, p Params) (*dataset.City, []*order.Order, []*order.Worker) {
+// Setup refuses invalid Params with an error and builds the rest over the
+// runner's shared city.
+func (r *Runner) Setup(p Params) (*Setup, error) {
+	if err := validate(p); err != nil {
+		return nil, err
+	}
+	city := r.city(p.City)
 	orders := city.Orders(dataset.WorkloadConfig{
 		Orders: p.Orders, Seed: p.Seed, TauScale: p.TauScale, Eta: p.Eta,
 	})
@@ -195,34 +207,43 @@ func workloadIn(city *dataset.City, p Params) (*dataset.City, []*order.Order, []
 		// the release schedule for the configured process over the default
 		// workload window. Times returns at most as many arrivals as fit
 		// the horizon; Retime drops whichever side is longer.
-		wcfg := dataset.WorkloadConfig{}.Defaults()
-		times, err := p.Arrival.Times(wcfg.HorizonSeconds)
+		times, err := p.Arrival.Times(dataset.WorkloadConfig{}.Defaults().HorizonSeconds)
 		if err != nil {
-			panic(fmt.Sprintf("exp: invalid arrival spec: %v", err))
+			return nil, err
 		}
 		orders = load.Retime(orders, times, p.TauScale)
 	}
-	workers := city.Workers(p.Workers, p.MaxCap, p.Seed+1000)
-	return city, orders, workers
+	return &Setup{Params: p, City: city, Orders: orders}, nil
 }
 
-// simConfig maps experiment parameters onto validated platform config.
-func simConfig(p Params) sim.Config {
+// Fleet returns a fresh copy of the configuration's initial fleet:
+// dispatching moves workers in place, so every run takes its own.
+func (s *Setup) Fleet() []*order.Worker {
+	return s.City.Workers(s.Params.Workers, s.Params.MaxCap, s.Params.Seed+1000)
+}
+
+// Config returns the platform parameters the configuration runs under.
+func (s *Setup) Config() sim.Config {
 	cfg := sim.DefaultConfig()
-	cfg.GridN = p.GridN
-	cfg.Capacity = p.MaxCap
+	cfg.GridN = s.Params.GridN
+	cfg.Capacity = s.Params.MaxCap
 	return cfg
 }
 
-// newPlatform stands a service instance up for one configuration cell —
-// the harness is a client of the same streaming API live feeds use.
-func newPlatform(city *dataset.City, workers []*order.Worker, alg sim.Algorithm, p Params, measure bool) (*platform.Platform, error) {
-	return platform.New(city.Net, workers,
-		platform.WithConfig(simConfig(p)),
-		platform.WithTick(p.TickEvery),
+// Options returns the platform options of every run of the configuration:
+// its parameters and Δt, and whether algorithm hooks are timed.
+func (s *Setup) Options(measure bool) []platform.Option {
+	return []platform.Option{
+		platform.WithConfig(s.Config()),
+		platform.WithTick(s.Params.TickEvery),
 		platform.WithMeasuredTime(measure),
-		platform.WithAlgorithm(alg),
-	)
+	}
+}
+
+// Platform stands alg up over the city and a fresh fleet — the harness is a
+// client of the same streaming API live feeds use.
+func (s *Setup) Platform(alg sim.Algorithm, measure bool) (*platform.Platform, error) {
+	return platform.New(s.City.Net, s.Fleet(), append(s.Options(measure), platform.WithAlgorithm(alg))...)
 }
 
 func poolOptions(p Params) pool.Options {
@@ -236,8 +257,16 @@ func poolOptions(p Params) pool.Options {
 // (a different seed/day than evaluation): simulate the pooling framework
 // under the timeout behavior policy, record served extra times for the GMM
 // fit, collect MDP experience, then optimize the value network with the
-// blended TD + target loss.
+// blended TD + target loss. It returns nil when training fails; Build
+// reports why.
 func (r *Runner) Train(p Params) *Trained {
+	m, _ := r.trained(p)
+	return m
+}
+
+// trained is Train with its error: the memo keeps both, so every caller of a
+// key sees the one outcome.
+func (r *Runner) trained(p Params) (*Trained, error) {
 	key := modelKey(p)
 	r.mu.Lock()
 	e, ok := r.models[key]
@@ -248,27 +277,32 @@ func (r *Runner) Train(p Params) *Trained {
 	r.mu.Unlock()
 	// Singleflight: concurrent callers needing the same model block here
 	// while exactly one of them trains it.
-	e.once.Do(func() { e.m = r.train(p) })
-	return e.m
+	e.once.Do(func() { e.m, e.err = r.train(p) })
+	return e.m, e.err
 }
 
-func (r *Runner) train(p Params) *Trained {
+func (r *Runner) train(p Params) (*Trained, error) {
 	start := time.Now() //det:wallclock training wall-time for the progress log line; never feeds model or simulation state
 	seed := trainSeed(p)
-	city := r.city(p.City)
-	hist := city.Orders(dataset.WorkloadConfig{
-		Orders: p.Train.HistoricalOrders, Seed: seed + 77, TauScale: p.TauScale, Eta: p.Eta,
-	})
-	workers := city.Workers(p.Workers, p.MaxCap, seed+1077)
+	// The historical day is a run of its own: a HistoricalOrders stream and
+	// a fleet drawn from the training seed, released on the city's own
+	// rush-hour schedule whatever arrival process the evaluation uses.
+	hp := p
+	hp.Orders = p.Train.HistoricalOrders
+	hp.Seed = seed + 77
+	hp.Arrival = load.ArrivalSpec{}
+	hist, err := r.Setup(hp)
+	if err != nil {
+		return nil, fmt.Errorf("exp: invalid training configuration: %w", err)
+	}
 
 	// Pass 1: behavior run to harvest extra times for the GMM.
 	var extraTimes []float64
-	fw := core.New(strategy.Timeout{Tick: p.TickEvery}, poolOptions(p))
-	plat, err := newPlatform(city, workers, fw, p, false)
+	plat, err := hist.Platform(core.New(strategy.Timeout{}, poolOptions(p)), false)
 	if err != nil {
-		panic(fmt.Errorf("exp: invalid training configuration: %w", err))
+		return nil, fmt.Errorf("exp: invalid training configuration: %w", err)
 	}
-	feat := mdp.NewFeaturizer(plat.Env().Index, horizonOf(hist))
+	feat := mdp.NewFeaturizer(plat.Env().Index, horizonOf(hist.Orders))
 	feat.SlotSeconds = p.TickEvery
 	plat.Env().Observe(func(ev sim.Event) {
 		// Harvest in event order (the group's member order): the GMM fit
@@ -281,8 +315,8 @@ func (r *Runner) train(p Params) *Trained {
 			}
 		}
 	})
-	if _, err := plat.Replay(hist); err != nil {
-		panic(fmt.Errorf("exp: behavior simulation failed: %w", err))
+	if _, err := plat.Replay(hist.Orders); err != nil {
+		return nil, fmt.Errorf("exp: behavior simulation failed: %w", err)
 	}
 
 	// Fit the extra-time mixture and derive θ*.
@@ -308,13 +342,12 @@ func (r *Runner) train(p Params) *Trained {
 	trainer := mdp.NewTrainer(feat.Dim(), tcfg)
 	fw2 := core.New(&strategy.Threshold{Source: theta, Alpha: 1, Beta: 1}, poolOptions(p))
 	fw2.Tick = p.TickEvery
-	col := mdp.NewCollector(fw2, feat, theta, trainer.Add)
-	plat2, err := newPlatform(city, city.Workers(p.Workers, p.MaxCap, seed+1077), col, p, false)
+	plat2, err := hist.Platform(mdp.NewCollector(fw2, feat, theta, trainer.Add), false)
 	if err != nil {
-		panic(fmt.Errorf("exp: invalid training configuration: %w", err))
+		return nil, fmt.Errorf("exp: invalid training configuration: %w", err)
 	}
-	if _, err := plat2.Replay(hist); err != nil {
-		panic(fmt.Errorf("exp: experience collection failed: %w", err))
+	if _, err := plat2.Replay(hist.Orders); err != nil {
+		return nil, fmt.Errorf("exp: experience collection failed: %w", err)
 	}
 
 	loss := trainer.Train(p.Train.TrainSteps)
@@ -322,7 +355,7 @@ func (r *Runner) train(p Params) *Trained {
 	r.logf("[train %s] samples=%d extra-times=%d loss=%.1f elapsed=%s\n",
 		p.City.Name, trainer.ReplayLen(), len(extraTimes), loss, elapsed)
 
-	return &Trained{Feat: feat, Net: trainer.Network(), Trainer: trainer, GMM: model, Theta: theta}
+	return &Trained{Feat: feat, Net: trainer.Network(), Trainer: trainer, GMM: model, Theta: theta}, nil
 }
 
 // modelKey identifies the offline-model cache entry for a configuration.
@@ -356,8 +389,12 @@ func (r *Runner) ModelCount() int {
 }
 
 // Build constructs a ready-to-run algorithm by name. WATTER-expect
-// triggers (cached) offline training.
+// triggers (cached) offline training. Invalid Params, and a training run
+// that fails, come back as errors.
 func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
+	if err := validate(p); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "GDP":
 		return &baseline.GDP{}, nil
@@ -369,12 +406,15 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-timeout":
-		fw := core.New(strategy.Timeout{Tick: p.TickEvery}, poolOptions(p))
+		fw := core.New(strategy.Timeout{}, poolOptions(p))
 		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-expect":
-		trained := r.Train(p)
+		trained, err := r.trained(p)
+		if err != nil {
+			return nil, err
+		}
 		fw := core.New(nil, poolOptions(p))
 		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
@@ -413,22 +453,12 @@ func (a *expectAlg) Init(env *sim.Env) {
 	a.src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
 }
 
-// MustBuild is Build for algorithm names known at compile time; it panics
-// on unknown names.
-func MustBuild(name string, p Params) sim.Algorithm {
-	alg, err := NewRunner().Build(name, p)
-	if err != nil {
-		panic(err)
-	}
-	return alg
-}
-
 // validate refuses what the cell's construction would otherwise panic on,
 // possibly on a sweep worker goroutine: the platform parameters and the
 // tick interval (WATTER-expect's training builds platforms from both) and
-// the arrival process workloadIn schedules.
+// the arrival process Setup schedules.
 func validate(p Params) error {
-	if err := simConfig(p).Validate(); err != nil {
+	if err := (&Setup{Params: p}).Config().Validate(); err != nil {
 		return err
 	}
 	if err := (sim.RunOptions{TickEvery: p.TickEvery}).Validate(); err != nil {
@@ -445,23 +475,23 @@ func validate(p Params) error {
 // parameters surface here as errors, before anything is built or trained,
 // instead of silent defaults.
 func (r *Runner) RunOne(name string, p Params) (*Result, error) {
-	if err := validate(p); err != nil {
-		return nil, err
-	}
 	if p.NumCities > 1 {
 		return r.runProxyCell(name, p)
+	}
+	s, err := r.Setup(p)
+	if err != nil {
+		return nil, err
 	}
 	alg, err := r.Build(name, p)
 	if err != nil {
 		return nil, err
 	}
-	city, orders, workers := r.workload(p)
-	plat, err := newPlatform(city, workers, alg, p, true)
+	plat, err := s.Platform(alg, true)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now() //det:wallclock cell wall-time for Result.Elapsed reporting; never feeds simulation state
-	metrics, err := plat.Replay(orders)
+	metrics, err := plat.Replay(s.Orders)
 	if err != nil {
 		return nil, err
 	}

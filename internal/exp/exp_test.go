@@ -39,28 +39,23 @@ func TestBuildAllAlgorithms(t *testing.T) {
 func TestRunOneAccounting(t *testing.T) {
 	r := NewRunner()
 	p := smallParams()
+	s, err := r.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range AlgNames {
 		res, err := r.RunOne(name, p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		m := res.Metrics
-		if m.Served+m.Rejected != m.Total || m.Total != len(workloadOrders(p)) {
+		if m.Served+m.Rejected != m.Total || m.Total != len(s.Orders) {
 			t.Fatalf("%s accounting: %+v", name, m)
 		}
 		if m.RunningTime() < 0 {
 			t.Fatalf("%s runtime negative", name)
 		}
 	}
-}
-
-func workloadOrders(p Params) []int {
-	_, orders, _ := Workload(p)
-	ids := make([]int, len(orders))
-	for i, o := range orders {
-		ids[i] = o.ID
-	}
-	return ids
 }
 
 func TestTrainCaches(t *testing.T) {
@@ -147,15 +142,15 @@ func TestRunSweepAndPrint(t *testing.T) {
 		},
 		Algs: []string{"WATTER-online", "GDP"},
 	}
-	results, err := r.RunSweep(s, base)
+	res, err := (&SweepRunner{Runner: r, Parallel: 1}).Run(s.Jobs(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d, want 4", len(results))
+	if len(res.Results) != 4 {
+		t.Fatalf("results = %d, want 4", len(res.Results))
 	}
 	var buf bytes.Buffer
-	PrintSweep(&buf, s, base.City, results)
+	PrintSweep(&buf, s, base.City, res.Results)
 	out := buf.String()
 	for _, needle := range []string{"Extra Time", "Unified Cost", "Service Rate", "Running Time", "WATTER-online", "GDP", "1.4", "1.8"} {
 		if !strings.Contains(out, needle) {

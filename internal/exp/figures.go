@@ -119,10 +119,24 @@ func SweepByID(base Params, id string) (Sweep, error) {
 	return Sweep{}, fmt.Errorf("exp: unknown sweep %q", id)
 }
 
-// RunSweep executes every (point, algorithm) cell of the sweep
-// sequentially. It is the Parallel=1 case of SweepRunner.RunFigure.
-func (r *Runner) RunSweep(s Sweep, base Params) ([]*Result, error) {
-	return (&SweepRunner{Runner: r, Parallel: 1}).RunFigure(s, base)
+// Jobs expands the sweep at base into its job list: points × algorithms,
+// then seeds innermost (default {base.Seed}), each job carrying its point as
+// X. SweepRunner.Run executes it; replicates share training as a Matrix's do.
+func (s Sweep) Jobs(base Params, seeds []int64) []Job {
+	reps := newReplicas(base, seeds)
+	algs := s.Algs
+	if len(algs) == 0 {
+		algs = AlgNames
+	}
+	var jobs []Job
+	for _, x := range s.Points {
+		p := s.Apply(base, x)
+		for _, alg := range algs {
+			cell := fmt.Sprintf("%s/%s/%s=%g", alg, p.City.Name, s.ID, x)
+			jobs = reps.add(jobs, Job{Alg: alg, P: p, X: x, Cell: cell})
+		}
+	}
+	return jobs
 }
 
 // PrintSweep renders the paper-style table: one block per metric, rows =

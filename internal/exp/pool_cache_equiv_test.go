@@ -71,6 +71,10 @@ func TestPoolCacheEquivalence(t *testing.T) {
 			p := base
 			p.Seed = seed
 			p.Train.Seed = base.Seed // replicates share one trained model
+			s, err := r.Setup(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, name := range AlgNames {
 				run := func(disable bool) (*sim.Metrics, pool.CacheStats) {
 					alg, err := r.Build(name, p)
@@ -82,9 +86,7 @@ func TestPoolCacheEquivalence(t *testing.T) {
 						opt.DisablePlanCache = disable
 						ps.SetPoolOptions(opt)
 					}
-					city := r.city(p.City)
-					_, orders, workers := r.workload(p)
-					m := sim.Run(sim.NewEnv(city.Net, workers, simConfig(p)), alg, orders,
+					m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
 						sim.RunOptions{TickEvery: p.TickEvery})
 					return m, poolStats(alg)
 				}

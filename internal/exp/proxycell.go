@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"watter/internal/order"
-	"watter/internal/platform"
 	"watter/internal/proxy"
 	"watter/internal/sim"
 )
@@ -17,7 +16,6 @@ import (
 // aggregate is exactly the sum of N standalone runs, which the proxy
 // package's bit-identity tests enforce.
 func (r *Runner) runProxyCell(name string, p Params) (*Result, error) {
-	city := r.city(p.City)
 	specs := make([]proxy.CitySpec, 0, p.NumCities)
 	workloads := make(map[string][]*order.Order, p.NumCities)
 	for i := 0; i < p.NumCities; i++ {
@@ -26,32 +24,30 @@ func (r *Runner) runProxyCell(name string, p Params) (*Result, error) {
 		// exact workload; the rest are independent replicas of the same
 		// demand model.
 		pi.Seed = p.Seed + int64(i)*9973
-		_, orders, workers := workloadIn(city, pi)
-		id := fmt.Sprintf("%s-%d", p.City.Name, i+1)
+		s, err := r.Setup(pi)
+		if err != nil {
+			return nil, err
+		}
 		// Pre-flight the build so algorithm errors surface here, not as an
 		// opaque nil inside proxy.New.
 		if _, err := r.Build(name, pi); err != nil {
 			return nil, err
 		}
-		pc := pi
+		id := fmt.Sprintf("%s-%d", p.City.Name, i+1)
 		specs = append(specs, proxy.CitySpec{
 			ID:      id,
-			Net:     city.Net,
-			Workers: workers,
+			Net:     s.City.Net,
+			Workers: s.Fleet(),
 			NewAlgorithm: func() sim.Algorithm {
-				alg, err := r.Build(name, pc)
+				alg, err := r.Build(name, pi)
 				if err != nil {
 					return nil
 				}
 				return alg
 			},
-			Options: []platform.Option{
-				platform.WithConfig(simConfig(pi)),
-				platform.WithTick(pi.TickEvery),
-				platform.WithMeasuredTime(true),
-			},
+			Options: s.Options(true),
 		})
-		workloads[id] = orders
+		workloads[id] = s.Orders
 	}
 	px, err := proxy.New(specs)
 	if err != nil {

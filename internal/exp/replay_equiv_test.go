@@ -93,27 +93,28 @@ func TestReplayEquivalence(t *testing.T) {
 		p.Seed = seed
 		p.Train.Seed = base.Seed // replicates share one trained model
 		for _, name := range AlgNames {
-			arm := func(run func(alg sim.Algorithm, orders []*order.Order, workers []*order.Worker) *sim.Metrics) *sim.Metrics {
+			s, err := r.Setup(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arm := func(run func(alg sim.Algorithm) *sim.Metrics) *sim.Metrics {
 				alg, err := r.Build(name, p)
 				if err != nil {
 					t.Fatalf("Build(%s): %v", name, err)
 				}
-				_, orders, workers := r.workload(p)
-				return run(alg, orders, workers)
+				return run(alg)
 			}
-			city := r.city(p.City)
-			cfg := simConfig(p)
 			opts := sim.RunOptions{TickEvery: p.TickEvery}
 
-			legacy := arm(func(alg sim.Algorithm, orders []*order.Order, workers []*order.Worker) *sim.Metrics {
-				return legacyRun(sim.NewEnv(city.Net, workers, cfg), alg, orders, opts)
+			legacy := arm(func(alg sim.Algorithm) *sim.Metrics {
+				return legacyRun(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
 			})
-			adapter := arm(func(alg sim.Algorithm, orders []*order.Order, workers []*order.Worker) *sim.Metrics {
-				return sim.Run(sim.NewEnv(city.Net, workers, cfg), alg, orders, opts)
+			adapter := arm(func(alg sim.Algorithm) *sim.Metrics {
+				return sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
 			})
 			var admitted, dispatched, rejected int
-			streamed := arm(func(alg sim.Algorithm, orders []*order.Order, workers []*order.Worker) *sim.Metrics {
-				plat, err := newPlatform(city, workers, alg, p, false)
+			streamed := arm(func(alg sim.Algorithm) *sim.Metrics {
+				plat, err := s.Platform(alg, false)
 				if err != nil {
 					t.Fatalf("platform.New(%s): %v", name, err)
 				}
@@ -132,7 +133,7 @@ func TestReplayEquivalence(t *testing.T) {
 						}
 					}
 				}()
-				m, err := plat.Replay(orders)
+				m, err := plat.Replay(s.Orders)
 				if err != nil {
 					t.Fatalf("Replay(%s): %v", name, err)
 				}

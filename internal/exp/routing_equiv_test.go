@@ -54,7 +54,7 @@ func graphWorkload(g *roadnet.Graph, n, m int, seed int64) ([]*order.Order, []*o
 func TestSimMetricsEngineEquivalence(t *testing.T) {
 	algs := map[string]func() sim.Algorithm{
 		"WATTER-online":  func() sim.Algorithm { return core.New(strategy.Online{}, pool.DefaultOptions()) },
-		"WATTER-timeout": func() sim.Algorithm { return core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions()) },
+		"WATTER-timeout": func() sim.Algorithm { return core.New(strategy.Timeout{}, pool.DefaultOptions()) },
 		"GDP":            func() sim.Algorithm { return &baseline.GDP{} },
 		"GAS":            func() sim.Algorithm { return &baseline.GAS{BatchSeconds: 5} },
 	}

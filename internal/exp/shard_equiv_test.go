@@ -25,8 +25,10 @@ func TestShardEquivalence(t *testing.T) {
 				p := base
 				p.Seed = seed
 				p.Train.Seed = base.Seed // replicates share one trained model
-				city := r.city(p.City)
-				cfg := simConfig(p)
+				s, err := r.Setup(p)
+				if err != nil {
+					t.Fatal(err)
+				}
 				opts := sim.RunOptions{TickEvery: p.TickEvery}
 
 				run := func(shards int) (*sim.Metrics, uint64) {
@@ -36,8 +38,7 @@ func TestShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Build(%s): %v", name, err)
 					}
-					_, orders, workers := r.workload(pp)
-					m := sim.Run(sim.NewEnv(city.Net, workers, cfg), alg, orders, opts)
+					m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
 					return m, poolStats(alg).PairsPruned
 				}
 
@@ -71,12 +72,16 @@ func TestShardEquivalence(t *testing.T) {
 func TestShardEngineExercised(t *testing.T) {
 	p := smallParams()
 	p.Shards = 4
-	alg, err := NewRunner().Build("WATTER-online", p)
+	r := NewRunner()
+	alg, err := r.Build("WATTER-online", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	city, orders, workers := Workload(p)
-	sim.Run(sim.NewEnv(city.Net, workers, simConfig(p)), alg, orders,
+	s, err := r.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
 		sim.RunOptions{TickEvery: p.TickEvery})
 	fw, ok := alg.(*core.Framework)
 	if !ok {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -32,13 +31,8 @@ type Matrix struct {
 	// Default {Base.NumCities}.
 	CityCounts []int
 	// Seeds are the replicate seeds per cell; default {Base.Seed}.
+	// Replicates share one WATTER-expect model per cell (see replicas).
 	Seeds []int64
-	// RetrainPerSeed trains a separate WATTER-expect model for every
-	// replicate seed (the pre-engine behavior). The default shares one
-	// model per cell — trained under the first seed — across replicates,
-	// which is both faster and the statistically cleaner design (the
-	// paper's offline stage uses historical days, not the evaluation day).
-	RetrainPerSeed bool
 }
 
 // Job is one executable (algorithm, configuration, seed) cell expansion.
@@ -48,6 +42,9 @@ type Job struct {
 	Index int
 	Alg   string
 	P     Params
+	// X is the varied value of a figure sweep's point (0 for matrix jobs);
+	// the job's Result carries it.
+	X float64
 	// Cell identifies the aggregation cell: every job dimension except the
 	// replicate seed.
 	Cell string
@@ -85,15 +82,7 @@ func (m Matrix) Jobs() []Job {
 	if len(cityCounts) == 0 {
 		cityCounts = []int{m.Base.NumCities}
 	}
-	seeds := m.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{m.Base.Seed}
-	}
-	trainSeed := m.Base.Train.Seed
-	if trainSeed == 0 && !m.RetrainPerSeed {
-		trainSeed = seeds[0]
-	}
-
+	reps := newReplicas(m.Base, m.Seeds)
 	var jobs []Job
 	for _, city := range cities {
 		for _, n := range orders {
@@ -109,24 +98,51 @@ func (m Matrix) Jobs() []Job {
 									// unchanged.
 									cell += fmt.Sprintf("/cities%d", nc)
 								}
-								for _, seed := range seeds {
-									p := m.Base
-									p.City = city
-									p.Orders = n
-									p.Workers = w
-									p.MaxCap = k
-									p.TauScale = tau
-									p.NumCities = nc
-									p.Seed = seed
-									p.Train.Seed = trainSeed
-									jobs = append(jobs, Job{Index: len(jobs), Alg: alg, P: p, Cell: cell})
-								}
+								p := m.Base
+								p.City = city
+								p.Orders = n
+								p.Workers = w
+								p.MaxCap = k
+								p.TauScale = tau
+								p.NumCities = nc
+								jobs = reps.add(jobs, Job{Alg: alg, P: p, Cell: cell})
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+	return jobs
+}
+
+// replicas is the replicate rule both expansions share: the seeds (default
+// {base.Seed}) and the one training seed every replicate of a cell uses —
+// base's pinned one, else the first seed's — so a cell trains one
+// WATTER-expect model however many seeds it runs. The paper's offline stage
+// uses historical days, not the evaluation day.
+type replicas struct {
+	seeds     []int64
+	trainSeed int64
+}
+
+func newReplicas(base Params, seeds []int64) replicas {
+	if len(seeds) == 0 {
+		seeds = []int64{base.Seed}
+	}
+	if base.Train.Seed != 0 {
+		return replicas{seeds, base.Train.Seed}
+	}
+	return replicas{seeds, seeds[0]}
+}
+
+// add appends one job per replicate seed of cell job j, indexed in order.
+func (r replicas) add(jobs []Job, j Job) []Job {
+	for _, seed := range r.seeds {
+		j.Index = len(jobs)
+		j.P.Seed = seed
+		j.P.Train.Seed = r.trainSeed
+		jobs = append(jobs, j)
 	}
 	return jobs
 }
@@ -178,19 +194,19 @@ func NewSweepRunner(r *Runner) *SweepRunner {
 	return &SweepRunner{Runner: r}
 }
 
-// Run executes every job of the matrix and aggregates cells.
-func (sr *SweepRunner) Run(m Matrix) (*SweepResult, error) {
-	jobs := m.Jobs()
-	if len(jobs) == 0 {
-		return &SweepResult{}, nil
-	}
+// Run executes jobs — a Matrix's or a Sweep's expansion — over the worker
+// pool and aggregates their cells. Results are index-aligned with jobs and
+// carry their job's X; the first error stops the sweep, naming its job.
+func (sr *SweepRunner) Run(jobs []Job) (*SweepResult, error) {
 	results := make([]*Result, len(jobs))
 	start := time.Now() //det:wallclock harness-side sweep timing, reported as SweepResult.Elapsed; never feeds simulation state
 	err := sr.forEach(len(jobs), func(i int) error {
-		res, err := sr.Runner.RunOne(jobs[i].Alg, jobs[i].P)
+		j := jobs[i]
+		res, err := sr.Runner.RunOne(j.Alg, j.P)
 		if err != nil {
-			return fmt.Errorf("job %d (%s seed %d): %w", i, jobs[i].Cell, jobs[i].P.Seed, err)
+			return fmt.Errorf("job %d (%s seed %d): %w", i, j.Cell, j.P.Seed, err)
 		}
+		res.X = j.X
 		results[i] = res
 		return nil
 	})
@@ -305,66 +321,6 @@ func aggregateCells(jobs []Job, results []*Result) []CellSummary {
 	return cells
 }
 
-// RunFigure is the parallel equivalent of Runner.RunSweep: every (point,
-// algorithm) cell of a figure sweep runs over the worker pool, and results
-// come back in the same order the sequential runner produces. It is the
-// single-replicate case of RunFigureSeeds (the model cache key is
-// unchanged: with one seed, the pinned training seed equals the
-// evaluation seed the key would have used anyway).
-func (sr *SweepRunner) RunFigure(s Sweep, base Params) ([]*Result, error) {
-	results, _, err := sr.RunFigureSeeds(s, base, []int64{base.Seed})
-	return results, err
-}
-
-// RunFigureSeeds runs every (point, algorithm) cell of a figure sweep
-// across replicate seeds, returning raw per-job results (in deterministic
-// expansion order, X filled for CSV output) plus per-cell cross-seed
-// summaries. Replicates share one trained model per cell unless base
-// already pins Train.Seed.
-func (sr *SweepRunner) RunFigureSeeds(s Sweep, base Params, seeds []int64) ([]*Result, []CellSummary, error) {
-	if len(seeds) == 0 {
-		seeds = []int64{base.Seed}
-	}
-	algs := s.Algs
-	if len(algs) == 0 {
-		algs = AlgNames
-	}
-	trainSeed := base.Train.Seed
-	if trainSeed == 0 {
-		trainSeed = seeds[0]
-	}
-	var jobs []Job
-	var xs []float64
-	for _, x := range s.Points {
-		px := s.Apply(base, x)
-		for _, alg := range algs {
-			cell := fmt.Sprintf("%s/%s/%s=%g", alg, px.City.Name, s.ID, x)
-			for _, seed := range seeds {
-				p := px
-				p.Seed = seed
-				p.Train.Seed = trainSeed
-				jobs = append(jobs, Job{Index: len(jobs), Alg: alg, P: p, Cell: cell})
-				xs = append(xs, x)
-			}
-		}
-	}
-	results := make([]*Result, len(jobs))
-	err := sr.forEach(len(jobs), func(i int) error {
-		res, err := sr.Runner.RunOne(jobs[i].Alg, jobs[i].P)
-		if err != nil {
-			return err
-		}
-		res.Params = jobs[i].P
-		res.X = xs[i]
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, aggregateCells(jobs, results), nil
-}
-
 // ReplicateSeeds returns base, base+1, ... base+n-1 — the conventional
 // seed grid for n replicates.
 func ReplicateSeeds(base int64, n int) []int64 {
@@ -376,18 +332,4 @@ func ReplicateSeeds(base int64, n int) []int64 {
 		out[i] = base + int64(i)
 	}
 	return out
-}
-
-// SortCells orders cell summaries by (city, alg, cell) — a stable, human-
-// friendly report order independent of matrix nesting.
-func SortCells(cells []CellSummary) {
-	sort.SliceStable(cells, func(i, j int) bool {
-		if cells[i].City != cells[j].City {
-			return cells[i].City < cells[j].City
-		}
-		if cells[i].Alg != cells[j].Alg {
-			return cells[i].Alg < cells[j].Alg
-		}
-		return cells[i].Cell < cells[j].Cell
-	})
 }

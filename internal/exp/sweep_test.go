@@ -3,12 +3,14 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"watter/internal/dataset"
 	"watter/internal/load"
 	"watter/internal/sim"
+	"watter/internal/stats"
 )
 
 // tinyParams is the smallest workload that still exercises pooling.
@@ -59,12 +61,6 @@ func TestMatrixJobsExpansion(t *testing.T) {
 			t.Fatalf("Train.Seed = %d, want 1", j.P.Train.Seed)
 		}
 	}
-	m.RetrainPerSeed = true
-	for _, j := range m.Jobs() {
-		if j.P.Train.Seed != 0 {
-			t.Fatalf("RetrainPerSeed must leave Train.Seed unset, got %d", j.P.Train.Seed)
-		}
-	}
 }
 
 func TestMatrixDefaultsToBase(t *testing.T) {
@@ -97,11 +93,11 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		Orders: []int{120},
 		Seeds:  []int64{1, 2},
 	}
-	seq, err := (&SweepRunner{Runner: NewRunner(), Parallel: 1}).Run(m)
+	seq, err := (&SweepRunner{Runner: NewRunner(), Parallel: 1}).Run(m.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&SweepRunner{Runner: NewRunner(), Parallel: 8}).Run(m)
+	par, err := (&SweepRunner{Runner: NewRunner(), Parallel: 8}).Run(m.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +132,11 @@ func TestSweepRepeatable(t *testing.T) {
 		Algs:  []string{"GDP", "WATTER-timeout"},
 		Seeds: []int64{5},
 	}
-	a, err := NewSweepRunner(nil).Run(m)
+	a, err := NewSweepRunner(nil).Run(m.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSweepRunner(nil).Run(m)
+	b, err := NewSweepRunner(nil).Run(m.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,27 +156,18 @@ func TestSweepSharesTraining(t *testing.T) {
 		Algs:  []string{"WATTER-expect"},
 		Seeds: []int64{1, 2, 3, 4},
 	}
-	if _, err := (&SweepRunner{Runner: r, Parallel: 4}).Run(m); err != nil {
+	if _, err := (&SweepRunner{Runner: r, Parallel: 4}).Run(m.Jobs()); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.ModelCount(); n != 1 {
 		t.Fatalf("trained %d models for one cell, want 1", n)
-	}
-	// Per-seed retraining still available when asked for.
-	r2 := NewRunner()
-	m.RetrainPerSeed = true
-	if _, err := (&SweepRunner{Runner: r2, Parallel: 4}).Run(m); err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.ModelCount(); n != 4 {
-		t.Fatalf("RetrainPerSeed trained %d models, want 4", n)
 	}
 }
 
 func TestSweepErrorPropagates(t *testing.T) {
 	m := Matrix{Base: tinyParams(), Algs: []string{"GDP", "no-such-alg"}, Seeds: []int64{1, 2}}
 	for _, parallel := range []int{1, 4} {
-		_, err := (&SweepRunner{Runner: NewRunner(), Parallel: parallel}).Run(m)
+		_, err := (&SweepRunner{Runner: NewRunner(), Parallel: parallel}).Run(m.Jobs())
 		if err == nil || !strings.Contains(err.Error(), "no-such-alg") {
 			t.Fatalf("parallel=%d: err = %v, want unknown-algorithm error", parallel, err)
 		}
@@ -188,32 +175,58 @@ func TestSweepErrorPropagates(t *testing.T) {
 }
 
 // TestSweepInvalidParamsReturnError: a configuration that would panic while
-// its cell is built — in workloadIn for a bad arrival spec, in
-// WATTER-expect's training for a zero tick — comes back from Run as an
-// error instead of crashing the process from a worker goroutine.
+// its cell is built — in Setup for a bad arrival spec, in WATTER-expect's
+// training for a zero tick — comes back as an error from Build, from RunOne
+// and from the sweep, at parallel 1 and 4, instead of crashing the process
+// from a worker goroutine.
 func TestSweepInvalidParamsReturnError(t *testing.T) {
 	badArrival := tinyParams()
 	badArrival.Arrival = load.ArrivalSpec{Process: load.Poisson, Rate: -1}
 	noTick := tinyParams()
 	noTick.TickEvery = 0
+	mini := Sweep{
+		ID: "mini", Points: []float64{1.4},
+		Apply: func(p Params, x float64) Params {
+			p.TauScale = x
+			return p
+		},
+	}
 	for _, tc := range []struct {
 		name string
-		m    Matrix
+		p    Params
+		algs []string
 		want string
 	}{
-		{"arrival rate", Matrix{Base: badArrival, Algs: []string{"GDP", "WATTER-online"}, Seeds: []int64{1, 2}}, "arrival rate"},
-		{"zero tick", Matrix{Base: noTick, Algs: []string{"WATTER-expect"}, Seeds: []int64{1, 2}}, "TickEvery"},
+		{"arrival rate", badArrival, []string{"GDP", "WATTER-online", "WATTER-expect"}, "arrival rate"},
+		{"zero tick", noTick, []string{"GDP", "WATTER-expect"}, "TickEvery"},
 	} {
-		for _, parallel := range []int{1, 4} {
-			_, err := (&SweepRunner{Runner: NewRunner(), Parallel: parallel}).Run(tc.m)
+		check := func(what string, err error) {
+			t.Helper()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s, parallel=%d: err = %v, want an error naming %q", tc.name, parallel, err, tc.want)
+				t.Fatalf("%s, %s: err = %v, want an error naming %q", tc.name, what, err, tc.want)
 			}
+		}
+		for _, alg := range tc.algs {
+			_, err := NewRunner().Build(alg, tc.p)
+			check("Build("+alg+")", err)
+			_, err = NewRunner().RunOne(alg, tc.p)
+			check("RunOne("+alg+")", err)
+		}
+		mini.Algs = tc.algs
+		for _, parallel := range []int{1, 4} {
+			sr := &SweepRunner{Runner: NewRunner(), Parallel: parallel}
+			_, err := sr.Run(Matrix{Base: tc.p, Algs: tc.algs, Seeds: []int64{1, 2}}.Jobs())
+			check(fmt.Sprintf("matrix at parallel %d", parallel), err)
+			_, err = sr.Run(mini.Jobs(tc.p, []int64{1, 2}))
+			check(fmt.Sprintf("figure sweep at parallel %d", parallel), err)
 		}
 	}
 }
 
-func TestRunFigureMatchesRunSweep(t *testing.T) {
+// TestSweepJobsParallelMatchesSequential: a figure sweep's jobs run through
+// the one loop give the same results at parallel 1 and 4 — per-job metrics,
+// X and Params, in expansion order — and the same cells.
+func TestSweepJobsParallelMatchesSequential(t *testing.T) {
 	base := tinyParams()
 	s := Sweep{
 		ID: "mini", Label: "tau",
@@ -224,23 +237,42 @@ func TestRunFigureMatchesRunSweep(t *testing.T) {
 		},
 		Algs: []string{"WATTER-online", "GDP"},
 	}
-	seq, err := NewRunner().RunSweep(s, base)
+	jobs := s.Jobs(base, []int64{1, 2})
+	if len(jobs) != 2*2*2 {
+		t.Fatalf("jobs = %d, want 8", len(jobs))
+	}
+	seq, err := (&SweepRunner{Runner: NewRunner(), Parallel: 1}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&SweepRunner{Runner: NewRunner(), Parallel: 4}).RunFigure(s, base)
+	par, err := (&SweepRunner{Runner: NewRunner(), Parallel: 4}).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
+	if len(seq.Results) != len(jobs) || len(par.Results) != len(jobs) {
+		t.Fatalf("results %d / %d for %d jobs", len(seq.Results), len(par.Results), len(jobs))
 	}
-	for i := range seq {
-		if seq[i].Alg != par[i].Alg || seq[i].X != par[i].X {
-			t.Fatalf("ordering diverged at %d: %s/%v vs %s/%v", i, seq[i].Alg, seq[i].X, par[i].Alg, par[i].X)
+	for i, j := range jobs {
+		a, b := seq.Results[i], par.Results[i]
+		if a.Alg != j.Alg || b.Alg != j.Alg || a.X != j.X || b.X != j.X {
+			t.Fatalf("job %d: results %s/%v and %s/%v, job %s/%v", i, a.Alg, a.X, b.Alg, b.X, j.Alg, j.X)
 		}
-		if deterministicFields(seq[i].Metrics) != deterministicFields(par[i].Metrics) {
-			t.Fatalf("metrics diverged at %d (%s x=%v)", i, seq[i].Alg, seq[i].X)
+		if !reflect.DeepEqual(a.Params, j.P) || !reflect.DeepEqual(b.Params, j.P) {
+			t.Fatalf("job %d: a result's Params differ from its job's", i)
+		}
+		if deterministicFields(a.Metrics) != deterministicFields(b.Metrics) {
+			t.Fatalf("metrics diverged at %d (%s x=%v)", i, j.Alg, j.X)
+		}
+	}
+	if len(seq.Cells) != 4 || len(par.Cells) != len(seq.Cells) {
+		t.Fatalf("cells %d / %d, want 4", len(seq.Cells), len(par.Cells))
+	}
+	for i := range seq.Cells {
+		a, b := seq.Cells[i], par.Cells[i]
+		a.Elapsed, b.Elapsed = stats.Welford{}, stats.Welford{}
+		a.RunningTime, b.RunningTime = stats.Summary{}, stats.Summary{}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("cell %d diverged:\nseq: %+v\npar: %+v", i, a, b)
 		}
 	}
 }
@@ -257,7 +289,7 @@ func TestReplicateSeeds(t *testing.T) {
 
 func TestPrintCells(t *testing.T) {
 	m := Matrix{Base: tinyParams(), Algs: []string{"GDP"}, Seeds: []int64{1, 2}}
-	res, err := NewSweepRunner(nil).Run(m)
+	res, err := NewSweepRunner(nil).Run(m.Jobs())
 	if err != nil {
 		t.Fatal(err)
 	}

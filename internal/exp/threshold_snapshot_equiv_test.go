@@ -42,7 +42,10 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 			p.Seed = seed
 			p.Train.Seed = base.Seed // both seeds share one trained model
 			p.Shards = shards
-			city := r.city(p.City)
+			s, err := r.Setup(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			run := func(wired bool) (m *sim.Metrics, calls, passes, rebuilds uint64) {
 				built, err := r.Build("WATTER-expect", p)
@@ -54,8 +57,7 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 				if !wired {
 					alg = unwatched{expect}
 				}
-				_, orders, workers := r.workload(p)
-				m = sim.Run(sim.NewEnv(city.Net, workers, simConfig(p)), alg, orders,
+				m = sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
 					sim.RunOptions{TickEvery: p.TickEvery})
 				calls, passes, rebuilds = expect.src.SnapshotStats()
 				return m, calls, passes, rebuilds
@@ -196,7 +198,10 @@ func TestThresholdCutsLockstep(t *testing.T) {
 		p := base
 		p.Seed = seed
 		p.Train.Seed = base.Seed
-		city := r.city(p.City)
+		s, err := r.Setup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		run := func(source func(a *expectAlg) strategy.ThresholdSource) (*sim.Metrics, []sim.Event, *expectAlg) {
 			built, err := r.Build("WATTER-expect", p)
 			if err != nil {
@@ -204,11 +209,10 @@ func TestThresholdCutsLockstep(t *testing.T) {
 			}
 			var events []sim.Event
 			expect := built.(*expectAlg)
-			_, orders, workers := r.workload(p)
 			checked := func(a *expectAlg) strategy.ThresholdSource {
 				return checkedSource{source(a), &denseSource{src: a.src}, t}
 			}
-			m := sim.Run(sim.NewEnv(city.Net, workers, simConfig(p)), cutArm{expect, checked, &events}, orders,
+			m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), cutArm{expect, checked, &events}, s.Orders,
 				sim.RunOptions{TickEvery: p.TickEvery})
 			return m, events, expect
 		}

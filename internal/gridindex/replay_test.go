@@ -24,7 +24,7 @@ func TestWatermarksAfterPlatformReplay(t *testing.T) {
 	for _, prof := range []dataset.Profile{dataset.CDC(), jittered} {
 		city := prof.Build()
 		for _, alg := range []func() sim.Algorithm{
-			func() sim.Algorithm { return core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions()) },
+			func() sim.Algorithm { return core.New(strategy.Timeout{}, pool.DefaultOptions()) },
 			func() sim.Algorithm { return &baseline.GDP{} },
 		} {
 			a := alg()

@@ -169,7 +169,7 @@ func TestCollectorEmitsEpisodes(t *testing.T) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	ix := gridindex.New(net, 5)
 	var exps []Experience
-	fw := core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+	fw := core.New(strategy.Timeout{}, pool.DefaultOptions())
 	feat := NewFeaturizer(ix, 600)
 	col := NewCollector(fw, feat, strategy.ConstantThreshold(60), func(e Experience) {
 		exps = append(exps, e)
@@ -255,7 +255,7 @@ func TestEndToEndTraining(t *testing.T) {
 	cfg.Hidden = []int{32}
 	tr := NewTrainer(feat.Dim(), cfg)
 
-	fw := core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+	fw := core.New(strategy.Timeout{}, pool.DefaultOptions())
 	col := NewCollector(fw, feat, strategy.ConstantThreshold(80), func(e Experience) { tr.Add(e) })
 
 	rng := rand.New(rand.NewSource(5))

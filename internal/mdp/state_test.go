@@ -347,7 +347,7 @@ func (c *checkedCollector) OnTick(now float64) {
 func TestCollectorStatesMatchPerCallRebuild(t *testing.T) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	ix := gridindex.New(net, 5)
-	fw := core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+	fw := core.New(strategy.Timeout{}, pool.DefaultOptions())
 	var emitted []Experience
 	col := NewCollector(fw, NewFeaturizer(ix, 600), strategy.ConstantThreshold(60), func(e Experience) {
 		emitted = append(emitted, e)

@@ -17,7 +17,7 @@ import (
 // run over (the expensive learned baselines are covered by exp's sweeps).
 var algFactories = map[string]func() sim.Algorithm{
 	"online":  func() sim.Algorithm { return core.New(strategy.Online{}, pool.DefaultOptions()) },
-	"timeout": func() sim.Algorithm { return core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions()) },
+	"timeout": func() sim.Algorithm { return core.New(strategy.Timeout{}, pool.DefaultOptions()) },
 }
 
 // testCity materializes one city's blueprint and workload: profile-built

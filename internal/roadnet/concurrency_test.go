@@ -47,38 +47,3 @@ func TestGraphCostConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
-
-// TestGraphPathConcurrent exercises the prev-chain reconstruction from
-// many goroutines at once.
-func TestGraphPathConcurrent(t *testing.T) {
-	city := NewGridCity(8, 8, 100, 5)
-	g := city.AsGraph()
-
-	var wg sync.WaitGroup
-	bad := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			n := g.NumNodes()
-			for q := 0; q < 200; q++ {
-				from := geo.NodeID(rng.Intn(n))
-				to := geo.NodeID(rng.Intn(n))
-				path := g.Path(from, to)
-				if len(path) == 0 || path[0] != from || path[len(path)-1] != to {
-					select {
-					case bad <- "broken path under concurrency":
-					default:
-					}
-					return
-				}
-			}
-		}(int64(w + 100))
-	}
-	wg.Wait()
-	close(bad)
-	if msg, open := <-bad; open {
-		t.Fatal(msg)
-	}
-}

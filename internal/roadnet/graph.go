@@ -15,7 +15,7 @@ import (
 // landmark lower bounds precomputed at Build time. Both return the float32
 // left-fold shortest-path value of the full Dijkstra bit for bit; that
 // Dijkstra survives only as Reference, the oracle tests and benchmarks
-// compare the engines against, and as the source of Path's prev chain.
+// compare the engines against.
 //
 // A Graph is immutable after Build (EnableHierarchy aside, which must not
 // race with queries); all mutable search state lives in pooled scratches.
@@ -172,23 +172,6 @@ func (g *Graph) Coord(n geo.NodeID) geo.Point { return g.coords[n] }
 // Bounds implements Network.
 func (g *Graph) Bounds() geo.Rect { return g.bounds }
 
-// Path implements PathNetwork: the prev chain of one reference Dijkstra run.
-func (g *Graph) Path(from, to geo.NodeID) []geo.NodeID {
-	dist, prev := g.dijkstra(from)
-	if math.IsInf(float64(dist[to]), 1) {
-		return nil
-	}
-	var rev []geo.NodeID
-	for n := to; n != from; n = prev[n] {
-		rev = append(rev, n)
-	}
-	rev = append(rev, from)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Reference returns g's travel times as the plain full Dijkstra computes
 // them: one uncached float32 single-source run per Cost call. It is the
 // oracle the engines are validated against, so it deliberately implements
@@ -208,23 +191,19 @@ func (r reference) Cost(from, to geo.NodeID) float64 {
 	if from == to {
 		return 0
 	}
-	dist, _ := r.g.dijkstra(from)
-	return float64(dist[to])
+	return float64(r.g.dijkstra(from)[to])
 }
 
 // dijkstra is the reference: full single-source shortest paths with every
 // relaxation folded in float32 (nd = dist[u] + w), the arithmetic the
 // engines reproduce.
 //
-//det:hotalloc the reference oracle and Path allocate per call by design; tests, benchmarks and visualization reach them, no dispatch path does
-func (g *Graph) dijkstra(src geo.NodeID) (dist []float32, prev []geo.NodeID) {
-	n := len(g.coords)
-	dist = make([]float32, n)
-	prev = make([]geo.NodeID, n)
+//det:hotalloc the reference oracle allocates per call by design; tests and benchmarks reach it, no dispatch path does
+func (g *Graph) dijkstra(src geo.NodeID) []float32 {
+	dist := make([]float32, len(g.coords))
 	inf := float32(math.Inf(1))
 	for i := range dist {
 		dist[i] = inf
-		prev[i] = geo.InvalidNode
 	}
 	dist[src] = 0
 	q := minHeap[float64]{{node: src}}
@@ -238,10 +217,9 @@ func (g *Graph) dijkstra(src geo.NodeID) (dist []float32, prev []geo.NodeID) {
 			nd := it.dist + g.adjCost[i]
 			if nd < dist[v] {
 				dist[v] = nd
-				prev[v] = it.node
 				q.push(heapItem[float64]{key: float64(nd), dist: nd, node: v})
 			}
 		}
 	}
-	return dist, prev
+	return dist
 }

@@ -72,31 +72,6 @@ func (c *GridCity) Bounds() geo.Rect {
 	}
 }
 
-// Path implements PathNetwork with an L-shaped (x then y) shortest path.
-func (c *GridCity) Path(from, to geo.NodeID) []geo.NodeID {
-	fx, fy := c.XY(from)
-	tx, ty := c.XY(to)
-	path := []geo.NodeID{from}
-	x, y := fx, fy
-	for x != tx {
-		if x < tx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, c.Node(x, y))
-	}
-	for y != ty {
-		if y < ty {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, c.Node(x, y))
-	}
-	return path
-}
-
 // AsGraph materializes the lattice as an explicit Graph with identical
 // costs. Used by tests to validate the closed form and by experiments that
 // need a "real" graph of the same shape.

@@ -34,16 +34,6 @@ type Network interface {
 	Bounds() geo.Rect
 }
 
-// PathNetwork is implemented by networks that can also materialize the
-// node sequence of a shortest path (used by visualization and by tests that
-// validate route feasibility edge by edge).
-type PathNetwork interface {
-	Network
-	// Path returns the node sequence of a shortest path from one node to
-	// another, inclusive of both endpoints. Returns nil if unreachable.
-	Path(from, to geo.NodeID) []geo.NodeID
-}
-
 // BoundedNetwork is an optional Network extension for callers whose
 // question is a threshold, not a value: CostLowerBound never exceeds Cost
 // and takes a few dozen flops where Cost runs a search. +Inf is returned

@@ -111,44 +111,6 @@ func TestGraphTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestGraphPathCostConsistency(t *testing.T) {
-	g := NewPerturbedGrid(8, 8, 200, 8, 0.3, 7)
-	for u := 0; u < g.NumNodes(); u += 5 {
-		for v := 0; v < g.NumNodes(); v += 7 {
-			path := g.Path(geo.NodeID(u), geo.NodeID(v))
-			if path == nil {
-				t.Fatalf("no path %d->%d in connected grid", u, v)
-			}
-			if path[0] != geo.NodeID(u) || path[len(path)-1] != geo.NodeID(v) {
-				t.Fatalf("path endpoints wrong: %v", path)
-			}
-			var sum float64
-			for i := 0; i+1 < len(path); i++ {
-				step := g.Cost(path[i], path[i+1])
-				sum += step
-			}
-			if want := g.Cost(geo.NodeID(u), geo.NodeID(v)); math.Abs(sum-want) > 1e-3 {
-				t.Fatalf("path cost %v != direct cost %v for %d->%d", sum, want, u, v)
-			}
-		}
-	}
-}
-
-func TestGridCityPath(t *testing.T) {
-	c := NewGridCity(6, 6, 100, 10)
-	from, to := c.Node(1, 1), c.Node(4, 3)
-	path := c.Path(from, to)
-	wantLen := 1 + 3 + 2 // start + dx + dy
-	if len(path) != wantLen {
-		t.Fatalf("path length %d, want %d", len(path), wantLen)
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if c.Cost(path[i], path[i+1])*c.Speed != c.CellMeters {
-			t.Fatalf("non-adjacent step %v -> %v", path[i], path[i+1])
-		}
-	}
-}
-
 func TestGraphConcurrentCost(t *testing.T) {
 	g := NewPerturbedGrid(10, 10, 100, 10, 0.2, 3)
 	done := make(chan bool)

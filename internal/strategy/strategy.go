@@ -45,27 +45,18 @@ func (Online) ShouldDispatch(*order.Group, float64, float64) bool { return true 
 func (Online) ServeSoloEarly() bool { return false }
 
 // Timeout holds every group as long as possible, mirroring WATTER-timeout:
-// a group is released only when a member exceeded its wait limit or the
-// group is about to expire (the next check would be too late).
-type Timeout struct {
-	// Tick is the periodic-check interval Δt; a group expiring within the
-	// next Tick seconds must go now.
-	Tick float64
-}
+// a group is released when its earliest member reaches its wait limit. A
+// group about to expire (the next check would be too late) is the pooling
+// framework's last call, which fires at the platform's Δt under every
+// strategy.
+type Timeout struct{}
 
 // Name implements Decision.
 func (Timeout) Name() string { return "WATTER-timeout" }
 
 // ShouldDispatch implements Decision.
-func (s Timeout) ShouldDispatch(g *order.Group, groupExpiry, now float64) bool {
-	if earliestTimeout(g) <= now {
-		return true
-	}
-	tick := s.Tick
-	if tick <= 0 {
-		tick = 10
-	}
-	return groupExpiry < now+tick
+func (Timeout) ShouldDispatch(g *order.Group, _, now float64) bool {
+	return earliestTimeout(g) <= now
 }
 
 // ServeSoloEarly implements Decision: timeout holds loners to the limit.

@@ -50,7 +50,7 @@ func TestOnlineAlwaysDispatches(t *testing.T) {
 }
 
 func TestTimeoutHoldsUntilLimit(t *testing.T) {
-	s := Timeout{Tick: 10}
+	s := Timeout{}
 	// One order released at 0 with wait limit 60; group expires at 500.
 	g := group([]float64{0}, []float64{60}, []float64{50}, []float64{40})
 	if s.ShouldDispatch(g, 500, 30) {
@@ -59,17 +59,13 @@ func TestTimeoutHoldsUntilLimit(t *testing.T) {
 	if !s.ShouldDispatch(g, 500, 60) {
 		t.Fatal("timeout must dispatch at the limit")
 	}
-	// Group expiring within the next tick forces dispatch even early.
-	if !s.ShouldDispatch(g, 35, 30) {
-		t.Fatal("imminent expiry must force dispatch")
-	}
 	if s.ServeSoloEarly() {
 		t.Fatal("timeout holds loners")
 	}
 }
 
 func TestTimeoutEarliestMemberWins(t *testing.T) {
-	s := Timeout{Tick: 10}
+	s := Timeout{}
 	g := group([]float64{0, 40}, []float64{60, 60}, []float64{80, 90}, []float64{40, 40})
 	// Earliest timeout is order 1 at t=60.
 	if s.ShouldDispatch(g, 1e9, 59) {

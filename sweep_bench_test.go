@@ -24,12 +24,12 @@ func benchMatrix() exp.Matrix {
 }
 
 func benchEngine(b *testing.B, parallel int) {
-	m := benchMatrix()
-	b.ReportMetric(float64(len(m.Jobs())), "jobs")
+	jobs := benchMatrix().Jobs()
+	b.ReportMetric(float64(len(jobs)), "jobs")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sr := &exp.SweepRunner{Runner: exp.NewRunner(), Parallel: parallel}
-		res, err := sr.Run(m)
+		res, err := sr.Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}

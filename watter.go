@@ -48,6 +48,7 @@
 package watter
 
 import (
+	"watter/internal/baseline"
 	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/exp"
@@ -366,9 +367,9 @@ func NewOnline() Algorithm {
 }
 
 // NewTimeout returns the WATTER-timeout variant: groups are held as long
-// as their feasibility horizon allows.
+// as their feasibility horizon allows, checked at the platform's Δt.
 func NewTimeout() Algorithm {
-	return core.New(strategy.Timeout{Tick: 10}, pool.DefaultOptions())
+	return core.New(strategy.Timeout{}, pool.DefaultOptions())
 }
 
 // NewConstantThreshold returns the threshold strategy with a fixed θ for
@@ -381,10 +382,10 @@ func NewConstantThreshold(theta float64) Algorithm {
 }
 
 // NewGDP returns the online greedy-insertion baseline.
-func NewGDP() Algorithm { return exp.MustBuild("GDP", exp.DefaultParams(dataset.CDC())) }
+func NewGDP() Algorithm { return &baseline.GDP{} }
 
-// NewGAS returns the batch-based additive-tree baseline.
-func NewGAS() Algorithm { return exp.MustBuild("GAS", exp.DefaultParams(dataset.CDC())) }
+// NewGAS returns the batch-based additive-tree baseline (5 s batches).
+func NewGAS() Algorithm { return &baseline.GAS{BatchSeconds: 5} }
 
 // TrainExpect runs the full offline pipeline (behavior simulation → GMM fit
 // → value-network training) and returns the ready-to-run WATTER-expect
@@ -400,14 +401,15 @@ func DefaultExperimentParams(city CityProfile) ExperimentParams {
 }
 
 // NewSweepRunner returns a parallel sweep engine over a fresh experiment
-// runner. Set Parallel to bound concurrency (0 means GOMAXPROCS):
+// runner. Run executes a matrix's job expansion; set Parallel to bound
+// concurrency (0 means GOMAXPROCS):
 //
 //	sr := watter.NewSweepRunner()
 //	res, err := sr.Run(watter.SweepMatrix{
 //		Base:  watter.DefaultExperimentParams(watter.CityCDC()),
 //		Algs:  []string{"WATTER-online", "GDP"},
 //		Seeds: watter.ReplicateSeeds(1, 5),
-//	})
+//	}.Jobs())
 func NewSweepRunner() *SweepRunner { return exp.NewSweepRunner(nil) }
 
 // ReplicateSeeds returns the conventional seed grid base..base+n-1 for n

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"watter/internal/dataset"
+	"watter/internal/exp"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -74,6 +75,39 @@ func TestFacadeStrategies(t *testing.T) {
 		if alg == nil || alg.Name() == "" {
 			t.Fatalf("constructor returned unusable algorithm: %v", alg)
 		}
+	}
+}
+
+// TestNewTimeoutFollowsTick: WATTER-timeout's only Δt is the platform's, so
+// NewTimeout under WithTick(5) is the harness's WATTER-timeout at
+// TickEvery = 5, bit for bit.
+func TestNewTimeoutFollowsTick(t *testing.T) {
+	p := DefaultExperimentParams(CityCDC())
+	p.Orders, p.Workers, p.TickEvery = 600, 50, 5
+	r := exp.NewRunner()
+	s, err := r.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harness, err := r.Build("WATTER-timeout", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics [2]*Metrics
+	for i, alg := range []Algorithm{harness, NewTimeout()} {
+		plat, err := s.Platform(alg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metrics[i], err = plat.Replay(s.Orders); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *metrics[0] != *metrics[1] {
+		t.Fatalf("NewTimeout at Δt = 5 diverged from the harness's WATTER-timeout:\nharness:    %+v\nNewTimeout: %+v", *metrics[0], *metrics[1])
+	}
+	if metrics[0].Served == 0 || metrics[0].Rejected == 0 {
+		t.Fatalf("degenerate run: %+v", *metrics[0])
 	}
 }
 
