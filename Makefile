@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz bench benchmark lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz bench benchmark smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ bench:
 # workloads, end-to-end metrics (benchmark/README.md; BENCHMARK.json).
 benchmark:
 	$(GO) run ./benchmark -workload all -seed 1
+
+# How often TestSmoke/metro_ch fails: its root-coverage check reads low now
+# and then, more often the faster the tick gets. Twenty runs, one line
+# "k/20 failed"; compare a change against its parent over several batches.
+smokeflake:
+	@$(GO) test -count=20 -run 'TestSmoke/metro_ch' -v ./benchmark 2>&1 | \
+		awk '/^    --- FAIL: TestSmoke\/metro_ch/ {f++} /^    --- PASS: TestSmoke\/metro_ch/ {p++} \
+			END {printf "%d/%d failed\n", f, f + p}'
 
 lint:
 	@fmtout="$$(gofmt -l .)"; \

@@ -1,6 +1,7 @@
 package gridindex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -24,11 +25,13 @@ type probeCase struct {
 type probeOp struct {
 	update bool
 	// probe
-	node    geo.NodeID
-	now     float64
-	minCap  int
-	budget  float64
-	atCostW int // >= 0: the budget is this worker's exact cost to node
+	node     geo.NodeID
+	now      float64
+	minCap   int
+	budget   float64
+	atCostW  int  // >= 0: the budget is this worker's exact cost to node
+	atWinner bool // the budget is the cost of the probe's answer at +Inf
+	ulpBelow bool // an at-cost budget is taken one ulp below that cost
 	// update
 	worker int
 	freeAt float64
@@ -36,15 +39,19 @@ type probeOp struct {
 	move   bool
 }
 
-// decodeProbeCase reads a 6-byte header — flags (bit 0 a jittered ALT
-// graph instead of a GridCity; on a GridCity bit 1 aligns cell boundaries
-// with lattice lines, bits 2-3 pick the block size, bits 4-5 the speed),
-// grid side (1..10), the two lattice sides, the graph's jitter seed, the
-// fleet size (0..23) — then 3 bytes per worker (two for the location, one
-// for capacity 1..4, FreeAt in {0, 50, 100, 150}, co-location with the
-// previous worker and, on an aligned city, a snap onto the cell boundary
-// below it), then 4 bytes per step of the script (at most 48): a probe
-// (budget +Inf, 0, exactly one worker's cost, or a sixteenth-of-the-span
+// decodeProbeCase reads a 6-byte header — flags (bit 0 a jittered graph
+// instead of a GridCity; on a graph bit 1 builds its contraction hierarchy,
+// bit 2 makes its rows one-way, bit 3 adds a node with no edge and one that
+// can only be left, bit 4 makes every seventh street free; on a GridCity
+// bit 1 aligns cell boundaries with lattice lines, bits 2-3 pick the block
+// size, bits 4-5 the speed; on both, bit 6 takes at-cost budgets one ulp
+// below the cost and bit 7 takes them at the winner's cost instead of one
+// worker's), grid side (1..10), the two lattice sides, the graph's jitter
+// seed, the fleet size (0..23) — then 3 bytes per worker (two for the
+// location, one for capacity 1..4, FreeAt in {0, 50, 100, 150},
+// co-location with the previous worker and, on an aligned city, a snap onto
+// the cell boundary below it), then 4 bytes per step of the script (at most
+// 48): a probe (budget +Inf, 0, at a cost, or a sixteenth-of-the-span
 // multiple) or an update of one worker's FreeAt and, optionally, location.
 func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 	if len(data) < 6 {
@@ -53,10 +60,15 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 	flags := data[0]
 	c.n = 1 + int(data[1])%10
 	aligned := false
-	blocks := 1 // lattice blocks per cell on an aligned city
+	blocks := 1           // lattice blocks per cell on an aligned city
+	span := geo.NodeID(0) // the lattice's far corner: budgets scale with Cost(0, span)
 	if flags&1 != 0 {
 		w, h := 3+int(data[2])%8, 3+int(data[3])%8
-		c.net = roadnet.NewPerturbedGrid(w, h, 150, 8, 0.4, int64(data[4]))
+		g := probeGraph(w, h, int64(data[4]), flags&4 != 0, flags&8 != 0, flags&16 != 0)
+		if flags&2 != 0 {
+			g.EnableHierarchy()
+		}
+		c.net, span = g, geo.NodeID(w*h-1)
 	} else {
 		w, h := 1+int(data[2])%16, 1+int(data[3])%16
 		if aligned = flags&2 != 0; aligned {
@@ -66,6 +78,7 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 		size := []float64{1, 0.1, 150, 3}[(flags>>2)&3]
 		speed := []float64{10, 3, 8, 7}[(flags>>4)&3]
 		c.net = roadnet.NewGridCity(w, h, size, speed)
+		span = geo.NodeID(w*h - 1)
 	}
 	nodes := c.net.NumNodes()
 	snap := func(v geo.NodeID) geo.NodeID {
@@ -94,7 +107,7 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 		}
 		c.workers = append(c.workers, w)
 	}
-	unit := c.net.Cost(0, geo.NodeID(nodes-1)) / 16
+	unit := c.net.Cost(0, span) / 16
 	for s := body[3*m:]; len(s) >= 4 && len(c.ops) < 48; s = s[4:] {
 		kind, a, b, d := s[0], s[1], s[2], s[3]
 		if kind&3 == 3 {
@@ -122,9 +135,13 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 		case 1:
 			op.budget = 0
 		case 2:
-			if m == 0 {
+			op.ulpBelow = flags&0x40 != 0
+			switch {
+			case flags&0x80 != 0:
+				op.atWinner = true
+			case m == 0:
 				op.budget = math.Inf(1)
-			} else {
+			default:
 				op.atCostW = int(d>>4) % m
 			}
 		case 3:
@@ -133,6 +150,62 @@ func decodeProbeCase(data []byte) (c probeCase, ok bool) {
 		c.ops = append(c.ops, op)
 	}
 	return c, true
+}
+
+// probeGraph is the graph arm's city: a w x h lattice of 150 m blocks at
+// 8 m/s, each street's time jittered by up to 40 % (seeded). With none of the
+// options it is roadnet.NewPerturbedGrid. oneWay makes each row's streets run
+// one way, east on even rows and west on odd ones; stranded appends a node
+// with no edge and one that can be left but never entered; free makes every
+// seventh street cost nothing.
+func probeGraph(w, h int, seed int64, oneWay, stranded, free bool) *roadnet.Graph {
+	if !oneWay && !stranded && !free {
+		return roadnet.NewPerturbedGrid(w, h, 150, 8, 0.4, seed)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var b roadnet.GraphBuilder
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			b.AddNode(geo.Point{X: float64(x) * 150, Y: float64(y) * 150})
+		}
+	}
+	streets := 0
+	street := func(u, v geo.NodeID, twoWay bool) {
+		streets++
+		sec := 150.0 / 8 * (1 + (rng.Float64()*2-1)*0.4)
+		if free && streets%7 == 0 {
+			sec = 0
+		}
+		b.AddEdge(u, v, sec)
+		if twoWay {
+			b.AddEdge(v, u, sec)
+		}
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := geo.NodeID(y*w + x)
+			if x+1 < w {
+				if oneWay && y%2 == 1 {
+					street(v+1, v, false)
+				} else {
+					street(v, v+1, !oneWay)
+				}
+			}
+			if y+1 < h {
+				street(v, v+geo.NodeID(w), true)
+			}
+		}
+	}
+	if stranded {
+		b.AddNode(geo.Point{X: -150, Y: -150})
+		exit := b.AddNode(geo.Point{X: -150, Y: 0})
+		b.AddEdge(exit, 0, 12.5)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // runProbeCase replays the script against one index, holding every probe —
@@ -158,8 +231,14 @@ func runProbeCase(t *testing.T, c probeCase) {
 			continue
 		}
 		budget := op.budget
-		if op.atCostW >= 0 {
+		switch {
+		case op.atWinner:
+			_, budget = wi.oracleClosestIdleWithin(op.node, op.now, op.minCap, math.Inf(1), &osc, nil)
+		case op.atCostW >= 0:
 			budget = c.net.Cost(c.workers[op.atCostW].Loc, op.node)
+		}
+		if op.ulpBelow {
+			budget = math.Nextafter(budget, math.Inf(-1))
 		}
 		ocands, rcands = ocands[:0], rcands[:0]
 		ow, oc := wi.oracleClosestIdleWithin(op.node, op.now, op.minCap, budget, &osc, &ocands)
@@ -207,8 +286,10 @@ func checkRecord(t *testing.T, step int, wi *WorkerIndex, op probeOp, budget flo
 }
 
 // FuzzClosestIdleWithin decodes bytes into a GridCity or a small jittered
-// ALT graph, a fleet and a script of probes and updates (decodeProbeCase),
-// and holds the budgeted ring search to the square-scan oracle of
+// graph — answered by ALT or by its contraction hierarchy, whose budgeted
+// searches prune the target's descent cone — a fleet and a script of probes
+// and updates (decodeProbeCase), and holds the budgeted ring search to the
+// square-scan oracle of
 // oracle_test.go: same worker, same cost bits, with and without a candidate
 // record, after every Update. The seed corpus under
 // testdata/fuzz/FuzzClosestIdleWithin runs in plain `go test`.
@@ -227,12 +308,20 @@ func FuzzClosestIdleWithin(f *testing.F) {
 // a shrinking budget); over roadnet.Reference, which offers no bound and no
 // batched path, the same index prices every ring in full, pair by pair.
 // Both must name the same worker at the same cost — for the ALT and the
-// hierarchy arm, fleets with co-located and busy workers, finite and
-// infinite budgets — and the probe's candidate record must stay a set of
-// idle in-budget workers that contains the winner.
+// hierarchy arm on a 16x16 city and the hierarchy on a 40x40 one, fleets with
+// co-located and busy workers, infinite budgets, budgets drawn across the
+// city, and budgets at, one ulp below and half the true nearest cost, where
+// the hierarchy's budget-pruned cones cut closest to the answer — and the
+// probe's candidate record must stay a set of idle in-budget workers that
+// contains the winner.
 func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
-	for _, hierarchy := range []bool{false, true} {
-		g := roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.4, 21)
+	for _, arm := range []struct {
+		side      int
+		hierarchy bool
+	}{{16, false}, {16, true}, {40, true}} {
+		hierarchy := arm.hierarchy
+		name := fmt.Sprintf("%dx%d hierarchy=%v", arm.side, arm.side, hierarchy)
+		g := roadnet.NewPerturbedGrid(arm.side, arm.side, 150, 8, 0.4, 21)
 		if hierarchy {
 			g.EnableHierarchy()
 		}
@@ -260,31 +349,37 @@ func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
 				now := float64(rng.Intn(3)) * 50
 				minCap := 1 + rng.Intn(4)
 				maxCost := math.Inf(1)
-				if rng.Intn(3) > 0 {
+				switch rng.Intn(6) {
+				case 1, 2:
 					maxCost = float64(rng.Intn(500))
+				case 3, 4, 5:
+					// Relative to the true nearest cost: at it, one ulp
+					// below it, half of it.
+					_, nearest := lwi.closestIdleWithin(node, now, minCap, math.Inf(1), nil)
+					maxCost = []float64{nearest, math.Nextafter(nearest, math.Inf(-1)), nearest / 2}[rng.Intn(3)]
 				}
 				cands, full = cands[:0], full[:0]
 				lw, lc := lwi.closestIdleWithin(node, now, minCap, maxCost, &full)
 				w, c := wi.closestIdleWithin(node, now, minCap, maxCost, &cands)
 				if w != lw || math.Float64bits(c) != math.Float64bits(lc) {
-					t.Fatalf("hierarchy=%v trial %d query %d: bounded (%v, %v) != reference (%v, %v)",
-						hierarchy, trial, q, w, c, lw, lc)
+					t.Fatalf("%s trial %d query %d: bounded (%v, %v) != reference (%v, %v)",
+						name, trial, q, w, c, lw, lc)
 				}
 				if iw, ic := wi.ClosestIdleWithin(node, now, minCap, maxCost); iw != w || ic != c {
-					t.Fatalf("hierarchy=%v: exported probe (%v, %v) != recording probe (%v, %v)", hierarchy, iw, ic, w, c)
+					t.Fatalf("%s: exported probe (%v, %v) != recording probe (%v, %v)", name, iw, ic, w, c)
 				}
 				// The reference record is every idle in-budget worker of the
 				// scanned rings; the bounded one is a subset holding the winner.
 				found := w == nil
 				for _, id := range cands {
 					if !slices.Contains(full, id) {
-						t.Fatalf("hierarchy=%v: recorded candidate %d is not an in-budget idle worker of the scanned rings %v",
-							hierarchy, id, full)
+						t.Fatalf("%s: recorded candidate %d is not an in-budget idle worker of the scanned rings %v",
+							name, id, full)
 					}
 					found = found || int(id) == w.ID
 				}
 				if !found {
-					t.Fatalf("hierarchy=%v: candidate record %v misses the winner %d", hierarchy, cands, w.ID)
+					t.Fatalf("%s: candidate record %v misses the winner %d", name, cands, w.ID)
 				}
 				if len(cands) < len(full) {
 					pruned++
@@ -292,7 +387,7 @@ func TestBoundedProbeMatchesLegacyOracle(t *testing.T) {
 			}
 		}
 		if pruned == 0 {
-			t.Fatalf("hierarchy=%v: no probe ever left an in-budget worker unsearched; the bounded path did not run", hierarchy)
+			t.Fatalf("%s: no probe ever left an in-budget worker unsearched; the bounded path did not run", name)
 		}
 	}
 }

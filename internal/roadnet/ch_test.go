@@ -108,6 +108,189 @@ func TestCHMatrixMatchesReference(t *testing.T) {
 	}
 }
 
+// TestConeBudgetPrunes pins what a search budget does to the hierarchy's
+// target cone, counting bucketed cone edges (an unexported counter in the
+// scratch, like the effort tests' pops). On a 64x64 lattice, budgeted
+// nearest-of-many and matrix fills bucket strictly fewer edges than the same
+// calls at +Inf, and every entry the +Inf call reports within the budget
+// comes back with the same bits. A cone built under a budget below every
+// cost holds exactly the targets' own incoming down edges: the targets are
+// its roots and are never pruned. And a search at a larger budget after a
+// smaller one in the same target epoch rebuilds the cone and matches the
+// reference.
+func TestConeBudgetPrunes(t *testing.T) {
+	g := NewPerturbedGrid(64, 64, 150, 8, 0.3, 7)
+	g.EnableHierarchy()
+	ref := Reference(g)
+	n := g.NumNodes()
+	rng := rand.New(rand.NewSource(3))
+	sc := g.getScratch()
+	edges := func(fn func()) uint64 {
+		before := sc.coneEdges
+		fn()
+		return sc.coneEdges - before
+	}
+	pick := func(k int) []geo.NodeID {
+		out := make([]geo.NodeID, k)
+		for i := range out {
+			out[i] = geo.NodeID(rng.Intn(n))
+		}
+		return out
+	}
+	inf := math.Inf(1)
+	sameWithin := func(what string, budget float64, got, full []float64) {
+		t.Helper()
+		for i := range full {
+			if full[i] <= budget && math.Float64bits(got[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("%s under budget %v: entry %d = %v, %v at +Inf", what, budget, i, got[i], full[i])
+			}
+			if full[i] > budget && got[i] != full[i] && !math.IsInf(got[i], 1) {
+				t.Fatalf("%s under budget %v: entry %d = %v beyond the budget, %v at +Inf", what, budget, i, got[i], full[i])
+			}
+		}
+	}
+	var nearB, nearInf, matB, matInf uint64
+	for trial := 0; trial < 40; trial++ {
+		sources, target := pick(8), geo.NodeID(rng.Intn(n))
+		budget := 60 + float64(rng.Intn(240))
+		near, nearFull := make([]float64, len(sources)), make([]float64, len(sources))
+		nearB += edges(func() { g.nearestWith(sc, sources, target, budget, near) })
+		nearInf += edges(func() { g.nearestWith(sc, sources, target, inf, nearFull) })
+		sameWithin("nearest", budget, near, nearFull)
+
+		targets := pick(2)
+		mat, matFull := make([]float64, 2*len(sources)), make([]float64, 2*len(sources))
+		matB += edges(func() { g.matrixWith(sc, sources, targets, budget, mat) })
+		matInf += edges(func() { g.matrixWith(sc, sources, targets, inf, matFull) })
+		sameWithin("matrix", budget, mat, matFull)
+		for i, s := range sources {
+			for j, d := range targets {
+				if want := ref.Cost(s, d); math.Float64bits(matFull[2*i+j]) != math.Float64bits(want) {
+					t.Fatalf("matrix at +Inf: cost(%d -> %d) = %v, reference %v", s, d, matFull[2*i+j], want)
+				}
+			}
+		}
+	}
+	t.Logf("cone edges bucketed: nearest %d under budget vs %d at +Inf, 8x2 matrix %d vs %d", nearB, nearInf, matB, matInf)
+	if nearB >= nearInf || matB >= matInf {
+		t.Fatalf("budgeted cones bucketed %d (nearest) and %d (matrix) edges, unbudgeted %d and %d: the budget pruned nothing",
+			nearB, matB, nearInf, matInf)
+	}
+
+	// Below every cost only the roots remain, and a later search of the same
+	// epoch at a larger budget (then at none) must rebuild before answering.
+	h := g.ch
+	for trial := 0; trial < 20; trial++ {
+		targets := pick(3)
+		sc.setTargets(targets...)
+		var roots uint64
+		for _, d := range sc.uniq {
+			roots += uint64(h.dnRevHead[d+1] - h.dnRevHead[d])
+		}
+		if got := edges(func() { g.search(sc, geo.NodeID(rng.Intn(n)), -1, 0) }); got != roots {
+			t.Fatalf("cone under budget -1 bucketed %d edges, the targets' own incoming down edges number %d", got, roots)
+		}
+		for _, budget := range []float64{30, 150, inf} {
+			src := geo.NodeID(rng.Intn(n))
+			g.search(sc, src, budget, 0)
+			for k, d := range sc.uniq {
+				want := ref.Cost(src, d)
+				if got := sc.res[k]; math.Float64bits(got) != math.Float64bits(want) && (want <= budget || !math.IsInf(got, 1)) {
+					t.Fatalf("search at budget %v after a smaller one: cost(%d -> %d) = %v, reference %v", budget, src, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// freeStreetCity is a w x h lattice whose directed streets take a multiple
+// of 0.37 s (so float32 folds round) and, one in freeEvery, nothing at all:
+// free corridors give pairs at cost 0 and paths whose cost from a node past
+// the source equals the source's, the cases where a cone prune by budget
+// sits exactly on the answer.
+func freeStreetCity(w, h int, seed int64, freeEvery int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	var b GraphBuilder
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			b.AddNode(geo.Point{X: float64(x) * 150, Y: float64(y) * 150})
+		}
+	}
+	street := func(u, v geo.NodeID) {
+		sec := 0.37 * float64(1+rng.Intn(80))
+		if rng.Intn(freeEvery) == 0 {
+			sec = 0
+		}
+		b.AddEdge(u, v, sec)
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := geo.NodeID(y*w + x)
+			if x+1 < w {
+				street(v, v+1)
+				street(v+1, v)
+			}
+			if y+1 < h {
+				street(v, v+geo.NodeID(w))
+				street(v+geo.NodeID(w), v)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestConeBudgetContract holds every hierarchy search under a finite budget
+// to the budget contract against the reference — an entry within the budget
+// exact to the bit, one beyond it exact or +Inf — from every source of
+// lattices with free streets, for a landmark target (whose landmark bound is
+// tight), a random one and pairs, under budgets of 0, exactly the first
+// target's cost, one ulp below it, fractions of it and a few seconds either
+// side. Three ways to get the prune wrong fail here: bounding by the raw
+// landmark gap instead of the deflated bound (budget at the cost), pruning a
+// bound equal to the budget (budget 0), and reporting a label beyond the
+// budget whose better route the prune removed (pairs under a budget below
+// the farther target).
+func TestConeBudgetContract(t *testing.T) {
+	for _, freeEvery := range []int{3, 6} {
+		g := freeStreetCity(15, 13, 1, freeEvery)
+		g.EnableHierarchy()
+		n := g.NumNodes()
+		rng := rand.New(rand.NewSource(int64(freeEvery)))
+		sc := g.getScratch()
+		for src := geo.NodeID(0); int(src) < n; src++ {
+			dist := g.dijkstra(src)
+			for k := 0; k < 12; k++ {
+				targets := []geo.NodeID{geo.NodeID(rng.Intn(n)), geo.NodeID(rng.Intn(n))}
+				switch k % 4 {
+				case 0:
+					targets = []geo.NodeID{g.landmarks[rng.Intn(len(g.landmarks))]}
+				case 1:
+					targets = targets[:1]
+				}
+				c := float64(dist[targets[0]])
+				if math.IsInf(c, 1) {
+					continue
+				}
+				for _, budget := range []float64{c, math.Nextafter(c, math.Inf(-1)), c / 2, c * 0.9, c - 3, 0, c + 3} {
+					sc.setTargets(targets...)
+					g.search(sc, src, budget, 0)
+					for j, d := range sc.uniq {
+						want, got := float64(dist[d]), sc.res[j]
+						if math.Float64bits(got) != math.Float64bits(want) && (want <= budget || !math.IsInf(got, 1)) {
+							t.Fatalf("free streets 1/%d: search from %d to %v under budget %v: cost to %d = %v, reference %v",
+								freeEvery, src, targets, budget, d, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHierarchyDeterministic builds the same city twice and requires the
 // two hierarchies to be identical structure-for-structure: same ranks, same
 // edge arena (endpoints, children, weights), same CSR layout. This is the

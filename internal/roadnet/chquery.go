@@ -39,11 +39,20 @@ type coneEdge struct {
 	w, lbm   float32
 }
 
-// buildCone marks the union of the targets' descent cones under the
-// current target epoch (a node is marked iff some target is reachable
-// from it by downward edges alone).
-func (g *Graph) buildCone(sc *scratch) {
+// buildCone marks the union of the current targets' descent cones under a
+// fresh cone stamp, pruned by the search budget. Every target is
+// expanded — its incoming down edges bucketed and their tails queued — and
+// any other queued node x only while some target t has chBound(x, t) <=
+// budget. A path that descends through a pruned x folds at least
+// cost(x, t) >= chBound(x, t) > budget from x on, so every target whose cost
+// is within budget keeps its whole optimal descent (DESIGN §13). A +Inf (or
+// NaN) budget prunes nothing; a +Inf bound is an unreachability proof and
+// prunes.
+func (g *Graph) buildCone(sc *scratch, budget float64) {
 	h := g.ch
+	if sc.coneEp == sc.tcur {
+		sc.nextCone() // a rebuild for a larger budget: drop the old marks and buckets
+	}
 	sc.coneQ = sc.coneQ[:0]
 	for _, t := range sc.uniq {
 		if sc.coneMark[t] != sc.tcur {
@@ -52,9 +61,14 @@ func (g *Graph) buildCone(sc *scratch) {
 			sc.coneQ = append(sc.coneQ, int32(t))
 		}
 	}
+	roots := len(sc.coneQ)
+	prune := budget < math.Inf(1)
 	sc.tPack = sc.tPack[:0]
 	for qi := 0; qi < len(sc.coneQ); qi++ {
 		x := sc.coneQ[qi]
+		if prune && qi >= roots && !g.coneReaches(sc, geo.NodeID(x), budget) {
+			continue
+		}
 		for i := h.dnRevHead[x]; i < h.dnRevHead[x+1]; i++ {
 			ei := h.dnRevEdge[i]
 			e := &h.edges[ei]
@@ -76,7 +90,20 @@ func (g *Graph) buildCone(sc *scratch) {
 			}
 		}
 	}
-	sc.coneEp = sc.tcur
+	sc.coneEp, sc.coneBudget = sc.tcur, budget
+	sc.coneEdges += uint64(len(sc.tPack))
+}
+
+// coneReaches reports whether some target's bound from x admits budget.
+// Written as "not every bound exceeds it" so that only a bound proven above
+// the budget prunes.
+func (g *Graph) coneReaches(sc *scratch, x geo.NodeID, budget float64) bool {
+	for _, t := range sc.uniq {
+		if !(g.chBound(x, t) > budget) {
+			return true
+		}
+	}
+	return false
 }
 
 // chFold extends the float32 fold d across arena edge ei over the edge's
@@ -136,8 +163,10 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		return
 	}
 	cur := sc.cur
-	if sc.coneEp != sc.tcur {
-		g.buildCone(sc)
+	// The target set's cone serves any budget up to the one it was pruned
+	// for; a larger (or NaN) budget needs it rebuilt.
+	if sc.coneEp != sc.tcur || !(budget <= sc.coneBudget) {
+		g.buildCone(sc, budget)
 	}
 	mcur := sc.tcur
 
@@ -213,6 +242,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		}
 		if len(sc.pending) == 0 || it.key > budget {
 			sc.heap = sc.heap[:0]
+			sc.clampBeyond(budget)
 			return
 		}
 		if it.dist > sc.dist[it.node] {
@@ -242,4 +272,18 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		}
 	}
 	sc.drain(n)
+	sc.clampBeyond(budget)
+}
+
+// clampBeyond reports every target beyond budget as +Inf. Under a pruned
+// cone such a target's label may be the fold of a detour whose better route
+// the prune removed, and the search would finalize it as if it were the
+// cost; the budget contract allows +Inf there. Within the budget every
+// label the search finalizes is exact.
+func (sc *scratch) clampBeyond(budget float64) {
+	for k, d := range sc.res {
+		if d > budget {
+			sc.res[k] = math.Inf(1)
+		}
+	}
 }

@@ -36,8 +36,11 @@ import (
 
 const (
 	// chAutoMinNodes is the Build() threshold above which the hierarchy is
-	// constructed automatically; below it the ALT engine already answers
-	// queries in microseconds and preprocessing would dominate. Tests force
+	// constructed automatically. Below it ALT wins on queries as well as on
+	// preprocessing: forced onto the benchmark's 1764-node grid_alt city
+	// (threshold 0; three alternating pairs on a 2-core x86 box), the
+	// hierarchy ran 0.66x the orders/s of ALT at 2.5x tick_p50 and 1.7x
+	// setup_s, with budget-pruned cones (0.61x before them). Tests force
 	// small-graph hierarchies with EnableHierarchy.
 	chAutoMinNodes = 16384
 	// chEps32 is the float32 unit roundoff (2^-24).

@@ -76,25 +76,31 @@ type scratch struct {
 	hmul, habs float64 // this search's deflation of the landmark gap
 	heap       minHeap[float64]
 	pops       uint64 // heap pops since the scratch was made: the effort tests' counter
+	coneEdges  uint64 // cone edges bucketed since the scratch was made: the same, for buildCone
 
 	// Target descent cone (hierarchy only, nil otherwise): the set of nodes
 	// from which some target is reachable by downward edges alone, marked by
-	// walking the reverse-down CSR from each target. Restricting the descend
-	// phase to the cone is lossless (every down-path to a target stays inside
-	// it by definition) and is what keeps the search on climb-cone x
-	// target-cone instead of reflooding the city. The cone's incoming down
-	// edges are also bucketed by tail node (tFirst and coneEdge.next form
-	// per-node linked lists), so the search relaxes exactly the useful down
-	// edges instead of scanning a high-rank node's entire down list against
-	// the marks. Computed once per target set (epoch tcur) over all of its
-	// targets, so a matrix's sources share one marking pass; the cone of a
-	// superset of the pending targets is still lossless.
-	coneMark []uint32
-	coneQ    []int32
-	coneEp   uint32
-	tcur     uint32
-	tStamp   []uint32
-	tFirst   []int32
+	// walking the reverse-down CSR from each target and pruned where no
+	// target is within the search budget (buildCone). Restricting the descend
+	// phase to the cone is lossless for every target within budget and is
+	// what keeps the search on climb-cone x target-cone instead of reflooding
+	// the city. The cone's incoming down edges are also bucketed by tail node
+	// (tFirst and coneEdge.next form per-node linked lists), so the search
+	// relaxes exactly the useful down edges instead of scanning a high-rank
+	// node's entire down list against the marks. Computed once per target
+	// set over all of its targets, so a matrix's sources share one marking
+	// pass — the cone of a superset of the pending targets is still lossless
+	// — and rebuilt only for a search whose budget exceeds coneBudget, the
+	// one it was pruned for. Marks and buckets carry the stamp tcur, which
+	// setTargets and every rebuild renew (nextCone); coneEp is the stamp the
+	// current cone was built under.
+	coneMark   []uint32
+	coneQ      []int32
+	coneEp     uint32
+	coneBudget float64
+	tcur       uint32
+	tStamp     []uint32
+	tFirst     []int32
 	// Packed relax inputs per bucketed edge, copied out of the arena once
 	// per target epoch so the search never touches the arena for a
 	// transition/descend relaxation that fails the prefilter.
@@ -184,6 +190,12 @@ func (sc *scratch) setTargets(targets ...geo.NodeID) {
 	}
 	sc.res = sc.res[:len(sc.uniq)]
 	sc.hall = sc.newEpoch()
+	sc.nextCone()
+}
+
+// nextCone hands out a fresh cone stamp: every mark and bucket of earlier
+// cones reads as stale. On uint32 wraparound the stamp arrays are zeroed.
+func (sc *scratch) nextCone() {
 	sc.tcur++
 	if sc.tcur == 0 {
 		clear(sc.coneMark)
@@ -446,13 +458,20 @@ func (g *Graph) matrixWith(sc *scratch, sources, targets []geo.NodeID, maxCost f
 // it, and +Inf is a legal report. All searches share one target set whose
 // single target is pending for the whole of each of them: one heuristic
 // epoch — one evaluation per node across the ring — and, on the hierarchy,
-// one buildCone; as in a matrix they pass no ubHint, which would give each
-// source its own deflation.
+// one buildCone, pruned by the first search's budget, which no later one
+// exceeds; as in a matrix they pass no ubHint, which would give each source
+// its own deflation.
 func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
 	if len(sources) == 0 {
 		return
 	}
 	sc := g.getScratch()
+	g.nearestWith(sc, sources, target, maxCost, out)
+	g.pool.Put(sc)
+}
+
+// nearestWith is nearestInto on a caller-held scratch.
+func (g *Graph) nearestWith(sc *scratch, sources []geo.NodeID, target geo.NodeID, maxCost float64, out []float64) {
 	sc.setTargets(target)
 	// Bounds go into out, then an insertion sort of the indices (rings hold
 	// a handful of workers; stable, so equal bounds keep source order).
@@ -485,7 +504,6 @@ func (g *Graph) nearestInto(sources []geo.NodeID, target geo.NodeID, maxCost flo
 		}
 	}
 	sc.ord = ord
-	g.pool.Put(sc)
 }
 
 // searchFrom runs one exact multi-target A* from src over sc.uniq, filling
