@@ -91,7 +91,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build examples clismoke test race fuzz bench
+ci: lint staticcheck govulncheck build examples clismoke test race fuzz bench benchgate
 
 # Regenerate the checked-in DIMACS fixture from its generator (the
 # importer test fails if the two ever drift).

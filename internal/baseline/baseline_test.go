@@ -101,7 +101,7 @@ func TestGDPSharesCapacity(t *testing.T) {
 func TestGASBatchesAndGroups(t *testing.T) {
 	env, net := testEnv(10)
 	orders := corridorOrders(net, 50, 2.0)
-	m := sim.Run(env, &GAS{BatchSeconds: 5}, orders, sim.RunOptions{TickEvery: 10})
+	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
@@ -133,7 +133,7 @@ func TestGASCarryOverAndExpiry(t *testing.T) {
 		o.DirectCost = net.Cost(o.Pickup, o.Dropoff)
 		o.Deadline = o.Release + 1.5*o.DirectCost
 	}
-	m := sim.Run(env, &GAS{BatchSeconds: 5}, orders, sim.RunOptions{TickEvery: 10})
+	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
 	if m.Rejected != len(orders) || m.Served != 0 {
 		t.Fatalf("workerless GAS: %+v", m)
 	}
@@ -152,7 +152,7 @@ func TestGASUtilityPrefersBiggerGroups(t *testing.T) {
 			Release: float64(i), Deadline: float64(i) + 3*80, WaitLimit: 64, DirectCost: 80,
 		})
 	}
-	m := sim.Run(env, &GAS{BatchSeconds: 5}, orders, sim.RunOptions{TickEvery: 10})
+	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
 	if m.GroupSizeHist[3] != 1 {
 		t.Fatalf("want one 3-group, hist %v", m.GroupSizeHist)
 	}
@@ -172,7 +172,7 @@ func TestGDPDeterminism(t *testing.T) {
 func TestGASDeterminism(t *testing.T) {
 	run := func() *sim.Metrics {
 		env, net := testEnv(8)
-		return sim.Run(env, &GAS{BatchSeconds: 5}, corridorOrders(net, 40, 1.8), sim.RunOptions{TickEvery: 10})
+		return sim.Run(env, &GAS{}, corridorOrders(net, 40, 1.8), sim.RunOptions{TickEvery: 10})
 	}
 	a, b := run(), run()
 	if a.Served != b.Served || math.Abs(a.WorkerTravel-b.WorkerTravel) > 1e-6 {

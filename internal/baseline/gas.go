@@ -10,6 +10,14 @@ import (
 	"watter/internal/sim"
 )
 
+const (
+	// gasBatchSeconds is the window size; the paper uses 5 s.
+	gasBatchSeconds = 5
+	// gasCandidateOrders bounds each idle worker's order candidate set
+	// (nearest by pickup); the additive tree is exponential in it.
+	gasCandidateOrders = 10
+)
+
 // GAS is the batch-based baseline: orders accumulate in fixed windows
 // (5 seconds in the paper); at each window boundary, every idle worker
 // grows an additive tree of feasible order groups (a group is expanded by
@@ -21,16 +29,6 @@ import (
 // Orders that stay unassigned carry over to later batches until their
 // deadline passes, at which point they are rejected.
 type GAS struct {
-	// BatchSeconds is the window size; the paper uses 5 s.
-	BatchSeconds float64
-	// CandidateOrders bounds the per-worker order candidate set (nearest
-	// by pickup); the additive tree is exponential in this number. 0
-	// defaults to 10.
-	CandidateOrders int
-	// CandidateWorkers bounds how many idle workers enumerate trees per
-	// batch round; 0 defaults to all idle workers.
-	CandidateWorkers int
-
 	env       *sim.Env
 	pending   map[int]*order.Order
 	nextBatch float64
@@ -48,13 +46,7 @@ func (g *GAS) Name() string { return "GAS" }
 func (g *GAS) Init(env *sim.Env) {
 	g.env = env
 	g.pending = make(map[int]*order.Order)
-	if g.BatchSeconds <= 0 {
-		g.BatchSeconds = 5
-	}
-	if g.CandidateOrders <= 0 {
-		g.CandidateOrders = 10
-	}
-	g.nextBatch = g.BatchSeconds
+	g.nextBatch = gasBatchSeconds
 }
 
 // OnOrder implements sim.Algorithm: orders wait for the batch boundary.
@@ -70,7 +62,7 @@ func (g *GAS) OnOrder(o *order.Order, now float64) {
 func (g *GAS) OnTick(now float64) {
 	for now >= g.nextBatch {
 		g.processBatch(g.nextBatch)
-		g.nextBatch += g.BatchSeconds
+		g.nextBatch += gasBatchSeconds
 	}
 }
 
@@ -117,9 +109,9 @@ func (g *GAS) processBatch(now float64) {
 	}
 }
 
-// bestAssignment returns the highest-utility feasible group over idle
-// workers. Each idle worker enumerates its additive tree over its nearest
-// pending orders.
+// bestAssignment returns the highest-utility feasible group over every
+// idle worker. Each idle worker enumerates its additive tree over its
+// nearest pending orders.
 func (g *GAS) bestAssignment(now float64) (*order.Worker, *order.Group, float64) {
 	pendingIDs := g.pendingIDs()
 	if len(pendingIDs) == 0 {
@@ -130,15 +122,10 @@ func (g *GAS) bestAssignment(now float64) (*order.Worker, *order.Group, float64)
 		bestGroup   *order.Group
 		bestUtility = math.Inf(-1)
 	)
-	tried := 0
 	for _, w := range g.env.Workers {
 		if !w.IdleAt(now) {
 			continue
 		}
-		if g.CandidateWorkers > 0 && tried >= g.CandidateWorkers {
-			break
-		}
-		tried++
 		w := w
 		cands := g.workerCandidates(w, pendingIDs, now)
 		g.expandTree(w, cands, now, func(grp *order.Group) {
@@ -196,8 +183,8 @@ func (g *GAS) workerCandidates(w *order.Worker, pendingIDs []int, now float64) [
 		}
 		return s[i].o.ID < s[j].o.ID
 	})
-	if len(s) > g.CandidateOrders {
-		s = s[:g.CandidateOrders]
+	if len(s) > gasCandidateOrders {
+		s = s[:gasCandidateOrders]
 	}
 	out := make([]*order.Order, len(s))
 	for i, x := range s {

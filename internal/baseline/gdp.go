@@ -14,15 +14,15 @@ import (
 	"watter/internal/sim"
 )
 
+// gdpCandidateWorkers bounds how many nearby workers are tried per order
+// (spatial pruning).
+const gdpCandidateWorkers = 24
+
 // GDP responds to every order immediately: it greedily inserts the pickup
 // and dropoff into the route of the worker where the insertion increases
 // total travel the least, and rejects the order when no feasible insertion
 // exists. Workers run evolving multi-order schedules.
 type GDP struct {
-	// CandidateWorkers bounds how many nearby workers are tried per order
-	// (spatial pruning; 0 means a reasonable default of 24).
-	CandidateWorkers int
-
 	env    *sim.Env
 	states map[int]*workerState
 }
@@ -63,9 +63,6 @@ func (g *GDP) Init(env *sim.Env) {
 			curLoc: int32(w.Loc),
 		}
 	}
-	if g.CandidateWorkers <= 0 {
-		g.CandidateWorkers = 24
-	}
 }
 
 // OnOrder implements sim.Algorithm: real-time greedy insertion.
@@ -74,7 +71,7 @@ func (g *GDP) OnOrder(o *order.Order, now float64) {
 		g.env.Reject(o, now)
 		return
 	}
-	cands := g.env.WIndex.KNearest(o.Pickup, g.CandidateWorkers, nil)
+	cands := g.env.WIndex.KNearest(o.Pickup, gdpCandidateWorkers, nil)
 	var (
 		bestState *workerState
 		bestSch   *route.Schedule

@@ -63,7 +63,8 @@ func (f *Framework) ShardEngine() *shard.Engine { return f.engine }
 func (f *Framework) SetTick(dt float64) { f.Tick = dt }
 
 // SetPoolOptions replaces the shareability-graph tuning before a run.
-// Must be called before Init; the platform's WithPool option uses it.
+// Must be called before Init; the plan-cache equivalence test and the
+// benchmarks use it.
 func (f *Framework) SetPoolOptions(opt pool.Options) { f.PoolOpt = opt }
 
 // SetShards sets the prewarm engine's goroutine count before a run (values

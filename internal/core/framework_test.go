@@ -180,7 +180,7 @@ func TestGDPBaselineRuns(t *testing.T) {
 }
 
 func TestGASBaselineRuns(t *testing.T) {
-	m := runAlg(t, &baseline.GAS{BatchSeconds: 5}, 120, 20, 2.0)
+	m := runAlg(t, &baseline.GAS{}, 120, 20, 2.0)
 	if m.ServiceRate() < 0.4 {
 		t.Fatalf("GAS service rate suspiciously low: %.3f", m.ServiceRate())
 	}

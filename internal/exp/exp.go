@@ -399,7 +399,7 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 	case "GDP":
 		return &baseline.GDP{}, nil
 	case "GAS":
-		return &baseline.GAS{BatchSeconds: 5}, nil
+		return &baseline.GAS{}, nil
 	case "WATTER-online":
 		fw := core.New(strategy.Online{}, poolOptions(p))
 		fw.Tick = p.TickEvery

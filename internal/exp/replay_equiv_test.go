@@ -14,8 +14,9 @@ import (
 // before the streaming core existed): pre-sorted slice, upfront horizon
 // and DirectCost enrichment, one monolithic loop. It is the reference the
 // adapter-over-streaming-core path must reproduce bit for bit. The only
-// edit is that it enriches clones instead of the caller's orders, so the
-// three arms of the equivalence test all see pristine inputs.
+// edits are that it enriches clones instead of the caller's orders, so the
+// three arms of the equivalence test all see pristine inputs, and that its
+// drain-slack override went with the option.
 func legacyRun(env *sim.Env, alg sim.Algorithm, orders []*order.Order, opts sim.RunOptions) *sim.Metrics {
 	if opts.TickEvery <= 0 {
 		opts.TickEvery = 10
@@ -36,14 +37,6 @@ func legacyRun(env *sim.Env, alg sim.Algorithm, orders []*order.Order, opts sim.
 			horizon = o.Deadline
 		}
 	}
-	if opts.DrainSlack > 0 {
-		if len(sorted) > 0 {
-			horizon = sorted[len(sorted)-1].Release + opts.DrainSlack
-		} else {
-			horizon = opts.DrainSlack
-		}
-	}
-
 	env.Metrics = sim.Metrics{Total: len(sorted)}
 	timed := func(fn func()) {
 		if !opts.MeasureTime {

@@ -56,7 +56,7 @@ func TestSimMetricsEngineEquivalence(t *testing.T) {
 		"WATTER-online":  func() sim.Algorithm { return core.New(strategy.Online{}, pool.DefaultOptions()) },
 		"WATTER-timeout": func() sim.Algorithm { return core.New(strategy.Timeout{}, pool.DefaultOptions()) },
 		"GDP":            func() sim.Algorithm { return &baseline.GDP{} },
-		"GAS":            func() sim.Algorithm { return &baseline.GAS{BatchSeconds: 5} },
+		"GAS":            func() sim.Algorithm { return &baseline.GAS{} },
 	}
 	for name, mk := range algs {
 		name, mk := name, mk

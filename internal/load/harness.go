@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"math"
 
+	"watter/internal/core"
 	"watter/internal/dataset"
 	"watter/internal/order"
 	"watter/internal/platform"
 	"watter/internal/pool"
 	"watter/internal/sim"
+	"watter/internal/strategy"
 )
 
 // Config is one open-loop load run: a city, a fleet, an arrival process
@@ -43,9 +45,6 @@ type Config struct {
 	// Shards is how many goroutines run an insert's pairwise prewarm
 	// (0/1 inline); decisions and events are identical at any value.
 	Shards int
-	// Alg overrides the dispatch algorithm (default: WATTER-online with
-	// the pool sized to MaxCap).
-	Alg sim.Algorithm
 }
 
 // Defaults fills zero fields with the harness defaults: the CDC profile,
@@ -291,19 +290,14 @@ func Run(cfg Config) (*Result, error) {
 
 	scfg := sim.DefaultConfig()
 	scfg.Capacity = cfg.MaxCap
+	popt := pool.DefaultOptions()
+	popt.Capacity, popt.MaxGroupSize = cfg.MaxCap, cfg.MaxCap
 	opts := []platform.Option{
 		platform.WithConfig(scfg),
 		platform.WithTick(cfg.Tick),
 		platform.WithMeasuredTime(false),
+		platform.WithAlgorithm(core.New(strategy.Online{}, popt)),
 		platform.WithObserver(observe),
-	}
-	if cfg.Alg != nil {
-		opts = append(opts, platform.WithAlgorithm(cfg.Alg))
-	} else {
-		popt := pool.DefaultOptions()
-		popt.Capacity = cfg.MaxCap
-		popt.MaxGroupSize = cfg.MaxCap
-		opts = append(opts, platform.WithPool(popt))
 	}
 	if cfg.Shards > 1 {
 		opts = append(opts, platform.WithShards(cfg.Shards))

@@ -14,7 +14,16 @@ import (
 //	tick 2: pushes at t=12, t=14, t=20 → depth 3,4,5   the t=20 push is the
 //	        first to exceed the buffer → onset latches at 20; drain → 4
 func TestQueueModelPinned(t *testing.T) {
-	q := NewQueueModel(4, 1)
+	for name, newModel := range map[string]func(buffer, drain int) *QueueModel{
+		"NewQueueModel":  NewQueueModel,
+		"struct literal": func(buffer, drain int) *QueueModel { return &QueueModel{Buffer: buffer, DrainPerTick: drain} },
+	} {
+		t.Run(name, func(t *testing.T) { queueModelPinned(t, newModel) })
+	}
+}
+
+func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel) {
+	q := newModel(4, 1)
 	q.Push(2)
 	q.Push(4)
 	q.Push(10)
@@ -45,7 +54,7 @@ func TestQueueModelPinned(t *testing.T) {
 		t.Fatalf("onset moved after draining: %v", q.Onset())
 	}
 	// Drain below zero clamps.
-	big := NewQueueModel(10, 100)
+	big := newModel(10, 100)
 	big.Push(1)
 	big.Drain()
 	if big.Depth() != 0 {

@@ -11,7 +11,8 @@ package load
 // here: every event enqueues one unit, and at each tick boundary the
 // modelled consumer dequeues up to DrainPerTick units. Pure integer
 // arithmetic over the (deterministic) event stream ⇒ the onset point is a
-// deterministic function of (workload, buffer, drain rate).
+// deterministic function of (workload, buffer, drain rate). The zero
+// value with Buffer and DrainPerTick set is ready to use.
 type QueueModel struct {
 	// Buffer is the modelled channel capacity (platform.WithEventBuffer).
 	Buffer int
@@ -19,15 +20,15 @@ type QueueModel struct {
 	// each tick boundary.
 	DrainPerTick int
 
-	depth int
-	peak  int
-	onset float64
-	armed bool
+	depth   int
+	peak    int
+	onset   float64
+	latched bool // onset holds the first would-block emit's time
 }
 
 // NewQueueModel returns a model with the onset unset.
 func NewQueueModel(buffer, drainPerTick int) *QueueModel {
-	return &QueueModel{Buffer: buffer, DrainPerTick: drainPerTick, onset: -1, armed: true}
+	return &QueueModel{Buffer: buffer, DrainPerTick: drainPerTick}
 }
 
 // Push enqueues one event at virtual time t. The first push that lifts the
@@ -38,8 +39,8 @@ func (q *QueueModel) Push(t float64) {
 	if q.depth > q.peak {
 		q.peak = q.depth
 	}
-	if q.armed && q.onset < 0 && q.depth > q.Buffer {
-		q.onset = t
+	if !q.latched && q.depth > q.Buffer {
+		q.onset, q.latched = t, true
 	}
 }
 
@@ -61,7 +62,7 @@ func (q *QueueModel) Peak() int { return q.peak }
 // Onset returns the virtual time of the first would-block emit, or -1 if
 // the buffer never saturated.
 func (q *QueueModel) Onset() float64 {
-	if !q.armed {
+	if !q.latched {
 		return -1
 	}
 	return q.onset

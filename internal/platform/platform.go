@@ -58,7 +58,6 @@ type config struct {
 	cfg      sim.Config
 	opts     sim.RunOptions
 	alg      sim.Algorithm
-	poolOpt  *pool.Options
 	buffer   int
 	shards   int
 	observer func(Event)
@@ -78,27 +77,6 @@ func WithTick(dt float64) Option {
 			return err
 		}
 		c.opts.TickEvery = dt
-		return nil
-	}
-}
-
-// WithDrainSlack fixes the drain horizon to last-release + slack seconds
-// instead of the largest order deadline (the default). The override
-// applies even when shorter than outstanding deadlines. Slack must be
-// positive: zero is the runtime's "unset, use deadlines" value, so
-// passing it here would be silently ignored — exactly the coercion this
-// constructor exists to refuse.
-func WithDrainSlack(slack float64) Option {
-	return func(c *config) error {
-		if slack <= 0 {
-			return fmt.Errorf("platform: drain slack must be positive, got %v (omit the option to drain to the largest deadline)", slack)
-		}
-		o := c.opts
-		o.DrainSlack = slack
-		if err := o.Validate(); err != nil {
-			return err
-		}
-		c.opts.DrainSlack = slack
 		return nil
 	}
 }
@@ -125,24 +103,6 @@ func WithAlgorithm(alg sim.Algorithm) Option {
 			return errors.New("platform: nil algorithm")
 		}
 		c.alg = alg
-		return nil
-	}
-}
-
-// WithPool tunes the shareability graph behind the dispatch algorithm.
-// The algorithm must support pool retuning (the WATTER pooling framework
-// does; schedule-based baselines have no pool and reject the option).
-func WithPool(opt pool.Options) Option {
-	return func(c *config) error {
-		switch {
-		case opt.Capacity < 0:
-			return fmt.Errorf("platform: pool Capacity must be non-negative (0 inherits the platform capacity), got %d", opt.Capacity)
-		case opt.MaxGroupSize < 1:
-			return fmt.Errorf("platform: pool MaxGroupSize must be at least 1, got %d", opt.MaxGroupSize)
-		case opt.MaxCliquesPerUpdate < 0:
-			return fmt.Errorf("platform: pool MaxCliquesPerUpdate must be non-negative (0 is unlimited), got %d", opt.MaxCliquesPerUpdate)
-		}
-		c.poolOpt = &opt
 		return nil
 	}
 }
@@ -217,9 +177,6 @@ func WithObserver(fn func(Event)) Option {
 // tickSetter is the retuning hook the pooling framework exposes.
 type tickSetter interface{ SetTick(float64) }
 
-// poolSetter is the pool-retuning hook the pooling framework exposes.
-type poolSetter interface{ SetPoolOptions(pool.Options) }
-
 // shardSetter is the prewarm-engine hook the pooling framework exposes.
 type shardSetter interface{ SetShards(int) }
 
@@ -228,8 +185,7 @@ type shardSetter interface{ SetShards(int) }
 //
 //	p, err := platform.New(city.Net, workers,
 //	    platform.WithTick(10),
-//	    platform.WithPool(pool.DefaultOptions()),
-//	    platform.WithAlgorithm(alg),
+//	    platform.WithAlgorithm(core.New(strategy.Timeout{}, pool.DefaultOptions())),
 //	)
 //
 // Workers are used in place; their FreeAt/Loc fields mutate as the
@@ -255,17 +211,7 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		return nil, err
 	}
 	if c.alg == nil {
-		popt := pool.DefaultOptions()
-		if c.poolOpt != nil {
-			popt = *c.poolOpt
-		}
-		c.alg = core.New(strategy.Online{}, popt)
-	} else if c.poolOpt != nil {
-		ps, ok := c.alg.(poolSetter)
-		if !ok {
-			return nil, fmt.Errorf("platform: algorithm %q does not accept pool options", c.alg.Name())
-		}
-		ps.SetPoolOptions(*c.poolOpt)
+		c.alg = core.New(strategy.Online{}, pool.DefaultOptions())
 	}
 	if ts, ok := c.alg.(tickSetter); ok {
 		ts.SetTick(c.opts.TickEvery)
@@ -426,12 +372,11 @@ func (p *Platform) Resume() error {
 }
 
 // Close drains the platform — periodic checks keep firing until the
-// horizon (largest outstanding deadline, or last release + drain slack),
-// remaining pooled orders are dispatched or rejected — then closes the
-// event channel and returns the final metrics. Close is idempotent: every
-// call after the first returns the first call's exact (*Metrics, error)
-// pair, so restart and teardown paths can close defensively without
-// tracking who closed first.
+// largest deadline seen, remaining pooled orders are dispatched or
+// rejected — then closes the event channel and returns the final metrics.
+// Close is idempotent: every call after the first returns the first call's
+// exact (*Metrics, error) pair, so restart and teardown paths can close
+// defensively without tracking who closed first.
 func (p *Platform) Close() (*sim.Metrics, error) {
 	if p.closed {
 		return p.closeM, p.closeErr

@@ -40,15 +40,9 @@ func TestNewValidates(t *testing.T) {
 	cases := map[string][]Option{
 		"zero tick":         {WithTick(0)},
 		"negative tick":     {WithTick(-3)},
-		"negative drain":    {WithDrainSlack(-1)},
-		"zero drain":        {WithDrainSlack(0)}, // would be silently ignored downstream
 		"invalid config":    {WithConfig(sim.Config{})},
 		"nil algorithm":     {WithAlgorithm(nil)},
-		"bad pool":          {WithPool(pool.Options{Capacity: -1})},
 		"zero event buffer": {WithEventBuffer(0)},
-		"pool on schedule-based alg": {
-			WithAlgorithm(stub{}), WithPool(pool.DefaultOptions()),
-		},
 	}
 	for name, opts := range cases {
 		if _, err := New(net, fleet, opts...); err == nil {
@@ -69,7 +63,7 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-// stub is a minimal non-retunable algorithm.
+// stub is a minimal algorithm with no pool.
 type stub struct{}
 
 func (stub) Name() string                        { return "stub" }

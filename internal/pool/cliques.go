@@ -6,12 +6,16 @@ import (
 	"watter/internal/order"
 )
 
+// maxCliquesPerUpdate caps the number of candidate cliques one best-group
+// recomputation explores.
+const maxCliquesPerUpdate = 64
+
 // enumerateCliques visits cliques of the shareability graph that contain
 // n's order, in sizes 2..MaxGroupSize, calling consider for each member
 // slice. Expansion is depth-first over the (sorted) neighborhood with the
 // standard common-neighbor intersection, so every visited set is a clique
 // by construction; rider-count pruning cuts branches that can never fit the
-// vehicle. MaxCliquesPerUpdate bounds the total number of visits.
+// vehicle. maxCliquesPerUpdate bounds the total number of visits.
 //
 // All working storage (the neighbor list, the per-depth candidate lists and
 // the member stack) lives in pooled scratch: candidate lists for deeper
@@ -32,16 +36,14 @@ func (p *Pool) enumerateCliques(n *node, now float64, consider func([]*order.Ord
 		return
 	}
 
-	budget := p.opt.MaxCliquesPerUpdate
-	unlimited := budget <= 0
-
+	budget := maxCliquesPerUpdate
 	members := append(p.memberBuf[:0], n.o)
 	riders := n.o.Riders
 
 	var expand func(lo, hi int)
 	expand = func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !unlimited && budget <= 0 {
+			if budget <= 0 {
 				return
 			}
 			peer := p.nodes[buf[i]]
@@ -53,9 +55,7 @@ func (p *Pool) enumerateCliques(n *node, now float64, consider func([]*order.Ord
 			}
 			members = append(members, peer.o)
 			riders += peer.o.Riders
-			if !unlimited {
-				budget--
-			}
+			budget--
 			consider(members)
 			if len(members) < p.opt.MaxGroupSize {
 				// Candidates after i that are adjacent to the new member

@@ -38,9 +38,6 @@ type Options struct {
 	// whose pickup lies within this Chebyshev cell distance are tested for
 	// shareability. Negative disables the prefilter (exact, slower).
 	CandidateRadius int
-	// MaxCliquesPerUpdate caps the number of candidate cliques explored
-	// per best-group recomputation; 0 means unlimited.
-	MaxCliquesPerUpdate int
 	// DisablePlanCache turns off the clique plan cache and the per-edge
 	// leg-block store, forcing every best-group refresh to replan from
 	// scratch. Decisions are bit-identical either way (the caches memoize
@@ -52,7 +49,7 @@ type Options struct {
 // DefaultOptions matches the paper's defaults (capacity 4, 10x10 grid
 // prefilter of radius 2).
 func DefaultOptions() Options {
-	return Options{Capacity: 4, MaxGroupSize: 4, CandidateRadius: 2, MaxCliquesPerUpdate: 64}
+	return Options{Capacity: 4, MaxGroupSize: 4, CandidateRadius: 2}
 }
 
 // edge is a shareability relation with its expiration timestamp.

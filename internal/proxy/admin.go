@@ -28,8 +28,8 @@ const (
 	// platform.ErrPaused until Resume. Virtual time means the freeze is
 	// metrics-neutral.
 	StatePaused
-	// StateDown: the city crashed and has not been restarted (auto-restart
-	// off, or a restart failed).
+	// StateDown: the city crashed and its journal replay failed, so it
+	// could not be restarted.
 	StateDown
 	// StateClosed: the proxy itself is closed; the city finished.
 	StateClosed
@@ -61,16 +61,17 @@ type Health struct {
 	// the replay cost of the next restart.
 	JournalEvents int
 	// Recovered reports that THIS probe found the city wedged and healed
-	// it (auto-restart only).
+	// it.
 	Recovered bool
-	// Err carries the failure when the city is down and could not (or was
-	// not allowed to) be healed.
+	// Err carries the failure, wrapping ErrCityDown, when the city is down
+	// and could not be healed.
 	Err error
 }
 
 // Pause freezes one city: its Submit/Tick refuse with platform.ErrPaused
 // while every other city keeps serving. The freeze is metrics-neutral
-// (virtual time — delayed ticks fire identically on resume).
+// (virtual time — delayed ticks fire identically on resume). A crashed
+// city heals first, as it does for traffic.
 func (a Admin) Pause(cityID string) error {
 	a.x.mu.Lock()
 	defer a.x.mu.Unlock()
@@ -81,8 +82,8 @@ func (a Admin) Pause(cityID string) error {
 	if err != nil {
 		return err
 	}
-	if ct.down {
-		return fmt.Errorf("%w: %q", ErrCityDown, cityID)
+	if err := a.x.healLocked(ct); err != nil {
+		return err
 	}
 	if err := ct.plat.Pause(); err != nil {
 		return fmt.Errorf("proxy: city %q: %w", cityID, err)
@@ -91,7 +92,7 @@ func (a Admin) Pause(cityID string) error {
 	return nil
 }
 
-// Resume unfreezes a paused city.
+// Resume unfreezes a paused city, healing it first if it crashed.
 func (a Admin) Resume(cityID string) error {
 	a.x.mu.Lock()
 	defer a.x.mu.Unlock()
@@ -102,8 +103,8 @@ func (a Admin) Resume(cityID string) error {
 	if err != nil {
 		return err
 	}
-	if ct.down {
-		return fmt.Errorf("%w: %q", ErrCityDown, cityID)
+	if err := a.x.healLocked(ct); err != nil {
+		return err
 	}
 	if err := ct.plat.Resume(); err != nil {
 		return fmt.Errorf("proxy: city %q: %w", cityID, err)
@@ -131,27 +132,10 @@ func (a Admin) Kill(cityID string) error {
 	return nil
 }
 
-// Restart explicitly rebuilds a city from its journal — the manual
-// recovery path when auto-restart is off, and a rolling-restart tool when
-// the city is healthy (the live platform is aborted and rebuilt; the
-// journal guarantees nothing is lost).
-func (a Admin) Restart(cityID string) error {
-	a.x.mu.Lock()
-	defer a.x.mu.Unlock()
-	if a.x.closed {
-		return ErrClosed
-	}
-	ct, err := a.x.lookupLocked(cityID)
-	if err != nil {
-		return err
-	}
-	return a.x.restartLocked(ct)
-}
-
 // Probe health-checks every city in routing order. A wedged city — its
 // platform reports closed while the front tier believes it is running —
-// is detected here without waiting for traffic; under auto-restart the
-// probe heals it inline (journal replay) and reports Recovered.
+// is detected here without waiting for traffic, healed inline (journal
+// replay) and reported Recovered.
 func (a Admin) Probe() []Health {
 	a.x.mu.Lock()
 	defer a.x.mu.Unlock()
@@ -169,23 +153,17 @@ func (a Admin) Probe() []Health {
 		case a.x.closed:
 			h.State = StateClosed
 		case ct.down || st.Closed:
-			ct.down = true
-			if a.x.autoRestart {
-				if err := a.x.restartLocked(ct); err != nil {
-					h.State, h.Err = StateDown, err
-				} else {
-					h.Recovered = true
-					h.Restarts = ct.restarts
-					h.Clock = ct.plat.Clock()
-					if ct.paused {
-						h.State = StatePaused
-					} else {
-						h.State = StateRunning
-					}
-				}
+			if err := a.x.healLocked(ct); err != nil {
+				h.State, h.Err = StateDown, err
+				break
+			}
+			h.Recovered = true
+			h.Restarts = ct.restarts
+			h.Clock = ct.plat.Clock()
+			if ct.paused {
+				h.State = StatePaused
 			} else {
-				h.State = StateDown
-				h.Err = fmt.Errorf("%w: %q (auto-restart disabled)", ErrCityDown, id)
+				h.State = StateRunning
 			}
 		case ct.paused:
 			h.State = StatePaused

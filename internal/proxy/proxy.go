@@ -51,9 +51,10 @@ var (
 	ErrClosed = errors.New("proxy: closed")
 	// ErrUnknownCity is returned when a city ID matches no owned platform.
 	ErrUnknownCity = errors.New("proxy: unknown city")
-	// ErrCityDown is returned (wrapped, with the city named) when traffic
-	// hits a crashed city and auto-restart is disabled — the operator must
-	// Restart explicitly.
+	// ErrCityDown is returned (wrapped, with the city named and the cause
+	// attached) when a crashed city cannot be healed: its journal replay
+	// failed or diverged from the recording. The city stays down, and every
+	// later operation on it retries the heal.
 	ErrCityDown = errors.New("proxy: city down")
 )
 
@@ -80,7 +81,7 @@ type CitySpec struct {
 	// replay cannot reproduce the recorded run.
 	NewAlgorithm func() sim.Algorithm
 	// Options are re-applied on every (re)start and must be pure
-	// configuration (WithTick, WithConfig, WithPool, WithShards, ...).
+	// configuration (WithTick, WithConfig, WithShards, ...).
 	// Do not pass WithAlgorithm (stateful across restarts — use
 	// NewAlgorithm) or WithObserver (the proxy appends its own journal
 	// observer last, which would override it).
@@ -92,41 +93,6 @@ type CitySpec struct {
 type CityEvent struct {
 	City  string
 	Event platform.Event
-}
-
-// Option configures a Proxy at construction; invalid values surface as
-// errors from New.
-type Option func(*config) error
-
-type config struct {
-	journalFn   func(CityEvent)
-	autoRestart bool
-}
-
-// WithJournalSink installs a synchronous tap on the merged journal: fn is
-// invoked for every tagged event, in merge order, on the goroutine that
-// produced it (while the proxy lock is held — fn must be fast and must
-// not call back into the proxy). The in-memory journal is kept either
-// way; the sink is for mirroring it out (disk, message bus, dashboard).
-func WithJournalSink(fn func(CityEvent)) Option {
-	return func(c *config) error {
-		if fn == nil {
-			return errors.New("proxy: nil journal sink")
-		}
-		c.journalFn = fn
-		return nil
-	}
-}
-
-// WithAutoRestart toggles self-healing (default on): when traffic or a
-// probe finds a crashed city, the proxy restarts it from its journal
-// inline. Disabled, crashed cities stay down — Submit returns ErrCityDown
-// — until Admin.Restart.
-func WithAutoRestart(on bool) Option {
-	return func(c *config) error {
-		c.autoRestart = on
-		return nil
-	}
 }
 
 // city is one owned platform plus its front-tier bookkeeping.
@@ -151,39 +117,24 @@ type city struct {
 // Proxy is the multi-city front tier. Safe for concurrent use; all
 // operations serialize behind one mutex.
 type Proxy struct {
-	mu          sync.Mutex
-	cities      map[string]*city
-	ids         []string // deterministic iteration order = spec order
-	journal     []CityEvent
-	journalFn   func(CityEvent)
-	autoRestart bool
-	closed      bool
-	closeM      map[string]*sim.Metrics
-	closeErr    error
+	mu       sync.Mutex
+	cities   map[string]*city
+	ids      []string // deterministic iteration order = spec order
+	journal  []CityEvent
+	closed   bool
+	closeM   map[string]*sim.Metrics
+	closeErr error
 }
 
 // New builds a proxy owning one platform per spec. Specs are validated
 // (at least one city, unique non-empty IDs) and every city's platform is
 // constructed eagerly, so configuration errors surface here rather than
-// at first traffic.
-func New(specs []CitySpec, opts ...Option) (*Proxy, error) {
+// at first traffic. A crashed city always heals from its journal.
+func New(specs []CitySpec) (*Proxy, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("proxy: no cities")
 	}
-	c := config{autoRestart: true}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, errors.New("proxy: nil option")
-		}
-		if err := opt(&c); err != nil {
-			return nil, err
-		}
-	}
-	x := &Proxy{
-		cities:      make(map[string]*city, len(specs)),
-		journalFn:   c.journalFn,
-		autoRestart: c.autoRestart,
-	}
+	x := &Proxy{cities: make(map[string]*city, len(specs))}
 	for i, spec := range specs {
 		if spec.ID == "" {
 			return nil, fmt.Errorf("proxy: city %d has an empty ID", i)
@@ -240,11 +191,7 @@ func (x *Proxy) record(ct *city, ev platform.Event) {
 		return
 	}
 	ct.journal = append(ct.journal, ev)
-	tagged := CityEvent{City: ct.id, Event: ev}
-	x.journal = append(x.journal, tagged)
-	if x.journalFn != nil {
-		x.journalFn(tagged)
-	}
+	x.journal = append(x.journal, CityEvent{City: ct.id, Event: ev})
 }
 
 // lookupLocked resolves a city ID.
@@ -259,9 +206,9 @@ func (x *Proxy) lookupLocked(cityID string) (*city, error) {
 // Submit routes one order to its city. Orders obey the platform's
 // streaming contract per city (validated, non-decreasing release within
 // the city); different cities' streams interleave freely. A paused city
-// refuses with platform.ErrPaused. Traffic hitting a crashed city either
-// heals it first (auto-restart: the journal is replayed into a fresh
-// platform, then the order goes through) or reports ErrCityDown.
+// refuses with platform.ErrPaused. Traffic hitting a crashed city heals it
+// first (the journal is replayed into a fresh platform, then the order
+// goes through), or reports ErrCityDown if the replay fails.
 func (x *Proxy) Submit(cityID string, o *order.Order) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -282,25 +229,22 @@ func (x *Proxy) Submit(cityID string, o *order.Order) error {
 }
 
 // healLocked brings a city back to a servable platform, or explains why
-// it can't. It is the traffic-path wedge detector: a platform that
-// reports closed while the proxy believes the city is running means the
-// city died under us.
+// it can't. It is the wedge detector every operation on a city runs first:
+// a platform that reports closed while the proxy believes the city is
+// running means the city died under us.
 func (x *Proxy) healLocked(ct *city) error {
 	if !ct.down && !ct.plat.Stats().Closed {
 		return nil
 	}
 	ct.down = true
-	if !x.autoRestart {
-		return fmt.Errorf("%w: %q (auto-restart disabled; use Admin.Restart)", ErrCityDown, ct.id)
-	}
 	return x.restartLocked(ct)
 }
 
 // Tick advances the coordinated clock: every running city fires its next
 // periodic check, in the deterministic routing order. Paused cities skip
 // (their virtual clock freezes; skipped boundaries fire on resume or at
-// the next submit/close, so nothing is lost); crashed cities heal first
-// under auto-restart. Returns the latest simulation time ticked — with a
+// the next submit/close, so nothing is lost); crashed cities heal first.
+// Returns the latest simulation time ticked — with a
 // uniform Δt across cities, the common boundary they all reached.
 func (x *Proxy) Tick() (float64, error) {
 	x.mu.Lock()
@@ -313,9 +257,6 @@ func (x *Proxy) Tick() (float64, error) {
 		ct := x.cities[id]
 		if ct.paused {
 			continue
-		}
-		if ct.down && !x.autoRestart {
-			continue // stays down until the operator restarts it
 		}
 		if err := x.healLocked(ct); err != nil {
 			return 0, err
@@ -389,8 +330,8 @@ func (x *Proxy) Replay(workloads map[string][]*order.Order) (map[string]*sim.Met
 // Close drains every city (in routing order), memoizes and returns the
 // per-city final metrics. Like Platform.Close it is idempotent: later
 // calls return the first call's exact result. Crashed cities are healed
-// first under auto-restart so their pooled orders still resolve; with
-// auto-restart off they contribute their abort error instead of metrics.
+// first so their pooled orders still resolve; a city that cannot be healed
+// contributes its ErrCityDown error instead of metrics.
 func (x *Proxy) Close() (map[string]*sim.Metrics, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -405,14 +346,9 @@ func (x *Proxy) closeLocked() (map[string]*sim.Metrics, error) {
 	var errs []error
 	for _, id := range x.ids {
 		ct := x.cities[id]
-		if ct.down || ct.plat.Stats().Closed {
-			ct.down = true
-			if x.autoRestart {
-				if err := x.restartLocked(ct); err != nil {
-					errs = append(errs, err)
-					continue
-				}
-			}
+		if err := x.healLocked(ct); err != nil {
+			errs = append(errs, err)
+			continue
 		}
 		m, err := ct.plat.Close()
 		if err != nil {
@@ -429,22 +365,19 @@ func (x *Proxy) closeLocked() (map[string]*sim.Metrics, error) {
 	return x.closeM, x.closeErr
 }
 
-// restartLocked is HA recovery: tear the old incarnation down (Abort — a
-// crashed platform is already dead; a live one being rolling-restarted
-// must not drain, which would dispatch state the replay will rebuild),
-// build a fresh platform from the spec, and replay the city's recorded
+// restartLocked is HA recovery for a city healLocked marked down: tear the old incarnation down (Abort, a
+// no-op on the crashed platform it is called for), build a fresh platform from the spec, and replay the city's recorded
 // journal into it. Every event the replay re-emits is verified against
 // the recording — divergence fails the restart rather than resuming a
-// corrupted city. The journal itself is never touched: it remains the
-// append-only history across any number of incarnations.
+// corrupted city: the half-replayed platform is aborted and the city stays
+// down. The journal itself is never touched: it remains the append-only
+// history across any number of incarnations. A failed restart's error
+// wraps ErrCityDown.
 func (x *Proxy) restartLocked(ct *city) error {
-	if ct.plat != nil {
-		ct.plat.Abort()
-	}
+	ct.plat.Abort()
 	plat, err := x.newPlatform(ct)
 	if err != nil {
-		ct.down = true
-		return fmt.Errorf("proxy: restart %q: %w", ct.id, err)
+		return fmt.Errorf("%w: %q: restart: %w", ErrCityDown, ct.id, err)
 	}
 	cur := &replayCursor{journal: ct.journal}
 	ct.replay = cur
@@ -455,8 +388,8 @@ func (x *Proxy) restartLocked(ct *city) error {
 		rerr = cur.done()
 	}
 	if rerr != nil {
-		ct.down = true
-		return fmt.Errorf("proxy: restart %q: journal replay: %w", ct.id, rerr)
+		plat.Abort()
+		return fmt.Errorf("%w: %q: restart: journal replay: %w", ErrCityDown, ct.id, rerr)
 	}
 	ct.down = false
 	ct.restarts++

@@ -2,6 +2,9 @@ package proxy
 
 import (
 	"errors"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"watter/internal/core"
@@ -64,9 +67,6 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("no cities must fail")
 	}
-	if _, err := New([]CitySpec{spec}, nil); err == nil {
-		t.Fatal("nil option must fail")
-	}
 	blank := spec
 	blank.ID = ""
 	if _, err := New([]CitySpec{blank}); err == nil {
@@ -84,9 +84,6 @@ func TestNewValidates(t *testing.T) {
 	nilAlg.NewAlgorithm = func() sim.Algorithm { return nil }
 	if _, err := New([]CitySpec{nilAlg}); err == nil {
 		t.Fatal("nil-returning algorithm factory must fail")
-	}
-	if _, err := New([]CitySpec{spec}, WithJournalSink(nil)); err == nil {
-		t.Fatal("nil journal sink must fail")
 	}
 }
 
@@ -252,56 +249,155 @@ func TestJournalReplayRecovery(t *testing.T) {
 	}
 }
 
-// TestAutoRestartDisabled pins the manual-ops path: with self-healing
-// off, a crashed city stays down (traffic reports ErrCityDown, probes
-// report StateDown) until Admin.Restart replays it back.
-func TestAutoRestartDisabled(t *testing.T) {
-	specs, workloads := threeCities(29, algFactories["online"])
+// feedEntry is one order of a merged multi-city feed.
+type feedEntry struct {
+	city string
+	o    *order.Order
+}
+
+// mergedFeed interleaves every city's workload (cloned) in release order,
+// ties in routing order — the sequence Replay submits.
+func mergedFeed(specs []CitySpec, workloads map[string][]*order.Order) []feedEntry {
+	var feed []feedEntry
+	for _, spec := range specs {
+		for _, o := range workloads[spec.ID] {
+			cp := *o
+			feed = append(feed, feedEntry{spec.ID, &cp})
+		}
+	}
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].o.Release < feed[j].o.Release })
+	return feed
+}
+
+// TestPauseResumeHealKilledCity pins that the admin plane heals like
+// traffic does: pausing a city that was killed but not yet detected
+// restarts it from its journal, resuming lifts the pause, and the finished
+// run is bit-identical to an uninterrupted one after exactly one restart.
+func TestPauseResumeHealKilledCity(t *testing.T) {
+	specs, workloads := threeCities(31, algFactories["online"])
 	victim := specs[0].ID
-	x, err := New(specs, WithAutoRestart(false))
+	run := func(kill bool) (map[string]*sim.Metrics, int) {
+		x, err := New(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := mergedFeed(specs, workloads)
+		for i, e := range feed {
+			if kill && i == len(feed)/2 {
+				if err := x.Admin().Kill(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.Admin().Pause(victim); err != nil {
+					t.Fatalf("pause a killed city: %v", err)
+				}
+				if err := x.Admin().Resume(victim); err != nil {
+					t.Fatalf("resume a healed city: %v", err)
+				}
+			}
+			if err := x.Submit(e.city, e.o); err != nil {
+				t.Fatalf("submit %s: %v", e.city, err)
+			}
+		}
+		restarts := x.Admin().Stats().Restarts
+		m, err := x.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, restarts
+	}
+	clean, _ := run(false)
+	healed, restarts := run(true)
+	if restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", restarts)
+	}
+	for _, spec := range specs {
+		if stripWallClock(clean[spec.ID]) != stripWallClock(healed[spec.ID]) {
+			t.Fatalf("city %s not bit-identical after pause/resume healed it:\nclean:  %+v\nhealed: %+v",
+				spec.ID, *clean[spec.ID], *healed[spec.ID])
+		}
+	}
+}
+
+// TestDivergentReplayRefusesRestart pins DESIGN §10's refusal: a city whose
+// factory builds a different policy on restart (WATTER-online first,
+// WATTER-timeout after) diverges from its journal during replay, so the
+// restart is refused. The city stays down — probes report it, its traffic
+// keeps failing, Close names it — while the other cities still match their
+// standalone runs.
+func TestDivergentReplayRefusesRestart(t *testing.T) {
+	specs, workloads := threeCities(47, algFactories["online"])
+	victim := specs[1].ID
+	calls := 0
+	specs[1].NewAlgorithm = func() sim.Algorithm {
+		calls++
+		if calls == 1 {
+			return algFactories["online"]()
+		}
+		return algFactories["timeout"]()
+	}
+	x, err := New(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os := workloads[victim]
-	half := len(os) / 2
-	for _, o := range os[:half] {
-		cp := *o
-		if err := x.Submit(victim, &cp); err != nil {
+	feed := mergedFeed(specs, workloads)
+	refused := 0
+	for i, e := range feed {
+		if i == len(feed)/2 {
+			if err := x.Admin().Kill(victim); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range x.Admin().Probe() {
+				if h.City != victim {
+					continue
+				}
+				if h.State != StateDown || !errors.Is(h.Err, ErrCityDown) {
+					t.Fatalf("probe of a city whose replay diverged: %+v", h)
+				}
+				if !strings.Contains(h.Err.Error(), "divergence") {
+					t.Fatalf("restart refused for another reason than divergence: %v", h.Err)
+				}
+			}
+		}
+		err := x.Submit(e.city, e.o)
+		switch {
+		case i >= len(feed)/2 && e.city == victim:
+			if !errors.Is(err, ErrCityDown) {
+				t.Fatalf("traffic into the down city %s: %v, want ErrCityDown", victim, err)
+			}
+			refused++
+		case err != nil:
+			t.Fatalf("submit %s: %v", e.city, err)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no traffic reached the down city after the kill")
+	}
+	got, err := x.Close()
+	if !errors.Is(err, ErrCityDown) || !strings.Contains(err.Error(), strconv.Quote(victim)) {
+		t.Fatalf("Close = %v, want an ErrCityDown naming %q", err, victim)
+	}
+	for _, spec := range specs {
+		if spec.ID == victim {
+			continue
+		}
+		ws := make([]*order.Worker, len(spec.Workers))
+		for i, w := range spec.Workers {
+			cp := *w
+			ws[i] = &cp
+		}
+		p, err := platform.New(spec.Net, ws,
+			platform.WithMeasuredTime(false), platform.WithAlgorithm(spec.NewAlgorithm()))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := x.Admin().Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	cp := *os[half]
-	if err := x.Submit(victim, &cp); !errors.Is(err, ErrCityDown) {
-		t.Fatalf("traffic into a down city: %v", err)
-	}
-	found := false
-	for _, h := range x.Admin().Probe() {
-		if h.City == victim {
-			found = true
-			if h.State != StateDown || h.Err == nil {
-				t.Fatalf("probe of a down city: %+v", h)
-			}
-		} else if h.State != StateRunning {
-			t.Fatalf("bystander city %s not running: %+v", h.City, h)
+		want, err := p.Replay(workloads[spec.ID])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatal("probe skipped the victim")
-	}
-	if err := x.Admin().Restart(victim); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range os[half:] {
-		cp := *o
-		if err := x.Submit(victim, &cp); err != nil {
-			t.Fatalf("submit after manual restart: %v", err)
+		if got[spec.ID] == nil || stripWallClock(got[spec.ID]) != stripWallClock(want) {
+			t.Fatalf("bystander %s diverged from its standalone run:\nproxy:      %+v\nstandalone: %+v",
+				spec.ID, got[spec.ID], *want)
 		}
-	}
-	if _, err := x.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -361,28 +457,22 @@ func TestPauseIsMetricsNeutral(t *testing.T) {
 
 // TestJournalMergeDeterminism pins the multiplexer contract: two
 // identical runs produce identical merged journals — same length, same
-// city tags in the same order, structurally equal events — and the
-// journal sink sees exactly the in-memory journal.
+// city tags in the same order, structurally equal events.
 func TestJournalMergeDeterminism(t *testing.T) {
-	capture := func() ([]CityEvent, []CityEvent) {
+	capture := func() []CityEvent {
 		specs, workloads := threeCities(57, algFactories["timeout"])
-		var sunk []CityEvent
-		x, err := New(specs, WithJournalSink(func(ev CityEvent) { sunk = append(sunk, ev) }))
+		x, err := New(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := x.Replay(workloads); err != nil {
 			t.Fatal(err)
 		}
-		return x.Journal(), sunk
+		return x.Journal()
 	}
-	j1, s1 := capture()
-	j2, _ := capture()
+	j1, j2 := capture(), capture()
 	if len(j1) == 0 {
 		t.Fatal("empty journal")
-	}
-	if len(s1) != len(j1) {
-		t.Fatalf("sink saw %d events, journal holds %d", len(s1), len(j1))
 	}
 	if len(j1) != len(j2) {
 		t.Fatalf("journal lengths diverged: %d vs %d", len(j1), len(j2))
@@ -391,9 +481,6 @@ func TestJournalMergeDeterminism(t *testing.T) {
 		if j1[i].City != j2[i].City || !sameEvent(j1[i].Event, j2[i].Event) {
 			t.Fatalf("journal entry %d diverged: %s/%T vs %s/%T",
 				i, j1[i].City, j1[i].Event, j2[i].City, j2[i].Event)
-		}
-		if s1[i].City != j1[i].City || !sameEvent(s1[i].Event, j1[i].Event) {
-			t.Fatalf("sink entry %d is not the journal entry", i)
 		}
 	}
 	// The merged journal partitions exactly into the per-city journals.

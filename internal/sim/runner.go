@@ -28,10 +28,6 @@ type RunOptions struct {
 	// default: 10 s). Must be positive: there is no silent defaulting —
 	// start from DefaultRunOptions.
 	TickEvery float64
-	// DrainSlack is extra simulated time after the last release during
-	// which ticks keep firing so pooled orders resolve. When zero it is
-	// derived from the largest order deadline.
-	DrainSlack float64
 	// MeasureTime enables wall-clock accounting of algorithm hooks
 	// (Metrics.DecisionSeconds). Disable inside benchmarks that measure
 	// externally.

@@ -29,9 +29,8 @@ var ErrStreamClosed = errors.New("sim: stream closed")
 //   - orders must be submitted in non-decreasing release order, never in
 //     the past of the advanced clock,
 //   - Close drains: ticks keep firing up to the horizon — the largest
-//     deadline seen, or last release + DrainSlack when DrainSlack > 0
-//     (DrainSlack overrides the deadline horizon even when shorter) —
-//     then Finish runs at the horizon.
+//     deadline seen, or the clock if that is later — then Finish runs at
+//     the horizon.
 type Stream struct {
 	env  *Env
 	alg  Algorithm
@@ -41,8 +40,6 @@ type Stream struct {
 	delivered   bool    // whether any event has been delivered (clock is meaningful)
 	nextTick    float64
 	maxDeadline float64
-	lastRelease float64
-	submitted   int
 	started     bool
 	closed      bool
 }
@@ -152,8 +149,6 @@ func (s *Stream) submit(o *order.Order) error {
 		o.DirectCost = s.env.Net.Cost(o.Pickup, o.Dropoff)
 	}
 	s.env.Metrics.Total++
-	s.submitted++
-	s.lastRelease = o.Release
 	if o.Deadline > s.maxDeadline {
 		s.maxDeadline = o.Deadline
 	}
@@ -229,24 +224,6 @@ func (s *Stream) fireTick() {
 	}
 }
 
-// Horizon returns the drain horizon Close would use right now: the
-// largest deadline seen, or last release + DrainSlack when DrainSlack is
-// set.
-func (s *Stream) Horizon() float64 {
-	horizon := s.maxDeadline
-	if s.opts.DrainSlack > 0 {
-		if s.submitted > 0 {
-			horizon = s.lastRelease + s.opts.DrainSlack
-		} else {
-			horizon = s.opts.DrainSlack
-		}
-	}
-	if horizon < s.clock {
-		horizon = s.clock
-	}
-	return horizon
-}
-
 // Close drains the stream — remaining ticks fire through the horizon,
 // then the algorithm's Finish hook resolves every still-pooled order —
 // and returns the final metrics. The stream accepts no further events.
@@ -256,7 +233,7 @@ func (s *Stream) Close() (*Metrics, error) {
 	}
 	s.start()
 	s.closed = true
-	horizon := s.Horizon()
+	horizon := math.Max(s.maxDeadline, s.clock)
 	for s.nextTick <= horizon {
 		s.fireTick()
 	}
@@ -272,9 +249,6 @@ func (s *Stream) Close() (*Metrics, error) {
 func (o RunOptions) Validate() error {
 	if o.TickEvery <= 0 || math.IsInf(o.TickEvery, 0) || math.IsNaN(o.TickEvery) {
 		return fmt.Errorf("sim: TickEvery must be a positive duration, got %v (use DefaultRunOptions for the paper's Δt = 10 s)", o.TickEvery)
-	}
-	if o.DrainSlack < 0 || math.IsInf(o.DrainSlack, 0) || math.IsNaN(o.DrainSlack) {
-		return fmt.Errorf("sim: DrainSlack must be finite and non-negative, got %v", o.DrainSlack)
 	}
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestStreamEmptyStream pins the empty-workload semantics the batch
-// adapter inherits: no orders and no drain slack means no ticks at all and
-// Finish at time zero; a drain slack alone keeps ticks firing through it.
+// adapter inherits: no orders means no ticks at all and Finish at time
+// zero.
 func TestStreamEmptyStream(t *testing.T) {
 	env, _ := newTestEnv(1)
 	rec := &recorder{}
@@ -27,35 +27,6 @@ func TestStreamEmptyStream(t *testing.T) {
 		t.Fatalf("metrics = %+v", m)
 	}
 
-	env2, _ := newTestEnv(1)
-	rec2 := &recorder{}
-	Run(env2, rec2, nil, RunOptions{TickEvery: 10, DrainSlack: 35})
-	if want := []float64{10, 20, 30}; len(rec2.ticks) != len(want) {
-		t.Fatalf("drain ticks = %v, want %v", rec2.ticks, want)
-	}
-	if rec2.finish != 35 {
-		t.Fatalf("finish = %v, want the drain slack", rec2.finish)
-	}
-}
-
-// TestStreamShortDrainSlack pins that DrainSlack overrides the deadline
-// horizon even when it is shorter: ticks stop at last release + slack and
-// the algorithm must resolve still-pooled orders in Finish, before their
-// deadlines would have expired naturally.
-func TestStreamShortDrainSlack(t *testing.T) {
-	env, net := newTestEnv(1)
-	o := mkOrder(net, 1, 5) // deadline = 5 + 2*direct = well past 25
-	if o.Deadline <= 25 {
-		t.Fatalf("test premise broken: deadline %v", o.Deadline)
-	}
-	rec := &recorder{}
-	Run(env, rec, []*order.Order{o}, RunOptions{TickEvery: 10, DrainSlack: 20})
-	if want := []float64{10, 20}; len(rec.ticks) != 2 || rec.ticks[0] != want[0] || rec.ticks[1] != want[1] {
-		t.Fatalf("ticks = %v, want %v", rec.ticks, want)
-	}
-	if rec.finish != 25 { // release 5 + slack 20, NOT the deadline
-		t.Fatalf("finish = %v, want 25", rec.finish)
-	}
 }
 
 // TestStreamTickBoundaryRelease pins the tie-break an order released
@@ -200,9 +171,8 @@ func TestRunOptionsValidate(t *testing.T) {
 		t.Fatalf("blessed defaults invalid: %v", err)
 	}
 	for _, bad := range []RunOptions{
-		{},                              // zero TickEvery, previously coerced to 10
-		{TickEvery: -1},                 // negative
-		{TickEvery: 10, DrainSlack: -5}, // negative drain
+		{},              // zero TickEvery, previously coerced to 10
+		{TickEvery: -1}, // negative
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v must not validate", bad)

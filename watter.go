@@ -79,7 +79,7 @@ type (
 	Env = sim.Env
 	// Config fixes platform parameters (alpha/beta, grid size, capacity).
 	Config = sim.Config
-	// RunOptions tunes a batch replay (Δt, drain, timing).
+	// RunOptions tunes a batch replay (Δt, timing).
 	RunOptions = sim.RunOptions
 	// Algorithm is any dispatch policy the platform can drive.
 	Algorithm = sim.Algorithm
@@ -97,9 +97,6 @@ type (
 	RoadGraph = roadnet.Graph
 	// RoadGraphBuilder accumulates nodes and edges into a RoadGraph.
 	RoadGraphBuilder = roadnet.GraphBuilder
-	// PoolOptions tunes the temporal shareability graph (including
-	// DisablePlanCache, the clique plan cache kill switch).
-	PoolOptions = pool.Options
 	// PoolCacheStats counts the shareability graph's plan-cache traffic
 	// (hits, negative hits, plans avoided/materialized).
 	PoolCacheStats = pool.CacheStats
@@ -172,14 +169,12 @@ type (
 	// journal-replay crash recovery are both bit-identical (proven by
 	// tests; see DESIGN.md §10).
 	Proxy = proxy.Proxy
-	// ProxyOption configures NewProxy; invalid values surface as errors.
-	ProxyOption = proxy.Option
 	// CitySpec is the restart-safe blueprint of one proxied city.
 	CitySpec = proxy.CitySpec
 	// CityEvent is one merged-journal entry: an event tagged with its city.
 	CityEvent = proxy.CityEvent
 	// ProxyAdmin is the operator plane: pause/resume, crash injection,
-	// manual restart, health probes and fleet stats.
+	// health probes and fleet stats.
 	ProxyAdmin = proxy.Admin
 	// ProxyStats is the fleet snapshot: every city's PlatformStats plus
 	// their aggregate fold.
@@ -192,13 +187,8 @@ type (
 	CityState = proxy.CityState
 )
 
-// Proxy construction options and city lifecycle states.
+// City lifecycle states.
 var (
-	// WithJournalSink taps the merged journal synchronously in merge order.
-	WithJournalSink = proxy.WithJournalSink
-	// WithAutoRestart toggles journal-replay self-healing (default on).
-	WithAutoRestart = proxy.WithAutoRestart
-
 	// CityRunning / CityPaused / CityDown / CityClosed are the CityState
 	// values probe reports carry.
 	CityRunning = proxy.StateRunning
@@ -264,8 +254,8 @@ var (
 	ErrProxyClosed = proxy.ErrClosed
 	// ErrUnknownCity is returned when a city ID matches no owned platform.
 	ErrUnknownCity = proxy.ErrUnknownCity
-	// ErrCityDown is returned when traffic hits a crashed city and
-	// auto-restart is disabled.
+	// ErrCityDown is wrapped by the error of a crashed city whose journal
+	// replay failed, so it could not be healed.
 	ErrCityDown = proxy.ErrCityDown
 	// ErrInvalidOrder is wrapped by every refusal of a malformed order — a
 	// non-finite or inconsistent field, a pickup or dropoff outside the
@@ -279,7 +269,9 @@ var (
 
 // NewProxy builds a multi-city front tier owning one platform per spec.
 // Specs are validated (unique non-empty IDs, buildable platforms) and
-// every city is constructed eagerly, so configuration errors surface here:
+// every city is constructed eagerly, so configuration errors surface here.
+// A crashed city heals from its journal on the next operation that
+// reaches it:
 //
 //	cdc, nyc := watter.CityCDC().Build(), watter.CityNYC().Build()
 //	px, err := watter.NewProxy([]watter.CitySpec{
@@ -292,22 +284,18 @@ var (
 //	_ = px.Submit("cdc", o)          // routed ingestion
 //	health := px.Admin().Probe()     // HA probe; wedged cities heal here
 //	metrics, err := px.Close()       // per-city final metrics
-func NewProxy(specs []CitySpec, opts ...ProxyOption) (*Proxy, error) {
-	return proxy.New(specs, opts...)
+func NewProxy(specs []CitySpec) (*Proxy, error) {
+	return proxy.New(specs)
 }
 
 // Platform construction options (see platform.New for semantics).
 var (
 	// WithTick sets the periodic-check interval Δt in seconds.
 	WithTick = platform.WithTick
-	// WithDrainSlack fixes the drain horizon to last release + slack.
-	WithDrainSlack = platform.WithDrainSlack
 	// WithConfig replaces the platform parameters (validated).
 	WithConfig = platform.WithConfig
 	// WithAlgorithm installs the dispatch policy (default WATTER-online).
 	WithAlgorithm = platform.WithAlgorithm
-	// WithPool tunes the shareability graph behind the algorithm.
-	WithPool = platform.WithPool
 	// WithShards sets how many goroutines run an insert's pairwise
 	// shareability DPs, with bit-identical results (1, the default, runs
 	// them inline); the periodic check is sequential at any value.
@@ -341,9 +329,6 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 
 // DefaultRunOptions returns Δt = 10 s with timing enabled.
 func DefaultRunOptions() RunOptions { return sim.DefaultRunOptions() }
-
-// DefaultPoolOptions returns the default shareability-graph tuning.
-func DefaultPoolOptions() PoolOptions { return pool.DefaultOptions() }
 
 // NewEnvironment builds a simulated platform over a network and fleet
 // (paper-replication mode). It panics on invalid config; the validated,
@@ -385,7 +370,7 @@ func NewConstantThreshold(theta float64) Algorithm {
 func NewGDP() Algorithm { return &baseline.GDP{} }
 
 // NewGAS returns the batch-based additive-tree baseline (5 s batches).
-func NewGAS() Algorithm { return &baseline.GAS{BatchSeconds: 5} }
+func NewGAS() Algorithm { return &baseline.GAS{} }
 
 // TrainExpect runs the full offline pipeline (behavior simulation → GMM fit
 // → value-network training) and returns the ready-to-run WATTER-expect
