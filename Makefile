@@ -11,9 +11,12 @@ build:
 examples:
 	$(GO) build -o /dev/null ./examples/...
 
-# The two experiment CLIs end to end on tiny cells (CI runs this too).
+# The two experiment CLIs end to end on tiny cells (CI runs this too): a
+# replicated multi-city run, the trained threshold strategy (offline training
+# included), and a replicated figure sweep.
 clismoke:
 	$(GO) run ./cmd/wattersim -alg WATTER-timeout -n 200 -m 20 -replicates 2 -cities 2
+	$(GO) run ./cmd/wattersim -alg WATTER-expect -n 200 -m 20
 	$(GO) run ./cmd/watterbench -fig fig5 -city cdc -scale 0.1 -replicates 2 -algs GDP,WATTER-online -quiet -csv /tmp/fig5.csv
 
 test:

@@ -190,8 +190,7 @@ func (f *Framework) checkOrders(now float64, force bool) {
 			// deadline dies.
 		}
 		// Lines 14-16: no shared group dispatched. Solo service happens
-		// when the strategy serves loners eagerly (online), at the wait
-		// limit, at solo last call, or at drain time.
+		// at the wait limit, at solo last call, or at drain time.
 		// The probe is skipped when the zero-approach bound already fires
 		// (approach >= 0 can only strengthen it) or nobody is idle.
 		soloApproach := 0.0
@@ -202,7 +201,7 @@ func (f *Framework) checkOrders(now float64, force bool) {
 		if ok && !force && !soloLastCall {
 			continue // holding a live shared group
 		}
-		if force || soloLastCall || f.Decide.ServeSoloEarly() || o.TimedOut(now) {
+		if force || soloLastCall || o.TimedOut(now) {
 			f.serveSoloOrReject(o, now, force)
 		}
 	}

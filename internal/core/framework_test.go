@@ -112,9 +112,7 @@ func TestFrameworkThresholdBetweenExtremes(t *testing.T) {
 	// online (immediate) and timeout (max wait).
 	online := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 150, 20, 2.0)
 	timeout := runAlg(t, New(strategy.Timeout{}, pool.DefaultOptions()), 150, 20, 2.0)
-	thr := runAlg(t, New(&strategy.Threshold{
-		Source: strategy.ConstantThreshold(120), Alpha: 1, Beta: 1,
-	}, pool.DefaultOptions()), 150, 20, 2.0)
+	thr := runAlg(t, New(&strategy.Threshold{Source: strategy.ConstantThreshold(120)}, pool.DefaultOptions()), 150, 20, 2.0)
 	avgResp := func(m *sim.Metrics) float64 {
 		if m.Served == 0 {
 			return 0
@@ -200,9 +198,7 @@ func TestDeterminism(t *testing.T) {
 		env := sim.NewEnv(net, fleet(net, 15, 5), sim.DefaultConfig())
 		opts := sim.DefaultRunOptions()
 		opts.MeasureTime = false
-		return sim.Run(env, New(&strategy.Threshold{
-			Source: strategy.ConstantThreshold(90), Alpha: 1, Beta: 1,
-		}, pool.DefaultOptions()), orders, opts)
+		return sim.Run(env, New(&strategy.Threshold{Source: strategy.ConstantThreshold(90)}, pool.DefaultOptions()), orders, opts)
 	}
 	a, b := run(), run()
 	if a.Served != b.Served || a.Rejected != b.Rejected ||

@@ -16,7 +16,6 @@ type holdForever struct{}
 
 func (holdForever) Name() string                                       { return "hold" }
 func (holdForever) ShouldDispatch(*order.Group, float64, float64) bool { return false }
-func (holdForever) ServeSoloEarly() bool                               { return false }
 
 func lastCallEnv(workers int) (*sim.Env, *roadnet.GridCity) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)

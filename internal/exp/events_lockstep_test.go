@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"watter/internal/order"
 	"watter/internal/platform"
 	"watter/internal/sim"
 )
@@ -34,7 +35,6 @@ func TestEventsMetricsLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config()
 	for _, name := range AlgNames {
 		alg, err := r.Build(name, p)
 		if err != nil {
@@ -67,7 +67,7 @@ func TestEventsMetricsLockstep(t *testing.T) {
 					f.Served++
 					f.ResponseSum += rec.Response
 					f.DetourSum += rec.Detour
-					f.ServedExtra += cfg.Alpha*rec.Detour + cfg.Beta*rec.Response
+					f.ServedExtra += order.ExtraTime(rec.Detour, rec.Response)
 				}
 			case sim.OrderRejected:
 				f.Rejected++

@@ -308,10 +308,10 @@ func (r *Runner) train(p Params) (*Trained, error) {
 		// Harvest in event order (the group's member order): the GMM fit
 		// folds samples in sequence, so collection order must be
 		// deterministic for the offline pipeline to be reproducible per
-		// seed (§8). α = β = 1; detour first, as order.ExtraTime sums it.
+		// seed (§8).
 		if d, ok := ev.(sim.GroupDispatched); ok {
 			for _, r := range d.Orders {
-				extraTimes = append(extraTimes, r.Detour+r.Response)
+				extraTimes = append(extraTimes, order.ExtraTime(r.Detour, r.Response))
 			}
 		}
 	})
@@ -340,7 +340,7 @@ func (r *Runner) train(p Params) (*Trained, error) {
 	tcfg.Hidden = p.Train.Hidden
 	tcfg.Seed = seed
 	trainer := mdp.NewTrainer(feat.Dim(), tcfg)
-	fw2 := core.New(&strategy.Threshold{Source: theta, Alpha: 1, Beta: 1}, poolOptions(p))
+	fw2 := core.New(&strategy.Threshold{Source: theta}, poolOptions(p))
 	fw2.Tick = p.TickEvery
 	plat2, err := hist.Platform(mdp.NewCollector(fw2, feat, theta, trainer.Add), false)
 	if err != nil {
@@ -421,7 +421,7 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 		// The trained bundle is shared across jobs; the source, which owns
 		// every buffer inference writes, is this job's alone.
 		src := &mdp.ValueThresholdSource{Net: trained.Net, Feat: trained.Feat}
-		fw.Decide = &strategy.Threshold{Source: src, Alpha: 1, Beta: 1}
+		fw.Decide = &strategy.Threshold{Source: src}
 		return &expectAlg{Framework: fw, src: src}, nil
 	}
 	return nil, fmt.Errorf("exp: unknown algorithm %q", name)

@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-
-	"watter/internal/dataset"
-)
+import "testing"
 
 // TestProxyCellAggregatesStandaloneRuns pins the multi-city row's
 // semantics: the aggregate of a cities=N cell is exactly the sum of N
@@ -69,44 +64,5 @@ func TestProxyCellDeterministic(t *testing.T) {
 	ma.DecisionSeconds, mb.DecisionSeconds = 0, 0
 	if ma != mb {
 		t.Fatalf("multi-city cell not deterministic:\na: %+v\nb: %+v", ma, mb)
-	}
-}
-
-// TestMatrixCityCountsAxis pins the sweep expansion: CityCounts multiplies
-// the grid, multi-city rows get a /citiesN cell suffix, and single-city
-// rows keep their pre-axis cell keys.
-func TestMatrixCityCountsAxis(t *testing.T) {
-	m := Matrix{
-		Base:       DefaultParams(dataset.CDC()),
-		Algs:       []string{"WATTER-online"},
-		CityCounts: []int{1, 4},
-		Seeds:      []int64{1, 2},
-	}
-	jobs := m.Jobs()
-	if len(jobs) != 4 {
-		t.Fatalf("expected 2 counts x 2 seeds, got %d jobs", len(jobs))
-	}
-	var plain, multi int
-	for _, j := range jobs {
-		if strings.Contains(j.Cell, "/cities") {
-			multi++
-			if j.P.NumCities != 4 || !strings.HasSuffix(j.Cell, "/cities4") {
-				t.Fatalf("bad multi-city job: %+v", j)
-			}
-		} else {
-			plain++
-			if j.P.NumCities != 1 {
-				t.Fatalf("bad single-city job: %+v", j)
-			}
-		}
-	}
-	if plain != 2 || multi != 2 {
-		t.Fatalf("axis split %d/%d", plain, multi)
-	}
-	// No axis: the default keeps NumCities at Base and the cell key bare.
-	for _, j := range (Matrix{Base: DefaultParams(dataset.CDC()), Algs: []string{"GDP"}}).Jobs() {
-		if strings.Contains(j.Cell, "/cities") || j.P.NumCities != 0 {
-			t.Fatalf("default expansion grew a cities suffix: %+v", j)
-		}
 	}
 }

@@ -6,30 +6,21 @@ import (
 	"sync"
 	"time"
 
-	"watter/internal/dataset"
 	"watter/internal/stats"
 )
 
-// Matrix describes a full experiment grid: the cartesian product of the
-// listed dimensions, each cell replicated once per seed. Empty dimensions
-// default to the corresponding Base field, so a zero Matrix with only Base
-// set expands to a single job per algorithm.
+// Matrix describes an experiment grid: every order count × algorithm
+// cell, each replicated once per seed. Empty lists default to Base's value
+// (Algs to AlgNames), so a Matrix with only Base set expands to one job per
+// algorithm. Every other parameter, the city count (Params.NumCities)
+// included, comes from Base.
 type Matrix struct {
-	// Base supplies every parameter a dimension below doesn't override.
+	// Base supplies every parameter the lists below don't vary.
 	Base Params
 	// Algs defaults to AlgNames.
 	Algs []string
-	// Cities defaults to {Base.City}.
-	Cities []dataset.Profile
-	// Orders, Workers, MaxCaps and TauScales default to the Base values.
-	Orders    []int
-	Workers   []int
-	MaxCaps   []int
-	TauScales []float64
-	// CityCounts is the multi-city axis: each entry runs the cell as
-	// NumCities proxied instances of the profile (see Params.NumCities).
-	// Default {Base.NumCities}.
-	CityCounts []int
+	// Orders defaults to {Base.Orders}.
+	Orders []int
 	// Seeds are the replicate seeds per cell; default {Base.Seed}.
 	// Replicates share one WATTER-expect model per cell (see replicas).
 	Seeds []int64
@@ -50,67 +41,25 @@ type Job struct {
 	Cell string
 }
 
-// Jobs expands the matrix into its deterministic job list: cities × orders
-// × workers × capacities × tau × algorithms, then seeds innermost so a
-// cell's replicates are adjacent.
+// Jobs expands the matrix into its deterministic job list: orders ×
+// algorithms, then seeds innermost so a cell's replicates are adjacent.
 func (m Matrix) Jobs() []Job {
 	algs := m.Algs
 	if len(algs) == 0 {
 		algs = AlgNames
 	}
-	cities := m.Cities
-	if len(cities) == 0 {
-		cities = []dataset.Profile{m.Base.City}
-	}
 	orders := m.Orders
 	if len(orders) == 0 {
 		orders = []int{m.Base.Orders}
 	}
-	workers := m.Workers
-	if len(workers) == 0 {
-		workers = []int{m.Base.Workers}
-	}
-	caps := m.MaxCaps
-	if len(caps) == 0 {
-		caps = []int{m.Base.MaxCap}
-	}
-	taus := m.TauScales
-	if len(taus) == 0 {
-		taus = []float64{m.Base.TauScale}
-	}
-	cityCounts := m.CityCounts
-	if len(cityCounts) == 0 {
-		cityCounts = []int{m.Base.NumCities}
-	}
 	reps := newReplicas(m.Base, m.Seeds)
 	var jobs []Job
-	for _, city := range cities {
-		for _, n := range orders {
-			for _, w := range workers {
-				for _, k := range caps {
-					for _, tau := range taus {
-						for _, nc := range cityCounts {
-							for _, alg := range algs {
-								cell := fmt.Sprintf("%s/%s/n%d/m%d/k%d/tau%.2f", alg, city.Name, n, w, k, tau)
-								if nc > 1 {
-									// Suffix only multi-city rows so existing
-									// cell keys (and persisted results) are
-									// unchanged.
-									cell += fmt.Sprintf("/cities%d", nc)
-								}
-								p := m.Base
-								p.City = city
-								p.Orders = n
-								p.Workers = w
-								p.MaxCap = k
-								p.TauScale = tau
-								p.NumCities = nc
-								jobs = reps.add(jobs, Job{Alg: alg, P: p, Cell: cell})
-							}
-						}
-					}
-				}
-			}
+	for _, n := range orders {
+		for _, alg := range algs {
+			p := m.Base
+			p.Orders = n
+			cell := fmt.Sprintf("%s/%s/n%d/m%d/k%d/tau%.2f", alg, p.City.Name, n, p.Workers, p.MaxCap, p.TauScale)
+			jobs = reps.add(jobs, Job{Alg: alg, P: p, Cell: cell})
 		}
 	}
 	return jobs

@@ -26,15 +26,27 @@ func tinyParams() Params {
 
 func TestMatrixJobsExpansion(t *testing.T) {
 	m := Matrix{
-		Base:      tinyParams(),
-		Algs:      []string{"GDP", "WATTER-online"},
-		Orders:    []int{100, 200},
-		TauScales: []float64{1.4, 1.6},
-		Seeds:     []int64{1, 2, 3},
+		Base:   tinyParams(),
+		Algs:   []string{"GDP", "WATTER-online"},
+		Orders: []int{100, 200},
+		Seeds:  []int64{1, 2, 3},
 	}
 	jobs := m.Jobs()
-	if want := 2 * 2 * 2 * 3; len(jobs) != want {
+	if want := 2 * 2 * 3; len(jobs) != want {
 		t.Fatalf("jobs = %d, want %d", len(jobs), want)
+	}
+	// Orders outermost, then algorithms; the cell key names every
+	// parameter a reader compares cells by.
+	var cells []string
+	for i := 0; i < len(jobs); i += 3 {
+		cells = append(cells, jobs[i].Cell)
+	}
+	wantCells := []string{
+		"GDP/XIA/n100/m18/k4/tau1.60", "WATTER-online/XIA/n100/m18/k4/tau1.60",
+		"GDP/XIA/n200/m18/k4/tau1.60", "WATTER-online/XIA/n200/m18/k4/tau1.60",
+	}
+	if !reflect.DeepEqual(cells, wantCells) {
+		t.Fatalf("cells = %q, want %q", cells, wantCells)
 	}
 	// Deterministic: a second expansion must be identical.
 	again := m.Jobs()

@@ -306,7 +306,7 @@ func TestEndToEndTraining(t *testing.T) {
 	}
 	env := sim.NewEnv(net, mkWorkers(8), sim.DefaultConfig())
 	src.Supply = env.WIndex.SupplyDistribution
-	fw2.Decide = &strategy.Threshold{Source: src, Alpha: 1, Beta: 1}
+	fw2.Decide = &strategy.Threshold{Source: src}
 	m := sim.Run(env, fw2, mkOrders(60, 2), opts)
 	if m.Served+m.Rejected == 0 {
 		t.Fatal("online run did nothing")

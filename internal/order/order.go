@@ -197,30 +197,28 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// ExtraTime returns the order's extra time t_e = alpha*t_d + beta*t_r
-// (paper Def. 6) given its service time st (offset from route start):
-// detour t_d = st - cost(lp, ld), response t_r = now - t(i). Every
-// extra-time computation in the system — Group.ExtraTimes/AvgExtraTime,
-// the pool's cost-only candidate comparison, the training harvest — goes
-// through this one function so the bits always agree.
-func (o *Order) ExtraTime(st, now, alpha, beta float64) float64 {
-	detour := st - o.DirectCost
-	response := now - o.Release
+// alpha and beta weigh detour and response in extra time (paper Def. 6).
+// Every experiment of the paper, and every caller here, uses 1 and 1; they
+// are constants so no module can weigh extra time differently from another.
+const (
+	alpha = 1
+	beta  = 1
+)
+
+// ExtraTime is the METRS extra time t_e = alpha*t_d + beta*t_r of a served
+// order with detour t_d and response t_r (paper Def. 6). It is the one
+// formula: Order.ExtraTime, the pool's cost-only candidate comparison, the
+// simulator's booking (sim.Env.book) and the offline harvest all call it, so
+// their bits always agree.
+func ExtraTime(detour, response float64) float64 {
 	return alpha*detour + beta*response
 }
 
-// ExtraTimes returns, for a group dispatched at time `now`, the per-order
-// extra time (paper Def. 6) keyed by order ID.
-func (g *Group) ExtraTimes(now, alpha, beta float64) map[int]float64 {
-	out := make(map[int]float64, len(g.Orders))
-	for _, o := range g.Orders {
-		st, ok := g.Plan.ServiceTime(o.ID)
-		if !ok {
-			continue
-		}
-		out[o.ID] = o.ExtraTime(st, now, alpha, beta)
-	}
-	return out
+// ExtraTime returns the order's extra time given its service time st (offset
+// from route start) when dispatched at now: detour t_d = st - cost(lp, ld),
+// response t_r = now - t(i).
+func (o *Order) ExtraTime(st, now float64) float64 {
+	return ExtraTime(st-o.DirectCost, now-o.Release)
 }
 
 // AvgExtraTime returns the group's average extra time at dispatch time now
@@ -228,7 +226,7 @@ func (g *Group) ExtraTimes(now, alpha, beta float64) map[int]float64 {
 // accumulates in g.Orders order — never over a map — so the value is a
 // deterministic function of the group; the pool's plan cache compares
 // these sums bit for bit between cached and freshly planned candidates.
-func (g *Group) AvgExtraTime(now, alpha, beta float64) float64 {
+func (g *Group) AvgExtraTime(now float64) float64 {
 	if len(g.Orders) == 0 {
 		return 0
 	}
@@ -238,7 +236,7 @@ func (g *Group) AvgExtraTime(now, alpha, beta float64) float64 {
 		if !ok {
 			continue
 		}
-		sum += o.ExtraTime(st, now, alpha, beta)
+		sum += o.ExtraTime(st, now)
 	}
 	return sum / float64(len(g.Orders))
 }

@@ -121,22 +121,16 @@ func TestGroupAccounting(t *testing.T) {
 		t.Fatalf("size/riders = %d/%d", g.Size(), g.Riders())
 	}
 	now := 20.0
-	ex := g.ExtraTimes(now, 1, 1)
 	// o1: detour 240-100=140, response 20-0=20 => 160
-	if math.Abs(ex[1]-160) > 1e-9 {
-		t.Fatalf("extra(o1) = %v", ex[1])
+	if ex := o1.ExtraTime(240, now); math.Abs(ex-160) > 1e-9 {
+		t.Fatalf("extra(o1) = %v", ex)
 	}
 	// o2: detour 190-150=40, response 20-10=10 => 50
-	if math.Abs(ex[2]-50) > 1e-9 {
-		t.Fatalf("extra(o2) = %v", ex[2])
+	if ex := o2.ExtraTime(190, now); math.Abs(ex-50) > 1e-9 {
+		t.Fatalf("extra(o2) = %v", ex)
 	}
-	if avg := g.AvgExtraTime(now, 1, 1); math.Abs(avg-105) > 1e-9 {
+	if avg := g.AvgExtraTime(now); math.Abs(avg-105) > 1e-9 {
 		t.Fatalf("avg = %v", avg)
-	}
-	// Alpha/beta weighting.
-	ex = g.ExtraTimes(now, 0, 1)
-	if ex[1] != 20 || ex[2] != 10 {
-		t.Fatalf("beta-only extra = %v", ex)
 	}
 }
 
@@ -192,7 +186,7 @@ func TestWorkerIdle(t *testing.T) {
 
 func TestEmptyGroupAvg(t *testing.T) {
 	g := &Group{}
-	if g.AvgExtraTime(0, 1, 1) != 0 {
+	if g.AvgExtraTime(0) != 0 {
 		t.Fatal("empty group average must be 0")
 	}
 }

@@ -81,8 +81,9 @@ func WithTick(dt float64) Option {
 	}
 }
 
-// WithConfig replaces the platform parameters (alpha/beta, grid size,
-// capacity). Start from sim.DefaultConfig and deviate explicitly.
+// WithConfig replaces the platform parameters (grid size, capacity). Start
+// from sim.DefaultConfig and deviate explicitly. The objective's weights are
+// constants: extra time is order.ExtraTime, the rejection factor is sim's.
 func WithConfig(cfg sim.Config) Option {
 	return func(c *config) error {
 		if err := cfg.Validate(); err != nil {

@@ -266,10 +266,10 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 // service-time row — the same order.ExtraTime terms in the same
 // accumulation order (members are the group's Orders), so the two produce
 // the same bits.
-func (e *planEntry) avgExtra(now, alpha, beta float64) float64 {
+func (e *planEntry) avgExtra(now float64) float64 {
 	var sum float64
 	for i, o := range e.orders() {
-		sum += o.ExtraTime(e.svc[i], now, alpha, beta)
+		sum += o.ExtraTime(e.svc[i], now)
 	}
 	return sum / float64(e.n)
 }

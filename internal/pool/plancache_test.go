@@ -424,3 +424,51 @@ func compareBest(t *testing.T, cached, plain *Pool, fresh *route.Planner, now fl
 	}
 	return true
 }
+
+// TestAvgExtraMatchesGroupProperty pins the agreement refreshBest relies
+// on: a candidate's cost-only avgExtra (from the entry's service-time row)
+// is compared against the stored best group's AvgExtraTime (from its
+// materialized plan), so for one member set the two must be the same
+// float64 bit for bit. Random groups of 2–4 orders released close together
+// near one corner, planned at a random clock and read at random dispatch
+// times up to τg.
+func TestAvgExtraMatchesGroupProperty(t *testing.T) {
+	var feasible [5]int // by group size
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p, net, _ := testPool(-1)
+		k := 2 + rng.Intn(3)
+		members := make([]*order.Order, k)
+		release := 0.0
+		for i := range members {
+			pu := net.Node(rng.Intn(4), rng.Intn(4))
+			do := net.Node(8+rng.Intn(6), 8+rng.Intn(6))
+			release += rng.Float64() * 20
+			members[i] = mk(net, 1+rng.Intn(1000)*k+i, pu, do, release, 1.5+2*rng.Float64())
+		}
+		now := release + rng.Float64()*30
+		ent := p.planEntryFor(p.canonical(members...), now)
+		if !ent.feasible || ent.expiry < now {
+			return true
+		}
+		feasible[k]++
+		g := p.groupFor(ent, now)
+		for _, at := range []float64{now, now + rng.Float64()*(ent.expiry-now), ent.expiry} {
+			got, want := ent.avgExtra(at), g.AvgExtraTime(at)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("k=%d at %v: avgExtra %v (%#x), AvgExtraTime %v (%#x)",
+					k, at, got, math.Float64bits(got), want, math.Float64bits(want))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 2; k <= 4; k++ {
+		if feasible[k] < 50 {
+			t.Fatalf("only %d feasible random groups of size %d; the property is barely exercised", feasible[k], k)
+		}
+	}
+}

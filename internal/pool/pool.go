@@ -447,7 +447,7 @@ func (p *Pool) refreshBest(id int, now float64) {
 		if !ent.feasible || ent.expiry < now {
 			return
 		}
-		avg := ent.avgExtra(now, p.planner.Alpha, p.planner.Beta)
+		avg := ent.avgExtra(now)
 		if avg < bestAvg-1e-9 {
 			bestAvg = avg
 			bestEnt = ent
@@ -464,7 +464,7 @@ func (p *Pool) refreshBest(id int, now float64) {
 			if !seen {
 				st.avg = math.Inf(1)
 				if mn := p.nodes[m.ID]; mn != nil && mn.best != nil {
-					st.avg = mn.best.AvgExtraTime(now, p.planner.Alpha, p.planner.Beta)
+					st.avg = mn.best.AvgExtraTime(now)
 				}
 			}
 			if avg < st.avg-1e-9 {

@@ -38,18 +38,14 @@ import (
 // k = 6, 648 at the pool's default k = 4) tiny.
 const MaxGroupSize = 6
 
-// Planner plans routes over a road network. Alpha and Beta are the extra-
-// time trade-off coefficients (paper Def. 6); both default to 1 in the
-// paper's experiments.
+// Planner plans routes over a road network.
 type Planner struct {
-	Net   roadnet.Network
-	Alpha float64
-	Beta  float64
+	Net roadnet.Network
 }
 
-// NewPlanner returns a planner with the paper's default alpha = beta = 1.
+// NewPlanner returns a planner over net.
 func NewPlanner(net roadnet.Network) *Planner {
-	return &Planner{Net: net, Alpha: 1, Beta: 1}
+	return &Planner{Net: net}
 }
 
 // PlanGroup finds the minimal-travel-cost feasible route for the given

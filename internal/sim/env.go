@@ -29,13 +29,15 @@ type Metrics struct {
 	ServedExtra float64
 	PenaltySum  float64
 
-	// ResponseSum and DetourSum decompose ServedExtra (alpha=beta=1).
+	// ResponseSum and DetourSum decompose ServedExtra (order.ExtraTime
+	// weighs both by 1).
 	ResponseSum float64
 	DetourSum   float64
 
 	// WorkerTravel is total driving seconds across the fleet.
-	// RejectUnified is the Unified Cost penalty term: 10 x cost(lp,ld) per
-	// rejected order (Section VII-A, following [9]). UnifiedCost is their sum.
+	// RejectUnified is the Unified Cost penalty term: rejectionFactor x
+	// cost(lp,ld) per rejected order (Section VII-A, following [9]).
+	// UnifiedCost is their sum.
 	WorkerTravel  float64
 	RejectUnified float64
 
@@ -85,10 +87,6 @@ func (m *Metrics) AvgGroupSize() float64 {
 
 // Config fixes the experiment-level parameters shared by all algorithms.
 type Config struct {
-	Alpha, Beta float64 // extra-time trade-off (paper default 1, 1)
-	// UnifiedPenaltyFactor multiplies cost(lp,ld) for rejected orders in
-	// Unified Cost; the paper uses 10.
-	UnifiedPenaltyFactor float64
 	// GridN is the side of the spatial index (paper default 10).
 	GridN int
 	// Capacity is the default vehicle capacity used for group-size limits
@@ -98,7 +96,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's default parameters.
 func DefaultConfig() Config {
-	return Config{Alpha: 1, Beta: 1, UnifiedPenaltyFactor: 10, GridN: 10, Capacity: 4}
+	return Config{GridN: 10, Capacity: 4}
 }
 
 // Env is the platform state visible to dispatch algorithms.
@@ -126,12 +124,6 @@ type Env struct {
 // defaults, and deviations must be explicit.
 func (c Config) Validate() error {
 	switch {
-	case c.Alpha < 0 || math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0):
-		return fmt.Errorf("sim: Alpha must be finite and non-negative, got %v", c.Alpha)
-	case c.Beta < 0 || math.IsNaN(c.Beta) || math.IsInf(c.Beta, 0):
-		return fmt.Errorf("sim: Beta must be finite and non-negative, got %v", c.Beta)
-	case c.UnifiedPenaltyFactor <= 0 || math.IsNaN(c.UnifiedPenaltyFactor) || math.IsInf(c.UnifiedPenaltyFactor, 0):
-		return fmt.Errorf("sim: UnifiedPenaltyFactor must be positive, got %v (the paper uses 10; start from DefaultConfig)", c.UnifiedPenaltyFactor)
 	case c.GridN < 1:
 		return fmt.Errorf("sim: GridN must be at least 1, got %d", c.GridN)
 	case c.Capacity < 1:
@@ -149,10 +141,9 @@ func NewEnv(net roadnet.Network, workers []*order.Worker, cfg Config) *Env {
 		panic(err)
 	}
 	ix := gridindex.New(net, cfg.GridN)
-	planner := &route.Planner{Net: net, Alpha: cfg.Alpha, Beta: cfg.Beta}
 	return &Env{
 		Net:     net,
-		Planner: planner,
+		Planner: route.NewPlanner(net),
 		Index:   ix,
 		WIndex:  gridindex.NewWorkerIndex(ix, net, workers),
 		Workers: workers,
@@ -261,7 +252,7 @@ func (e *Env) book(w *order.Worker, approach, routeCost float64, size int, recs 
 		e.Metrics.Served++
 		e.Metrics.ResponseSum += r.Response
 		e.Metrics.DetourSum += r.Detour
-		e.Metrics.ServedExtra += e.Cfg.Alpha*r.Detour + e.Cfg.Beta*r.Response
+		e.Metrics.ServedExtra += order.ExtraTime(r.Detour, r.Response)
 	}
 	e.Metrics.GroupSizeHist[min(size, len(e.Metrics.GroupSizeHist)-1)]++
 	if !e.observed() {
@@ -324,10 +315,14 @@ func (e *Env) ServeOrder(w *order.Worker, o *order.Order, response, detour float
 	e.book(w, 0, 0, 1, e.recs, e.Clock)
 }
 
+// rejectionFactor multiplies cost(lp, ld) into a rejected order's Unified
+// Cost term; the paper uses 10 (Section VII-A, following [9]).
+const rejectionFactor = 10
+
 // Reject records a rejected order: METRS penalty p(i) plus the Unified
 // Cost rejection term.
 func (e *Env) Reject(o *order.Order, now float64) {
-	penalty, unified := o.Penalty(), e.Cfg.UnifiedPenaltyFactor*o.DirectCost
+	penalty, unified := o.Penalty(), rejectionFactor*o.DirectCost
 	e.Metrics.Rejected++
 	e.Metrics.PenaltySum += penalty
 	e.Metrics.RejectUnified += unified

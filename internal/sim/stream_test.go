@@ -201,10 +201,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("zero-value config (previously coerced field by field) must not validate")
 	}
 	for name, mutate := range map[string]func(*Config){
-		"zero grid":      func(c *Config) { c.GridN = 0 },
-		"zero capacity":  func(c *Config) { c.Capacity = 0 },
-		"zero penalty":   func(c *Config) { c.UnifiedPenaltyFactor = 0 },
-		"negative alpha": func(c *Config) { c.Alpha = -1 },
+		"zero grid":     func(c *Config) { c.GridN = 0 },
+		"zero capacity": func(c *Config) { c.Capacity = 0 },
 	} {
 		c := DefaultConfig()
 		mutate(&c)

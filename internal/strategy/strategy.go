@@ -19,16 +19,15 @@ type Decision interface {
 	// ShouldDispatch reports whether group g should leave the pool at time
 	// now. groupExpiry is τg, the latest time the group stays feasible.
 	ShouldDispatch(g *order.Group, groupExpiry, now float64) bool
-	// ServeSoloEarly reports whether an order without any shared group
-	// should be served alone before its wait limit elapses. Only the
-	// online variant does; the others hold solo orders until timeout
-	// (Algorithm 1 lines 14-16).
-	ServeSoloEarly() bool
 }
 
 // Online dispatches every group at the first opportunity, mirroring
 // WATTER-online: riders get the shortest possible response times at the
-// price of worse groups.
+// price of worse groups. Loners still stay pooled: "If o(i) does not have a
+// shareable group, it will remain in the pool and wait" (paper Section
+// III) — what online accelerates is the dispatch of *groups*; solo service
+// happens at the wait limit or last call, under every strategy
+// (Algorithm 1 lines 14-16, core.Framework).
 type Online struct{}
 
 // Name implements Decision.
@@ -36,13 +35,6 @@ func (Online) Name() string { return "WATTER-online" }
 
 // ShouldDispatch implements Decision: always dispatch.
 func (Online) ShouldDispatch(*order.Group, float64, float64) bool { return true }
-
-// ServeSoloEarly implements Decision. Even the online variant keeps loners
-// pooled: "If o(i) does not have a shareable group, it will remain in the
-// pool and wait" (paper Section III) — what online accelerates is the
-// dispatch of *groups*, not solo rides. Solo service still happens at the
-// wait limit / last call via the framework.
-func (Online) ServeSoloEarly() bool { return false }
 
 // Timeout holds every group as long as possible, mirroring WATTER-timeout:
 // a group is released when its earliest member reaches its wait limit. A
@@ -58,9 +50,6 @@ func (Timeout) Name() string { return "WATTER-timeout" }
 func (Timeout) ShouldDispatch(g *order.Group, _, now float64) bool {
 	return earliestTimeout(g) <= now
 }
-
-// ServeSoloEarly implements Decision: timeout holds loners to the limit.
-func (Timeout) ServeSoloEarly() bool { return false }
 
 // ThresholdSource supplies the expected extra-time threshold θ(i) for an
 // order in its current spatio-temporal environment. Implementations include
@@ -95,26 +84,18 @@ func (c ConstantThreshold) ThresholdRange(*order.Order, float64) (lo, hi float64
 // extra time t̄e is at most the members' average expected threshold θ̄, or
 // when a member has exceeded its wait limit η.
 type Threshold struct {
-	Source      ThresholdSource
-	Alpha, Beta float64
-	// Label overrides Name() (defaults to "WATTER-expect").
-	Label string
+	Source ThresholdSource
 }
 
 // Name implements Decision.
-func (s *Threshold) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "WATTER-expect"
-}
+func (*Threshold) Name() string { return "WATTER-expect" }
 
 // ShouldDispatch implements Decision (Algorithm 2).
 func (s *Threshold) ShouldDispatch(g *order.Group, groupExpiry, now float64) bool {
 	if earliestTimeout(g) <= now {
 		return true // line 1-3: a member waited beyond its limit
 	}
-	avgExtra := g.AvgExtraTime(now, s.Alpha, s.Beta) // line 4
+	avgExtra := g.AvgExtraTime(now) // line 4
 	return s.withinThreshold(g.Orders, avgExtra, now)
 }
 
@@ -150,10 +131,6 @@ func (s *Threshold) withinThreshold(members []*order.Order, avgExtra, now float6
 	}
 	return avgExtra <= sum/n // line 6
 }
-
-// ServeSoloEarly implements Decision: loners wait until their limit — by
-// then either a group appeared or they are served alone/rejected.
-func (*Threshold) ServeSoloEarly() bool { return false }
 
 // earliestTimeout returns min_i (t(i) + η(i)) over the group.
 func earliestTimeout(g *order.Group) float64 {

@@ -41,9 +41,6 @@ func TestOnlineAlwaysDispatches(t *testing.T) {
 	if !s.ShouldDispatch(g, 1e9, 0) {
 		t.Fatal("online must always dispatch")
 	}
-	if s.ServeSoloEarly() {
-		t.Fatal("online must keep loners pooled (paper Section III: orders without a shareable group wait)")
-	}
 	if s.Name() != "WATTER-online" {
 		t.Fatalf("name = %q", s.Name())
 	}
@@ -58,9 +55,6 @@ func TestTimeoutHoldsUntilLimit(t *testing.T) {
 	}
 	if !s.ShouldDispatch(g, 500, 60) {
 		t.Fatal("timeout must dispatch at the limit")
-	}
-	if s.ServeSoloEarly() {
-		t.Fatal("timeout holds loners")
 	}
 }
 
@@ -77,14 +71,14 @@ func TestTimeoutEarliestMemberWins(t *testing.T) {
 }
 
 func TestThresholdAlgorithm2(t *testing.T) {
-	s := &Threshold{Source: ConstantThreshold(100), Alpha: 1, Beta: 1}
+	s := &Threshold{Source: ConstantThreshold(100)}
 	// Single order released at 0: dropoff offset 50, direct 40 => detour 10.
 	g := group([]float64{0}, []float64{600}, []float64{50}, []float64{40})
 	// At now=20: avg extra = detour 10 + response 20 = 30 <= 100 => dispatch.
 	if !s.ShouldDispatch(g, 1e9, 20) {
 		t.Fatal("extra below threshold must dispatch")
 	}
-	small := &Threshold{Source: ConstantThreshold(5), Alpha: 1, Beta: 1}
+	small := &Threshold{Source: ConstantThreshold(5)}
 	if small.ShouldDispatch(g, 1e9, 20) {
 		t.Fatal("extra above threshold must hold")
 	}
@@ -95,16 +89,12 @@ func TestThresholdAlgorithm2(t *testing.T) {
 	if s.Name() != "WATTER-expect" {
 		t.Fatalf("name = %q", s.Name())
 	}
-	s.Label = "WATTER-gmm"
-	if s.Name() != "WATTER-gmm" {
-		t.Fatal("label override failed")
-	}
 }
 
 func TestThresholdAveragesOverMembers(t *testing.T) {
 	// Two members: thresholds 10 and 90 => θ̄ = 50.
 	src := perOrderSource{1: 10, 2: 90}
-	s := &Threshold{Source: src, Alpha: 1, Beta: 1}
+	s := &Threshold{Source: src}
 	// dropoffs at 45 and 50, directs 40: detours 5, 10; at now=30 with
 	// releases 0 and 20: responses 30, 10 => extras 35, 20 => avg 27.5.
 	g := group([]float64{0, 20}, []float64{600, 600}, []float64{45, 50}, []float64{40, 40})
@@ -177,7 +167,7 @@ func TestThresholdAsksOnlyWhatItNeeds(t *testing.T) {
 		{"NaN θ under -Inf holds", []float64{math.NaN(), 60}, []float64{-inf, 40}, []float64{100, 100}, -inf, 2},
 	} {
 		src := &boundedSource{theta: c.theta, lo: c.lo, hi: c.hi}
-		s := &Threshold{Source: src, Alpha: 1, Beta: 1}
+		s := &Threshold{Source: src}
 		got := s.withinThreshold(members(len(c.theta)), c.avgExtra, 0)
 		if want := fullFold(c.theta, c.avgExtra); got != want {
 			t.Fatalf("%s: bound-first %v, full fold %v", c.name, got, want)
@@ -205,7 +195,7 @@ func FuzzThresholdDecision(f *testing.F) {
 			src.theta = append(src.theta, theta)
 			src.hi = append(src.hi, hi)
 		}
-		s := &Threshold{Source: src, Alpha: 1, Beta: 1}
+		s := &Threshold{Source: src}
 		got := s.withinThreshold(members(len(raw)), avgExtra, 0)
 		if want := fullFold(src.theta, avgExtra); got != want {
 			t.Fatalf("lo %v θ %v hi %v avgExtra %v: bound-first %v, full fold %v",
@@ -249,8 +239,8 @@ func TestThresholdMonotoneProperty(t *testing.T) {
 		lo := float64(rawLo % 300)
 		hi := lo + float64(rawDelta%300)
 		now := 10 + float64(rawNow%200)
-		sLo := &Threshold{Source: ConstantThreshold(lo), Alpha: 1, Beta: 1}
-		sHi := &Threshold{Source: ConstantThreshold(hi), Alpha: 1, Beta: 1}
+		sLo := &Threshold{Source: ConstantThreshold(lo)}
+		sHi := &Threshold{Source: ConstantThreshold(hi)}
 		dLo := sLo.ShouldDispatch(g, 1e9, now)
 		dHi := sHi.ShouldDispatch(g, 1e9, now)
 		return !dLo || dHi // dLo implies dHi
@@ -267,7 +257,7 @@ func TestThresholdMonotoneProperty(t *testing.T) {
 // so dispatchability is monotone downward). Verify that direction.
 func TestThresholdTimeMonotoneProperty(t *testing.T) {
 	g := group([]float64{0}, []float64{600}, []float64{80}, []float64{50})
-	s := &Threshold{Source: ConstantThreshold(100), Alpha: 1, Beta: 1}
+	s := &Threshold{Source: ConstantThreshold(100)}
 	f := func(rawA, rawB uint8) bool {
 		a := float64(rawA) * 250 / 255
 		b := float64(rawB) * 250 / 255

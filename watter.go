@@ -77,7 +77,9 @@ type (
 	// Env is the simulated ridesharing platform state (paper-replication
 	// mode; the Platform owns one internally).
 	Env = sim.Env
-	// Config fixes platform parameters (alpha/beta, grid size, capacity).
+	// Config fixes platform parameters (grid size, capacity). The METRS
+	// objective has no settings: extra time weighs detour and response by
+	// 1, a rejection costs 10 x cost(lp, ld) in Unified Cost.
 	Config = sim.Config
 	// RunOptions tunes a batch replay (Δt, timing).
 	RunOptions = sim.RunOptions
@@ -359,11 +361,12 @@ func NewTimeout() Algorithm {
 
 // NewConstantThreshold returns the threshold strategy with a fixed θ for
 // every order — the simplest instantiation of Algorithm 2, useful as a
-// baseline and for exploring the threshold's effect.
+// baseline and for exploring the threshold's effect. A group dispatches
+// when its average extra time (order.ExtraTime: detour + response, the
+// same formula the metrics book) is at most θ, or a member's wait limit
+// has passed.
 func NewConstantThreshold(theta float64) Algorithm {
-	return core.New(&strategy.Threshold{
-		Source: strategy.ConstantThreshold(theta), Alpha: 1, Beta: 1,
-	}, pool.DefaultOptions())
+	return core.New(&strategy.Threshold{Source: strategy.ConstantThreshold(theta)}, pool.DefaultOptions())
 }
 
 // NewGDP returns the online greedy-insertion baseline.
