@@ -28,12 +28,13 @@ race:
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
 # input — the DIMACS importer, the model-snapshot loader and the model-bundle
-# loader — and on the four kernels held to an oracle — the route DP, the
+# loader — on the four kernels held to an oracle — the route DP, the
 # batched cost-matrix search against the reference Dijkstra, the worker
 # probe's ring search against the square scan, and the threshold strategy's
-# bound-first decision against the full fold — on top of the seed corpora in
-# internal/{roadnet,nn,route,gridindex,strategy,exp}/testdata/fuzz that
-# `test` always runs.
+# bound-first decision against the full fold — and on the platform's
+# lifecycle under operation scripts, on top of the seed corpora in
+# internal/{roadnet,nn,route,gridindex,strategy,exp,platform}/testdata/fuzz
+# that `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzCostMatrix -fuzztime=10s ./internal/roadnet
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClosestIdleWithin -fuzztime=10s ./internal/gridindex
 	$(GO) test -run='^$$' -fuzz=FuzzThresholdDecision -fuzztime=10s ./internal/strategy
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTrained -fuzztime=10s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzPlatformOps -fuzztime=10s ./internal/platform
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:

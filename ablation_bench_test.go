@@ -40,7 +40,7 @@ func BenchmarkCliqueEnum(b *testing.B) {
 				opt := fw.PoolOpt
 				opt.MaxGroupSize = bound
 				fw.SetPoolOptions(opt)
-				m := Run(NewEnvironment(setup.City.Net, setup.Fleet(), setup.Config()), alg, setup.Orders, RunOptions{TickEvery: base.TickEvery})
+				m := replay(b, setup, alg)
 				b.ReportMetric(m.AvgGroupSize(), "avg-group")
 				b.ReportMetric(m.UnifiedCost(), "unified-cost")
 			}

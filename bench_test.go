@@ -79,6 +79,20 @@ func BenchmarkDtCDC(b *testing.B)       { benchSweep(b, "cdc", "dt") }
 func BenchmarkGMMKCDC(b *testing.B)     { benchSweep(b, "cdc", "gmm") }
 func BenchmarkOmegaCDC(b *testing.B)    { benchSweep(b, "cdc", "omega") }
 
+// replay runs alg over the setup's workload on a fresh, untimed platform.
+func replay(b *testing.B, setup *exp.Setup, alg Algorithm) *Metrics {
+	b.Helper()
+	p, err := setup.Platform(alg, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := p.Replay(setup.Orders)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // Per-algorithm single-run benchmarks (one default cell each): how long
 // one simulated evening costs per algorithm.
 func benchOne(b *testing.B, alg string) {
@@ -123,7 +137,7 @@ func BenchmarkPoolRadius(b *testing.B) {
 				opt := fw.PoolOpt
 				opt.CandidateRadius = radius
 				fw.SetPoolOptions(opt)
-				Run(NewEnvironment(setup.City.Net, setup.Fleet(), setup.Config()), alg, setup.Orders, RunOptions{TickEvery: base.TickEvery})
+				replay(b, setup, alg)
 			}
 		})
 	}

@@ -457,11 +457,11 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 }
 
 // runBenchStream measures what the event bus costs: the same CDC workload
-// runs through the legacy batch adapter (sim.Run, no sink — the exact
-// pre-redesign surface) and through a Platform with a subscribed,
-// actively-drained event channel. Both paths share the streaming core, so
-// metrics must be bit-identical; the report tracks the wall-clock ratio
-// the way BENCH_routing.json tracks the routing engine.
+// is replayed through a Platform with no subscriber (the batch arm: no event
+// is ever built) and through one with a subscribed, actively-drained event
+// channel. Both arms run the one platform loop, so metrics must be
+// bit-identical; the report tracks the wall-clock ratio the way
+// BENCH_routing.json tracks the routing engine.
 func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 	base := exp.DefaultParams(dataset.CDC())
 	base.Seed = seed
@@ -488,10 +488,13 @@ func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
 		if err != nil {
 			return nil, 0, err
 		}
-		env := sim.NewEnv(setup.City.Net, setup.Fleet(), setup.Config())
+		p, err := setup.Platform(alg, false)
+		if err != nil {
+			return nil, 0, err
+		}
 		start := time.Now()
-		m := sim.Run(env, alg, setup.Orders, sim.RunOptions{TickEvery: base.TickEvery})
-		return m, time.Since(start).Seconds(), nil
+		m, err := p.Replay(setup.Orders)
+		return m, time.Since(start).Seconds(), err
 	}
 	runStream := func() (*sim.Metrics, float64, int, error) {
 		alg, err := runner.Build("WATTER-online", base)

@@ -2,7 +2,7 @@
 // Platform one at a time while a consumer goroutine watches the typed
 // event bus — admissions, dispatches, rejections and per-tick metric
 // snapshots — exactly the surface a dashboard or admission controller
-// would build on. Batch replay (watter.Run) reproduces the paper's
+// would build on. Replay on the same platform reproduces the paper's
 // evaluation; this is the live-traffic mode the platform grew for.
 //
 //	go run ./examples/live

@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"watter/internal/order"
+	"watter/internal/platform"
 	"watter/internal/roadnet"
 	"watter/internal/sim"
 )
 
-func testEnv(m int) (*sim.Env, *roadnet.GridCity) {
+func testFleet(m int) ([]*order.Worker, *roadnet.GridCity) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	rng := rand.New(rand.NewSource(9))
 	var workers []*order.Worker
@@ -19,7 +20,21 @@ func testEnv(m int) (*sim.Env, *roadnet.GridCity) {
 			ID: i + 1, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4,
 		})
 	}
-	return sim.NewEnv(net, workers, sim.DefaultConfig()), net
+	return workers, net
+}
+
+// replay runs alg over orders on a platform at the paper's Δt = 10 s.
+func replay(t *testing.T, net roadnet.Network, workers []*order.Worker, alg sim.Algorithm, orders []*order.Order) *sim.Metrics {
+	t.Helper()
+	p, err := platform.New(net, workers, platform.WithMeasuredTime(false), platform.WithAlgorithm(alg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Replay(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func corridorOrders(net *roadnet.GridCity, n int, tau float64) []*order.Order {
@@ -44,9 +59,9 @@ func corridorOrders(net *roadnet.GridCity, n int, tau float64) []*order.Order {
 }
 
 func TestGDPServesAndAccounts(t *testing.T) {
-	env, net := testEnv(12)
+	workers, net := testFleet(12)
 	orders := corridorOrders(net, 60, 2.0)
-	m := sim.Run(env, &GDP{}, orders, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, workers, &GDP{}, orders)
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
@@ -66,12 +81,12 @@ func TestGDPServesAndAccounts(t *testing.T) {
 }
 
 func TestGDPRejectsImpossible(t *testing.T) {
-	env, net := testEnv(1)
+	workers, net := testFleet(1)
 	o := &order.Order{
 		ID: 1, Pickup: net.Node(0, 0), Dropoff: net.Node(10, 0), Riders: 1,
 		Release: 0, Deadline: 1, WaitLimit: 1, DirectCost: 100,
 	}
-	m := sim.Run(env, &GDP{}, []*order.Order{o}, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, workers, &GDP{}, []*order.Order{o})
 	if m.Rejected != 1 {
 		t.Fatalf("hopeless order not rejected: %+v", m)
 	}
@@ -82,12 +97,12 @@ func TestGDPSharesCapacity(t *testing.T) {
 	// insertion must pool them onto the same vehicle.
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	w := &order.Worker{ID: 1, Loc: net.Node(0, 0), Capacity: 4}
-	env := sim.NewEnv(net, []*order.Worker{w}, sim.DefaultConfig())
+	workers := []*order.Worker{w}
 	a := &order.Order{ID: 1, Pickup: net.Node(1, 0), Dropoff: net.Node(9, 0), Riders: 1,
 		Release: 0, Deadline: 0 + 2*80, WaitLimit: 64, DirectCost: 80}
 	b := &order.Order{ID: 2, Pickup: net.Node(2, 0), Dropoff: net.Node(10, 0), Riders: 1,
 		Release: 1, Deadline: 1 + 2*80, WaitLimit: 64, DirectCost: 80}
-	m := sim.Run(env, &GDP{}, []*order.Order{a, b}, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, workers, &GDP{}, []*order.Order{a, b})
 	if m.Served != 2 {
 		t.Fatalf("served %d of 2 overlapping orders with one vehicle", m.Served)
 	}
@@ -99,9 +114,9 @@ func TestGDPSharesCapacity(t *testing.T) {
 }
 
 func TestGASBatchesAndGroups(t *testing.T) {
-	env, net := testEnv(10)
+	workers, net := testFleet(10)
 	orders := corridorOrders(net, 50, 2.0)
-	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, workers, &GAS{}, orders)
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
@@ -122,7 +137,6 @@ func TestGASBatchesAndGroups(t *testing.T) {
 func TestGASCarryOverAndExpiry(t *testing.T) {
 	// No workers: every order must eventually be rejected (not lost).
 	net := roadnet.NewGridCity(10, 10, 100, 10)
-	env := sim.NewEnv(net, nil, sim.DefaultConfig())
 	orders := corridorOrders(roadnet.NewGridCity(20, 20, 100, 10), 10, 1.5)
 	for _, o := range orders {
 		o.Pickup %= 100
@@ -133,7 +147,7 @@ func TestGASCarryOverAndExpiry(t *testing.T) {
 		o.DirectCost = net.Cost(o.Pickup, o.Dropoff)
 		o.Deadline = o.Release + 1.5*o.DirectCost
 	}
-	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, nil, &GAS{}, orders)
 	if m.Rejected != len(orders) || m.Served != 0 {
 		t.Fatalf("workerless GAS: %+v", m)
 	}
@@ -144,7 +158,7 @@ func TestGASUtilityPrefersBiggerGroups(t *testing.T) {
 	// utility group is all three together.
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	w := &order.Worker{ID: 1, Loc: net.Node(0, 0), Capacity: 4}
-	env := sim.NewEnv(net, []*order.Worker{w}, sim.DefaultConfig())
+	workers := []*order.Worker{w}
 	var orders []*order.Order
 	for i := 0; i < 3; i++ {
 		orders = append(orders, &order.Order{
@@ -152,7 +166,7 @@ func TestGASUtilityPrefersBiggerGroups(t *testing.T) {
 			Release: float64(i), Deadline: float64(i) + 3*80, WaitLimit: 64, DirectCost: 80,
 		})
 	}
-	m := sim.Run(env, &GAS{}, orders, sim.RunOptions{TickEvery: 10})
+	m := replay(t, net, workers, &GAS{}, orders)
 	if m.GroupSizeHist[3] != 1 {
 		t.Fatalf("want one 3-group, hist %v", m.GroupSizeHist)
 	}
@@ -160,8 +174,8 @@ func TestGASUtilityPrefersBiggerGroups(t *testing.T) {
 
 func TestGDPDeterminism(t *testing.T) {
 	run := func() *sim.Metrics {
-		env, net := testEnv(8)
-		return sim.Run(env, &GDP{}, corridorOrders(net, 40, 1.8), sim.RunOptions{TickEvery: 10})
+		workers, net := testFleet(8)
+		return replay(t, net, workers, &GDP{}, corridorOrders(net, 40, 1.8))
 	}
 	a, b := run(), run()
 	if a.Served != b.Served || math.Abs(a.WorkerTravel-b.WorkerTravel) > 1e-6 {
@@ -171,8 +185,8 @@ func TestGDPDeterminism(t *testing.T) {
 
 func TestGASDeterminism(t *testing.T) {
 	run := func() *sim.Metrics {
-		env, net := testEnv(8)
-		return sim.Run(env, &GAS{}, corridorOrders(net, 40, 1.8), sim.RunOptions{TickEvery: 10})
+		workers, net := testFleet(8)
+		return replay(t, net, workers, &GAS{}, corridorOrders(net, 40, 1.8))
 	}
 	a, b := run(), run()
 	if a.Served != b.Served || math.Abs(a.WorkerTravel-b.WorkerTravel) > 1e-6 {

@@ -100,7 +100,9 @@ func (g *GAS) processBatch(now float64) {
 		if bestGroup == nil || bestUtility <= 0 {
 			return // carry the remainder to the next batch
 		}
-		if !g.env.DispatchGroupWith(bestWorker, bestGroup, now) {
+		// The plan is anchored at the worker (PlanGroupFrom), so Plan.Cost
+		// already holds the approach leg: the booking carries a zero one.
+		if !g.env.DispatchGroupTo(bestWorker, 0, bestGroup, now) {
 			return // should not happen: the worker was idle this round
 		}
 		for _, o := range bestGroup.Orders {

@@ -23,12 +23,6 @@ import (
 type Framework struct {
 	Decide  strategy.Decision
 	PoolOpt pool.Options
-	// Tick is the periodic-check interval Δt; the framework uses it for
-	// "last call" dispatches: a group (or solo order) whose feasibility
-	// horizon ends before the next check is dispatched now regardless of
-	// the strategy — the paper's "orders will only be rejected when they
-	// cannot be served in the extreme cases".
-	Tick float64
 	// Shards is the goroutine count of an insert's pairwise prewarm (see
 	// internal/shard). 1 — the default — plans every pair on the calling
 	// goroutine; K > 1 runs an insert's pair DPs on K goroutines and merges
@@ -36,6 +30,12 @@ type Framework struct {
 	// K = 1 run. The periodic check is sequential at any K.
 	Shards int
 
+	// tick is the periodic-check interval Δt, set by SetTick; the framework
+	// uses it for "last call" dispatches: a group (or solo order) whose
+	// feasibility horizon ends before the next check is dispatched now
+	// regardless of the strategy — the paper's "orders will only be
+	// rejected when they cannot be served in the extreme cases".
+	tick   float64
 	env    *sim.Env
 	pool   *pool.Pool
 	engine *shard.Engine
@@ -44,7 +44,7 @@ type Framework struct {
 // New builds a framework with the given decision strategy and pool options
 // and the paper's default Δt = 10 s.
 func New(decide strategy.Decision, opt pool.Options) *Framework {
-	return &Framework{Decide: decide, PoolOpt: opt, Tick: 10, Shards: 1}
+	return &Framework{Decide: decide, PoolOpt: opt, tick: 10, Shards: 1}
 }
 
 // Name implements sim.Algorithm.
@@ -58,9 +58,9 @@ func (f *Framework) Pool() *pool.Pool { return f.pool }
 func (f *Framework) ShardEngine() *shard.Engine { return f.engine }
 
 // SetTick aligns the framework's last-call horizon with the platform's
-// periodic-check interval. Must be called before Init; the platform
-// constructor calls it so Δt is configured in exactly one place.
-func (f *Framework) SetTick(dt float64) { f.Tick = dt }
+// periodic-check interval. Must be called before Init; platform.New calls
+// it, so Δt is configured in exactly one place (platform.WithTick).
+func (f *Framework) SetTick(dt float64) { f.tick = dt }
 
 // SetPoolOptions replaces the shareability-graph tuning before a run.
 // Must be called before Init; the plan-cache equivalence test and the
@@ -179,7 +179,7 @@ func (f *Framework) checkOrders(now float64, force bool) {
 			}
 		}
 		// Last call: the group becomes infeasible before the next check.
-		groupLastCall := ok && expiry < now+f.Tick
+		groupLastCall := ok && expiry < now+f.tick
 		if ok && (force || groupLastCall || f.Decide.ShouldDispatch(g, expiry, now)) {
 			if gw != nil && f.env.DispatchGroupTo(gw, gApproach, g, now) {
 				f.pool.RemoveGroup(g, now)
@@ -194,10 +194,10 @@ func (f *Framework) checkOrders(now float64, force bool) {
 		// The probe is skipped when the zero-approach bound already fires
 		// (approach >= 0 can only strengthen it) or nobody is idle.
 		soloApproach := 0.0
-		if anyIdle && now+f.Tick+o.DirectCost <= o.Deadline {
+		if anyIdle && now+f.tick+o.DirectCost <= o.Deadline {
 			soloApproach = f.approachFor(o.Pickup, now, o.Riders, o.Deadline-now-o.DirectCost)
 		}
-		soloLastCall := now+f.Tick+soloApproach+o.DirectCost > o.Deadline
+		soloLastCall := now+f.tick+soloApproach+o.DirectCost > o.Deadline
 		if ok && !force && !soloLastCall {
 			continue // holding a live shared group
 		}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"math"
@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"watter/internal/baseline"
+	"watter/internal/core"
 	"watter/internal/order"
+	"watter/internal/platform"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/sim"
@@ -56,14 +58,25 @@ func fleet(net *roadnet.GridCity, m int, seed int64) []*order.Worker {
 	return ws
 }
 
+// replay runs alg over orders on a platform at the paper's Δt = 10 s.
+func replay(t *testing.T, net roadnet.Network, workers []*order.Worker, alg sim.Algorithm, orders []*order.Order) *sim.Metrics {
+	t.Helper()
+	p, err := platform.New(net, workers, platform.WithMeasuredTime(false), platform.WithAlgorithm(alg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Replay(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func runAlg(t *testing.T, alg sim.Algorithm, n, m int, tau float64) *sim.Metrics {
 	t.Helper()
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	orders := workload(net, n, 7, tau)
-	env := sim.NewEnv(net, fleet(net, m, 11), sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	metrics := sim.Run(env, alg, orders, opts)
+	metrics := replay(t, net, fleet(net, m, 11), alg, orders)
 	assertAccounting(t, metrics, len(orders))
 	return metrics
 }
@@ -81,7 +94,7 @@ func assertAccounting(t *testing.T, m *sim.Metrics, total int) {
 }
 
 func TestFrameworkOnlineServesEverythingWithBigFleet(t *testing.T) {
-	m := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 120, 60, 2.0)
+	m := runAlg(t, core.New(strategy.Online{}, pool.DefaultOptions()), 120, 60, 2.0)
 	if m.ServiceRate() < 0.9 {
 		t.Fatalf("online with abundant workers should serve nearly all: rate %.3f", m.ServiceRate())
 	}
@@ -92,8 +105,8 @@ func TestFrameworkTimeoutFormsMoreGroups(t *testing.T) {
 	// deadline slack, and dispatch must still fit the worker's approach leg
 	// inside what remains. Tighter deadlines would kill held groups before
 	// the timeout strategy gets to release them.
-	online := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 200, 12, 3.0)
-	timeout := runAlg(t, New(strategy.Timeout{}, pool.DefaultOptions()), 200, 12, 3.0)
+	online := runAlg(t, core.New(strategy.Online{}, pool.DefaultOptions()), 200, 12, 3.0)
+	timeout := runAlg(t, core.New(strategy.Timeout{}, pool.DefaultOptions()), 200, 12, 3.0)
 	shared := func(m *sim.Metrics) int {
 		s := 0
 		for k := 2; k < len(m.GroupSizeHist); k++ {
@@ -110,9 +123,9 @@ func TestFrameworkTimeoutFormsMoreGroups(t *testing.T) {
 func TestFrameworkThresholdBetweenExtremes(t *testing.T) {
 	// A moderate constant threshold must produce response times between
 	// online (immediate) and timeout (max wait).
-	online := runAlg(t, New(strategy.Online{}, pool.DefaultOptions()), 150, 20, 2.0)
-	timeout := runAlg(t, New(strategy.Timeout{}, pool.DefaultOptions()), 150, 20, 2.0)
-	thr := runAlg(t, New(&strategy.Threshold{Source: strategy.ConstantThreshold(120)}, pool.DefaultOptions()), 150, 20, 2.0)
+	online := runAlg(t, core.New(strategy.Online{}, pool.DefaultOptions()), 150, 20, 2.0)
+	timeout := runAlg(t, core.New(strategy.Timeout{}, pool.DefaultOptions()), 150, 20, 2.0)
+	thr := runAlg(t, core.New(&strategy.Threshold{Source: strategy.ConstantThreshold(120)}, pool.DefaultOptions()), 150, 20, 2.0)
 	avgResp := func(m *sim.Metrics) float64 {
 		if m.Served == 0 {
 			return 0
@@ -135,10 +148,7 @@ func TestFrameworkRejectsImpossibleOrder(t *testing.T) {
 		Release: 0, Deadline: 10, // direct is 50s: hopeless
 		WaitLimit: 10, DirectCost: 50,
 	}
-	env := sim.NewEnv(net, fleet(roadnet.NewGridCity(10, 10, 100, 10), 3, 1), sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, New(strategy.Online{}, pool.DefaultOptions()), []*order.Order{o}, opts)
+	m := replay(t, net, fleet(roadnet.NewGridCity(10, 10, 100, 10), 3, 1), core.New(strategy.Online{}, pool.DefaultOptions()), []*order.Order{o})
 	if m.Rejected != 1 || m.Served != 0 {
 		t.Fatalf("impossible order must be rejected: %+v", m)
 	}
@@ -161,10 +171,7 @@ func TestFrameworkNoWorkersRejectsAll(t *testing.T) {
 		o.Deadline = o.Release + 2*o.DirectCost
 		o.WaitLimit = 0.8 * o.DirectCost
 	}
-	env := sim.NewEnv(net, nil, sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, New(strategy.Online{}, pool.DefaultOptions()), orders, opts)
+	m := replay(t, net, nil, core.New(strategy.Online{}, pool.DefaultOptions()), orders)
 	if m.Served != 0 || m.Rejected != len(orders) {
 		t.Fatalf("no workers: %+v", m)
 	}
@@ -195,10 +202,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() *sim.Metrics {
 		net := roadnet.NewGridCity(20, 20, 100, 10)
 		orders := workload(net, 100, 13, 2.0)
-		env := sim.NewEnv(net, fleet(net, 15, 5), sim.DefaultConfig())
-		opts := sim.DefaultRunOptions()
-		opts.MeasureTime = false
-		return sim.Run(env, New(&strategy.Threshold{Source: strategy.ConstantThreshold(90)}, pool.DefaultOptions()), orders, opts)
+		return replay(t, net, fleet(net, 15, 5), core.New(&strategy.Threshold{Source: strategy.ConstantThreshold(90)}, pool.DefaultOptions()), orders)
 	}
 	a, b := run(), run()
 	if a.Served != b.Served || a.Rejected != b.Rejected ||
@@ -214,10 +218,7 @@ func TestWorkersConserveTime(t *testing.T) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	orders := workload(net, 120, 17, 2.0)
 	workers := fleet(net, 10, 23)
-	env := sim.NewEnv(net, workers, sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	sim.Run(env, New(strategy.Online{}, pool.DefaultOptions()), orders, opts)
+	m := replay(t, net, workers, core.New(strategy.Online{}, pool.DefaultOptions()), orders)
 	var total float64
 	for _, w := range workers {
 		if w.TravelCost < 0 {
@@ -225,7 +226,7 @@ func TestWorkersConserveTime(t *testing.T) {
 		}
 		total += w.TravelCost
 	}
-	if math.Abs(total-env.Metrics.WorkerTravel) > 1e-6 {
-		t.Fatalf("fleet travel %v != metric %v", total, env.Metrics.WorkerTravel)
+	if math.Abs(total-m.WorkerTravel) > 1e-6 {
+		t.Fatalf("fleet travel %v != metric %v", total, m.WorkerTravel)
 	}
 }

@@ -1,12 +1,12 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"watter/internal/core"
 	"watter/internal/order"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
-	"watter/internal/sim"
 	"watter/internal/strategy"
 )
 
@@ -17,7 +17,7 @@ type holdForever struct{}
 func (holdForever) Name() string                                       { return "hold" }
 func (holdForever) ShouldDispatch(*order.Group, float64, float64) bool { return false }
 
-func lastCallEnv(workers int) (*sim.Env, *roadnet.GridCity) {
+func lastCallEnv(workers int) ([]*order.Worker, *roadnet.GridCity) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
 	var ws []*order.Worker
 	for i := 0; i < workers; i++ {
@@ -27,7 +27,7 @@ func lastCallEnv(workers int) (*sim.Env, *roadnet.GridCity) {
 		// verifies the approach leg against every member's deadline).
 		ws = append(ws, &order.Worker{ID: i + 1, Loc: net.Node(0, 0), Capacity: 4})
 	}
-	return sim.NewEnv(net, ws, sim.DefaultConfig()), net
+	return ws, net
 }
 
 func TestSoloLastCallBeatsDeadline(t *testing.T) {
@@ -35,17 +35,15 @@ func TestSoloLastCallBeatsDeadline(t *testing.T) {
 	// last call must still serve it before the deadline dies — even
 	// though its wait limit (0.8*direct) exceeds its slack (0.6*direct)
 	// and is therefore unreachable.
-	env, net := lastCallEnv(1)
+	workers, net := lastCallEnv(1)
 	direct := net.Cost(net.Node(0, 0), net.Node(8, 0))
 	o := &order.Order{
 		ID: 1, Pickup: net.Node(0, 0), Dropoff: net.Node(8, 0), Riders: 1,
 		Release: 0, Deadline: 1.6 * direct, WaitLimit: 0.8 * direct,
 		DirectCost: direct,
 	}
-	fw := New(holdForever{}, pool.DefaultOptions())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, fw, []*order.Order{o}, opts)
+	fw := core.New(holdForever{}, pool.DefaultOptions())
+	m := replay(t, net, workers, fw, []*order.Order{o})
 	if m.Served != 1 {
 		t.Fatalf("solo last call failed: %+v", m)
 	}
@@ -61,7 +59,7 @@ func TestGroupLastCallFiresBeforeExpiry(t *testing.T) {
 	// Two shareable orders, strategy never dispatches: the group's τg
 	// passes before the solo deadline, so the framework must dispatch the
 	// group at its last call rather than splitting it.
-	env, net := lastCallEnv(2)
+	workers, net := lastCallEnv(2)
 	mkO := func(id int, x int) *order.Order {
 		pu, do := net.Node(x, 0), net.Node(x+8, 0)
 		direct := net.Cost(pu, do)
@@ -71,10 +69,8 @@ func TestGroupLastCallFiresBeforeExpiry(t *testing.T) {
 			DirectCost: direct,
 		}
 	}
-	fw := New(holdForever{}, pool.DefaultOptions())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, fw, []*order.Order{mkO(1, 0), mkO(2, 1)}, opts)
+	fw := core.New(holdForever{}, pool.DefaultOptions())
+	m := replay(t, net, workers, fw, []*order.Order{mkO(1, 0), mkO(2, 1)})
 	if m.Served != 2 {
 		t.Fatalf("group last call failed: %+v", m)
 	}
@@ -87,17 +83,15 @@ func TestWaitLimitTriggersSoloWhenReachable(t *testing.T) {
 	// With a generous deadline (tau=3), the wait limit (0.8*direct) is
 	// reachable and must trigger solo service near t+eta, well before the
 	// deadline-driven last call (slack = 2*direct).
-	env, net := lastCallEnv(1)
+	workers, net := lastCallEnv(1)
 	direct := net.Cost(net.Node(0, 0), net.Node(8, 0))
 	o := &order.Order{
 		ID: 1, Pickup: net.Node(0, 0), Dropoff: net.Node(8, 0), Riders: 1,
 		Release: 0, Deadline: 3 * direct, WaitLimit: 0.8 * direct,
 		DirectCost: direct,
 	}
-	fw := New(holdForever{}, pool.DefaultOptions())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, fw, []*order.Order{o}, opts)
+	fw := core.New(holdForever{}, pool.DefaultOptions())
+	m := replay(t, net, workers, fw, []*order.Order{o})
 	if m.Served != 1 {
 		t.Fatalf("wait-limit solo failed: %+v", m)
 	}
@@ -107,7 +101,7 @@ func TestWaitLimitTriggersSoloWhenReachable(t *testing.T) {
 }
 
 func TestOnlineDispatchesGroupAtFirstCheck(t *testing.T) {
-	env, net := lastCallEnv(2)
+	workers, net := lastCallEnv(2)
 	mkO := func(id int, x int, rel float64) *order.Order {
 		pu, do := net.Node(x, 0), net.Node(x+8, 0)
 		direct := net.Cost(pu, do)
@@ -117,10 +111,8 @@ func TestOnlineDispatchesGroupAtFirstCheck(t *testing.T) {
 			DirectCost: direct,
 		}
 	}
-	fw := New(strategy.Online{}, pool.DefaultOptions())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, fw, []*order.Order{mkO(1, 0, 0), mkO(2, 1, 2)}, opts)
+	fw := core.New(strategy.Online{}, pool.DefaultOptions())
+	m := replay(t, net, workers, fw, []*order.Order{mkO(1, 0, 0), mkO(2, 1, 2)})
 	if m.Served != 2 || m.GroupSizeHist[2] != 1 {
 		t.Fatalf("online pair dispatch: %+v", m)
 	}
@@ -130,23 +122,14 @@ func TestOnlineDispatchesGroupAtFirstCheck(t *testing.T) {
 	}
 }
 
-func TestFrameworkTickDefault(t *testing.T) {
-	fw := New(strategy.Online{}, pool.DefaultOptions())
-	if fw.Tick != 10 {
-		t.Fatalf("default tick = %v", fw.Tick)
-	}
-}
-
 func TestRejectOnExpiredArrival(t *testing.T) {
-	env, net := lastCallEnv(1)
+	workers, net := lastCallEnv(1)
 	o := &order.Order{
 		ID: 1, Pickup: net.Node(0, 0), Dropoff: net.Node(8, 0), Riders: 1,
 		Release: 0, Deadline: 10, WaitLimit: 5, DirectCost: 80,
 	}
-	fw := New(strategy.Online{}, pool.DefaultOptions())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, fw, []*order.Order{o}, opts)
+	fw := core.New(strategy.Online{}, pool.DefaultOptions())
+	m := replay(t, net, workers, fw, []*order.Order{o})
 	if m.Rejected != 1 || m.Served != 0 {
 		t.Fatalf("dead-on-arrival order: %+v", m)
 	}

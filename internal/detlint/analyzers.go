@@ -63,7 +63,7 @@ var wallFuncs = map[string]bool{
 }
 
 // WallTime forbids wall-clock reads in deterministic packages. The
-// simulation has exactly one clock — sim.Stream's — and a time.Now
+// simulation has exactly one clock — platform.Platform's — and a time.Now
 // anywhere under it makes output depend on host speed. Exemptions:
 // package main (cmd/ and examples/ report real elapsed time to humans)
 // and //det:wallclock sites, the platform's measured-time plumbing.

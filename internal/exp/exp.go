@@ -341,7 +341,6 @@ func (r *Runner) train(p Params) (*Trained, error) {
 	tcfg.Seed = seed
 	trainer := mdp.NewTrainer(feat.Dim(), tcfg)
 	fw2 := core.New(&strategy.Threshold{Source: theta}, poolOptions(p))
-	fw2.Tick = p.TickEvery
 	plat2, err := hist.Platform(mdp.NewCollector(fw2, feat, theta, trainer.Add), false)
 	if err != nil {
 		return nil, fmt.Errorf("exp: invalid training configuration: %w", err)
@@ -402,12 +401,10 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 		return &baseline.GAS{}, nil
 	case "WATTER-online":
 		fw := core.New(strategy.Online{}, poolOptions(p))
-		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-timeout":
 		fw := core.New(strategy.Timeout{}, poolOptions(p))
-		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
 		return fw, nil
 	case "WATTER-expect":
@@ -416,7 +413,6 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 			return nil, err
 		}
 		fw := core.New(nil, poolOptions(p))
-		fw.Tick = p.TickEvery
 		fw.SetShards(p.Shards)
 		// The trained bundle is shared across jobs; the source, which owns
 		// every buffer inference writes, is this job's alone.
@@ -461,8 +457,8 @@ func validate(p Params) error {
 	if err := (&Setup{Params: p}).Config().Validate(); err != nil {
 		return err
 	}
-	if err := (sim.RunOptions{TickEvery: p.TickEvery}).Validate(); err != nil {
-		return err
+	if err := platform.ValidateTick(p.TickEvery); err != nil {
+		return fmt.Errorf("exp: TickEvery: %w", err)
 	}
 	if p.Arrival.Process != "" {
 		return p.Arrival.Defaults(dataset.WorkloadConfig{}.Defaults().HorizonSeconds).Validate()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"watter/internal/dataset"
+	"watter/internal/sim"
 )
 
 // smallParams keeps harness tests fast.
@@ -17,6 +18,20 @@ func smallParams() Params {
 	p.Train.HistoricalOrders = 250
 	p.Train.TrainSteps = 100
 	return p
+}
+
+// replay runs alg over the setup's workload on an untimed platform.
+func replay(t testing.TB, s *Setup, alg sim.Algorithm) *sim.Metrics {
+	t.Helper()
+	p, err := s.Platform(alg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Replay(s.Orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestBuildAllAlgorithms(t *testing.T) {

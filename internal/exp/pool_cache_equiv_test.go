@@ -86,8 +86,7 @@ func TestPoolCacheEquivalence(t *testing.T) {
 						opt.DisablePlanCache = disable
 						ps.SetPoolOptions(opt)
 					}
-					m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
-						sim.RunOptions{TickEvery: p.TickEvery})
+					m := replay(t, s, alg)
 					return m, poolStats(alg)
 				}
 				cached, st := run(false)

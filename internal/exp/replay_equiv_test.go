@@ -3,7 +3,6 @@ package exp
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"watter/internal/order"
 	"watter/internal/platform"
@@ -13,14 +12,12 @@ import (
 // legacyRun is a frozen copy of the pre-redesign batch runner (sim.Run
 // before the streaming core existed): pre-sorted slice, upfront horizon
 // and DirectCost enrichment, one monolithic loop. It is the reference the
-// adapter-over-streaming-core path must reproduce bit for bit. The only
-// edits are that it enriches clones instead of the caller's orders, so the
-// three arms of the equivalence test all see pristine inputs, and that its
-// drain-slack override went with the option.
-func legacyRun(env *sim.Env, alg sim.Algorithm, orders []*order.Order, opts sim.RunOptions) *sim.Metrics {
-	if opts.TickEvery <= 0 {
-		opts.TickEvery = 10
-	}
+// platform must reproduce bit for bit. The only edits are that it enriches
+// clones instead of the caller's orders, so the three arms of the
+// equivalence test all see pristine inputs, that its drain-slack override
+// went with the option, and that it takes Δt alone and runs untimed, as
+// every arm does, since its options struct is gone.
+func legacyRun(env *sim.Env, alg sim.Algorithm, orders []*order.Order, tickEvery float64) *sim.Metrics {
 	sorted := make([]*order.Order, len(orders))
 	for i, o := range orders {
 		c := *o
@@ -38,44 +35,62 @@ func legacyRun(env *sim.Env, alg sim.Algorithm, orders []*order.Order, opts sim.
 		}
 	}
 	env.Metrics = sim.Metrics{Total: len(sorted)}
-	timed := func(fn func()) {
-		if !opts.MeasureTime {
-			fn()
-			return
-		}
-		start := time.Now()
-		fn()
-		env.Metrics.DecisionSeconds += time.Since(start).Seconds()
-	}
 
-	timed(func() { alg.Init(env) })
-	nextTick := opts.TickEvery
+	alg.Init(env)
+	nextTick := tickEvery
 	for _, o := range sorted {
 		for nextTick <= o.Release {
 			env.Clock = nextTick
-			t := nextTick
-			timed(func() { alg.OnTick(t) })
-			nextTick += opts.TickEvery
+			alg.OnTick(nextTick)
+			nextTick += tickEvery
 		}
 		env.Clock = o.Release
-		oo := o
-		timed(func() { alg.OnOrder(oo, oo.Release) })
+		alg.OnOrder(o, o.Release)
 	}
 	for nextTick <= horizon {
 		env.Clock = nextTick
-		t := nextTick
-		timed(func() { alg.OnTick(t) })
-		nextTick += opts.TickEvery
+		alg.OnTick(nextTick)
+		nextTick += tickEvery
 	}
 	env.Clock = horizon
-	timed(func() { alg.Finish(horizon) })
+	alg.Finish(horizon)
 	return &env.Metrics
 }
 
+// submitOneByOne drives the platform one call at a time, the way a live
+// client does (and benchmark/harness.go times it): every periodic check due
+// at or before an order's release is fired with Tick, then the order is
+// submitted; Close drains.
+func submitOneByOne(t *testing.T, plat *platform.Platform, orders []*order.Order, tickEvery float64) *sim.Metrics {
+	t.Helper()
+	sorted := make([]*order.Order, len(orders))
+	for i, o := range orders {
+		c := *o
+		sorted[i] = &c
+	}
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
+	nextTick := tickEvery
+	for _, o := range sorted {
+		for ; nextTick <= o.Release; nextTick += tickEvery {
+			if _, err := plat.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := plat.Submit(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := plat.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestReplayEquivalence is the acceptance test of the platform redesign:
-// for all five algorithms, the batch adapter over the streaming core
-// (sim.Run) and the full event-driven platform path (Platform.Replay with
-// a subscribed, drained event bus) must both produce per-seed Metrics
+// for all five algorithms, the full event-driven platform path
+// (Platform.Replay with a subscribed, drained event bus) and a client that
+// calls Submit/Tick/Close one at a time must both produce per-seed Metrics
 // bit-identical to the frozen pre-redesign runner. Wall-clock fields are
 // the documented exception (DESIGN.md §8) and are disabled here.
 func TestReplayEquivalence(t *testing.T) {
@@ -97,13 +112,20 @@ func TestReplayEquivalence(t *testing.T) {
 				}
 				return run(alg)
 			}
-			opts := sim.RunOptions{TickEvery: p.TickEvery}
 
 			legacy := arm(func(alg sim.Algorithm) *sim.Metrics {
-				return legacyRun(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
+				// The pre-redesign builder set the framework's Δt itself.
+				if ts, ok := alg.(interface{ SetTick(float64) }); ok {
+					ts.SetTick(p.TickEvery)
+				}
+				return legacyRun(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, p.TickEvery)
 			})
-			adapter := arm(func(alg sim.Algorithm) *sim.Metrics {
-				return sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
+			oneByOne := arm(func(alg sim.Algorithm) *sim.Metrics {
+				plat, err := s.Platform(alg, false)
+				if err != nil {
+					t.Fatalf("platform.New(%s): %v", name, err)
+				}
+				return submitOneByOne(t, plat, s.Orders, p.TickEvery)
 			})
 			var admitted, dispatched, rejected int
 			streamed := arm(func(alg sim.Algorithm) *sim.Metrics {
@@ -134,9 +156,9 @@ func TestReplayEquivalence(t *testing.T) {
 				return m
 			})
 
-			if *adapter != *legacy {
-				t.Fatalf("%s seed %d: adapter diverged from pre-redesign runner:\nlegacy:  %+v\nadapter: %+v",
-					name, seed, *legacy, *adapter)
+			if *oneByOne != *legacy {
+				t.Fatalf("%s seed %d: one-call-at-a-time client diverged from pre-redesign runner:\nlegacy:     %+v\none-by-one: %+v",
+					name, seed, *legacy, *oneByOne)
 			}
 			if *streamed != *legacy {
 				t.Fatalf("%s seed %d: platform event path diverged from pre-redesign runner:\nlegacy:   %+v\nstreamed: %+v",

@@ -9,6 +9,7 @@ import (
 	"watter/internal/core"
 	"watter/internal/geo"
 	"watter/internal/order"
+	"watter/internal/platform"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/sim"
@@ -68,10 +69,15 @@ func TestSimMetricsEngineEquivalence(t *testing.T) {
 				if reference {
 					net = roadnet.Reference(g)
 				}
-				env := sim.NewEnv(net, workers, sim.DefaultConfig())
-				opts := sim.DefaultRunOptions()
-				opts.MeasureTime = false
-				return *sim.Run(env, mk(), orders, opts)
+				p, err := platform.New(net, workers, platform.WithMeasuredTime(false), platform.WithAlgorithm(mk()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := p.Replay(orders)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return *m
 			}
 			engine := run(false)
 			ref := run(true)

@@ -29,7 +29,6 @@ func TestShardEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := sim.RunOptions{TickEvery: p.TickEvery}
 
 				run := func(shards int) (*sim.Metrics, uint64) {
 					pp := p
@@ -38,7 +37,7 @@ func TestShardEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Build(%s): %v", name, err)
 					}
-					m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders, opts)
+					m := replay(t, s, alg)
 					return m, poolStats(alg).PairsPruned
 				}
 
@@ -81,8 +80,7 @@ func TestShardEngineExercised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
-		sim.RunOptions{TickEvery: p.TickEvery})
+	replay(t, s, alg)
 	fw, ok := alg.(*core.Framework)
 	if !ok {
 		t.Fatalf("WATTER-online is %T, not *core.Framework", alg)

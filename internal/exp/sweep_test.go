@@ -137,7 +137,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 }
 
 // TestSweepRepeatable: two runs of the same engine configuration agree —
-// catches residual map-iteration nondeterminism anywhere under sim.Run.
+// catches residual map-iteration nondeterminism anywhere in a run.
 func TestSweepRepeatable(t *testing.T) {
 	m := Matrix{
 		Base:  tinyParams(),

@@ -57,8 +57,7 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 				if !wired {
 					alg = unwatched{expect}
 				}
-				m = sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), alg, s.Orders,
-					sim.RunOptions{TickEvery: p.TickEvery})
+				m = replay(t, s, alg)
 				calls, passes, rebuilds = expect.src.SnapshotStats()
 				return m, calls, passes, rebuilds
 			}
@@ -212,8 +211,7 @@ func TestThresholdCutsLockstep(t *testing.T) {
 			checked := func(a *expectAlg) strategy.ThresholdSource {
 				return checkedSource{source(a), &denseSource{src: a.src}, t}
 			}
-			m := sim.Run(sim.NewEnv(s.City.Net, s.Fleet(), s.Config()), cutArm{expect, checked, &events}, s.Orders,
-				sim.RunOptions{TickEvery: p.TickEvery})
+			m := replay(t, s, cutArm{expect, checked, &events})
 			return m, events, expect
 		}
 		var full *denseSource

@@ -53,6 +53,10 @@ func NewCollector(inner *core.Framework, feat *Featurizer, theta strategy.Thresh
 // Name implements sim.Algorithm.
 func (c *Collector) Name() string { return c.Inner.Name() + "+collect" }
 
+// SetTick hands the platform's Δt to the wrapped framework, whose last-call
+// horizon depends on it.
+func (c *Collector) SetTick(dt float64) { c.Inner.SetTick(dt) }
+
 // Init implements sim.Algorithm.
 func (c *Collector) Init(env *sim.Env) {
 	c.env = env

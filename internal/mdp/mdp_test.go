@@ -9,11 +9,26 @@ import (
 	"watter/internal/gridindex"
 	"watter/internal/nn"
 	"watter/internal/order"
+	"watter/internal/platform"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/sim"
 	"watter/internal/strategy"
 )
+
+// replay runs alg over orders on a platform at the paper's Δt = 10 s.
+func replay(t *testing.T, net roadnet.Network, workers []*order.Worker, alg sim.Algorithm, orders []*order.Order, opts ...platform.Option) *sim.Metrics {
+	t.Helper()
+	p, err := platform.New(net, workers, append([]platform.Option{platform.WithMeasuredTime(false), platform.WithAlgorithm(alg)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Replay(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func testIndex() (*gridindex.Index, *roadnet.GridCity) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)
@@ -193,12 +208,9 @@ func TestCollectorEmitsEpisodes(t *testing.T) {
 	}
 	var workers []*order.Worker
 	for i := 0; i < 8; i++ {
-		workers = append(workers, &order.Worker{ID: i, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
+		workers = append(workers, &order.Worker{ID: i + 1, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
 	}
-	env := sim.NewEnv(net, workers, sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	m := sim.Run(env, col, orders, opts)
+	m := replay(t, net, workers, col, orders)
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
@@ -245,6 +257,48 @@ func TestCollectorEmitsEpisodes(t *testing.T) {
 	}
 }
 
+// TestCollectorForwardsTick: the Collector hands the platform's Δt on to the
+// framework it wraps, whose last-call horizon depends on it. Collecting
+// experience must not change the run, so under WithTick(5) the collected
+// metrics are the bare framework's at Δt = 5, bit for bit.
+func TestCollectorForwardsTick(t *testing.T) {
+	net := roadnet.NewGridCity(20, 20, 100, 10)
+	rng := rand.New(rand.NewSource(8))
+	var orders []*order.Order
+	for i := 0; i < 120; i++ {
+		pu := net.Node(rng.Intn(20), rng.Intn(20))
+		do := net.Node(rng.Intn(20), rng.Intn(20))
+		if pu == do {
+			continue
+		}
+		direct := net.Cost(pu, do)
+		rel := float64(rng.Intn(300))
+		orders = append(orders, &order.Order{
+			ID: i + 1, Pickup: pu, Dropoff: do, Riders: 1,
+			Release: rel, Deadline: rel + 1.5*direct, WaitLimit: 0.8 * direct,
+			DirectCost: direct,
+		})
+	}
+	fleet := func() []*order.Worker {
+		r := rand.New(rand.NewSource(9))
+		var out []*order.Worker
+		for i := 0; i < 10; i++ {
+			out = append(out, &order.Worker{ID: i + 1, Loc: net.Node(r.Intn(20), r.Intn(20)), Capacity: 4})
+		}
+		return out
+	}
+	fw := func() *core.Framework { return core.New(strategy.Timeout{}, pool.DefaultOptions()) }
+	bare := replay(t, net, fleet(), fw(), orders, platform.WithTick(5))
+	col := NewCollector(fw(), NewFeaturizer(gridindex.New(net, 5), 600), strategy.ConstantThreshold(60), func(Experience) {})
+	collected := replay(t, net, fleet(), col, orders, platform.WithTick(5))
+	if *collected != *bare {
+		t.Fatalf("collector under WithTick(5) diverged from its bare framework:\nbare:      %+v\ncollected: %+v", *bare, *collected)
+	}
+	if bare.Served == 0 || bare.Rejected == 0 {
+		t.Fatalf("degenerate run: %+v", *bare)
+	}
+}
+
 // TestEndToEndTraining: collect experience, train, and verify the value
 // network produces usable thresholds that drive a full simulation.
 func TestEndToEndTraining(t *testing.T) {
@@ -281,13 +335,11 @@ func TestEndToEndTraining(t *testing.T) {
 	mkWorkers := func(m int) []*order.Worker {
 		var out []*order.Worker
 		for i := 0; i < m; i++ {
-			out = append(out, &order.Worker{ID: i, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
+			out = append(out, &order.Worker{ID: i + 1, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
 		}
 		return out
 	}
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	sim.Run(sim.NewEnv(net, mkWorkers(8), sim.DefaultConfig()), col, mkOrders(60, 1), opts)
+	replay(t, net, mkWorkers(8), col, mkOrders(60, 1))
 	if tr.ReplayLen() == 0 {
 		t.Fatal("no training data")
 	}
@@ -304,10 +356,16 @@ func TestEndToEndTraining(t *testing.T) {
 			return fw2.Pool().DemandDistributions()
 		},
 	}
-	env := sim.NewEnv(net, mkWorkers(8), sim.DefaultConfig())
-	src.Supply = env.WIndex.SupplyDistribution
 	fw2.Decide = &strategy.Threshold{Source: src}
-	m := sim.Run(env, fw2, mkOrders(60, 2), opts)
+	plat, err := platform.New(net, mkWorkers(8), platform.WithMeasuredTime(false), platform.WithAlgorithm(fw2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Supply = plat.Env().WIndex.SupplyDistribution
+	m, err := plat.Replay(mkOrders(60, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Served+m.Rejected == 0 {
 		t.Fatal("online run did nothing")
 	}

@@ -15,7 +15,6 @@ import (
 	"watter/internal/pool"
 	"watter/internal/roadnet"
 	"watter/internal/route"
-	"watter/internal/sim"
 	"watter/internal/strategy"
 )
 
@@ -371,11 +370,9 @@ func TestCollectorStatesMatchPerCallRebuild(t *testing.T) {
 	}
 	var workers []*order.Worker
 	for i := 0; i < 8; i++ {
-		workers = append(workers, &order.Worker{ID: i, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
+		workers = append(workers, &order.Worker{ID: i + 1, Loc: net.Node(rng.Intn(20), rng.Intn(20)), Capacity: 4})
 	}
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	sim.Run(sim.NewEnv(net, workers, sim.DefaultConfig()), cc, orders, opts)
+	replay(t, net, workers, cc, orders)
 
 	if len(emitted) == 0 {
 		t.Fatal("no experience emitted")

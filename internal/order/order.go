@@ -51,8 +51,9 @@ func (o *Order) TimedOut(now float64) bool { return now-o.Release > o.WaitLimit 
 func (o *Order) Expired(now float64) bool { return now+o.DirectCost > o.Deadline }
 
 // ErrInvalid is the sentinel every refused order wraps: Validate's field
-// checks and the admission layer's node-range check (which needs the network,
-// so it lives in sim.Stream) alike. Match it with errors.Is.
+// checks and the platform's admission check (nil orders and the node-range
+// check, which needs the network, so it lives in platform.Platform) alike.
+// Match it with errors.Is.
 var ErrInvalid = errors.New("invalid order")
 
 // Validate returns an error wrapping ErrInvalid when the order's fields are

@@ -21,8 +21,9 @@ import (
 // every ordering comparison into the clock or the metrics. Now each is
 // refused with an error wrapping order.ErrInvalid before any state moves,
 // first order or not, and valid orders around it are served as if it had
-// never been sent. Every platform call runs under a timeout so a regression
-// fails here instead of hanging the suite.
+// never been sent. A nil order is refused the same way by both paths. Every
+// platform call runs under a timeout so a regression fails here instead of
+// hanging the suite.
 func TestSubmitRefusesHostileOrders(t *testing.T) {
 	nets := map[string]roadnet.Network{
 		"gridcity": roadnet.NewGridCity(10, 10, 100, 10),
@@ -43,6 +44,7 @@ func TestSubmitRefusesHostileOrders(t *testing.T) {
 		"pickup negative":       func(o *order.Order) { o.Pickup = -7 },
 		"dropoff past range":    func(o *order.Order) { o.Dropoff = 1 << 30; o.DirectCost = 0 },
 		"dropoff negative":      func(o *order.Order) { o.Dropoff = geo.InvalidNode; o.DirectCost = 0 },
+		"nil order":             nil, // submitted as nil, not corrupted
 	}
 	for netName, net := range nets {
 		for name, corrupt := range hostile {
@@ -62,7 +64,11 @@ func TestSubmitRefusesHostileOrders(t *testing.T) {
 				refuse := func(when string, rel float64) {
 					t.Helper()
 					bad := valid(666, rel)
-					corrupt(bad)
+					if corrupt == nil {
+						bad = nil
+					} else {
+						corrupt(bad)
+					}
 					before, seen := p.Stats(), events
 					var err error
 					within(t, when, func() { err = p.Submit(bad) })

@@ -1,20 +1,35 @@
-// Package platform is the service-shaped front of the reproduction: a
-// validated, event-driven ingestion API over the simulation machinery.
-// Where sim.Run replays a pre-materialized workload (paper-replication
-// mode), a Platform accepts orders one at a time, advances the periodic
-// check on demand, and publishes typed events (order admitted / group
+// Package platform runs the simulation: a Platform is the one type that
+// drives a sim.Algorithm. It owns the clock and the periodic check's cadence,
+// admits orders one at a time (Submit) or as a pre-materialized workload
+// (Replay, paper-replication mode), advances the periodic check on demand
+// (Tick), drains at Close, and publishes typed events (order admitted / group
 // dispatched / order rejected / tick completed) so callers can build live
 // dashboards, loggers or admission controllers on top. Construction goes
 // through functional options that validate and return errors instead of
 // silently defaulting.
+//
+// Scheduling contract (pinned by the scheduling tests and the replay
+// equivalence property test):
+//
+//   - ticks fire at Δt, 2Δt, ... ; every tick with time <= an order's
+//     release fires before that order is delivered (an order released
+//     exactly on a tick boundary arrives after that tick),
+//   - orders must be submitted in non-decreasing release order, never in
+//     the past of the advanced clock,
+//   - Close drains: ticks keep firing up to the horizon — the largest
+//     deadline seen, or the clock if that is later — then Finish runs at
+//     the horizon.
 package platform
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+	"time"
 
 	"watter/internal/core"
+	"watter/internal/geo"
 	"watter/internal/order"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
@@ -35,15 +50,24 @@ var (
 )
 
 // Platform is a ridesharing service instance: one network, one fleet, one
-// dispatch algorithm, and a streaming clock. It is not safe for
-// concurrent use — one goroutine feeds it; event consumers run elsewhere.
+// dispatch algorithm, and the clock that drives them (Env.Clock, the time of
+// the last delivered event). It is not safe for concurrent use — one
+// goroutine feeds it; event consumers run elsewhere.
 type Platform struct {
-	stream     *sim.Stream
-	env        *sim.Env
+	env     *sim.Env
+	alg     sim.Algorithm
+	tick    float64 // Δt
+	measure bool    // time the algorithm's hooks into Metrics.DecisionSeconds
+
+	nextTick float64
+	horizon  float64 // the largest deadline admitted: Close drains to it
+	// started: Init has run and the clock is meaningful; too late to
+	// subscribe.
+	started bool
+
 	events     chan Event
 	tap        *tap // registered on the Env once any delivery path exists
 	subscribed bool // the channel is live (it must be closed at Close)
-	fed        bool // the run has started; too late to subscribe
 	buffer     int
 	paused     bool
 	closed     bool
@@ -56,7 +80,8 @@ type Platform struct {
 // config accumulates functional options before validation.
 type config struct {
 	cfg      sim.Config
-	opts     sim.RunOptions
+	tick     float64
+	measure  bool
 	alg      sim.Algorithm
 	buffer   int
 	shards   int
@@ -68,17 +93,25 @@ type config struct {
 type Option func(*config) error
 
 // WithTick sets the periodic-check interval Δt in seconds (default 10,
-// the paper's value). Must be positive.
+// the paper's value). Must be positive and finite (ValidateTick).
 func WithTick(dt float64) Option {
 	return func(c *config) error {
-		o := c.opts
-		o.TickEvery = dt
-		if err := o.Validate(); err != nil {
+		if err := ValidateTick(dt); err != nil {
 			return err
 		}
-		c.opts.TickEvery = dt
+		c.tick = dt
 		return nil
 	}
+}
+
+// ValidateTick is the one check of a periodic-check interval Δt: a
+// positive, finite number of seconds. There is no silent defaulting; the
+// paper's Δt is 10 s.
+func ValidateTick(dt float64) error {
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("platform: tick must be a positive, finite number of seconds, got %v (the paper's Δt is 10 s)", dt)
+	}
+	return nil
 }
 
 // WithConfig replaces the platform parameters (grid size, capacity). Start
@@ -135,10 +168,10 @@ func WithShards(k int) Option {
 }
 
 // WithMeasuredTime toggles wall-clock accounting of algorithm hooks
-// (Metrics.DecisionSeconds). Default on, matching DefaultRunOptions.
+// (Metrics.DecisionSeconds). Default on.
 func WithMeasuredTime(on bool) Option {
 	return func(c *config) error {
-		c.opts.MeasureTime = on
+		c.measure = on
 		return nil
 	}
 }
@@ -175,7 +208,8 @@ func WithObserver(fn func(Event)) Option {
 	}
 }
 
-// tickSetter is the retuning hook the pooling framework exposes.
+// tickSetter is how an algorithm whose rules depend on Δt learns it: the
+// pooling framework's last call (and mdp.Collector, which forwards it).
 type tickSetter interface{ SetTick(float64) }
 
 // shardSetter is the prewarm-engine hook the pooling framework exposes.
@@ -196,9 +230,10 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		return nil, errors.New("platform: nil network")
 	}
 	c := config{
-		cfg:    sim.DefaultConfig(),
-		opts:   sim.DefaultRunOptions(),
-		buffer: 256,
+		cfg:     sim.DefaultConfig(),
+		tick:    10,
+		measure: true,
+		buffer:  256,
 	}
 	for _, opt := range options {
 		if opt == nil {
@@ -215,19 +250,21 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		c.alg = core.New(strategy.Online{}, pool.DefaultOptions())
 	}
 	if ts, ok := c.alg.(tickSetter); ok {
-		ts.SetTick(c.opts.TickEvery)
+		ts.SetTick(c.tick)
 	}
 	if c.shards > 1 {
 		if ss, ok := c.alg.(shardSetter); ok {
 			ss.SetShards(c.shards)
 		}
 	}
-	env := sim.NewEnv(net, workers, c.cfg) // cfg validated above: cannot panic
-	stream, err := sim.NewStream(env, c.alg, c.opts)
-	if err != nil {
-		return nil, err
+	p := &Platform{
+		env:      sim.NewEnv(net, workers, c.cfg), // cfg validated above: cannot panic
+		alg:      c.alg,
+		tick:     c.tick,
+		measure:  c.measure,
+		nextTick: c.tick,
+		buffer:   c.buffer,
 	}
-	p := &Platform{stream: stream, env: env, buffer: c.buffer}
 	if c.observer != nil {
 		p.ensureTap().fn = c.observer
 	}
@@ -300,7 +337,7 @@ func (p *Platform) ensureTap() *tap {
 func (p *Platform) Events() <-chan Event {
 	if p.events == nil {
 		p.events = make(chan Event, p.buffer)
-		if p.fed || p.closed {
+		if p.started || p.closed {
 			close(p.events)
 		} else {
 			p.subscribed = true
@@ -310,44 +347,123 @@ func (p *Platform) Events() <-chan Event {
 	return p.events
 }
 
-// Submit admits one order into the platform. Orders must be valid and
-// arrive in non-decreasing release order; every periodic check due before
-// the release fires first. The platform takes ownership of the order and
-// enriches DirectCost when unset — callers replaying a shared slice
-// should go through Replay, which clones.
-//
-// An order with a non-finite or inconsistent field, or a pickup or dropoff
-// that is not a node of the network, is refused with an error wrapping
-// order.ErrInvalid before any state moves — no tick fires, the ledger and the
-// clock stay put, no event is emitted — and the platform stays usable.
-func (p *Platform) Submit(o *order.Order) error {
-	if p.closed {
+// usable refuses an operation on a closed or paused platform.
+func (p *Platform) usable() error {
+	switch {
+	case p.closed:
 		return ErrClosed
-	}
-	if p.paused {
+	case p.paused:
 		return ErrPaused
 	}
-	// The stream validates the order. Only a refusal leaves the run
-	// unstarted; every other error can only follow a delivered event.
-	err := p.stream.Submit(o)
-	if err == nil {
-		p.fed = true
-	}
-	return err
+	return nil
 }
 
-// Tick fires the next periodic check immediately and returns its
-// simulation time — how a live feed makes the platform act while no
-// orders arrive.
+// admissible is the one admission check, Submit's and Replay's alike: the
+// order is not nil, its fields pass order.Validate, and both its nodes exist
+// in the platform's network. A refusal wraps order.ErrInvalid and touches no
+// state. The range check is what stands between a hostile node ID and the
+// routing oracle, which indexes its arrays by it (a Graph panics; a
+// closed-form GridCity would price garbage without complaint).
+func (p *Platform) admissible(o *order.Order) error {
+	if o == nil {
+		return fmt.Errorf("platform: nil order: %w", order.ErrInvalid)
+	}
+	if err := o.Validate(); err != nil {
+		return err
+	}
+	for _, n := range [...]geo.NodeID{o.Pickup, o.Dropoff} {
+		if err := roadnet.ValidateNode(p.env.Net, n); err != nil {
+			return fmt.Errorf("order %d: %v: %w", o.ID, err, order.ErrInvalid)
+		}
+	}
+	return nil
+}
+
+// Submit admits one order into the platform. Orders must be valid and
+// arrive in non-decreasing release order; every periodic check due at or
+// before the release fires first, then the algorithm's OnOrder hook runs at
+// the release time. The platform takes ownership of the order and enriches
+// DirectCost when unset — callers replaying a shared slice should go
+// through Replay, which clones.
+//
+// A nil order, an order with a non-finite or inconsistent field, or a pickup
+// or dropoff that is not a node of the network, is refused with an error
+// wrapping order.ErrInvalid before any state moves — no tick fires, the
+// ledger and the clock stay put, no event is emitted — and the platform
+// stays usable.
+func (p *Platform) Submit(o *order.Order) error {
+	if err := p.usable(); err != nil {
+		return err
+	}
+	if err := p.admissible(o); err != nil {
+		return err
+	}
+	return p.deliver(o)
+}
+
+// deliver runs an admissible order: the checks due first, then OnOrder.
+func (p *Platform) deliver(o *order.Order) error {
+	// Monotonicity is checked once the clock is meaningful: before the
+	// first event, negative releases are admissible (the clock simply
+	// starts there).
+	if p.started && o.Release < p.env.Clock {
+		return fmt.Errorf("platform: order %d released at %.1f, but the clock is already at %.1f (orders must arrive in release order)",
+			o.ID, o.Release, p.env.Clock)
+	}
+	p.start()
+	for p.nextTick <= o.Release {
+		p.fireTick()
+	}
+	if o.Deadline > p.horizon {
+		p.horizon = o.Deadline
+	}
+	p.env.Admit(o)
+	p.timed(func() { p.alg.OnOrder(o, o.Release) })
+	return nil
+}
+
+// start runs the algorithm's Init before the first event.
+func (p *Platform) start() {
+	if p.started {
+		return
+	}
+	p.started = true
+	p.timed(func() { p.alg.Init(p.env) })
+}
+
+// timed wraps a hook invocation with optional wall-clock accounting.
+func (p *Platform) timed(fn func()) {
+	if !p.measure {
+		fn()
+		return
+	}
+	start := time.Now() //det:wallclock opt-in measured-time plumbing behind WithMeasuredTime
+	fn()
+	//det:wallclock DecisionSeconds is the one documented wall-clock Metrics field, excluded from every bit-identity comparison
+	p.env.Metrics.DecisionSeconds += time.Since(start).Seconds()
+}
+
+// fireTick advances the clock to the next tick boundary and runs the
+// periodic check there.
+func (p *Platform) fireTick() {
+	t := p.nextTick
+	p.env.Clock = t
+	p.timed(func() { p.alg.OnTick(t) })
+	p.nextTick += p.tick
+	p.env.EndTick(t)
+}
+
+// Tick fires the next periodic check immediately, regardless of pending
+// orders, and returns its simulation time — how a live feed makes the
+// platform act while no orders arrive.
 func (p *Platform) Tick() (float64, error) {
-	if p.closed {
-		return 0, ErrClosed
+	if err := p.usable(); err != nil {
+		return 0, err
 	}
-	if p.paused {
-		return 0, ErrPaused
-	}
-	p.fed = true
-	return p.stream.Tick()
+	p.start()
+	t := p.nextTick
+	p.fireTick()
+	return t, nil
 }
 
 // Pause administratively freezes ingestion: Submit and Tick return
@@ -373,8 +489,9 @@ func (p *Platform) Resume() error {
 }
 
 // Close drains the platform — periodic checks keep firing until the
-// largest deadline seen, remaining pooled orders are dispatched or
-// rejected — then closes the event channel and returns the final metrics.
+// largest deadline seen (or the clock, if that is later), then the
+// algorithm's Finish hook dispatches or rejects every still-pooled order
+// there — then closes the event channel and returns the final metrics.
 // Close is idempotent: every call after the first returns the first call's
 // exact (*Metrics, error) pair, so restart and teardown paths can close
 // defensively without tracking who closed first.
@@ -382,11 +499,14 @@ func (p *Platform) Close() (*sim.Metrics, error) {
 	if p.closed {
 		return p.closeM, p.closeErr
 	}
-	p.closed = true
-	p.closeM, p.closeErr = p.stream.Close()
-	if p.subscribed {
-		close(p.events)
+	p.start()
+	horizon := math.Max(p.horizon, p.env.Clock)
+	for p.nextTick <= horizon {
+		p.fireTick()
 	}
+	p.env.Clock = horizon
+	p.timed(func() { p.alg.Finish(horizon) })
+	p.shut(&p.env.Metrics, nil)
 	return p.closeM, p.closeErr
 }
 
@@ -398,61 +518,67 @@ func (p *Platform) Close() (*sim.Metrics, error) {
 // restart teardown both route through here; recovery is the owner's
 // problem (replay the recorded event journal into a fresh platform).
 func (p *Platform) Abort() {
-	if p.closed {
-		return
+	if !p.closed {
+		p.shut(nil, ErrAborted)
 	}
-	p.abort()
 }
 
-// Replay is paper-replication mode on the streaming core: it delegates to
-// Stream.Replay (the single validate-all + clone + stable-sort + submit
-// implementation sim.Run also uses) and closes the platform. The caller's
-// slice is never touched, and the metrics are bit-identical to the legacy
-// batch sim.Run — proven by the replay equivalence property test. A nil or
-// invalid order is refused, with an error wrapping order.ErrInvalid, before
-// anything moves, and the platform stays usable. On a mid-replay error the
-// platform is aborted — closed without draining, event channel closed — so
-// event consumers always terminate.
-func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
-	if p.closed {
-		return nil, ErrClosed
-	}
-	if p.paused {
-		return nil, ErrPaused
-	}
-	if err := p.stream.Replay(orders); err != nil {
-		if !errors.Is(err, order.ErrInvalid) {
-			p.abort()
-		}
-		return nil, err
-	}
-	return p.Close()
-}
-
-// abort kills a platform whose run failed mid-flight: no drain, no
-// Finish — but the event channel still closes so ranging consumers
-// terminate instead of hanging on a bus that will never deliver again.
-// Later Close calls report ErrAborted instead of pretending a clean drain
-// produced metrics.
-func (p *Platform) abort() {
+// shut closes the platform with the result every later Close returns, and
+// closes the event channel so ranging consumers terminate.
+func (p *Platform) shut(m *sim.Metrics, err error) {
 	p.closed = true
-	p.closeM, p.closeErr = nil, ErrAborted
+	p.closeM, p.closeErr = m, err
 	if p.subscribed {
 		close(p.events)
 	}
 }
 
+// Replay is paper-replication mode: it feeds a pre-materialized workload
+// through the same clock live feeds use and closes the platform. Orders are
+// cloned — the caller's slice, and the orders it points to, are never
+// touched — and stable-sorted by release before delivery; the metrics are
+// bit-identical to the frozen pre-redesign batch runner, which the replay
+// equivalence property test proves.
+//
+// Admission is all or nothing: every order meets Submit's admission check
+// before the first is delivered, and a nil or invalid one is refused, with
+// an error wrapping order.ErrInvalid, before anything moves; the platform
+// stays usable. A later error (a release behind the clock a live Tick
+// already advanced) aborts the platform — closed without draining, event
+// channel closed — so event consumers always terminate.
+func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
+	if err := p.usable(); err != nil {
+		return nil, err
+	}
+	sorted := make([]*order.Order, len(orders))
+	for i, o := range orders {
+		if err := p.admissible(o); err != nil {
+			return nil, err
+		}
+		c := *o
+		sorted[i] = &c
+	}
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
+	for _, o := range sorted {
+		if err := p.deliver(o); err != nil {
+			p.Abort()
+			return nil, err
+		}
+	}
+	return p.Close()
+}
+
 // Clock returns the simulation time of the last delivered event.
-func (p *Platform) Clock() float64 { return p.stream.Clock() }
+func (p *Platform) Clock() float64 { return p.env.Clock }
 
 // Metrics returns a snapshot of the metrics accumulated so far.
 func (p *Platform) Metrics() sim.Metrics { return p.env.Metrics }
 
 // Env exposes the underlying simulation environment for advanced
 // consumers (offline training registers its outcome observer on it with
-// Env.Observe). The platform still owns the clock; treat the environment as
+// Env.Observe). The platform owns the clock; treat the environment as
 // read-mostly.
 func (p *Platform) Env() *sim.Env { return p.env }
 
 // Algorithm returns the installed dispatch policy.
-func (p *Platform) Algorithm() sim.Algorithm { return p.stream.Alg() }
+func (p *Platform) Algorithm() sim.Algorithm { return p.alg }

@@ -2,6 +2,8 @@ package platform
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -40,6 +42,8 @@ func TestNewValidates(t *testing.T) {
 	cases := map[string][]Option{
 		"zero tick":         {WithTick(0)},
 		"negative tick":     {WithTick(-3)},
+		"NaN tick":          {WithTick(math.NaN())},
+		"infinite tick":     {WithTick(math.Inf(1))},
 		"invalid config":    {WithConfig(sim.Config{})},
 		"nil algorithm":     {WithAlgorithm(nil)},
 		"zero event buffer": {WithEventBuffer(0)},
@@ -81,8 +85,8 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(nil); err == nil {
-		t.Fatal("nil order accepted")
+	if err := p.Submit(nil); !errors.Is(err, order.ErrInvalid) {
+		t.Fatalf("nil order: got %v, want an error wrapping order.ErrInvalid", err)
 	}
 	bad := testOrder(net, 1, 50)
 	bad.Riders = 0
@@ -183,10 +187,10 @@ func TestEventSequence(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesBatchRun pins Replay's adapter equivalence at the
-// platform level (the cross-algorithm property test lives in exp): same
-// workload, same metrics as sim.Run, and the caller's orders survive
-// untouched.
+// TestReplayMatchesBatchRun pins Replay's batch-run equivalence at the
+// platform level (the cross-algorithm property test lives in exp): a replay
+// of a workload gives the same metrics as submitting its release-sorted
+// clones one at a time, and the caller's orders survive untouched.
 func TestReplayMatchesBatchRun(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	mk := func() []*order.Order {
@@ -201,10 +205,21 @@ func TestReplayMatchesBatchRun(t *testing.T) {
 	orders := mk()
 	alg := func() sim.Algorithm { return core.New(strategy.Online{}, pool.DefaultOptions()) }
 
-	env := sim.NewEnv(net, testFleet(net, 4), sim.DefaultConfig())
-	opts := sim.DefaultRunOptions()
-	opts.MeasureTime = false
-	batch := sim.Run(env, alg(), mk(), opts)
+	live, err := New(net, testFleet(net, 4), WithMeasuredTime(false), WithAlgorithm(alg()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := mk()
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
+	for _, o := range sorted {
+		if err := live.Submit(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch, err := live.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	p, err := New(net, testFleet(net, 4), WithMeasuredTime(false), WithAlgorithm(alg()))
 	if err != nil {

@@ -64,7 +64,7 @@ type Stats struct {
 func (p *Platform) Stats() Stats {
 	m := p.env.Metrics
 	st := Stats{
-		Clock:  p.stream.Clock(),
+		Clock:  p.env.Clock,
 		Closed: p.closed,
 		Paused: p.paused,
 		Orders: OrderCounts{
@@ -82,13 +82,13 @@ func (p *Platform) Stats() Stats {
 		st.EventQueueHighWater = p.tap.highWater
 		st.EventBlockedSends = p.tap.blockedSends
 	}
-	if se, ok := p.stream.Alg().(interface{ ShardEngine() *shard.Engine }); ok {
+	if se, ok := p.alg.(interface{ ShardEngine() *shard.Engine }); ok {
 		if eng := se.ShardEngine(); eng != nil {
 			st.Shard = eng.Stats()
 			st.ShardActive = true
 		}
 	}
-	if ps, ok := p.stream.Alg().(interface{ Pool() *pool.Pool }); ok {
+	if ps, ok := p.alg.(interface{ Pool() *pool.Pool }); ok {
 		if pl := ps.Pool(); pl != nil {
 			st.PoolCache = pl.CacheStats()
 			st.PoolCacheActive = true

@@ -320,10 +320,6 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 	samePlan("PlanGroup", got, gotOK, want, ok)
 	got, gotOK = p.PlanGroupShared(c.orders, c.now, c.capacity, store)
 	samePlan("PlanGroupShared", got, gotOK, want, ok)
-	if k == 2 {
-		got, gotOK = p.Shareable(c.orders[0], c.orders[1], c.now, c.capacity)
-		samePlan("Shareable", got, gotOK, want, ok)
-	}
 	wantFrom, okFrom := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, c.start)
 	got, gotOK = p.PlanGroupFrom(c.orders, c.now, c.capacity, c.start)
 	samePlan("PlanGroupFrom", got, gotOK, wantFrom, okFrom)

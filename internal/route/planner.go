@@ -12,10 +12,10 @@
 // events, last event) states restricted to the 3^k event sets in which no
 // order is dropped before it is picked up, walked level by level over
 // precomputed mask tables (dptable.go) and abandoned at the first level no
-// route prefix reaches. PlanGroup/PlanGroupFrom/PlanGroupShared/Shareable
-// materialize a RoutePlan; PlanGroupCost is the shareability graph's hot
-// path — it runs the identical DP but returns only the route cost, the group
-// expiry τg and the per-member service times, allocating nothing. Both kinds
+// route prefix reaches. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
+// a RoutePlan; PlanGroupCost is the shareability graph's hot path — it runs
+// the identical DP but returns only the route cost, the group expiry τg and
+// the per-member service times, allocating nothing. Both kinds
 // accept an optional LegStore so the leg matrix can be assembled from cached
 // per-pair cost blocks instead of fresh network queries; every assembled
 // entry the DP reads is the same pure cost(l1, l2) value a fresh query would
@@ -300,14 +300,6 @@ func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.Ro
 		plan.Arrive[i] = sc.dp[idx]
 	}
 	return plan
-}
-
-// Shareable reports whether two orders can be served together by a vehicle
-// of the given capacity when dispatched at time now, and returns the
-// minimal-cost plan when they can. This is the pairwise test that decides
-// edges of the temporal shareability graph.
-func (p *Planner) Shareable(a, b *order.Order, now float64, capacity int) (*order.RoutePlan, bool) {
-	return p.PlanGroup([]*order.Order{a, b}, now, capacity)
 }
 
 // planScratch holds reusable DP buffers; pooled because the shareability

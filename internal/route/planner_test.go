@@ -174,18 +174,6 @@ func TestPlanEmptyAndOversizedGroups(t *testing.T) {
 	}
 }
 
-func TestShareableMatchesPlanGroup(t *testing.T) {
-	net := testCity()
-	p := NewPlanner(net)
-	a := mk(net, 1, net.Node(0, 0), net.Node(5, 0), 0, 2.0)
-	b := mk(net, 2, net.Node(1, 0), net.Node(6, 0), 0, 2.0)
-	p1, ok1 := p.Shareable(a, b, 0, 4)
-	p2, ok2 := p.PlanGroup([]*order.Order{a, b}, 0, 4)
-	if ok1 != ok2 || p1.Cost != p2.Cost {
-		t.Fatalf("Shareable disagrees with PlanGroup: %v/%v %v/%v", ok1, ok2, p1.Cost, p2.Cost)
-	}
-}
-
 // TestPlanOptimalityBruteForce cross-checks the DP against exhaustive
 // permutation search for random 3-order groups.
 func TestPlanOptimalityBruteForce(t *testing.T) {

@@ -1,7 +1,8 @@
-// Package sim is the ridesharing platform simulator: it owns the clock, the
-// worker fleet and the metric accounting, and drives any dispatch algorithm
-// (the WATTER variants and the GDP/GAS baselines) over an online order
-// stream. The four reported measurements match the paper's Section VII-A:
+// Package sim is the ridesharing platform simulator's state: the worker
+// fleet, the metric accounting and the Algorithm interface every dispatch
+// policy (the WATTER variants and the GDP/GAS baselines) implements; a
+// platform.Platform owns the clock and drives the algorithm over an online
+// order stream. The four reported measurements match the paper's Section VII-A:
 // Extra Time, Unified Cost, Service Rate and Running Time. Every outcome is
 // recorded once, in Env, and handed as a typed Event to the Env's observers.
 package sim
@@ -151,13 +152,13 @@ func NewEnv(net roadnet.Network, workers []*order.Worker, cfg Config) *Env {
 	}
 }
 
-// Observe appends fn to the Env's one observer list. Every outcome the Env
-// records (GroupDispatched, OrderRejected) and every admission and tick a
-// Stream over it delivers (OrderAdmitted, TickCompleted) is handed to each
-// observer in registration order — the platform's tap registers before the
-// run starts, an algorithm's own observer at Init — synchronously on the
-// simulation goroutine, inside the call that produced it, so fn must not
-// call back into the Env or Stream. Observers stay for the Env's lifetime.
+// Observe appends fn to the Env's one observer list. Every event the Env
+// records (OrderAdmitted, GroupDispatched, OrderRejected, TickCompleted) is
+// handed to each observer in registration order — the platform's tap
+// registers before the run starts, an algorithm's own observer at Init —
+// synchronously on the simulation goroutine, inside the call that produced
+// it, so fn must not call back into the Env or the platform. Observers stay
+// for the Env's lifetime.
 func (e *Env) Observe(fn func(Event)) {
 	e.observers = append(e.observers, fn)
 }
@@ -169,6 +170,28 @@ func (e *Env) observed() bool { return len(e.observers) > 0 }
 func (e *Env) emit(ev Event) {
 	for _, fn := range e.observers {
 		fn(ev)
+	}
+}
+
+// Admit records an order's arrival at its release: the clock moves there,
+// DirectCost is filled when unset (on o itself: the platform owns it), the
+// order is counted, and the observers get an OrderAdmitted.
+func (e *Env) Admit(o *order.Order) {
+	e.Clock = o.Release
+	if o.DirectCost == 0 {
+		o.DirectCost = e.Net.Cost(o.Pickup, o.Dropoff)
+	}
+	e.Metrics.Total++
+	if e.observed() {
+		e.emit(OrderAdmitted{Time: o.Release, Order: o})
+	}
+}
+
+// EndTick records a completed periodic check at now: the observers get a
+// TickCompleted with a snapshot of the metrics.
+func (e *Env) EndTick(now float64) {
+	if e.observed() {
+		e.emit(TickCompleted{Time: now, Metrics: e.Metrics})
 	}
 }
 
@@ -286,16 +309,6 @@ func approachSlack(g *order.Group, now float64) float64 {
 		}
 	}
 	return slack
-}
-
-// DispatchGroupWith assigns the group to a specific worker. The group's
-// plan must be anchored at the worker's current location (built with
-// PlanGroupFrom), so Plan.Cost already includes the approach leg. Used by
-// the batch baseline, which chooses workers itself. The approach leg is
-// folded into Plan.Cost, so the booking (and its event) carries a zero
-// approach — adding an exact zero leaves every sum bit for bit unchanged.
-func (e *Env) DispatchGroupWith(w *order.Worker, g *order.Group, now float64) bool {
-	return e.DispatchGroupTo(w, 0, g, now)
 }
 
 // ServeWithWorker charges travel to a specific worker without group

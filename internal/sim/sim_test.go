@@ -119,127 +119,9 @@ func TestRejectAccounting(t *testing.T) {
 	}
 }
 
-// recorder is a minimal Algorithm capturing hook invocations.
-type recorder struct {
-	inits   int
-	orders  []float64
-	ticks   []float64
-	finish  float64
-	env     *Env
-	serveIt bool
-}
-
-func (r *recorder) Name() string { return "recorder" }
-func (r *recorder) Init(env *Env) {
-	r.inits++
-	r.env = env
-}
-func (r *recorder) OnOrder(o *order.Order, now float64) {
-	r.orders = append(r.orders, now)
-	if r.serveIt {
-		plan, ok := r.env.Planner.PlanGroup([]*order.Order{o}, now, 4)
-		if ok {
-			g := &order.Group{Orders: []*order.Order{o}, Plan: plan}
-			if !r.env.DispatchGroup(g, now) {
-				r.env.Reject(o, now)
-			}
-		} else {
-			r.env.Reject(o, now)
-		}
-	} else {
-		r.env.Reject(o, now)
-	}
-}
-func (r *recorder) OnTick(now float64) { r.ticks = append(r.ticks, now) }
-func (r *recorder) Finish(now float64) { r.finish = now }
-
-func TestRunnerTickCadenceAndOrdering(t *testing.T) {
-	env, net := newTestEnv(2)
-	orders := []*order.Order{mkOrder(net, 1, 25), mkOrder(net, 2, 5), mkOrder(net, 3, 47)}
-	rec := &recorder{}
-	m := Run(env, rec, orders, RunOptions{TickEvery: 10})
-	if rec.inits != 1 {
-		t.Fatalf("inits = %d", rec.inits)
-	}
-	// Orders must arrive sorted by release.
-	want := []float64{5, 25, 47}
-	for i, w := range want {
-		if rec.orders[i] != w {
-			t.Fatalf("order times = %v", rec.orders)
-		}
-	}
-	// Ticks at 10,20 before order@25, 30,40 before @47, then drain to the
-	// horizon (max deadline).
-	if len(rec.ticks) < 4 {
-		t.Fatalf("ticks = %v", rec.ticks)
-	}
-	for i, tk := range rec.ticks {
-		if tk != float64(10*(i+1)) {
-			t.Fatalf("tick %d = %v", i, tk)
-		}
-	}
-	if m.Total != 3 || m.Rejected != 3 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	if rec.finish == 0 {
-		t.Fatal("finish not called")
-	}
-}
-
-// TestRunnerLeavesCallerOrdersUntouched pins the batch adapter's ownership
-// contract: admission-time enrichment (DirectCost) happens on the stream's
-// private clones, never through the caller's pointers — while the
-// simulation itself still sees the enriched value (the rejection penalty
-// is 10 × the true direct cost, not zero).
-func TestRunnerLeavesCallerOrdersUntouched(t *testing.T) {
-	env, net := newTestEnv(1)
-	o := mkOrder(net, 1, 0)
-	o.DirectCost = 0
-	before := *o
-	m := Run(env, &recorder{}, []*order.Order{o}, RunOptions{TickEvery: 10})
-	if *o != before {
-		t.Fatalf("caller's order mutated: %+v -> %+v", before, *o)
-	}
-	if want := 10 * net.Cost(o.Pickup, o.Dropoff); m.RejectUnified != want {
-		t.Fatalf("admission enrichment lost: RejectUnified = %v, want %v", m.RejectUnified, want)
-	}
-}
-
-func TestRunnerMeasuresTime(t *testing.T) {
-	env, net := newTestEnv(1)
-	m := Run(env, &recorder{}, []*order.Order{mkOrder(net, 1, 0)}, RunOptions{TickEvery: 10, MeasureTime: true})
-	if m.DecisionSeconds <= 0 {
-		t.Fatal("decision time not measured")
-	}
-	env2, _ := newTestEnv(1)
-	m2 := Run(env2, &recorder{}, []*order.Order{mkOrder(net, 1, 0)}, RunOptions{TickEvery: 10})
-	if m2.DecisionSeconds != 0 {
-		t.Fatal("timing must be off by default")
-	}
-}
-
-func TestObserversFire(t *testing.T) {
-	env, net := newTestEnv(3)
-	var served, rejected int
-	env.Observe(func(ev Event) {
-		switch ev := ev.(type) {
-		case GroupDispatched:
-			served += ev.Size()
-		case OrderRejected:
-			rejected++
-		}
-	})
-	rec := &recorder{serveIt: true}
-	orders := []*order.Order{mkOrder(net, 1, 0), mkOrder(net, 2, 1)}
-	m := Run(env, rec, orders, RunOptions{TickEvery: 10})
-	if served != m.Served || rejected != m.Rejected {
-		t.Fatalf("observers saw %d/%d, metrics %d/%d", served, rejected, m.Served, m.Rejected)
-	}
-	if served+rejected != 2 {
-		t.Fatalf("total outcomes %d", served+rejected)
-	}
-}
-
+// TestDispatchGroupWith: a worker-anchored plan (PlanGroupFrom, GAS's
+// kind) already holds the approach leg, so it is booked on its worker with a
+// zero approach.
 func TestDispatchGroupWith(t *testing.T) {
 	env, net := newTestEnv(2)
 	o := mkOrder(net, 1, 0)
@@ -249,14 +131,42 @@ func TestDispatchGroupWith(t *testing.T) {
 		t.Fatal("anchored plan failed")
 	}
 	g := &order.Group{Orders: []*order.Order{o}, Plan: plan}
-	if !env.DispatchGroupWith(w, g, 0) {
+	if !env.DispatchGroupTo(w, 0, g, 0) {
 		t.Fatal("dispatch-with failed")
 	}
 	if math.Abs(w.TravelCost-plan.Cost) > 1e-9 {
 		t.Fatalf("anchored travel = %v, want %v", w.TravelCost, plan.Cost)
 	}
 	// Busy specific worker refuses.
-	if env.DispatchGroupWith(w, g, 1) {
+	if env.DispatchGroupTo(w, 0, g, 1) {
 		t.Fatal("busy worker accepted")
 	}
+}
+
+// TestConfigValidate pins the platform-parameter validation that replaced
+// NewEnv's silent defaulting.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("blessed defaults invalid: %v", err)
+	}
+	if err := (Config{}).Validate(); err == nil {
+		t.Fatal("zero-value config (previously coerced field by field) must not validate")
+	}
+	for name, mutate := range map[string]func(*Config){
+		"zero grid":     func(c *Config) { c.GridN = 0 },
+		"zero capacity": func(c *Config) { c.Capacity = 0 },
+	} {
+		c := DefaultConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Fatalf("%s must not validate", name)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewEnv must panic on invalid config")
+		}
+	}()
+	env, _ := newTestEnv(1)
+	NewEnv(env.Net, nil, Config{})
 }

@@ -33,10 +33,14 @@
 //	<-done // the bus closed; let the consumer drain the tail
 //
 // Paper-replication mode — the batch entry point the evaluation harness
-// uses — is a thin adapter over the same streaming core: Replay (or the
-// legacy Run) clones a pre-materialized workload, sorts it by release and
-// feeds it through, producing bit-identical metrics to the pre-redesign
-// batch runner (enforced by a property test).
+// uses — runs on the same platform: Replay clones a pre-materialized
+// workload, sorts it by release, feeds it through the platform's clock and
+// closes it, producing bit-identical metrics to the pre-redesign batch
+// runner (enforced by a property test):
+//
+//	p, err := watter.New(city.Net, workers, watter.WithAlgorithm(watter.NewTimeout()))
+//	if err != nil { ... }
+//	metrics, err := p.Replay(orders)
 //
 // The rest of the package re-exports the pieces a downstream user
 // composes: road networks and synthetic cities (CityNYC/CityCDC/CityXIA),
@@ -74,15 +78,13 @@ type (
 	Group = order.Group
 	// Metrics carries the four evaluation measurements.
 	Metrics = sim.Metrics
-	// Env is the simulated ridesharing platform state (paper-replication
-	// mode; the Platform owns one internally).
+	// Env is the simulated ridesharing platform state an Algorithm
+	// dispatches through; every Platform owns one.
 	Env = sim.Env
 	// Config fixes platform parameters (grid size, capacity). The METRS
 	// objective has no settings: extra time weighs detour and response by
 	// 1, a rejection costs 10 x cost(lp, ld) in Unified Cost.
 	Config = sim.Config
-	// RunOptions tunes a batch replay (Δt, timing).
-	RunOptions = sim.RunOptions
 	// Algorithm is any dispatch policy the platform can drive.
 	Algorithm = sim.Algorithm
 	// WorkloadConfig parameterizes synthetic order generation.
@@ -328,24 +330,6 @@ var (
 // DefaultConfig returns the paper's default platform parameters — the one
 // blessed source of defaults (constructors validate, they don't coerce).
 func DefaultConfig() Config { return sim.DefaultConfig() }
-
-// DefaultRunOptions returns Δt = 10 s with timing enabled.
-func DefaultRunOptions() RunOptions { return sim.DefaultRunOptions() }
-
-// NewEnvironment builds a simulated platform over a network and fleet
-// (paper-replication mode). It panics on invalid config; the validated,
-// error-returning surface is New.
-func NewEnvironment(net Network, workers []*Worker, cfg Config) *Env {
-	return sim.NewEnv(net, workers, cfg)
-}
-
-// Run is paper-replication mode: it replays a pre-materialized order
-// stream through the streaming core and returns the final metrics. The
-// caller's orders are never mutated. New + Replay is the equivalent
-// validated surface; Run panics on invalid options.
-func Run(env *Env, alg Algorithm, orders []*Order, opts RunOptions) *Metrics {
-	return sim.Run(env, alg, orders, opts)
-}
 
 // NewOnline returns the WATTER-online variant: every shared group is
 // dispatched at the first periodic check after it forms.

@@ -1,6 +1,7 @@
 package watter
 
 import (
+	"sort"
 	"testing"
 
 	"watter/internal/dataset"
@@ -11,10 +12,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	city := CityXIA().Build()
 	orders := city.Orders(WorkloadConfig{Orders: 300, Seed: 1})
 	workers := city.Workers(30, 4, 2)
-	env := NewEnvironment(city.Net, workers, DefaultConfig())
-	opts := DefaultRunOptions()
-	opts.MeasureTime = false
-	m := Run(env, NewOnline(), orders, opts)
+	p, err := New(city.Net, workers, WithMeasuredTime(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Replay(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
@@ -24,8 +29,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestFacadePlatform exercises the event-driven surface end to end: a
-// validated constructor, streamed submissions, live events, and metrics
-// identical to batch replay of the same workload.
+// validated constructor, live events, and replayed metrics identical to
+// submitting the same workload one order at a time.
 func TestFacadePlatform(t *testing.T) {
 	city := CityXIA().Build()
 	orders := city.Orders(WorkloadConfig{Orders: 300, Seed: 1})
@@ -61,12 +66,27 @@ func TestFacadePlatform(t *testing.T) {
 		t.Fatalf("events %d/%d vs metrics %+v", dispatched, rejected, streamed)
 	}
 
-	env := NewEnvironment(city.Net, mkFleet(), DefaultConfig())
-	opts := DefaultRunOptions()
-	opts.MeasureTime = false
-	batch := Run(env, NewOnline(), orders, opts)
-	if *batch != *streamed {
-		t.Fatalf("facade replay diverged:\nbatch:  %+v\nstream: %+v", *batch, *streamed)
+	live, err := New(city.Net, mkFleet(), WithMeasuredTime(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := make([]*Order, len(orders))
+	for i, o := range orders {
+		c := *o
+		sorted[i] = &c
+	}
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
+	for _, o := range sorted {
+		if err := live.Submit(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitted, err := live.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *submitted != *streamed {
+		t.Fatalf("facade replay diverged from one-at-a-time submission:\nsubmitted: %+v\nreplayed:  %+v", *submitted, *streamed)
 	}
 }
 
@@ -126,10 +146,14 @@ func TestFacadeTrainExpect(t *testing.T) {
 	}
 	city := CityXIA().Build()
 	orders := city.Orders(WorkloadConfig{Orders: 300, Seed: 9})
-	env := NewEnvironment(city.Net, city.Workers(30, 4, 5), DefaultConfig())
-	opts := DefaultRunOptions()
-	opts.MeasureTime = false
-	m := Run(env, alg, orders, opts)
+	plat, err := New(city.Net, city.Workers(30, 4, 5), WithMeasuredTime(false), WithAlgorithm(alg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := plat.Replay(orders)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Served+m.Rejected != len(orders) {
 		t.Fatalf("accounting: %+v", m)
 	}
