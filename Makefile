@@ -70,9 +70,9 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/detlint ./...
 
-# Determinism-contract analyzers alone: the syntactic four (maprange/
-# walltime/globalrand/floatrange — DESIGN.md §11) plus the
-# interprocedural three (specpure/hotalloc/goroutinewrite — §12);
+# Determinism-contract analyzers alone: the syntactic maprange/walltime/
+# globalrand/floatrange and the whole-module testonly (DESIGN.md §11),
+# plus the interprocedural specpure/hotalloc/goroutinewrite (§12);
 # lint runs them too.
 detlint:
 	$(GO) run ./cmd/detlint ./...

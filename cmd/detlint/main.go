@@ -1,9 +1,10 @@
 // Command detlint is the multichecker for the repo's determinism
 // contract (DESIGN.md §11–§12). It type-checks the requested packages
-// from source and runs the detlint analyzers — maprange, walltime,
-// globalrand, floatrange, and the interprocedural specpure, hotalloc,
-// goroutinewrite — printing findings in go-vet format and exiting 1
-// when any exist.
+// from source and runs the detlint analyzers — the syntactic maprange,
+// walltime, globalrand, floatrange, the interprocedural specpure,
+// hotalloc, goroutinewrite, and the whole-module testonly (silent unless
+// every package of the module is loaded) — printing findings in go-vet
+// format and exiting 1 when any exist.
 //
 // Usage:
 //
@@ -151,7 +152,8 @@ func lint(modDir string, patterns []string) ([]detlint.Diagnostic, int, error) {
 		return nil, 0, err
 	}
 	// One effects Program over every loaded package, so specpure and
-	// hotalloc see cross-package calls and CHA targets.
+	// hotalloc see cross-package calls and CHA targets, and testonly sees
+	// every production reference.
 	prog := detlint.NewProgram(pkgs)
 	var all []detlint.Diagnostic
 	for _, pkg := range pkgs {

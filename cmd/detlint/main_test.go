@@ -81,23 +81,76 @@ func RacyLaunch() int {
 	return x
 }
 `)
+	// testonly: of the internal package's exports, only Unused lacks a
+	// production reference, a facade alias, an interface it implements for
+	// a production caller, or a //det:api reason.
+	write("internal/api/api.go", `package api
+
+import "sort"
+
+type Thing struct{}
+
+func (Thing) Facade() int { return 1 }
+
+type byValue []int
+
+func (b byValue) Len() int           { return len(b) }
+func (b byValue) Less(i, j int) bool { return b[i] < b[j] }
+func (b byValue) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+func Sorted(xs []int) []int {
+	sort.Sort(byValue(xs))
+	return xs
+}
+
+func Unused() int { return 2 }
+
+//det:api an out-of-module caller needs it
+func Kept() int { return 3 }
+`)
+	write("facade.go", `package injected
+
+import "injected/internal/api"
+
+type Thing = api.Thing
+
+var Sorted = api.Sorted
+`)
 	diags, npkgs, err := lint(dir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if npkgs != 2 {
-		t.Fatalf("analyzed %d packages, want 2", npkgs)
+	if npkgs != 4 {
+		t.Fatalf("analyzed %d packages, want 4", npkgs)
 	}
 	got := make(map[string]int)
+	var testonly []string
 	for _, d := range diags {
 		got[d.Analyzer]++
+		if d.Analyzer == "testonly" {
+			testonly = append(testonly, d.Message)
+		}
 	}
 	for _, name := range []string{
 		"maprange", "walltime", "globalrand", "floatrange",
-		"specpure", "hotalloc", "goroutinewrite",
+		"specpure", "hotalloc", "goroutinewrite", "testonly",
 	} {
 		if got[name] == 0 {
 			t.Errorf("injected %s violation not detected; findings: %v", name, diags)
+		}
+	}
+	if len(testonly) != 1 || !strings.Contains(testonly[0], "exported Unused ") {
+		t.Errorf("testonly findings %q, want exactly one, for Unused", testonly)
+	}
+	// A partial load cannot tell test-only exports from ones the unloaded
+	// packages use, so testonly stays silent rather than guessing.
+	partial, _, err := lint(dir, []string{"./internal/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range partial {
+		if d.Analyzer == "testonly" {
+			t.Errorf("testonly fired on a partial load: %v", d)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"watter/internal/benchfmt"
@@ -94,5 +95,25 @@ func journalPinnedToBaseline(t *testing.T, shards int) {
 	}
 	if pinned != 8 {
 		t.Fatalf("pinned %d hashes, want 8 (four scenarios, two each)", pinned)
+	}
+}
+
+// TestNegativeSizesFail: -workers, -buffer and -drain below zero come back
+// as errors naming the load.Config field, where -workers -1 used to panic
+// and the other two were accepted.
+func TestNegativeSizesFail(t *testing.T) {
+	for _, tc := range []struct {
+		field                  string
+		workers, buffer, drain int
+	}{
+		{"Workers", -1, 256, 64},
+		{"Buffer", 60, -1, 64},
+		{"DrainPerTick", 60, 256, -1},
+	} {
+		err := run("", true, "cdc", tc.workers, 60, 10, 1, 0.5, tc.buffer, tc.drain,
+			64, 8, 0, 1, false, 0, 0, 0, 0, 0, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s = -1: err = %v, want an error naming %s", tc.field, err, tc.field)
+		}
 	}
 }

@@ -31,6 +31,11 @@
 //	goroutinewrite — go-launched closures must not write captured
 //	                variables without a sync primitive or channel
 //	                handoff; no annotation escape.
+//
+// The whole-module layer (testonly.go) adds one more:
+//
+//	testonly — an exported internal/ identifier needs a non-test
+//	           reference, a facade alias or a //det:api annotation.
 package detlint
 
 import (
@@ -54,7 +59,7 @@ type Analyzer struct {
 
 // All returns the full detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, HotAlloc, GoroutineWrite}
+	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, HotAlloc, GoroutineWrite, TestOnly}
 }
 
 // A Pass provides one analyzer run with a single type-checked package,
@@ -69,8 +74,7 @@ type Pass struct {
 	// x/tools analyzers would re-derive this from File.Comments).
 	Annot *Annotations
 	// Prog is the whole-module effects program (effects.go) shared by the
-	// interprocedural analyzers; Run builds a single-package one when the
-	// caller has no wider view.
+	// interprocedural analyzers and testonly.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -99,16 +103,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Run applies every analyzer in suite to pkg and returns the findings in
-// file/line order, building a single-package effects Program. Callers
-// holding several packages should build one Program and use RunWith so
-// the interprocedural analyzers see cross-package calls.
-func Run(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
-	return RunWith(pkg, suite, NewProgram([]*Package{pkg}))
-}
-
 // RunWith applies every analyzer in suite to pkg against a shared
-// whole-module Program.
+// whole-module Program and returns the findings in file/line order.
 func RunWith(pkg *Package, suite []*Analyzer, prog *Program) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range suite {

@@ -44,17 +44,15 @@ const (
 	// TagHotalloc excuses one allocation site on a hot path; the
 	// justification must argue why the allocation is amortized or cold.
 	TagHotalloc = "hotalloc"
+	// TagAPI keeps an exported internal/ identifier that no production
+	// file references; the justification must name the caller that needs
+	// it (the testonly analyzer).
+	TagAPI = "api"
 )
-
-// KnownTags lists every valid annotation tag.
-var KnownTags = []string{
-	TagUnordered, TagWallclock, TagFloatfold,
-	TagSpecroot, TagSpecwrite, TagScratch, TagHotpath, TagHotalloc,
-}
 
 // An Annotation is one parsed //det: comment.
 type Annotation struct {
-	Tag    string // one of KnownTags ("unordered", "specroot", …)
+	Tag    string // one of the Tag constants ("unordered", "specroot", …)
 	Reason string // justification text after the tag; "" when bare
 	Pos    token.Pos
 }

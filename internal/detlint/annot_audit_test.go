@@ -10,6 +10,12 @@ import (
 	"testing"
 )
 
+// knownTags lists every valid annotation tag.
+var knownTags = []string{
+	TagUnordered, TagWallclock, TagFloatfold,
+	TagSpecroot, TagSpecwrite, TagScratch, TagHotpath, TagHotalloc, TagAPI,
+}
+
 // TestAnnotationsAreJustified walks every .go file in the repository
 // (tests and golden testdata included) and fails on any //det:
 // annotation that is bare, too thin to audit, or uses an unknown tag.
@@ -49,14 +55,14 @@ func TestAnnotationsAreJustified(t *testing.T) {
 				nAnnot++
 				line := fset.Position(c.Slash).Line
 				known := false
-				for _, tag := range KnownTags {
+				for _, tag := range knownTags {
 					if ann.Tag == tag {
 						known = true
 					}
 				}
 				if !known {
 					t.Errorf("%s:%d: unknown determinism annotation tag %q (known: %s)",
-						rel, line, ann.Tag, strings.Join(KnownTags, ", "))
+						rel, line, ann.Tag, strings.Join(knownTags, ", "))
 					continue
 				}
 				if ann.Reason == "" {

@@ -111,7 +111,7 @@ func analyze(t *testing.T, a *Analyzer, pkgdir string) []Diagnostic {
 		Info:  info,
 		Annot: IndexAnnotations(fset, files),
 	}
-	diags, err := Run(pkg, []*Analyzer{a})
+	diags, err := RunWith(pkg, []*Analyzer{a}, NewProgram([]*Package{pkg}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,6 +51,7 @@ type Program struct {
 	named     []*types.TypeName
 	summaries map[*funcNode]*summary
 	chaCache  map[string][]*funcNode
+	api       *apiIndex // testonly's reference sets, built on first use
 }
 
 // A funcNode is one call-graph node: a declared function/method, or a
@@ -348,15 +349,6 @@ func (p *Program) solve() {
 			return
 		}
 	}
-}
-
-// Summary returns the solved summary for the function declared by obj,
-// or nil when obj is not an in-module function.
-func (p *Program) Summary(obj *types.Func) *summary {
-	if n := p.byObj[obj]; n != nil {
-		return p.summaries[n]
-	}
-	return nil
 }
 
 // chaTargets resolves an interface method call to every in-module

@@ -22,6 +22,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	Annot *Annotations
+
+	loader *Loader // nil for a package checked outside a Loader
 }
 
 // A Loader parses and type-checks packages of a single module from
@@ -222,6 +224,8 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 		Types: tpkg,
 		Info:  info,
 		Annot: IndexAnnotations(l.fset, files),
+
+		loader: l,
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil

@@ -175,7 +175,6 @@ type Trained struct {
 	Net     *nn.MLP
 	Trainer *mdp.Trainer
 	GMM     *gmm.Model
-	Theta   *gmm.ThresholdSource
 }
 
 // Setup is one configuration made concrete: the city Params name, the order
@@ -354,7 +353,7 @@ func (r *Runner) train(p Params) (*Trained, error) {
 	r.logf("[train %s] samples=%d extra-times=%d loss=%.1f elapsed=%s\n",
 		p.City.Name, trainer.ReplayLen(), len(extraTimes), loss, elapsed)
 
-	return &Trained{Feat: feat, Net: trainer.Network(), Trainer: trainer, GMM: model, Theta: theta}, nil
+	return &Trained{Feat: feat, Net: trainer.Network(), Trainer: trainer, GMM: model}, nil
 }
 
 // modelKey identifies the offline-model cache entry for a configuration.
@@ -377,14 +376,6 @@ func (r *Runner) UseModel(p Params, m *Trained) {
 	r.mu.Lock()
 	r.models[modelKey(p)] = e
 	r.mu.Unlock()
-}
-
-// ModelCount reports how many offline models the runner has cached or is
-// currently training (used by tests to verify training deduplication).
-func (r *Runner) ModelCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.models)
 }
 
 // Build constructs a ready-to-run algorithm by name. WATTER-expect
@@ -450,10 +441,24 @@ func (a *expectAlg) Init(env *sim.Env) {
 }
 
 // validate refuses what the cell's construction would otherwise panic on,
-// possibly on a sweep worker goroutine: the platform parameters and the
-// tick interval (WATTER-expect's training builds platforms from both) and
-// the arrival process Setup schedules.
+// possibly on a sweep worker goroutine: negative order and fleet sizes
+// (evaluation and historical), value-network layers without units, the
+// platform parameters and the tick interval (WATTER-expect's training
+// builds platforms from both) and the arrival process Setup schedules.
 func validate(p Params) error {
+	for _, n := range []struct {
+		name string
+		v    int
+	}{{"Orders", p.Orders}, {"Workers", p.Workers}, {"Train.HistoricalOrders", p.Train.HistoricalOrders}} {
+		if n.v < 0 {
+			return fmt.Errorf("exp: %s = %d is negative", n.name, n.v)
+		}
+	}
+	for _, h := range p.Train.Hidden {
+		if h < 1 {
+			return fmt.Errorf("exp: Train.Hidden = %v: every layer needs at least one unit", p.Train.Hidden)
+		}
+	}
 	if err := (&Setup{Params: p}).Config().Validate(); err != nil {
 		return err
 	}

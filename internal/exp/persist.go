@@ -98,6 +98,5 @@ func LoadTrained(r io.Reader, net roadnet.Network) (*Trained, error) {
 		HorizonSeconds: snap.HorizonSeconds,
 		MaxWaitSlots:   snap.MaxWaitSlots,
 	}
-	model := &gmm.Model{Components: snap.GMM}
-	return &Trained{Feat: feat, Net: mlp, GMM: model, Theta: gmm.NewThresholdSource(model)}, nil
+	return &Trained{Feat: feat, Net: mlp, GMM: &gmm.Model{Components: snap.GMM}}, nil
 }

@@ -171,7 +171,7 @@ func TestSweepSharesTraining(t *testing.T) {
 	if _, err := (&SweepRunner{Runner: r, Parallel: 4}).Run(m.Jobs()); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.ModelCount(); n != 1 {
+	if n := len(r.models); n != 1 {
 		t.Fatalf("trained %d models for one cell, want 1", n)
 	}
 }
@@ -187,15 +187,24 @@ func TestSweepErrorPropagates(t *testing.T) {
 }
 
 // TestSweepInvalidParamsReturnError: a configuration that would panic while
-// its cell is built — in Setup for a bad arrival spec, in WATTER-expect's
-// training for a zero tick — comes back as an error from Build, from RunOne
-// and from the sweep, at parallel 1 and 4, instead of crashing the process
-// from a worker goroutine.
+// its cell is built — in Setup for a bad arrival spec or a negative order
+// or fleet size, in WATTER-expect's training for a zero tick, a negative
+// historical order count or a layer without units — comes back as an
+// error from Build, from RunOne and from the sweep, at parallel 1 and 4,
+// instead of crashing the process from a worker goroutine.
 func TestSweepInvalidParamsReturnError(t *testing.T) {
 	badArrival := tinyParams()
 	badArrival.Arrival = load.ArrivalSpec{Process: load.Poisson, Rate: -1}
 	noTick := tinyParams()
 	noTick.TickEvery = 0
+	negWorkers := tinyParams()
+	negWorkers.Workers = -1
+	negOrders := tinyParams()
+	negOrders.Orders = -1
+	negHistory := tinyParams()
+	negHistory.Train.HistoricalOrders = -1
+	emptyLayer := tinyParams()
+	emptyLayer.Train.Hidden = []int{-1}
 	mini := Sweep{
 		ID: "mini", Points: []float64{1.4},
 		Apply: func(p Params, x float64) Params {
@@ -211,6 +220,10 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 	}{
 		{"arrival rate", badArrival, []string{"GDP", "WATTER-online", "WATTER-expect"}, "arrival rate"},
 		{"zero tick", noTick, []string{"GDP", "WATTER-expect"}, "TickEvery"},
+		{"negative fleet", negWorkers, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Workers"},
+		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},
+		{"negative history", negHistory, []string{"WATTER-expect"}, "Train.HistoricalOrders"},
+		{"empty layer", emptyLayer, []string{"WATTER-expect"}, "Train.Hidden"},
 	} {
 		check := func(what string, err error) {
 			t.Helper()

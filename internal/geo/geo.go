@@ -1,5 +1,5 @@
 // Package geo provides the small geometric and temporal primitives shared by
-// every other package in the WATTER reproduction: planar points, distances
+// every other package in the WATTER reproduction: planar points and boxes
 // and the node/second conventions used throughout.
 //
 // Conventions:
@@ -22,28 +22,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Euclid returns the Euclidean distance in meters between p and q.
-func (p Point) Euclid(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// Manhattan returns the L1 distance in meters between p and q. Road travel
-// in grid cities is well approximated by the L1 metric, which is why the
-// closed-form network uses it.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 // Rect is an axis-aligned bounding box.
 type Rect struct {
 	Min, Max Point
@@ -55,11 +33,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Contains reports whether p lies inside r (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p moved to the closest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
@@ -67,6 +40,3 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
-
-// Lerp linearly interpolates between a and b: t=0 gives a, t=1 gives b.
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

@@ -194,15 +194,6 @@ func gaussPDF(x, mu, sd float64) float64 {
 	return math.Exp(-0.5*z*z) / (sd * math.Sqrt2 * math.SqrtPi)
 }
 
-// PDF evaluates the mixture density at x.
-func (m *Model) PDF(x float64) float64 {
-	var p float64
-	for _, c := range m.Components {
-		p += c.Weight * gaussPDF(x, c.Mean, c.StdDev)
-	}
-	return p
-}
-
 // CDF evaluates the mixture cumulative distribution F(x).
 func (m *Model) CDF(x float64) float64 {
 	var p float64
@@ -211,26 +202,4 @@ func (m *Model) CDF(x float64) float64 {
 		p += c.Weight * 0.5 * (1 + math.Erf(z))
 	}
 	return p
-}
-
-// Mean returns the mixture mean.
-func (m *Model) Mean() float64 {
-	var mu float64
-	for _, c := range m.Components {
-		mu += c.Weight * c.Mean
-	}
-	return mu
-}
-
-// LogLikelihood evaluates the total log-likelihood of samples under m.
-func (m *Model) LogLikelihood(samples []float64) float64 {
-	var ll float64
-	for _, x := range samples {
-		p := m.PDF(x)
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		ll += math.Log(p)
-	}
-	return ll
 }

@@ -67,10 +67,36 @@ func TestFitImprovesLikelihoodOverSingleGaussian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.LogLikelihood(samples) <= m1.LogLikelihood(samples) {
-		t.Fatalf("K=2 LL %v should beat K=1 LL %v on bimodal data",
-			m2.LogLikelihood(samples), m1.LogLikelihood(samples))
+	if ll2, ll1 := logLikelihood(m2, samples), logLikelihood(m1, samples); ll2 <= ll1 {
+		t.Fatalf("K=2 LL %v should beat K=1 LL %v on bimodal data", ll2, ll1)
 	}
+}
+
+// pdf evaluates the mixture density at x.
+func (m *Model) pdf(x float64) float64 {
+	var p float64
+	for _, c := range m.Components {
+		p += c.Weight * gaussPDF(x, c.Mean, c.StdDev)
+	}
+	return p
+}
+
+// logLikelihood evaluates the total log-likelihood of samples under m.
+func logLikelihood(m *Model, samples []float64) float64 {
+	var ll float64
+	for _, x := range samples {
+		ll += math.Log(math.Max(m.pdf(x), 1e-300))
+	}
+	return ll
+}
+
+// mixtureMean returns Σ weight·mean over m's components.
+func mixtureMean(m *Model) float64 {
+	var mu float64
+	for _, c := range m.Components {
+		mu += c.Weight * c.Mean
+	}
+	return mu
 }
 
 func TestFitErrors(t *testing.T) {
@@ -129,7 +155,7 @@ func TestPDFIntegratesToOne(t *testing.T) {
 		if i == 0 || i == steps {
 			w = 0.5
 		}
-		sum += w * m.PDF(lo+float64(i)*dx)
+		sum += w * m.pdf(lo+float64(i)*dx)
 	}
 	sum *= dx
 	if math.Abs(sum-1) > 1e-3 {
@@ -210,8 +236,22 @@ func TestMeanAndWeights(t *testing.T) {
 		{Weight: 0.25, Mean: 0, StdDev: 1},
 		{Weight: 0.75, Mean: 100, StdDev: 1},
 	}}
-	if got := m.Mean(); math.Abs(got-75) > 1e-12 {
+	if got := mixtureMean(m); math.Abs(got-75) > 1e-12 {
 		t.Fatalf("mixture mean = %v", got)
+	}
+	// An EM M-step sets Σ w_k μ_k to the sample mean exactly (up to
+	// rounding), so a fitted mixture must keep the data's first moment.
+	samples := sampleMixture(rand.New(rand.NewSource(3)), 2000)
+	fit, err := Fit(samples, DefaultFitOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, x := range samples {
+		sum += x
+	}
+	if got, want := mixtureMean(fit), sum/float64(len(samples)); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("fitted mixture mean %v, sample mean %v", got, want)
 	}
 }
 

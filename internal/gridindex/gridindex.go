@@ -73,16 +73,6 @@ func (ix *Index) CellOf(node geo.NodeID) int {
 // CellXY splits a cell id into column and row.
 func (ix *Index) CellXY(cell int) (x, y int) { return cell % ix.n, cell / ix.n }
 
-// CellDist returns the Chebyshev ring distance between two cells; ring
-// expansion during nearest-worker search enumerates cells by this distance.
-func (ix *Index) CellDist(a, b int) int {
-	ax, ay := ix.CellXY(a)
-	bx, by := ix.CellXY(b)
-	dx := math.Abs(float64(ax - bx))
-	dy := math.Abs(float64(ay - by))
-	return int(math.Max(dx, dy))
-}
-
 // Ring calls fn for every cell at exactly Chebyshev distance d from the
 // center cell, skipping out-of-range cells, column by column (x ascending,
 // y ascending within a column). It walks the ring's perimeter only: the

@@ -51,18 +51,32 @@ func TestCellRoundTripProperty(t *testing.T) {
 	}
 }
 
+// cellDist returns the Chebyshev ring distance between two cells, the
+// distance Ring enumerates cells by.
+func (ix *Index) cellDist(a, b int) int {
+	ax, ay := ix.CellXY(a)
+	bx, by := ix.CellXY(b)
+	return int(math.Max(math.Abs(float64(ax-bx)), math.Abs(float64(ay-by))))
+}
+
+// closestIdle is the unbudgeted probe: ClosestIdleWithin at +Inf.
+func (wi *WorkerIndex) closestIdle(node geo.NodeID, now float64, minCapacity int) *order.Worker {
+	w, _ := wi.ClosestIdleWithin(node, now, minCapacity, math.Inf(1))
+	return w
+}
+
 func TestCellDist(t *testing.T) {
 	ix := New(testNet(), 10)
 	a := 0        // (0,0)
 	b := 3*10 + 4 // (4,3)
-	if got := ix.CellDist(a, b); got != 4 {
-		t.Fatalf("CellDist = %d, want 4", got)
+	if got := ix.cellDist(a, b); got != 4 {
+		t.Fatalf("cellDist = %d, want 4", got)
 	}
-	if got := ix.CellDist(b, b); got != 0 {
+	if got := ix.cellDist(b, b); got != 0 {
 		t.Fatalf("self dist = %d", got)
 	}
-	if ix.CellDist(a, b) != ix.CellDist(b, a) {
-		t.Fatal("CellDist must be symmetric")
+	if ix.cellDist(a, b) != ix.cellDist(b, a) {
+		t.Fatal("cellDist must be symmetric")
 	}
 }
 
@@ -75,8 +89,8 @@ func TestRingCoverage(t *testing.T) {
 			if seen[cell] {
 				t.Fatalf("cell %d visited twice", cell)
 			}
-			if ix.CellDist(center, cell) != d {
-				t.Fatalf("cell %d at ring %d has dist %d", cell, d, ix.CellDist(center, cell))
+			if ix.cellDist(center, cell) != d {
+				t.Fatalf("cell %d at ring %d has dist %d", cell, d, ix.cellDist(center, cell))
 			}
 			seen[cell] = true
 			return true
@@ -121,22 +135,22 @@ func TestClosestIdleWorker(t *testing.T) {
 		{ID: 3, Loc: net.Node(19, 19), Capacity: 4},
 	}
 	wi := NewWorkerIndex(ix, net, workers)
-	if wi.Len() != 3 {
-		t.Fatalf("len = %d", wi.Len())
+	if len(wi.workers) != 3 {
+		t.Fatalf("len = %d", len(wi.workers))
 	}
-	got := wi.ClosestIdle(net.Node(9, 9), 0, 1)
+	got := wi.closestIdle(net.Node(9, 9), 0, 1)
 	if got == nil || got.ID != 2 {
 		t.Fatalf("closest = %+v, want worker 2", got)
 	}
 	// Busy workers are skipped.
 	workers[1].FreeAt = 100
 	mustUpdate(t, wi, workers[1])
-	got = wi.ClosestIdle(net.Node(9, 9), 0, 1)
+	got = wi.closestIdle(net.Node(9, 9), 0, 1)
 	if got == nil || got.ID == 2 {
 		t.Fatalf("busy worker returned: %+v", got)
 	}
 	// They come back once free.
-	got = wi.ClosestIdle(net.Node(9, 9), 100, 1)
+	got = wi.closestIdle(net.Node(9, 9), 100, 1)
 	if got == nil || got.ID != 2 {
 		t.Fatalf("freed worker not found: %+v", got)
 	}
@@ -150,11 +164,11 @@ func TestClosestIdleCapacityFilter(t *testing.T) {
 		{ID: 2, Loc: net.Node(15, 15), Capacity: 4},
 	}
 	wi := NewWorkerIndex(ix, net, workers)
-	got := wi.ClosestIdle(net.Node(5, 5), 0, 3)
+	got := wi.closestIdle(net.Node(5, 5), 0, 3)
 	if got == nil || got.ID != 2 {
 		t.Fatalf("capacity filter failed: %+v", got)
 	}
-	if got := wi.ClosestIdle(net.Node(5, 5), 0, 5); got != nil {
+	if got := wi.closestIdle(net.Node(5, 5), 0, 5); got != nil {
 		t.Fatalf("impossible capacity returned %+v", got)
 	}
 }
@@ -173,7 +187,7 @@ func TestClosestIdleMatchesBruteForce(t *testing.T) {
 	wi := NewWorkerIndex(ix, net, workers)
 	for q := 0; q < 25; q++ {
 		target := net.Node((q*3)%20, (q*11)%20)
-		got := wi.ClosestIdle(target, 0, 1)
+		got := wi.closestIdle(target, 0, 1)
 		var want *order.Worker
 		for _, w := range workers {
 			if want == nil || net.Cost(w.Loc, target) < net.Cost(want.Loc, target) ||
@@ -196,14 +210,14 @@ func TestWorkerIndexUpdate(t *testing.T) {
 	wi := NewWorkerIndex(ix, net, []*order.Worker{w})
 	w.Loc = net.Node(19, 19)
 	mustUpdate(t, wi, w)
-	got := wi.ClosestIdle(net.Node(18, 18), 0, 1)
+	got := wi.closestIdle(net.Node(18, 18), 0, 1)
 	if got == nil || got.ID != 1 {
 		t.Fatal("moved worker not found near new location")
 	}
 	// Same-cell move is a no-op but must stay correct.
 	w.Loc = net.Node(18, 19)
 	mustUpdate(t, wi, w)
-	if got := wi.ClosestIdle(net.Node(18, 18), 0, 1); got == nil {
+	if got := wi.closestIdle(net.Node(18, 18), 0, 1); got == nil {
 		t.Fatal("worker lost after same-cell update")
 	}
 }

@@ -261,7 +261,7 @@ func checkRecord(t *testing.T, step int, wi *WorkerIndex, op probeOp, budget flo
 	t.Helper()
 	p := wi.net.Coord(op.node)
 	center := wi.ix.CellOfPoint(p)
-	ring := func(id int32) int { c, _ := wi.CellOfWorker(int(id)); return wi.ix.CellDist(center, c) }
+	ring := func(id int32) int { c := wi.cellOf[int(id)]; return wi.ix.cellDist(center, c) }
 	found := winner == nil
 	for _, id := range rec {
 		if !slices.Contains(oracleRec, id) {
@@ -274,7 +274,7 @@ func checkRecord(t *testing.T, step int, wi *WorkerIndex, op probeOp, budget flo
 				limit = math.Min(limit, wi.net.Cost(wi.workers[int(v)].Loc, op.node))
 			}
 		}
-		cell, _ := wi.CellOfWorker(int(id))
+		cell := wi.cellOf[int(id)]
 		if floor := wi.secPerM * wi.ix.cellGap(p, cell); floor > limit {
 			t.Fatalf("step %d: recorded worker %d in cell %d (ring %d) whose floor %v exceeds the ring's cap %v",
 				step, id, cell, ring(id), floor, limit)
@@ -408,7 +408,7 @@ func TestRingSearchNotBudgetMonotone(t *testing.T) {
 	ringF2 := &order.Worker{ID: 3, Loc: net.Node(9, 20), Capacity: 4}  // ring 2, cost 11
 	center := ix.CellOf(probe)
 	for w, d := range map[*order.Worker]int{ringF: 0, ringF1: 1, ringF2: 2} {
-		if got := ix.CellDist(center, ix.CellOf(w.Loc)); got != d {
+		if got := ix.cellDist(center, ix.CellOf(w.Loc)); got != d {
 			t.Fatalf("fixture: worker %d in ring %d, want %d", w.ID, got, d)
 		}
 	}

@@ -176,23 +176,12 @@ func (wi *WorkerIndex) ringNearest(sc *probeScratch, node geo.NodeID, maxCost fl
 	return sc.costBuf
 }
 
-// ClosestIdle returns the idle worker (FreeAt <= now) with at least
-// minCapacity seats whose travel time to node is smallest, or nil when no
-// worker qualifies. Ring search expands outward from the node's cell and
-// stops one ring after the first hit (a further ring cannot contain a
-// closer worker only approximately, so one extra ring is scanned to absorb
-// grid/metric mismatch).
-func (wi *WorkerIndex) ClosestIdle(node geo.NodeID, now float64, minCapacity int) *order.Worker {
-	w, _ := wi.ClosestIdleWithin(node, now, minCapacity, math.Inf(1))
-	return w
-}
-
-// ClosestIdleWithin is ClosestIdle with a travel-time budget: workers whose
-// cost to node exceeds maxCost are not candidates (the dispatcher passes
-// the deadline slack the group can still absorb). Unreachable workers
-// (+Inf cost) are never candidates — a grid-near but disconnected worker
-// must not shadow a reachable one. Returns the worker and its travel time,
-// or (nil, +Inf).
+// ClosestIdleWithin returns the idle worker (FreeAt <= now) with at least
+// minCapacity seats whose travel time to node is smallest and at most
+// maxCost (the dispatcher passes the deadline slack the group can still
+// absorb), with that travel time, or (nil, +Inf) when no worker
+// qualifies. Unreachable workers (+Inf cost) are never candidates — a
+// grid-near but disconnected worker must not shadow a reachable one.
 func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64) (*order.Worker, float64) {
 	return wi.closestIdleWithin(node, now, minCapacity, maxCost, nil)
 }
@@ -371,12 +360,3 @@ func (wi *WorkerIndex) FillSupply(d Distribution, now float64) {
 	}
 	d.Normalize()
 }
-
-// CellOfWorker returns the cell the index currently files the worker under.
-func (wi *WorkerIndex) CellOfWorker(id int) (int, bool) {
-	c, ok := wi.cellOf[id]
-	return c, ok
-}
-
-// Len returns the number of indexed workers.
-func (wi *WorkerIndex) Len() int { return len(wi.workers) }

@@ -52,7 +52,7 @@ func TestClosestIdleSkipsUnreachableWorker(t *testing.T) {
 	reachable := &order.Worker{ID: 2, Loc: far, Capacity: 4}
 	wi := NewWorkerIndex(ix, g, []*order.Worker{stranded, reachable})
 
-	got := wi.ClosestIdle(pickup, 0, 1)
+	got := wi.closestIdle(pickup, 0, 1)
 	if got == nil {
 		t.Fatal("no worker found despite a reachable one")
 	}
@@ -63,7 +63,7 @@ func TestClosestIdleSkipsUnreachableWorker(t *testing.T) {
 	// With only the stranded worker, the query must come back empty rather
 	// than hand out an infinite-cost candidate.
 	wiOnly := NewWorkerIndex(ix, g, []*order.Worker{stranded})
-	if w := wiOnly.ClosestIdle(pickup, 0, 1); w != nil {
+	if w := wiOnly.closestIdle(pickup, 0, 1); w != nil {
 		t.Fatalf("returned unreachable worker %d", w.ID)
 	}
 }

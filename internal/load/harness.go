@@ -215,9 +215,20 @@ func (j *journal) event(ev platform.Event) {
 	}
 }
 
-// Run executes one open-loop load run and returns its measurements.
+// Run executes one open-loop load run and returns its measurements. A
+// negative fleet, bus buffer or drain rate is refused before anything is
+// built: the first would panic sizing the fleet, the other two would model
+// a queue that saturates at once or grows on every drain.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
+	for _, n := range []struct {
+		name string
+		v    int
+	}{{"Workers", cfg.Workers}, {"Buffer", cfg.Buffer}, {"DrainPerTick", cfg.DrainPerTick}} {
+		if n.v < 0 {
+			return nil, fmt.Errorf("load: %s = %d is negative", n.name, n.v)
+		}
+	}
 	times, err := cfg.Arrival.Times(cfg.Horizon)
 	if err != nil {
 		return nil, err

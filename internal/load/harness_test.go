@@ -1,6 +1,7 @@
 package load
 
 import (
+	"strings"
 	"testing"
 
 	"watter/internal/dataset"
@@ -31,8 +32,8 @@ func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel
 		t.Fatalf("after tick-1 pushes: onset=%v peak=%d, want -1/3", q.Onset(), q.Peak())
 	}
 	q.Drain()
-	if q.Depth() != 2 {
-		t.Fatalf("after tick-1 drain: depth=%d, want 2", q.Depth())
+	if q.depth != 2 {
+		t.Fatalf("after tick-1 drain: depth=%d, want 2", q.depth)
 	}
 	q.Push(12)
 	q.Push(14)
@@ -44,8 +45,8 @@ func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel
 		t.Fatalf("onset=%v, want 20 (first push beyond buffer 4)", q.Onset())
 	}
 	q.Drain()
-	if q.Depth() != 4 || q.Peak() != 5 {
-		t.Fatalf("after tick-2 drain: depth=%d peak=%d, want 4/5", q.Depth(), q.Peak())
+	if q.depth != 4 || q.Peak() != 5 {
+		t.Fatalf("after tick-2 drain: depth=%d peak=%d, want 4/5", q.depth, q.Peak())
 	}
 	// The onset is a latch: later drains never clear it.
 	q.Drain()
@@ -57,8 +58,8 @@ func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel
 	big := newModel(10, 100)
 	big.Push(1)
 	big.Drain()
-	if big.Depth() != 0 {
-		t.Fatalf("drain went negative: %d", big.Depth())
+	if big.depth != 0 {
+		t.Fatalf("drain went negative: %d", big.depth)
 	}
 }
 
@@ -105,6 +106,29 @@ func TestHarnessDeterminism(t *testing.T) {
 		}
 		if a.Pending != 0 {
 			t.Fatalf("%s: %d orders left unresolved after drain", proc.Process, a.Pending)
+		}
+	}
+}
+
+// TestRunRefusesNegativeSizes: a negative fleet panicked sizing the
+// fleet, and a negative buffer or drain rate modelled a queue that
+// saturated at the first event or grew on every drain; each is an error
+// naming the field.
+func TestRunRefusesNegativeSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Workers", func(c *Config) { c.Workers = -1 }},
+		{"Buffer", func(c *Config) { c.Buffer = -1 }},
+		{"DrainPerTick", func(c *Config) { c.DrainPerTick = -1 }},
+	} {
+		cfg := smallConfig()
+		cfg.Horizon = 60
+		cfg.Arrival = ArrivalSpec{Process: Poisson, Rate: 0.5, Seed: 1}
+		tc.set(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s = -1: err = %v, want an error naming %s", tc.field, err, tc.field)
 		}
 	}
 }

@@ -53,9 +53,6 @@ func (q *QueueModel) Drain() {
 	q.depth -= q.DrainPerTick
 }
 
-// Depth returns the current modelled backlog.
-func (q *QueueModel) Depth() int { return q.depth }
-
 // Peak returns the largest backlog ever observed.
 func (q *QueueModel) Peak() int { return q.peak }
 

@@ -350,16 +350,14 @@ func TestEndToEndTraining(t *testing.T) {
 
 	// Use the learned value function online.
 	fw2 := core.New(nil, pool.DefaultOptions())
-	src := &ValueThresholdSource{
-		Net: tr.Network(), Feat: feat,
-		Demand: func() (gridindex.Distribution, gridindex.Distribution) {
-			return fw2.Pool().DemandDistributions()
-		},
-	}
+	src := &ValueThresholdSource{Net: tr.Network(), Feat: feat}
 	fw2.Decide = &strategy.Threshold{Source: src}
 	plat, err := platform.New(net, mkWorkers(8), platform.WithMeasuredTime(false), platform.WithAlgorithm(fw2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	src.Demand = func() (gridindex.Distribution, gridindex.Distribution) {
+		return demand(fw2.Pool(), plat.Env().Index)
 	}
 	src.Supply = plat.Env().WIndex.SupplyDistribution
 	m, err := plat.Replay(mkOrders(60, 2))

@@ -63,7 +63,7 @@ func (f *liveFixture) order(id int, rng *rand.Rand, release float64) *order.Orde
 func (f *liveFixture) source(wired bool) *ValueThresholdSource {
 	src := &ValueThresholdSource{
 		Net: f.mlp, Feat: f.feat,
-		Demand: f.pool.DemandDistributions,
+		Demand: func() (gridindex.Distribution, gridindex.Distribution) { return demand(f.pool, f.feat.Index) },
 		Supply: f.wi.SupplyDistribution,
 	}
 	if wired {
@@ -85,8 +85,16 @@ func (f *liveFixture) source(wired bool) *ValueThresholdSource {
 // reference is the state the allocating path builds from histograms fetched
 // this instant — what Threshold computed before the snapshot existed.
 func (f *liveFixture) reference(o *order.Order, now float64) []float64 {
-	pu, do := f.pool.DemandDistributions()
+	pu, do := demand(f.pool, f.feat.Index)
 	return f.feat.Features(o, now, pu, do, f.wi.SupplyDistribution(now))
+}
+
+// demand fills freshly allocated histograms over ix, the index p was
+// built on, with p's current demand.
+func demand(p *pool.Pool, ix *gridindex.Index) (pickup, dropoff gridindex.Distribution) {
+	pickup, dropoff = ix.NewDistribution(), ix.NewDistribution()
+	p.FillDemand(pickup, dropoff)
+	return pickup, dropoff
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -310,7 +318,7 @@ type checkedCollector struct {
 }
 
 func (c *checkedCollector) reference(o *order.Order, now float64) []float64 {
-	pu, do := c.Inner.Pool().DemandDistributions()
+	pu, do := demand(c.Inner.Pool(), c.env.Index)
 	return c.Feat.Features(o, now, pu, do, c.env.WIndex.SupplyDistribution(now))
 }
 

@@ -71,7 +71,6 @@ type Trainer struct {
 	target *nn.MLP
 	replay []Experience
 	pos    int
-	full   bool
 	steps  int
 	rng    *rand.Rand
 	pass   nn.Scratch // the target network's pass buffers
@@ -117,7 +116,6 @@ func (t *Trainer) Add(e Experience) {
 	}
 	t.replay[t.pos] = e
 	t.pos = (t.pos + 1) % t.cfg.ReplayCap
-	t.full = true
 }
 
 // ReplayLen returns the number of stored experiences.

@@ -61,6 +61,8 @@ func (v *ValueThresholdSource) Watch(changed func() (pool, fleet uint64)) {
 // SnapshotStats reports how many thresholds the source was asked for, how
 // many of them ran the network (the rest came from the memo), and how many
 // times it re-read Demand and Supply.
+//
+//det:api exp's snapshot lockstep tests read these counters through the WATTER-expect algorithm
 func (v *ValueThresholdSource) SnapshotStats() (calls, passes, rebuilds uint64) {
 	return v.calls, v.passes, v.state.rebuilds
 }

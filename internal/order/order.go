@@ -130,16 +130,6 @@ func (r *RoutePlan) ServiceTime(orderID int) (float64, bool) {
 	return 0, false
 }
 
-// PickupTime returns the offset at which the order is picked up.
-func (r *RoutePlan) PickupTime(orderID int) (float64, bool) {
-	for i, s := range r.Stops {
-		if s.OrderID == orderID && s.Kind == PickupStop {
-			return r.Arrive[i], true
-		}
-	}
-	return 0, false
-}
-
 // Group is a set of orders that share one route (paper's g) together with
 // the minimal-cost feasible plan found for them.
 type Group struct {

@@ -96,9 +96,6 @@ func TestRoutePlanLookups(t *testing.T) {
 	if _, ok := plan.ServiceTime(42); ok {
 		t.Fatal("unknown order must not resolve")
 	}
-	if pt, ok := plan.PickupTime(9); !ok || pt != 60 {
-		t.Fatalf("PickupTime(9) = %v,%v", pt, ok)
-	}
 }
 
 func TestGroupAccounting(t *testing.T) {

@@ -73,7 +73,6 @@ type planEntry struct {
 	members  [route.MaxGroupSize]*order.Order
 	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))
 	n        int
-	cost     float64
 	expiry   float64 // τg (Eq. 3)
 	feasible bool
 	group    *order.Group
@@ -210,7 +209,7 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 		p.pairProbe = ent
 		return ent
 	}
-	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
+	_, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
 	if !ent.feasible {
 		p.pairProbe = ent
 		if p.legs != nil {
@@ -237,7 +236,7 @@ func (p *Pool) fillEntry(ent *planEntry, canon []*order.Order, now float64) {
 	if ent.n == 0 {
 		ent.setMembers(canon)
 	}
-	ent.cost, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
+	_, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
 }
 
 // groupFor materializes (once) the entry's winning group. Only cliques that
@@ -299,14 +298,6 @@ func (p *Pool) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return p.cache.stats
-}
-
-// CachedPlans reports the number of live plan-cache entries.
-func (p *Pool) CachedPlans() int {
-	if p.cache == nil {
-		return 0
-	}
-	return len(p.cache.entries)
 }
 
 // LegBlocks reports the number of live per-pair leg blocks.

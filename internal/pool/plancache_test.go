@@ -37,8 +37,8 @@ func TestPlanCacheWarmsAndHits(t *testing.T) {
 	c := mk(net, 3, net.Node(2, 0), net.Node(12, 0), 0, 2.0)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	if p.CachedPlans() == 0 || p.LegBlocks() == 0 {
-		t.Fatalf("pair insert left cache cold: plans=%d blocks=%d", p.CachedPlans(), p.LegBlocks())
+	if p.cachedPlans() == 0 || p.LegBlocks() == 0 {
+		t.Fatalf("pair insert left cache cold: plans=%d blocks=%d", p.cachedPlans(), p.LegBlocks())
 	}
 	// Inserting c re-enumerates cliques containing the a-b pair: the pair
 	// entries planned at edge creation must be served from cache.
@@ -161,8 +161,8 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	p.Insert(a, 0)
 	p.Insert(b, 0)
 	p.Insert(c, 0)
-	if p.Degree(1) != 2 || p.Degree(2) != 2 || p.Degree(3) != 2 {
-		t.Fatalf("triangle not formed: degrees %d/%d/%d", p.Degree(1), p.Degree(2), p.Degree(3))
+	if p.degree(1) != 2 || p.degree(2) != 2 || p.degree(3) != 2 {
+		t.Fatalf("triangle not formed: degrees %d/%d/%d", p.degree(1), p.degree(2), p.degree(3))
 	}
 	// Confirm the triple really is infeasible for the planner.
 	planner := route.NewPlanner(net)

@@ -170,35 +170,9 @@ func (p *Pool) OrderIDs() []int {
 	return ids
 }
 
-// Degree returns the number of shareability edges incident to the order.
-func (p *Pool) Degree(id int) int {
-	if n, ok := p.nodes[id]; ok {
-		return len(n.edges)
-	}
-	return 0
-}
-
-// EdgeExpiry returns the τe of the edge between two orders, if present.
-func (p *Pool) EdgeExpiry(a, b int) (float64, bool) {
-	if n, ok := p.nodes[a]; ok {
-		if e, ok := n.edges[b]; ok {
-			return e.expiry, true
-		}
-	}
-	return 0, false
-}
-
-// DemandDistributions returns normalized copies of the current pickup and
-// dropoff demand histograms (MDP feature sO).
-func (p *Pool) DemandDistributions() (pickup, dropoff gridindex.Distribution) {
-	pickup = make(gridindex.Distribution, len(p.pickupDemand))
-	dropoff = make(gridindex.Distribution, len(p.dropoffDemand))
-	p.FillDemand(pickup, dropoff)
-	return pickup, dropoff
-}
-
-// FillDemand is DemandDistributions into the caller's histograms, one entry
-// per cell of the pool's index.
+// FillDemand writes normalized copies of the current pickup and dropoff
+// demand histograms (MDP feature sO) into the caller's histograms, one
+// entry per cell of the pool's index.
 //
 //det:hotpath the threshold source's snapshot rebuild; writes only the caller's histograms
 func (p *Pool) FillDemand(pickup, dropoff gridindex.Distribution) {
@@ -209,8 +183,7 @@ func (p *Pool) FillDemand(pickup, dropoff gridindex.Distribution) {
 }
 
 // DemandGeneration returns a counter that moves whenever the demand
-// histograms do: while it stands still, DemandDistributions returns the
-// same values.
+// histograms do: while it stands still, FillDemand writes the same values.
 func (p *Pool) DemandGeneration() uint64 { return p.demandGen }
 
 // Insert adds an order at time now: the node is created, shareability

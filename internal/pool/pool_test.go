@@ -49,10 +49,10 @@ func TestInsertCreatesEdges(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("len = %d", p.Len())
 	}
-	if p.Degree(1) != 1 || p.Degree(2) != 1 || p.Degree(3) != 0 {
-		t.Fatalf("degrees = %d,%d,%d", p.Degree(1), p.Degree(2), p.Degree(3))
+	if p.degree(1) != 1 || p.degree(2) != 1 || p.degree(3) != 0 {
+		t.Fatalf("degrees = %d,%d,%d", p.degree(1), p.degree(2), p.degree(3))
 	}
-	if _, ok := p.EdgeExpiry(1, 2); !ok {
+	if _, ok := p.edgeExpiry(1, 2); !ok {
 		t.Fatal("edge 1-2 missing")
 	}
 }
@@ -86,7 +86,7 @@ func TestBestGroupPrefersSharing(t *testing.T) {
 		t.Fatalf("expiry %v in the past", exp)
 	}
 	// The pair group still exists as an edge for later rounds.
-	if p.Degree(1) != 1 {
+	if p.degree(1) != 1 {
 		t.Fatal("edge lost")
 	}
 }
@@ -101,7 +101,7 @@ func TestBestGroupSharedWhenDetourFree(t *testing.T) {
 	b := mk(net, 2, net.Node(0, 0), net.Node(8, 0), 0, 2.0)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	if p.Degree(1) != 1 {
+	if p.degree(1) != 1 {
 		t.Fatal("identical orders must be shareable")
 	}
 	plan, ok := route.NewPlanner(net).PlanGroup([]*order.Order{a, b}, 0, 4)
@@ -123,7 +123,7 @@ func TestRemoveCleansEdgesAndBestGroups(t *testing.T) {
 	if p.Contains(1) {
 		t.Fatal("removed order still present")
 	}
-	if p.Degree(2) != 0 {
+	if p.degree(2) != 0 {
 		t.Fatal("stale edge to removed order")
 	}
 	if g, _, ok := p.BestGroup(2); ok {
@@ -152,7 +152,7 @@ func TestEdgeExpiryEq3(t *testing.T) {
 	b := mk(net, 2, net.Node(1, 0), net.Node(9, 0), 0, 2.0)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	exp, ok := p.EdgeExpiry(1, 2)
+	exp, ok := p.edgeExpiry(1, 2)
 	if !ok {
 		t.Fatal("edge missing")
 	}
@@ -175,12 +175,12 @@ func TestExpireEdgesDropsStalePairs(t *testing.T) {
 	b := mk(net, 2, net.Node(1, 0), net.Node(9, 0), 0, 1.5)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	exp, ok := p.EdgeExpiry(1, 2)
+	exp, ok := p.edgeExpiry(1, 2)
 	if !ok {
 		t.Fatal("edge missing")
 	}
 	expired := p.ExpireEdges(exp + 1)
-	if _, still := p.EdgeExpiry(1, 2); still {
+	if _, still := p.edgeExpiry(1, 2); still {
 		t.Fatal("expired edge survived")
 	}
 	// Orders themselves may also be past their own deadlines by then.
@@ -217,8 +217,8 @@ func TestCliqueEnumerationFindsTriple(t *testing.T) {
 	p.Insert(a, now)
 	p.Insert(b, now)
 	p.Insert(c, now)
-	if p.Degree(1) != 2 || p.Degree(2) != 2 || p.Degree(3) != 2 {
-		t.Fatalf("triangle degrees = %d,%d,%d", p.Degree(1), p.Degree(2), p.Degree(3))
+	if p.degree(1) != 2 || p.degree(2) != 2 || p.degree(3) != 2 {
+		t.Fatalf("triangle degrees = %d,%d,%d", p.degree(1), p.degree(2), p.degree(3))
 	}
 	// Identical itineraries: the 3-group plan must cost one direct trip.
 	planner := route.NewPlanner(net)
@@ -264,7 +264,8 @@ func TestDemandDistributions(t *testing.T) {
 	p, net, _ := testPool(-1)
 	p.Insert(mk(net, 1, net.Node(0, 0), net.Node(19, 19), 0, 2.0), 0)
 	p.Insert(mk(net, 2, net.Node(0, 0), net.Node(19, 19), 0, 2.0), 0)
-	pu, do := p.DemandDistributions()
+	pu, do := p.ix.NewDistribution(), p.ix.NewDistribution()
+	p.FillDemand(pu, do)
 	if math.Abs(pu[0]-1) > 1e-12 {
 		t.Fatalf("pickup demand = %v", pu[0])
 	}
@@ -273,7 +274,7 @@ func TestDemandDistributions(t *testing.T) {
 	}
 	p.Remove(1, 0)
 	p.Remove(2, 0)
-	pu, _ = p.DemandDistributions()
+	p.FillDemand(pu, do)
 	for _, v := range pu {
 		if v != 0 {
 			t.Fatalf("demand not cleaned: %v", pu)
@@ -395,4 +396,30 @@ func BenchmarkPoolInsert(b *testing.B) {
 		o := mk(net, i, pu, do, float64(i), 1.6)
 		p.Insert(o, float64(i))
 	}
+}
+
+// degree returns the number of shareability edges incident to the order.
+func (p *Pool) degree(id int) int {
+	if n, ok := p.nodes[id]; ok {
+		return len(n.edges)
+	}
+	return 0
+}
+
+// edgeExpiry returns the τe of the edge between two orders, if present.
+func (p *Pool) edgeExpiry(a, b int) (float64, bool) {
+	if n, ok := p.nodes[a]; ok {
+		if e, ok := n.edges[b]; ok {
+			return e.expiry, true
+		}
+	}
+	return 0, false
+}
+
+// cachedPlans reports the number of live plan-cache entries.
+func (p *Pool) cachedPlans() int {
+	if p.cache == nil {
+		return 0
+	}
+	return len(p.cache.entries)
 }

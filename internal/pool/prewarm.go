@@ -60,7 +60,7 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		j := &jobs[i]
 		//det:specroot each prewarm task runs on an engine goroutine and may only fill its own job slot
 		tasks[i] = func() {
-			j.ent.cost, j.ent.expiry, j.ent.feasible = p.planner.PlanGroupCost(
+			_, j.ent.expiry, j.ent.feasible = p.planner.PlanGroupCost(
 				j.ent.orders(), now, p.opt.Capacity, j.legs, j.ent.svc[:])
 		}
 	}

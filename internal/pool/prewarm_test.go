@@ -47,9 +47,9 @@ func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
 		if aw != ac {
 			t.Fatalf("insert %d: warm added %d edges, cold %d", id, aw, ac)
 		}
-		if warm.CachedPlans() != cold.CachedPlans() {
+		if warm.cachedPlans() != cold.cachedPlans() {
 			t.Fatalf("insert %d: warm cache holds %d entries, cold %d (prewarmed negatives must not outlive the insert)",
-				id, warm.CachedPlans(), cold.CachedPlans())
+				id, warm.cachedPlans(), cold.cachedPlans())
 		}
 		if id%7 == 0 {
 			for _, ex := range warm.ExpireEdges(now) {
@@ -101,7 +101,7 @@ func TestPrewarmDisabledCacheNoop(t *testing.T) {
 	if exec.ran != 0 {
 		t.Fatalf("prewarm ran %d tasks with the cache disabled", exec.ran)
 	}
-	if p.CachedPlans() != 0 {
-		t.Fatalf("disabled cache holds %d entries", p.CachedPlans())
+	if p.cachedPlans() != 0 {
+		t.Fatalf("disabled cache holds %d entries", p.cachedPlans())
 	}
 }

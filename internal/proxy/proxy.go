@@ -97,10 +97,9 @@ type CityEvent struct {
 
 // city is one owned platform plus its front-tier bookkeeping.
 type city struct {
-	id    string
-	index int // position in the deterministic routing order
-	spec  CitySpec
-	plat  *platform.Platform
+	id   string
+	spec CitySpec
+	plat *platform.Platform
 	// journal is this city's complete recorded event sequence — the
 	// restart source of truth. It only grows; the merged journal holds
 	// the same events tagged and interleaved.
@@ -142,7 +141,7 @@ func New(specs []CitySpec) (*Proxy, error) {
 		if _, dup := x.cities[spec.ID]; dup {
 			return nil, fmt.Errorf("proxy: duplicate city ID %q", spec.ID)
 		}
-		ct := &city{id: spec.ID, index: i, spec: spec}
+		ct := &city{id: spec.ID, spec: spec}
 		plat, err := x.newPlatform(ct)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: city %q: %w", spec.ID, err)

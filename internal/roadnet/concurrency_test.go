@@ -14,7 +14,7 @@ import (
 // shares one Graph across all replicate runs.
 func TestGraphCostConcurrent(t *testing.T) {
 	city := NewGridCity(12, 12, 100, 5)
-	g := city.AsGraph()
+	g := city.asGraph()
 
 	const goroutines = 16
 	const queries = 400

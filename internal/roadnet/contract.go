@@ -106,7 +106,6 @@ type hierarchy struct {
 
 	shortcuts int
 	coreSize  int
-	diamB     float64 // the margin scale used during construction
 
 	// CH-arm heuristic deflation (see initCHSlack). chMul/chAbs play the
 	// role of altMul/altAbs but derive the fold-error hop budget from edge
@@ -228,7 +227,6 @@ func (g *Graph) buildHierarchy() {
 		rank:      make([]int32, n),
 		edges:     b.edges,
 		shortcuts: len(b.edges) - originals,
-		diamB:     b.diamB,
 	}
 	for v := 0; v < n; v++ {
 		if b.order[v] >= 0 {

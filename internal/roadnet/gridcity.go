@@ -71,31 +71,3 @@ func (c *GridCity) Bounds() geo.Rect {
 		Max: geo.Point{X: float64(c.W-1) * c.CellMeters, Y: float64(c.H-1) * c.CellMeters},
 	}
 }
-
-// AsGraph materializes the lattice as an explicit Graph with identical
-// costs. Used by tests to validate the closed form and by experiments that
-// need a "real" graph of the same shape.
-func (c *GridCity) AsGraph() *Graph {
-	var b GraphBuilder
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			b.AddNode(geo.Point{X: float64(x) * c.CellMeters, Y: float64(y) * c.CellMeters})
-		}
-	}
-	sec := c.CellMeters / c.Speed
-	for y := 0; y < c.H; y++ {
-		for x := 0; x < c.W; x++ {
-			if x+1 < c.W {
-				b.AddBidirectional(c.Node(x, y), c.Node(x+1, y), sec)
-			}
-			if y+1 < c.H {
-				b.AddBidirectional(c.Node(x, y), c.Node(x, y+1), sec)
-			}
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err) // unreachable: builder input is well formed by construction
-	}
-	return g
-}

@@ -123,10 +123,3 @@ func ValidateNode(net Network, n geo.NodeID) error {
 	}
 	return nil
 }
-
-// TriangleSlack reports cost(a,c) - (cost(a,b) + cost(b,c)). For any
-// shortest-path metric this must be <= 0 (up to floating error); property
-// tests use it as an invariant.
-func TriangleSlack(net Network, a, b, c geo.NodeID) float64 {
-	return net.Cost(a, c) - (net.Cost(a, b) + net.Cost(b, c))
-}

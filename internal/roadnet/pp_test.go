@@ -152,7 +152,7 @@ func TestCostMatrixMatchesSSSP(t *testing.T) {
 // a closed-form network (pairwise fallback) and a Graph (batched engine).
 func TestFillCostMatrixFallback(t *testing.T) {
 	city := NewGridCity(8, 8, 100, 10)
-	g := city.AsGraph()
+	g := city.asGraph()
 	sources := []geo.NodeID{0, 5, 17, 17, 63}
 	targets := []geo.NodeID{3, 0, 40, 3}
 	nt := len(targets)
@@ -210,7 +210,7 @@ func TestFillCostMatrixWithinBudget(t *testing.T) {
 // goroutines under -race, cross-checking against the closed form.
 func TestCostPPConcurrent(t *testing.T) {
 	city := NewGridCity(12, 12, 100, 5)
-	g := city.AsGraph()
+	g := city.asGraph()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {

@@ -45,7 +45,7 @@ func TestExampleNetworkSymmetric(t *testing.T) {
 
 func TestGridCityMatchesExplicitGraph(t *testing.T) {
 	c := NewGridCity(7, 5, 200, 8)
-	g := c.AsGraph()
+	g := c.asGraph()
 	if c.NumNodes() != g.NumNodes() {
 		t.Fatalf("node count mismatch: %d vs %d", c.NumNodes(), g.NumNodes())
 	}
@@ -90,7 +90,7 @@ func TestGridCityTriangleInequality(t *testing.T) {
 		na := geo.NodeID(a % n)
 		nb := geo.NodeID(b % n)
 		nc := geo.NodeID(x % n)
-		return TriangleSlack(c, na, nb, nc) <= 1e-9
+		return triangleSlack(c, na, nb, nc) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestGraphTriangleInequality(t *testing.T) {
 		na := geo.NodeID(a % n)
 		nb := geo.NodeID(b % n)
 		nc := geo.NodeID(x % n)
-		return TriangleSlack(g, na, nb, nc) <= 1e-4
+		return triangleSlack(g, na, nb, nc) <= 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -177,8 +177,8 @@ func TestBounds(t *testing.T) {
 	if r.Max.X != 750 || r.Max.Y != 500 {
 		t.Fatalf("max = %v", r.Max)
 	}
-	if !r.Contains(geo.Point{X: 100, Y: 100}) {
-		t.Fatal("contains failed")
+	if p := (geo.Point{X: 100, Y: 100}); r.Clamp(p) != p {
+		t.Fatal("interior point outside the bounds")
 	}
 }
 

@@ -229,6 +229,8 @@ func (s *LegStore) Adopt(other *LegStore) {
 func (s *LegStore) Len() int { return len(s.blocks) }
 
 // BlocksFor reports how many live blocks involve the order.
+//
+//det:api pool's plan-cache tests check that evicting an order drops its leg blocks
 func (s *LegStore) BlocksFor(orderID int) int {
 	n := 0
 	for _, key := range s.byOrder[orderID] {

@@ -17,17 +17,6 @@ type Schedule struct {
 	Times []float64
 }
 
-// Clone returns a deep copy of the schedule.
-func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{
-		Stops: make([]order.Stop, len(s.Stops)),
-		Times: make([]float64, len(s.Times)),
-	}
-	copy(c.Stops, s.Stops)
-	copy(c.Times, s.Times)
-	return c
-}
-
 // End returns the time and location at which the schedule completes. For an
 // empty schedule it returns the provided fallbacks.
 func (s *Schedule) End(fallbackLoc geo.NodeID, fallbackTime float64) (geo.NodeID, float64) {

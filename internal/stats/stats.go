@@ -87,51 +87,21 @@ func (s Summary) String() string {
 }
 
 // Welford is a streaming mean/variance accumulator (Welford's online
-// algorithm) with exact pairwise merging (Chan et al.) for combining
-// independently-built accumulators. The sweep engine uses it for
+// algorithm). The sweep engine uses it for
 // per-cell wall-clock summaries, which — unlike the metric summaries —
 // need no retained samples. The zero value is an empty accumulator.
 type Welford struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		w.min = math.Min(w.min, x)
-		w.max = math.Max(w.max, x)
-	}
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// Merge folds another accumulator into this one; the result is identical
-// (up to floating-point association) to having Added both streams.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.min = math.Min(w.min, o.min)
-	w.max = math.Max(w.max, o.max)
-	w.n = n
-}
-
-// N returns the observation count.
-func (w Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 when empty).
 func (w Welford) Mean() float64 { return w.mean }
@@ -144,12 +114,6 @@ func (w Welford) StdDev() float64 {
 	}
 	return math.Sqrt(w.m2 / float64(w.n-1))
 }
-
-// Min returns the smallest observation (0 when empty).
-func (w Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 when empty).
-func (w Welford) Max() float64 { return w.max }
 
 // CI95 returns the half-width of the 95% normal-approximation confidence
 // interval around the mean.
