@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz bench benchmark smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -31,9 +31,10 @@ race:
 # loader — on the four kernels held to an oracle — the route DP, the
 # batched cost-matrix search against the reference Dijkstra, the worker
 # probe's ring search against the square scan, and the threshold strategy's
-# bound-first decision against the full fold — and on the platform's
-# lifecycle under operation scripts, on top of the seed corpora in
-# internal/{roadnet,nn,route,gridindex,strategy,exp,platform}/testdata/fuzz
+# bound-first decision against the full fold — and on two stateful
+# targets under operation scripts, the platform's lifecycle and the order
+# pool against its cache-free twin, on top of the seed corpora in
+# internal/{roadnet,nn,route,gridindex,strategy,exp,platform,pool}/testdata/fuzz
 # that `test` always runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzThresholdDecision -fuzztime=10s ./internal/strategy
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTrained -fuzztime=10s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzPlatformOps -fuzztime=10s ./internal/platform
+	$(GO) test -run='^$$' -fuzz=FuzzPoolOps -fuzztime=10s ./internal/pool
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:
@@ -53,6 +55,34 @@ bench:
 # workloads, end-to-end metrics (benchmark/README.md; BENCHMARK.json).
 benchmark:
 	$(GO) run ./benchmark -workload all -seed 1
+
+# Paired end-to-end runs of one workload, the parent revision against the
+# working tree: `make benchpairs W=cdc_timeout N=10 PARENT=HEAD~1`. The
+# parent is checked out in a git worktree under BENCHPAIRS_DIR and both sides
+# build ./benchmark once; pair i runs seed i on both sides, BENCH_SECONDS
+# each, the parent first in odd pairs and second in even ones, each run from
+# its own checkout, results in BENCHPAIRS_DIR/{parent,change}. It ends with
+# `benchmark -compare parent change`: per-metric medians, change/parent
+# ratios and the BENCHMARK.json bounds (exit 1 when a bound is broken).
+W ?= cdc_timeout
+N ?= 10
+PARENT ?= HEAD
+BENCH_SECONDS ?= 20
+BENCHPAIRS_DIR ?= /tmp/benchpairs
+
+benchpairs:
+	@set -e; dir=$(BENCHPAIRS_DIR); rm -rf $$dir; mkdir -p $$dir; \
+	git worktree add --detach $$dir/parent-src $(PARENT) >/dev/null; \
+	trap 'git worktree remove --force '$$dir'/parent-src' EXIT; \
+	(cd $$dir/parent-src && $(GO) build -o $$dir/parent.bin ./benchmark); \
+	$(GO) build -o $$dir/change.bin ./benchmark; \
+	run() { side=$$1 seed=$$2; src=$$PWD; [ $$side = parent ] && src=$$dir/parent-src; \
+		(cd $$src && $$dir/$$side.bin -workload $(W) -seed $$seed -seconds $(BENCH_SECONDS) -out $$dir/$$side >/dev/null); \
+		echo "pair $$seed: $$side done"; }; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then run parent $$i; run change $$i; else run change $$i; run parent $$i; fi; \
+	done; \
+	$$dir/change.bin -compare $$dir/parent $$dir/change
 
 # How often TestSmoke/metro_ch fails: its root-coverage check reads low now
 # and then, more often the faster the tick gets. Twenty runs, one line

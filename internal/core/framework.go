@@ -103,7 +103,6 @@ func (f *Framework) OnOrder(o *order.Order, now float64) {
 	}
 	if f.engine != nil {
 		f.pool.PrewarmPairs(o, now, f.engine)
-		defer f.pool.FlushPrewarmedNegatives()
 	}
 	f.pool.Insert(o, now)
 }

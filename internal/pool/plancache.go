@@ -66,7 +66,8 @@ func (s CacheStats) HitRate() float64 {
 // planEntry memoizes one member set's route DP outcome. members and svc are
 // in canonical (ascending-ID) order, n long; group is materialized lazily,
 // only when the clique actually wins some order's best-group race (its
-// Orders alias the entry's member array).
+// Orders alias the entry's member array). evicted is set once the entry
+// leaves the cache's map; members' plans lists may still hold it.
 //
 //det:scratch entries are written only by their constructing goroutine before cacheInsert publishes them
 type planEntry struct {
@@ -75,6 +76,7 @@ type planEntry struct {
 	n        int
 	expiry   float64 // τg (Eq. 3)
 	feasible bool
+	evicted  bool
 	group    *order.Group
 }
 
@@ -106,51 +108,51 @@ func memberKey(members []*order.Order) (k planKey) {
 }
 
 // planCache is the per-pool memo. It is confined to the pool's goroutine,
-// like every other piece of pool state.
+// like every other piece of pool state. Its one map is keyed by member
+// set; which entries an order belongs to is listed on the order's slot
+// (node.plans).
 type planCache struct {
 	entries map[planKey]*planEntry
-	// byOrder indexes entries by member ID for eviction. Lists may hold
-	// stale entries (a co-member was evicted first, or a prewarmed negative
-	// was flushed): one is stale exactly when entries no longer maps its key
-	// to it, and eviction skips those.
-	byOrder map[int][]*planEntry
 	stats   CacheStats
 }
 
 func newPlanCache() *planCache {
-	return &planCache{
-		entries: make(map[planKey]*planEntry),
-		byOrder: make(map[int][]*planEntry),
-	}
+	return &planCache{entries: make(map[planKey]*planEntry)}
 }
 
-// planEntryFor returns the plan-cache entry for the canonical member set at
-// time now, computing (or renewing) it when needed. With the cache disabled
-// it returns a fresh transient entry — the same computation the cached path
-// would run on a miss, so both modes are bit-identical decision for
-// decision.
-func (p *Pool) planEntryFor(canon []*order.Order, now float64) *planEntry {
+// planEntryFor returns the plan-cache entry for the canonical member set
+// (orders and slots as canonical returns them) at time now, computing (or
+// renewing) it when needed. With the cache disabled it returns a fresh
+// transient entry — the same computation the cached path would run on a
+// miss, so both modes are bit-identical decision for decision.
+func (p *Pool) planEntryFor(canon []*order.Order, slots []int32, now float64) *planEntry {
 	if p.cache == nil {
 		ent := &planEntry{}
-		p.fillEntry(ent, canon, now)
+		ent.setMembers(canon)
+		p.plan(ent, nil, now)
 		return ent
 	}
 	key := memberKey(canon)
 	if ent, ok := p.cache.entries[key]; ok {
-		return p.cacheServe(ent, canon, now)
+		if p.cacheStale(ent, now) {
+			p.plan(ent, p.pairBlocks(slots), now)
+		}
+		return ent
 	}
 	ent := &planEntry{}
-	p.fillEntry(ent, canon, now)
-	p.cacheInsert(key, ent)
+	ent.setMembers(canon)
+	p.plan(ent, p.pairBlocks(slots), now)
+	p.cacheInsert(key, ent, slots)
 	return ent
 }
 
-// cacheServe resolves a found entry: negative and live-positive entries are
-// returned verbatim; a positive entry whose τg passed is replanned in place
-// at the current clock — the cached minimal route can no longer be
-// dispatched, but a costlier route may still be feasible. A renewal that
-// comes back infeasible turns the entry (permanently) negative.
-func (p *Pool) cacheServe(ent *planEntry, canon []*order.Order, now float64) *planEntry {
+// cacheStale counts a lookup that found ent and reports whether the entry
+// must be replanned: negative and live-positive entries are served
+// verbatim; a positive entry whose τg passed is replanned in place at the
+// current clock — the cached minimal route can no longer be dispatched, but
+// a costlier route may still be feasible. A renewal that comes back
+// infeasible turns the entry (permanently) negative.
+func (p *Pool) cacheStale(ent *planEntry, now float64) bool {
 	switch {
 	case !ent.feasible:
 		p.cache.stats.NegativeHits++
@@ -159,40 +161,54 @@ func (p *Pool) cacheServe(ent *planEntry, canon []*order.Order, now float64) *pl
 	default:
 		p.cache.stats.Renewed++
 		ent.group = nil
-		p.fillEntry(ent, canon, now)
+		return true
 	}
-	return ent
+	return false
 }
 
-// cacheInsert records a freshly planned entry under its key and indexes it
-// per member for eviction.
-func (p *Pool) cacheInsert(key planKey, ent *planEntry) {
+// cacheInsert records a freshly planned entry under its key and lists it on
+// each member's slot for eviction.
+func (p *Pool) cacheInsert(key planKey, ent *planEntry, slots []int32) {
 	p.cache.stats.Misses++
 	p.cache.entries[key] = ent
-	for _, o := range ent.orders() {
-		p.cache.byOrder[o.ID] = append(p.cache.byOrder[o.ID], ent)
+	for _, s := range slots {
+		p.nodes[s].plans = append(p.nodes[s].plans, ent)
 	}
 }
 
 // pairEntryFor is planEntryFor specialized for Insert's pairwise
-// shareability test. An infeasible pair creates no edge, and cliques are
-// enumerated over edges only, so a failed test's negative outcome (and its
-// leg block) can never be looked up again — persisting them would only
-// grow the memo. Feasible pairs are cached normally: the refresh that
-// follows the insert hits them immediately as 2-cliques. On a network with
-// lower bounds, a pair the bounds already prove infeasible fails here
-// without asking for its leg block at all.
-func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
-	canon := p.canonical(a, b)
+// shareability test of the order in slot s against the candidate in slot
+// c, and returns the pair's leg block along with the entry (nil when the
+// test failed or the cache is off). The new order was never pooled with the
+// candidate, so no entry for the pair can be cached — unless PrewarmPairs
+// already ran the test, which it left on the candidate's slot. An
+// infeasible pair creates no edge, and cliques are enumerated over edges
+// only, so a failed test's negative outcome (and its leg block) can never
+// be looked up again — persisting them would only grow the memo. Feasible
+// pairs are cached normally: the refresh that follows the insert hits them
+// immediately as 2-cliques. On a network with lower bounds, a pair the
+// bounds already prove infeasible fails here without filling its leg block
+// at all.
+func (p *Pool) pairEntryFor(s, c int32, now float64) (*planEntry, *route.LegBlock) {
+	canon, slots := p.canonical(s, c)
 	if p.cache == nil {
 		ent := &planEntry{}
-		p.fillEntry(ent, canon, now)
-		return ent
+		ent.setMembers(canon)
+		p.plan(ent, nil, now)
+		return ent, nil
 	}
 	key := memberKey(canon)
-	if ent, ok := p.cache.entries[key]; ok {
-		// Already cached (the partner's earlier edge test).
-		return p.cacheServe(ent, canon, now)
+	if pw := p.nodes[c].prewarm; pw.ent != nil {
+		// The prewarm planned the pair (a miss); this test reads it (a hit).
+		p.nodes[c].prewarm = prewarmed{}
+		if !pw.ent.feasible {
+			p.cache.stats.Misses++
+			p.cache.stats.NegativeHits++
+			return pw.ent, nil
+		}
+		p.cacheInsert(key, pw.ent, slots)
+		p.cache.stats.Hits++
+		return pw.ent, pw.legs
 	}
 	// Probe with a reusable scratch entry: a failed test allocates nothing,
 	// a successful one promotes the probe into the cache (and the next test
@@ -203,23 +219,24 @@ func (p *Pool) pairEntryFor(a, b *order.Order, now float64) *planEntry {
 	}
 	ent.setMembers(canon)
 	ent.group = nil
+	a, b := canon[0], canon[1]
 	if p.certifiedInfeasible(a, b, now) {
 		p.cache.stats.PairsPruned++
 		ent.feasible = false
 		p.pairProbe = ent
-		return ent
+		return ent, nil
 	}
-	_, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
+	blk := p.legs.Fill(a, p.slotRef(slots[0]), b, p.slotRef(slots[1]))
+	p.blockBuf[0] = blk
+	p.plan(ent, p.blockBuf[:1], now)
 	if !ent.feasible {
 		p.pairProbe = ent
-		if p.legs != nil {
-			p.legs.DropPair(a.ID, b.ID)
-		}
-		return ent
+		p.legs.Release(blk)
+		return ent, nil
 	}
 	p.pairProbe = nil
-	p.cacheInsert(key, ent)
-	return ent
+	p.cacheInsert(key, ent, slots)
+	return ent, blk
 }
 
 // certifiedInfeasible reports whether the network's lower bounds prove the
@@ -229,18 +246,16 @@ func (p *Pool) certifiedInfeasible(a, b *order.Order, now float64) bool {
 	return p.bounds != nil && route.PairInfeasible(p.bounds, a, b, now, p.opt.Capacity)
 }
 
-// fillEntry runs the cost-only DP for the set and stores the outcome. A
-// fresh entry takes its own copy of the member set first; a renewal plans
-// the members it already holds.
-func (p *Pool) fillEntry(ent *planEntry, canon []*order.Order, now float64) {
-	if ent.n == 0 {
-		ent.setMembers(canon)
-	}
-	_, ent.expiry, ent.feasible = p.planner.PlanGroupCost(ent.orders(), now, p.opt.Capacity, p.legs, ent.svc[:])
+// plan runs the cost-only DP for the entry's members over the given pair
+// blocks (nil: fresh network queries) and stores the outcome.
+func (p *Pool) plan(ent *planEntry, blocks []*route.LegBlock, now float64) {
+	_, ent.expiry, ent.feasible = p.planner.PlanGroupCostLegs(ent.orders(), now, p.opt.Capacity, blocks, ent.svc[:])
 }
 
 // groupFor materializes (once) the entry's winning group. Only cliques that
 // win a best-group race reach here; every losing candidate stays cost-only.
+// The members are pooled and pairwise adjacent: the entry was just
+// considered in an enumeration.
 func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 	if ent.group != nil {
 		if p.cache != nil {
@@ -248,7 +263,15 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 		}
 		return ent.group
 	}
-	plan, ok := p.planner.PlanGroupShared(ent.orders(), now, p.opt.Capacity, p.legs)
+	var blocks []*route.LegBlock
+	if p.legs != nil {
+		slots := p.canonSlot[:ent.n]
+		for i, o := range ent.orders() {
+			slots[i], _ = p.slotOf(o.ID)
+		}
+		blocks = p.pairBlocks(slots)
+	}
+	plan, ok := p.planner.PlanGroupShared(ent.orders(), now, p.opt.Capacity, blocks)
 	if !ok {
 		// Unreachable while now <= expiry (the cost-only DP just accepted
 		// this set); defensive so a caller bug degrades to "no group".
@@ -273,22 +296,19 @@ func (e *planEntry) avgExtra(now float64) float64 {
 	return sum / float64(e.n)
 }
 
-// evictOrder drops every cache entry and leg block involving the order;
-// called whenever a node leaves the pool.
-func (p *Pool) evictOrder(id int) {
-	if p.legs != nil {
-		p.legs.Evict(id)
-	}
-	if p.cache == nil {
-		return
-	}
-	for _, ent := range p.cache.byOrder[id] {
-		if key := memberKey(ent.orders()); p.cache.entries[key] == ent {
-			delete(p.cache.entries, key)
+// evictOrder drops every cache entry involving the order in n; called
+// whenever an order leaves the pool. (Its leg blocks went back to the store
+// with its edges.)
+func (p *Pool) evictOrder(n *node) {
+	for _, ent := range n.plans {
+		if !ent.evicted {
+			delete(p.cache.entries, memberKey(ent.orders()))
+			ent.evicted = true
 			p.cache.stats.Evicted++
 		}
 	}
-	delete(p.cache.byOrder, id)
+	clear(n.plans)
+	n.plans = n.plans[:0]
 }
 
 // CacheStats returns a snapshot of plan-cache counters (zero-valued when

@@ -3,6 +3,7 @@ package pool
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -71,8 +72,8 @@ func TestPlanCacheEvictionOnRemove(t *testing.T) {
 	if p.CacheStats().Evicted == 0 {
 		t.Fatal("eviction counter not advanced")
 	}
-	if p.legs.BlocksFor(2) != 0 {
-		t.Fatal("leg blocks referencing removed order 2 survived")
+	if p.LegBlocks() != p.edges() {
+		t.Fatalf("%d leg blocks live for %d edges after removing order 2", p.LegBlocks(), p.edges())
 	}
 }
 
@@ -106,7 +107,7 @@ func TestPlanCacheExpiryRenewal(t *testing.T) {
 	b := mk(net, 2, net.Node(1, 0), net.Node(11, 0), 0, 2.0)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	ent := p.planEntryFor(p.canonical(a, b), 0)
+	ent := p.lookup(0, 1, 2)
 	if !ent.feasible {
 		t.Fatal("corridor pair must be feasible")
 	}
@@ -115,14 +116,14 @@ func TestPlanCacheExpiryRenewal(t *testing.T) {
 		t.Fatalf("lookup after insert missed: %+v", st)
 	}
 	// Within τg the entry is served verbatim.
-	if again := p.planEntryFor(p.canonical(a, b), ent.expiry); again != ent {
+	if again := p.lookup(ent.expiry, 1, 2); again != ent {
 		t.Fatal("lookup within τg did not return the cached entry")
 	}
 	// Past τg the entry must be replanned at the current clock. For this
 	// corridor every pair route drops b at the same offset, so the replan
 	// comes back infeasible and the entry turns negative.
 	st = p.CacheStats()
-	after := p.planEntryFor(p.canonical(a, b), ent.expiry+1)
+	after := p.lookup(ent.expiry+1, 1, 2)
 	if p.CacheStats().Renewed != st.Renewed+1 {
 		t.Fatalf("lookup past τg did not renew: %+v", p.CacheStats())
 	}
@@ -138,7 +139,7 @@ func TestPlanCacheExpiryRenewal(t *testing.T) {
 	// Once negative, the entry is permanent: later lookups are negative
 	// hits, never replans.
 	st = p.CacheStats()
-	p.planEntryFor(p.canonical(a, b), ent.expiry+50)
+	p.lookup(ent.expiry+50, 1, 2)
 	got := p.CacheStats()
 	if got.NegativeHits != st.NegativeHits+1 || got.Renewed != st.Renewed || got.Misses != st.Misses {
 		t.Fatalf("negative entry not served as permanent: %+v -> %+v", st, got)
@@ -184,8 +185,8 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	// Later refreshes that re-enumerate the triangle serve the negative
 	// entry without replanning, at any later clock.
 	st := p.CacheStats()
-	p.refreshBest(1, 2)
-	p.refreshBest(2, 5)
+	p.refreshBest(p.mustSlot(t, 1), 2)
+	p.refreshBest(p.mustSlot(t, 2), 5)
 	after := p.CacheStats()
 	if after.NegativeHits <= st.NegativeHits {
 		t.Fatalf("negative entry not reused: %+v -> %+v", st, after)
@@ -225,8 +226,11 @@ func TestPlanCacheAllocations(t *testing.T) {
 	b := mk(net, 2, net.Node(1, 0), net.Node(11, 0), 0, 2.0)
 	c := mk(net, 3, net.Node(2, 0), net.Node(12, 0), 0, 2.0)
 	far := mk(net, 4, net.Node(0, 19), net.Node(10, 19), 0, 1.1)
-	for _, o := range []*order.Order{a, b, c} {
+	for _, o := range []*order.Order{a, b, c, far} {
 		p.Insert(o, 0)
+	}
+	if p.degree(far.ID) != 0 {
+		t.Fatal("far order unexpectedly shareable; test is vacuous")
 	}
 	triple := []*order.Order{a, b, c}
 	key := memberKey(triple)
@@ -235,7 +239,7 @@ func TestPlanCacheAllocations(t *testing.T) {
 	}
 
 	before := p.CacheStats()
-	if n := testing.AllocsPerRun(100, func() { p.planEntryFor(p.canonical(triple...), 0) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { p.lookup(0, 1, 2, 3) }); n != 0 {
 		t.Errorf("a cache hit allocates %v times, want 0", n)
 	}
 	if got := p.CacheStats(); got.Hits != before.Hits+101 || got.Misses != before.Misses {
@@ -245,7 +249,7 @@ func TestPlanCacheAllocations(t *testing.T) {
 	before = p.CacheStats()
 	if n := testing.AllocsPerRun(100, func() {
 		delete(p.cache.entries, key)
-		p.planEntryFor(p.canonical(triple...), 0)
+		p.lookup(0, 1, 2, 3)
 	}); n > 2 {
 		t.Errorf("a cache miss allocates %v times, want at most 2", n)
 	}
@@ -253,11 +257,12 @@ func TestPlanCacheAllocations(t *testing.T) {
 		t.Fatalf("miss arm did not miss: %+v -> %+v", before, got)
 	}
 
-	if ent := p.pairEntryFor(a, far, 0); ent.feasible {
+	sa, sf := p.mustSlot(t, a.ID), p.mustSlot(t, far.ID)
+	if ent, _ := p.pairEntryFor(sa, sf, 0); ent.feasible {
 		t.Fatal("far pair unexpectedly shareable; test is vacuous")
 	}
 	before = p.CacheStats()
-	if n := testing.AllocsPerRun(100, func() { p.pairEntryFor(a, far, 0) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { p.pairEntryFor(sa, sf, 0) }); n != 0 {
 		t.Errorf("a failed pair test allocates %v times, want 0", n)
 	}
 	if got := p.CacheStats(); got != before || p.LegBlocks() != 3 {
@@ -436,7 +441,12 @@ func TestAvgExtraMatchesGroupProperty(t *testing.T) {
 	var feasible [5]int // by group size
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p, net, _ := testPool(-1)
+		// The members are never pooled, so the pool plans them without a
+		// cache (the cached path reads pair blocks off adjacency).
+		net := roadnet.NewGridCity(20, 20, 100, 10)
+		opt := DefaultOptions()
+		opt.DisablePlanCache = true
+		p := New(route.NewPlanner(net), gridindex.New(net, 10), opt)
 		k := 2 + rng.Intn(3)
 		members := make([]*order.Order, k)
 		release := 0.0
@@ -447,7 +457,10 @@ func TestAvgExtraMatchesGroupProperty(t *testing.T) {
 			members[i] = mk(net, 1+rng.Intn(1000)*k+i, pu, do, release, 1.5+2*rng.Float64())
 		}
 		now := release + rng.Float64()*30
-		ent := p.planEntryFor(p.canonical(members...), now)
+		slices.SortFunc(members, func(a, b *order.Order) int { return a.ID - b.ID })
+		ent := &planEntry{}
+		ent.setMembers(members)
+		p.plan(ent, nil, now)
 		if !ent.feasible || ent.expiry < now {
 			return true
 		}

@@ -335,19 +335,20 @@ func TestPoolInvariantsProperty(t *testing.T) {
 func checkInvariants(t *testing.T, p *Pool, now float64) bool {
 	t.Helper()
 	for _, id := range p.OrderIDs() {
-		n := p.nodes[id]
-		for peer := range n.edges {
-			if peer == id {
+		s, _ := p.slotOf(id)
+		n := &p.nodes[s]
+		for _, e := range n.adj {
+			if e.id == id {
 				t.Errorf("self edge on %d", id)
 				return false
 			}
-			pn := p.nodes[peer]
-			if pn == nil {
-				t.Errorf("edge %d->%d dangles", id, peer)
+			pn := &p.nodes[e.slot]
+			if pn.o == nil || pn.o.ID != e.id {
+				t.Errorf("edge %d->%d dangles", id, e.id)
 				return false
 			}
-			if _, ok := pn.edges[id]; !ok {
-				t.Errorf("asymmetric edge %d->%d", id, peer)
+			if _, ok := p.edgeExpiry(e.id, id); !ok {
+				t.Errorf("asymmetric edge %d->%d", id, e.id)
 				return false
 			}
 		}
@@ -400,20 +401,30 @@ func BenchmarkPoolInsert(b *testing.B) {
 
 // degree returns the number of shareability edges incident to the order.
 func (p *Pool) degree(id int) int {
-	if n, ok := p.nodes[id]; ok {
-		return len(n.edges)
+	if s, ok := p.slotOf(id); ok {
+		return len(p.nodes[s].adj)
 	}
 	return 0
 }
 
 // edgeExpiry returns the τe of the edge between two orders, if present.
 func (p *Pool) edgeExpiry(a, b int) (float64, bool) {
-	if n, ok := p.nodes[a]; ok {
-		if e, ok := n.edges[b]; ok {
-			return e.expiry, true
+	if s, ok := p.slotOf(a); ok {
+		adj := p.nodes[s].adj
+		if i, ok := searchEdge(adj, b); ok {
+			return adj[i].expiry, true
 		}
 	}
 	return 0, false
+}
+
+// edges reports the number of shareability edges in the pool.
+func (p *Pool) edges() int {
+	n := 0
+	for _, r := range p.live {
+		n += len(p.nodes[r.slot].adj)
+	}
+	return n / 2
 }
 
 // cachedPlans reports the number of live plan-cache entries.
@@ -422,4 +433,94 @@ func (p *Pool) cachedPlans() int {
 		return 0
 	}
 	return len(p.cache.entries)
+}
+
+// lookup runs planEntryFor on the canonical view of pooled orders.
+func (p *Pool) lookup(now float64, ids ...int) *planEntry {
+	var slots [route.MaxGroupSize]int32
+	for i, id := range ids {
+		slots[i], _ = p.slotOf(id)
+	}
+	canon, cs := p.canonical(slots[:len(ids)]...)
+	return p.planEntryFor(canon, cs, now)
+}
+
+// mustSlot returns the slot of a pooled order.
+func (p *Pool) mustSlot(t testing.TB, id int) int32 {
+	t.Helper()
+	s, ok := p.slotOf(id)
+	if !ok {
+		t.Fatalf("order %d is not pooled", id)
+	}
+	return s
+}
+
+// TestSlotsRecycle: insert/remove churn far past the pool's high-water mark
+// keeps the slot array at the peak pool size, and a steady-state
+// Insert+Remove cycle allocates nothing beyond the plan entries it creates
+// and the group plans those entries materialize — no adjacency, live list,
+// cell bucket, eviction list, leg block or refresh scratch grows per cycle.
+func TestSlotsRecycle(t *testing.T) {
+	p, net, planner := testPool(-1)
+	corridor := func(id int) *order.Order {
+		x := id % 3
+		return mk(net, id, net.Node(x, 0), net.Node(10+x, 0), 0, 2.0)
+	}
+	const peak = 6
+	id := 0
+	for ; id < peak; id++ {
+		p.Insert(corridor(id), 0)
+	}
+	for id2 := 0; id2 < peak; id2++ {
+		p.Remove(id2, 0)
+	}
+	for ; id < 40*peak; id++ {
+		if p.Len() == peak {
+			p.Remove(p.live[0].id, 0)
+		}
+		p.Insert(corridor(id), 0)
+	}
+	if len(p.nodes) != peak || len(p.free)+len(p.live) != peak {
+		t.Fatalf("after churn: %d slots (%d free, %d live), want the peak %d", len(p.nodes), len(p.free), len(p.live), peak)
+	}
+	if p.edges() == 0 || p.LegBlocks() != p.edges() {
+		t.Fatalf("churned pool holds %d edges and %d leg blocks", p.edges(), p.LegBlocks())
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+
+	// An order that shares with nobody: its cycle plans nothing and keeps
+	// nothing, so it allocates nothing.
+	far := mk(net, 1000, net.Node(0, 19), net.Node(10, 19), 0, 1.1)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Insert(far, 0)
+		p.Remove(far.ID, 0)
+	}); n != 0 {
+		t.Errorf("an edgeless insert+remove cycle allocates %v times, want 0", n)
+	}
+
+	// An order that shares with every resident: each cycle creates its
+	// pair and clique entries and materializes the groups they win.
+	near := corridor(1001)
+	var members []*order.Order
+	for _, r := range p.live[:2] {
+		members = append(members, p.nodes[r.slot].o)
+	}
+	perGroup := 1 + testing.AllocsPerRun(10, func() { planner.PlanGroupShared(members, 0, 4, nil) })
+	const runs = 100
+	before := p.CacheStats()
+	n := testing.AllocsPerRun(runs, func() {
+		p.Insert(near, 0)
+		p.Remove(near.ID, 0)
+	})
+	after := p.CacheStats()
+	entries := float64(after.Misses-before.Misses) / (runs + 1)
+	groups := float64(after.PlansMaterialized-before.PlansMaterialized) / (runs + 1)
+	if entries == 0 {
+		t.Fatal("the shared cycle created no plan entries; test is vacuous")
+	}
+	if want := entries + groups*perGroup; n > want {
+		t.Errorf("an insert+remove cycle allocates %v times, want at most its %v entries and %v groups x %v", n, entries, groups, perGroup)
+	}
 }

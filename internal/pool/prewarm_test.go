@@ -42,14 +42,18 @@ func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
 		o := mk(net, id, pu, do, now, 1.4+rng.Float64())
 		warm.PrewarmPairs(o, now, exec)
 		aw := warm.Insert(o, now)
-		warm.FlushPrewarmedNegatives()
 		ac := cold.Insert(cloneOrder(o), now)
 		if aw != ac {
 			t.Fatalf("insert %d: warm added %d edges, cold %d", id, aw, ac)
 		}
-		if warm.cachedPlans() != cold.cachedPlans() {
-			t.Fatalf("insert %d: warm cache holds %d entries, cold %d (prewarmed negatives must not outlive the insert)",
-				id, warm.cachedPlans(), cold.cachedPlans())
+		if warm.cachedPlans() != cold.cachedPlans() || warm.LegBlocks() != cold.LegBlocks() {
+			t.Fatalf("insert %d: warm pool holds %d entries and %d leg blocks, cold %d and %d (prewarmed negatives must not outlive the insert)",
+				id, warm.cachedPlans(), warm.LegBlocks(), cold.cachedPlans(), cold.LegBlocks())
+		}
+		for _, r := range warm.live {
+			if warm.nodes[r.slot].prewarm.ent != nil {
+				t.Fatalf("insert %d: order %d still holds a prewarmed pair", id, r.id)
+			}
 		}
 		if id%7 == 0 {
 			for _, ex := range warm.ExpireEdges(now) {

@@ -10,9 +10,9 @@ import (
 
 // BenchmarkLegBlockFill times what an order's insertion mostly pays for on a
 // road graph: the leg block of one pair test, filled and — most tests fail —
-// dropped again. The block arm is LegStore.block as the pool calls it (two
-// 2x2 cross fills plus the two within-order legs, which a fill-and-drop
-// cycle never finds in a sibling block); the point arm is the ten Cost calls
+// released again. The block arm is LegStore.Fill as a pool's first test of
+// a new order calls it (two 2x2 cross fills plus the two within-order legs,
+// neither yet in its slot's memo); the point arm is the ten Cost calls
 // those legs stand for. Pairs are release-adjacent orders of a seeded CDC
 // evening-peak stream on the city's 1764-node jittered graph (the repository
 // benchmark's grid_alt city), answered by ALT or by the hierarchy.
@@ -31,9 +31,9 @@ func BenchmarkLegBlockFill(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				lo, hi := stream[i%256], stream[i%256+1]
-				blk, _ := store.block(lo, hi)
-				benchCostSink += blk[legWithinHi]
-				store.DropPair(lo.ID, hi.ID)
+				blk := store.Fill(lo, NoSlot, hi, NoSlot)
+				benchCostSink += blk.c[legWithinHi]
+				store.Release(blk)
 			}
 		})
 		b.Run(engine+"/point", func(b *testing.B) {

@@ -2,14 +2,13 @@ package route
 
 import (
 	"math"
-	"slices"
 
 	"watter/internal/geo"
 	"watter/internal/order"
 	"watter/internal/roadnet"
 )
 
-// legBlock is the 4x4 travel-cost matrix over one order pair's four route
+// LegBlock is the 4x4 travel-cost matrix over one order pair's four route
 // events, row-major over [pickup_lo, dropoff_lo, pickup_hi, dropoff_hi]
 // where lo is the member with the smaller order ID. Only the ten entries the
 // route DP can read are costs: the eight cross legs between the two orders
@@ -18,8 +17,12 @@ import (
 // event is D_i already has P_i in its mask), so the diagonal and those two
 // cells hold legUnread and no search is ever run for them.
 //
-//det:scratch a block is written only while its store's one writer goroutine fills it, before any plan reads it; a dropped block is recycled by that same goroutine
-type legBlock [16]float64
+// A block's owner keeps it for as long as the pair can be planned — the
+// pool, on the pair's two adjacency entries — and hands it back with
+// Release; its cells are the store's business.
+//
+//det:scratch a block is written only while its store's one writer goroutine fills it, before any plan reads it; a released block is recycled by that same goroutine
+type LegBlock struct{ c [16]float64 }
 
 // Block cells, by role.
 const (
@@ -37,34 +40,58 @@ var (
 // DP makes, so a kernel that did read one could never build a route on it.
 var legUnread = math.NaN()
 
-type pairKey struct{ lo, hi int }
+// Slot names one order of the store owner's node set: Index is a dense
+// position the owner recycles once the order leaves, and Gen tells apart
+// the orders that held the same Index — the owner changes it on every
+// reuse, and no live order has Gen 0. A negative Index is no slot: the
+// store then memoizes nothing for the order.
+type Slot struct {
+	Index int32
+	Gen   uint32
+}
 
-// LegStore memoizes per-pair leg blocks for the shareability graph's route
-// planning. Every clique the pool plans is a set of orders whose pairs were
-// each already cost-tested once (the pairwise shareability check), so a
+// NoSlot names an order the store must not memoize anything for.
+var NoSlot = Slot{Index: -1}
+
+// LegStore fills the per-pair leg blocks the shareability graph plans its
+// cliques from. Every clique the pool plans is a set of orders whose pairs
+// were each already cost-tested once (the pairwise shareability check), so a
 // k-group's (2k)x(2k) leg matrix decomposes entirely into k*(k-1)/2 pair
-// blocks — assembling it from the store replaces a batched network search
-// per considered clique with plain copies. Every entry a plan reads is the
+// blocks — assembling it from blocks replaces a batched network search per
+// considered clique with plain copies. Every entry a plan reads is the
 // pure, deterministic cost(l1, l2) value the network would return fresh, so
-// store-assembled plans are bit-identical to store-free ones.
+// block-assembled plans are bit-identical to block-free ones.
+//
+// The store does not look blocks up: whoever asked for a block keeps it
+// (the pool stores it on the pair's adjacency entries) and passes a group's
+// blocks to PlanGroupCostLegs / PlanGroupShared. What the store keeps is
+// indexed by the owner's slots: each slot's within-order leg,
+// cost(pickup, dropoff), which every block of that order repeats, stamped
+// with the slot's generation so a recycled slot never reads its previous
+// order's leg. Released blocks are recycled by the next fill.
 //
 // A LegStore belongs to exactly one pool and is not safe for concurrent
-// use; lifetime and eviction follow the pool's node set.
+// use.
 type LegStore struct {
-	net roadnet.Network
-	// searched: the network prices a leg by searching the graph (it offers
-	// lower bounds, which a closed-form O(1) oracle has no use for), so a
-	// leg some live block already holds is worth two map lookups to find.
-	searched bool
-	blocks   map[pairKey]*legBlock
-	byOrder  map[int][]pairKey
-	// spare is the block the last DropPair released, reused by the next
-	// fill: most pair tests fail, and each would otherwise allocate a block
-	// only to drop it a few hundred nanoseconds later.
-	spare *legBlock
-	hits  uint64
-	fills uint64
-	query legQuery
+	net    roadnet.Network
+	within []withinLeg // by slot index
+	free   []*LegBlock // released blocks, reused by the next fill
+	live   int         // blocks handed out and not released
+	fills  uint64
+	query  legQuery
+	// detached holds the pair blocks of one PlanGroupCost call on a store
+	// without an owner (see fillGroup).
+	detached [maxPairs]*LegBlock
+}
+
+// maxPairs is the number of member pairs of the largest plannable group.
+const maxPairs = MaxGroupSize * (MaxGroupSize - 1) / 2
+
+// withinLeg is one slot's memoized cost(pickup, dropoff), valid while gen
+// is the slot's current generation.
+type withinLeg struct {
+	gen  uint32
+	cost float64
 }
 
 // legQuery is a fill's query scratch: the pair's four nodes and one 2x2
@@ -79,183 +106,125 @@ type legQuery struct {
 
 // NewLegStore returns an empty store over the network.
 func NewLegStore(net roadnet.Network) *LegStore {
-	_, searched := net.(roadnet.BoundedNetwork)
-	return &LegStore{
-		net:      net,
-		searched: searched,
-		blocks:   make(map[pairKey]*legBlock),
-		byOrder:  make(map[int][]pairKey),
-	}
+	return &LegStore{net: net}
 }
 
-// block returns the pair's leg block, filling it on first use, and whether
-// the pair was given in (hi, lo) order — the caller needs that to map member
-// indices onto block rows. A fill asks the network for exactly what a plan
-// reads: the two 2x2 cross matrices, {P,D}_lo -> {P,D}_hi and back, and the
-// two within-order legs — which belong to the order, not the pair, so where
-// a leg costs a search each is copied from any live block of that order and
-// only asked of the network when there is none.
+// Fill returns a block holding the pair's legs, recycling a released block
+// when there is one. It asks the network for exactly what a plan reads: the
+// two 2x2 cross matrices, {P,D}_lo -> {P,D}_hi and back, and the two
+// within-order legs, which come from the slot memo when the order's slot
+// already holds its leg.
 //
-//det:specwrite memoized pure leg matrix keyed by the pair; every store has exactly one writer goroutine and the cached values are bit-identical no matter when the fill ran
-func (s *LegStore) block(a, b *order.Order) (blk *legBlock, swapped bool) {
-	lo, hi := a, b
+//det:specwrite a prewarm task fills a block of its own task store; every store has exactly one writer goroutine and a block's values are the same pure costs whenever the fill ran
+func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBlock {
+	lo, hi, slo, shi := a, b, sa, sb
 	if lo.ID > hi.ID {
-		lo, hi = hi, lo
-		swapped = true
+		lo, hi, slo, shi = b, a, sb, sa
 	}
-	key := pairKey{lo.ID, hi.ID}
-	if blk, ok := s.blocks[key]; ok {
-		s.hits++
-		return blk, swapped
-	}
-	if blk = s.spare; blk != nil {
-		s.spare = nil
+	var blk *LegBlock
+	if n := len(s.free); n > 0 {
+		blk = s.free[n-1]
+		s.free = s.free[:n-1]
 	} else {
-		//det:hotalloc one block per distinct pair, cached for the pair's lifetime and amortized over thousands of DP touches
-		blk = new(legBlock)
+		//det:hotalloc one block per concurrently live pair; released blocks are recycled, so steady state allocates none
+		blk = new(LegBlock)
 	}
 	q := &s.query
 	q.locs = [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
 	roadnet.FillCostMatrix(s.net, q.locs[:2], q.locs[2:], q.cross[:])
 	for i, at := range legCrossLoHi {
-		blk[at] = q.cross[i]
+		blk.c[at] = q.cross[i]
 	}
 	roadnet.FillCostMatrix(s.net, q.locs[2:], q.locs[:2], q.cross[:])
 	for i, at := range legCrossHiLo {
-		blk[at] = q.cross[i]
+		blk.c[at] = q.cross[i]
 	}
-	blk[legWithinLo], blk[legWithinHi] = s.within(lo), s.within(hi)
+	blk.c[legWithinLo], blk.c[legWithinHi] = s.withinCost(lo, slo), s.withinCost(hi, shi)
 	for _, at := range legUnreadAt {
-		blk[at] = legUnread
+		blk.c[at] = legUnread
 	}
-	s.blocks[key] = blk
-	s.byOrder[lo.ID] = append(s.byOrder[lo.ID], key)
-	s.byOrder[hi.ID] = append(s.byOrder[hi.ID], key)
+	s.live++
 	s.fills++
-	return blk, swapped
+	return blk
 }
 
-// within returns cost(o.Pickup, o.Dropoff): on a searched network from a
-// live block of the order when it has one, from the network otherwise. (On
-// a closed-form city the lookup cost fifteen times the Cost call it saved.)
-func (s *LegStore) within(o *order.Order) float64 {
-	if s.searched {
-		for _, key := range s.byOrder[o.ID] {
-			if blk, ok := s.blocks[key]; ok {
-				if key.lo == o.ID {
-					return blk[legWithinLo]
-				}
-				return blk[legWithinHi]
-			}
-		}
-	}
-	return s.net.Cost(o.Pickup, o.Dropoff)
-}
-
-// DropPair removes one pair's cached block and its two index keys. The pool
-// uses it when a pairwise shareability test fails: with no edge the pair can
-// never appear in a clique, so its block is dead weight — kept as the spare
-// for the next fill, which overwrites all of it.
-func (s *LegStore) DropPair(aID, bID int) {
-	if aID > bID {
-		aID, bID = bID, aID
-	}
-	key := pairKey{aID, bID}
-	if blk, ok := s.blocks[key]; ok {
-		delete(s.blocks, key)
-		s.spare = blk
-		s.unindex(aID, key)
-		s.unindex(bID, key)
-	}
-}
-
-// unindex removes key from the order's index slice, which keeps its place in
-// the map (and its capacity) even when emptied. Fill, plan and drop are
-// consecutive in a failed pair test, so the key is the tail and the scan
-// ends at its first step.
-func (s *LegStore) unindex(orderID int, key pairKey) {
-	keys := s.byOrder[orderID]
-	for i := len(keys) - 1; i >= 0; i-- {
-		if keys[i] == key {
-			s.byOrder[orderID] = slices.Delete(keys, i, i+1)
-			return
-		}
-	}
-}
-
-// Evict drops every block involving the order (called when it leaves the
-// pool). Keys for already-deleted blocks (the partner was evicted first)
-// are skipped harmlessly.
-func (s *LegStore) Evict(orderID int) {
-	for _, key := range s.byOrder[orderID] {
-		delete(s.blocks, key)
-	}
-	delete(s.byOrder, orderID)
-}
-
-// Adopt moves every block of the other store into this one, indexing them
-// per member for eviction; blocks already present win (they hold the same
-// pure cost values, so the choice is cosmetic). The sharded engine's insert
-// prewarm computes pair blocks into throwaway per-task stores on shard
-// goroutines, then adopts them into the pool's store on the coordinator —
-// the fills counter follows the blocks so accounting matches a sequential
-// fill. The other store must not be used afterwards.
-func (s *LegStore) Adopt(other *LegStore) {
-	// Adopt in (lo, hi) order: the byOrder index slices then grow in the
-	// same order however the shard scheduler interleaved the task stores,
-	// keeping even internal state bit-stable across runs.
-	keys := make([]pairKey, 0, len(other.blocks))
-	for key := range other.blocks {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b pairKey) int {
-		if a.lo != b.lo {
-			return a.lo - b.lo
-		}
-		return a.hi - b.hi
-	})
-	for _, key := range keys {
-		if _, ok := s.blocks[key]; ok {
-			continue
-		}
-		s.blocks[key] = other.blocks[key]
-		s.byOrder[key.lo] = append(s.byOrder[key.lo], key)
-		s.byOrder[key.hi] = append(s.byOrder[key.hi], key)
-		s.fills++
-	}
-}
-
-// Len reports the number of cached pair blocks.
-func (s *LegStore) Len() int { return len(s.blocks) }
-
-// BlocksFor reports how many live blocks involve the order.
+// withinCost returns cost(o.Pickup, o.Dropoff), from the slot's memo when
+// it holds the slot's current generation and from the network otherwise.
 //
-//det:api pool's plan-cache tests check that evicting an order drops its leg blocks
-func (s *LegStore) BlocksFor(orderID int) int {
-	n := 0
-	for _, key := range s.byOrder[orderID] {
-		if _, ok := s.blocks[key]; ok {
-			n++
-		}
+//det:specwrite a prewarm task fills with NoSlot and returns before the memo; the memo is written only by its store's one writer goroutine
+func (s *LegStore) withinCost(o *order.Order, slot Slot) float64 {
+	if slot.Index < 0 {
+		return s.net.Cost(o.Pickup, o.Dropoff)
 	}
-	return n
+	if n := int(slot.Index) + 1; n > len(s.within) {
+		//det:hotalloc grows to the owner's slot high-water mark once; recycled slots reuse it
+		s.within = append(s.within, make([]withinLeg, n-len(s.within))...)
+	}
+	w := &s.within[slot.Index]
+	if w.gen != slot.Gen {
+		w.gen, w.cost = slot.Gen, s.net.Cost(o.Pickup, o.Dropoff)
+	}
+	return w.cost
 }
 
-// Stats reports block reuses and batched fills since construction.
-func (s *LegStore) Stats() (hits, fills uint64) { return s.hits, s.fills }
+// Release hands a block back once no plan can read it any more (its pair
+// test failed, its edge expired, or a member left). The next fill
+// overwrites all of it.
+func (s *LegStore) Release(blk *LegBlock) {
+	s.free = append(s.free, blk)
+	s.live--
+}
 
-// assembleLegs fills the (ne x ne) leg matrix for the group from the
-// store's pair blocks. Each member pair contributes its cross entries; the
-// within-member cells (the pickup -> dropoff leg, and the unread ones beside
-// it) ride along from whichever blocks contain the member — every block
-// holding an order carries the same values there, so repeated writes are
-// idempotent.
-func assembleLegs(store *LegStore, orders []*order.Order, ne int, legs []float64) {
+// Adopt takes over a block another store filled — the insert prewarm fills
+// pair blocks in throwaway per-task stores on the engine's goroutines — so
+// the live and fill counts match a sequential fill. The block is released
+// to this store like any of its own.
+func (s *LegStore) Adopt(*LegBlock) {
+	s.live++
+	s.fills++
+}
+
+// Len reports the number of blocks handed out and not yet released.
+func (s *LegStore) Len() int { return s.live }
+
+// Stats reports block reuses and fills since construction. The store keeps
+// no block to reuse — the owner does — so hits is 0.
+func (s *LegStore) Stats() (hits, fills uint64) { return 0, s.fills }
+
+// fillGroup is the leg source of PlanGroupCost on a store: the group's pair
+// blocks filled fresh (no slots, so nothing is memoized), in pair order.
+// The caller releases them with releaseGroup once the legs are assembled.
+func (s *LegStore) fillGroup(orders []*order.Order) []*LegBlock {
+	blocks := s.detached[:0]
+	for i := range orders {
+		for j := i + 1; j < len(orders); j++ {
+			blocks = append(blocks, s.Fill(orders[i], NoSlot, orders[j], NoSlot))
+		}
+	}
+	return blocks
+}
+
+func (s *LegStore) releaseGroup(blocks []*LegBlock) {
+	for i, blk := range blocks {
+		s.Release(blk)
+		blocks[i] = nil
+	}
+}
+
+// assembleLegs fills the (ne x ne) leg matrix for the group from its pair
+// blocks, blocks[p] belonging to the p-th pair (i, j), i < j, in row-major
+// order. Each member pair contributes its cross entries; the within-member
+// cells (the pickup -> dropoff leg, and the unread ones beside it) ride
+// along from whichever blocks contain the member — every block holding an
+// order carries the same values there, so repeated writes are idempotent.
+func assembleLegs(blocks []*LegBlock, orders []*order.Order, ne int, legs []float64) {
+	p := 0
 	for i := 0; i < len(orders); i++ {
 		for j := i + 1; j < len(orders); j++ {
-			blk, swapped := store.block(orders[i], orders[j])
+			blk := &blocks[p].c
+			p++
 			ri, rj := 0, 2
-			if swapped {
+			if orders[i].ID > orders[j].ID {
 				ri, rj = 2, 0
 			}
 			for a := 0; a < 2; a++ {

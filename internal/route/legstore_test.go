@@ -3,8 +3,6 @@ package route
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"watter/internal/geo"
@@ -57,8 +55,20 @@ func plansEqual(a, b *order.RoutePlan) bool {
 	return true
 }
 
+// slotBlocks fills the group's pair blocks in planner order, each member
+// under slot i of the given generation.
+func slotBlocks(store *LegStore, gen uint32, orders []*order.Order) []*LegBlock {
+	var blocks []*LegBlock
+	for i := range orders {
+		for j := i + 1; j < len(orders); j++ {
+			blocks = append(blocks, store.Fill(orders[i], Slot{Index: int32(i), Gen: gen}, orders[j], Slot{Index: int32(j), Gen: gen}))
+		}
+	}
+	return blocks
+}
+
 // TestPlanGroupSharedMatchesFresh drives random groups on both network
-// kinds and checks that store-assembled plans are bit-identical to plans
+// kinds and checks that block-assembled plans are bit-identical to plans
 // built from fresh batched queries.
 func TestPlanGroupSharedMatchesFresh(t *testing.T) {
 	nets := map[string]roadnet.Network{
@@ -72,30 +82,33 @@ func TestPlanGroupSharedMatchesFresh(t *testing.T) {
 		feasible := 0
 		for trial := 0; trial < 120; trial++ {
 			orders := randomGroup(net, rng, 16, 2+rng.Intn(3))
+			blocks := slotBlocks(store, uint32(trial+1), orders)
 			fresh, okFresh := p.PlanGroup(orders, 0, 4)
-			shared, okShared := p.PlanGroupShared(orders, 0, 4, store)
+			shared, okShared := p.PlanGroupShared(orders, 0, 4, blocks)
 			if okFresh != okShared {
 				t.Fatalf("%s trial %d: feasibility diverged fresh=%v shared=%v", name, trial, okFresh, okShared)
 			}
-			if !okFresh {
-				continue
+			if okFresh {
+				feasible++
+				if !plansEqual(fresh, shared) {
+					t.Fatalf("%s trial %d: block-assembled plan diverged:\nfresh:  %+v\nshared: %+v", name, trial, fresh, shared)
+				}
+				// Replan through the same blocks: reading them again must
+				// give the same bits as the first read.
+				again, okAgain := p.PlanGroupShared(orders, 0, 4, blocks)
+				if !okAgain || !plansEqual(fresh, again) {
+					t.Fatalf("%s trial %d: replan over the same blocks diverged", name, trial)
+				}
 			}
-			feasible++
-			if !plansEqual(fresh, shared) {
-				t.Fatalf("%s trial %d: store-assembled plan diverged:\nfresh:  %+v\nshared: %+v", name, trial, fresh, shared)
-			}
-			// Replan through the now-warm blocks: the reuse path must give
-			// the same bits as the fill path.
-			again, okAgain := p.PlanGroupShared(orders, 0, 4, store)
-			if !okAgain || !plansEqual(fresh, again) {
-				t.Fatalf("%s trial %d: warm-block replan diverged", name, trial)
+			for _, blk := range blocks {
+				store.Release(blk)
 			}
 		}
 		if feasible == 0 {
 			t.Fatalf("%s: no feasible trials, test is vacuous", name)
 		}
-		if hits, fills := store.Stats(); hits == 0 || fills == 0 {
-			t.Fatalf("%s: store never exercised (hits=%d fills=%d)", name, hits, fills)
+		if _, fills := store.Stats(); fills == 0 || store.Len() != 0 {
+			t.Fatalf("%s: store never exercised or leaks blocks (fills=%d live=%d)", name, fills, store.Len())
 		}
 	}
 }
@@ -150,186 +163,96 @@ func TestPlanGroupCostMatchesPlanGroup(t *testing.T) {
 	}
 }
 
-// TestLegStoreEvict checks eviction drops every block involving the order
-// and that re-queries refill rather than resurrect.
-func TestLegStoreEvict(t *testing.T) {
-	net := roadnet.NewGridCity(10, 10, 100, 10)
+// countingNet counts Cost calls; it offers no batched engine, so a block's
+// eight cross legs are eight calls too.
+type countingNet struct {
+	roadnet.Network
+	calls int
+}
+
+func (c *countingNet) Cost(a, b geo.NodeID) float64 {
+	c.calls++
+	return c.Network.Cost(a, b)
+}
+
+// TestLegStoreSlotGenerations: a slot's within-order leg is asked of the
+// network once per generation; a slot reused under a new generation gets its
+// new order's leg, never the previous order's; and an order without a slot
+// is never memoized.
+func TestLegStoreSlotGenerations(t *testing.T) {
+	net := &countingNet{Network: roadnet.NewGridCity(10, 10, 100, 10)}
 	store := NewLegStore(net)
 	mkO := func(id int, pu, do geo.NodeID) *order.Order {
-		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9, DirectCost: net.Cost(pu, do)}
+		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
 	}
-	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 25)
-	store.block(a, b)
-	store.block(b, a) // same pair, swapped: must hit, not refill
-	store.block(a, c)
-	store.block(b, c)
-	if store.Len() != 3 {
-		t.Fatalf("blocks = %d, want 3", store.Len())
+	a, b, c, d := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 25), mkO(4, 30, 99)
+	sa, sb := Slot{Index: 0, Gen: 1}, Slot{Index: 1, Gen: 1}
+	fill := func(x *order.Order, sx Slot, y *order.Order, sy Slot, wantCalls int) *LegBlock {
+		t.Helper()
+		before := net.calls
+		blk := store.Fill(x, sx, y, sy)
+		if got := net.calls - before; got != wantCalls {
+			t.Fatalf("fill of %d-%d made %d Cost calls, want %d", x.ID, y.ID, got, wantCalls)
+		}
+		return blk
 	}
-	if hits, fills := store.Stats(); hits != 1 || fills != 3 {
-		t.Fatalf("hits=%d fills=%d, want 1/3", hits, fills)
+	fill(a, sa, b, sb, 10)                           // 8 cross legs, both within legs
+	fill(c, Slot{Index: 2, Gen: 1}, a, sa, 9)        // a's within leg from its slot
+	fill(a, NoSlot, b, NoSlot, 10)                   // no slot, no memo
+	blk := fill(a, sa, d, Slot{Index: 1, Gen: 2}, 9) // slot 1 reused by d
+	if got, want := blk.c[legWithinHi], net.Network.Cost(d.Pickup, d.Dropoff); got != want {
+		t.Fatalf("reused slot served within leg %v, want d's %v", got, want)
 	}
-	store.Evict(2)
-	if store.Len() != 1 {
-		t.Fatalf("blocks after evict = %d, want 1 (only a-c)", store.Len())
+	if store.Len() != 4 {
+		t.Fatalf("live blocks = %d, want 4", store.Len())
 	}
-	store.Evict(1)
-	store.Evict(3)
-	if store.Len() != 0 {
-		t.Fatalf("blocks after full evict = %d", store.Len())
-	}
-	_, fillsBefore := store.Stats()
-	store.block(a, b)
-	if _, fills := store.Stats(); fills != fillsBefore+1 {
-		t.Fatal("evicted block was resurrected instead of refilled")
+	if _, fills := store.Stats(); fills != 4 {
+		t.Fatalf("fills = %d, want 4", fills)
 	}
 }
 
-// TestLegStoreDropPairRecyclesBlock: a dropped pair's block becomes the next
+// TestLegStoreReleaseRecyclesBlock: a released block becomes the next
 // fill's storage — the next pair must read its own costs out of it, and a
-// fill-and-drop cycle (what a failed pair test is) must not allocate.
-func TestLegStoreDropPairRecyclesBlock(t *testing.T) {
+// fill-and-release cycle (what a failed pair test is) must not allocate.
+func TestLegStoreReleaseRecyclesBlock(t *testing.T) {
 	net := roadnet.NewPerturbedGrid(8, 8, 150, 8, 0.3, 2)
 	store := NewLegStore(net)
 	mkO := func(id int, pu, do geo.NodeID) *order.Order {
 		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
 	}
 	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 63)
-	dropped, _ := store.block(a, b)
-	store.DropPair(2, 1)
+	sa, sb, sc := Slot{Index: 0, Gen: 1}, Slot{Index: 1, Gen: 1}, Slot{Index: 2, Gen: 1}
+	dropped := store.Fill(a, sa, b, sb)
+	store.Release(dropped)
 	if store.Len() != 0 {
-		t.Fatalf("blocks after drop = %d", store.Len())
+		t.Fatalf("blocks after release = %d", store.Len())
 	}
-	got, _ := store.block(a, c)
+	got := store.Fill(c, sc, a, sa)
 	if got != dropped {
-		t.Fatal("the dropped block was not recycled by the next fill")
+		t.Fatal("the released block was not recycled by the next fill")
 	}
 	// The ten cells a plan reads hold the a-c costs; the other six hold the
 	// sentinel, whatever the recycled block held there before.
-	var want legBlock
+	var want LegBlock
 	nodes := []geo.NodeID{a.Pickup, a.Dropoff, c.Pickup, c.Dropoff}
-	roadnet.FillCostMatrix(net, nodes, nodes, want[:])
+	roadnet.FillCostMatrix(net, nodes, nodes, want.c[:])
 	for _, at := range legUnreadAt {
-		want[at] = legUnread
+		want.c[at] = legUnread
 	}
-	for at := range want {
-		if math.Float64bits(got[at]) != math.Float64bits(want[at]) {
-			t.Fatalf("recycled block cell %d holds %v, want %v (block %v)", at, got[at], want[at], *got)
+	for at := range want.c {
+		if math.Float64bits(got.c[at]) != math.Float64bits(want.c[at]) {
+			t.Fatalf("recycled block cell %d holds %v, want %v (block %v)", at, got.c[at], want.c[at], got.c)
 		}
 	}
-	if again, _ := store.block(a, b); again == got {
+	if again := store.Fill(a, sa, b, sb); again == got {
 		t.Fatal("a live block was handed out twice")
 	}
-	store.block(b, c) // size the per-order index past the cycle below
 	if raceEnabled {
 		return // pooled search scratch is dropped at random; counts mean nothing
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		store.block(a, b)
-		store.DropPair(1, 2)
+		store.Release(store.Fill(a, sa, b, sb))
 	}); n != 0 {
-		t.Fatalf("a fill-and-drop cycle allocates %v times, want 0", n)
-	}
-}
-
-// TestLegStoreDropPairLeavesNoIndexResidue: a failed pair test is fill, plan,
-// drop, and most tests fail — so a long-pooled order used to collect one
-// stale index key per arrival it was tested against, all of which Evict and
-// BlocksFor then walked. DropPair takes its two keys back out: however many
-// tests fail against a pooled order, its index holds its live blocks only.
-func TestLegStoreDropPairLeavesNoIndexResidue(t *testing.T) {
-	net := roadnet.NewPerturbedGrid(8, 8, 150, 8, 0.3, 2)
-	store := NewLegStore(net)
-	mkO := func(id int, pu, do geo.NodeID) *order.Order {
-		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Deadline: 1e9}
-	}
-	pooled, friend := mkO(1, 0, 5), mkO(2, 10, 15)
-	live, _ := store.block(pooled, friend) // an edge: this block stays
-	const arrivals = 40
-	for i := 0; i < arrivals; i++ {
-		o := mkO(100+i, geo.NodeID(16+i), geo.NodeID(63-i))
-		store.block(pooled, o)
-		store.DropPair(o.ID, pooled.ID)
-		if got := len(store.byOrder[o.ID]); got != 0 {
-			t.Fatalf("arrival %d keeps %d index keys after its only block was dropped", o.ID, got)
-		}
-	}
-	if got := len(store.byOrder[pooled.ID]); got != 1 {
-		t.Fatalf("pooled order indexes %d keys after %d failed tests, want its 1 live block", got, arrivals)
-	}
-	if store.Len() != 1 || store.BlocksFor(pooled.ID) != 1 || store.BlocksFor(friend.ID) != 1 {
-		t.Fatalf("live blocks: store %d, pooled %d, friend %d, want 1/1/1",
-			store.Len(), store.BlocksFor(pooled.ID), store.BlocksFor(friend.ID))
-	}
-	if hits, fills := store.Stats(); hits != 0 || fills != 1+arrivals {
-		t.Fatalf("hits=%d fills=%d, want 0/%d", hits, fills, 1+arrivals)
-	}
-	if again, _ := store.block(friend, pooled); again != live {
-		t.Fatal("the surviving block was replaced")
-	}
-	// Dropping a pair that is not the tail of its index (a third block was
-	// filled since) removes that key and no other.
-	third := mkO(3, 20, 25)
-	store.block(pooled, third)
-	store.DropPair(pooled.ID, friend.ID)
-	if keys := store.byOrder[pooled.ID]; len(keys) != 1 || keys[0] != (pairKey{1, 3}) {
-		t.Fatalf("pooled order indexes %v after dropping its first pair, want [{1 3}]", keys)
-	}
-	store.Evict(pooled.ID)
-	if store.Len() != 0 || store.BlocksFor(pooled.ID) != 0 {
-		t.Fatalf("evicting the pooled order left %d blocks", store.Len())
-	}
-}
-
-// TestAdoptDeterministicOrder pins a fixed map-iteration leak in Adopt:
-// whatever order the donor store filled its blocks in, adopting the same
-// block set must leave identical byOrder indexes, grown in (lo, hi)
-// order — the sharded engine adopts per-task stores in whatever order the
-// scheduler produced them, and the pool's internal state must stay
-// bit-stable regardless. Repeated runs give Go's randomized map order
-// every chance to expose a regression.
-func TestAdoptDeterministicOrder(t *testing.T) {
-	net := roadnet.NewGridCity(8, 8, 100, 10)
-	rng := rand.New(rand.NewSource(5))
-	orders := randomGroup(net, rng, 8, 6)
-
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := range orders {
-		for j := i + 1; j < len(orders); j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	fill := func(ps []pair) *LegStore {
-		s := NewLegStore(net)
-		for _, p := range ps {
-			s.block(orders[p.i], orders[p.j])
-		}
-		return s
-	}
-	rev := make([]pair, len(pairs))
-	for i, p := range pairs {
-		rev[len(pairs)-1-i] = p
-	}
-
-	keyLess := func(x, y pairKey) int {
-		if x.lo != y.lo {
-			return x.lo - y.lo
-		}
-		return x.hi - y.hi
-	}
-	for it := 0; it < 10; it++ {
-		a, b := NewLegStore(net), NewLegStore(net)
-		a.Adopt(fill(pairs))
-		b.Adopt(fill(rev))
-		if !reflect.DeepEqual(a.byOrder, b.byOrder) {
-			t.Fatalf("iteration %d: byOrder differs between fill orders:\n%v\nvs\n%v",
-				it, a.byOrder, b.byOrder)
-		}
-		for id, keys := range a.byOrder {
-			if !slices.IsSortedFunc(keys, keyLess) {
-				t.Fatalf("iteration %d: byOrder[%d] not in (lo, hi) order: %v", it, id, keys)
-			}
-		}
+		t.Fatalf("a fill-and-release cycle allocates %v times, want 0", n)
 	}
 }

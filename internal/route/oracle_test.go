@@ -241,11 +241,12 @@ func (c dpCase) String() string {
 // checkAgainstOracle asks every entry point the case's question and
 // compares with the oracle: feasibility, then math.Float64bits of cost, τg
 // and each service time, and for the materializing paths every Stop and
-// every Arrive. The cost-only store arm runs twice so both the filling and
-// the warm assembly are covered, and once more on a store that already holds
-// a block of every member with an order outside the group, so each member's
-// pickup -> dropoff leg is copied from a sibling block (from its lo rows for
-// odd members, its hi rows for even ones) instead of asked of the network.
+// every Arrive. The cost-only path runs fresh, on a store filling the
+// group's blocks for the call alone, and over blocks filled under member
+// slots twice — once filling each slot's within-order leg, once with every
+// member's pickup -> dropoff leg served from its slot memo, which blocks of
+// each member with an order outside the group (the member as lo for odd
+// members, as hi for even ones) filled first.
 // It reports the oracle's verdicts for the free and for the case's own start.
 func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anchored bool) {
 	t.Helper()
@@ -279,46 +280,56 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 		}
 	}
 
-	// Cost-only path: fresh legs, then a filling and a warm LegStore.
+	// Cost-only path: fresh legs, a store's call-local blocks, then blocks
+	// filled under member slots, the second time from warm slot memos.
 	svc, wantSvc := make([]float64, MaxGroupSize), make([]float64, MaxGroupSize)
 	wantCost, wantExp, wantOK := oraclePlanGroupCost(p, c.orders, c.now, c.capacity, wantSvc)
-	store, siblings := NewLegStore(net), NewLegStore(net)
-	// holeNet offers no lower bounds, so the stores would ask it for every
-	// within-order leg; force the sibling lookup a graph city gets.
-	store.searched, siblings.searched = true, true
+	store, memo := NewLegStore(net), NewLegStore(net)
 	below := &order.Order{ID: 0, Pickup: c.orders[k-1].Dropoff, Dropoff: c.orders[0].Pickup}
 	above := &order.Order{ID: k + 1, Pickup: c.orders[0].Dropoff, Dropoff: c.orders[k-1].Pickup}
 	for i, o := range c.orders {
+		other := above
 		if i%2 == 0 {
-			siblings.block(o, below)
-		} else {
-			siblings.block(o, above)
+			other = below
+		}
+		memo.Release(memo.Fill(o, Slot{Index: int32(i), Gen: 1}, other, NoSlot))
+	}
+	filling := slotBlocks(NewLegStore(net), 1, c.orders)
+	warm := slotBlocks(memo, 1, c.orders)
+	check := func(name string, cost, exp float64, ok bool) {
+		t.Helper()
+		if ok != wantOK {
+			t.Fatalf("%s: kernel ok=%v, oracle ok=%v\ncase: %v", name, ok, wantOK, c)
+		}
+		if !ok {
+			return
+		}
+		sameBits(name+" cost", cost, wantCost)
+		sameBits(name+" expiry", exp, wantExp)
+		for i := 0; i < k; i++ {
+			sameBits(fmt.Sprintf("%s svc[%d]", name, i), svc[i], wantSvc[i])
 		}
 	}
 	for _, arm := range []struct {
 		name string
 		legs *LegStore
-	}{{"PlanGroupCost fresh", nil}, {"PlanGroupCost filling store", store}, {"PlanGroupCost warm store", store},
-		{"PlanGroupCost store holding sibling blocks", siblings}} {
+	}{{"PlanGroupCost fresh", nil}, {"PlanGroupCost store", store}} {
 		cost, exp, ok := p.PlanGroupCost(c.orders, c.now, c.capacity, arm.legs, svc)
-		if ok != wantOK {
-			t.Fatalf("%s: kernel ok=%v, oracle ok=%v\ncase: %v", arm.name, ok, wantOK, c)
-		}
-		if !ok {
-			continue
-		}
-		sameBits(arm.name+" cost", cost, wantCost)
-		sameBits(arm.name+" expiry", exp, wantExp)
-		for i := 0; i < k; i++ {
-			sameBits(fmt.Sprintf("%s svc[%d]", arm.name, i), svc[i], wantSvc[i])
-		}
+		check(arm.name, cost, exp, ok)
+	}
+	for _, arm := range []struct {
+		name   string
+		blocks []*LegBlock
+	}{{"PlanGroupCostLegs filling slots", filling}, {"PlanGroupCostLegs warm slots", warm}} {
+		cost, exp, ok := p.PlanGroupCostLegs(c.orders, c.now, c.capacity, arm.blocks, svc)
+		check(arm.name, cost, exp, ok)
 	}
 
 	// Materializing paths.
 	want, ok := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, geo.InvalidNode)
 	got, gotOK := p.PlanGroup(c.orders, c.now, c.capacity)
 	samePlan("PlanGroup", got, gotOK, want, ok)
-	got, gotOK = p.PlanGroupShared(c.orders, c.now, c.capacity, store)
+	got, gotOK = p.PlanGroupShared(c.orders, c.now, c.capacity, warm)
 	samePlan("PlanGroupShared", got, gotOK, want, ok)
 	wantFrom, okFrom := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, c.start)
 	got, gotOK = p.PlanGroupFrom(c.orders, c.now, c.capacity, c.start)

@@ -13,12 +13,13 @@
 // order is dropped before it is picked up, walked level by level over
 // precomputed mask tables (dptable.go) and abandoned at the first level no
 // route prefix reaches. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
-// a RoutePlan; PlanGroupCost is the shareability graph's hot path — it runs
-// the identical DP but returns only the route cost, the group expiry τg and
-// the per-member service times, allocating nothing. Both kinds
-// accept an optional LegStore so the leg matrix can be assembled from cached
-// per-pair cost blocks instead of fresh network queries; every assembled
-// entry the DP reads is the same pure cost(l1, l2) value a fresh query would
+// a RoutePlan; PlanGroupCostLegs (PlanGroupCost with a store) is the
+// shareability graph's hot path — it runs the identical DP but returns only
+// the route cost, the group expiry τg and the per-member service times,
+// allocating nothing. PlanGroupShared and
+// PlanGroupCostLegs assemble the leg matrix from the group's per-pair cost
+// blocks (LegBlock) instead of fresh network queries; every assembled entry
+// the DP reads is the same pure cost(l1, l2) value a fresh query would
 // return, so the two paths are bit-identical by construction.
 package route
 
@@ -67,17 +68,18 @@ func (p *Planner) PlanGroupFrom(orders []*order.Order, now float64, capacity int
 }
 
 // PlanGroupShared is PlanGroup with the leg matrix assembled from the
-// store's cached per-pair blocks (falling back to fresh network queries
-// when legs is nil or the group is a singleton). The result is bit-identical
-// to PlanGroup: cached blocks hold the same pure cost values.
-func (p *Planner) PlanGroupShared(orders []*order.Order, now float64, capacity int, legs *LegStore) (*order.RoutePlan, bool) {
-	return p.planGroupFrom(orders, now, capacity, geo.InvalidNode, legs)
+// group's pair blocks: blocks[p] is the block of the p-th member pair (i, j),
+// i < j, in row-major order (fresh network queries when blocks is nil or the
+// group is a singleton). The result is bit-identical to PlanGroup: blocks
+// hold the same pure cost values.
+func (p *Planner) PlanGroupShared(orders []*order.Order, now float64, capacity int, blocks []*LegBlock) (*order.RoutePlan, bool) {
+	return p.planGroupFrom(orders, now, capacity, geo.InvalidNode, blocks)
 }
 
-func (p *Planner) planGroupFrom(orders []*order.Order, now float64, capacity int, start geo.NodeID, store *LegStore) (*order.RoutePlan, bool) {
+func (p *Planner) planGroupFrom(orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock) (*order.RoutePlan, bool) {
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
-	best := p.planDP(orders, now, capacity, start, store, sc)
+	best := p.planDP(orders, now, capacity, start, blocks, sc)
 	if best < 0 {
 		return nil, false
 	}
@@ -92,13 +94,25 @@ func (p *Planner) planGroupFrom(orders []*order.Order, now float64, capacity int
 // in member order. ok is false when no feasible route exists — and, because
 // raising now only shrinks the feasible route set, stays false for every
 // later now (the monotone-infeasibility property the pool's negative cache
-// relies on).
+// relies on). With a store, the leg matrix is assembled from pair blocks
+// the store fills for this call alone.
+func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int, legs *LegStore, svc []float64) (cost, expiry float64, ok bool) {
+	var blocks []*LegBlock
+	if legs != nil && len(orders) >= 2 && len(orders) <= MaxGroupSize {
+		blocks = legs.fillGroup(orders)
+		defer legs.releaseGroup(blocks)
+	}
+	return p.PlanGroupCostLegs(orders, now, capacity, blocks, svc)
+}
+
+// PlanGroupCostLegs is PlanGroupCost over the group's pair blocks, laid out
+// as PlanGroupShared takes them (fresh network queries when blocks is nil).
 //
 //det:hotpath the shareability graph's per-pair test runs millions of times per simulated day and must not allocate in steady state
-func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int, legs *LegStore, svc []float64) (cost, expiry float64, ok bool) {
+func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, ok bool) {
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
-	best := p.planDP(orders, now, capacity, geo.InvalidNode, legs, sc)
+	best := p.planDP(orders, now, capacity, geo.InvalidNode, blocks, sc)
 	if best < 0 {
 		return 0, 0, false
 	}
@@ -124,8 +138,8 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 
 // planDP runs the feasibility DP and returns the index of the cheapest
 // complete final state into sc's dp/parent tables, or -1 when the group is
-// infeasible. The leg matrix comes from the store's cached pair blocks when
-// store is non-nil and the group has pairs to share, from batched network
+// infeasible. The leg matrix comes from the group's pair blocks when blocks
+// is non-nil and the group has pairs to share, from batched network
 // queries otherwise; either way every entry the DP reads is
 // cost(loc[a], loc[b]) (a block leaves the cells it cannot read — the
 // diagonal, dropoff_i -> pickup_i — at a sentinel).
@@ -138,7 +152,7 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 // before anything reads them, and a level with no reachable state proves
 // every deeper one unreachable. DESIGN.md §5 has the argument that this
 // reproduces the push-form 2^(2k) table sweep bit for bit.
-func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start geo.NodeID, store *LegStore, sc *planScratch) int {
+func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock, sc *planScratch) int {
 	k := len(orders)
 	if k == 0 || k > MaxGroupSize {
 		return -1
@@ -156,13 +170,13 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	// legs[a*ne+b] caches cost(loc[a], loc[b]); the DP touches each pair
 	// many times. One batched many-to-many call fills the whole table: a
 	// Graph-backed network answers it with one pruned search per distinct
-	// event node instead of ne full-city Dijkstras. A LegStore skips even
+	// event node instead of ne full-city Dijkstras. Pair blocks skip even
 	// that, copying the entries out of per-pair blocks filled — with the ten
 	// legs a pair's DP reads, no more — when the pair's shareability edge
 	// was first tested.
 	legs := sc.legs[:ne*ne]
-	if store != nil && k >= 2 {
-		assembleLegs(store, orders, ne, legs)
+	if blocks != nil && k >= 2 {
+		assembleLegs(blocks, orders, ne, legs)
 	} else {
 		loc := sc.loc[:ne]
 		for i, o := range orders {
