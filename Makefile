@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -28,10 +28,11 @@ race:
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
 # input — the DIMACS importer, the model-snapshot loader and the model-bundle
-# loader — on the four kernels held to an oracle — the route DP, the
+# loader — on the five kernels held to an oracle — the route DP, the
 # batched cost-matrix search against the reference Dijkstra, the worker
-# probe's ring search against the square scan, and the threshold strategy's
-# bound-first decision against the full fold — and on two stateful
+# probe's ring search against the square scan, the threshold strategy's
+# bound-first decision against the full fold, and the value network's split
+# pass against the exact pass within its proved radius — and on two stateful
 # targets under operation scripts, the platform's lifecycle and the order
 # pool against its cache-free twin, on top of the seed corpora in
 # internal/{roadnet,nn,route,gridindex,strategy,exp,platform,pool}/testdata/fuzz
@@ -40,12 +41,34 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzCostMatrix -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
+	$(GO) test -run='^$$' -fuzz=FuzzSplitRadius -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzPlanGroup -fuzztime=10s ./internal/route
 	$(GO) test -run='^$$' -fuzz=FuzzClosestIdleWithin -fuzztime=10s ./internal/gridindex
 	$(GO) test -run='^$$' -fuzz=FuzzThresholdDecision -fuzztime=10s ./internal/strategy
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTrained -fuzztime=10s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzPlatformOps -fuzztime=10s ./internal/platform
 	$(GO) test -run='^$$' -fuzz=FuzzPoolOps -fuzztime=10s ./internal/pool
+
+# No fused multiply-add in the value network and its training (DESIGN.md
+# §6): the Go spec lets a compiler fuse x*y + z unless the product is
+# converted explicitly, amd64's never does, and these four do. Each compiles
+# internal/nn and internal/mdp, and any fused instruction in a symbol of
+# either fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
+# FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and
+# MADBR/MSDBR and their memory and vector forms (s390x).
+FMA_ARCHS = arm64 ppc64le s390x riscv64
+FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
+
+fmacheck:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; total=0; \
+	for arch in $(FMA_ARCHS); do for pkg in nn mdp; do \
+		GOARCH=$$arch $(GO) build -o $$dir/$$pkg.a ./internal/$$pkg; \
+		$(GO) tool objdump -s '^watter/internal/'$$pkg'\.' $$dir/$$pkg.a > $$dir/$$pkg.dis; \
+		n=$$(grep -cE '[[:space:]]($(FMA_OPS))[[:space:]]' $$dir/$$pkg.dis || true); \
+		[ $$n = 0 ] || grep -E '[[:space:]]($(FMA_OPS))[[:space:]]' $$dir/$$pkg.dis; \
+		echo "$$arch watter/internal/$$pkg: $$n fused"; total=$$((total + n)); \
+	done; done; \
+	echo "$$total fused instructions"; [ $$total = 0 ]
 
 # Smoke-run every benchmark once (no timing stability, just "they run").
 bench:
@@ -126,7 +149,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build examples clismoke test race fuzz bench benchgate
+ci: lint staticcheck govulncheck build fmacheck examples clismoke test race fuzz bench benchgate
 
 # Regenerate the checked-in DIMACS fixture from its generator (the
 # importer test fails if the two ever drift).

@@ -54,7 +54,7 @@ func (t *Trained) Save(w io.Writer) error {
 // The bundle comes from outside the program, so nothing in it is trusted:
 // the grid must give exactly the model's input width, the featurizer's
 // scales must keep every state entry a number, and the model must be finite
-// on the state box (nn.MLP.FiniteOnUnitBox). Together they make θ a number
+// on the state box (nn.MLP.UnitBoxBounds). Together they make θ a number
 // for every order with a finite release at or after 0 — what the threshold
 // strategy's bound-first decision relies on.
 func LoadTrained(r io.Reader, net roadnet.Network) (*Trained, error) {
@@ -89,7 +89,7 @@ func LoadTrained(r io.Reader, net roadnet.Network) (*Trained, error) {
 	if n := int64(snap.GridN); n <= 0 || n > int64(width) || (width-2)%5 != 0 || n*n != int64((width-2)/5) {
 		return nil, fmt.Errorf("exp: load: a %d-cell grid does not give the model's %d-dim states", snap.GridN, width)
 	}
-	if !mlp.FiniteOnUnitBox() {
+	if _, finite := mlp.UnitBoxBounds(); !finite {
 		return nil, fmt.Errorf("exp: load: the model is not provably finite on the state box")
 	}
 	feat := &mdp.Featurizer{

@@ -14,7 +14,7 @@ import (
 // unwatched is WATTER-expect with the change signal taken away again after
 // Init: its threshold source re-reads the pool's and the fleet's histograms
 // on every call, as every source did before the snapshot existed, and so
-// keeps no θ memo and claims no range.
+// claims no range.
 type unwatched struct{ *expectAlg }
 
 func (u unwatched) Init(env *sim.Env) {
@@ -23,16 +23,17 @@ func (u unwatched) Init(env *sim.Env) {
 }
 
 // TestThresholdSnapshotEquivalence is the acceptance test of the threshold
-// source's environment snapshot and θ memo: WATTER-expect replayed with the
-// source wired to the pool and fleet generation counters must produce
-// per-seed Metrics bit-identical to the same replay with a source that
-// trusts nothing and rebuilds the snapshot on every call — sequentially and
-// at Shards = 2, where prewarm goroutines run beside the committing one.
-// The snapshot may change how often the environment is read and the
-// network is run, never a decision. The source's own counters keep the
-// comparison from being vacuous: the wired arm must actually have reused
-// snapshots and memoized θ, and the bare arm must actually have rebuilt and
-// run the network on every call.
+// source's environment snapshot, suffix sums and estimate memo:
+// WATTER-expect replayed with the source wired to the pool and fleet
+// generation counters must produce per-seed Metrics bit-identical to the
+// same replay with a source that trusts nothing, rebuilds the snapshot on
+// every call and claims no range — sequentially and at Shards = 2, where
+// prewarm goroutines run beside the committing one. The snapshot may
+// change how often the environment is read and the network is run, never a
+// decision. The source's own counters keep the comparison from being
+// vacuous: the wired arm must actually have reused snapshots, answered
+// ranges from split passes and the memo, and saved exact passes, and the
+// bare arm must actually have rebuilt on every call.
 func TestThresholdSnapshotEquivalence(t *testing.T) {
 	r := NewRunner()
 	base := smallParams()
@@ -47,7 +48,7 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			run := func(wired bool) (m *sim.Metrics, calls, passes, rebuilds uint64) {
+			run := func(wired bool) (*sim.Metrics, mdp.SourceStats) {
 				built, err := r.Build("WATTER-expect", p)
 				if err != nil {
 					t.Fatal(err)
@@ -57,13 +58,12 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 				if !wired {
 					alg = unwatched{expect}
 				}
-				m = replay(t, s, alg)
-				calls, passes, rebuilds = expect.src.SnapshotStats()
-				return m, calls, passes, rebuilds
+				m := replay(t, s, alg)
+				return m, expect.src.SnapshotStats()
 			}
 
-			bare, bareCalls, barePasses, bareRebuilds := run(false)
-			wired, calls, passes, rebuilds := run(true)
+			bare, b := run(false)
+			wired, w := run(true)
 			if bare.Served == 0 || bare.Rejected == 0 {
 				t.Fatalf("seed %d K=%d: degenerate run (%d served / %d rejected), equivalence is weak",
 					seed, shards, bare.Served, bare.Rejected)
@@ -72,24 +72,24 @@ func TestThresholdSnapshotEquivalence(t *testing.T) {
 				t.Fatalf("seed %d K=%d: the snapshot changed the run:\nrebuild per call: %+v\nsnapshot:         %+v",
 					seed, shards, *bare, *wired)
 			}
-			if bareCalls == 0 || bareRebuilds != bareCalls || barePasses != bareCalls {
-				t.Fatalf("seed %d K=%d: bare source rebuilt %d times and ran the network %d times in %d calls, want every call",
-					seed, shards, bareRebuilds, barePasses, bareCalls)
+			if b.Exact == 0 || b.Rebuilds != b.Exact || b.Ranges == 0 || b.Splits != 0 {
+				t.Fatalf("seed %d K=%d: bare source rebuilt %d times in %d thresholds and ran %d split passes for %d ranges, want a rebuild per threshold and no split",
+					seed, shards, b.Rebuilds, b.Exact, b.Splits, b.Ranges)
 			}
-			if calls > bareCalls {
-				t.Fatalf("seed %d K=%d: %d thresholds with the snapshot, %d without: the range can only save calls",
-					seed, shards, calls, bareCalls)
+			if w.Exact >= b.Exact {
+				t.Fatalf("seed %d K=%d: %d exact passes with the snapshot, %d without: the range never decided",
+					seed, shards, w.Exact, b.Exact)
 			}
-			if rebuilds == 0 || rebuilds >= calls {
-				t.Fatalf("seed %d K=%d: wired source rebuilt %d times in %d calls, want fewer rebuilds than calls",
-					seed, shards, rebuilds, calls)
+			if w.Splits == 0 || w.Splits >= w.Ranges {
+				t.Fatalf("seed %d K=%d: wired source ran %d split passes for %d ranges, want fewer passes than ranges",
+					seed, shards, w.Splits, w.Ranges)
 			}
-			if passes == 0 || passes >= calls {
-				t.Fatalf("seed %d K=%d: wired source ran the network %d times in %d calls, want fewer passes than calls",
-					seed, shards, passes, calls)
+			if w.Rebuilds == 0 || w.Rebuilds >= w.Splits {
+				t.Fatalf("seed %d K=%d: wired source rebuilt %d times for %d split passes, want fewer rebuilds than passes",
+					seed, shards, w.Rebuilds, w.Splits)
 			}
-			t.Logf("seed %d K=%d: %d thresholds without the signal, %d with it: %d network passes (%.3f per call), %d snapshot rebuilds (%.1f calls per snapshot)",
-				seed, shards, bareCalls, calls, passes, float64(passes)/float64(calls), rebuilds, float64(calls)/float64(rebuilds))
+			t.Logf("seed %d K=%d: %d thresholds without the signal; with it %d ranges (%d split passes, %.3f per range), %d exact passes, %d snapshot rebuilds (%.1f ranges per snapshot)",
+				seed, shards, b.Exact, w.Ranges, w.Splits, float64(w.Splits)/float64(w.Ranges), w.Exact, w.Rebuilds, float64(w.Ranges)/float64(w.Rebuilds))
 		}
 	}
 }
@@ -132,17 +132,26 @@ func (r rangeOf) ThresholdRange(o *order.Order, now float64) (lo, hi float64) {
 	return r.ranges.ThresholdRange(o, now)
 }
 
-// noRange hides a source's range.
-type noRange struct{ strategy.ThresholdSource }
+// widened pads a source's ranges by pad seconds on each side, so the
+// decision falls back to the source's exact θ near many more ties.
+type widened struct {
+	strategy.ThresholdSource
+	pad float64
+}
 
-func (noRange) ThresholdRange(*order.Order, float64) (lo, hi float64) { return strategy.Unbounded() }
+func (w widened) ThresholdRange(o *order.Order, now float64) (lo, hi float64) {
+	lo, hi = w.ThresholdSource.ThresholdRange(o, now)
+	return lo - w.pad, hi + w.pad
+}
 
 // checkedSource asserts that every θ its source answers is the full
-// path's, bit for bit, at the same instant.
+// path's, bit for bit, and that every range it claims contains the full
+// path's θ, at the same instant. It records the widest finite range.
 type checkedSource struct {
 	strategy.ThresholdSource
-	full *denseSource
-	t    *testing.T
+	full   *denseSource
+	t      *testing.T
+	widest *float64
 }
 
 func (c checkedSource) Threshold(o *order.Order, now float64) float64 {
@@ -151,6 +160,17 @@ func (c checkedSource) Threshold(o *order.Order, now float64) float64 {
 		c.t.Fatalf("order %d at %v: θ = %v, the full path's is %v", o.ID, now, got, want)
 	}
 	return got
+}
+
+func (c checkedSource) ThresholdRange(o *order.Order, now float64) (lo, hi float64) {
+	lo, hi = c.ThresholdSource.ThresholdRange(o, now)
+	if want := c.full.Threshold(o, now); !(lo <= want && want <= hi) {
+		c.t.Fatalf("order %d at %v: θ = %v, outside the claimed [%v, %v]", o.ID, now, want, lo, hi)
+	}
+	if w := hi - lo; w > *c.widest && !math.IsInf(w, 1) {
+		*c.widest = w
+	}
+	return lo, hi
 }
 
 // cutArm runs WATTER-expect with the decision's threshold source replaced,
@@ -167,13 +187,16 @@ func (c cutArm) Init(env *sim.Env) {
 	c.Decide.(*strategy.Threshold).Source = c.source(c.expectAlg)
 }
 
-// TestThresholdCutsLockstep: each of the three cuts the threshold source
-// and the strategy make to WATTER-expect's inference — the θ memo, the
-// bound-first decision, the sparse layer-0 input — and all three together
-// leave sim.Metrics and the whole event sequence exactly as the full path
-// produces them, on several seeds, and every θ an arm computes is the one
-// the full path computes at that instant. The full path is denseSource with
-// no range: every member's θ, every time, from a dense state.
+// TestThresholdCutsLockstep: each of the cuts the threshold source and the
+// strategy make to WATTER-expect's inference — the bound-first decision
+// over split-pass ranges, the sparse layer-0 input with its snapshot — and
+// the production source with both, alone and with its ranges widened so
+// that exact passes interleave with split ones, leave sim.Metrics and the
+// whole event sequence exactly as the full path produces them, on several
+// seeds; every θ an arm computes is the one the full path computes at that
+// instant, and every range an arm claims contains it. The full path is
+// denseSource with no range: every member's θ, every time, from a dense
+// state.
 func TestThresholdCutsLockstep(t *testing.T) {
 	r := NewRunner()
 	base := smallParams()
@@ -182,7 +205,6 @@ func TestThresholdCutsLockstep(t *testing.T) {
 		name   string
 		source func(a *expectAlg) strategy.ThresholdSource
 	}{
-		{"memo", func(a *expectAlg) strategy.ThresholdSource { return noRange{a.src} }},
 		{"bounds", func(a *expectAlg) strategy.ThresholdSource {
 			boundsDense = &denseSource{src: a.src}
 			return rangeOf{boundsDense, a.src}
@@ -191,7 +213,9 @@ func TestThresholdCutsLockstep(t *testing.T) {
 			a.src.Watch(nil)
 			return a.src
 		}},
-		{"all", func(a *expectAlg) strategy.ThresholdSource { return a.src }},
+		{"split", func(a *expectAlg) strategy.ThresholdSource { return a.src }},
+		// The exact pass interleaved with split passes under one snapshot.
+		{"widened", func(a *expectAlg) strategy.ThresholdSource { return widened{a.src, 5} }},
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		p := base
@@ -201,21 +225,22 @@ func TestThresholdCutsLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(source func(a *expectAlg) strategy.ThresholdSource) (*sim.Metrics, []sim.Event, *expectAlg) {
+		run := func(source func(a *expectAlg) strategy.ThresholdSource) (*sim.Metrics, []sim.Event, *expectAlg, float64) {
 			built, err := r.Build("WATTER-expect", p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var events []sim.Event
+			var widest float64
 			expect := built.(*expectAlg)
 			checked := func(a *expectAlg) strategy.ThresholdSource {
-				return checkedSource{source(a), &denseSource{src: a.src}, t}
+				return checkedSource{source(a), &denseSource{src: a.src}, t, &widest}
 			}
 			m := replay(t, s, cutArm{expect, checked, &events})
-			return m, events, expect
+			return m, events, expect, widest
 		}
 		var full *denseSource
-		fullM, fullEvents, _ := run(func(a *expectAlg) strategy.ThresholdSource {
+		fullM, fullEvents, _, _ := run(func(a *expectAlg) strategy.ThresholdSource {
 			full = &denseSource{src: a.src}
 			return full
 		})
@@ -223,7 +248,7 @@ func TestThresholdCutsLockstep(t *testing.T) {
 			t.Fatalf("seed %d: degenerate run (%d served / %d rejected)", seed, fullM.Served, fullM.Rejected)
 		}
 		for _, arm := range arms {
-			m, events, expect := run(arm.source)
+			m, events, expect, widest := run(arm.source)
 			if *m != *fullM {
 				t.Fatalf("seed %d %s: Metrics differ from the full path:\nfull: %+v\n%s: %+v", seed, arm.name, *fullM, arm.name, *m)
 			}
@@ -231,25 +256,30 @@ func TestThresholdCutsLockstep(t *testing.T) {
 				t.Fatalf("seed %d %s: the event sequence differs from the full path's (%d events vs %d)",
 					seed, arm.name, len(events), len(fullEvents))
 			}
-			calls, passes, _ := expect.src.SnapshotStats()
+			st := expect.src.SnapshotStats()
+			exact := st.Exact
 			if arm.name == "bounds" {
-				calls, passes = uint64(boundsDense.calls), uint64(boundsDense.calls)
+				exact = uint64(boundsDense.calls)
 			}
-			t.Logf("seed %d %s: the full path asked for %d θ, this arm for %d and ran the network %d times",
-				seed, arm.name, full.calls, calls, passes)
+			t.Logf("seed %d %s: the full path asked for %d θ; this arm ran %d exact passes, %d split passes for %d ranges, widest range %.3g s",
+				seed, arm.name, full.calls, exact, st.Splits, st.Ranges, widest)
 			// Vacuity: each cut must actually have cut something.
 			switch arm.name {
-			case "memo", "all":
-				if passes >= calls {
-					t.Fatalf("seed %d %s: %d passes for %d calls, the memo never answered", seed, arm.name, passes, calls)
-				}
 			case "sparse":
-				if passes == 0 || passes != calls {
-					t.Fatalf("seed %d sparse: %d passes for %d calls, want one per call", seed, passes, calls)
+				if exact == 0 || st.Rebuilds != exact || st.Splits != 0 {
+					t.Fatalf("seed %d sparse: %d rebuilds and %d split passes for %d thresholds, want a rebuild each and no split", seed, st.Rebuilds, st.Splits, exact)
+				}
+			case "split":
+				if st.Splits == 0 || st.Splits >= st.Ranges {
+					t.Fatalf("seed %d split: %d split passes for %d ranges, the memo never answered", seed, st.Splits, st.Ranges)
+				}
+			case "widened":
+				if exact == 0 || st.Splits == 0 {
+					t.Fatalf("seed %d widened: %d exact and %d split passes, want both", seed, exact, st.Splits)
 				}
 			}
-			if (arm.name == "bounds" || arm.name == "all") && int(calls) >= full.calls {
-				t.Fatalf("seed %d %s: %d θ asked, the full path asked %d: the range never decided", seed, arm.name, calls, full.calls)
+			if arm.name != "sparse" && int(exact) >= full.calls {
+				t.Fatalf("seed %d %s: %d θ asked, the full path asked %d: the range never decided", seed, arm.name, exact, full.calls)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ const orderSlots = 4
 // The snapshot is kept twice: dense in x, for the collector, which copies
 // whole states into replay memory; and as its non-zero entries in ascending
 // index order, idx[orderSlots:] and vals[orderSlots:], for the threshold
-// source, whose network pass reads nothing else (observeList).
+// source, whose network passes read nothing else (observeList).
 //
 //det:scratch one state buffer per threshold source or collector, touched only by the job's committing goroutine
 type liveState struct {
@@ -37,7 +37,7 @@ type liveState struct {
 	idx                 []int32
 	vals                []float64
 	// inBox reports that every environment entry lies in [0, 1], the box
-	// nn.MLP.FiniteOnUnitBox reasons over; a NaN or an unnormalized
+	// nn.MLP.UnitBoxBounds reasons over; a NaN or an unnormalized
 	// histogram clears it.
 	inBox bool
 	key   envKey
@@ -98,13 +98,15 @@ func (s *liveState) observe(f *Featurizer, o *order.Order, now float64) []float6
 // observeList is observe as the state's non-zero entries in ascending index
 // order — exactly the list nn's gather would build from observe's vector:
 // the two one-hots (always 1, pickup below C, dropoff below 2·C), the slot
-// at 2·C and waited at 2·C+1 when non-zero, then the environment's list.
+// at 2·C and waited at 2·C+1 when non-zero, then the environment's list —
+// and how many of its leading entries are o's own (at most orderSlots): the
+// split pass folds those per order over the environment's suffix sums.
 // The order's entries are written back to front into the reserved head, so
 // the environment's list is never copied. Both slices alias the state: valid
 // until the next observeList or rebuild.
 //
 //det:hotpath the per-call half of the threshold source's state; writes only into the reserved head
-func (s *liveState) observeList(f *Featurizer, o *order.Order, now float64) ([]int32, []float64) {
+func (s *liveState) observeList(f *Featurizer, o *order.Order, now float64) (idx []int32, vals []float64, own int) {
 	c := f.Index.NumCells()
 	slot, waited := f.timeFeatures(o, now)
 	k := orderSlots
@@ -120,5 +122,5 @@ func (s *liveState) observeList(f *Featurizer, o *order.Order, now float64) ([]i
 	s.idx[k], s.vals[k] = int32(c+f.Index.CellOf(o.Dropoff)), 1
 	k--
 	s.idx[k], s.vals[k] = int32(f.Index.CellOf(o.Pickup)), 1
-	return s.idx[k:], s.vals[k:]
+	return s.idx[k:], s.vals[k:], orderSlots - k
 }

@@ -99,15 +99,21 @@ func demand(p *pool.Pool, ix *gridindex.Index) (pickup, dropoff gridindex.Distri
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkThreshold asserts that the wired source's next threshold, and the
-// network input it is computed from, are what a source that has never
-// cached anything produces at the same instant.
+// checkThreshold asserts that the wired source's next range holds, and its
+// next threshold and the network input it is computed from are, what a
+// source that has never cached anything produces at the same instant. The
+// range is asked first, as the strategy asks, so a stale snapshot, suffix
+// sum or estimate would show in it.
 func (f *liveFixture) checkThreshold(t *testing.T, what string, src *ValueThresholdSource, o *order.Order, now float64) {
 	t.Helper()
+	lo, hi := src.ThresholdRange(o, now)
 	got := src.Threshold(o, now)
 	want := f.source(false).Threshold(o, now)
 	if !sameBits(got, want) {
 		t.Fatalf("%s: θ = %v, a fresh source gives %v", what, got, want)
+	}
+	if src.changed != nil && !(lo <= want && want <= hi) {
+		t.Fatalf("%s: θ = %v outside the claimed [%v, %v]", what, want, lo, hi)
 	}
 	if p := o.Penalty(); !(got > 0 && got < p) {
 		t.Fatalf("%s: θ = %v sits on a clamp of [0, %v]; the comparison would not see the state", what, got, p)
@@ -128,9 +134,19 @@ func checkList(t *testing.T, what string, src *ValueThresholdSource, o *order.Or
 			wantVals = append(wantVals, v)
 		}
 	}
-	idx, vals := src.state.observeList(src.Feat, o, now)
+	idx, vals, own := src.state.observeList(src.Feat, o, now)
 	if !slices.Equal(idx, wantIdx) || !slices.EqualFunc(vals, wantVals, sameBits) {
 		t.Fatalf("%s: network input %v %v, the dense state's non-zeros %v %v", what, idx, vals, wantIdx, wantVals)
+	}
+	// The order's own entries are those before the environment block.
+	wantOwn := 0
+	for _, i := range wantIdx {
+		if int(i) < 2*src.Feat.Index.NumCells()+2 {
+			wantOwn++
+		}
+	}
+	if own != wantOwn {
+		t.Fatalf("%s: %d of the input's entries reported as the order's own, want %d", what, own, wantOwn)
 	}
 }
 
@@ -161,7 +177,7 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 	}
 	src := f.source(true)
 
-	rebuilds := func() uint64 { _, _, r := src.SnapshotStats(); return r }
+	rebuilds := func() uint64 { return src.SnapshotStats().Rebuilds }
 	f.checkThreshold(t, "first call", src, probe, 50)
 	if rebuilds() != 1 {
 		t.Fatalf("first call: %d rebuilds, want 1", rebuilds())
@@ -173,8 +189,8 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 		t.Fatalf("nothing moved at t=50, yet %d rebuilds", rebuilds())
 	}
 	// The probe was asked twice at one key, every other order once.
-	if calls, passes, _ := src.SnapshotStats(); calls != 7 || passes != 6 {
-		t.Fatalf("t=50: %d calls, %d network passes, want 7 and 6 (one memo hit)", calls, passes)
+	if s := src.SnapshotStats(); s.Exact != 7 || s.Ranges != 7 || s.Splits != 6 {
+		t.Fatalf("t=50: %d thresholds, %d ranges, %d split passes, want 7, 7 and 6 (one memo hit)", s.Exact, s.Ranges, s.Splits)
 	}
 
 	// The clock alone: at t = 150 the three workers are idle again.
@@ -216,10 +232,11 @@ func TestSnapshotFollowsClockPoolAndFleet(t *testing.T) {
 	}
 }
 
-// TestMemoDroppedByWatch: a θ memoized under one signal is not served under
-// the next one, even when the new signal reports the key the old one ended
-// on and the environment moved in between — as when a second run's
-// counters restart from zero on a different pool.
+// TestMemoDroppedByWatch: an estimate memoized under one signal is not
+// served under the next one, nor are the suffix sums it was computed from,
+// even when the new signal reports the key the old one ended on and the
+// environment moved in between — as when a second run's counters restart
+// from zero on a different pool.
 func TestMemoDroppedByWatch(t *testing.T) {
 	f := newLiveFixture(12)
 	rng := rand.New(rand.NewSource(4))
@@ -237,8 +254,8 @@ func TestMemoDroppedByWatch(t *testing.T) {
 	}
 	src.Watch(frozen)
 	f.checkThreshold(t, "second signal, same key", src, probe, 50)
-	if calls, passes, rebuilds := src.SnapshotStats(); calls != 2 || passes != 2 || rebuilds != 2 {
-		t.Fatalf("%d calls, %d passes, %d rebuilds; want 2, 2, 2", calls, passes, rebuilds)
+	if s := src.SnapshotStats(); s.Ranges != 2 || s.Splits != 2 || s.Rebuilds != 2 {
+		t.Fatalf("%d ranges, %d split passes, %d rebuilds; want 2, 2, 2", s.Ranges, s.Splits, s.Rebuilds)
 	}
 }
 
@@ -256,8 +273,8 @@ func TestBareSourceRebuildsEveryCall(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		src.Threshold(o, 10)
 	}
-	if calls, passes, rebuilds := src.SnapshotStats(); calls != 5 || passes != 5 || rebuilds != 5 {
-		t.Fatalf("calls %d passes %d rebuilds %d, want 5, 5 and 5: no memo without a signal", calls, passes, rebuilds)
+	if s := src.SnapshotStats(); s.Exact != 5 || s.Rebuilds != 5 {
+		t.Fatalf("%d thresholds, %d rebuilds, want 5 and 5: no snapshot reuse without a signal", s.Exact, s.Rebuilds)
 	}
 	if lo, hi := src.ThresholdRange(o, 10); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
 		t.Fatalf("a source with no signal claims [%v, %v]", lo, hi)
@@ -275,8 +292,9 @@ func TestBareSourceRebuildsEveryCall(t *testing.T) {
 }
 
 // TestThresholdSteadyStateAllocatesNothing: once its buffers are sized, a
-// wired source computes thresholds — snapshot rebuilds, network passes and
-// memo hits alike — without touching the heap. Each run moves the clock, so
+// wired source computes thresholds and ranges — snapshot rebuilds, suffix
+// sums, exact and split passes and memo hits alike — without touching the
+// heap. Each run moves the clock, so
 // it rebuilds once, then asks for every pooled order twice.
 func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
 	f := newLiveFixture(12)
@@ -302,8 +320,8 @@ func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(50, round); n != 0 {
 		t.Fatalf("a round of thresholds allocates %v times", n)
 	}
-	if calls, passes, rebuilds := src.SnapshotStats(); rebuilds != 52 || passes*2 != calls {
-		t.Fatalf("%d calls, %d passes, %d rebuilds: the rounds did not exercise rebuild and memo", calls, passes, rebuilds)
+	if s := src.SnapshotStats(); s.Rebuilds != 52 || s.Splits*2 != s.Ranges {
+		t.Fatalf("%d ranges, %d split passes, %d rebuilds: the rounds did not exercise rebuild and memo", s.Ranges, s.Splits, s.Rebuilds)
 	}
 }
 
@@ -459,12 +477,15 @@ func BenchmarkThreshold(b *testing.B) {
 var benchSink float64
 
 // TestThresholdRangeHolds: the range a wired source claims always holds —
-// θ inside [0, p] and never NaN — and it is claimed only where V is
-// provably finite. Along the way every network input is checked against the
-// dense state, on orders whose slot and waited entries are non-zero. Each way out of the proof gives the unbounded answer:
-// a negative release (slot below the box), a NaN waited (SlotSeconds = 0 at
-// now == release, where θ itself is NaN), an environment entry outside
-// [0, 1], a network not finite on the box, and a negative penalty.
+// θ inside it and never NaN — and it is claimed only where V is provably
+// finite. A claimed range lies in [0, p] and is at most 2r wide, r the
+// network's split radius, plus the rounding of p − (V̂ ± r): two ulps of p.
+// Along the way every network input is checked against the dense state, on
+// orders whose slot and waited entries are non-zero. Each way out of the
+// proof gives the unbounded answer: a negative release (slot below the
+// box), a NaN waited (SlotSeconds = 0 at now == release, where θ itself is
+// NaN), an environment entry outside [0, 1], a network not finite on the
+// box, and a negative penalty.
 func TestThresholdRangeHolds(t *testing.T) {
 	f := newLiveFixture(12)
 	rng := rand.New(rand.NewSource(8))
@@ -472,7 +493,7 @@ func TestThresholdRangeHolds(t *testing.T) {
 		f.pool.Insert(f.order(id, rng, float64(rng.Intn(100))), 0)
 	}
 	src := f.source(true)
-	bounded := 0
+	bounded, open := 0, 0
 	for i := 0; i < 300; i++ {
 		o := f.order(100+i, rng, float64(rng.Intn(200)-20))
 		now := o.Release + float64(rng.Intn(300))
@@ -481,7 +502,7 @@ func TestThresholdRangeHolds(t *testing.T) {
 		checkList(t, "random order", src, o, now, f.reference(o, now))
 		if math.IsInf(lo, -1) {
 			if o.Release >= 0 {
-				t.Fatalf("order %d (release %v): unbounded, want [0, p]", o.ID, o.Release)
+				t.Fatalf("order %d (release %v): unbounded, want a range", o.ID, o.Release)
 			}
 			continue
 		}
@@ -489,13 +510,27 @@ func TestThresholdRangeHolds(t *testing.T) {
 		if o.Release < 0 {
 			t.Fatalf("order %d: release %v puts the slot below the box, yet [%v, %v] is claimed", o.ID, o.Release, lo, hi)
 		}
-		if !(lo <= theta && theta <= hi) || lo != 0 || !sameBits(hi, o.Penalty()) {
-			t.Fatalf("order %d: θ = %v outside the claimed [%v, %v] (p = %v)", o.ID, theta, lo, hi, o.Penalty())
+		p := o.Penalty()
+		if !(lo <= theta && theta <= hi) {
+			t.Fatalf("order %d: θ = %v outside the claimed [%v, %v]", o.ID, theta, lo, hi)
+		}
+		if !(0 <= lo && lo <= hi && hi <= p) {
+			t.Fatalf("order %d: [%v, %v] is not inside [0, %v]", o.ID, lo, hi, p)
+		}
+		if ulp := math.Nextafter(p, math.Inf(1)) - p; hi-lo > 2*src.radius+2*ulp {
+			t.Fatalf("order %d: [%v, %v] is %v wide, more than 2r + 2 ulp(p) = %v", o.ID, lo, hi, hi-lo, 2*src.radius+2*ulp)
+		}
+		if lo < hi {
+			open++
 		}
 	}
-	if bounded < 200 {
-		t.Fatalf("only %d of 300 orders got a range: the check is vacuous", bounded)
+	// Vacuity: most orders got a range, the radius is positive, and some
+	// ranges are open — a point range everywhere would mean the radius
+	// never reached θ's arithmetic.
+	if bounded < 200 || !(src.radius > 0) || open == 0 {
+		t.Fatalf("%d of 300 orders got a range, %d of them open, radius %v: the check is vacuous", bounded, open, src.radius)
 	}
+	t.Logf("%d of 300 orders got a range, %d of them open; radius %v", bounded, open, src.radius)
 
 	unbounded := func(what string, src *ValueThresholdSource, o *order.Order, now float64) {
 		t.Helper()

@@ -161,10 +161,10 @@ func (t *Trainer) blendedTarget(e Experience) float64 {
 	case e.Expired || e.Next == nil:
 		td = e.Reward // -Δt with no future (I(expired) = 1)
 	default:
-		td = e.Reward + math.Pow(t.cfg.Gamma, e.Dt)*t.target.PredictWith(&t.pass, e.Next)
+		td = e.Reward + float64(math.Pow(t.cfg.Gamma, e.Dt)*t.target.PredictWith(&t.pass, e.Next))
 	}
 	tg := e.Penalty - e.ThetaStar
-	return t.cfg.Omega*td + (1-t.cfg.Omega)*tg
+	return float64(t.cfg.Omega*td) + float64((1-t.cfg.Omega)*tg)
 }
 
 // Train runs the given number of gradient steps and returns the mean loss

@@ -13,10 +13,10 @@ import (
 // strategy.ThresholdSource behind WATTER-expect.
 //
 // Net and Feat are shared and read-only; everything a call writes — the
-// state vector, the environment snapshot in its tail, the θ memo, the
-// network's pass buffers — belongs to the source, so each simulation job
-// needs its own source and must call it from one goroutine (the framework's
-// periodic check does).
+// state vector, the environment snapshot in its tail, the snapshot's suffix
+// sums and estimate memo, the network's pass buffers — belongs to the
+// source, so each simulation job needs its own source and must call it from
+// one goroutine (the framework's periodic check does).
 type ValueThresholdSource struct {
 	Net  *nn.MLP
 	Feat *Featurizer
@@ -31,52 +31,69 @@ type ValueThresholdSource struct {
 	// for Demand and Supply between calls, so every call re-reads them.
 	changed func() (pool, fleet uint64)
 	state   liveState
-	// memo holds every θ computed under the snapshot's key, by order ID;
-	// refresh empties it whenever the snapshot is rebuilt.
-	memo []thetaMemo
+	// sums are the snapshot's layer-0 suffix sums (nn.MLP.SuffixSums), empty
+	// until the first split pass after a rebuild; memo holds every
+	// split-pass value V̂ computed under the snapshot's key, by order ID.
+	// refresh empties both whenever the snapshot is rebuilt.
+	sums []float64
+	memo []estimate
 	pass nn.Scratch
-	// proved is the network whose finiteness finite records.
-	proved        *nn.MLP
-	finite        bool
-	calls, passes uint64
+	// proved is the network UnitBoxBounds was asked about: finite is its
+	// verdict and radius its split-pass radius.
+	proved *nn.MLP
+	finite bool
+	radius float64
+	stats  SourceStats
 }
 
-// thetaMemo is one θ the source computed under the current snapshot.
-type thetaMemo struct {
-	id    int
-	theta float64
+// estimate is one split-pass value the source computed under the current
+// snapshot.
+type estimate struct {
+	id  int
+	val float64
+}
+
+// SourceStats counts what a ValueThresholdSource was asked and what it ran.
+type SourceStats struct {
+	// Exact counts the thresholds asked for: one exact network pass each.
+	Exact uint64
+	// Ranges are the ranges asked for; Splits the split passes that
+	// answered them (the memo answered the rest, or no range was claimed).
+	Ranges, Splits uint64
+	// Rebuilds are the times the source re-read Demand and Supply.
+	Rebuilds uint64
 }
 
 // Watch installs the change signal for Demand and Supply — the generation
 // counters of the pool and the worker index they read — and drops the
-// current snapshot, and with it the θ memo (counters restart with a new
-// pool or fleet, so a key from the previous run could collide). While now
-// and both counters stand still the source reuses the histograms it last
-// fetched and every θ it computed from them.
+// current snapshot, and with it the suffix sums and the memo (counters
+// restart with a new pool or fleet, so a key from the previous run could
+// collide). While now and both counters stand still the source reuses the
+// histograms it last fetched and everything it computed from them.
 func (v *ValueThresholdSource) Watch(changed func() (pool, fleet uint64)) {
 	v.changed = changed
 	v.state.valid = false
 }
 
-// SnapshotStats reports how many thresholds the source was asked for, how
-// many of them ran the network (the rest came from the memo), and how many
-// times it re-read Demand and Supply.
+// SnapshotStats reports how many thresholds and ranges the source was asked
+// for, how many split passes answered ranges, and how many times it re-read
+// Demand and Supply.
 //
 //det:api exp's snapshot lockstep tests read these counters through the WATTER-expect algorithm
-func (v *ValueThresholdSource) SnapshotStats() (calls, passes, rebuilds uint64) {
-	return v.calls, v.passes, v.state.rebuilds
+func (v *ValueThresholdSource) SnapshotStats() SourceStats {
+	s := v.stats
+	s.Rebuilds = v.state.rebuilds
+	return s
 }
 
 // refresh brings the environment snapshot to now, re-reading Demand and
-// Supply unless the change signal vouches for the last read, and reports
-// whether the snapshot is keyed: whether what is computed from it stays
-// valid until the key moves.
-func (v *ValueThresholdSource) refresh(now float64) (keyed bool) {
+// Supply unless the change signal vouches for the last read.
+func (v *ValueThresholdSource) refresh(now float64) {
 	key := envKey{now: now}
 	if v.changed != nil {
 		key.pool, key.fleet = v.changed()
 		if v.state.fresh(key) {
-			return true
+			return
 		}
 	}
 	var pu, do, sw gridindex.Distribution
@@ -87,40 +104,30 @@ func (v *ValueThresholdSource) refresh(now float64) (keyed bool) {
 		sw = v.Supply(now)
 	}
 	v.state.rebuild(v.Feat, key, pu, do, sw)
+	v.sums = v.sums[:0]
 	v.memo = v.memo[:0]
-	return v.changed != nil
 }
 
-// Threshold implements strategy.ThresholdSource. θ is a pure function of
-// the order and the snapshot's key, and order IDs are unique in the pool
-// (whose generation moves on every insert), so a keyed source answers a
-// repeated question from its memo.
+// Threshold implements strategy.ThresholdSource: the exact pass, every
+// call. The strategy asks for it only when a range could not decide.
 func (v *ValueThresholdSource) Threshold(o *order.Order, now float64) float64 {
-	v.calls++
-	keyed := v.refresh(now)
-	if keyed {
-		for _, m := range v.memo {
-			if m.id == o.ID {
-				return m.theta
-			}
-		}
-	}
-	theta := v.theta(o, now)
-	if keyed {
-		v.memo = append(v.memo, thetaMemo{o.ID, theta})
-	}
-	return theta
+	v.stats.Exact++
+	v.refresh(now)
+	return v.theta(o, now)
 }
 
 // theta runs the network on o's state at now under the current snapshot.
 //
-//det:hotpath one network pass per θ the memo cannot answer
+//det:hotpath one exact network pass per θ the range could not spare
 func (v *ValueThresholdSource) theta(o *order.Order, now float64) float64 {
-	v.passes++
-	idx, vals := v.state.observeList(v.Feat, o, now)
-	val := v.Net.PredictSparseWith(&v.pass, idx, vals)
+	idx, vals, _ := v.state.observeList(v.Feat, o, now)
 	p := o.Penalty()
-	theta := p - val
+	return clampTheta(p-v.Net.PredictSparseWith(&v.pass, idx, vals), p)
+}
+
+// clampTheta clamps p − V to [0, p]. It is monotone: a larger argument
+// never gives a smaller result.
+func clampTheta(theta, p float64) float64 {
 	if theta < 0 {
 		theta = 0
 	}
@@ -130,15 +137,23 @@ func (v *ValueThresholdSource) theta(o *order.Order, now float64) float64 {
 	return theta
 }
 
-// ThresholdRange implements strategy.ThresholdSource. θ is clamped to
-// [0, p], so that is the range whenever θ cannot be NaN: p ≥ 0 and V
-// finite. V is finite when the network is finite on the unit box
-// (nn.MLP.FiniteOnUnitBox, decided once per network) and o's state at now
-// lies in that box — its own entries (Featurizer.inUnitBox) and the
-// snapshot's, which refresh checks as it records them. A source with no
-// change signal claims nothing: checking its snapshot would cost the
-// re-read its next Threshold makes anyway.
+// ThresholdRange implements strategy.ThresholdSource from the split pass.
+// V̂, o's split-pass value under the snapshot, lies within the network's
+// radius r of the exact pass's V (nn.MLP.UnitBoxBounds) wherever the state
+// lies in the unit box, so rounding V̂ + r and V̂ − r gives floats on either
+// side of V, and p − x and the clamp, both monotone, carry them to
+// [clamp(p − (V̂+r)), clamp(p − (V̂−r))] around θ. That holds when V is
+// finite — the network is finite on the box, decided once per network, and
+// o's state at now lies in the box: its own entries (Featurizer.inUnitBox)
+// and the snapshot's, which refresh checks as it records them — and p ≥ 0.
+// A source with no change signal claims nothing: checking its snapshot
+// would cost the re-read its next Threshold makes anyway.
+//
+// V̂ is a pure function of the order and the snapshot's key, and order IDs
+// are unique in the pool (whose generation moves on every insert), so a
+// repeated question is answered from the memo.
 func (v *ValueThresholdSource) ThresholdRange(o *order.Order, now float64) (lo, hi float64) {
+	v.stats.Ranges++
 	p := o.Penalty()
 	if v.changed == nil || !(p >= 0) || !v.finiteNet() {
 		return strategy.Unbounded()
@@ -147,14 +162,39 @@ func (v *ValueThresholdSource) ThresholdRange(o *order.Order, now float64) (lo, 
 	if !v.state.inBox || !v.Feat.inUnitBox(o, now) {
 		return strategy.Unbounded()
 	}
-	return 0, p
+	val, found := 0.0, false
+	for _, e := range v.memo {
+		if e.id == o.ID {
+			val, found = e.val, true
+			break
+		}
+	}
+	if !found {
+		val = v.split(o, now)
+		v.memo = append(v.memo, estimate{o.ID, val})
+	}
+	return clampTheta(p-(val+v.radius), p), clampTheta(p-(val-v.radius), p)
 }
 
-// finiteNet reports whether Net is finite on the unit box, deciding it once
+// split runs the split pass on o's state at now: the snapshot's suffix
+// sums, taken on the first split after a rebuild, and o's own entries.
+//
+//det:hotpath one split pass per V̂ the memo cannot answer
+func (v *ValueThresholdSource) split(o *order.Order, now float64) float64 {
+	v.stats.Splits++
+	idx, vals, own := v.state.observeList(v.Feat, o, now)
+	if len(v.sums) == 0 {
+		v.sums = v.Net.SuffixSums(v.sums, idx[own:], vals[own:])
+	}
+	return v.Net.PredictSplit(&v.pass, v.sums, idx[:own], vals[:own])
+}
+
+// finiteNet reports whether Net is finite on the unit box, bounding it once
 // per network.
 func (v *ValueThresholdSource) finiteNet() bool {
 	if v.proved != v.Net {
-		v.proved, v.finite = v.Net, v.Net.FiniteOnUnitBox()
+		v.proved = v.Net
+		v.radius, v.finite = v.Net.UnitBoxBounds()
 	}
 	return v.finite
 }

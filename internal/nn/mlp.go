@@ -130,13 +130,14 @@ func gather(idx []int32, vals, x []float64) ([]int32, []float64) {
 // clamped at zero when relu is set. The fold-order contract: a unit starts
 // from its bias and adds its terms one by one in ascending input index,
 // exactly as a loop over the whole input would — no reassociation, no
-// fused multiply-add, no partial sum shared between calls — and the only
-// terms left out are those whose input is exactly zero. With finite
-// weights (New and TrainBatch produce them, Load rejects anything else)
-// such a term is ±0, and s + ±0 == s unless s is itself a zero, so the
-// result can differ from the whole-input fold only in the sign of an exact
-// zero — which ReLU maps to a zero, the next layer drops as a zero input,
-// and p − V cannot see. Four units are carried per pass over the inputs:
+// fused multiply-add (each product is explicitly converted to float64,
+// which the Go spec says rounds it, so no architecture may fuse it into the
+// sum), no partial sum shared between calls — and the only terms left out
+// are those whose input is exactly zero. With finite weights (New and
+// TrainBatch produce them, Load rejects anything else) such a term is ±0,
+// and s + ±0 == s unless s is itself a zero, so the result can differ from
+// the whole-input fold only in the sign of an exact zero — which ReLU maps
+// to a zero, the next layer drops as a zero input, and p − V cannot see. Four units are carried per pass over the inputs:
 // their sums are independent, so this changes which additions are in
 // flight together, never the order within a unit.
 //
@@ -157,10 +158,10 @@ func layer(w, b []float64, in int, idx []int32, vals, out []float64, relu bool) 
 				panic("nn: input index out of range")
 			}
 			v := vals[k]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
+			s0 += float64(r0[i] * v)
+			s1 += float64(r1[i] * v)
+			s2 += float64(r2[i] * v)
+			s3 += float64(r3[i] * v)
 		}
 		if relu {
 			if s0 < 0 {
@@ -182,7 +183,7 @@ func layer(w, b []float64, in int, idx []int32, vals, out []float64, relu bool) 
 		row := w[o*in:][:in]
 		s := b[o]
 		for k, i := range idx {
-			s += row[i] * vals[k]
+			s += float64(row[i] * vals[k])
 		}
 		if relu && s < 0 {
 			s = 0
@@ -209,13 +210,20 @@ func (m *MLP) forward(sc *Scratch, x []float64) []float64 {
 //
 //det:hotpath every forward pass, dense or sparse, runs through here
 func (m *MLP) pass(sc *Scratch, idx []int32, vals []float64) []float64 {
+	layer(m.weights[0], m.biases[0], m.sizes[0], idx, vals, sc.acts[0], len(m.weights) > 1)
+	return m.upper(sc)
+}
+
+// upper runs every layer after the first over the gathered output of the
+// one before, inside a scratch whose layer-0 output is filled, and returns
+// the output layer.
+//
+//det:hotpath the part of the exact and the split pass they share
+func (m *MLP) upper(sc *Scratch) []float64 {
 	last := len(m.weights) - 1
-	for l := range m.weights {
-		if l > 0 {
-			sc.idx[l], sc.vals[l] = gather(sc.idx[l], sc.vals[l], sc.acts[l-1])
-			idx, vals = sc.idx[l], sc.vals[l]
-		}
-		layer(m.weights[l], m.biases[l], m.sizes[l], idx, vals, sc.acts[l], l != last)
+	for l := 1; l <= last; l++ {
+		sc.idx[l], sc.vals[l] = gather(sc.idx[l], sc.vals[l], sc.acts[l-1])
+		layer(m.weights[l], m.biases[l], m.sizes[l], sc.idx[l], sc.vals[l], sc.acts[l], l != last)
 	}
 	return sc.acts[last]
 }
@@ -242,41 +250,151 @@ func (m *MLP) PredictSparseWith(sc *Scratch, idx []int32, vals []float64) float6
 	return m.pass(sc, idx, vals)[0]
 }
 
-// finiteCeiling is the largest activation bound FiniteOnUnitBox accepts. It
-// sits eight orders of magnitude below math.MaxFloat64. Rounding each of a
-// unit's at most 2^31 terms moves a sum by a factor of at most 1+2^-52, so
-// the pass's values and the bound's own arithmetic drift apart by less than
-// a factor 1+2^-20 per layer: no network that fits in memory has the layers
-// to close an 1e8 gap.
+// SuffixSums is the shared half of the split pass. An input whose non-zero
+// list is a prefix followed by a suffix — every prefix index below every
+// suffix index — can be run as PredictSplit(prefix) over the suffix's sums:
+// for every layer-0 unit o, the fold from zero
+//
+//	sums[o] = 0 + Σ w[o·in+idx[k]]·vals[k]   (k ascending over the suffix)
+//
+// of exactly the rounded products PredictSparseWith adds for the suffix.
+// The result is written into sums, grown to the layer-0 width when it is
+// shorter, and returned. When many inputs share one suffix — the pooled
+// orders of one instant share the tick-global block of their states — it is
+// summed once for all of them.
+//
+//det:hotpath once per environment snapshot the split pass reads
+func (m *MLP) SuffixSums(sums []float64, idx []int32, vals []float64) []float64 {
+	sums = fitSums(sums, len(m.biases[0]))
+	// The sums start at zero and serve as their own biases: layer reads a
+	// unit's bias before it writes the unit's output.
+	clear(sums)
+	layer(m.weights[0], sums, m.sizes[0], idx, vals, sums, false)
+	return sums
+}
+
+// fitSums returns sums resliced to n entries, reallocated when too short.
+//
+//det:hotalloc allocates only on a caller's first suffix; every later one reuses the buffer
+func fitSums(sums []float64, n int) []float64 {
+	if cap(sums) < n {
+		return make([]float64, n)
+	}
+	return sums[:n]
+}
+
+// PredictSplit is the split pass: layer 0 as (bias + the prefix's terms,
+// ascending) + the suffix's sums from SuffixSums, then every later layer as
+// PredictSparseWith runs it. idx and vals list the prefix's non-zero
+// entries under PredictSparseWith's rules. The two passes add the same
+// rounded products to the same biases in a different order, so they can
+// differ — by at most UnitBoxBounds' radius on every input in [0, 1]^n —
+// and the caller that needs PredictSparseWith's value bit for bit must use
+// the result only as an estimate with that radius. Nothing in sc survives
+// the pass for backprop.
+//
+//det:hotpath the per-order half of the split pass
+func (m *MLP) PredictSplit(sc *Scratch, sums []float64, idx []int32, vals []float64) float64 {
+	sc.fit(m.sizes)
+	acts := sc.acts[0]
+	layer(m.weights[0], m.biases[0], m.sizes[0], idx, vals, acts, false)
+	relu := len(m.weights) > 1
+	for o, s := range sums[:len(acts)] {
+		s += acts[o]
+		if relu && s < 0 {
+			s = 0
+		}
+		acts[o] = s
+	}
+	return m.upper(sc)[0]
+}
+
+// finiteCeiling is the largest bound UnitBoxBounds accepts on a layer's
+// outputs. It sits eight orders of magnitude below math.MaxFloat64, so
+// that a value and its radius can be added and subtracted — V̂ ± r, then
+// p − (V̂ ± r) — without overflowing to a pair of opposite infinities.
 const finiteCeiling = 1e300
 
-// FiniteOnUnitBox reports whether the network provably computes a finite
-// output — no NaN, no infinity — for every input in [0, 1]^n. It propagates
-// a magnitude bound: every input is at most 1 in absolute value, and if
-// every layer-l output is at most A, every layer-(l+1) output is at most
-// max over units of |b| + Σ|w|·A (ReLU only shrinks magnitudes). When each
-// layer's bound stays below finiteCeiling, every partial sum of every pass
-// is finite, and with finite weights (New, TrainBatch and Load guarantee
-// them) and finite inputs no operation can produce a NaN. One pass over the
-// weights; false is the safe answer for a network too large to bound.
-func (m *MLP) FiniteOnUnitBox() bool {
-	bound := 1.0
+// boundSlack inflates each layer's bounds to cover the rounding of their
+// own computation. A bound is a sum of at most in+3 non-negative terms,
+// each the product of at most three factors, so the float64 fold that
+// computes it is within a factor 1 ± γ(in+6) of the real-number formula;
+// with in below 2^31 that is less than 2^-21, and the activations it bounds
+// exceed their formula by at most another such factor. 1 + 2^-16 covers
+// both, and the rounding of the multiplication by it. Where the bounds are
+// subnormal a relative factor covers nothing, so an absolute (2·in+8)·2^-1074
+// is added too: more than the in+6 half-spacings the bound's own roundings
+// can lose there, and than the in·2^-1075 underflowing products add.
+const boundSlack = 1 + 0x1p-16
+
+// gamma is γ(k) = k·u / (1 − k·u), u = 2^-53: a fold that passes a term
+// through at most k roundings moves it by at most γ(k) of its magnitude.
+func gamma(k int) float64 {
+	ku := float64(float64(k) * 0x1p-53)
+	return ku / (1 - ku)
+}
+
+// UnitBoxBounds reports what one pass over the weights proves about the
+// network on the unit box [0, 1]^n: whether every pass computes a finite
+// output — no NaN, no infinity — for every input there (finite), and a
+// radius r with |PredictSplit − PredictSparseWith| ≤ r for every such
+// input and every prefix/suffix cut. False is the safe answer for a network
+// too large to bound; r means nothing then.
+//
+// Both passes fold, for every unit, rounded products (one rounding each,
+// no fusion) and a bias. Layer l's inputs are bounded by A in the sparse
+// pass (A = 1 at the input) and differ between the passes by at most D
+// (D = 0 at the input). Writing ‖w‖₁ for the unit's weight row norm and n
+// for the layer's input width:
+//
+//   - Activations. A fold of n products and a bias lands within
+//     γ(n+1)·(|b| + Σ|w|·|x|) of the real sum, so every partial sum of the
+//     unit is at most (1 + γ(n+1))·(|b| + ‖w‖₁·A) — the next layer's A.
+//   - Layer 0. Both passes sum the same rounded products p_k, |p_k| ≤ |w_k|
+//     on the box, with the bias, each in a tree of at most n+1 additions
+//     (the split pass's suffix fold starts from a zero), so each lies within
+//     γ(n+1)·(|b| + ‖w‖₁) of the real sum, and they lie within
+//     2γ(n+1)·(|b| + ‖w‖₁) of each other.
+//   - Every later layer. The real sums differ by at most ‖w‖₁·D, and each
+//     pass's fold lies within γ(n+2)·(|b| + ‖w‖₁·A) respectively
+//     γ(n+2)·(|b| + ‖w‖₁·(A + D)) of its real sum, plus at most 2^-1075
+//     for each product that underflows, so the passes differ by at most
+//     ‖w‖₁·D + γ(n+2)·(2|b| + ‖w‖₁·(2A + D)) + n·2^-1074.
+//   - ReLU is 1-Lipschitz, so it carries D through unchanged.
+//
+// The maxima over a layer's units give the next A and D, each inflated by
+// boundSlack and the absolute term; r is the output layer's D. The network
+// is finite when every layer keeps A + D below finiteCeiling: then no
+// partial sum of either pass can reach an infinity, and finite weights
+// (New, TrainBatch and Load guarantee them) and finite inputs leave no way
+// to a NaN.
+func (m *MLP) UnitBoxBounds() (r float64, finite bool) {
+	a, d := 1.0, 0.0
 	for l, w := range m.weights {
 		in := m.sizes[l]
-		next := 0.0
+		g := gamma(in + 2)
+		nextA, nextD := 0.0, 0.0
 		for o, b := range m.biases[l] {
-			s := math.Abs(b)
+			b = math.Abs(b)
+			norm := 0.0
 			for _, wi := range w[o*in:][:in] {
-				s += math.Abs(wi) * bound
+				norm += math.Abs(wi)
 			}
-			next = math.Max(next, s)
+			nextA = math.Max(nextA, b+float64(norm*a))
+			if l == 0 {
+				nextD = math.Max(nextD, float64(2*gamma(in+1)*(b+norm)))
+			} else {
+				nextD = math.Max(nextD, float64(norm*d)+float64(g*(float64(2*b)+float64(norm*(float64(2*a)+d)))))
+			}
 		}
-		if !(next <= finiteCeiling) {
-			return false
+		tiny := float64(float64(2*in+8) * 0x1p-1074)
+		a = float64(nextA*boundSlack) + tiny
+		d = float64(nextD*boundSlack) + tiny
+		if !(a+d <= finiteCeiling) {
+			return math.Inf(1), false
 		}
-		bound = next
 	}
-	return true
+	return d, true
 }
 
 // TrainBatch performs one Adam step on mean-squared error between the first
@@ -303,7 +421,7 @@ func (m *MLP) TrainBatch(xs [][]float64, targets []float64, lr float64) float64 
 	for n, x := range xs {
 		out := m.forward(&sc, x)
 		diff := out[0] - targets[n]
-		loss += diff * diff
+		loss += float64(diff * diff)
 		// Backprop: delta on output layer (linear): dL/dout = 2*diff / N.
 		clear(delta[last])
 		delta[last][0] = 2 * diff / float64(len(xs))
@@ -332,12 +450,12 @@ func (m *MLP) TrainBatch(xs [][]float64, targets []float64, lr float64) float64 
 				gradB[l][o] += d
 				grow := gradW[l][o*in:][:in]
 				for k, i := range idx {
-					grow[i] += d * vals[k]
+					grow[i] += float64(d * vals[k])
 				}
 				if l > 0 {
 					row := w[o*in:][:in]
 					for _, i := range idx {
-						prevDelta[i] += d * row[i]
+						prevDelta[i] += float64(d * row[i])
 					}
 				}
 			}
@@ -374,8 +492,8 @@ func (m *MLP) adamStep(gradW, gradB [][]float64, lr float64) {
 	c2 := 1 - math.Pow(adamBeta2, float64(m.step))
 	update := func(w, g, mo, ve []float64) {
 		for i := range w {
-			mo[i] = adamBeta1*mo[i] + (1-adamBeta1)*g[i]
-			ve[i] = adamBeta2*ve[i] + (1-adamBeta2)*g[i]*g[i]
+			mo[i] = float64(adamBeta1*mo[i]) + float64((1-adamBeta1)*g[i])
+			ve[i] = float64(adamBeta2*ve[i]) + float64((1-adamBeta2)*g[i]*g[i])
 			mhat := mo[i] / c1
 			vhat := ve[i] / c2
 			w[i] -= lr * mhat / (math.Sqrt(vhat) + adamEps)

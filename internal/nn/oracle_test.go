@@ -338,7 +338,7 @@ func nonZeros(x []float64) ([]int32, []float64) {
 func TestFiniteOnUnitBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, sizes := range oracleShapes {
-		if m := New(sizes, 1); !m.FiniteOnUnitBox() {
+		if _, finite := New(sizes, 1).UnitBoxBounds(); !finite {
 			t.Fatalf("%v: a fresh network is not proved finite", sizes)
 		}
 	}
@@ -366,8 +366,8 @@ func TestFiniteOnUnitBox(t *testing.T) {
 		{"overflows in layer 1", scaled(New([]int{3, 4, 1}, 5), 1e200), false},
 		{"biases overflow", bias, false},
 	} {
-		if got := c.m.FiniteOnUnitBox(); got != c.finite {
-			t.Fatalf("%s: FiniteOnUnitBox = %v, want %v", c.name, got, c.finite)
+		if _, got := c.m.UnitBoxBounds(); got != c.finite {
+			t.Fatalf("%s: UnitBoxBounds proves finite = %v, want %v", c.name, got, c.finite)
 		}
 		if !c.finite {
 			continue
