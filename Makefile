@@ -49,19 +49,22 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlatformOps -fuzztime=10s ./internal/platform
 	$(GO) test -run='^$$' -fuzz=FuzzPoolOps -fuzztime=10s ./internal/pool
 
-# No fused multiply-add in the value network and its training (DESIGN.md
-# §6): the Go spec lets a compiler fuse x*y + z unless the product is
-# converted explicitly, amd64's never does, and these four do. Each compiles
-# internal/nn and internal/mdp, and any fused instruction in a symbol of
-# either fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
+# No fused multiply-add in the packages covered so far (DESIGN.md §6, §8;
+# the rest of the module is not yet converted): the Go spec lets a compiler
+# fuse x*y + z unless the product is converted explicitly, amd64's never
+# does, and these four do. Each compiles every package in FMA_PKGS — the
+# value network and its training, the route DP and the pool, orders, the
+# dispatch strategies, the framework and the platform — and any fused
+# instruction in a symbol of one fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
 # FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and
 # MADBR/MSDBR and their memory and vector forms (s390x).
 FMA_ARCHS = arm64 ppc64le s390x riscv64
+FMA_PKGS = nn mdp route pool order strategy core platform
 FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
 
 fmacheck:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; total=0; \
-	for arch in $(FMA_ARCHS); do for pkg in nn mdp; do \
+	for arch in $(FMA_ARCHS); do for pkg in $(FMA_PKGS); do \
 		GOARCH=$$arch $(GO) build -o $$dir/$$pkg.a ./internal/$$pkg; \
 		$(GO) tool objdump -s '^watter/internal/'$$pkg'\.' $$dir/$$pkg.a > $$dir/$$pkg.dis; \
 		n=$$(grep -cE '[[:space:]]($(FMA_OPS))[[:space:]]' $$dir/$$pkg.dis || true); \

@@ -98,8 +98,8 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 		if e.from < 0 || int(e.from) >= n || e.to < 0 || int(e.to) >= n {
 			return nil, fmt.Errorf("roadnet: edge (%d,%d) references unknown node", e.from, e.to)
 		}
-		if e.cost < 0 {
-			return nil, fmt.Errorf("roadnet: edge (%d,%d) has negative cost %f", e.from, e.to, e.cost)
+		if !(e.cost >= 0) { // NaN too: a search would never settle it
+			return nil, fmt.Errorf("roadnet: edge (%d,%d) has negative or NaN cost %f", e.from, e.to, e.cost)
 		}
 	}
 	g := &Graph{

@@ -28,7 +28,9 @@ type Network interface {
 	// Coord returns the planar position of a node in meters.
 	Coord(n geo.NodeID) geo.Point
 	// Cost returns the shortest travel time in seconds from one node to
-	// another. Cost(n, n) is 0. Unreachable pairs return +Inf.
+	// another. Cost(n, n) is 0. Unreachable pairs return +Inf. The result
+	// is >= 0 or +Inf, never NaN: the route DP's doom rule (DESIGN.md §5)
+	// relies on every leg being non-negative.
 	Cost(from, to geo.NodeID) float64
 	// Bounds returns the bounding box of all node coordinates.
 	Bounds() geo.Rect

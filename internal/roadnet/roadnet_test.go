@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,24 @@ func TestBuilderErrors(t *testing.T) {
 	b3.AddEdge(u, v, -1)
 	if _, err := b3.Build(); err == nil {
 		t.Fatal("want error for negative edge cost")
+	}
+	// A NaN edge passes a `< 0` test and then hangs every search that
+	// reaches it, so Build must refuse it; nothing here may call Cost.
+	var b4 GraphBuilder
+	u = b4.AddNode(geo.Point{})
+	v = b4.AddNode(geo.Point{X: 1})
+	b4.AddBidirectional(u, v, 10)
+	b4.AddEdge(v, u, math.NaN())
+	if _, err := b4.Build(); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("Build with a NaN edge: err = %v, want one naming NaN", err)
+	}
+	// +Inf is a legal cost: an edge that is never worth taking.
+	var b5 GraphBuilder
+	u = b5.AddNode(geo.Point{})
+	v = b5.AddNode(geo.Point{X: 1})
+	b5.AddEdge(u, v, math.Inf(1))
+	if _, err := b5.Build(); err != nil {
+		t.Fatalf("Build with a +Inf edge: %v", err)
 	}
 }
 

@@ -2,6 +2,10 @@ package route
 
 import "math/bits"
 
+// maxMasks is the size of the largest state space, 3^MaxGroupSize: the
+// kernel's worklist of reached masks lives inline at this length.
+const maxMasks = 729
+
 // dpTable is the read-only shape of the route DP's state space for one group
 // size k (events 2i = pickup of member i, 2i+1 = its dropoff). Of the 4^k
 // event subsets only the 3^k in which no member is dropped before it is
@@ -15,12 +19,10 @@ type dpTable struct {
 	// rank is the inverse of masks over all 4^k subsets (noRank for the
 	// invalid ones, which the kernel never looks up).
 	rank []uint16
-	// removable[r] is the set of events e in masks[r] whose removal leaves a
-	// valid mask — the events a route can have visited last: every dropoff,
-	// and the pickup of every member still on board.
-	removable []uint16
-	// levelEnd[p] is the rank one past the last mask of popcount p.
-	levelEnd [2*MaxGroupSize + 1]uint16
+	// open[r] is the set of members (bit i for member i) whose dropoff is
+	// not in masks[r]: the members a route prefix ending in that set still
+	// owes a delivery, whose earliest deadline the doom rule tests.
+	open []uint8
 }
 
 const (
@@ -49,10 +51,14 @@ func buildDPTables() (tabs [MaxGroupSize + 1]dpTable) {
 				}
 				t.rank[m] = uint16(len(t.masks))
 				t.masks = append(t.masks, mask)
-				// Dropoffs, plus pickups whose dropoff is still ahead.
-				t.removable = append(t.removable, mask&^pickupBits|mask&pickupBits&^(mask>>1))
+				var open uint8
+				for i := 0; i < k; i++ {
+					if mask&(1<<(2*i+1)) == 0 {
+						open |= 1 << i
+					}
+				}
+				t.open = append(t.open, open)
 			}
-			t.levelEnd[level] = uint16(len(t.masks))
 		}
 	}
 	return tabs

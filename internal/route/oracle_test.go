@@ -440,9 +440,75 @@ func randomDPCase(rng *rand.Rand, net roadnet.Network, k, trial int) dpCase {
 	return c
 }
 
+// matrixNet is a network given by its full cost matrix (coordinates all
+// zero): the cases below need legs no city produces.
+type matrixNet [][]float64
+
+func (m matrixNet) NumNodes() int                { return len(m) }
+func (m matrixNet) Coord(geo.NodeID) geo.Point   { return geo.Point{} }
+func (m matrixNet) Cost(a, b geo.NodeID) float64 { return m[a][b] }
+func (m matrixNet) Bounds() geo.Rect             { return geo.Rect{} }
+
+// TestDoomRuleNearTie is the case the doom rule's margin exists for. On
+// PA=0, DA=1, PB=2, DB=3 the prefix PB, PA arrives at PA at 100, past A's
+// deadline of 100-5e-13, and is scanned first into (PA, PB, DB), where it
+// holds off PA, PB, DB arriving at 100-5e-13: 5e-13 below it, inside the
+// 1e-12 tie band. The oracle keeps the doomed value, so DB -> DA arrives at
+// 100 and misses A's deadline: infeasible. A kernel that drops the doomed
+// prefix at the bare deadline lets the live candidate through, reaches DA
+// at exactly the deadline and calls the group feasible; the margin keeps the
+// prefix, and the verdict.
+func TestDoomRuleNearTie(t *testing.T) {
+	const far = 1000
+	net := matrixNet{
+		{0, 0, 60, 0},            // PA -> DA, PB, DB
+		{far, 0, 200, far},       // DA -> PB
+		{100, 50, 0, 40 - 5e-13}, // PB -> PA, DA, DB
+		{100, 0, far, 0},         // DB -> PA, DA
+	}
+	a := &order.Order{ID: 1, Pickup: 0, Dropoff: 1, Riders: 1, Deadline: 60 + (40 - 5e-13)}
+	b := &order.Order{ID: 2, Pickup: 2, Dropoff: 3, Riders: 1, Deadline: 150}
+	c := dpCase{orders: []*order.Order{a, b}, capacity: 2, start: geo.InvalidNode}
+	// The case bites only while the doomed prefix is doomed at the bare
+	// deadline and the live candidate sits inside its tie band.
+	doomed, live := net[2][0], net[0][2]+net[2][3]
+	if !(doomed > a.Deadline) || !(live < doomed) || live < doomed-1e-12 || live > a.Deadline {
+		t.Fatalf("case out of shape: doomed %v, live %v, deadline %v", doomed, live, a.Deadline)
+	}
+	if free, _ := checkAgainstOracle(t, net, c); free {
+		t.Fatal("the oracle calls the near-tie group feasible; the case tests nothing")
+	}
+}
+
+// TestDoomRuleBoundary pins the rule's edge on a solo order whose approach
+// leg is the arrival under test: a state arriving exactly at the earliest
+// owed deadline plus margin stays reached, one ulp later it is dropped.
+// Either way the oracle's verdict stands (the deadline is far behind both).
+func TestDoomRuleBoundary(t *testing.T) {
+	const deadline = 100.0
+	owed := deadline + float64(1e-9*deadline)
+	for _, tc := range []struct {
+		arrive float64
+		reach  bool
+	}{{owed, true}, {math.Nextafter(owed, math.Inf(1)), false}} {
+		net := matrixNet{{0, tc.arrive, 0}, {0, 0, 0}, {0, 0, 0}} // start 0, pickup 1, dropoff 2
+		o := &order.Order{ID: 1, Pickup: 1, Dropoff: 2, Riders: 1, Deadline: deadline}
+		c := dpCase{orders: []*order.Order{o}, capacity: 1, start: 0}
+		if _, anchored := checkAgainstOracle(t, net, c); anchored {
+			t.Fatal("the oracle serves an order whose pickup is reached past its deadline")
+		}
+		var sc planScratch
+		NewPlanner(net).planDP(c.orders, 0, 1, 0, nil, &sc)
+		if got := sc.reach[1] != 0; got != tc.reach {
+			t.Errorf("arrival %v against owed %v: reached %v, want %v", tc.arrive, owed, got, tc.reach)
+		}
+	}
+}
+
 // TestDPTableShape pins the precomputed state-space tables: exactly the
-// 3^k pickup-before-dropoff masks, every mask after all of its sub-masks,
-// rank the inverse of masks, and the removable-event sets exact.
+// 3^k pickup-before-dropoff masks, by ascending popcount and every mask
+// after all of its sub-masks, rank the inverse of masks, the open-member
+// sets exact, and the largest table the size of the kernel's worklist.
 func TestDPTableShape(t *testing.T) {
 	pow3 := 1
 	for k := 1; k <= MaxGroupSize; k++ {
@@ -457,9 +523,9 @@ func TestDPTableShape(t *testing.T) {
 			}
 			return true
 		}
-		if len(tab.masks) != pow3 || len(tab.removable) != pow3 || len(tab.rank) != 1<<ne {
-			t.Fatalf("k=%d: %d masks, %d removable sets, %d ranks; want %d, %d, %d",
-				k, len(tab.masks), len(tab.removable), len(tab.rank), pow3, pow3, 1<<ne)
+		if len(tab.masks) != pow3 || len(tab.open) != pow3 || len(tab.rank) != 1<<ne {
+			t.Fatalf("k=%d: %d masks, %d open sets, %d ranks; want %d, %d, %d",
+				k, len(tab.masks), len(tab.open), len(tab.rank), pow3, pow3, 1<<ne)
 		}
 		if tab.masks[0] != 0 || int(tab.masks[pow3-1]) != 1<<ne-1 {
 			t.Fatalf("k=%d: first/last mask %#x/%#x", k, tab.masks[0], tab.masks[pow3-1])
@@ -468,6 +534,11 @@ func TestDPTableShape(t *testing.T) {
 			// planDP seeds level 1 by this identity.
 			if int(tab.masks[1+i]) != 1<<(2*i) {
 				t.Fatalf("k=%d: rank %d holds %#x, want pickup %d alone", k, 1+i, tab.masks[1+i], i)
+			}
+		}
+		for r := 1; r < pow3; r++ {
+			if bits.OnesCount16(tab.masks[r]) < bits.OnesCount16(tab.masks[r-1]) {
+				t.Fatalf("k=%d: rank %d (%#x) has fewer events than rank %d (%#x)", k, r, tab.masks[r], r-1, tab.masks[r-1])
 			}
 		}
 		nValid := 0
@@ -483,22 +554,14 @@ func TestDPTableShape(t *testing.T) {
 			if int(r) >= pow3 || int(tab.masks[r]) != mask {
 				t.Fatalf("k=%d: rank[%#x] = %d does not invert masks", k, mask, r)
 			}
-			level := bits.OnesCount(uint(mask))
-			if lo, hi := levelStart(tab, level), int(tab.levelEnd[level]); int(r) < lo || int(r) >= hi {
-				t.Fatalf("k=%d: mask %#x (popcount %d) at rank %d outside its level [%d, %d)", k, mask, level, r, lo, hi)
-			}
-			var want uint16
-			for e := 0; e < ne; e++ {
-				if mask&(1<<e) == 0 || !valid(mask&^(1<<e)) {
-					continue
-				}
-				want |= 1 << e
-				if pr := tab.rank[mask&^(1<<e)]; pr >= r {
-					t.Fatalf("k=%d: predecessor %#x (rank %d) not before %#x (rank %d)", k, mask&^(1<<e), pr, mask, r)
+			var want uint8
+			for i := 0; i < k; i++ {
+				if mask&(1<<(2*i+1)) == 0 {
+					want |= 1 << i
 				}
 			}
-			if tab.removable[r] != want {
-				t.Fatalf("k=%d: removable[%#x] = %#x, want %#x", k, mask, tab.removable[r], want)
+			if tab.open[r] != want {
+				t.Fatalf("k=%d: open[%#x] = %#x, want %#x", k, mask, tab.open[r], want)
 			}
 			// Every sub-mask that is itself valid ranks earlier.
 			for sub := mask; sub != 0; {
@@ -511,17 +574,10 @@ func TestDPTableShape(t *testing.T) {
 		if nValid != pow3 {
 			t.Fatalf("k=%d: %d valid masks by definition, want %d", k, nValid, pow3)
 		}
-		if int(tab.levelEnd[ne]) != pow3 {
-			t.Fatalf("k=%d: levelEnd[%d] = %d, want %d", k, ne, tab.levelEnd[ne], pow3)
-		}
 	}
-}
-
-func levelStart(tab *dpTable, level int) int {
-	if level == 0 {
-		return 0
+	if len(dpTables[MaxGroupSize].masks) != maxMasks {
+		t.Fatalf("maxMasks = %d, but k = %d has %d masks", maxMasks, MaxGroupSize, len(dpTables[MaxGroupSize].masks))
 	}
-	return int(tab.levelEnd[level-1])
 }
 
 // FuzzPlanGroup decodes bytes into a planner question (k = 1..6, riders
@@ -545,9 +601,10 @@ func FuzzPlanGroup(f *testing.F) {
 }
 
 // decodeDPCase reads a header of 6 bytes — flags (bits 0-1 pick the
-// network, bit 2 explicit start, bit 3 holes), k, capacity, now, start node,
-// hole modulus — then 4 bytes per order: pickup, dropoff, riders, and the
-// deadline's distance beyond now in twentieths of the longest possible leg.
+// network, bit 2 explicit start, bit 3 holes, bit 4 every deadline one ulp
+// earlier), k, capacity, now, start node, hole modulus — then 4 bytes per
+// order: pickup, dropoff, riders, and the deadline's distance beyond now in
+// twentieths of the longest possible leg.
 func decodeDPCase(data []byte, net roadnet.Network) (c dpCase, ok bool) {
 	n := net.NumNodes()
 	span := net.Cost(0, geo.NodeID(n-1)) // corner to corner
@@ -569,9 +626,13 @@ func decodeDPCase(data []byte, net roadnet.Network) (c dpCase, ok bool) {
 	}
 	for i := 0; i < k; i++ {
 		b := data[6+4*i:]
+		deadline := c.now + float64(b[3])/20*span
+		if flags&16 != 0 {
+			deadline = math.Nextafter(deadline, math.Inf(-1))
+		}
 		c.orders = append(c.orders, &order.Order{
 			ID: i + 1, Pickup: geo.NodeID(int(b[0]) % n), Dropoff: geo.NodeID(int(b[1]) % n),
-			Riders: 1 + int(b[2])%3, Release: c.now, Deadline: c.now + float64(b[3])/20*span,
+			Riders: 1 + int(b[2])%3, Release: c.now, Deadline: deadline,
 		})
 	}
 	return c, true

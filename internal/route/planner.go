@@ -10,9 +10,10 @@
 //
 // Every entry point shares one DP kernel, planDP: a search over (visited
 // events, last event) states restricted to the 3^k event sets in which no
-// order is dropped before it is picked up, walked level by level over
-// precomputed mask tables (dptable.go) and abandoned at the first level no
-// route prefix reaches. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
+// order is dropped before it is picked up (precomputed mask tables,
+// dptable.go), pushed forward from a worklist of the sets some route prefix
+// reaches, and dropping every prefix that already arrives too late for a
+// deadline it still owes. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
 // a RoutePlan; PlanGroupCostLegs (PlanGroupCost with a store) is the
 // shareability graph's hot path — it runs the identical DP but returns only
 // the route cost, the group expiry τg and the per-member service times,
@@ -145,13 +146,16 @@ func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity
 // diagonal, dropoff_i -> pickup_i — at a sentinel).
 //
 // dp[rank(mask)*ne+last] is the earliest arrival offset at event last having
-// visited exactly mask, over the 3^k valid masks only (dptable.go). Each
-// state is pulled from its one predecessor mask, mask without last, by
-// scanning that mask's reachable final events in ascending order; masks are
-// visited level by level (popcount), so a predecessor's values are final
-// before anything reads them, and a level with no reachable state proves
-// every deeper one unreachable. DESIGN.md §5 has the argument that this
-// reproduces the push-form 2^(2k) table sweep bit for bit.
+// visited exactly mask, over the 3^k valid masks only (dptable.go). The
+// kernel walks a worklist of the masks some state reaches, in popcount
+// order, and from each pushes to its successors: every state (mask, next)
+// has exactly one predecessor mask, mask without next, so it is computed
+// whole, once, by scanning that predecessor's reached final events in
+// ascending order, and masks no prefix reaches cost nothing. A state whose
+// arrival already exceeds the earliest deadline still owed in its mask, plus
+// a margin, is dropped as doomed: no extension of it can make that dropoff.
+// DESIGN.md §5 has the argument that this reproduces the 2^(2k) table sweep
+// bit for bit, margin included.
 func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock, sc *planScratch) int {
 	k := len(orders)
 	if k == 0 || k > MaxGroupSize {
@@ -201,6 +205,7 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 
 	tab := &dpTables[k]
 	dp, parent, reach, onboard := sc.tables(k)
+	clear(reach)
 	// Per-event deadline and rider delta. A pickup has no deadline: +Inf
 	// makes its check below vacuous without a branch on the event kind.
 	var deadline [2 * MaxGroupSize]float64
@@ -209,70 +214,75 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 		deadline[2*i], deadline[2*i+1] = math.Inf(1), o.Deadline
 		riders[2*i], riders[2*i+1] = o.Riders, -o.Riders
 	}
+	// owed[S] is the earliest deadline among the members in S plus the
+	// margin that covers the tie band (DESIGN.md §5), +Inf for S empty. The
+	// explicit conversion keeps the product from fusing into the addition.
+	owed := sc.owed[:1<<k]
+	owed[0] = math.Inf(1)
+	for s := 1; s < len(owed); s++ {
+		owed[s] = min(owed[s&(s-1)], orders[bits.TrailingZeros(uint(s))].Deadline)
+	}
+	for s, d := range owed {
+		owed[s] = d + float64(1e-9*max(1, math.Abs(d)))
+	}
 
 	// Level 1: each pickup as the first stop. Its mask 1<<2i has rank 1+i,
 	// and its state is its own parent (chain walks count events, they do not
-	// look for a root). A +Inf approach leg leaves the state unreachable.
-	onboard[0] = 0
-	var live uint16
+	// look for a root). A +Inf or doomed approach leaves it unreachable.
+	work := &sc.work
+	n := 0
 	for i := 0; i < k; i++ {
-		r := 1 + i
-		dp[r*ne+2*i] = t0s[i]
+		r, t := 1+i, t0s[i]
+		if math.IsInf(t, 1) || now+t > owed[tab.open[r]] {
+			continue
+		}
+		dp[r*ne+2*i] = t
 		parent[r*ne+2*i] = uint16(r*ne + 2*i)
 		onboard[r] = riders[2*i]
-		reach[r] = 0
-		if !math.IsInf(t0s[i], 1) {
-			reach[r] = 1 << (2 * i)
-		}
-		live |= reach[r]
-	}
-	if live == 0 {
-		return -1
+		reach[r] = 1 << (2 * i)
+		work[n] = uint16(r)
+		n++
 	}
 
-	r := 1 + k
-	for level := 2; level <= ne; level++ {
-		live = 0
-		for end := int(tab.levelEnd[level]); r < end; r++ {
-			mask, rem := tab.masks[r], tab.removable[r]
-			// Riders on board in mask, carried from any predecessor mask.
-			first := bits.TrailingZeros16(rem)
-			ob := onboard[tab.rank[mask&^(1<<first)]] + riders[first]
-			onboard[r] = ob
-			var reached uint16
-			for ; rem != 0; rem &= rem - 1 {
-				next := bits.TrailingZeros16(rem)
-				pr := int(tab.rank[mask&^(1<<next)])
-				lasts := reach[pr]
-				if lasts == 0 {
-					continue
+	// Every mask joins the worklist when its first state is reached, and all
+	// its predecessors have one fewer event, so the list stays in popcount
+	// order and a mask's states are final before it is dequeued. A level no
+	// state reaches empties the list before the full mask is ever reached.
+	events := uint16(1)<<ne - 1
+	for h := 0; h < n; h++ {
+		pr := int(work[h])
+		mask, lasts, ob := tab.masks[pr], reach[pr], onboard[pr]
+		// Pickups not yet made, and dropoffs of the members on board.
+		for add := (events&pickupBits | mask&pickupBits<<1) &^ mask; add != 0; add &= add - 1 {
+			next := bits.TrailingZeros16(add)
+			nob := ob + riders[next]
+			if nob > capacity {
+				continue // capacity exceeded at this pickup
+			}
+			due := deadline[next]
+			best, from := math.Inf(1), -1
+			for l := lasts; l != 0; l &= l - 1 {
+				last := bits.TrailingZeros16(l)
+				t := dp[pr*ne+last] + legs[last*ne+next]
+				if now+t > due {
+					continue // deadline violated at this dropoff
 				}
-				if next&1 == 0 && ob > capacity {
-					continue // capacity exceeded at this pickup
-				}
-				due := deadline[next]
-				best, from := math.Inf(1), -1
-				for ; lasts != 0; lasts &= lasts - 1 {
-					last := bits.TrailingZeros16(lasts)
-					t := dp[pr*ne+last] + legs[last*ne+next]
-					if now+t > due {
-						continue // deadline violated at this dropoff
-					}
-					if t < best-1e-12 {
-						best, from = t, pr*ne+last
-					}
-				}
-				if from >= 0 {
-					dp[r*ne+next] = best
-					parent[r*ne+next] = uint16(from)
-					reached |= 1 << next
+				if t < best-1e-12 {
+					best, from = t, pr*ne+last
 				}
 			}
-			reach[r] = reached
-			live |= reached
-		}
-		if live == 0 {
-			return -1
+			r := int(tab.rank[mask|1<<next])
+			if from < 0 || now+best > owed[tab.open[r]] {
+				continue // unreachable, or doomed to miss a deadline it owes
+			}
+			if reach[r] == 0 {
+				onboard[r] = nob
+				work[n] = uint16(r)
+				n++
+			}
+			reach[r] |= 1 << next
+			dp[r*ne+next] = best
+			parent[r*ne+next] = uint16(from)
 		}
 	}
 
@@ -318,13 +328,16 @@ func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.Ro
 
 // planScratch holds reusable DP buffers; pooled because the shareability
 // graph calls the planner millions of times per simulated day. The leg
-// matrix and event locations are bounded by MaxGroupSize and live inline;
-// only the state tables, whose size is 3^k, grow to the largest k seen.
+// matrix, event locations, owed-deadline table and mask worklist are bounded
+// by MaxGroupSize and live inline; only the state tables, whose size is
+// 3^k, grow to the largest k seen.
 type planScratch struct {
 	legs     [4 * MaxGroupSize * MaxGroupSize]float64
 	loc      [2 * MaxGroupSize]geo.NodeID
 	startSrc [1]geo.NodeID
-	approach [MaxGroupSize]float64 // start -> each pickup
+	approach [MaxGroupSize]float64      // start -> each pickup
+	owed     [1 << MaxGroupSize]float64 // member set -> earliest deadline + margin
+	work     [maxMasks]uint16           // ranks of reached masks, popcount order
 
 	dp      []float64 // rank(mask)*ne + last -> arrival offset
 	parent  []uint16  // same index -> predecessor state
@@ -334,9 +347,9 @@ type planScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &planScratch{} }}
 
-// tables returns the state tables sized for groups of k. Nothing is cleared:
-// the kernel writes reach and onboard for every mask it visits and reads dp
-// and parent only where reach says they were written.
+// tables returns the state tables sized for groups of k. The kernel clears
+// reach once per call; it writes onboard for every mask it reaches and reads
+// dp, parent and onboard only where reach says they were written.
 //
 //det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
 func (s *planScratch) tables(k int) (dp []float64, parent, reach []uint16, onboard []int) {
@@ -347,5 +360,5 @@ func (s *planScratch) tables(k int) (dp []float64, parent, reach []uint16, onboa
 		s.reach = make([]uint16, masks)
 		s.onboard = make([]int, masks)
 	}
-	return s.dp, s.parent, s.reach, s.onboard
+	return s.dp, s.parent, s.reach[:masks], s.onboard
 }

@@ -370,3 +370,35 @@ func benchPlan(b *testing.B, k int) {
 		p.PlanGroup(groups[i%len(groups)], 0, 5)
 	}
 }
+
+// TestPlanGroupCostLegsAllocations holds the shareability graph's hot path to
+// zero allocations in steady state for every group size the DP admits, over
+// warm pair blocks: once with deadlines so slack that every valid mask joins
+// the kernel's worklist, once with randomGroup's mostly binding ones.
+func TestPlanGroupCostLegsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random; counts mean nothing")
+	}
+	net := testCity()
+	p := NewPlanner(net)
+	store := NewLegStore(net)
+	rng := rand.New(rand.NewSource(3))
+	svc := make([]float64, MaxGroupSize)
+	for k := 1; k <= MaxGroupSize; k++ {
+		slack := randomGroup(net, rng, 20, k)
+		for _, o := range slack {
+			o.Deadline = 1e6
+		}
+		for _, arm := range []struct {
+			name   string
+			orders []*order.Order
+		}{{"slack", slack}, {"random", randomGroup(net, rng, 20, k)}} {
+			blocks := slotBlocks(store, uint32(k), arm.orders)
+			if n := testing.AllocsPerRun(100, func() {
+				p.PlanGroupCostLegs(arm.orders, 0, MaxGroupSize, blocks, svc)
+			}); n != 0 {
+				t.Errorf("k=%d %s: PlanGroupCostLegs allocates %v times per call, want 0", k, arm.name, n)
+			}
+		}
+	}
+}
