@@ -115,10 +115,10 @@ func (ix *Index) Ring(center, d int, fn func(cell int) bool) bool {
 // extent of the i-th cell strip starting at lo with width w, the strip
 // widened by margin on both sides; 0 when p lies within it.
 func axisGap(p, lo, w float64, i int, margin float64) float64 {
-	if a := lo + float64(i)*w - margin; p < a {
+	if a := lo + float64(float64(i)*w) - margin; p < a {
 		return a - p
 	}
-	if b := lo + float64(i+1)*w + margin; p > b {
+	if b := lo + float64(float64(i+1)*w) + margin; p > b {
 		return p - b
 	}
 	return 0

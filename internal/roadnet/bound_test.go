@@ -134,6 +134,9 @@ func TestReferenceIsPlainNetwork(t *testing.T) {
 	if _, ok := ref.(FloorNetwork); ok {
 		t.Fatal("Reference implements FloorNetwork")
 	}
+	if _, ok := ref.(MetricNetwork); ok {
+		t.Fatal("Reference implements MetricNetwork")
+	}
 }
 
 // nearestArgmin is the worker probe's selection rule over one cost column:

@@ -60,6 +60,22 @@ type FloorNetwork interface {
 	MinSecondsPerMetre() float64
 }
 
+// MetricNetwork is an optional Network extension for callers that prune by
+// lookahead: the route DP drops a route prefix once the direct leg to a stop
+// it still owes already misses that stop's deadline (DESIGN.md §5), which
+// is sound only where no detour beats the direct leg. For all nodes a, b, c,
+//
+//	Cost(a, c) <= (Cost(a, b) + Cost(b, c)) * (1 + TriangleSlack())
+//
+// with the sum and product taken exactly. The slack is a relative rounding
+// allowance, not a modelling tolerance: a network whose costs are only
+// nearly metric (a Graph's float32 path folds, a wrapper that rescales or
+// removes legs) does not implement the interface. GridCity states it.
+type MetricNetwork interface {
+	Network
+	TriangleSlack() float64
+}
+
 // matrixFiller is the engine form of FillCostMatrixWithin: one pruned search
 // per distinct source instead of len(sources)*len(targets) oracle calls.
 type matrixFiller interface {

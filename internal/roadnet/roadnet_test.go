@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,56 @@ func TestGridCityTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGridCityTriangleSlack pins the premise of the route DP's lookahead:
+// GridCity's MetricNetwork claim, Cost(a, c) <= (Cost(a, b) + Cost(b, c)) *
+// (1 + TriangleSlack()), on every triple of a small lattice and on random
+// triples of a MET-sized one (320 x 320), for CDC's calibration (160 m at
+// 8 m/s: every cost a multiple of 20 s, exact, so the bare inequality
+// holds) and NYC's (150 m at 7 m/s: costs round). A Graph claims nothing:
+// its float32 path folds break the inequality by far more than rounding.
+func TestGridCityTriangleSlack(t *testing.T) {
+	for _, cal := range []struct {
+		name        string
+		cell, speed float64
+		exact       bool
+	}{{"cdc", 160, 8, true}, {"nyc", 150, 7, false}} {
+		over := 0 // triples past the bare inequality, within the slack
+		check := func(c *GridCity, a, b, x geo.NodeID) {
+			var net MetricNetwork = c
+			ac, sum := net.Cost(a, x), net.Cost(a, b)+net.Cost(b, x)
+			if ac > sum*(1+net.TriangleSlack()) || cal.exact && ac > sum {
+				t.Fatalf("%s %dx%d: cost(%d,%d) = %v > cost(%d,%d) + cost(%d,%d) = %v",
+					cal.name, c.W, c.H, a, x, ac, a, b, b, x, sum)
+			}
+			if ac > sum {
+				over++
+			}
+		}
+		small := NewGridCity(7, 6, cal.cell, cal.speed)
+		n := small.NumNodes()
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				for x := 0; x < n; x++ {
+					check(small, geo.NodeID(a), geo.NodeID(b), geo.NodeID(x))
+				}
+			}
+		}
+		met := NewGridCity(320, 320, cal.cell, cal.speed)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 200000; i++ {
+			check(met, geo.NodeID(rng.Intn(met.NumNodes())), geo.NodeID(rng.Intn(met.NumNodes())), geo.NodeID(rng.Intn(met.NumNodes())))
+		}
+		t.Logf("%s: %d triples past the bare inequality, all within the slack", cal.name, over)
+		if !cal.exact && over == 0 {
+			t.Fatalf("%s: no triple needs the slack; the calibration tests less than it says", cal.name)
+		}
+	}
+	var g Network = NewPerturbedGrid(8, 8, 150, 8, 0.3, 1)
+	if _, ok := g.(MetricNetwork); ok {
+		t.Fatal("Graph implements MetricNetwork")
 	}
 }
 

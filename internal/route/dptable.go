@@ -19,10 +19,12 @@ type dpTable struct {
 	// rank is the inverse of masks over all 4^k subsets (noRank for the
 	// invalid ones, which the kernel never looks up).
 	rank []uint16
-	// open[r] is the set of members (bit i for member i) whose dropoff is
-	// not in masks[r]: the members a route prefix ending in that set still
-	// owes a delivery, whose earliest deadline the doom rule tests.
-	open []uint8
+	// owe[r] is the set of events a route prefix ending in masks[r] can
+	// visit next: the pickup of each member still waiting and the dropoff
+	// of each member on board — one event per member the prefix still owes
+	// a delivery. The kernel pushes to exactly these, and its doom rule
+	// looks ahead from the prefix's last stop through each of them.
+	owe []uint16
 }
 
 const (
@@ -37,6 +39,7 @@ var dpTables = buildDPTables()
 func buildDPTables() (tabs [MaxGroupSize + 1]dpTable) {
 	for k := 1; k <= MaxGroupSize; k++ {
 		ne := 2 * k
+		pickups := (uint16(1)<<ne - 1) & pickupBits
 		t := &tabs[k]
 		t.rank = make([]uint16, 1<<ne)
 		for level := 0; level <= ne; level++ {
@@ -51,13 +54,7 @@ func buildDPTables() (tabs [MaxGroupSize + 1]dpTable) {
 				}
 				t.rank[m] = uint16(len(t.masks))
 				t.masks = append(t.masks, mask)
-				var open uint8
-				for i := 0; i < k; i++ {
-					if mask&(1<<(2*i+1)) == 0 {
-						open |= 1 << i
-					}
-				}
-				t.open = append(t.open, open)
+				t.owe = append(t.owe, (pickups|mask&pickupBits<<1)&^mask)
 			}
 		}
 	}

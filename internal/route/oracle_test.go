@@ -182,7 +182,10 @@ func oraclePlanGroupFrom(p *Planner, orders []*order.Order, now float64, capacit
 
 // holeNet wraps a network and reports +Inf for a deterministic subset of
 // node pairs (and so for some approach legs): the DP must treat an
-// unreachable leg exactly as the oracle does. hole == 0 removes nothing.
+// unreachable leg exactly as the oracle does. Around a removed leg a detour
+// beats the direct one, so the wrapper claims no roadnet.MetricNetwork and
+// the kernel runs it without lookahead; dpCase.network hands the base
+// network through untouched when there are no holes.
 type holeNet struct {
 	roadnet.Network
 	hole uint32
@@ -218,6 +221,9 @@ func oracleNets() []struct {
 		{"grid", roadnet.NewGridCity(12, 12, 100, 10)},
 		{"graph", roadnet.NewPerturbedGrid(10, 10, 150, 8, 0.35, 5)},
 		{"tenths", scaledNet{roadnet.NewGridCity(12, 12, 100, 10), 0.01}},
+		// NYC's calibration: 150/7 s per block is no binary fraction, so
+		// the lookahead runs on legs whose sums round.
+		{"inexact", roadnet.NewGridCity(12, 12, 150, 7)},
 	}
 }
 
@@ -228,6 +234,14 @@ type dpCase struct {
 	capacity int
 	start    geo.NodeID
 	hole     uint32 // holeNet modulus, 0 for the plain network
+}
+
+// network is the case's network over base: base itself, or base with holes.
+func (c dpCase) network(base roadnet.Network) roadnet.Network {
+	if c.hole == 0 {
+		return base
+	}
+	return holeNet{base, c.hole}
 }
 
 func (c dpCase) String() string {
@@ -250,7 +264,7 @@ func (c dpCase) String() string {
 // It reports the oracle's verdicts for the free and for the case's own start.
 func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anchored bool) {
 	t.Helper()
-	net := holeNet{base, c.hole}
+	net := c.network(base)
 	p := NewPlanner(net)
 	k := len(c.orders)
 
@@ -358,7 +372,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 				for trial := 0; trial < trials; trial++ {
 					c := randomDPCase(rng, nc.net, k, trial)
 					free, anchored := checkAgainstOracle(t, nc.net, c)
-					if free && !anchored && cutOff(holeNet{nc.net, c.hole}, c) {
+					if free && !anchored && cutOff(c.network(nc.net), c) {
 						approachCutOff++
 					}
 					if !free {
@@ -376,7 +390,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 					// Sweep now up to and past the group's τg: the cheapest route
 					// dies, a costlier one may survive, then nothing does.
 					svc := make([]float64, MaxGroupSize)
-					_, expiry, _ := NewPlanner(holeNet{nc.net, c.hole}).PlanGroupCost(c.orders, c.now, c.capacity, nil, svc)
+					_, expiry, _ := NewPlanner(c.network(nc.net)).PlanGroupCost(c.orders, c.now, c.capacity, nil, svc)
 					for _, now := range []float64{expiry, math.Nextafter(expiry, math.Inf(1)), expiry + 7, expiry + 60, expiry + 600} {
 						later := c
 						later.now = now
@@ -505,9 +519,125 @@ func TestDoomRuleBoundary(t *testing.T) {
 	}
 }
 
+// lineNet is a network of points on a line, Cost their distance: metric up
+// to the rounding of one subtraction, so it claims roadnet.MetricNetwork and
+// the kernel runs the doom rule's lookahead on it.
+type lineNet []float64
+
+func (l lineNet) NumNodes() int                { return len(l) }
+func (l lineNet) Coord(n geo.NodeID) geo.Point { return geo.Point{X: l[n]} }
+func (l lineNet) Cost(a, b geo.NodeID) float64 { return math.Abs(l[a] - l[b]) }
+func (l lineNet) Bounds() geo.Rect             { return geo.Rect{} }
+func (l lineNet) TriangleSlack() float64       { return 0x1p-50 }
+
+// claimsMetric wraps a network that is not metric and claims it is: the
+// kernel then looks ahead on legs a detour can beat.
+type claimsMetric struct{ roadnet.Network }
+
+func (claimsMetric) TriangleSlack() float64 { return 0 }
+
+// TestLookaheadNearTie is TestDoomRuleNearTie for the lookahead: a prefix
+// whose arrival is live but whose direct leg to an owed dropoff passes the
+// bare deadline holds off a live candidate inside the tie band. On a line,
+// PA=0 at 50+e, DA=1 at -30, PB=2 at 50, DB=3 at 0, e = 2^-41 (every sum
+// below is exact): the prefix PB alone is doomed for A by e at the bare
+// deadline (PB, PA, DA arrives at 80+2e; A is due at 80+e), and PB, PA
+// arrives at DB at 50+2e, holding off PA, PB, DB at 50+e. The oracle keeps
+// the held-off value, so DB -> DA arrives at 80+2e: infeasible, as is every
+// other order of the four stops. A kernel without the margin drops PB at
+// level 1, lets PA, PB, DB through and reaches DA exactly at A's deadline:
+// feasible. With the margin the prefix stays, and so does the verdict.
+func TestLookaheadNearTie(t *testing.T) {
+	const e = 0x1p-41
+	net := lineNet{50 + e, -30, 50, 0}
+	a := &order.Order{ID: 1, Pickup: 0, Dropoff: 1, Riders: 1, Deadline: 80 + e}
+	b := &order.Order{ID: 2, Pickup: 2, Dropoff: 3, Riders: 1, Deadline: 60}
+	c := dpCase{orders: []*order.Order{a, b}, capacity: 2, start: geo.InvalidNode}
+	// The case bites only while the prefix is doomed by the lookahead alone,
+	// within the margin, and the live candidate sits inside its tie band.
+	ahead := net.Cost(2, 0) + net.Cost(0, 1)
+	doomed, live := net.Cost(2, 0)+net.Cost(0, 3), net.Cost(0, 2)+net.Cost(2, 3)
+	margin := float64(1e-9 * a.Deadline)
+	switch {
+	case !(ahead > a.Deadline) || ahead > a.Deadline+margin || net.Cost(2, 0) > a.Deadline:
+		t.Fatalf("case out of shape: lookahead %v against deadline %v", ahead, a.Deadline)
+	case !(live < doomed) || live < doomed-1e-12 || live+net.Cost(3, 1) != a.Deadline || live > b.Deadline:
+		t.Fatalf("case out of shape: doomed %v, live %v", doomed, live)
+	}
+	if free, _ := checkAgainstOracle(t, net, c); free {
+		t.Fatal("the oracle calls the near-tie group feasible; the case tests nothing")
+	}
+}
+
+// TestLookaheadBoundary pins the lookahead's edge for both kinds of owed
+// member, on the first stop PA of a two-order group: once A (on board)
+// binds, through its direct leg PA -> DA, once B (waiting) binds, through
+// PA -> PB -> DB. A state whose arrival plus lookahead is exactly the
+// member's deadline plus margin stays reached; one ulp later it is dropped.
+// Each case is also held to the oracle.
+func TestLookaheadBoundary(t *testing.T) {
+	const deadline, loose = 100.0, 1000.0
+	limit := deadline + float64(1e-9*deadline)
+	for _, tc := range []struct {
+		name  string
+		ahead float64
+		reach bool
+	}{{"at", limit, true}, {"ulp-past", math.Nextafter(limit, math.Inf(1)), false}} {
+		for _, binds := range []string{"on-board", "waiting"} {
+			// Nodes PA=0, DA=1, PB=2, DB=3.
+			net, dA, dB := lineNet{0, tc.ahead, -1, -2}, deadline, loose
+			if binds == "waiting" {
+				net, dA, dB = lineNet{0, 1, -1, -tc.ahead}, loose, deadline
+			}
+			la := map[string]float64{"on-board": net.Cost(0, 1), "waiting": net.Cost(0, 2) + net.Cost(2, 3)}[binds]
+			if la != tc.ahead {
+				t.Fatalf("%s/%s: lookahead %v, want %v", tc.name, binds, la, tc.ahead)
+			}
+			a := &order.Order{ID: 1, Pickup: 0, Dropoff: 1, Riders: 1, Deadline: dA}
+			b := &order.Order{ID: 2, Pickup: 2, Dropoff: 3, Riders: 1, Deadline: dB}
+			c := dpCase{orders: []*order.Order{a, b}, capacity: 2, start: geo.InvalidNode}
+			checkAgainstOracle(t, net, c)
+			var sc planScratch
+			NewPlanner(net).planDP(c.orders, 0, 2, geo.InvalidNode, nil, &sc)
+			if got := sc.reach[1] != 0; got != tc.reach {
+				t.Errorf("%s/%s: lookahead %v against limit %v: PA reached %v, want %v", tc.name, binds, la, limit, got, tc.reach)
+			}
+		}
+	}
+}
+
+// TestLookaheadNeedsMetric: on a matrix where PA -> PB -> DA (20 s) beats
+// the direct PA -> DA (100 s), A is served by 50 only through that detour.
+// The lookahead from PA reads the direct leg and would drop the only
+// feasible prefixes; claiming the network metric forces it on and breaks
+// agreement with the oracle. The plain matrix claims nothing, and neither do
+// the test wrappers, so the kernel tests arrivals alone and agrees.
+func TestLookaheadNeedsMetric(t *testing.T) {
+	net := matrixNet{
+		{0, 100, 10, 40}, // PA -> DA, PB, DB
+		{100, 0, 90, 30}, // DA -> PA, PB, DB
+		{10, 10, 0, 30},  // PB -> PA, DA, DB
+		{40, 30, 30, 0},  // DB -> PA, DA, PB
+	}
+	a := &order.Order{ID: 1, Pickup: 0, Dropoff: 1, Riders: 1, Deadline: 50}
+	b := &order.Order{ID: 2, Pickup: 2, Dropoff: 3, Riders: 1, Deadline: 100}
+	c := dpCase{orders: []*order.Order{a, b}, capacity: 2, start: geo.InvalidNode}
+	for _, n := range []roadnet.Network{net, holeNet{lineNet{0, 1}, 3}, scaledNet{lineNet{0, 1}, 0.01}} {
+		if _, ok := n.(roadnet.MetricNetwork); ok {
+			t.Fatalf("%T claims to be metric", n)
+		}
+	}
+	if free, _ := checkAgainstOracle(t, net, c); !free {
+		t.Fatal("the oracle calls the detour group infeasible; the case tests nothing")
+	}
+	if _, ok := NewPlanner(claimsMetric{net}).PlanGroup(c.orders, 0, 2); ok {
+		t.Fatal("the lookahead forced onto a non-metric network still finds the detour; the case tests nothing")
+	}
+}
+
 // TestDPTableShape pins the precomputed state-space tables: exactly the
 // 3^k pickup-before-dropoff masks, by ascending popcount and every mask
-// after all of its sub-masks, rank the inverse of masks, the open-member
+// after all of its sub-masks, rank the inverse of masks, the owed-event
 // sets exact, and the largest table the size of the kernel's worklist.
 func TestDPTableShape(t *testing.T) {
 	pow3 := 1
@@ -523,9 +653,9 @@ func TestDPTableShape(t *testing.T) {
 			}
 			return true
 		}
-		if len(tab.masks) != pow3 || len(tab.open) != pow3 || len(tab.rank) != 1<<ne {
-			t.Fatalf("k=%d: %d masks, %d open sets, %d ranks; want %d, %d, %d",
-				k, len(tab.masks), len(tab.open), len(tab.rank), pow3, pow3, 1<<ne)
+		if len(tab.masks) != pow3 || len(tab.owe) != pow3 || len(tab.rank) != 1<<ne {
+			t.Fatalf("k=%d: %d masks, %d owed sets, %d ranks; want %d, %d, %d",
+				k, len(tab.masks), len(tab.owe), len(tab.rank), pow3, pow3, 1<<ne)
 		}
 		if tab.masks[0] != 0 || int(tab.masks[pow3-1]) != 1<<ne-1 {
 			t.Fatalf("k=%d: first/last mask %#x/%#x", k, tab.masks[0], tab.masks[pow3-1])
@@ -554,14 +684,17 @@ func TestDPTableShape(t *testing.T) {
 			if int(r) >= pow3 || int(tab.masks[r]) != mask {
 				t.Fatalf("k=%d: rank[%#x] = %d does not invert masks", k, mask, r)
 			}
-			var want uint8
+			var want uint16
 			for i := 0; i < k; i++ {
-				if mask&(1<<(2*i+1)) == 0 {
-					want |= 1 << i
+				switch {
+				case mask&(1<<(2*i)) == 0:
+					want |= 1 << (2 * i) // waiting: its pickup is next
+				case mask&(1<<(2*i+1)) == 0:
+					want |= 1 << (2*i + 1) // on board: its dropoff is next
 				}
 			}
-			if tab.open[r] != want {
-				t.Fatalf("k=%d: open[%#x] = %#x, want %#x", k, mask, tab.open[r], want)
+			if tab.owe[r] != want {
+				t.Fatalf("k=%d: owe[%#x] = %#x, want %#x", k, mask, tab.owe[r], want)
 			}
 			// Every sub-mask that is itself valid ranks earlier.
 			for sub := mask; sub != 0; {

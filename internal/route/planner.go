@@ -12,8 +12,10 @@
 // events, last event) states restricted to the 3^k event sets in which no
 // order is dropped before it is picked up (precomputed mask tables,
 // dptable.go), pushed forward from a worklist of the sets some route prefix
-// reaches, and dropping every prefix that already arrives too late for a
-// deadline it still owes. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
+// reaches, and dropping every prefix that cannot make a deadline it still
+// owes — judged by its arrival plus, on a network that states the triangle
+// inequality (roadnet.MetricNetwork), the direct legs from its last stop to
+// that dropoff. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
 // a RoutePlan; PlanGroupCostLegs (PlanGroupCost with a store) is the
 // shareability graph's hot path — it runs the identical DP but returns only
 // the route cost, the group expiry τg and the per-member service times,
@@ -151,11 +153,12 @@ func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity
 // order, and from each pushes to its successors: every state (mask, next)
 // has exactly one predecessor mask, mask without next, so it is computed
 // whole, once, by scanning that predecessor's reached final events in
-// ascending order, and masks no prefix reaches cost nothing. A state whose
-// arrival already exceeds the earliest deadline still owed in its mask, plus
-// a margin, is dropped as doomed: no extension of it can make that dropoff.
-// DESIGN.md §5 has the argument that this reproduces the 2^(2k) table sweep
-// bit for bit, margin included.
+// ascending order, and masks no prefix reaches cost nothing. A state is
+// dropped as doomed when a member it still owes a delivery would miss its
+// deadline, plus a margin, even on the direct legs from the state's last
+// stop (on a MetricNetwork; on any other, even arriving now): no extension
+// of it can make that dropoff. DESIGN.md §5 has the argument that this
+// reproduces the 2^(2k) table sweep bit for bit, margin included.
 func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock, sc *planScratch) int {
 	k := len(orders)
 	if k == 0 || k > MaxGroupSize {
@@ -206,24 +209,36 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	tab := &dpTables[k]
 	dp, parent, reach, onboard := sc.tables(k)
 	clear(reach)
-	// Per-event deadline and rider delta. A pickup has no deadline: +Inf
-	// makes its check below vacuous without a branch on the event kind.
-	var deadline [2 * MaxGroupSize]float64
+	// Per-event deadline, doom limit and rider delta. A pickup has no
+	// deadline: +Inf makes its check below vacuous without a branch on the
+	// event kind. Both events of a member share its limit, the deadline plus
+	// the margin that covers the tie band (DESIGN.md §5); the explicit
+	// conversion keeps the product from fusing into the addition.
+	var deadline, limit [2 * MaxGroupSize]float64
 	var riders [2 * MaxGroupSize]int
 	for i, o := range orders {
-		deadline[2*i], deadline[2*i+1] = math.Inf(1), o.Deadline
+		d := o.Deadline
+		l := d + float64(1e-9*max(1, math.Abs(d)))
+		deadline[2*i], deadline[2*i+1] = math.Inf(1), d
+		limit[2*i], limit[2*i+1] = l, l
 		riders[2*i], riders[2*i+1] = o.Riders, -o.Riders
 	}
-	// owed[S] is the earliest deadline among the members in S plus the
-	// margin that covers the tie band (DESIGN.md §5), +Inf for S empty. The
-	// explicit conversion keeps the product from fusing into the addition.
-	owed := sc.owed[:1<<k]
-	owed[0] = math.Inf(1)
-	for s := 1; s < len(owed); s++ {
-		owed[s] = min(owed[s&(s-1)], orders[bits.TrailingZeros(uint(s))].Deadline)
-	}
-	for s, d := range owed {
-		owed[s] = d + float64(1e-9*max(1, math.Abs(d)))
+	// look[e*ne+x] is the doom rule's lookahead from a prefix's last stop e
+	// through the owed event x to its member's dropoff: leg(e, x) when x is
+	// the dropoff, leg(e, x) + leg(x, dropoff) when x is the pickup. On a
+	// metric network no extension of the prefix reaches that dropoff sooner
+	// (up to rounding); on any other the lookahead is 0 and the rule tests
+	// the arrival alone.
+	look := noLook[:ne*ne]
+	if m, ok := p.Net.(roadnet.MetricNetwork); ok && m.TriangleSlack() <= maxTriangleSlack {
+		copy(sc.look[:], legs)
+		for x := 0; x < ne; x += 2 {
+			direct := legs[x*ne+x+1]
+			for i := x; i < ne*ne; i += ne {
+				sc.look[i] += direct
+			}
+		}
+		look = sc.look[:ne*ne]
 	}
 
 	// Level 1: each pickup as the first stop. Its mask 1<<2i has rank 1+i,
@@ -233,7 +248,7 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	n := 0
 	for i := 0; i < k; i++ {
 		r, t := 1+i, t0s[i]
-		if math.IsInf(t, 1) || now+t > owed[tab.open[r]] {
+		if math.IsInf(t, 1) || doomed(now+t, look[2*i*ne:], tab.owe[r], &limit) {
 			continue
 		}
 		dp[r*ne+2*i] = t
@@ -248,12 +263,11 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	// its predecessors have one fewer event, so the list stays in popcount
 	// order and a mask's states are final before it is dequeued. A level no
 	// state reaches empties the list before the full mask is ever reached.
-	events := uint16(1)<<ne - 1
 	for h := 0; h < n; h++ {
 		pr := int(work[h])
 		mask, lasts, ob := tab.masks[pr], reach[pr], onboard[pr]
 		// Pickups not yet made, and dropoffs of the members on board.
-		for add := (events&pickupBits | mask&pickupBits<<1) &^ mask; add != 0; add &= add - 1 {
+		for add := tab.owe[pr]; add != 0; add &= add - 1 {
 			next := bits.TrailingZeros16(add)
 			nob := ob + riders[next]
 			if nob > capacity {
@@ -272,7 +286,7 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 				}
 			}
 			r := int(tab.rank[mask|1<<next])
-			if from < 0 || now+best > owed[tab.open[r]] {
+			if from < 0 || doomed(now+best, look[next*ne:], tab.owe[r], &limit) {
 				continue // unreachable, or doomed to miss a deadline it owes
 			}
 			if reach[r] == 0 {
@@ -299,6 +313,29 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 		}
 	}
 	return best
+}
+
+// maxTriangleSlack is the largest MetricNetwork.TriangleSlack the doom
+// rule's lookahead accepts: its margin covers 2k levels of that relative
+// slack with orders of magnitude to spare (DESIGN.md §5).
+const maxTriangleSlack = 0x1p-40
+
+// noLook is the lookahead of a network that is not metric: all zeros, read
+// by every such call and written by none.
+var noLook [4 * MaxGroupSize * MaxGroupSize]float64
+
+// doomed is the doom rule for a state whose arrival, now included, is nv:
+// row is the lookahead row of its last event and owe the events it can
+// visit next. It is doomed when some member it still owes cannot make its
+// limit even on the direct leg: nv + row[x] > limit[x] for an x in owe.
+func doomed(nv float64, row []float64, owe uint16, limit *[2 * MaxGroupSize]float64) bool {
+	for ; owe != 0; owe &= owe - 1 {
+		x := bits.TrailingZeros16(owe)
+		if nv+row[x] > limit[x] {
+			return true
+		}
+	}
+	return false
 }
 
 // materializePlan reconstructs the RoutePlan ending at state best from sc's
@@ -328,16 +365,16 @@ func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.Ro
 
 // planScratch holds reusable DP buffers; pooled because the shareability
 // graph calls the planner millions of times per simulated day. The leg
-// matrix, event locations, owed-deadline table and mask worklist are bounded
+// matrix, event locations, doom lookahead and mask worklist are bounded
 // by MaxGroupSize and live inline; only the state tables, whose size is
 // 3^k, grow to the largest k seen.
 type planScratch struct {
 	legs     [4 * MaxGroupSize * MaxGroupSize]float64
 	loc      [2 * MaxGroupSize]geo.NodeID
 	startSrc [1]geo.NodeID
-	approach [MaxGroupSize]float64      // start -> each pickup
-	owed     [1 << MaxGroupSize]float64 // member set -> earliest deadline + margin
-	work     [maxMasks]uint16           // ranks of reached masks, popcount order
+	look     [4 * MaxGroupSize * MaxGroupSize]float64 // doom lookahead, legs' layout
+	approach [MaxGroupSize]float64                    // start -> each pickup
+	work     [maxMasks]uint16                         // ranks of reached masks, popcount order
 
 	dp      []float64 // rank(mask)*ne + last -> arrival offset
 	parent  []uint16  // same index -> predecessor state

@@ -335,7 +335,7 @@ const rejectionFactor = 10
 // Reject records a rejected order: METRS penalty p(i) plus the Unified
 // Cost rejection term.
 func (e *Env) Reject(o *order.Order, now float64) {
-	penalty, unified := o.Penalty(), rejectionFactor*o.DirectCost
+	penalty, unified := o.Penalty(), float64(rejectionFactor*o.DirectCost)
 	e.Metrics.Rejected++
 	e.Metrics.PenaltySum += penalty
 	e.Metrics.RejectUnified += unified

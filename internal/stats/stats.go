@@ -41,7 +41,7 @@ func Summarize(xs []float64) Summary {
 		var vr float64
 		for _, x := range xs {
 			d := x - s.Mean
-			vr += d * d
+			vr += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(vr / float64(len(xs)-1))
 	}
@@ -68,8 +68,8 @@ func Percentile(xs []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	frac := float64(rank) - float64(lo) // converted: rank is a product, kept unfused
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // CI95 returns the half-width of the 95% normal-approximation confidence
@@ -100,7 +100,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Mean returns the running mean (0 when empty).
