@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchstream benchpool benchshard benchproxy benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchshard benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -55,12 +55,13 @@ fuzz:
 # does, and these four do. Each compiles every package in FMA_PKGS — the
 # value network and its training, the route DP and the pool, orders, the
 # dispatch strategies, the framework and the platform, the worker index,
-# the simulation's metrics and the summary statistics — and any fused
-# instruction in a symbol of one fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
+# the simulation's metrics, the summary statistics, the experiment runner
+# and the synthetic workload generator — and any fused instruction in a
+# symbol of one fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
 # FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and
 # MADBR/MSDBR and their memory and vector forms (s390x).
 FMA_ARCHS = arm64 ppc64le s390x riscv64
-FMA_PKGS = nn mdp route pool order strategy core platform gridindex sim stats
+FMA_PKGS = nn mdp route pool order strategy core platform gridindex sim stats exp dataset
 FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
 
 fmacheck:
@@ -161,7 +162,7 @@ fixtures:
 	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
 		-out internal/roadnet/testdata/grid6x5
 
-# The seven bench targets write BENCH_*.json into BENCH_OUT. On their own they
+# The four bench targets write BENCH_*.json into BENCH_OUT. On their own they
 # re-record the committed baselines in the repository root (run them with
 # GOMAXPROCS=2: the gate refuses to compare reports recorded on different
 # cores); as prerequisites of benchgate they write into a scratch directory.
@@ -175,21 +176,9 @@ benchsweep:
 benchroute:
 	$(GO) run ./cmd/watterbench -benchroute $(BENCH_OUT)/BENCH_routing.json
 
-# Event bus vs batch replay.
-benchstream:
-	$(GO) run ./cmd/watterbench -benchstream $(BENCH_OUT)/BENCH_stream.json
-
-# Pool maintenance: plan cache vs replan-always.
-benchpool:
-	$(GO) run ./cmd/watterbench -benchpool $(BENCH_OUT)/BENCH_pool.json
-
 # Insert prewarm on K goroutines vs K = 1.
 benchshard:
 	$(GO) run ./cmd/watterbench -benchshard $(BENCH_OUT)/BENCH_shard.json
-
-# Multi-city proxy (isolation + HA bit-identity).
-benchproxy:
-	$(GO) run ./cmd/watterproxy -quiet -json $(BENCH_OUT)/BENCH_proxy.json
 
 # Open-loop load harness (arrival rows + max sustainable rate; everything
 # virtual-clock deterministic).
@@ -199,11 +188,11 @@ benchload:
 benchdir:
 	mkdir -p $(BENCH_OUT)
 
-# Produce seven fresh reports and gate each against its committed namesake —
+# Produce four fresh reports and gate each against its committed namesake —
 # what CI's bench steps do, on the two cores the baselines were recorded on.
 benchgate: BENCH_OUT = /tmp/bench
 benchgate: export GOMAXPROCS = 2
-benchgate: benchdir benchsweep benchroute benchstream benchpool benchshard benchproxy benchload
+benchgate: benchdir benchsweep benchroute benchshard benchload
 	$(GO) run ./cmd/benchgate . $(BENCH_OUT)
 
 clean:

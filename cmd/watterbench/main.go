@@ -10,8 +10,6 @@
 //	watterbench -fig fig5 -replicates 5 -parallel 8  # mean ± CI across seeds
 //	watterbench -benchsweep BENCH_sweep.json         # sequential-vs-parallel timing
 //	watterbench -benchroute BENCH_routing.json       # routing engine vs cold Dijkstra
-//	watterbench -benchstream BENCH_stream.json       # event bus vs batch replay
-//	watterbench -benchpool BENCH_pool.json           # plan cache vs replan-always pool
 //	watterbench -benchshard BENCH_shard.json         # insert prewarm on K goroutines vs K = 1
 //	watterbench -list                                # enumerate sweeps
 //
@@ -23,17 +21,14 @@
 // A figure expands into its jobs (exp.Sweep.Jobs) and runs through the
 // sweep engine's one loop (exp.SweepRunner.Run); one seed prints the paper's
 // table, -replicates prints mean ± CI per cell, and -csv writes the raw rows
-// either way. The -benchstream and -benchpool arms stand their CDC cell up
-// through exp.Runner.Setup, the builder every experiment run uses.
+// either way.
 package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -47,34 +42,30 @@ import (
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/geo"
-	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/platform"
 	"watter/internal/pool"
 	"watter/internal/roadnet"
-	"watter/internal/route"
 	"watter/internal/sim"
 	"watter/internal/strategy"
 )
 
 func main() {
 	var (
-		fig         = flag.String("fig", "fig3", "sweep id (fig3..fig6, grid, eta, dt, gmm, omega, or 'all')")
-		city        = flag.String("city", "cdc", "city: nyc, cdc, xia, met, or 'all' (met is the 102K-node explicit-graph metropolis; 'all' stays nyc/cdc/xia)")
-		scale       = flag.Float64("scale", 1, "order/worker count multiplier")
-		seed        = flag.Int64("seed", 1, "workload seed (first replicate)")
-		replicates  = flag.Int("replicates", 1, "seed replicates per cell (reported as mean ± CI)")
-		parallel    = flag.Int("parallel", 0, "max concurrent simulation jobs (0 = GOMAXPROCS)")
-		quiet       = flag.Bool("quiet", false, "suppress per-run progress")
-		list        = flag.Bool("list", false, "list available sweeps and exit")
-		algsCSV     = flag.String("algs", "", "comma-separated algorithm subset (default: sweep's own)")
-		csvPath     = flag.String("csv", "", "also append tidy per-cell rows to this CSV file")
-		benchsweep  = flag.String("benchsweep", "", "run the sequential-vs-parallel engine benchmark and write its JSON report to this file")
-		benchroute  = flag.String("benchroute", "", "run the point-to-point routing engine benchmark and write its JSON report to this file")
-		benchstream = flag.String("benchstream", "", "run the event-bus-vs-batch-replay benchmark and write its JSON report to this file")
-		benchpool   = flag.String("benchpool", "", "run the pool-maintenance plan-cache benchmark and write its JSON report to this file")
-		benchshard  = flag.String("benchshard", "", "run the K-goroutine insert prewarm benchmark and write its JSON report to this file")
-		shards      = flag.Int("shards", 0, "prewarm goroutine count for -benchshard's sharded arm (0 = GOMAXPROCS, min 2)")
+		fig        = flag.String("fig", "fig3", "sweep id (fig3..fig6, grid, eta, dt, gmm, omega, or 'all')")
+		city       = flag.String("city", "cdc", "city: nyc, cdc, xia, met, or 'all' (met is the 102K-node explicit-graph metropolis; 'all' stays nyc/cdc/xia)")
+		scale      = flag.Float64("scale", 1, "order/worker count multiplier")
+		seed       = flag.Int64("seed", 1, "workload seed (first replicate)")
+		replicates = flag.Int("replicates", 1, "seed replicates per cell (reported as mean ± CI)")
+		parallel   = flag.Int("parallel", 0, "max concurrent simulation jobs (0 = GOMAXPROCS)")
+		quiet      = flag.Bool("quiet", false, "suppress per-run progress")
+		list       = flag.Bool("list", false, "list available sweeps and exit")
+		algsCSV    = flag.String("algs", "", "comma-separated algorithm subset (default: sweep's own)")
+		csvPath    = flag.String("csv", "", "also append tidy per-cell rows to this CSV file")
+		benchsweep = flag.String("benchsweep", "", "run the sequential-vs-parallel engine benchmark and write its JSON report to this file")
+		benchroute = flag.String("benchroute", "", "run the point-to-point routing engine benchmark and write its JSON report to this file")
+		benchshard = flag.String("benchshard", "", "run the K-goroutine insert prewarm benchmark and write its JSON report to this file")
+		shards     = flag.Int("shards", 0, "prewarm goroutine count for -benchshard's sharded arm (0 = GOMAXPROCS, min 2)")
 	)
 	flag.Parse()
 
@@ -91,8 +82,6 @@ func main() {
 	}{
 		{*benchsweep, func(p string) error { return runBenchSweep(p, *scale, *seed, *parallel, *quiet) }},
 		{*benchroute, func(p string) error { return runBenchRoute(p, *scale, *seed, *quiet) }},
-		{*benchstream, func(p string) error { return runBenchStream(p, *scale, *seed, *quiet) }},
-		{*benchpool, func(p string) error { return runBenchPool(p, *scale, *seed, *quiet) }},
 		{*benchshard, func(p string) error { return runBenchShard(p, *scale, *seed, *shards, *quiet) }},
 	}
 	for _, m := range benchModes {
@@ -456,112 +445,6 @@ func runBenchRoute(path string, scale float64, seed int64, quiet bool) error {
 	return errors.Join(slowSmall, slowBig)
 }
 
-// runBenchStream measures what the event bus costs: the same CDC workload
-// is replayed through a Platform with no subscriber (the batch arm: no event
-// is ever built) and through one with a subscribed, actively-drained event
-// channel. Both arms run the one platform loop, so metrics must be
-// bit-identical; the report tracks the wall-clock ratio the way
-// BENCH_routing.json tracks the routing engine.
-func runBenchStream(path string, scale float64, seed int64, quiet bool) error {
-	base := exp.DefaultParams(dataset.CDC())
-	base.Seed = seed
-	base.Orders = int(float64(base.Orders) * scale)
-	base.Workers = int(float64(base.Workers) * scale)
-	if base.Orders < 10 || base.Workers < 1 {
-		return fmt.Errorf("benchstream: scale %.2f too small", scale)
-	}
-	runner := exp.NewRunner()
-	setup, err := runner.Setup(base)
-	if err != nil {
-		return err
-	}
-	const rounds = 3
-	logf := func(format string, args ...any) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, format, args...)
-		}
-	}
-	logf("benchstream: CDC n=%d m=%d, %d rounds per arm\n", base.Orders, base.Workers, rounds)
-
-	runBatch := func() (*sim.Metrics, float64, error) {
-		alg, err := runner.Build("WATTER-online", base)
-		if err != nil {
-			return nil, 0, err
-		}
-		p, err := setup.Platform(alg, false)
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		m, err := p.Replay(setup.Orders)
-		return m, time.Since(start).Seconds(), err
-	}
-	runStream := func() (*sim.Metrics, float64, int, error) {
-		alg, err := runner.Build("WATTER-online", base)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		p, err := setup.Platform(alg, false)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		events := p.Events()
-		counted := make(chan int, 1)
-		go func() {
-			n := 0
-			for range events {
-				n++
-			}
-			counted <- n
-		}()
-		start := time.Now()
-		m, err := p.Replay(setup.Orders)
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return m, elapsed, <-counted, nil
-	}
-
-	var batchSecs, streamSecs float64
-	var events int
-	identical := true
-	for r := 0; r < rounds; r++ {
-		bm, bs, err := runBatch()
-		if err != nil {
-			return err
-		}
-		sm, ss, n, err := runStream()
-		if err != nil {
-			return err
-		}
-		batchSecs += bs
-		streamSecs += ss
-		events = n
-		a, b := *bm, *sm
-		a.DecisionSeconds, b.DecisionSeconds = 0, 0
-		if a != b {
-			identical = false
-			fmt.Fprintf(os.Stderr, "benchstream: streamed metrics diverged from batch replay:\nbatch:  %+v\nstream: %+v\n", a, b)
-		}
-		logf("benchstream: round %d batch=%.3fs stream=%.3fs events=%d\n", r+1, bs, ss, n)
-	}
-
-	rep := benchfmt.New("watterbench -benchstream", scale, seed)
-	rep.Add("CDC",
-		benchfmt.Text("alg", "WATTER-online"),
-		benchfmt.Info("orders", "count", base.Orders),
-		benchfmt.Info("workers", "count", base.Workers),
-		benchfmt.Info("rounds", "count", rounds),
-		benchfmt.Info("batch_seconds", "s", batchSecs/rounds),
-		benchfmt.Info("stream_seconds", "s", streamSecs/rounds),
-		benchfmt.Info("events_per_run", "count", events),
-		benchfmt.Ceiling("overhead_factor", "x", streamSecs/batchSecs),
-		benchfmt.Identical("metrics_bit_identical", identical),
-	)
-	return finish(rep, path)
-}
-
 // poolWorkload is a deterministic pool-maintenance trace: clustered orders
 // on a perturbed-grid road graph, released over a two-hour-ish window.
 func poolWorkload(g *roadnet.Graph, side, n int, horizon float64, seed int64) []*order.Order {
@@ -594,196 +477,6 @@ func poolWorkload(g *roadnet.Graph, side, n int, horizon float64, seed int64) []
 	}
 	sort.SliceStable(orders, func(i, j int) bool { return orders[i].Release < orders[j].Release })
 	return orders
-}
-
-// runPoolTrace replays the workload through one pool — tick-driven expiry,
-// insertion and last-call-style group dispatch, the same churn Algorithm 1
-// generates — and folds every best-group decision (members, τg, plan cost,
-// stops, arrivals) into an FNV digest so two arms can be compared bit for
-// bit. Returns the digest, the elapsed wall time and the pool itself.
-func runPoolTrace(g *roadnet.Graph, orders []*order.Order, horizon float64, disable bool) (uint64, float64, *pool.Pool) {
-	ix := gridindex.New(g, 10)
-	planner := route.NewPlanner(g)
-	opt := pool.DefaultOptions()
-	opt.DisablePlanCache = disable
-	p := pool.New(planner, ix, opt)
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	// Record-type tags keep the digest injective: every record starts with
-	// a tag word and hashes each field as its own word (no bit packing), so
-	// two different decision streams can't collide by compensation.
-	const (
-		tagReject   = 1
-		tagNoGroup  = 2
-		tagBest     = 3
-		tagDispatch = 4
-	)
-	start := time.Now()
-	next := 0
-	for now := 0.0; now <= horizon+300; now += 10 {
-		for _, id := range p.ExpireEdges(now) {
-			p.Remove(id, now)
-			w64(tagReject)
-			w64(uint64(id))
-		}
-		for next < len(orders) && orders[next].Release <= now {
-			p.Insert(orders[next], now)
-			next++
-		}
-		for _, id := range p.OrderIDs() {
-			if !p.Contains(id) {
-				continue // left earlier this pass inside a dispatched group
-			}
-			bg, exp, ok := p.BestGroup(id)
-			if !ok {
-				w64(tagNoGroup)
-				w64(uint64(id))
-				continue
-			}
-			w64(tagBest)
-			w64(uint64(id))
-			w64(math.Float64bits(exp))
-			w64(math.Float64bits(bg.Plan.Cost))
-			for i, s := range bg.Plan.Stops {
-				w64(uint64(s.OrderID))
-				w64(uint64(s.Node))
-				w64(uint64(s.Kind))
-				w64(math.Float64bits(bg.Plan.Arrive[i]))
-			}
-			// Last-call dispatch: the group leaves before its horizon dies.
-			if exp < now+30 {
-				w64(tagDispatch)
-				w64(uint64(id))
-				p.RemoveGroup(bg, now)
-			}
-		}
-	}
-	return h.Sum64(), time.Since(start).Seconds(), p
-}
-
-// runBenchPool measures what the clique plan cache buys on the pool
-// maintenance hot path. The primary arm replays a deterministic
-// insert/expire/dispatch trace on a perturbed-grid road graph twice —
-// memoization on vs off — and verifies every best-group decision is
-// bit-identical before reporting the wall-clock ratio. A secondary arm
-// runs full CDC simulations (WATTER-online and WATTER-timeout) cache-on
-// and cache-off and requires bit-identical Metrics, pinning the
-// determinism contract end to end.
-func runBenchPool(path string, scale float64, seed int64, quiet bool) error {
-	side := int(36 * math.Sqrt(scale))
-	if side < 14 {
-		side = 14
-	}
-	n := int(900 * scale)
-	if n < 60 {
-		return fmt.Errorf("benchpool: scale %.2f too small", scale)
-	}
-	const horizon = 1800.0
-	logf := func(format string, args ...any) {
-		if !quiet {
-			fmt.Fprintf(os.Stderr, format, args...)
-		}
-	}
-	g := roadnet.NewPerturbedGrid(side, side, 200, 8, 0.3, seed)
-	orders := poolWorkload(g, side, n, horizon, seed)
-	logf("benchpool: %dx%d city (%d nodes), %d orders over %.0fs\n",
-		side, side, g.NumNodes(), len(orders), horizon)
-
-	ticks := int(horizon+300)/10 + 1
-	uncachedDigest, uncachedSecs, _ := runPoolTrace(g, orders, horizon, true)
-	logf("benchpool: uncached trace %.3fs\n", uncachedSecs)
-	cachedDigest, cachedSecs, cp := runPoolTrace(g, orders, horizon, false)
-	logf("benchpool: cached trace %.3fs\n", cachedSecs)
-	st := cp.CacheStats()
-
-	// Sim-level determinism: full runs, cache on vs off, bit-identical.
-	simAlgs := []string{"WATTER-online", "WATTER-timeout"}
-	base := exp.DefaultParams(dataset.CDC())
-	base.Seed = seed
-	base.Orders = int(float64(base.Orders) * scale)
-	base.Workers = int(float64(base.Workers) * scale)
-	runner := exp.NewRunner()
-	setup, err := runner.Setup(base)
-	if err != nil {
-		return err
-	}
-	identical := true
-	var simCached, simUncached float64
-	for _, name := range simAlgs {
-		runSim := func(disable bool) (*sim.Metrics, float64, error) {
-			alg, err := runner.Build(name, base)
-			if err != nil {
-				return nil, 0, err
-			}
-			fw, ok := alg.(*core.Framework)
-			if !ok {
-				return nil, 0, fmt.Errorf("benchpool: %s has no pool", name)
-			}
-			fw.PoolOpt.DisablePlanCache = disable
-			plat, err := setup.Platform(fw, false)
-			if err != nil {
-				return nil, 0, err
-			}
-			startSim := time.Now()
-			m, err := plat.Replay(setup.Orders)
-			return m, time.Since(startSim).Seconds(), err
-		}
-		mc, sc, err := runSim(false)
-		if err != nil {
-			return err
-		}
-		mu, su, err := runSim(true)
-		if err != nil {
-			return err
-		}
-		simCached += sc
-		simUncached += su
-		if *mc != *mu {
-			identical = false
-			logf("benchpool: %s diverged:\ncached:   %+v\nuncached: %+v\n", name, *mc, *mu)
-		}
-	}
-
-	rep := benchfmt.New("watterbench -benchpool", scale, seed)
-	rep.Add(fmt.Sprintf("perturbed-grid-%dx%d", side, side),
-		benchfmt.Info("nodes", "count", g.NumNodes()),
-		benchfmt.Info("pool_orders", "count", len(orders)),
-		benchfmt.Info("ticks", "count", ticks),
-		benchfmt.Info("uncached_seconds", "s", uncachedSecs),
-		benchfmt.Info("cached_seconds", "s", cachedSecs),
-		benchfmt.Floor("speedup", "x", uncachedSecs/cachedSecs),
-		benchfmt.Info("cache_hits", "count", st.Hits),
-		benchfmt.Info("negative_hits", "count", st.NegativeHits),
-		benchfmt.Info("cache_misses", "count", st.Misses),
-		benchfmt.Info("renewed", "count", st.Renewed),
-		benchfmt.Info("hit_rate", "fraction", st.HitRate()),
-		benchfmt.Info("plans_avoided", "count", st.PlansAvoided()),
-		benchfmt.Info("plans_materialized", "count", st.PlansMaterialized),
-		benchfmt.Info("plans_reused", "count", st.PlansReused),
-		benchfmt.Info("pairs_pruned", "count", st.PairsPruned),
-		benchfmt.Info("leg_blocks", "count", cp.LegBlocks()),
-		benchfmt.Identical("pool_decisions_identical", cachedDigest == uncachedDigest),
-	)
-	rep.Add("CDC",
-		benchfmt.Text("sim_algs", strings.Join(simAlgs, ",")),
-		benchfmt.Info("sim_cached_seconds", "s", simCached),
-		benchfmt.Info("sim_uncached_seconds", "s", simUncached),
-		benchfmt.Identical("metrics_bit_identical", identical),
-	)
-	if err := finish(rep, path); err != nil {
-		return err
-	}
-	if st.HitRate() <= 0 {
-		return fmt.Errorf("benchpool: cache recorded no hits (rate %.3f)", st.HitRate())
-	}
-	if uncachedSecs <= cachedSecs {
-		return fmt.Errorf("benchpool: cached arm (%.3fs) did not beat replan-always (%.3fs)", cachedSecs, uncachedSecs)
-	}
-	return nil
 }
 
 // runBenchShard measures what the insert prewarm engine buys on a single

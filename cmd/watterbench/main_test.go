@@ -8,19 +8,19 @@ import (
 	"watter/internal/benchfmt"
 )
 
-// One producer end to end: what -benchstream writes reloads through the
+// One producer end to end: what -benchsweep writes reloads through the
 // validating reader, says which cores it was recorded on, carries the kinds
 // the producer declared, and gates clean against itself.
-func TestBenchStreamReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_stream.json")
-	if err := runBenchStream(path, 0.1, 1, true); err != nil {
+func TestBenchSweepReportRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	if err := runBenchSweep(path, 0.1, 1, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := benchfmt.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tool != "watterbench -benchstream" || rep.Scale != 0.1 || rep.Seed != 1 ||
+	if rep.Tool != "watterbench -benchsweep" || rep.Scale != 0.1 || rep.Seed != 1 ||
 		rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || rep.GoVersion != runtime.Version() {
 		t.Errorf("header %+v", rep.Header)
 	}
@@ -32,10 +32,9 @@ func TestBenchStreamReportRoundTrip(t *testing.T) {
 		kinds[m.Name] = m.Kind
 	}
 	for name, want := range map[string]benchfmt.Kind{
-		"overhead_factor":       benchfmt.KindCeiling,
+		"speedup":               benchfmt.KindFloor,
 		"metrics_bit_identical": benchfmt.KindIdentical,
-		"events_per_run":        benchfmt.KindInfo,
-		"batch_seconds":         benchfmt.KindInfo,
+		"jobs":                  benchfmt.KindInfo,
 	} {
 		if kinds[name] != want {
 			t.Errorf("%s has kind %q, want %q", name, kinds[name], want)
@@ -43,7 +42,7 @@ func TestBenchStreamReportRoundTrip(t *testing.T) {
 	}
 	checks, err := benchfmt.Gate(rep, rep)
 	if err != nil || len(checks) != 2 {
-		t.Fatalf("Gate = %+v, %v; want the ceiling and the guarantee", checks, err)
+		t.Fatalf("Gate = %+v, %v; want the floor and the guarantee", checks, err)
 	}
 	for _, c := range checks {
 		if !c.OK {

@@ -12,10 +12,11 @@
 //
 //	watterproxy                         # 3 cities, 2 seeds, full verify
 //	watterproxy -cities 6 -alg WATTER-timeout
-//	watterproxy -json /tmp/bench/BENCH_proxy.json   # CI report for benchgate
 //
-// City profiles cycle through CDC, NYC and XIA. The JSON report declares
-// both proofs as guarantees, which cmd/benchgate requires to be true.
+// City profiles cycle through CDC, NYC and XIA. The command exits 1 when
+// either proof comes back false. Both proofs are held in the test suite
+// by internal/proxy's TestProxyIsolation and TestJournalReplayRecovery;
+// this command shows them on a larger fleet.
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"watter/internal/benchfmt"
 	"watter/internal/dataset"
 	"watter/internal/exp"
 	"watter/internal/order"
@@ -40,7 +40,6 @@ func main() {
 		alg     = flag.String("alg", "WATTER-online", "dispatch algorithm for every city")
 		seed    = flag.Int64("seed", 1, "first workload seed")
 		nseeds  = flag.Int("nseeds", 2, "seed replicates (each verified independently)")
-		jsonOut = flag.String("json", "", "write a machine-readable report to this file")
 		quiet   = flag.Bool("quiet", false, "suppress per-city lines")
 	)
 	flag.Parse()
@@ -70,31 +69,7 @@ func main() {
 	fmt.Printf("  per-city isolation:      bit-identical=%v\n", isolationOK)
 	fmt.Printf("  HA journal-replay:       bit-identical=%v\n", haOK)
 
-	// The report (BENCH_proxy.json). The workload has no -scale: it is sized
-	// by -cities/-orders/-workers, recorded in the row.
-	rep := benchfmt.New("watterproxy", 1, *seed)
-	rep.Add("fleet",
-		benchfmt.Info("cities", "count", *cities),
-		benchfmt.Info("orders_per_city", "count", *orders),
-		benchfmt.Info("workers_per_city", "count", *workers),
-		benchfmt.Text("alg", *alg),
-		benchfmt.Info("seeds", "count", *nseeds),
-		benchfmt.Info("orders_total", "count", totalOrders),
-		benchfmt.Info("proxy_seconds", "s", proxySeconds),
-		benchfmt.Info("orders_per_sec", "orders/s", float64(totalOrders)/proxySeconds),
-		benchfmt.Info("journal_events", "count", journalEvents),
-		benchfmt.Info("ha_restarts", "count", restarts),
-		benchfmt.Identical("per_city_isolation_identical", isolationOK),
-		benchfmt.Identical("ha_restart_identical", haOK),
-	)
-	if *jsonOut != "" {
-		if err := rep.Write(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if err := rep.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if !isolationOK || !haOK {
 		os.Exit(1)
 	}
 }

@@ -10,7 +10,7 @@
 //   - ceiling — lower is better: fresh <= CeilingGrowth x baseline.
 //   - info — recorded, never compared.
 //
-// Producers (watterbench, watterload, watterproxy) build a Report with New
+// Producers (watterbench, watterload) build a Report with New
 // and Add and call Write; cmd/benchgate calls Read and Gate. Nothing else
 // knows the JSON.
 package benchfmt

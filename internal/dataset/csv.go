@@ -119,7 +119,7 @@ func (ct *City) LoadTripsCSV(r io.Reader, georef Georeference, opt TripCSVOption
 		out = append(out, &order.Order{
 			ID: len(out) + 1, Pickup: pu, Dropoff: do, Riders: riders,
 			Release:    release,
-			Deadline:   release + opt.TauScale*direct,
+			Deadline:   release + float64(opt.TauScale*direct),
 			WaitLimit:  opt.Eta * direct,
 			DirectCost: direct,
 		})

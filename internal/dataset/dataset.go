@@ -222,7 +222,7 @@ func (ct *City) Orders(cfg WorkloadConfig) []*order.Order {
 		out = append(out, &order.Order{
 			ID: i + 1, Pickup: pu, Dropoff: do, Riders: riders,
 			Release:    releases[i],
-			Deadline:   releases[i] + cfg.TauScale*direct,
+			Deadline:   releases[i] + float64(cfg.TauScale*direct),
 			WaitLimit:  cfg.Eta * direct,
 			DirectCost: direct,
 		})
@@ -249,7 +249,7 @@ func (ct *City) arrivalTimes(rng *rand.Rand, cfg WorkloadConfig) []float64 {
 		for ; b < bins-1 && u > w[b]; b++ {
 			u -= w[b]
 		}
-		frac := rng.Float64()
+		frac := float64(rng.Float64()) // converted: Float64 is a product, kept unfused
 		times[i] = (float64(b) + frac) * cfg.HorizonSeconds / bins
 	}
 	sortFloats(times)
@@ -289,8 +289,8 @@ func (ct *City) sampleEndpoint(rng *rand.Rand, hotShare float64) geo.NodeID {
 		}
 		u -= cand.Weight
 	}
-	x := clampInt(int(math.Round(h.X+rng.NormFloat64()*h.Sigma)), 0, p.W-1)
-	y := clampInt(int(math.Round(h.Y+rng.NormFloat64()*h.Sigma)), 0, p.H-1)
+	x := clampInt(int(math.Round(h.X+float64(rng.NormFloat64()*h.Sigma))), 0, p.W-1)
+	y := clampInt(int(math.Round(h.Y+float64(rng.NormFloat64()*h.Sigma))), 0, p.H-1)
 	return ct.Net.Node(x, y)
 }
 

@@ -163,7 +163,7 @@ func Retime(orders []*order.Order, times []float64, tauScale float64) []*order.O
 	out := orders[:n]
 	for i, o := range out {
 		o.Release = times[i]
-		o.Deadline = times[i] + tauScale*o.DirectCost
+		o.Deadline = times[i] + float64(tauScale*o.DirectCost)
 	}
 	return out
 }

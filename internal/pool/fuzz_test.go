@@ -275,8 +275,8 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 			t.Fatalf("order %d holds a prewarmed pair after its insert", r.id)
 		}
 	}
-	if p.LegBlocks() != len(blocks) {
-		t.Fatalf("%d leg blocks live, %d held by edges", p.LegBlocks(), len(blocks))
+	if p.legBlocks() != len(blocks) {
+		t.Fatalf("%d leg blocks live, %d held by edges", p.legBlocks(), len(blocks))
 	}
 	if p.cache == nil {
 		return

@@ -319,11 +319,3 @@ func (p *Pool) CacheStats() CacheStats {
 	}
 	return p.cache.stats
 }
-
-// LegBlocks reports the number of live per-pair leg blocks.
-func (p *Pool) LegBlocks() int {
-	if p.legs == nil {
-		return 0
-	}
-	return p.legs.Len()
-}

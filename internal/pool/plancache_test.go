@@ -38,8 +38,8 @@ func TestPlanCacheWarmsAndHits(t *testing.T) {
 	c := mk(net, 3, net.Node(2, 0), net.Node(12, 0), 0, 2.0)
 	p.Insert(a, 0)
 	p.Insert(b, 0)
-	if p.cachedPlans() == 0 || p.LegBlocks() == 0 {
-		t.Fatalf("pair insert left cache cold: plans=%d blocks=%d", p.cachedPlans(), p.LegBlocks())
+	if p.cachedPlans() == 0 || p.legBlocks() == 0 {
+		t.Fatalf("pair insert left cache cold: plans=%d blocks=%d", p.cachedPlans(), p.legBlocks())
 	}
 	// Inserting c re-enumerates cliques containing the a-b pair: the pair
 	// entries planned at edge creation must be served from cache.
@@ -72,8 +72,8 @@ func TestPlanCacheEvictionOnRemove(t *testing.T) {
 	if p.CacheStats().Evicted == 0 {
 		t.Fatal("eviction counter not advanced")
 	}
-	if p.LegBlocks() != p.edges() {
-		t.Fatalf("%d leg blocks live for %d edges after removing order 2", p.LegBlocks(), p.edges())
+	if p.legBlocks() != p.edges() {
+		t.Fatalf("%d leg blocks live for %d edges after removing order 2", p.legBlocks(), p.edges())
 	}
 }
 
@@ -265,8 +265,8 @@ func TestPlanCacheAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { p.pairEntryFor(sa, sf, 0) }); n != 0 {
 		t.Errorf("a failed pair test allocates %v times, want 0", n)
 	}
-	if got := p.CacheStats(); got != before || p.LegBlocks() != 3 {
-		t.Fatalf("failed pair tests left a trace: stats %+v -> %+v, %d leg blocks (want the triangle's 3)", before, got, p.LegBlocks())
+	if got := p.CacheStats(); got != before || p.legBlocks() != 3 {
+		t.Fatalf("failed pair tests left a trace: stats %+v -> %+v, %d leg blocks (want the triangle's 3)", before, got, p.legBlocks())
 	}
 }
 

@@ -52,7 +52,7 @@ type Options struct {
 	// leg blocks, forcing every best-group refresh to replan from
 	// scratch. Decisions are bit-identical either way (the caches memoize
 	// pure functions of the member set); the switch exists for the
-	// equivalence tests and the -benchpool uncached baseline arm.
+	// equivalence tests and FuzzPoolOps's cache-free twin.
 	DisablePlanCache bool
 }
 

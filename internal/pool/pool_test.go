@@ -435,6 +435,14 @@ func (p *Pool) cachedPlans() int {
 	return len(p.cache.entries)
 }
 
+// legBlocks reports the number of live per-pair leg blocks.
+func (p *Pool) legBlocks() int {
+	if p.legs == nil {
+		return 0
+	}
+	return p.legs.Len()
+}
+
 // lookup runs planEntryFor on the canonical view of pooled orders.
 func (p *Pool) lookup(now float64, ids ...int) *planEntry {
 	var slots [route.MaxGroupSize]int32
@@ -483,8 +491,8 @@ func TestSlotsRecycle(t *testing.T) {
 	if len(p.nodes) != peak || len(p.free)+len(p.live) != peak {
 		t.Fatalf("after churn: %d slots (%d free, %d live), want the peak %d", len(p.nodes), len(p.free), len(p.live), peak)
 	}
-	if p.edges() == 0 || p.LegBlocks() != p.edges() {
-		t.Fatalf("churned pool holds %d edges and %d leg blocks", p.edges(), p.LegBlocks())
+	if p.edges() == 0 || p.legBlocks() != p.edges() {
+		t.Fatalf("churned pool holds %d edges and %d leg blocks", p.edges(), p.legBlocks())
 	}
 	if raceEnabled {
 		return // allocation counts are not meaningful under the race detector

@@ -46,9 +46,9 @@ func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
 		if aw != ac {
 			t.Fatalf("insert %d: warm added %d edges, cold %d", id, aw, ac)
 		}
-		if warm.cachedPlans() != cold.cachedPlans() || warm.LegBlocks() != cold.LegBlocks() {
+		if warm.cachedPlans() != cold.cachedPlans() || warm.legBlocks() != cold.legBlocks() {
 			t.Fatalf("insert %d: warm pool holds %d entries and %d leg blocks, cold %d and %d (prewarmed negatives must not outlive the insert)",
-				id, warm.cachedPlans(), warm.LegBlocks(), cold.cachedPlans(), cold.LegBlocks())
+				id, warm.cachedPlans(), warm.legBlocks(), cold.cachedPlans(), cold.legBlocks())
 		}
 		for _, r := range warm.live {
 			if warm.nodes[r.slot].prewarm.ent != nil {

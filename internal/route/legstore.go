@@ -185,6 +185,8 @@ func (s *LegStore) Adopt(*LegBlock) {
 }
 
 // Len reports the number of blocks handed out and not yet released.
+//
+//det:api pool's tests hold its live count to the blocks the pool's edges own (no block leaks)
 func (s *LegStore) Len() int { return s.live }
 
 // Stats reports block reuses and fills since construction. The store keeps
