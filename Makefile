@@ -55,13 +55,15 @@ fuzz:
 # does, and these four do. Each compiles every package in FMA_PKGS — the
 # value network and its training, the route DP and the pool, orders, the
 # dispatch strategies, the framework and the platform, the worker index,
-# the simulation's metrics, the summary statistics, the experiment runner
-# and the synthetic workload generator — and any fused instruction in a
-# symbol of one fails the check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/
-# FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and
-# MADBR/MSDBR and their memory and vector forms (s390x).
+# the simulation's metrics, the summary statistics, the experiment runner,
+# the synthetic workload generator, the extra-time mixture model and its
+# threshold search, and the open-loop arrival processes — and any fused
+# instruction in a symbol of one fails the check. Go's disassembly names
+# them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/
+# FNMSUB (ppc64le) and MADBR/MSDBR and their memory and vector forms
+# (s390x).
 FMA_ARCHS = arm64 ppc64le s390x riscv64
-FMA_PKGS = nn mdp route pool order strategy core platform gridindex sim stats exp dataset
+FMA_PKGS = nn mdp route pool order strategy core platform gridindex sim stats exp dataset gmm load
 FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
 
 fmacheck:

@@ -1,6 +1,7 @@
 // Command detlint is the multichecker for the repo's determinism
 // contract (DESIGN.md §11–§12). It type-checks the requested packages
-// from source and runs the detlint analyzers — the syntactic maprange,
+// from source and runs the detlint analyzers — the syntactic maprange
+// (a map is read in sorted key order or under a //det:unordered reason),
 // walltime, globalrand, floatrange, the interprocedural specpure,
 // hotalloc, goroutinewrite, and the whole-module testonly (silent unless
 // every package of the module is loaded) — printing findings in go-vet

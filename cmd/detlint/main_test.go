@@ -27,7 +27,9 @@ func TestSeededInjections(t *testing.T) {
 	write("bad/bad.go", `package bad
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -50,6 +52,19 @@ func GlobalRandomness(n int) int {
 func FloatFold(m map[int]float64) float64 {
 	var sum float64
 	for _, v := range m {
+		sum += v
+	}
+	return sum
+}
+
+func IteratorOrderLeak(m map[string]int) []string {
+	return slices.Collect(maps.Keys(m))
+}
+
+func IteratorFloatFold(m map[int]float64) float64 {
+	var sum float64
+	//det:unordered a mistaken reason cannot excuse a float fold
+	for v := range maps.Values(m) {
 		sum += v
 	}
 	return sum
@@ -130,6 +145,12 @@ var Sorted = api.Sorted
 		if d.Analyzer == "testonly" {
 			testonly = append(testonly, d.Message)
 		}
+	}
+	// maprange: the two map ranges and the unsorted maps.Keys; the
+	// annotated maps.Values range passes. floatrange: the folds under the
+	// map range and under the annotated maps.Values range.
+	if got["maprange"] != 3 || got["floatrange"] != 2 {
+		t.Errorf("%d maprange and %d floatrange findings, want 3 and 2: %v", got["maprange"], got["floatrange"], diags)
 	}
 	for _, name := range []string{
 		"maprange", "walltime", "globalrand", "floatrange",

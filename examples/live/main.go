@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 
 	"watter"
@@ -99,12 +101,7 @@ func main() {
 	fmt.Printf("\n%s %s over %d streamed orders, %d workers:\n", profile.Name, alg.Name(), *n, *m)
 	fmt.Printf("  %s\n", metrics)
 	fmt.Printf("  dispatch sizes: ")
-	var keys []int
-	for k := range sizes {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(sizes)) {
 		fmt.Printf("%dx%d ", k, sizes[k])
 	}
 	fmt.Printf("(events saw %d rejections; metrics say %d)\n", rejected, metrics.Rejected)

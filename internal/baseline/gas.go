@@ -1,7 +1,9 @@
 package baseline
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"watter/internal/geo"
@@ -77,12 +79,7 @@ func (g *GAS) Finish(now float64) {
 }
 
 func (g *GAS) pendingIDs() []int {
-	ids := make([]int, 0, len(g.pending))
-	for id := range g.pending {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return slices.Sorted(maps.Keys(g.pending))
 }
 
 // processBatch runs the per-worker additive-tree enumeration and the

@@ -8,17 +8,19 @@
 //
 // Analyzers:
 //
-//	maprange   — `for … range` over a map is flagged unless the body is
-//	             order-insensitive by construction or the loop carries a
-//	             justified //det:unordered annotation.
+//	maprange   — a map is read in sorted key order or under a justified
+//	             //det:unordered annotation: every `for … range` over a
+//	             map is flagged, and so is maps.Keys/Values/All unless
+//	             it is slices.Sorted*'s direct argument.
 //	walltime   — time.Now / time.Since / time.Sleep (and friends) are
 //	             forbidden outside package main and //det:wallclock sites.
 //	globalrand — package-level math/rand functions are forbidden; all
 //	             randomness flows through rand.New(rand.NewSource(seed)).
-//	floatrange — floating-point accumulation inside a map-range loop is
-//	             flagged even when the loop is annotated //det:unordered,
-//	             because a float fold is never order-insensitive; the only
-//	             escape is an explicit //det:floatfold annotation.
+//	floatrange — floating-point accumulation inside a range over a map
+//	             or a maps iterator is flagged even when the loop is
+//	             annotated //det:unordered, because a float fold is never
+//	             order-insensitive; the only escape is an explicit
+//	             //det:floatfold annotation.
 //
 // The interprocedural layer (effects.go, DESIGN.md §12) adds write-effect
 // summaries over a CHA call graph and three more analyzers:

@@ -6,51 +6,117 @@ import (
 	"go/types"
 )
 
-// MapRange flags `for … range` over map types. Map iteration order is
-// deliberately randomized by the runtime, so any loop whose effect
-// depends on visit order breaks per-seed bit-identity. A loop passes
-// when the orderFree classifier proves the body order-insensitive by
-// construction, or when it carries a justified //det:unordered.
+// MapRange flags every read of a map in runtime iteration order. The
+// runtime randomizes that order, so a loop whose effect depends on it
+// breaks per-seed bit-identity, and proving a loop body order-insensitive
+// costs more than writing it over sorted keys. The rule has two checks:
+// a `for … range` over a map, and a maps.Keys, maps.Values or maps.All
+// call that is not the direct first argument of slices.Sorted,
+// slices.SortedFunc or slices.SortedStableFunc. Either passes only under
+// a justified //det:unordered.
 var MapRange = &Analyzer{
 	Name: "maprange",
-	Doc: "flags range-over-map loops that are not provably order-insensitive; " +
-		"iterate sorted keys, reduce purely, or justify with //det:unordered",
+	Doc: "flags range-over-map loops and maps.Keys/Values/All outside slices.Sorted*; " +
+		"read slices.Sorted(maps.Keys(m)) or justify with //det:unordered",
 	Run: runMapRange,
 }
 
 func runMapRange(pass *Pass) error {
 	for _, f := range pass.Files {
-		var stack []ast.Node
+		// sorted holds the callee identifiers of the iterator calls that
+		// are the direct first argument of a slices.Sorted* call; Inspect
+		// visits that call before its arguments.
+		sorted := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if !isMapExpr(pass, n.X) {
+					return true
+				}
+				if _, ok := pass.Annot.For(n.For, TagUnordered); ok {
+					return true
+				}
+				pass.Reportf(n.For,
+					"range over map %s reads runtime iteration order: iterate slices.Sorted(maps.Keys(..)) or annotate //det:unordered <reason>",
+					types.ExprString(n.X))
+			case *ast.CallExpr:
+				if fn := funcOf(pass, n.Fun); fn != nil && fn.Pkg() != nil &&
+					fn.Pkg().Path() == "slices" && sortedSeqs[fn.Name()] && len(n.Args) > 0 {
+					if arg, ok := n.Args[0].(*ast.CallExpr); ok {
+						if id := calleeIdent(arg.Fun); id != nil {
+							sorted[id] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				fn, ok := pass.TypesInfo.Uses[n].(*types.Func)
+				if !ok || !isMapIter(fn) || sorted[n] {
+					return true
+				}
+				if _, ok := pass.Annot.For(n.Pos(), TagUnordered); ok {
+					return true
+				}
+				pass.Reportf(n.Pos(),
+					"maps.%s yields runtime iteration order: wrap the call in slices.Sorted or annotate //det:unordered <reason>",
+					fn.Name())
 			}
-			defer func() { stack = append(stack, n) }()
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := pass.TypesInfo.TypeOf(rng.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if _, ok := pass.Annot.For(rng.For, TagUnordered); ok {
-				return true
-			}
-			if orderFree(pass, rng, stack) {
-				return true
-			}
-			pass.Reportf(rng.For,
-				"range over map %s is not provably order-insensitive: iterate sorted keys or annotate //det:unordered <reason>",
-				types.ExprString(rng.X))
 			return true
 		})
 	}
 	return nil
+}
+
+// sortedSeqs are the slices functions that collect an iterator into a
+// sorted slice. SortedFunc and SortedStableFunc trust their comparator to
+// order the elements totally, a review obligation (DESIGN.md §11).
+var sortedSeqs = map[string]bool{"Sorted": true, "SortedFunc": true, "SortedStableFunc": true}
+
+// isMapIter reports whether fn is one of the maps package's iterators.
+func isMapIter(fn *types.Func) bool {
+	if fn.Pkg() == nil || fn.Pkg().Path() != "maps" {
+		return false
+	}
+	switch fn.Name() {
+	case "Keys", "Values", "All":
+		return true
+	}
+	return false
+}
+
+// isMapExpr reports whether e has map type.
+func isMapExpr(pass *Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
+}
+
+// calleeIdent returns the identifier that names a call's function:
+// f, pkg.f, or either with explicit type arguments.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		return calleeIdent(f.X)
+	case *ast.IndexListExpr:
+		return calleeIdent(f.X)
+	case *ast.SelectorExpr:
+		return f.Sel
+	case *ast.Ident:
+		return f
+	}
+	return nil
+}
+
+// funcOf returns the function a call's Fun names, or nil.
+func funcOf(pass *Pass, fun ast.Expr) *types.Func {
+	id := calleeIdent(fun)
+	if id == nil {
+		return nil
+	}
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	return fn
 }
 
 // wallFuncs are the package-level time functions that read or depend on
@@ -152,7 +218,8 @@ func runGlobalRand(pass *Pass) error {
 }
 
 // FloatRange flags floating-point accumulation into a variable that
-// outlives a map-range loop. Float addition and multiplication do not
+// outlives a map-range loop: a range over a map or over maps.Keys,
+// maps.Values or maps.All. Float addition and multiplication do not
 // associate, so the fold result depends on iteration order — the exact
 // shape of PR 1's nondeterminism bug. This fires even inside loops
 // annotated //det:unordered (such a justification is wrong for a float
@@ -172,30 +239,35 @@ func runFloatRange(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			t := pass.TypesInfo.TypeOf(rng.X)
-			if t == nil {
-				return true
+			if isMapExpr(pass, rng.X) || isMapIterCall(pass, rng.X) {
+				checkFloatFolds(pass, rng, seen)
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			checkFloatFolds(pass, rng, seen)
 			return true
 		})
 	}
 	return nil
 }
 
+// isMapIterCall reports whether e calls maps.Keys, maps.Values or
+// maps.All.
+func isMapIterCall(pass *Pass, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := funcOf(pass, call.Fun)
+	return fn != nil && isMapIter(fn)
+}
+
 func checkFloatFolds(pass *Pass, rng *ast.RangeStmt, seen map[token.Pos]bool) {
-	c := &classifier{pass: pass, locals: make(map[types.Object]bool)}
-	c.collectLocals(rng)
+	locals := loopLocals(pass, rng)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		asn, ok := n.(*ast.AssignStmt)
 		if !ok || len(asn.Lhs) != 1 || seen[asn.Pos()] {
 			return true
 		}
 		lhs := asn.Lhs[0]
-		if !isFloatExpr(pass, lhs) || c.isLocal(lhs) {
+		if !isFloatExpr(pass, lhs) || locals[rootObj(pass, lhs)] {
 			return true
 		}
 		accumulates := false
@@ -229,6 +301,46 @@ func checkFloatFolds(pass *Pass, rng *ast.RangeStmt, seen map[token.Pos]bool) {
 			types.ExprString(lhs))
 		return true
 	})
+}
+
+// loopLocals returns every object a range loop declares: its key and
+// value variables and every definition in its body. They are
+// per-iteration state, so a fold into one does not outlive the loop.
+func loopLocals(pass *Pass, rng *ast.RangeStmt) map[types.Object]bool {
+	locals := make(map[types.Object]bool)
+	ast.Inspect(rng, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := pass.TypesInfo.Defs[id]; obj != nil {
+				locals[obj] = true
+			}
+		}
+		return true
+	})
+	return locals
+}
+
+// rootObj returns the object at the base of an lvalue-ish expression
+// chain (x, x.f, x[i], *x → x's object).
+func rootObj(pass *Pass, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if obj := pass.TypesInfo.Uses[x]; obj != nil {
+				return obj
+			}
+			return pass.TypesInfo.Defs[x]
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 func isFloatExpr(pass *Pass, e ast.Expr) bool {

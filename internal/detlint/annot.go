@@ -16,8 +16,9 @@ import (
 // meta-test in annot_audit_test.go fails the build on a bare tag — so
 // every suppression stays auditable.
 const (
-	// TagUnordered excuses a map-range loop whose order-insensitivity the
-	// author has argued but the maprange classifier cannot prove.
+	// TagUnordered excuses a map-range loop, or a maps.Keys/Values/All
+	// call outside slices.Sorted*, whose order-insensitivity the author
+	// has argued (the maprange analyzer proves none).
 	TagUnordered = "unordered"
 	// TagWallclock excuses a wall-clock read that feeds measured-time
 	// reporting (never a simulation decision).

@@ -1,6 +1,11 @@
 // Package floatrangetest is floatrange's golden corpus.
 package floatrangetest
 
+import (
+	"maps"
+	"slices"
+)
+
 func sum(m map[int]float64) float64 {
 	var total float64
 	for _, v := range m {
@@ -44,7 +49,34 @@ func unorderedIsNotEnough(m map[int]float64) float64 {
 	return total
 }
 
+// A range over maps.Values or maps.All visits the map in the same
+// runtime order as a range over the map itself.
+func iteratorFold(m map[int]float64) float64 {
+	var total float64
+	//det:unordered mistaken justification, the values are only summed
+	for v := range maps.Values(m) {
+		total += v // want `floating-point fold`
+	}
+	return total
+}
+
+func allFold(m map[int]float64) (total float64) {
+	//det:unordered mistaken justification, the pairs are only summed
+	for k, v := range maps.All(m) {
+		total += float64(k) * v // want `floating-point fold`
+	}
+	return
+}
+
 // --- negative cases ---
+
+func sortedFold(m map[int]float64) float64 {
+	var total float64
+	for _, v := range slices.Sorted(maps.Values(m)) {
+		total += v // sorted values fold in one fixed order
+	}
+	return total
+}
 
 func intFold(m map[int]int) int {
 	n := 0

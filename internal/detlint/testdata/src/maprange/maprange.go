@@ -3,7 +3,9 @@
 package maprangetest
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -84,11 +86,15 @@ func keyedWriteVariantValue(m map[int]int, out map[int]int) {
 	}
 }
 
-// --- negative cases: order-insensitive by construction ---
+// --- order-insensitive loops: still flagged, the rule proves nothing ---
+//
+// Each of these bodies is order-free, but maprange does not try to prove
+// it: a map is read through sorted keys or under a written reason, so
+// they carry a want like any other loop.
 
 func collectThenSort(m map[int]string) []int {
 	keys := make([]int, 0, len(m))
-	for k := range m {
+	for k := range m { // want `range over map`
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
@@ -97,7 +103,7 @@ func collectThenSort(m map[int]string) []int {
 
 func collectThenSortFunc(m map[int]int) [][2]int {
 	var pairs [][2]int
-	for k, v := range m {
+	for k, v := range m { // want `range over map`
 		pairs = append(pairs, [2]int{k, v})
 	}
 	slices.SortFunc(pairs, func(a, b [2]int) int { return a[0] - b[0] })
@@ -106,8 +112,8 @@ func collectThenSortFunc(m map[int]int) [][2]int {
 
 func nestedCollect(mm map[int]map[int]bool) []int {
 	var ids []int
-	for a, inner := range mm {
-		for b := range inner {
+	for a, inner := range mm { // want `range over map`
+		for b := range inner { // want `range over map`
 			if b > a {
 				ids = append(ids, a*1000+b)
 			}
@@ -118,7 +124,7 @@ func nestedCollect(mm map[int]map[int]bool) []int {
 }
 
 func intReduction(m map[string]int) (n, total int) {
-	for _, v := range m {
+	for _, v := range m { // want `range over map`
 		n++
 		total += v
 	}
@@ -127,7 +133,7 @@ func intReduction(m map[string]int) (n, total int) {
 
 func setBuild(m map[string]int, drop string) map[string]bool {
 	set := make(map[string]bool, len(m))
-	for k := range m {
+	for k := range m { // want `range over map`
 		if k != drop {
 			set[k] = true
 		}
@@ -137,21 +143,21 @@ func setBuild(m map[string]int, drop string) map[string]bool {
 
 func keyedTransform(m map[int]int) map[int]int {
 	out := make(map[int]int, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `range over map`
 		out[k] = v * 2
 	}
 	return out
 }
 
 func deleteKeyed(m map[int]bool, dead map[int]bool) {
-	for k := range dead {
+	for k := range dead { // want `range over map`
 		delete(m, k)
 	}
 }
 
 func intMax(m map[string]int) int {
 	best := 0
-	for _, v := range m {
+	for _, v := range m { // want `range over map`
 		if v > best {
 			best = v
 		}
@@ -161,7 +167,7 @@ func intMax(m map[string]int) int {
 
 func constFlag(m map[string]int) bool {
 	found := false
-	for _, v := range m {
+	for _, v := range m { // want `range over map`
 		if v > 10 {
 			found = true
 		}
@@ -171,7 +177,7 @@ func constFlag(m map[string]int) bool {
 
 func localScratch(m map[string][]int) int {
 	n := 0
-	for _, vs := range m {
+	for _, vs := range m { // want `range over map`
 		local := 0
 		for _, v := range vs {
 			local += v
@@ -190,4 +196,68 @@ func annotated(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// --- iterators: maps.Keys, maps.Values and maps.All ---
+
+func sortedKeys(m map[string]int) []string {
+	return slices.Sorted(maps.Keys(m))
+}
+
+func sortedValuesFunc(m map[string]int) []int {
+	return slices.SortedFunc(maps.Values(m), cmp.Compare[int])
+}
+
+func sortedStableKeys(m map[int]bool) []int {
+	return slices.SortedStableFunc(maps.Keys(m), func(a, b int) int { return b - a })
+}
+
+func rangeSortedKeys(m map[string]int) int {
+	n := 0
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		n += m[k] * len(k)
+	}
+	return n
+}
+
+func collectKeys(m map[string]int) []string {
+	return slices.Collect(maps.Keys(m)) // want `maps.Keys yields runtime iteration order`
+}
+
+func rangeKeys(m map[string]int) []string {
+	var out []string
+	for k := range maps.Keys(m) { // want `maps.Keys yields runtime iteration order`
+		out = append(out, k)
+	}
+	return out
+}
+
+func rangeAll(m map[string]int) string {
+	for k, v := range maps.All(m) { // want `maps.All yields runtime iteration order`
+		if v > 0 {
+			return k
+		}
+	}
+	return ""
+}
+
+// The iterator must be slices.Sorted's direct argument: a value that
+// could be ranged before the sort is as leaky as the loop.
+func sortedLater(m map[string]int) []string {
+	seq := maps.Keys(m) // want `maps.Keys yields runtime iteration order`
+	return slices.Sorted(seq)
+}
+
+func iteratorValue(m map[string]int) int {
+	values := maps.Values[map[string]int] // want `maps.Values yields runtime iteration order`
+	n := 0
+	for v := range values(m) {
+		n += v
+	}
+	return n
+}
+
+func annotatedIterator(m map[string]int) int {
+	//det:unordered only the count of keys leaves this function, and it does not depend on order
+	return len(slices.Collect(maps.Keys(m)))
 }

@@ -15,7 +15,6 @@ import (
 	"watter/internal/dataset"
 	"watter/internal/gmm"
 	"watter/internal/gridindex"
-	"watter/internal/load"
 	"watter/internal/mdp"
 	"watter/internal/nn"
 	"watter/internal/order"
@@ -40,14 +39,6 @@ type Params struct {
 	// results are bit-identical at any value; baselines without a pool
 	// ignore it.
 	Shards int
-	// Arrival, when its Process is set, replaces the dataset's rush-hour
-	// arrival times with an open-loop arrival process schedule
-	// (load.ArrivalSpec: Poisson, surge or Pareto at a configured rate) —
-	// the load harness's process abstraction doubling as a sweep axis, so
-	// "how does each algorithm hold up under a surge" is an ordinary
-	// experiment cell. Deadlines follow the re-timed releases through
-	// load.Retime; everything stays deterministic under the spec's seed.
-	Arrival load.ArrivalSpec
 	// NumCities runs the cell as a multi-city front tier: N instances of
 	// City (seed-derived independent workloads and fleets) behind one
 	// dispatch proxy, metrics aggregated across cities. 0 and 1 both mean
@@ -201,17 +192,6 @@ func (r *Runner) Setup(p Params) (*Setup, error) {
 	orders := city.Orders(dataset.WorkloadConfig{
 		Orders: p.Orders, Seed: p.Seed, TauScale: p.TauScale, Eta: p.Eta,
 	})
-	if p.Arrival.Process != "" {
-		// Open-loop arrival axis: keep the city's endpoint sampling, swap
-		// the release schedule for the configured process over the default
-		// workload window. Times returns at most as many arrivals as fit
-		// the horizon; Retime drops whichever side is longer.
-		times, err := p.Arrival.Times(dataset.WorkloadConfig{}.Defaults().HorizonSeconds)
-		if err != nil {
-			return nil, err
-		}
-		orders = load.Retime(orders, times, p.TauScale)
-	}
 	return &Setup{Params: p, City: city, Orders: orders}, nil
 }
 
@@ -284,12 +264,10 @@ func (r *Runner) train(p Params) (*Trained, error) {
 	start := time.Now() //det:wallclock training wall-time for the progress log line; never feeds model or simulation state
 	seed := trainSeed(p)
 	// The historical day is a run of its own: a HistoricalOrders stream and
-	// a fleet drawn from the training seed, released on the city's own
-	// rush-hour schedule whatever arrival process the evaluation uses.
+	// a fleet drawn from the training seed.
 	hp := p
 	hp.Orders = p.Train.HistoricalOrders
 	hp.Seed = seed + 77
-	hp.Arrival = load.ArrivalSpec{}
 	hist, err := r.Setup(hp)
 	if err != nil {
 		return nil, fmt.Errorf("exp: invalid training configuration: %w", err)
@@ -464,9 +442,6 @@ func validate(p Params) error {
 	}
 	if err := platform.ValidateTick(p.TickEvery); err != nil {
 		return fmt.Errorf("exp: TickEvery: %w", err)
-	}
-	if p.Arrival.Process != "" {
-		return p.Arrival.Defaults(dataset.WorkloadConfig{}.Defaults().HorizonSeconds).Validate()
 	}
 	return nil
 }

@@ -115,3 +115,41 @@ func TestPoolCacheEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolCacheRenewalPastExpiry is the end-to-end cell where a plan-cache
+// renewal changes a decision: on the closed-form XIA city with every pair
+// tested (CandidateRadius -1), loose deadlines (TauScale 2.4) and one worker
+// per 40 orders, cliques outlive their cached τg while no worker is free,
+// and a renewal past τg comes back feasible on a costlier route that wins
+// an order's best group. A cache that served the expired entry instead of
+// replanning it diverges from the uncached run here; the cells of
+// TestPoolCacheEquivalence never reach that case.
+func TestPoolCacheRenewalPastExpiry(t *testing.T) {
+	r := NewRunner()
+	p := smallParams()
+	p.Orders, p.Workers, p.TauScale, p.Seed = 520, 13, 2.4, 2
+	s, err := r.Setup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(disable bool) (*sim.Metrics, pool.CacheStats) {
+		alg, err := r.Build("WATTER-online", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := poolOptions(p)
+		opt.CandidateRadius = -1
+		opt.DisablePlanCache = disable
+		alg.(interface{ SetPoolOptions(pool.Options) }).SetPoolOptions(opt)
+		m := replay(t, s, alg)
+		return m, poolStats(alg)
+	}
+	cached, st := run(false)
+	uncached, _ := run(true)
+	if *cached != *uncached {
+		t.Fatalf("metrics diverged with plan cache on:\ncached:   %+v\nuncached: %+v", *cached, *uncached)
+	}
+	if st.Renewed == 0 {
+		t.Fatalf("no entry was renewed past its τg (%+v): the cell no longer reaches the case it guards", st)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"watter/internal/dataset"
-	"watter/internal/load"
 	"watter/internal/sim"
 	"watter/internal/stats"
 )
@@ -187,14 +186,12 @@ func TestSweepErrorPropagates(t *testing.T) {
 }
 
 // TestSweepInvalidParamsReturnError: a configuration that would panic while
-// its cell is built — in Setup for a bad arrival spec or a negative order
-// or fleet size, in WATTER-expect's training for a zero tick, a negative
-// historical order count or a layer without units — comes back as an
-// error from Build, from RunOne and from the sweep, at parallel 1 and 4,
-// instead of crashing the process from a worker goroutine.
+// its cell is built — in Setup for a negative order or fleet size, in
+// WATTER-expect's training for a zero tick, a negative historical order
+// count or a layer without units — comes back as an error from Build,
+// from RunOne and from the sweep, at parallel 1 and 4, instead of crashing
+// the process from a worker goroutine.
 func TestSweepInvalidParamsReturnError(t *testing.T) {
-	badArrival := tinyParams()
-	badArrival.Arrival = load.ArrivalSpec{Process: load.Poisson, Rate: -1}
 	noTick := tinyParams()
 	noTick.TickEvery = 0
 	negWorkers := tinyParams()
@@ -218,7 +215,6 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		algs []string
 		want string
 	}{
-		{"arrival rate", badArrival, []string{"GDP", "WATTER-online", "WATTER-expect"}, "arrival rate"},
 		{"zero tick", noTick, []string{"GDP", "WATTER-expect"}, "TickEvery"},
 		{"negative fleet", negWorkers, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Workers"},
 		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},

@@ -82,7 +82,7 @@ func Fit(samples []float64, opt FitOptions) (*Model, error) {
 		for i, x := range samples {
 			var sum float64
 			for j, c := range comps {
-				v := c.Weight * gaussPDF(x, c.Mean, c.StdDev)
+				v := float64(c.Weight * gaussPDF(x, c.Mean, c.StdDev))
 				resp[i*k+j] = v
 				sum += v
 			}
@@ -105,7 +105,7 @@ func Fit(samples []float64, opt FitOptions) (*Model, error) {
 			var nk, mean float64
 			for i, x := range samples {
 				nk += resp[i*k+j]
-				mean += resp[i*k+j] * x
+				mean += float64(resp[i*k+j] * x)
 			}
 			if nk < 1e-10 {
 				// Dead component: re-seed on a random sample.
@@ -117,7 +117,7 @@ func Fit(samples []float64, opt FitOptions) (*Model, error) {
 			var vr float64
 			for i, x := range samples {
 				d := x - mean
-				vr += resp[i*k+j] * d * d
+				vr += float64(resp[i*k+j] * d * d)
 			}
 			sd := math.Sqrt(vr / nk)
 			if sd < opt.MinStdDev {
@@ -184,7 +184,7 @@ func stddevAll(xs []float64) float64 {
 	var vr float64
 	for _, x := range xs {
 		d := x - mean
-		vr += d * d
+		vr += float64(d * d)
 	}
 	return math.Sqrt(vr / float64(len(xs)))
 }
@@ -199,7 +199,7 @@ func (m *Model) CDF(x float64) float64 {
 	var p float64
 	for _, c := range m.Components {
 		z := (x - c.Mean) / (c.StdDev * math.Sqrt2)
-		p += c.Weight * 0.5 * (1 + math.Erf(z))
+		p += float64(c.Weight * 0.5 * (1 + math.Erf(z)))
 	}
 	return p
 }

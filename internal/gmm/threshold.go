@@ -34,24 +34,24 @@ func OptimalThreshold(m *Model, p float64) float64 {
 	}
 	lo := p * float64(maxInt(bestI-1, 0)) / gridN
 	hi := p * float64(minInt(bestI+1, gridN)) / gridN
-	return goldenMax(func(th float64) float64 { return Gain(m, p, th) }, lo, hi, 1e-6*p+1e-9)
+	return goldenMax(func(th float64) float64 { return Gain(m, p, th) }, lo, hi, float64(1e-6*p)+1e-9)
 }
 
 // goldenMax runs golden-section search for the maximum of f on [lo, hi].
 func goldenMax(f func(float64) float64, lo, hi, tol float64) float64 {
 	const invPhi = 0.6180339887498949
 	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
+	c := b - float64((b-a)*invPhi)
+	d := a + float64((b-a)*invPhi)
 	fc, fd := f(c), f(d)
 	for b-a > tol {
 		if fc >= fd {
 			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
+			c = b - float64((b-a)*invPhi)
 			fc = f(c)
 		} else {
 			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
+			d = a + float64((b-a)*invPhi)
 			fd = f(d)
 		}
 	}
@@ -82,9 +82,9 @@ func GradientThreshold(m *Model, p float64, steps int, lr float64) float64 {
 	for _, start := range []float64{0.2, 0.5, 0.8} {
 		theta := start * p
 		for i := 0; i < steps; i++ {
-			grad := (Gain(m, p, theta+h) - Gain(m, p, theta-h)) / (2 * h)
+			grad := (float64(Gain(m, p, theta+h)) - float64(Gain(m, p, theta-h))) / (2 * h)
 			step := lr / (1 + float64(i)/20)
-			theta += step * math.Tanh(grad) // bounded step, sign-faithful
+			theta += float64(step * math.Tanh(grad)) // bounded step, sign-faithful
 			if theta < 0 {
 				theta = 0
 			}

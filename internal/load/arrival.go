@@ -139,8 +139,9 @@ func homogeneous(rng *rand.Rand, rate, horizon float64) []float64 {
 	t := 0.0
 	for {
 		// Inverse-CDF sampling: one uniform per arrival, so the schedule is
-		// a prefix-stable function of the RNG stream.
-		t += -math.Log(1-rng.Float64()) / rate
+		// a prefix-stable function of the RNG stream. Float64 is a product
+		// once inlined; the conversion keeps it from fusing with 1 - u.
+		t += -math.Log(1-float64(rng.Float64())) / rate
 		if t >= horizon {
 			return out
 		}
@@ -156,7 +157,7 @@ func thinned(rng *rand.Rand, s ArrivalSpec, horizon float64) []float64 {
 	var out []float64
 	t := 0.0
 	for {
-		t += -math.Log(1-rng.Float64()) / peak
+		t += -math.Log(1-float64(rng.Float64())) / peak // converted as in homogeneous
 		if t >= horizon {
 			return out
 		}
@@ -177,7 +178,7 @@ func (s ArrivalSpec) rateAt(t float64) float64 {
 	// Linear ramp: 1 at the window edges, SurgeFactor at its midpoint.
 	frac := (t - s.SurgeStart) / s.SurgeLen // in [0,1)
 	tri := 1 - math.Abs(2*frac-1)           // 0 at edges, 1 at midpoint
-	return s.Rate * (1 + (s.SurgeFactor-1)*tri)
+	return s.Rate * (1 + float64((s.SurgeFactor-1)*tri))
 }
 
 // pareto sums Pareto(alpha) inter-arrivals with the scale chosen so the
@@ -187,8 +188,8 @@ func pareto(rng *rand.Rand, rate, alpha, horizon float64) []float64 {
 	var out []float64
 	t := 0.0
 	for {
-		u := 1 - rng.Float64() // in (0,1]
-		t += xm * math.Pow(u, -1/alpha)
+		u := 1 - float64(rng.Float64()) // in (0,1]; converted as in homogeneous
+		t += float64(xm * math.Pow(u, -1/alpha))
 		if t >= horizon {
 			return out
 		}

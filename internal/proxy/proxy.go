@@ -36,6 +36,8 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -302,18 +304,13 @@ func (x *Proxy) Replay(workloads map[string][]*order.Order) (map[string]*sim.Met
 			feed = append(feed, entry{city: ct, o: &cp})
 		}
 	}
-	// Collect unknown cities and report the alphabetically first, so the
-	// error a caller sees never depends on map iteration order.
-	var unknown []string
-	for id := range workloads {
+	// Report the alphabetically first unknown city, so the error a caller
+	// sees never depends on map iteration order.
+	for _, id := range slices.Sorted(maps.Keys(workloads)) {
 		if _, ok := x.cities[id]; !ok {
-			unknown = append(unknown, id)
+			x.mu.Unlock()
+			return nil, fmt.Errorf("%w: %q", ErrUnknownCity, id)
 		}
-	}
-	sort.Strings(unknown)
-	if len(unknown) > 0 {
-		x.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownCity, unknown[0])
 	}
 	sort.SliceStable(feed, func(i, j int) bool { return feed[i].o.Release < feed[j].o.Release })
 	x.mu.Unlock()

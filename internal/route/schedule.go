@@ -1,6 +1,7 @@
 package route
 
 import (
+	"maps"
 	"math"
 
 	"watter/internal/geo"
@@ -93,9 +94,7 @@ func (p *Planner) Evaluate(stops []order.Stop, orders map[int]*order.Order, star
 func (p *Planner) InsertOrder(sch *Schedule, orders map[int]*order.Order, o *order.Order, start geo.NodeID, startTime float64, capacity, onboard int) (*Schedule, float64, bool) {
 	if orders[o.ID] == nil {
 		aug := make(map[int]*order.Order, len(orders)+1)
-		for k, v := range orders {
-			aug[k] = v
-		}
+		maps.Copy(aug, orders)
 		aug[o.ID] = o
 		orders = aug
 	}
