@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchroute benchshard benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchload benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,13 @@ examples:
 
 # The two experiment CLIs end to end on tiny cells (CI runs this too): a
 # replicated multi-city run, the trained threshold strategy (offline training
-# included), and a replicated figure sweep.
+# included), and a replicated figure sweep; then the dispatch proxy's
+# isolation and HA-recovery proofs (exit 1 when either is false).
 clismoke:
 	$(GO) run ./cmd/wattersim -alg WATTER-timeout -n 200 -m 20 -replicates 2 -cities 2
 	$(GO) run ./cmd/wattersim -alg WATTER-expect -n 200 -m 20
 	$(GO) run ./cmd/watterbench -fig fig5 -city cdc -scale 0.1 -replicates 2 -algs GDP,WATTER-online -quiet -csv /tmp/fig5.csv
+	$(GO) run ./cmd/watterproxy -quiet
 
 test:
 	$(GO) test ./...
@@ -164,7 +166,7 @@ fixtures:
 	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
 		-out internal/roadnet/testdata/grid6x5
 
-# The four bench targets write BENCH_*.json into BENCH_OUT. On their own they
+# The two bench targets write BENCH_*.json into BENCH_OUT. On their own they
 # re-record the committed baselines in the repository root (run them with
 # GOMAXPROCS=2: the gate refuses to compare reports recorded on different
 # cores); as prerequisites of benchgate they write into a scratch directory.
@@ -174,14 +176,6 @@ BENCH_OUT = .
 benchsweep:
 	$(GO) run ./cmd/watterbench -benchsweep $(BENCH_OUT)/BENCH_sweep.json
 
-# Routing oracle: CH and ALT vs the reference Dijkstra.
-benchroute:
-	$(GO) run ./cmd/watterbench -benchroute $(BENCH_OUT)/BENCH_routing.json
-
-# Insert prewarm on K goroutines vs K = 1.
-benchshard:
-	$(GO) run ./cmd/watterbench -benchshard $(BENCH_OUT)/BENCH_shard.json
-
 # Open-loop load harness (arrival rows + max sustainable rate; everything
 # virtual-clock deterministic).
 benchload:
@@ -190,11 +184,11 @@ benchload:
 benchdir:
 	mkdir -p $(BENCH_OUT)
 
-# Produce four fresh reports and gate each against its committed namesake —
+# Produce two fresh reports and gate each against its committed namesake —
 # what CI's bench steps do, on the two cores the baselines were recorded on.
 benchgate: BENCH_OUT = /tmp/bench
 benchgate: export GOMAXPROCS = 2
-benchgate: benchdir benchsweep benchroute benchshard benchload
+benchgate: benchdir benchsweep benchload
 	$(GO) run ./cmd/benchgate . $(BENCH_OUT)
 
 clean:

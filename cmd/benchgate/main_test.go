@@ -14,12 +14,11 @@ const repoRoot = "../.."
 
 // Every committed baseline loads through the validating reader, was recorded
 // at scale 1 on two cores, and gates clean against itself; the gate makes at
-// least 32 checks (load 18, routing 10, sweep 2, shard 2), and prints the
-// same bytes twice.
+// least 20 checks (load 18, sweep 2), and prints the same bytes twice.
 func TestCommittedBaselinesGateCleanAgainstThemselves(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_*.json"))
-	if err != nil || len(paths) != 4 {
-		t.Fatalf("found %d committed reports (%v), want 4", len(paths), err)
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("found %d committed reports (%v), want 2", len(paths), err)
 	}
 	for _, p := range paths {
 		rep, err := benchfmt.Read(p)
@@ -37,8 +36,8 @@ func TestCommittedBaselinesGateCleanAgainstThemselves(t *testing.T) {
 	if !run(repoRoot, repoRoot, &first) {
 		t.Fatalf("the committed reports do not gate clean against themselves:\n%s", &first)
 	}
-	if n := strings.Count(first.String(), "\nok  ") + 1; n < 32 {
-		t.Errorf("%d checks, want at least 32:\n%s", n, &first)
+	if n := strings.Count(first.String(), "\nok  ") + 1; n < 20 {
+		t.Errorf("%d checks, want at least 20:\n%s", n, &first)
 	}
 	run(repoRoot, repoRoot, &second)
 	if first.String() != second.String() {
@@ -67,30 +66,30 @@ func TestRunFailsNamingTheFileOrField(t *testing.T) {
 		fresh func(dir string)
 		want  string
 	}{
-		{"missing fresh report", func(string) {}, "BENCH_shard.json"},
+		{"missing fresh report", func(string) {}, "BENCH_sweep.json"},
 		{"recorded on other cores", func(dir string) {
-			copyReport(t, "BENCH_shard.json", dir, func(r *benchfmt.Report) { r.GOMAXPROCS = 4 })
+			copyReport(t, "BENCH_sweep.json", dir, func(r *benchfmt.Report) { r.GOMAXPROCS = 4 })
 		}, "gomaxprocs mismatch"},
 		{"recorded at another scale", func(dir string) {
-			copyReport(t, "BENCH_shard.json", dir, func(r *benchfmt.Report) { r.Scale = 0.5 })
+			copyReport(t, "BENCH_sweep.json", dir, func(r *benchfmt.Report) { r.Scale = 0.5 })
 		}, "scale mismatch"},
 		{"guarantee false", func(dir string) {
-			copyReport(t, "BENCH_shard.json", dir, func(r *benchfmt.Report) {
+			copyReport(t, "BENCH_sweep.json", dir, func(r *benchfmt.Report) {
 				for i, m := range r.Rows[0].Metrics {
 					if m.Kind == benchfmt.KindIdentical {
 						r.Rows[0].Metrics[i].Value = false
 					}
 				}
 			})
-		}, "FAIL  BENCH_shard.json"},
+		}, "FAIL  BENCH_sweep.json"},
 		{"not a report", func(dir string) {
-			os.WriteFile(filepath.Join(dir, "BENCH_shard.json"), []byte(`{"speedup": 1.5}`), 0o644)
+			os.WriteFile(filepath.Join(dir, "BENCH_sweep.json"), []byte(`{"speedup": 1.5}`), 0o644)
 		}, "unknown field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseDir, freshDir := t.TempDir(), t.TempDir()
-			copyReport(t, "BENCH_shard.json", baseDir, nil)
+			copyReport(t, "BENCH_sweep.json", baseDir, nil)
 			tc.fresh(freshDir)
 			var out bytes.Buffer
 			if run(baseDir, freshDir, &out) {

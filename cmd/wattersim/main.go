@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -55,10 +56,12 @@ func main() {
 		os.Exit(2)
 	}
 	p := exp.DefaultParams(profile)
-	if *n > 0 {
+	// Only 0 means the city default: a negative count reaches exp's
+	// validation, which refuses it by name.
+	if *n != 0 {
 		p.Orders = *n
 	}
-	if *m > 0 {
+	if *m != 0 {
 		p.Workers = *m
 	}
 	p.TauScale = *tau
@@ -97,8 +100,7 @@ func main() {
 	}
 	res, err := runner.RunOne(*alg, p)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	mt := res.Metrics
 	fmt.Printf("city=%s alg=%s n=%d m=%d tau=%.2f eta=%.2f Kw=%d dt=%.0fs%s\n",
@@ -119,6 +121,16 @@ func main() {
 	}
 	fmt.Printf("(avg %.2f)\n", mt.AvgGroupSize())
 	fmt.Printf("  wall time:        %s\n", res.Elapsed.Round(1e6))
+}
+
+// fail reports err and exits: 2 for parameters exp refuses (a usage error,
+// like an unknown city), 1 for a run that failed.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, exp.ErrInvalidParams) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
 func citySuffix(n int) string {
@@ -145,8 +157,7 @@ func runReplicated(runner *exp.Runner, alg string, p exp.Params, replicates, par
 		Seeds: exp.ReplicateSeeds(p.Seed, replicates),
 	}.Jobs())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
 	c := res.Cells[0]
 	fmt.Printf("city=%s alg=%s n=%d m=%d tau=%.2f eta=%.2f Kw=%d dt=%.0fs replicates=%d seeds=%v\n",

@@ -80,7 +80,7 @@ func Text(name, v string) Metric {
 	return Metric{Name: name, Kind: KindInfo, Value: v}
 }
 
-// Row is one named group of metrics: a city scale, a load scenario.
+// Row is one named group of metrics: a city, a load scenario.
 type Row struct {
 	Name    string   `json:"name"`
 	Metrics []Metric `json:"metrics"`

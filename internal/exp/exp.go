@@ -5,8 +5,10 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -418,30 +420,43 @@ func (a *expectAlg) Init(env *sim.Env) {
 	a.src.Watch(func() (uint64, uint64) { return p.DemandGeneration(), wi.Generation() })
 }
 
-// validate refuses what the cell's construction would otherwise panic on,
-// possibly on a sweep worker goroutine: negative order and fleet sizes
-// (evaluation and historical), value-network layers without units, the
-// platform parameters and the tick interval (WATTER-expect's training
-// builds platforms from both) and the arrival process Setup schedules.
+// ErrInvalidParams is wrapped by every refusal of a Params: a configuration
+// error, reported before anything is built or trained.
+var ErrInvalidParams = errors.New("exp: invalid parameters")
+
+// validate refuses what the cell's construction would otherwise panic on
+// (possibly on a sweep worker goroutine) or reject only at its first order:
+// negative order and fleet sizes (evaluation and historical), deadline and
+// wait-limit scales that are negative or not finite (0 keeps the dataset
+// default), value-network layers without units, the platform parameters and
+// the tick interval (WATTER-expect's training builds platforms from both).
 func validate(p Params) error {
 	for _, n := range []struct {
 		name string
 		v    int
 	}{{"Orders", p.Orders}, {"Workers", p.Workers}, {"Train.HistoricalOrders", p.Train.HistoricalOrders}} {
 		if n.v < 0 {
-			return fmt.Errorf("exp: %s = %d is negative", n.name, n.v)
+			return fmt.Errorf("%w: %s = %d is negative", ErrInvalidParams, n.name, n.v)
+		}
+	}
+	for _, s := range []struct {
+		name string
+		v    float64
+	}{{"TauScale", p.TauScale}, {"Eta", p.Eta}} {
+		if !(s.v >= 0) || math.IsInf(s.v, 1) {
+			return fmt.Errorf("%w: %s = %v must be finite and non-negative (0 = the default)", ErrInvalidParams, s.name, s.v)
 		}
 	}
 	for _, h := range p.Train.Hidden {
 		if h < 1 {
-			return fmt.Errorf("exp: Train.Hidden = %v: every layer needs at least one unit", p.Train.Hidden)
+			return fmt.Errorf("%w: Train.Hidden = %v: every layer needs at least one unit", ErrInvalidParams, p.Train.Hidden)
 		}
 	}
 	if err := (&Setup{Params: p}).Config().Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalidParams, err)
 	}
 	if err := platform.ValidateTick(p.TickEvery); err != nil {
-		return fmt.Errorf("exp: TickEvery: %w", err)
+		return fmt.Errorf("%w: TickEvery: %w", ErrInvalidParams, err)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -188,9 +190,11 @@ func TestSweepErrorPropagates(t *testing.T) {
 // TestSweepInvalidParamsReturnError: a configuration that would panic while
 // its cell is built — in Setup for a negative order or fleet size, in
 // WATTER-expect's training for a zero tick, a negative historical order
-// count or a layer without units — comes back as an error from Build,
-// from RunOne and from the sweep, at parallel 1 and 4, instead of crashing
-// the process from a worker goroutine.
+// count or a layer without units — or fail late on its first order, for a
+// negative or non-finite deadline or wait-limit scale, comes back as an
+// ErrInvalidParams naming the field from Build, from RunOne and from the
+// sweep, at parallel 1 and 4, instead of crashing the process from a worker
+// goroutine or starting to train.
 func TestSweepInvalidParamsReturnError(t *testing.T) {
 	noTick := tinyParams()
 	noTick.TickEvery = 0
@@ -202,10 +206,17 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 	negHistory.Train.HistoricalOrders = -1
 	emptyLayer := tinyParams()
 	emptyLayer.Train.Hidden = []int{-1}
+	scaled := func(tau, eta float64) Params {
+		p := tinyParams()
+		p.TauScale, p.Eta = tau, eta
+		return p
+	}
+	// The sweep varies a field no row breaks, so every row reaches the
+	// figure-sweep arm as built.
 	mini := Sweep{
-		ID: "mini", Points: []float64{1.4},
+		ID: "mini", Points: []float64{4},
 		Apply: func(p Params, x float64) Params {
-			p.TauScale = x
+			p.MaxCap = int(x)
 			return p
 		},
 	}
@@ -220,11 +231,17 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},
 		{"negative history", negHistory, []string{"WATTER-expect"}, "Train.HistoricalOrders"},
 		{"empty layer", emptyLayer, []string{"WATTER-expect"}, "Train.Hidden"},
+		{"negative tau", scaled(-1, 0.8), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "TauScale"},
+		{"NaN tau", scaled(math.NaN(), 0.8), []string{"WATTER-timeout", "WATTER-expect"}, "TauScale"},
+		{"infinite tau", scaled(math.Inf(1), 0.8), []string{"WATTER-timeout"}, "TauScale"},
+		{"negative eta", scaled(1.6, -1), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "Eta"},
+		{"NaN eta", scaled(1.6, math.NaN()), []string{"WATTER-timeout", "WATTER-expect"}, "Eta"},
+		{"infinite eta", scaled(1.6, math.Inf(1)), []string{"WATTER-timeout"}, "Eta"},
 	} {
 		check := func(what string, err error) {
 			t.Helper()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("%s, %s: err = %v, want an error naming %q", tc.name, what, err, tc.want)
+			if !errors.Is(err, ErrInvalidParams) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, %s: err = %v, want an ErrInvalidParams naming %q", tc.name, what, err, tc.want)
 			}
 		}
 		for _, alg := range tc.algs {

@@ -26,9 +26,9 @@ import (
 // Admissibility plus the reinsertion-based search in pp.go make the engine
 // exact; the deflation costs a sliver of pruning power, never correctness.
 
-// NumLandmarks reports how many ALT landmarks Build precomputed (0 for
+// numLandmarks reports how many ALT landmarks Build precomputed (0 for
 // tiny graphs, where plain goal-stopped search wins).
-func (g *Graph) NumLandmarks() int { return len(g.landmarks) }
+func (g *Graph) numLandmarks() int { return len(g.landmarks) }
 
 // defaultLandmarkCount picks how many landmarks Build precomputes. Tiny
 // graphs skip ALT entirely: a plain goal-stopped Dijkstra already explores

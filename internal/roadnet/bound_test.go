@@ -111,7 +111,7 @@ func TestCostLowerBoundAdmissible(t *testing.T) {
 				positive++
 			}
 		}
-		if c.g.NumLandmarks() > 0 && positive == 0 {
+		if c.g.numLandmarks() > 0 && positive == 0 {
 			t.Fatalf("%s: every sampled bound was 0; the property is vacuous", c.name)
 		}
 	}

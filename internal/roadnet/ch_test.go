@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,10 +10,10 @@ import (
 )
 
 // TestCHMatchesALTAndSSSP is the contraction hierarchy's exactness property
-// test: random jittered, uniform, and disconnected cities are driven through
-// CH, ALT, and the full-Dijkstra Reference in lockstep, asserting
-// bit-identical distances for every sampled pair — including exact +Inf for
-// unreachable ones.
+// test: random jittered, uniform, disconnected and DIMACS-imported cities are
+// driven through CH, ALT, and the full-Dijkstra Reference in lockstep,
+// asserting bit-identical distances for every sampled pair — including exact
+// +Inf for unreachable ones.
 func TestCHMatchesALTAndSSSP(t *testing.T) {
 	type city struct {
 		name string
@@ -31,6 +32,17 @@ func TestCHMatchesALTAndSSSP(t *testing.T) {
 		g, _ := twoComponentCity(6, 5, seed)
 		cities = append(cities, city{"split", g})
 	}
+	// An imported city: integer-centisecond weights written by the DIMACS
+	// generator and read back, as an outside road network arrives.
+	var gr, co bytes.Buffer
+	if err := WriteDIMACSGrid(&gr, &co, 20, 20, 200, 8, 0.3, 1); err != nil {
+		t.Fatal(err)
+	}
+	imported, err := ReadDIMACS(&gr, &co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cities = append(cities, city{"dimacs", imported})
 
 	for ci, c := range cities {
 		g := c.g
@@ -42,9 +54,9 @@ func TestCHMatchesALTAndSSSP(t *testing.T) {
 			from := geo.NodeID(rng.Intn(n))
 			to := geo.NodeID(rng.Intn(n))
 			ref := oracle.Cost(from, to)
-			alt := g.CostALT(from, to)
+			alt := g.costALT(from, to)
 			ch := g.Cost(from, to)
-			if !g.HasHierarchy() {
+			if !g.hasHierarchy() {
 				t.Fatalf("%s[%d]: hierarchy not built", c.name, ci)
 			}
 			if math.Float64bits(ch) != math.Float64bits(ref) {
@@ -54,6 +66,24 @@ func TestCHMatchesALTAndSSSP(t *testing.T) {
 				t.Fatalf("%s[%d]: ALT(%d,%d) = %v, reference = %v", c.name, ci, from, to, alt, ref)
 			}
 		}
+	}
+}
+
+// TestHierarchyShapePinned pins what the contraction builds on one city:
+// the shortcut count and the uncontracted core. Both move only when the
+// contraction itself changes (node order, witness search, core cutoff); a
+// change that stays exact but adds shortcuts makes every query slower.
+func TestHierarchyShapePinned(t *testing.T) {
+	g := NewPerturbedGrid(32, 32, 200, 8, 0.3, 1)
+	if g.hasHierarchy() || g.numShortcuts() != 0 || g.coreSize() != 0 {
+		t.Fatal("a 1024-node graph came out of Build with a hierarchy")
+	}
+	g.EnableHierarchy()
+	if got, want := g.numShortcuts(), 5829; got != want {
+		t.Errorf("%d shortcuts, want %d", got, want)
+	}
+	if got, want := g.coreSize(), 32; got != want {
+		t.Errorf("core of %d nodes, want %d", got, want)
 	}
 }
 

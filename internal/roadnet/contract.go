@@ -117,19 +117,19 @@ type hierarchy struct {
 	minw         float64 // smallest original edge weight (chTight only)
 }
 
-// HasHierarchy reports whether the contraction hierarchy is built.
-func (g *Graph) HasHierarchy() bool { return g.ch != nil }
+// hasHierarchy reports whether the contraction hierarchy is built.
+func (g *Graph) hasHierarchy() bool { return g.ch != nil }
 
-// NumShortcuts reports how many shortcut edges the hierarchy added.
-func (g *Graph) NumShortcuts() int {
+// numShortcuts reports how many shortcut edges the hierarchy added.
+func (g *Graph) numShortcuts() int {
 	if g.ch == nil {
 		return 0
 	}
 	return g.ch.shortcuts
 }
 
-// CoreSize reports how many nodes the contraction left uncontracted.
-func (g *Graph) CoreSize() int {
+// coreSize reports how many nodes the contraction left uncontracted.
+func (g *Graph) coreSize() int {
 	if g.ch == nil {
 		return 0
 	}

@@ -144,9 +144,9 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 	g.initLandmarks(defaultLandmarkCount(n))
 	if n >= chAutoMinNodes {
 		// Real-city scale: ALT query cost grows with the corridor, so the
-		// contraction hierarchy pays for itself within a few leg matrices
-		// (watterbench -benchroute reports the amortization). Small graphs
-		// skip it; tests force it with EnableHierarchy.
+		// contraction hierarchy pays for itself within a few leg matrices.
+		// Small graphs skip it; tests and the benchmark's metro_ch
+		// workload force it with EnableHierarchy.
 		g.buildHierarchy()
 	}
 	return g, nil
@@ -179,6 +179,8 @@ func (g *Graph) Bounds() geo.Rect { return g.bounds }
 // lower bound. A planner, index or simulation handed Reference(g) therefore
 // runs filter-free and pairwise, and must decide exactly what it decides on
 // g itself.
+//
+//det:api the oracle the route, gridindex, exp, roadnet and root tests compare the engines against
 func Reference(g *Graph) Network { return reference{g} }
 
 type reference struct{ g *Graph }

@@ -48,6 +48,8 @@ var ErrDIMACSRange = errors.New("count outside the int32 range a graph can index
 // range and non-negative. The files are outside input: a malformed one is
 // an error, never a panic, and memory grows with the records actually read,
 // not with the counts the headers declare.
+//
+//det:api the one entry point for an outside road network; FuzzReadDIMACS covers it
 func ReadDIMACS(gr, co io.Reader) (*Graph, error) {
 	n, arcs, err := readGR(gr)
 	if err != nil {

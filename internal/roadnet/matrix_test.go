@@ -197,8 +197,8 @@ func TestMatrixMatchesReference(t *testing.T) {
 		// Eight landmarks: the 3x20 shape starts beyond maxHeuristicWork, on
 		// h = 0, and switches the heuristic on as targets are finalized.
 		wide := NewPerturbedGrid(13, 11, 150, 8, 0.4, 9)
-		if wide.NumLandmarks()*20 <= maxHeuristicWork {
-			t.Fatalf("wide city has %d landmarks: 20 targets no longer exceed the heuristic's work bound", wide.NumLandmarks())
+		if wide.numLandmarks()*20 <= maxHeuristicWork {
+			t.Fatalf("wide city has %d landmarks: 20 targets no longer exceed the heuristic's work bound", wide.numLandmarks())
 		}
 		g, stranded, exitOnly := strandedCity(9, 8, 6)
 		if arm == "ch" {

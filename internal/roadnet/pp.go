@@ -396,10 +396,10 @@ func (g *Graph) costWith(sc *scratch, from, to geo.NodeID) float64 {
 	return sc.res[0]
 }
 
-// CostALT answers a point-to-point query via the ALT engine whether or not
+// costALT answers a point-to-point query via the ALT engine whether or not
 // a contraction hierarchy is built: the lockstep arm the hierarchy is
-// property-tested and benchmarked against.
-func (g *Graph) CostALT(from, to geo.NodeID) float64 {
+// property-tested against.
+func (g *Graph) costALT(from, to geo.NodeID) float64 {
 	if from == to {
 		return 0
 	}
