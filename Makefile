@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchload benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchdir benchgate clean
 
 build:
 	$(GO) build ./...
@@ -51,21 +51,17 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlatformOps -fuzztime=10s ./internal/platform
 	$(GO) test -run='^$$' -fuzz=FuzzPoolOps -fuzztime=10s ./internal/pool
 
-# No fused multiply-add in the packages covered so far (DESIGN.md §6, §8;
-# the rest of the module is not yet converted): the Go spec lets a compiler
-# fuse x*y + z unless the product is converted explicitly, amd64's never
-# does, and these four do. Each compiles every package in FMA_PKGS — the
-# value network and its training, the route DP and the pool, orders, the
-# dispatch strategies, the framework and the platform, the worker index,
-# the simulation's metrics, the summary statistics, the experiment runner,
-# the synthetic workload generator, the extra-time mixture model and its
-# threshold search, and the open-loop arrival processes — and any fused
-# instruction in a symbol of one fails the check. Go's disassembly names
-# them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64, riscv64), FMADD/FMSUB/FNMADD/
-# FNMSUB (ppc64le) and MADBR/MSDBR and their memory and vector forms
-# (s390x).
+# No fused multiply-add in internal/ (DESIGN.md §6, §8): the Go spec lets a
+# compiler fuse x*y + z unless the product is converted explicitly, amd64's
+# never does, and these four do. Each compiles every package in FMA_PKGS —
+# every package under internal/, so a new one is gated from its first
+# commit, except roadnet, whose 23 arm64 sites are not converted yet
+# (ROADMAP item 6) — and any fused instruction in a symbol of one fails the
+# check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64,
+# riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and MADBR/MSDBR and their
+# memory and vector forms (s390x).
 FMA_ARCHS = arm64 ppc64le s390x riscv64
-FMA_PKGS = nn mdp route pool order strategy core platform gridindex sim stats exp dataset gmm load
+FMA_PKGS = $(filter-out roadnet,$(notdir $(shell $(GO) list ./internal/...)))
 FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
 
 fmacheck:
@@ -166,29 +162,24 @@ fixtures:
 	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
 		-out internal/roadnet/testdata/grid6x5
 
-# The two bench targets write BENCH_*.json into BENCH_OUT. On their own they
-# re-record the committed baselines in the repository root (run them with
-# GOMAXPROCS=2: the gate refuses to compare reports recorded on different
-# cores); as prerequisites of benchgate they write into a scratch directory.
+# The sequential-vs-parallel sweep engine's report, BENCH_sweep.json, written
+# into BENCH_OUT. On its own the target re-records the committed baseline in
+# the repository root (run it with GOMAXPROCS=2: the gate refuses to compare
+# reports recorded on different cores); as a prerequisite of benchgate it
+# writes into a scratch directory.
 BENCH_OUT = .
 
-# Sequential-vs-parallel sweep engine.
 benchsweep:
 	$(GO) run ./cmd/watterbench -benchsweep $(BENCH_OUT)/BENCH_sweep.json
-
-# Open-loop load harness (arrival rows + max sustainable rate; everything
-# virtual-clock deterministic).
-benchload:
-	$(GO) run ./cmd/watterload -quiet -json $(BENCH_OUT)/BENCH_load.json
 
 benchdir:
 	mkdir -p $(BENCH_OUT)
 
-# Produce two fresh reports and gate each against its committed namesake —
-# what CI's bench steps do, on the two cores the baselines were recorded on.
+# Produce a fresh sweep report and gate it against the committed one — what
+# CI's bench step does, on the two cores the baseline was recorded on.
 benchgate: BENCH_OUT = /tmp/bench
 benchgate: export GOMAXPROCS = 2
-benchgate: benchdir benchsweep benchload
+benchgate: benchdir benchsweep
 	$(GO) run ./cmd/benchgate . $(BENCH_OUT)
 
 clean:

@@ -2,7 +2,7 @@
 // BENCH_*.json with the freshly produced report of the same name and fails
 // when a guarantee is false, a measurement left its band, or the two reports
 // cannot be compared. What is compared, and how, is the report's own
-// declaration — see internal/benchfmt for the schema, the four metric kinds
+// declaration — see internal/benchfmt for the schema, the three metric kinds
 // and the refusals.
 //
 // Usage:

@@ -38,8 +38,8 @@ func main() {
 		alg        = flag.String("alg", "WATTER-expect", "algorithm: GDP, GAS, WATTER-online, WATTER-timeout, WATTER-expect")
 		n          = flag.Int("n", 0, "order count (0 = city default)")
 		m          = flag.Int("m", 0, "worker count (0 = city default)")
-		tau        = flag.Float64("tau", 1.6, "deadline scale")
-		eta        = flag.Float64("eta", 0.8, "watching window scale")
+		tau        = flag.Float64("tau", dataset.DefaultTauScale, "deadline scale")
+		eta        = flag.Float64("eta", dataset.DefaultEta, "watching window scale")
 		kw         = flag.Int("kw", 4, "max vehicle capacity")
 		dt         = flag.Float64("dt", 10, "periodic check interval Δt (s)")
 		cities     = flag.Int("cities", 1, "city instances behind one dispatch proxy (>1 = multi-city front tier, metrics aggregated)")

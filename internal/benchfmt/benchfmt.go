@@ -7,12 +7,11 @@
 //   - identical — a boolean guarantee (bit-identity, run-to-run determinism).
 //     Must be true in every fresh report, with or without a baseline row.
 //   - floor — higher is better: fresh >= FloorFrac x baseline.
-//   - ceiling — lower is better: fresh <= CeilingGrowth x baseline.
-//   - info — recorded, never compared.
+//   - info — a number recorded, never compared.
 //
-// Producers (watterbench, watterload) build a Report with New
-// and Add and call Write; cmd/benchgate calls Read and Gate. Nothing else
-// knows the JSON.
+// The producer (watterbench -benchsweep) builds a Report with New and Add and
+// calls Write; cmd/benchgate calls Read and Gate. Nothing else knows the
+// JSON.
 package benchfmt
 
 import (
@@ -34,20 +33,15 @@ type Kind string
 const (
 	KindIdentical Kind = "identical"
 	KindFloor     Kind = "floor"
-	KindCeiling   Kind = "ceiling"
 	KindInfo      Kind = "info"
 )
 
-// The two ratios of the gate: generous enough for a shared CI runner, tight
-// enough to catch a lost optimization.
-const (
-	FloorFrac     = 0.6
-	CeilingGrowth = 1.5
-)
+// FloorFrac is the gate's ratio: generous enough for a shared CI runner,
+// tight enough to catch a lost optimization.
+const FloorFrac = 0.6
 
 // Metric is one named value of a row. Value is a bool for identical, a
-// non-negative float64 for floor and ceiling, and a bool, float64 or string
-// for info.
+// non-negative float64 for floor and a float64 for info.
 type Metric struct {
 	Name  string `json:"name"`
 	Kind  Kind   `json:"kind"`
@@ -65,22 +59,12 @@ func Floor(name, unit string, v float64) Metric {
 	return Metric{Name: name, Kind: KindFloor, Value: v, Unit: unit}
 }
 
-// Ceiling declares a lower-is-better measurement.
-func Ceiling(name, unit string, v float64) Metric {
-	return Metric{Name: name, Kind: KindCeiling, Value: v, Unit: unit}
-}
-
 // Info records a number that is never compared.
 func Info[T ~int | ~uint64 | ~float64](name, unit string, v T) Metric {
 	return Metric{Name: name, Kind: KindInfo, Value: float64(v), Unit: unit}
 }
 
-// Text records a string that is never compared (a hash, an algorithm list).
-func Text(name, v string) Metric {
-	return Metric{Name: name, Kind: KindInfo, Value: v}
-}
-
-// Row is one named group of metrics: a city, a load scenario.
+// Row is one named group of metrics: a city.
 type Row struct {
 	Name    string   `json:"name"`
 	Metrics []Metric `json:"metrics"`
@@ -182,14 +166,11 @@ func (r *Report) Validate() error {
 			switch m.Kind {
 			case KindIdentical:
 				_, fits = m.Value.(bool)
-			case KindFloor, KindCeiling:
+			case KindFloor:
 				v, isNum := m.Value.(float64)
 				fits = isNum && v >= 0 && !math.IsInf(v, 1)
 			case KindInfo:
-				switch m.Value.(type) {
-				case bool, float64, string:
-					fits = true
-				}
+				_, fits = m.Value.(float64)
 			default:
 				return fmt.Errorf("row %q metric %q: unknown kind %q", row.Name, m.Name, m.Kind)
 			}
@@ -287,7 +268,7 @@ type Check struct {
 // an error naming the field, reports that cannot be compared: either side
 // invalid, scale or gomaxprocs differing, a baseline row or gated metric the
 // fresh report lacks, a metric whose kind differs between the two. Otherwise
-// it returns one Check per floor and ceiling metric of the baseline and one
+// it returns one Check per floor metric of the baseline and one
 // per identical metric of the fresh report (so a row the baseline has never
 // seen still answers for its guarantees), sorted by row then metric.
 func Gate(baseline, fresh *Report) ([]Check, error) {
@@ -320,16 +301,12 @@ func Gate(baseline, fresh *Report) ([]Check, error) {
 			if fm.Kind != bm.Kind {
 				return nil, fmt.Errorf("row %q metric %q: kind %s in the baseline, %s in the fresh report", brow.Name, bm.Name, bm.Kind, fm.Kind)
 			}
-			if bm.Kind != KindFloor && bm.Kind != KindCeiling {
+			if bm.Kind != KindFloor {
 				continue
 			}
 			b, f := bm.Value.(float64), fm.Value.(float64)
-			ratio, ok := FloorFrac, f >= FloorFrac*b
-			if bm.Kind == KindCeiling {
-				ratio, ok = CeilingGrowth, f <= CeilingGrowth*b
-			}
-			checks = append(checks, Check{Row: brow.Name, Metric: bm.Name, Kind: bm.Kind, OK: ok,
-				Note: fmt.Sprintf("fresh=%.4g %s=%.4g (%v x baseline %.4g)", f, bm.Kind, ratio*b, ratio, b)})
+			checks = append(checks, Check{Row: brow.Name, Metric: bm.Name, Kind: bm.Kind, OK: f >= FloorFrac*b,
+				Note: fmt.Sprintf("fresh=%.4g floor=%.4g (%v x baseline %.4g)", f, FloorFrac*b, FloorFrac, b)})
 		}
 	}
 	for _, frow := range fresh.Rows {

@@ -32,7 +32,7 @@ type TripCSVOptions struct {
 	HasHeader bool
 	// TauScale and Eta synthesize the deadline and wait limit exactly as
 	// the paper does for the real data (Section VII-A). Zero values take
-	// the defaults 1.6 and 0.8.
+	// DefaultTauScale and DefaultEta.
 	TauScale float64
 	Eta      float64
 	// MaxOrders caps how many rows are ingested (0 = all).
@@ -61,10 +61,10 @@ func (g Georeference) ToPlane(lat, lon float64) geo.Point {
 // of rows skipped as unparseable or out of bounds.
 func (ct *City) LoadTripsCSV(r io.Reader, georef Georeference, opt TripCSVOptions) ([]*order.Order, int, error) {
 	if opt.TauScale == 0 {
-		opt.TauScale = 1.6
+		opt.TauScale = DefaultTauScale
 	}
 	if opt.Eta == 0 {
-		opt.Eta = 0.8
+		opt.Eta = DefaultEta
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1

@@ -170,14 +170,23 @@ type WorkloadConfig struct {
 	StartSeconds   float64
 	HorizonSeconds float64
 	// TauScale sets deadlines: tau = release + TauScale * direct (Table
-	// III; default 1.6).
+	// III; default DefaultTauScale).
 	TauScale float64
-	// Eta sets wait limits: eta = Eta * direct (Section VII-A, default 0.8).
+	// Eta sets wait limits: eta = Eta * direct (Section VII-A, default
+	// DefaultEta).
 	Eta float64
 	// MaxRiders caps per-order rider counts (1 in the paper's main runs —
 	// "we treat each record as an order with one passenger").
 	MaxRiders int
 }
+
+// The paper's deadline and wait-limit scales (Table III, Section VII-A):
+// every generated, imported or load-harness order takes these when its
+// configuration leaves them zero.
+const (
+	DefaultTauScale = 1.6
+	DefaultEta      = 0.8
+)
 
 // Defaults fills zero fields with the paper's defaults.
 func (c WorkloadConfig) Defaults() WorkloadConfig {
@@ -188,10 +197,10 @@ func (c WorkloadConfig) Defaults() WorkloadConfig {
 		c.HorizonSeconds = 7200
 	}
 	if c.TauScale == 0 {
-		c.TauScale = 1.6
+		c.TauScale = DefaultTauScale
 	}
 	if c.Eta == 0 {
-		c.Eta = 0.8
+		c.Eta = DefaultEta
 	}
 	if c.MaxRiders == 0 {
 		c.MaxRiders = 1

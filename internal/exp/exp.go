@@ -85,7 +85,7 @@ func DefaultParams(city dataset.Profile) Params {
 		orders, workers = 3000, 220
 	}
 	return Params{
-		City: city, Orders: orders, Workers: workers, TauScale: 1.6, Eta: 0.8,
+		City: city, Orders: orders, Workers: workers, TauScale: dataset.DefaultTauScale, Eta: dataset.DefaultEta,
 		MaxCap: 4, GridN: 10, TickEvery: 10, Seed: 1,
 		Train: TrainParams{
 			HistoricalOrders: 1500, TrainSteps: 1200, GMMComponents: 3,
@@ -443,8 +443,8 @@ func validate(p Params) error {
 		name string
 		v    float64
 	}{{"TauScale", p.TauScale}, {"Eta", p.Eta}} {
-		if !(s.v >= 0) || math.IsInf(s.v, 1) {
-			return fmt.Errorf("%w: %s = %v must be finite and non-negative (0 = the default)", ErrInvalidParams, s.name, s.v)
+		if !(s.v > 0) || math.IsInf(s.v, 1) {
+			return fmt.Errorf("%w: %s = %v must be finite and positive", ErrInvalidParams, s.name, s.v)
 		}
 	}
 	for _, h := range p.Train.Hidden {

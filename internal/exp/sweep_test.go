@@ -191,7 +191,8 @@ func TestSweepErrorPropagates(t *testing.T) {
 // its cell is built — in Setup for a negative order or fleet size, in
 // WATTER-expect's training for a zero tick, a negative historical order
 // count or a layer without units — or fail late on its first order, for a
-// negative or non-finite deadline or wait-limit scale, comes back as an
+// negative or non-finite deadline or wait-limit scale — or run with the
+// dataset's default in place of a zero scale, comes back as an
 // ErrInvalidParams naming the field from Build, from RunOne and from the
 // sweep, at parallel 1 and 4, instead of crashing the process from a worker
 // goroutine or starting to train.
@@ -231,9 +232,11 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},
 		{"negative history", negHistory, []string{"WATTER-expect"}, "Train.HistoricalOrders"},
 		{"empty layer", emptyLayer, []string{"WATTER-expect"}, "Train.Hidden"},
+		{"zero tau", scaled(0, 0.8), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "TauScale"},
 		{"negative tau", scaled(-1, 0.8), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "TauScale"},
 		{"NaN tau", scaled(math.NaN(), 0.8), []string{"WATTER-timeout", "WATTER-expect"}, "TauScale"},
 		{"infinite tau", scaled(math.Inf(1), 0.8), []string{"WATTER-timeout"}, "TauScale"},
+		{"zero eta", scaled(1.6, 0), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "Eta"},
 		{"negative eta", scaled(1.6, -1), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "Eta"},
 		{"NaN eta", scaled(1.6, math.NaN()), []string{"WATTER-timeout", "WATTER-expect"}, "Eta"},
 		{"infinite eta", scaled(1.6, math.Inf(1)), []string{"WATTER-timeout"}, "Eta"},

@@ -35,7 +35,7 @@ type Config struct {
 	// Tick is the periodic-check interval Δt.
 	Tick float64
 	// TauScale/Eta shape deadlines and wait limits exactly as the dataset
-	// workloads do (defaults 1.6 / 0.8).
+	// workloads do (defaults dataset.DefaultTauScale / DefaultEta).
 	TauScale float64
 	Eta      float64
 	// Buffer and DrainPerTick parameterize the modelled event-bus consumer
@@ -67,10 +67,10 @@ func (c Config) Defaults() Config {
 		c.Tick = 10
 	}
 	if c.TauScale == 0 {
-		c.TauScale = 1.6
+		c.TauScale = dataset.DefaultTauScale
 	}
 	if c.Eta == 0 {
-		c.Eta = 0.8
+		c.Eta = dataset.DefaultEta
 	}
 	if c.Buffer == 0 {
 		c.Buffer = 256

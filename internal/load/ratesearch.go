@@ -14,8 +14,7 @@ import (
 // call a reject-everything platform sustainable. Because every probe is a
 // deterministic virtual-clock run and the bisection iterates a fixed
 // number of times over a fixed bracket, the found rate is bit-identical
-// run to run — a searchable performance number that can sit under a CI
-// gate without flaking.
+// run to run — a searchable performance number a test can pin exactly.
 type SearchConfig struct {
 	// Base is the run template; Base.Arrival.Rate is overwritten per probe.
 	Base Config
