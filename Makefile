@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchdir benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchgate clean
 
 build:
 	$(GO) build ./...
@@ -162,26 +162,20 @@ fixtures:
 	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
 		-out internal/roadnet/testdata/grid6x5
 
-# The sequential-vs-parallel sweep engine's report, BENCH_sweep.json, written
-# into BENCH_OUT. On its own the target re-records the committed baseline in
-# the repository root (run it with GOMAXPROCS=2: the gate refuses to compare
-# reports recorded on different cores); as a prerequisite of benchgate it
-# writes into a scratch directory.
-BENCH_OUT = .
-
+# The sequential-vs-parallel sweep engine's row. benchsweep re-records the
+# committed BENCH_sweep.json in place, holding the fresh row to it first (run
+# it with GOMAXPROCS=2: watterbench refuses a row recorded on other cores).
+# benchgate is what CI's bench step runs: the same check on a copy, so the
+# committed row stays as it is; the fresh row is printed either way.
 benchsweep:
-	$(GO) run ./cmd/watterbench -benchsweep $(BENCH_OUT)/BENCH_sweep.json
+	$(GO) run ./cmd/watterbench -benchsweep BENCH_sweep.json
 
-benchdir:
-	mkdir -p $(BENCH_OUT)
-
-# Produce a fresh sweep report and gate it against the committed one — what
-# CI's bench step does, on the two cores the baseline was recorded on.
-benchgate: BENCH_OUT = /tmp/bench
 benchgate: export GOMAXPROCS = 2
-benchgate: benchdir benchsweep
-	$(GO) run ./cmd/benchgate . $(BENCH_OUT)
+benchgate:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf '$$dir EXIT; \
+	cp BENCH_sweep.json $$dir/; \
+	$(GO) run ./cmd/watterbench -benchsweep $$dir/BENCH_sweep.json -quiet
 
 clean:
 	$(GO) clean
-	rm -f watterbench wattersim wattertrain benchgate
+	rm -f watterbench wattersim wattertrain
