@@ -56,7 +56,7 @@ fuzz:
 # never does, and these four do. Each compiles every package in FMA_PKGS —
 # every package under internal/, so a new one is gated from its first
 # commit, except roadnet, whose 23 arm64 sites are not converted yet
-# (ROADMAP item 6) — and any fused instruction in a symbol of one fails the
+# (DESIGN.md §8) — and any fused instruction in a symbol of one fails the
 # check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64,
 # riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and MADBR/MSDBR and their
 # memory and vector forms (s390x).
@@ -125,6 +125,9 @@ lint:
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
+	@if git grep -n ROADMAP -- '*.go'; then \
+		echo "code cites ROADMAP, which a re-anchor renumbers: cite a DESIGN.md section or CHANGES.md instead"; exit 1; \
+	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/detlint ./...
 
@@ -178,4 +181,4 @@ benchgate:
 
 clean:
 	$(GO) clean
-	rm -f watterbench wattersim wattertrain
+	rm -f watterbench wattersim wattertrain watterload watterproxy

@@ -13,7 +13,7 @@
 //
 // Packages default to ./... relative to the enclosing module root. With
 // -json, findings are emitted as a machine-readable report on stdout
-// (CI uploads it as a workflow artifact alongside the bench reports).
+// (CI uploads it as a workflow artifact, kept even when the step fails).
 // With -annotations, the tool instead prints an inventory of every
 // //det: tag in the tree (location, tag, justification) and exits 0.
 package main

@@ -14,7 +14,11 @@
 //	watterload -rate 2 -workers 300 -horizon 1200
 //	watterload -search=false            # skip the rate bisection
 //
-// Every measurement is virtual-clock deterministic, so the default run is
+// The flags -city -workers -horizon -tick -seed -rate take their defaults
+// from load.Config{}.Defaults(), the harness's one table. The arrival
+// shapes, the starved consumer of the backpressure row and the rate
+// search's predicate and bracket are fixed (DESIGN.md §14). Every
+// measurement is virtual-clock deterministic, so the default run is
 // pinned value for value by TestJournalPinnedToBaseline. The only
 // wall-clock number printed is the harness's own runtime.
 package main
@@ -31,40 +35,24 @@ import (
 
 // options are the command's flags.
 type options struct {
-	quiet                     bool
-	city                      string
-	workers                   int
-	horizon, tick, rate       float64
-	seed                      int64
-	buffer, drain             int
-	bpBuffer, bpDrain, shards int
-	search                    bool
-	searchLo, searchHi        float64
-	searchN                   int
-	quantile, slack, minSvc   float64
+	quiet, search       bool
+	city                string
+	workers             int
+	horizon, tick, rate float64
+	seed                int64
 }
 
 func main() {
+	d := load.Config{}.Defaults()
 	var o options
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-scenario progress")
-	flag.StringVar(&o.city, "city", "cdc", "city profile: nyc, cdc, xia or met")
-	flag.IntVar(&o.workers, "workers", 60, "fleet size")
-	flag.Float64Var(&o.horizon, "horizon", 300, "arrival window in virtual seconds")
-	flag.Float64Var(&o.tick, "tick", 10, "periodic check interval Δt in seconds")
-	flag.Int64Var(&o.seed, "seed", 1, "workload and arrival seed")
-	flag.Float64Var(&o.rate, "rate", 1, "poisson/pareto arrival rate in orders/sec (surge uses rate/2 as its base)")
-	flag.IntVar(&o.buffer, "buffer", 256, "modelled event-bus buffer (platform WithEventBuffer analogue)")
-	flag.IntVar(&o.drain, "drain", 64, "modelled consumer drain per tick")
-	flag.IntVar(&o.bpBuffer, "bpbuffer", 64, "starved-consumer scenario: bus buffer")
-	flag.IntVar(&o.bpDrain, "bpdrain", 8, "starved-consumer scenario: drain per tick")
-	flag.IntVar(&o.shards, "shards", 0, "insert prewarm goroutine count (0/1 inline)")
+	flag.StringVar(&o.city, "city", d.City.Name, "city profile: nyc, cdc, xia or met")
+	flag.IntVar(&o.workers, "workers", d.Workers, "fleet size")
+	flag.Float64Var(&o.horizon, "horizon", d.Horizon, "arrival window in virtual seconds")
+	flag.Float64Var(&o.tick, "tick", d.Tick, "periodic check interval Δt in seconds")
+	flag.Int64Var(&o.seed, "seed", d.Seed, "workload and arrival seed")
+	flag.Float64Var(&o.rate, "rate", d.Arrival.Rate, "poisson/pareto arrival rate in orders/sec (surge uses rate/2 as its base)")
 	flag.BoolVar(&o.search, "search", true, "bisect for the maximum sustainable rate")
-	flag.Float64Var(&o.searchLo, "searchlo", 0.125, "rate-search bracket floor, orders/sec")
-	flag.Float64Var(&o.searchHi, "searchhi", 2, "rate-search bracket ceiling, orders/sec")
-	flag.IntVar(&o.searchN, "searchiters", 4, "rate-search bisection depth")
-	flag.Float64Var(&o.quantile, "quantile", 0.99, "slip quantile the search gates")
-	flag.Float64Var(&o.slack, "slack", 1, "slip budget in ticks for the search predicate")
-	flag.Float64Var(&o.minSvc, "minsvc", 0.5, "service-rate floor for the search predicate")
 	flag.Parse()
 	if _, _, err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -86,37 +74,34 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 		}
 	}
 	base := load.Config{
-		City:         city,
-		Workers:      o.workers,
-		Seed:         o.seed,
-		Horizon:      o.horizon,
-		Tick:         o.tick,
-		Buffer:       o.buffer,
-		DrainPerTick: o.drain,
-		Shards:       o.shards,
+		City:    city,
+		Workers: o.workers,
+		Seed:    o.seed,
+		Arrival: load.ArrivalSpec{Process: load.Poisson, Rate: o.rate, Seed: o.seed},
+		Horizon: o.horizon,
+		Tick:    o.tick,
 	}
 
 	start := time.Now()
 	scenarios := []struct {
 		name          string
-		spec          load.ArrivalSpec
+		process       load.Process
+		rate          float64
 		buffer, drain int
 	}{
-		{"poisson", load.ArrivalSpec{Process: load.Poisson, Rate: o.rate, Seed: o.seed}, 0, 0},
-		{"surge", load.ArrivalSpec{Process: load.Surge, Rate: o.rate / 2, Seed: o.seed}, 0, 0},
-		{"pareto", load.ArrivalSpec{Process: load.Pareto, Rate: o.rate, Seed: o.seed}, 0, 0},
+		{"poisson", load.Poisson, o.rate, 0, 0},
+		{"surge", load.Surge, o.rate / 2, 0, 0},
+		{"pareto", load.Pareto, o.rate, 0, 0},
 		// The starved-consumer scenario exists to place the backpressure
 		// onset: same arrivals as the poisson row, but the modelled
-		// consumer drains far slower than the bus fills.
-		{"backpressure", load.ArrivalSpec{Process: load.Poisson, Rate: o.rate, Seed: o.seed}, o.bpBuffer, o.bpDrain},
+		// consumer drains 8 events a tick from a 64-deep bus.
+		{"backpressure", load.Poisson, o.rate, 64, 8},
 	}
 	results := make([]*load.Result, len(scenarios))
 	for i, sc := range scenarios {
 		cfg := base
-		cfg.Arrival = sc.spec
-		if sc.buffer > 0 {
-			cfg.Buffer, cfg.DrainPerTick = sc.buffer, sc.drain
-		}
+		cfg.Arrival.Process, cfg.Arrival.Rate = sc.process, sc.rate
+		cfg.Buffer, cfg.DrainPerTick = sc.buffer, sc.drain
 		r, err := load.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("watterload: %s: %w", sc.name, err)
@@ -129,22 +114,12 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 	var found *load.SearchResult
 	var maxRate float64
 	if o.search {
-		sc := load.SearchConfig{
-			Base:           base,
-			Quantile:       o.quantile,
-			SlackTicks:     o.slack,
-			MinServiceRate: o.minSvc,
-			Lo:             o.searchLo,
-			Hi:             o.searchHi,
-			Iters:          o.searchN,
-		}
-		sc.Base.Arrival = load.ArrivalSpec{Process: load.Poisson, Seed: o.seed, Rate: o.searchLo}
-		if found, err = load.SearchMaxRate(sc, logf); err != nil {
+		if found, err = load.SearchMaxRate(base, logf); err != nil {
 			return nil, nil, err
 		}
 		maxRate = found.MaxRate
-		logf("watterload: max sustainable rate %.4f orders/sec (slip q%.3g ≤ %.0fs, svc ≥ %.2f) over %d probes\n",
-			found.MaxRate, found.Quantile, found.Budget, o.minSvc, len(found.Probes))
+		logf("watterload: max sustainable rate %.4f orders/sec (slip q%.3g ≤ %.0fs, svc ≥ 0.5) over %d probes\n",
+			found.MaxRate, found.Quantile, found.Budget, len(found.Probes))
 	}
 	fmt.Printf("watterload: %d scenarios on %s (%d workers, %.0fs horizon), max sustainable %.4f orders/sec, wall=%.1fs\n",
 		len(scenarios), city.Name, o.workers, o.horizon, maxRate, time.Since(start).Seconds())

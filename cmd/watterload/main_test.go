@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,13 +9,8 @@ import (
 )
 
 // defaultRun is the flag defaults: CDC, 60 workers, a 300 s horizon, Δt 10,
-// rate 1, buffers 256/64 (64/8 for the starved consumer), seed 1, and the
-// rate search over [0.125, 2] at depth 4.
-var defaultRun = options{
-	quiet: true, city: "cdc", workers: 60, horizon: 300, tick: 10, seed: 1, rate: 1,
-	buffer: 256, drain: 64, bpBuffer: 64, bpDrain: 8,
-	search: true, searchLo: 0.125, searchHi: 2, searchN: 4, quantile: 0.99, slack: 1, minSvc: 0.5,
-}
+// rate 1, seed 1, and the rate search.
+var defaultRun = options{quiet: true, search: true, city: "cdc", workers: 60, horizon: 300, tick: 10, rate: 1, seed: 1}
 
 // pinnedRuns are defaultRun's four scenarios, in run's order.
 var pinnedRuns = []load.Result{
@@ -78,51 +72,62 @@ func pinnedFields(r *load.Result) []field {
 // probes to equal the pinned ones exactly. Everything here is virtual-clock,
 // so any difference is a change in behaviour — of an arrival process, the
 // dispatch path, an event payload or the order of events — and a deliberate
-// one updates the tables above. The scenarios run at the default K = 1 and
-// again with the insert prewarm on two goroutines: K must change nothing.
+// one updates the tables above. The flags arm runs the command; the
+// zero-config arm calls load.Run and load.SearchMaxRate on configs that set
+// only the arrival process, so the harness's own defaults must be the
+// command's.
 func TestJournalPinnedToBaseline(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			o := defaultRun
-			o.shards = shards
-			results, search, err := run(o)
+	check := func(t *testing.T, results []*load.Result, search *load.SearchResult) {
+		if len(results) != len(pinnedRuns) {
+			t.Fatalf("%d scenarios, pinned %d", len(results), len(pinnedRuns))
+		}
+		for i, r := range results {
+			want := pinnedFields(&pinnedRuns[i])
+			for j, got := range pinnedFields(r) {
+				if got.value != want[j].value {
+					t.Errorf("scenario %d (%s): %s = %#v, pinned %#v", i, r.Process, got.name, got.value, want[j].value)
+				}
+			}
+		}
+		if !reflect.DeepEqual(*search, pinnedSearch) {
+			t.Errorf("rate search = %+v,\npinned %+v", *search, pinnedSearch)
+		}
+	}
+	t.Run("flags", func(t *testing.T) {
+		results, search, err := run(defaultRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, results, search)
+	})
+	t.Run("zero-config", func(t *testing.T) {
+		var results []*load.Result
+		for _, cfg := range []load.Config{
+			{Arrival: load.ArrivalSpec{Process: load.Poisson}},
+			{Arrival: load.ArrivalSpec{Process: load.Surge, Rate: 0.5}},
+			{Arrival: load.ArrivalSpec{Process: load.Pareto}},
+			{Arrival: load.ArrivalSpec{Process: load.Poisson}, Buffer: 64, DrainPerTick: 8},
+		} {
+			r, err := load.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(results) != len(pinnedRuns) {
-				t.Fatalf("%d scenarios, pinned %d", len(results), len(pinnedRuns))
-			}
-			for i, r := range results {
-				want := pinnedFields(&pinnedRuns[i])
-				for j, got := range pinnedFields(r) {
-					if got.value != want[j].value {
-						t.Errorf("scenario %d (%s): %s = %#v, pinned %#v", i, r.Process, got.name, got.value, want[j].value)
-					}
-				}
-			}
-			if !reflect.DeepEqual(*search, pinnedSearch) {
-				t.Errorf("rate search = %+v,\npinned %+v", *search, pinnedSearch)
-			}
-		})
-	}
+			results = append(results, r)
+		}
+		search, err := load.SearchMaxRate(load.Config{Arrival: load.ArrivalSpec{Process: load.Poisson}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, results, search)
+	})
 }
 
-// TestNegativeSizesFail: -workers, -buffer and -drain below zero come back
-// as errors naming the load.Config field, where -workers -1 used to panic
-// and the other two were accepted.
+// TestNegativeSizesFail: -workers below zero comes back as an error naming
+// the load.Config field, where it used to panic sizing the fleet.
 func TestNegativeSizesFail(t *testing.T) {
-	for _, tc := range []struct {
-		field                  string
-		workers, buffer, drain int
-	}{
-		{"Workers", -1, 256, 64},
-		{"Buffer", 60, -1, 64},
-		{"DrainPerTick", 60, 256, -1},
-	} {
-		o := options{quiet: true, city: "cdc", workers: tc.workers, horizon: 60, tick: 10, seed: 1, rate: 0.5,
-			buffer: tc.buffer, drain: tc.drain, bpBuffer: 64, bpDrain: 8}
-		if _, _, err := run(o); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s = -1: err = %v, want an error naming %s", tc.field, err, tc.field)
-		}
+	o := defaultRun
+	o.workers, o.horizon, o.rate, o.search = -1, 60, 0.5, false
+	if _, _, err := run(o); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("-workers -1: err = %v, want an error naming Workers", err)
 	}
 }

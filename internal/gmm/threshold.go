@@ -32,8 +32,8 @@ func OptimalThreshold(m *Model, p float64) float64 {
 			bestI = i
 		}
 	}
-	lo := p * float64(maxInt(bestI-1, 0)) / gridN
-	hi := p * float64(minInt(bestI+1, gridN)) / gridN
+	lo := p * float64(max(bestI-1, 0)) / gridN
+	hi := p * float64(min(bestI+1, gridN)) / gridN
 	return goldenMax(func(th float64) float64 { return Gain(m, p, th) }, lo, hi, float64(1e-6*p)+1e-9)
 }
 
@@ -142,18 +142,4 @@ func (s *ThresholdSource) Threshold(o *order.Order, _ float64) float64 {
 // θ* is memoized, so asking for it costs about as much as bounding it.
 func (s *ThresholdSource) ThresholdRange(*order.Order, float64) (lo, hi float64) {
 	return strategy.Unbounded()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -194,9 +194,9 @@ func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapaci
 // of that moment) cannot change the argmin or the ring the scan stops at —
 // each ring's cheapest in-budget worker is always recorded. The tests hold
 // the record to the oracle's and to the cap rule below, which makes it the
-// walk's effort contract; the parked cross-tick probe memo (ROADMAP,
-// "Parked") would key on it, and would keep its per-order records in the
-// pool's dense order slots rather than in a map of pointers.
+// walk's effort contract; a cross-tick probe memo (DESIGN.md §13, "Not
+// budget-monotone") would key on it, and would keep its per-order records
+// in the pool's dense order slots rather than in a map of pointers.
 //
 // The walk skips what cannot answer. A cell whose watermark is after now
 // holds nobody idle. A cell whose distance floor (secPerM times cellGap)

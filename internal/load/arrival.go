@@ -24,14 +24,21 @@ const (
 	// Poisson is the memoryless baseline: exponential inter-arrivals at a
 	// constant rate.
 	Poisson Process = "poisson"
-	// Surge is a non-homogeneous Poisson process: base rate outside the
-	// surge window, SurgeFactor times that inside it, with an optional
-	// linear ramp instead of a step.
+	// Surge is a non-homogeneous Poisson process: the base rate, stepped
+	// up surgeFactor times over the middle third of the horizon.
 	Surge Process = "surge"
 	// Pareto draws heavy-tailed inter-arrivals (Pareto with tail index
-	// ParetoAlpha), scaled so the long-run mean rate still matches Rate —
+	// paretoAlpha), scaled so the long-run mean rate still matches Rate —
 	// bursts and lulls at the same average load.
 	Pareto Process = "pareto"
+)
+
+// The arrival shapes are fixed: a surge is a 3× step over the middle third
+// of the horizon, and Pareto inter-arrivals have tail index 1.5 (above 1,
+// so the mean exists; smaller would be heavier).
+const (
+	surgeFactor = 3
+	paretoAlpha = 1.5
 )
 
 // ArrivalSpec pins one arrival process: the schedule it generates is a
@@ -42,38 +49,6 @@ type ArrivalSpec struct {
 	// base rate outside the surge window).
 	Rate float64
 	Seed int64
-
-	// Surge shape (Process == Surge only). The window [SurgeStart,
-	// SurgeStart+SurgeLen) multiplies the base rate by SurgeFactor; with
-	// SurgeRamp the multiplier ramps linearly from 1 at the window edges to
-	// SurgeFactor at its midpoint instead of stepping.
-	SurgeFactor float64
-	SurgeStart  float64
-	SurgeLen    float64
-	SurgeRamp   bool
-
-	// ParetoAlpha is the tail index (must exceed 1 so the mean exists;
-	// smaller is heavier). Zero defaults to 1.5.
-	ParetoAlpha float64
-}
-
-// Defaults fills zero-valued shape parameters with usable values: surge
-// factor 3 over the middle third of the horizon, Pareto tail index 1.5.
-// Rate, Seed and Process are never defaulted — they are the experiment.
-func (s ArrivalSpec) Defaults(horizon float64) ArrivalSpec {
-	if s.Process == Surge {
-		if s.SurgeFactor == 0 {
-			s.SurgeFactor = 3
-		}
-		if s.SurgeLen == 0 {
-			s.SurgeStart = horizon / 3
-			s.SurgeLen = horizon / 3
-		}
-	}
-	if s.Process == Pareto && s.ParetoAlpha == 0 {
-		s.ParetoAlpha = 1.5
-	}
-	return s
 }
 
 // Validate rejects specs the generators cannot honor.
@@ -86,17 +61,6 @@ func (s ArrivalSpec) Validate() error {
 	if s.Rate <= 0 || math.IsInf(s.Rate, 0) || math.IsNaN(s.Rate) {
 		return fmt.Errorf("load: arrival rate must be a positive finite orders/sec, got %v", s.Rate)
 	}
-	if s.Process == Surge {
-		if s.SurgeFactor < 1 {
-			return fmt.Errorf("load: surge factor must be at least 1, got %v", s.SurgeFactor)
-		}
-		if s.SurgeStart < 0 || s.SurgeLen < 0 {
-			return fmt.Errorf("load: surge window [%v, +%v) must be non-negative", s.SurgeStart, s.SurgeLen)
-		}
-	}
-	if s.Process == Pareto && s.ParetoAlpha <= 1 {
-		return fmt.Errorf("load: Pareto tail index must exceed 1 so the mean inter-arrival exists, got %v", s.ParetoAlpha)
-	}
 	return nil
 }
 
@@ -104,7 +68,6 @@ func (s ArrivalSpec) Validate() error {
 // increasing slice of release offsets. Same (spec, horizon) ⇒ byte-identical
 // slice — the determinism the whole harness inherits.
 func (s ArrivalSpec) Times(horizon float64) ([]float64, error) {
-	s = s.Defaults(horizon)
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -116,9 +79,9 @@ func (s ArrivalSpec) Times(horizon float64) ([]float64, error) {
 	case Poisson:
 		return homogeneous(rng, s.Rate, horizon), nil
 	case Surge:
-		return thinned(rng, s, horizon), nil
+		return thinned(rng, s.Rate, horizon), nil
 	default: // Pareto
-		return pareto(rng, s.Rate, s.ParetoAlpha, horizon), nil
+		return pareto(rng, s.Rate, horizon), nil
 	}
 }
 
@@ -152,8 +115,10 @@ func homogeneous(rng *rand.Rand, rate, horizon float64) []float64 {
 // thinned samples the surge process by Lewis-Shedler thinning: propose at
 // the peak rate, accept with probability λ(t)/λmax. Both draws come from
 // the one stream, keeping the schedule deterministic.
-func thinned(rng *rand.Rand, s ArrivalSpec, horizon float64) []float64 {
-	peak := s.Rate * s.SurgeFactor
+func thinned(rng *rand.Rand, rate, horizon float64) []float64 {
+	peak := rate * surgeFactor
+	start := horizon / 3
+	end := start + horizon/3
 	var out []float64
 	t := 0.0
 	for {
@@ -161,35 +126,25 @@ func thinned(rng *rand.Rand, s ArrivalSpec, horizon float64) []float64 {
 		if t >= horizon {
 			return out
 		}
-		if rng.Float64()*peak < s.rateAt(t) {
+		lambda := rate // λ(t): the base rate, and peak inside [start, end)
+		if t >= start && t < end {
+			lambda = peak
+		}
+		if rng.Float64()*peak < lambda {
 			out = append(out, t)
 		}
 	}
 }
 
-// rateAt is the surge intensity λ(t).
-func (s ArrivalSpec) rateAt(t float64) float64 {
-	if t < s.SurgeStart || t >= s.SurgeStart+s.SurgeLen {
-		return s.Rate
-	}
-	if !s.SurgeRamp {
-		return s.Rate * s.SurgeFactor
-	}
-	// Linear ramp: 1 at the window edges, SurgeFactor at its midpoint.
-	frac := (t - s.SurgeStart) / s.SurgeLen // in [0,1)
-	tri := 1 - math.Abs(2*frac-1)           // 0 at edges, 1 at midpoint
-	return s.Rate * (1 + float64((s.SurgeFactor-1)*tri))
-}
-
-// pareto sums Pareto(alpha) inter-arrivals with the scale chosen so the
-// mean inter-arrival is 1/rate: xm = (alpha-1)/(alpha*rate).
-func pareto(rng *rand.Rand, rate, alpha, horizon float64) []float64 {
-	xm := (alpha - 1) / (alpha * rate)
+// pareto sums Pareto(paretoAlpha) inter-arrivals with the scale chosen so
+// the mean inter-arrival is 1/rate: xm = (alpha-1)/(alpha*rate).
+func pareto(rng *rand.Rand, rate, horizon float64) []float64 {
+	xm := (paretoAlpha - 1) / (paretoAlpha * rate)
 	var out []float64
 	t := 0.0
 	for {
 		u := 1 - float64(rng.Float64()) // in (0,1]; converted as in homogeneous
-		t += float64(xm * math.Pow(u, -1/alpha))
+		t += float64(xm * math.Pow(u, -1/paretoAlpha))
 		if t >= horizon {
 			return out
 		}

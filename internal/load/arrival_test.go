@@ -8,9 +8,8 @@ import (
 func specs() []ArrivalSpec {
 	return []ArrivalSpec{
 		{Process: Poisson, Rate: 2, Seed: 7},
-		{Process: Surge, Rate: 2, Seed: 7, SurgeFactor: 3, SurgeStart: 200, SurgeLen: 200},
-		{Process: Surge, Rate: 2, Seed: 7, SurgeFactor: 4, SurgeStart: 100, SurgeLen: 400, SurgeRamp: true},
-		{Process: Pareto, Rate: 2, Seed: 7, ParetoAlpha: 1.5},
+		{Process: Surge, Rate: 2, Seed: 7},
+		{Process: Pareto, Rate: 2, Seed: 7},
 	}
 }
 
@@ -84,14 +83,10 @@ func TestArrivalShape(t *testing.T) {
 			last = x
 		}
 		// Expected counts: Poisson/Pareto ≈ rate*horizon; surge adds the
-		// window excess (step: (factor-1)*len; ramp: half that).
+		// window excess, (surgeFactor-1) times the middle third.
 		expected := s.Rate * horizon
 		if s.Process == Surge {
-			excess := (s.SurgeFactor - 1) * s.SurgeLen
-			if s.SurgeRamp {
-				excess /= 2
-			}
-			expected += s.Rate * excess
+			expected += s.Rate * (surgeFactor - 1) * horizon / 3
 		}
 		n := float64(len(times))
 		if n < expected*0.6 || n > expected*1.6 {
@@ -106,9 +101,8 @@ func TestArrivalValidate(t *testing.T) {
 		{Process: "uniform", Rate: 1},
 		{Process: Poisson, Rate: 0},
 		{Process: Poisson, Rate: math.Inf(1)},
-		{Process: Surge, Rate: 1, SurgeFactor: 0.5},
-		{Process: Surge, Rate: 1, SurgeFactor: 2, SurgeStart: -1, SurgeLen: 10},
-		{Process: Pareto, Rate: 1, ParetoAlpha: 1},
+		{Process: Surge, Rate: math.NaN()},
+		{Process: Pareto, Rate: -1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

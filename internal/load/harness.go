@@ -17,13 +17,13 @@ import (
 )
 
 // Config is one open-loop load run: a city, a fleet, an arrival process
-// and the modelled event-bus consumer.
+// and the modelled event-bus consumer. Capacity, τ and η are the paper's
+// defaults (four seats, dataset.DefaultTauScale, dataset.DefaultEta).
 type Config struct {
-	// City is the demand/network profile (default: CDC).
+	// City is the demand/network profile.
 	City dataset.Profile
-	// Workers is the fleet size; MaxCap the per-worker capacity cap.
+	// Workers is the fleet size.
 	Workers int
-	MaxCap  int
 	// Seed drives endpoint sampling and worker placement; the arrival
 	// schedule has its own seed inside Arrival.
 	Seed int64
@@ -34,22 +34,17 @@ type Config struct {
 	Horizon float64
 	// Tick is the periodic-check interval Δt.
 	Tick float64
-	// TauScale/Eta shape deadlines and wait limits exactly as the dataset
-	// workloads do (defaults dataset.DefaultTauScale / DefaultEta).
-	TauScale float64
-	Eta      float64
 	// Buffer and DrainPerTick parameterize the modelled event-bus consumer
-	// (see QueueModel); defaults 256 and 64.
+	// (see QueueModel).
 	Buffer       int
 	DrainPerTick int
-	// Shards is how many goroutines run an insert's pairwise prewarm
-	// (0/1 inline); decisions and events are identical at any value.
-	Shards int
 }
 
-// Defaults fills zero fields with the harness defaults: the CDC profile,
-// a 60-worker fleet, Δt = 10 s over a 600 s arrival window, paper-default
-// deadline shaping, and a 256-deep bus drained 64 events per tick.
+// Defaults fills zero fields from the harness's one table of defaults,
+// which watterload's flags also default to: the CDC profile, 60 workers,
+// seed 1, a Poisson process at 1 order/s with arrival seed 1, a 300 s
+// arrival window at Δt = 10 s, and a 256-deep bus drained 64 events per
+// tick. A zero seed therefore reads as 1.
 func (c Config) Defaults() Config {
 	if c.City.Name == "" {
 		c.City = dataset.CDC()
@@ -57,20 +52,23 @@ func (c Config) Defaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 60
 	}
-	if c.MaxCap == 0 {
-		c.MaxCap = 4
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.Arrival.Process == "" {
+		c.Arrival.Process = Poisson
+	}
+	if c.Arrival.Rate == 0 {
+		c.Arrival.Rate = 1
+	}
+	if c.Arrival.Seed == 0 {
+		c.Arrival.Seed = 1
 	}
 	if c.Horizon == 0 {
-		c.Horizon = 600
+		c.Horizon = 300
 	}
 	if c.Tick == 0 {
 		c.Tick = 10
-	}
-	if c.TauScale == 0 {
-		c.TauScale = dataset.DefaultTauScale
-	}
-	if c.Eta == 0 {
-		c.Eta = dataset.DefaultEta
 	}
 	if c.Buffer == 0 {
 		c.Buffer = 256
@@ -120,7 +118,7 @@ type Result struct {
 	// paper), so raw latency can never be compared against Δt; what the
 	// platform owes each order is a decision within η plus at most one
 	// periodic check. Slip measures how far past that promise decisions
-	// land, and is what the rate search gates against SlackTicks·Δt.
+	// land, and is what the rate search holds to one Δt.
 	Slip Hist
 	// SlipP99 is Slip.Quantile(0.99), the headline timeliness number.
 	SlipP99 float64
@@ -234,11 +232,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	city := cfg.City.Build()
-	orders := city.Orders(dataset.WorkloadConfig{
-		Orders: len(times), Seed: cfg.Seed, TauScale: cfg.TauScale, Eta: cfg.Eta,
-	})
-	orders = Retime(orders, times, cfg.TauScale)
-	workers := city.Workers(cfg.Workers, cfg.MaxCap, cfg.Seed+1000)
+	orders := city.Orders(dataset.WorkloadConfig{Orders: len(times), Seed: cfg.Seed})
+	orders = Retime(orders, times, dataset.DefaultTauScale)
+	workers := city.Workers(cfg.Workers, sim.DefaultConfig().Capacity, cfg.Seed+1000)
 
 	res := &Result{
 		Process:   cfg.Arrival.Process,
@@ -299,21 +295,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	scfg := sim.DefaultConfig()
-	scfg.Capacity = cfg.MaxCap
-	popt := pool.DefaultOptions()
-	popt.Capacity, popt.MaxGroupSize = cfg.MaxCap, cfg.MaxCap
-	opts := []platform.Option{
-		platform.WithConfig(scfg),
+	p, err := platform.New(city.Net, workers,
 		platform.WithTick(cfg.Tick),
 		platform.WithMeasuredTime(false),
-		platform.WithAlgorithm(core.New(strategy.Online{}, popt)),
+		platform.WithAlgorithm(core.New(strategy.Online{}, pool.DefaultOptions())),
 		platform.WithObserver(observe),
-	}
-	if cfg.Shards > 1 {
-		opts = append(opts, platform.WithShards(cfg.Shards))
-	}
-	p, err := platform.New(city.Net, workers, opts...)
+	)
 	if err != nil {
 		return nil, err
 	}

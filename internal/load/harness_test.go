@@ -14,17 +14,14 @@ import (
 //	tick 1: pushes at t=2, t=4, t=10   → depth 1,2,3   peak 3, no onset; drain → 2
 //	tick 2: pushes at t=12, t=14, t=20 → depth 3,4,5   the t=20 push is the
 //	        first to exceed the buffer → onset latches at 20; drain → 4
+//
+// The subtest is named for the constructor it builds the model with.
 func TestQueueModelPinned(t *testing.T) {
-	for name, newModel := range map[string]func(buffer, drain int) *QueueModel{
-		"NewQueueModel":  NewQueueModel,
-		"struct literal": func(buffer, drain int) *QueueModel { return &QueueModel{Buffer: buffer, DrainPerTick: drain} },
-	} {
-		t.Run(name, func(t *testing.T) { queueModelPinned(t, newModel) })
-	}
+	t.Run("NewQueueModel", queueModelPinned)
 }
 
-func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel) {
-	q := newModel(4, 1)
+func queueModelPinned(t *testing.T) {
+	q := NewQueueModel(4, 1)
 	q.Push(2)
 	q.Push(4)
 	q.Push(10)
@@ -55,7 +52,7 @@ func queueModelPinned(t *testing.T, newModel func(buffer, drain int) *QueueModel
 		t.Fatalf("onset moved after draining: %v", q.Onset())
 	}
 	// Drain below zero clamps.
-	big := newModel(10, 100)
+	big := NewQueueModel(10, 100)
 	big.Push(1)
 	big.Drain()
 	if big.depth != 0 {
@@ -196,24 +193,12 @@ func TestRetime(t *testing.T) {
 // TestSearchMaxRate runs a tiny deterministic bisection twice and checks
 // the bracketing invariants plus run-to-run bit-identity.
 func TestSearchMaxRate(t *testing.T) {
-	sc := SearchConfig{
-		Base: Config{
-			Workers: 60,
-			Seed:    5,
-			Horizon: 300,
-			Arrival: ArrivalSpec{Process: Poisson, Seed: 5, Rate: 1},
-		},
-		Quantile:   0.99,
-		SlackTicks: 1,
-		Lo:         0.125,
-		Hi:         2,
-		Iters:      3,
-	}
-	a, err := SearchMaxRate(sc, nil)
+	base := Config{Seed: 5, Arrival: ArrivalSpec{Process: Poisson, Seed: 5}}
+	a, err := SearchMaxRate(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchMaxRate(sc, nil)
+	b, err := SearchMaxRate(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +211,8 @@ func TestSearchMaxRate(t *testing.T) {
 			t.Fatalf("probe %d differs: %+v vs %+v", i, a.Probes[i], b.Probes[i])
 		}
 	}
-	if a.MaxRate < sc.Lo || a.MaxRate > sc.Hi {
-		t.Fatalf("found rate %v outside bracket [%v, %v]", a.MaxRate, sc.Lo, sc.Hi)
+	if a.MaxRate < searchLo || a.MaxRate > searchHi {
+		t.Fatalf("found rate %v outside bracket [%v, %v]", a.MaxRate, searchLo, searchHi)
 	}
 	// Every sustainable probe must sit at or below every unsustainable one
 	// after bisection converges... not true in general for noisy systems,

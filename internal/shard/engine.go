@@ -11,22 +11,22 @@ import "sync"
 
 // Stats counts the engine's work over one run.
 type Stats struct {
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	GroupHits uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	GroupInvalid uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	GroupMiss uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	SoloHits uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	SoloInvalid uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	SoloMiss uint64
 	// PrewarmTasks counts pairwise shareability plans computed through the
 	// engine at insert time.
 	PrewarmTasks uint64
-	// Deprecated: always 0 since speculation was removed; deleted with benchmark/'s shard reads (ROADMAP item 1(b)).
+	// Deprecated: always 0 since speculation was removed; deleted once benchmark/ stops reading it (DESIGN.md §9).
 	SlotHandoffs uint64
 }
 

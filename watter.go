@@ -214,7 +214,8 @@ type (
 	// rate, seed, horizon).
 	ArrivalSpec = load.ArrivalSpec
 	// LoadConfig is one open-loop load run: city, fleet, arrival process
-	// and the modelled event-bus consumer.
+	// and the modelled event-bus consumer. Its zero fields take the
+	// defaults cmd/watterload's flags default to (LoadConfig.Defaults).
 	LoadConfig = load.Config
 	// LoadResult is one run's deterministic measurements (throughput,
 	// latency and slip histograms, backpressure onset, stream/journal
@@ -222,8 +223,6 @@ type (
 	LoadResult = load.Result
 	// LatencyHist is a mergeable log-bucketed (HDR-style) histogram.
 	LatencyHist = load.Hist
-	// RateSearchConfig brackets the maximum sustainable arrival rate.
-	RateSearchConfig = load.SearchConfig
 	// RateSearchResult reports the bisection outcome and every probe.
 	RateSearchResult = load.SearchResult
 )
@@ -239,8 +238,10 @@ const (
 var (
 	// RunLoad executes one open-loop load run.
 	RunLoad = load.Run
-	// SearchMaxRate bisects for the maximum sustainable arrival rate
-	// (deterministic: fixed bracket, fixed depth, virtual-clock probes).
+	// SearchMaxRate bisects a LoadConfig's arrival rate for the maximum
+	// sustainable one (deterministic: fixed predicate, bracket and depth,
+	// virtual-clock probes); SearchMaxRate(LoadConfig{}, nil) answers
+	// cmd/watterload's default search.
 	SearchMaxRate = load.SearchMaxRate
 	// Retime rewrites a generated workload onto an arrival schedule —
 	// the bridge between arrival processes and the sweep harness.
