@@ -112,13 +112,15 @@ benchpairs:
 	done; \
 	$$dir/change.bin -compare $$dir/parent $$dir/change
 
-# How often TestSmoke/metro_ch fails: its root-coverage check reads low now
-# and then, more often the faster the tick gets. Twenty runs, one line
-# "k/20 failed"; compare a change against its parent over several batches.
+# How often each TestSmoke workload fails: its root-coverage check reads low
+# now and then, more often the faster the tick gets. Twenty runs of every
+# subtest, one line "<workload>: k/20 failed" per workload, so a change that
+# speeds up one workload shows that workload's own count; compare a change
+# against its parent over several batches.
 smokeflake:
-	@$(GO) test -count=20 -run 'TestSmoke/metro_ch' -v ./benchmark 2>&1 | \
-		awk '/^    --- FAIL: TestSmoke\/metro_ch/ {f++} /^    --- PASS: TestSmoke\/metro_ch/ {p++} \
-			END {printf "%d/%d failed\n", f, f + p}'
+	@$(GO) test -count=20 -run 'TestSmoke' -v ./benchmark 2>&1 | \
+		awk '$$1 == "---" && $$3 ~ /^TestSmoke\// {w = substr($$3, 11); n[w]++; if ($$2 == "FAIL:") f[w]++} \
+			END {for (w in n) printf "%s: %d/%d failed\n", w, f[w], n[w]}' | sort
 
 lint:
 	@fmtout="$$(gofmt -l .)"; \

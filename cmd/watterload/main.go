@@ -112,16 +112,25 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 	}
 
 	var found *load.SearchResult
-	var maxRate float64
 	if o.search {
 		if found, err = load.SearchMaxRate(base, logf); err != nil {
 			return nil, nil, err
 		}
-		maxRate = found.MaxRate
 		logf("watterload: max sustainable rate %.4f orders/sec (slip q%.3g ≤ %.0fs, svc ≥ 0.5) over %d probes\n",
 			found.MaxRate, found.Quantile, found.Budget, len(found.Probes))
 	}
-	fmt.Printf("watterload: %d scenarios on %s (%d workers, %.0fs horizon), max sustainable %.4f orders/sec, wall=%.1fs\n",
-		len(scenarios), city.Name, o.workers, o.horizon, maxRate, time.Since(start).Seconds())
+	fmt.Println(summary(o, len(scenarios), city.Name, found, time.Since(start)))
 	return results, found, nil
+}
+
+// summary is run's last line: the scenarios, the setting, the rate search's
+// answer — or that no search ran, which a rate of 0 would misreport as a
+// measured one — and the wall time.
+func summary(o options, scenarios int, city string, found *load.SearchResult, wall time.Duration) string {
+	rate := "not searched (-search=false)"
+	if found != nil {
+		rate = fmt.Sprintf("%.4f orders/sec", found.MaxRate)
+	}
+	return fmt.Sprintf("watterload: %d scenarios on %s (%d workers, %.0fs horizon), max sustainable rate %s, wall=%.1fs",
+		scenarios, city, o.workers, o.horizon, rate, wall.Seconds())
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"watter/internal/load"
 )
@@ -129,5 +130,21 @@ func TestNegativeSizesFail(t *testing.T) {
 	o.workers, o.horizon, o.rate, o.search = -1, 60, 0.5, false
 	if _, _, err := run(o); err == nil || !strings.Contains(err.Error(), "Workers") {
 		t.Errorf("-workers -1: err = %v, want an error naming Workers", err)
+	}
+}
+
+// TestSummaryLine pins run's last line with and without the rate search:
+// a skipped search says so instead of printing a rate of 0.
+func TestSummaryLine(t *testing.T) {
+	for _, c := range []struct {
+		found *load.SearchResult
+		want  string
+	}{
+		{&pinnedSearch, "watterload: 4 scenarios on CDC (60 workers, 300s horizon), max sustainable rate 0.8281 orders/sec, wall=1.5s"},
+		{nil, "watterload: 4 scenarios on CDC (60 workers, 300s horizon), max sustainable rate not searched (-search=false), wall=1.5s"},
+	} {
+		if got := summary(defaultRun, 4, "CDC", c.found, 1500*time.Millisecond); got != c.want {
+			t.Errorf("summary line\n got %q\nwant %q", got, c.want)
+		}
 	}
 }

@@ -62,11 +62,14 @@ func poolStats(alg sim.Algorithm) pool.CacheStats {
 // filter all off). The baselines have no pool and pin the harness path; the
 // three WATTER variants exercise the cache on every insert, tick and
 // dispatch. PairsPruned guards the graph arms against vacuity and pins that
-// the closed-form city runs the code it always ran.
+// the closed-form city runs the code it always ran; PrefixPruned, summed
+// over an arm, does the same for the prefix rule, which runs only on the
+// closed-form city's exact XIA lattice (85/4 s blocks).
 func TestPoolCacheEquivalence(t *testing.T) {
 	r := NewRunner()
 	for _, arm := range equivArms(r) {
 		base := arm.params
+		var prefixPruned uint64
 		for _, seed := range arm.seeds {
 			p := base
 			p.Seed = seed
@@ -110,8 +113,16 @@ func TestPoolCacheEquivalence(t *testing.T) {
 						t.Fatalf("%s %s seed %d: PairsPruned = %d, want > 0 exactly on graph cities",
 							arm.name, name, seed, st.PairsPruned)
 					}
+					if arm.graph && st.PrefixPruned > 0 {
+						t.Fatalf("%s %s seed %d: PrefixPruned = %d on a graph city, want 0",
+							arm.name, name, seed, st.PrefixPruned)
+					}
+					prefixPruned += st.PrefixPruned
 				}
 			}
+		}
+		if !arm.graph && prefixPruned == 0 {
+			t.Fatalf("%s: the prefix rule never ran on an exact lattice", arm.name)
 		}
 	}
 }

@@ -141,5 +141,6 @@ func (s *Stats) Merge(t Stats) {
 	s.PoolCache.PlansMaterialized += t.PoolCache.PlansMaterialized
 	s.PoolCache.PlansReused += t.PoolCache.PlansReused
 	s.PoolCache.PairsPruned += t.PoolCache.PairsPruned
+	s.PoolCache.PrefixPruned += t.PoolCache.PrefixPruned
 	s.PoolCacheActive = s.PoolCacheActive || t.PoolCacheActive
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"watter/internal/geo"
@@ -46,16 +47,17 @@ func (serialExec) Run(tasks []func()) {
 
 // FuzzPoolOps drives a pool and its DisablePlanCache twin through one
 // operation script decoded from bytes — the first byte picks the network
-// (a closed-form GridCity or an ALT Graph with lower bounds) and the cell
-// prefilter, then op/argument pairs Insert (plain or after PrewarmPairs),
-// Remove, RemoveGroup, ExpireEdges or advance the clock — and checks after
-// every step that both pools pool the same orders with the same edges and
-// the same best groups and τg, bit for bit, that ExpireEdges returned the
-// same IDs, and that the slot invariants hold (checkSlots). Each (slot,
-// generation) pair must name one order for the whole run: a slot reused
-// without a new generation would let the leg store's within-leg memo serve
-// the previous order's leg. The named seeds in testdata/fuzz run under
-// plain `go test`.
+// (a closed-form GridCity with exact 10 s blocks, where the prefix rule
+// runs, or an ALT Graph with lower bounds) and the cell prefilter, then
+// op/argument pairs Insert (plain or after PrewarmPairs), Remove,
+// RemoveGroup, ExpireEdges or advance the clock — and checks after every
+// step that both pools pool the same orders with the same edges and the
+// same best groups and τg, bit for bit, that ExpireEdges returned the same
+// IDs, that the slot invariants hold (checkSlots) and that the cached keys
+// are sound (checkKeys). Each (slot, generation) pair must name one order
+// for the whole run: a slot reused without a new generation would let the
+// leg store's within-leg memo serve the previous order's leg. The named
+// seeds in testdata/fuzz run under plain `go test`.
 func FuzzPoolOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
@@ -73,6 +75,7 @@ func FuzzPoolOps(f *testing.F) {
 		opt.DisablePlanCache = true
 		plain := New(route.NewPlanner(net), gridindex.New(net, 4), opt)
 		owner := map[route.Slot]int{} // every (slot, generation) the cached pool used, and its order
+		var keys []planKey            // the keys the cached pool held after the last step
 
 		now, nextID := 0.0, 1
 		for len(script) >= 2 {
@@ -118,8 +121,43 @@ func FuzzPoolOps(f *testing.F) {
 			comparePools(t, cached, plain, now)
 			checkSlots(t, cached, owner)
 			checkSlots(t, plain, nil)
+			keys = checkKeys(t, cached, now, keys)
 		}
 	})
+}
+
+// checkKeys fails unless every negative key the pool caches is infeasible
+// for a fresh DP at now — the prefix rule records nothing negative that the
+// DP would not — and every key of before whose members are all still pooled
+// is cached still: a key leaves only with a member. It returns the keys the
+// pool caches now.
+func checkKeys(t *testing.T, p *Pool, now float64, before []planKey) []planKey {
+	t.Helper()
+	for _, key := range before {
+		pooled := true
+		for _, id := range key.ids[:key.n] {
+			pooled = pooled && p.Contains(id)
+		}
+		if _, ok := p.cache.entries[key]; pooled && !ok {
+			t.Fatalf("at %v: key %v left the cache while its members are pooled", now, key)
+		}
+	}
+	var keys []planKey
+	var members [route.MaxGroupSize]*order.Order
+	var svc [route.MaxGroupSize]float64
+	for key, ent := range p.cache.entries {
+		keys = append(keys, key)
+		if ent.feasible {
+			continue
+		}
+		for i, id := range key.ids[:key.n] {
+			members[i] = p.Order(id)
+		}
+		if _, _, ok := p.planner.PlanGroupCost(members[:key.n], now, p.opt.Capacity, nil, svc[:]); ok {
+			t.Fatalf("at %v: key %v is cached negative, and a fresh DP finds a route", now, key)
+		}
+	}
+	return keys
 }
 
 // fuzzOrder decodes one order released at now from an argument byte: the
@@ -199,8 +237,10 @@ func comparePools(t *testing.T, cached, plain *Pool, now float64) {
 //   - adjacency is ID-sorted and symmetric: the neighbor's entry has the
 //     same expiry and the same leg block, every edge has its own block when
 //     the cache is on and none when it is off, and no other block is live;
-//   - every cached entry is listed on each member's slot, and every listed
-//     entry that is not evicted is the cached one for its key;
+//   - every cached key holds one live eviction record, listed on each
+//     member's slot; every live ref a slot lists names a cached key the
+//     order is a member of; a record is live or free, never both; every
+//     negative key maps to the cache's sentinel, which nothing wrote;
 //   - with owner non-nil, no (slot, generation) pair ever named two orders.
 func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	t.Helper()
@@ -281,26 +321,46 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	if p.cache == nil {
 		return
 	}
-	listed := 0
+	c := p.cache
+	if c.negative != (planEntry{}) {
+		t.Fatalf("the negative sentinel was written: %+v", c.negative)
+	}
+	free := map[int32]bool{}
+	for _, i := range c.free {
+		if free[i] {
+			t.Fatalf("eviction record %d is freed twice", i)
+		}
+		free[i] = true
+	}
+	listed := map[int32]int{} // live record -> refs listed on member slots
 	for _, r := range p.live {
-		for _, ent := range p.nodes[r.slot].plans {
-			if ent.evicted {
+		for _, ref := range p.nodes[r.slot].plans {
+			rec := c.recs[ref.rec]
+			if rec.gen != ref.gen {
 				continue
 			}
-			if p.cache.entries[memberKey(ent.orders())] != ent || !groupContains(&order.Group{Orders: ent.orders()}, r.id) {
-				t.Fatalf("order %d lists an entry the cache does not hold for it", r.id)
+			if free[ref.rec] {
+				t.Fatalf("order %d lists a live ref to the free record %d", r.id, ref.rec)
 			}
-			listed++
+			ent, ok := c.entries[rec.key]
+			if !ok || !slices.Contains(rec.key.ids[:rec.key.n], r.id) {
+				t.Fatalf("order %d lists a record of key %v the cache does not hold for it", r.id, rec.key)
+			}
+			if ent.feasible && memberKey(ent.orders()) != rec.key {
+				t.Fatalf("key %v maps to the entry of %v", rec.key, memberKey(ent.orders()))
+			}
+			if !ent.feasible && ent.n == 0 && ent != &c.negative {
+				t.Fatalf("key %v maps to a memberless entry that is not the sentinel", rec.key)
+			}
+			listed[ref.rec]++
 		}
 	}
-	want := 0
-	for _, ent := range p.cache.entries {
-		if ent.evicted {
-			t.Fatalf("cache holds an evicted entry")
+	for i, n := range listed {
+		if key := c.recs[i].key; n != key.n {
+			t.Fatalf("key %v is listed on %d member slots", key, n)
 		}
-		want += ent.n
 	}
-	if listed != want {
-		t.Fatalf("slots list %d entry memberships, the cache holds %d", listed, want)
+	if len(listed) != len(c.entries) || len(listed)+len(c.free) != len(c.recs) {
+		t.Fatalf("%d keys cached, %d records listed, %d free of %d", len(c.entries), len(listed), len(c.free), len(c.recs))
 	}
 }

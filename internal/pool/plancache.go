@@ -26,11 +26,25 @@ import (
 // Keys are the canonical (ascending-ID) member signature, a fixed-size
 // array of IDs; the pool plans every clique in canonical member order, so
 // cached and fresh computations share one member indexing and stay
-// bit-identical. An entry carries its members and service times inline, so a
-// miss allocates the entry and nothing else. Entries are evicted
-// when any member leaves the pool (Remove/RemoveGroup); a positive entry
-// whose τg has passed is replanned in place at the current clock — the
-// cheapest route died, but a costlier one may still be live.
+// bit-identical. A positive entry carries its members and service times
+// inline, so a positive miss allocates the entry and nothing else; a miss
+// plans into a reusable probe entry and only a positive outcome is promoted.
+// A negative key maps to the cache's one sentinel entry, so negative
+// knowledge costs no heap object. Keys are evicted when any member leaves
+// the pool (Remove/RemoveGroup) through a record slab (planRec, planRef); a
+// positive entry whose τg has passed is replanned in place at the current
+// clock — the cheapest route died, but a costlier one may still be live.
+//
+// On a network whose costs are exact (roadnet.ExactNetwork), a third
+// invariant holds bit for bit:
+//
+//  3. Subset feasibility. Dropping one member's two stops from a feasible
+//     route of a set leaves a route of the subset that arrives at every
+//     remaining stop no later (the triangle inequality, exact because every
+//     sum of legs is) and never carries more riders, so the subset is
+//     feasible at the same now. A clique whose prefix (the clique minus its
+//     last enumerated member) is negative is therefore negative too, and is
+//     recorded so without a DP (CacheStats.PrefixPruned).
 
 // CacheStats counts plan-cache traffic over one pool lifetime.
 type CacheStats struct {
@@ -49,6 +63,10 @@ type CacheStats struct {
 	// route.PairInfeasible: no leg block, no DP, no lookup. Always 0 on a
 	// network without lower bounds.
 	PairsPruned uint64
+	// PrefixPruned counts the misses and renewals (a subset of Misses and
+	// Renewed) recorded negative because the clique's prefix was negative,
+	// without a DP. Always 0 on a network whose costs are not exact.
+	PrefixPruned uint64
 }
 
 // PlansAvoided is the number of route DPs the cache absorbed.
@@ -66,8 +84,8 @@ func (s CacheStats) HitRate() float64 {
 // planEntry memoizes one member set's route DP outcome. members and svc are
 // in canonical (ascending-ID) order, n long; group is materialized lazily,
 // only when the clique actually wins some order's best-group race (its
-// Orders alias the entry's member array). evicted is set once the entry
-// leaves the cache's map; members' plans lists may still hold it.
+// Orders alias the entry's member array). The cache's negative sentinel
+// has no members.
 //
 //det:scratch entries are written only by their constructing goroutine before cacheInsert publishes them
 type planEntry struct {
@@ -76,7 +94,6 @@ type planEntry struct {
 	n        int
 	expiry   float64 // τg (Eq. 3)
 	feasible bool
-	evicted  bool
 	group    *order.Group
 }
 
@@ -109,11 +126,32 @@ func memberKey(members []*order.Order) (k planKey) {
 
 // planCache is the per-pool memo. It is confined to the pool's goroutine,
 // like every other piece of pool state. Its one map is keyed by member
-// set; which entries an order belongs to is listed on the order's slot
-// (node.plans).
+// set; every cached key also holds a record in the slab recs, and each
+// member's slot lists refs to the records of its keys (node.plans), for
+// eviction.
 type planCache struct {
 	entries map[planKey]*planEntry
-	stats   CacheStats
+	// negative is the entry every negative miss maps its key to. Nothing
+	// writes it: it is never feasible, so it is never renewed or
+	// materialized.
+	negative planEntry
+	recs     []planRec
+	free     []int32 // evicted records, reused last-freed first
+	stats    CacheStats
+}
+
+// planRec is one cached key's eviction record. gen moves on when the key
+// is evicted, which turns every ref to the record stale.
+type planRec struct {
+	key planKey
+	gen uint32
+}
+
+// planRef names a slab record from a member's slot; it is stale once the
+// record's generation moved on (a co-member evicted the key).
+type planRef struct {
+	rec int32
+	gen uint32
 }
 
 func newPlanCache() *planCache {
@@ -122,27 +160,56 @@ func newPlanCache() *planCache {
 
 // planEntryFor returns the plan-cache entry for the canonical member set
 // (orders and slots as canonical returns them) at time now, computing (or
-// renewing) it when needed. With the cache disabled it returns a fresh
-// transient entry — the same computation the cached path would run on a
-// miss, so both modes are bit-identical decision for decision.
-func (p *Pool) planEntryFor(canon []*order.Order, slots []int32, now float64) *planEntry {
+// renewing) it when needed. prefixNegative reports that the set without its
+// last enumerated member is negative at now; on an exact network a miss or
+// renewal then records the set negative without planning it (invariant 3).
+// With the cache disabled it returns a fresh transient entry — the same
+// computation the cached path would run on a miss, so both modes are
+// bit-identical decision for decision.
+func (p *Pool) planEntryFor(canon []*order.Order, slots []int32, now float64, prefixNegative bool) *planEntry {
 	if p.cache == nil {
 		ent := &planEntry{}
 		ent.setMembers(canon)
 		p.plan(ent, nil, now)
 		return ent
 	}
+	prune := prefixNegative && p.exact
 	key := memberKey(canon)
 	if ent, ok := p.cache.entries[key]; ok {
 		if p.cacheStale(ent, now) {
-			p.plan(ent, p.pairBlocks(slots), now)
+			if prune {
+				p.cache.stats.PrefixPruned++
+				ent.feasible = false
+			} else {
+				p.plan(ent, p.pairBlocks(slots), now)
+			}
 		}
 		return ent
 	}
-	ent := &planEntry{}
-	ent.setMembers(canon)
+	if prune {
+		p.cache.stats.PrefixPruned++
+		return p.cacheInsert(key, &p.cache.negative, slots)
+	}
+	ent := p.probeEntry(canon)
 	p.plan(ent, p.pairBlocks(slots), now)
-	p.cacheInsert(key, ent, slots)
+	if !ent.feasible {
+		return p.cacheInsert(key, &p.cache.negative, slots)
+	}
+	p.probe = nil
+	return p.cacheInsert(key, ent, slots)
+}
+
+// probeEntry returns the pool's reusable scratch entry set to the canonical
+// members: a miss or pair test plans into it, and only a positive outcome
+// that the cache keeps takes it over (clearing p.probe, so the next probe
+// is a fresh entry).
+func (p *Pool) probeEntry(canon []*order.Order) *planEntry {
+	if p.probe == nil {
+		p.probe = &planEntry{}
+	}
+	ent := p.probe
+	ent.setMembers(canon)
+	ent.group = nil
 	return ent
 }
 
@@ -166,14 +233,28 @@ func (p *Pool) cacheStale(ent *planEntry, now float64) bool {
 	return false
 }
 
-// cacheInsert records a freshly planned entry under its key and lists it on
-// each member's slot for eviction.
-func (p *Pool) cacheInsert(key planKey, ent *planEntry, slots []int32) {
-	p.cache.stats.Misses++
-	p.cache.entries[key] = ent
-	for _, s := range slots {
-		p.nodes[s].plans = append(p.nodes[s].plans, ent)
+// cacheInsert records a freshly planned entry under its key, takes an
+// eviction record for the key and lists a ref to it on each member's slot.
+// It returns ent.
+func (p *Pool) cacheInsert(key planKey, ent *planEntry, slots []int32) *planEntry {
+	c := p.cache
+	c.stats.Misses++
+	c.entries[key] = ent
+	var r planRef
+	if k := len(c.free); k > 0 {
+		r.rec = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		r.rec = int32(len(c.recs))
+		c.recs = append(c.recs, planRec{})
 	}
+	rec := &c.recs[r.rec]
+	rec.key = key
+	r.gen = rec.gen
+	for _, s := range slots {
+		p.nodes[s].plans = append(p.nodes[s].plans, r)
+	}
+	return ent
 }
 
 // pairEntryFor is planEntryFor specialized for Insert's pairwise
@@ -210,31 +291,23 @@ func (p *Pool) pairEntryFor(s, c int32, now float64) (*planEntry, *route.LegBloc
 		p.cache.stats.Hits++
 		return pw.ent, pw.legs
 	}
-	// Probe with a reusable scratch entry: a failed test allocates nothing,
-	// a successful one promotes the probe into the cache (and the next test
-	// gets a fresh probe).
-	ent := p.pairProbe
-	if ent == nil {
-		ent = &planEntry{}
-	}
-	ent.setMembers(canon)
-	ent.group = nil
+	// Probe with the reusable scratch entry: a failed test allocates
+	// nothing, a successful one promotes the probe into the cache.
+	ent := p.probeEntry(canon)
 	a, b := canon[0], canon[1]
 	if p.certifiedInfeasible(a, b, now) {
 		p.cache.stats.PairsPruned++
 		ent.feasible = false
-		p.pairProbe = ent
 		return ent, nil
 	}
 	blk := p.legs.Fill(a, p.slotRef(slots[0]), b, p.slotRef(slots[1]))
 	p.blockBuf[0] = blk
 	p.plan(ent, p.blockBuf[:1], now)
 	if !ent.feasible {
-		p.pairProbe = ent
 		p.legs.Release(blk)
 		return ent, nil
 	}
-	p.pairProbe = nil
+	p.probe = nil
 	p.cacheInsert(key, ent, slots)
 	return ent, blk
 }
@@ -296,19 +369,27 @@ func (e *planEntry) avgExtra(now float64) float64 {
 	return sum / float64(e.n)
 }
 
-// evictOrder drops every cache entry involving the order in n; called
-// whenever an order leaves the pool. (Its leg blocks went back to the store
-// with its edges.)
+// evictOrder drops every cached key involving the order in n; called
+// whenever an order leaves the pool. A ref whose record a co-member already
+// evicted is stale and skipped. (Its leg blocks went back to the store with
+// its edges.)
 func (p *Pool) evictOrder(n *node) {
-	for _, ent := range n.plans {
-		if !ent.evicted {
-			delete(p.cache.entries, memberKey(ent.orders()))
-			ent.evicted = true
-			p.cache.stats.Evicted++
-		}
+	for _, r := range n.plans {
+		p.cache.evict(r)
 	}
-	clear(n.plans)
 	n.plans = n.plans[:0]
+}
+
+// evict drops the key r names, unless r is stale, and frees its record.
+func (c *planCache) evict(r planRef) {
+	rec := &c.recs[r.rec]
+	if rec.gen != r.gen {
+		return
+	}
+	delete(c.entries, rec.key)
+	rec.gen++
+	c.free = append(c.free, r.rec)
+	c.stats.Evicted++
 }
 
 // CacheStats returns a snapshot of plan-cache counters (zero-valued when

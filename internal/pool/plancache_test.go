@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"watter/internal/geo"
 	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/roadnet"
@@ -16,19 +17,30 @@ import (
 // raceEnabled is set by race_test.go when the race detector is compiled in.
 var raceEnabled bool
 
-// cacheReferences reports whether any live cache entry references the order.
+// cacheReferences reports whether any cached key has the order as a member.
 func cacheReferences(p *Pool, id int) bool {
 	if p.cache == nil {
 		return false
 	}
-	for _, ent := range p.cache.entries {
-		for _, m := range ent.orders() {
-			if m.ID == id {
-				return true
-			}
+	for key := range p.cache.entries {
+		if slices.Contains(key.ids[:key.n], id) {
+			return true
 		}
 	}
 	return false
+}
+
+// forget evicts one cached key through its eviction record, as the
+// departure of a member would.
+func (p *Pool) forget(t testing.TB, key planKey) {
+	t.Helper()
+	for _, r := range p.nodes[p.mustSlot(t, key.ids[0])].plans {
+		if rec := p.cache.recs[r.rec]; rec.gen == r.gen && rec.key == key {
+			p.cache.evict(r)
+			return
+		}
+	}
+	t.Fatalf("key %v is not cached", key)
 }
 
 func TestPlanCacheWarmsAndHits(t *testing.T) {
@@ -146,16 +158,13 @@ func TestPlanCacheExpiryRenewal(t *testing.T) {
 	}
 }
 
-// TestPlanCacheNegativePermanence builds a triangle whose pairs are all
-// feasible but whose 3-clique is not: the triple must become a permanent
-// negative entry served without replanning.
-func TestPlanCacheNegativePermanence(t *testing.T) {
-	p, net, _ := testPool(-1)
-	// Geometry (20x20 grid, 10 s per cell): a and b are parallel generous
-	// corridors at y=0 and y=4; c runs between them at y=2 with a tight
-	// deadline. Each pair shares fine; any route over all three delays c's
-	// dropoff past its deadline (see the derivation in the PR that added
-	// the cache).
+// negativeTriangle inserts a triangle whose pairs are all feasible but
+// whose 3-clique is not, and returns its orders. Geometry (20x20 grid, 10 s
+// per cell): a and b are parallel generous corridors at y=0 and y=4; c runs
+// between them at y=2 with a tight deadline. Each pair shares fine; any
+// route over all three delays c's dropoff past its deadline.
+func negativeTriangle(t *testing.T, p *Pool, net *roadnet.GridCity) []*order.Order {
+	t.Helper()
 	a := mk(net, 1, net.Node(0, 0), net.Node(10, 0), 0, 2.0)
 	b := mk(net, 2, net.Node(0, 4), net.Node(10, 4), 0, 2.0)
 	c := mk(net, 3, net.Node(0, 2), net.Node(10, 2), 0, 1.3)
@@ -166,21 +175,20 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 		t.Fatalf("triangle not formed: degrees %d/%d/%d", p.degree(1), p.degree(2), p.degree(3))
 	}
 	// Confirm the triple really is infeasible for the planner.
-	planner := route.NewPlanner(net)
-	if _, ok := planner.PlanGroup([]*order.Order{a, b, c}, 0, 4); ok {
+	if _, ok := route.NewPlanner(net).PlanGroup([]*order.Order{a, b, c}, 0, 4); ok {
 		t.Fatal("triple unexpectedly feasible; negative-cache test is vacuous")
 	}
-	var neg *planEntry
-	for _, ent := range p.cache.entries {
-		if !ent.feasible {
-			neg = ent
-		}
-	}
-	if neg == nil {
-		t.Fatal("no negative entry cached for the infeasible triple")
-	}
-	if neg.n != 3 {
-		t.Fatalf("negative entry has %d members, want the triple", neg.n)
+	return []*order.Order{a, b, c}
+}
+
+// TestPlanCacheNegativePermanence: the infeasible triple of a triangle
+// whose pairs are feasible must become a permanent negative key, mapped to
+// the cache's sentinel and served without replanning.
+func TestPlanCacheNegativePermanence(t *testing.T) {
+	p, net, _ := testPool(-1)
+	key := memberKey(negativeTriangle(t, p, net))
+	if ent, ok := p.cache.entries[key]; !ok || ent != &p.cache.negative {
+		t.Fatalf("the infeasible triple is not cached as a negative key (cached %v)", ok)
 	}
 	// Later refreshes that re-enumerate the triangle serve the negative
 	// entry without replanning, at any later clock.
@@ -194,29 +202,27 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	if after.Misses != st.Misses {
 		t.Fatalf("negative clique was replanned: %+v -> %+v", st, after)
 	}
-	found := false
-	for _, ent := range p.cache.entries {
-		if !ent.feasible && ent.n == 3 {
-			found = true
-		}
+	if ent, ok := p.cache.entries[key]; !ok || ent.feasible {
+		t.Fatal("negative key vanished while all members remain pooled")
 	}
-	if !found {
-		t.Fatal("negative entry vanished while all members remain pooled")
-	}
-	// Removing a member evicts it; re-inserting replans from scratch.
+	// Removing a member evicts the key and frees its record.
+	st = p.CacheStats()
 	p.Remove(3, 6)
-	for _, ent := range p.cache.entries {
-		if ent.n == 3 {
-			t.Fatal("triple entry survived member removal")
-		}
+	if _, ok := p.cache.entries[key]; ok {
+		t.Fatal("triple key survived member removal")
+	}
+	if got := p.CacheStats(); got.Evicted <= st.Evicted || len(p.cache.free) == 0 {
+		t.Fatalf("removal evicted nothing: %+v -> %+v, %d free records", st, got, len(p.cache.free))
 	}
 }
 
 // TestPlanCacheAllocations pins what a probe of the cache costs the
-// allocator: a miss is the entry itself (members, service times and key are
-// inline; the per-member index and the map grow amortized), a hit is free,
-// and so is a pair test that fails — the probe entry is reused and the leg
-// block it filled is recycled by the next fill.
+// allocator: a positive miss is the entry itself (members, service times
+// and key are inline; the member slots' ref lists, the record slab and the
+// map grow amortized), a negative miss is free — it planned into the probe
+// entry and its key maps to the sentinel, in a record the last eviction
+// freed — a hit is free, and so is a pair test that fails: the probe entry
+// is reused and the leg block it filled is recycled by the next fill.
 func TestPlanCacheAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -248,13 +254,26 @@ func TestPlanCacheAllocations(t *testing.T) {
 
 	before = p.CacheStats()
 	if n := testing.AllocsPerRun(100, func() {
-		delete(p.cache.entries, key)
+		p.forget(t, key)
 		p.lookup(0, 1, 2, 3)
 	}); n > 2 {
-		t.Errorf("a cache miss allocates %v times, want at most 2", n)
+		t.Errorf("a positive cache miss allocates %v times, want at most 2", n)
 	}
-	if got := p.CacheStats(); got.Misses != before.Misses+101 {
-		t.Fatalf("miss arm did not miss: %+v -> %+v", before, got)
+	if got := p.CacheStats(); got.Misses != before.Misses+101 || !p.cache.entries[key].feasible {
+		t.Fatalf("positive miss arm did not miss: %+v -> %+v", before, got)
+	}
+
+	neg, net2, _ := testPool(-1)
+	negKey := memberKey(negativeTriangle(t, neg, net2))
+	before = neg.CacheStats()
+	if n := testing.AllocsPerRun(100, func() {
+		neg.forget(t, negKey)
+		neg.lookup(0, 1, 2, 3)
+	}); n != 0 {
+		t.Errorf("a negative cache miss allocates %v times, want 0", n)
+	}
+	if got := neg.CacheStats(); got.Misses != before.Misses+101 || neg.cache.entries[negKey] != &neg.cache.negative {
+		t.Fatalf("negative miss arm did not miss into the sentinel: %+v -> %+v", before, got)
 	}
 
 	sa, sf := p.mustSlot(t, a.ID), p.mustSlot(t, far.ID)
@@ -484,4 +503,95 @@ func TestAvgExtraMatchesGroupProperty(t *testing.T) {
 			t.Fatalf("only %d feasible random groups of size %d; the property is barely exercised", feasible[k], k)
 		}
 	}
+}
+
+// TestPrefixPruneOnlyOnExactNetworks runs one dense stream of orders
+// through a pool and its DisablePlanCache twin on four networks, comparing
+// them after every step (comparePools, checkSlots): the prefix rule must
+// decide some 4-cliques on CDC's and XIA's lattices, whose costs are exact,
+// and none on NYC's 150/7 s lattice or on a Graph, where dropping a member
+// can win a deadline check by an ulp. With the exactness gate dropped the
+// last two arms prune and fail.
+func TestPrefixPruneOnlyOnExactNetworks(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		net   roadnet.Network
+		exact bool
+	}{
+		{"cdc", roadnet.NewGridCity(42, 42, 160, 8), true},
+		{"xia", roadnet.NewGridCity(36, 36, 170, 8), true},
+		{"nyc", roadnet.NewGridCity(60, 24, 150, 7), false},
+		{"graph", roadnet.NewPerturbedGrid(12, 12, 150, 8, 0.3, 1), false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			st := prefixStream(t, arm.net)
+			if st.Misses == 0 || st.NegativeHits == 0 {
+				t.Fatalf("the stream cached nothing negative: %+v", st)
+			}
+			t.Logf("%+v", st)
+			if (st.PrefixPruned > 0) != arm.exact {
+				t.Fatalf("PrefixPruned = %d, want > 0 exactly on exact lattices (%+v)", st.PrefixPruned, st)
+			}
+		})
+	}
+}
+
+// prefixStream drives 300 orders with pickups in one 6x6-block window and
+// dropoffs nearby through a pool and its cache-free twin, ticking every
+// 10 s (ExpireEdges, then the expired orders and the oldest order's best
+// group leave), and returns the cached pool's counters.
+func prefixStream(t *testing.T, net roadnet.Network) CacheStats {
+	t.Helper()
+	ix := func() *gridindex.Index { return gridindex.New(net, 10) }
+	opt := DefaultOptions()
+	cached := New(route.NewPlanner(net), ix(), opt)
+	opt.DisablePlanCache = true
+	plain := New(route.NewPlanner(net), ix(), opt)
+
+	b := net.Bounds()
+	cell := (b.Max.X - b.Min.X) / 23
+	node := func(x, y float64) geo.NodeID {
+		best, bestD := geo.NodeID(0), math.Inf(1)
+		for n := 0; n < net.NumNodes(); n++ {
+			c := net.Coord(geo.NodeID(n))
+			if d := math.Abs(c.X-x) + math.Abs(c.Y-y); d < bestD {
+				best, bestD = geo.NodeID(n), d
+			}
+		}
+		return best
+	}
+	rng := rand.New(rand.NewSource(1))
+	now, tick := 0.0, 10.0
+	for id := 1; id <= 300; id++ {
+		now += rng.Float64() * 3
+		for ; now >= tick; tick += 10 {
+			expired := cached.ExpireEdges(tick)
+			if !slicesEqual(expired, plain.ExpireEdges(tick)) {
+				t.Fatalf("at %v: expired orders diverged", tick)
+			}
+			for _, id := range expired {
+				cached.Remove(id, tick)
+				plain.Remove(id, tick)
+			}
+			if ids := cached.OrderIDs(); len(ids) > 0 {
+				if g, _, ok := cached.BestGroup(ids[0]); ok {
+					gp, _, _ := plain.BestGroup(ids[0])
+					cached.RemoveGroup(g, tick)
+					plain.RemoveGroup(gp, tick)
+				}
+			}
+			comparePools(t, cached, plain, tick)
+			checkSlots(t, cached, nil)
+		}
+		pu := node(b.Min.X+cell*(9+6*rng.Float64()), b.Min.Y+cell*(9+6*rng.Float64()))
+		do := node(b.Min.X+cell*(4+16*rng.Float64()), b.Min.Y+cell*(4+16*rng.Float64()))
+		if pu == do {
+			continue
+		}
+		o := mk(net, id, pu, do, now, 1.3+0.7*rng.Float64())
+		cached.Insert(o, now)
+		plain.Insert(o, now)
+		comparePools(t, cached, plain, now)
+	}
+	return cached.CacheStats()
 }

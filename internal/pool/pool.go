@@ -93,10 +93,10 @@ type node struct {
 	// bestExpiry is τg of the best group (Eq. 3): the latest dispatch time
 	// at which the group's plan still meets every member deadline.
 	bestExpiry float64
-	// plans lists the plan-cache entries the order is a member of, for
-	// eviction when it leaves. It may hold evicted entries (a co-member
-	// left first); eviction skips those.
-	plans []*planEntry
+	// plans lists refs to the eviction records of the plan-cache keys the
+	// order is a member of, for eviction when it leaves. It may hold stale
+	// refs (a co-member left first); eviction skips those.
+	plans []planRef
 	// prewarm is the pair test PrewarmPairs ran for this order and the
 	// order about to be inserted; the insert consumes it.
 	prewarm prewarmed
@@ -132,6 +132,10 @@ type Pool struct {
 	// (closed-form cities) or when memoization is off — the uncached pool is
 	// also the reference the pair certificate is tested against.
 	bounds roadnet.BoundedNetwork
+	// exact is set when the network's costs are exact enough for the
+	// prefix rule (plancache.go, invariant 3); false when memoization is
+	// off.
+	exact bool
 
 	// Reusable scratch for the maintenance hot path. The pool is
 	// single-goroutine (each simulation run owns its pool), so plain
@@ -143,7 +147,7 @@ type Pool struct {
 	canonOrd  [route.MaxGroupSize]*order.Order // the same members' orders
 	blockBuf  [maxPairs]*route.LegBlock        // a group's pair blocks
 	improved  []int32                          // refreshBest's improved members, first seen first
-	pairProbe *planEntry                       // reusable scratch for failed pair tests
+	probe     *planEntry                       // reusable scratch for misses and pair tests
 
 	// Demand distributions over cells, maintained incrementally; these are
 	// the MDP state's sO vectors. demandGen counts their edits. It is a
@@ -153,6 +157,12 @@ type Pool struct {
 	dropoffDemand gridindex.Distribution
 	demandGen     uint64
 }
+
+// minExactQuantum is the smallest roadnet.ExactNetwork quantum the prefix
+// rule accepts. The route DP keeps the first of two arrivals within 1e-12 s
+// of each other; arrivals that are whole multiples of a quantum above that
+// band never fall inside it, so the DP's minima and verdicts are exact.
+const minExactQuantum = 0x1p-30
 
 // maxPairs is the number of member pairs of the largest plannable group.
 const maxPairs = route.MaxGroupSize * (route.MaxGroupSize - 1) / 2
@@ -184,6 +194,9 @@ func New(planner *route.Planner, ix *gridindex.Index, opt Options) *Pool {
 		p.cache = newPlanCache()
 		p.legs = route.NewLegStore(planner.Net)
 		p.bounds, _ = planner.Net.(roadnet.BoundedNetwork)
+		if e, ok := planner.Net.(roadnet.ExactNetwork); ok {
+			p.exact = e.CostQuantum() >= minExactQuantum
+		}
 	}
 	return p
 }
@@ -551,10 +564,16 @@ func (p *Pool) refreshBest(s int32, now float64) {
 	p.mark++
 	mark := p.mark
 	p.improved = p.improved[:0]
+	// negative[k] is the verdict of the k-clique considered last. The
+	// enumeration considers every clique right before it expands it, depth
+	// first, so a k-clique's prefix verdict is negative[k-1].
+	var negative [route.MaxGroupSize + 1]bool
 
 	consider := func(members []int32) {
+		k := len(members)
 		canon, slots := p.canonical(members...)
-		ent := p.planEntryFor(canon, slots, now)
+		ent := p.planEntryFor(canon, slots, now, negative[k-1])
+		negative[k] = !ent.feasible
 		if !ent.feasible || ent.expiry < now {
 			return
 		}

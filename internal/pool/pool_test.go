@@ -450,7 +450,7 @@ func (p *Pool) lookup(now float64, ids ...int) *planEntry {
 		slots[i], _ = p.slotOf(id)
 	}
 	canon, cs := p.canonical(slots[:len(ids)]...)
-	return p.planEntryFor(canon, cs, now)
+	return p.planEntryFor(canon, cs, now, false)
 }
 
 // mustSlot returns the slot of a pooled order.

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"math/bits"
 
 	"watter/internal/geo"
 )
@@ -53,8 +54,40 @@ func (c *GridCity) Coord(n geo.NodeID) geo.Point {
 func (c *GridCity) Cost(from, to geo.NodeID) float64 {
 	fx, fy := c.XY(from)
 	tx, ty := c.XY(to)
-	blocks := math.Abs(float64(fx-tx)) + math.Abs(float64(fy-ty))
+	return c.blocksCost(math.Abs(float64(fx-tx)) + math.Abs(float64(fy-ty)))
+}
+
+// blocksCost is the travel time of a whole number of blocks.
+func (c *GridCity) blocksCost(blocks float64) float64 {
 	return blocks * c.CellMeters / c.Speed
+}
+
+// CostQuantum implements ExactNetwork. Every Cost is blocksCost(b) for a
+// block count b up to (W-1) + (H-1), and block counts obey the triangle
+// inequality exactly, so the lattice is exact when each blocksCost(b) is b
+// whole steps of the one-block time, with that time m * q for an odd m and
+// a power of two q, and b * m stays below 2^47. CDC's 160 m blocks at 8
+// m/s (20 s = 5 * 4) and XIA's 170 m at 8 m/s (85/4 s) are; NYC's 150 m at
+// 7 m/s (150/7 s, a rounded quotient) is not.
+func (c *GridCity) CostQuantum() float64 {
+	step := c.blocksCost(1)
+	if math.IsInf(step, 0) {
+		return 0
+	}
+	frac, exp := math.Frexp(step)
+	mant := uint64(math.Ldexp(frac, 53))
+	tz := bits.TrailingZeros64(mant)
+	m, q := mant>>tz, math.Ldexp(1, exp-53+tz)
+	maxBlocks := uint64(c.W-1) + uint64(c.H-1)
+	if q == 0 || maxBlocks > (1<<47-1)/m {
+		return 0
+	}
+	for b := uint64(2); b <= maxBlocks; b++ {
+		if c.blocksCost(float64(b)) != float64(b*m)*q {
+			return 0
+		}
+	}
+	return q
 }
 
 // MinSecondsPerMetre implements FloorNetwork: Cost is the L1 distance over

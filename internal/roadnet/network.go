@@ -76,6 +76,17 @@ type MetricNetwork interface {
 	TriangleSlack() float64
 }
 
+// ExactNetwork is an optional Network extension for callers whose argument
+// needs arithmetic without rounding. CostQuantum returns a power of two q
+// such that every Cost is a whole multiple of q, at most 2^47 q, and the
+// costs obey the triangle inequality exactly, Cost(a, c) <= Cost(a, b) +
+// Cost(b, c); a float64 sum of up to 64 costs is then computed exactly. It
+// returns 0 when the network cannot state such a q. GridCity states it.
+type ExactNetwork interface {
+	Network
+	CostQuantum() float64
+}
+
 // matrixFiller is the engine form of FillCostMatrixWithin: one pruned search
 // per distinct source instead of len(sources)*len(targets) oracle calls.
 type matrixFiller interface {

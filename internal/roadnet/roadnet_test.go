@@ -260,3 +260,42 @@ func BenchmarkGridCityCost(b *testing.B) {
 		_ = c.Cost(geo.NodeID(i)%n, geo.NodeID(i*7)%n)
 	}
 }
+
+// TestGridCityCostQuantum pins GridCity's ExactNetwork claim on the
+// calibrations the cities use: CDC's 20 s and XIA's 85/4 s blocks state a
+// quantum and every cost of the lattice is a whole multiple of it, NYC's
+// 150/7 s blocks state none, and a Graph claims nothing.
+func TestGridCityCostQuantum(t *testing.T) {
+	for _, cal := range []struct {
+		name               string
+		w, h               int
+		cell, speed, quant float64
+	}{
+		{"cdc", 42, 42, 160, 8, 4},
+		{"xia", 36, 36, 170, 8, 0.25},
+		{"met", 320, 320, 200, 8, 1},
+		{"test", 8, 8, 100, 10, 2},
+		{"nyc", 60, 24, 150, 7, 0},
+		{"inf", 4, 4, math.MaxFloat64, 0.5, 0},
+	} {
+		c := NewGridCity(cal.w, cal.h, cal.cell, cal.speed)
+		var net ExactNetwork = c
+		q := net.CostQuantum()
+		if q != cal.quant {
+			t.Fatalf("%s: CostQuantum = %v, want %v", cal.name, q, cal.quant)
+		}
+		if q == 0 {
+			continue
+		}
+		for n := 0; n < c.NumNodes(); n++ {
+			cost := c.Cost(0, geo.NodeID(n))
+			if whole := cost / q; whole != math.Trunc(whole) || whole > 0x1p47 {
+				t.Fatalf("%s: cost(0, %d) = %v is not a whole multiple of %v below 2^47 of them", cal.name, n, cost, q)
+			}
+		}
+	}
+	var g Network = NewPerturbedGrid(8, 8, 150, 8, 0.3, 1)
+	if _, ok := g.(ExactNetwork); ok {
+		t.Fatal("Graph implements ExactNetwork")
+	}
+}
