@@ -12,11 +12,11 @@ examples:
 	$(GO) build -o /dev/null ./examples/...
 
 # The two experiment CLIs end to end on tiny cells (CI runs this too): a
-# replicated multi-city run, the trained threshold strategy (offline training
+# replicated run, the trained threshold strategy (offline training
 # included), and a replicated figure sweep; then the dispatch proxy's
 # isolation and HA-recovery proofs (exit 1 when either is false).
 clismoke:
-	$(GO) run ./cmd/wattersim -alg WATTER-timeout -n 200 -m 20 -replicates 2 -cities 2
+	$(GO) run ./cmd/wattersim -alg WATTER-timeout -n 200 -m 20 -replicates 2
 	$(GO) run ./cmd/wattersim -alg WATTER-expect -n 200 -m 20
 	$(GO) run ./cmd/watterbench -fig fig5 -city cdc -scale 0.1 -replicates 2 -algs GDP,WATTER-online -quiet -csv /tmp/fig5.csv
 	$(GO) run ./cmd/watterproxy -quiet

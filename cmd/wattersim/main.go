@@ -7,11 +7,9 @@
 //	wattersim -city nyc -alg WATTER-expect -n 3000 -m 220
 //	wattersim -alg GDP -tau 1.2
 //	wattersim -alg WATTER-timeout -replicates 8 -parallel 4
-//	wattersim -alg WATTER-online -cities 4
 //
-// With -cities N the configuration runs as N instances of the city
-// (independent seed-derived workloads) behind one dispatch proxy, and the
-// metrics aggregate across cities.
+// Several cities behind one dispatch proxy are cmd/watterproxy's: a
+// proxied city's metrics are exactly its standalone run's.
 //
 // With -replicates R the same configuration runs under R consecutive
 // seeds (concurrently, bounded by -parallel) and the four paper metrics
@@ -42,7 +40,6 @@ func main() {
 		eta        = flag.Float64("eta", dataset.DefaultEta, "watching window scale")
 		kw         = flag.Int("kw", 4, "max vehicle capacity")
 		dt         = flag.Float64("dt", 10, "periodic check interval Δt (s)")
-		cities     = flag.Int("cities", 1, "city instances behind one dispatch proxy (>1 = multi-city front tier, metrics aggregated)")
 		seed       = flag.Int64("seed", 1, "workload seed (first replicate)")
 		replicates = flag.Int("replicates", 1, "seed replicates (metrics become mean ± CI)")
 		parallel   = flag.Int("parallel", 0, "max concurrent replicate runs (0 = GOMAXPROCS)")
@@ -68,10 +65,9 @@ func main() {
 	p.Eta = *eta
 	p.MaxCap = *kw
 	p.TickEvery = *dt
-	p.NumCities = *cities
 	p.Seed = *seed
-	// Pin the offline pipeline to the first seed so replicates and proxied
-	// cities share one trained model (identical to p.Seed for single runs).
+	// Pin the offline pipeline to the first seed so replicates share one
+	// trained model (identical to p.Seed for single runs).
 	p.Train.Seed = *seed
 
 	runner := exp.NewRunner()
@@ -103,9 +99,8 @@ func main() {
 		fail(err)
 	}
 	mt := res.Metrics
-	fmt.Printf("city=%s alg=%s n=%d m=%d tau=%.2f eta=%.2f Kw=%d dt=%.0fs%s\n",
-		profile.Name, *alg, p.Orders, p.Workers, p.TauScale, p.Eta, p.MaxCap, p.TickEvery,
-		citySuffix(p.NumCities))
+	fmt.Printf("city=%s alg=%s n=%d m=%d tau=%.2f eta=%.2f Kw=%d dt=%.0fs\n",
+		profile.Name, *alg, p.Orders, p.Workers, p.TauScale, p.Eta, p.MaxCap, p.TickEvery)
 	fmt.Printf("  extra time (Φ):   %.0f s  (served %.0f + penalties %.0f)\n",
 		mt.ExtraTime(), mt.ServedExtra, mt.PenaltySum)
 	fmt.Printf("  unified cost:     %.0f\n", mt.UnifiedCost())
@@ -131,13 +126,6 @@ func fail(err error) {
 		os.Exit(2)
 	}
 	os.Exit(1)
-}
-
-func citySuffix(n int) string {
-	if n <= 1 {
-		return ""
-	}
-	return fmt.Sprintf(" cities=%d", n)
 }
 
 func safeDiv(a float64, b int) float64 {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,9 +45,13 @@ func main() {
 
 	runner := exp.NewRunner()
 	runner.Out = os.Stderr
-	// Build trains (once, cached) and is what reports a failed training run.
+	// Build trains (once, cached) and is what reports a failed training run;
+	// parameters exp refuses are a usage error.
 	if _, err := runner.Build("WATTER-expect", p); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, exp.ErrInvalidParams) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	trained := runner.Train(p)

@@ -53,8 +53,7 @@ func main() {
 			alg, mt.ExtraTime(), mt.UnifiedCost(), 100*mt.ServiceRate(),
 			mt.RunningTime(), mt.AvgGroupSize())
 	}
-	fmt.Println("\nAt default scale WATTER-expect shows the best unified cost and the")
-	fmt.Println("top service rate, and leads the WATTER family on extra time; below")
-	fmt.Println("default load the greedy GDP baseline can stay ahead (see")
-	fmt.Println("EXPERIMENTS.md for the regime analysis).")
+	fmt.Println("\nThese rows are one seed of one city; the ranking can change with the")
+	fmt.Println("city, the load and the seed. `watterbench -fig fig5 -replicates N`")
+	fmt.Println("reports every metric as a mean with its confidence interval.")
 }

@@ -25,7 +25,7 @@ func main() {
 		}
 	}
 
-	model, err := gmm.Fit(hist, gmm.DefaultFitOptions())
+	model, err := gmm.Fit(hist, gmm.FitOptions{K: 3, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

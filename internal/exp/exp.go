@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -41,13 +42,7 @@ type Params struct {
 	// results are bit-identical at any value; baselines without a pool
 	// ignore it.
 	Shards int
-	// NumCities runs the cell as a multi-city front tier: N instances of
-	// City (seed-derived independent workloads and fleets) behind one
-	// dispatch proxy, metrics aggregated across cities. 0 and 1 both mean
-	// a single standalone platform. City 0 always replays the single-city
-	// cell's exact workload, so cities=1 rows and plain rows agree.
-	NumCities int
-	Seed      int64
+	Seed   int64
 	// Train tunes the offline pipeline for WATTER-expect.
 	Train TrainParams
 }
@@ -172,10 +167,9 @@ type Trained struct {
 
 // Setup is one configuration made concrete: the city Params name, the order
 // stream they generate, and how every run of them is stood up. Runner.Setup
-// is the one place Params become a run — RunOne, the multi-city cell, both
-// training passes and the command-line tools all stand their platforms up
-// through it — so the fleet seed, the platform parameters and Δt are mapped
-// once.
+// is the one place Params become a run — RunOne, both training passes and
+// the command-line tools all stand their platforms up through it — so the
+// fleet seed, the platform parameters and Δt are mapped once.
 type Setup struct {
 	Params Params
 	City   *dataset.City
@@ -298,27 +292,15 @@ func (r *Runner) train(p Params) (*Trained, error) {
 		return nil, fmt.Errorf("exp: behavior simulation failed: %w", err)
 	}
 
-	// Fit the extra-time mixture and derive θ*.
-	var model *gmm.Model
-	if len(extraTimes) >= 10 {
-		fitted, err := gmm.Fit(extraTimes, gmm.FitOptions{
-			K: p.Train.GMMComponents, MaxIters: 200, Tol: 1e-6, Seed: seed, MinStdDev: 1,
-		})
-		if err == nil {
-			model = fitted
-		}
-	}
-	if model == nil {
-		model = &gmm.Model{Components: []gmm.Component{{Weight: 1, Mean: 120, StdDev: 60}}}
-	}
+	// Fit the extra-time mixture and derive θ*. Too few samples, or a
+	// failed fit, falls back to one fixed Gaussian, and the log line says so.
+	model, fallback := fitExtraTimes(extraTimes, p.Train.GMMComponents, seed)
 	theta := gmm.NewThresholdSource(model)
 
 	// Pass 2: collect MDP experience under the GMM-threshold policy.
-	tcfg := mdp.DefaultTrainerConfig()
-	tcfg.Omega = p.Train.Omega
-	tcfg.Hidden = p.Train.Hidden
-	tcfg.Seed = seed
-	trainer := mdp.NewTrainer(feat.Dim(), tcfg)
+	trainer := mdp.NewTrainer(feat.Dim(), mdp.TrainerConfig{
+		Hidden: p.Train.Hidden, Omega: p.Train.Omega, Seed: seed,
+	})
 	fw2 := core.New(&strategy.Threshold{Source: theta}, poolOptions(p))
 	plat2, err := hist.Platform(mdp.NewCollector(fw2, feat, theta, trainer.Add), false)
 	if err != nil {
@@ -330,10 +312,31 @@ func (r *Runner) train(p Params) (*Trained, error) {
 
 	loss := trainer.Train(p.Train.TrainSteps)
 	elapsed := time.Since(start).Round(time.Millisecond) //det:wallclock elapsed goes to the progress log only
-	r.logf("[train %s] samples=%d extra-times=%d loss=%.1f elapsed=%s\n",
-		p.City.Name, trainer.ReplayLen(), len(extraTimes), loss, elapsed)
+	r.logf("[train %s] samples=%d extra-times=%d%s loss=%.1f elapsed=%s\n",
+		p.City.Name, trainer.ReplayLen(), len(extraTimes), fallback, loss, elapsed)
 
 	return &Trained{Feat: feat, Net: trainer.Network(), Trainer: trainer, GMM: model}, nil
+}
+
+// minExtraTimes is the fewest harvested extra times fitExtraTimes fits a
+// mixture to.
+const minExtraTimes = 10
+
+// fitExtraTimes fits the K-component extra-time mixture. With fewer than
+// minExtraTimes samples, or when the fit fails, it returns a fixed Gaussian
+// (mean 120 s, sd 60 s) and a note for the training log line naming that
+// fallback and why; after a real fit the note is empty.
+func fitExtraTimes(extraTimes []float64, k int, seed int64) (*gmm.Model, string) {
+	reason := fmt.Sprintf("%d extra times, need %d", len(extraTimes), minExtraTimes)
+	if len(extraTimes) >= minExtraTimes {
+		m, err := gmm.Fit(extraTimes, gmm.FitOptions{K: k, Seed: seed})
+		if err == nil {
+			return m, ""
+		}
+		reason = err.Error()
+	}
+	fixed := &gmm.Model{Components: []gmm.Component{{Weight: 1, Mean: 120, StdDev: 60}}}
+	return fixed, fmt.Sprintf(" gmm=fallback(mean 120 s, sd 60 s: %s)", reason)
 }
 
 // modelKey identifies the offline-model cache entry for a configuration.
@@ -341,11 +344,14 @@ func (r *Runner) train(p Params) (*Trained, error) {
 // the learning hyperparameters included, or ablation sweeps would silently
 // reuse one model.
 func modelKey(p Params) string {
-	return fmt.Sprintf("%s/n%d/m%d/tau%.2f/eta%.2f/k%d/g%d/dt%.0f/h%d/s%d/K%d/w%.3f/hid%v",
-		p.City.Name, p.Train.HistoricalOrders, p.Workers, p.TauScale, p.Eta,
-		p.MaxCap, p.GridN, p.TickEvery, p.Train.TrainSteps, trainSeed(p),
-		p.Train.GMMComponents, p.Train.Omega, p.Train.Hidden)
+	return fmt.Sprintf("%s/n%d/m%d/tau%s/eta%s/k%d/g%d/dt%s/h%d/s%d/K%d/w%s/hid%v",
+		p.City.Name, p.Train.HistoricalOrders, p.Workers, exact(p.TauScale), exact(p.Eta),
+		p.MaxCap, p.GridN, exact(p.TickEvery), p.Train.TrainSteps, trainSeed(p),
+		p.Train.GMMComponents, exact(p.Train.Omega), p.Train.Hidden)
 }
+
+// exact formats x so that two keys agree only when the floats do.
+func exact(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // UseModel pre-seeds the model cache so a later Build/RunOne of
 // WATTER-expect at these parameters uses the given (typically
@@ -427,9 +433,11 @@ var ErrInvalidParams = errors.New("exp: invalid parameters")
 // validate refuses what the cell's construction would otherwise panic on
 // (possibly on a sweep worker goroutine) or reject only at its first order:
 // negative order and fleet sizes (evaluation and historical), deadline and
-// wait-limit scales that are negative or not finite (0 keeps the dataset
-// default), value-network layers without units, the platform parameters and
-// the tick interval (WATTER-expect's training builds platforms from both).
+// wait-limit scales that are not finite and positive, value-network layers
+// without units, the platform parameters and the tick interval
+// (WATTER-expect's training builds platforms from both). It also refuses
+// what training would otherwise fit or save without a word: fewer than one
+// GMM component, and a loss blend ω that is NaN or outside [0, 1].
 func validate(p Params) error {
 	for _, n := range []struct {
 		name string
@@ -452,6 +460,12 @@ func validate(p Params) error {
 			return fmt.Errorf("%w: Train.Hidden = %v: every layer needs at least one unit", ErrInvalidParams, p.Train.Hidden)
 		}
 	}
+	if p.Train.GMMComponents < 1 {
+		return fmt.Errorf("%w: Train.GMMComponents = %d: the mixture needs at least one component", ErrInvalidParams, p.Train.GMMComponents)
+	}
+	if !(p.Train.Omega >= 0 && p.Train.Omega <= 1) {
+		return fmt.Errorf("%w: Train.Omega = %v must lie in [0, 1]", ErrInvalidParams, p.Train.Omega)
+	}
 	if err := (&Setup{Params: p}).Config().Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalidParams, err)
 	}
@@ -466,9 +480,6 @@ func validate(p Params) error {
 // parameters surface here as errors, before anything is built or trained,
 // instead of silent defaults.
 func (r *Runner) RunOne(name string, p Params) (*Result, error) {
-	if p.NumCities > 1 {
-		return r.runProxyCell(name, p)
-	}
 	s, err := r.Setup(p)
 	if err != nil {
 		return nil, err

@@ -251,10 +251,52 @@ func TestModelKeyCoversTrainParams(t *testing.T) {
 		func(p Params) Params { p.GridN = 7; return p },
 		func(p Params) Params { p.TickEvery = 7; return p },
 		func(p Params) Params { p.TauScale = 1.99; return p },
+		// Floats closer than any fixed number of decimals: each trains a
+		// different network, so each needs its own key.
+		func(p Params) Params { p.Train.Omega += 0.0004; return p },
+		func(p Params) Params { p.TauScale += 0.001; return p },
+		func(p Params) Params { p.Eta += 0.001; return p },
+		func(p Params) Params { p.TickEvery += 0.4; return p },
 	}
 	for i, v := range variants {
 		if modelKey(v(base)) == modelKey(base) {
 			t.Fatalf("variant %d does not change the model cache key", i)
+		}
+	}
+}
+
+// TestTrainLogsGMMFallback: a historical day that serves fewer than ten
+// orders trains on the fixed fallback Gaussian, and the training log line
+// names it and why; a day with enough extra times fits the mixture and its
+// line names no fallback.
+func TestTrainLogsGMMFallback(t *testing.T) {
+	for _, c := range []struct {
+		history int
+		want    string // in the [train] line; "" means no fallback
+	}{
+		{5, "gmm=fallback(mean 120 s, sd 60 s: "},
+		{120, ""},
+	} {
+		p := tinyParams()
+		p.Train.HistoricalOrders = c.history
+		var out bytes.Buffer
+		r := NewRunner()
+		r.Out = &out
+		if r.Train(p) == nil {
+			t.Fatalf("history %d: training failed", c.history)
+		}
+		line := out.String()
+		if !strings.HasPrefix(line, "[train XIA]") {
+			t.Fatalf("history %d: log %q has no training line", c.history, line)
+		}
+		if c.want == "" {
+			if strings.Contains(line, "fallback") {
+				t.Fatalf("history %d: %q names a fallback after a real fit", c.history, line)
+			}
+			continue
+		}
+		if !strings.Contains(line, c.want) || !strings.Contains(line, "need 10)") {
+			t.Fatalf("history %d: %q does not name the fallback and its reason", c.history, line)
 		}
 	}
 }

@@ -2,11 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"watter/internal/dataset"
 	"watter/internal/mdp"
 	"watter/internal/nn"
 	"watter/internal/order"
@@ -40,6 +44,38 @@ func TestTrainedSaveLoadRoundTrip(t *testing.T) {
 	}
 	if loaded.Feat.SlotSeconds != trained.Feat.SlotSeconds {
 		t.Fatal("featurizer params lost")
+	}
+}
+
+// TestTrainedBundlePinned pins the saved bundle of a tiny CDC training at
+// seed 1. The offline pipeline — behavior run, GMM fit, experience
+// collection under θ*, value-network training — is deterministic per seed,
+// so a change to any of its steps that moves one bit of the model moves
+// this hash; a refactor that claims bit-identity must leave it alone.
+func TestTrainedBundlePinned(t *testing.T) {
+	// math.Exp, Log and Erf have assembly kernels on some ports, and a fused
+	// multiply-add (arm64, ppc64le, s390x) rounds differently: the pinned
+	// bytes are amd64's.
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned hash is amd64's; other ports may round the training arithmetic differently")
+	}
+	const want = "6f5323f8ba9ba60496b8463111d16dd5b4fb9e845a06b76701f27c4e23297306"
+	p := DefaultParams(dataset.CDC())
+	p.Seed = 1
+	p.Train.HistoricalOrders = 300
+	p.Train.TrainSteps = 50
+	p.Train.Hidden = []int{8}
+	trained, err := NewRunner().trained(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("trained bundle sha256 = %s, want %s", got, want)
 	}
 }
 

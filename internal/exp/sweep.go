@@ -12,8 +12,7 @@ import (
 // Matrix describes an experiment grid: every order count × algorithm
 // cell, each replicated once per seed. Empty lists default to Base's value
 // (Algs to AlgNames), so a Matrix with only Base set expands to one job per
-// algorithm. Every other parameter, the city count (Params.NumCities)
-// included, comes from Base.
+// algorithm. Every other parameter comes from Base.
 type Matrix struct {
 	// Base supplies every parameter the lists below don't vary.
 	Base Params

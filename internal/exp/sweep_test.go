@@ -191,11 +191,11 @@ func TestSweepErrorPropagates(t *testing.T) {
 // its cell is built — in Setup for a negative order or fleet size, in
 // WATTER-expect's training for a zero tick, a negative historical order
 // count or a layer without units — or fail late on its first order, for a
-// negative or non-finite deadline or wait-limit scale — or run with the
-// dataset's default in place of a zero scale, comes back as an
-// ErrInvalidParams naming the field from Build, from RunOne and from the
-// sweep, at parallel 1 and 4, instead of crashing the process from a worker
-// goroutine or starting to train.
+// zero, negative or non-finite deadline or wait-limit scale — or train what
+// was not asked for, a mixture of fewer than one component or a loss blend
+// ω outside [0, 1], comes back as an ErrInvalidParams naming the field from
+// Build, from RunOne and from the sweep, at parallel 1 and 4, instead of
+// crashing the process from a worker goroutine or starting to train.
 func TestSweepInvalidParamsReturnError(t *testing.T) {
 	noTick := tinyParams()
 	noTick.TickEvery = 0
@@ -207,6 +207,16 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 	negHistory.Train.HistoricalOrders = -1
 	emptyLayer := tinyParams()
 	emptyLayer.Train.Hidden = []int{-1}
+	components := func(k int) Params {
+		p := tinyParams()
+		p.Train.GMMComponents = k
+		return p
+	}
+	blend := func(omega float64) Params {
+		p := tinyParams()
+		p.Train.Omega = omega
+		return p
+	}
 	scaled := func(tau, eta float64) Params {
 		p := tinyParams()
 		p.TauScale, p.Eta = tau, eta
@@ -232,6 +242,11 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},
 		{"negative history", negHistory, []string{"WATTER-expect"}, "Train.HistoricalOrders"},
 		{"empty layer", emptyLayer, []string{"WATTER-expect"}, "Train.Hidden"},
+		{"zero components", components(0), []string{"GDP", "WATTER-expect"}, "Train.GMMComponents"},
+		{"negative components", components(-2), []string{"WATTER-expect"}, "Train.GMMComponents"},
+		{"NaN omega", blend(math.NaN()), []string{"GDP", "WATTER-expect"}, "Train.Omega"},
+		{"negative omega", blend(-0.1), []string{"WATTER-expect"}, "Train.Omega"},
+		{"omega above one", blend(1.5), []string{"WATTER-expect"}, "Train.Omega"},
 		{"zero tau", scaled(0, 0.8), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "TauScale"},
 		{"negative tau", scaled(-1, 0.8), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "TauScale"},
 		{"NaN tau", scaled(math.NaN(), 0.8), []string{"WATTER-timeout", "WATTER-expect"}, "TauScale"},

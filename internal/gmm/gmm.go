@@ -25,38 +25,30 @@ type Model struct {
 	Components []Component
 }
 
+// The EM fit's fixed settings.
+const (
+	// MaxIters bounds EM iterations.
+	MaxIters = 200
+	// Tol stops EM when the log-likelihood improves by less than this.
+	Tol = 1e-6
+	// MinStdDev floors component spread (seconds of extra time) to keep the
+	// CDF well conditioned.
+	MinStdDev = 1
+)
+
 // FitOptions controls the EM fit.
 type FitOptions struct {
-	// K is the number of mixture components (paper-style default 3).
+	// K is the number of mixture components; fewer samples than K fit one
+	// component per sample.
 	K int
-	// MaxIters bounds EM iterations.
-	MaxIters int
-	// Tol stops EM when the log-likelihood improves by less than this.
-	Tol float64
 	// Seed makes the k-means-style initialization deterministic.
 	Seed int64
-	// MinStdDev floors component spread to keep the CDF well conditioned.
-	MinStdDev float64
-}
-
-// DefaultFitOptions returns K=3, 200 iterations, 1e-6 tolerance.
-func DefaultFitOptions() FitOptions {
-	return FitOptions{K: 3, MaxIters: 200, Tol: 1e-6, Seed: 1, MinStdDev: 1e-3}
 }
 
 // Fit runs EM on the samples and returns the fitted mixture.
 func Fit(samples []float64, opt FitOptions) (*Model, error) {
-	if opt.K <= 0 {
-		opt.K = 3
-	}
-	if opt.MaxIters <= 0 {
-		opt.MaxIters = 200
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-6
-	}
-	if opt.MinStdDev <= 0 {
-		opt.MinStdDev = 1e-3
+	if opt.K < 1 {
+		return nil, fmt.Errorf("gmm: K = %d components, need at least 1", opt.K)
 	}
 	if len(samples) == 0 {
 		return nil, errors.New("gmm: no samples")
@@ -76,7 +68,7 @@ func Fit(samples []float64, opt FitOptions) (*Model, error) {
 	resp := make([]float64, n*k)
 	prevLL := math.Inf(-1)
 
-	for iter := 0; iter < opt.MaxIters; iter++ {
+	for iter := 0; iter < MaxIters; iter++ {
 		// E-step: responsibilities and log-likelihood.
 		var ll float64
 		for i, x := range samples {
@@ -120,12 +112,10 @@ func Fit(samples []float64, opt FitOptions) (*Model, error) {
 				vr += float64(resp[i*k+j] * d * d)
 			}
 			sd := math.Sqrt(vr / nk)
-			if sd < opt.MinStdDev {
-				sd = opt.MinStdDev
-			}
+			sd = max(sd, MinStdDev)
 			comps[j] = Component{Weight: nk / float64(n), Mean: mean, StdDev: sd}
 		}
-		if ll-prevLL < opt.Tol && iter > 0 {
+		if ll-prevLL < Tol && iter > 0 {
 			break
 		}
 		prevLL = ll
@@ -140,10 +130,7 @@ func initComponents(samples []float64, opt FitOptions) []Component {
 	k := opt.K
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	sd := stddevAll(samples)
-	if sd < opt.MinStdDev {
-		sd = opt.MinStdDev
-	}
+	sd := max(stddevAll(samples), MinStdDev)
 	comps := make([]Component, k)
 	for j := 0; j < k; j++ {
 		q := (float64(j) + 0.5) / float64(k)

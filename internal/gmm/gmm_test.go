@@ -9,6 +9,9 @@ import (
 	"watter/internal/order"
 )
 
+// threeComponents is the fit exp's offline pipeline runs by default.
+var threeComponents = FitOptions{K: 3, Seed: 1}
+
 func sampleMixture(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -24,9 +27,7 @@ func sampleMixture(rng *rand.Rand, n int) []float64 {
 func TestFitRecoversTwoModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	samples := sampleMixture(rng, 4000)
-	opt := DefaultFitOptions()
-	opt.K = 2
-	m, err := Fit(samples, opt)
+	m, err := Fit(samples, FitOptions{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +56,11 @@ func TestFitRecoversTwoModes(t *testing.T) {
 func TestFitImprovesLikelihoodOverSingleGaussian(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	samples := sampleMixture(rng, 2000)
-	opt1 := DefaultFitOptions()
-	opt1.K = 1
-	m1, err := Fit(samples, opt1)
+	m1, err := Fit(samples, FitOptions{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt2 := DefaultFitOptions()
-	opt2.K = 2
-	m2, err := Fit(samples, opt2)
+	m2, err := Fit(samples, FitOptions{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +97,19 @@ func mixtureMean(m *Model) float64 {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, DefaultFitOptions()); err == nil {
+	if _, err := Fit(nil, threeComponents); err == nil {
 		t.Fatal("empty sample set must error")
 	}
-	if _, err := Fit([]float64{1, math.NaN()}, DefaultFitOptions()); err == nil {
+	if _, err := Fit([]float64{1, math.NaN()}, threeComponents); err == nil {
 		t.Fatal("NaN sample must error")
 	}
-	if _, err := Fit([]float64{math.Inf(1)}, DefaultFitOptions()); err == nil {
+	if _, err := Fit([]float64{math.Inf(1)}, threeComponents); err == nil {
 		t.Fatal("Inf sample must error")
+	}
+	for _, k := range []int{0, -2} {
+		if _, err := Fit([]float64{5, 6}, FitOptions{K: k}); err == nil {
+			t.Fatalf("K = %d must error", k)
+		}
 	}
 	// Fewer samples than K is allowed (K clamps).
 	m, err := Fit([]float64{5, 6}, FitOptions{K: 8})
@@ -118,7 +120,7 @@ func TestFitErrors(t *testing.T) {
 
 func TestCDFMonotoneProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m, err := Fit(sampleMixture(rng, 800), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 800), threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 
 func TestPDFIntegratesToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m, err := Fit(sampleMixture(rng, 500), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 500), threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestPDFIntegratesToOne(t *testing.T) {
 
 func TestOptimalThresholdMaximizesGain(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m, err := Fit(sampleMixture(rng, 1500), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 1500), threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestOptimalThresholdDegenerate(t *testing.T) {
 
 func TestGradientMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	m, err := Fit(sampleMixture(rng, 1000), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 1000), threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestGradientMatchesGolden(t *testing.T) {
 
 func TestThresholdSourceCachesAndBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m, err := Fit(sampleMixture(rng, 500), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 500), threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestMeanAndWeights(t *testing.T) {
 	// An EM M-step sets Σ w_k μ_k to the sample mean exactly (up to
 	// rounding), so a fitted mixture must keep the data's first moment.
 	samples := sampleMixture(rand.New(rand.NewSource(3)), 2000)
-	fit, err := Fit(samples, DefaultFitOptions())
+	fit, err := Fit(samples, threeComponents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +262,7 @@ func BenchmarkFitK3(b *testing.B) {
 	samples := sampleMixture(rng, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(samples, DefaultFitOptions()); err != nil {
+		if _, err := Fit(samples, threeComponents); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,7 +270,7 @@ func BenchmarkFitK3(b *testing.B) {
 
 func BenchmarkOptimalThreshold(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	m, err := Fit(sampleMixture(rng, 1000), DefaultFitOptions())
+	m, err := Fit(sampleMixture(rng, 1000), threeComponents)
 	if err != nil {
 		b.Fatal(err)
 	}

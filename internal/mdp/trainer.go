@@ -1,7 +1,6 @@
 package mdp
 
 import (
-	"math"
 	"math/rand"
 
 	"watter/internal/nn"
@@ -36,31 +35,28 @@ type Experience struct {
 	Dt float64
 }
 
-// TrainerConfig sets the DQN-style learning hyperparameters.
+// The learning loop's fixed hyperparameters. The paper sets the discount
+// γ = 1, so the slack times of a wait chain add up undiscounted and the
+// bootstrap term of a wait is the target network's value unscaled.
+const (
+	// LearningRate is the Adam step size.
+	LearningRate = 1e-3
+	// BatchSize is the minibatch of one gradient step.
+	BatchSize = 64
+	// SyncEvery refreshes the target network every this many steps.
+	SyncEvery = 200
+	// ReplayCap bounds the replay memory (a ring buffer).
+	ReplayCap = 1 << 16
+)
+
+// TrainerConfig sets the value network's shape, the loss blend and the seed.
 type TrainerConfig struct {
-	Hidden []int // hidden layer sizes, default {64, 32}
-	// Gamma is the discount factor (paper sets γ = 1 so rewards add up to
-	// the slack time).
-	Gamma float64
+	// Hidden lists the hidden layer sizes; empty means a linear value
+	// function.
+	Hidden []int
 	// Omega weighs TD loss against target loss: ω·losstd + (1-ω)·losstg.
 	Omega float64
-	// LR is the Adam learning rate.
-	LR float64
-	// BatchSize per gradient step.
-	BatchSize int
-	// SyncEvery refreshes the target network every N steps.
-	SyncEvery int
-	// ReplayCap bounds the replay memory (ring buffer).
-	ReplayCap int
-	Seed      int64
-}
-
-// DefaultTrainerConfig mirrors the paper's setting: γ=1, balanced ω.
-func DefaultTrainerConfig() TrainerConfig {
-	return TrainerConfig{
-		Hidden: []int{64, 32}, Gamma: 1, Omega: 0.5, LR: 1e-3,
-		BatchSize: 64, SyncEvery: 200, ReplayCap: 1 << 16, Seed: 1,
-	}
+	Seed  int64
 }
 
 // Trainer owns the main network V, the delayed-copy target network V̂ and
@@ -78,24 +74,6 @@ type Trainer struct {
 
 // NewTrainer builds a trainer for states of the given dimension.
 func NewTrainer(stateDim int, cfg TrainerConfig) *Trainer {
-	if len(cfg.Hidden) == 0 {
-		cfg.Hidden = []int{64, 32}
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 200
-	}
-	if cfg.ReplayCap <= 0 {
-		cfg.ReplayCap = 1 << 16
-	}
-	if cfg.LR <= 0 {
-		cfg.LR = 1e-3
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 1
-	}
 	sizes := append([]int{stateDim}, cfg.Hidden...)
 	sizes = append(sizes, 1)
 	main := nn.New(sizes, cfg.Seed)
@@ -103,19 +81,19 @@ func NewTrainer(stateDim int, cfg TrainerConfig) *Trainer {
 		cfg:    cfg,
 		main:   main,
 		target: main.Clone(),
-		replay: make([]Experience, 0, cfg.ReplayCap),
+		replay: make([]Experience, 0, ReplayCap),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
 // Add appends an experience to the replay memory (ring overwrite).
 func (t *Trainer) Add(e Experience) {
-	if len(t.replay) < t.cfg.ReplayCap {
+	if len(t.replay) < ReplayCap {
 		t.replay = append(t.replay, e)
 		return
 	}
 	t.replay[t.pos] = e
-	t.pos = (t.pos + 1) % t.cfg.ReplayCap
+	t.pos = (t.pos + 1) % ReplayCap
 }
 
 // ReplayLen returns the number of stored experiences.
@@ -133,10 +111,7 @@ func (t *Trainer) Step() float64 {
 	if n == 0 {
 		return 0
 	}
-	bs := t.cfg.BatchSize
-	if bs > n {
-		bs = n
-	}
+	bs := min(BatchSize, n)
 	xs := make([][]float64, bs)
 	ys := make([]float64, bs)
 	for i := 0; i < bs; i++ {
@@ -144,9 +119,9 @@ func (t *Trainer) Step() float64 {
 		xs[i] = e.State
 		ys[i] = t.blendedTarget(e)
 	}
-	loss := t.main.TrainBatch(xs, ys, t.cfg.LR)
+	loss := t.main.TrainBatch(xs, ys, LearningRate)
 	t.steps++
-	if t.steps%t.cfg.SyncEvery == 0 {
+	if t.steps%SyncEvery == 0 {
 		t.target.CopyWeightsFrom(t.main)
 	}
 	return loss
@@ -161,7 +136,7 @@ func (t *Trainer) blendedTarget(e Experience) float64 {
 	case e.Expired || e.Next == nil:
 		td = e.Reward // -Δt with no future (I(expired) = 1)
 	default:
-		td = e.Reward + float64(math.Pow(t.cfg.Gamma, e.Dt)*t.target.PredictWith(&t.pass, e.Next))
+		td = e.Reward + t.target.PredictWith(&t.pass, e.Next) // γ^Δt = 1
 	}
 	tg := e.Penalty - e.ThetaStar
 	return float64(t.cfg.Omega*td) + float64((1-t.cfg.Omega)*tg)
