@@ -59,6 +59,10 @@ func main() {
 		benchsweep = flag.String("benchsweep", "", "run the sequential-vs-parallel engine benchmark, check it against the row already in this file (if any) and write the fresh row there")
 	)
 	flag.Parse()
+	if err := exp.ValidateReplicates(*replicates, *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *list {
 		base := exp.DefaultParams(dataset.CDC())

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -251,6 +252,48 @@ func TestScaleTooSmall(t *testing.T) {
 		_, err := scaled(tc.city, tc.scale, 1)
 		if tc.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), "scale too small")) {
 			t.Errorf("%s: err = %v", tc.name, err)
+		}
+	}
+}
+
+// Both experiment commands refuse fewer than one replicate and a negative
+// parallelism before anything else, exit 2 naming the flag, where
+// ReplicateSeeds would run one replicate and SweepRunner GOMAXPROCS jobs
+// without a word. The commands are built and run as a user runs them; the
+// trailing arguments make one that skipped the check exit 0 at once
+// (watterbench -list, a ten-order GDP run of wattersim).
+func TestReplicatesAndParallelRefused(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build the experiment commands with")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"watterbench", []string{"-list"}},
+		{"wattersim", []string{"-alg", "GDP", "-n", "10", "-m", "2"}},
+	} {
+		bin := filepath.Join(dir, tc.cmd)
+		if out, err := exec.Command(gobin, "build", "-o", bin, "../"+tc.cmd).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", tc.cmd, err, out)
+		}
+		for _, bad := range []struct{ flag, value string }{
+			{"-replicates", "0"}, {"-replicates", "-2"}, {"-parallel", "-3"},
+		} {
+			var stderr bytes.Buffer
+			run := exec.Command(bin, append([]string{bad.flag, bad.value}, tc.args...)...)
+			run.Stderr = &stderr
+			err := run.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), bad.flag) {
+				t.Errorf("%s %s %s: err = %v, stderr %q; want exit 2 naming %s",
+					tc.cmd, bad.flag, bad.value, err, stderr.String(), bad.flag)
+			}
+		}
+		if out, err := exec.Command(bin, append([]string{"-replicates", "1", "-parallel", "0"}, tc.args...)...).CombinedOutput(); err != nil {
+			t.Errorf("%s -replicates 1 -parallel 0: %v\n%s", tc.cmd, err, out)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command watterload is the open-loop load harness CLI: it drives a
 // platform with Poisson, surge and heavy-tailed (Pareto) arrival processes
 // on the virtual clock, measures sustained throughput, admit→dispatch
-// latency tails, decision slip and the event-bus backpressure onset, and
-// brackets the maximum sustainable arrival rate by deterministic
+// latency tails, decision slip and a modelled event consumer's backpressure
+// onset, and brackets the maximum sustainable arrival rate by deterministic
 // bisection. Where every other bench replays a finite batch and reports
 // wall-clock totals, watterload answers the production question: at what
 // sustained orders/sec does the platform stop keeping its decision
@@ -94,7 +94,7 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 		{"pareto", load.Pareto, o.rate, 0, 0},
 		// The starved-consumer scenario exists to place the backpressure
 		// onset: same arrivals as the poisson row, but the modelled
-		// consumer drains 8 events a tick from a 64-deep bus.
+		// consumer drains 8 events a tick from a 64-deep queue.
 		{"backpressure", load.Poisson, o.rate, 64, 8},
 	}
 	results := make([]*load.Result, len(scenarios))

@@ -28,7 +28,7 @@ var pinnedRuns = []load.Result{
 		Mean: 48.89486724636325, SlipP99: 0, FracWithinTick: 1, ServiceRate: 0.5504587155963303,
 		BackpressureOnset: -1, PeakQueueDepth: 28, StreamHash: 0xcc8ada9c768c240f, JournalHash: 0xb271a1ae4662f9b5},
 	// The poisson arrivals again, against a consumer draining 8 events a tick
-	// from a 64-deep bus.
+	// from a 64-deep queue.
 	{Process: load.Poisson, Rate: 1, Horizon: 300, Scheduled: 290, Submitted: 290, Served: 125, Rejected: 165, Ticks: 220,
 		SustainedRate: 0.9666666666666667, P50: 17.866878691987583, P99: 623.4870199105466, P999: 634.4824641816635,
 		Mean: 50.755494973147435, SlipP99: 0.001, FracWithinTick: 1, ServiceRate: 0.43103448275862066,

@@ -46,6 +46,9 @@ func main() {
 		model      = flag.String("model", "", "run WATTER-expect from a saved wattertrain bundle instead of retraining")
 	)
 	flag.Parse()
+	if err := exp.ValidateReplicates(*replicates, *parallel); err != nil {
+		fail(err)
+	}
 
 	profile, err := dataset.ByName(*city)
 	if err != nil {

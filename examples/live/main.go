@@ -1,9 +1,10 @@
 // Live demonstrates the event-driven platform API: orders stream into a
-// Platform one at a time while a consumer goroutine watches the typed
-// event bus — admissions, dispatches, rejections and per-tick metric
+// Platform one at a time while a synchronous observer watches the typed
+// events — admissions, dispatches, rejections and per-tick metric
 // snapshots — exactly the surface a dashboard or admission controller
 // would build on. Replay on the same platform reproduces the paper's
-// evaluation; this is the live-traffic mode the platform grew for.
+// evaluation; this is the live-traffic mode the platform grew for. It
+// exits 1 when the rejections it observed differ from the final metrics'.
 //
 //	go run ./examples/live
 //	go run ./examples/live -city nyc -n 800 -timeout
@@ -43,44 +44,37 @@ func main() {
 	if *timeout {
 		alg = watter.NewTimeout()
 	}
+
+	// A minimal live dashboard: the observer runs on the feeding goroutine
+	// as each outcome happens. Dispatch sizes accumulate into a histogram;
+	// every 30th tick prints a status line.
+	sizes := map[int]int{}
+	var rejected, ticks int
+	observe := func(ev watter.Event) {
+		switch e := ev.(type) {
+		case watter.GroupDispatched:
+			sizes[e.Size()]++
+		case watter.OrderRejected:
+			rejected++
+		case watter.TickCompleted:
+			ticks++
+			if ticks%30 == 0 {
+				m := e.Metrics
+				fmt.Printf("[t=%5.0fs] served=%4d rejected=%4d extra=%7.0fs rate=%5.1f%%\n",
+					e.Time, m.Served, m.Rejected, m.ExtraTime(), 100*m.ServiceRate())
+			}
+		}
+	}
 	p, err := watter.New(built.Net, workers,
 		watter.WithTick(10),
 		watter.WithAlgorithm(alg),
 		watter.WithMeasuredTime(false),
+		watter.WithObserver(observe),
 	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-
-	// Subscribe before the first Submit (and on the feeding goroutine —
-	// Events is not safe to call concurrently with Submit/Close), then
-	// hand the channel to the consumer: a minimal live dashboard.
-	// Dispatch sizes accumulate into a histogram; every 30th tick prints
-	// a status line.
-	events := p.Events()
-	done := make(chan struct{})
-	sizes := map[int]int{}
-	var rejected int
-	go func() {
-		defer close(done)
-		ticks := 0
-		for ev := range events {
-			switch e := ev.(type) {
-			case watter.GroupDispatched:
-				sizes[e.Size()]++
-			case watter.OrderRejected:
-				rejected++
-			case watter.TickCompleted:
-				ticks++
-				if ticks%30 == 0 {
-					m := e.Metrics
-					fmt.Printf("[t=%5.0fs] served=%4d rejected=%4d extra=%7.0fs rate=%5.1f%%\n",
-						e.Time, m.Served, m.Rejected, m.ExtraTime(), 100*m.ServiceRate())
-				}
-			}
-		}
-	}()
 
 	// The feeder: orders arrive in release order, as a live ingest would
 	// deliver them. Submit validates and errors instead of coercing.
@@ -96,7 +90,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	<-done
 
 	fmt.Printf("\n%s %s over %d streamed orders, %d workers:\n", profile.Name, alg.Name(), *n, *m)
 	fmt.Printf("  %s\n", metrics)
@@ -105,4 +98,8 @@ func main() {
 		fmt.Printf("%dx%d ", k, sizes[k])
 	}
 	fmt.Printf("(events saw %d rejections; metrics say %d)\n", rejected, metrics.Rejected)
+	if rejected != metrics.Rejected {
+		fmt.Fprintln(os.Stderr, "the observed rejections disagree with the metrics")
+		os.Exit(1)
+	}
 }

@@ -436,13 +436,17 @@ var ErrInvalidParams = errors.New("exp: invalid parameters")
 // wait-limit scales that are not finite and positive, value-network layers
 // without units, the platform parameters and the tick interval
 // (WATTER-expect's training builds platforms from both). It also refuses
-// what training would otherwise fit or save without a word: fewer than one
-// GMM component, and a loss blend ω that is NaN or outside [0, 1].
+// what training would otherwise fit or save without a word: a negative
+// step count (it would train none), fewer than one GMM component, and a
+// loss blend ω that is NaN or outside [0, 1].
 func validate(p Params) error {
 	for _, n := range []struct {
 		name string
 		v    int
-	}{{"Orders", p.Orders}, {"Workers", p.Workers}, {"Train.HistoricalOrders", p.Train.HistoricalOrders}} {
+	}{
+		{"Orders", p.Orders}, {"Workers", p.Workers},
+		{"Train.HistoricalOrders", p.Train.HistoricalOrders}, {"Train.TrainSteps", p.Train.TrainSteps},
+	} {
 		if n.v < 0 {
 			return fmt.Errorf("%w: %s = %d is negative", ErrInvalidParams, n.name, n.v)
 		}

@@ -89,7 +89,7 @@ func submitOneByOne(t *testing.T, plat *platform.Platform, orders []*order.Order
 
 // TestReplayEquivalence is the acceptance test of the platform redesign:
 // for all five algorithms, the full event-driven platform path
-// (Platform.Replay with a subscribed, drained event bus) and a client that
+// (Platform.Replay with an observer counting its events) and a client that
 // calls Submit/Tick/Close one at a time must both produce per-seed Metrics
 // bit-identical to the frozen pre-redesign runner. Wall-clock fields are
 // the documented exception (DESIGN.md §8) and are disabled here.
@@ -128,31 +128,25 @@ func TestReplayEquivalence(t *testing.T) {
 				return submitOneByOne(t, plat, s.Orders, p.TickEvery)
 			})
 			var admitted, dispatched, rejected int
+			observe := platform.WithObserver(func(ev platform.Event) {
+				switch e := ev.(type) {
+				case platform.OrderAdmitted:
+					admitted++
+				case platform.GroupDispatched:
+					dispatched += e.Size()
+				case platform.OrderRejected:
+					rejected++
+				}
+			})
 			streamed := arm(func(alg sim.Algorithm) *sim.Metrics {
-				plat, err := s.Platform(alg, false)
+				plat, err := platform.New(s.City.Net, s.Fleet(), append(s.Options(false), platform.WithAlgorithm(alg), observe)...)
 				if err != nil {
 					t.Fatalf("platform.New(%s): %v", name, err)
 				}
-				events := plat.Events()
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for ev := range events {
-						switch e := ev.(type) {
-						case platform.OrderAdmitted:
-							admitted++
-						case platform.GroupDispatched:
-							dispatched += e.Size()
-						case platform.OrderRejected:
-							rejected++
-						}
-					}
-				}()
 				m, err := plat.Replay(s.Orders)
 				if err != nil {
 					t.Fatalf("Replay(%s): %v", name, err)
 				}
-				<-done
 				return m
 			})
 
@@ -169,7 +163,7 @@ func TestReplayEquivalence(t *testing.T) {
 					name, seed, legacy.Served, legacy.Rejected)
 			}
 			if admitted != legacy.Total || dispatched != legacy.Served || rejected != legacy.Rejected {
-				t.Fatalf("%s seed %d: event bus disagrees with metrics: admitted=%d/%d dispatched=%d/%d rejected=%d/%d",
+				t.Fatalf("%s seed %d: observed events disagree with metrics: admitted=%d/%d dispatched=%d/%d rejected=%d/%d",
 					name, seed, admitted, legacy.Total, dispatched, legacy.Served, rejected, legacy.Rejected)
 			}
 		}

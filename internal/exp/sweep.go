@@ -269,6 +269,21 @@ func aggregateCells(jobs []Job, results []*Result) []CellSummary {
 	return cells
 }
 
+// ValidateReplicates is the command lines' one check of their -replicates
+// and -parallel flags, which ReplicateSeeds and SweepRunner would otherwise
+// coerce without a word: fewer than one replicate runs one, and a negative
+// parallelism means GOMAXPROCS. The refusal names the flag and wraps
+// ErrInvalidParams.
+func ValidateReplicates(replicates, parallel int) error {
+	if replicates < 1 {
+		return fmt.Errorf("%w: -replicates = %d: need at least one replicate", ErrInvalidParams, replicates)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("%w: -parallel = %d is negative (0 means GOMAXPROCS)", ErrInvalidParams, parallel)
+	}
+	return nil
+}
+
 // ReplicateSeeds returns base, base+1, ... base+n-1 — the conventional
 // seed grid for n replicates.
 func ReplicateSeeds(base int64, n int) []int64 {

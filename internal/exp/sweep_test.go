@@ -205,6 +205,8 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 	negOrders.Orders = -1
 	negHistory := tinyParams()
 	negHistory.Train.HistoricalOrders = -1
+	negSteps := tinyParams()
+	negSteps.Train.TrainSteps = -5
 	emptyLayer := tinyParams()
 	emptyLayer.Train.Hidden = []int{-1}
 	components := func(k int) Params {
@@ -241,6 +243,7 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		{"negative fleet", negWorkers, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Workers"},
 		{"negative orders", negOrders, []string{"GDP", "WATTER-online", "WATTER-expect"}, "Orders"},
 		{"negative history", negHistory, []string{"WATTER-expect"}, "Train.HistoricalOrders"},
+		{"negative train steps", negSteps, []string{"GDP", "WATTER-expect"}, "Train.TrainSteps"},
 		{"empty layer", emptyLayer, []string{"WATTER-expect"}, "Train.Hidden"},
 		{"zero components", components(0), []string{"GDP", "WATTER-expect"}, "Train.GMMComponents"},
 		{"negative components", components(-2), []string{"WATTER-expect"}, "Train.GMMComponents"},

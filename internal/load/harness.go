@@ -17,7 +17,7 @@ import (
 )
 
 // Config is one open-loop load run: a city, a fleet, an arrival process
-// and the modelled event-bus consumer. Capacity, τ and η are the paper's
+// and the modelled event consumer. Capacity, τ and η are the paper's
 // defaults (four seats, dataset.DefaultTauScale, dataset.DefaultEta).
 type Config struct {
 	// City is the demand/network profile.
@@ -34,8 +34,9 @@ type Config struct {
 	Horizon float64
 	// Tick is the periodic-check interval Δt.
 	Tick float64
-	// Buffer and DrainPerTick parameterize the modelled event-bus consumer
-	// (see QueueModel).
+	// Buffer and DrainPerTick parameterize the modelled event consumer's
+	// own queue: its channel capacity and the events it drains per tick
+	// (see QueueModel). The platform itself queues nothing.
 	Buffer       int
 	DrainPerTick int
 }
@@ -43,8 +44,8 @@ type Config struct {
 // Defaults fills zero fields from the harness's one table of defaults,
 // which watterload's flags also default to: the CDC profile, 60 workers,
 // seed 1, a Poisson process at 1 order/s with arrival seed 1, a 300 s
-// arrival window at Δt = 10 s, and a 256-deep bus drained 64 events per
-// tick. A zero seed therefore reads as 1.
+// arrival window at Δt = 10 s, and a 256-deep consumer queue drained 64
+// events per tick. A zero seed therefore reads as 1.
 func (c Config) Defaults() Config {
 	if c.City.Name == "" {
 		c.City = dataset.CDC()
@@ -131,9 +132,7 @@ type Result struct {
 
 	// BackpressureOnset is the virtual time of the first modelled
 	// would-block emit (-1: never saturated); PeakQueueDepth is the
-	// modelled backlog peak. The platform's own channel-level counters
-	// (Stats().EventQueueHighWater/EventBlockedSends) stay 0 here because
-	// the harness taps the never-blocking observer instead of a channel.
+	// modelled backlog peak.
 	BackpressureOnset float64
 	PeakQueueDepth    int
 
@@ -214,7 +213,7 @@ func (j *journal) event(ev platform.Event) {
 }
 
 // Run executes one open-loop load run and returns its measurements. A
-// negative fleet, bus buffer or drain rate is refused before anything is
+// negative fleet, queue buffer or drain rate is refused before anything is
 // built: the first would panic sizing the fleet, the other two would model
 // a queue that saturates at once or grows on every drain.
 func Run(cfg Config) (*Result, error) {

@@ -1,19 +1,19 @@
 package load
 
-// QueueModel is the deterministic event-bus consumer model behind the
-// backpressure-onset measurement. A real platform.Events() channel of
-// capacity buffer, drained by a consumer that polls once per tick, would
-// block the feeder at the first emit that finds the buffer full; blocking
-// the feeder inside a virtual-clock harness would deadlock (feeder and
-// consumer share one goroutine) and, worse, would make the onset depend on
-// scheduler timing. So the harness taps the synchronous observer — which
-// never blocks and never reorders — and replays the channel arithmetic
-// here: every event enqueues one unit, and at each tick boundary the
-// modelled consumer dequeues up to drainPerTick units. Pure integer
-// arithmetic over the (deterministic) event stream ⇒ the onset point is a
-// deterministic function of (workload, buffer, drain rate).
+// QueueModel is the deterministic model of an event consumer's own queue
+// behind the backpressure-onset measurement. A consumer that wants its own
+// goroutine has its platform observer send into a channel of capacity
+// buffer that it drains once per tick; that send would block the feeder at
+// the first event that finds the buffer full. Blocking the feeder inside a
+// virtual-clock harness would deadlock (feeder and consumer share one
+// goroutine) and, worse, would make the onset depend on scheduler timing.
+// So the harness's observer replays the channel arithmetic here instead:
+// every event enqueues one unit, and at each tick boundary the modelled
+// consumer dequeues up to drainPerTick units. Pure integer arithmetic over
+// the (deterministic) event stream ⇒ the onset point is a deterministic
+// function of (workload, buffer, drain rate).
 type QueueModel struct {
-	buffer       int // the modelled channel capacity (platform.WithEventBuffer)
+	buffer       int // the modelled channel capacity
 	drainPerTick int // events the modelled consumer dequeues at each tick boundary
 
 	depth   int

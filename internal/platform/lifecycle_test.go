@@ -54,138 +54,70 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestPauseResume pins the admin freeze: paused platforms refuse ingestion
-// with ErrPaused (typed, recoverable), resume restores it, and a
-// pause/resume cycle that drops no traffic is metrics-neutral.
-func TestPauseResume(t *testing.T) {
-	net := roadnet.NewGridCity(10, 10, 100, 10)
-	run := func(pause bool) *sim.Metrics {
-		p, err := New(net, testFleet(net, 2), WithMeasuredTime(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			if pause && i == 5 {
-				if err := p.Pause(); err != nil {
-					t.Fatal(err)
-				}
-				if err := p.Submit(testOrder(net, 100, 60)); !errors.Is(err, ErrPaused) {
-					t.Fatalf("paused submit: %v", err)
-				}
-				if _, err := p.Tick(); !errors.Is(err, ErrPaused) {
-					t.Fatalf("paused tick: %v", err)
-				}
-				if !p.Stats().Paused {
-					t.Fatal("Stats does not show the pause")
-				}
-				if err := p.Resume(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := p.Submit(testOrder(net, i+1, float64(i*9))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m, err := p.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	plain, paused := run(false), run(true)
-	if *plain != *paused {
-		t.Fatalf("pause/resume changed metrics:\nplain:  %+v\npaused: %+v", *plain, *paused)
-	}
-
-	p, err := New(net, testFleet(net, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Pause(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("pause after close: %v", err)
-	}
-	if err := p.Resume(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("resume after close: %v", err)
-	}
+// initObserver wraps an algorithm with an observer it registers at Init,
+// the way offline training's collector listens.
+type initObserver struct {
+	sim.Algorithm
+	fn func(Event)
 }
 
-// TestObserver pins the journal hook: the synchronous observer sees the
-// exact event sequence the channel bus delivers, without subscribing to
-// the channel at all — and when both taps exist, both see everything.
+func (a initObserver) Init(env *sim.Env) {
+	env.Observe(a.fn)
+	a.Algorithm.Init(env)
+}
+
+// TestObserver pins the journal hook: the WithObserver callback sees every
+// outcome the metrics count, in time order, each before the observer the
+// algorithm registers at Init sees it; the last WithObserver wins, and a
+// nil one is refused.
 func TestObserver(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
-	feed := func(p *Platform) {
-		t.Helper()
-		for i := 0; i < 8; i++ {
-			if err := p.Submit(testOrder(net, i+1, float64(i*11))); err != nil {
-				t.Fatal(err)
+	var seen []string
+	var observed []Event
+	var dispatched, rejected int
+	alg := initObserver{
+		Algorithm: core.New(strategy.Online{}, pool.DefaultOptions()),
+		fn:        func(Event) { seen = append(seen, "alg") },
+	}
+	p, err := New(net, testFleet(net, 2), WithMeasuredTime(false), WithAlgorithm(alg),
+		WithObserver(func(Event) { t.Fatal("an overridden observer was called") }),
+		WithObserver(func(ev Event) {
+			seen = append(seen, "platform")
+			observed = append(observed, ev)
+			switch e := ev.(type) {
+			case GroupDispatched:
+				dispatched += e.Size()
+			case OrderRejected:
+				rejected++
 			}
-		}
-		if _, err := p.Close(); err != nil {
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := p.Submit(testOrder(net, i+1, float64(i*11))); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var observed []Event
-	p, err := New(net, testFleet(net, 2), WithMeasuredTime(false),
-		WithObserver(func(ev Event) { observed = append(observed, ev) }))
+	m, err := p.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed(p)
-	if len(observed) == 0 {
-		t.Fatal("observer saw nothing")
+	if len(observed) == 0 || dispatched != m.Served || rejected != m.Rejected {
+		t.Fatalf("observer saw %d events, %d served and %d rejected; metrics %+v", len(observed), dispatched, rejected, *m)
 	}
-
-	// Reference arm: same workload through the channel bus only.
-	p2, err := New(net, testFleet(net, 2), WithMeasuredTime(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var busDelivered []Event
-	events := p2.Events()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range events {
-			busDelivered = append(busDelivered, ev)
-		}
-	}()
-	feed(p2)
-	<-done
-
-	if len(observed) != len(busDelivered) {
-		t.Fatalf("observer saw %d events, bus delivered %d", len(observed), len(busDelivered))
-	}
-	for i := range observed {
-		if observed[i].When() != busDelivered[i].When() {
-			t.Fatalf("event %d: observer t=%v, bus t=%v", i, observed[i].When(), busDelivered[i].When())
+	for i := 1; i < len(observed); i++ {
+		if observed[i].When() < observed[i-1].When() {
+			t.Fatalf("event %d at t=%v after one at t=%v", i, observed[i].When(), observed[i-1].When())
 		}
 	}
-
-	// Both taps at once: the channel receives exactly what the observer saw.
-	var both []Event
-	p3, err := New(net, testFleet(net, 2), WithMeasuredTime(false),
-		WithObserver(func(ev Event) { both = append(both, ev) }))
-	if err != nil {
-		t.Fatal(err)
+	if len(seen) != 2*len(observed) {
+		t.Fatalf("the Init observer saw %d events, the platform's %d", len(seen)-len(observed), len(observed))
 	}
-	ch := p3.Events()
-	var chGot int
-	done3 := make(chan struct{})
-	go func() {
-		defer close(done3)
-		for range ch {
-			chGot++
+	for i := 0; i < len(seen); i += 2 {
+		if seen[i] != "platform" || seen[i+1] != "alg" {
+			t.Fatalf("event %d reached %s first, want the platform's observer", i/2, seen[i])
 		}
-	}()
-	feed(p3)
-	<-done3
-	if chGot != len(both) {
-		t.Fatalf("dual-tap divergence: observer %d, channel %d", len(both), chGot)
 	}
 
 	if _, err := New(net, testFleet(net, 1), WithObserver(nil)); err == nil {
@@ -195,7 +127,7 @@ func TestObserver(t *testing.T) {
 
 // TestStatsComposite pins the unified observability snapshot: the order
 // ledger matches the metrics, the pool-cache and shard counters agree with
-// the deprecated per-subsystem accessors, and lifecycle flags track state.
+// the per-subsystem accessors, and the closed flag tracks state.
 func TestStatsComposite(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	fw := core.New(strategy.Online{}, pool.DefaultOptions())
@@ -204,7 +136,7 @@ func TestStatsComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Closed || st.Paused || st.Orders.Submitted != 0 {
+	if st := p.Stats(); st.Closed || st.Orders.Submitted != 0 {
 		t.Fatalf("fresh platform stats: %+v", st)
 	}
 	for i := 0; i < 12; i++ {
@@ -249,20 +181,19 @@ func TestStatsComposite(t *testing.T) {
 }
 
 // TestStatsMerge pins the fleet-aggregation fold the proxy admin plane
-// uses: counters sum, the clock takes the max, and lifecycle flags combine
-// as documented (Closed ANDs, Paused ORs).
+// uses: counters sum, the clock takes the max, and Closed ANDs.
 func TestStatsMerge(t *testing.T) {
 	a := Stats{Clock: 50, Closed: true, Orders: OrderCounts{Submitted: 10, Served: 7, Rejected: 2, Pending: 1}}
 	a.PoolCache.Hits = 5
 	a.Shard.GroupHits = 3
 	a.ShardActive = true
-	b := Stats{Clock: 80, Paused: true, Orders: OrderCounts{Submitted: 4, Served: 4}}
+	b := Stats{Clock: 80, Orders: OrderCounts{Submitted: 4, Served: 4}}
 	b.PoolCache.Hits = 2
 	b.PoolCacheActive = true
 
 	agg := a
 	agg.Merge(b)
-	if agg.Clock != 80 || agg.Closed || !agg.Paused {
+	if agg.Clock != 80 || agg.Closed {
 		t.Fatalf("lifecycle fold wrong: %+v", agg)
 	}
 	if agg.Orders.Submitted != 14 || agg.Orders.Served != 11 || agg.Orders.Rejected != 2 || agg.Orders.Pending != 1 {
@@ -280,7 +211,7 @@ func TestStatsMerge(t *testing.T) {
 // every member is closed). Everything else — counters, clock, flags —
 // must pass through unchanged.
 func TestStatsMergeZeroValue(t *testing.T) {
-	a := Stats{Clock: 50, Closed: true, Paused: true,
+	a := Stats{Clock: 50, Closed: true,
 		Orders: OrderCounts{Submitted: 9, Served: 6, Rejected: 2, Pending: 1}}
 	a.ShardActive = true
 	a.Shard.PrewarmTasks = 4
@@ -305,8 +236,8 @@ func TestStatsMergeZeroValue(t *testing.T) {
 }
 
 // TestStatsMergeClockAndFlags pins the non-additive folds: Clock is a
-// max in both directions, Closed is an AND, Paused is an OR, and the
-// subsystem-active flags OR (a fleet with one sharded city reports
+// max in both directions, Closed is an AND, and the subsystem-active
+// flags OR (a fleet with one sharded city reports
 // sharding active; a fleet with none does not).
 func TestStatsMergeClockAndFlags(t *testing.T) {
 	newer := Stats{Clock: 90, Closed: true}
@@ -324,9 +255,6 @@ func TestStatsMergeClockAndFlags(t *testing.T) {
 	if !x.Closed || !y.Closed {
 		t.Fatal("all-closed fleet must fold to Closed")
 	}
-	if x.Paused || y.Paused {
-		t.Fatal("no-paused fleet must fold to not Paused")
-	}
 
 	inactive := Stats{}
 	inactive.Merge(Stats{})
@@ -342,15 +270,10 @@ func TestStatsMergeClockAndFlags(t *testing.T) {
 
 // TestStatsMergeCoversEveryCounter self-merges a snapshot whose every
 // numeric field holds a distinct value and checks each one exactly
-// doubled (fields with max semantics — Clock, the event-bus high-water
-// mark — stay put instead). Adding a counter to shard.Stats or
-// pool.CacheStats without extending Merge fails here — the field would
-// come back un-doubled.
+// doubled (Clock, a max, stays put instead). Adding a counter to
+// shard.Stats or pool.CacheStats without extending Merge fails here — the
+// field would come back un-doubled.
 func TestStatsMergeCoversEveryCounter(t *testing.T) {
-	// High-water marks fold by max, not sum: self-merge leaves them put.
-	maxFields := map[string]bool{
-		"Stats.EventQueueHighWater": true,
-	}
 	var s Stats
 	n := int64(1)
 	var fill func(v reflect.Value)
@@ -383,13 +306,6 @@ func TestStatsMergeCoversEveryCounter(t *testing.T) {
 			case reflect.Struct:
 				check(name, o, m)
 			case reflect.Int:
-				if maxFields[name] {
-					if m.Int() != o.Int() {
-						t.Errorf("%s = %d after self-merge, want unchanged %d (max, not sum)",
-							name, m.Int(), o.Int())
-					}
-					continue
-				}
 				if m.Int() != 2*o.Int() {
 					t.Errorf("%s = %d after self-merge, want %d — field missing from Merge?",
 						name, m.Int(), 2*o.Int())

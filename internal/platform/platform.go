@@ -2,11 +2,11 @@
 // drives a sim.Algorithm. It owns the clock and the periodic check's cadence,
 // admits orders one at a time (Submit) or as a pre-materialized workload
 // (Replay, paper-replication mode), advances the periodic check on demand
-// (Tick), drains at Close, and publishes typed events (order admitted / group
-// dispatched / order rejected / tick completed) so callers can build live
-// dashboards, loggers or admission controllers on top. Construction goes
-// through functional options that validate and return errors instead of
-// silently defaulting.
+// (Tick), drains at Close, and hands typed events (order admitted / group
+// dispatched / order rejected / tick completed) to one synchronous observer
+// (WithObserver) so callers can build live dashboards, loggers or admission
+// controllers on top. Construction goes through functional options that
+// validate and return errors instead of silently defaulting.
 //
 // Scheduling contract (pinned by the scheduling tests and the replay
 // equivalence property test):
@@ -39,20 +39,17 @@ import (
 
 // Lifecycle sentinels. ErrClosed is the typed "platform is closed" error:
 // Submit/Tick/Replay return it (test with errors.Is) after Close or Abort.
-// ErrPaused is returned while the platform is administratively paused —
-// the operation is refused but the platform stays usable. ErrAborted is
-// what Close reports (idempotently) for a platform that was killed by
-// Abort or by a mid-replay failure instead of draining cleanly.
+// ErrAborted is what Close reports (idempotently) for a platform that was
+// killed by Abort or by a mid-replay failure instead of draining cleanly.
 var (
 	ErrClosed  = errors.New("platform: closed")
-	ErrPaused  = errors.New("platform: paused")
 	ErrAborted = errors.New("platform: aborted")
 )
 
 // Platform is a ridesharing service instance: one network, one fleet, one
 // dispatch algorithm, and the clock that drives them (Env.Clock, the time of
-// the last delivered event). It is not safe for concurrent use — one
-// goroutine feeds it; event consumers run elsewhere.
+// the last delivered event). It is not safe for concurrent use: one
+// goroutine feeds it, and the observer runs on that goroutine.
 type Platform struct {
 	env     *sim.Env
 	alg     sim.Algorithm
@@ -61,16 +58,9 @@ type Platform struct {
 
 	nextTick float64
 	horizon  float64 // the largest deadline admitted: Close drains to it
-	// started: Init has run and the clock is meaningful; too late to
-	// subscribe.
+	// started: Init has run and the clock is meaningful.
 	started bool
-
-	events     chan Event
-	tap        *tap // registered on the Env once any delivery path exists
-	subscribed bool // the channel is live (it must be closed at Close)
-	buffer     int
-	paused     bool
-	closed     bool
+	closed  bool
 	// Close is idempotent: the first call's result is memoized and every
 	// later call returns exactly the same (*Metrics, error) pair.
 	closeM   *sim.Metrics
@@ -83,7 +73,6 @@ type config struct {
 	tick     float64
 	measure  bool
 	alg      sim.Algorithm
-	buffer   int
 	shards   int
 	observer func(Event)
 }
@@ -176,28 +165,13 @@ func WithMeasuredTime(on bool) Option {
 	}
 }
 
-// WithEventBuffer sizes the event channel (default 256). Event delivery
-// blocks when the buffer is full — nothing is dropped — so feeders that
-// outrun their consumer need either a larger buffer or a draining
-// goroutine.
-func WithEventBuffer(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("platform: event buffer must hold at least 1 event, got %d", n)
-		}
-		c.buffer = n
-		return nil
-	}
-}
-
 // WithObserver installs a synchronous event callback, invoked for every
 // event on the feeding goroutine as it happens — the journal-recording
-// hook the multi-city proxy builds on. Unlike the Events channel the
-// observer never buffers and never blocks on a consumer, so it is the
-// right tap for recorders that must not miss or reorder anything. The
-// callback must not call back into the Platform. It composes with
-// Events(): a subscribed channel receives every event the observer saw,
-// observer first.
+// hook the multi-city proxy builds on. The platform owns no queue: a
+// consumer that wants another goroutine keeps its own channel and sizes
+// its own buffer. The callback must not call back into the Platform. The
+// last WithObserver wins; it runs before any observer the algorithm
+// registers at Init.
 func WithObserver(fn func(Event)) Option {
 	return func(c *config) error {
 		if fn == nil {
@@ -233,7 +207,6 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		cfg:     sim.DefaultConfig(),
 		tick:    10,
 		measure: true,
-		buffer:  256,
 	}
 	for _, opt := range options {
 		if opt == nil {
@@ -263,10 +236,11 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 		tick:     c.tick,
 		measure:  c.measure,
 		nextTick: c.tick,
-		buffer:   c.buffer,
 	}
+	// Registered before the run starts, so it precedes every observer an
+	// algorithm adds at Init; with none, the run builds no events at all.
 	if c.observer != nil {
-		p.ensureTap().fn = c.observer
+		p.env.Observe(c.observer)
 	}
 	return p, nil
 }
@@ -309,55 +283,6 @@ func validateFleet(net roadnet.Network, workers []*order.Worker) error {
 	return nil
 }
 
-// ensureTap lazily registers the platform's tap on the Env. Both delivery
-// paths (observer callback, event channel) hang off the one tap, so the Env
-// holds a single platform observer however many paths exist, and a platform
-// with neither holds none — its run builds no events at all. Registration
-// happens at New or at Events, before the run starts, so the tap precedes
-// every observer an algorithm registers at Init.
-func (p *Platform) ensureTap() *tap {
-	if p.tap == nil {
-		p.tap = &tap{}
-		p.env.Observe(p.tap.deliver)
-	}
-	return p.tap
-}
-
-// Events returns the platform's event channel, creating it on first call.
-// Subscribe from the feeding goroutine, before the first Submit/Tick —
-// Events is not safe to call concurrently with Submit/Close — then hand
-// the channel to the consumer; it closes when the platform does. Without
-// a subscriber the bus costs nothing.
-//
-// Subscribing late — after the run has started or the platform has
-// closed — cannot observe the events already emitted, so instead of
-// handing back a channel that would miss events (or never close), Events
-// returns an already-closed channel: a ranging consumer exits
-// immediately rather than hanging.
-func (p *Platform) Events() <-chan Event {
-	if p.events == nil {
-		p.events = make(chan Event, p.buffer)
-		if p.started || p.closed {
-			close(p.events)
-		} else {
-			p.subscribed = true
-			p.ensureTap().ch = p.events
-		}
-	}
-	return p.events
-}
-
-// usable refuses an operation on a closed or paused platform.
-func (p *Platform) usable() error {
-	switch {
-	case p.closed:
-		return ErrClosed
-	case p.paused:
-		return ErrPaused
-	}
-	return nil
-}
-
 // admissible is the one admission check, Submit's and Replay's alike: the
 // order is not nil, its fields pass order.Validate, and both its nodes exist
 // in the platform's network. A refusal wraps order.ErrInvalid and touches no
@@ -392,8 +317,8 @@ func (p *Platform) admissible(o *order.Order) error {
 // ledger and the clock stay put, no event is emitted — and the platform
 // stays usable.
 func (p *Platform) Submit(o *order.Order) error {
-	if err := p.usable(); err != nil {
-		return err
+	if p.closed {
+		return ErrClosed
 	}
 	if err := p.admissible(o); err != nil {
 		return err
@@ -457,8 +382,8 @@ func (p *Platform) fireTick() {
 // orders, and returns its simulation time — how a live feed makes the
 // platform act while no orders arrive.
 func (p *Platform) Tick() (float64, error) {
-	if err := p.usable(); err != nil {
-		return 0, err
+	if p.closed {
+		return 0, ErrClosed
 	}
 	p.start()
 	t := p.nextTick
@@ -466,32 +391,10 @@ func (p *Platform) Tick() (float64, error) {
 	return t, nil
 }
 
-// Pause administratively freezes ingestion: Submit and Tick return
-// ErrPaused until Resume. Pausing is metrics-neutral — the simulation runs
-// on virtual time, so delaying ticks moves no boundary and changes no
-// decision; only traffic the caller drops while paused is lost. Close
-// still works on a paused platform (it drains and finalizes as usual).
-func (p *Platform) Pause() error {
-	if p.closed {
-		return ErrClosed
-	}
-	p.paused = true
-	return nil
-}
-
-// Resume lifts a Pause. Resuming an unpaused platform is a no-op.
-func (p *Platform) Resume() error {
-	if p.closed {
-		return ErrClosed
-	}
-	p.paused = false
-	return nil
-}
-
 // Close drains the platform — periodic checks keep firing until the
 // largest deadline seen (or the clock, if that is later), then the
 // algorithm's Finish hook dispatches or rejects every still-pooled order
-// there — then closes the event channel and returns the final metrics.
+// there — and returns the final metrics.
 // Close is idempotent: every call after the first returns the first call's
 // exact (*Metrics, error) pair, so restart and teardown paths can close
 // defensively without tracking who closed first.
@@ -512,9 +415,8 @@ func (p *Platform) Close() (*sim.Metrics, error) {
 
 // Abort kills the platform without draining: no final ticks, no Finish,
 // in-flight pool state is simply gone — the programmatic equivalent of the
-// process crashing. The event channel still closes so ranging consumers
-// terminate, Submit/Tick return ErrClosed afterwards, and Close reports
-// ErrAborted (idempotently). The multi-city proxy's crash injection and
+// process crashing. Submit/Tick return ErrClosed afterwards, and Close
+// reports ErrAborted (idempotently). The multi-city proxy's crash injection and
 // restart teardown both route through here; recovery is the owner's
 // problem (replay the recorded event journal into a fresh platform).
 func (p *Platform) Abort() {
@@ -523,14 +425,10 @@ func (p *Platform) Abort() {
 	}
 }
 
-// shut closes the platform with the result every later Close returns, and
-// closes the event channel so ranging consumers terminate.
+// shut closes the platform with the result every later Close returns.
 func (p *Platform) shut(m *sim.Metrics, err error) {
 	p.closed = true
 	p.closeM, p.closeErr = m, err
-	if p.subscribed {
-		close(p.events)
-	}
 }
 
 // Replay is paper-replication mode: it feeds a pre-materialized workload
@@ -544,11 +442,10 @@ func (p *Platform) shut(m *sim.Metrics, err error) {
 // before the first is delivered, and a nil or invalid one is refused, with
 // an error wrapping order.ErrInvalid, before anything moves; the platform
 // stays usable. A later error (a release behind the clock a live Tick
-// already advanced) aborts the platform — closed without draining, event
-// channel closed — so event consumers always terminate.
+// already advanced) aborts the platform: closed without draining.
 func (p *Platform) Replay(orders []*order.Order) (*sim.Metrics, error) {
-	if err := p.usable(); err != nil {
-		return nil, err
+	if p.closed {
+		return nil, ErrClosed
 	}
 	sorted := make([]*order.Order, len(orders))
 	for i, o := range orders {

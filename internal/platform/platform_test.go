@@ -40,13 +40,12 @@ func TestNewValidates(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	fleet := testFleet(net, 3)
 	cases := map[string][]Option{
-		"zero tick":         {WithTick(0)},
-		"negative tick":     {WithTick(-3)},
-		"NaN tick":          {WithTick(math.NaN())},
-		"infinite tick":     {WithTick(math.Inf(1))},
-		"invalid config":    {WithConfig(sim.Config{})},
-		"nil algorithm":     {WithAlgorithm(nil)},
-		"zero event buffer": {WithEventBuffer(0)},
+		"zero tick":      {WithTick(0)},
+		"negative tick":  {WithTick(-3)},
+		"NaN tick":       {WithTick(math.NaN())},
+		"infinite tick":  {WithTick(math.Inf(1))},
+		"invalid config": {WithConfig(sim.Config{})},
+		"nil algorithm":  {WithAlgorithm(nil)},
 	}
 	for name, opts := range cases {
 		if _, err := New(net, fleet, opts...); err == nil {
@@ -119,26 +118,16 @@ func TestSubmitValidatesAndOrders(t *testing.T) {
 }
 
 // TestEventSequence pins the typed event stream of a tiny deterministic
-// scenario: admission before outcome, tick snapshots in time order, the
-// channel closing at Close, and payloads that agree with the metrics.
+// scenario: admission before outcome, tick snapshots in time order, and
+// payloads that agree with the metrics.
 func TestEventSequence(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
-	p, err := New(net, testFleet(net, 2), WithMeasuredTime(false))
+	var got []Event
+	p, err := New(net, testFleet(net, 2), WithMeasuredTime(false),
+		WithObserver(func(ev Event) { got = append(got, ev) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := p.Events()
-	if got := p.Events(); got != events {
-		t.Fatal("Events must be stable across calls")
-	}
-	var got []Event
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range events {
-			got = append(got, ev)
-		}
-	}()
 	o := testOrder(net, 1, 5)
 	if err := p.Submit(o); err != nil {
 		t.Fatal(err)
@@ -147,7 +136,6 @@ func TestEventSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
 
 	var admitted, dispatched, rejected, ticks int
 	lastWhen := -1.0
@@ -240,60 +228,25 @@ func TestReplayMatchesBatchRun(t *testing.T) {
 }
 
 // TestReplayErrorAborts pins the failure hygiene of a mid-replay error:
-// the platform closes (no further use) and the event channel closes, so
-// a ranging consumer terminates instead of hanging.
+// the platform closes without draining (no further use), and Close reports
+// the abort.
 func TestReplayErrorAborts(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	p, err := New(net, testFleet(net, 1), WithMeasuredTime(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := p.Events()
 	if _, err := p.Tick(); err != nil { // clock advances to 10
 		t.Fatal(err)
 	}
 	if _, err := p.Replay([]*order.Order{testOrder(net, 1, 5)}); err == nil {
 		t.Fatal("replay behind the advanced clock must fail")
 	}
-	for range events { // must terminate: the abort closed the bus
-	}
 	if err := p.Submit(testOrder(net, 2, 50)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("aborted platform still accepts orders: %v", err)
 	}
 	if _, err := p.Close(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("close after abort must report the abort: %v", err)
-	}
-}
-
-// TestEventsLateSubscription pins the misuse guard: subscribing after
-// the run started (or after Close) yields an already-closed channel — a
-// ranging consumer exits immediately instead of hanging on a bus that
-// will never deliver or close.
-func TestEventsLateSubscription(t *testing.T) {
-	net := roadnet.NewGridCity(10, 10, 100, 10)
-	p, err := New(net, testFleet(net, 1), WithMeasuredTime(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	for range p.Events() { // must exit immediately, not deadlock
-		t.Fatal("late subscriber received an event")
-	}
-	if _, err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p2, err := New(net, testFleet(net, 1), WithMeasuredTime(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for range p2.Events() {
-		t.Fatal("post-close subscriber received an event")
 	}
 }
 

@@ -25,7 +25,7 @@ const (
 	// StateRunning: the city serves traffic.
 	StateRunning CityState = iota
 	// StatePaused: the operator froze the city; traffic is refused with
-	// platform.ErrPaused until Resume. Virtual time means the freeze is
+	// ErrPaused until Resume. Virtual time means the freeze is
 	// metrics-neutral.
 	StatePaused
 	// StateDown: the city crashed and its journal replay failed, so it
@@ -68,10 +68,11 @@ type Health struct {
 	Err error
 }
 
-// Pause freezes one city: its Submit/Tick refuse with platform.ErrPaused
-// while every other city keeps serving. The freeze is metrics-neutral
-// (virtual time — delayed ticks fire identically on resume). A crashed
-// city heals first, as it does for traffic.
+// Pause freezes one city: its Submit refuses with ErrPaused and the
+// coordinated Tick skips it, while every other city keeps serving. The
+// freeze is the proxy's own flag — the city's platform is not told — and
+// is metrics-neutral (virtual time: delayed ticks fire identically on
+// resume). A crashed city heals first, as it does for traffic.
 func (a Admin) Pause(cityID string) error {
 	a.x.mu.Lock()
 	defer a.x.mu.Unlock()
@@ -84,9 +85,6 @@ func (a Admin) Pause(cityID string) error {
 	}
 	if err := a.x.healLocked(ct); err != nil {
 		return err
-	}
-	if err := ct.plat.Pause(); err != nil {
-		return fmt.Errorf("proxy: city %q: %w", cityID, err)
 	}
 	ct.paused = true
 	return nil
@@ -105,9 +103,6 @@ func (a Admin) Resume(cityID string) error {
 	}
 	if err := a.x.healLocked(ct); err != nil {
 		return err
-	}
-	if err := ct.plat.Resume(); err != nil {
-		return fmt.Errorf("proxy: city %q: %w", cityID, err)
 	}
 	ct.paused = false
 	return nil
@@ -187,8 +182,8 @@ type CityStats struct {
 type AdminStats struct {
 	Cities []CityStats
 	// Aggregate folds every city's snapshot with Stats.Merge: counters
-	// sum, Clock is the max, Closed only when all cities closed, Paused
-	// when any is.
+	// sum, Clock is the max, Closed only when all cities closed. Which
+	// cities are paused is Probe's to report.
 	Aggregate platform.Stats
 	// JournalEvents is the merged journal's length.
 	JournalEvents int

@@ -1,7 +1,7 @@
 // Package proxy is the multi-city front tier of the reproduction: one
 // Proxy owns N independent city Platforms, routes order streams to the
 // right city, drives every city's periodic checks from one coordinated
-// clock, and multiplexes the per-city event buses into a single tagged
+// clock, and multiplexes the per-city event streams into a single tagged
 // journal with a deterministic merge order. On top of it sits an
 // admin/ops plane (per-city pause/resume, unified per-city and aggregated
 // stats, an HA-style health prober) modeled on the Codis
@@ -53,6 +53,9 @@ var (
 	ErrClosed = errors.New("proxy: closed")
 	// ErrUnknownCity is returned when a city ID matches no owned platform.
 	ErrUnknownCity = errors.New("proxy: unknown city")
+	// ErrPaused is returned (wrapped, with the city named) by Submit to a
+	// city the operator paused; the city stays usable and Resume lifts it.
+	ErrPaused = errors.New("proxy: city paused")
 	// ErrCityDown is returned (wrapped, with the city named and the cause
 	// attached) when a crashed city cannot be healed: its journal replay
 	// failed or diverged from the recording. The city stays down, and every
@@ -207,7 +210,7 @@ func (x *Proxy) lookupLocked(cityID string) (*city, error) {
 // Submit routes one order to its city. Orders obey the platform's
 // streaming contract per city (validated, non-decreasing release within
 // the city); different cities' streams interleave freely. A paused city
-// refuses with platform.ErrPaused. Traffic hitting a crashed city heals it
+// refuses with ErrPaused. Traffic hitting a crashed city heals it
 // first (the journal is replayed into a fresh platform, then the order
 // goes through), or reports ErrCityDown if the replay fails.
 func (x *Proxy) Submit(cityID string, o *order.Order) error {
@@ -221,7 +224,7 @@ func (x *Proxy) Submit(cityID string, o *order.Order) error {
 		return err
 	}
 	if ct.paused {
-		return fmt.Errorf("proxy: city %q: %w", cityID, platform.ErrPaused)
+		return fmt.Errorf("proxy: city %q: %w", cityID, ErrPaused)
 	}
 	if err := x.healLocked(ct); err != nil {
 		return err
@@ -389,10 +392,6 @@ func (x *Proxy) restartLocked(ct *city) error {
 	}
 	ct.down = false
 	ct.restarts++
-	if ct.paused {
-		// Replay needed a live platform; re-freeze now that it's rebuilt.
-		_ = plat.Pause()
-	}
 	return nil
 }
 

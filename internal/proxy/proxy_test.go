@@ -419,7 +419,7 @@ func TestPauseIsMetricsNeutral(t *testing.T) {
 				t.Fatal(err)
 			}
 			cp := *workloads[frozen][0]
-			if err := x.Submit(frozen, &cp); !errors.Is(err, platform.ErrPaused) {
+			if err := x.Submit(frozen, &cp); !errors.Is(err, ErrPaused) {
 				t.Fatalf("paused city accepted traffic: %v", err)
 			}
 			// Other cities keep serving while one is frozen.
@@ -430,8 +430,8 @@ func TestPauseIsMetricsNeutral(t *testing.T) {
 				}
 				workloads[spec.ID] = workloads[spec.ID][1:]
 			}
-			if st, err := x.Admin().CityStats(frozen); err != nil || !st.Paused {
-				t.Fatalf("frozen city stats: %+v, %v", st, err)
+			if h := probeOf(t, x, frozen); h.State != StatePaused {
+				t.Fatalf("frozen city probe: %+v", h)
 			}
 			if err := x.Admin().Resume(frozen); err != nil {
 				t.Fatal(err)
@@ -451,6 +451,86 @@ func TestPauseIsMetricsNeutral(t *testing.T) {
 		if stripWallClock(plain[spec.ID]) != stripWallClock(paused[spec.ID]) {
 			t.Fatalf("pause changed city %s:\nplain:  %+v\npaused: %+v",
 				spec.ID, *plain[spec.ID], *paused[spec.ID])
+		}
+	}
+}
+
+// probeOf returns the probe report of one city.
+func probeOf(t *testing.T, x *Proxy, cityID string) Health {
+	t.Helper()
+	for _, h := range x.Admin().Probe() {
+		if h.City == cityID {
+			return h
+		}
+	}
+	t.Fatalf("probe has no report for %s", cityID)
+	return Health{}
+}
+
+// TestPauseAcrossHeal pins that a pause outlives an HA restart: a city
+// paused and then killed is healed by the probe (Recovered, still
+// StatePaused), keeps refusing traffic with ErrPaused and keeps its clock
+// through a coordinated tick, and once resumed every city's finished run is
+// bit-identical to one where no city was paused, killed or ticked early. The pause is the
+// proxy's flag alone, so the rebuilt platform needs nothing re-applied.
+func TestPauseAcrossHeal(t *testing.T) {
+	specs, workloads := threeCities(59, algFactories["online"])
+	victim := specs[1].ID
+	run := func(disrupt bool) map[string]*sim.Metrics {
+		x, err := New(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := mergedFeed(specs, workloads)
+		for i, e := range feed {
+			if disrupt && i == len(feed)/2 {
+				if err := x.Admin().Pause(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.Admin().Kill(victim); err != nil {
+					t.Fatal(err)
+				}
+				h := probeOf(t, x, victim)
+				if !h.Recovered || h.State != StatePaused || h.Restarts != 1 {
+					t.Fatalf("probe of a paused, killed city: %+v", h)
+				}
+				cp := *e.o
+				if err := x.Submit(victim, &cp); !errors.Is(err, ErrPaused) {
+					t.Fatalf("healed paused city accepted traffic: %v", err)
+				}
+				before, err := x.Admin().CityStats(victim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := x.Tick(); err != nil {
+					t.Fatal(err)
+				}
+				after, err := x.Admin().CityStats(victim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if after.Clock != before.Clock {
+					t.Fatalf("a coordinated tick moved the paused city's clock from %v to %v", before.Clock, after.Clock)
+				}
+				if err := x.Admin().Resume(victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := x.Submit(e.city, e.o); err != nil {
+				t.Fatalf("submit %s: %v", e.city, err)
+			}
+		}
+		m, err := x.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	clean, disrupted := run(false), run(true)
+	for _, spec := range specs {
+		if stripWallClock(clean[spec.ID]) != stripWallClock(disrupted[spec.ID]) {
+			t.Fatalf("city %s not bit-identical after a pause across a heal:\nclean:     %+v\ndisrupted: %+v",
+				spec.ID, *clean[spec.ID], *disrupted[spec.ID])
 		}
 	}
 }

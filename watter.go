@@ -4,33 +4,28 @@
 // The package is organized around an event-driven Platform: a validated,
 // service-shaped front over the simulation machinery. Orders stream in one
 // at a time (Submit), the periodic check advances on demand (Tick), and a
-// typed event bus (Events) publishes admissions, dispatches, rejections and
-// tick snapshots as they happen — the surface live dashboards, loggers and
-// admission controllers build on. Construction goes through functional
-// options that validate and return errors instead of silently defaulting:
+// synchronous observer (WithObserver) sees admissions, dispatches,
+// rejections and tick snapshots as they happen — the surface live
+// dashboards, loggers and admission controllers build on. Construction goes
+// through functional options that validate and return errors instead of
+// silently defaulting:
 //
 //	city := watter.CityCDC().Build()
 //	workers := city.Workers(170, 4, 2)
 //	p, err := watter.New(city.Net, workers,
 //	    watter.WithTick(10),
 //	    watter.WithAlgorithm(watter.NewTimeout()),
-//	)
-//	if err != nil { ... }
-//	events := p.Events() // subscribe before feeding
-//	done := make(chan struct{})
-//	go func() {
-//	    defer close(done)
-//	    for ev := range events {
+//	    watter.WithObserver(func(ev watter.Event) { // runs on the feeding goroutine
 //	        if d, ok := ev.(watter.GroupDispatched); ok {
 //	            fmt.Printf("t=%.0fs worker %d takes %d orders\n", d.Time, d.WorkerID, d.Size())
 //	        }
-//	    }
-//	}()
+//	    }),
+//	)
+//	if err != nil { ... }
 //	for _, o := range city.Orders(watter.WorkloadConfig{Orders: 2000, Seed: 1}) {
 //	    if err := p.Submit(o); err != nil { ... }
 //	}
 //	metrics, err := p.Close()
-//	<-done // the bus closed; let the consumer drain the tail
 //
 // Paper-replication mode — the batch entry point the evaluation harness
 // uses — runs on the same platform: Replay clones a pre-materialized
@@ -129,8 +124,9 @@ type (
 // The event-driven platform surface.
 type (
 	// Platform is a ridesharing service instance: streaming order
-	// ingestion (Submit/Tick/Close), a typed event bus (Events), and
-	// batch replay (Replay) over one network, fleet and algorithm.
+	// ingestion (Submit/Tick/Close), typed events for one observer
+	// (WithObserver), and batch replay (Replay) over one network, fleet and
+	// algorithm.
 	Platform = platform.Platform
 	// PlatformOption configures New; invalid values surface as errors.
 	PlatformOption = platform.Option
@@ -138,8 +134,8 @@ type (
 	// are OrderAdmitted, GroupDispatched, OrderRejected, TickCompleted.
 	// The simulator records each outcome once and builds its event from
 	// the same values it folds into the metrics, so the event stream and
-	// the final metrics agree bit for bit; the platform delivers the
-	// events (the WithObserver callback first, then the Events channel).
+	// the final metrics agree bit for bit; the platform hands each one to
+	// the WithObserver callback.
 	Event = platform.Event
 	// OrderAdmitted fires when an order enters the platform.
 	OrderAdmitted = platform.OrderAdmitted
@@ -156,8 +152,8 @@ type (
 	// response (dispatch minus release) and detour seconds.
 	ServiceRecord = platform.ServiceRecord
 	// PlatformStats is the unified observability snapshot of one platform:
-	// lifecycle flags, the order ledger, event-bus depth, and the prewarm
-	// and pool-cache counters in one struct.
+	// the closed flag, the order ledger, and the prewarm and pool-cache
+	// counters in one struct.
 	PlatformStats = platform.Stats
 	// OrderCounts is PlatformStats' submitted/served/rejected/pending
 	// ledger.
@@ -169,7 +165,7 @@ type (
 type (
 	// Proxy routes order streams to N city platforms, drives their
 	// periodic checks from one coordinated clock, and multiplexes their
-	// event buses into a single tagged journal. Per-city isolation and
+	// event streams into a single tagged journal. Per-city isolation and
 	// journal-replay crash recovery are both bit-identical (proven by
 	// tests; see DESIGN.md §10).
 	Proxy = proxy.Proxy
@@ -204,7 +200,7 @@ var (
 // The open-loop load harness (cmd/watterload is a thin CLI over it):
 // synthetic arrival processes drive Submit at a configured rate on the
 // virtual clock, yielding sustained throughput, admit→dispatch latency
-// tails, decision slip and the modelled event-bus backpressure onset —
+// tails, decision slip and a modelled event consumer's backpressure onset —
 // all bit-identical run to run (DESIGN.md §14).
 type (
 	// ArrivalProcess names an arrival process family (Poisson, Surge,
@@ -214,7 +210,7 @@ type (
 	// rate, seed, horizon).
 	ArrivalSpec = load.ArrivalSpec
 	// LoadConfig is one open-loop load run: city, fleet, arrival process
-	// and the modelled event-bus consumer. Its zero fields take the
+	// and the modelled event consumer. Its zero fields take the
 	// defaults cmd/watterload's flags default to (LoadConfig.Defaults).
 	LoadConfig = load.Config
 	// LoadResult is one run's deterministic measurements (throughput,
@@ -252,9 +248,9 @@ var (
 var (
 	// ErrPlatformClosed is returned by platform operations after Close.
 	ErrPlatformClosed = platform.ErrClosed
-	// ErrPlatformPaused is returned while a platform (or proxied city) is
-	// administratively paused.
-	ErrPlatformPaused = platform.ErrPaused
+	// ErrCityPaused is wrapped by the refusal of traffic to a proxied city
+	// the operator paused (ProxyAdmin.Pause).
+	ErrCityPaused = proxy.ErrPaused
 	// ErrProxyClosed is returned by proxy operations after Proxy.Close.
 	ErrProxyClosed = proxy.ErrClosed
 	// ErrUnknownCity is returned when a city ID matches no owned platform.
@@ -307,10 +303,9 @@ var (
 	WithShards = platform.WithShards
 	// WithMeasuredTime toggles wall-clock accounting of algorithm hooks.
 	WithMeasuredTime = platform.WithMeasuredTime
-	// WithEventBuffer sizes the event channel (default 256).
-	WithEventBuffer = platform.WithEventBuffer
-	// WithObserver installs a synchronous event tap (journal recorders);
-	// it sees every event in order without subscribing to the channel bus.
+	// WithObserver installs a synchronous event callback (dashboards,
+	// journal recorders); it sees every event in order on the feeding
+	// goroutine.
 	WithObserver = platform.WithObserver
 )
 

@@ -1,6 +1,7 @@
 package watter
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -39,29 +40,22 @@ func TestFacadePlatform(t *testing.T) {
 	if _, err := New(city.Net, mkFleet(), WithTick(0)); err == nil {
 		t.Fatal("invalid tick must be rejected, not coerced")
 	}
-	p, err := New(city.Net, mkFleet(), WithMeasuredTime(false))
+	var dispatched, rejected int
+	p, err := New(city.Net, mkFleet(), WithMeasuredTime(false), WithObserver(func(ev Event) {
+		switch e := ev.(type) {
+		case GroupDispatched:
+			dispatched += e.Size()
+		case OrderRejected:
+			rejected++
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := p.Events()
-	var dispatched, rejected int
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range events {
-			switch e := ev.(type) {
-			case GroupDispatched:
-				dispatched += e.Size()
-			case OrderRejected:
-				rejected++
-			}
-		}
-	}()
 	streamed, err := p.Replay(orders)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
 	if dispatched != streamed.Served || rejected != streamed.Rejected {
 		t.Fatalf("events %d/%d vs metrics %+v", dispatched, rejected, streamed)
 	}
@@ -173,8 +167,8 @@ func TestCityProfilesExported(t *testing.T) {
 }
 
 // TestFacadeProxy exercises the multi-city front tier through the public
-// surface: routed ingestion, unified stats, crash injection, probe-driven
-// healing, and per-city final metrics.
+// surface: routed ingestion, a paused city's refusal, unified stats, crash
+// injection, probe-driven healing, and per-city final metrics.
 func TestFacadeProxy(t *testing.T) {
 	cdc, xia := CityCDC().Build(), CityXIA().Build()
 	px, err := NewProxy([]CitySpec{
@@ -198,6 +192,15 @@ func TestFacadeProxy(t *testing.T) {
 		if err := px.Submit("cdc", &cp); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := px.Admin().Pause("xia"); err != nil {
+		t.Fatal(err)
+	}
+	if err := px.Submit("xia", workloads["xia"][0]); !errors.Is(err, ErrCityPaused) {
+		t.Fatalf("paused city: err = %v, want ErrCityPaused", err)
+	}
+	if err := px.Admin().Resume("xia"); err != nil {
+		t.Fatal(err)
 	}
 	if err := px.Admin().Kill("cdc"); err != nil {
 		t.Fatal(err)
