@@ -258,10 +258,10 @@ func TestScaleTooSmall(t *testing.T) {
 
 // Both experiment commands refuse fewer than one replicate and a negative
 // parallelism before anything else, exit 2 naming the flag, where
-// ReplicateSeeds would run one replicate and SweepRunner GOMAXPROCS jobs
-// without a word. The commands are built and run as a user runs them; the
-// trailing arguments make one that skipped the check exit 0 at once
-// (watterbench -list, a ten-order GDP run of wattersim).
+// ReplicateSeeds would run an empty sweep and SweepRunner would refuse the
+// parallelism only once it runs. The commands are built and run as a user
+// runs them; the trailing arguments make one that skipped the check exit 0
+// at once (watterbench -list, a ten-order GDP run of wattersim).
 func TestReplicatesAndParallelRefused(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {

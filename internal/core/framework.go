@@ -39,6 +39,8 @@ type Framework struct {
 	env    *sim.Env
 	pool   *pool.Pool
 	engine *shard.Engine
+	// ids is the buffer of the pooled-ID snapshot a check walks.
+	ids []int
 }
 
 // New builds a framework with the given decision strategy and pool options
@@ -130,7 +132,8 @@ func (f *Framework) Finish(now float64) {
 	f.checkOrders(now, true)
 	// Whatever could not be dispatched (no worker / no feasible group) is
 	// rejected so metrics account for every order.
-	for _, id := range f.pool.OrderIDs() {
+	f.ids = f.pool.AppendOrderIDs(f.ids[:0])
+	for _, id := range f.ids {
 		o := f.pool.Order(id)
 		f.pool.Remove(id, now)
 		f.env.Reject(o, now)
@@ -158,7 +161,8 @@ func (f *Framework) checkOrders(now float64, force bool) {
 			break
 		}
 	}
-	for _, id := range f.pool.OrderIDs() {
+	f.ids = f.pool.AppendOrderIDs(f.ids[:0])
+	for _, id := range f.ids {
 		if !f.pool.Contains(id) {
 			continue // removed earlier this pass as part of a group
 		}

@@ -130,7 +130,8 @@ type SweepResult struct {
 // synchronized, so per-seed metrics are bit-identical at any Parallel.
 type SweepRunner struct {
 	Runner *Runner
-	// Parallel bounds concurrent jobs; <= 0 means GOMAXPROCS.
+	// Parallel bounds concurrent jobs; 0 means GOMAXPROCS. Run refuses a
+	// negative value.
 	Parallel int
 }
 
@@ -144,8 +145,13 @@ func NewSweepRunner(r *Runner) *SweepRunner {
 
 // Run executes jobs — a Matrix's or a Sweep's expansion — over the worker
 // pool and aggregates their cells. Results are index-aligned with jobs and
-// carry their job's X; the first error stops the sweep, naming its job.
+// carry their job's X; the first error stops the sweep, naming its job. A
+// negative Parallel is an ErrInvalidParams naming the field, before any
+// job runs.
 func (sr *SweepRunner) Run(jobs []Job) (*SweepResult, error) {
+	if sr.Parallel < 0 {
+		return nil, fmt.Errorf("%w: Parallel = %d is negative (0 means GOMAXPROCS)", ErrInvalidParams, sr.Parallel)
+	}
 	results := make([]*Result, len(jobs))
 	start := time.Now() //det:wallclock harness-side sweep timing, reported as SweepResult.Elapsed; never feeds simulation state
 	err := sr.forEach(len(jobs), func(i int) error {
@@ -174,7 +180,7 @@ func (sr *SweepRunner) Run(jobs []Job) (*SweepResult, error) {
 // sequential loop on the calling goroutine.
 func (sr *SweepRunner) forEach(n int, exec func(i int) error) error {
 	parallel := sr.Parallel
-	if parallel <= 0 {
+	if parallel == 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	if parallel > n {
@@ -270,10 +276,10 @@ func aggregateCells(jobs []Job, results []*Result) []CellSummary {
 }
 
 // ValidateReplicates is the command lines' one check of their -replicates
-// and -parallel flags, which ReplicateSeeds and SweepRunner would otherwise
-// coerce without a word: fewer than one replicate runs one, and a negative
-// parallelism means GOMAXPROCS. The refusal names the flag and wraps
-// ErrInvalidParams.
+// and -parallel flags, run before anything else: ReplicateSeeds would turn
+// fewer than one replicate into an empty sweep, and SweepRunner refuses a
+// negative parallelism only once it runs. The refusal names the flag and
+// wraps ErrInvalidParams.
 func ValidateReplicates(replicates, parallel int) error {
 	if replicates < 1 {
 		return fmt.Errorf("%w: -replicates = %d: need at least one replicate", ErrInvalidParams, replicates)
@@ -285,12 +291,10 @@ func ValidateReplicates(replicates, parallel int) error {
 }
 
 // ReplicateSeeds returns base, base+1, ... base+n-1 — the conventional
-// seed grid for n replicates.
+// seed grid for n replicates. For n < 1 the grid is empty: a matrix over it
+// expands to no jobs.
 func ReplicateSeeds(base int64, n int) []int64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]int64, n)
+	out := make([]int64, max(n, 0))
 	for i := range out {
 		out[i] = base + int64(i)
 	}

@@ -341,8 +341,29 @@ func TestReplicateSeeds(t *testing.T) {
 	if len(got) != 3 || got[0] != 7 || got[2] != 9 {
 		t.Fatalf("ReplicateSeeds = %v", got)
 	}
-	if got := ReplicateSeeds(1, 0); len(got) != 1 {
-		t.Fatalf("n<1 must clamp to one seed, got %v", got)
+	for _, n := range []int{0, -2} {
+		if got := ReplicateSeeds(1, n); len(got) != 0 {
+			t.Fatalf("ReplicateSeeds(1, %d) = %v, want an empty grid", n, got)
+		}
+	}
+}
+
+// TestSweepRunnerParallel: a negative Parallel is refused naming the field
+// before any job runs (it used to mean GOMAXPROCS), and 0 still means
+// GOMAXPROCS.
+func TestSweepRunnerParallel(t *testing.T) {
+	jobs := Matrix{Base: tinyParams(), Algs: []string{"GDP"}, Seeds: []int64{1}}.Jobs()
+	for _, tc := range []struct {
+		parallel int
+		ok       bool
+	}{{-3, false}, {0, true}} {
+		res, err := (&SweepRunner{Runner: NewRunner(), Parallel: tc.parallel}).Run(jobs)
+		if tc.ok && (err != nil || len(res.Results) != 1) {
+			t.Errorf("Parallel: %d: err = %v", tc.parallel, err)
+		}
+		if !tc.ok && (!errors.Is(err, ErrInvalidParams) || !strings.Contains(err.Error(), "Parallel") || res != nil) {
+			t.Errorf("Parallel: %d: err = %v, want an ErrInvalidParams naming Parallel", tc.parallel, err)
+		}
 	}
 }
 

@@ -31,6 +31,8 @@ type Collector struct {
 	// pickup, dropoff and supply are the histograms a rebuild reads the
 	// pool and the fleet into, allocated once per run.
 	pickup, dropoff, supply gridindex.Distribution
+	// ids is the buffer of the survivors' ID snapshot OnTick walks.
+	ids []int
 }
 
 // episode is one pooled order's trajectory so far: the order (its penalty
@@ -79,7 +81,8 @@ func (c *Collector) OnOrder(o *order.Order, now float64) {
 func (c *Collector) OnTick(now float64) {
 	c.Inner.OnTick(now)
 	pool := c.Inner.Pool()
-	for _, id := range pool.OrderIDs() {
+	c.ids = pool.AppendOrderIDs(c.ids[:0])
+	for _, id := range c.ids {
 		ep := c.episodes[id]
 		ep.snaps = append(ep.snaps, snapshot{state: c.features(pool.Order(id), now), time: now})
 		c.episodes[id] = ep

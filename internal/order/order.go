@@ -137,6 +137,70 @@ type Group struct {
 	Plan   *RoutePlan
 }
 
+// planBox and groupBox lay a plan, or a group and its plan, out with their
+// arrays in one object, so that building one is one allocation sized for
+// its member count.
+type planBox[S, A any] struct {
+	plan   RoutePlan
+	stops  S
+	arrive A
+}
+
+type groupBox[O, S, A any] struct {
+	group  Group
+	orders O
+	planBox[S, A]
+}
+
+func (r *RoutePlan) wire(stops []Stop, arrive []float64) *RoutePlan {
+	r.Stops, r.Arrive = stops, arrive
+	return r
+}
+
+func (g *Group) wire(orders []*Order, plan *RoutePlan) *Group {
+	g.Orders, g.Plan = orders, plan
+	return g
+}
+
+// NewRoutePlan returns a plan for k orders: 2k zero stops and arrivals. Up
+// to four orders, the plan and both arrays are one allocation.
+func NewRoutePlan(k int) *RoutePlan {
+	switch k {
+	case 1:
+		b := new(planBox[[2]Stop, [2]float64])
+		return b.plan.wire(b.stops[:], b.arrive[:])
+	case 2:
+		b := new(planBox[[4]Stop, [4]float64])
+		return b.plan.wire(b.stops[:], b.arrive[:])
+	case 3:
+		b := new(planBox[[6]Stop, [6]float64])
+		return b.plan.wire(b.stops[:], b.arrive[:])
+	case 4:
+		b := new(planBox[[8]Stop, [8]float64])
+		return b.plan.wire(b.stops[:], b.arrive[:])
+	}
+	return &RoutePlan{Stops: make([]Stop, 2*k), Arrive: make([]float64, 2*k)}
+}
+
+// NewGroup returns a group of k nil members and a plan for them (see
+// NewRoutePlan). For k = 2, 3 and 4 — every shared group the pool forms at
+// its default size cap — the group, its member array and its plan are one
+// allocation.
+func NewGroup(k int) *Group {
+	switch k {
+	case 2:
+		b := new(groupBox[[2]*Order, [4]Stop, [4]float64])
+		return b.group.wire(b.orders[:], b.plan.wire(b.stops[:], b.arrive[:]))
+	case 3:
+		b := new(groupBox[[3]*Order, [6]Stop, [6]float64])
+		return b.group.wire(b.orders[:], b.plan.wire(b.stops[:], b.arrive[:]))
+	case 4:
+		b := new(groupBox[[4]*Order, [8]Stop, [8]float64])
+		return b.group.wire(b.orders[:], b.plan.wire(b.stops[:], b.arrive[:]))
+	}
+	return &Group{Orders: make([]*Order, k), Plan: NewRoutePlan(k)}
+}
+
 // Size returns |g|.
 func (g *Group) Size() int { return len(g.Orders) }
 

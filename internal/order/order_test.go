@@ -187,3 +187,17 @@ func TestEmptyGroupAvg(t *testing.T) {
 		t.Fatal("empty group average must be 0")
 	}
 }
+
+// TestNewGroupSizes: every size, boxed or not, gets k member slots and 2k
+// stops and arrivals.
+func TestNewGroupSizes(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		g := NewGroup(k)
+		if len(g.Orders) != k || len(g.Plan.Stops) != 2*k || len(g.Plan.Arrive) != 2*k {
+			t.Errorf("NewGroup(%d): %d orders, %d stops, %d arrivals", k, len(g.Orders), len(g.Plan.Stops), len(g.Plan.Arrive))
+		}
+		if p := NewRoutePlan(k); len(p.Stops) != 2*k || len(p.Arrive) != 2*k {
+			t.Errorf("NewRoutePlan(%d): %d stops, %d arrivals", k, len(p.Stops), len(p.Arrive))
+		}
+	}
+}

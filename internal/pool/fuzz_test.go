@@ -238,9 +238,13 @@ func comparePools(t *testing.T, cached, plain *Pool, now float64) {
 //     same expiry and the same leg block, every edge has its own block when
 //     the cache is on and none when it is off, and no other block is live;
 //   - every cached key holds one live eviction record, listed on each
-//     member's slot; every live ref a slot lists names a cached key the
-//     order is a member of; a record is live or free, never both; every
-//     negative key maps to the cache's sentinel, which nothing wrote;
+//     member's slot, that names the key's entry; every live ref a slot
+//     lists names a cached key the order is a member of; a record is live
+//     or free, never both; every negative key maps to the cache's sentinel,
+//     which nothing wrote;
+//   - no recycled entry is reachable: a spare entry is listed once, holds
+//     no group, and is neither the sentinel, a map value, a live record's
+//     entry nor the probe;
 //   - with owner non-nil, no (slot, generation) pair ever named two orders.
 func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	t.Helper()
@@ -352,7 +356,27 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 			if !ent.feasible && ent.n == 0 && ent != &c.negative {
 				t.Fatalf("key %v maps to a memberless entry that is not the sentinel", rec.key)
 			}
+			if rec.ent != ent {
+				t.Fatalf("the record of key %v names another entry than the cache maps it to", rec.key)
+			}
 			listed[ref.rec]++
+		}
+	}
+	spare := map[*planEntry]bool{}
+	for _, ent := range c.spare {
+		if spare[ent] || ent.group != nil || ent == &c.negative || ent == p.probe {
+			t.Fatalf("spare entry %p is listed twice, holds a group, or is the sentinel or the probe", ent)
+		}
+		spare[ent] = true
+	}
+	for key, ent := range c.entries {
+		if spare[ent] {
+			t.Fatalf("key %v maps to a spare entry", key)
+		}
+	}
+	for i := range c.recs {
+		if ent := c.recs[i].ent; ent != nil && (spare[ent] || free[int32(i)]) {
+			t.Fatalf("record %d is free but names an entry, or names a spare one", i)
 		}
 	}
 	for i, n := range listed {

@@ -27,13 +27,15 @@ import (
 // array of IDs; the pool plans every clique in canonical member order, so
 // cached and fresh computations share one member indexing and stay
 // bit-identical. A positive entry carries its members and service times
-// inline, so a positive miss allocates the entry and nothing else; a miss
-// plans into a reusable probe entry and only a positive outcome is promoted.
-// A negative key maps to the cache's one sentinel entry, so negative
-// knowledge costs no heap object. Keys are evicted when any member leaves
-// the pool (Remove/RemoveGroup) through a record slab (planRec, planRef); a
-// positive entry whose τg has passed is replanned in place at the current
-// clock — the cheapest route died, but a costlier one may still be live.
+// inline; a miss plans into a reusable probe entry and only a positive
+// outcome is promoted, taking the probe over. A negative key maps to the
+// cache's one sentinel entry, so negative knowledge costs no heap object.
+// Keys are evicted when any member leaves the pool (Remove/RemoveGroup)
+// through a record slab (planRec, planRef); an evicted entry, its
+// materialized group dropped, goes on the cache's spare list, where the
+// next probe takes it, so steady-state misses allocate nothing. A positive
+// entry whose τg has passed is replanned in place at the current clock —
+// the cheapest route died, but a costlier one may still be live.
 //
 // On a network whose costs are exact (roadnet.ExactNetwork), a third
 // invariant holds bit for bit:
@@ -83,11 +85,12 @@ func (s CacheStats) HitRate() float64 {
 
 // planEntry memoizes one member set's route DP outcome. members and svc are
 // in canonical (ascending-ID) order, n long; group is materialized lazily,
-// only when the clique actually wins some order's best-group race (its
-// Orders alias the entry's member array). The cache's negative sentinel
-// has no members.
+// only when the clique actually wins some order's best-group race, and
+// owns a copy of the members: the entry is recycled once its key is
+// evicted, while the group may already be dispatched. The cache's negative
+// sentinel has no members.
 //
-//det:scratch entries are written only by their constructing goroutine before cacheInsert publishes them
+//det:scratch one goroutine writes an entry at a time: the pool's, or the prewarm task it is handed to between PrewarmPairs taking it and exec.Run returning
 type planEntry struct {
 	members  [route.MaxGroupSize]*order.Order
 	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))
@@ -132,18 +135,23 @@ func memberKey(members []*order.Order) (k planKey) {
 type planCache struct {
 	entries map[planKey]*planEntry
 	// negative is the entry every negative miss maps its key to. Nothing
-	// writes it: it is never feasible, so it is never renewed or
-	// materialized.
+	// writes it: it is never feasible, so it is never renewed,
+	// materialized or recycled.
 	negative planEntry
 	recs     []planRec
 	free     []int32 // evicted records, reused last-freed first
-	stats    CacheStats
+	// spare holds evicted entries, group cleared, for the next probe;
+	// nothing else reaches them.
+	spare []*planEntry
+	stats CacheStats
 }
 
-// planRec is one cached key's eviction record. gen moves on when the key
-// is evicted, which turns every ref to the record stale.
+// planRec is one cached key's eviction record: the key and its entry. gen
+// moves on when the key is evicted, which turns every ref to the record
+// stale.
 type planRec struct {
 	key planKey
+	ent *planEntry
 	gen uint32
 }
 
@@ -202,14 +210,28 @@ func (p *Pool) planEntryFor(canon []*order.Order, slots []int32, now float64, pr
 // probeEntry returns the pool's reusable scratch entry set to the canonical
 // members: a miss or pair test plans into it, and only a positive outcome
 // that the cache keeps takes it over (clearing p.probe, so the next probe
-// is a fresh entry).
+// is a spare or, with none left, a fresh entry). The probe never holds a
+// group: it is only ever served negative.
 func (p *Pool) probeEntry(canon []*order.Order) *planEntry {
 	if p.probe == nil {
-		p.probe = &planEntry{}
+		p.probe = p.cache.takeEntry()
 	}
 	ent := p.probe
 	ent.setMembers(canon)
-	ent.group = nil
+	return ent
+}
+
+// takeEntry returns a spare entry, or a new one when none is spare. A spare
+// entry's group is nil and every other field is overwritten by the plan
+// that fills it.
+func (c *planCache) takeEntry() *planEntry {
+	k := len(c.spare)
+	if k == 0 {
+		return &planEntry{}
+	}
+	ent := c.spare[k-1]
+	c.spare[k-1] = nil
+	c.spare = c.spare[:k-1]
 	return ent
 }
 
@@ -249,7 +271,7 @@ func (p *Pool) cacheInsert(key planKey, ent *planEntry, slots []int32) *planEntr
 		c.recs = append(c.recs, planRec{})
 	}
 	rec := &c.recs[r.rec]
-	rec.key = key
+	rec.key, rec.ent = key, ent
 	r.gen = rec.gen
 	for _, s := range slots {
 		p.nodes[s].plans = append(p.nodes[s].plans, r)
@@ -285,7 +307,8 @@ func (p *Pool) pairEntryFor(s, c int32, now float64) (*planEntry, *route.LegBloc
 		if !pw.ent.feasible {
 			p.cache.stats.Misses++
 			p.cache.stats.NegativeHits++
-			return pw.ent, nil
+			p.cache.spare = append(p.cache.spare, pw.ent)
+			return &p.cache.negative, nil
 		}
 		p.cacheInsert(key, pw.ent, slots)
 		p.cache.stats.Hits++
@@ -344,8 +367,10 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 		}
 		blocks = p.pairBlocks(slots)
 	}
-	plan, ok := p.planner.PlanGroupShared(ent.orders(), now, p.opt.Capacity, blocks)
-	if !ok {
+	// One allocation: the group, its own copy of the members and its plan.
+	g := order.NewGroup(ent.n)
+	copy(g.Orders, ent.orders())
+	if !p.planner.PlanGroupInto(g.Plan, g.Orders, now, p.opt.Capacity, blocks) {
 		// Unreachable while now <= expiry (the cost-only DP just accepted
 		// this set); defensive so a caller bug degrades to "no group".
 		return nil
@@ -353,8 +378,8 @@ func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
 	if p.cache != nil {
 		p.cache.stats.PlansMaterialized++
 	}
-	ent.group = &order.Group{Orders: ent.orders(), Plan: plan}
-	return ent.group
+	ent.group = g
+	return g
 }
 
 // avgExtra is Group.AvgExtraTime computed straight from the entry's
@@ -380,13 +405,21 @@ func (p *Pool) evictOrder(n *node) {
 	n.plans = n.plans[:0]
 }
 
-// evict drops the key r names, unless r is stale, and frees its record.
+// evict drops the key r names, unless r is stale, frees its record and
+// puts its entry, unless it is the negative sentinel, on the spare list
+// with its group cleared. A group already handed out keeps its own members
+// and plan; the entry's next key must not find it.
 func (c *planCache) evict(r planRef) {
 	rec := &c.recs[r.rec]
 	if rec.gen != r.gen {
 		return
 	}
 	delete(c.entries, rec.key)
+	if ent := rec.ent; ent != &c.negative {
+		ent.group = nil
+		c.spare = append(c.spare, ent)
+	}
+	rec.ent = nil
 	rec.gen++
 	c.free = append(c.free, r.rec)
 	c.stats.Evicted++

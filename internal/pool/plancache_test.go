@@ -217,12 +217,13 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 }
 
 // TestPlanCacheAllocations pins what a probe of the cache costs the
-// allocator: a positive miss is the entry itself (members, service times
-// and key are inline; the member slots' ref lists, the record slab and the
-// map grow amortized), a negative miss is free — it planned into the probe
-// entry and its key maps to the sentinel, in a record the last eviction
-// freed — a hit is free, and so is a pair test that fails: the probe entry
-// is reused and the leg block it filled is recycled by the next fill.
+// allocator: a positive miss is free once an eviction left a spare entry
+// (members, service times and key are inline; the record and the map slot
+// are the ones the eviction freed), a negative miss is free — it planned
+// into the probe entry and its key maps to the sentinel — a hit is free,
+// and so is a pair test that fails: the probe entry is reused and the leg
+// block it filled is recycled by the next fill. Materializing a winning
+// group is exactly one allocation: the group, its members and its plan.
 func TestPlanCacheAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -256,11 +257,25 @@ func TestPlanCacheAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		p.forget(t, key)
 		p.lookup(0, 1, 2, 3)
-	}); n > 2 {
-		t.Errorf("a positive cache miss allocates %v times, want at most 2", n)
+	}); n != 0 {
+		t.Errorf("a positive cache miss over an evicted entry allocates %v times, want 0", n)
 	}
 	if got := p.CacheStats(); got.Misses != before.Misses+101 || !p.cache.entries[key].feasible {
 		t.Fatalf("positive miss arm did not miss: %+v -> %+v", before, got)
+	}
+
+	ent := p.cache.entries[key]
+	before = p.CacheStats()
+	if n := testing.AllocsPerRun(100, func() {
+		ent.group = nil
+		if p.groupFor(ent, 0) == nil {
+			t.Fatal("the corridor triple did not materialize")
+		}
+	}); n != 1 {
+		t.Errorf("materializing a winning group allocates %v times, want 1", n)
+	}
+	if got := p.CacheStats(); got.PlansMaterialized != before.PlansMaterialized+101 {
+		t.Fatalf("materialize arm did not materialize: %+v -> %+v", before, got)
 	}
 
 	neg, net2, _ := testPool(-1)
@@ -594,4 +609,71 @@ func prefixStream(t *testing.T, net roadnet.Network) CacheStats {
 		comparePools(t, cached, plain, now)
 	}
 	return cached.CacheStats()
+}
+
+// TestDispatchedGroupSurvivesRecycling takes a best group out of the pool
+// the way a dispatch does and churns the pool until the entries its removal
+// evicted — its own clique's entry among them — have been handed out again
+// to other member sets: the group keeps its members, stops, arrivals and
+// cost bit for bit, and every pooled order's best group holds the order and
+// pooled orders only.
+func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
+	p, net, _ := testPool(-1)
+	corridor := func(id int, now float64) *order.Order {
+		x := id % 4
+		return mk(net, id, net.Node(x, 0), net.Node(10+x, 0), now, 2.0)
+	}
+	for id := 1; id <= 4; id++ {
+		p.Insert(corridor(id, 0), 0)
+	}
+	g, _, ok := p.BestGroup(1)
+	if !ok {
+		t.Fatal("corridor order has no best group; test is vacuous")
+	}
+	own := p.cache.entries[memberKey(g.Orders)]
+	if own == nil || own.group != g {
+		t.Fatal("the best group is not its clique entry's group")
+	}
+	members := slices.Clone(g.Orders)
+	stops, arrive, cost := slices.Clone(g.Plan.Stops), slices.Clone(g.Plan.Arrive), g.Plan.Cost
+
+	p.RemoveGroup(g, 0)
+	if !slices.Contains(p.cache.spare, own) {
+		t.Fatal("removing the group recycled nothing; test is vacuous")
+	}
+	reused := func() bool {
+		for _, ent := range p.cache.entries {
+			if ent == own {
+				return true
+			}
+		}
+		return false
+	}
+	now, id := 0.0, 100
+	for ; !reused(); id++ {
+		if id == 200 {
+			t.Fatal("churn never handed the recycled entry out again")
+		}
+		now += 20
+		p.Insert(corridor(id, now), now)
+		for _, gone := range p.ExpireEdges(now) {
+			p.Remove(gone, now)
+		}
+		for _, pid := range p.OrderIDs() {
+			if pg, _, ok := p.BestGroup(pid); ok {
+				for _, o := range pg.Orders {
+					if !p.Contains(o.ID) {
+						t.Fatalf("order %d's best group holds order %d, which left the pool", pid, o.ID)
+					}
+				}
+				if !groupContains(pg, pid) {
+					t.Fatalf("order %d's best group %s does not hold it", pid, pg.Key())
+				}
+			}
+		}
+	}
+	if !slices.Equal(g.Orders, members) || g.Plan.Cost != cost || !slices.Equal(g.Plan.Stops, stops) || !slices.Equal(g.Plan.Arrive, arrive) {
+		was := &order.Group{Orders: members}
+		t.Fatalf("a dispatched group changed when its entry was recycled: members %s -> %s, cost %v -> %v", was.Key(), g.Key(), cost, g.Plan.Cost)
+	}
 }

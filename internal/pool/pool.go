@@ -202,9 +202,9 @@ func New(planner *route.Planner, ix *gridindex.Index, opt Options) *Pool {
 }
 
 // search returns the position of id in the live list and whether it is
-// pooled there. Callers mostly walk OrderIDs in order and ask about each
-// order a few times in a row, so the position the last search found, and
-// the one after it, are tried before the binary search.
+// pooled there. Callers mostly walk an AppendOrderIDs snapshot in order
+// and ask about each order a few times in a row, so the position the last
+// search found, and the one after it, are tried before the binary search.
 func (p *Pool) search(id int) (int, bool) {
 	for at := p.lastAt; at < len(p.live) && at <= p.lastAt+1; at++ {
 		if p.live[at].id == id {
@@ -267,14 +267,21 @@ func (p *Pool) Order(id int) *order.Order {
 	return nil
 }
 
-// OrderIDs returns the pooled order IDs in ascending order (deterministic
-// iteration for the periodic check).
-func (p *Pool) OrderIDs() []int {
-	ids := make([]int, len(p.live))
-	for i, r := range p.live {
-		ids[i] = r.id
+// AppendOrderIDs appends the pooled order IDs to dst in ascending order
+// and returns the extended slice: a snapshot for deterministic iteration
+// that stays valid while the caller removes orders (the periodic check
+// removes group members as it walks it). Callers keep dst as a buffer.
+func (p *Pool) AppendOrderIDs(dst []int) []int {
+	for _, r := range p.live {
+		dst = append(dst, r.id)
 	}
-	return ids
+	return dst
+}
+
+// OrderIDs is AppendOrderIDs into a fresh slice (the repository benchmark's
+// pool replay takes one per check).
+func (p *Pool) OrderIDs() []int {
+	return p.AppendOrderIDs(make([]int, 0, len(p.live)))
 }
 
 // FillDemand writes normalized copies of the current pickup and dropoff

@@ -465,11 +465,11 @@ func (p *Pool) mustSlot(t testing.TB, id int) int32 {
 
 // TestSlotsRecycle: insert/remove churn far past the pool's high-water mark
 // keeps the slot array at the peak pool size, and a steady-state
-// Insert+Remove cycle allocates nothing beyond the plan entries it creates
-// and the group plans those entries materialize — no adjacency, live list,
-// cell bucket, eviction list, leg block or refresh scratch grows per cycle.
+// Insert+Remove cycle allocates nothing beyond the groups it materializes —
+// no plan entry (evicted ones are recycled), adjacency, live list, cell
+// bucket, eviction list, leg block or refresh scratch grows per cycle.
 func TestSlotsRecycle(t *testing.T) {
-	p, net, planner := testPool(-1)
+	p, net, _ := testPool(-1)
 	corridor := func(id int) *order.Order {
 		x := id % 3
 		return mk(net, id, net.Node(x, 0), net.Node(10+x, 0), 0, 2.0)
@@ -509,13 +509,10 @@ func TestSlotsRecycle(t *testing.T) {
 	}
 
 	// An order that shares with every resident: each cycle creates its
-	// pair and clique entries and materializes the groups they win.
+	// pair and clique entries, all of them spares the previous cycle's
+	// evictions left, and materializes the groups they win, one allocation
+	// each.
 	near := corridor(1001)
-	var members []*order.Order
-	for _, r := range p.live[:2] {
-		members = append(members, p.nodes[r.slot].o)
-	}
-	perGroup := 1 + testing.AllocsPerRun(10, func() { planner.PlanGroupShared(members, 0, 4, nil) })
 	const runs = 100
 	before := p.CacheStats()
 	n := testing.AllocsPerRun(runs, func() {
@@ -525,10 +522,10 @@ func TestSlotsRecycle(t *testing.T) {
 	after := p.CacheStats()
 	entries := float64(after.Misses-before.Misses) / (runs + 1)
 	groups := float64(after.PlansMaterialized-before.PlansMaterialized) / (runs + 1)
-	if entries == 0 {
-		t.Fatal("the shared cycle created no plan entries; test is vacuous")
+	if entries == 0 || groups == 0 {
+		t.Fatal("the shared cycle created no plan entries or groups; test is vacuous")
 	}
-	if want := entries + groups*perGroup; n > want {
-		t.Errorf("an insert+remove cycle allocates %v times, want at most its %v entries and %v groups x %v", n, entries, groups, perGroup)
+	if n > groups {
+		t.Errorf("an insert+remove cycle allocates %v times, want at most one per group it materializes (%v)", n, groups)
 	}
 }

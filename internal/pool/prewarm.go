@@ -42,9 +42,12 @@ type prewarmJob struct {
 // order, on each candidate's slot, where the following Insert's pair test
 // takes them instead of planning: the cache and the pool's leg store see
 // exactly what an unwarmed insert would have put there, so the pool's
-// decisions are bit-identical to one. A negative pair is never cached (an
-// edgeless pair can never be enumerated in a clique) and its block is
-// dropped with its task store. With the plan cache disabled this is a
+// decisions are bit-identical to one. Each task's entry comes from the
+// cache's spare list like a probe's: a feasible pair's joins the cache and
+// is recycled on eviction like any other, and a negative pair is never
+// cached (an edgeless pair can never be enumerated in a clique) — its
+// entry goes back to the spare list when the insert reads it, and its block
+// is dropped with its task store. With the plan cache disabled this is a
 // no-op: there is nowhere to put the results, and the equivalence arms
 // must stay untouched.
 func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
@@ -65,7 +68,7 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		if lo.ID > hi.ID {
 			lo, hi = hi, lo
 		}
-		ent := &planEntry{}
+		ent := p.cache.takeEntry()
 		ent.setMembers([]*order.Order{lo, hi})
 		jobs = append(jobs, prewarmJob{ent: ent, cand: c.slot, store: route.NewLegStore(p.planner.Net)})
 	}

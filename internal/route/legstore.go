@@ -64,7 +64,7 @@ var NoSlot = Slot{Index: -1}
 //
 // The store does not look blocks up: whoever asked for a block keeps it
 // (the pool stores it on the pair's adjacency entries) and passes a group's
-// blocks to PlanGroupCostLegs / PlanGroupShared. What the store keeps is
+// blocks to PlanGroupCostLegs / PlanGroupInto. What the store keeps is
 // indexed by the owner's slots: each slot's within-order leg,
 // cost(pickup, dropoff), which every block of that order repeats, stamped
 // with the slot's generation so a recycled slot never reads its previous

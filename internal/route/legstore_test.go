@@ -67,10 +67,10 @@ func slotBlocks(store *LegStore, gen uint32, orders []*order.Order) []*LegBlock 
 	return blocks
 }
 
-// TestPlanGroupSharedMatchesFresh drives random groups on both network
+// TestPlanGroupIntoMatchesFresh drives random groups on both network
 // kinds and checks that block-assembled plans are bit-identical to plans
 // built from fresh batched queries.
-func TestPlanGroupSharedMatchesFresh(t *testing.T) {
+func TestPlanGroupIntoMatchesFresh(t *testing.T) {
 	nets := map[string]roadnet.Network{
 		"grid":  roadnet.NewGridCity(16, 16, 100, 10),
 		"graph": roadnet.NewPerturbedGrid(16, 16, 150, 8, 0.3, 7),
@@ -84,7 +84,8 @@ func TestPlanGroupSharedMatchesFresh(t *testing.T) {
 			orders := randomGroup(net, rng, 16, 2+rng.Intn(3))
 			blocks := slotBlocks(store, uint32(trial+1), orders)
 			fresh, okFresh := p.PlanGroup(orders, 0, 4)
-			shared, okShared := p.PlanGroupShared(orders, 0, 4, blocks)
+			shared := order.NewRoutePlan(len(orders))
+			okShared := p.PlanGroupInto(shared, orders, 0, 4, blocks)
 			if okFresh != okShared {
 				t.Fatalf("%s trial %d: feasibility diverged fresh=%v shared=%v", name, trial, okFresh, okShared)
 			}
@@ -95,7 +96,8 @@ func TestPlanGroupSharedMatchesFresh(t *testing.T) {
 				}
 				// Replan through the same blocks: reading them again must
 				// give the same bits as the first read.
-				again, okAgain := p.PlanGroupShared(orders, 0, 4, blocks)
+				again := order.NewRoutePlan(len(orders))
+				okAgain := p.PlanGroupInto(again, orders, 0, 4, blocks)
 				if !okAgain || !plansEqual(fresh, again) {
 					t.Fatalf("%s trial %d: replan over the same blocks diverged", name, trial)
 				}

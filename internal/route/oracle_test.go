@@ -343,8 +343,12 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 	want, ok := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, geo.InvalidNode)
 	got, gotOK := p.PlanGroup(c.orders, c.now, c.capacity)
 	samePlan("PlanGroup", got, gotOK, want, ok)
-	got, gotOK = p.PlanGroupShared(c.orders, c.now, c.capacity, warm)
-	samePlan("PlanGroupShared", got, gotOK, want, ok)
+	into := order.NewRoutePlan(len(c.orders))
+	got, gotOK = into, p.PlanGroupInto(into, c.orders, c.now, c.capacity, warm)
+	samePlan("PlanGroupInto", got, gotOK, want, ok)
+	if !gotOK && !plansEqual(into, order.NewRoutePlan(len(c.orders))) {
+		t.Fatalf("PlanGroupInto wrote an infeasible group's plan: %+v\ncase: %v", into, c)
+	}
 	wantFrom, okFrom := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, c.start)
 	got, gotOK = p.PlanGroupFrom(c.orders, c.now, c.capacity, c.start)
 	samePlan("PlanGroupFrom", got, gotOK, wantFrom, okFrom)

@@ -15,15 +15,17 @@
 // reaches, and dropping every prefix that cannot make a deadline it still
 // owes — judged by its arrival plus, on a network that states the triangle
 // inequality (roadnet.MetricNetwork), the direct legs from its last stop to
-// that dropoff. PlanGroup/PlanGroupFrom/PlanGroupShared materialize
-// a RoutePlan; PlanGroupCostLegs (PlanGroupCost with a store) is the
-// shareability graph's hot path — it runs the identical DP but returns only
-// the route cost, the group expiry τg and the per-member service times,
-// allocating nothing. PlanGroupShared and
-// PlanGroupCostLegs assemble the leg matrix from the group's per-pair cost
-// blocks (LegBlock) instead of fresh network queries; every assembled entry
-// the DP reads is the same pure cost(l1, l2) value a fresh query would
-// return, so the two paths are bit-identical by construction.
+// that dropoff. PlanGroup, PlanGroupFrom and PlanGroupInto materialize a
+// RoutePlan through one kernel, planInto, which writes the route into a
+// caller's plan (PlanGroupInto) or into one fresh order.NewRoutePlan;
+// PlanGroupCostLegs (PlanGroupCost with a store) is the shareability graph's
+// hot path — it runs the identical DP but returns only the route cost, the
+// group expiry τg and the per-member service times, allocating nothing.
+// PlanGroupInto and PlanGroupCostLegs assemble the leg matrix from the
+// group's per-pair cost blocks (LegBlock) instead of fresh network queries;
+// every assembled entry the DP reads is the same pure cost(l1, l2) value a
+// fresh query would return, so the two paths are bit-identical by
+// construction.
 package route
 
 import (
@@ -55,38 +57,63 @@ func NewPlanner(net roadnet.Network) *Planner {
 // PlanGroup finds the minimal-travel-cost feasible route for the given
 // orders when dispatched at time now into a vehicle with the given rider
 // capacity. The route starts at its first pickup (the paper measures
-// T(L(i)) from l1). Returns (nil, false) when no feasible route exists.
+// T(L(i)) from l1). Returns (nil, false) when no feasible route exists; a
+// found plan is one allocation (order.NewRoutePlan).
 //
 // The search is exact: dynamic programming over (visited-event-set, last
 // event) states, O(3^k * k^2) for k orders, trivial for k <= MaxGroupSize.
 func (p *Planner) PlanGroup(orders []*order.Order, now float64, capacity int) (*order.RoutePlan, bool) {
-	return p.planGroupFrom(orders, now, capacity, geo.InvalidNode, nil)
+	return p.planInto(nil, orders, now, capacity, geo.InvalidNode, nil)
 }
 
 // PlanGroupFrom is PlanGroup with an explicit start location: arrivals then
 // include the travel from start to the first pickup. Pass geo.InvalidNode
 // for a free start (route begins at whichever first pickup is cheapest).
 func (p *Planner) PlanGroupFrom(orders []*order.Order, now float64, capacity int, start geo.NodeID) (*order.RoutePlan, bool) {
-	return p.planGroupFrom(orders, now, capacity, start, nil)
+	return p.planInto(nil, orders, now, capacity, start, nil)
 }
 
-// PlanGroupShared is PlanGroup with the leg matrix assembled from the
-// group's pair blocks: blocks[p] is the block of the p-th member pair (i, j),
-// i < j, in row-major order (fresh network queries when blocks is nil or the
-// group is a singleton). The result is bit-identical to PlanGroup: blocks
-// hold the same pure cost values.
-func (p *Planner) PlanGroupShared(orders []*order.Order, now float64, capacity int, blocks []*LegBlock) (*order.RoutePlan, bool) {
-	return p.planGroupFrom(orders, now, capacity, geo.InvalidNode, blocks)
+// PlanGroupInto is PlanGroup writing the route into the caller's plan,
+// whose Stops and Arrive hold 2*len(orders) entries, with the leg matrix
+// assembled from the group's pair blocks: blocks[p] is the block of the
+// p-th member pair (i, j), i < j, in row-major order (fresh network queries
+// when blocks is nil or the group is a singleton). The route is
+// bit-identical to PlanGroup's: blocks hold the same pure cost values. It
+// returns false, leaving plan as it was, when no feasible route exists.
+func (p *Planner) PlanGroupInto(plan *order.RoutePlan, orders []*order.Order, now float64, capacity int, blocks []*LegBlock) bool {
+	_, ok := p.planInto(plan, orders, now, capacity, geo.InvalidNode, blocks)
+	return ok
 }
 
-func (p *Planner) planGroupFrom(orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock) (*order.RoutePlan, bool) {
+// planInto is the one materializing kernel: it runs the DP and writes the
+// cheapest route into plan, or, when plan is nil, into a plan it allocates
+// once the route is known to exist. The parent chain of a complete state
+// has exactly one state per event.
+func (p *Planner) planInto(plan *order.RoutePlan, orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock) (*order.RoutePlan, bool) {
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	best := p.planDP(orders, now, capacity, start, blocks, sc)
 	if best < 0 {
 		return nil, false
 	}
-	return materializePlan(orders, best, sc), true
+	if plan == nil {
+		plan = order.NewRoutePlan(len(orders))
+	}
+	ne := 2 * len(orders)
+	plan.Cost = sc.dp[best]
+	for i, idx := ne-1, best; i >= 0; i, idx = i-1, int(sc.parent[idx]) {
+		ev := idx % ne
+		o := orders[ev/2]
+		kind := order.PickupStop
+		node := o.Pickup
+		if ev%2 == 1 {
+			kind = order.DropoffStop
+			node = o.Dropoff
+		}
+		plan.Stops[i] = order.Stop{Node: node, Kind: kind, OrderID: o.ID, Riders: o.Riders}
+		plan.Arrive[i] = sc.dp[idx]
+	}
+	return plan, true
 }
 
 // PlanGroupCost is the cost-only fast path of PlanGroup: it runs the exact
@@ -109,7 +136,7 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 }
 
 // PlanGroupCostLegs is PlanGroupCost over the group's pair blocks, laid out
-// as PlanGroupShared takes them (fresh network queries when blocks is nil).
+// as PlanGroupInto takes them (fresh network queries when blocks is nil).
 //
 //det:hotpath the shareability graph's per-pair test runs millions of times per simulated day and must not allocate in steady state
 func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, ok bool) {
@@ -336,31 +363,6 @@ func doomed(nv float64, row []float64, owe uint16, limit *[2 * MaxGroupSize]floa
 		}
 	}
 	return false
-}
-
-// materializePlan reconstructs the RoutePlan ending at state best from sc's
-// dp/parent tables (fresh slices: they escape into the returned plan). The
-// parent chain of a complete state has exactly one state per event.
-func materializePlan(orders []*order.Order, best int, sc *planScratch) *order.RoutePlan {
-	ne := 2 * len(orders)
-	plan := &order.RoutePlan{
-		Stops:  make([]order.Stop, ne),
-		Arrive: make([]float64, ne),
-		Cost:   sc.dp[best],
-	}
-	for i, idx := ne-1, best; i >= 0; i, idx = i-1, int(sc.parent[idx]) {
-		ev := idx % ne
-		o := orders[ev/2]
-		kind := order.PickupStop
-		node := o.Pickup
-		if ev%2 == 1 {
-			kind = order.DropoffStop
-			node = o.Dropoff
-		}
-		plan.Stops[i] = order.Stop{Node: node, Kind: kind, OrderID: o.ID, Riders: o.Riders}
-		plan.Arrive[i] = sc.dp[idx]
-	}
-	return plan
 }
 
 // planScratch holds reusable DP buffers; pooled because the shareability

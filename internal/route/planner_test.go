@@ -402,3 +402,44 @@ func TestPlanGroupCostLegsAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanGroupAllocations pins the materializing paths: a found plan is one
+// allocation at every group size up to four (the plan and its stop and
+// arrival arrays share it), PlanGroupInto into the caller's plan allocates
+// nothing, and an infeasible group allocates nothing either.
+func TestPlanGroupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random; counts mean nothing")
+	}
+	net := testCity()
+	p := NewPlanner(net)
+	rng := rand.New(rand.NewSource(5))
+	for k := 1; k <= 4; k++ {
+		orders := randomGroup(net, rng, 20, k)
+		for _, o := range orders {
+			o.Deadline = 1e6
+		}
+		start := orders[0].Dropoff
+		if n := testing.AllocsPerRun(100, func() { p.PlanGroup(orders, 0, MaxGroupSize) }); n != 1 {
+			t.Errorf("k=%d: PlanGroup allocates %v times, want 1", k, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { p.PlanGroupFrom(orders, 0, MaxGroupSize, start) }); n != 1 {
+			t.Errorf("k=%d: PlanGroupFrom allocates %v times, want 1", k, n)
+		}
+		into := order.NewRoutePlan(k)
+		if n := testing.AllocsPerRun(100, func() {
+			if !p.PlanGroupInto(into, orders, 0, MaxGroupSize, nil) {
+				t.Fatal("slack group infeasible; test is vacuous")
+			}
+		}); n != 0 {
+			t.Errorf("k=%d: PlanGroupInto allocates %v times, want 0", k, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := p.PlanGroup(orders, 2e6, MaxGroupSize); ok {
+				t.Fatal("group feasible past every deadline; test is vacuous")
+			}
+		}); n != 0 {
+			t.Errorf("k=%d: an infeasible PlanGroup allocates %v times, want 0", k, n)
+		}
+	}
+}

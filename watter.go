@@ -370,7 +370,7 @@ func DefaultExperimentParams(city CityProfile) ExperimentParams {
 
 // NewSweepRunner returns a parallel sweep engine over a fresh experiment
 // runner. Run executes a matrix's job expansion; set Parallel to bound
-// concurrency (0 means GOMAXPROCS):
+// concurrency (0 means GOMAXPROCS; a negative value is refused):
 //
 //	sr := watter.NewSweepRunner()
 //	res, err := sr.Run(watter.SweepMatrix{
@@ -381,5 +381,5 @@ func DefaultExperimentParams(city CityProfile) ExperimentParams {
 func NewSweepRunner() *SweepRunner { return exp.NewSweepRunner(nil) }
 
 // ReplicateSeeds returns the conventional seed grid base..base+n-1 for n
-// replicate runs.
+// replicate runs; for n < 1 the grid is empty.
 func ReplicateSeeds(base int64, n int) []int64 { return exp.ReplicateSeeds(base, n) }
