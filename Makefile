@@ -138,7 +138,7 @@ lint:
 
 # Determinism-contract analyzers alone: the syntactic maprange/walltime/
 # globalrand/floatrange and the whole-module testonly (DESIGN.md §11),
-# plus the interprocedural specpure/hotalloc/goroutinewrite (§12);
+# plus specpure and goroutinewrite (§12);
 # lint runs them too.
 detlint:
 	$(GO) run ./cmd/detlint ./...

@@ -3,7 +3,7 @@
 // from source and runs the detlint analyzers — the syntactic maprange
 // (a map is read in sorted key order or under a //det:unordered reason),
 // walltime, globalrand, floatrange, the interprocedural specpure,
-// hotalloc, goroutinewrite, and the whole-module testonly (silent unless
+// goroutinewrite, and the whole-module testonly (silent unless
 // every package of the module is loaded) — printing findings in go-vet
 // format and exiting 1 when any exist.
 //
@@ -152,9 +152,9 @@ func lint(modDir string, patterns []string) ([]detlint.Diagnostic, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// One effects Program over every loaded package, so specpure and
-	// hotalloc see cross-package calls and CHA targets, and testonly sees
-	// every production reference.
+	// One effects Program over every loaded package, so specpure sees
+	// cross-package calls and CHA targets, and testonly sees every
+	// production reference.
 	prog := detlint.NewProgram(pkgs)
 	var all []detlint.Diagnostic
 	for _, pkg := range pkgs {

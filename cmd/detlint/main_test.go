@@ -83,11 +83,6 @@ func record(id int) {
 	hits = id
 }
 
-//det:hotpath steady-state dispatch must not allocate
-func HotLookup(n int) []int {
-	return make([]int, n)
-}
-
 func RacyLaunch() int {
 	x := 0
 	go func() {
@@ -154,7 +149,7 @@ var Sorted = api.Sorted
 	}
 	for _, name := range []string{
 		"maprange", "walltime", "globalrand", "floatrange",
-		"specpure", "hotalloc", "goroutinewrite", "testonly",
+		"specpure", "goroutinewrite", "testonly",
 	} {
 		if got[name] == 0 {
 			t.Errorf("injected %s violation not detected; findings: %v", name, diags)

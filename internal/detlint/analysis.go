@@ -22,14 +22,13 @@
 //	             order-insensitive; the only escape is an explicit
 //	             //det:floatfold annotation.
 //
-// The interprocedural layer (effects.go, DESIGN.md §12) adds write-effect
-// summaries over a CHA call graph and three more analyzers:
+// Two more guard concurrency (DESIGN.md §12): specpure reads the
+// write-effect summaries the effects layer (effects.go) solves over a CHA
+// call graph, and goroutinewrite is syntactic:
 //
 //	specpure      — everything reachable from a //det:specroot must be
 //	                write-free outside //det:scratch types; escape with
 //	                //det:specwrite <reason>.
-//	hotalloc      — //det:hotpath functions must reach no allocation
-//	                sites; escape with //det:hotalloc <reason>.
 //	goroutinewrite — go-launched closures must not write captured
 //	                variables without a sync primitive or channel
 //	                handoff; no annotation escape.
@@ -61,7 +60,7 @@ type Analyzer struct {
 
 // All returns the full detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, HotAlloc, GoroutineWrite, TestOnly}
+	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, GoroutineWrite, TestOnly}
 }
 
 // A Pass provides one analyzer run with a single type-checked package,
@@ -75,8 +74,8 @@ type Pass struct {
 	// Annot indexes //det: annotations by file line (a detlint extension;
 	// x/tools analyzers would re-derive this from File.Comments).
 	Annot *Annotations
-	// Prog is the whole-module effects program (effects.go) shared by the
-	// interprocedural analyzers and testonly.
+	// Prog is the whole-module effects program (effects.go) shared by
+	// specpure and testonly.
 	Prog *Program
 
 	report func(Diagnostic)

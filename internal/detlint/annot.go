@@ -39,12 +39,6 @@ const (
 	// Pointer fields of a scratch type are back-references to shared
 	// state, not part of the arena.
 	TagScratch = "scratch"
-	// TagHotpath marks a function as steady-state hot: the hotalloc
-	// analyzer forbids allocation sites in it and its module callees.
-	TagHotpath = "hotpath"
-	// TagHotalloc excuses one allocation site on a hot path; the
-	// justification must argue why the allocation is amortized or cold.
-	TagHotalloc = "hotalloc"
 	// TagAPI keeps an exported internal/ identifier that no production
 	// file references; the justification must name the caller that needs
 	// it (the testonly analyzer).

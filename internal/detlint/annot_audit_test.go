@@ -13,7 +13,7 @@ import (
 // knownTags lists every valid annotation tag.
 var knownTags = []string{
 	TagUnordered, TagWallclock, TagFloatfold,
-	TagSpecroot, TagSpecwrite, TagScratch, TagHotpath, TagHotalloc, TagAPI,
+	TagSpecroot, TagSpecwrite, TagScratch, TagAPI,
 }
 
 // TestAnnotationsAreJustified walks every .go file in the repository

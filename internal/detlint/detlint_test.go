@@ -26,7 +26,6 @@ func TestGlobalRandGolden(t *testing.T) { runGolden(t, GlobalRand, "globalrand")
 func TestFloatRangeGolden(t *testing.T) { runGolden(t, FloatRange, "floatrange") }
 
 func TestSpecPureGolden(t *testing.T)       { runGolden(t, SpecPure, "specpure") }
-func TestHotAllocGolden(t *testing.T)       { runGolden(t, HotAlloc, "hotalloc") }
 func TestGoroutineWriteGolden(t *testing.T) { runGolden(t, GoroutineWrite, "goroutinewrite") }
 
 // TestWallTimeMainExempt pins the package-main exemption: the same calls

@@ -120,12 +120,7 @@ func (w *walker) call(ce *ast.CallExpr) {
 	}
 	r := w.resolve(ce)
 	switch r.kind {
-	case ckSkip:
-		return
-	case ckConvert:
-		if w.collect {
-			w.checkConvertBoxing(ce)
-		}
+	case ckSkip, ckConvert:
 		return
 	case ckBuiltin:
 		w.builtinCall(ce, r.name)
@@ -134,18 +129,15 @@ func (w *walker) call(ce *ast.CallExpr) {
 	if !w.collect {
 		return
 	}
-	w.checkBoxing(ce)
 	switch r.kind {
 	case ckHavoc:
 		w.addRaw(effect{kind: provUnknown, pos: ce.Pos(), desc: r.desc})
-		w.addAlloc(ce.Pos(), r.desc+" (may allocate)")
 	case ckStdlib:
 		w.stdlibCall(ce, r)
 	case ckStatic, ckIface:
 		if r.kind == ckIface && len(r.nodes) == 0 {
 			w.addRaw(effect{kind: provUnknown, pos: ce.Pos(),
 				desc: "interface method " + r.name + " has no in-module implementation"})
-			w.addAlloc(ce.Pos(), "unresolved interface call "+r.name+" (may allocate)")
 			return
 		}
 		for _, callee := range r.nodes {
@@ -160,23 +152,11 @@ func (w *walker) builtinCall(ce *ast.CallExpr, name string) {
 	}
 	switch name {
 	case "append":
-		base := ce.Args[0]
-		pr := w.provOf(base)
-		if pr.shared() {
-			// Amortized growth of a pooled buffer: a write through the
-			// base slice, not a fresh allocation.
-			w.refWrite(base, "append writes the backing array of")
-		} else {
-			w.addAlloc(ce.Pos(), "growing append to a fresh slice")
-		}
+		w.refWrite(ce.Args[0], "append writes the backing array of")
 	case "copy":
 		w.refWrite(ce.Args[0], "copy into")
 	case "delete":
 		w.refWrite(ce.Args[0], "delete from")
-	case "make":
-		w.addAlloc(ce.Pos(), "make")
-	case "new":
-		w.addAlloc(ce.Pos(), "new")
 	}
 }
 
@@ -251,9 +231,6 @@ func (w *walker) substitute(ce *ast.CallExpr, r calleeSet, callee *funcNode) {
 			}
 		}
 	}
-	for _, a := range sum.allocs {
-		w.addAllocSite(a)
-	}
 }
 
 // rebase maps a callee recv/param effect onto the provenance of the
@@ -289,21 +266,6 @@ func (w *walker) addSub(e effect) {
 	}
 	w.seenEff[k] = true
 	w.effects = append(w.effects, e)
-}
-
-func (w *walker) addAlloc(pos token.Pos, desc string) {
-	if w.annotFor(pos, TagHotalloc) || w.declExcused(TagHotalloc) {
-		return
-	}
-	w.addAllocSite(allocSite{pos: pos, desc: desc, origin: w.fn.name})
-}
-
-func (w *walker) addAllocSite(a allocSite) {
-	if w.seenAlloc[a.pos] || len(w.allocs) >= maxAllocSites {
-		return
-	}
-	w.seenAlloc[a.pos] = true
-	w.allocs = append(w.allocs, a)
 }
 
 // writeTo records the effect of writing the lvalue e.
@@ -579,77 +541,4 @@ func (w *walker) pointeeOwnerScratch(e ast.Expr) bool {
 func (w *walker) namedScratch(t types.Type) bool {
 	tn := namedOf(t)
 	return tn != nil && w.prog.scratch[tn]
-}
-
-// litCaptures reports whether a function literal references a variable
-// of an enclosing function (a heap-allocated closure).
-func (w *walker) litCaptures(lit *ast.FuncLit) bool {
-	captures := false
-	ast.Inspect(lit.Body, func(nd ast.Node) bool {
-		if captures {
-			return false
-		}
-		id, ok := nd.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := w.objOf(id).(*types.Var)
-		if !ok || v.IsField() || pkgScoped(v) {
-			return true
-		}
-		if v.Pos() < lit.Pos() || v.Pos() >= lit.End() {
-			captures = true
-		}
-		return true
-	})
-	return captures
-}
-
-// checkBoxing flags call arguments whose conversion to an interface
-// parameter heap-allocates (concrete, non-word-sized, non-constant).
-func (w *walker) checkBoxing(ce *ast.CallExpr) {
-	sig, ok := w.underlyingOf(ce.Fun).(*types.Signature)
-	if !ok {
-		return
-	}
-	np := sig.Params().Len()
-	for i, arg := range ce.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= np-1:
-			if ce.Ellipsis.IsValid() {
-				continue // s… passes the slice, no per-element boxing
-			}
-			if sl, ok := sig.Params().At(np - 1).Type().Underlying().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < np:
-			pt = sig.Params().At(i).Type()
-		}
-		w.boxingAt(arg, pt)
-	}
-}
-
-func (w *walker) checkConvertBoxing(ce *ast.CallExpr) {
-	if len(ce.Args) != 1 {
-		return
-	}
-	w.boxingAt(ce.Args[0], w.typeOf(ce.Fun))
-}
-
-func (w *walker) boxingAt(arg ast.Expr, pt types.Type) {
-	if pt == nil || !types.IsInterface(pt) {
-		return
-	}
-	at := w.typeOf(arg)
-	if at == nil || types.IsInterface(at) || wordSized(at) {
-		return
-	}
-	if b, ok := at.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
-		return // untyped nil and friends
-	}
-	if tv, ok := w.info().Types[arg]; ok && tv.Value != nil {
-		return // constants: noise, and often interned
-	}
-	w.addAlloc(arg.Pos(), "interface boxing of "+at.String())
 }

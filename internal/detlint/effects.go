@@ -1,10 +1,9 @@
 package detlint
 
-// The interprocedural layer behind specpure and hotalloc (DESIGN.md §12):
-// a CHA-style call graph over the typed AST, per-function write-effect
-// summaries, and a fixpoint that propagates effects and allocation sites
-// across calls. Built on the standard library alone, same constraint as
-// the rest of the suite.
+// The interprocedural layer behind specpure (DESIGN.md §12): a CHA-style
+// call graph over the typed AST, per-function write-effect summaries, and a
+// fixpoint that propagates effects across calls. Built on the standard
+// library alone, same constraint as the rest of the suite.
 //
 // The effect lattice per function is a set of write effects, each
 // classified by what the written memory is reachable from:
@@ -36,10 +35,10 @@ import (
 	"strings"
 )
 
-// A Program is the whole-module view behind the interprocedural
-// analyzers: call graph nodes, //det:scratch types, CHA indexes and the
-// solved per-function summaries. Build one per lint run with NewProgram
-// and share it across packages via RunWith.
+// A Program is the whole-module view behind specpure and testonly: call
+// graph nodes, //det:scratch types, CHA indexes and the solved
+// per-function summaries. Build one per lint run with NewProgram and share
+// it across packages via RunWith.
 type Program struct {
 	Pkgs []*Package
 
@@ -156,21 +155,10 @@ func (e effect) key() string {
 	return fmt.Sprintf("%d/%d/%t/%d", e.kind, e.param, e.scratch, e.pos)
 }
 
-// An allocSite is one allocation a function (or anything it calls) may
-// perform; //det:hotalloc-excused sites are dropped at the origin.
-type allocSite struct {
-	pos    token.Pos
-	desc   string
-	origin string
-}
-
-const maxAllocSites = 32
-
-// summary is the solved per-function fact: outward write effects,
-// reachable allocation sites, and return-value provenance.
+// summary is the solved per-function fact: outward write effects and
+// return-value provenance.
 type summary struct {
 	effects []effect
-	allocs  []allocSite
 	ret     prov
 }
 
@@ -179,10 +167,6 @@ func (s *summary) fingerprint() string {
 	for _, e := range s.effects {
 		b.WriteString(e.key())
 		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	for _, a := range s.allocs {
-		fmt.Fprintf(&b, "%d;", a.pos)
 	}
 	fmt.Fprintf(&b, "|%d/%d", s.ret.kind, s.ret.param)
 	return b.String()
@@ -331,9 +315,9 @@ func declDisplayName(pkg *Package, fd *ast.FuncDecl) string {
 	return pkg.Types.Name() + "." + fd.Name.Name
 }
 
-// solve runs chaotic iteration to the fixpoint: effect sets and alloc
-// sets only grow and positions are finite, so this terminates; the round
-// cap is a backstop, not a tuning knob.
+// solve runs chaotic iteration to the fixpoint: effect sets only grow and
+// positions are finite, so this terminates; the round cap is a backstop,
+// not a tuning knob.
 func (p *Program) solve() {
 	for round := 0; round < 50; round++ {
 		changed := false
@@ -417,21 +401,6 @@ func pointerLike(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
 		return true
-	}
-	return false
-}
-
-// wordSized reports whether boxing a value of t into an interface needs
-// no heap allocation (the value fits the interface data word).
-func wordSized(t types.Type) bool {
-	if t == nil {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
 	}
 	return false
 }

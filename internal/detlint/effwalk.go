@@ -2,8 +2,8 @@ package detlint
 
 // The intraprocedural half of the effects engine (effects.go): one
 // walker analyzes one funcNode, computing local provenance to a small
-// fixpoint and then collecting write effects and allocation sites, with
-// callee summaries substituted at call sites.
+// fixpoint and then collecting write effects, with callee summaries
+// substituted at call sites.
 
 import (
 	"go/ast"
@@ -22,26 +22,21 @@ type walker struct {
 
 	skipLit  map[*ast.FuncLit]bool  // go-launched literal bodies
 	skipCall map[*ast.CallExpr]bool // go-launched calls
-	takenLit map[*ast.CompositeLit]bool
 
-	seenEff   map[string]bool
-	seenAlloc map[token.Pos]bool
-	effects   []effect
-	allocs    []allocSite
-	ret       prov
+	seenEff map[string]bool
+	effects []effect
+	ret     prov
 }
 
 func (p *Program) analyzeNode(n *funcNode) *summary {
 	w := &walker{
-		prog:      p,
-		fn:        n,
-		env:       make(map[*types.Var]prov),
-		litBind:   make(map[*types.Var]bool),
-		skipLit:   make(map[*ast.FuncLit]bool),
-		skipCall:  make(map[*ast.CallExpr]bool),
-		takenLit:  make(map[*ast.CompositeLit]bool),
-		seenEff:   make(map[string]bool),
-		seenAlloc: make(map[token.Pos]bool),
+		prog:     p,
+		fn:       n,
+		env:      make(map[*types.Var]prov),
+		litBind:  make(map[*types.Var]bool),
+		skipLit:  make(map[*ast.FuncLit]bool),
+		skipCall: make(map[*ast.CallExpr]bool),
+		seenEff:  make(map[string]bool),
 	}
 	if n.recv != nil {
 		w.env[n.recv] = prov{kind: provRecv}
@@ -66,7 +61,7 @@ func (p *Program) analyzeNode(n *funcNode) *summary {
 	}
 	w.collect = true
 	w.walk()
-	return &summary{effects: w.effects, allocs: w.allocs, ret: w.ret}
+	return &summary{effects: w.effects, ret: w.ret}
 }
 
 func (w *walker) info() *types.Info { return w.fn.pkg.Info }
@@ -96,8 +91,8 @@ func (w *walker) annotFor(pos token.Pos, tag string) bool {
 
 // declExcused reports whether the containing declaration carries the
 // given escape tag, excusing every site inside the function. The whole
-// doc comment group is scanned so a declaration can stack several
-// //det: tags (e.g. specwrite and hotalloc on one memo function).
+// doc comment group is scanned so the tag need not be the comment's last
+// line.
 func (w *walker) declExcused(tag string) bool {
 	if w.fn.decl == nil {
 		return false
@@ -123,9 +118,9 @@ func (w *walker) walk() {
 	ast.Inspect(w.fn.body, func(nd ast.Node) bool {
 		switch x := nd.(type) {
 		case *ast.GoStmt:
-			// The goroutine body runs concurrently: havoc for effects,
-			// one allocation for the launch. Arguments still evaluate in
-			// this frame and are visited as children.
+			// The goroutine body runs concurrently: havoc for effects.
+			// Arguments still evaluate in this frame and are visited as
+			// children.
 			if lit, ok := unparen(x.Call.Fun).(*ast.FuncLit); ok {
 				w.skipLit[lit] = true
 			}
@@ -133,16 +128,11 @@ func (w *walker) walk() {
 			if w.collect {
 				w.addRaw(effect{kind: provUnknown, pos: x.Pos(),
 					desc: "launches a goroutine (concurrent effects are not analyzed)"})
-				w.addAlloc(x.Pos(), "goroutine launch")
 			}
 		case *ast.FuncLit:
+			// Folded inline: captured locals resolve against this env.
 			if w.skipLit[x] {
 				return false
-			}
-			// Folded inline: captured locals resolve against this env.
-			// The value itself is a closure allocation when it captures.
-			if w.collect && w.litCaptures(x) {
-				w.addAlloc(x.Pos(), "capturing closure")
 			}
 		case *ast.AssignStmt:
 			w.assign(x)
@@ -162,24 +152,6 @@ func (w *walker) walk() {
 			w.typeSwitchVar(x)
 		case *ast.CallExpr:
 			w.call(x)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if cl, ok := unparen(x.X).(*ast.CompositeLit); ok {
-					w.takenLit[cl] = true
-					if w.collect {
-						w.addAlloc(x.Pos(), "&composite literal (heap allocation)")
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			if w.collect && !w.takenLit[x] {
-				switch w.underlyingOf(x).(type) {
-				case *types.Slice:
-					w.addAlloc(x.Pos(), "slice composite literal")
-				case *types.Map:
-					w.addAlloc(x.Pos(), "map composite literal")
-				}
-			}
 		case *ast.ReturnStmt:
 			if w.collect {
 				w.returnStmt(x)

@@ -20,7 +20,7 @@ func TestSortDiagnosticsOrder(t *testing.T) {
 	}
 
 	want := []Diagnostic{
-		d("a/a.go", 1, 1, "hotalloc", "boxing"),
+		d("a/a.go", 1, 1, "goroutinewrite", "captured write"),
 		d("a/a.go", 1, 1, "specpure", "shared write"),
 		d("a/a.go", 1, 1, "specpure", "shared write via call"),
 		d("a/a.go", 1, 9, "maprange", "map iteration"),
@@ -47,7 +47,7 @@ func TestSortDiagnosticsStable(t *testing.T) {
 	base := []Diagnostic{
 		{Analyzer: "specpure", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m1"},
 		{Analyzer: "specpure", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m0"},
-		{Analyzer: "hotalloc", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m2"},
+		{Analyzer: "goroutinewrite", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m2"},
 	}
 	a := append([]Diagnostic(nil), base...)
 	b := []Diagnostic{base[2], base[0], base[1]}
@@ -56,7 +56,7 @@ func TestSortDiagnosticsStable(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("different permutations sorted differently:\n a: %v\n b: %v", a, b)
 	}
-	if a[0].Analyzer != "hotalloc" || a[1].Message != "m0" || a[2].Message != "m1" {
+	if a[0].Analyzer != "goroutinewrite" || a[1].Message != "m0" || a[2].Message != "m1" {
 		t.Fatalf("unexpected order after sort: %v", a)
 	}
 }

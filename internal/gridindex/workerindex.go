@@ -145,7 +145,6 @@ func ringLocs(sc *probeScratch) {
 		sc.locBuf = append(sc.locBuf, w.Loc)
 	}
 	if cap(sc.costBuf) < len(sc.locBuf) {
-		//det:hotalloc grows the scratch cost row once per ring-size high-water mark
 		sc.costBuf = make([]float64, len(sc.locBuf))
 	}
 	sc.costBuf = sc.costBuf[:len(sc.locBuf)]
@@ -206,8 +205,6 @@ func (wi *WorkerIndex) ClosestIdleWithin(node geo.NodeID, now float64, minCapaci
 // ring either; once a whole ring lies beyond the cap (ringGap), so does
 // every later one, and the walk ends. Skipped cells still count toward
 // seen, and neither skip changes the answer (DESIGN.md §13).
-//
-//det:hotpath the budgeted ring search backs every dispatch probe; buffers come from the index's scratch
 func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapacity int, maxCost float64, cands *[]int32) (*order.Worker, float64) {
 	sc := &wi.sc
 	p := wi.net.Coord(node)
@@ -225,7 +222,8 @@ func (wi *WorkerIndex) closestIdleWithin(node geo.NodeID, now float64, minCapaci
 			break // this ring and every later one lie beyond the cap
 		}
 		sc.candBuf = sc.candBuf[:0]
-		//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
+		// A non-escaping ring visitor: stack-allocated, because Ring only
+		// invokes it inline.
 		wi.ix.Ring(center, d, func(cell int) bool {
 			bucket := wi.cells[cell]
 			seen += len(bucket)
@@ -292,7 +290,6 @@ func (wi *WorkerIndex) KNearest(node geo.NodeID, k int, pred func(*order.Worker)
 	sc := &wi.sc
 	for d := 0; d <= wi.ix.N(); d++ {
 		sc.candBuf = sc.candBuf[:0]
-		//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
 		wi.ix.Ring(center, d, func(cell int) bool {
 			seen += len(wi.cells[cell])
 			for _, w := range wi.cells[cell] {
@@ -348,8 +345,6 @@ func (wi *WorkerIndex) SupplyDistribution(now float64) Distribution {
 
 // FillSupply is SupplyDistribution into the caller's histogram, one entry
 // per cell of the index.
-//
-//det:hotpath the threshold source's snapshot rebuild; writes only the caller's histogram
 func (wi *WorkerIndex) FillSupply(d Distribution, now float64) {
 	clear(d)
 	for cell, ws := range wi.cells {

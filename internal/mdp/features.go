@@ -53,8 +53,6 @@ func (f *Featurizer) Features(o *order.Order, now float64, pickupDemand, dropoff
 // setOrder writes the per-order entries of x — the sL one-hots and sT — and
 // returns the two one-hot positions: a caller that reuses x zeroes them
 // before the next order, and nothing else in x[:2·C+2] needs resetting.
-//
-//det:hotpath the per-call half of featurization; writes only into the caller's vector
 func (f *Featurizer) setOrder(x []float64, o *order.Order, now float64) (pickupAt, dropoffAt int) {
 	c := f.Index.NumCells()
 	// sL: one-hot pickup and dropoff regions.
@@ -69,8 +67,6 @@ func (f *Featurizer) setOrder(x []float64, o *order.Order, now float64) (pickupA
 // timeFeatures returns sT: the release timeslot and the waited slots, both
 // normalized. Waited is clamped to [0, 1]; the slot only from above, so a
 // negative release gives a negative slot, and a NaN passes both clamps.
-//
-//det:hotpath shared by setOrder and the sparse state
 func (f *Featurizer) timeFeatures(o *order.Order, now float64) (slot, waited float64) {
 	if f.HorizonSeconds > 0 {
 		slot = o.Release / f.HorizonSeconds

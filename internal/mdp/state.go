@@ -53,8 +53,6 @@ func (s *liveState) fresh(key envKey) bool { return s.valid && s.key == key }
 
 // rebuild rewrites the environment block from the three histograms, records
 // its non-zero list, and records the key they were read at.
-//
-//det:hotpath once per environment change; writes only into the state's own buffers
 func (s *liveState) rebuild(f *Featurizer, key envKey, pickupDemand, dropoffDemand, supply []float64) {
 	if len(s.x) != f.Dim() {
 		s.size(f.Dim())
@@ -77,8 +75,6 @@ func (s *liveState) rebuild(f *Featurizer, key envKey, pickupDemand, dropoffDema
 
 // size allocates the buffers for a dim-entry state; the non-zero list has
 // room for the whole state plus the order's reserved head.
-//
-//det:hotalloc runs once per featurizer; every later rebuild reuses the buffers
 func (s *liveState) size(dim int) {
 	s.x = make([]float64, dim)
 	s.idx = make([]int32, orderSlots, orderSlots+dim)
@@ -104,8 +100,6 @@ func (s *liveState) observe(f *Featurizer, o *order.Order, now float64) []float6
 // The order's entries are written back to front into the reserved head, so
 // the environment's list is never copied. Both slices alias the state: valid
 // until the next observeList or rebuild.
-//
-//det:hotpath the per-call half of the threshold source's state; writes only into the reserved head
 func (s *liveState) observeList(f *Featurizer, o *order.Order, now float64) (idx []int32, vals []float64, own int) {
 	c := f.Index.NumCells()
 	slot, waited := f.timeFeatures(o, now)

@@ -323,6 +323,21 @@ func TestThresholdSteadyStateAllocatesNothing(t *testing.T) {
 	if s := src.SnapshotStats(); s.Rebuilds != 52 || s.Splits*2 != s.Ranges {
 		t.Fatalf("%d ranges, %d split passes, %d rebuilds: the rounds did not exercise rebuild and memo", s.Ranges, s.Splits, s.Rebuilds)
 	}
+	// The collector's dense state: once sized, observe rewrites the order's
+	// entries in place through setOrder.
+	var live liveState
+	live.size(f.feat.Dim())
+	observe := func() {
+		for _, o := range pooled {
+			live.observe(f.feat, o, now)
+		}
+	}
+	if n := testing.AllocsPerRun(50, observe); n != 0 {
+		t.Fatalf("observing %d orders allocates %v times", len(pooled), n)
+	}
+	if live.observes == 0 {
+		t.Fatal("no state was observed")
+	}
 }
 
 // checkedCollector runs a Collector and, at every point where it records a

@@ -117,8 +117,6 @@ func (v *ValueThresholdSource) Threshold(o *order.Order, now float64) float64 {
 }
 
 // theta runs the network on o's state at now under the current snapshot.
-//
-//det:hotpath one exact network pass per θ the range could not spare
 func (v *ValueThresholdSource) theta(o *order.Order, now float64) float64 {
 	idx, vals, _ := v.state.observeList(v.Feat, o, now)
 	p := o.Penalty()
@@ -178,8 +176,6 @@ func (v *ValueThresholdSource) ThresholdRange(o *order.Order, now float64) (lo, 
 
 // split runs the split pass on o's state at now: the snapshot's suffix
 // sums, taken on the first split after a rebuild, and o's own entries.
-//
-//det:hotpath one split pass per V̂ the memo cannot answer
 func (v *ValueThresholdSource) split(o *order.Order, now float64) float64 {
 	v.stats.Splits++
 	idx, vals, own := v.state.observeList(v.Feat, o, now)

@@ -79,9 +79,8 @@ type Scratch struct {
 	vals [][]float64 // index order, resliced by each pass (cap = layer width)
 }
 
-// fit sizes the scratch to the network's layer widths.
-//
-//det:hotalloc allocates only on a scratch's first pass through a network; every later pass finds it fitted
+// fit sizes the scratch to the network's layer widths. It allocates only
+// on a scratch's first pass through a network.
 func (sc *Scratch) fit(sizes []int) {
 	layers := len(sizes) - 1
 	fits := len(sc.acts) == layers
@@ -104,8 +103,6 @@ func (sc *Scratch) fit(sizes []int) {
 // gather compacts x's non-zero entries into idx and vals (each with room
 // for len(x)) in ascending index order and returns the filled prefixes.
 // Both signed zeros count as zero; a NaN does not.
-//
-//det:hotpath runs once per layer of every forward pass
 func gather(idx []int32, vals, x []float64) ([]int32, []float64) {
 	idx = idx[:len(x)]
 	vals = vals[:len(x)]
@@ -140,8 +137,6 @@ func gather(idx []int32, vals, x []float64) ([]int32, []float64) {
 // to a zero, the next layer drops as a zero input, and p − V cannot see. Four units are carried per pass over the inputs:
 // their sums are independent, so this changes which additions are in
 // flight together, never the order within a unit.
-//
-//det:hotpath the inner loop of every threshold decision and every training step
 func layer(w, b []float64, in int, idx []int32, vals, out []float64, relu bool) {
 	vals = vals[:len(idx)]
 	o := 0
@@ -207,8 +202,6 @@ func (m *MLP) forward(sc *Scratch, x []float64) []float64 {
 // pass runs layer 0 over the input's non-zero list (idx, vals) and every
 // later layer over the gathered output of the one before, inside a fitted
 // scratch, and returns the output layer.
-//
-//det:hotpath every forward pass, dense or sparse, runs through here
 func (m *MLP) pass(sc *Scratch, idx []int32, vals []float64) []float64 {
 	layer(m.weights[0], m.biases[0], m.sizes[0], idx, vals, sc.acts[0], len(m.weights) > 1)
 	return m.upper(sc)
@@ -217,8 +210,6 @@ func (m *MLP) pass(sc *Scratch, idx []int32, vals []float64) []float64 {
 // upper runs every layer after the first over the gathered output of the
 // one before, inside a scratch whose layer-0 output is filled, and returns
 // the output layer.
-//
-//det:hotpath the part of the exact and the split pass they share
 func (m *MLP) upper(sc *Scratch) []float64 {
 	last := len(m.weights) - 1
 	for l := 1; l <= last; l++ {
@@ -262,8 +253,6 @@ func (m *MLP) PredictSparseWith(sc *Scratch, idx []int32, vals []float64) float6
 // shorter, and returned. When many inputs share one suffix — the pooled
 // orders of one instant share the tick-global block of their states — it is
 // summed once for all of them.
-//
-//det:hotpath once per environment snapshot the split pass reads
 func (m *MLP) SuffixSums(sums []float64, idx []int32, vals []float64) []float64 {
 	sums = fitSums(sums, len(m.biases[0]))
 	// The sums start at zero and serve as their own biases: layer reads a
@@ -274,8 +263,6 @@ func (m *MLP) SuffixSums(sums []float64, idx []int32, vals []float64) []float64 
 }
 
 // fitSums returns sums resliced to n entries, reallocated when too short.
-//
-//det:hotalloc allocates only on a caller's first suffix; every later one reuses the buffer
 func fitSums(sums []float64, n int) []float64 {
 	if cap(sums) < n {
 		return make([]float64, n)
@@ -292,8 +279,6 @@ func fitSums(sums []float64, n int) []float64 {
 // and the caller that needs PredictSparseWith's value bit for bit must use
 // the result only as an estimate with that radius. Nothing in sc survives
 // the pass for backprop.
-//
-//det:hotpath the per-order half of the split pass
 func (m *MLP) PredictSplit(sc *Scratch, sums []float64, idx []int32, vals []float64) float64 {
 	sc.fit(m.sizes)
 	acts := sc.acts[0]

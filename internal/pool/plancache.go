@@ -117,8 +117,6 @@ type planKey struct {
 }
 
 // memberKey builds the key of a canonical (ascending-ID) member slice.
-//
-//det:hotpath runs once per cache probe inside the clique enumeration; the key is a value, nothing is rendered
 func memberKey(members []*order.Order) (k planKey) {
 	k.n = len(members)
 	for i, o := range members {

@@ -287,8 +287,6 @@ func (p *Pool) OrderIDs() []int {
 // FillDemand writes normalized copies of the current pickup and dropoff
 // demand histograms (MDP feature sO) into the caller's histograms, one
 // entry per cell of the pool's index.
-//
-//det:hotpath the threshold source's snapshot rebuild; writes only the caller's histograms
 func (p *Pool) FillDemand(pickup, dropoff gridindex.Distribution) {
 	copy(pickup, p.pickupDemand)
 	copy(dropoff, p.dropoffDemand)
@@ -482,8 +480,6 @@ func (p *Pool) candidates(n *node) []ref {
 
 // candidatesAt is candidates keyed by cell, usable before the order has a
 // slot (the insert prewarm runs it pre-Insert).
-//
-//det:hotpath spatial prefilter runs per insert and per refresh; candidates fill the pooled buffer
 func (p *Pool) candidatesAt(cell, selfID int) []ref {
 	out := p.candBuf[:0]
 	if p.opt.CandidateRadius < 0 {
@@ -494,7 +490,8 @@ func (p *Pool) candidatesAt(cell, selfID int) []ref {
 		}
 	} else {
 		for d := 0; d <= p.opt.CandidateRadius; d++ {
-			//det:hotalloc non-escaping ring visitor, stack-allocated because Ring only invokes it inline
+			// A non-escaping ring visitor: stack-allocated, because Ring only
+			// invokes it inline.
 			p.ix.Ring(cell, d, func(c int) bool {
 				for _, r := range p.cells[c] {
 					if r.id != selfID {
@@ -518,8 +515,6 @@ func (p *Pool) candidatesAt(cell, selfID int) []ref {
 // tie-breaks, the cache key and the extra-time accumulation order all
 // agree, whichever node's refresh reached the set first. Valid until the
 // next canonical call.
-//
-//det:hotpath canonicalization guards every plan request; the insertion sort reuses pooled scratch
 func (p *Pool) canonical(slots ...int32) ([]*order.Order, []int32) {
 	k := copy(p.canonSlot[:], slots)
 	ss, os := p.canonSlot[:k], p.canonOrd[:k]

@@ -57,7 +57,6 @@ func (g *Graph) buildCone(sc *scratch, budget float64) {
 	for _, t := range sc.uniq {
 		if sc.coneMark[t] != sc.tcur {
 			sc.coneMark[t] = sc.tcur
-			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 			sc.coneQ = append(sc.coneQ, int32(t))
 		}
 	}
@@ -78,7 +77,6 @@ func (g *Graph) buildCone(sc *scratch, budget float64) {
 				sc.tStamp[f] = sc.tcur
 				sc.tFirst[f] = -1
 			}
-			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 			sc.tPack = append(sc.tPack, coneEdge{
 				ei: ei, next: sc.tFirst[f], to: e.to,
 				w: h.wLo[ei], lbm: h.lbmLo[ei],
@@ -129,8 +127,6 @@ func (g *Graph) chBound(v, t geo.NodeID) float64 {
 // be left +Inf). Structure, finalization, and budget semantics mirror
 // searchFrom — see the comment at the top of this file for why the answers are
 // bit-identical to the reference Dijkstra's.
-//
-//det:hotpath the CH query inner loop backs every Cost and FillCostMatrix call on hierarchy-enabled graphs; all mutable state lives in the pooled scratch
 func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64) {
 	inf := math.Inf(1)
 	h32 := g.ch
@@ -195,7 +191,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 			maxUBh = ubInit
 		}
 	}
-	//det:hotalloc one closure header per search, amortized over thousands of relaxations
+	// relax never escapes, so its closure and captures stay on the stack.
 	relax := func(it heapItem[float64], ei int32, st geo.NodeID, w, lbm float64) {
 		// Certain lower bound on the fold across this edge: skipping on it
 		// is exact, and it avoids unpacking the shortcut at all for the

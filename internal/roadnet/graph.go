@@ -198,9 +198,7 @@ func (r reference) Cost(from, to geo.NodeID) float64 {
 
 // dijkstra is the reference: full single-source shortest paths with every
 // relaxation folded in float32 (nd = dist[u] + w), the arithmetic the
-// engines reproduce.
-//
-//det:hotalloc the reference oracle allocates per call by design; tests and benchmarks reach it, no dispatch path does
+// engines reproduce. It allocates per call; no dispatch path reaches it.
 func (g *Graph) dijkstra(src geo.NodeID) []float32 {
 	dist := make([]float32, len(g.coords))
 	inf := float32(math.Inf(1))

@@ -116,8 +116,6 @@ type scratch struct {
 // getScratch hands out a scratch sized for the engine answering now. A
 // scratch pooled while the graph was on ALT is too small for the hierarchy's
 // 2n states and has no cone arrays; it is rebuilt rather than reused short.
-//
-//det:hotalloc pool miss or first query after EnableHierarchy; steady state reuses pooled arrays
 func (g *Graph) getScratch() *scratch {
 	sc, _ := g.pool.Get().(*scratch)
 	if sc == nil {
@@ -178,14 +176,11 @@ func (sc *scratch) setTargets(targets ...geo.NodeID) {
 		slot := slices.Index(sc.uniq, t)
 		if slot < 0 {
 			slot = len(sc.uniq)
-			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 			sc.uniq = append(sc.uniq, t)
 		}
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 		sc.colIdx = append(sc.colIdx, slot)
 	}
 	if cap(sc.res) < len(sc.uniq) {
-		//det:hotalloc grows the pooled result row once per high-water target count
 		sc.res = make([]float64, len(sc.uniq))
 	}
 	sc.res = sc.res[:len(sc.uniq)]
@@ -230,7 +225,6 @@ func (g *Graph) begin(sc *scratch, src geo.NodeID, mul, abs float64) bool {
 		case math.IsInf(landGap(sp, g.landRow(t)), 1):
 			// Proven unreachable: stays +Inf, no search needed.
 		default:
-			//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 			sc.pending = append(sc.pending, k)
 		}
 	}
@@ -478,7 +472,6 @@ func (g *Graph) nearestWith(sc *scratch, sources []geo.NodeID, target geo.NodeID
 	ord := sc.ord[:0]
 	for i, s := range sources {
 		out[i] = g.CostLowerBound(s, target)
-		//det:hotalloc pooled scratch retains capacity across queries; grows only on first use
 		ord = append(ord, int32(i))
 		for j := i; j > 0 && out[ord[j]] < out[ord[j-1]]; j-- {
 			ord[j], ord[j-1] = ord[j-1], ord[j]

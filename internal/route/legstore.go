@@ -126,7 +126,8 @@ func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBl
 		blk = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		//det:hotalloc one block per concurrently live pair; released blocks are recycled, so steady state allocates none
+		// Released blocks are recycled, so only a new high-water mark of
+		// live pairs allocates.
 		blk = new(LegBlock)
 	}
 	q := &s.query
@@ -157,7 +158,7 @@ func (s *LegStore) withinCost(o *order.Order, slot Slot) float64 {
 		return s.net.Cost(o.Pickup, o.Dropoff)
 	}
 	if n := int(slot.Index) + 1; n > len(s.within) {
-		//det:hotalloc grows to the owner's slot high-water mark once; recycled slots reuse it
+		// Grows once per slot high-water mark; recycled slots reuse it.
 		s.within = append(s.within, make([]withinLeg, n-len(s.within))...)
 	}
 	w := &s.within[slot.Index]

@@ -137,8 +137,6 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 
 // PlanGroupCostLegs is PlanGroupCost over the group's pair blocks, laid out
 // as PlanGroupInto takes them (fresh network queries when blocks is nil).
-//
-//det:hotpath the shareability graph's per-pair test runs millions of times per simulated day and must not allocate in steady state
 func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, ok bool) {
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
@@ -389,8 +387,6 @@ var scratchPool = sync.Pool{New: func() any { return &planScratch{} }}
 // tables returns the state tables sized for groups of k. The kernel clears
 // reach once per call; it writes onboard for every mask it reaches and reads
 // dp, parent and onboard only where reach says they were written.
-//
-//det:hotalloc grows the pooled scratch once per high-water mark; steady state reuses capacity
 func (s *planScratch) tables(k int) (dp []float64, parent, reach []uint16, onboard []int) {
 	masks := len(dpTables[k].masks)
 	if states := masks * 2 * k; cap(s.dp) < states {
