@@ -12,6 +12,7 @@ import (
 	"watter/internal/geo"
 	"watter/internal/order"
 	"watter/internal/pool"
+	"watter/internal/route"
 	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/strategy"
@@ -41,6 +42,10 @@ type Framework struct {
 	engine *shard.Engine
 	// ids is the buffer of the pooled-ID snapshot a check walks.
 	ids []int
+	// box is the group every dispatch is planned into, shared or solo, with
+	// room for route.MaxGroupSize members. Reusing it is safe: the Env
+	// keeps nothing of a dispatched group (it books copies of its records).
+	box *order.Group
 }
 
 // New builds a framework with the given decision strategy and pool options
@@ -87,6 +92,7 @@ func (f *Framework) Init(env *sim.Env) {
 		opt.Capacity = env.Cfg.Capacity
 	}
 	f.pool = pool.New(env.Planner, env.Index, opt)
+	f.box = order.NewGroup(route.MaxGroupSize)
 	f.engine = nil
 	if f.Shards > 1 {
 		f.engine = shard.NewEngine(f.Shards)
@@ -167,25 +173,31 @@ func (f *Framework) checkOrders(now float64, force bool) {
 			continue // removed earlier this pass as part of a group
 		}
 		o := f.pool.Order(id)
-		g, expiry, ok := f.pool.BestGroup(id)
+		// The check reads the best group without a route; only a group it
+		// dispatches is planned, into the kept box.
+		best, ok := f.pool.Best(id)
+		var expiry float64
 		// One probe serves both the horizon shrink and the dispatch: the
 		// found (worker, approach) pair is handed straight to
 		// DispatchGroupTo, since nothing mutates worker state between the
 		// probe and the strategy's (pure) decision.
 		var gw *order.Worker
 		var gApproach float64
-		if ok && anyIdle {
-			gw, gApproach = f.env.WIndex.ClosestIdleWithin(
-				g.Plan.Stops[0].Node, now, g.Riders(), expiry-now)
-			if gw != nil {
-				expiry -= gApproach
+		if ok {
+			expiry = best.Expiry()
+			if anyIdle {
+				gw, gApproach = f.env.WIndex.ClosestIdleWithin(
+					best.Start(), now, best.Riders(), expiry-now)
+				if gw != nil {
+					expiry -= gApproach
+				}
 			}
 		}
 		// Last call: the group becomes infeasible before the next check.
 		groupLastCall := ok && expiry < now+f.tick
-		if ok && (force || groupLastCall || f.Decide.ShouldDispatch(g, expiry, now)) {
-			if gw != nil && f.env.DispatchGroupTo(gw, gApproach, g, now) {
-				f.pool.RemoveGroup(g, now)
+		if ok && (force || groupLastCall || f.Decide.ShouldDispatch(best.Members(), best.AvgExtraTime(now), expiry, now)) {
+			if gw != nil && f.pool.PlanBest(id, f.box) && f.env.DispatchGroupTo(gw, gApproach, f.box, now) {
+				f.pool.RemoveGroup(f.box, now)
 				continue
 			}
 			// No feasible worker for the group; fall through so a
@@ -225,17 +237,18 @@ func (f *Framework) approachFor(node geo.NodeID, now float64, riders int, budget
 	return a
 }
 
-// serveSoloOrReject plans a singleton route for o. Served if feasible and a
-// worker is idle; rejected when the route is infeasible or (at timeout /
-// drain) nobody can take it.
+// serveSoloOrReject plans a singleton route for o into the kept box. Served
+// if feasible and a worker is idle; rejected when the route is infeasible
+// or (at timeout / drain) nobody can take it.
 func (f *Framework) serveSoloOrReject(o *order.Order, now float64, force bool) {
-	plan, feasible := f.env.Planner.PlanGroup([]*order.Order{o}, now, f.env.Cfg.Capacity)
-	if !feasible {
+	g := f.box
+	g.Resize(1)
+	g.Orders[0] = o
+	if !f.env.Planner.PlanGroupInto(g.Plan, g.Orders, now, f.env.Cfg.Capacity, nil) {
 		f.pool.Remove(o.ID, now)
 		f.env.Reject(o, now)
 		return
 	}
-	g := &order.Group{Orders: []*order.Order{o}, Plan: plan}
 	if f.env.DispatchGroup(g, now) {
 		f.pool.Remove(o.ID, now)
 		return

@@ -14,8 +14,10 @@ import (
 // the framework's own last-call machinery.
 type holdForever struct{}
 
-func (holdForever) Name() string                                       { return "hold" }
-func (holdForever) ShouldDispatch(*order.Group, float64, float64) bool { return false }
+func (holdForever) Name() string { return "hold" }
+func (holdForever) ShouldDispatch([]*order.Order, float64, float64, float64) bool {
+	return false
+}
 
 func lastCallEnv(workers int) ([]*order.Worker, *roadnet.GridCity) {
 	net := roadnet.NewGridCity(20, 20, 100, 10)

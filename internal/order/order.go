@@ -201,6 +201,14 @@ func NewGroup(k int) *Group {
 	return &Group{Orders: make([]*Order, k), Plan: NewRoutePlan(k)}
 }
 
+// Resize sets g to k members and its plan to 2k stops and arrivals, within
+// the capacity of their arrays, so one group can be planned into again and
+// again: a group from NewGroup(n) holds up to n members.
+func (g *Group) Resize(k int) {
+	g.Orders = g.Orders[:k]
+	g.Plan.Stops, g.Plan.Arrive = g.Plan.Stops[:2*k], g.Plan.Arrive[:2*k]
+}
+
 // Size returns |g|.
 func (g *Group) Size() int { return len(g.Orders) }
 

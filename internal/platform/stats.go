@@ -102,7 +102,6 @@ func (s *Stats) Merge(t Stats) {
 	s.PoolCache.Renewed += t.PoolCache.Renewed
 	s.PoolCache.Evicted += t.PoolCache.Evicted
 	s.PoolCache.PlansMaterialized += t.PoolCache.PlansMaterialized
-	s.PoolCache.PlansReused += t.PoolCache.PlansReused
 	s.PoolCache.PairsPruned += t.PoolCache.PairsPruned
 	s.PoolCache.PrefixPruned += t.PoolCache.PrefixPruned
 	s.PoolCacheActive = s.PoolCacheActive || t.PoolCacheActive

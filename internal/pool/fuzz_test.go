@@ -53,11 +53,13 @@ func (serialExec) Run(tasks []func()) {
 // RemoveGroup, ExpireEdges or advance the clock — and checks after every
 // step that both pools pool the same orders with the same edges and the
 // same best groups and τg, bit for bit, that ExpireEdges returned the same
-// IDs, that the slot invariants hold (checkSlots) and that the cached keys
-// are sound (checkKeys). Each (slot, generation) pair must name one order
-// for the whole run: a slot reused without a new generation would let the
-// leg store's within-leg memo serve the previous order's leg. The named
-// seeds in testdata/fuzz run under plain `go test`.
+// IDs, that the slot invariants hold (checkSlots), that the cached keys
+// are sound (checkKeys) and that every best group is planned as a fresh
+// planner plans its members at the clock the harness first saw it
+// (checkPlans), an oracle neither twin shares. Each (slot, generation) pair
+// must name one order for the whole run: a slot reused without a new
+// generation would let the leg store's within-leg memo serve the previous
+// order's leg. The named seeds in testdata/fuzz run under plain `go test`.
 func FuzzPoolOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
@@ -76,6 +78,8 @@ func FuzzPoolOps(f *testing.F) {
 		plain := New(route.NewPlanner(net), gridindex.New(net, 4), opt)
 		owner := map[route.Slot]int{} // every (slot, generation) the cached pool used, and its order
 		var keys []planKey            // the keys the cached pool held after the last step
+		var seen map[int]seenBest     // each order's best group, as first seen
+		fresh := route.NewPlanner(net)
 
 		now, nextID := 0.0, 1
 		for len(script) >= 2 {
@@ -122,8 +126,66 @@ func FuzzPoolOps(f *testing.F) {
 			checkSlots(t, cached, owner)
 			checkSlots(t, plain, nil)
 			keys = checkKeys(t, cached, now, keys)
+			seen = checkPlans(t, cached, fresh, now, seen)
 		}
 	})
+}
+
+// seenBest is an order's best group as the harness first saw it: its
+// members, τg and the clock of that step.
+type seenBest struct {
+	key    planKey
+	expiry float64
+	at     float64
+}
+
+// checkPlans fails unless every pooled order's best group, as BestGroup
+// plans it, is the route fresh.PlanGroup finds for its members at the
+// clock where the harness first saw that best — the same members and τg
+// since — bit for bit: stops, arrivals and cost, with τg recomputed from
+// that route, the view's start node as its first stop and the view's
+// average extra time at now. A refresh adopts a best at the clock of the
+// step it runs in, and the same members with the same τg name one span of
+// the winning entry, in which every clock plans the same route
+// (plancache.go, invariant 1). It returns the bests seen, by order.
+func checkPlans(t *testing.T, p *Pool, fresh *route.Planner, now float64, seen map[int]seenBest) map[int]seenBest {
+	t.Helper()
+	next := make(map[int]seenBest, p.Len())
+	for _, id := range p.OrderIDs() {
+		v, ok := p.Best(id)
+		g, expiry, planned := p.BestGroup(id)
+		if ok != planned {
+			t.Fatalf("at %v: order %d has a best group %v, BestGroup plans one %v", now, id, ok, planned)
+		}
+		if !ok {
+			continue
+		}
+		key := memberKey(v.Members())
+		s, was := seen[id]
+		if !was || s.key != key || math.Float64bits(s.expiry) != math.Float64bits(v.Expiry()) {
+			s = seenBest{key: key, expiry: v.Expiry(), at: now}
+		}
+		next[id] = s
+		want, wok := fresh.PlanGroup(v.Members(), s.at, p.opt.Capacity)
+		if !wok {
+			t.Fatalf("at %v: order %d's best %v, first seen at %v, has no route there", now, id, key, s.at)
+		}
+		if math.Float64bits(g.Plan.Cost) != math.Float64bits(want.Cost) || !slices.Equal(g.Plan.Stops, want.Stops) || !slices.Equal(g.Plan.Arrive, want.Arrive) {
+			t.Fatalf("at %v: order %d's best %v is planned %+v, a fresh plan at %v is %+v", now, id, key, g.Plan, s.at, want)
+		}
+		tg := math.Inf(1)
+		for _, o := range g.Orders {
+			st, _ := want.ServiceTime(o.ID)
+			tg = min(tg, o.Deadline-st)
+		}
+		if math.Float64bits(tg) != math.Float64bits(expiry) || want.Stops[0].Node != v.Start() {
+			t.Fatalf("at %v: order %d's best %v: τg %v, start %v; the fresh route gives %v, %v", now, id, key, expiry, v.Start(), tg, want.Stops[0].Node)
+		}
+		if got, want := v.AvgExtraTime(now), g.AvgExtraTime(now); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("at %v: order %d's best %v: view average extra %v, planned %v", now, id, key, got, want)
+		}
+	}
+	return next
 }
 
 // checkKeys fails unless every negative key the pool caches is infeasible
@@ -242,9 +304,9 @@ func comparePools(t *testing.T, cached, plain *Pool, now float64) {
 //     lists names a cached key the order is a member of; a record is live
 //     or free, never both; every negative key maps to the cache's sentinel,
 //     which nothing wrote;
-//   - no recycled entry is reachable: a spare entry is listed once, holds
-//     no group, and is neither the sentinel, a map value, a live record's
-//     entry nor the probe;
+//   - no recycled entry is reachable: a spare entry is listed once and is
+//     neither the sentinel, a map value, a live record's entry nor the
+//     probe;
 //   - with owner non-nil, no (slot, generation) pair ever named two orders.
 func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	t.Helper()
@@ -364,8 +426,8 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	}
 	spare := map[*planEntry]bool{}
 	for _, ent := range c.spare {
-		if spare[ent] || ent.group != nil || ent == &c.negative || ent == p.probe {
-			t.Fatalf("spare entry %p is listed twice, holds a group, or is the sentinel or the probe", ent)
+		if spare[ent] || ent == &c.negative || ent == p.probe {
+			t.Fatalf("spare entry %p is listed twice, or is the sentinel or the probe", ent)
 		}
 		spare[ent] = true
 	}

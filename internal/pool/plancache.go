@@ -15,7 +15,10 @@ import (
 //     is still present in the shrunken set and still minimal — a fresh DP
 //     at the later now reclaims exactly the same dp values, parents and
 //     tie-breaks along R*'s chain. Positive entries (cost, τg, service
-//     times, plan) are therefore reusable verbatim until now > τg.
+//     times, first stop) are therefore reusable verbatim until now > τg, and
+//     so is the route itself: planning the members at any clock in the
+//     entry's span up to τg writes the same stops and arrivals, which is
+//     what lets a best group be planned only when it is dispatched.
 //  2. Monotone infeasibility. A member set with no feasible route at now
 //     has none at any later now (the feasible set only shrinks), so a
 //     negative entry is permanent until a member leaves the pool.
@@ -31,9 +34,10 @@ import (
 // outcome is promoted, taking the probe over. A negative key maps to the
 // cache's one sentinel entry, so negative knowledge costs no heap object.
 // Keys are evicted when any member leaves the pool (Remove/RemoveGroup)
-// through a record slab (planRec, planRef); an evicted entry, its
-// materialized group dropped, goes on the cache's spare list, where the
-// next probe takes it, so steady-state misses allocate nothing. A positive
+// through a record slab (planRec, planRef); an evicted entry goes on the
+// cache's spare list, where the next probe takes it, so steady-state misses
+// allocate nothing. A best group is a copy of its entry (node.best), so
+// nothing outside the cache reaches an entry once it is evicted. A positive
 // entry whose τg has passed is replanned in place at the current clock —
 // the cheapest route died, but a costlier one may still be live.
 //
@@ -57,10 +61,9 @@ type CacheStats struct {
 	// entry whose τg had passed; Evicted counts entries dropped because a
 	// member left the pool.
 	Misses, Renewed, Evicted uint64
-	// PlansMaterialized counts full RoutePlan constructions (winning
-	// cliques only); PlansReused counts wins served by an already
-	// materialized group.
-	PlansMaterialized, PlansReused uint64
+	// PlansMaterialized counts routes planned for a best group: one per
+	// PlanBest at dispatch time, and one per BestGroup call.
+	PlansMaterialized uint64
 	// PairsPruned counts insert-time pair tests settled by
 	// route.PairInfeasible: no leg block, no DP, no lookup. Always 0 on a
 	// network without lower bounds.
@@ -84,20 +87,20 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // planEntry memoizes one member set's route DP outcome. members and svc are
-// in canonical (ascending-ID) order, n long; group is materialized lazily,
-// only when the clique actually wins some order's best-group race, and
-// owns a copy of the members: the entry is recycled once its key is
-// evicted, while the group may already be dispatched. The cache's negative
-// sentinel has no members.
+// in canonical (ascending-ID) order, n long, and members[first]'s pickup is
+// the route's first stop. The cache's negative sentinel has no members. A
+// pooled order's best group is a copy of the entry that won (node.best):
+// the entry itself is replanned in place and recycled once its key is
+// evicted.
 //
 //det:scratch one goroutine writes an entry at a time: the pool's, or the prewarm task it is handed to between PrewarmPairs taking it and exec.Run returning
 type planEntry struct {
 	members  [route.MaxGroupSize]*order.Order
 	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))
 	n        int
+	first    int     // the member whose pickup starts the route
 	expiry   float64 // τg (Eq. 3)
 	feasible bool
-	group    *order.Group
 }
 
 // orders is the entry's member set as a slice over its own array.
@@ -133,13 +136,13 @@ func memberKey(members []*order.Order) (k planKey) {
 type planCache struct {
 	entries map[planKey]*planEntry
 	// negative is the entry every negative miss maps its key to. Nothing
-	// writes it: it is never feasible, so it is never renewed,
-	// materialized or recycled.
+	// writes it: it is never feasible, so it is never renewed, adopted or
+	// recycled.
 	negative planEntry
 	recs     []planRec
 	free     []int32 // evicted records, reused last-freed first
-	// spare holds evicted entries, group cleared, for the next probe;
-	// nothing else reaches them.
+	// spare holds evicted entries for the next probe; nothing else reaches
+	// them.
 	spare []*planEntry
 	stats CacheStats
 }
@@ -208,8 +211,8 @@ func (p *Pool) planEntryFor(canon []*order.Order, slots []int32, now float64, pr
 // probeEntry returns the pool's reusable scratch entry set to the canonical
 // members: a miss or pair test plans into it, and only a positive outcome
 // that the cache keeps takes it over (clearing p.probe, so the next probe
-// is a spare or, with none left, a fresh entry). The probe never holds a
-// group: it is only ever served negative.
+// is a spare or, with none left, a fresh entry). The probe is only ever
+// served negative.
 func (p *Pool) probeEntry(canon []*order.Order) *planEntry {
 	if p.probe == nil {
 		p.probe = p.cache.takeEntry()
@@ -219,9 +222,8 @@ func (p *Pool) probeEntry(canon []*order.Order) *planEntry {
 	return ent
 }
 
-// takeEntry returns a spare entry, or a new one when none is spare. A spare
-// entry's group is nil and every other field is overwritten by the plan
-// that fills it.
+// takeEntry returns a spare entry, or a new one when none is spare. Every
+// field of a spare entry is overwritten by the plan that fills it.
 func (c *planCache) takeEntry() *planEntry {
 	k := len(c.spare)
 	if k == 0 {
@@ -247,7 +249,6 @@ func (p *Pool) cacheStale(ent *planEntry, now float64) bool {
 		p.cache.stats.Hits++
 	default:
 		p.cache.stats.Renewed++
-		ent.group = nil
 		return true
 	}
 	return false
@@ -343,53 +344,29 @@ func (p *Pool) certifiedInfeasible(a, b *order.Order, now float64) bool {
 // plan runs the cost-only DP for the entry's members over the given pair
 // blocks (nil: fresh network queries) and stores the outcome.
 func (p *Pool) plan(ent *planEntry, blocks []*route.LegBlock, now float64) {
-	_, ent.expiry, ent.feasible = p.planner.PlanGroupCostLegs(ent.orders(), now, p.opt.Capacity, blocks, ent.svc[:])
-}
-
-// groupFor materializes (once) the entry's winning group. Only cliques that
-// win a best-group race reach here; every losing candidate stays cost-only.
-// The members are pooled and pairwise adjacent: the entry was just
-// considered in an enumeration.
-func (p *Pool) groupFor(ent *planEntry, now float64) *order.Group {
-	if ent.group != nil {
-		if p.cache != nil {
-			p.cache.stats.PlansReused++
-		}
-		return ent.group
-	}
-	var blocks []*route.LegBlock
-	if p.legs != nil {
-		slots := p.canonSlot[:ent.n]
-		for i, o := range ent.orders() {
-			slots[i], _ = p.slotOf(o.ID)
-		}
-		blocks = p.pairBlocks(slots)
-	}
-	// One allocation: the group, its own copy of the members and its plan.
-	g := order.NewGroup(ent.n)
-	copy(g.Orders, ent.orders())
-	if !p.planner.PlanGroupInto(g.Plan, g.Orders, now, p.opt.Capacity, blocks) {
-		// Unreachable while now <= expiry (the cost-only DP just accepted
-		// this set); defensive so a caller bug degrades to "no group".
-		return nil
-	}
-	if p.cache != nil {
-		p.cache.stats.PlansMaterialized++
-	}
-	ent.group = g
-	return g
+	_, ent.expiry, ent.first, ent.feasible = p.planner.PlanGroupCostLegs(ent.orders(), now, p.opt.Capacity, blocks, ent.svc[:])
 }
 
 // avgExtra is Group.AvgExtraTime computed straight from the entry's
 // service-time row — the same order.ExtraTime terms in the same
-// accumulation order (members are the group's Orders), so the two produce
-// the same bits.
+// accumulation order (members are the planned group's Orders), so the two
+// produce the same bits.
 func (e *planEntry) avgExtra(now float64) float64 {
 	var sum float64
 	for i, o := range e.orders() {
 		sum += o.ExtraTime(e.svc[i], now)
 	}
 	return sum / float64(e.n)
+}
+
+// has reports whether the order is one of the entry's members.
+func (e *planEntry) has(id int) bool {
+	for _, o := range e.orders() {
+		if o.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // evictOrder drops every cached key involving the order in n; called
@@ -404,9 +381,7 @@ func (p *Pool) evictOrder(n *node) {
 }
 
 // evict drops the key r names, unless r is stale, frees its record and
-// puts its entry, unless it is the negative sentinel, on the spare list
-// with its group cleared. A group already handed out keeps its own members
-// and plan; the entry's next key must not find it.
+// puts its entry, unless it is the negative sentinel, on the spare list.
 func (c *planCache) evict(r planRef) {
 	rec := &c.recs[r.rec]
 	if rec.gen != r.gen {
@@ -414,7 +389,6 @@ func (c *planCache) evict(r planRef) {
 	}
 	delete(c.entries, rec.key)
 	if ent := rec.ent; ent != &c.negative {
-		ent.group = nil
 		c.spare = append(c.spare, ent)
 	}
 	rec.ent = nil

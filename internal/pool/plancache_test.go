@@ -103,7 +103,7 @@ func TestPlanCacheEvictionOnRemoveGroup(t *testing.T) {
 	}
 	p.RemoveGroup(g, 1)
 	for _, o := range orders {
-		if groupContains(g, o.ID) && cacheReferences(p, o.ID) {
+		if groupHas(g, o.ID) && cacheReferences(p, o.ID) {
 			t.Fatalf("cache entries referencing dispatched order %d survived", o.ID)
 		}
 	}
@@ -222,8 +222,9 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 // are the ones the eviction freed), a negative miss is free — it planned
 // into the probe entry and its key maps to the sentinel — a hit is free,
 // and so is a pair test that fails: the probe entry is reused and the leg
-// block it filled is recycled by the next fill. Materializing a winning
-// group is exactly one allocation: the group, its members and its plan.
+// block it filled is recycled by the next fill. A refresh that changes
+// bests is free too: an order adopts a best group by copying the winning
+// entry into its slot, and no route is planned until a dispatch asks.
 func TestPlanCacheAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -264,18 +265,25 @@ func TestPlanCacheAllocations(t *testing.T) {
 		t.Fatalf("positive miss arm did not miss: %+v -> %+v", before, got)
 	}
 
-	ent := p.cache.entries[key]
+	// Each run clears the three corridor orders' bests; refreshing one
+	// adopts the triple for it and, by the improvement rule, for the others.
+	slots := []int32{p.mustSlot(t, a.ID), p.mustSlot(t, b.ID), p.mustSlot(t, c.ID)}
 	before = p.CacheStats()
 	if n := testing.AllocsPerRun(100, func() {
-		ent.group = nil
-		if p.groupFor(ent, 0) == nil {
-			t.Fatal("the corridor triple did not materialize")
+		for _, s := range slots {
+			p.nodes[s].best = planEntry{}
 		}
-	}); n != 1 {
-		t.Errorf("materializing a winning group allocates %v times, want 1", n)
+		p.refreshBest(slots[0], 0)
+		for _, s := range slots {
+			if p.nodes[s].best.n == 0 {
+				t.Fatal("a refresh left a corridor order without a best group")
+			}
+		}
+	}); n != 0 {
+		t.Errorf("a refresh that changes bests allocates %v times, want 0", n)
 	}
-	if got := p.CacheStats(); got.PlansMaterialized != before.PlansMaterialized+101 {
-		t.Fatalf("materialize arm did not materialize: %+v -> %+v", before, got)
+	if got := p.CacheStats(); got.PlansMaterialized != before.PlansMaterialized || got.Misses != before.Misses {
+		t.Fatalf("the refresh arm planned: %+v -> %+v", before, got)
 	}
 
 	neg, net2, _ := testPool(-1)
@@ -499,7 +507,12 @@ func TestAvgExtraMatchesGroupProperty(t *testing.T) {
 			return true
 		}
 		feasible[k]++
-		g := p.groupFor(ent, now)
+		g := order.NewGroup(k)
+		copy(g.Orders, members)
+		if !p.planner.PlanGroupInto(g.Plan, g.Orders, now, opt.Capacity, nil) {
+			t.Errorf("k=%d: the cost-only DP accepts the group, the materializing one does not", k)
+			return false
+		}
 		for _, at := range []float64{now, now + rng.Float64()*(ent.expiry-now), ent.expiry} {
 			got, want := ent.avgExtra(at), g.AvgExtraTime(at)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -631,8 +644,8 @@ func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
 		t.Fatal("corridor order has no best group; test is vacuous")
 	}
 	own := p.cache.entries[memberKey(g.Orders)]
-	if own == nil || own.group != g {
-		t.Fatal("the best group is not its clique entry's group")
+	if own == nil || !own.feasible {
+		t.Fatal("the best group's clique is not cached positive")
 	}
 	members := slices.Clone(g.Orders)
 	stops, arrive, cost := slices.Clone(g.Plan.Stops), slices.Clone(g.Plan.Arrive), g.Plan.Cost
@@ -666,7 +679,7 @@ func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
 						t.Fatalf("order %d's best group holds order %d, which left the pool", pid, o.ID)
 					}
 				}
-				if !groupContains(pg, pid) {
+				if !groupHas(pg, pid) {
 					t.Fatalf("order %d's best group %s does not hold it", pid, pg.Key())
 				}
 			}
@@ -675,5 +688,67 @@ func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
 	if !slices.Equal(g.Orders, members) || g.Plan.Cost != cost || !slices.Equal(g.Plan.Stops, stops) || !slices.Equal(g.Plan.Arrive, arrive) {
 		was := &order.Group{Orders: members}
 		t.Fatalf("a dispatched group changed when its entry was recycled: members %s -> %s, cost %v -> %v", was.Key(), g.Key(), cost, g.Plan.Cost)
+	}
+}
+
+// TestMissingPairEdgePlansFresh builds a best group whose pair edge expires
+// before the group does: ExpireEdges drops it without touching the order
+// that holds the group, and the dispatch-time plan must then query the
+// network instead of reading the block at the dropped edge's position,
+// which belongs to another pair. On a 20x20 GridCity (u = one block), a, b
+// and q start at the corner; a goes 9 blocks east (deadline slack 100u), b
+// 10 blocks north (slack 30u) and q 12 blocks east (slack 48u), all
+// inserted at 100u, q released at 0. The pair a-b's cheapest route drops a
+// first and b after 28u, so τe = 102u; the triple's cheapest route drops b
+// first, then a and q, so τg = 120u, and q, whose long wait makes the
+// triple its best, keeps edges to a (148u) and b (120u).
+func TestMissingPairEdgePlansFresh(t *testing.T) {
+	p, net, planner := testPool(-1)
+	u := net.Cost(net.Node(0, 0), net.Node(1, 0))
+	at := func(id, x, y int, release, deadline float64) *order.Order {
+		pu, do := net.Node(0, 0), net.Node(x, y)
+		return &order.Order{ID: id, Pickup: pu, Dropoff: do, Riders: 1, Release: release,
+			Deadline: deadline, WaitLimit: 1e9, DirectCost: net.Cost(pu, do)}
+	}
+	now := 100 * u
+	a := at(1, 9, 0, now, 200*u)
+	b := at(2, 0, 10, now, 130*u)
+	q := at(3, 12, 0, 0, 160*u)
+	for _, o := range []*order.Order{a, b, q} {
+		p.Insert(o, now)
+	}
+	sa := p.mustSlot(t, a.ID)
+	i, ok := searchEdge(p.nodes[sa].adj, b.ID)
+	if !ok || p.nodes[sa].adj[i].expiry != 102*u {
+		t.Fatalf("edge a-b missing or τe not 102u: %v", p.nodes[sa].adj)
+	}
+	v, ok := p.Best(q.ID)
+	if !ok || memberKey(v.Members()) != memberKey([]*order.Order{a, b, q}) || v.Expiry() != 120*u {
+		t.Fatal("q's best group is not the triple with τg 120u; test is vacuous")
+	}
+	before, _, _ := p.BestGroup(q.ID)
+
+	p.ExpireEdges(110 * u)
+	if _, ok := searchEdge(p.nodes[sa].adj, b.ID); ok {
+		t.Fatal("ExpireEdges kept edge a-b past τe")
+	}
+	if v, ok := p.Best(q.ID); !ok || v.Members()[1] != b || p.nodes[p.mustSlot(t, q.ID)].bestAt != now {
+		t.Fatal("q's best group changed; test is vacuous")
+	}
+	g, _, ok := p.BestGroup(q.ID)
+	want, wok := planner.PlanGroup([]*order.Order{a, b, q}, now, p.opt.Capacity)
+	if !ok || !wok {
+		t.Fatalf("the triple has no route (pool %v, fresh %v)", ok, wok)
+	}
+	for _, got := range []*order.RoutePlan{before.Plan, g.Plan} {
+		if got.Cost != want.Cost || !slices.Equal(got.Stops, want.Stops) || !slices.Equal(got.Arrive, want.Arrive) {
+			t.Fatalf("planned %+v, a fresh plan is %+v", got, want)
+		}
+	}
+	dropAt := func(id int) int {
+		return slices.IndexFunc(want.Stops, func(s order.Stop) bool { return s.OrderID == id && s.Kind == order.DropoffStop })
+	}
+	if dropAt(b.ID) > dropAt(a.ID) {
+		t.Fatalf("the triple's route does not drop b before a: %+v", want.Stops)
 	}
 }

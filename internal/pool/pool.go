@@ -3,9 +3,9 @@
 // (o_i, o_j, τe) records that the two orders can share a feasible route
 // until timestamp τe. Shareable groups are k-cliques (Theorem IV.1 makes
 // the clique a necessary condition; the route planner provides the
-// sufficient check), and every pooled order keeps a pointer to its current
-// best group — the clique whose minimal-cost route gives the smallest
-// average extra time.
+// sufficient check), and every pooled order keeps its current best group —
+// the clique whose minimal-cost route gives the smallest average extra
+// time.
 //
 // The graph is stored in dense slots (DESIGN.md §5, "Pool slots"): each
 // pooled order occupies one entry of a slot array, reused through a free
@@ -20,10 +20,12 @@
 // aggressively (see plancache.go): every considered clique is first
 // resolved through a plan cache keyed by its sorted member signature, the
 // cost-only route DP assembles leg matrices from per-pair blocks filled at
-// edge-creation time and kept on the pair's adjacency entries, and only
-// cliques that actually win a best-group race materialize a RoutePlan. All
-// of it is behaviorally invisible — Options.DisablePlanCache turns every
-// memo off and the pool makes bit-identical decisions either way.
+// edge-creation time and kept on the pair's adjacency entries, and no
+// refresh builds a RoutePlan: an order keeps its best group as an inline
+// copy of the winning entry, and the group's route is planned only when it
+// is dispatched (PlanBest) or asked for (BestGroup). All of it is
+// behaviorally invisible — Options.DisablePlanCache turns every memo off
+// and the pool makes bit-identical decisions either way.
 package pool
 
 import (
@@ -31,6 +33,7 @@ import (
 	"math"
 	"slices"
 
+	"watter/internal/geo"
 	"watter/internal/gridindex"
 	"watter/internal/order"
 	"watter/internal/roadnet"
@@ -89,10 +92,16 @@ type node struct {
 	gen  uint32
 	cell int // pickup cell in the spatial index
 	adj  []edge
-	best *order.Group
-	// bestExpiry is τg of the best group (Eq. 3): the latest dispatch time
-	// at which the group's plan still meets every member deadline.
-	bestExpiry float64
+	// best is the order's best shared group, a copy of the plan-cache entry
+	// that won as it stood when the order adopted it (n == 0: none): the
+	// members, their service times, the member the route starts with and τg
+	// (Eq. 3), the latest dispatch time at which the route still meets every
+	// member deadline. bestAt is the clock of the adoption, at which
+	// PlanBest plans the route (DESIGN.md §5, "Dispatch-time planning").
+	// Nothing reaches the copy from the cache: a later renewal or recycle
+	// of the entry rewrites the entry only.
+	best   planEntry
+	bestAt float64
 	// plans lists refs to the eviction records of the plan-cache keys the
 	// order is a member of, for eviction when it leaves. It may hold stale
 	// refs (a co-member left first); eviction skips those.
@@ -377,8 +386,7 @@ func (p *Pool) Remove(id int, now float64) {
 	// The freed slot's adjacency still lists the former neighbors, in
 	// ascending ID; nothing below takes a slot.
 	for _, e := range n.adj {
-		pn := &p.nodes[e.slot]
-		if pn.best != nil && groupContains(pn.best, id) {
+		if p.nodes[e.slot].best.has(id) {
 			p.refreshBest(e.slot, now)
 		}
 	}
@@ -386,8 +394,8 @@ func (p *Pool) Remove(id int, now float64) {
 	n.adj = n.adj[:0]
 }
 
-// RemoveGroup removes every member of the group, then refreshes affected
-// neighbors once.
+// RemoveGroup removes every member of the group; each member's Remove
+// refreshes the neighbors whose best group held it.
 func (p *Pool) RemoveGroup(g *order.Group, now float64) {
 	for _, o := range g.Orders {
 		p.Remove(o.ID, now)
@@ -413,7 +421,7 @@ func (p *Pool) dropNode(s int32) {
 	at, _ := p.search(n.o.ID)
 	p.live = slices.Delete(p.live, at, at+1)
 	p.evictOrder(n)
-	n.o, n.best, n.bestExpiry = nil, nil, 0
+	n.o, n.best, n.bestAt = nil, planEntry{}, 0
 	p.free = append(p.free, s)
 }
 
@@ -444,7 +452,7 @@ func (p *Pool) ExpireEdges(now float64) (expiredOrders []int) {
 	}
 	for _, r := range p.live {
 		n := &p.nodes[r.slot]
-		if n.best != nil && n.bestExpiry < now {
+		if n.best.n > 0 && n.best.expiry < now {
 			n.touched = touched
 		}
 		if n.o.Expired(now) {
@@ -459,16 +467,102 @@ func (p *Pool) ExpireEdges(now float64) (expiredOrders []int) {
 	return expiredOrders
 }
 
-// BestGroup returns the order's current best *shared* group (size >= 2)
-// and its expiry τg. ok is false when the order has no feasible shared
-// group right now — per Algorithm 1 such orders stay pooled and wait (solo
-// dispatch is the framework's timeout path, not a pool concern).
+// View is a pooled order's best shared group as the periodic check reads
+// it, without a route: the members, where the route starts, the riders, τg
+// and the average extra time. It reads the pool's own copy, so it is valid
+// until the pool next changes.
+type View struct {
+	best *planEntry
+}
+
+// Members returns the group's members, ascending by ID. The slice is the
+// pool's.
+func (v View) Members() []*order.Order { return v.best.orders() }
+
+// Start returns the route's first stop: one member's pickup.
+func (v View) Start() geo.NodeID { return v.best.members[v.best.first].Pickup }
+
+// Riders returns the group's total rider count.
+func (v View) Riders() int {
+	total := 0
+	for _, o := range v.best.orders() {
+		total += o.Riders
+	}
+	return total
+}
+
+// Expiry returns τg, the latest dispatch time at which the route meets
+// every member deadline.
+func (v View) Expiry() float64 { return v.best.expiry }
+
+// AvgExtraTime returns the group's average extra time when dispatched at
+// now: the bits Group.AvgExtraTime gives over the planned route.
+func (v View) AvgExtraTime(now float64) float64 { return v.best.avgExtra(now) }
+
+// Best returns a view of the order's current best *shared* group (size
+// >= 2). ok is false when the order has no feasible shared group right now
+// — per Algorithm 1 such orders stay pooled and wait (solo dispatch is the
+// framework's timeout path, not a pool concern).
+func (p *Pool) Best(id int) (View, bool) {
+	s, ok := p.slotOf(id)
+	if !ok || p.nodes[s].best.n == 0 {
+		return View{}, false
+	}
+	return View{&p.nodes[s].best}, true
+}
+
+// PlanBest writes the order's best group into g: the members into
+// g.Orders and the route into g.Plan, each resliced to the group's size
+// within its capacity (order.Group.Resize). It returns false, and writes
+// nothing useful, when the order has no best group. The route is planned
+// at the clock the order adopted the group, which reproduces, bit for bit,
+// the route the winning entry described then (DESIGN.md §5).
+func (p *Pool) PlanBest(id int, g *order.Group) bool {
+	s, ok := p.slotOf(id)
+	if !ok || p.nodes[s].best.n == 0 {
+		return false
+	}
+	return p.planBest(s, g)
+}
+
+// BestGroup is Best and PlanBest in one: the order's best shared group,
+// planned into a group of its own, and τg. Each call plans anew.
 func (p *Pool) BestGroup(id int) (*order.Group, float64, bool) {
 	s, ok := p.slotOf(id)
-	if !ok || p.nodes[s].best == nil {
+	if !ok || p.nodes[s].best.n == 0 {
 		return nil, 0, false
 	}
-	return p.nodes[s].best, p.nodes[s].bestExpiry, true
+	g := order.NewGroup(p.nodes[s].best.n)
+	if !p.planBest(s, g) {
+		return nil, 0, false
+	}
+	return g, p.nodes[s].best.expiry, true
+}
+
+// planBest plans the best group of the order in slot s into g. The members
+// are pooled and pairwise adjacent when the order adopted the group; a
+// pair's edge may have expired since, which pairBlocks handles.
+func (p *Pool) planBest(s int32, g *order.Group) bool {
+	n := &p.nodes[s]
+	b := &n.best
+	g.Resize(b.n)
+	copy(g.Orders, b.orders())
+	var blocks []*route.LegBlock
+	if p.legs != nil {
+		slots := p.canonSlot[:b.n]
+		for i, o := range b.orders() {
+			slots[i], _ = p.slotOf(o.ID)
+		}
+		blocks = p.pairBlocks(slots)
+	}
+	if !p.planner.PlanGroupInto(g.Plan, g.Orders, n.bestAt, p.opt.Capacity, blocks) {
+		// Unreachable: the cost-only DP accepted this set at bestAt.
+		return false
+	}
+	if p.cache != nil {
+		p.cache.stats.PlansMaterialized++
+	}
+	return true
 }
 
 // candidates returns the pooled orders within the spatial prefilter
@@ -510,11 +604,11 @@ func (p *Pool) candidatesAt(cell, selfID int) []ref {
 // canonical copies the given member slots into the pool's canonical-view
 // scratch, sorted by order ID, and returns the members' orders and slots in
 // that order. Every plan the pool requests — pairwise tests, clique
-// candidates, materialized winners — goes through this view, so one member
-// set always maps to one member indexing: the DP's (deterministic)
-// tie-breaks, the cache key and the extra-time accumulation order all
-// agree, whichever node's refresh reached the set first. Valid until the
-// next canonical call.
+// candidates — goes through this view, and a best group keeps its entry's
+// members, and is planned, in the same order, so one member set always maps
+// to one member indexing: the DP's (deterministic) tie-breaks, the cache
+// key and the extra-time accumulation order all agree, whichever node's
+// refresh reached the set first. Valid until the next canonical call.
 func (p *Pool) canonical(slots ...int32) ([]*order.Order, []int32) {
 	k := copy(p.canonSlot[:], slots)
 	ss, os := p.canonSlot[:k], p.canonOrd[:k]
@@ -530,9 +624,13 @@ func (p *Pool) canonical(slots ...int32) ([]*order.Order, []int32) {
 }
 
 // pairBlocks returns the leg blocks of a canonical member set's pairs, in
-// the order the planner reads them, from the members' adjacency entries —
-// every pair of a clique the pool plans has a live edge. Nil when the plan
-// cache is off. The slice is pool scratch.
+// the order the planner reads them, from the members' adjacency entries.
+// Every pair of a clique the enumeration plans has an edge, but a best group
+// is planned later, and ExpireEdges may have dropped the edge of two of its
+// members meanwhile without touching the order (DESIGN.md §5); the dropped
+// edge's block may already serve another pair. Nil — fresh network
+// queries, the same costs — when the plan cache is off or a pair has no
+// edge. The slice is pool scratch.
 func (p *Pool) pairBlocks(slots []int32) []*route.LegBlock {
 	if p.legs == nil {
 		return nil
@@ -541,7 +639,10 @@ func (p *Pool) pairBlocks(slots []int32) []*route.LegBlock {
 	for i, si := range slots {
 		adj := p.nodes[si].adj
 		for _, sj := range slots[i+1:] {
-			at, _ := searchEdge(adj, p.nodes[sj].o.ID)
+			at, ok := searchEdge(adj, p.nodes[sj].o.ID)
+			if !ok {
+				return nil
+			}
 			out = append(out, adj[at].legs)
 		}
 	}
@@ -555,10 +656,10 @@ func (p *Pool) pairBlocks(slots []int32) []*route.LegBlock {
 // "group" has near-zero extra time by construction and would always win,
 // collapsing every strategy into immediate solo dispatch.
 //
-// Candidates are compared cost-only (through the plan cache); group
-// materialization is deferred until the enumeration settles, so only
-// cliques that actually win — for the refreshed order or for a member
-// picked up by the improvement rule below — ever build a RoutePlan.
+// Candidates are compared cost-only (through the plan cache), and a winner
+// — for the refreshed order or for a member picked up by the improvement
+// rule below — is adopted by copying its entry into the order's slot once
+// the enumeration settles; no refresh builds a RoutePlan.
 func (p *Pool) refreshBest(s int32, now float64) {
 	n := &p.nodes[s]
 	bestAvg := math.Inf(1)
@@ -596,8 +697,8 @@ func (p *Pool) refreshBest(s int32, now float64) {
 			if mn.improveMark != mark {
 				mn.improveMark = mark
 				mn.improve = improved{avg: math.Inf(1)}
-				if mn.best != nil {
-					mn.improve.avg = mn.best.AvgExtraTime(now)
+				if mn.best.n > 0 {
+					mn.improve.avg = mn.best.avgExtra(now)
 				}
 				p.improved = append(p.improved, ms)
 			}
@@ -609,17 +710,13 @@ func (p *Pool) refreshBest(s int32, now float64) {
 
 	p.enumerateCliques(s, now, consider)
 
-	n.best, n.bestExpiry = nil, math.Inf(-1)
+	n.best, n.bestAt = planEntry{}, now
 	if bestEnt != nil {
-		if g := p.groupFor(bestEnt, now); g != nil {
-			n.best, n.bestExpiry = g, bestEnt.expiry
-		}
+		n.best = *bestEnt
 	}
-	// Deferred member updates: each improved member materializes (or
-	// shares) its winning clique's group exactly once. Each member's best is
-	// written from its own entry, and group materialization is a pure
-	// function of the entry, so the visiting order is immaterial; it is
-	// first-seen order.
+	// Deferred member updates: each improved member copies its winning
+	// clique's entry once. Each member's best is written from its own
+	// entry, so the visiting order is immaterial; it is first-seen order.
 	for _, ms := range p.improved {
 		mn := &p.nodes[ms]
 		ent := mn.improve.ent
@@ -627,17 +724,6 @@ func (p *Pool) refreshBest(s int32, now float64) {
 		if ent == nil {
 			continue
 		}
-		if g := p.groupFor(ent, now); g != nil {
-			mn.best, mn.bestExpiry = g, ent.expiry
-		}
+		mn.best, mn.bestAt = *ent, now
 	}
-}
-
-func groupContains(g *order.Group, id int) bool {
-	for _, o := range g.Orders {
-		if o.ID == id {
-			return true
-		}
-	}
-	return false
 }

@@ -117,7 +117,8 @@ func TestPlanGroupIntoMatchesFresh(t *testing.T) {
 
 // TestPlanGroupCostMatchesPlanGroup checks the cost-only fast path returns
 // exactly the cost, per-member service times and τg the materializing path
-// produces, with and without a LegStore.
+// produces, with and without a LegStore, and that the member
+// PlanGroupCostLegs reports first is the one whose pickup starts the plan.
 func TestPlanGroupCostMatchesPlanGroup(t *testing.T) {
 	net := roadnet.NewPerturbedGrid(14, 14, 150, 8, 0.3, 3)
 	p := NewPlanner(net)
@@ -158,6 +159,10 @@ func TestPlanGroupCostMatchesPlanGroup(t *testing.T) {
 		}
 		if expiry != wantExpiry {
 			t.Fatalf("trial %d: expiry %v != %v", trial, expiry, wantExpiry)
+		}
+		_, _, first, _ := p.PlanGroupCostLegs(orders, 0, 4, nil, svc)
+		if s0 := plan.Stops[0]; s0.Node != orders[first].Pickup || s0.OrderID != orders[first].ID || s0.Kind != order.PickupStop {
+			t.Fatalf("trial %d: first member %d (pickup %v), plan starts at %+v", trial, first, orders[first].Pickup, s0)
 		}
 	}
 	if feasible < 20 {

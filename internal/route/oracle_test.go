@@ -331,16 +331,28 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 		cost, exp, ok := p.PlanGroupCost(c.orders, c.now, c.capacity, arm.legs, svc)
 		check(arm.name, cost, exp, ok)
 	}
+	// The member reported first starts the materialized route, and every
+	// service time is the route's.
+	want, ok := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, geo.InvalidNode)
 	for _, arm := range []struct {
 		name   string
 		blocks []*LegBlock
 	}{{"PlanGroupCostLegs filling slots", filling}, {"PlanGroupCostLegs warm slots", warm}} {
-		cost, exp, ok := p.PlanGroupCostLegs(c.orders, c.now, c.capacity, arm.blocks, svc)
+		cost, exp, first, ok := p.PlanGroupCostLegs(c.orders, c.now, c.capacity, arm.blocks, svc)
 		check(arm.name, cost, exp, ok)
+		if !ok {
+			continue
+		}
+		if s0 := want.Stops[0]; s0.Node != c.orders[first].Pickup || s0.OrderID != c.orders[first].ID {
+			t.Fatalf("%s: first member %d, the route starts at %+v\ncase: %v", arm.name, first, s0, c)
+		}
+		for i, o := range c.orders {
+			st, _ := want.ServiceTime(o.ID)
+			sameBits(fmt.Sprintf("%s svc[%d] against the route", arm.name, i), svc[i], st)
+		}
 	}
 
 	// Materializing paths.
-	want, ok := oraclePlanGroupFrom(p, c.orders, c.now, c.capacity, geo.InvalidNode)
 	got, gotOK := p.PlanGroup(c.orders, c.now, c.capacity)
 	samePlan("PlanGroup", got, gotOK, want, ok)
 	into := order.NewRoutePlan(len(c.orders))

@@ -20,7 +20,8 @@
 // caller's plan (PlanGroupInto) or into one fresh order.NewRoutePlan;
 // PlanGroupCostLegs (PlanGroupCost with a store) is the shareability graph's
 // hot path — it runs the identical DP but returns only the route cost, the
-// group expiry τg and the per-member service times, allocating nothing.
+// group expiry τg, the per-member service times and the member the route
+// starts with, allocating nothing.
 // PlanGroupInto and PlanGroupCostLegs assemble the leg matrix from the
 // group's per-pair cost blocks (LegBlock) instead of fresh network queries;
 // every assembled entry the DP reads is the same pure cost(l1, l2) value a
@@ -132,27 +133,33 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 		blocks = legs.fillGroup(orders)
 		defer legs.releaseGroup(blocks)
 	}
-	return p.PlanGroupCostLegs(orders, now, capacity, blocks, svc)
+	cost, expiry, _, ok = p.PlanGroupCostLegs(orders, now, capacity, blocks, svc)
+	return cost, expiry, ok
 }
 
 // PlanGroupCostLegs is PlanGroupCost over the group's pair blocks, laid out
-// as PlanGroupInto takes them (fresh network queries when blocks is nil).
-func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, ok bool) {
+// as PlanGroupInto takes them (fresh network queries when blocks is nil). It
+// also reports first, the index of the member whose pickup the route starts
+// at: a materialized plan's Stops[0] is orders[first].Pickup.
+func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, first int, ok bool) {
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	best := p.planDP(orders, now, capacity, geo.InvalidNode, blocks, sc)
 	if best < 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	ne := 2 * len(orders)
 	cost = sc.dp[best]
 	// Walk the parent chain (one state per event) recording each dropoff's
 	// arrival offset; the values are the same dp entries a materialized plan
 	// would expose via ServiceTime, so expiry is bit-identical to
-	// groupExpiry over a plan.
+	// groupExpiry over a plan. The walk's last step is the first event,
+	// always a pickup.
 	for n, idx := ne, best; n > 0; n, idx = n-1, int(sc.parent[idx]) {
 		if ev := idx % ne; ev%2 == 1 {
 			svc[ev/2] = sc.dp[idx]
+		} else if n == 1 {
+			first = ev / 2
 		}
 	}
 	expiry = math.Inf(1)
@@ -161,7 +168,7 @@ func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity
 			expiry = e
 		}
 	}
-	return cost, expiry, true
+	return cost, expiry, first, true
 }
 
 // planDP runs the feasibility DP and returns the index of the cheapest

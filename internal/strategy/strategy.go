@@ -16,9 +16,12 @@ import (
 type Decision interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// ShouldDispatch reports whether group g should leave the pool at time
-	// now. groupExpiry is τg, the latest time the group stays feasible.
-	ShouldDispatch(g *order.Group, groupExpiry, now float64) bool
+	// ShouldDispatch reports whether the group of the given members should
+	// leave the pool at time now. avgExtra is the group's average extra
+	// time t̄e if dispatched now (order.Group.AvgExtraTime) and groupExpiry
+	// is τg, the latest time the group stays feasible. No route is needed:
+	// the periodic check plans one only for a group it dispatches.
+	ShouldDispatch(members []*order.Order, avgExtra, groupExpiry, now float64) bool
 }
 
 // Online dispatches every group at the first opportunity, mirroring
@@ -34,7 +37,7 @@ type Online struct{}
 func (Online) Name() string { return "WATTER-online" }
 
 // ShouldDispatch implements Decision: always dispatch.
-func (Online) ShouldDispatch(*order.Group, float64, float64) bool { return true }
+func (Online) ShouldDispatch([]*order.Order, float64, float64, float64) bool { return true }
 
 // Timeout holds every group as long as possible, mirroring WATTER-timeout:
 // a group is released when its earliest member reaches its wait limit. A
@@ -47,8 +50,8 @@ type Timeout struct{}
 func (Timeout) Name() string { return "WATTER-timeout" }
 
 // ShouldDispatch implements Decision.
-func (Timeout) ShouldDispatch(g *order.Group, _, now float64) bool {
-	return earliestTimeout(g) <= now
+func (Timeout) ShouldDispatch(members []*order.Order, _, _, now float64) bool {
+	return earliestTimeout(members) <= now
 }
 
 // ThresholdSource supplies the expected extra-time threshold θ(i) for an
@@ -91,12 +94,12 @@ type Threshold struct {
 func (*Threshold) Name() string { return "WATTER-expect" }
 
 // ShouldDispatch implements Decision (Algorithm 2).
-func (s *Threshold) ShouldDispatch(g *order.Group, groupExpiry, now float64) bool {
-	if earliestTimeout(g) <= now {
+// avgExtra is line 4's t̄e.
+func (s *Threshold) ShouldDispatch(members []*order.Order, avgExtra, _, now float64) bool {
+	if earliestTimeout(members) <= now {
 		return true // line 1-3: a member waited beyond its limit
 	}
-	avgExtra := g.AvgExtraTime(now) // line 4
-	return s.withinThreshold(g.Orders, avgExtra, now)
+	return s.withinThreshold(members, avgExtra, now)
 }
 
 // withinThreshold is lines 5-6: avgExtra ≤ θ̄, with θ̄ the members' θ summed
@@ -132,10 +135,10 @@ func (s *Threshold) withinThreshold(members []*order.Order, avgExtra, now float6
 	return avgExtra <= sum/n // line 6
 }
 
-// earliestTimeout returns min_i (t(i) + η(i)) over the group.
-func earliestTimeout(g *order.Group) float64 {
+// earliestTimeout returns min_i (t(i) + η(i)) over the group's members.
+func earliestTimeout(members []*order.Order) float64 {
 	earliest := math.Inf(1)
-	for _, o := range g.Orders {
+	for _, o := range members {
 		if to := o.Release + o.WaitLimit; to < earliest {
 			earliest = to
 		}

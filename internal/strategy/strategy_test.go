@@ -35,10 +35,16 @@ func group(releases []float64, waitLimits []float64, arrive []float64, directs [
 	return g
 }
 
+// dispatch asks d about g the way the periodic check does: with the
+// members and the average extra time the planned route gives at now.
+func dispatch(d Decision, g *order.Group, groupExpiry, now float64) bool {
+	return d.ShouldDispatch(g.Orders, g.AvgExtraTime(now), groupExpiry, now)
+}
+
 func TestOnlineAlwaysDispatches(t *testing.T) {
 	s := Online{}
 	g := group([]float64{0}, []float64{100}, []float64{50}, []float64{40})
-	if !s.ShouldDispatch(g, 1e9, 0) {
+	if !dispatch(s, g, 1e9, 0) {
 		t.Fatal("online must always dispatch")
 	}
 	if s.Name() != "WATTER-online" {
@@ -50,10 +56,10 @@ func TestTimeoutHoldsUntilLimit(t *testing.T) {
 	s := Timeout{}
 	// One order released at 0 with wait limit 60; group expires at 500.
 	g := group([]float64{0}, []float64{60}, []float64{50}, []float64{40})
-	if s.ShouldDispatch(g, 500, 30) {
+	if dispatch(s, g, 500, 30) {
 		t.Fatal("timeout must hold before the limit")
 	}
-	if !s.ShouldDispatch(g, 500, 60) {
+	if !dispatch(s, g, 500, 60) {
 		t.Fatal("timeout must dispatch at the limit")
 	}
 }
@@ -62,10 +68,10 @@ func TestTimeoutEarliestMemberWins(t *testing.T) {
 	s := Timeout{}
 	g := group([]float64{0, 40}, []float64{60, 60}, []float64{80, 90}, []float64{40, 40})
 	// Earliest timeout is order 1 at t=60.
-	if s.ShouldDispatch(g, 1e9, 59) {
+	if dispatch(s, g, 1e9, 59) {
 		t.Fatal("held until earliest member limit")
 	}
-	if !s.ShouldDispatch(g, 1e9, 60) {
+	if !dispatch(s, g, 1e9, 60) {
 		t.Fatal("dispatch at earliest member limit")
 	}
 }
@@ -75,15 +81,15 @@ func TestThresholdAlgorithm2(t *testing.T) {
 	// Single order released at 0: dropoff offset 50, direct 40 => detour 10.
 	g := group([]float64{0}, []float64{600}, []float64{50}, []float64{40})
 	// At now=20: avg extra = detour 10 + response 20 = 30 <= 100 => dispatch.
-	if !s.ShouldDispatch(g, 1e9, 20) {
+	if !dispatch(s, g, 1e9, 20) {
 		t.Fatal("extra below threshold must dispatch")
 	}
 	small := &Threshold{Source: ConstantThreshold(5)}
-	if small.ShouldDispatch(g, 1e9, 20) {
+	if dispatch(small, g, 1e9, 20) {
 		t.Fatal("extra above threshold must hold")
 	}
 	// Past the wait limit the threshold is bypassed (lines 1-3).
-	if !small.ShouldDispatch(g, 1e9, 601) {
+	if !dispatch(small, g, 1e9, 601) {
 		t.Fatal("timed-out group must dispatch regardless of threshold")
 	}
 	if s.Name() != "WATTER-expect" {
@@ -98,12 +104,12 @@ func TestThresholdAveragesOverMembers(t *testing.T) {
 	// dropoffs at 45 and 50, directs 40: detours 5, 10; at now=30 with
 	// releases 0 and 20: responses 30, 10 => extras 35, 20 => avg 27.5.
 	g := group([]float64{0, 20}, []float64{600, 600}, []float64{45, 50}, []float64{40, 40})
-	if !s.ShouldDispatch(g, 1e9, 30) {
+	if !dispatch(s, g, 1e9, 30) {
 		t.Fatalf("avg extra 27.5 <= θ̄ 50 must dispatch")
 	}
 	// Lower the second threshold: θ̄ = (10+20)/2 = 15 < 27.5 => hold.
 	s.Source = perOrderSource{1: 10, 2: 20}
-	if s.ShouldDispatch(g, 1e9, 30) {
+	if dispatch(s, g, 1e9, 30) {
 		t.Fatal("avg extra above θ̄ must hold")
 	}
 }
@@ -241,8 +247,8 @@ func TestThresholdMonotoneProperty(t *testing.T) {
 		now := 10 + float64(rawNow%200)
 		sLo := &Threshold{Source: ConstantThreshold(lo)}
 		sHi := &Threshold{Source: ConstantThreshold(hi)}
-		dLo := sLo.ShouldDispatch(g, 1e9, now)
-		dHi := sHi.ShouldDispatch(g, 1e9, now)
+		dLo := dispatch(sLo, g, 1e9, now)
+		dHi := dispatch(sHi, g, 1e9, now)
 		return !dLo || dHi // dLo implies dHi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -266,8 +272,8 @@ func TestThresholdTimeMonotoneProperty(t *testing.T) {
 		}
 		// avg extra grows with time => if held at a, held at b... inverse:
 		// if dispatchable at b (later), it was dispatchable at a.
-		dA := s.ShouldDispatch(g, 1e9, a)
-		dB := s.ShouldDispatch(g, 1e9, b)
+		dA := dispatch(s, g, 1e9, a)
+		dB := dispatch(s, g, 1e9, b)
 		if b <= 600 { // before the wait-limit bypass kicks in
 			return !dB || dA
 		}
