@@ -47,8 +47,9 @@ func (serialExec) Run(tasks []func()) {
 
 // FuzzPoolOps drives a pool and its DisablePlanCache twin through one
 // operation script decoded from bytes — the first byte picks the network
-// (a closed-form GridCity with exact 10 s blocks, where the prefix rule
-// runs, or an ALT Graph with lower bounds) and the cell prefilter, then
+// (a closed-form GridCity with exact 10 s blocks, where the subset rule
+// runs, or an ALT Graph with lower bounds), the cell prefilter and, with
+// its high bit, capacity 6 instead of 4, then
 // op/argument pairs Insert (plain or after PrewarmPairs), Remove,
 // RemoveGroup, ExpireEdges or advance the clock — and checks after every
 // step that both pools pool the same orders with the same edges and the
@@ -65,19 +66,25 @@ func FuzzPoolOps(f *testing.F) {
 		if len(script) == 0 {
 			return
 		}
-		net := fuzzNets[script[0]%2]
-		radius := int(script[0]/2)%4 - 1 // -1 (no prefilter) .. 2
+		head := script[0]
+		net := fuzzNets[head%2]
+		radius := int(head/2)%4 - 1 // -1 (no prefilter) .. 2
 		script = script[1:]
 		if len(script) > 2*fuzzMaxOps {
 			script = script[:2*fuzzMaxOps]
 		}
 		opt := DefaultOptions()
 		opt.CandidateRadius = radius
+		if head >= 0x80 {
+			// The high bit lifts capacity to the planner's largest group, so
+			// sets the subset rule decides below the largest size occur.
+			opt.Capacity, opt.MaxGroupSize = route.MaxGroupSize, route.MaxGroupSize
+		}
 		cached := New(route.NewPlanner(net), gridindex.New(net, 4), opt)
 		opt.DisablePlanCache = true
 		plain := New(route.NewPlanner(net), gridindex.New(net, 4), opt)
 		owner := map[route.Slot]int{} // every (slot, generation) the cached pool used, and its order
-		var keys []planKey            // the keys the cached pool held after the last step
+		var keys map[planKey]keyState // the keys the cached pool held after the last step
 		var seen map[int]seenBest     // each order's best group, as first seen
 		fresh := route.NewPlanner(net)
 
@@ -188,27 +195,63 @@ func checkPlans(t *testing.T, p *Pool, fresh *route.Planner, now float64, seen m
 	return next
 }
 
-// checkKeys fails unless every negative key the pool caches is infeasible
-// for a fresh DP at now — the prefix rule records nothing negative that the
-// DP would not — and every key of before whose members are all still pooled
-// is cached still: a key leaves only with a member. It returns the keys the
-// pool caches now.
-func checkKeys(t *testing.T, p *Pool, now float64, before []planKey) []planKey {
+// keyState is a cached key's verdict as a step left it.
+type keyState struct {
+	feasible bool
+	expiry   float64
+}
+
+// checkKeys fails unless the keys the pool caches at now are sound against
+// the snapshot before of the previous step's keys:
+//
+//   - every negative key is infeasible for a fresh DP at now: the subset
+//     rule records nothing negative that the DP would not;
+//   - a key of before whose members are all still pooled is cached still,
+//     unless it is a largest-size set that was positive and a cached
+//     (k−1)-subset of it is negative now (a renewal the subset decided,
+//     which evicts the key);
+//   - on an exact network, no largest-size key was cached or replanned in
+//     this step while one of its (k−1)-subsets was cached negative at the
+//     start of it: the subset decides such a set, which is never indexed.
+//
+// It returns the keys the pool caches now.
+func checkKeys(t *testing.T, p *Pool, now float64, before map[planKey]keyState) map[planKey]keyState {
 	t.Helper()
-	for _, key := range before {
+	c := p.cache
+	negativeSubset := func(key planKey, negative func(planKey) bool) bool {
+		for i := range key.ids[:key.n] {
+			if negative(key.without(i)) {
+				return true
+			}
+		}
+		return false
+	}
+	negativeNow := func(key planKey) bool { ent := c.cached(key); return ent != nil && !ent.feasible }
+	negativeBefore := func(key planKey) bool { s, ok := before[key]; return ok && !s.feasible }
+	largest := p.opt.MaxGroupSize
+	for key, was := range before {
 		pooled := true
 		for _, id := range key.ids[:key.n] {
 			pooled = pooled && p.Contains(id)
 		}
-		if _, ok := p.cache.entries[key]; pooled && !ok {
+		if pooled && c.cached(key) == nil && (key.n != largest || !was.feasible || !negativeSubset(key, negativeNow)) {
 			t.Fatalf("at %v: key %v left the cache while its members are pooled", now, key)
 		}
 	}
-	var keys []planKey
+	keys := make(map[planKey]keyState, c.keys())
 	var members [route.MaxGroupSize]*order.Order
 	var svc [route.MaxGroupSize]float64
-	for key, ent := range p.cache.entries {
-		keys = append(keys, key)
+	for _, rec := range c.recs {
+		if rec.ent == nil {
+			continue
+		}
+		key, ent := rec.key, rec.ent
+		keys[key] = keyState{ent.feasible, ent.expiry}
+		was, ok := before[key]
+		changed := !ok || was.feasible != ent.feasible || math.Float64bits(was.expiry) != math.Float64bits(ent.expiry)
+		if p.exact && key.n == largest && changed && negativeSubset(key, negativeBefore) {
+			t.Fatalf("at %v: key %v was cached in a step that began with a negative subset of it", now, key)
+		}
 		if ent.feasible {
 			continue
 		}
@@ -299,14 +342,15 @@ func comparePools(t *testing.T, cached, plain *Pool, now float64) {
 //   - adjacency is ID-sorted and symmetric: the neighbor's entry has the
 //     same expiry and the same leg block, every edge has its own block when
 //     the cache is on and none when it is off, and no other block is live;
-//   - every cached key holds one live eviction record, listed on each
-//     member's slot, that names the key's entry; every live ref a slot
-//     lists names a cached key the order is a member of; a record is live
-//     or free, never both; every negative key maps to the cache's sentinel,
-//     which nothing wrote;
+//   - the index holds exactly the live records: each names a distinct live
+//     record, a lookup of each live record's key finds it, and a record is
+//     live or free, never both;
+//   - every live record is listed on each member's slot, and every live ref
+//     a slot lists names a live (indexed) record whose key the order is a
+//     member of; a record names its key's entry, and every memberless
+//     negative entry is the cache's sentinel, which nothing wrote;
 //   - no recycled entry is reachable: a spare entry is listed once and is
-//     neither the sentinel, a map value, a live record's entry nor the
-//     probe;
+//     neither the sentinel, a live record's entry nor the probe;
 //   - with owner non-nil, no (slot, generation) pair ever named two orders.
 func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	t.Helper()
@@ -393,10 +437,40 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	}
 	free := map[int32]bool{}
 	for _, i := range c.free {
-		if free[i] {
-			t.Fatalf("eviction record %d is freed twice", i)
+		if free[i] || c.recs[i].ent != nil {
+			t.Fatalf("record %d is freed twice or freed while live", i)
 		}
 		free[i] = true
+	}
+	indexed := map[int32]bool{}
+	for _, v := range c.index {
+		if v == 0 {
+			continue
+		}
+		if r := v - 1; indexed[r] || c.recs[r].ent == nil {
+			t.Fatalf("the index names record %d twice or while it is free", r)
+		}
+		indexed[v-1] = true
+	}
+	if len(c.index)&(len(c.index)-1) != 0 || 2*c.keys() > len(c.index) || len(indexed) != c.keys() {
+		t.Fatalf("index of %d positions holds %d keys and names %d", len(c.index), c.keys(), len(indexed))
+	}
+	for i, rec := range c.recs {
+		if rec.ent == nil {
+			if !free[int32(i)] {
+				t.Fatalf("record %d is neither live nor free", i)
+			}
+			continue
+		}
+		if r, _ := c.find(&rec.key); r != int32(i) || rec.hash != rec.key.hash() {
+			t.Fatalf("record %d of key %v is not found through the index", i, rec.key)
+		}
+		if rec.ent.feasible && memberKey(rec.ent.orders()) != rec.key {
+			t.Fatalf("key %v maps to the entry of %v", rec.key, memberKey(rec.ent.orders()))
+		}
+		if !rec.ent.feasible && rec.ent.n == 0 && rec.ent != &c.negative {
+			t.Fatalf("key %v maps to a memberless entry that is not the sentinel", rec.key)
+		}
 	}
 	listed := map[int32]int{} // live record -> refs listed on member slots
 	for _, r := range p.live {
@@ -405,24 +479,22 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 			if rec.gen != ref.gen {
 				continue
 			}
-			if free[ref.rec] {
+			if rec.ent == nil || free[ref.rec] {
 				t.Fatalf("order %d lists a live ref to the free record %d", r.id, ref.rec)
 			}
-			ent, ok := c.entries[rec.key]
-			if !ok || !slices.Contains(rec.key.ids[:rec.key.n], r.id) {
-				t.Fatalf("order %d lists a record of key %v the cache does not hold for it", r.id, rec.key)
-			}
-			if ent.feasible && memberKey(ent.orders()) != rec.key {
-				t.Fatalf("key %v maps to the entry of %v", rec.key, memberKey(ent.orders()))
-			}
-			if !ent.feasible && ent.n == 0 && ent != &c.negative {
-				t.Fatalf("key %v maps to a memberless entry that is not the sentinel", rec.key)
-			}
-			if rec.ent != ent {
-				t.Fatalf("the record of key %v names another entry than the cache maps it to", rec.key)
+			if !slices.Contains(rec.key.ids[:rec.key.n], r.id) {
+				t.Fatalf("order %d lists a record of key %v it is not a member of", r.id, rec.key)
 			}
 			listed[ref.rec]++
 		}
+	}
+	for r := range indexed {
+		if key := c.recs[r].key; listed[r] != key.n {
+			t.Fatalf("key %v is listed on %d of its %d member slots", key, listed[r], key.n)
+		}
+	}
+	if len(listed) != len(indexed) {
+		t.Fatalf("%d records listed on slots, %d indexed", len(listed), len(indexed))
 	}
 	spare := map[*planEntry]bool{}
 	for _, ent := range c.spare {
@@ -431,22 +503,9 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 		}
 		spare[ent] = true
 	}
-	for key, ent := range c.entries {
-		if spare[ent] {
-			t.Fatalf("key %v maps to a spare entry", key)
+	for _, rec := range c.recs {
+		if rec.ent != nil && spare[rec.ent] {
+			t.Fatalf("key %v maps to a spare entry", rec.key)
 		}
-	}
-	for i := range c.recs {
-		if ent := c.recs[i].ent; ent != nil && (spare[ent] || free[int32(i)]) {
-			t.Fatalf("record %d is free but names an entry, or names a spare one", i)
-		}
-	}
-	for i, n := range listed {
-		if key := c.recs[i].key; n != key.n {
-			t.Fatalf("key %v is listed on %d member slots", key, n)
-		}
-	}
-	if len(listed) != len(c.entries) || len(listed)+len(c.free) != len(c.recs) {
-		t.Fatalf("%d keys cached, %d records listed, %d free of %d", len(c.entries), len(listed), len(c.free), len(c.recs))
 	}
 }

@@ -22,8 +22,8 @@ func cacheReferences(p *Pool, id int) bool {
 	if p.cache == nil {
 		return false
 	}
-	for key := range p.cache.entries {
-		if slices.Contains(key.ids[:key.n], id) {
+	for _, rec := range p.cache.recs {
+		if rec.ent != nil && slices.Contains(rec.key.ids[:rec.key.n], id) {
 			return true
 		}
 	}
@@ -187,8 +187,8 @@ func negativeTriangle(t *testing.T, p *Pool, net *roadnet.GridCity) []*order.Ord
 func TestPlanCacheNegativePermanence(t *testing.T) {
 	p, net, _ := testPool(-1)
 	key := memberKey(negativeTriangle(t, p, net))
-	if ent, ok := p.cache.entries[key]; !ok || ent != &p.cache.negative {
-		t.Fatalf("the infeasible triple is not cached as a negative key (cached %v)", ok)
+	if ent := p.cache.cached(key); ent != &p.cache.negative {
+		t.Fatalf("the infeasible triple is not cached as a negative key (cached %v)", ent != nil)
 	}
 	// Later refreshes that re-enumerate the triangle serve the negative
 	// entry without replanning, at any later clock.
@@ -202,13 +202,13 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 	if after.Misses != st.Misses {
 		t.Fatalf("negative clique was replanned: %+v -> %+v", st, after)
 	}
-	if ent, ok := p.cache.entries[key]; !ok || ent.feasible {
+	if ent := p.cache.cached(key); ent == nil || ent.feasible {
 		t.Fatal("negative key vanished while all members remain pooled")
 	}
 	// Removing a member evicts the key and frees its record.
 	st = p.CacheStats()
 	p.Remove(3, 6)
-	if _, ok := p.cache.entries[key]; ok {
+	if p.cache.cached(key) != nil {
 		t.Fatal("triple key survived member removal")
 	}
 	if got := p.CacheStats(); got.Evicted <= st.Evicted || len(p.cache.free) == 0 {
@@ -242,7 +242,7 @@ func TestPlanCacheAllocations(t *testing.T) {
 	}
 	triple := []*order.Order{a, b, c}
 	key := memberKey(triple)
-	if ent := p.cache.entries[key]; ent == nil || !ent.feasible {
+	if ent := p.cache.cached(key); ent == nil || !ent.feasible {
 		t.Fatal("corridor triple not cached as feasible; test is vacuous")
 	}
 
@@ -261,7 +261,7 @@ func TestPlanCacheAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a positive cache miss over an evicted entry allocates %v times, want 0", n)
 	}
-	if got := p.CacheStats(); got.Misses != before.Misses+101 || !p.cache.entries[key].feasible {
+	if got := p.CacheStats(); got.Misses != before.Misses+101 || !p.cache.cached(key).feasible {
 		t.Fatalf("positive miss arm did not miss: %+v -> %+v", before, got)
 	}
 
@@ -295,7 +295,7 @@ func TestPlanCacheAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a negative cache miss allocates %v times, want 0", n)
 	}
-	if got := neg.CacheStats(); got.Misses != before.Misses+101 || neg.cache.entries[negKey] != &neg.cache.negative {
+	if got := neg.CacheStats(); got.Misses != before.Misses+101 || neg.cache.cached(negKey) != &neg.cache.negative {
 		t.Fatalf("negative miss arm did not miss into the sentinel: %+v -> %+v", before, got)
 	}
 
@@ -643,7 +643,7 @@ func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
 	if !ok {
 		t.Fatal("corridor order has no best group; test is vacuous")
 	}
-	own := p.cache.entries[memberKey(g.Orders)]
+	own := p.cache.cached(memberKey(g.Orders))
 	if own == nil || !own.feasible {
 		t.Fatal("the best group's clique is not cached positive")
 	}
@@ -655,8 +655,8 @@ func TestDispatchedGroupSurvivesRecycling(t *testing.T) {
 		t.Fatal("removing the group recycled nothing; test is vacuous")
 	}
 	reused := func() bool {
-		for _, ent := range p.cache.entries {
-			if ent == own {
+		for _, rec := range p.cache.recs {
+			if rec.ent == own {
 				return true
 			}
 		}
@@ -750,5 +750,84 @@ func TestMissingPairEdgePlansFresh(t *testing.T) {
 	}
 	if dropAt(b.ID) > dropAt(a.ID) {
 		t.Fatalf("the triple's route does not drop b before a: %+v", want.Stops)
+	}
+}
+
+// TestRefListStaysCompact keeps one order pooled while its co-members churn:
+// each round the oldest co-member leaves and a new one joins, so the order
+// stays a member of about as many cached keys, and every round turns the
+// refs to the leaving member's keys stale. The order's ref list must stay
+// within twice its live refs; a list that kept its stale refs until the
+// order itself left would grow by a round's evictions every round.
+func TestRefListStaysCompact(t *testing.T) {
+	p, net, _ := testPool(-1)
+	corridor := func(id int) *order.Order {
+		x := id % 4
+		return mk(net, id, net.Node(x, 0), net.Node(10+x, 0), 0, 2.0)
+	}
+	const members = 3
+	for id := 1; id <= 1+members; id++ {
+		p.Insert(corridor(id), 0)
+	}
+	s := p.mustSlot(t, 1)
+	live := func() int {
+		k := 0
+		for _, r := range p.nodes[s].plans {
+			if p.cache.recs[r.rec].gen == r.gen {
+				k++
+			}
+		}
+		return k
+	}
+	if live() < 2*members {
+		t.Fatalf("order 1 is a member of %d cached keys; the test is vacuous", live())
+	}
+	for id := 2 + members; id < 200; id++ {
+		p.Remove(id-members, 0)
+		p.Insert(corridor(id), 0)
+		if got, want := len(p.nodes[s].plans), live(); got > 2*want {
+			t.Fatalf("after order %d joined: order 1 lists %d refs, %d of them live", id, got, want)
+		}
+	}
+}
+
+// TestSubsetRuleDecidesWithoutRecord looks a 4-set up with a prefix verdict
+// that is not negative, one of whose triples is cached negative:
+// on an exact lattice it is decided negative without a DP and is not
+// recorded; with the exactness gate off it is planned and recorded.
+func TestSubsetRuleDecidesWithoutRecord(t *testing.T) {
+	p, net, _ := testPool(-1)
+	tri := negativeTriangle(t, p, net)
+	d := mk(net, 4, net.Node(0, 1), net.Node(10, 1), 0, 2.0)
+	p.Insert(d, 0)
+	if !p.exact || p.cache.cached(memberKey(tri)) != &p.cache.negative {
+		t.Fatal("the lattice is not exact or the triple is not cached negative; the test is vacuous")
+	}
+	quad := memberKey(append(slices.Clone(tri), d))
+	lookup := func() *planEntry {
+		var slots [4]int32
+		for i, id := range quad.ids[:quad.n] {
+			slots[i] = p.mustSlot(t, id)
+		}
+		canon, cs := p.canonical(slots[:]...)
+		// The prefix verdict passed is not negative, so only the cached
+		// negative triple {1, 2, 3} can decide the set.
+		return p.planEntryFor(canon, cs, 0, false)
+	}
+	before := p.CacheStats()
+	if ent := lookup(); ent != &p.cache.negative {
+		t.Fatalf("the 4-set over a negative triple came back %+v", ent)
+	}
+	got := p.CacheStats()
+	if got.PrefixPruned != before.PrefixPruned+1 || got.Misses != before.Misses || got.Renewed != before.Renewed {
+		t.Fatalf("the 4-set was not decided by its triple: %+v -> %+v", before, got)
+	}
+	if p.cache.cached(quad) != nil {
+		t.Fatal("a subset-decided 4-set was recorded")
+	}
+	p.exact = false
+	lookup()
+	if got := p.CacheStats(); got.Misses != before.Misses+1 || p.cache.cached(quad) != &p.cache.negative {
+		t.Fatalf("without the gate the 4-set was not planned and recorded negative: %+v", got)
 	}
 }

@@ -102,9 +102,10 @@ type node struct {
 	// of the entry rewrites the entry only.
 	best   planEntry
 	bestAt float64
-	// plans lists refs to the eviction records of the plan-cache keys the
-	// order is a member of, for eviction when it leaves. It may hold stale
-	// refs (a co-member left first); eviction skips those.
+	// plans lists refs to the records of the plan-cache keys the order is a
+	// member of, for eviction when it leaves. It may hold stale refs (a
+	// co-member left first); eviction skips those, and the list drops them
+	// before it grows.
 	plans []planRef
 	// prewarm is the pair test PrewarmPairs ran for this order and the
 	// order about to be inserted; the insert consumes it.
@@ -142,7 +143,7 @@ type Pool struct {
 	// also the reference the pair certificate is tested against.
 	bounds roadnet.BoundedNetwork
 	// exact is set when the network's costs are exact enough for the
-	// prefix rule (plancache.go, invariant 3); false when memoization is
+	// subset rule (plancache.go, invariant 3); false when memoization is
 	// off.
 	exact bool
 
@@ -167,7 +168,7 @@ type Pool struct {
 	demandGen     uint64
 }
 
-// minExactQuantum is the smallest roadnet.ExactNetwork quantum the prefix
+// minExactQuantum is the smallest roadnet.ExactNetwork quantum the subset
 // rule accepts. The route DP keeps the first of two arrivals within 1e-12 s
 // of each other; arrivals that are whole multiples of a quantum above that
 // band never fall inside it, so the DP's minima and verdicts are exact.

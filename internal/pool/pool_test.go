@@ -433,7 +433,7 @@ func (p *Pool) cachedPlans() int {
 	if p.cache == nil {
 		return 0
 	}
-	return len(p.cache.entries)
+	return p.cache.keys()
 }
 
 // legBlocks reports the number of live per-pair leg blocks.
