@@ -138,8 +138,7 @@ lint:
 
 # Determinism-contract analyzers alone: the syntactic maprange/walltime/
 # globalrand/floatrange and the whole-module testonly (DESIGN.md §11),
-# plus specpure and goroutinewrite (§12);
-# lint runs them too.
+# plus goroutinewrite (§12); lint runs them too.
 detlint:
 	$(GO) run ./cmd/detlint ./...
 

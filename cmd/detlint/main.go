@@ -2,10 +2,10 @@
 // contract (DESIGN.md §11–§12). It type-checks the requested packages
 // from source and runs the detlint analyzers — the syntactic maprange
 // (a map is read in sorted key order or under a //det:unordered reason),
-// walltime, globalrand, floatrange, the interprocedural specpure,
-// goroutinewrite, and the whole-module testonly (silent unless
-// every package of the module is loaded) — printing findings in go-vet
-// format and exiting 1 when any exist.
+// walltime, globalrand, floatrange, goroutinewrite, and the
+// whole-module testonly (silent unless every package of the module is
+// loaded) — printing findings in go-vet format and exiting 1 when any
+// exist.
 //
 // Usage:
 //
@@ -152,10 +152,9 @@ func lint(modDir string, patterns []string) ([]detlint.Diagnostic, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	// One effects Program over every loaded package, so specpure sees
-	// cross-package calls and CHA targets, and testonly sees every
+	// One Program over every loaded package, so testonly sees every
 	// production reference.
-	prog := detlint.NewProgram(pkgs)
+	prog := &detlint.Program{Pkgs: pkgs}
 	var all []detlint.Diagnostic
 	for _, pkg := range pkgs {
 		diags, err := detlint.RunWith(pkg, detlint.All(), prog)

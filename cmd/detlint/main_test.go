@@ -70,18 +70,7 @@ func IteratorFloatFold(m map[int]float64) float64 {
 	return sum
 }
 `)
-	write("effects/effects.go", `package effects
-
-var hits int
-
-//det:specroot speculation must not touch shared state
-func Speculate(id int) {
-	record(id)
-}
-
-func record(id int) {
-	hits = id
-}
+	write("racy/racy.go", `package racy
 
 func RacyLaunch() int {
 	x := 0
@@ -149,7 +138,7 @@ var Sorted = api.Sorted
 	}
 	for _, name := range []string{
 		"maprange", "walltime", "globalrand", "floatrange",
-		"specpure", "goroutinewrite", "testonly",
+		"goroutinewrite", "testonly",
 	} {
 		if got[name] == 0 {
 			t.Errorf("injected %s violation not detected; findings: %v", name, diags)

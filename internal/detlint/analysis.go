@@ -22,13 +22,9 @@
 //	             order-insensitive; the only escape is an explicit
 //	             //det:floatfold annotation.
 //
-// Two more guard concurrency (DESIGN.md §12): specpure reads the
-// write-effect summaries the effects layer (effects.go) solves over a CHA
-// call graph, and goroutinewrite is syntactic:
+// One more guards concurrency (DESIGN.md §12); the race detector over
+// the pool's and the shard engine's tests is the runtime gate beside it:
 //
-//	specpure      — everything reachable from a //det:specroot must be
-//	                write-free outside //det:scratch types; escape with
-//	                //det:specwrite <reason>.
 //	goroutinewrite — go-launched closures must not write captured
 //	                variables without a sync primitive or channel
 //	                handoff; no annotation escape.
@@ -60,7 +56,7 @@ type Analyzer struct {
 
 // All returns the full detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, SpecPure, GoroutineWrite, TestOnly}
+	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, GoroutineWrite, TestOnly}
 }
 
 // A Pass provides one analyzer run with a single type-checked package,
@@ -74,8 +70,7 @@ type Pass struct {
 	// Annot indexes //det: annotations by file line (a detlint extension;
 	// x/tools analyzers would re-derive this from File.Comments).
 	Annot *Annotations
-	// Prog is the whole-module effects program (effects.go) shared by
-	// specpure and testonly.
+	// Prog is the whole-module view testonly checks against.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -102,6 +97,15 @@ type Diagnostic struct {
 // path:line:col: analyzer: message.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+}
+
+// A Program is the whole-module view behind testonly: every loaded
+// package and, built on first use, the reference sets over them. Build
+// one per lint run and share it across packages via RunWith.
+type Program struct {
+	Pkgs []*Package
+
+	api *apiIndex
 }
 
 // RunWith applies every analyzer in suite to pkg against a shared

@@ -26,19 +26,6 @@ const (
 	// TagFloatfold excuses a floating-point fold over map-range order; the
 	// justification must say why the fold result is still bit-stable.
 	TagFloatfold = "floatfold"
-	// TagSpecroot marks a function (or function literal) as a speculation
-	// root: everything reachable from it must be write-free outside
-	// scratch types (the specpure analyzer).
-	TagSpecroot = "specroot"
-	// TagSpecwrite excuses one shared-state write on a speculation path;
-	// the justification must argue why the write cannot change committed
-	// per-seed results.
-	TagSpecwrite = "specwrite"
-	// TagScratch marks a type declaration as per-speculation scratch:
-	// writes whose owner is a scratch type are private by construction.
-	// Pointer fields of a scratch type are back-references to shared
-	// state, not part of the arena.
-	TagScratch = "scratch"
 	// TagAPI keeps an exported internal/ identifier that no production
 	// file references; the justification must name the caller that needs
 	// it (the testonly analyzer).
@@ -47,7 +34,7 @@ const (
 
 // An Annotation is one parsed //det: comment.
 type Annotation struct {
-	Tag    string // one of the Tag constants ("unordered", "specroot", …)
+	Tag    string // one of the Tag constants ("unordered", "api", …)
 	Reason string // justification text after the tag; "" when bare
 	Pos    token.Pos
 }

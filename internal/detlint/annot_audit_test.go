@@ -10,10 +10,11 @@ import (
 	"testing"
 )
 
-// knownTags lists every valid annotation tag.
+// knownTags lists every valid annotation tag. "specwrite" is no
+// analyzer's any more; it stays known only for its one remaining site,
+// benchmark/trace.go:185, until that line is deleted.
 var knownTags = []string{
-	TagUnordered, TagWallclock, TagFloatfold,
-	TagSpecroot, TagSpecwrite, TagScratch, TagAPI,
+	TagUnordered, TagWallclock, TagFloatfold, TagAPI, "specwrite",
 }
 
 // TestAnnotationsAreJustified walks every .go file in the repository

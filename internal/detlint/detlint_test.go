@@ -25,7 +25,6 @@ func TestWallTimeGolden(t *testing.T)   { runGolden(t, WallTime, "walltime") }
 func TestGlobalRandGolden(t *testing.T) { runGolden(t, GlobalRand, "globalrand") }
 func TestFloatRangeGolden(t *testing.T) { runGolden(t, FloatRange, "floatrange") }
 
-func TestSpecPureGolden(t *testing.T)       { runGolden(t, SpecPure, "specpure") }
 func TestGoroutineWriteGolden(t *testing.T) { runGolden(t, GoroutineWrite, "goroutinewrite") }
 
 // TestWallTimeMainExempt pins the package-main exemption: the same calls
@@ -110,7 +109,7 @@ func analyze(t *testing.T, a *Analyzer, pkgdir string) []Diagnostic {
 		Info:  info,
 		Annot: IndexAnnotations(fset, files),
 	}
-	diags, err := RunWith(pkg, []*Analyzer{a}, NewProgram([]*Package{pkg}))
+	diags, err := RunWith(pkg, []*Analyzer{a}, &Program{Pkgs: []*Package{pkg}})
 	if err != nil {
 		t.Fatal(err)
 	}

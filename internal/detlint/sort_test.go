@@ -21,8 +21,8 @@ func TestSortDiagnosticsOrder(t *testing.T) {
 
 	want := []Diagnostic{
 		d("a/a.go", 1, 1, "goroutinewrite", "captured write"),
-		d("a/a.go", 1, 1, "specpure", "shared write"),
-		d("a/a.go", 1, 1, "specpure", "shared write via call"),
+		d("a/a.go", 1, 1, "testonly", "unused export"),
+		d("a/a.go", 1, 1, "testonly", "unused export via alias"),
 		d("a/a.go", 1, 9, "maprange", "map iteration"),
 		d("a/a.go", 4, 2, "walltime", "time.Now"),
 		d("b/b.go", 1, 1, "floatrange", "float accumulation"),
@@ -45,8 +45,8 @@ func TestSortDiagnosticsOrder(t *testing.T) {
 // permutation of the same multiset yields byte-identical output.
 func TestSortDiagnosticsStable(t *testing.T) {
 	base := []Diagnostic{
-		{Analyzer: "specpure", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m1"},
-		{Analyzer: "specpure", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m0"},
+		{Analyzer: "testonly", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m1"},
+		{Analyzer: "testonly", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m0"},
 		{Analyzer: "goroutinewrite", Pos: token.Position{Filename: "x.go", Line: 2, Column: 3}, Message: "m2"},
 	}
 	a := append([]Diagnostic(nil), base...)

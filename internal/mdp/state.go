@@ -30,7 +30,8 @@ const orderSlots = 4
 // index order, idx[orderSlots:] and vals[orderSlots:], for the threshold
 // source, whose network passes read nothing else (observeList).
 //
-//det:scratch one state buffer per threshold source or collector, touched only by the job's committing goroutine
+// There is one state buffer per threshold source or collector, touched only
+// by the job's committing goroutine.
 type liveState struct {
 	x                   []float64
 	pickupAt, dropoffAt int // one-hots the last observe set

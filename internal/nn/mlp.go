@@ -71,8 +71,6 @@ func (m *MLP) NumParams() int {
 // value is ready to use; it sizes itself to the network on first use.
 // Slices returned from a pass alias the scratch and are valid until its
 // next pass.
-//
-//det:scratch private pass buffers, one set per calling goroutine
 type Scratch struct {
 	acts [][]float64 // acts[l]: output of layer l
 	idx  [][]int32   // idx[l], vals[l]: layer l's non-zero inputs in ascending

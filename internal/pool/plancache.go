@@ -122,7 +122,8 @@ func (s CacheStats) HitRate() float64 {
 // the entry itself is replanned in place and recycled once its key is
 // evicted.
 //
-//det:scratch one goroutine writes an entry at a time: the pool's, or the prewarm task it is handed to between PrewarmPairs taking it and exec.Run returning
+// One goroutine writes an entry at a time: the pool's, or the prewarm task
+// it is handed to between PrewarmPairs taking it and exec.Run returning.
 type planEntry struct {
 	members  [route.MaxGroupSize]*order.Order
 	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))

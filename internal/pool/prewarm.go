@@ -23,9 +23,8 @@ type prewarmed struct {
 }
 
 // prewarmJob is one prewarm task's private state: the pair's entry, a
-// throwaway leg store to fill the pair's block in, and the block.
-//
-//det:scratch each job is written only by its own task, before the merge reads it on the calling goroutine
+// throwaway leg store to fill the pair's block in, and the block. Only its
+// own task writes it, before the merge reads it on the calling goroutine.
 type prewarmJob struct {
 	ent    *planEntry
 	cand   int32
@@ -78,7 +77,9 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 	tasks := make([]func(), len(jobs))
 	for i := range jobs {
 		j := &jobs[i]
-		//det:specroot each prewarm task runs on an engine goroutine and may only fill its own job slot
+		// Each task runs on an engine goroutine and may write only its own
+		// job; TestPrewarmPairsDecisionsIdentical's goroutine-per-task arm
+		// holds it to that under -race.
 		tasks[i] = func() {
 			lo, hi := j.ent.members[0], j.ent.members[1]
 			j.blocks[0] = j.store.Fill(lo, route.NoSlot, hi, route.NoSlot)

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"watter/internal/gridindex"
@@ -21,14 +22,46 @@ func (e *reverseExec) Run(tasks []func()) {
 	e.ran += len(tasks)
 }
 
+// goExec runs every task on its own goroutine, so under -race a task that
+// writes anything but its own job races with its siblings.
+type goExec struct{ ran int }
+
+func (e *goExec) Run(tasks []func()) {
+	var wg sync.WaitGroup
+	for _, task := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task()
+		}()
+	}
+	wg.Wait()
+	e.ran += len(tasks)
+}
+
 // TestPrewarmPairsDecisionsIdentical drives two pools through the same
-// random insert/expire/remove trace — one prewarming every insert through
-// an adversarially scheduled executor, one inserting cold — and requires
-// identical shareability edges and bit-identical best groups throughout.
+// random insert/expire/remove trace — one prewarming every insert, one
+// inserting cold — and requires identical shareability edges and
+// bit-identical best groups throughout. The warm pool's executor is either
+// adversarially serial or concurrent; the concurrent arm is the prewarm's
+// race gate (go test -race ./internal/pool).
 func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
+	reverse, concurrent := &reverseExec{}, &goExec{}
+	for _, tc := range []struct {
+		name string
+		exec Exec
+		ran  *int
+	}{
+		{"reverse", reverse, &reverse.ran},
+		{"goroutine-per-task", concurrent, &concurrent.ran},
+	} {
+		t.Run(tc.name, func(t *testing.T) { prewarmDecisionsIdentical(t, tc.exec, tc.ran) })
+	}
+}
+
+func prewarmDecisionsIdentical(t *testing.T, exec Exec, ran *int) {
 	warm, net, _ := testPool(2)
 	cold, _, _ := testPool(2)
-	exec := &reverseExec{}
 	rng := rand.New(rand.NewSource(5))
 
 	now := 0.0
@@ -76,7 +109,7 @@ func TestPrewarmPairsDecisionsIdentical(t *testing.T) {
 			}
 		}
 	}
-	if exec.ran == 0 {
+	if *ran == 0 {
 		t.Fatal("no prewarm task ever ran; the test exercised nothing")
 	}
 	// A prewarmed pair test counts as the unwarmed one it replaces, so both

@@ -29,8 +29,10 @@ func NewGridCity(w, h int, cellMeters, speed float64) *GridCity {
 	if w < 1 || h < 1 {
 		panic("roadnet: GridCity dimensions must be >= 1")
 	}
-	if cellMeters <= 0 || speed <= 0 {
-		panic("roadnet: GridCity cellMeters and speed must be positive")
+	// Written so NaN fails too: a NaN or infinite scale makes Cost NaN, and
+	// an infinite speed makes MinSecondsPerMetre 0.
+	if !(cellMeters > 0 && speed > 0) || math.IsInf(cellMeters, 1) || math.IsInf(speed, 1) {
+		panic("roadnet: GridCity cellMeters and speed must be positive and finite")
 	}
 	return &GridCity{W: w, H: h, CellMeters: cellMeters, Speed: speed}
 }

@@ -51,8 +51,6 @@ import (
 // stamped distance and heuristic arrays (O(1) reset), the frontier heap,
 // small target bookkeeping slices and, once a hierarchy exists, the two-phase
 // labels and target descent cone of chquery.go.
-//
-//det:scratch pooled per-query search state; arrays are generation-stamped and reused across queries
 type scratch struct {
 	// dist/gen hold one tentative float32 fold per search state: the n nodes
 	// for ALT; 2n for the hierarchy (node = climbing, node+n = descending).

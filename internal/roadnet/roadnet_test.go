@@ -45,6 +45,27 @@ func TestExampleNetworkSymmetric(t *testing.T) {
 	}
 }
 
+// TestNewGridCityRejectsBadScale: a block size or speed that is not a
+// positive finite number panics at construction. NaN would make Cost NaN,
+// and +Inf would make it NaN (0 blocks of infinite size) or make
+// MinSecondsPerMetre 0, breaking FloorNetwork's r > 0.
+func TestNewGridCityRejectsBadScale(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct{ cellMeters, speed float64 }{
+		{0, 8}, {-200, 8}, {nan, 8}, {inf, 8},
+		{200, 0}, {200, -8}, {200, nan}, {200, inf},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGridCity(3, 3, %v, %v) did not panic", tc.cellMeters, tc.speed)
+				}
+			}()
+			NewGridCity(3, 3, tc.cellMeters, tc.speed)
+		}()
+	}
+}
+
 func TestGridCityMatchesExplicitGraph(t *testing.T) {
 	c := NewGridCity(7, 5, 200, 8)
 	g := c.asGraph()

@@ -19,9 +19,9 @@ import (
 //
 // A block's owner keeps it for as long as the pair can be planned — the
 // pool, on the pair's two adjacency entries — and hands it back with
-// Release; its cells are the store's business.
-//
-//det:scratch a block is written only while its store's one writer goroutine fills it, before any plan reads it; a released block is recycled by that same goroutine
+// Release; its cells are the store's business. A block is written only
+// while its store's one writer goroutine fills it, before any plan reads
+// it, and a released block is recycled by that same goroutine.
 type LegBlock struct{ c [16]float64 }
 
 // Block cells, by role.
@@ -97,8 +97,6 @@ type withinLeg struct {
 // legQuery is a fill's query scratch: the pair's four nodes and one 2x2
 // result. It lives in the store because a local array handed to the network
 // through its interface would escape, costing an allocation per fill.
-//
-//det:scratch written only by its store's one writer goroutine, during a fill, and read back before the fill returns
 type legQuery struct {
 	locs  [4]geo.NodeID
 	cross [4]float64
@@ -115,7 +113,9 @@ func NewLegStore(net roadnet.Network) *LegStore {
 // within-order legs, which come from the slot memo when the order's slot
 // already holds its leg.
 //
-//det:specwrite a prewarm task fills a block of its own task store; every store has exactly one writer goroutine and a block's values are the same pure costs whenever the fill ran
+// A prewarm task fills a block of its own task store: every store has
+// exactly one writer goroutine, and a block holds the same pure costs
+// whenever the fill ran.
 func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBlock {
 	lo, hi, slo, shi := a, b, sa, sb
 	if lo.ID > hi.ID {
@@ -151,8 +151,8 @@ func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBl
 
 // withinCost returns cost(o.Pickup, o.Dropoff), from the slot's memo when
 // it holds the slot's current generation and from the network otherwise.
-//
-//det:specwrite a prewarm task fills with NoSlot and returns before the memo; the memo is written only by its store's one writer goroutine
+// A prewarm task fills with NoSlot and returns before the memo, which only
+// its store's one writer goroutine writes.
 func (s *LegStore) withinCost(o *order.Order, slot Slot) float64 {
 	if slot.Index < 0 {
 		return s.net.Cost(o.Pickup, o.Dropoff)
