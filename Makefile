@@ -137,8 +137,8 @@ lint:
 	$(GO) run ./cmd/detlint ./...
 
 # Determinism-contract analyzers alone: the syntactic maprange/walltime/
-# globalrand/floatrange and the whole-module testonly (DESIGN.md §11),
-# plus goroutinewrite (§12); lint runs them too.
+# globalrand and the whole-module testonly (DESIGN.md §11); lint runs
+# them too.
 detlint:
 	$(GO) run ./cmd/detlint ./...
 

@@ -8,31 +8,22 @@
 //
 // Analyzers:
 //
-//	maprange   — a map is read in sorted key order or under a justified
-//	             //det:unordered annotation: every `for … range` over a
-//	             map is flagged, and so is maps.Keys/Values/All unless
-//	             it is slices.Sorted*'s direct argument.
+//	maprange   — a map is read in sorted key order, with no annotation
+//	             escape: every `for … range` over a map is flagged, and
+//	             so is maps.Keys/Values/All unless it is
+//	             slices.Sorted*'s direct argument.
 //	walltime   — time.Now / time.Since / time.Sleep (and friends) are
 //	             forbidden outside package main and //det:wallclock sites.
 //	globalrand — package-level math/rand functions are forbidden; all
 //	             randomness flows through rand.New(rand.NewSource(seed)).
-//	floatrange — floating-point accumulation inside a range over a map
-//	             or a maps iterator is flagged even when the loop is
-//	             annotated //det:unordered, because a float fold is never
-//	             order-insensitive; the only escape is an explicit
-//	             //det:floatfold annotation.
-//
-// One more guards concurrency (DESIGN.md §12); the race detector over
-// the pool's and the shard engine's tests is the runtime gate beside it:
-//
-//	goroutinewrite — go-launched closures must not write captured
-//	                variables without a sync primitive or channel
-//	                handoff; no annotation escape.
 //
 // The whole-module layer (testonly.go) adds one more:
 //
 //	testonly — an exported internal/ identifier needs a non-test
 //	           reference, a facade alias or a //det:api annotation.
+//
+// Concurrency is checked at run time, by the race detector over the
+// tests that start the module's goroutines (DESIGN.md §12).
 package detlint
 
 import (
@@ -45,7 +36,7 @@ import (
 // An Analyzer describes one static check. The shape mirrors
 // golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -json output.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
@@ -56,7 +47,7 @@ type Analyzer struct {
 
 // All returns the full detlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, GlobalRand, FloatRange, GoroutineWrite, TestOnly}
+	return []*Analyzer{MapRange, WallTime, GlobalRand, TestOnly}
 }
 
 // A Pass provides one analyzer run with a single type-checked package,
@@ -88,9 +79,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // A Diagnostic is one finding: an analyzer name, a position, and a
 // human-readable message.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String formats the diagnostic the way go vet does:

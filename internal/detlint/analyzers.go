@@ -2,7 +2,6 @@ package detlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -12,12 +11,12 @@ import (
 // costs more than writing it over sorted keys. The rule has two checks:
 // a `for … range` over a map, and a maps.Keys, maps.Values or maps.All
 // call that is not the direct first argument of slices.Sorted,
-// slices.SortedFunc or slices.SortedStableFunc. Either passes only under
-// a justified //det:unordered.
+// slices.SortedFunc or slices.SortedStableFunc. There is no annotation
+// escape: a map is never read in runtime order.
 var MapRange = &Analyzer{
 	Name: "maprange",
 	Doc: "flags range-over-map loops and maps.Keys/Values/All outside slices.Sorted*; " +
-		"read slices.Sorted(maps.Keys(m)) or justify with //det:unordered",
+		"read slices.Sorted(maps.Keys(m)) (no annotation escape)",
 	Run: runMapRange,
 }
 
@@ -30,15 +29,11 @@ func runMapRange(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				if !isMapExpr(pass, n.X) {
-					return true
+				if isMapExpr(pass, n.X) {
+					pass.Reportf(n.For,
+						"range over map %s reads runtime iteration order: iterate slices.Sorted(maps.Keys(..))",
+						types.ExprString(n.X))
 				}
-				if _, ok := pass.Annot.For(n.For, TagUnordered); ok {
-					return true
-				}
-				pass.Reportf(n.For,
-					"range over map %s reads runtime iteration order: iterate slices.Sorted(maps.Keys(..)) or annotate //det:unordered <reason>",
-					types.ExprString(n.X))
 			case *ast.CallExpr:
 				if fn := funcOf(pass, n.Fun); fn != nil && fn.Pkg() != nil &&
 					fn.Pkg().Path() == "slices" && sortedSeqs[fn.Name()] && len(n.Args) > 0 {
@@ -53,11 +48,8 @@ func runMapRange(pass *Pass) error {
 				if !ok || !isMapIter(fn) || sorted[n] {
 					return true
 				}
-				if _, ok := pass.Annot.For(n.Pos(), TagUnordered); ok {
-					return true
-				}
 				pass.Reportf(n.Pos(),
-					"maps.%s yields runtime iteration order: wrap the call in slices.Sorted or annotate //det:unordered <reason>",
+					"maps.%s yields runtime iteration order: wrap the call in slices.Sorted",
 					fn.Name())
 			}
 			return true
@@ -157,7 +149,7 @@ func runWallTime(pass *Pass) error {
 			if fn, ok := obj.(*types.Func); !ok || fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			if _, ok := pass.Annot.For(sel.Pos(), TagWallclock); ok {
+			if pass.Annot.Has(sel.Pos(), TagWallclock) {
 				return true
 			}
 			pass.Reportf(sel.Pos(),
@@ -215,139 +207,4 @@ func runGlobalRand(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// FloatRange flags floating-point accumulation into a variable that
-// outlives a map-range loop: a range over a map or over maps.Keys,
-// maps.Values or maps.All. Float addition and multiplication do not
-// associate, so the fold result depends on iteration order — the exact
-// shape of PR 1's nondeterminism bug. This fires even inside loops
-// annotated //det:unordered (such a justification is wrong for a float
-// fold by definition); the only escape is an explicit //det:floatfold.
-var FloatRange = &Analyzer{
-	Name: "floatrange",
-	Doc: "flags float accumulation across map-range iterations, where " +
-		"iteration order changes the fold result bit-for-bit",
-	Run: runFloatRange,
-}
-
-func runFloatRange(pass *Pass) error {
-	seen := make(map[token.Pos]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			if isMapExpr(pass, rng.X) || isMapIterCall(pass, rng.X) {
-				checkFloatFolds(pass, rng, seen)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// isMapIterCall reports whether e calls maps.Keys, maps.Values or
-// maps.All.
-func isMapIterCall(pass *Pass, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := funcOf(pass, call.Fun)
-	return fn != nil && isMapIter(fn)
-}
-
-func checkFloatFolds(pass *Pass, rng *ast.RangeStmt, seen map[token.Pos]bool) {
-	locals := loopLocals(pass, rng)
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		asn, ok := n.(*ast.AssignStmt)
-		if !ok || len(asn.Lhs) != 1 || seen[asn.Pos()] {
-			return true
-		}
-		lhs := asn.Lhs[0]
-		if !isFloatExpr(pass, lhs) || locals[rootObj(pass, lhs)] {
-			return true
-		}
-		accumulates := false
-		switch asn.Tok {
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-			accumulates = true
-		case token.ASSIGN:
-			// x = x + e spelled out.
-			if bin, ok := asn.Rhs[0].(*ast.BinaryExpr); ok {
-				switch bin.Op {
-				case token.ADD, token.SUB, token.MUL, token.QUO:
-					l := types.ExprString(lhs)
-					accumulates = types.ExprString(bin.X) == l || types.ExprString(bin.Y) == l
-				}
-			}
-		}
-		if !accumulates {
-			return true
-		}
-		if _, ok := pass.Annot.For(asn.Pos(), TagFloatfold); ok {
-			seen[asn.Pos()] = true
-			return true
-		}
-		if _, ok := pass.Annot.For(rng.For, TagFloatfold); ok {
-			seen[asn.Pos()] = true
-			return true
-		}
-		seen[asn.Pos()] = true
-		pass.Reportf(asn.Pos(),
-			"floating-point fold into %s across map-range iterations: the sum depends on iteration order; iterate sorted keys or annotate //det:floatfold <reason>",
-			types.ExprString(lhs))
-		return true
-	})
-}
-
-// loopLocals returns every object a range loop declares: its key and
-// value variables and every definition in its body. They are
-// per-iteration state, so a fold into one does not outlive the loop.
-func loopLocals(pass *Pass, rng *ast.RangeStmt) map[types.Object]bool {
-	locals := make(map[types.Object]bool)
-	ast.Inspect(rng, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.TypesInfo.Defs[id]; obj != nil {
-				locals[obj] = true
-			}
-		}
-		return true
-	})
-	return locals
-}
-
-// rootObj returns the object at the base of an lvalue-ish expression
-// chain (x, x.f, x[i], *x → x's object).
-func rootObj(pass *Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if obj := pass.TypesInfo.Uses[x]; obj != nil {
-				return obj
-			}
-			return pass.TypesInfo.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-func isFloatExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }

@@ -23,9 +23,6 @@ import (
 func TestMapRangeGolden(t *testing.T)   { runGolden(t, MapRange, "maprange") }
 func TestWallTimeGolden(t *testing.T)   { runGolden(t, WallTime, "walltime") }
 func TestGlobalRandGolden(t *testing.T) { runGolden(t, GlobalRand, "globalrand") }
-func TestFloatRangeGolden(t *testing.T) { runGolden(t, FloatRange, "floatrange") }
-
-func TestGoroutineWriteGolden(t *testing.T) { runGolden(t, GoroutineWrite, "goroutinewrite") }
 
 // TestWallTimeMainExempt pins the package-main exemption: the same calls
 // that fail in a library package are legal in a main.

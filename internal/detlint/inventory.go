@@ -16,11 +16,10 @@ import (
 
 // An AnnotationRecord is one //det: comment found in the tree.
 type AnnotationRecord struct {
-	Pos    token.Position `json:"-"`
-	File   string         `json:"file"` // module-relative, slash-separated
-	Line   int            `json:"line"`
-	Tag    string         `json:"tag"`
-	Reason string         `json:"reason"`
+	File   string // module-relative, slash-separated
+	Line   int
+	Tag    string
+	Reason string
 }
 
 // CollectAnnotations walks every .go file under root — including tests
@@ -67,7 +66,6 @@ func CollectAnnotations(root string) ([]AnnotationRecord, error) {
 					rel = filepath.ToSlash(r)
 				}
 				recs = append(recs, AnnotationRecord{
-					Pos:    pos,
 					File:   rel,
 					Line:   pos.Line,
 					Tag:    ann.Tag,

@@ -251,8 +251,8 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer, then
-// message, so text and -json reports are byte-stable regardless of
-// package traversal or analyzer execution order.
+// message, so reports are byte-stable regardless of package traversal or
+// analyzer execution order.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -1,5 +1,5 @@
 // Package maprangetest is maprange's golden corpus: each `want` comment
-// pins a diagnostic, every unannotated loop without one must pass.
+// pins a diagnostic, and every map read without one must pass.
 package maprangetest
 
 import (
@@ -89,8 +89,8 @@ func keyedWriteVariantValue(m map[int]int, out map[int]int) {
 // --- order-insensitive loops: still flagged, the rule proves nothing ---
 //
 // Each of these bodies is order-free, but maprange does not try to prove
-// it: a map is read through sorted keys or under a written reason, so
-// they carry a want like any other loop.
+// it: a map is read through sorted keys, so they carry a want like any
+// other loop.
 
 func collectThenSort(m map[int]string) []int {
 	keys := make([]int, 0, len(m))
@@ -189,10 +189,13 @@ func localScratch(m map[string][]int) int {
 	return n
 }
 
+// A reason in a comment excuses nothing: maprange has no annotation
+// escape (annotatedIterator below is the iterator case).
+
 func annotated(m map[string]int) []string {
 	var out []string
-	//det:unordered appended keys feed a human-readable summary whose order is cosmetic
-	for k := range m {
+	// appended keys feed a human-readable summary whose order is cosmetic
+	for k := range m { // want `range over map`
 		out = append(out, k)
 	}
 	return out
@@ -258,6 +261,6 @@ func iteratorValue(m map[string]int) int {
 }
 
 func annotatedIterator(m map[string]int) int {
-	//det:unordered only the count of keys leaves this function, and it does not depend on order
-	return len(slices.Collect(maps.Keys(m)))
+	// only the count of keys leaves this function, and it does not depend on order
+	return len(slices.Collect(maps.Keys(m))) // want `maps.Keys yields runtime iteration order`
 }

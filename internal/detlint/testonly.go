@@ -69,7 +69,7 @@ func checkAPI(pass *Pass, idx *apiIndex, name *ast.Ident) {
 	if fn, ok := obj.(*types.Func); ok && (idx.aliased[fn] || idx.implements(fn)) {
 		return
 	}
-	if _, ok := pass.Annot.For(name.Pos(), TagAPI); ok {
+	if pass.Annot.Has(name.Pos(), TagAPI) {
 		return
 	}
 	pass.Reportf(name.Pos(),
@@ -148,25 +148,41 @@ func (p *Program) apiIndex() *apiIndex {
 		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(str), false))}, nil).Complete())
 	addIface(types.Universe.Lookup("error").Type())
 	for _, pkg := range p.Pkgs {
-		//det:unordered set inserts; ifaces order only changes which interface an any-match finds first
-		for _, obj := range pkg.Info.Uses {
-			idx.used[obj] = true
-			switch o := obj.(type) {
-			case *types.Var:
-				addIface(o.Type())
-			case *types.Func:
-				idx.used[o.Origin()] = true // a method of an instantiated generic type
-				sig := o.Type().(*types.Signature)
-				for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
-					for i := 0; i < tup.Len(); i++ {
-						addIface(tup.At(i).Type())
+		// One walk of the files in source order looks every expression up
+		// in Types and every identifier in Uses, so ifaces is built in the
+		// same order on every run.
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				e, ok := n.(ast.Expr)
+				if !ok {
+					return true
+				}
+				if tv, ok := pkg.Info.Types[e]; ok {
+					addIface(tv.Type)
+				}
+				id, ok := e.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				obj := pkg.Info.Uses[id]
+				if obj == nil {
+					return true
+				}
+				idx.used[obj] = true
+				switch o := obj.(type) {
+				case *types.Var:
+					addIface(o.Type())
+				case *types.Func:
+					idx.used[o.Origin()] = true // a method of an instantiated generic type
+					sig := o.Type().(*types.Signature)
+					for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+						for i := 0; i < tup.Len(); i++ {
+							addIface(tup.At(i).Type())
+						}
 					}
 				}
-			}
-		}
-		//det:unordered ifaces order only changes which interface an any-match finds first
-		for _, tv := range pkg.Info.Types {
-			addIface(tv.Type)
+				return true
+			})
 		}
 		if strings.HasPrefix(pkg.Path+"/", idx.internal) {
 			continue

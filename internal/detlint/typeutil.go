@@ -1,9 +1,6 @@
 package detlint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // namedOf returns the type name of a (possibly aliased) named type, or nil.
 func namedOf(t types.Type) *types.TypeName {
@@ -25,20 +22,4 @@ func derefType(t types.Type) types.Type {
 		return ptr.Elem()
 	}
 	return t
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
-	}
-}
-
-// pkgScoped reports whether v is a package-level variable.
-func pkgScoped(v *types.Var) bool {
-	sc := v.Parent()
-	return sc != nil && sc.Parent() == types.Universe
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // Histogram layout: log-spaced buckets (HDR-style) with a fixed global
-// geometry, so any two histograms are mergeable by adding counts
-// bucket-for-bucket. Bucket 0 holds [0, histMin); bucket i ≥ 1 holds
+// geometry. Bucket 0 holds [0, histMin); bucket i ≥ 1 holds
 // [histMin*growth^(i-1), histMin*growth^i). With histMin = 1 ms and 8
 // buckets per octave, 256 buckets span 1 ms to ~40 years of virtual
 // latency — every admit→dispatch latency a simulation can produce lands in
@@ -18,11 +17,10 @@ const (
 	histPerOctave = 8
 )
 
-// Hist is a mergeable log-bucketed latency histogram. The zero value is
-// ready to use. Recording and reading are integer/index operations on a
-// fixed layout — no float folds over map order, nothing seed- or
-// schedule-dependent — so a histogram is a deterministic function of the
-// multiset of recorded values.
+// Hist is a log-bucketed latency histogram. The zero value is ready to
+// use. Counts, quantiles and the maximum are a function of the multiset
+// of recorded values; the float sum behind Mean also depends on their
+// order.
 type Hist struct {
 	counts [histBuckets]uint64
 	total  uint64
@@ -112,30 +110,6 @@ func bucketUpper(b int) float64 {
 		return histMin
 	}
 	return histMin * math.Pow(2, float64(b)/histPerOctave)
-}
-
-// Merge folds another histogram into h. Because the layout is global and
-// merging is element-wise addition (plus max/sum/total), Merge is
-// associative and commutative — pinned by TestHistMergeAssociative — so
-// per-shard or per-window histograms can be combined in any grouping.
-func (h *Hist) Merge(o *Hist) {
-	for b := range h.counts {
-		h.counts[b] += o.counts[b]
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Equal reports bucket-for-bucket equality including the scalar summaries
-// — the bit-identity predicate the merge-associativity test uses.
-func (h *Hist) Equal(o *Hist) bool {
-	if h.total != o.total || h.max != o.max || h.sum != o.sum {
-		return false
-	}
-	return h.counts == o.counts
 }
 
 // String summarizes the histogram for logs.

@@ -1,54 +1,6 @@
 package load
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// TestHistMergeAssociative pins the mergeability contract: (A⊎B)⊎C and
-// A⊎(B⊎C) agree bucket for bucket, as do both orders of a commuted merge
-// — the property that lets per-window or per-shard histograms combine in
-// any grouping.
-func TestHistMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sample := func(n int, scale float64) *Hist {
-		h := &Hist{}
-		for i := 0; i < n; i++ {
-			h.Record(rng.ExpFloat64() * scale)
-		}
-		return h
-	}
-	a, b, c := sample(500, 1), sample(300, 40), sample(200, 0.004)
-
-	left := &Hist{}
-	left.Merge(a)
-	left.Merge(b) // (A ⊎ B) ...
-	left.Merge(c) // ... ⊎ C
-
-	bc := &Hist{}
-	bc.Merge(b)
-	bc.Merge(c)
-	right := &Hist{}
-	right.Merge(a)
-	right.Merge(bc) // A ⊎ (B ⊎ C)
-
-	if !left.Equal(right) {
-		t.Fatalf("merge not associative:\nleft  %v\nright %v", left, right)
-	}
-
-	ba := &Hist{}
-	ba.Merge(b)
-	ba.Merge(a)
-	ab := &Hist{}
-	ab.Merge(a)
-	ab.Merge(b)
-	if !ab.Equal(ba) {
-		t.Fatalf("merge not commutative:\nab %v\nba %v", ab, ba)
-	}
-	if got, want := left.Count(), a.Count()+b.Count()+c.Count(); got != want {
-		t.Fatalf("merged count %d, want %d", got, want)
-	}
-}
+import "testing"
 
 // TestHistQuantile pins the quantile semantics: an upper bound within one
 // bucket width (~9%) of the true quantile, clamped to the exact max.

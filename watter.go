@@ -217,7 +217,7 @@ type (
 	// latency and slip histograms, backpressure onset, stream/journal
 	// fingerprints).
 	LoadResult = load.Result
-	// LatencyHist is a mergeable log-bucketed (HDR-style) histogram.
+	// LatencyHist is a log-bucketed (HDR-style) histogram.
 	LatencyHist = load.Hist
 	// RateSearchResult reports the bisection outcome and every probe.
 	RateSearchResult = load.SearchResult
