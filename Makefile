@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci fixtures benchsweep benchgate clean
+.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci benchsweep benchgate clean
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
-# input — the DIMACS importer, the model-snapshot loader and the model-bundle
-# loader — on the five kernels held to an oracle — the route DP, the
+# input — the model-snapshot loader and the model-bundle loader — on the five kernels held to an oracle — the route DP, the
 # batched cost-matrix search against the reference Dijkstra, the worker
 # probe's ring search against the square scan, the threshold strategy's
 # bound-first decision against the full fold, and the value network's split
@@ -43,7 +42,6 @@ race:
 # internal/{roadnet,nn,route,gridindex,strategy,exp,platform,pool}/testdata/fuzz
 # that `test` always runs.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadDIMACS -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzCostMatrix -fuzztime=10s ./internal/roadnet
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/nn
 	$(GO) test -run='^$$' -fuzz=FuzzSplitRadius -fuzztime=10s ./internal/nn
@@ -58,7 +56,7 @@ fuzz:
 # compiler fuse x*y + z unless the product is converted explicitly, amd64's
 # never does, and these four do. Each compiles every package in FMA_PKGS —
 # every package under internal/, so a new one is gated from its first
-# commit, except roadnet, whose 23 arm64 sites are not converted yet
+# commit, except roadnet, whose 19 arm64 sites are not converted yet
 # (DESIGN.md §8) — and any fused instruction in a symbol of one fails the
 # check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64,
 # riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and MADBR/MSDBR and their
@@ -162,12 +160,6 @@ fmt:
 	gofmt -w .
 
 ci: lint staticcheck govulncheck build fmacheck examples clismoke test race fuzz bench benchgate
-
-# Regenerate the checked-in DIMACS fixture from its generator (the
-# importer test fails if the two ever drift).
-fixtures:
-	$(GO) run ./cmd/dimacsgen -w 6 -h 5 -cell 150 -speed 8 -jitter 0.4 -seed 42 \
-		-out internal/roadnet/testdata/grid6x5
 
 # The sequential-vs-parallel sweep engine's row. benchsweep re-records the
 # committed BENCH_sweep.json in place, holding the fresh row to it first (run

@@ -1,9 +1,8 @@
 // Command watterload is the open-loop load harness CLI: it drives a
 // platform with Poisson, surge and heavy-tailed (Pareto) arrival processes
 // on the virtual clock, measures sustained throughput, admit→dispatch
-// latency tails, decision slip and a modelled event consumer's backpressure
-// onset, and brackets the maximum sustainable arrival rate by deterministic
-// bisection. Where every other bench replays a finite batch and reports
+// latency tails and decision slip, and brackets the maximum sustainable
+// arrival rate by deterministic bisection. Where every other bench replays a finite batch and reports
 // wall-clock totals, watterload answers the production question: at what
 // sustained orders/sec does the platform stop keeping its decision
 // promises?
@@ -16,8 +15,8 @@
 //
 // The flags -city -workers -horizon -tick -seed -rate take their defaults
 // from load.Config{}.Defaults(), the harness's one table. The arrival
-// shapes, the starved consumer of the backpressure row and the rate
-// search's predicate and bracket are fixed (DESIGN.md §14). Every
+// shapes and the rate search's predicate and bracket are fixed
+// (DESIGN.md §14). Every
 // measurement is virtual-clock deterministic, so the default run is
 // pinned value for value by TestJournalPinnedToBaseline. The only
 // wall-clock number printed is the harness's own runtime.
@@ -60,7 +59,7 @@ func main() {
 	}
 }
 
-// run drives the four scenarios (poisson, surge, pareto, backpressure) and,
+// run drives the three scenarios (poisson, surge, pareto) and,
 // when o.search is set, the rate search (nil otherwise), and returns their
 // results in that order after printing one line each and a summary.
 func run(o options) ([]*load.Result, *load.SearchResult, error) {
@@ -84,31 +83,25 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 
 	start := time.Now()
 	scenarios := []struct {
-		name          string
-		process       load.Process
-		rate          float64
-		buffer, drain int
+		name    string
+		process load.Process
+		rate    float64
 	}{
-		{"poisson", load.Poisson, o.rate, 0, 0},
-		{"surge", load.Surge, o.rate / 2, 0, 0},
-		{"pareto", load.Pareto, o.rate, 0, 0},
-		// The starved-consumer scenario exists to place the backpressure
-		// onset: same arrivals as the poisson row, but the modelled
-		// consumer drains 8 events a tick from a 64-deep queue.
-		{"backpressure", load.Poisson, o.rate, 64, 8},
+		{"poisson", load.Poisson, o.rate},
+		{"surge", load.Surge, o.rate / 2},
+		{"pareto", load.Pareto, o.rate},
 	}
 	results := make([]*load.Result, len(scenarios))
 	for i, sc := range scenarios {
 		cfg := base
 		cfg.Arrival.Process, cfg.Arrival.Rate = sc.process, sc.rate
-		cfg.Buffer, cfg.DrainPerTick = sc.buffer, sc.drain
 		r, err := load.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("watterload: %s: %w", sc.name, err)
 		}
 		results[i] = r
-		logf("watterload: %-12s rate=%.3f/s n=%d sustained=%.3f/s svc=%.2f p50=%.1fs p99=%.1fs slip99=%.1fs onset=%.0f\n",
-			sc.name, r.Rate, r.Submitted, r.SustainedRate, r.ServiceRate, r.P50, r.P99, r.SlipP99, r.BackpressureOnset)
+		logf("watterload: %-7s rate=%.3f/s n=%d sustained=%.3f/s svc=%.2f p50=%.1fs p99=%.1fs slip99=%.1fs\n",
+			sc.name, r.Rate, r.Submitted, r.SustainedRate, r.ServiceRate, r.P50, r.P99, r.SlipP99)
 	}
 
 	var found *load.SearchResult

@@ -13,26 +13,20 @@ import (
 // rate 1, seed 1, and the rate search.
 var defaultRun = options{quiet: true, search: true, city: "cdc", workers: 60, horizon: 300, tick: 10, rate: 1, seed: 1}
 
-// pinnedRuns are defaultRun's four scenarios, in run's order.
+// pinnedRuns are defaultRun's three scenarios, in run's order.
 var pinnedRuns = []load.Result{
 	{Process: load.Poisson, Rate: 1, Horizon: 300, Scheduled: 290, Submitted: 290, Served: 125, Rejected: 165, Ticks: 220,
 		SustainedRate: 0.9666666666666667, P50: 17.866878691987583, P99: 623.4870199105466, P999: 634.4824641816635,
 		Mean: 50.755494973147435, SlipP99: 0.001, FracWithinTick: 1, ServiceRate: 0.43103448275862066,
-		BackpressureOnset: -1, PeakQueueDepth: 25, StreamHash: 0x392b6bbe2df2396b, JournalHash: 0xb33ae38f3babdc49},
+		StreamHash: 0x392b6bbe2df2396b, JournalHash: 0xb33ae38f3babdc49},
 	{Process: load.Surge, Rate: 0.5, Horizon: 300, Scheduled: 256, Submitted: 256, Served: 120, Rejected: 136, Ticks: 224,
 		SustainedRate: 0.8533333333333334, P50: 10.623709631701072, P99: 339.9587082144343, P999: 377.02495581945846,
 		Mean: 34.59172163608798, SlipP99: 0, FracWithinTick: 1, ServiceRate: 0.46875,
-		BackpressureOnset: -1, PeakQueueDepth: 35, StreamHash: 0x87e5eca59271eba3, JournalHash: 0x92abdd13d626ff82},
+		StreamHash: 0x87e5eca59271eba3, JournalHash: 0x92abdd13d626ff82},
 	{Process: load.Pareto, Rate: 1, Horizon: 300, Scheduled: 218, Submitted: 218, Served: 120, Rejected: 98, Ticks: 223,
 		SustainedRate: 0.7266666666666667, P50: 10.623709631701072, P99: 477.3108336828189, P999: 477.3108336828189,
 		Mean: 48.89486724636325, SlipP99: 0, FracWithinTick: 1, ServiceRate: 0.5504587155963303,
-		BackpressureOnset: -1, PeakQueueDepth: 28, StreamHash: 0xcc8ada9c768c240f, JournalHash: 0xb271a1ae4662f9b5},
-	// The poisson arrivals again, against a consumer draining 8 events a tick
-	// from a 64-deep queue.
-	{Process: load.Poisson, Rate: 1, Horizon: 300, Scheduled: 290, Submitted: 290, Served: 125, Rejected: 165, Ticks: 220,
-		SustainedRate: 0.9666666666666667, P50: 17.866878691987583, P99: 623.4870199105466, P999: 634.4824641816635,
-		Mean: 50.755494973147435, SlipP99: 0.001, FracWithinTick: 1, ServiceRate: 0.43103448275862066,
-		BackpressureOnset: 100, PeakQueueDepth: 176, StreamHash: 0x392b6bbe2df2396b, JournalHash: 0xb33ae38f3babdc49},
+		StreamHash: 0xcc8ada9c768c240f, JournalHash: 0xb271a1ae4662f9b5},
 }
 
 // pinnedSearch is defaultRun's rate search: the bracket ends, then four
@@ -62,8 +56,7 @@ func pinnedFields(r *load.Result) []field {
 		{"Rejected", r.Rejected}, {"Pending", r.Pending}, {"Ticks", r.Ticks},
 		{"SustainedRate", r.SustainedRate}, {"P50", r.P50}, {"P99", r.P99}, {"P999", r.P999},
 		{"Mean", r.Mean}, {"SlipP99", r.SlipP99}, {"FracWithinTick", r.FracWithinTick},
-		{"ServiceRate", r.ServiceRate}, {"BackpressureOnset", r.BackpressureOnset},
-		{"PeakQueueDepth", r.PeakQueueDepth}, {"StreamHash", r.StreamHash}, {"JournalHash", r.JournalHash},
+		{"ServiceRate", r.ServiceRate}, {"StreamHash", r.StreamHash}, {"JournalHash", r.JournalHash},
 	}
 }
 
@@ -107,7 +100,6 @@ func TestJournalPinnedToBaseline(t *testing.T) {
 			{Arrival: load.ArrivalSpec{Process: load.Poisson}},
 			{Arrival: load.ArrivalSpec{Process: load.Surge, Rate: 0.5}},
 			{Arrival: load.ArrivalSpec{Process: load.Pareto}},
-			{Arrival: load.ArrivalSpec{Process: load.Poisson}, Buffer: 64, DrainPerTick: 8},
 		} {
 			r, err := load.Run(cfg)
 			if err != nil {
@@ -140,10 +132,10 @@ func TestSummaryLine(t *testing.T) {
 		found *load.SearchResult
 		want  string
 	}{
-		{&pinnedSearch, "watterload: 4 scenarios on CDC (60 workers, 300s horizon), max sustainable rate 0.8281 orders/sec, wall=1.5s"},
-		{nil, "watterload: 4 scenarios on CDC (60 workers, 300s horizon), max sustainable rate not searched (-search=false), wall=1.5s"},
+		{&pinnedSearch, "watterload: 3 scenarios on CDC (60 workers, 300s horizon), max sustainable rate 0.8281 orders/sec, wall=1.5s"},
+		{nil, "watterload: 3 scenarios on CDC (60 workers, 300s horizon), max sustainable rate not searched (-search=false), wall=1.5s"},
 	} {
-		if got := summary(defaultRun, 4, "CDC", c.found, 1500*time.Millisecond); got != c.want {
+		if got := summary(defaultRun, 3, "CDC", c.found, 1500*time.Millisecond); got != c.want {
 			t.Errorf("summary line\n got %q\nwant %q", got, c.want)
 		}
 	}

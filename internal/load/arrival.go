@@ -2,13 +2,13 @@
 // synthetic arrival process at a configured rate — arrivals come when the
 // schedule says, not when the platform is ready, exactly like production
 // traffic — and measures what the batch benches cannot: sustained
-// orders/sec, admit→dispatch latency tails, and the backpressure onset of
-// a modelled event consumer. Everything runs on the virtual clock: an
-// arrival schedule is a pure function of (process, rate, seed), so the
-// generated order stream, the decision journal and every reported latency
-// quantile are bit-identical run to run. Wall-clock never enters a measurement; the only wall-clock
-// number anywhere near the harness is the runtime cmd/watterload reports
-// for the harness itself.
+// orders/sec, admit→dispatch latency tails and decision slip. Everything
+// runs on the virtual clock: an arrival schedule is a pure function of
+// (process, rate, seed), so the generated order stream, the decision
+// journal and every reported latency quantile are bit-identical run to
+// run. Wall-clock never enters a measurement; the only wall-clock number
+// anywhere near the harness is the runtime cmd/watterload reports for the
+// harness itself.
 package load
 
 import (

@@ -16,8 +16,8 @@ import (
 	"watter/internal/strategy"
 )
 
-// Config is one open-loop load run: a city, a fleet, an arrival process
-// and the modelled event consumer. Capacity, τ and η are the paper's
+// Config is one open-loop load run: a city, a fleet and an arrival
+// process. Capacity, τ and η are the paper's
 // defaults (four seats, dataset.DefaultTauScale, dataset.DefaultEta).
 type Config struct {
 	// City is the demand/network profile.
@@ -34,18 +34,12 @@ type Config struct {
 	Horizon float64
 	// Tick is the periodic-check interval Δt.
 	Tick float64
-	// Buffer and DrainPerTick parameterize the modelled event consumer's
-	// own queue: its channel capacity and the events it drains per tick
-	// (see QueueModel). The platform itself queues nothing.
-	Buffer       int
-	DrainPerTick int
 }
 
 // Defaults fills zero fields from the harness's one table of defaults,
 // which watterload's flags also default to: the CDC profile, 60 workers,
-// seed 1, a Poisson process at 1 order/s with arrival seed 1, a 300 s
-// arrival window at Δt = 10 s, and a 256-deep consumer queue drained 64
-// events per tick. A zero seed therefore reads as 1.
+// seed 1, a Poisson process at 1 order/s with arrival seed 1 and a 300 s
+// arrival window at Δt = 10 s. A zero seed therefore reads as 1.
 func (c Config) Defaults() Config {
 	if c.City.Name == "" {
 		c.City = dataset.CDC()
@@ -71,18 +65,12 @@ func (c Config) Defaults() Config {
 	if c.Tick == 0 {
 		c.Tick = 10
 	}
-	if c.Buffer == 0 {
-		c.Buffer = 256
-	}
-	if c.DrainPerTick == 0 {
-		c.DrainPerTick = 64
-	}
 	return c
 }
 
 // Result is one run's measurements. Every field is a deterministic
-// function of the Config: latencies are virtual-clock differences, the
-// backpressure onset comes from the QueueModel, and the two hashes
+// function of the Config: latencies are virtual-clock differences, and the
+// two hashes
 // fingerprint the generated order stream and the full decision journal so
 // bit-identity across runs is checkable by comparing two uint64s.
 type Result struct {
@@ -130,12 +118,6 @@ type Result struct {
 	// that rejects everything instantly has perfect slip and zero value.
 	ServiceRate float64
 
-	// BackpressureOnset is the virtual time of the first modelled
-	// would-block emit (-1: never saturated); PeakQueueDepth is the
-	// modelled backlog peak.
-	BackpressureOnset float64
-	PeakQueueDepth    int
-
 	// StreamHash fingerprints the submitted order stream (IDs, endpoints,
 	// releases, deadlines); JournalHash fingerprints the typed event
 	// journal (kinds, times, IDs, costs). Two runs of the same Config must
@@ -149,9 +131,8 @@ type Result struct {
 // Retime rewrites a generated workload onto an arrival schedule: order i
 // releases at times[i], its deadline moves to times[i] + tauScale*direct,
 // and its wait limit (a function of direct cost only) is untouched. Orders
-// beyond the schedule (or times beyond the workload) are dropped. The
-// sweep harness reuses this to turn any arrival process into a workload
-// axis.
+// beyond the schedule (or times beyond the workload) are dropped. Run
+// puts each generated workload onto its arrival schedule with it.
 func Retime(orders []*order.Order, times []float64, tauScale float64) []*order.Order {
 	n := len(orders)
 	if len(times) < n {
@@ -213,18 +194,12 @@ func (j *journal) event(ev platform.Event) {
 }
 
 // Run executes one open-loop load run and returns its measurements. A
-// negative fleet, queue buffer or drain rate is refused before anything is
-// built: the first would panic sizing the fleet, the other two would model
-// a queue that saturates at once or grows on every drain.
+// negative fleet is refused before anything is built: it would panic
+// sizing the fleet.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	for _, n := range []struct {
-		name string
-		v    int
-	}{{"Workers", cfg.Workers}, {"Buffer", cfg.Buffer}, {"DrainPerTick", cfg.DrainPerTick}} {
-		if n.v < 0 {
-			return nil, fmt.Errorf("load: %s = %d is negative", n.name, n.v)
-		}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("load: Workers = %d is negative", cfg.Workers)
 	}
 	times, err := cfg.Arrival.Times(cfg.Horizon)
 	if err != nil {
@@ -259,7 +234,6 @@ func Run(cfg Config) (*Result, error) {
 	for _, o := range orders {
 		waitLimit[o.ID] = o.WaitLimit
 	}
-	queue := NewQueueModel(cfg.Buffer, cfg.DrainPerTick)
 	jh := newJournal()
 	var withinTick uint64
 	slipOf := func(id int, response float64) float64 {
@@ -271,7 +245,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	observe := func(ev platform.Event) {
 		jh.event(ev)
-		queue.Push(ev.When())
 		switch e := ev.(type) {
 		case platform.GroupDispatched:
 			for _, r := range e.Orders {
@@ -290,7 +263,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 		case platform.TickCompleted:
 			res.Ticks++
-			queue.Drain()
 		}
 	}
 
@@ -330,8 +302,6 @@ func Run(cfg Config) (*Result, error) {
 	if res.Submitted > 0 {
 		res.ServiceRate = float64(res.Served) / float64(res.Submitted)
 	}
-	res.BackpressureOnset = queue.Onset()
-	res.PeakQueueDepth = queue.Peak()
 	res.JournalHash = jh.h.Sum64()
 	res.Metrics = *m
 	return res, nil

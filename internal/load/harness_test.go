@@ -7,59 +7,6 @@ import (
 	"watter/internal/dataset"
 )
 
-// TestQueueModelPinned pins the backpressure-onset definition against a
-// hand-computed scenario: buffer 4, consumer draining 1 event per tick,
-// two admits per tick plus the tick event itself (net +2 per tick).
-//
-//	tick 1: pushes at t=2, t=4, t=10   → depth 1,2,3   peak 3, no onset; drain → 2
-//	tick 2: pushes at t=12, t=14, t=20 → depth 3,4,5   the t=20 push is the
-//	        first to exceed the buffer → onset latches at 20; drain → 4
-//
-// The subtest is named for the constructor it builds the model with.
-func TestQueueModelPinned(t *testing.T) {
-	t.Run("NewQueueModel", queueModelPinned)
-}
-
-func queueModelPinned(t *testing.T) {
-	q := NewQueueModel(4, 1)
-	q.Push(2)
-	q.Push(4)
-	q.Push(10)
-	if q.Onset() != -1 || q.Peak() != 3 {
-		t.Fatalf("after tick-1 pushes: onset=%v peak=%d, want -1/3", q.Onset(), q.Peak())
-	}
-	q.Drain()
-	if q.depth != 2 {
-		t.Fatalf("after tick-1 drain: depth=%d, want 2", q.depth)
-	}
-	q.Push(12)
-	q.Push(14)
-	if q.Onset() != -1 {
-		t.Fatalf("onset fired at depth<=buffer: %v", q.Onset())
-	}
-	q.Push(20)
-	if q.Onset() != 20 {
-		t.Fatalf("onset=%v, want 20 (first push beyond buffer 4)", q.Onset())
-	}
-	q.Drain()
-	if q.depth != 4 || q.Peak() != 5 {
-		t.Fatalf("after tick-2 drain: depth=%d peak=%d, want 4/5", q.depth, q.Peak())
-	}
-	// The onset is a latch: later drains never clear it.
-	q.Drain()
-	q.Drain()
-	if q.Onset() != 20 {
-		t.Fatalf("onset moved after draining: %v", q.Onset())
-	}
-	// Drain below zero clamps.
-	big := NewQueueModel(10, 100)
-	big.Push(1)
-	big.Drain()
-	if big.depth != 0 {
-		t.Fatalf("drain went negative: %d", big.depth)
-	}
-}
-
 func smallConfig() Config {
 	return Config{
 		Workers: 40,
@@ -108,60 +55,14 @@ func TestHarnessDeterminism(t *testing.T) {
 }
 
 // TestRunRefusesNegativeSizes: a negative fleet panicked sizing the
-// fleet, and a negative buffer or drain rate modelled a queue that
-// saturated at the first event or grew on every drain; each is an error
-// naming the field.
+// fleet; it is an error naming the field.
 func TestRunRefusesNegativeSizes(t *testing.T) {
-	for _, tc := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"Workers", func(c *Config) { c.Workers = -1 }},
-		{"Buffer", func(c *Config) { c.Buffer = -1 }},
-		{"DrainPerTick", func(c *Config) { c.DrainPerTick = -1 }},
-	} {
-		cfg := smallConfig()
-		cfg.Horizon = 60
-		cfg.Arrival = ArrivalSpec{Process: Poisson, Rate: 0.5, Seed: 1}
-		tc.set(&cfg)
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s = -1: err = %v, want an error naming %s", tc.field, err, tc.field)
-		}
-	}
-}
-
-// TestHarnessBackpressure checks the onset responds to the modelled
-// consumer: an ample buffer never saturates, a tiny starved buffer does,
-// and the onset time is deterministic.
-func TestHarnessBackpressure(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Buffer = 4096
-	cfg.DrainPerTick = 4096
-	ample, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ample.BackpressureOnset != -1 {
-		t.Fatalf("ample buffer saturated at t=%v", ample.BackpressureOnset)
-	}
-	cfg.Buffer = 8
-	cfg.DrainPerTick = 1
-	starved, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if starved.BackpressureOnset < 0 {
-		t.Fatal("starved buffer never saturated")
-	}
-	if starved.PeakQueueDepth <= cfg.Buffer {
-		t.Fatalf("peak depth %d never exceeded buffer %d yet onset fired", starved.PeakQueueDepth, cfg.Buffer)
-	}
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.BackpressureOnset != starved.BackpressureOnset {
-		t.Fatalf("onset not deterministic: %v vs %v", again.BackpressureOnset, starved.BackpressureOnset)
+	cfg.Horizon = 60
+	cfg.Arrival = ArrivalSpec{Process: Poisson, Rate: 0.5, Seed: 1}
+	cfg.Workers = -1
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("Workers = -1: err = %v, want an error naming Workers", err)
 	}
 }
 

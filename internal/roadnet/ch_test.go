@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,10 +9,10 @@ import (
 )
 
 // TestCHMatchesALTAndSSSP is the contraction hierarchy's exactness property
-// test: random jittered, uniform, disconnected and DIMACS-imported cities are
-// driven through CH, ALT, and the full-Dijkstra Reference in lockstep,
-// asserting bit-identical distances for every sampled pair — including exact
-// +Inf for unreachable ones.
+// test: random jittered, uniform, disconnected and integer-centisecond
+// cities are driven through CH, ALT, and the full-Dijkstra Reference in
+// lockstep, asserting bit-identical distances for every sampled pair —
+// including exact +Inf for unreachable ones.
 func TestCHMatchesALTAndSSSP(t *testing.T) {
 	type city struct {
 		name string
@@ -32,17 +31,9 @@ func TestCHMatchesALTAndSSSP(t *testing.T) {
 		g, _ := twoComponentCity(6, 5, seed)
 		cities = append(cities, city{"split", g})
 	}
-	// An imported city: integer-centisecond weights written by the DIMACS
-	// generator and read back, as an outside road network arrives.
-	var gr, co bytes.Buffer
-	if err := WriteDIMACSGrid(&gr, &co, 20, 20, 200, 8, 0.3, 1); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := ReadDIMACS(&gr, &co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cities = append(cities, city{"dimacs", imported})
+	// Integer-centisecond weights, the precision a road-network file
+	// carries: many more exact ties than float-jittered streets.
+	cities = append(cities, city{"centisecond", centisecondGrid(20, 20, 200, 8, 0.3, 1)})
 
 	for ci, c := range cities {
 		g := c.g

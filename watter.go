@@ -200,8 +200,7 @@ var (
 // The open-loop load harness (cmd/watterload is a thin CLI over it):
 // synthetic arrival processes drive Submit at a configured rate on the
 // virtual clock, yielding sustained throughput, admit→dispatch latency
-// tails, decision slip and a modelled event consumer's backpressure onset —
-// all bit-identical run to run (DESIGN.md §14).
+// tails and decision slip — all bit-identical run to run (DESIGN.md §14).
 type (
 	// ArrivalProcess names an arrival process family (Poisson, Surge,
 	// Pareto).
@@ -209,13 +208,12 @@ type (
 	// ArrivalSpec pins one arrival schedule: a pure function of (process,
 	// rate, seed, horizon).
 	ArrivalSpec = load.ArrivalSpec
-	// LoadConfig is one open-loop load run: city, fleet, arrival process
-	// and the modelled event consumer. Its zero fields take the
-	// defaults cmd/watterload's flags default to (LoadConfig.Defaults).
+	// LoadConfig is one open-loop load run: city, fleet and arrival
+	// process. Its zero fields take the defaults cmd/watterload's flags
+	// default to (LoadConfig.Defaults).
 	LoadConfig = load.Config
 	// LoadResult is one run's deterministic measurements (throughput,
-	// latency and slip histograms, backpressure onset, stream/journal
-	// fingerprints).
+	// latency and slip histograms, stream/journal fingerprints).
 	LoadResult = load.Result
 	// LatencyHist is a log-bucketed (HDR-style) histogram.
 	LatencyHist = load.Hist
@@ -239,8 +237,8 @@ var (
 	// virtual-clock probes); SearchMaxRate(LoadConfig{}, nil) answers
 	// cmd/watterload's default search.
 	SearchMaxRate = load.SearchMaxRate
-	// Retime rewrites a generated workload onto an arrival schedule —
-	// the bridge between arrival processes and the sweep harness.
+	// Retime rewrites a generated workload onto an arrival schedule, as
+	// RunLoad does with each arrival process's times.
 	Retime = load.Retime
 )
 
