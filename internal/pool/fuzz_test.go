@@ -60,7 +60,11 @@ func (serialExec) Run(tasks []func()) {
 // (checkPlans), an oracle neither twin shares. Each (slot, generation) pair
 // must name one order for the whole run: a slot reused without a new
 // generation would let the leg store's within-leg memo serve the previous
-// order's leg. The named seeds in testdata/fuzz run under plain `go test`.
+// order's leg. The named seeds in testdata/fuzz run under plain `go test`;
+// in graph-budget-owner and graph-budget-renewal (where a later tick renews
+// a 3-clique over the pair) a pair's cross leg lies beyond one member's
+// budget and within its owner's, so a leg block that budgets it by the
+// wrong member fails them.
 func FuzzPoolOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {

@@ -485,7 +485,7 @@ func (p *Pool) pairEntryFor(s, c int32, now float64) (*planEntry, *route.LegBloc
 		ent.feasible = false
 		return ent, nil
 	}
-	blk := p.legs.Fill(a, p.slotRef(slots[0]), b, p.slotRef(slots[1]))
+	blk := p.legs.Fill(a, p.slotRef(slots[0]), b, p.slotRef(slots[1]), now)
 	p.blockBuf[0] = blk
 	p.plan(ent, p.blockBuf[:1], now)
 	if !ent.feasible {

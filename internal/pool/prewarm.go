@@ -82,7 +82,7 @@ func (p *Pool) PrewarmPairs(o *order.Order, now float64, exec Exec) {
 		// holds it to that under -race.
 		tasks[i] = func() {
 			lo, hi := j.ent.members[0], j.ent.members[1]
-			j.blocks[0] = j.store.Fill(lo, route.NoSlot, hi, route.NoSlot)
+			j.blocks[0] = j.store.Fill(lo, route.NoSlot, hi, route.NoSlot, now)
 			_, j.ent.expiry, j.ent.first, j.ent.feasible = p.planner.PlanGroupCostLegs(
 				j.ent.orders(), now, p.opt.Capacity, j.blocks[:], j.ent.svc[:])
 		}

@@ -11,11 +11,13 @@ import (
 // BenchmarkLegBlockFill times what an order's insertion mostly pays for on a
 // road graph: the leg block of one pair test, filled and — most tests fail —
 // released again. The block arm is LegStore.Fill as a pool's first test of
-// a new order calls it (two 2x2 cross fills plus the two within-order legs,
-// neither yet in its slot's memo); the point arm is the ten Cost calls
-// those legs stand for. Pairs are release-adjacent orders of a seeded CDC
-// evening-peak stream on the city's 1764-node jittered graph (the repository
-// benchmark's grid_alt city), answered by ALT or by the hierarchy.
+// a new order calls it (two 2x2 cross fills, each under its owner's budget
+// at the insert's clock, the later order's release, plus the two
+// within-order legs, neither yet in its slot's memo); the point arm is the
+// ten exact Cost calls those legs stand for. Pairs are release-adjacent
+// orders of a seeded CDC evening-peak stream on the city's 1764-node
+// jittered graph (the repository benchmark's grid_alt city), answered by ALT
+// or by the hierarchy.
 func BenchmarkLegBlockFill(b *testing.B) {
 	profile := dataset.CDC()
 	profile.RoadJitter, profile.RoadSeed = 0.3, 1
@@ -31,7 +33,7 @@ func BenchmarkLegBlockFill(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				lo, hi := stream[i%256], stream[i%256+1]
-				blk := store.Fill(lo, NoSlot, hi, NoSlot)
+				blk := store.Fill(lo, NoSlot, hi, NoSlot, hi.Release)
 				benchCostSink += blk.c[legWithinHi]
 				store.Release(blk)
 			}

@@ -11,11 +11,14 @@ import (
 // LegBlock is the 4x4 travel-cost matrix over one order pair's four route
 // events, row-major over [pickup_lo, dropoff_lo, pickup_hi, dropoff_hi]
 // where lo is the member with the smaller order ID. Only the ten entries the
-// route DP can read are costs: the eight cross legs between the two orders
-// and each order's own pickup -> dropoff leg. The DP never leaves an event
-// for itself, and never travels dropoff_i -> pickup_i (a state whose last
-// event is D_i already has P_i in its mask), so the diagonal and those two
-// cells hold legUnread and no search is ever run for them.
+// route DP can read are filled: the eight cross legs between the two orders
+// and each order's own pickup -> dropoff leg. A within-order leg is its
+// cost; a cross leg is its cost, or +Inf when that cost is beyond the budget
+// of its owner, the order whose event it arrives at (Fill). The DP never
+// leaves an event for itself, and never travels dropoff_i -> pickup_i (a
+// state whose last event is D_i already has P_i in its mask), so the
+// diagonal and those two cells hold legUnread and no search is ever run for
+// them.
 //
 // A block's owner keeps it for as long as the pair can be planned — the
 // pool, on the pair's two adjacency entries — and hands it back with
@@ -107,16 +110,19 @@ func NewLegStore(net roadnet.Network) *LegStore {
 	return &LegStore{net: net}
 }
 
-// Fill returns a block holding the pair's legs, recycling a released block
-// when there is one. It asks the network for exactly what a plan reads: the
-// two 2x2 cross matrices, {P,D}_lo -> {P,D}_hi and back, and the two
+// Fill returns a block holding the pair's legs for plans at clock now or
+// later, recycling a released block when there is one. It asks the network
+// for exactly what a plan reads: the two 2x2 cross matrices, {P,D}_lo ->
+// {P,D}_hi and back, each under the budget of the order its targets belong
+// to, doomLimit(deadline) - now, beyond which no route the DP accepts at now
+// or later takes the leg (DESIGN.md §5, "Per-edge leg blocks"); and the two
 // within-order legs, which come from the slot memo when the order's slot
 // already holds its leg.
 //
 // A prewarm task fills a block of its own task store: every store has
-// exactly one writer goroutine, and a block holds the same pure costs
-// whenever the fill ran.
-func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBlock {
+// exactly one writer goroutine, and a block filled at the same clock holds
+// the same values whenever the fill ran.
+func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot, now float64) *LegBlock {
 	lo, hi, slo, shi := a, b, sa, sb
 	if lo.ID > hi.ID {
 		lo, hi, slo, shi = b, a, sb, sa
@@ -132,11 +138,11 @@ func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot) *LegBl
 	}
 	q := &s.query
 	q.locs = [4]geo.NodeID{lo.Pickup, lo.Dropoff, hi.Pickup, hi.Dropoff}
-	roadnet.FillCostMatrix(s.net, q.locs[:2], q.locs[2:], q.cross[:])
+	roadnet.FillCostMatrixWithin(s.net, q.locs[:2], q.locs[2:], doomLimit(hi.Deadline)-now, q.cross[:])
 	for i, at := range legCrossLoHi {
 		blk.c[at] = q.cross[i]
 	}
-	roadnet.FillCostMatrix(s.net, q.locs[2:], q.locs[:2], q.cross[:])
+	roadnet.FillCostMatrixWithin(s.net, q.locs[2:], q.locs[:2], doomLimit(lo.Deadline)-now, q.cross[:])
 	for i, at := range legCrossHiLo {
 		blk.c[at] = q.cross[i]
 	}
@@ -195,13 +201,14 @@ func (s *LegStore) Len() int { return s.live }
 func (s *LegStore) Stats() (hits, fills uint64) { return 0, s.fills }
 
 // fillGroup is the leg source of PlanGroupCost on a store: the group's pair
-// blocks filled fresh (no slots, so nothing is memoized), in pair order.
-// The caller releases them with releaseGroup once the legs are assembled.
-func (s *LegStore) fillGroup(orders []*order.Order) []*LegBlock {
+// blocks filled fresh at now (no slots, so nothing is memoized), in pair
+// order. The caller releases them with releaseGroup once the legs are
+// assembled.
+func (s *LegStore) fillGroup(orders []*order.Order, now float64) []*LegBlock {
 	blocks := s.detached[:0]
 	for i := range orders {
 		for j := i + 1; j < len(orders); j++ {
-			blocks = append(blocks, s.Fill(orders[i], NoSlot, orders[j], NoSlot))
+			blocks = append(blocks, s.Fill(orders[i], NoSlot, orders[j], NoSlot, now))
 		}
 	}
 	return blocks

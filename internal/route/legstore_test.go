@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,13 +56,13 @@ func plansEqual(a, b *order.RoutePlan) bool {
 	return true
 }
 
-// slotBlocks fills the group's pair blocks in planner order, each member
-// under slot i of the given generation.
-func slotBlocks(store *LegStore, gen uint32, orders []*order.Order) []*LegBlock {
+// slotBlocks fills the group's pair blocks at clock now in planner order,
+// each member under slot i of the given generation.
+func slotBlocks(store *LegStore, gen uint32, orders []*order.Order, now float64) []*LegBlock {
 	var blocks []*LegBlock
 	for i := range orders {
 		for j := i + 1; j < len(orders); j++ {
-			blocks = append(blocks, store.Fill(orders[i], Slot{Index: int32(i), Gen: gen}, orders[j], Slot{Index: int32(j), Gen: gen}))
+			blocks = append(blocks, store.Fill(orders[i], Slot{Index: int32(i), Gen: gen}, orders[j], Slot{Index: int32(j), Gen: gen}, now))
 		}
 	}
 	return blocks
@@ -82,7 +83,7 @@ func TestPlanGroupIntoMatchesFresh(t *testing.T) {
 		feasible := 0
 		for trial := 0; trial < 120; trial++ {
 			orders := randomGroup(net, rng, 16, 2+rng.Intn(3))
-			blocks := slotBlocks(store, uint32(trial+1), orders)
+			blocks := slotBlocks(store, uint32(trial+1), orders, 0)
 			fresh, okFresh := p.PlanGroup(orders, 0, 4)
 			shared := order.NewRoutePlan(len(orders))
 			okShared := p.PlanGroupInto(shared, orders, 0, 4, blocks)
@@ -197,7 +198,7 @@ func TestLegStoreSlotGenerations(t *testing.T) {
 	fill := func(x *order.Order, sx Slot, y *order.Order, sy Slot, wantCalls int) *LegBlock {
 		t.Helper()
 		before := net.calls
-		blk := store.Fill(x, sx, y, sy)
+		blk := store.Fill(x, sx, y, sy, 0)
 		if got := net.calls - before; got != wantCalls {
 			t.Fatalf("fill of %d-%d made %d Cost calls, want %d", x.ID, y.ID, got, wantCalls)
 		}
@@ -229,12 +230,12 @@ func TestLegStoreReleaseRecyclesBlock(t *testing.T) {
 	}
 	a, b, c := mkO(1, 0, 5), mkO(2, 10, 15), mkO(3, 20, 63)
 	sa, sb, sc := Slot{Index: 0, Gen: 1}, Slot{Index: 1, Gen: 1}, Slot{Index: 2, Gen: 1}
-	dropped := store.Fill(a, sa, b, sb)
+	dropped := store.Fill(a, sa, b, sb, 0)
 	store.Release(dropped)
 	if store.Len() != 0 {
 		t.Fatalf("blocks after release = %d", store.Len())
 	}
-	got := store.Fill(c, sc, a, sa)
+	got := store.Fill(c, sc, a, sa, 0)
 	if got != dropped {
 		t.Fatal("the released block was not recycled by the next fill")
 	}
@@ -251,15 +252,161 @@ func TestLegStoreReleaseRecyclesBlock(t *testing.T) {
 			t.Fatalf("recycled block cell %d holds %v, want %v (block %v)", at, got.c[at], want.c[at], got.c)
 		}
 	}
-	if again := store.Fill(a, sa, b, sb); again == got {
+	if again := store.Fill(a, sa, b, sb, 0); again == got {
 		t.Fatal("a live block was handed out twice")
 	}
 	if raceEnabled {
 		return // pooled search scratch is dropped at random; counts mean nothing
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		store.Release(store.Fill(a, sa, b, sb))
+		store.Release(store.Fill(a, sa, b, sb, 0))
 	}); n != 0 {
 		t.Fatalf("a fill-and-release cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestLegBlockBudgetEdges holds plans over budgeted leg blocks to plans over
+// exact legs, bit for bit, on a path whose whole-number weights make every
+// sum of legs exact: stops at nodes 0 -100- 2 -500- 4 -100- 6, each leg two
+// edges long, so a search its budget stops early leaves the far stop
+// unlabelled and reports it +Inf. Each case fills its pair's block at one
+// clock and plans it then and at later clocks, on ALT and on the hierarchy:
+//
+//   - owner: one member must be served first, before its tight deadline,
+//     and the route then crosses to the other member on a leg beyond the
+//     tight member's budget but within its owner's; planning over a block
+//     that budgets the leg by the wrong member loses the only route;
+//   - margin: both pickups share node 2, and the later order's dropoff is
+//     due at the fill clock plus 500 rounded down, one ulp of the leg below
+//     the exact sum, so the deadline less the clock leaves the leg
+//     P_lo -> D_hi one ulp over; the doom limit's margin keeps it, and the
+//     route the DP picks with it;
+//   - edge: the member served first has its budget at, one ulp below and
+//     one ulp above the 600 s leg from the other's dropoff to its own.
+//
+// Every cross cell must also be its cost, or +Inf beyond its owner's budget.
+// Dropping the margin (deadline - now), swapping the owners' budgets and
+// giving both matrices the earlier deadline each fail the test; the first
+// only on the hierarchy, whose budget-pruned cone leaves a leg one ulp
+// beyond unlabelled where ALT's deflated bound still settles it.
+func TestLegBlockBudgetEdges(t *testing.T) {
+	build := func(hierarchy bool) *roadnet.Graph {
+		var b roadnet.GraphBuilder
+		for i := 0; i < 7; i++ {
+			b.AddNode(geo.Point{X: float64(i)})
+		}
+		for i, w := range []float64{50, 50, 250, 250, 50, 50} {
+			b.AddBidirectional(geo.NodeID(i), geo.NodeID(i+1), w)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hierarchy {
+			g.EnableHierarchy()
+		}
+		return g
+	}
+	// The fill clock of every case but margin, low enough that f + 600 keeps
+	// the ulp of 600, so a budget one ulp either side of it is a limit less f.
+	const f = 300.25
+	// deadlineFor returns the deadline whose budget at clock now is exactly
+	// budget: doomLimit(d) - now == budget.
+	deadlineFor := func(budget, now float64) float64 {
+		lo, hi := now+budget-1, now+budget
+		for lo < hi && math.Nextafter(lo, hi) < hi {
+			if mid := lo + (hi-lo)/2; doomLimit(mid)-now < budget {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		for d := lo; d <= hi; d = math.Nextafter(d, math.Inf(1)) {
+			if doomLimit(d)-now == budget {
+				return d
+			}
+		}
+		t.Fatalf("no deadline puts the budget at clock %v at %v", now, budget)
+		return 0
+	}
+	// The margin case's fill clock, at which fm + 500 rounds down.
+	fm := 300.1
+	for 500+fm-fm >= 500 {
+		fm = math.Nextafter(fm, math.Inf(1))
+	}
+	type member struct {
+		pu, do   geo.NodeID
+		deadline float64
+	}
+	type budgetCase struct {
+		name   string
+		now    float64 // the fill clock
+		lo, hi member
+	}
+	cases := []budgetCase{
+		{"owner lo", f, member{0, 2, f + 150}, member{4, 6, f + 1000}},
+		{"owner hi", f, member{4, 6, f + 1000}, member{0, 2, f + 150}},
+		{"margin", fm, member{2, 6, fm + 2000}, member{2, 4, fm + 500}},
+	}
+	for _, u := range []float64{-1, 0, 1} {
+		budget := 600 + u*0x1p-43 // one ulp of 600 is 2^-43
+		d := deadlineFor(budget, f)
+		cases = append(cases,
+			budgetCase{fmt.Sprintf("edge lo %+v ulp", u), f, member{0, 2, d}, member{4, 6, f + 1000}},
+			budgetCase{fmt.Sprintf("edge hi %+v ulp", u), f, member{4, 6, f + 1000}, member{0, 2, d}})
+	}
+	for _, hierarchy := range []bool{false, true} {
+		net := build(hierarchy)
+		p := NewPlanner(net)
+		store := NewLegStore(net)
+		pruned := 0
+		for _, c := range cases {
+			orders := []*order.Order{
+				{ID: 1, Pickup: c.lo.pu, Dropoff: c.lo.do, Riders: 1, Release: c.now, Deadline: c.lo.deadline},
+				{ID: 2, Pickup: c.hi.pu, Dropoff: c.hi.do, Riders: 1, Release: c.now, Deadline: c.hi.deadline},
+			}
+			blk := store.Fill(orders[0], NoSlot, orders[1], NoSlot, c.now)
+			// Each cross cell is its cost, or +Inf when that cost is beyond
+			// the budget of the member it arrives at.
+			nodes := [4]geo.NodeID{c.lo.pu, c.lo.do, c.hi.pu, c.hi.do}
+			for from := range nodes {
+				for to := range nodes {
+					if from/2 == to/2 {
+						continue
+					}
+					cell, exact := blk.c[from*4+to], net.Cost(nodes[from], nodes[to])
+					beyond := exact > doomLimit(orders[to/2].Deadline)-c.now
+					if math.Float64bits(cell) != math.Float64bits(exact) && !(beyond && math.IsInf(cell, 1)) {
+						t.Fatalf("hierarchy=%v %s: leg %d -> %d holds %v, costs %v", hierarchy, c.name, from, to, cell, exact)
+					}
+					if math.IsInf(cell, 1) {
+						pruned++
+					}
+				}
+			}
+			blocks := []*LegBlock{blk}
+			svc, want := make([]float64, MaxGroupSize), make([]float64, MaxGroupSize)
+			for _, now := range []float64{c.now, math.Nextafter(c.now, math.Inf(1)), c.now + 1, c.now + 50, c.now + 100, c.now + 450, c.now + 500, c.now + 600, c.now + 900} {
+				what := fmt.Sprintf("hierarchy=%v %s at %v", hierarchy, c.name, now)
+				fresh, okFresh := p.PlanGroup(orders, now, 4)
+				if now == c.now && !okFresh {
+					t.Fatalf("%s: no route at the fill clock, the case is vacuous", what)
+				}
+				into := order.NewRoutePlan(2)
+				if ok := p.PlanGroupInto(into, orders, now, 4, blocks); ok != okFresh || ok && !plansEqual(into, fresh) {
+					t.Fatalf("%s: the block plans %v %+v, exact legs %v %+v", what, ok, into, okFresh, fresh)
+				}
+				cost, expiry, first, ok := p.PlanGroupCostLegs(orders, now, 4, blocks, svc)
+				wCost, wExpiry, wFirst, wOK := p.PlanGroupCostLegs(orders, now, 4, nil, want)
+				if ok != wOK || ok && (math.Float64bits(cost) != math.Float64bits(wCost) || math.Float64bits(expiry) != math.Float64bits(wExpiry) ||
+					first != wFirst || math.Float64bits(svc[0]) != math.Float64bits(want[0]) || math.Float64bits(svc[1]) != math.Float64bits(want[1])) {
+					t.Fatalf("%s: the block's cost-only plan %v %v %v %d %v, exact legs %v %v %v %d %v", what, ok, cost, expiry, first, svc[:2], wOK, wCost, wExpiry, wFirst, want[:2])
+				}
+			}
+			store.Release(blk)
+		}
+		if pruned == 0 {
+			t.Fatalf("hierarchy=%v: no cross leg came back beyond its budget, the budgets are never exercised", hierarchy)
+		}
 	}
 }

@@ -306,10 +306,10 @@ func checkAgainstOracle(t testing.TB, base roadnet.Network, c dpCase) (free, anc
 		if i%2 == 0 {
 			other = below
 		}
-		memo.Release(memo.Fill(o, Slot{Index: int32(i), Gen: 1}, other, NoSlot))
+		memo.Release(memo.Fill(o, Slot{Index: int32(i), Gen: 1}, other, NoSlot, c.now))
 	}
-	filling := slotBlocks(NewLegStore(net), 1, c.orders)
-	warm := slotBlocks(memo, 1, c.orders)
+	filling := slotBlocks(NewLegStore(net), 1, c.orders, c.now)
+	warm := slotBlocks(memo, 1, c.orders, c.now)
 	check := func(name string, cost, exp float64, ok bool) {
 		t.Helper()
 		if ok != wantOK {

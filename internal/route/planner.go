@@ -130,7 +130,7 @@ func (p *Planner) planInto(plan *order.RoutePlan, orders []*order.Order, now flo
 func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int, legs *LegStore, svc []float64) (cost, expiry float64, ok bool) {
 	var blocks []*LegBlock
 	if legs != nil && len(orders) >= 2 && len(orders) <= MaxGroupSize {
-		blocks = legs.fillGroup(orders)
+		blocks = legs.fillGroup(orders, now)
 		defer legs.releaseGroup(blocks)
 	}
 	cost, expiry, _, ok = p.PlanGroupCostLegs(orders, now, capacity, blocks, svc)
@@ -243,15 +243,12 @@ func (p *Planner) planDP(orders []*order.Order, now float64, capacity int, start
 	clear(reach)
 	// Per-event deadline, doom limit and rider delta. A pickup has no
 	// deadline: +Inf makes its check below vacuous without a branch on the
-	// event kind. Both events of a member share its limit, the deadline plus
-	// the margin that covers the tie band (DESIGN.md §5); the explicit
-	// conversion keeps the product from fusing into the addition.
+	// event kind. Both events of a member share its limit.
 	var deadline, limit [2 * MaxGroupSize]float64
 	var riders [2 * MaxGroupSize]int
 	for i, o := range orders {
-		d := o.Deadline
-		l := d + float64(1e-9*max(1, math.Abs(d)))
-		deadline[2*i], deadline[2*i+1] = math.Inf(1), d
+		l := doomLimit(o.Deadline)
+		deadline[2*i], deadline[2*i+1] = math.Inf(1), o.Deadline
 		limit[2*i], limit[2*i+1] = l, l
 		riders[2*i], riders[2*i+1] = o.Riders, -o.Riders
 	}
@@ -355,6 +352,16 @@ const maxTriangleSlack = 0x1p-40
 // noLook is the lookahead of a network that is not metric: all zeros, read
 // by every such call and written by none.
 var noLook [4 * MaxGroupSize * MaxGroupSize]float64
+
+// doomLimit is the doom rule's limit for a member with deadline d: the
+// deadline plus the margin that covers the tie band (DESIGN.md §5). It also
+// budgets a leg block's searches (LegStore.Fill): a leg into one of the
+// member's events that costs more than its limit less the clock lies on no
+// route the DP can accept. The explicit conversion keeps the product from
+// fusing into the addition.
+func doomLimit(d float64) float64 {
+	return d + float64(1e-9*max(1, math.Abs(d)))
+}
 
 // doomed is the doom rule for a state whose arrival, now included, is nv:
 // row is the lookahead row of its last event and owe the events it can

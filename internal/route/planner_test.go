@@ -393,7 +393,7 @@ func TestPlanGroupCostLegsAllocations(t *testing.T) {
 			name   string
 			orders []*order.Order
 		}{{"slack", slack}, {"random", randomGroup(net, rng, 20, k)}} {
-			blocks := slotBlocks(store, uint32(k), arm.orders)
+			blocks := slotBlocks(store, uint32(k), arm.orders, 0)
 			if n := testing.AllocsPerRun(100, func() {
 				p.PlanGroupCostLegs(arm.orders, 0, MaxGroupSize, blocks, svc)
 			}); n != 0 {
