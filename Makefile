@@ -56,13 +56,12 @@ fuzz:
 # compiler fuse x*y + z unless the product is converted explicitly, amd64's
 # never does, and these four do. Each compiles every package in FMA_PKGS —
 # every package under internal/, so a new one is gated from its first
-# commit, except roadnet, whose 19 arm64 sites are not converted yet
-# (DESIGN.md §8) — and any fused instruction in a symbol of one fails the
+# commit — and any fused instruction in a symbol of one fails the
 # check. Go's disassembly names them FMADDD/FMSUBD/FNMADDD/FNMSUBD (arm64,
 # riscv64), FMADD/FMSUB/FNMADD/FNMSUB (ppc64le) and MADBR/MSDBR and their
 # memory and vector forms (s390x).
 FMA_ARCHS = arm64 ppc64le s390x riscv64
-FMA_PKGS = $(filter-out roadnet,$(notdir $(shell $(GO) list ./internal/...)))
+FMA_PKGS = $(notdir $(shell $(GO) list ./internal/...))
 FMA_OPS = FN?M(ADD|SUB)[DS]?|M[AS][DE]BR?|WFN?M[AS][DS]B|VFN?M[AS][DS]?B?
 
 fmacheck:

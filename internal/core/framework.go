@@ -24,22 +24,15 @@ import (
 type Framework struct {
 	Decide  strategy.Decision
 	PoolOpt pool.Options
-	// Shards is the goroutine count of an insert's pairwise prewarm (see
-	// internal/shard). 1 — the default — plans every pair on the calling
-	// goroutine; K > 1 runs an insert's pair DPs on K goroutines and merges
-	// them in candidate order, so every decision is bit-identical to the
-	// K = 1 run. The periodic check is sequential at any K.
-	Shards int
 
 	// tick is the periodic-check interval Δt, set by SetTick; the framework
 	// uses it for "last call" dispatches: a group (or solo order) whose
 	// feasibility horizon ends before the next check is dispatched now
 	// regardless of the strategy — the paper's "orders will only be
 	// rejected when they cannot be served in the extreme cases".
-	tick   float64
-	env    *sim.Env
-	pool   *pool.Pool
-	engine *shard.Engine
+	tick float64
+	env  *sim.Env
+	pool *pool.Pool
 	// ids is the buffer of the pooled-ID snapshot a check walks.
 	ids []int
 	// box is the group every dispatch is planned into, shared or solo, with
@@ -51,7 +44,7 @@ type Framework struct {
 // New builds a framework with the given decision strategy and pool options
 // and the paper's default Δt = 10 s.
 func New(decide strategy.Decision, opt pool.Options) *Framework {
-	return &Framework{Decide: decide, PoolOpt: opt, tick: 10, Shards: 1}
+	return &Framework{Decide: decide, PoolOpt: opt, tick: 10}
 }
 
 // Name implements sim.Algorithm.
@@ -60,9 +53,10 @@ func (f *Framework) Name() string { return f.Decide.Name() }
 // Pool exposes the shareability graph (read-only use: MDP featurization).
 func (f *Framework) Pool() *pool.Pool { return f.pool }
 
-// ShardEngine exposes the prewarm engine, nil when Shards <= 1 or before
-// Init (benchmarks read its stats).
-func (f *Framework) ShardEngine() *shard.Engine { return f.engine }
+// ShardEngine returns nil: an order's insert runs on one goroutine.
+//
+// Deprecated: kept only for benchmark/ (CHANGES.md).
+func (f *Framework) ShardEngine() *shard.Engine { return nil }
 
 // SetTick aligns the framework's last-call horizon with the platform's
 // periodic-check interval. Must be called before Init; platform.New calls
@@ -74,15 +68,10 @@ func (f *Framework) SetTick(dt float64) { f.tick = dt }
 // benchmarks use it.
 func (f *Framework) SetPoolOptions(opt pool.Options) { f.PoolOpt = opt }
 
-// SetShards sets the prewarm engine's goroutine count before a run (values
-// below 1 mean 1: no engine). Must be called before Init; the platform's
-// WithShards option uses it. Results are bit-identical at any count.
-func (f *Framework) SetShards(k int) {
-	if k < 1 {
-		k = 1
-	}
-	f.Shards = k
-}
+// SetShards does nothing: an order's insert runs on one goroutine.
+//
+// Deprecated: kept only for benchmark/ (CHANGES.md).
+func (f *Framework) SetShards(int) {}
 
 // Init implements sim.Algorithm.
 func (f *Framework) Init(env *sim.Env) {
@@ -93,24 +82,14 @@ func (f *Framework) Init(env *sim.Env) {
 	}
 	f.pool = pool.New(env.Planner, env.Index, opt)
 	f.box = order.NewGroup(route.MaxGroupSize)
-	f.engine = nil
-	if f.Shards > 1 {
-		f.engine = shard.NewEngine(f.Shards)
-	}
 }
 
 // OnOrder implements sim.Algorithm: lines 2-4 of Algorithm 1. An order that
-// cannot be served even alone is rejected immediately. With the prewarm
-// engine on, the pairwise shareability plans the insert needs are computed
-// on its goroutines first — pure work whose merged results leave the
-// pool's decisions untouched.
+// cannot be served even alone is rejected immediately.
 func (f *Framework) OnOrder(o *order.Order, now float64) {
 	if o.Expired(now) || o.MaxResponse() < 0 {
 		f.env.Reject(o, now)
 		return
-	}
-	if f.engine != nil {
-		f.pool.PrewarmPairs(o, now, f.engine)
 	}
 	f.pool.Insert(o, now)
 }

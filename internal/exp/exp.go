@@ -37,10 +37,9 @@ type Params struct {
 	MaxCap    int     // Kw
 	GridN     int     // spatial index side
 	TickEvery float64 // Δt
-	// Shards is how many goroutines run an insert's pairwise prewarm (0
-	// and 1 both mean inline). The pairs merge in candidate order, so
-	// results are bit-identical at any value; baselines without a pool
-	// ignore it.
+	// Shards is read by nothing: an order's insert runs on one goroutine.
+	//
+	// Deprecated: kept only for benchmark/ (CHANGES.md).
 	Shards int
 	Seed   int64
 	// Train tunes the offline pipeline for WATTER-expect.
@@ -377,20 +376,15 @@ func (r *Runner) Build(name string, p Params) (sim.Algorithm, error) {
 	case "GAS":
 		return &baseline.GAS{}, nil
 	case "WATTER-online":
-		fw := core.New(strategy.Online{}, poolOptions(p))
-		fw.SetShards(p.Shards)
-		return fw, nil
+		return core.New(strategy.Online{}, poolOptions(p)), nil
 	case "WATTER-timeout":
-		fw := core.New(strategy.Timeout{}, poolOptions(p))
-		fw.SetShards(p.Shards)
-		return fw, nil
+		return core.New(strategy.Timeout{}, poolOptions(p)), nil
 	case "WATTER-expect":
 		trained, err := r.trained(p)
 		if err != nil {
 			return nil, err
 		}
 		fw := core.New(nil, poolOptions(p))
-		fw.SetShards(p.Shards)
 		// The trained bundle is shared across jobs; the source, which owns
 		// every buffer inference writes, is this job's alone.
 		src := &mdp.ValueThresholdSource{Net: trained.Net, Feat: trained.Feat}
@@ -432,13 +426,15 @@ var ErrInvalidParams = errors.New("exp: invalid parameters")
 
 // validate refuses what the cell's construction would otherwise panic on
 // (possibly on a sweep worker goroutine) or reject only at its first order:
-// negative order and fleet sizes (evaluation and historical), deadline and
-// wait-limit scales that are not finite and positive, value-network layers
-// without units, the platform parameters and the tick interval
-// (WATTER-expect's training builds platforms from both). It also refuses
-// what training would otherwise fit or save without a word: a negative
-// step count (it would train none), fewer than one GMM component, and a
-// loss blend ω that is NaN or outside [0, 1].
+// negative order and fleet sizes (evaluation and historical), a city grid
+// with fewer than one node either way, a cell size or speed that is not
+// finite and positive, a road jitter above 1 (a street would cost less than
+// nothing) or NaN, deadline and wait-limit scales that are not finite and
+// positive, value-network layers without units, the platform parameters and
+// the tick interval (WATTER-expect's training builds platforms from both).
+// It also refuses what training would otherwise fit or save without a word:
+// a negative step count (it would train none), fewer than one GMM
+// component, and a loss blend ω that is NaN or outside [0, 1].
 func validate(p Params) error {
 	for _, n := range []struct {
 		name string
@@ -451,10 +447,21 @@ func validate(p Params) error {
 			return fmt.Errorf("%w: %s = %d is negative", ErrInvalidParams, n.name, n.v)
 		}
 	}
+	for _, d := range []struct {
+		name string
+		v    int
+	}{{"City.W", p.City.W}, {"City.H", p.City.H}} {
+		if d.v < 1 {
+			return fmt.Errorf("%w: %s = %d: the city grid needs at least one node each way", ErrInvalidParams, d.name, d.v)
+		}
+	}
+	if !(p.City.RoadJitter <= 1) {
+		return fmt.Errorf("%w: City.RoadJitter = %v must be at most 1: a street's time is scaled by up to 1 ± jitter", ErrInvalidParams, p.City.RoadJitter)
+	}
 	for _, s := range []struct {
 		name string
 		v    float64
-	}{{"TauScale", p.TauScale}, {"Eta", p.Eta}} {
+	}{{"City.CellMeters", p.City.CellMeters}, {"City.SpeedMPS", p.City.SpeedMPS}, {"TauScale", p.TauScale}, {"Eta", p.Eta}} {
 		if !(s.v > 0) || math.IsInf(s.v, 1) {
 			return fmt.Errorf("%w: %s = %v must be finite and positive", ErrInvalidParams, s.name, s.v)
 		}

@@ -224,6 +224,11 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		p.TauScale, p.Eta = tau, eta
 		return p
 	}
+	city := func(edit func(*dataset.Profile)) Params {
+		p := tinyParams()
+		edit(&p.City)
+		return p
+	}
 	// The sweep varies a field no row breaks, so every row reaches the
 	// figure-sweep arm as built.
 	mini := Sweep{
@@ -258,6 +263,17 @@ func TestSweepInvalidParamsReturnError(t *testing.T) {
 		{"negative eta", scaled(1.6, -1), []string{"GDP", "WATTER-timeout", "WATTER-expect"}, "Eta"},
 		{"NaN eta", scaled(1.6, math.NaN()), []string{"WATTER-timeout", "WATTER-expect"}, "Eta"},
 		{"infinite eta", scaled(1.6, math.Inf(1)), []string{"WATTER-timeout"}, "Eta"},
+		{"empty city", city(func(c *dataset.Profile) { *c = dataset.Profile{Name: "hostile"} }), []string{"GDP", "WATTER-online"}, "City.W"},
+		{"zero city width", city(func(c *dataset.Profile) { c.W = 0 }), []string{"GDP", "WATTER-online", "WATTER-expect"}, "City.W"},
+		{"negative city height", city(func(c *dataset.Profile) { c.H = -3 }), []string{"WATTER-timeout"}, "City.H"},
+		{"zero cell size", city(func(c *dataset.Profile) { c.CellMeters = 0 }), []string{"GDP", "WATTER-online"}, "City.CellMeters"},
+		{"NaN cell size", city(func(c *dataset.Profile) { c.CellMeters = math.NaN() }), []string{"WATTER-expect"}, "City.CellMeters"},
+		{"infinite cell size", city(func(c *dataset.Profile) { c.CellMeters = math.Inf(1) }), []string{"GDP"}, "City.CellMeters"},
+		{"negative speed", city(func(c *dataset.Profile) { c.SpeedMPS = -7 }), []string{"GDP", "WATTER-online"}, "City.SpeedMPS"},
+		{"infinite speed", city(func(c *dataset.Profile) { c.SpeedMPS = math.Inf(1) }), []string{"WATTER-timeout"}, "City.SpeedMPS"},
+		{"graph city without nodes", city(func(c *dataset.Profile) { c.W, c.RoadJitter = 0, 0.3 }), []string{"WATTER-online"}, "City.W"},
+		{"jitter above one", city(func(c *dataset.Profile) { c.RoadJitter = 1.5 }), []string{"GDP", "WATTER-online"}, "City.RoadJitter"},
+		{"NaN jitter", city(func(c *dataset.Profile) { c.RoadJitter = math.NaN() }), []string{"WATTER-timeout"}, "City.RoadJitter"},
 	} {
 		check := func(what string, err error) {
 			t.Helper()

@@ -27,70 +27,66 @@ func (u unwatched) Init(env *sim.Env) {
 // WATTER-expect replayed with the source wired to the pool and fleet
 // generation counters must produce per-seed Metrics bit-identical to the
 // same replay with a source that trusts nothing, rebuilds the snapshot on
-// every call and claims no range — sequentially and at Shards = 2, where
-// prewarm goroutines run beside the committing one. The snapshot may
-// change how often the environment is read and the network is run, never a
-// decision. The source's own counters keep the comparison from being
-// vacuous: the wired arm must actually have reused snapshots, answered
-// ranges from split passes and the memo, and saved exact passes, and the
-// bare arm must actually have rebuilt on every call.
+// every call and claims no range. The snapshot may change how often the
+// environment is read and the network is run, never a decision. The
+// source's own counters keep the comparison from being vacuous: the wired
+// arm must actually have reused snapshots, answered ranges from split
+// passes and the memo, and saved exact passes, and the bare arm must
+// actually have rebuilt on every call.
 func TestThresholdSnapshotEquivalence(t *testing.T) {
 	r := NewRunner()
 	base := smallParams()
 	for _, seed := range []int64{1, 2} {
-		for _, shards := range []int{1, 2} {
-			p := base
-			p.Seed = seed
-			p.Train.Seed = base.Seed // both seeds share one trained model
-			p.Shards = shards
-			s, err := r.Setup(p)
+		p := base
+		p.Seed = seed
+		p.Train.Seed = base.Seed // both seeds share one trained model
+		s, err := r.Setup(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		run := func(wired bool) (*sim.Metrics, mdp.SourceStats) {
+			built, err := r.Build("WATTER-expect", p)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			run := func(wired bool) (*sim.Metrics, mdp.SourceStats) {
-				built, err := r.Build("WATTER-expect", p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				expect := built.(*expectAlg)
-				alg := sim.Algorithm(expect)
-				if !wired {
-					alg = unwatched{expect}
-				}
-				m := replay(t, s, alg)
-				return m, expect.src.SnapshotStats()
+			expect := built.(*expectAlg)
+			alg := sim.Algorithm(expect)
+			if !wired {
+				alg = unwatched{expect}
 			}
-
-			bare, b := run(false)
-			wired, w := run(true)
-			if bare.Served == 0 || bare.Rejected == 0 {
-				t.Fatalf("seed %d K=%d: degenerate run (%d served / %d rejected), equivalence is weak",
-					seed, shards, bare.Served, bare.Rejected)
-			}
-			if *wired != *bare {
-				t.Fatalf("seed %d K=%d: the snapshot changed the run:\nrebuild per call: %+v\nsnapshot:         %+v",
-					seed, shards, *bare, *wired)
-			}
-			if b.Exact == 0 || b.Rebuilds != b.Exact || b.Ranges == 0 || b.Splits != 0 {
-				t.Fatalf("seed %d K=%d: bare source rebuilt %d times in %d thresholds and ran %d split passes for %d ranges, want a rebuild per threshold and no split",
-					seed, shards, b.Rebuilds, b.Exact, b.Splits, b.Ranges)
-			}
-			if w.Exact >= b.Exact {
-				t.Fatalf("seed %d K=%d: %d exact passes with the snapshot, %d without: the range never decided",
-					seed, shards, w.Exact, b.Exact)
-			}
-			if w.Splits == 0 || w.Splits >= w.Ranges {
-				t.Fatalf("seed %d K=%d: wired source ran %d split passes for %d ranges, want fewer passes than ranges",
-					seed, shards, w.Splits, w.Ranges)
-			}
-			if w.Rebuilds == 0 || w.Rebuilds >= w.Splits {
-				t.Fatalf("seed %d K=%d: wired source rebuilt %d times for %d split passes, want fewer rebuilds than passes",
-					seed, shards, w.Rebuilds, w.Splits)
-			}
-			t.Logf("seed %d K=%d: %d thresholds without the signal; with it %d ranges (%d split passes, %.3f per range), %d exact passes, %d snapshot rebuilds (%.1f ranges per snapshot)",
-				seed, shards, b.Exact, w.Ranges, w.Splits, float64(w.Splits)/float64(w.Ranges), w.Exact, w.Rebuilds, float64(w.Ranges)/float64(w.Rebuilds))
+			m := replay(t, s, alg)
+			return m, expect.src.SnapshotStats()
 		}
+
+		bare, b := run(false)
+		wired, w := run(true)
+		if bare.Served == 0 || bare.Rejected == 0 {
+			t.Fatalf("seed %d: degenerate run (%d served / %d rejected), equivalence is weak",
+				seed, bare.Served, bare.Rejected)
+		}
+		if *wired != *bare {
+			t.Fatalf("seed %d: the snapshot changed the run:\nrebuild per call: %+v\nsnapshot:         %+v",
+				seed, *bare, *wired)
+		}
+		if b.Exact == 0 || b.Rebuilds != b.Exact || b.Ranges == 0 || b.Splits != 0 {
+			t.Fatalf("seed %d: bare source rebuilt %d times in %d thresholds and ran %d split passes for %d ranges, want a rebuild per threshold and no split",
+				seed, b.Rebuilds, b.Exact, b.Splits, b.Ranges)
+		}
+		if w.Exact >= b.Exact {
+			t.Fatalf("seed %d: %d exact passes with the snapshot, %d without: the range never decided",
+				seed, w.Exact, b.Exact)
+		}
+		if w.Splits == 0 || w.Splits >= w.Ranges {
+			t.Fatalf("seed %d: wired source ran %d split passes for %d ranges, want fewer passes than ranges",
+				seed, w.Splits, w.Ranges)
+		}
+		if w.Rebuilds == 0 || w.Rebuilds >= w.Splits {
+			t.Fatalf("seed %d: wired source rebuilt %d times for %d split passes, want fewer rebuilds than passes",
+				seed, w.Rebuilds, w.Splits)
+		}
+		t.Logf("seed %d: %d thresholds without the signal; with it %d ranges (%d split passes, %.3f per range), %d exact passes, %d snapshot rebuilds (%.1f ranges per snapshot)",
+			seed, b.Exact, w.Ranges, w.Splits, float64(w.Splits)/float64(w.Ranges), w.Exact, w.Rebuilds, float64(w.Ranges)/float64(w.Rebuilds))
 	}
 }
 

@@ -73,7 +73,6 @@ type config struct {
 	tick     float64
 	measure  bool
 	alg      sim.Algorithm
-	shards   int
 	observer func(Event)
 }
 
@@ -130,28 +129,15 @@ func WithAlgorithm(alg sim.Algorithm) Option {
 	}
 }
 
-// WithShards sets how many goroutines run an order insert's pairwise
-// shareability DPs: K > 1 plans the pairs on K goroutines and merges them
-// in candidate order, so the platform's decisions — and therefore its
-// metrics and its event stream — stay bit-identical to the default K = 1.
-// The periodic check stays one sequential pass at any K. Prewarm is a
-// capability of the WATTER pooling framework; algorithms without a pool
-// (the GDP/GAS baselines) ignore K. Must be at least 1.
+// WithShards refuses k < 1 and otherwise does nothing: one city's dispatch
+// runs on one goroutine at every k.
 //
-// K > 1 issues concurrent read-only queries (Cost/FillCostMatrix)
-// against the platform's Network from the prewarm goroutines, so the
-// network must tolerate concurrent queries. Every network this module
-// ships — GridCity (stateless closed form) and Graph (immutable once
-// built; every query draws its search state from a pool; hammered by the
-// roadnet concurrency tests) — does; a custom Network with unguarded
-// internal memoization must add its own synchronization before enabling
-// shards.
+// Deprecated: kept only for benchmark/ (CHANGES.md).
 func WithShards(k int) Option {
-	return func(c *config) error {
+	return func(*config) error {
 		if k < 1 {
-			return fmt.Errorf("platform: shard count must be at least 1, got %d (1 is the sequential check)", k)
+			return fmt.Errorf("platform: shard count must be at least 1, got %d", k)
 		}
-		c.shards = k
 		return nil
 	}
 }
@@ -185,9 +171,6 @@ func WithObserver(fn func(Event)) Option {
 // tickSetter is how an algorithm whose rules depend on Δt learns it: the
 // pooling framework's last call (and mdp.Collector, which forwards it).
 type tickSetter interface{ SetTick(float64) }
-
-// shardSetter is the prewarm-engine hook the pooling framework exposes.
-type shardSetter interface{ SetShards(int) }
 
 // New builds a platform over a network and fleet. Every parameter is
 // validated — construction fails loudly instead of silently coercing:
@@ -224,11 +207,6 @@ func New(net roadnet.Network, workers []*order.Worker, options ...Option) (*Plat
 	}
 	if ts, ok := c.alg.(tickSetter); ok {
 		ts.SetTick(c.tick)
-	}
-	if c.shards > 1 {
-		if ss, ok := c.alg.(shardSetter); ok {
-			ss.SetShards(c.shards)
-		}
 	}
 	p := &Platform{
 		env:      sim.NewEnv(net, workers, c.cfg), // cfg validated above: cannot panic

@@ -40,12 +40,14 @@ func TestNewValidates(t *testing.T) {
 	net := roadnet.NewGridCity(10, 10, 100, 10)
 	fleet := testFleet(net, 3)
 	cases := map[string][]Option{
-		"zero tick":      {WithTick(0)},
-		"negative tick":  {WithTick(-3)},
-		"NaN tick":       {WithTick(math.NaN())},
-		"infinite tick":  {WithTick(math.Inf(1))},
-		"invalid config": {WithConfig(sim.Config{})},
-		"nil algorithm":  {WithAlgorithm(nil)},
+		"zero tick":       {WithTick(0)},
+		"negative tick":   {WithTick(-3)},
+		"NaN tick":        {WithTick(math.NaN())},
+		"infinite tick":   {WithTick(math.Inf(1))},
+		"invalid config":  {WithConfig(sim.Config{})},
+		"nil algorithm":   {WithAlgorithm(nil)},
+		"zero shards":     {WithShards(0)},
+		"negative shards": {WithShards(-2)},
 	}
 	for name, opts := range cases {
 		if _, err := New(net, fleet, opts...); err == nil {

@@ -16,10 +16,10 @@ type OrderCounts struct {
 }
 
 // Stats is the platform's one composite observability snapshot: clock,
-// lifecycle state, order ledger, and the counters of the insert prewarm
-// engine and the shareability-graph plan cache. The proxy's aggregated
-// admin stats fold snapshots of this same struct, so a dashboard reads one
-// shape whether it watches one city or fifty.
+// lifecycle state, order ledger, and the counters of the shareability-graph
+// plan cache. The proxy's aggregated admin stats fold snapshots of this same
+// struct, so a dashboard reads one shape whether it watches one city or
+// fifty.
 type Stats struct {
 	// Clock is the simulation time of the last delivered event.
 	Clock float64
@@ -30,9 +30,9 @@ type Stats struct {
 
 	Orders OrderCounts
 
-	// Shard carries the insert prewarm engine's counters; ShardActive is
-	// false when no engine is running (K = 1, or an algorithm without a
-	// pool to prewarm).
+	// Shard and ShardActive are always zero and false.
+	//
+	// Deprecated: kept only for benchmark/ (CHANGES.md).
 	Shard       shard.Stats
 	ShardActive bool
 
@@ -55,12 +55,6 @@ func (p *Platform) Stats() Stats {
 			Rejected:  m.Rejected,
 			Pending:   m.Total - m.Served - m.Rejected,
 		},
-	}
-	if se, ok := p.alg.(interface{ ShardEngine() *shard.Engine }); ok {
-		if eng := se.ShardEngine(); eng != nil {
-			st.Shard = eng.Stats()
-			st.ShardActive = true
-		}
 	}
 	if ps, ok := p.alg.(interface{ Pool() *pool.Pool }); ok {
 		if pl := ps.Pool(); pl != nil {

@@ -13,9 +13,11 @@ import (
 )
 
 // Pool operations a FuzzPoolOps script is made of: op byte, argument byte.
+// Two op bytes insert, so the committed seeds decode the scripts they
+// always did.
 const (
 	fuzzInsert = iota
-	fuzzInsertPrewarmed
+	fuzzInsert2
 	fuzzRemove
 	fuzzRemoveGroup
 	fuzzExpire
@@ -36,21 +38,12 @@ var fuzzNets = [2]roadnet.Network{
 	roadnet.NewPerturbedGrid(fuzzSide, fuzzSide, 150, 8, 0.3, 3), // ALT-backed
 }
 
-// serialExec runs prewarm tasks on the calling goroutine, last first.
-type serialExec struct{}
-
-func (serialExec) Run(tasks []func()) {
-	for i := len(tasks) - 1; i >= 0; i-- {
-		tasks[i]()
-	}
-}
-
 // FuzzPoolOps drives a pool and its DisablePlanCache twin through one
 // operation script decoded from bytes — the first byte picks the network
 // (a closed-form GridCity with exact 10 s blocks, where the subset rule
 // runs, or an ALT Graph with lower bounds), the cell prefilter and, with
 // its high bit, capacity 6 instead of 4, then
-// op/argument pairs Insert (plain or after PrewarmPairs), Remove,
+// op/argument pairs Insert, Remove,
 // RemoveGroup, ExpireEdges or advance the clock — and checks after every
 // step that both pools pool the same orders with the same edges and the
 // same best groups and τg, bit for bit, that ExpireEdges returned the same
@@ -97,12 +90,9 @@ func FuzzPoolOps(f *testing.F) {
 			op, arg := int(script[0])%fuzzNumOps, script[1]
 			script = script[2:]
 			switch op {
-			case fuzzInsert, fuzzInsertPrewarmed:
+			case fuzzInsert, fuzzInsert2:
 				o := fuzzOrder(net, nextID, arg, now)
 				nextID++
-				if op == fuzzInsertPrewarmed {
-					cached.PrewarmPairs(o, now, serialExec{})
-				}
 				if a, b := cached.Insert(o, now), plain.Insert(o, now); a != b {
 					t.Fatalf("insert %d: cached added %d edges, plain %d", o.ID, a, b)
 				}
@@ -341,7 +331,7 @@ func comparePools(t *testing.T, cached, plain *Pool, now float64) {
 // checkSlots fails unless the pool's slot layout is consistent:
 //
 //   - the live list ascends by ID, and live and free slots partition the
-//     slot array; a free slot holds no order, edge, plan or prewarm result,
+//     slot array; a free slot holds no order, edge or plan,
 //     and nothing reaches it — no live list, cell bucket or adjacency entry;
 //   - adjacency is ID-sorted and symmetric: the neighbor's entry has the
 //     same expiry and the same leg block, every edge has its own block when
@@ -378,7 +368,7 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 	}
 	for _, s := range p.free {
 		n := &p.nodes[s]
-		if state[s] != 0 || n.o != nil || len(n.adj) != 0 || len(n.plans) != 0 || n.prewarm.ent != nil {
+		if state[s] != 0 || n.o != nil || len(n.adj) != 0 || len(n.plans) != 0 {
 			t.Fatalf("free slot %d is live, doubly freed or holds state", s)
 		}
 		state[s] = 2
@@ -424,9 +414,6 @@ func checkSlots(t *testing.T, p *Pool, owner map[route.Slot]int) {
 				}
 				blocks[e.legs] = true
 			}
-		}
-		if n := &p.nodes[r.slot]; n.prewarm.ent != nil {
-			t.Fatalf("order %d holds a prewarmed pair after its insert", r.id)
 		}
 	}
 	if p.legBlocks() != len(blocks) {

@@ -121,9 +121,6 @@ func (s CacheStats) HitRate() float64 {
 // pooled order's best group is a copy of the entry that won (node.best):
 // the entry itself is replanned in place and recycled once its key is
 // evicted.
-//
-// One goroutine writes an entry at a time: the pool's, or the prewarm task
-// it is handed to between PrewarmPairs taking it and exec.Run returning.
 type planEntry struct {
 	members  [route.MaxGroupSize]*order.Order
 	svc      [route.MaxGroupSize]float64 // per-member service times T(L(i))
@@ -447,11 +444,10 @@ func (c *planCache) unindex(at int) {
 // shareability test of the order in slot s against the candidate in slot
 // c, and returns the pair's leg block along with the entry (nil when the
 // test failed or the cache is off). The new order was never pooled with the
-// candidate, so no entry for the pair can be cached — unless PrewarmPairs
-// already ran the test, which it left on the candidate's slot. An
-// infeasible pair creates no edge, and cliques are enumerated over edges
-// only, so a failed test's negative outcome (and its leg block) can never
-// be looked up again — persisting them would only grow the memo. Feasible
+// candidate, so no entry for the pair can be cached. An infeasible pair
+// creates no edge, and cliques are enumerated over edges only, so a failed
+// test's negative outcome (and its leg block) can never be looked up again —
+// persisting them would only grow the memo. Feasible
 // pairs are cached normally: the refresh that follows the insert hits them
 // immediately as 2-cliques. On a network with lower bounds, a pair the
 // bounds already prove infeasible fails here without filling its leg block
@@ -463,18 +459,6 @@ func (p *Pool) pairEntryFor(s, c int32, now float64) (*planEntry, *route.LegBloc
 		ent.setMembers(canon)
 		p.plan(ent, nil, now)
 		return ent, nil
-	}
-	if pw := p.nodes[c].prewarm; pw.ent != nil {
-		// The prewarm ran this test's DP; the test counts as an unwarmed one
-		// would: a positive pair is a miss, a failed one leaves no trace.
-		p.nodes[c].prewarm = prewarmed{}
-		if !pw.ent.feasible {
-			p.cache.spare = append(p.cache.spare, pw.ent)
-			return &p.cache.negative, nil
-		}
-		p.cache.stats.Misses++
-		p.pairInsert(canon, pw.ent, slots)
-		return pw.ent, pw.legs
 	}
 	// Probe with the reusable scratch entry: a failed test allocates
 	// nothing, a successful one promotes the probe into the cache.

@@ -107,9 +107,6 @@ type node struct {
 	// co-member left first); eviction skips those, and the list drops them
 	// before it grows.
 	plans []planRef
-	// prewarm is the pair test PrewarmPairs ran for this order and the
-	// order about to be inserted; the insert consumes it.
-	prewarm prewarmed
 	// touched and improveMark hold the pool's mark of the ExpireEdges or
 	// refreshBest call that last flagged the slot; improve is valid while
 	// improveMark is the current refresh's mark.
@@ -160,9 +157,8 @@ type Pool struct {
 	probe     *planEntry                       // reusable scratch for misses and pair tests
 
 	// Demand distributions over cells, maintained incrementally; these are
-	// the MDP state's sO vectors. demandGen counts their edits. It is a
-	// plain field: only Insert and dropNode write it, both on the job's
-	// committing goroutine — prewarm tasks must not touch it.
+	// the MDP state's sO vectors. demandGen counts their edits: only Insert
+	// and dropNode write it.
 	pickupDemand  gridindex.Distribution
 	dropoffDemand gridindex.Distribution
 	demandGen     uint64
@@ -570,12 +566,7 @@ func (p *Pool) planBest(s int32, g *order.Group) bool {
 // radius of n's pickup cell, ascending by ID. The returned slice is pool
 // scratch, valid until the next candidates call.
 func (p *Pool) candidates(n *node) []ref {
-	return p.candidatesAt(n.cell, n.o.ID)
-}
-
-// candidatesAt is candidates keyed by cell, usable before the order has a
-// slot (the insert prewarm runs it pre-Insert).
-func (p *Pool) candidatesAt(cell, selfID int) []ref {
+	cell, selfID := n.cell, n.o.ID
 	out := p.candBuf[:0]
 	if p.opt.CandidateRadius < 0 {
 		for _, r := range p.live {

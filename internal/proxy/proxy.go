@@ -71,8 +71,8 @@ type CitySpec struct {
 	// must be unique and non-empty.
 	ID string
 	// Net is the city's travel-time oracle. It is shared across restarts
-	// (networks are immutable or internally synchronized — see the
-	// WithShards contract), never rebuilt.
+	// (networks are immutable or internally synchronized, DESIGN.md §8),
+	// never rebuilt.
 	Net roadnet.Network
 	// Workers are fleet prototypes: cloned on every (re)start so platform
 	// incarnations never share mutable worker state, and a restart begins
@@ -86,7 +86,7 @@ type CitySpec struct {
 	// replay cannot reproduce the recorded run.
 	NewAlgorithm func() sim.Algorithm
 	// Options are re-applied on every (re)start and must be pure
-	// configuration (WithTick, WithConfig, WithShards, ...).
+	// configuration (WithTick, WithConfig, WithMeasuredTime, ...).
 	// Do not pass WithAlgorithm (stateful across restarts — use
 	// NewAlgorithm) or WithObserver (the proxy appends its own journal
 	// observer last, which would override it).

@@ -124,7 +124,7 @@ func (g *Graph) initLandmarks(k int) {
 func (g *Graph) initALTSlack() {
 	const eps32 = 1.0 / (1 << 24)
 	n := float64(len(g.coords))
-	slack := 4 * n * eps32
+	slack := float64(4 * n * eps32) // rounded alone, so 1 - slack cannot fuse
 	if slack >= 1 {
 		// Pathological size: no sound deflation exists, disable the
 		// heuristic (searches degrade to goal-stopped Dijkstra).
@@ -176,7 +176,7 @@ func deflate(lb, mul, abs float64) float64 {
 	if lb <= 0 {
 		return 0
 	}
-	lb = lb*mul - abs
+	lb = float64(lb*mul) - abs // converted: no fused multiply-subtract
 	if lb < 0 {
 		return 0
 	}

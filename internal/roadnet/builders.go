@@ -90,7 +90,7 @@ func NewPerturbedGrid(w, h int, cellMeters, speed, jitter float64, seed int64) *
 		if jitter <= 0 {
 			return base
 		}
-		return base * (1 + (rng.Float64()*2-1)*jitter)
+		return base * (1 + float64((float64(rng.Float64())*2-1)*jitter)) // Float64 inlines to a product: neither may fuse
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

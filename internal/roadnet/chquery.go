@@ -146,7 +146,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		if khop < 16 {
 			khop = 16
 		}
-		if slack := 4 * khop * chEps32; slack < 1-h32.chMul {
+		if slack := float64(4 * khop * chEps32); slack < 1-h32.chMul { // rounded alone, so 1 - slack cannot fuse
 			chMulQ = 1 - slack
 			chAbsQ = slack * 2 * ubHint
 			guardQ = 2 * ubHint
@@ -185,7 +185,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 	// can be skipped from the very first pop instead of only after the
 	// target is reached. Single-target only — ubHint bounds one trip.
 	if h32.chTight && len(sc.uniq) == 1 && ubHint > 0 && !math.IsInf(ubHint, 1) {
-		ubInit := ubHint * (1 + 8*(1-chMulQ))
+		ubInit := ubHint * (1 + float64(8*(1-chMulQ))) // converted: no fused multiply-add
 		maxUB = ubInit
 		if ubInit <= guardQ {
 			maxUBh = ubInit
@@ -209,7 +209,7 @@ func (g *Graph) chSearchFrom(sc *scratch, src geo.NodeID, budget, ubHint float64
 		if v >= n {
 			v -= n
 		}
-		if lb+g.heuristic(sc, v) >= maxUBh {
+		if float64(lb)+g.heuristic(sc, v) >= maxUBh { // lb is a product: converted, it cannot fuse
 			return
 		}
 		nd := g.chFold(it.dist, ei)

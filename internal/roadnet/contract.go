@@ -272,7 +272,7 @@ func (g *Graph) initCHSlack(h *hierarchy, diamTight bool) {
 		khop = 1
 	}
 	n := float64(len(g.coords))
-	slack := 4 * khop * chEps32
+	slack := float64(4 * khop * chEps32) // rounded alone, so 1 - slack cannot fuse
 	// Gates: the hop budget must be comfortably representable (so the
 	// "k hops => fold >= k*minw*(7/8)" contradiction holds) and actually
 	// tighter than the simple-path budget; otherwise keep ALT's constants.
@@ -330,7 +330,7 @@ func (b *chBuilder) initDiamBound() {
 // a combined hop count h: two float64 path sums must differ by more than
 // this before the corresponding float32 folds are guaranteed to order the
 // same way for every shared prefix.
-func (b *chBuilder) margin(h int32) float64 { return b.marginK * float64(h+2) }
+func (b *chBuilder) margin(h int32) float64 { return float64(b.marginK * float64(h+2)) } // converted: the callers' w-m cannot fuse
 
 // liveOut returns u's overlay out-list, swap-compacting away edges that
 // are dead or lead to contracted nodes (both conditions are permanent, so
@@ -398,7 +398,7 @@ func (b *chBuilder) insertEdge(e chEdge) {
 	// A float32 left-fold of h non-negative additions starting from any
 	// representable label loses at most a (1-eps32)^h factor against the
 	// exact sum; +2 hops absorb the float64 dust in w itself.
-	e.lbMul = 1 - float64(e.hops+2)*chEps32
+	e.lbMul = 1 - float64(float64(e.hops+2)*chEps32) // converted: no fused multiply-subtract
 	b.edges = append(b.edges, e)
 	b.alive = append(b.alive, true)
 	b.out[e.from] = append(b.out[e.from], idx)

@@ -118,10 +118,6 @@ func NewLegStore(net roadnet.Network) *LegStore {
 // or later takes the leg (DESIGN.md §5, "Per-edge leg blocks"); and the two
 // within-order legs, which come from the slot memo when the order's slot
 // already holds its leg.
-//
-// A prewarm task fills a block of its own task store: every store has
-// exactly one writer goroutine, and a block filled at the same clock holds
-// the same values whenever the fill ran.
 func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot, now float64) *LegBlock {
 	lo, hi, slo, shi := a, b, sa, sb
 	if lo.ID > hi.ID {
@@ -157,8 +153,6 @@ func (s *LegStore) Fill(a *order.Order, sa Slot, b *order.Order, sb Slot, now fl
 
 // withinCost returns cost(o.Pickup, o.Dropoff), from the slot's memo when
 // it holds the slot's current generation and from the network otherwise.
-// A prewarm task fills with NoSlot and returns before the memo, which only
-// its store's one writer goroutine writes.
 func (s *LegStore) withinCost(o *order.Order, slot Slot) float64 {
 	if slot.Index < 0 {
 		return s.net.Cost(o.Pickup, o.Dropoff)
@@ -180,15 +174,6 @@ func (s *LegStore) withinCost(o *order.Order, slot Slot) float64 {
 func (s *LegStore) Release(blk *LegBlock) {
 	s.free = append(s.free, blk)
 	s.live--
-}
-
-// Adopt takes over a block another store filled — the insert prewarm fills
-// pair blocks in throwaway per-task stores on the engine's goroutines — so
-// the live and fill counts match a sequential fill. The block is released
-// to this store like any of its own.
-func (s *LegStore) Adopt(*LegBlock) {
-	s.live++
-	s.fills++
 }
 
 // Len reports the number of blocks handed out and not yet released.

@@ -57,7 +57,6 @@ import (
 	"watter/internal/pool"
 	"watter/internal/proxy"
 	"watter/internal/roadnet"
-	"watter/internal/shard"
 	"watter/internal/sim"
 	"watter/internal/stats"
 	"watter/internal/strategy"
@@ -99,10 +98,6 @@ type (
 	// PoolCacheStats counts the shareability graph's plan-cache traffic
 	// (hits, negative hits, plans avoided/materialized).
 	PoolCacheStats = pool.CacheStats
-	// ShardStats counts the insert prewarm engine's work: PrewarmTasks,
-	// the pairwise plans run on its goroutines. Its other fields are
-	// deprecated and always 0.
-	ShardStats = shard.Stats
 	// ExperimentParams is one experiment configuration point.
 	ExperimentParams = exp.Params
 	// ExperimentResult is one (algorithm, configuration) measurement.
@@ -152,8 +147,8 @@ type (
 	// response (dispatch minus release) and detour seconds.
 	ServiceRecord = platform.ServiceRecord
 	// PlatformStats is the unified observability snapshot of one platform:
-	// the closed flag, the order ledger, and the prewarm and pool-cache
-	// counters in one struct.
+	// the closed flag, the order ledger, and the pool-cache counters in one
+	// struct.
 	PlatformStats = platform.Stats
 	// OrderCounts is PlatformStats' submitted/served/rejected/pending
 	// ledger.
@@ -295,10 +290,6 @@ var (
 	WithConfig = platform.WithConfig
 	// WithAlgorithm installs the dispatch policy (default WATTER-online).
 	WithAlgorithm = platform.WithAlgorithm
-	// WithShards sets how many goroutines run an insert's pairwise
-	// shareability DPs, with bit-identical results (1, the default, runs
-	// them inline); the periodic check is sequential at any value.
-	WithShards = platform.WithShards
 	// WithMeasuredTime toggles wall-clock accounting of algorithm hooks.
 	WithMeasuredTime = platform.WithMeasuredTime
 	// WithObserver installs a synchronous event callback (dashboards,
