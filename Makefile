@@ -75,7 +75,10 @@ fmacheck:
 	done; done; \
 	echo "$$total fused instructions"; [ $$total = 0 ]
 
-# Smoke-run every benchmark once (no timing stability, just "they run").
+# Smoke-run every go test benchmark once (no timing stability, just "they
+# run"): the internal/ kernel micro-benchmarks and BenchmarkPoolRadius.
+# The figure sweeps are watterbench -fig's; end-to-end speed is
+# `make benchmark`'s.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 

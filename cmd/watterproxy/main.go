@@ -13,7 +13,9 @@
 //	watterproxy                         # 3 cities, 2 seeds, full verify
 //	watterproxy -cities 6 -alg WATTER-timeout
 //
-// City profiles cycle through CDC, NYC and XIA. The command exits 1 when
+// City profiles cycle through CDC, NYC and XIA. The crash arm submits
+// proxy.Feed's release-ordered merge by hand, the sequence Proxy.Replay
+// submits, so it can kill a city halfway. The command exits 1 when
 // either proof comes back false. Both proofs are held in the test suite
 // by internal/proxy's TestProxyIsolation and TestJournalReplayRecovery;
 // this command shows them on a larger fleet.
@@ -187,21 +189,9 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 	if err != nil {
 		fatal(err)
 	}
-	type entry struct {
-		id string
-		o  *order.Order
-	}
-	var feed []entry
-	for _, d := range defs {
-		for _, o := range d.setup.Orders {
-			cp := *o
-			feed = append(feed, entry{d.spec.ID, &cp})
-		}
-	}
-	for i := 1; i < len(feed); i++ {
-		for j := i; j > 0 && feed[j].o.Release < feed[j-1].o.Release; j-- {
-			feed[j], feed[j-1] = feed[j-1], feed[j]
-		}
+	feed, err := px2.Feed(workloads)
+	if err != nil {
+		fatal(err)
 	}
 	for i, e := range feed {
 		if i == len(feed)/2 {
@@ -214,7 +204,7 @@ func runSeed(cities, orders, workers int, alg string, seed int64, quiet bool) se
 				}
 			}
 		}
-		if err := px2.Submit(e.id, e.o); err != nil {
+		if err := px2.Submit(e.City, e.Order); err != nil {
 			fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,6 +137,29 @@ func TestSweepDefinitions(t *testing.T) {
 	}
 	if _, err := SweepByID(base, "fig99"); err == nil {
 		t.Fatal("unknown sweep must error")
+	}
+	// Every sweep runs end to end with one algorithm: WATTER-timeout, the
+	// cheapest, unless the sweep only runs others (the training studies run
+	// WATTER-expect alone). Each point must come back as a result.
+	sr := NewSweepRunner(nil)
+	for _, s := range sweeps {
+		alg := "WATTER-timeout"
+		if len(s.Algs) > 0 && !slices.Contains(s.Algs, alg) {
+			alg = s.Algs[0]
+		}
+		s.Algs = []string{alg}
+		res, err := sr.Run(s.Jobs(base, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if len(res.Results) != len(s.Points) {
+			t.Fatalf("%s: %d results for %d points", s.ID, len(res.Results), len(s.Points))
+		}
+		for i, r := range res.Results {
+			if r.Alg != alg || r.X != s.Points[i] || r.Metrics.Total == 0 {
+				t.Fatalf("%s point %v: result %s at %v over %d orders", s.ID, s.Points[i], r.Alg, r.X, r.Metrics.Total)
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@
 // The Proxy serializes all operations behind one mutex: callers may feed
 // it from multiple goroutines, but the journal's merge order is the
 // serialization order, so deterministic journals require a deterministic
-// feed (one feeding goroutine, or the batch Replay).
+// feed (one feeding goroutine walking Feed, or the batch Replay).
 package proxy
 
 import (
@@ -276,51 +276,57 @@ func (x *Proxy) Tick() (float64, error) {
 	return latest, nil
 }
 
-// Replay is the batch entry point: every city's pre-materialized workload
-// feeds through the router in one global release-ordered interleaving
-// (ties resolve by routing order, so the merge is deterministic), then
-// the proxy closes and returns per-city final metrics. Orders are cloned;
-// the caller's slices are never touched. Cities absent from workloads
-// still run (they just drain empty at close).
-func (x *Proxy) Replay(workloads map[string][]*order.Order) (map[string]*sim.Metrics, error) {
-	x.mu.Lock()
-	if x.closed {
-		x.mu.Unlock()
-		return nil, ErrClosed
-	}
-	type entry struct {
-		city *city
-		o    *order.Order
-	}
-	var feed []entry
-	// Deterministic construction order: cities in routing order, orders in
-	// slice order; the stable sort by release then keeps ties in exactly
-	// this order.
+// CityOrder is one entry of a multi-city feed: an order tagged with the
+// city it routes to.
+type CityOrder struct {
+	City  string
+	Order *order.Order
+}
+
+// Feed is the one release-ordered merge of every city's workload: the
+// sequence Replay submits, for callers that drive the proxy themselves.
+// Orders are cloned, so the caller's slices are never touched, and equal
+// releases keep routing order, then slice order. A nil order is refused
+// first (the first in routing order), then the alphabetically first city
+// the proxy does not own, so the error never depends on map iteration
+// order. Feed reads only the routing table New fixed, so it needs no lock.
+func (x *Proxy) Feed(workloads map[string][]*order.Order) ([]CityOrder, error) {
+	var feed []CityOrder
 	for _, id := range x.ids {
-		ct := x.cities[id]
 		for i, o := range workloads[id] {
 			if o == nil {
-				x.mu.Unlock()
 				return nil, fmt.Errorf("proxy: city %q: order %d is nil", id, i)
 			}
 			cp := *o
-			feed = append(feed, entry{city: ct, o: &cp})
+			feed = append(feed, CityOrder{City: id, Order: &cp})
 		}
 	}
-	// Report the alphabetically first unknown city, so the error a caller
-	// sees never depends on map iteration order.
 	for _, id := range slices.Sorted(maps.Keys(workloads)) {
 		if _, ok := x.cities[id]; !ok {
-			x.mu.Unlock()
 			return nil, fmt.Errorf("%w: %q", ErrUnknownCity, id)
 		}
 	}
-	sort.SliceStable(feed, func(i, j int) bool { return feed[i].o.Release < feed[j].o.Release })
-	x.mu.Unlock()
+	sort.SliceStable(feed, func(i, j int) bool { return feed[i].Order.Release < feed[j].Order.Release })
+	return feed, nil
+}
 
+// Replay is the batch entry point: it submits Feed(workloads) through the
+// router, then closes the proxy and returns per-city final metrics. Cities
+// absent from workloads still run (they just drain empty at close).
+func (x *Proxy) Replay(workloads map[string][]*order.Order) (map[string]*sim.Metrics, error) {
+	x.mu.Lock()
+	closed := x.closed
+	x.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	feed, err := x.Feed(workloads)
+	if err != nil {
+		return nil, err
+	}
 	for _, e := range feed {
-		if err := x.Submit(e.city.id, e.o); err != nil {
-			return nil, fmt.Errorf("proxy: city %q: %w", e.city.id, err)
+		if err := x.Submit(e.City, e.Order); err != nil {
+			return nil, fmt.Errorf("proxy: city %q: %w", e.City, err)
 		}
 	}
 	return x.Close()

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"errors"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,23 +187,11 @@ func TestJournalReplayRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Interleave the three streams exactly as Replay would, but
-				// by hand so the crash lands mid-flight.
-				type entry struct {
-					city string
-					o    *order.Order
-				}
-				var feed []entry
-				for _, spec := range specs {
-					for _, o := range workloads[spec.ID] {
-						cp := *o
-						feed = append(feed, entry{spec.ID, &cp})
-					}
-				}
-				for i := 1; i < len(feed); i++ {
-					for j := i; j > 0 && feed[j].o.Release < feed[j-1].o.Release; j-- {
-						feed[j], feed[j-1] = feed[j-1], feed[j]
-					}
+				// Walk the merge Replay submits, by hand so the crash lands
+				// mid-flight.
+				feed, err := x.Feed(workloads)
+				if err != nil {
+					t.Fatal(err)
 				}
 				for i, e := range feed {
 					if kill && i == len(feed)/2 {
@@ -221,8 +208,8 @@ func TestJournalReplayRecovery(t *testing.T) {
 							}
 						}
 					}
-					if err := x.Submit(e.city, e.o); err != nil {
-						t.Fatalf("submit %s after crash: %v", e.city, err)
+					if err := x.Submit(e.City, e.Order); err != nil {
+						t.Fatalf("submit %s after crash: %v", e.City, err)
 					}
 				}
 				if kill {
@@ -249,24 +236,75 @@ func TestJournalReplayRecovery(t *testing.T) {
 	}
 }
 
-// feedEntry is one order of a merged multi-city feed.
-type feedEntry struct {
-	city string
-	o    *order.Order
-}
-
-// mergedFeed interleaves every city's workload (cloned) in release order,
-// ties in routing order — the sequence Replay submits.
-func mergedFeed(specs []CitySpec, workloads map[string][]*order.Order) []feedEntry {
-	var feed []feedEntry
-	for _, spec := range specs {
-		for _, o := range workloads[spec.ID] {
-			cp := *o
-			feed = append(feed, feedEntry{spec.ID, &cp})
+// TestFeedOrder pins the one multi-city merge. Equal releases keep routing
+// order, then slice order; the orders come back cloned, and the caller's
+// are never changed; a nil order is refused before an unknown city, the
+// first nil in routing order. Routing order here is not alphabetical, and
+// the repeats give Go's randomized map order the chance to show through.
+func TestFeedOrder(t *testing.T) {
+	three, _ := threeCities(5, algFactories["online"])
+	specs := []CitySpec{three[2], three[0], three[1]} // XIA, CDC, NYC
+	x, err := New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three release values shared by every city and out of slice order, so
+	// nearly every entry ties with another.
+	workloads := make(map[string][]*order.Order, len(specs))
+	before := make(map[string][]order.Order, len(specs))
+	for c, spec := range specs {
+		for i := 0; i < 20; i++ {
+			o := &order.Order{ID: 100*c + i, Release: float64(i * 7 % 3)}
+			workloads[spec.ID] = append(workloads[spec.ID], o)
+			before[spec.ID] = append(before[spec.ID], *o)
 		}
 	}
-	sort.SliceStable(feed, func(i, j int) bool { return feed[i].o.Release < feed[j].o.Release })
-	return feed
+	var want []CityOrder
+	for r := 0.0; r < 3; r++ {
+		for _, spec := range specs {
+			for _, o := range workloads[spec.ID] {
+				if o.Release == r {
+					want = append(want, CityOrder{spec.ID, o})
+				}
+			}
+		}
+	}
+	for rep := 0; rep < 50; rep++ {
+		got, err := x.Feed(workloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("feed has %d entries, want %d", len(got), len(want))
+		}
+		for i, e := range got {
+			if e.City != want[i].City || *e.Order != *want[i].Order {
+				t.Fatalf("rep %d, entry %d: %s/%d, want %s/%d",
+					rep, i, e.City, e.Order.ID, want[i].City, want[i].Order.ID)
+			}
+			if e.Order == want[i].Order {
+				t.Fatal("Feed handed back the caller's order, not a clone")
+			}
+			e.Order.Release = -1 // the clone is the caller's to change
+		}
+		for _, spec := range specs {
+			for i, o := range workloads[spec.ID] {
+				if *o != before[spec.ID][i] {
+					t.Fatalf("Feed changed the caller's order %s/%d: %+v", spec.ID, i, *o)
+				}
+			}
+		}
+	}
+
+	workloads["aa-city"] = nil
+	workloads["CDC"][4] = nil
+	workloads["XIA"][9] = nil
+	const wantErr = `proxy: city "XIA": order 9 is nil`
+	for rep := 0; rep < 20; rep++ {
+		if _, err := x.Feed(workloads); err == nil || err.Error() != wantErr {
+			t.Fatalf("rep %d: err = %v, want %q", rep, err, wantErr)
+		}
+	}
 }
 
 // TestPauseResumeHealKilledCity pins that the admin plane heals like
@@ -281,7 +319,10 @@ func TestPauseResumeHealKilledCity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed := mergedFeed(specs, workloads)
+		feed, err := x.Feed(workloads)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, e := range feed {
 			if kill && i == len(feed)/2 {
 				if err := x.Admin().Kill(victim); err != nil {
@@ -294,8 +335,8 @@ func TestPauseResumeHealKilledCity(t *testing.T) {
 					t.Fatalf("resume a healed city: %v", err)
 				}
 			}
-			if err := x.Submit(e.city, e.o); err != nil {
-				t.Fatalf("submit %s: %v", e.city, err)
+			if err := x.Submit(e.City, e.Order); err != nil {
+				t.Fatalf("submit %s: %v", e.City, err)
 			}
 		}
 		restarts := x.Admin().Stats().Restarts
@@ -339,7 +380,10 @@ func TestDivergentReplayRefusesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := mergedFeed(specs, workloads)
+	feed, err := x.Feed(workloads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refused := 0
 	for i, e := range feed {
 		if i == len(feed)/2 {
@@ -358,15 +402,15 @@ func TestDivergentReplayRefusesRestart(t *testing.T) {
 				}
 			}
 		}
-		err := x.Submit(e.city, e.o)
+		err := x.Submit(e.City, e.Order)
 		switch {
-		case i >= len(feed)/2 && e.city == victim:
+		case i >= len(feed)/2 && e.City == victim:
 			if !errors.Is(err, ErrCityDown) {
 				t.Fatalf("traffic into the down city %s: %v, want ErrCityDown", victim, err)
 			}
 			refused++
 		case err != nil:
-			t.Fatalf("submit %s: %v", e.city, err)
+			t.Fatalf("submit %s: %v", e.City, err)
 		}
 	}
 	if refused == 0 {
@@ -481,7 +525,10 @@ func TestPauseAcrossHeal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feed := mergedFeed(specs, workloads)
+		feed, err := x.Feed(workloads)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, e := range feed {
 			if disrupt && i == len(feed)/2 {
 				if err := x.Admin().Pause(victim); err != nil {
@@ -494,7 +541,7 @@ func TestPauseAcrossHeal(t *testing.T) {
 				if !h.Recovered || h.State != StatePaused || h.Restarts != 1 {
 					t.Fatalf("probe of a paused, killed city: %+v", h)
 				}
-				cp := *e.o
+				cp := *e.Order
 				if err := x.Submit(victim, &cp); !errors.Is(err, ErrPaused) {
 					t.Fatalf("healed paused city accepted traffic: %v", err)
 				}
@@ -516,8 +563,8 @@ func TestPauseAcrossHeal(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := x.Submit(e.city, e.o); err != nil {
-				t.Fatalf("submit %s: %v", e.city, err)
+			if err := x.Submit(e.City, e.Order); err != nil {
+				t.Fatalf("submit %s: %v", e.City, err)
 			}
 		}
 		m, err := x.Close()

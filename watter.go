@@ -168,6 +168,8 @@ type (
 	CitySpec = proxy.CitySpec
 	// CityEvent is one merged-journal entry: an event tagged with its city.
 	CityEvent = proxy.CityEvent
+	// CityOrder is one entry of Proxy.Feed's release-ordered merge.
+	CityOrder = proxy.CityOrder
 	// ProxyAdmin is the operator plane: pause/resume, crash injection,
 	// health probes and fleet stats.
 	ProxyAdmin = proxy.Admin
