@@ -1,8 +1,10 @@
-# Mirrors .github/workflows/ci.yml: `make ci` runs exactly what CI runs.
+# Mirrors .github/workflows/ci.yml: `make ci` runs CI's steps in CI's order,
+# plus one local-only step, `test` (the suite without the race detector;
+# CI's test step is `race`).
 
 GO ?= go
 
-.PHONY: build examples clismoke test race fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci benchsweep benchgate clean
+.PHONY: build examples clismoke test race pins fuzz fmacheck bench benchmark benchpairs smokeflake lint detlint staticcheck govulncheck fmt ci benchsweep benchgate clean
 
 build:
 	$(GO) build ./...
@@ -30,6 +32,15 @@ test:
 # Shuffled so test-order coupling fails here before it fails in CI.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The steady-state allocation pins (DESIGN.md §12) without the race
+# detector, which drops a roadnet.Graph's pooled search scratch at random:
+# `race` skips the pins' Graph arms (gridindex's ALT and hierarchy probes,
+# the leg store's fill-and-release cycle), and this step holds them.
+PINS = TestPlanGroupCostLegsAllocations|TestPlanGroupAllocations|TestPlanCacheAllocations|TestSlotsRecycle|TestTickAllocations|TestPredictWithDoesNotAllocate|TestSplitPassAllocatesNothing|TestThresholdSteadyStateAllocatesNothing|TestProbeAllocatesNothing|TestHeldScratchSearchAllocatesNothing|TestLegStoreReleaseRecyclesBlock
+
+pins:
+	$(GO) test -count=1 -run '^($(PINS))$$' ./internal/...
 
 # Ten seconds of coverage-guided fuzzing on each parser that reads outside
 # input — the model-snapshot loader and the model-bundle loader — on the five kernels held to an oracle — the route DP, the
@@ -161,7 +172,7 @@ staticcheck:
 fmt:
 	gofmt -w .
 
-ci: lint staticcheck govulncheck build fmacheck examples clismoke test race fuzz bench benchgate
+ci: lint staticcheck govulncheck build fmacheck examples clismoke test race pins fuzz bench benchgate
 
 # The sequential-vs-parallel sweep engine's row. benchsweep re-records the
 # committed BENCH_sweep.json in place, holding the fresh row to it first (run

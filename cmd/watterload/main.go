@@ -109,8 +109,8 @@ func run(o options) ([]*load.Result, *load.SearchResult, error) {
 		if found, err = load.SearchMaxRate(base, logf); err != nil {
 			return nil, nil, err
 		}
-		logf("watterload: max sustainable rate %.4f orders/sec (slip q%.3g ≤ %.0fs, svc ≥ 0.5) over %d probes\n",
-			found.MaxRate, found.Quantile, found.Budget, len(found.Probes))
+		logf("watterload: max sustainable rate %.4f orders/sec (svc ≥ 0.5) over %d probes\n",
+			found.MaxRate, len(found.Probes))
 	}
 	fmt.Println(summary(o, len(scenarios), city.Name, found, time.Since(start)))
 	return results, found, nil

@@ -10,9 +10,6 @@ import (
 	"watter/internal/strategy"
 )
 
-// raceEnabled is set by race_test.go when the race detector is compiled in.
-var raceEnabled bool
-
 // hold never volunteers a dispatch.
 type hold struct{}
 
@@ -57,9 +54,6 @@ func resetWorkers(env *sim.Env, net *roadnet.GridCity) {
 // into the framework's kept group and allocates nothing either, insert
 // and removal included.
 func TestTickAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	t.Run("hold", func(t *testing.T) {
 		fw, env, net := allocFixture(hold{})
 		for id := 1; id <= 5; id++ {

@@ -2,7 +2,6 @@ package gmm
 
 import (
 	"math"
-	"sync"
 
 	"watter/internal/order"
 	"watter/internal/strategy"
@@ -59,9 +58,9 @@ func goldenMax(f func(float64) float64, lo, hi, tol float64) float64 {
 }
 
 // GradientThreshold is the paper's literal optimizer: projected gradient
-// ascent on (p - θ)·F(θ) with numeric derivative. Exposed for the ablation
-// bench comparing it against the golden-section solver; both land on the
-// same optimum for unimodal objectives.
+// ascent on (p - θ)·F(θ) with numeric derivative. Dispatch uses
+// OptimalThreshold; TestGradientMatchesGolden and examples/threshold
+// compare the two, which land on the same optimum for unimodal objectives.
 func GradientThreshold(m *Model, p float64, steps int, lr float64) float64 {
 	if p <= 0 {
 		return 0
@@ -103,11 +102,11 @@ func GradientThreshold(m *Model, p float64, steps int, lr float64) float64 {
 // ThresholdSource adapts a fitted model into the strategy.ThresholdSource
 // interface: each order's threshold is the optimizer's θ*(p(i)). Results
 // are memoized on the penalty value (quantized) because many orders share
-// penalty magnitudes. Safe for concurrent use: trained bundles are shared
-// across parallel replicate runs.
+// penalty magnitudes. Not safe for concurrent use: a training run builds
+// one for its own experience collection, and the trained bundle keeps only
+// the Model.
 type ThresholdSource struct {
 	Model *Model
-	mu    sync.Mutex
 	cache map[int64]float64
 }
 
@@ -123,18 +122,11 @@ func (s *ThresholdSource) Threshold(o *order.Order, _ float64) float64 {
 		return 0
 	}
 	key := int64(p * 16) // ~62 ms quantization: plenty for thresholds
-	s.mu.Lock()
 	v, ok := s.cache[key]
-	s.mu.Unlock()
-	if ok {
-		return v
+	if !ok {
+		v = OptimalThreshold(s.Model, p)
+		s.cache[key] = v
 	}
-	// OptimalThreshold is deterministic in (model, p), so concurrent misses
-	// on one key compute the same value; last store wins harmlessly.
-	v = OptimalThreshold(s.Model, p)
-	s.mu.Lock()
-	s.cache[key] = v
-	s.mu.Unlock()
 	return v
 }
 

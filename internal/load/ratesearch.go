@@ -1,17 +1,16 @@
 package load
 
 // The rate search's predicate and bracket are fixed. A rate is
-// sustainable when the 0.99 quantile of decision slip (time past the
-// watching window η before a dispatch-or-reject decision lands — see
-// Result.Slip) stays within one periodic-check interval AND at least half
-// the submitted orders are served. Both legs matter: the pooling framework
-// keeps decisions timely under overload by rejecting, so slip alone would
-// call a reject-everything platform sustainable. The search probes 0.125
-// and 2 orders/s, then bisects between them four times. Every probe is a
-// deterministic virtual-clock run, so the found rate is bit-identical run
-// to run — a searchable performance number a test can pin exactly.
+// sustainable when at least half the submitted orders are served. Decision
+// slip (Result.Slip) cannot decide it: with τ = 1.6 and η = 0.8 every
+// order is served by release + 0.6·d or rejected at the first check after
+// that, so slip never exceeds one Δt (DESIGN.md §14). The pooling
+// framework degrades under overload by rejecting, and the service rate is
+// what shows it. The search probes 0.125 and 2 orders/s, then bisects
+// between them four times. Every probe is a deterministic virtual-clock
+// run, so the found rate is bit-identical run to run — a searchable
+// performance number a test can pin exactly.
 const (
-	searchQuantile   = 0.99
 	searchMinService = 0.5
 	searchLo         = 0.125
 	searchHi         = 2
@@ -21,19 +20,15 @@ const (
 // Probe is one rate evaluation of the search.
 type Probe struct {
 	Rate        float64
-	Slip        float64 // quantile decision slip at this rate, virtual seconds
 	ServiceRate float64
 	Sustainable bool
 }
 
 // SearchResult reports the bracketing outcome.
 type SearchResult struct {
-	// MaxRate is the largest probed rate that met the budget (0 when even
-	// the bracket floor failed).
+	// MaxRate is the largest probed rate that was sustainable (0 when even
+	// the bracket floor was not).
 	MaxRate float64
-	// Budget (one Δt) and Quantile echo the predicate.
-	Budget   float64
-	Quantile float64
 	// Probes lists every evaluation in search order.
 	Probes []Probe
 }
@@ -43,7 +38,7 @@ type SearchResult struct {
 // (nil ok) receives one line per probe.
 func SearchMaxRate(base Config, logf func(string, ...any)) (*SearchResult, error) {
 	base = base.Defaults()
-	res := &SearchResult{Budget: base.Tick, Quantile: searchQuantile}
+	res := &SearchResult{}
 	probe := func(rate float64) (bool, error) {
 		cfg := base
 		cfg.Arrival.Rate = rate
@@ -51,12 +46,10 @@ func SearchMaxRate(base Config, logf func(string, ...any)) (*SearchResult, error
 		if err != nil {
 			return false, err
 		}
-		slip := r.Slip.Quantile(searchQuantile)
-		ok := slip <= res.Budget && r.ServiceRate >= searchMinService
-		res.Probes = append(res.Probes, Probe{Rate: rate, Slip: slip, ServiceRate: r.ServiceRate, Sustainable: ok})
+		ok := r.ServiceRate >= searchMinService
+		res.Probes = append(res.Probes, Probe{Rate: rate, ServiceRate: r.ServiceRate, Sustainable: ok})
 		if logf != nil {
-			logf("load: probe rate=%.4f/s slip-q%.3g=%.2fs budget=%.2fs svc=%.2f sustainable=%v\n",
-				rate, searchQuantile, slip, res.Budget, r.ServiceRate, ok)
+			logf("load: probe rate=%.4f/s svc=%.2f sustainable=%v\n", rate, r.ServiceRate, ok)
 		}
 		return ok, nil
 	}
@@ -66,7 +59,7 @@ func SearchMaxRate(base Config, logf func(string, ...any)) (*SearchResult, error
 		return nil, err
 	}
 	if !ok {
-		return res, nil // even the floor rate slips: MaxRate stays 0
+		return res, nil // even the floor rate serves too few: MaxRate stays 0
 	}
 	res.MaxRate = searchLo
 	ok, err = probe(searchHi)

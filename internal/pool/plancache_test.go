@@ -14,9 +14,6 @@ import (
 	"watter/internal/route"
 )
 
-// raceEnabled is set by race_test.go when the race detector is compiled in.
-var raceEnabled bool
-
 // cacheReferences reports whether any cached key has the order as a member.
 func cacheReferences(p *Pool, id int) bool {
 	if p.cache == nil {
@@ -226,9 +223,6 @@ func TestPlanCacheNegativePermanence(t *testing.T) {
 // bests is free too: an order adopts a best group by copying the winning
 // entry into its slot, and no route is planned until a dispatch asks.
 func TestPlanCacheAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
 	p, net, _ := testPool(-1)
 	a := mk(net, 1, net.Node(0, 0), net.Node(10, 0), 0, 2.0)
 	b := mk(net, 2, net.Node(1, 0), net.Node(11, 0), 0, 2.0)

@@ -495,10 +495,6 @@ func TestSlotsRecycle(t *testing.T) {
 	if p.edges() == 0 || p.legBlocks() != p.edges() {
 		t.Fatalf("churned pool holds %d edges and %d leg blocks", p.edges(), p.legBlocks())
 	}
-	if raceEnabled {
-		return // allocation counts are not meaningful under the race detector
-	}
-
 	// An order that shares with nobody: its cycle plans nothing and keeps
 	// nothing, so it allocates nothing.
 	far := mk(net, 1000, net.Node(0, 19), net.Node(10, 19), 0, 1.1)

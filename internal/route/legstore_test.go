@@ -256,7 +256,7 @@ func TestLegStoreReleaseRecyclesBlock(t *testing.T) {
 		t.Fatal("a live block was handed out twice")
 	}
 	if raceEnabled {
-		return // pooled search scratch is dropped at random; counts mean nothing
+		return // the Graph's pooled search scratch is dropped at random; counts mean nothing
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		store.Release(store.Fill(a, sa, b, sb, 0))

@@ -32,7 +32,6 @@ package route
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"watter/internal/geo"
 	"watter/internal/order"
@@ -45,9 +44,12 @@ import (
 // k = 6, 648 at the pool's default k = 4) tiny.
 const MaxGroupSize = 6
 
-// Planner plans routes over a road network.
+// Planner plans routes over a road network. It owns the DP scratch every
+// call reuses, so it is not safe for concurrent use: each sim.Env owns one,
+// and one run's dispatch calls it from one goroutine.
 type Planner struct {
 	Net roadnet.Network
+	sc  planScratch
 }
 
 // NewPlanner returns a planner over net.
@@ -91,8 +93,7 @@ func (p *Planner) PlanGroupInto(plan *order.RoutePlan, orders []*order.Order, no
 // once the route is known to exist. The parent chain of a complete state
 // has exactly one state per event.
 func (p *Planner) planInto(plan *order.RoutePlan, orders []*order.Order, now float64, capacity int, start geo.NodeID, blocks []*LegBlock) (*order.RoutePlan, bool) {
-	sc := scratchPool.Get().(*planScratch)
-	defer scratchPool.Put(sc)
+	sc := &p.sc
 	best := p.planDP(orders, now, capacity, start, blocks, sc)
 	if best < 0 {
 		return nil, false
@@ -142,8 +143,7 @@ func (p *Planner) PlanGroupCost(orders []*order.Order, now float64, capacity int
 // also reports first, the index of the member whose pickup the route starts
 // at: a materialized plan's Stops[0] is orders[first].Pickup.
 func (p *Planner) PlanGroupCostLegs(orders []*order.Order, now float64, capacity int, blocks []*LegBlock, svc []float64) (cost, expiry float64, first int, ok bool) {
-	sc := scratchPool.Get().(*planScratch)
-	defer scratchPool.Put(sc)
+	sc := &p.sc
 	best := p.planDP(orders, now, capacity, geo.InvalidNode, blocks, sc)
 	if best < 0 {
 		return 0, 0, 0, false
@@ -377,11 +377,11 @@ func doomed(nv float64, row []float64, owe uint16, limit *[2 * MaxGroupSize]floa
 	return false
 }
 
-// planScratch holds reusable DP buffers; pooled because the shareability
-// graph calls the planner millions of times per simulated day. The leg
-// matrix, event locations, doom lookahead and mask worklist are bounded
-// by MaxGroupSize and live inline; only the state tables, whose size is
-// 3^k, grow to the largest k seen.
+// planScratch holds the DP buffers a Planner reuses on every call: the
+// shareability graph calls the planner millions of times per simulated
+// day. The leg matrix, event locations, doom lookahead and mask worklist
+// are bounded by MaxGroupSize and live inline; only the state tables,
+// whose size is 3^k, grow to the largest k seen.
 type planScratch struct {
 	legs     [4 * MaxGroupSize * MaxGroupSize]float64
 	loc      [2 * MaxGroupSize]geo.NodeID
@@ -395,8 +395,6 @@ type planScratch struct {
 	reach   []uint16  // rank(mask) -> set of reachable last events
 	onboard []int     // rank(mask) -> riders picked up and not yet dropped
 }
-
-var scratchPool = sync.Pool{New: func() any { return &planScratch{} }}
 
 // tables returns the state tables sized for groups of k. The kernel clears
 // reach once per call; it writes onboard for every mask it reaches and reads

@@ -376,9 +376,6 @@ func benchPlan(b *testing.B, k int) {
 // warm pair blocks: once with deadlines so slack that every valid mask joins
 // the kernel's worklist, once with randomGroup's mostly binding ones.
 func TestPlanGroupCostLegsAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random; counts mean nothing")
-	}
 	net := testCity()
 	p := NewPlanner(net)
 	store := NewLegStore(net)
@@ -408,9 +405,6 @@ func TestPlanGroupCostLegsAllocations(t *testing.T) {
 // arrival arrays share it), PlanGroupInto into the caller's plan allocates
 // nothing, and an infeasible group allocates nothing either.
 func TestPlanGroupAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled scratch at random; counts mean nothing")
-	}
 	net := testCity()
 	p := NewPlanner(net)
 	rng := rand.New(rand.NewSource(5))

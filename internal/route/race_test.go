@@ -2,6 +2,7 @@
 
 package route
 
-// The race detector makes sync.Pool drop a quarter of what is put back, so
-// pooled scratch is reallocated at random and allocation counts mean nothing.
+// The race detector makes sync.Pool drop a quarter of what is put back, so a
+// roadnet.Graph's pooled search scratch is reallocated at random and
+// allocation counts over a Graph mean nothing.
 func init() { raceEnabled = true }
